@@ -455,21 +455,9 @@ class StreamBuffer:
             return None
         head = items[0]
         if isinstance(head, ColumnarBlock):
-            taken = head
-            rest: list[ColumnarBlock] = []
-            if max_ts is not None:
-                taken, tail = taken.split_below(max_ts)
-                if tail is not None:
-                    rest.append(tail)
-                if not taken.count:
-                    return None
-            if taken.count > limit:
-                taken, tail = taken.split_at(limit)
-                rest.insert(0, tail)
-            items.popleft()
-            for part in reversed(rest):
-                items.appendleft(part)
-            self._consumed_rows(taken)
+            taken = self._take_head_block(limit, max_ts)
+            if taken is not None:
+                self._consumed_rows(taken)
             return taken
         if head.is_punctuation:
             return None
@@ -477,6 +465,28 @@ class StreamBuffer:
         if not run:
             return None
         return ColumnarBlock.from_tuples(run)  # type: ignore[arg-type]
+
+    def _take_head_block(self, limit: int,
+                         max_ts: float | None) -> ColumnarBlock | None:
+        """Unlink the part of the head block that fits ``limit``/``max_ts``
+        (``None`` when no row does), leaving the remainder at the head as a
+        block.  No counters move — callers do the bookkeeping."""
+        items = self._items
+        taken = items[0]
+        rest: list[ColumnarBlock] = []
+        if max_ts is not None:
+            taken, tail = taken.split_below(max_ts)
+            if tail is not None:
+                rest.append(tail)
+            if not taken.count:
+                return None
+        if taken.count > limit:
+            taken, tail = taken.split_at(limit)
+            rest.insert(0, tail)
+        items.popleft()
+        for part in reversed(rest):
+            items.appendleft(part)
+        return taken
 
     def _consumed_rows(self, block: ColumnarBlock) -> None:
         """Bookkeeping for a block handed to the consumer."""
@@ -524,8 +534,16 @@ class StreamBuffer:
         while items and len(out) < limit:
             head = items[0]
             if isinstance(head, ColumnarBlock):
-                self._explode_head()
-                head = items[0]
+                # Materialize only the rows that leave; what stays behind
+                # stays a block (one to_tuples per row, ever).
+                part = self._take_head_block(limit - len(out), max_ts)
+                if part is None:
+                    break
+                out.extend(part.to_tuples())
+                last = part.last_ts()
+                if last > best:
+                    best = last
+                continue
             if head.is_punctuation:
                 break
             ts = head.ts
@@ -612,6 +630,50 @@ class StreamBuffer:
         if isinstance(head, ColumnarBlock):
             return False
         return head.is_punctuation
+
+    def head_run(self, limit: int) -> tuple[list[float], float]:
+        """Look ahead, read-only, over the head run of stamped data rows.
+
+        Returns the run's timestamps (at most ``limit``) and the timestamp
+        at which the run *ends* — the bound below which a merging consumer
+        may take these rows without looking at this input again:
+
+        * the first punctuation's timestamp, when one closes the run;
+        * the register value the input will hold once drained (its largest
+          timestamp), when the buffer ends with the run;
+        * the next row's timestamp, when ``limit`` cut the look-ahead short;
+        * the last stamped row's own timestamp, when a latent row follows
+          (it jumps the queue the moment it becomes the head, so nothing
+          that merges after that row may be taken).
+
+        Blocks are read through their timestamp column; nothing is exploded
+        or materialized.
+        """
+        stamps: list[float] = []
+        end: float | None = None
+        for entry in self._items:
+            if isinstance(entry, ColumnarBlock):
+                col, room = entry.ts, limit + 1 - len(stamps)
+                stamps.extend(col[:room] if entry.selection is None
+                              else [col[i] for i in entry.selection[:room]])
+            elif entry.is_punctuation:
+                end = entry.ts
+                break
+            else:
+                stamps.append(entry.ts)
+            if len(stamps) > limit:
+                break
+        if LATENT_TS in stamps:
+            del stamps[stamps.index(LATENT_TS):]
+            end = stamps[-1] if stamps else LATENT_TS
+        if len(stamps) > limit:
+            end = stamps[limit]
+            del stamps[limit:]
+        elif end is None:
+            end = self.register.value
+            if stamps and stamps[-1] > end:
+                end = stamps[-1]
+        return stamps, end
 
     def gate_ts(self) -> float:
         """The timestamp this input contributes to the operator's τ.

@@ -25,6 +25,7 @@ multi-way joins are built as cascades of binary joins by
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Any, Callable
 
@@ -32,7 +33,7 @@ from .. import tuples as _tuples
 from ..buffers import StreamBuffer
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
-from ..tuples import LATENT_TS, DataTuple, Punctuation, StreamElement
+from ..tuples import LATENT_TS, DataTuple, Punctuation
 from ..windows import (
     CountWindow,
     IndexedCountWindow,
@@ -43,11 +44,6 @@ from ..windows import (
 from .base import BatchResult, Operator, OpContext, StepResult
 
 __all__ = ["WindowJoin", "merge_payloads"]
-
-#: Sentinel distinguishing "no τ override" from any real gate value in
-#: :meth:`WindowJoin._handle_data` (gates can legitimately be any float).
-_NO_TAU = object()
-
 
 def merge_payloads(left: Any, right: Any,
                    left_prefix: str = "l_", right_prefix: str = "r_") -> dict:
@@ -276,19 +272,13 @@ class WindowJoin(Operator):
     def _gates(self) -> list[float]:
         return self._gates_tau()[0]
 
-    def _latent_ready_index(self) -> int | None:
-        for i, buf in enumerate(self.inputs):
-            head = buf.peek()
-            if head is not None and head.is_latent:
-                return i
-        return None
-
     def _latent_head_index(self) -> int | None:
-        """Block-aware :meth:`_latent_ready_index` that never explodes a
-        head block.  Peeking refreshes the TSM register as a side effect;
-        the explicit update here mirrors that exactly (latent timestamps
-        never move a register), keeping the gates byte-identical between
-        the scalar and columnar paths."""
+        """Index of an input whose head is a latent tuple, if any — read
+        off :meth:`StreamBuffer.head_ts`, so a head block is never exploded
+        just to be looked at.  Peeking would refresh the TSM register as a
+        side effect; the explicit update here mirrors that exactly (latent
+        timestamps never move a register), so every path sees the same
+        gates."""
         for i, buf in enumerate(self.inputs):
             ts = buf.head_ts()
             if ts is None:
@@ -299,7 +289,7 @@ class WindowJoin(Operator):
         return None
 
     def more(self) -> bool:
-        if self._latent_ready_index() is not None:
+        if self._latent_head_index() is not None:
             return True
         if self.strict:
             return all(buf for buf in self.inputs)
@@ -392,7 +382,7 @@ class WindowJoin(Operator):
     # Execution (paper Fig. 6)
 
     def _select_index(self) -> int:
-        latent_idx = self._latent_ready_index()
+        latent_idx = self._latent_head_index()
         if latent_idx is not None:
             return latent_idx
         if self.strict:
@@ -426,25 +416,11 @@ class WindowJoin(Operator):
             element = element.stamped(ctx.clock.now())
         return self._handle_data(idx, element)
 
-    def _handle_data(self, idx: int, tup: DataTuple, *,
-                     staged: list[StreamElement] | None = None,
-                     tau_override: Any = _NO_TAU,
-                     maintain: bool = True) -> StepResult:
-        """Probe one data tuple against the opposite window.
-
-        The columnar path reuses the scalar logic verbatim through three
-        hooks: ``staged`` collects emissions instead of pushing them one by
-        one (flushed as blocks afterwards), ``tau_override`` supplies the
-        analytically-derived gate minimum for a mid-run tuple whose buffer
-        state has already been bulk-drained, and ``maintain=False`` defers
-        own-window expiry/insertion to a single :meth:`insert_run` after
-        the run.  With the defaults the behaviour is exactly the original
-        scalar step.
-        """
+    def _handle_data(self, idx: int, tup: DataTuple) -> StepResult:
+        """Probe one data tuple against the opposite window (scalar step)."""
         other = 1 - idx
         own_window = self.windows[idx]
         other_window = self.windows[other]
-        out_emit = self.emit if staged is None else staged.append
         # Expire against the probing tuple's timestamp (Kang et al. order:
         # probe happens against the still-valid window contents).
         other_window.expire(tup.ts)
@@ -483,11 +459,10 @@ class WindowJoin(Operator):
                             payload=self.combiner(left_payload, right_payload),
                             kind=tup.kind,
                             arrival_ts=latest_arrival(tup, candidate))
-            out_emit(out)
+            self.emit(out)
             emitted += 1
-        if maintain:
-            own_window.expire(tup.ts)
-            own_window.insert(tup)
+        own_window.expire(tup.ts)
+        own_window.insert(tup)
         self.tuples_processed += 1
         self.matches_emitted += emitted
         if tup.ts > self._last_emitted_ts and emitted:
@@ -497,10 +472,9 @@ class WindowJoin(Operator):
             # "When we cannot generate a data tuple, we simply produce a
             # punctuation tuple for the benefit of the IWP operators down the
             # path" (paper Section 4.2).
-            tau = (self._gates_tau()[1] if tau_override is _NO_TAU
-                   else tau_override)
+            tau = self._gates_tau()[1]
             if tau > self._last_emitted_ts:
-                out_emit(Punctuation(ts=tau, origin=self.name))
+                self.emit(Punctuation(ts=tau, origin=self.name))
                 self._last_emitted_ts = tau
                 self.punctuation_forwarded += 1
                 emitted_punct = 1
@@ -522,7 +496,7 @@ class WindowJoin(Operator):
         batch = BatchResult()
         inputs = self.inputs
         while batch.steps < limit:
-            latent_idx = self._latent_ready_index()
+            latent_idx = self._latent_head_index()
             if latent_idx is not None:
                 element = inputs[latent_idx].pop()
                 assert isinstance(element, DataTuple)
@@ -568,265 +542,196 @@ class WindowJoin(Operator):
         return batch
 
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Columnar join: bulk-drain one side's run and probe it row by row.
+        """Columnar join: merge both inputs in τ order, one block out.
 
-        The scalar batch path already identifies one-sided *runs* — maximal
-        stretches where a single input keeps winning the τ selection because
-        its head stays strictly below the other input's gate.  Here the run
-        is materialized in one :meth:`StreamBuffer.drain_block` (zero-copy
-        when the producer pushed blocks), probed tuple-at-a-time (probing is
-        inherently per-row), and its window maintenance and emissions are
-        amortized: one :meth:`insert_run` into the own window per run, and
-        one :meth:`StreamBuffer.push_block` per emitted run.
+        The IWP rules make the join a timestamp-ordered *merge* of its two
+        inputs.  Each step looks ahead over both head data runs
+        (:meth:`StreamBuffer.head_run`) and takes, from *both* sides, every
+        row strictly below the **merge horizon** — the smaller of the two
+        points where the runs end.  Below it the scalar selection is a plain
+        two-way merge (cross-side ties: input 0 first), so the rows are
+        drained with one :meth:`StreamBuffer.drain_batch` per side and
+        walked in merged order.  A row tying the horizon, a latent head and
+        punctuation are consumed one element at a time, the data ones
+        through the same probe loop as a one-row merge.
 
-        The per-row no-match punctuation gate is derived *analytically* for
-        mid-run rows: while a run from input ``i`` is being consumed, the
-        other gate cannot move (that buffer is untouched), and input ``i``'s
-        own gate after row ``k`` is row ``k+1``'s timestamp when stamped, or
-        the running register maximum when latent — exactly what
-        ``_gates_tau()`` would have computed against the un-drained buffer.
-        The final row of a run uses the live gates (the buffer state is
-        already exact), so τ stays byte-identical to the scalar path.
+        Per row the probe is inherently scalar; everything around it is
+        amortized.  Own-window maintenance is one :meth:`insert_run` per
+        same-side stretch, flushed at each side switch (a row must see
+        every earlier-merged row of the other side).  The no-match
+        punctuation gate of a mid-merge row is the next merged row's
+        timestamp — what ``_gates_tau()`` would have computed against the
+        un-drained buffers, since every untaken element is stamped at or
+        above every taken one — and the live gates on the last row.  All
+        matches of the call go straight into one set of column arrays
+        (``seq`` drawn from the global counter in emission order), cut into
+        blocks only where a punctuation or an order boundary falls.
         """
         if self.strict:  # pragma: no cover - supports_blocks gates this
             return super().execute_batch(ctx, limit)
         batch = BatchResult()
         inputs = self.inputs
-        staged: list[StreamElement] = []
-        while batch.steps < limit:
+        windows = self.windows
+        use_index = self.indexed
+        adaptive = self.adaptive
+        bucket_floor = self.adaptive_threshold
+        key_fields = self.key_fields or (None, None)
+        base_predicate = self.base_predicate
+        full_predicate = self.predicate
+        combiner = self.combiner
+        seq_counter = _tuples._SEQ
+        watermark = self._last_emitted_ts
+        columns = col_ts, col_seq, col_kind, col_arrival, col_payloads = (
+            [], [], [], [], [])
+        cts_append = col_ts.append
+        cseq_append = col_seq.append
+        ckind_append = col_kind.append
+        carr_append = col_arrival.append
+        cpay_append = col_payloads.append
+        #: (row offset, punctuation | None): where the columns are cut.
+        cuts: list[tuple[int, Punctuation | None]] = []
+        last_out_ts = LATENT_TS
+        steps = probes = matched = bucket_probes = 0
+        punct_idx: int | None = None
+        while steps < limit:
             latent_idx = self._latent_head_index()
             if latent_idx is not None:
-                element = inputs[latent_idx].pop()
-                assert isinstance(element, DataTuple)
-                element = element.stamped(ctx.clock.now())
-                batch.add_step(
-                    self._handle_data(latent_idx, element, staged=staged))
-                continue
-            gates, tau = self._gates_tau()
-            if tau == LATENT_TS:
-                break
-            data_idx: int | None = None
-            punct_idx: int | None = None
-            for i, buf in enumerate(inputs):
-                if buf.head_ts() != tau:
-                    continue
-                if buf.head_is_punctuation():
-                    if punct_idx is None:
-                        punct_idx = i
-                else:
-                    data_idx = i
-                    break
-            if data_idx is not None:
-                buf = inputs[data_idx]
-                other_gate = gates[1 - data_idx]
-                block = buf.drain_block(limit - batch.steps,
-                                        max_ts=other_gate)
-                if block is None:
-                    # Head ties the other gate: the scalar run would consume
-                    # exactly this one element before its boundary check.
-                    element = buf.pop()
-                    assert isinstance(element, DataTuple)
-                    if element.is_latent:
-                        element = element.stamped(ctx.clock.now())
-                    batch.add_step(
-                        self._handle_data(data_idx, element, staged=staged))
-                    continue
-                rows = block.to_tuples()
-                n = len(rows)
-                own_window = self.windows[data_idx]
-                # Running register maximum for the analytic own-gate: the
-                # drained buffer's register value before the drain, folded
-                # with the stamped timestamps consumed so far (a scalar pop
-                # sequence updates the register with exactly these values;
-                # latent originals never enter it).
-                running_reg = buf.register.value
-                # The probe loop is inlined (rather than calling
-                # :meth:`_handle_data` per row) so a run costs no per-row
-                # StepResult/add_step dispatch; every branch below mirrors
-                # that method line for line.
-                other_window = self.windows[1 - data_idx]
-                left_side = data_idx == 0
-                use_index = self.indexed
-                adaptive = self.adaptive
-                bucket_floor = self.adaptive_threshold
-                key_field = (self.key_fields[data_idx]
-                             if self.key_fields is not None else None)
-                base_predicate = self.base_predicate
-                full_predicate = self.predicate
-                combiner = self.combiner
-                stage = staged.append
-                run_probes = 0
-                run_emitted = 0
-                run_punct = 0
-                # Matches go straight into column arrays — one block per
-                # maximal ordered stretch — instead of through a per-match
-                # DataTuple that _flush_staged would only decompose again.
-                # Sequence numbers come from the same global counter the
-                # DataTuple default would draw on, in the same order, so a
-                # downstream materialization rebuilds identical tuples.
-                col_ts: list[float] = []
-                col_seq: list[int] = []
-                col_kind: list = []
-                col_arrival: list[float] = []
-                col_payloads: list = []
-                cts_append = col_ts.append
-                cseq_append = col_seq.append
-                ckind_append = col_kind.append
-                carr_append = col_arrival.append
-                cpay_append = col_payloads.append
-                seq_counter = _tuples._SEQ
-                for k, tup in enumerate(rows):
-                    ts = tup.ts
-                    if ts == LATENT_TS:
-                        tup = rows[k] = tup.stamped(ctx.clock.now())
-                        ts = tup.ts
-                    elif ts > running_reg:
-                        running_reg = ts
-                    payload = tup.payload
-                    other_window.expire(ts)
-                    if use_index and (
-                            not adaptive
-                            or other_window.bucket_count >= bucket_floor):
-                        candidates = other_window.probe(payload[key_field])
-                        predicate = base_predicate
-                        self.indexed_probes += 1
-                    else:
-                        candidates = other_window.matches(ts)
-                        predicate = full_predicate
-                        self.scan_probes += 1
-                    emitted = 0
-                    tup_kind = tup.kind
-                    tup_arr = tup.arrival_ts
-                    tup_arr_nan = tup_arr != tup_arr
-                    for candidate in candidates:
-                        run_probes += 1
-                        left_payload, right_payload = (
-                            (payload, candidate.payload) if left_side
-                            else (candidate.payload, payload)
-                        )
-                        if predicate is not None and not predicate(
-                                left_payload, right_payload):
-                            continue
-                        if col_ts and ts < col_ts[-1]:
-                            # Order boundary (a stamped latent row can sit
-                            # below an external timestamp): close the block.
-                            staged.append(ColumnarBlock(
-                                col_ts, col_seq, col_kind, col_arrival,
-                                col_payloads))
-                            col_ts, col_seq, col_kind = [], [], []
-                            col_arrival, col_payloads = [], []
-                            cts_append = col_ts.append
-                            cseq_append = col_seq.append
-                            ckind_append = col_kind.append
-                            carr_append = col_arrival.append
-                            cpay_append = col_payloads.append
-                        cts_append(ts)
-                        cseq_append(next(seq_counter))
-                        ckind_append(tup_kind)
-                        cand_arr = candidate.arrival_ts
-                        if tup_arr_nan:
-                            carr_append(cand_arr)
-                        elif cand_arr != cand_arr or tup_arr >= cand_arr:
-                            carr_append(tup_arr)
-                        else:
-                            carr_append(cand_arr)
-                        cpay_append(combiner(left_payload, right_payload))
-                        emitted += 1
-                    self.tuples_processed += 1
-                    if emitted:
-                        self.matches_emitted += emitted
-                        run_emitted += emitted
-                        if ts > self._last_emitted_ts:
-                            self._last_emitted_ts = ts
-                    else:
-                        if k + 1 < n:
-                            nxt = rows[k + 1].ts
-                            own_gate = (nxt if nxt != LATENT_TS
-                                        else running_reg)
-                            tau = (own_gate if own_gate < other_gate
-                                   else other_gate)
-                        else:
-                            # Last row of the run: the buffer now holds
-                            # exactly the post-run state, so the live
-                            # gates apply.
-                            tau = self._gates_tau()[1]
-                        if tau > self._last_emitted_ts:
-                            if col_ts:
-                                # Emission order: matches staged so far go
-                                # out ahead of this punctuation.
-                                staged.append(ColumnarBlock(
-                                    col_ts, col_seq, col_kind, col_arrival,
-                                    col_payloads))
-                                col_ts, col_seq, col_kind = [], [], []
-                                col_arrival, col_payloads = [], []
-                                cts_append = col_ts.append
-                                cseq_append = col_seq.append
-                                ckind_append = col_kind.append
-                                carr_append = col_arrival.append
-                                cpay_append = col_payloads.append
-                            stage(Punctuation(ts=tau, origin=self.name))
-                            self._last_emitted_ts = tau
-                            self.punctuation_forwarded += 1
-                            run_punct += 1
-                if col_ts:
-                    staged.append(ColumnarBlock(
-                        col_ts, col_seq, col_kind, col_arrival,
-                        col_payloads))
-                batch.steps += n
-                batch.consumed_data += n
-                batch.probes += run_probes
-                batch.probes_emitted += run_emitted
-                batch.emitted_data += run_emitted
-                batch.emitted_punctuation += run_punct
-                own_window.insert_run(rows)
-                continue
-            if punct_idx is not None:
-                # Punctuation handling emits directly; staged data must be
-                # pushed first to preserve emission order.
-                self._flush_staged(staged)
-                element = inputs[punct_idx].pop()
-                batch.add_step(self._handle_punctuation(element))
-                break  # punctuation is a batch boundary
-            break  # no head at tau: more() is false
-        self._flush_staged(staged)
-        return batch
-
-    def _flush_staged(
-            self, staged: list[StreamElement | ColumnarBlock]) -> None:
-        """Push staged emissions, packing maximal ordered data runs as
-        columnar blocks.  Pre-built blocks (the block path stages match
-        columns directly) are forwarded as-is; punctuation (and any
-        out-of-order boundary, which the buffer's order check must see
-        exactly as the scalar push sequence would) flushes as scalar
-        elements."""
-        if not staged:
-            return
-        outputs = self.outputs
-        i, n = 0, len(staged)
-        while i < n:
-            element = staged[i]
-            if isinstance(element, ColumnarBlock):
-                for out in outputs:
-                    out.push_block(element)
-                i += 1
-            elif isinstance(element, DataTuple):
-                j = i + 1
-                while (j < n and isinstance(staged[j], DataTuple)
-                       and staged[j].ts >= staged[j - 1].ts):
-                    j += 1
-                if j - i > 1:
-                    block = ColumnarBlock.from_tuples(staged[i:j])
-                    for out in outputs:
-                        out.push_block(block)
-                else:
-                    for out in outputs:
-                        out.push(element)
-                i = j
+                n0 = 1 - latent_idx
+                rows = inputs[latent_idx].drain_batch(1)
+                rows[0] = rows[0].stamped(ctx.clock.now())
             else:
-                for out in outputs:
-                    out.push(element)
-                i += 1
-        staged.clear()
+                if self._gates_tau()[1] == LATENT_TS:
+                    break
+                budget = limit - steps
+                stamps0, end0 = inputs[0].head_run(budget)
+                stamps1, end1 = inputs[1].head_run(budget)
+                horizon = end0 if end0 < end1 else end1
+                n0 = bisect_left(stamps0, horizon)
+                n1 = bisect_left(stamps1, horizon)
+                if n0 + n1 > budget:
+                    # The cap applies to the merged count; choosing the cut
+                    # before draining means nothing is ever pushed back.
+                    stamps = stamps0[:n0] + stamps1[:n1]
+                    merged = sorted(range(n0 + n1), key=stamps.__getitem__)
+                    n0 = sum(1 for i in merged[:budget] if i < n0)
+                    n1 = budget - n0
+                if n0 + n1:
+                    rows = inputs[0].drain_batch(n0) if n0 else []
+                    if n1:
+                        rows += inputs[1].drain_batch(n1)
+                else:
+                    # Nothing below the horizon: the element at τ, data
+                    # preferred over punctuation, input 0 first.
+                    tau = self._gates_tau()[1]
+                    at_tau = [i for i in (0, 1) if inputs[i].head_ts() == tau]
+                    data = [i for i in at_tau
+                            if not inputs[i].head_is_punctuation()]
+                    if not data:
+                        punct_idx = at_tau[0] if at_tau else None
+                        break  # punctuation is a batch boundary
+                    n0 = 1 - data[0]
+                    rows = inputs[data[0]].drain_batch(1)
+            # rows[:n0] came off input 0, rows[n0:] off input 1; walk them
+            # in merged order (the sort is stable: ties keep input 0 first).
+            n = len(rows)
+            order = range(n)
+            if 0 < n0 < n:
+                order = sorted(order, key=(stamps0[:n0] + stamps1[:n - n0])
+                               .__getitem__)
+            side = None
+            for k, idx in enumerate(order):
+                tup = rows[idx]
+                if (idx >= n0) is not side:
+                    if side is not None:
+                        windows[side].insert_run(rows[stretch:prev + 1])
+                    side = idx >= n0
+                    stretch = idx
+                    other_window = windows[1 - side]
+                    key_field = key_fields[side]
+                prev = idx
+                ts = tup.ts
+                payload = tup.payload
+                other_window.expire(ts)
+                if use_index and (
+                        not adaptive
+                        or other_window.bucket_count >= bucket_floor):
+                    candidates = other_window.probe(payload[key_field])
+                    predicate = base_predicate
+                    bucket_probes += 1
+                else:
+                    candidates = other_window.matches(ts)
+                    predicate = full_predicate
+                emitted = 0
+                tup_kind = tup.kind
+                tup_arr = tup.arrival_ts
+                tup_arr_nan = tup_arr != tup_arr
+                for candidate in candidates:
+                    probes += 1
+                    left_payload, right_payload = (
+                        (candidate.payload, payload) if side
+                        else (payload, candidate.payload)
+                    )
+                    if predicate is not None and not predicate(
+                            left_payload, right_payload):
+                        continue
+                    cts_append(ts)
+                    cseq_append(next(seq_counter))
+                    ckind_append(tup_kind)
+                    cand_arr = candidate.arrival_ts
+                    if tup_arr_nan:
+                        carr_append(cand_arr)
+                    elif cand_arr != cand_arr or tup_arr >= cand_arr:
+                        carr_append(tup_arr)
+                    else:
+                        carr_append(cand_arr)
+                    cpay_append(combiner(left_payload, right_payload))
+                    emitted += 1
+                if emitted:
+                    matched += emitted
+                    if ts < last_out_ts:
+                        # Order boundary (a stamped latent row can sit
+                        # below an external timestamp): the output buffer
+                        # must see it exactly as the scalar pushes would.
+                        cuts.append((len(col_ts) - emitted, None))
+                    last_out_ts = ts
+                    if ts > watermark:
+                        watermark = ts
+                else:
+                    tau = (rows[order[k + 1]].ts if k + 1 < n
+                           else self._gates_tau()[1])
+                    if tau > watermark:
+                        cuts.append((len(col_ts),
+                                     Punctuation(ts=tau, origin=self.name)))
+                        watermark = tau
+            windows[side].insert_run(rows[stretch:prev + 1])
+            steps += n
+        forwarded = sum(1 for _, punct in cuts if punct is not None)
+        self._last_emitted_ts = watermark
+        self.tuples_processed += steps
+        self.matches_emitted += matched
+        self.indexed_probes += bucket_probes
+        self.scan_probes += steps - bucket_probes
+        self.punctuation_forwarded += forwarded
+        batch.steps = batch.consumed_data = steps
+        batch.probes = probes
+        batch.probes_emitted = batch.emitted_data = matched
+        batch.emitted_punctuation = forwarded
+        # Emission order: staged matches go out ahead of what the
+        # punctuation step emits.
+        start = 0
+        for stop, punct in [*cuts, (len(col_ts), None)]:
+            if stop > start:
+                block = ColumnarBlock(*(
+                    columns if stop - start == len(col_ts)
+                    else [col[start:stop] for col in columns]))
+                for out in self.outputs:
+                    out.push_block(block)
+                start = stop
+            if punct is not None:
+                self.emit(punct)
+        if punct_idx is not None:
+            batch.add_step(self._handle_punctuation(inputs[punct_idx].pop()))
+        return batch
 
     def _handle_punctuation(self, punct) -> StepResult:
         self.punctuation_consumed += 1

@@ -97,16 +97,22 @@ class SinkNode(Operator):
             run = buf.drain_batch(limit - batch.steps)
             now = ctx.clock.now()
             on_output = self.on_output
+            # Latency statistics accumulate in locals (same addition order,
+            # so latency_sum stays bit-identical) and land once per run.
+            lat_sum, lat_max = self.latency_sum, self.latency_max
+            lat_count = self.latency_count
             for element in run:
                 assert isinstance(element, DataTuple)
                 latency = now - element.arrival_ts
                 if latency == latency:  # not NaN
-                    self.latency_sum += latency
-                    self.latency_count += 1
-                    if latency > self.latency_max:
-                        self.latency_max = latency
+                    lat_sum += latency
+                    lat_count += 1
+                    if latency > lat_max:
+                        lat_max = latency
                 if on_output is not None:
                     on_output(element, latency)
+            self.latency_sum, self.latency_max = lat_sum, lat_max
+            self.latency_count = lat_count
             n = len(run)
             self.delivered += n
             if self.keep_outputs:
@@ -138,27 +144,32 @@ class SinkNode(Operator):
                 batch.consumed_punctuation += 1
                 break
             now = ctx.clock.now()
+            # As in execute_batch: locals per block, same addition order.
+            lat_sum, lat_max = self.latency_sum, self.latency_max
+            lat_count = self.latency_count
             if self.on_output is None and not self.keep_outputs:
                 for arrival in block.iter_arrival():
                     latency = now - arrival
                     if latency == latency:  # not NaN
-                        self.latency_sum += latency
-                        self.latency_count += 1
-                        if latency > self.latency_max:
-                            self.latency_max = latency
+                        lat_sum += latency
+                        lat_count += 1
+                        if latency > lat_max:
+                            lat_max = latency
             else:
                 on_output = self.on_output
                 for element in block.to_tuples():
                     latency = now - element.arrival_ts
                     if latency == latency:  # not NaN
-                        self.latency_sum += latency
-                        self.latency_count += 1
-                        if latency > self.latency_max:
-                            self.latency_max = latency
+                        lat_sum += latency
+                        lat_count += 1
+                        if latency > lat_max:
+                            lat_max = latency
                     if self.keep_outputs:
                         self.outputs_seen.append(element)
                     if on_output is not None:
                         on_output(element, latency)
+            self.latency_sum, self.latency_max = lat_sum, lat_max
+            self.latency_count = lat_count
             n = block.count
             self.delivered += n
             batch.steps += n

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.buffers import BufferRegistry, StreamBuffer, TSMRegister
+from repro.core.columnar import ColumnarBlock
 from repro.core.errors import TimestampError
 from repro.core.tuples import LATENT_TS
 
@@ -257,3 +258,75 @@ class TestOnChangeHookIsolation:
         buf.clear()
         assert buf.hook_errors == 2
         assert len(buf) == 0
+
+
+class TestHeadRunLookahead:
+    """``head_run``: the read-only look-ahead the merging join steers by."""
+
+    @staticmethod
+    def _block(*stamps):
+        return ColumnarBlock.from_tuples([data(ts, {"ts": ts}) for ts in stamps])
+
+    def test_run_closed_by_punctuation_ends_at_its_timestamp(self):
+        buf = StreamBuffer("b")
+        buf.push_block(self._block(1.0, 2.0))
+        buf.push(data(3.0))
+        buf.push(punct(4.5))
+        buf.push(data(5.0))
+        assert buf.head_run(64) == ([1.0, 2.0, 3.0], 4.5)
+        assert len(buf) == 5 and buf.register.value == LATENT_TS  # read-only
+
+    def test_exhausted_run_ends_at_the_register_it_will_leave(self):
+        buf = StreamBuffer("b")
+        assert buf.head_run(64) == ([], LATENT_TS)
+        buf.push(data(1.0))
+        buf.push(data(2.0))
+        assert buf.head_run(64) == ([1.0, 2.0], 2.0)
+        buf.drain_batch(2)
+        assert buf.head_run(64) == ([], 2.0)  # empty: the held register
+
+    def test_limit_cuts_the_lookahead_at_the_next_row(self):
+        buf = StreamBuffer("b")
+        buf.push_block(self._block(1.0, 2.0, 3.0, 4.0))
+        assert buf.head_run(2) == ([1.0, 2.0], 3.0)
+        assert buf.head_run(4) == ([1.0, 2.0, 3.0, 4.0], 4.0)
+
+    def test_latent_row_ends_the_run_at_the_last_stamped_row(self):
+        buf = StreamBuffer("b")
+        buf.push_block(self._block(1.0, 2.0, LATENT_TS, 3.0))
+        assert buf.head_run(64) == ([1.0, 2.0], 2.0)
+        assert buf.head_run(1) == ([1.0], 2.0)
+        latent_head = StreamBuffer("l")
+        latent_head.push(data(LATENT_TS))
+        assert latent_head.head_run(64) == ([], LATENT_TS)
+
+    def test_selection_vector_is_honoured(self):
+        buf = StreamBuffer("b")
+        buf.push_block(self._block(1.0, 2.0, 3.0, 4.0).with_selection([1, 3]))
+        assert buf.head_run(64) == ([2.0, 4.0], 4.0)
+
+
+class TestDrainBatchOverBlocks:
+    """``drain_batch`` takes rows out of head blocks without exploding
+    them: only the rows that leave are materialized."""
+
+    def test_run_spans_blocks_and_scalars_and_splits_at_the_limit(self):
+        rows = [data(float(i), {"i": i}) for i in range(1, 7)]
+        buf = StreamBuffer("b")
+        buf.push_block(ColumnarBlock.from_tuples(rows[:2]))
+        buf.push(rows[2])
+        buf.push_block(ColumnarBlock.from_tuples(rows[3:]))
+        buf.push(punct(9.0))
+        assert buf.drain_batch(4) == rows[:4]
+        assert buf.register.value == 4.0 and len(buf) == 3
+        assert isinstance(buf._items[0], ColumnarBlock)  # remainder: a block
+        assert buf.drain_batch(64) == rows[4:]           # stops at punctuation
+        assert buf.head_is_punctuation()
+
+    def test_max_ts_stops_inside_a_block(self):
+        rows = [data(float(i)) for i in range(1, 5)]
+        buf = StreamBuffer("b")
+        buf.push_block(ColumnarBlock.from_tuples(rows))
+        assert buf.drain_batch(64, max_ts=3.0) == rows[:2]
+        assert buf.drain_batch(64, max_ts=3.0) == []
+        assert list(buf) == rows[2:] and buf.data_count == 2

@@ -20,6 +20,13 @@ Three layers of coverage:
   block fallbacks.
 * **Stats plumbing** — block counters move only in block mode, and
   pre-columnar engine snapshots still restore.
+* **Merge-run join kernel** — the block join consumes both inputs in τ
+  order per step: the oracle matrix over two-sided tie-laden
+  interleavings (windows × probing × ETS × widths 1–64, latent side),
+  an operator-level Hypothesis property observing every emitted element
+  and per-call step counts, the order-boundary case, and two count-based
+  structural guards (no join input is ever exploded; pushes and drains
+  per ``execute_block`` call are bounded by a constant).
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ManualClock, OpHarness, punct
 from oracle import DifferentialOracle, Feed
 
+from repro.core.buffers import StreamBuffer
 from repro.core.columnar import (
     ColumnarBlock,
     FieldPredicate,
@@ -39,9 +48,11 @@ from repro.core.columnar import (
     numpy_enabled,
     set_numpy,
 )
+from repro.core.errors import TimestampError
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import EngineStats
 from repro.core.graph import QueryGraph
+from repro.core.operators.base import OpContext
 from repro.core.operators import (
     AggSpec,
     Avg,
@@ -475,14 +486,14 @@ def test_stateful_plan_random_disorder_property(plan):
 # Stats plumbing
 
 
-def _drive_engine(graph, feeds, *, block_mode=True, chunk=8):
+def _drive_engine(graph, feeds, *, block_mode=True, chunk=8, batch_size=8):
     """Chunked replay of ``feeds`` through a fresh engine (the oracle's
     drive, minus the sink capture), returning the engine for its stats."""
     from repro.core.execution import ExecutionEngine
     from repro.sim.clock import VirtualClock
 
     engine = ExecutionEngine(graph, VirtualClock(), cost_model=None,
-                             ets_policy=OnDemandEts(), batch_size=8,
+                             ets_policy=OnDemandEts(), batch_size=batch_size,
                              block_mode=block_mode)
     for i, f in enumerate(feeds, 1):
         engine.clock.advance_to(f.time)
@@ -569,3 +580,278 @@ class TestBlockStats:
         assert restored.blocks == 0
         assert restored.block_rows == 0
         assert restored.block_fallbacks == 0
+
+
+# --------------------------------------------------------------------- #
+# Merge-run WindowJoin kernel: both inputs consumed in τ order per step
+
+
+def merge_join_build(window: WindowSpec, probe: str,
+                     latent_b: bool = False):
+    """source a, source b → WindowJoin → sink, one probing strategy."""
+    knobs = {"scan": dict(indexed=False), "indexed": dict(indexed=True),
+             "adaptive": dict(adaptive_threshold=3)}[probe]
+
+    def build() -> QueryGraph:
+        g = QueryGraph(f"merge-join-{probe}")
+        left = g.add_source("a")
+        right = g.add_source(
+            "b", TimestampKind.LATENT if latent_b else TimestampKind.INTERNAL)
+        join = g.add(WindowJoin("join", window, key="k", **knobs))
+        sink = g.add_sink("out")
+        g.connect(left, join)
+        g.connect(right, join)
+        g.connect(join, sink)
+        return g
+
+    return build
+
+
+MERGE_BATCH_SIZES = (1, 2, 3, 7, 64)
+
+
+class TestMergeRunJoin:
+    """The block join merges its two inputs per step; the differential
+    oracle holds it to the scalar engine's exact sink sequence (source →
+    join has no upstream scheduling, so even cross-side ties are decided
+    identically: input 0 first)."""
+
+    @pytest.mark.parametrize("ets_mode", ["none", "on-demand", "periodic"])
+    @pytest.mark.parametrize("probe", ["scan", "indexed", "adaptive"])
+    @pytest.mark.parametrize("window", [WindowSpec.time(3.0),
+                                        WindowSpec.count(5)],
+                             ids=["time", "count"])
+    @pytest.mark.parametrize("latent_b", [False, True],
+                             ids=["stamped", "latent-b"])
+    def test_two_sided_interleavings_block_equals_scalar(
+            self, window, probe, ets_mode, latent_b):
+        """Tie-laden two-sided interleavings, chunked so buffers hold runs
+        on both inputs, one side exhausting mid-step, punctuation landing
+        exactly on the horizon (periodic heartbeats and on-demand ETS are
+        stamped with the clock, i.e. the last row's own timestamp), the
+        limit cutting mid-merge at small widths."""
+        oracle = DifferentialOracle(
+            merge_join_build(window, probe, latent_b),
+            make_feeds(300, ties=True), chunk=12, punctuate_every=2)
+        policy = OnDemandEts if ets_mode == "on-demand" else NoEts
+        punctuate = ets_mode == "periodic"
+        reference = oracle.run(batch_size=1, ets_policy=policy(),
+                               punctuate=punctuate)
+        if not latent_b:
+            assert len(reference) > 100  # the comparison is not vacuous
+        for size in MERGE_BATCH_SIZES:
+            got = oracle.run(batch_size=size, block_mode=True,
+                             ets_policy=policy(), punctuate=punctuate)
+            assert got == reference, f"block_mode batch_size={size}"
+
+    def test_plan_runs_never_explode_a_join_input(self, monkeypatch):
+        """Reorder pushes blocks; ``more()`` used to peek them back into
+        scalar tuples before ``execute_block`` ran.  No join input is ever
+        exploded now — rows leave a block exactly once, when drained."""
+        exploded: list[str] = []
+        original = StreamBuffer._explode_head
+
+        def spy(buf):
+            exploded.append(buf.name)
+            original(buf)
+
+        monkeypatch.setattr(StreamBuffer, "_explode_head", spy)
+        graph = stateful_plan_build()
+        pushed = _count_calls(graph["join"].inputs[0], "push_block")
+        engine = _drive_engine(graph, make_ooo_feeds(300))
+        assert engine.stats.block_fallbacks == 0
+        assert pushed[0] > 0  # the reorder did hand the join blocks
+        assert [name for name in exploded if name.endswith("->join")] == []
+
+    def test_alternating_feed_moves_a_handful_of_containers(self):
+        """Structural regression guard (counts, not time): on a strictly
+        alternating two-input feed every one-sided run is one row long, so
+        the per-run kernel paid one drain and one output block per row.
+        The merge run pays a constant number per ``execute_block`` call,
+        however many rows the call consumes."""
+        graph = join_build()
+        join = graph["join"]
+        pushes = _count_calls(join.outputs[0], "push_block")
+        drains = [_count_calls(buf, name) for buf in join.inputs
+                  for name in ("drain_block", "drain_batch")]
+        per_call = []
+        execute_block = join.execute_block
+
+        def counted(ctx, limit):
+            before = pushes[0], sum(d[0] for d in drains)
+            batch = execute_block(ctx, limit)
+            per_call.append((batch.consumed_data,
+                             pushes[0] - before[0],
+                             sum(d[0] for d in drains) - before[1],
+                             batch.emitted_punctuation))
+            return batch
+
+        join.execute_block = counted
+        feeds = [Feed(source="ab"[i % 2], time=i * 0.01,
+                      payload={"k": i % 4, "v": i % 11, "uid": i})
+                 for i in range(960)]
+        _drive_engine(graph, feeds, chunk=48, batch_size=64)
+        assert max(rows for rows, *_ in per_call) >= 32
+        assert sum(rows for rows, *_ in per_call) == 960
+        for rows, pushed, drained, puncts in per_call:
+            assert pushed <= 1 + puncts, per_call
+            assert drained <= 4, per_call
+
+
+def _count_calls(obj, name: str) -> list[int]:
+    """Shadow ``obj.name`` with a counting wrapper; returns the live cell."""
+    calls = [0]
+    method = getattr(obj, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return method(*args, **kwargs)
+
+    setattr(obj, name, wrapper)
+    return calls
+
+
+class _JoinRig:
+    """One engine-free WindowJoin: two input buffers, a recording output
+    (order unenforced, so an order boundary is observed, not raised)."""
+
+    def __init__(self, window: WindowSpec, probe: str) -> None:
+        knobs = {"scan": dict(indexed=False), "indexed": dict(indexed=True),
+                 "adaptive": dict(adaptive_threshold=2)}[probe]
+        self.op = WindowJoin("j", window, key="k", **knobs)
+        self.clock = ManualClock()
+        self.ctx = OpContext(clock=self.clock)
+        self.inputs = [StreamBuffer(f"in{i}->j") for i in range(2)]
+        for buf in self.inputs:
+            self.op.attach_input(buf, producer=None)
+        self.output = StreamBuffer("j->out", enforce_order=False)
+        self.op.attach_output(self.output, consumer=None)
+
+    def run(self, limit: int, block: bool) -> list[int]:
+        """Run to quiescence in engine-sized calls (at most ``limit``
+        steps, punctuation closing a call); returns steps per call."""
+        calls = []
+        while self.op.more():
+            if block:
+                calls.append(self.op.execute_block(self.ctx, limit).steps)
+                continue
+            steps = 0
+            while steps < limit and self.op.more():
+                steps += 1
+                if self.op.execute_step(self.ctx).consumed_punctuation:
+                    break
+            calls.append(steps)
+        return calls
+
+    def observed(self) -> dict:
+        emitted = [(e.is_punctuation, e.ts,
+                    None if e.is_punctuation
+                    else (e.payload, e.kind, e.arrival_ts))
+                   for e in self.output]
+        self.output.clear()
+        op = self.op
+        return {
+            "emitted": emitted,
+            "windows": [[(t.ts, t.payload) for t in w] for w in op.windows],
+            "registers": [buf.register.value for buf in self.inputs],
+            "left": [len(buf) for buf in self.inputs],
+            "watermark": op._last_emitted_ts,
+            "counters": (op.tuples_processed, op.matches_emitted,
+                         op.indexed_probes, op.scan_probes,
+                         op.punctuation_consumed, op.punctuation_forwarded,
+                         op.punctuation_suppressed),
+        }
+
+
+_merge_events = st.lists(
+    st.tuples(st.integers(0, 1),                           # input
+              st.sampled_from(["data", "data", "data", "latent", "punct",
+                               "run"]),
+              st.sampled_from([0.0, 0.0, 0.5, 1.0]),       # timestamp gap
+              st.integers(0, 2),                           # join key
+              st.sampled_from([0.0, 0.5, 2.0, 7.0])),      # clock nudge
+    min_size=4, max_size=60)
+
+
+@given(events=_merge_events,
+       limit=st.sampled_from(MERGE_BATCH_SIZES),
+       count_window=st.booleans(),
+       probe=st.sampled_from(["scan", "indexed", "adaptive"]),
+       as_blocks=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_merge_run_random_interleavings_property(events, limit, count_window,
+                                                 probe, as_blocks):
+    """Hypothesis: over random two-input interleavings — cross-side and
+    same-side ties, punctuation at and between data timestamps, latent
+    rows *inside* a buffered run, runs delivered as blocks or as scalar
+    tuples, the limit cutting mid-merge — ``execute_block`` is the scalar
+    step loop, observed at full resolution: every emitted element
+    (punctuation included, with its τ), call-by-call step counts, windows,
+    registers, watermark and counters."""
+    window = WindowSpec.count(3) if count_window else WindowSpec.time(1.5)
+    scalar, block = _JoinRig(window, probe), _JoinRig(window, probe)
+    stamp = [0.0, 0.0]
+    pending: list[list] = [[], []]
+
+    def deliver() -> None:
+        for i in (0, 1):
+            for rig in (scalar, block):
+                if as_blocks and rig is block:
+                    run: list = []
+                    for element in pending[i] + [None]:
+                        if element is not None and not element.is_punctuation:
+                            run.append(element)
+                            continue
+                        if run:
+                            rig.inputs[i].push_block(
+                                ColumnarBlock.from_tuples(run))
+                            run = []
+                        if element is not None:
+                            rig.inputs[i].push(element)
+                else:
+                    for element in pending[i]:
+                        rig.inputs[i].push(element)
+            pending[i].clear()
+
+    uid = 0
+    for i, kind, gap, key, nudge in events + [(0, "run", 0.0, 0, 0.0)]:
+        if kind == "run":
+            deliver()
+            now = max(stamp) + nudge - 1.0  # may sit below buffered rows
+            scalar.clock.t = block.clock.t = now
+            assert block.run(limit, True) == scalar.run(limit, False)
+            assert block.observed() == scalar.observed()
+            continue
+        stamp[i] += gap
+        uid += 1
+        if kind == "punct":
+            pending[i].append(punct(stamp[i]))
+        else:
+            # Latent rows only under count windows: a time window (rightly)
+            # refuses a stamped-latent row that lands out of order.
+            ts = LATENT_TS if kind == "latent" and count_window else stamp[i]
+            pending[i].append(DataTuple(ts=ts, payload={"k": key, "uid": uid},
+                                        arrival_ts=stamp[i]))
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
+def test_merge_run_order_boundary_reaches_the_output_buffer(block):
+    """A latent row stamped *below* an already-emitted timestamp is an
+    order violation the output buffer must see exactly as the scalar push
+    sequence shows it: the block path cuts its match columns there, so
+    the in-order stretch lands and the regressing one raises."""
+    op = WindowJoin("j", WindowSpec.count(4), key="k")
+    h = OpHarness(op, n_inputs=2)
+    h.feed(0, 1.0, {"k": 0, "side": "l"})
+    h.inputs[0].push(punct(20.0))
+    h.feed(1, 10.0, {"k": 0, "side": "r"})
+    h.feed(1, LATENT_TS, {"k": 0, "side": "r"})
+    h.clock.t = 5.0  # the latent row's stamp: below the match at 10.0
+    with pytest.raises(TimestampError):
+        while op.more():
+            if block:
+                op.execute_block(h.ctx, 64)
+            else:
+                op.execute_step(h.ctx)
+    assert [(e.is_punctuation, e.ts) for e in h.output] == [
+        (True, 10.0), (False, 10.0)]
