@@ -80,10 +80,7 @@ class _BareEngine(ExecutionEngine):
                     continue
                 return progress
             if execute and current.more():
-                if self.batch_size > 1:
-                    self._step_batch(current)
-                else:
-                    self._step(current)
+                self._step(current)  # the guard drives batch_size=1 only
                 progress = True
             nxt = self._forward_target(current)
             if nxt is not None:

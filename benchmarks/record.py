@@ -50,8 +50,7 @@ def record_bench(name: str, results: Any, *, merge: bool = False,
             exists with dict-shaped results, update that document instead
             of replacing it: existing result rows and meta fields survive
             unless this call writes the same key.  Lets several benchmarks
-            share one record (e.g. the stateless and stateful columnar
-            suites both feeding ``BENCH_columnar.json``) without the later
+            (or a smoke and a full run) share one record without the later
             writer erasing the earlier one's rows.
         **meta: Extra top-level fields (workload sizes, thresholds, ...).
     """

@@ -6,9 +6,10 @@ Everything a user-facing program needs lives in this one module::
 
 **Stability contract.**  Names listed in :data:`__all__` are the supported
 surface: they keep their signatures and semantics across minor versions,
-and removals go through a deprecation cycle (a shim plus a
-:class:`DeprecationWarning` for at least one release — see
-``TracingEngine`` for the pattern).  Anything imported from a submodule
+and removals go through a deprecation cycle: a shim plus a
+:class:`DeprecationWarning` for at least one release, then deletion (the
+README's migration table records each retired spelling and its
+replacement).  Anything imported from a submodule
 directly (``repro.core.execution``, ``repro.sim.kernel``, …) is internal
 and may change without notice.  The repo's own examples and CLI import
 only from this facade, which is what keeps the contract honest.

@@ -150,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--no-degrade", action="store_true",
                        help="baseline: on-demand ETS without the fallback "
                             "ladder")
-    chaos.add_argument("--batch-size", type=int, default=1)
+    chaos.add_argument("--batch-size", type=int, default=1,
+                       help="engine run width: 1 = scalar path, N > 1 = "
+                            "columnar blocks of up to N rows")
     chaos.add_argument("--crash-at", type=float, default=None,
                        help="crash-stop the process at this instant and "
                             "recover from durable state instead of running "
@@ -190,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--rate-fast", type=float, default=50.0)
     recover.add_argument("--rate-slow", type=float, default=0.5)
     recover.add_argument("--seed", type=int, default=42)
-    recover.add_argument("--batch-size", type=int, default=1)
+    recover.add_argument("--batch-size", type=int, default=1,
+                         help="engine run width: 1 = scalar path, N > 1 = "
+                              "columnar blocks of up to N rows")
     recover.add_argument("--base-ets", choices=("on-demand", "none"),
                          default="on-demand")
     recover.add_argument("--state-dir", type=str, default=None,
@@ -218,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distinct join keys")
     shard.add_argument("--span", type=float, default=2.0,
                        help="join window span in stream seconds")
-    shard.add_argument("--batch-size", type=int, default=8)
+    shard.add_argument("--batch-size", type=int, default=8,
+                       help="per-shard engine run width: 1 = scalar path, "
+                            "N > 1 = columnar blocks of up to N rows")
     shard.add_argument("--chunk", type=int, default=32,
                        help="arrivals routed between engine wake-ups")
     shard.add_argument("--ets", choices=("none", "on-demand"),

@@ -16,7 +16,7 @@ size" metric (Figure 8) O(1) per enqueue/dequeue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .columnar import ColumnarBlock
 from .errors import TimestampError
@@ -372,38 +372,6 @@ class StreamBuffer:
             self._registry._delta(1)
         self._notify_change()
 
-    def push_batch(self, elements: Sequence[StreamElement]) -> None:
-        """Append a run of ``elements`` at the tail in one operation.
-
-        Semantically identical to pushing each element in order, but the
-        order check, live-count bookkeeping, and registry update are done
-        once per run instead of once per element — the producer half of the
-        micro-batched execution path.
-        """
-        if not elements:
-            return
-        last = self._last_pushed_ts
-        punct = 0
-        for element in elements:
-            ts = element.ts
-            if ts != LATENT_TS:
-                if self._enforce_order and last != LATENT_TS and ts < last:
-                    raise self._order_violation(ts, last)
-                if ts > last:
-                    last = ts
-            if element.is_punctuation:
-                punct += 1
-        self._last_pushed_ts = last
-        self._items.extend(elements)
-        n = len(elements)
-        self._len += n
-        self._enqueued += n
-        self._punctuation_enqueued += punct
-        self._data_live += n - punct
-        if self._registry is not None:
-            self._registry._delta(n)
-        self._notify_change()
-
     # ------------------------------------------------------------------ #
     # Columnar block transport
 
@@ -447,8 +415,8 @@ class StreamBuffer:
         A head block is handed over whole (zero copies) when it fits the
         limits, or split by selection otherwise; a head run of scalar data
         tuples is gathered into a fresh block.  The TSM register is updated
-        once with the largest timestamp drained, exactly like the scalar
-        and micro-batched paths.
+        once with the largest timestamp drained, exactly like a pop-by-pop
+        consumption.
         """
         items = self._items
         if not items or limit <= 0:
@@ -519,7 +487,7 @@ class StreamBuffer:
 
         The run stops early — never crossing the boundary — at the first
         punctuation tuple, so punctuation is always consumed one at a time
-        by the scalar path and batch boundaries coincide with ETS
+        by the scalar path and run boundaries coincide with ETS
         information.  When ``max_ts`` is given the run additionally stops
         before the first element stamped at or above it (latent elements,
         which carry no timestamp, never stop a run).

@@ -1,12 +1,11 @@
 """Struct-of-arrays record batches for the columnar execution path.
 
-The micro-batched engine (``batch_size > 1``) amortizes *dispatch*: one
-``execute_batch`` call consumes a run of tuples instead of one.  But the run
-itself is still a Python list of :class:`~repro.core.tuples.DataTuple`
-objects, and every stateless operator pays per-tuple costs that batching
-cannot remove — a ``dataclasses.replace`` per projection, a buffer
-``popleft``/``append`` per hop, a bound-method call per predicate.  This
-module removes those costs with the classic columnar design: a
+Consuming a run of tuples per engine step (``batch_size > 1``) amortizes
+*dispatch*.  But a run held as a Python list of
+:class:`~repro.core.tuples.DataTuple` objects still pays per-tuple costs
+that no run length removes — a ``dataclasses.replace`` per projection, a
+buffer ``popleft``/``append`` per hop, a bound-method call per predicate.
+This module removes those costs with the classic columnar design: a
 :class:`ColumnarBlock` holds the batch as parallel arrays (timestamps,
 sequence numbers, timestamp kinds, arrival stamps, payloads) plus a
 **selection vector** of live row indices.  Operators that understand blocks
@@ -17,8 +16,8 @@ blocks travel through stream buffers as single entries.
 Two invariants keep the block path byte-identical to scalar execution:
 
 * **Blocks hold only data tuples.**  Punctuation never enters a block: it is
-  a batch boundary (exactly as in the micro-batched path), so ETS
-  information always reaches the NOS rules as individual elements.
+  a run boundary, so ETS information always reaches the NOS rules as
+  individual elements.
 * **Rows are timestamp-ordered** (latent rows, which carry no timestamp,
   may appear anywhere).  Blocks are built from runs drained out of ordered
   buffers and every transform preserves row order, so a buffer receiving a
@@ -334,8 +333,8 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 class FieldPredicate:
     """A predicate of the form ``payload[field] <op> value``.
 
-    Behaves as a plain callable (so the scalar and micro-batched paths use
-    it unchanged), but carries enough structure for the columnar path to
+    Behaves as a plain callable (so the scalar path uses it unchanged),
+    but carries enough structure for the columnar path to
     evaluate it in one vectorized pass over the field column when numpy is
     enabled.  Construct via the classmethods::
 

@@ -12,8 +12,8 @@ Explicit keyword arguments always win over the config — a config is a
 bundle of *defaults*, not an override layer — so call sites can share one
 config and still specialize individual runs::
 
-    cfg = EngineConfig(batch_size=64, block_mode=True, checkpoint_every=16)
-    sim = Simulation(graph, config=cfg)                  # takes all three
+    cfg = EngineConfig(batch_size=64, checkpoint_every=16)
+    sim = Simulation(graph, config=cfg)                  # takes both
     eng = ExecutionEngine(graph, clock, config=cfg,
                           batch_size=8)                  # batch_size=8 wins
 
@@ -27,7 +27,7 @@ single-engine constructors and rejected by the sharded ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import InitVar, dataclass, fields as dataclass_fields
 from typing import Any, Iterable
 
 from .errors import ExecutionError
@@ -40,8 +40,9 @@ class EngineConfig:
     """Canonical engine-construction knobs, shareable across constructors.
 
     Attributes:
-        batch_size: Micro-batch width (1 = tuple-at-a-time).
-        block_mode: Columnar execution (see
+        batch_size: Run width, and with it the transport: 1 is the
+            paper's tuple-at-a-time scalar path, N > 1 the columnar path
+            consuming up to N rows per step (see
             :class:`~repro.core.execution.ExecutionEngine`).
         checkpoint_every: Checkpoint cadence in engine rounds; None
             disables.
@@ -61,10 +62,13 @@ class EngineConfig:
         state_dir: Root directory for durable state (WAL + checkpoints);
             consumed by the sharded constructors.
         max_steps_per_round: Livelock safety valve; None = unbounded.
+
+    ``block_mode`` is accepted at construction only, as a consistency check
+    for callers that still spell the transport out: it is not a field, and
+    a value contradicting ``batch_size > 1`` raises.
     """
 
     batch_size: int = 1
-    block_mode: bool = False
     checkpoint_every: int | None = None
     observers: tuple = ()
     feedback: Any = None
@@ -72,11 +76,17 @@ class EngineConfig:
     recovery: Any = None
     state_dir: Any = None
     max_steps_per_round: int | None = None
+    block_mode: InitVar[bool | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, block_mode: bool | None) -> None:
         if self.batch_size < 1:
             raise ExecutionError(
                 f"batch_size must be >= 1, got {self.batch_size}")
+        if block_mode is not None and block_mode != (self.batch_size > 1):
+            raise ExecutionError(
+                "batch_size alone picks the transport (1 = scalar, > 1 = "
+                f"columnar blocks); block_mode={block_mode} contradicts "
+                f"batch_size={self.batch_size}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ExecutionError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}")

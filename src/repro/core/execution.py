@@ -34,7 +34,8 @@ from .config import EngineConfig
 from .errors import ExecutionError
 from .ets import EtsPolicy, NoEts
 from .graph import QueryGraph
-from .operators.base import BatchResult, OpContext, Operator, StepResult
+from .operators.base import (BatchResult, OpContext, Operator, StepResult,
+                             scalar_run)
 from .operators.source import SourceNode
 
 __all__ = ["EngineStats", "ExecutionEngine"]
@@ -65,9 +66,10 @@ class EngineStats:
         invariant_violations: Violations the invariant monitor recorded in
             degrade mode (halt mode raises instead of counting here).
         blocks / block_rows: Columnar execution steps taken and the rows
-            they consumed (block mode only).
-        block_fallbacks: Block-mode steps routed through the scalar/batched
-            path because the operator does not support blocks.
+            they consumed (``batch_size > 1`` only).
+        block_fallbacks: Run steps served by a run of scalar steps because
+            the operator does not support blocks (attributed per operator
+            in ``block_fallbacks_by_operator``).
     """
 
     rounds: int = 0
@@ -147,22 +149,21 @@ class ExecutionEngine:
             ETS exists to reactivate idle-waiting operators, and generating
             one with nothing to unblock is pure overhead.  Set True for the
             fidelity ablation where every dead-ended backtrack offers.
-        batch_size: Micro-batch width.  1 (the default) is the paper's
-            tuple-at-a-time execution.  For N > 1 the Encore rule consumes a
-            whole run of up to N elements per execution step through
-            :meth:`Operator.execute_batch` — runs never cross a punctuation,
-            and the cost model still charges simulated CPU per tuple, so
-            batching changes wall-clock throughput, not ETS semantics.
-        block_mode: Columnar execution.  Operators advertising
+        batch_size: Run width, and with it the transport.  1 (the default)
+            is the paper's tuple-at-a-time execution through
+            :meth:`Operator.execute_step` — the reference path.  For N > 1
+            the Encore rule consumes a whole run of up to N elements per
+            execution step: operators advertising
             :attr:`Operator.supports_blocks` consume and produce
             struct-of-arrays :class:`~repro.core.columnar.ColumnarBlock`
-            runs (up to ``batch_size`` rows per step) instead of tuple
-            lists; all other operators fall back to
-            :meth:`Operator.execute_batch` with head blocks exploded lazily
-            by the buffer, so output stays byte-identical to the scalar
-            engine.  Block mode implies batching: with ``batch_size == 1``
-            blocks are single-row and pure overhead, so pick a real batch
-            size (the :class:`~repro.api.Pipeline` default is 64).
+            runs through :meth:`Operator.execute_block`; all others fall
+            back to :func:`~repro.core.operators.base.scalar_run` with head
+            blocks exploded lazily by the buffer (counted in
+            :attr:`EngineStats.block_fallbacks`).  Runs never cross a
+            punctuation and the cost model still charges simulated CPU per
+            tuple, so the width changes wall-clock throughput, never output
+            or ETS semantics (the :class:`~repro.api.Pipeline` default is
+            64).
         monitor: Optional :class:`~repro.faults.monitors.InvariantMonitor`
             (already installed on the graph); its per-round checks run at
             the end of every wake-up, and degrade-mode violations are
@@ -174,9 +175,9 @@ class ExecutionEngine:
         max_steps_per_round: Safety valve for logical-mode loops; None means
             unbounded (the cost model plus event horizon bound real runs).
         config: Optional :class:`~repro.core.config.EngineConfig` supplying
-            defaults for the shared knobs (batch_size, block_mode,
-            checkpoint_every, observers, feedback, ets_policy,
-            max_steps_per_round).  Explicit keyword arguments win.
+            defaults for the shared knobs (batch_size, checkpoint_every,
+            observers, feedback, ets_policy, max_steps_per_round).
+            Explicit keyword arguments win.
     """
 
     def __init__(self, graph: QueryGraph, clock, *, cost_model=None,
@@ -185,7 +186,6 @@ class ExecutionEngine:
                  deliver_due: Callable[[float], None] | None = None,
                  offer_ets_always: bool = False,
                  batch_size: int = 1,
-                 block_mode: bool = False,
                  monitor=None,
                  observers: Iterable[Observer] | None = None,
                  max_steps_per_round: int | None = None,
@@ -194,13 +194,12 @@ class ExecutionEngine:
                  config: EngineConfig | None = None) -> None:
         if config is not None:
             knobs = config.resolve(
-                dict(batch_size=batch_size, block_mode=block_mode,
+                dict(batch_size=batch_size,
                      checkpoint_every=checkpoint_every,
                      max_steps_per_round=max_steps_per_round),
-                dict(batch_size=1, block_mode=False, checkpoint_every=None,
+                dict(batch_size=1, checkpoint_every=None,
                      max_steps_per_round=None))
             batch_size = knobs["batch_size"]
-            block_mode = knobs["block_mode"]
             checkpoint_every = knobs["checkpoint_every"]
             max_steps_per_round = knobs["max_steps_per_round"]
             if ets_policy is None:
@@ -226,7 +225,6 @@ class ExecutionEngine:
         self.deliver_due = deliver_due
         self.offer_ets_always = offer_ets_always
         self.batch_size = batch_size
-        self.block_mode = block_mode
         self.monitor = monitor
         self.max_steps_per_round = max_steps_per_round
         #: Checkpoint cadence in wake-up rounds; None disables.  The actual
@@ -383,8 +381,8 @@ class ExecutionEngine:
 
         NOS transitions are published to the event bus right here — the
         single walk implementation serves tracing, metrics, and exporters
-        alike (the old ``TracingEngine`` duplicated this method and drifted;
-        now a missing observer costs one ``is None`` test per decision).
+        alike, and a missing observer costs one ``is None`` test per
+        decision.
         """
         progress = False
         current = start
@@ -425,21 +423,12 @@ class ExecutionEngine:
                     continue  # the injected punctuation enables Forward
                 return progress
 
-            # [Execution Step] — in batched mode the Encore rule consumes a
-            # whole run (up to batch_size elements, never across the next
+            # [Execution Step] — with batch_size > 1 the Encore rule consumes
+            # a whole run (up to batch_size elements, never across the next
             # punctuation) per step instead of a single element.
             if execute and current.more():
-                if self.block_mode:
-                    if current.supports_blocks:
-                        self._step_block(current)
-                    else:
-                        stats = self.stats
-                        stats.block_fallbacks += 1
-                        by_op = stats.block_fallbacks_by_operator
-                        by_op[current.name] = by_op.get(current.name, 0) + 1
-                        self._step_batch(current)
-                elif self.batch_size > 1:
-                    self._step_batch(current)
+                if self.batch_size > 1:
+                    self._step_run(current)
                 else:
                     self._step(current)
                 progress = True
@@ -531,78 +520,52 @@ class ExecutionEngine:
         self._refresh_idle()
         return result
 
-    def _step_batch(self, op: Operator) -> BatchResult:
-        """One micro-batched execution step: a run of scalar-equivalent steps.
+    def _step_run(self, op: Operator) -> BatchResult:
+        """One run step: up to ``batch_size`` scalar-equivalent steps.
 
-        Stats count scalar-equivalent steps and the cost model charges per
-        tuple, so EngineStats and simulated time stay comparable with the
-        scalar engine; only the Python dispatch is amortized.
+        Operators that support blocks run their columnar kernel; the rest
+        run the same boundary rules over scalar steps, counted and
+        attributed as a fallback — this branch is the only place that
+        knows about it.  Stats count scalar-equivalent steps and the cost
+        model charges per tuple, so EngineStats and simulated time stay
+        comparable with the scalar engine; only wall-clock dispatch is
+        amortized.
         """
-        batch = op.execute_batch(self.ctx, self.batch_size)
         stats = self.stats
-        stats.steps += batch.steps
-        stats.data_steps += batch.consumed_data
-        stats.punct_steps += batch.consumed_punctuation
-        stats.probes += batch.probes
-        stats.probes_emitted += batch.probes_emitted
-        stats.emitted_data += batch.emitted_data
-        stats.emitted_punctuation += batch.emitted_punctuation
+        if op.supports_blocks:
+            run = op.execute_block(self.ctx, self.batch_size)
+            stats.blocks += 1
+            stats.block_rows += run.consumed_data
+        else:
+            stats.block_fallbacks += 1
+            by_op = stats.block_fallbacks_by_operator
+            by_op[op.name] = by_op.get(op.name, 0) + 1
+            run = scalar_run(op, self.ctx, self.batch_size)
+        stats.steps += run.steps
+        stats.data_steps += run.consumed_data
+        stats.punct_steps += run.consumed_punctuation
+        stats.probes += run.probes
+        stats.probes_emitted += run.probes_emitted
+        stats.emitted_data += run.emitted_data
+        stats.emitted_punctuation += run.emitted_punctuation
         per_op = stats.per_operator_steps
-        per_op[op.name] = per_op.get(op.name, 0) + batch.steps
+        per_op[op.name] = per_op.get(op.name, 0) + run.steps
         cost = 0.0
         if self.cost_model is not None:
-            cost = self.cost_model.batch_cost(op, batch)
+            cost = self.cost_model.batch_cost(op, run)
             if cost:
                 self.clock.advance(cost)
                 stats.busy_time += cost
-        if self.bus is not None and batch.steps:
+        if self.bus is not None and run.steps:
             self.bus.step(
                 operator=op.name, round_id=self._round_id,
-                time=self.clock.now(), kind="batch", steps=batch.steps,
-                probes=batch.probes, probes_emitted=batch.probes_emitted,
-                emitted_data=batch.emitted_data,
-                emitted_punctuation=batch.emitted_punctuation,
+                time=self.clock.now(), kind="block", steps=run.steps,
+                probes=run.probes, probes_emitted=run.probes_emitted,
+                emitted_data=run.emitted_data,
+                emitted_punctuation=run.emitted_punctuation,
                 duration=cost)
         self._refresh_idle()
-        return batch
-
-    def _step_block(self, op: Operator) -> BatchResult:
-        """One columnar execution step: a block of scalar-equivalent steps.
-
-        Accounting mirrors :meth:`_step_batch` — stats count
-        scalar-equivalent steps and the cost model charges per tuple — plus
-        the columnar counters (``blocks`` / ``block_rows``), so block mode
-        changes wall-clock throughput, never simulated time or semantics.
-        """
-        batch = op.execute_block(self.ctx, self.batch_size)
-        stats = self.stats
-        stats.steps += batch.steps
-        stats.data_steps += batch.consumed_data
-        stats.punct_steps += batch.consumed_punctuation
-        stats.probes += batch.probes
-        stats.probes_emitted += batch.probes_emitted
-        stats.emitted_data += batch.emitted_data
-        stats.emitted_punctuation += batch.emitted_punctuation
-        stats.blocks += 1
-        stats.block_rows += batch.consumed_data
-        per_op = stats.per_operator_steps
-        per_op[op.name] = per_op.get(op.name, 0) + batch.steps
-        cost = 0.0
-        if self.cost_model is not None:
-            cost = self.cost_model.batch_cost(op, batch)
-            if cost:
-                self.clock.advance(cost)
-                stats.busy_time += cost
-        if self.bus is not None and batch.steps:
-            self.bus.step(
-                operator=op.name, round_id=self._round_id,
-                time=self.clock.now(), kind="block", steps=batch.steps,
-                probes=batch.probes, probes_emitted=batch.probes_emitted,
-                emitted_data=batch.emitted_data,
-                emitted_punctuation=batch.emitted_punctuation,
-                duration=cost)
-        self._refresh_idle()
-        return batch
+        return run
 
     # ------------------------------------------------------------------ #
     # ETS integration (the Backtrack-to-source hook)

@@ -12,7 +12,11 @@ operators through a narrow contract:
   anything in the operator's output buffers for a successor to consume?
 * :meth:`Operator.execute_step` — perform one production/consumption step
   (paper Figs. 1 and 6) and report what was done so the engine can charge
-  simulated CPU cost.
+  simulated CPU cost.  This is the reference path (``batch_size == 1``).
+* :meth:`Operator.execute_block` — the same work for a run of up to
+  ``batch_size`` elements on the columnar transport; operators without one
+  are served by :func:`scalar_run`, the same run boundaries over
+  ``execute_step``.
 * :meth:`Operator.stalled_input_index` — when ``more`` is false, which input
   gates progress; the engine backtracks to that input's producer (the
   modified Backtrack rule of Section 3.2).
@@ -33,7 +37,8 @@ from ..tuples import Punctuation, StreamElement
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..schema import Schema
 
-__all__ = ["BatchResult", "Clock", "OpContext", "StepResult", "Operator"]
+__all__ = ["BatchResult", "Clock", "OpContext", "StepResult", "Operator",
+           "scalar_run"]
 
 
 class Clock(Protocol):
@@ -83,14 +88,14 @@ class StepResult:
 
 @dataclass(slots=True)
 class BatchResult:
-    """What one micro-batched execution step (a run of elements) did.
+    """What one run step (a run of up to ``batch_size`` elements) did.
 
     The per-tuple accounting mirrors :class:`StepResult` so the cost model
-    can keep charging CPU per tuple — batching amortizes dispatch overhead,
+    can keep charging CPU per tuple — a run amortizes dispatch overhead,
     it does not make tuples cheaper in simulated time.
 
     Attributes:
-        steps: Scalar-equivalent execution steps this batch replaces.
+        steps: Scalar-equivalent execution steps this run replaces.
         consumed_data / consumed_punctuation: Elements removed from input
             buffers, by kind.
         probes: Window tuples examined across the whole run.
@@ -145,12 +150,15 @@ class Operator:
     #: Required number of inputs; None means "one or more".
     arity: int | None = 1
     #: True for operators implementing :meth:`execute_block` — the columnar
-    #: path.  Operators (or configurations) without one leave this False
-    #: and the block-mode engine falls back to :meth:`execute_batch`, with
+    #: kernel.  Operators (or configurations) without one leave this False
+    #: and the engine's run step falls back to :func:`scalar_run`, with
     #: incoming blocks exploded lazily by the buffer, so their
-    #: byte-identity is preserved by construction.  Stateful operators gate
-    #: it per instance: a strict (X1-ablation) join and a ``late="error"``
-    #: reorder stay scalar.
+    #: byte-identity is preserved by construction.  Operators gate it per
+    #: instance where a configuration is inherently per-element: a strict
+    #: (X1-ablation) join, a ``late="error"`` reorder and a
+    #: ``queue_threshold`` shedder stay scalar.  The engine's one
+    #: ``supports_blocks`` branch is the only place that knows about
+    #: fallback — kernels never re-dispatch.
     supports_blocks: bool = False
 
     def __init__(self, name: str, *, output_schema: "Schema | None" = None) -> None:
@@ -262,40 +270,19 @@ class Operator:
         """
         raise NotImplementedError
 
-    def execute_batch(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Process up to ``limit`` input elements in one engine step.
-
-        The engine's micro-batched mode (``batch_size > 1``) calls this in
-        place of repeated :meth:`execute_step` dispatches.  Implementations
-        must be observationally identical to the scalar path: same elements
-        consumed in the same order, same emissions in the same order, only
-        the per-element dispatch amortized.
-
-        This default loops over :meth:`execute_step`, so every operator
-        keeps working without a specialized implementation.  The loop stops
-        at the batch boundary rules shared by all implementations: after
-        ``limit`` steps, when ``more`` turns false, or right after consuming
-        a punctuation tuple (batches never cross punctuation — ETS
-        information must reach the engine's NOS rules promptly).
-        """
-        batch = BatchResult()
-        while batch.steps < limit and self.more():
-            result = self.execute_step(ctx)
-            batch.add_step(result)
-            if result.consumed_punctuation:
-                break
-        return batch
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Process up to ``limit`` input rows through the columnar path.
+        """Process up to ``limit`` input rows in one run step.
 
-        Only called by the block-mode engine, and only when
-        :attr:`supports_blocks` is True.  Implementations share the batch
-        boundary rules (limit, ``more`` turning false, punctuation) and must
-        be observationally identical to the scalar path; the difference is
-        that input arrives as :class:`~repro.core.columnar.ColumnarBlock`
-        runs drained whole from the buffer, and data output should be pushed
-        as blocks so downstream columnar operators keep the amortization.
+        The engine's run step (``batch_size > 1``) calls this in place of
+        repeated :meth:`execute_step` dispatches, and only when
+        :attr:`supports_blocks` is True.  Implementations share the run
+        boundary rules of :func:`scalar_run` (limit, ``more`` turning false,
+        punctuation) and must be observationally identical to it: same
+        elements consumed in the same order, same emissions in the same
+        order.  The difference is that input arrives as
+        :class:`~repro.core.columnar.ColumnarBlock` runs drained whole from
+        the buffer, and data output should be pushed as blocks so downstream
+        columnar operators keep the amortization.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the columnar path")
@@ -331,3 +318,22 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"
+
+
+def scalar_run(op: Operator, ctx: OpContext, limit: int) -> BatchResult:
+    """A run of scalar steps: the reference every ``execute_block`` matches.
+
+    Loops :meth:`Operator.execute_step` under the run boundary rules shared
+    by all kernels: stop after ``limit`` steps, when ``more`` turns false,
+    or right after consuming a punctuation tuple (runs never cross
+    punctuation — ETS information must reach the engine's NOS rules
+    promptly).  The engine's run step uses it for every operator whose
+    :attr:`Operator.supports_blocks` is false.
+    """
+    run = BatchResult()
+    while run.steps < limit and op.more():
+        result = op.execute_step(ctx)
+        run.add_step(result)
+        if result.consumed_punctuation:
+            break
+    return run

@@ -482,65 +482,6 @@ class WindowJoin(Operator):
                           emitted_data=emitted,
                           emitted_punctuation=emitted_punct)
 
-    def execute_batch(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Micro-batched join: drain one side's run while it probes alone.
-
-        While one input's head run stays strictly below the other input's
-        gate timestamp, the scalar path would select that input on every
-        iteration; the run is processed in a tight loop without re-deriving
-        the full gating each time.  Probing work itself is inherently
-        per-tuple and is charged as such through :attr:`BatchResult.probes`.
-        """
-        if self.strict:
-            return super().execute_batch(ctx, limit)
-        batch = BatchResult()
-        inputs = self.inputs
-        while batch.steps < limit:
-            latent_idx = self._latent_head_index()
-            if latent_idx is not None:
-                element = inputs[latent_idx].pop()
-                assert isinstance(element, DataTuple)
-                element = element.stamped(ctx.clock.now())
-                batch.add_step(self._handle_data(latent_idx, element))
-                continue
-            gates, tau = self._gates_tau()
-            if tau == LATENT_TS:
-                break
-            data_idx: int | None = None
-            punct_idx: int | None = None
-            for i, buf in enumerate(inputs):
-                head = buf.peek()
-                if head is None or head.ts != tau:
-                    continue
-                if head.is_punctuation:
-                    if punct_idx is None:
-                        punct_idx = i
-                else:
-                    data_idx = i
-                    break
-            if data_idx is not None:
-                buf = inputs[data_idx]
-                other_gate = gates[1 - data_idx]
-                while batch.steps < limit:
-                    element = buf.pop()
-                    assert isinstance(element, DataTuple)
-                    if element.is_latent:
-                        element = element.stamped(ctx.clock.now())
-                    batch.add_step(self._handle_data(data_idx, element))
-                    head = buf.peek()
-                    if head is None or head.is_punctuation:
-                        break
-                    ts = head.ts
-                    if ts != LATENT_TS and ts >= other_gate:
-                        break
-                continue
-            if punct_idx is not None:
-                element = inputs[punct_idx].pop()
-                batch.add_step(self._handle_punctuation(element))
-                break  # punctuation is a batch boundary
-            break  # no head at tau: more() is false
-        return batch
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar join: merge both inputs in τ order, one block out.
 
@@ -567,8 +508,6 @@ class WindowJoin(Operator):
         (``seq`` drawn from the global counter in emission order), cut into
         blocks only where a punctuation or an order boundary falls.
         """
-        if self.strict:  # pragma: no cover - supports_blocks gates this
-            return super().execute_batch(ctx, limit)
         batch = BatchResult()
         inputs = self.inputs
         windows = self.windows

@@ -253,8 +253,6 @@ class Reorder(Operator):
         and the end of each drained block.  Rows still parked stay as
         zero-copy selections over the drained block in :attr:`_runs`.
         """
-        if self.late_policy != "drop":  # pragma: no cover - gated upstream
-            return super().execute_batch(ctx, limit)
         batch = BatchResult()
         buf = self.inputs[0]
         staged: list[ColumnarBlock | StreamElement] = []

@@ -26,7 +26,7 @@ from typing import Any
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
 from ..tuples import DataTuple
-from .base import BatchResult, OpContext, Operator
+from .base import OpContext
 from .stateless import StatelessOperator
 
 __all__ = ["Shed"]
@@ -101,21 +101,14 @@ class Shed(StatelessOperator):
             return True
         return len(self.inputs[0]) > self.queue_threshold
 
-    def execute_batch(self, ctx: OpContext, limit: int) -> BatchResult:
-        # Pressure-driven shedding reads the live input-buffer length per
-        # tuple; draining a whole run first would empty the buffer before the
-        # decisions are made and diverge from the scalar path.  Use the
-        # element-at-a-time fallback in that mode.
-        if self.queue_threshold is not None:
-            return Operator.execute_batch(self, ctx, limit)
-        return super().execute_batch(ctx, limit)
-
-    def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
-        # Same reasoning as execute_batch: pressure-driven mode must read
-        # the live buffer length per tuple, so it cannot drain runs.
-        if self.queue_threshold is not None:
-            return Operator.execute_batch(self, ctx, limit)
-        return super().execute_block(ctx, limit)
+    @property
+    def supports_blocks(self) -> bool:  # type: ignore[override]
+        """Columnar eligibility: always-active shedding only.
+        Pressure-driven shedding reads the live input-buffer length per
+        tuple; draining a whole run first would empty the buffer before the
+        decisions are made, so ``queue_threshold`` keeps the scalar
+        fallback path."""
+        return self.queue_threshold is None
 
     @property
     def effective_probability(self) -> float:

@@ -80,47 +80,6 @@ class SinkNode(Operator):
             self.on_output(element, latency)
         return StepResult(consumed=element, emitted_data=0)
 
-    def execute_batch(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Micro-batched delivery: drain a run of data tuples in one step."""
-        batch = BatchResult()
-        buf = self.inputs[0]
-        while batch.steps < limit:
-            head = buf.peek()
-            if head is None:
-                break
-            if head.is_punctuation:
-                buf.pop()
-                self.punctuation_eliminated += 1
-                batch.steps += 1
-                batch.consumed_punctuation += 1
-                break  # punctuation is a batch boundary
-            run = buf.drain_batch(limit - batch.steps)
-            now = ctx.clock.now()
-            on_output = self.on_output
-            # Latency statistics accumulate in locals (same addition order,
-            # so latency_sum stays bit-identical) and land once per run.
-            lat_sum, lat_max = self.latency_sum, self.latency_max
-            lat_count = self.latency_count
-            for element in run:
-                assert isinstance(element, DataTuple)
-                latency = now - element.arrival_ts
-                if latency == latency:  # not NaN
-                    lat_sum += latency
-                    lat_count += 1
-                    if latency > lat_max:
-                        lat_max = latency
-                if on_output is not None:
-                    on_output(element, latency)
-            self.latency_sum, self.latency_max = lat_sum, lat_max
-            self.latency_count = lat_count
-            n = len(run)
-            self.delivered += n
-            if self.keep_outputs:
-                self.outputs_seen.extend(run)  # type: ignore[arg-type]
-            batch.steps += n
-            batch.consumed_data += n
-        return batch
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar delivery: consume whole blocks off the input buffer.
 
@@ -144,7 +103,8 @@ class SinkNode(Operator):
                 batch.consumed_punctuation += 1
                 break
             now = ctx.clock.now()
-            # As in execute_batch: locals per block, same addition order.
+            # Latency statistics accumulate in locals (same addition order,
+            # so latency_sum stays bit-identical) and land once per block.
             lat_sum, lat_max = self.latency_sum, self.latency_max
             lat_count = self.latency_count
             if self.on_output is None and not self.keep_outputs:

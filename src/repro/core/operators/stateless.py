@@ -52,31 +52,6 @@ class StatelessOperator(Operator):
         """Transform one data tuple into its output tuples."""
         raise NotImplementedError
 
-    def execute_batch(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Micro-batched path: drain a run of data tuples, apply, emit once.
-
-        Punctuation is still handled one element at a time through the
-        scalar step (it is a batch boundary by construction).
-        """
-        buf = self.inputs[0]
-        head = buf.peek()
-        if head is None:
-            return BatchResult()
-        if head.is_punctuation:
-            batch = BatchResult()
-            batch.add_step(self.execute_step(ctx))
-            return batch
-        run = buf.drain_batch(limit)
-        apply = self.apply
-        outs: list[DataTuple] = []
-        for tup in run:
-            outs.extend(apply(tup, ctx))
-        if outs:
-            for out_buf in self.outputs:
-                out_buf.push_batch(outs)
-        n = len(run)
-        return BatchResult(steps=n, consumed_data=n, emitted_data=len(outs))
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar path: drain a block, transform its columns, push whole.
 

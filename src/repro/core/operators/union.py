@@ -178,100 +178,13 @@ class Union(Operator):
             self._last_emitted_ts = element.ts
         return StepResult(consumed=element, emitted_data=1)
 
-    def execute_batch(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Micro-batched sort-merge, observationally identical to the scalar
-        path.
-
-        The amortization opportunity: while one input's head run stays
-        *strictly* below every other input's gate timestamp, the scalar path
-        would pick that input on every iteration — so the whole run can be
-        drained and forwarded at once.  Ties at the gate (and latent heads,
-        and punctuation) fall back to the exact scalar selection, one
-        element at a time, preserving tie-breaking order.
-        """
-        if self.strict:
-            return super().execute_batch(ctx, limit)
-        batch = BatchResult()
-        staged: list[StreamElement] = []
-        inputs = self.inputs
-        while batch.steps < limit:
-            latent_idx = self._latent_ready_index()
-            if latent_idx is not None:
-                element = inputs[latent_idx].pop()
-                staged.append(element)
-                self.data_forwarded += 1
-                batch.steps += 1
-                batch.consumed_data += 1
-                batch.emitted_data += 1
-                continue
-            gates = self._gates()
-            tau = min(gates)
-            if tau == LATENT_TS:
-                break
-            data_idx: int | None = None
-            punct_idx: int | None = None
-            for i, buf in enumerate(inputs):
-                head = buf.peek()
-                if head is None or head.ts != tau:
-                    continue
-                if head.is_punctuation:
-                    if punct_idx is None:
-                        punct_idx = i
-                else:
-                    data_idx = i
-                    break
-            if data_idx is not None:
-                buf = inputs[data_idx]
-                other_min = min(g for j, g in enumerate(gates)
-                                if j != data_idx)
-                if tau < other_min:
-                    run = buf.drain_batch(limit - batch.steps,
-                                          max_ts=other_min)
-                else:
-                    # Tie with another input's gate: consume exactly the
-                    # head element so cross-input ordering matches scalar.
-                    run = [buf.pop()]
-                staged.extend(run)
-                last = self._last_emitted_ts
-                for element in run:
-                    ts = element.ts
-                    if ts != LATENT_TS and ts > last:
-                        last = ts
-                self._last_emitted_ts = last
-                n = len(run)
-                self.data_forwarded += n
-                batch.steps += n
-                batch.consumed_data += n
-                batch.emitted_data += n
-                continue
-            if punct_idx is not None:
-                element = inputs[punct_idx].pop()
-                self.punctuation_consumed += 1
-                batch.steps += 1
-                batch.consumed_punctuation += 1
-                tau = min(self._gates())
-                if tau > self._last_emitted_ts:
-                    staged.append(Punctuation(
-                        ts=tau, origin=self.name,
-                        periodic=getattr(element, "periodic", False)))
-                    self._last_emitted_ts = tau
-                    self.punctuation_forwarded += 1
-                    batch.emitted_punctuation += 1
-                else:
-                    self.punctuation_suppressed += 1
-                break  # punctuation is a batch boundary
-            break  # no head at tau: more() is false
-        if staged:
-            for out in self.outputs:
-                out.push_batch(staged)
-        return batch
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar sort-merge: forward sub-gate runs as whole blocks.
 
-        Same merge logic as :meth:`execute_batch`, but when one input's run
-        stays strictly below every other input's gate the run is drained as
-        a :class:`~repro.core.columnar.ColumnarBlock` and forwarded without
+        While one input's head run stays *strictly* below every other
+        input's gate timestamp, the scalar path would pick that input on
+        every iteration — so the run is drained as a
+        :class:`~repro.core.columnar.ColumnarBlock` and forwarded without
         materializing a single tuple.  Gate ties, latent heads and
         punctuation fall back to the exact scalar selection (popping through
         the buffer, which explodes a head block lazily when needed), so

@@ -35,9 +35,9 @@ class RoundRobinEngine(ExecutionEngine):
     Args:
         batch_size: Maximum elements an operator processes per visit before
             the scheduler moves on (the classical scheduling quantum).  Note
-            this is a *scheduling* quantum, not the base engine's micro-batch
-            width: round-robin always executes scalar steps within a visit,
-            so its simulated-time behavior is unchanged by the batched path.
+            this is a *scheduling* quantum, not the base engine's run width:
+            round-robin always executes scalar steps within a visit,
+            whatever the value.
         visit_cost: Simulated CPU seconds charged per operator *visit*,
             whether or not the operator had work — the context-switch
             overhead that depth-first traversal avoids.  Defaults to the

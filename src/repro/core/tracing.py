@@ -8,25 +8,17 @@ simple path produces exactly ``execute(Q1), forward(Q2), execute(Q2),
 backtrack(Q1), backtrack(source)`` — and so users can debug surprising
 schedules.
 
-Since the :mod:`repro.obs` event bus landed, the tracer is an ordinary
-observer: attach ``TraceObserver(tracer)`` via
-``ExecutionEngine(observers=[...])`` and the engine's single walk
-implementation feeds it.  :class:`TracingEngine` remains as a deprecated
-shim that does exactly that wiring — its former hand-copied ``_walk``
-override (which silently drifted from the real engine, e.g. never learning
-about micro-batching) is gone.
+The tracer is an ordinary :mod:`repro.obs` observer: attach
+``TraceObserver(tracer)`` via ``ExecutionEngine(observers=[...])`` and the
+engine's single walk implementation feeds it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..obs.adapters import TraceObserver
-from .execution import ExecutionEngine
-
-__all__ = ["TraceEvent", "Tracer", "TracingEngine"]
+__all__ = ["TraceEvent", "Tracer", "summarize"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,26 +95,6 @@ class Tracer:
             + (f"  ({e.detail})" if e.detail else "")
             for e in self.events
         )
-
-
-class TracingEngine(ExecutionEngine):
-    """Deprecated: use ``ExecutionEngine(observers=[TraceObserver(tracer)])``.
-
-    This shim only performs that wiring (plus a :class:`DeprecationWarning`)
-    so old call sites keep producing identical trace streams through the
-    event bus.  It no longer overrides any engine internals.
-    """
-
-    def __init__(self, *args, tracer: Tracer | None = None, **kwargs) -> None:
-        warnings.warn(
-            "TracingEngine is deprecated; pass "
-            "ExecutionEngine(observers=[TraceObserver(tracer)]) — or "
-            "observers=[...] via repro.api.Pipeline.engine() — instead",
-            DeprecationWarning, stacklevel=2)
-        self.tracer = tracer if tracer is not None else Tracer()
-        observers = list(kwargs.pop("observers", None) or ())
-        observers.append(TraceObserver(self.tracer))
-        super().__init__(*args, observers=observers, **kwargs)
 
 
 def summarize(events: Iterable[TraceEvent]) -> dict[str, int]:

@@ -1,9 +1,9 @@
 """Adapters: legacy observability surfaces re-expressed as bus observers.
 
-The original tracing layer (:class:`~repro.core.tracing.Tracer` fed by a
-``TracingEngine`` subclass that re-implemented the engine walk) predates the
-event bus.  :class:`TraceObserver` closes that era: it listens to the bus
-and records the *exact* event vocabulary the old tracer produced —
+The original tracing layer (:class:`~repro.core.tracing.Tracer` fed by an
+engine subclass that re-implemented the walk) predates the event bus.
+:class:`TraceObserver` closes that era: it listens to the bus and records
+the *exact* event vocabulary the old tracer produced —
 ``execute`` / ``forward`` / ``encore`` / ``backtrack`` / ``ets`` /
 ``quiesce`` plus the fault-path kinds (``degrade``, ``fallback``,
 ``resync``, ``quarantine``, ``violation``) — so every Fig.-2 trace-sequence
@@ -36,7 +36,7 @@ class TraceObserver(Observer):
     def on_step(self, *, operator, round_id, time, kind, steps=1, probes=0,
                 probes_emitted=0, emitted_data=0, emitted_punctuation=0,
                 duration=0.0) -> None:
-        detail = f"batch:{steps}" if kind == "batch" else kind
+        detail = f"block:{steps}" if kind == "block" else kind
         self.tracer.record("execute", operator, round_id, detail=detail)
 
     def on_nos_decision(self, *, decision, operator, round_id, time,

@@ -55,9 +55,10 @@ class Observer:
     contract exporters and metrics build on:
 
     * :meth:`on_wakeup` — an engine wake-up round began.
-    * :meth:`on_step` — one execution step ran (``kind`` is ``"data"``,
-      ``"punct"``, or ``"batch"``; ``steps`` > 1 for micro-batched runs;
-      ``duration`` is the simulated CPU seconds charged).
+    * :meth:`on_step` — one execution step ran (``kind`` is ``"data"`` or
+      ``"punct"`` for a scalar step, ``"block"`` for a run step of a
+      ``batch_size > 1`` engine, with ``steps`` the scalar-equivalent run
+      length; ``duration`` is the simulated CPU seconds charged).
     * :meth:`on_nos_decision` — a Forward / Encore / Backtrack transition
       (``decision``), with ``operator`` the transition target.
     * :meth:`on_ets` — a stalled source consulted the ETS policy
@@ -80,7 +81,7 @@ class Observer:
                 probes_emitted: int = 0,
                 emitted_data: int = 0, emitted_punctuation: int = 0,
                 duration: float = 0.0) -> None:
-        """One execution step (or batched run of steps) completed.
+        """One execution step (or run of scalar-equivalent steps) completed.
 
         ``probes`` counts window tuples *examined*; ``probes_emitted`` the
         subset that passed the join condition — the gap between the two is

@@ -8,7 +8,7 @@ four shapes (:class:`~repro.core.execution.EngineStats` fields,
 suite's :class:`~repro.metrics.recovery.RecoveryTracker`).  A
 :class:`MetricsRegistry` is one place: it *observes* the event bus for
 everything that can be counted live (steps, NOS decisions, ETS
-consultations, punctuation, buffer depth, faults, batch run lengths) and
+consultations, punctuation, buffer depth, faults, run lengths) and
 *absorbs* the remaining end-of-run aggregates from the engine, the idle
 tracker, and the recovery tracker — producing one ``snake_case``
 ``as_dict()`` snapshot and one Prometheus text rendering.
@@ -204,7 +204,8 @@ class MetricsRegistry(Observer):
     per operator), NOS-decision counts, ETS consultations split
     injected/declined, punctuation injections by origin, fault-path actions
     by kind, the buffer-depth gauge with its high-water mark, and a
-    histogram of micro-batch run lengths.  ``absorb_*`` folds in what only
+    histogram of run lengths (1 per scalar step, up to ``batch_size`` per
+    ``kind="block"`` run step).  ``absorb_*`` folds in what only
     exists as an end-of-run aggregate: :class:`EngineStats` counters,
     per-operator idle-wait time, queue summaries, and recovery figures.
     """
@@ -302,7 +303,7 @@ class MetricsRegistry(Observer):
         # Absorbed end-of-run aggregates.
         self.block_fallbacks = c(
             "repro_engine_block_fallbacks_total",
-            "Block-mode steps routed through the scalar path, per operator")
+            "Run steps served by scalar steps (no block kernel), per operator")
         self.idle_wait = g("repro_idle_wait_seconds",
                            "Idle-waiting time per IWP operator")
         self.idle_fraction = g("repro_idle_wait_fraction",
@@ -470,10 +471,10 @@ class MetricsRegistry(Observer):
     def absorb_engine_stats(self, stats) -> "MetricsRegistry":
         """Fold an :class:`EngineStats` snapshot in, one field per label.
 
-        Columnar counters are skipped while zero so scalar- and batch-mode
-        runs export the exact sample set they always did; block-mode runs
-        gain ``repro_engine_stat{field="blocks"}`` etc. the moment the
-        counters move.
+        Columnar counters are skipped while zero so scalar
+        (``batch_size=1``) runs export the exact sample set they always
+        did; block runs gain ``repro_engine_stat{field="blocks"}`` etc. the
+        moment the counters move.
         """
         for field_name, value in stats.as_dict().items():
             if field_name == "per_operator_steps":

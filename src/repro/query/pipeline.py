@@ -16,7 +16,7 @@ construction, and no separate workload attachment::
     (packets.select(lambda t: t["bytes"] > 1200)
             .union(alarms)
             .sink("analyst", keep_outputs=True))
-    sim = (p.engine(ets_policy=OnDemandEts, batch_size=64, block_mode=True)
+    sim = (p.engine(ets_policy=OnDemandEts, batch_size=64)
             .feed("packets", poisson_arrivals(200.0, random.Random(1)))
             .feed("alarms", poisson_arrivals(0.05, random.Random(2)))
             .run(until=120.0))
@@ -26,14 +26,15 @@ Single-source pipelines can start straight from the class —
 ``Pipeline.source("ticks")`` creates an anonymous pipeline and returns the
 stream handle; the pipeline itself is reachable as ``stream.pipeline``.
 
-Pipelines default to the columnar fast path (``batch_size=64``,
-``block_mode=True``); results are identical to scalar execution by the
-block-mode fallback contract (see DESIGN.md §4i), so the default is purely
-a throughput choice.  ``.engine()`` overrides any knob.
+Pipelines default to the columnar fast path (``batch_size=64``); results are
+identical to scalar execution (``batch_size=1``) by the run-step fallback
+contract (see DESIGN.md §4i), so the default is purely a throughput choice.
+``.engine()`` overrides any knob.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields as dataclass_fields
 from typing import Any, Callable, Iterable, Mapping
 
 from ..core.config import EngineConfig
@@ -49,8 +50,7 @@ __all__ = ["Pipeline", "PipelineStream"]
 # EngineConfig fields settable through Pipeline.engine(); everything else
 # passed there is forwarded to the Simulation constructor (cost_model,
 # periodic, start_time, quarantine, ...).
-_CONFIG_KNOBS = frozenset(
-    f for f in EngineConfig.__dataclass_fields__)  # type: ignore[attr-defined]
+_CONFIG_KNOBS = frozenset(f.name for f in dataclass_fields(EngineConfig))
 
 
 class _classinstancemethod:
@@ -77,14 +77,14 @@ class Pipeline:
     Args:
         name: Graph name (also the default :class:`Simulation` label).
         config: Optional :class:`EngineConfig` seed; defaults to the
-            columnar fast path (``batch_size=64, block_mode=True``).
+            columnar fast path (``batch_size=64``).
     """
 
     def __init__(self, name: str = "pipeline", *,
                  config: EngineConfig | None = None) -> None:
         self.query = Query(name)
         self.config = config if config is not None else EngineConfig(
-            batch_size=64, block_mode=True)
+            batch_size=64)
         self.sinks: dict[str, SinkNode] = {}
         self.simulation = None
         self.compiled = None  # set by from_program
@@ -154,9 +154,9 @@ class Pipeline:
     def engine(self, **knobs: Any) -> "Pipeline":
         """Set engine / simulation knobs; returns ``self``.
 
-        :class:`EngineConfig` fields (``batch_size``, ``block_mode``,
-        ``checkpoint_every``, ``observers``, ``feedback``, ``ets_policy``,
-        ``recovery``, ``state_dir``, ``max_steps_per_round``) update the
+        :class:`EngineConfig` fields (``batch_size``, ``checkpoint_every``,
+        ``observers``, ``feedback``, ``ets_policy``, ``recovery``,
+        ``state_dir``, ``max_steps_per_round``) update the
         pipeline's config; anything else (``cost_model``, ``periodic``,
         ``start_time``, ``stall_detector``, ...) is forwarded to the
         :class:`Simulation` constructor verbatim.

@@ -112,8 +112,8 @@ class EngineShard:
         ets_policy_factory: Per-shard ETS policy factory (policies hold
             state and cannot be shared across engines); None means
             :class:`NoEts`.
-        batch_size: Micro-batch width forwarded to the engine.
-        block_mode: Columnar execution forwarded to the engine.
+        batch_size: Run width forwarded to the engine (1 = scalar path,
+            > 1 = columnar path).
         state_dir: When set, a :class:`RecoveryManager` is bound here and
             every ingest/punctuation/wake-up is WAL-logged.
         checkpoint_every: Checkpoint cadence in engine rounds (forwarded).
@@ -128,7 +128,6 @@ class EngineShard:
     def __init__(self, index: int, build: Callable[[], Any], *,
                  ets_policy_factory: Callable[[], EtsPolicy] | None = None,
                  batch_size: int = 1,
-                 block_mode: bool = False,
                  state_dir: str | Path | None = None,
                  checkpoint_every: int | None = None,
                  disorder_bound: float = 0.0,
@@ -143,8 +142,7 @@ class EngineShard:
         feedback = feedback_factory() if feedback_factory else None
         self.engine = ExecutionEngine(
             self.graph, self.clock, cost_model=None, ets_policy=policy,
-            batch_size=batch_size, block_mode=block_mode,
-            checkpoint_every=checkpoint_every,
+            batch_size=batch_size, checkpoint_every=checkpoint_every,
             feedback=feedback)
         self.feedback = self.engine.feedback
         self._outputs: list[tuple[str, float, Any]] = []

@@ -25,7 +25,6 @@ sizes, and join layouts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -94,8 +93,8 @@ class ShardedEngine:
         backend: ``"serial"``, ``"thread"``, or ``"process"``.
         ets_policy_factory: Builds one ETS policy per shard (policies are
             stateful); None means NoEts everywhere.
-        batch_size: Micro-batch width forwarded to every shard engine.
-        block_mode: Columnar execution forwarded to every shard engine.
+        batch_size: Run width forwarded to every shard engine (1 = scalar
+            path, > 1 = columnar path).
         state_dir: Root directory for per-shard recovery state
             (``state_dir/shard-00``, ``shard-01``, …); None disables
             durability.
@@ -115,7 +114,6 @@ class ShardedEngine:
             shard reacts to fleet-wide overload with a staleness of at
             most one wake-up.  None (the default) keeps the open-loop
             behavior byte-identical.
-        feedback_factory: Deprecated alias of ``feedback``.
         retry_limit: Bounded re-poll attempts per operation for the
             process backend (see :class:`ProcessBackend`).
         retry_base / retry_cap / retry_jitter / retry_seed: Exponential
@@ -134,37 +132,25 @@ class ShardedEngine:
                  backend: str = "thread",
                  ets_policy_factory: Callable[[], EtsPolicy] | None = None,
                  batch_size: int = 1,
-                 block_mode: bool = False,
                  state_dir: str | Path | None = None,
                  checkpoint_every: int | None = None,
                  observers=None,
                  op_timeout: float = 60.0,
                  disorder_bound: float = 0.0,
                  feedback: Callable[[], Any] | None = None,
-                 feedback_factory: Callable[[], Any] | None = None,
                  retry_limit: int = 1,
                  retry_base: float = 2.0,
                  retry_cap: float | None = None,
                  retry_jitter: float = 0.25,
                  retry_seed: int = 0,
                  config: EngineConfig | None = None) -> None:
-        if feedback_factory is not None:
-            warnings.warn(
-                "feedback_factory= is deprecated; pass the factory as "
-                "feedback= (the canonical spelling shared with Simulation "
-                "and EngineConfig)",
-                DeprecationWarning, stacklevel=2)
-            if feedback is None:
-                feedback = feedback_factory
         if config is not None:
             knobs = config.resolve(
-                dict(batch_size=batch_size, block_mode=block_mode,
+                dict(batch_size=batch_size,
                      checkpoint_every=checkpoint_every,
                      state_dir=state_dir),
-                dict(batch_size=1, block_mode=False, checkpoint_every=None,
-                     state_dir=None))
+                dict(batch_size=1, checkpoint_every=None, state_dir=None))
             batch_size = knobs["batch_size"]
-            block_mode = knobs["block_mode"]
             checkpoint_every = knobs["checkpoint_every"]
             state_dir = knobs["state_dir"]
             if ets_policy_factory is None:
@@ -198,7 +184,6 @@ class ShardedEngine:
             return {
                 "ets_policy_factory": ets_policy_factory,
                 "batch_size": batch_size,
-                "block_mode": block_mode,
                 "state_dir": shard_state,
                 "checkpoint_every": checkpoint_every,
                 "disorder_bound": disorder_bound,
@@ -286,7 +271,7 @@ ElasticShardedEngine` swaps in the supervised per-shard path here
         ``(ts, shard, seq, sink, payload)`` tuples in global timestamp
         order.
 
-        With ``feedback_factory`` set, the previous wake-up's aggregated
+        With ``feedback`` set, the previous wake-up's aggregated
         pressure view rides along as a clamp (bounded staleness: one
         wake-up) and this wake-up's per-shard pressures are folded into
         the next view.

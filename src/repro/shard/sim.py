@@ -34,8 +34,8 @@ class ShardedSimulation:
     Args:
         build: Fresh-graph factory, forwarded to :class:`ShardedEngine`.
         shards / key / backend / ets_policy_factory / batch_size /
-            block_mode / state_dir / checkpoint_every / observers /
-            op_timeout / disorder_bound / feedback / config: Forwarded to
+            state_dir / checkpoint_every / observers / op_timeout /
+            disorder_bound / feedback / config: Forwarded to
             :class:`ShardedEngine`.
         heartbeats: Optional ``{source: rate}`` map of periodic punctuation
             (scenario-B style), broadcast to every shard.
@@ -55,7 +55,6 @@ class ShardedSimulation:
                  key: str | Callable[[Any], Any],
                  backend: str = "serial",
                  ets_policy_factory=None, batch_size: int = 1,
-                 block_mode: bool = False,
                  heartbeats: Mapping[str, float] | None = None,
                  wake_every: int = 8,
                  state_dir=None, checkpoint_every: int | None = None,
@@ -70,7 +69,6 @@ class ShardedSimulation:
         shared = dict(
             shards=shards, key=key, backend=backend,
             ets_policy_factory=ets_policy_factory, batch_size=batch_size,
-            block_mode=block_mode,
             state_dir=state_dir, checkpoint_every=checkpoint_every,
             observers=observers, op_timeout=op_timeout,
             disorder_bound=disorder_bound, feedback=feedback,

@@ -97,12 +97,12 @@ class CostModel:
         return base + result.probes * self.per_probe
 
     def batch_cost(self, op: "Operator", batch: "BatchResult") -> float:
-        """Simulated seconds consumed by one micro-batched execution step.
+        """Simulated seconds consumed by one run step (``batch_size > 1``).
 
-        Batching amortizes Python dispatch (wall-clock), not simulated CPU:
+        A run amortizes Python dispatch (wall-clock), not simulated CPU:
         every tuple in the run is charged its full scalar step cost, so
         simulated-time results stay comparable between the scalar and
-        batched engines.
+        columnar paths.
         """
         data = self.data_costs.get(op.cost_class, self.default_data_cost)
         punct = self.punct_costs.get(op.cost_class, self.default_punct_cost)

@@ -23,7 +23,6 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -70,15 +69,14 @@ class Simulation:
         start_time: Initial virtual-clock value.
         track_idle: Maintain an :class:`IdleTracker` over the IWP operators.
         offer_ets_always: Forwarded to the engine (fidelity ablation).
-        batch_size: Micro-batch width forwarded to the engine; 1 (default)
-            is tuple-at-a-time execution, N > 1 lets each Encore step
-            consume a run of up to N elements (never across a punctuation).
-            The ``deliver_due`` hook then runs once per batch rather than
-            once per tuple, which is exactly the amortization being bought.
-        block_mode: Columnar execution forwarded to the engine; see
-            :class:`~repro.core.execution.ExecutionEngine`.  Combine with a
-            real ``batch_size`` (the :class:`~repro.api.Pipeline` default
-            is 64).
+        batch_size: Run width forwarded to the engine; 1 (default) is
+            tuple-at-a-time scalar execution, N > 1 runs the columnar path,
+            each Encore step consuming a run of up to N elements (never
+            across a punctuation); see
+            :class:`~repro.core.execution.ExecutionEngine`.  The
+            ``deliver_due`` hook then runs once per run rather than once
+            per tuple, which is exactly the amortization being bought (the
+            :class:`~repro.api.Pipeline` default is 64).
         stall_detector: Optional
             :class:`~repro.faults.degrade.StallDetector`; the kernel polls
             it on a recurring watchdog event and, when a source crosses the
@@ -104,14 +102,14 @@ class Simulation:
             to this simulation's graph/engine/clock at construction, making
             every ingest and wake-up WAL-logged and crash-recoverable.
         config: Optional :class:`~repro.core.config.EngineConfig` supplying
-            defaults for the shared knobs (batch_size, block_mode,
-            checkpoint_every, observers, feedback, ets_policy, recovery,
+            defaults for the shared knobs (batch_size, checkpoint_every,
+            observers, feedback, ets_policy, recovery,
             max_steps_per_round).  Explicit keyword arguments win.
         engine_cls / engine_kwargs: Alternative engine class (e.g. the
             round-robin scheduling ablation) and its extra constructor
-            kwargs.  Passing knobs through ``engine_kwargs`` that have
-            first-class Simulation parameters (batch_size, block_mode,
-            feedback, checkpoint_every, observers) is deprecated.
+            kwargs (e.g. that engine's scheduling quantum, which it also
+            calls ``batch_size``); a key given here wins over the
+            same-named Simulation parameter.
     """
 
     def __init__(self, graph: QueryGraph, *,
@@ -122,7 +120,6 @@ class Simulation:
                  track_idle: bool = True,
                  offer_ets_always: bool = False,
                  batch_size: int = 1,
-                 block_mode: bool = False,
                  stall_detector=None,
                  quarantine=None,
                  feedback=None,
@@ -134,25 +131,14 @@ class Simulation:
                  config: EngineConfig | None = None,
                  engine_cls: type[ExecutionEngine] = ExecutionEngine,
                  engine_kwargs: dict | None = None) -> None:
-        if engine_kwargs:
-            duplicated = sorted(set(engine_kwargs) & {
-                "batch_size", "block_mode", "feedback", "checkpoint_every",
-                "observers"})
-            if duplicated:
-                warnings.warn(
-                    f"passing {', '.join(duplicated)} through engine_kwargs "
-                    "is deprecated; use the first-class Simulation keyword "
-                    "(or an EngineConfig / repro.api.Pipeline.engine())",
-                    DeprecationWarning, stacklevel=2)
         if config is not None:
             knobs = config.resolve(
-                dict(batch_size=batch_size, block_mode=block_mode,
+                dict(batch_size=batch_size,
                      checkpoint_every=checkpoint_every,
                      max_steps_per_round=max_steps_per_round),
-                dict(batch_size=1, block_mode=False, checkpoint_every=None,
+                dict(batch_size=1, checkpoint_every=None,
                      max_steps_per_round=None))
             batch_size = knobs["batch_size"]
-            block_mode = knobs["block_mode"]
             checkpoint_every = knobs["checkpoint_every"]
             max_steps_per_round = knobs["max_steps_per_round"]
             if ets_policy is None:
@@ -175,8 +161,6 @@ class Simulation:
         merged_kwargs = dict(engine_kwargs or {})
         if batch_size != 1:
             merged_kwargs.setdefault("batch_size", batch_size)
-        if block_mode:
-            merged_kwargs.setdefault("block_mode", block_mode)
         if feedback is not None:
             merged_kwargs.setdefault("feedback", feedback)
         if checkpoint_every is not None:
@@ -216,9 +200,7 @@ class Simulation:
                 stall_detector.on_recovery = self._on_source_recovered
         self.quarantine = quarantine
         if quarantine is not None:
-            quarantine.bind(stats=self.engine.stats,
-                            tracer=getattr(self.engine, "tracer", None),
-                            bus=self.engine.bus)
+            quarantine.bind(stats=self.engine.stats, bus=self.engine.bus)
             for source in graph.sources():
                 source.quarantine = quarantine
         #: The feedback controller (if any) — the same object the engine
@@ -376,18 +358,12 @@ class Simulation:
     def _fault(self, kind: str, operator: str, detail: str = "") -> None:
         """Publish a kernel-side fault-ladder action on the event bus.
 
-        With a bus attached every observer (tracers included, via
-        :class:`~repro.obs.adapters.TraceObserver`) sees the event; without
-        one, a legacy engine-side tracer is still fed directly.
+        Every observer (tracers included, via
+        :class:`~repro.obs.adapters.TraceObserver`) sees the event.
         """
-        if self._bus is not NULL_BUS:
-            self._bus.fault(kind=kind, operator=operator,
-                            round_id=self.engine.round_id,
-                            time=self.clock.now(), detail=detail)
-            return
-        tracer = getattr(self.engine, "tracer", None)
-        if tracer is not None:
-            tracer.record(kind, operator, self.engine.round_id, detail)
+        self._bus.fault(kind=kind, operator=operator,
+                        round_id=self.engine.round_id,
+                        time=self.clock.now(), detail=detail)
 
     def _start_watchdog(self) -> None:
         if self.stall_detector is None:

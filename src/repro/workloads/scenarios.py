@@ -65,8 +65,8 @@ class ScenarioConfig:
             ETS generator (X3 bench); ``external_skew`` is the workload's
             max timestamp lag and ``ets_delta`` the generator's bound.
         cost_model: CPU pricing; None selects the calibrated default.
-        batch_size: Micro-batch width of the execution engine (1 = the
-            paper's tuple-at-a-time mode; N > 1 enables the batched path).
+        batch_size: Run width of the execution engine (1 = the paper's
+            tuple-at-a-time scalar path; N > 1 runs the columnar path).
         engine_cls / engine_kwargs: Alternative execution engine (e.g.
             :class:`~repro.core.scheduling.RoundRobinEngine`) for the X4
             scheduling ablation; None selects the paper's DFS engine.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
@@ -88,6 +90,27 @@ class OpHarness:
 
     def output_data(self) -> list[DataTuple]:
         return [e for e in self.drain_output() if not e.is_punctuation]
+
+
+@contextmanager
+def forced_scalar_fallback():
+    """Every operator class reports ``supports_blocks = False`` inside the
+    block, so a ``batch_size > 1`` engine serves all of them with
+    ``scalar_run`` — the same run boundaries over scalar steps.  The
+    reference the block kernels are compared against at equal width."""
+    patched: dict[type, object] = {}
+    classes = Operator.__subclasses__()
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        if cls not in patched and "supports_blocks" in cls.__dict__:
+            patched[cls] = cls.__dict__["supports_blocks"]
+            cls.supports_blocks = False
+    try:
+        yield
+    finally:
+        for cls, original in patched.items():
+            cls.supports_blocks = original
 
 
 @pytest.fixture

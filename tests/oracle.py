@@ -1,19 +1,25 @@
-"""Differential correctness oracle for the micro-batched execution path.
+"""Differential correctness oracle for the run (columnar) execution path.
 
-The batched engine is only worth having if it is *observationally identical*
-to the scalar engine: same data tuples, same payloads, same timestamps, in
-the same order at every sink.  Likewise, ETS policies may only change
-*timing* (latency, memory), never the data a query delivers.  This module
-packages both claims as an executable oracle:
+The run path (``batch_size > 1``) is only worth having if it is
+*observationally identical* to the scalar engine (``batch_size=1``): same
+data tuples, same payloads, same timestamps, in the same order at every
+sink.  Likewise, ETS policies may only change *timing* (latency, memory),
+never the data a query delivers.  This module packages both claims as an
+executable oracle:
 
 * :class:`DifferentialOracle` replays one deterministic feed schedule
   through freshly built copies of the same query graph under different
-  engine configurations (scalar vs batched, NoEts vs OnDemandEts vs manual
-  periodic punctuation) and compares the canonicalized sink sequences.
+  engine configurations (scalar vs run widths, NoEts vs OnDemandEts vs
+  manual periodic punctuation) and compares the canonicalized sink
+  sequences.
 * The replay is *chunked*: several arrivals are ingested between engine
-  wake-ups, so input buffers genuinely hold runs of tuples and the batched
+  wake-ups, so input buffers genuinely hold runs of tuples and the block
   drains are exercised for real (a pure event-per-tuple drive would only
   ever produce runs of length one).
+* Every oracle here asserts ``stats.blocks > 0`` whenever it runs
+  ``batch_size > 1`` (per shard where sharded), so the matrices provably
+  exercise the transport ``Pipeline`` runs by default and cannot silently
+  relapse onto another one.
 
 All runs use a free CPU (``cost_model=None``) so virtual time is driven
 exclusively by the feed schedule and outputs are bit-comparable across
@@ -65,6 +71,24 @@ def _chunks(seq: Sequence[Feed], size: int) -> Iterable[Sequence[Feed]]:
         yield seq[i:i + size]
 
 
+def _assert_block_transport(stats: dict, batch_size: int, label: str) -> None:
+    """A ``batch_size > 1`` run that did any work must have taken block
+    steps.  ``stats`` is ``EngineStats.as_dict()`` (what a shard summary
+    carries)."""
+    if batch_size > 1 and stats["steps"]:
+        assert stats["blocks"] > 0, (
+            f"{label}: batch_size={batch_size} ran {stats['steps']} steps "
+            f"and not one block step")
+
+
+def _assert_shards_on_block_transport(engine, batch_size: int) -> None:
+    """Per-shard form of :func:`_assert_block_transport`; call it before
+    the sharded engine is closed."""
+    for summary in engine.summaries():
+        _assert_block_transport(summary.stats, batch_size,
+                                f"shard {summary.shard}")
+
+
 class DifferentialOracle:
     """Replay one workload through engine variants; assert identical output.
 
@@ -92,7 +116,7 @@ class DifferentialOracle:
     # ------------------------------------------------------------------ #
     # Running one variant
 
-    def run(self, *, batch_size: int = 1, block_mode: bool = False,
+    def run(self, *, batch_size: int = 1,
             ets_policy: EtsPolicy | None = None,
             punctuate: bool = False, eos: bool = True,
             observers=None) -> list[SinkRecord]:
@@ -120,7 +144,6 @@ class DifferentialOracle:
             cost_model=None,
             ets_policy=ets_policy if ets_policy is not None else NoEts(),
             batch_size=batch_size,
-            block_mode=block_mode,
             observers=observers,
         )
         sources = {src.name: src for src in graph.sources()}
@@ -145,6 +168,8 @@ class DifferentialOracle:
                 sources[name].inject_punctuation(
                     final_ts, origin=f"oracle-eos:{name}")
         engine.wakeup()
+        _assert_block_transport(engine.stats.as_dict(), batch_size,
+                                graph.name)
         out: list[SinkRecord] = []
         for name in sorted(traces):
             out.extend(traces[name])
@@ -166,17 +191,19 @@ class DifferentialOracle:
     # ------------------------------------------------------------------ #
     # Differential assertions
 
-    def assert_batched_equals_scalar(
+    def assert_run_equals_scalar(
             self, batch_sizes: Sequence[int] = (2, 3, 8, 64),
             ets_policy_factory: Callable[[], EtsPolicy] | None = None,
             *, canonical: bool = False) -> None:
-        """Batched engines must reproduce the scalar sink sequence exactly.
+        """The run path must reproduce the scalar sink sequence exactly, at
+        every width: operators that support blocks take their columnar
+        kernel, everything else exercises the lazy-explode scalar fallback.
 
         ``canonical=True`` compares up to permutation of equal-timestamp
         tuples instead.  Use it for workloads with cross-input timestamp
         ties: when two inputs hold equal timestamps, the scalar merge order
         depends on upstream one-tuple-at-a-time scheduling (a tuple not yet
-        forwarded cannot be picked) while batching fills buffers in runs —
+        forwarded cannot be picked) while runs fill buffers wholesale —
         both interleavings are valid stream outputs.  Tie-free workloads
         should keep the default byte-exact comparison.
         """
@@ -190,31 +217,6 @@ class DifferentialOracle:
             _assert_same(reference, got,
                          f"batch_size={size} diverged from scalar")
 
-    def assert_block_equals_scalar(
-            self, batch_sizes: Sequence[int] = (2, 3, 8, 64),
-            ets_policy_factory: Callable[[], EtsPolicy] | None = None,
-            *, canonical: bool = False) -> None:
-        """The columnar engine must reproduce the scalar sink sequence
-        exactly, at every block width.
-
-        Runs the same comparison as :meth:`assert_batched_equals_scalar`
-        but with ``block_mode=True`` — operators that support blocks take
-        the columnar path, everything else exercises the lazy-explode
-        fallback.  See that method for when ``canonical=True`` is
-        appropriate.
-        """
-        def policy() -> EtsPolicy:
-            return ets_policy_factory() if ets_policy_factory else NoEts()
-
-        norm = _canonical if canonical else (lambda records: records)
-        reference = norm(self.run(batch_size=1, ets_policy=policy()))
-        for size in batch_sizes:
-            got = norm(self.run(batch_size=size, block_mode=True,
-                                ets_policy=policy()))
-            _assert_same(reference, got,
-                         f"block_mode (batch_size={size}) diverged "
-                         f"from scalar")
-
     def assert_ets_invariant(self, *, batch_size: int = 1,
                              external_delta: float = 0.0) -> None:
         """ETS must change timing only: NoEts, OnDemandEts, and periodic
@@ -224,7 +226,7 @@ class DifferentialOracle:
         timestamp may be enabled in either order depending on *when* a
         punctuation unblocked the merge — both interleavings are valid
         stream outputs, so equal-timestamp runs are sorted into a canonical
-        order before comparing.  (Batch-vs-scalar comparisons stay exact:
+        order before comparing.  (Run-vs-scalar comparisons stay exact:
         same policy ⇒ same tie decisions.)
         """
         reference = _canonical(
@@ -244,10 +246,10 @@ class DifferentialOracle:
 
     def assert_all(self, batch_sizes: Sequence[int] = (2, 3, 8, 64),
                    *, external_delta: float = 0.0) -> None:
-        """The full oracle: batch invariance under NoEts and OnDemandEts,
-        plus the ETS invariant at scalar and one batched width."""
-        self.assert_batched_equals_scalar(batch_sizes)
-        self.assert_batched_equals_scalar(
+        """The full oracle: width invariance under NoEts and OnDemandEts,
+        plus the ETS invariant at scalar and one run width."""
+        self.assert_run_equals_scalar(batch_sizes)
+        self.assert_run_equals_scalar(
             batch_sizes, ets_policy_factory=lambda: OnDemandEts(
                 external_delta=external_delta))
         self.assert_ets_invariant(external_delta=external_delta)
@@ -332,6 +334,8 @@ class CrashRecoveryOracle:
             None, batch_size=batch_size, ets_policy=ets_policy,
             checkpoint_every=None)
         self._drive(graph, clock, engine, start=0)
+        _assert_block_transport(engine.stats.as_dict(), batch_size,
+                                "uncrashed run")
         return self._flatten(traces)
 
     def run_crashed(self, state_dir, *, crash_index: int,
@@ -345,6 +349,8 @@ class CrashRecoveryOracle:
             state_dir, batch_size=batch_size, ets_policy=ets_policy,
             checkpoint_every=checkpoint_every)
         self._drive(graph, clock, engine, start=0, stop=crash_index)
+        _assert_block_transport(engine.stats.as_dict(), batch_size,
+                                "pre-crash run")
         pre = self._flatten(traces)
         manager.close()
 
@@ -364,6 +370,8 @@ class CrashRecoveryOracle:
         assert resumed == crash_index, \
             f"WAL holds {resumed} ingests, crashed at {crash_index}"
         self._drive(graph, clock, engine, start=crash_index)
+        _assert_block_transport(engine.stats.as_dict(), batch_size,
+                                "recovered run")
         manager.close()
         return pre + self._flatten(traces), report
 
@@ -471,6 +479,7 @@ class ShardedDifferentialOracle:
                 engine.inject_punctuation(name, final_ts,
                                           origin=f"oracle-eos:{name}")
             released.extend(engine.wakeup())
+            _assert_shards_on_block_transport(engine, batch_size)
         finally:
             released.extend(engine.close(flush=True))
         # MergedRecord is (ts, shard, seq, sink, payload).
@@ -517,6 +526,7 @@ class ShardedDifferentialOracle:
                 engine.inject_punctuation(name, final_ts,
                                           origin=f"oracle-eos:{name}")
             released.extend(engine.wakeup())
+            _assert_shards_on_block_transport(engine, batch_size)
         finally:
             released.extend(engine.close(flush=True))
         return [(sink, ts, payload) for ts, _, _, sink, payload in released]

@@ -10,6 +10,7 @@ pipeline run delivers exactly what a hand-assembled
 from __future__ import annotations
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -18,12 +19,15 @@ from repro.api import (
     Arrival,
     Count,
     EngineConfig,
+    ExecutionError,
     GraphError,
     NoEts,
     OnDemandEts,
     Pipeline,
     Query,
     Simulation,
+    TraceObserver,
+    Tracer,
     WindowSpec,
     WorkloadError,
 )
@@ -115,7 +119,7 @@ class TestGraphParity:
 
 
 class TestDriveParity:
-    def hand_built(self, arrivals, *, batch_size, block_mode, policy):
+    def hand_built(self, arrivals, *, batch_size, policy):
         q = Query("drive")
         a = q.source("a")
         b = q.source("b")
@@ -123,8 +127,7 @@ class TestDriveParity:
           .union(b.map(lambda p: {**p, "tag": 1}))
           .sink("out", keep_outputs=True))
         graph = q.build()
-        sim = Simulation(graph, ets_policy=policy(), batch_size=batch_size,
-                         block_mode=block_mode)
+        sim = Simulation(graph, ets_policy=policy(), batch_size=batch_size)
         sim.attach_arrivals(graph["a"], iter(arrivals))
         sim.attach_arrivals(graph["b"],
                             iter(_arrivals(10, dt=1.1, start=0.05)))
@@ -147,12 +150,11 @@ class TestDriveParity:
     @pytest.mark.parametrize("policy", [NoEts, OnDemandEts])
     def test_pipeline_matches_hand_built_across_modes(self, policy):
         arrivals = _arrivals()
-        scalar = self.hand_built(arrivals, batch_size=1, block_mode=False,
-                                 policy=policy)
-        for knobs in ({"batch_size": 1, "block_mode": False},
-                      {"batch_size": 8, "block_mode": False},
-                      {"batch_size": 64, "block_mode": True},
-                      {}):  # pipeline default: batch 64, block mode on
+        scalar = self.hand_built(arrivals, batch_size=1, policy=policy)
+        for knobs in ({"batch_size": 1},
+                      {"batch_size": 8},
+                      {"batch_size": 64},
+                      {}):  # pipeline default: batch 64, the block path
             got = self.pipeline_built(arrivals, policy=policy, **knobs)
             assert got == scalar, f"knobs={knobs}"
 
@@ -161,7 +163,6 @@ class TestDriveParity:
         p.source("a").sink("out")
         sim = p.feed("a", iter(_arrivals(20))).run(until=30.0)
         assert sim.engine.batch_size == 64
-        assert sim.engine.block_mode is True
         assert sim.engine.stats.blocks > 0
 
     def test_run_resumes_same_simulation(self):
@@ -189,9 +190,8 @@ class TestDriveParity:
 class TestEngineKnobs:
     def test_config_fields_go_to_config(self):
         p = Pipeline("knobs")
-        p.engine(batch_size=16, block_mode=False, checkpoint_every=7)
+        p.engine(batch_size=16, checkpoint_every=7)
         assert p.config.batch_size == 16
-        assert p.config.block_mode is False
         assert p.config.checkpoint_every == 7
 
     def test_non_config_knobs_reach_simulation(self):
@@ -204,12 +204,41 @@ class TestEngineKnobs:
         assert sim.clock.now() == 3.0
 
     def test_engine_accepts_config_seed(self):
-        config = EngineConfig(batch_size=4, block_mode=False)
+        config = EngineConfig(batch_size=4)
         p = Pipeline("seeded", config=config)
         p.source("a").sink("out")
         sim = p.build_simulation()
         assert sim.engine.batch_size == 4
-        assert sim.engine.block_mode is False
+
+    def test_batch_size_alone_picks_the_transport(self):
+        """``block_mode`` survives only as an init-only consistency check
+        on EngineConfig (the frozen benchmark spells its scalar reference
+        ``EngineConfig(batch_size=1, block_mode=False)``): agreeing values
+        construct, contradicting ones raise, and it is not a field — so
+        ``replace`` and ``Pipeline.engine`` neither carry nor accept it."""
+        for batch_size, block_mode in ((1, False), (64, True)):
+            config = EngineConfig(batch_size=batch_size,
+                                  block_mode=block_mode)
+            assert config == EngineConfig(batch_size=batch_size)
+            assert config.replace(checkpoint_every=5) == EngineConfig(
+                batch_size=batch_size, checkpoint_every=5)
+            tracer = Tracer()
+            p = Pipeline("consistent", config=config)
+            p.source("a").sink("out")
+            sim = (p.engine(observers=[TraceObserver(tracer)])
+                    .feed("a", iter(_arrivals(6))).run(until=10.0))
+            assert sim.engine.batch_size == batch_size
+            assert (sim.engine.stats.blocks > 0) is block_mode
+            assert p.sinks["out"].delivered == 6 and tracer.events
+        for batch_size, block_mode in ((64, False), (1, True)):
+            with pytest.raises(ExecutionError, match="batch_size alone"):
+                EngineConfig(batch_size=batch_size, block_mode=block_mode)
+        assert "block_mode" not in {f.name for f in fields(EngineConfig)}
+        p = Pipeline("default")
+        p.source("a").sink("out")
+        assert p.engine(batch_size=1).config == EngineConfig(batch_size=1)
+        with pytest.raises(TypeError):  # no such knob anywhere below
+            p.engine(block_mode=False).build_simulation()
 
     def test_from_program_wires_sinks_and_feeds_by_name(self):
         program = """
@@ -222,7 +251,7 @@ class TestEngineKnobs:
         arrivals = [Arrival(time=(i + 1) * 0.5,
                             payload={"seq": i, "value": float(i)})
                     for i in range(10)]
-        (p.engine(ets_policy=OnDemandEts, batch_size=1, block_mode=False)
+        (p.engine(ets_policy=OnDemandEts, batch_size=1)
           .feed("fast", iter(arrivals))
           .run(until=30.0))
         assert p.sinks["out"].delivered == 10

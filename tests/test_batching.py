@@ -1,9 +1,11 @@
-"""Unit tests for the micro-batched execution path.
+"""Unit tests for the run path's boundaries and accounting.
 
-Covers the batch primitives on :class:`StreamBuffer` (``push_batch`` /
-``drain_batch``), the per-operator ``execute_batch`` implementations, the
-``BatchResult`` accounting, and the engine-level ``batch_size`` plumbing
-(validation, stats equivalence, per-tuple cost charging).
+Covers the run-drain primitive on :class:`StreamBuffer` (``drain_batch``),
+the run boundary rules (limit / ``more()`` / punctuation) on the
+per-operator ``execute_block`` kernels and on :func:`scalar_run` — the loop
+of scalar steps the engine falls back to — the ``BatchResult`` accounting,
+and the engine-level ``batch_size`` plumbing (validation, stats
+equivalence, per-tuple cost charging).
 """
 
 from __future__ import annotations
@@ -12,18 +14,20 @@ import pytest
 from conftest import ManualClock, OpHarness, data, punct
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
-from repro.core.errors import ExecutionError, TimestampError
+from repro.core.errors import ExecutionError
 from repro.core.graph import QueryGraph
-from repro.core.operators import Map, Select, Shed, SinkNode, Union
-from repro.core.operators.base import BatchResult, StepResult
+from repro.core.operators import (Map, Select, Shed, SinkNode, Union,
+                                  WindowJoin)
+from repro.core.operators.base import BatchResult, StepResult, scalar_run
 from repro.core.execution import ExecutionEngine
 from repro.core.tuples import LATENT_TS, TimestampKind
+from repro.core.windows import WindowSpec
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 
 
 # --------------------------------------------------------------------- #
-# StreamBuffer.drain_batch / push_batch
+# StreamBuffer.drain_batch
 
 
 class TestDrainBatch:
@@ -92,26 +96,6 @@ class TestDrainBatch:
         assert buf.register.value == LATENT_TS
 
 
-class TestPushBatch:
-    def test_pushes_in_order_with_single_accounting_pass(self, registry):
-        buf = StreamBuffer("b", registry)
-        buf.push_batch([data(1.0), data(2.0), punct(3.0)])
-        assert len(buf) == 3
-        assert registry.total == 3
-        assert buf.enqueued_count == 3
-        assert buf.punctuation_count == 1
-
-    def test_rejects_out_of_order_runs(self, registry):
-        buf = StreamBuffer("b", registry)
-        with pytest.raises(TimestampError):
-            buf.push_batch([data(2.0), data(1.0)])
-
-    def test_empty_batch_is_a_noop(self, registry):
-        buf = StreamBuffer("b", registry)
-        buf.push_batch([])
-        assert len(buf) == 0 and registry.total == 0
-
-
 # --------------------------------------------------------------------- #
 # BatchResult accounting
 
@@ -129,11 +113,11 @@ def test_batch_result_accumulates_step_results():
 
 
 # --------------------------------------------------------------------- #
-# Operator.execute_batch
+# Operator.execute_block / scalar_run: run boundaries per operator
 
 
 def _batch(harness: OpHarness, limit: int) -> BatchResult:
-    return harness.op.execute_batch(harness.ctx, limit)
+    return harness.op.execute_block(harness.ctx, limit)
 
 
 class TestStatelessBatch:
@@ -173,13 +157,16 @@ class TestStatelessBatch:
 
 class TestShedBatch:
     def test_pressure_mode_falls_back_to_scalar_steps(self):
-        # queue_threshold reads the live buffer length per tuple; the batch
-        # path must preserve those per-tuple decisions exactly.
+        # queue_threshold reads the live buffer length per tuple; a run
+        # must preserve those per-tuple decisions exactly, so the operator
+        # opts out of blocks and the engine serves it with scalar_run.
         shed = Shed("shed", 1.0, queue_threshold=2, seed=1)
+        assert not shed.supports_blocks
+        assert Shed("always", 1.0).supports_blocks
         h = OpHarness(shed)
         for ts in (1.0, 2.0, 3.0, 4.0):
             h.feed(0, ts)
-        batch = _batch(h, 10)
+        batch = scalar_run(shed, h.ctx, 10)
         assert batch.steps == 4
         # Buffer lengths seen per pop: 3, 2, 1, 0 → only the first tuple
         # (length 3 > threshold 2) is shed.
@@ -227,11 +214,49 @@ class TestUnionBatch:
         assert [t.payload for t in h.output_data()] == ["a", "x", "b"]
 
     def test_strict_mode_uses_scalar_fallback(self):
+        # The strict kernel drains head-to-head runs, but a tie falls back
+        # to the scalar ``min((ts, input))`` selection one element at a
+        # time, and it stops the moment an input runs empty.
         h = OpHarness(Union("u", strict=True), n_inputs=2)
-        h.feed(0, 1.0)
-        h.feed(1, 2.0)
+        h.feed(0, 1.0, payload="a")
+        h.feed(0, 2.0, payload="b")
+        h.feed(1, 1.0, payload="x")
+        h.feed(1, 3.0, payload="y")
         batch = _batch(h, 10)
-        assert batch.steps >= 1  # served via Operator.execute_batch loop
+        assert batch.steps == 3 and not h.op.more()  # input 0 is empty
+        assert [t.payload for t in h.output_data()] == ["a", "x", "b"]
+
+
+class TestScalarRun:
+    """The engine's fallback: a loop of scalar steps under the same run
+    boundaries every ``execute_block`` honours."""
+
+    def _strict_join(self):
+        join = WindowJoin("j", WindowSpec.time(5.0), key="k", strict=True)
+        assert not join.supports_blocks
+        return OpHarness(join, n_inputs=2)
+
+    def test_stops_at_limit_and_when_more_turns_false(self):
+        h = self._strict_join()
+        for ts in (1.0, 2.0, 3.0):
+            h.feed(0, ts, payload={"k": 1})
+            h.feed(1, ts + 0.5, payload={"k": 1})
+        assert scalar_run(h.op, h.ctx, 2).steps == 2
+        rest = scalar_run(h.op, h.ctx, 64)
+        assert 0 < rest.steps < 64 and not h.op.more()
+        assert rest.consumed_data == rest.steps
+
+    def test_stops_right_after_a_punctuation(self):
+        h = self._strict_join()
+        h.feed(0, 1.0, payload={"k": 1})
+        h.feed_punctuation(0, 1.5)
+        h.feed(0, 2.0, payload={"k": 1})
+        for ts in (1.2, 1.7, 2.5):
+            h.feed(1, ts, payload={"k": 1})
+        run = scalar_run(h.op, h.ctx, 64)
+        assert run.consumed_punctuation == 1
+        assert h.op.more()  # the run closed at the punctuation, not at more()
+        assert h.inputs[0].peek().ts == 2.0
 
 
 # --------------------------------------------------------------------- #

@@ -2,11 +2,13 @@
 
 Satellite of the fault-injection PR: every fault primitive is composed with
 every ETS mode (NoEts / periodic punctuation / OnDemandEts) and both the
-scalar and micro-batched engines, reusing the PR-1
-:class:`~oracle.DifferentialOracle`.  The acceptance claims checked here:
+scalar (``batch_size=1``) and columnar (``batch_size > 1``) transports,
+reusing the PR-1 :class:`~oracle.DifferentialOracle` — which asserts
+``stats.blocks > 0`` on every ``batch_size > 1`` run, so the matrix is on
+the production transport.  The acceptance claims checked here:
 
 * faults change *which* tuples exist, never engine equivalence — scalar and
-  batched engines, and all ETS modes, deliver identical faulted data;
+  block runs, and all ETS modes, deliver identical faulted data;
 * nothing is silently lost: sinks deliver exactly the fed tuples minus the
   losses the fault stats account for;
 * sinks stay timestamp-monotone under every fault plan;
@@ -110,8 +112,8 @@ class TestFaultedOracle:
         faulted = plan.wrap_feeds(internal_feeds())
         oracle = DifferentialOracle(build_internal, faulted,
                                     chunk=7, punctuate_every=2)
-        oracle.assert_batched_equals_scalar(BATCH_SIZES)
-        oracle.assert_batched_equals_scalar(
+        oracle.assert_run_equals_scalar(BATCH_SIZES)
+        oracle.assert_run_equals_scalar(
             BATCH_SIZES, ets_policy_factory=OnDemandEts)
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
@@ -121,7 +123,7 @@ class TestFaultedOracle:
         oracle = DifferentialOracle(build_internal, faulted,
                                     chunk=7, punctuate_every=2)
         # covers NoEts vs OnDemandEts vs periodic punctuation, scalar and
-        # batched
+        # block runs
         oracle.assert_ets_invariant()
         oracle.assert_ets_invariant(batch_size=8)
 

@@ -6,25 +6,29 @@ Three layers of coverage:
   (Hypothesis, including ``None``/NaN payload values and latent rows),
   selection-vector narrowing, splitting, predicate evaluation — under
   both the numpy-backed and the pure-Python column layouts.
-* **Differential identity** — block-mode output is byte-identical to
-  batched and scalar execution across ETS modes × batch widths on graphs
+* **Differential identity** — run-path (``batch_size > 1``) output is
+  byte-identical to scalar execution — and to the run step's own
+  scalar-run fallback — across ETS modes × batch widths on graphs
   covering every vectorized operator: the stateless set (Select with both
   predicate forms, Project, Map, FlatMap, Shed, TumblingAggregate) *and*
   the stateful hot path (WindowJoin, Reorder, both Union modes) —
   including tie-laden, NaN-keyed, and out-of-order feeds, plus a
-  Hypothesis sweep over random disorder schedules.  The only remaining
-  scalar fallbacks are the strict (X1-ablation) join and the
-  ``late="error"`` reorder, which are asserted to be *attributed* in
-  ``EngineStats.block_fallbacks_by_operator``; the full paper-style plan
+  Hypothesis sweep over random disorder schedules.  The remaining
+  scalar fallbacks — the strict (X1-ablation) join, the ``late="error"``
+  reorder and the ``queue_threshold`` shedder — are asserted to be
+  *attributed* in ``EngineStats.block_fallbacks_by_operator``; the full
+  paper-style plan
   (Reorder → WindowJoin → strict Union) is asserted to run with **zero**
   block fallbacks.
-* **Stats plumbing** — block counters move only in block mode, and
-  pre-columnar engine snapshots still restore.
+* **Stats plumbing** — block counters move only when ``batch_size > 1``,
+  and pre-columnar engine snapshots still restore.
 * **Merge-run join kernel** — the block join consumes both inputs in τ
   order per step: the oracle matrix over two-sided tie-laden
-  interleavings (windows × probing × ETS × widths 1–64, latent side),
+  interleavings (windows × probing × ETS × widths 2–64, latent side),
   an operator-level Hypothesis property observing every emitted element
-  and per-call step counts, the order-boundary case, and two count-based
+  and per-call step counts (widths 1–64: ``limit=1`` kernel coverage
+  lives there, since a ``batch_size=1`` engine runs scalar steps), the
+  order-boundary case, and two count-based
   structural guards (no join input is ever exploded; pushes and drains
   per ``execute_block`` call are bounded by a constant).
 """
@@ -37,7 +41,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ManualClock, OpHarness, punct
+from contextlib import nullcontext
+
+from conftest import ManualClock, OpHarness, forced_scalar_fallback, punct
 from oracle import DifferentialOracle, Feed
 
 from repro.core.buffers import StreamBuffer
@@ -52,7 +58,7 @@ from repro.core.errors import TimestampError
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import EngineStats
 from repro.core.graph import QueryGraph
-from repro.core.operators.base import OpContext
+from repro.core.operators.base import OpContext, scalar_run
 from repro.core.operators import (
     AggSpec,
     Avg,
@@ -186,7 +192,7 @@ def test_round_trip_property(rows):
 
 
 # --------------------------------------------------------------------- #
-# Differential identity: block == batched == scalar
+# Differential identity: block kernels == scalar-run fallback == scalar
 
 
 def stateless_rich_build() -> QueryGraph:
@@ -234,8 +240,8 @@ def join_build() -> QueryGraph:
 
 def strict_join_build() -> QueryGraph:
     """Strict (X1-ablation) join: the remaining scalar fallback — its
-    both-inputs-nonempty gate can flip on every consumption, so block
-    mode must route it through ``execute_batch`` and attribute it."""
+    both-inputs-nonempty gate can flip on every consumption, so the run
+    step must serve it with ``scalar_run`` and attribute it."""
     g = QueryGraph("columnar-strict-join")
     left = g.add_source("a")
     right = g.add_source("b")
@@ -322,7 +328,7 @@ def make_feeds(n: int = 400, sources=("a", "b"), *,
     """Deterministic bursty schedule.
 
     With ``ties=False`` every arrival gets a distinct instant, so sink
-    order is fully determined and byte-identity across engine modes is
+    order is fully determined and byte-identity across batch widths is
     well-defined.  ``ties=True`` adds cross-source equal timestamps,
     whose interleaving legitimately depends on batch width — those runs
     are compared canonically (sorted), matching the repo's property
@@ -369,17 +375,28 @@ class TestBlockDifferential:
     def test_stateless_chain_block_equals_scalar(self, layout, ets_factory):
         oracle = DifferentialOracle(stateless_rich_build, make_feeds(),
                                     chunk=16, punctuate_every=3)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory)
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
 
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
     def test_block_equals_batched(self, layout, ets_factory):
-        oracle = DifferentialOracle(stateless_rich_build, make_feeds(),
-                                    chunk=16, punctuate_every=3)
+        """Block kernels against "batched" execution at the same width:
+        the same run boundaries over scalar steps, i.e. every operator
+        forced onto the run step's ``scalar_run`` fallback."""
         for size in (2, 8, 64):
-            batched = oracle.run(batch_size=size, ets_policy=ets_factory())
-            block = oracle.run(batch_size=size, block_mode=True,
-                               ets_policy=ets_factory())
-            assert block == batched, f"batch_size={size}"
+            seen = []
+            for fallback in (False, True):
+                with forced_scalar_fallback() if fallback else nullcontext():
+                    graph = stateless_rich_build()
+                    traces = [DifferentialOracle._capture(sink)
+                              for sink in graph.sinks()]
+                    engine = _drive_engine(graph, make_feeds(), chunk=16,
+                                           batch_size=size,
+                                           ets_policy=ets_factory())
+                assert (engine.stats.blocks == 0) is fallback
+                assert (engine.stats.block_fallbacks > 0) is fallback
+                seen.append(traces)
+            assert seen[0] == seen[1], f"batch_size={size}"
+            assert all(seen[0]), "the comparison is not vacuous"
 
     @pytest.mark.parametrize("build", [join_build, strict_union_build,
                                        strict_join_build])
@@ -390,7 +407,7 @@ class TestBlockDifferential:
         fallback configuration — are byte-identical to scalar."""
         oracle = DifferentialOracle(build, make_feeds(),
                                     chunk=8, punctuate_every=4)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory)
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
 
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
     def test_reorder_block_equals_scalar(self, layout, ets_factory):
@@ -398,7 +415,7 @@ class TestBlockDifferential:
         exactly on a genuinely disordered external stream."""
         oracle = DifferentialOracle(
             reorder_build, make_ooo_feeds(sources=("a",)), chunk=8)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory)
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
 
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
     def test_stateful_plan_block_equals_scalar(self, layout, ets_factory):
@@ -406,7 +423,7 @@ class TestBlockDifferential:
         Union) is byte-identical to scalar under every ETS mode."""
         oracle = DifferentialOracle(stateful_plan_build, make_ooo_feeds(),
                                     chunk=8)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory)
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
 
     @pytest.mark.parametrize("build", [join_build, stateful_plan_build])
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
@@ -425,7 +442,7 @@ class TestBlockDifferential:
         oracle = DifferentialOracle(build, feeds, chunk=8,
                                     punctuate_every=4 if build is join_build
                                     else None)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory)
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
 
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
     def test_tie_laden_feeds_canonical_identity(self, layout, ets_factory):
@@ -433,7 +450,7 @@ class TestBlockDifferential:
         oracle = DifferentialOracle(stateless_rich_build,
                                     make_feeds(ties=True),
                                     chunk=16, punctuate_every=3)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory,
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory,
                                           canonical=True)
 
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
@@ -442,7 +459,7 @@ class TestBlockDifferential:
         which interleaving is picked, never the delivered multiset."""
         oracle = DifferentialOracle(join_build, make_feeds(ties=True),
                                     chunk=8, punctuate_every=4)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory,
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory,
                                           canonical=True)
 
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
@@ -452,7 +469,7 @@ class TestBlockDifferential:
         oracle = DifferentialOracle(diamond_build,
                                     make_feeds(sources=("a",)),
                                     chunk=8, punctuate_every=4)
-        oracle.assert_block_equals_scalar(ets_policy_factory=ets_factory)
+        oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
 
 
 @given(plan=st.lists(
@@ -464,8 +481,8 @@ class TestBlockDifferential:
 def test_stateful_plan_random_disorder_property(plan):
     """Hypothesis: for random bursty schedules with random bounded
     disorder on the external stream — including jitter beyond the
-    reorder's slack, which forces late-drops — the block-mode paper plan
-    delivers the same multiset as the scalar engine.  Comparison is
+    reorder's slack, which forces late-drops — the paper plan on the run
+    path delivers the same multiset as the scalar engine.  Comparison is
     canonical because Hypothesis can mint cross-input timestamp ties,
     whose interleaving legitimately depends on batch width."""
     names = ("a", "b", "c")
@@ -478,7 +495,7 @@ def test_stateful_plan_random_disorder_property(plan):
             payload={"v": i % 11, "k": i % 4, "uid": i},
             external_ts=t - jitter if src == "a" else None))
     oracle = DifferentialOracle(stateful_plan_build, feeds, chunk=4)
-    oracle.assert_block_equals_scalar(batch_sizes=(3, 8),
+    oracle.assert_run_equals_scalar(batch_sizes=(3, 8),
                                       canonical=True)
 
 
@@ -486,15 +503,15 @@ def test_stateful_plan_random_disorder_property(plan):
 # Stats plumbing
 
 
-def _drive_engine(graph, feeds, *, block_mode=True, chunk=8, batch_size=8):
+def _drive_engine(graph, feeds, *, chunk=8, batch_size=8, ets_policy=None):
     """Chunked replay of ``feeds`` through a fresh engine (the oracle's
     drive, minus the sink capture), returning the engine for its stats."""
     from repro.core.execution import ExecutionEngine
     from repro.sim.clock import VirtualClock
 
     engine = ExecutionEngine(graph, VirtualClock(), cost_model=None,
-                             ets_policy=OnDemandEts(), batch_size=batch_size,
-                             block_mode=block_mode)
+                             ets_policy=ets_policy or OnDemandEts(),
+                             batch_size=batch_size)
     for i, f in enumerate(feeds, 1):
         engine.clock.advance_to(f.time)
         graph[f.source].ingest(f.payload, now=f.time, ts=f.external_ts)
@@ -506,24 +523,20 @@ def _drive_engine(graph, feeds, *, block_mode=True, chunk=8, batch_size=8):
 
 class TestBlockStats:
     def test_block_counters_move_only_in_block_mode(self):
-        from repro.core.execution import ExecutionEngine
-        from repro.sim.clock import VirtualClock
-
+        """``batch_size`` alone picks the transport: 1 is the scalar path
+        (no block step, no fallback counted), anything larger the block
+        path."""
         seen = {}
-        for block_mode in (False, True):
-            graph = stateless_rich_build()
-            engine = ExecutionEngine(graph, VirtualClock(), cost_model=None,
-                                     ets_policy=OnDemandEts(), batch_size=8,
-                                     block_mode=block_mode)
-            for f in make_feeds(200):
-                engine.clock.advance_to(f.time)
-                graph[f.source].ingest(f.payload, now=f.time)
-                engine.wakeup(graph[f.source])
-            seen[block_mode] = engine.stats
-        assert seen[False].blocks == 0
-        assert seen[False].block_rows == 0
-        assert seen[True].blocks > 0
-        assert seen[True].block_rows > 0
+        for batch_size in (1, 8):
+            seen[batch_size] = _drive_engine(
+                stateless_rich_build(), make_feeds(200), chunk=1,
+                batch_size=batch_size).stats
+        assert seen[1].blocks == 0
+        assert seen[1].block_rows == 0
+        assert seen[1].block_fallbacks == 0
+        assert seen[8].blocks > 0
+        assert seen[8].block_rows > 0
+        assert seen[8].steps == seen[1].steps
 
     def test_stateful_plan_zero_block_fallbacks(self, layout):
         """The tentpole claim: the full paper-style plan — Reorder,
@@ -552,6 +565,30 @@ class TestBlockStats:
         stats = engine.stats
         assert stats.block_fallbacks > 0
         assert set(stats.block_fallbacks_by_operator) == {"reorder"}
+
+    def test_threshold_shed_fallback_attributed(self):
+        """Pressure-driven shedding reads the live buffer length per tuple,
+        so a ``queue_threshold`` shedder opts out of blocks — and says so:
+        its run steps are fallbacks, none of them counted as a block."""
+        def build(**shed_knobs) -> QueryGraph:
+            g = QueryGraph("threshold-shed")
+            src = g.add_source("a")
+            shed = g.add(Shed("shed", 0.5, seed=3, **shed_knobs))
+            g.connect(src, shed)
+            g.connect(shed, g.add_sink("out"))
+            return g
+
+        feeds = make_feeds(40, sources=("a",))
+        graph = build(queue_threshold=2)
+        stats = _drive_engine(graph, feeds).stats
+        assert stats.block_fallbacks_by_operator == {
+            "shed": stats.block_fallbacks}
+        assert stats.block_fallbacks > 0
+        assert stats.per_operator_steps["shed"] == 40
+        # Every block row left is the sink's: none of the shedder's
+        # scalar steps is reported as columnar work.
+        assert 0 < stats.block_rows == graph["out"].delivered
+        assert _drive_engine(build(), feeds).stats.block_fallbacks == 0
 
     def test_fallback_counter_reaches_metrics_registry(self):
         """EngineStats attribution surfaces as the labelled Prometheus
@@ -639,10 +676,13 @@ class TestMergeRunJoin:
                                punctuate=punctuate)
         if not latent_b:
             assert len(reference) > 100  # the comparison is not vacuous
-        for size in MERGE_BATCH_SIZES:
-            got = oracle.run(batch_size=size, block_mode=True,
-                             ets_policy=policy(), punctuate=punctuate)
-            assert got == reference, f"block_mode batch_size={size}"
+        # Width 1 is the scalar reference itself at engine level; the
+        # kernel's limit=1 behaviour is held to the scalar step loop by
+        # test_merge_run_random_interleavings_property below.
+        for size in MERGE_BATCH_SIZES[1:]:
+            got = oracle.run(batch_size=size, ets_policy=policy(),
+                             punctuate=punctuate)
+            assert got == reference, f"batch_size={size}"
 
     def test_plan_runs_never_explode_a_join_input(self, monkeypatch):
         """Reorder pushes blocks; ``more()`` used to peek them back into
@@ -732,15 +772,9 @@ class _JoinRig:
         steps, punctuation closing a call); returns steps per call."""
         calls = []
         while self.op.more():
-            if block:
-                calls.append(self.op.execute_block(self.ctx, limit).steps)
-                continue
-            steps = 0
-            while steps < limit and self.op.more():
-                steps += 1
-                if self.op.execute_step(self.ctx).consumed_punctuation:
-                    break
-            calls.append(steps)
+            run = (self.op.execute_block(self.ctx, limit) if block
+                   else scalar_run(self.op, self.ctx, limit))
+            calls.append(run.steps)
         return calls
 
     def observed(self) -> dict:

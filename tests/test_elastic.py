@@ -20,7 +20,8 @@ import json
 
 import pytest
 
-from oracle import ShardedDifferentialOracle, _assert_same, _canonical
+from oracle import ShardedDifferentialOracle, _assert_same, _canonical, \
+    _assert_shards_on_block_transport
 
 from repro.faults import FaultPlan, ReshardCrash, ShardCrash, ShardHang, \
     SimulatedCrash
@@ -39,13 +40,14 @@ from test_sharded_oracle import join_graph, keyed_feeds
 
 CHUNK = 16
 SHARDS = 4
+BATCH = 8  # > 1: every shard engine runs the block transport Pipeline uses
 RESHARD_INDEX = CHUNK * 4  # chunk boundary where the topology changes
 
 
 def elastic_engine(state_dir, *, shards=SHARDS, backend="serial", **kw):
     return ElasticShardedEngine(join_graph(), shards=shards, key="k",
                                 backend=backend, state_dir=state_dir,
-                                checkpoint_every=4, **kw)
+                                checkpoint_every=4, batch_size=BATCH, **kw)
 
 
 def drive(engine, feeds, *, skips=None, reshard_index=None, target=None,
@@ -90,6 +92,7 @@ def finish(engine, released, now, source_names=("fast", "slow")):
     for name in sorted(source_names):
         engine.inject_punctuation(name, now + 1.0, origin=f"eos:{name}")
     released.extend(engine.wakeup())
+    _assert_shards_on_block_transport(engine, BATCH)
     released.extend(engine.close(flush=True))
     return [(sink, ts, payload) for ts, _, _, sink, payload in released]
 
@@ -97,7 +100,7 @@ def finish(engine, released, now, source_names=("fast", "slow")):
 def reference_run(feeds, *, reshard_index=None, target=None):
     """The uncrashed elastic run every crash scenario must reproduce."""
     engine = ElasticShardedEngine(join_graph(), shards=SHARDS, key="k",
-                                  backend="serial")
+                                  backend="serial", batch_size=BATCH)
     released, now = drive(engine, feeds, reshard_index=reshard_index,
                           target=target)
     return finish(engine, released, now)
@@ -118,7 +121,8 @@ def test_elastic_output_equals_single_engine(backend, schedule):
                                        key="k", chunk=CHUNK,
                                        punctuate_every=4)
     oracle.assert_elastic_equals_single(shards=SHARDS, reshard_at=schedule,
-                                        backend=backend, punctuate=True)
+                                        backend=backend, punctuate=True,
+                                        batch_size=BATCH)
 
 
 def test_elastic_parity_durable(tmp_path):
@@ -128,7 +132,7 @@ def test_elastic_parity_durable(tmp_path):
                                        punctuate_every=4)
     oracle.assert_elastic_equals_single(
         shards=SHARDS, reshard_at={4: 5, 8: 4}, punctuate=True,
-        state_dir=tmp_path, checkpoint_every=4)
+        state_dir=tmp_path, checkpoint_every=4, batch_size=BATCH)
     manifest = json.loads((tmp_path / "CURRENT").read_text())
     assert manifest == {"epoch": 2, "shards": 4}
 
@@ -138,13 +142,14 @@ def test_elastic_parity_process_backend():
                                        key="k", chunk=CHUNK,
                                        punctuate_every=4)
     oracle.assert_elastic_equals_single(shards=2, reshard_at={4: 3},
-                                        backend="process", punctuate=True)
+                                        backend="process", punctuate=True,
+                                        batch_size=BATCH)
 
 
 def test_reshard_report_figures():
     feeds = keyed_feeds()
     engine = ElasticShardedEngine(join_graph(), shards=2, key="k",
-                                  backend="serial")
+                                  backend="serial", batch_size=BATCH)
     released, now = drive(engine, feeds, reshard_index=RESHARD_INDEX,
                           target=3)
     finish(engine, released, now)
@@ -161,7 +166,7 @@ def test_reshard_report_figures():
 
 def test_reshard_to_same_count_is_a_noop():
     engine = ElasticShardedEngine(join_graph(), shards=2, key="k",
-                                  backend="serial")
+                                  backend="serial", batch_size=BATCH)
     report = engine.reshard(2)
     assert report.direction == "2->2" and not engine.reshards
     engine.close()
@@ -285,7 +290,7 @@ def test_recovered_engine_can_reshard_again(tmp_path):
 def reference_run_two_step(feeds):
     """Uncrashed 4→3 then 3→5, at the hops the crashed run takes them."""
     engine = ElasticShardedEngine(join_graph(), shards=SHARDS, key="k",
-                                  backend="serial")
+                                  backend="serial", batch_size=BATCH)
     released, now = drive(engine, feeds,
                           reshards={RESHARD_INDEX: 3, CHUNK * 8: 5})
     return finish(engine, released, now)
@@ -484,7 +489,8 @@ def test_autoscaler_split_reduces_peak_depth_closed_loop():
 def test_reshard_emits_bus_event_and_metrics():
     registry = MetricsRegistry()
     engine = ElasticShardedEngine(join_graph(), shards=2, key="k",
-                                  backend="serial", observers=[registry])
+                                  backend="serial", observers=[registry],
+                                  batch_size=BATCH)
     feeds = keyed_feeds()
     released, now = drive(engine, feeds, reshard_index=RESHARD_INDEX,
                           target=3)

@@ -138,7 +138,7 @@ def test_random_dags_batched_equals_scalar(seed: int):
     oracle = DifferentialOracle(build, feeds, chunk=8, punctuate_every=4)
     # canonical=True: the schedules deliberately contain cross-input
     # timestamp ties, whose interleaving legitimately depends on buffer
-    # fill order (see DifferentialOracle.assert_batched_equals_scalar).
-    oracle.assert_batched_equals_scalar((4, 64), canonical=True)
-    oracle.assert_batched_equals_scalar(
+    # fill order (see DifferentialOracle.assert_run_equals_scalar).
+    oracle.assert_run_equals_scalar((4, 64), canonical=True)
+    oracle.assert_run_equals_scalar(
         (4, 64), ets_policy_factory=OnDemandEts, canonical=True)

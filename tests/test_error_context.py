@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
+from repro.core.columnar import ColumnarBlock
 from repro.core.errors import ReproError, SchemaError, TimestampError
 from repro.core.graph import QueryGraph
 from repro.core.operators import Union
@@ -63,13 +64,21 @@ class TestBufferErrorContext:
         assert e.fields["kind"] == "out-of-order"
         assert e.fields["buffer"] == "src->union"
 
-    def test_push_batch_carries_context(self):
+    def test_push_block_carries_context(self):
         registry = BufferRegistry()
-        buf = StreamBuffer("b", registry, consumer_name="sink")
+        buf = StreamBuffer("b", registry, consumer_name="sink",
+                           consumer_port=0)
+        buf.push(data(5.0))
         with pytest.raises(TimestampError) as err:
-            buf.push_batch([data(5.0), data(4.0)])
-        assert err.value.offending_ts == 4.0
-        assert err.value.operator == "sink"
+            buf.push_block(ColumnarBlock.from_tuples([data(4.0), data(6.0)]))
+        e = err.value
+        assert e.operator == "sink"
+        assert e.port == 0
+        assert e.offending_ts == 4.0
+        assert e.last_seen_ts == 5.0
+        assert e.fields["kind"] == "out-of-order"
+        assert e.fields["buffer"] == "b"
+        assert len(buf) == 1  # the rejected block never entered the buffer
 
     def test_violation_hook_fires_before_raise(self):
         registry = BufferRegistry()

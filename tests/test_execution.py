@@ -1,6 +1,9 @@
 """Tests for the DFS execution engine: NOS rules, backtracking, ETS hook."""
 
+from contextlib import nullcontext
+
 import pytest
+from conftest import forced_scalar_fallback
 
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.errors import ExecutionError
@@ -310,16 +313,21 @@ class TestDiamondTopology:
 
     @pytest.mark.parametrize("mode", ["scalar", "batched", "block"])
     def test_terminates_in_every_engine_mode(self, mode):
-        g, src, u, sink = self.make()
-        engine, clock = make_engine(
-            g, policy=OnDemandEts(),
-            batch_size=8 if mode != "scalar" else 1,
-            block_mode=(mode == "block"))
-        for i in range(20):
-            clock.advance_to(float(i))
-            src.ingest({"v": i}, now=float(i))
-            if i % 4 == 3:
-                engine.wakeup(entry=src)
-        clock.advance_to(20.0)
-        engine.wakeup()
+        """Scalar steps, block kernels, and ("batched") the run step's
+        scalar-run fallback serving every operator."""
+        with forced_scalar_fallback() if mode == "batched" \
+                else nullcontext():
+            g, src, u, sink = self.make()
+            engine, clock = make_engine(
+                g, policy=OnDemandEts(),
+                batch_size=8 if mode != "scalar" else 1)
+            for i in range(20):
+                clock.advance_to(float(i))
+                src.ingest({"v": i}, now=float(i))
+                if i % 4 == 3:
+                    engine.wakeup(entry=src)
+            clock.advance_to(20.0)
+            engine.wakeup()
         assert sink.delivered == 20
+        assert (engine.stats.blocks > 0) is (mode == "block")
+        assert (engine.stats.block_fallbacks > 0) is (mode == "batched")

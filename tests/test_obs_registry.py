@@ -152,6 +152,9 @@ class TestLiveCounting:
         engine.wakeup(entry=src)
         assert reg.batch_run_length.count() > 0
         assert reg.batch_run_length.sum() == engine.stats.steps
+        # one run step, one kind: every step of a batch_size > 1 engine
+        # is published as kind="block"
+        assert reg.steps.value(kind="block") == engine.stats.steps
         # a run of 10 landed in the (8, 16] bucket
         assert reg.batch_run_length.mean() > 1
 

@@ -1,11 +1,11 @@
-"""Differential-oracle workloads: batched vs scalar, ETS modes vs NoEts.
+"""Differential-oracle workloads: run path vs scalar, ETS modes vs NoEts.
 
 Each test builds a deterministic feed schedule plus a graph factory, wraps
 them in :class:`oracle.DifferentialOracle`, and asserts that every compared
 engine configuration delivers byte-identical sink sequences.  Together they
 cover the paper's query shapes (Fig.-4 union, the window-join extension),
-tie-heavy merges that exercise the batched IWP operators' scalar fallback,
-long stateless pipelines (where batching pays off most), and external
+tie-heavy merges that exercise the IWP block kernels' one-element scalar
+selection, long stateless pipelines (where runs pay off most), and external
 timestamps with a skew-bound ETS generator.
 """
 
@@ -68,7 +68,7 @@ def fig7_feeds(fast: int = 400, slow: int = 6) -> list[Feed]:
 
 def tie_feeds(rounds: int = 120) -> list[Feed]:
     """Both streams arrive at the same integer instants — every merge
-    decision at the union is a timestamp tie, forcing the batched IWP path
+    decision at the union is a timestamp tie, forcing the IWP block kernel
     onto its scalar-faithful single-element branch."""
     fast = _stream("fast", rate_period=1.0, count=rounds, seed=17)
     slow = _stream("slow", rate_period=1.0, count=rounds, seed=19)
@@ -174,7 +174,7 @@ def test_timestamp_tie_oracle():
 def test_stateless_pipeline_oracle():
     feeds = _stream("fast", rate_period=0.05, count=400, seed=37)
     oracle = DifferentialOracle(pipeline_graph, feeds, chunk=32)
-    oracle.assert_batched_equals_scalar((2, 3, 8, 64, 1000))
+    oracle.assert_run_equals_scalar((2, 3, 8, 64, 1000))
 
 
 def test_external_timestamps_oracle():
@@ -185,17 +185,17 @@ def test_external_timestamps_oracle():
                 external_lag=0.2),
     )
     oracle = DifferentialOracle(external_union_graph, feeds, chunk=12)
-    oracle.assert_batched_equals_scalar()
-    oracle.assert_batched_equals_scalar(
+    oracle.assert_run_equals_scalar()
+    oracle.assert_run_equals_scalar(
         ets_policy_factory=lambda: OnDemandEts(external_delta=0.25))
 
 
 def test_single_chunk_degenerates_to_one_big_batch():
     # chunk larger than the whole schedule: the engine sees every tuple at
-    # once; batch_size=1000 drains whole runs in single execute_batch calls.
+    # once; batch_size=1000 drains whole runs in single execute_block calls.
     oracle = DifferentialOracle(union_graph, fig7_feeds(fast=120, slow=4),
                                 chunk=10_000)
-    oracle.assert_batched_equals_scalar((64, 1000))
+    oracle.assert_run_equals_scalar((64, 1000))
 
 
 def test_oracle_reports_divergence_clearly():

@@ -1,12 +1,10 @@
 """Tests asserting the paper's NOS rules through the trace observer."""
 
-import pytest
-
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.core.tracing import Tracer, TracingEngine, summarize
+from repro.core.tracing import Tracer, summarize
 from repro.obs import TraceObserver
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
@@ -37,11 +35,11 @@ def union_graph():
     return g, fast, slow
 
 
-def make_engine(graph, policy=None):
+def make_engine(graph, policy=None, batch_size=1):
     tracer = Tracer()
     engine = ExecutionEngine(graph, VirtualClock(),
                              cost_model=CostModel.zero(),
-                             ets_policy=policy,
+                             ets_policy=policy, batch_size=batch_size,
                              observers=[TraceObserver(tracer)])
     return engine, tracer
 
@@ -80,6 +78,16 @@ class TestSimplePathNOS:
         kinds = tracer.kinds()
         assert "encore" in kinds
         assert summarize(tracer.events)["execute"] == 6  # 3 ops x 2 tuples
+        assert {e.detail for e in tracer.of_kind("execute")} == {"data"}
+        # The same feed on the run path: one execute per operator, and the
+        # trace keeps the run length the scalar path spells out as steps.
+        g, src = simple_path()
+        engine, tracer = make_engine(g, batch_size=8)
+        src.ingest({"v": 1}, now=0.0)
+        src.ingest({"v": 2}, now=0.0)
+        engine.wakeup(entry=src)
+        assert [(e.operator, e.detail) for e in tracer.of_kind("execute")] \
+            == [("Q1", "block:2"), ("Q2", "block:2"), ("sink", "block:2")]
 
     def test_quiesce_recorded(self):
         g, src = simple_path()
@@ -124,37 +132,6 @@ class TestBacktrackToStalledPred:
         engine.wakeup(entry=fast)
         # policy returns False; trace records the declined offer
         assert all(e.detail == "declined" for e in tracer.of_kind("ets"))
-
-
-class TestDeprecatedTracingEngine:
-    def test_shim_warns_and_traces_identically(self):
-        """TracingEngine still works — one DeprecationWarning, same stream."""
-        g, src = simple_path()
-        tracer = Tracer()
-        with pytest.deprecated_call():
-            engine = TracingEngine(g, VirtualClock(),
-                                   cost_model=CostModel.zero(),
-                                   tracer=tracer)
-        src.ingest({"v": 1}, now=0.0)
-        engine.wakeup(entry=src)
-        g2, src2 = simple_path()
-        engine2, tracer2 = make_engine(g2)
-        src2.ingest({"v": 1}, now=0.0)
-        engine2.wakeup(entry=src2)
-        assert tracer.sequence() == tracer2.sequence()
-
-    def test_shim_default_tracer(self):
-        g, _src = simple_path()
-        with pytest.deprecated_call():
-            engine = TracingEngine(g, VirtualClock(),
-                                   cost_model=CostModel.zero())
-        assert isinstance(engine.tracer, Tracer)
-
-    def test_shim_no_walk_override(self):
-        """The hand-copied _walk duplicate is gone: one walk implementation."""
-        assert "_walk" not in TracingEngine.__dict__
-        assert "_step" not in TracingEngine.__dict__
-        assert "_try_ets" not in TracingEngine.__dict__
 
 
 class TestTracerUtilities:
