@@ -230,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--ets", choices=("none", "on-demand"),
                        default="none")
     shard.add_argument("--seed", type=int, default=42)
-    shard.add_argument("--indexed", action="store_true",
-                       help="force the hash-indexed join layout "
-                            "(default: adaptive auto-selection)")
     shard.add_argument("--no-verify", action="store_true",
                        help="skip the single-engine differential check")
     shard.add_argument("--timeout", type=float, default=60.0,
@@ -487,8 +484,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         left = graph.add_source("L", TimestampKind.EXTERNAL)
         right = graph.add_source("R", TimestampKind.EXTERNAL)
         join = graph.add(WindowJoin(
-            "join", WindowSpec.time(args.span), key="key",
-            indexed=True if args.indexed else None))
+            "join", WindowSpec.time(args.span), key="key"))
         graph.connect(left, join)
         graph.connect(right, join)
         graph.connect(join, graph.add_sink("out"))

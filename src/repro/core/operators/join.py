@@ -34,13 +34,7 @@ from ..buffers import StreamBuffer
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
 from ..tuples import LATENT_TS, DataTuple, Punctuation
-from ..windows import (
-    CountWindow,
-    IndexedCountWindow,
-    IndexedTimeWindow,
-    TimeWindow,
-    WindowSpec,
-)
+from ..windows import CountWindow, TimeWindow, WindowSpec
 from .base import BatchResult, Operator, OpContext, StepResult
 
 __all__ = ["WindowJoin", "merge_payloads"]
@@ -71,11 +65,9 @@ def merge_payloads(left: Any, right: Any,
 class _EmptyWindow:
     """Window stub for the unstored side of an asymmetric join.
 
-    Implements the *full* :class:`~repro.core.windows.WindowProtocol` —
-    including the indexed path's ``probe(key)`` — so a join may treat both
-    sides uniformly and neither execution path can diverge on a missing
-    attribute.  Every read yields the same answer an always-empty window
-    would give; every write is a no-op.
+    Implements the *full* :class:`~repro.core.windows.WindowProtocol`, so a
+    join may treat both sides uniformly.  Every read yields the same answer
+    an always-empty window would give; every write is a no-op.
     """
 
     __slots__ = ()
@@ -102,7 +94,7 @@ class _EmptyWindow:
         return iter(())
 
     def probe(self, key: Any):
-        """Indexed-path contract: the (empty) bucket for ``key``."""
+        """The (empty) bucket for ``key``."""
         return iter(())
 
 
@@ -124,33 +116,17 @@ class WindowJoin(Operator):
             (left payload first, regardless of which side probed).
         strict: Use the original Fig.-1 gating (both inputs nonempty) instead
             of the relaxed TSM condition — for the X1 ablation.
-        indexed: Window-state layout.  None (default) auto-selects: keyed
-            symmetric non-strict joins store tuples in per-key hash buckets
-            and probe only the matching bucket (O(bucket) per probe);
-            everything else — non-equi predicates without a key, asymmetric
-            joins, and the strict X1 ablation — keeps the O(window) scan
-            layout, byte-identically to previous behaviour.  False forces
-            the scan layout for a keyed join (differential testing /
-            ablation); True demands the fast path and raises
+        indexed: The probe rule, fixed at construction.  None (default)
+            auto-selects: keyed symmetric non-strict joins store tuples in
+            per-key hash buckets and every probe examines only the matching
+            bucket (O(bucket) per probe); everything else — non-equi
+            predicates without a key, asymmetric joins, and the strict X1
+            ablation — walks the whole opposite window (O(window)).  False
+            forces the scan walk for a keyed join (the reference of the
+            differential tests); True demands the bucket probe and raises
             :class:`ExecutionError` when the join is not eligible.
-            Indexed joins require hashable key values.
-        adaptive: Per-probe layout choice for indexed joins.  At low key
-            cardinality a bucket probe loses to the plain scan (the bucket
-            *is* most of the window, and the hash lookup is pure overhead —
-            BENCH_join.json measures 0.93x at cardinality 4), so an adaptive
-            join consults the opposite window's live ``bucket_count`` before
-            each probe and falls back to the scan walk while it sits below
-            ``adaptive_threshold``.  Both paths yield candidates in
-            insertion order, so outputs stay byte-identical either way.
-            None (default) enables adaptivity exactly when the *layout* was
-            auto-selected (``indexed=None``); an explicit ``indexed=True``
-            pins pure bucket probing unless ``adaptive=True`` is also
-            passed.  ``adaptive=True`` on a join that is not
-            indexed-eligible raises :class:`ExecutionError`.
-        adaptive_threshold: Live-bucket count at or above which the
-            adaptive join probes buckets instead of scanning (default 8 —
-            above the measured break-even of the benchmark's cardinality
-            sweep).
+            Indexed joins require hashable key values.  Both rules yield
+            candidates in insertion order, so outputs are byte-identical.
     """
 
     is_iwp = True
@@ -164,8 +140,6 @@ class WindowJoin(Operator):
                  combiner: Callable[[Any, Any], Any] = merge_payloads,
                  strict: bool = False,
                  indexed: bool | None = None,
-                 adaptive: bool | None = None,
-                 adaptive_threshold: int = 8,
                  output_schema=None) -> None:
         super().__init__(name, output_schema=output_schema)
         if window is None and window_left is None and window_right is None:
@@ -178,10 +152,6 @@ class WindowJoin(Operator):
         self.key_fields: tuple[str, str] | None = None
         if key is not None:
             self.key_fields = (key, key) if isinstance(key, str) else tuple(key)
-        #: The caller's raw predicate, applied per candidate on *both* paths
-        #: (the scan path composes it with the key check; the indexed path
-        #: replaces the key check with the bucket lookup).
-        self.base_predicate = predicate
         eligible = (self.key_fields is not None and not strict
                     and left_spec is not None and right_spec is not None)
         if indexed is True and not eligible:
@@ -190,25 +160,9 @@ class WindowJoin(Operator):
                 "windows on both sides, and non-strict gating"
             )
         self.indexed = eligible if indexed is None else bool(indexed and eligible)
-        if adaptive is True and not self.indexed:
-            raise ExecutionError(
-                f"join {name!r}: adaptive=True requires an indexed-eligible "
-                "join (key columns, windows on both sides, non-strict gating)"
-            )
-        if adaptive_threshold < 0:
-            raise ExecutionError(
-                f"join {name!r}: adaptive_threshold must be >= 0, "
-                f"got {adaptive_threshold}"
-            )
-        # Adaptivity defaults on only when the layout itself was
-        # auto-selected; an explicit indexed=True is a pinned choice.
-        self.adaptive = (self.indexed and indexed is None
-                         if adaptive is None else bool(adaptive))
-        self.adaptive_threshold = adaptive_threshold
         if self.indexed:
             left_key, right_key = self.key_fields
-            self.windows: list[TimeWindow | CountWindow | IndexedTimeWindow
-                               | IndexedCountWindow | _EmptyWindow] = [
+            self.windows: list[TimeWindow | CountWindow | _EmptyWindow] = [
                 left_spec.build(key_fn=lambda p: p[left_key]),
                 right_spec.build(key_fn=lambda p: p[right_key]),
             ]
@@ -220,21 +174,22 @@ class WindowJoin(Operator):
         self.predicate = predicate
         if key is not None:
             left_key, right_key = self.key_fields
-            base = predicate
 
             def key_predicate(lp: Any, rp: Any) -> bool:
                 if lp[left_key] != rp[right_key]:
                     return False
-                return base(lp, rp) if base is not None else True
+                return predicate(lp, rp) if predicate is not None else True
 
             self.predicate = key_predicate
+        #: Applied per candidate: a bucket probe *is* the key equality
+        #: check, leaving just the caller's residual predicate; the scan
+        #: walk needs the key check composed in.
+        self._match = predicate if self.indexed else self.predicate
         self.combiner = combiner
         self.strict = strict
         self._last_emitted_ts = LATENT_TS
         self._gate_cache: tuple[list[float], float] | None = None
         self.matches_emitted = 0
-        self.indexed_probes = 0
-        self.scan_probes = 0
         self.punctuation_consumed = 0
         self.punctuation_forwarded = 0
         self.punctuation_suppressed = 0
@@ -323,13 +278,6 @@ class WindowJoin(Operator):
         """Total tuples currently stored across both window buffers."""
         return len(self.windows[0]) + len(self.windows[1])
 
-    @property
-    def probe_mode(self) -> str:
-        """The configured probing strategy: scan, indexed, or adaptive."""
-        if not self.indexed:
-            return "scan"
-        return "adaptive" if self.adaptive else "indexed"
-
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
@@ -347,8 +295,6 @@ class WindowJoin(Operator):
             ],
             "last_emitted_ts": self._last_emitted_ts,
             "matches_emitted": self.matches_emitted,
-            "indexed_probes": self.indexed_probes,
-            "scan_probes": self.scan_probes,
             "punctuation_consumed": self.punctuation_consumed,
             "punctuation_forwarded": self.punctuation_forwarded,
             "punctuation_suppressed": self.punctuation_suppressed,
@@ -370,9 +316,6 @@ class WindowJoin(Operator):
         self._last_emitted_ts = state["last_emitted_ts"]
         self._gate_cache = None
         self.matches_emitted = state["matches_emitted"]
-        # Probe-path counters postdate version 1; old snapshots lack them.
-        self.indexed_probes = state.get("indexed_probes", 0)
-        self.scan_probes = state.get("scan_probes", 0)
         self.punctuation_consumed = state["punctuation_consumed"]
         self.punctuation_forwarded = state["punctuation_forwarded"]
         self.punctuation_suppressed = state["punctuation_suppressed"]
@@ -424,26 +367,13 @@ class WindowJoin(Operator):
         # Expire against the probing tuple's timestamp (Kang et al. order:
         # probe happens against the still-valid window contents).
         other_window.expire(tup.ts)
-        if self.indexed and (
-                not self.adaptive
-                or other_window.bucket_count >= self.adaptive_threshold):
-            # Equality fast path: the opposite window is key-partitioned, so
-            # only the matching bucket is examined.  Bucket membership *is*
-            # the key equality check, leaving just the caller's residual
-            # predicate per candidate.
+        if self.indexed:
+            # The opposite window is key-partitioned: only the matching
+            # bucket is examined.
             candidates = other_window.probe(tup.payload[self.key_fields[idx]])
-            predicate = self.base_predicate
-            self.indexed_probes += 1
         else:
-            # Scan walk — either the scan layout, or an adaptive indexed
-            # join whose opposite window holds too few live buckets for the
-            # hash lookup to pay for itself.  Indexed windows expose the
-            # same matches() contract (every live tuple, timestamp order),
-            # and self.predicate carries the key-equality check, so both
-            # paths emit identical results.
             candidates = other_window.matches(tup.ts)
-            predicate = self.predicate
-            self.scan_probes += 1
+        predicate = self._match
         probes = 0
         emitted = 0
         for candidate in candidates:
@@ -512,11 +442,8 @@ class WindowJoin(Operator):
         inputs = self.inputs
         windows = self.windows
         use_index = self.indexed
-        adaptive = self.adaptive
-        bucket_floor = self.adaptive_threshold
         key_fields = self.key_fields or (None, None)
-        base_predicate = self.base_predicate
-        full_predicate = self.predicate
+        predicate = self._match
         combiner = self.combiner
         seq_counter = _tuples._SEQ
         watermark = self._last_emitted_ts
@@ -530,7 +457,7 @@ class WindowJoin(Operator):
         #: (row offset, punctuation | None): where the columns are cut.
         cuts: list[tuple[int, Punctuation | None]] = []
         last_out_ts = LATENT_TS
-        steps = probes = matched = bucket_probes = 0
+        steps = probes = matched = 0
         punct_idx: int | None = None
         while steps < limit:
             latent_idx = self._latent_head_index()
@@ -587,19 +514,13 @@ class WindowJoin(Operator):
                     stretch = idx
                     other_window = windows[1 - side]
                     key_field = key_fields[side]
+                    lookup = (other_window.probe if use_index
+                              else other_window.matches)
                 prev = idx
                 ts = tup.ts
                 payload = tup.payload
                 other_window.expire(ts)
-                if use_index and (
-                        not adaptive
-                        or other_window.bucket_count >= bucket_floor):
-                    candidates = other_window.probe(payload[key_field])
-                    predicate = base_predicate
-                    bucket_probes += 1
-                else:
-                    candidates = other_window.matches(ts)
-                    predicate = full_predicate
+                candidates = lookup(payload[key_field] if use_index else ts)
                 emitted = 0
                 tup_kind = tup.kind
                 tup_arr = tup.arrival_ts
@@ -648,8 +569,6 @@ class WindowJoin(Operator):
         self._last_emitted_ts = watermark
         self.tuples_processed += steps
         self.matches_emitted += matched
-        self.indexed_probes += bucket_probes
-        self.scan_probes += steps - bucket_probes
         self.punctuation_forwarded += forwarded
         batch.steps = batch.consumed_data = steps
         batch.probes = probes

@@ -6,26 +6,25 @@ recently consumed tuples; an arriving tuple on the other input probes the
 window, then the probing tuple is inserted into its own window and expired
 tuples are removed.
 
-Four window policies are provided:
+One class per retention policy:
 
 * :class:`TimeWindow` — keep tuples whose timestamp is within ``span`` of the
   reference timestamp (time-based sliding window);
-* :class:`CountWindow` — keep the last ``size`` tuples (tuple-based window);
-* :class:`IndexedTimeWindow` / :class:`IndexedCountWindow` — the same
-  retention policies with the contents additionally hash-partitioned into
-  per-key buckets, so an equality join can probe one bucket instead of
-  scanning the whole window.
+* :class:`CountWindow` — keep the last ``size`` tuples (tuple-based window).
 
-All expose the same small interface (`insert`, `expire`, `matches`,
-iteration), so the join and aggregate operators are policy-agnostic; the
-indexed variants add ``probe(key)``, the O(bucket) equality fast path.
+Both expose the same small interface (`insert`, `insert_run`, `expire`,
+`matches`, iteration), so the join and aggregate operators are
+policy-agnostic.  Built with a ``key_fn``, a window additionally
+hash-partitions its contents into per-key buckets and answers
+``probe(key)``, so an equality join examines one bucket instead of the
+whole window; without one it keeps no buckets and ``probe`` raises.
 
-Amortized expiry of the indexed windows
----------------------------------------
+Amortized expiry of the buckets
+-------------------------------
 
 Keeping every bucket eagerly trimmed would make ``expire(now)`` scan all
 buckets — O(distinct keys) per probe even when nothing expires.  Instead the
-index splits the work:
+work is split:
 
 * a **global** tuple log (insertion order == timestamp order) is trimmed
   eagerly, so ``expire(now)`` stays O(dropped) and ``len``/iteration/the
@@ -37,14 +36,14 @@ index splits the work:
   CPU at all;
 * a **backstop sweep** purges every bucket once enough expirations have
   accumulated (at least ``max(64, live tuples)`` since the last sweep), so
-  buckets that are *never* probed — an adaptive join that stays on the scan
-  path probes no bucket at all — cannot retain expired tuples indefinitely.
-  The sweep's cost is amortized against the expirations that triggered it.
+  buckets that are *never* probed again — a key that stops arriving on the
+  other input — cannot retain expired tuples indefinitely.  The sweep's
+  cost is amortized against the expirations that triggered it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from .errors import ReproError
@@ -55,13 +54,10 @@ __all__ = [
     "WindowProtocol",
     "TimeWindow",
     "CountWindow",
-    "IndexedTimeWindow",
-    "IndexedCountWindow",
-    "make_window",
 ]
 
 #: Extracts the partition key from a tuple's payload (computed once, at
-#: insert).  Must return a hashable value for the indexed windows.
+#: insert).  Must return a hashable value.
 KeyFn = Callable[[Any], Any]
 
 
@@ -70,8 +66,8 @@ class WindowProtocol(Protocol):
     """The full window contract the join operators program against.
 
     Every window — including the :class:`~repro.core.operators.join` module's
-    empty-side stub — implements all of these; the indexed fast path and the
-    scan path may then be swapped freely without attribute errors.
+    empty-side stub — implements all of these, so a join may treat both of
+    its sides uniformly.
     """
 
     def __len__(self) -> int: ...
@@ -118,152 +114,15 @@ class WindowSpec:
     def count(cls, size: int) -> "WindowSpec":
         return cls("count", size)
 
-    def build(self, key_fn: KeyFn | None = None) \
-            -> "TimeWindow | CountWindow | IndexedTimeWindow | IndexedCountWindow":
-        return make_window(self, key_fn)
+    def build(self, key_fn: KeyFn | None = None) -> "TimeWindow | CountWindow":
+        """Instantiate the window buffer this spec describes, key-indexed
+        when a ``key_fn`` is given."""
+        if self.mode == "time":
+            return TimeWindow(self.extent, key_fn)
+        return CountWindow(int(self.extent), key_fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"WindowSpec({self.mode!r}, {self.extent!r})"
-
-
-class TimeWindow:
-    """A time-based sliding window buffer ``W(X)``.
-
-    Holds data tuples in timestamp order.  ``expire(now)`` drops every tuple
-    whose timestamp is older than ``now - span``.  Tuples carrying equal
-    timestamps are all retained (simultaneous tuples are first-class citizens
-    in this paper).
-    """
-
-    __slots__ = ("span", "_items")
-
-    def __init__(self, span: float) -> None:
-        if span <= 0:
-            raise ReproError(f"time window span must be positive, got {span}")
-        self.span = span
-        self._items: deque[DataTuple] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[DataTuple]:
-        return iter(self._items)
-
-    def insert(self, tup: DataTuple) -> None:
-        """Append ``tup``; tuples must arrive in timestamp order."""
-        if self._items and tup.ts < self._items[-1].ts:
-            raise ReproError(
-                f"window insert out of order: {tup.ts} after {self._items[-1].ts}"
-            )
-        self._items.append(tup)
-
-    def insert_run(self, tuples: Iterable[DataTuple]) -> None:
-        """Bulk insert: equivalent to ``expire(t.ts); insert(t)`` per tuple.
-
-        The per-tuple interleaving matters — a run longer than the span
-        must expire its own early tuples exactly as sequential insertion
-        would — so the loop replays it, with the attribute lookups hoisted.
-        """
-        items = self._items
-        span = self.span
-        for tup in tuples:
-            horizon = tup.ts - span
-            while items and items[0].ts < horizon:
-                items.popleft()
-            if items and tup.ts < items[-1].ts:
-                raise ReproError(
-                    f"window insert out of order: {tup.ts} after "
-                    f"{items[-1].ts}"
-                )
-            items.append(tup)
-
-    def expire(self, now: float) -> int:
-        """Drop tuples with ``ts < now - span``; return how many were dropped."""
-        horizon = now - self.span
-        dropped = 0
-        items = self._items
-        while items and items[0].ts < horizon:
-            items.popleft()
-            dropped += 1
-        return dropped
-
-    def matches(self, probe_ts: float) -> Iterator[DataTuple]:
-        """Yield window tuples joinable with a probe at ``probe_ts``.
-
-        With expiry performed eagerly against the probing tuple's timestamp,
-        every remaining tuple is within the window, so this is simply
-        iteration; it exists so callers read as the paper's "join of the
-        tuple in A with the tuples in W(B)".
-        """
-        return iter(self._items)
-
-    def probe(self, key: Any) -> Iterable[DataTuple]:
-        """Key-indexed probing requires an indexed window."""
-        raise ReproError(
-            "TimeWindow is not key-indexed; build it with a key_fn "
-            "(IndexedTimeWindow) to probe by key"
-        )
-
-    def snapshot_state(self) -> dict:
-        """Versioned snapshot of window contents (checkpointing)."""
-        return {"version": 1, "items": list(self._items)}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
-        if state.get("version") != 1:
-            raise ReproError(f"unsupported TimeWindow state: {state!r}")
-        self._items = deque(state["items"])
-
-
-class CountWindow:
-    """A tuple-count sliding window buffer holding the last ``size`` tuples."""
-
-    __slots__ = ("size", "_items")
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ReproError(f"count window size must be positive, got {size}")
-        self.size = int(size)
-        self._items: deque[DataTuple] = deque(maxlen=self.size)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[DataTuple]:
-        return iter(self._items)
-
-    def insert(self, tup: DataTuple) -> None:
-        """Append ``tup``, evicting the oldest tuple when full."""
-        self._items.append(tup)
-
-    def insert_run(self, tuples: Iterable[DataTuple]) -> None:
-        """Bulk insert: the bounded deque evicts exactly as per-tuple
-        insertion would, so this is one C-level extend."""
-        self._items.extend(tuples)
-
-    def expire(self, now: float) -> int:
-        """Count windows expire by insertion, so this is a no-op."""
-        return 0
-
-    def matches(self, probe_ts: float) -> Iterator[DataTuple]:
-        return iter(self._items)
-
-    def probe(self, key: Any) -> Iterable[DataTuple]:
-        """Key-indexed probing requires an indexed window."""
-        raise ReproError(
-            "CountWindow is not key-indexed; build it with a key_fn "
-            "(IndexedCountWindow) to probe by key"
-        )
-
-    def snapshot_state(self) -> dict:
-        """Versioned snapshot of window contents (checkpointing)."""
-        return {"version": 1, "items": list(self._items)}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
-        if state.get("version") != 1:
-            raise ReproError(f"unsupported CountWindow state: {state!r}")
-        self._items = deque(state["items"], maxlen=self.size)
 
 
 def _hash_key(key: Any, window: str) -> Any:
@@ -279,28 +138,28 @@ def _hash_key(key: Any, window: str) -> Any:
     return key
 
 
-class IndexedTimeWindow:
-    """A time-based sliding window hash-partitioned into per-key buckets.
+class TimeWindow:
+    """A time-based sliding window buffer ``W(X)``.
 
-    Retention is identical to :class:`TimeWindow` (``expire(now)`` drops
-    tuples with ``ts < now - span``); in addition every tuple is appended to
-    the bucket of its key (extracted once, at insert), so ``probe(key)``
-    touches only the tuples an equality join can match.
+    Holds data tuples in timestamp order.  ``expire(now)`` drops every tuple
+    whose timestamp is older than ``now - span``.  Tuples carrying equal
+    timestamps are all retained (simultaneous tuples are first-class citizens
+    in this paper).
 
-    Expiry is split between an eager global log (O(dropped), keeps ``len``
-    and iteration exact) and lazy per-bucket purges against the global
-    horizon (see the module docstring for the amortization argument).
+    With a ``key_fn`` every tuple is also appended to the bucket of its key
+    (extracted once, at insert), so ``probe(key)`` touches only the tuples an
+    equality join can match; the module docstring has the expiry scheme.
     """
 
     __slots__ = ("span", "key_fn", "_items", "_buckets", "_horizon", "_stale")
 
-    def __init__(self, span: float, key_fn: KeyFn) -> None:
+    def __init__(self, span: float, key_fn: KeyFn | None = None) -> None:
         if span <= 0:
             raise ReproError(f"time window span must be positive, got {span}")
         self.span = span
         self.key_fn = key_fn
         self._items: deque[DataTuple] = deque()
-        self._buckets: dict[Any, deque[DataTuple]] = {}
+        self._buckets: dict[Any, deque[DataTuple]] = defaultdict(deque)
         self._horizon = float("-inf")
         self._stale = 0  # drops since the last backstop sweep
 
@@ -323,12 +182,52 @@ class IndexedTimeWindow:
                 f"window insert out of order: {tup.ts} after {items[-1].ts}"
             )
         items.append(tup)
-        key = _hash_key(self.key_fn(tup.payload), "IndexedTimeWindow")
-        if key == key:  # NaN keys never match anything (scan parity)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._buckets[key] = deque()
-            bucket.append(tup)
+        key_fn = self.key_fn
+        if key_fn is not None:
+            key = _hash_key(key_fn(tup.payload), "TimeWindow")
+            if key == key:  # NaN keys never match anything (scan parity)
+                self._buckets[key].append(tup)
+
+    def insert_run(self, tuples: Iterable[DataTuple]) -> None:
+        """Bulk insert: equivalent to ``expire(t.ts); insert(t)`` per tuple.
+
+        Fast path (keyed windows, whose per-row bucket work it amortizes):
+        when even the run's final horizon cannot drop the oldest live tuple,
+        no expiry can occur anywhere in the run — the horizon is advanced
+        once and the rows are appended straight into the log and their
+        buckets (``_stale`` untouched, so backstop-sweep timing is identical
+        by construction).  Otherwise the per-tuple interleaving is replayed
+        exactly: a run longer than the span must expire its own early
+        tuples, and sweep thresholds depend on per-step drop counts.
+        """
+        if not isinstance(tuples, list):
+            tuples = list(tuples)
+        if not tuples:
+            return
+        items = self._items
+        key_fn = self.key_fn
+        horizon = tuples[-1].ts - self.span
+        head_ts = items[0].ts if items else tuples[0].ts
+        if key_fn is None or head_ts < horizon:
+            expire, insert = self.expire, self.insert
+            for tup in tuples:
+                expire(tup.ts)
+                insert(tup)
+            return
+        if horizon > self._horizon:
+            self._horizon = horizon
+        prev = items[-1].ts if items else tuples[0].ts
+        buckets = self._buckets
+        for tup in tuples:
+            if tup.ts < prev:
+                raise ReproError(
+                    f"window insert out of order: {tup.ts} after {prev}"
+                )
+            prev = tup.ts
+            items.append(tup)
+            key = _hash_key(key_fn(tup.payload), "TimeWindow")
+            if key == key:  # NaN keys never match anything (scan parity)
+                buckets[key].append(tup)
 
     def expire(self, now: float) -> int:
         """Drop tuples with ``ts < now - span``; return how many were dropped.
@@ -350,49 +249,6 @@ class IndexedTimeWindow:
                 self._sweep()
         return dropped
 
-    def insert_run(self, tuples: Iterable[DataTuple]) -> None:
-        """Bulk insert: equivalent to ``expire(t.ts); insert(t)`` per tuple.
-
-        Fast path: when even the run's final horizon cannot drop the oldest
-        live tuple, no expiry can occur anywhere in the run — the horizon is
-        advanced once and the rows are appended straight into the log and
-        their buckets (``_stale`` untouched, so backstop-sweep timing is
-        identical by construction).  Otherwise the per-tuple interleaving is
-        replayed exactly: a run longer than the span must expire its own
-        early tuples, and sweep thresholds depend on per-step drop counts.
-        """
-        if not isinstance(tuples, list):
-            tuples = list(tuples)
-        if not tuples:
-            return
-        items = self._items
-        horizon = tuples[-1].ts - self.span
-        head_ts = items[0].ts if items else tuples[0].ts
-        if head_ts >= horizon:
-            if horizon > self._horizon:
-                self._horizon = horizon
-            prev = items[-1].ts if items else tuples[0].ts
-            key_fn = self.key_fn
-            buckets = self._buckets
-            for tup in tuples:
-                if tup.ts < prev:
-                    raise ReproError(
-                        f"window insert out of order: {tup.ts} after {prev}"
-                    )
-                prev = tup.ts
-                items.append(tup)
-                key = _hash_key(key_fn(tup.payload), "IndexedTimeWindow")
-                if key == key:  # NaN keys never match anything (scan parity)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        bucket = buckets[key] = deque()
-                    bucket.append(tup)
-            return
-        expire, insert = self.expire, self.insert
-        for tup in tuples:
-            expire(tup.ts)
-            insert(tup)
-
     def _sweep(self) -> None:
         """Purge every bucket against the horizon (the backstop of the
         module docstring's amortization scheme, for never-probed buckets)."""
@@ -406,7 +262,13 @@ class IndexedTimeWindow:
                 del self._buckets[key]
 
     def matches(self, probe_ts: float) -> Iterator[DataTuple]:
-        """Scan-compatible probing: every live tuple, in timestamp order."""
+        """Yield window tuples joinable with a probe at ``probe_ts``.
+
+        With expiry performed eagerly against the probing tuple's timestamp,
+        every remaining tuple is within the window, so this is simply
+        iteration; it exists so callers read as the paper's "join of the
+        tuple in A with the tuples in W(B)".
+        """
         return iter(self._items)
 
     def probe(self, key: Any) -> Iterable[DataTuple]:
@@ -416,9 +278,14 @@ class IndexedTimeWindow:
         amortized expiry) and drops the bucket entirely once empty, so
         stale keys do not accumulate dict entries.
         """
+        if self.key_fn is None:
+            raise ReproError(
+                "TimeWindow is not key-indexed; build it with a key_fn "
+                "to probe by key"
+            )
         if key != key:  # NaN: != everything, including itself, under scan
             return ()
-        _hash_key(key, "IndexedTimeWindow")
+        _hash_key(key, "TimeWindow")
         bucket = self._buckets.get(key)
         if bucket is None:
             return ()
@@ -431,7 +298,7 @@ class IndexedTimeWindow:
         return bucket
 
     def snapshot_state(self) -> dict:
-        """Versioned snapshot: only the global log travels.
+        """Versioned snapshot: only the global log and its horizon travel.
 
         Buckets are derived state (key_fn over the log) and may hold
         lazily-unpurged expired tuples; they are reconstructed from the
@@ -441,41 +308,40 @@ class IndexedTimeWindow:
                 "horizon": self._horizon}
 
     def restore_state(self, state: dict) -> None:
-        """Restore the global log and rebuild per-key buckets from it."""
+        """Restore the global log and rebuild per-key buckets from it.
+
+        Snapshots written before the horizon travelled restore it as -inf:
+        every restored tuple is live, so no purge depends on it.
+        """
         if state.get("version") != 1:
-            raise ReproError(f"unsupported IndexedTimeWindow state: {state!r}")
-        self._items = deque(state["items"])
-        self._horizon = state["horizon"]
+            raise ReproError(f"unsupported TimeWindow state: {state!r}")
+        self._items.clear()
+        self._buckets.clear()
+        self._horizon = state.get("horizon", float("-inf"))
         self._stale = 0
-        self._buckets = {}
-        for tup in self._items:
-            key = _hash_key(self.key_fn(tup.payload), "IndexedTimeWindow")
-            if key == key:  # NaN keys never match anything (scan parity)
-                bucket = self._buckets.get(key)
-                if bucket is None:
-                    bucket = self._buckets[key] = deque()
-                bucket.append(tup)
+        for tup in state["items"]:
+            self.insert(tup)
 
 
-class IndexedCountWindow:
-    """A last-``size``-tuples window hash-partitioned into per-key buckets.
+class CountWindow:
+    """A tuple-count sliding window buffer holding the last ``size`` tuples.
 
-    Retention is identical to :class:`CountWindow`; buckets additionally
-    record each tuple's global insertion number so a probed bucket can
-    lazily discard entries that the global ring has already evicted.
+    With a ``key_fn`` the contents are also hash-partitioned into per-key
+    buckets; bucket entries record each tuple's insertion number so a probed
+    bucket can lazily discard entries the global ring has already evicted.
     """
 
     __slots__ = ("size", "key_fn", "_items", "_buckets", "_inserted",
                  "_swept_at")
 
-    def __init__(self, size: int, key_fn: KeyFn) -> None:
+    def __init__(self, size: int, key_fn: KeyFn | None = None) -> None:
         if size <= 0:
             raise ReproError(f"count window size must be positive, got {size}")
         self.size = int(size)
         self.key_fn = key_fn
         self._items: deque[DataTuple] = deque(maxlen=self.size)
-        self._buckets: dict[Any, deque[tuple[int, DataTuple]]] = {}
-        self._inserted = 0
+        self._buckets: dict[Any, deque] = defaultdict(deque)  # (number, tup)
+        self._inserted = 0  # keyed insertions; only differences matter
         self._swept_at = 0  # insertion count at the last backstop sweep
 
     def __len__(self) -> int:
@@ -492,28 +358,31 @@ class IndexedCountWindow:
     def insert(self, tup: DataTuple) -> None:
         """Append ``tup``, evicting the globally oldest tuple when full."""
         self._items.append(tup)
+        key_fn = self.key_fn
+        if key_fn is None:
+            return
         self._inserted += 1
-        key = _hash_key(self.key_fn(tup.payload), "IndexedCountWindow")
+        key = _hash_key(key_fn(tup.payload), "CountWindow")
         if key == key:  # NaN keys never match anything (scan parity)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._buckets[key] = deque()
-            bucket.append((self._inserted, tup))
+            self._buckets[key].append((self._inserted, tup))
         if self._inserted - self._swept_at >= max(64, self.size):
             self._sweep()
 
     def insert_run(self, tuples: Iterable[DataTuple]) -> None:
-        """Bulk insert: replays per-tuple insertion (expiry is by count and
-        the backstop sweep fires at exact insertion numbers, so there is no
-        batched shortcut that stays bit-identical)."""
+        """Bulk insert.  Without buckets the bounded deque evicts exactly as
+        per-tuple insertion would, so this is one C-level extend; with them
+        per-tuple insertion is replayed (the backstop sweep fires at exact
+        insertion numbers, so no batched shortcut stays bit-identical)."""
+        if self.key_fn is None:
+            self._items.extend(tuples)
+            return
         insert = self.insert
         for tup in tuples:
             insert(tup)
 
     def _sweep(self) -> None:
-        """Purge every bucket of globally evicted entries (the backstop of
-        the module docstring's amortization scheme, for never-probed
-        buckets)."""
+        """Purge every bucket of globally evicted entries (the module
+        docstring's backstop, for never-probed buckets)."""
         self._swept_at = self._inserted
         oldest_live = self._inserted - self.size
         for key in list(self._buckets):
@@ -532,9 +401,14 @@ class IndexedCountWindow:
 
     def probe(self, key: Any) -> Iterable[DataTuple]:
         """The tuples an equality join at ``key`` can match, oldest first."""
-        if key != key:  # NaN (see IndexedTimeWindow.probe)
+        if self.key_fn is None:
+            raise ReproError(
+                "CountWindow is not key-indexed; build it with a key_fn "
+                "to probe by key"
+            )
+        if key != key:  # NaN (see TimeWindow.probe)
             return ()
-        _hash_key(key, "IndexedCountWindow")
+        _hash_key(key, "CountWindow")
         bucket = self._buckets.get(key)
         if bucket is None:
             return ()
@@ -547,46 +421,20 @@ class IndexedCountWindow:
         return (tup for _, tup in bucket)
 
     def snapshot_state(self) -> dict:
-        """Versioned snapshot: only the global ring travels (see
-        :meth:`IndexedTimeWindow.snapshot_state`)."""
-        return {"version": 1, "items": list(self._items),
-                "inserted": self._inserted}
+        """Versioned snapshot: only the global ring travels (buckets are
+        derived state, see :meth:`TimeWindow.snapshot_state`)."""
+        return {"version": 1, "items": list(self._items)}
 
     def restore_state(self, state: dict) -> None:
         """Restore the global ring and rebuild per-key buckets from it.
 
-        Bucket entries carry global insertion numbers; only the last
-        ``len(items)`` insertions are live, so position ``i`` in the
-        restored ring was insertion ``inserted - len(items) + i + 1``.
+        Insertion numbers restart at the ring's length: buckets compare
+        them only with each other, so an ``inserted`` total carried by an
+        older snapshot is not needed.
         """
         if state.get("version") != 1:
-            raise ReproError(f"unsupported IndexedCountWindow state: {state!r}")
-        items = state["items"]
-        self._items = deque(items, maxlen=self.size)
-        self._inserted = state["inserted"]
-        self._swept_at = self._inserted
-        self._buckets = {}
-        base = self._inserted - len(items)
-        for i, tup in enumerate(items):
-            key = _hash_key(self.key_fn(tup.payload), "IndexedCountWindow")
-            if key == key:  # NaN keys never match anything (scan parity)
-                bucket = self._buckets.get(key)
-                if bucket is None:
-                    bucket = self._buckets[key] = deque()
-                bucket.append((base + i + 1, tup))
-
-
-def make_window(spec: WindowSpec, key_fn: KeyFn | None = None) \
-        -> TimeWindow | CountWindow | IndexedTimeWindow | IndexedCountWindow:
-    """Instantiate the window buffer described by ``spec``.
-
-    With ``key_fn`` the hash-indexed variant is built; without it, the
-    plain scan window.
-    """
-    if spec.mode == "time":
-        if key_fn is not None:
-            return IndexedTimeWindow(spec.extent, key_fn)
-        return TimeWindow(spec.extent)
-    if key_fn is not None:
-        return IndexedCountWindow(int(spec.extent), key_fn)
-    return CountWindow(int(spec.extent))
+            raise ReproError(f"unsupported CountWindow state: {state!r}")
+        self._items.clear()
+        self._buckets.clear()
+        self._inserted = self._swept_at = 0
+        self.insert_run(state["items"])

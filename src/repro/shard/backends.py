@@ -51,6 +51,17 @@ IngestCommand = tuple[str, Any, float, float | None]
 PunctuationCommand = tuple[str, float, str, bool]
 
 
+#: Re-poll backoff of the process backend: attempt ``i`` waits
+#: ``op_timeout * min(RETRY_CAP, RETRY_BASE**i)``, stretched by up to
+#: ``RETRY_JITTER`` of jitter drawn from a generator seeded ``RETRY_SEED``.
+RETRY_BASE = 2.0
+RETRY_CAP = 4.0
+RETRY_JITTER = 0.25
+RETRY_SEED = 0
+assert RETRY_BASE >= 1.0, "backoff must not shrink"
+assert RETRY_JITTER >= 0.0, "jitter only ever lengthens a wait"
+
+
 class ShardError(ReproError):
     """A shard failed executing a command."""
 
@@ -473,8 +484,8 @@ class ProcessBackend:
     factory travel by inheritance, not pickling), so this backend is
     POSIX-only.  Every reply is awaited with ``op_timeout``; a shard that
     misses it is re-polled up to ``retry_limit`` times with exponential
-    backoff — attempt ``i`` waits ``min(retry_cap, op_timeout *
-    retry_base**i)`` stretched by up to ``retry_jitter`` of deterministic
+    backoff — attempt ``i`` waits ``op_timeout * min(RETRY_CAP,
+    RETRY_BASE**i)`` stretched by up to ``RETRY_JITTER`` of deterministic
     seeded jitter (so concurrent shard re-polls decorrelate without
     breaking replayability) — a transient stall (GC pause, scheduler
     hiccup, cold page-in) recovers without losing the worker, and only a
@@ -494,9 +505,7 @@ class ProcessBackend:
 
     def __init__(self, shard_count: int, make_args: Callable[[int],
                  tuple[Callable[[], Any], dict]], *,
-                 op_timeout: float = 60.0, retry_limit: int = 1,
-                 retry_base: float = 2.0, retry_cap: float | None = None,
-                 retry_jitter: float = 0.25, retry_seed: int = 0) -> None:
+                 op_timeout: float = 60.0, retry_limit: int = 1) -> None:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -507,18 +516,7 @@ class ProcessBackend:
         self._make_args = make_args
         self.op_timeout = op_timeout
         self.retry_limit = max(0, int(retry_limit))
-        if retry_base < 1.0:
-            raise ReproError(
-                f"retry_base must be >= 1.0 (backoff must not shrink), "
-                f"got {retry_base}")
-        if retry_jitter < 0.0:
-            raise ReproError(
-                f"retry_jitter must be non-negative, got {retry_jitter}")
-        self.retry_base = retry_base
-        self.retry_cap = (4.0 * op_timeout if retry_cap is None
-                          else float(retry_cap))
-        self.retry_jitter = retry_jitter
-        self._retry_rng = random.Random(f"shard-retry:{retry_seed}")
+        self._retry_rng = random.Random(f"shard-retry:{RETRY_SEED}")
         self.retries = 0
         self.on_retry: Callable[[int, str, int, float], None] | None = None
         self._fault_specs: dict[int, list[dict]] = {}
@@ -556,9 +554,8 @@ class ProcessBackend:
         attempt = 0
         while not answered and attempt < self.retry_limit:
             attempt += 1
-            backoff = min(self.retry_cap,
-                          self.op_timeout * (self.retry_base ** attempt))
-            backoff *= 1.0 + self.retry_jitter * self._retry_rng.random()
+            backoff = self.op_timeout * min(RETRY_CAP, RETRY_BASE ** attempt)
+            backoff *= 1.0 + RETRY_JITTER * self._retry_rng.random()
             self.retries += 1
             if self.on_retry is not None:
                 self.on_retry(index, op, attempt, backoff)
@@ -672,11 +669,7 @@ def make_backend(kind: str, shard_count: int, *,
                  build: Callable[[], Any],
                  shard_kwargs: Callable[[int], dict],
                  op_timeout: float = 60.0,
-                 retry_limit: int = 1,
-                 retry_base: float = 2.0,
-                 retry_cap: float | None = None,
-                 retry_jitter: float = 0.25,
-                 retry_seed: int = 0):
+                 retry_limit: int = 1):
     """Construct a backend by name (the facade's single switch point)."""
     if kind in ("serial", "thread"):
         cls = SerialBackend if kind == "serial" else ThreadBackend
@@ -690,9 +683,6 @@ def make_backend(kind: str, shard_count: int, *,
             return build, shard_kwargs(index)
 
         return ProcessBackend(shard_count, make_args, op_timeout=op_timeout,
-                              retry_limit=retry_limit,
-                              retry_base=retry_base, retry_cap=retry_cap,
-                              retry_jitter=retry_jitter,
-                              retry_seed=retry_seed)
+                              retry_limit=retry_limit)
     raise ReproError(f"unknown shard backend {kind!r}; "
                      f"expected one of {BACKENDS}")

@@ -116,11 +116,6 @@ class ShardedEngine:
             behavior byte-identical.
         retry_limit: Bounded re-poll attempts per operation for the
             process backend (see :class:`ProcessBackend`).
-        retry_base / retry_cap / retry_jitter / retry_seed: Exponential
-            re-poll backoff shape for the process backend — attempt ``i``
-            waits ``min(retry_cap, op_timeout * retry_base**i)`` plus up
-            to ``retry_jitter`` of seeded jitter; ``retry_cap=None``
-            defaults to ``4 * op_timeout``.
         config: Optional :class:`~repro.core.config.EngineConfig` supplying
             defaults for the shared knobs; explicit keyword arguments win,
             and the factory-shaped knobs (``ets_policy``, ``feedback``)
@@ -139,10 +134,6 @@ class ShardedEngine:
                  disorder_bound: float = 0.0,
                  feedback: Callable[[], Any] | None = None,
                  retry_limit: int = 1,
-                 retry_base: float = 2.0,
-                 retry_cap: float | None = None,
-                 retry_jitter: float = 0.25,
-                 retry_seed: int = 0,
                  config: EngineConfig | None = None) -> None:
         if config is not None:
             knobs = config.resolve(
@@ -193,10 +184,8 @@ class ShardedEngine:
         self._shard_kwargs = shard_kwargs
         self._build = build
         self._key = key
-        self._backend_opts = dict(
-            op_timeout=op_timeout, retry_limit=retry_limit,
-            retry_base=retry_base, retry_cap=retry_cap,
-            retry_jitter=retry_jitter, retry_seed=retry_seed)
+        self._backend_opts = dict(op_timeout=op_timeout,
+                                  retry_limit=retry_limit)
         self.backend = make_backend(backend, shards, build=build,
                                     shard_kwargs=shard_kwargs,
                                     **self._backend_opts)

@@ -626,15 +626,13 @@ class TestBlockStats:
 def merge_join_build(window: WindowSpec, probe: str,
                      latent_b: bool = False):
     """source a, source b → WindowJoin → sink, one probing strategy."""
-    knobs = {"scan": dict(indexed=False), "indexed": dict(indexed=True),
-             "adaptive": dict(adaptive_threshold=3)}[probe]
-
     def build() -> QueryGraph:
         g = QueryGraph(f"merge-join-{probe}")
         left = g.add_source("a")
         right = g.add_source(
             "b", TimestampKind.LATENT if latent_b else TimestampKind.INTERNAL)
-        join = g.add(WindowJoin("join", window, key="k", **knobs))
+        join = g.add(WindowJoin("join", window, key="k",
+                                indexed=probe == "indexed"))
         sink = g.add_sink("out")
         g.connect(left, join)
         g.connect(right, join)
@@ -654,7 +652,7 @@ class TestMergeRunJoin:
     identically: input 0 first)."""
 
     @pytest.mark.parametrize("ets_mode", ["none", "on-demand", "periodic"])
-    @pytest.mark.parametrize("probe", ["scan", "indexed", "adaptive"])
+    @pytest.mark.parametrize("probe", ["scan", "indexed"])
     @pytest.mark.parametrize("window", [WindowSpec.time(3.0),
                                         WindowSpec.count(5)],
                              ids=["time", "count"])
@@ -756,9 +754,7 @@ class _JoinRig:
     (order unenforced, so an order boundary is observed, not raised)."""
 
     def __init__(self, window: WindowSpec, probe: str) -> None:
-        knobs = {"scan": dict(indexed=False), "indexed": dict(indexed=True),
-                 "adaptive": dict(adaptive_threshold=2)}[probe]
-        self.op = WindowJoin("j", window, key="k", **knobs)
+        self.op = WindowJoin("j", window, key="k", indexed=probe == "indexed")
         self.clock = ManualClock()
         self.ctx = OpContext(clock=self.clock)
         self.inputs = [StreamBuffer(f"in{i}->j") for i in range(2)]
@@ -791,7 +787,6 @@ class _JoinRig:
             "left": [len(buf) for buf in self.inputs],
             "watermark": op._last_emitted_ts,
             "counters": (op.tuples_processed, op.matches_emitted,
-                         op.indexed_probes, op.scan_probes,
                          op.punctuation_consumed, op.punctuation_forwarded,
                          op.punctuation_suppressed),
         }
@@ -810,7 +805,7 @@ _merge_events = st.lists(
 @given(events=_merge_events,
        limit=st.sampled_from(MERGE_BATCH_SIZES),
        count_window=st.booleans(),
-       probe=st.sampled_from(["scan", "indexed", "adaptive"]),
+       probe=st.sampled_from(["scan", "indexed"]),
        as_blocks=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_merge_run_random_interleavings_property(events, limit, count_window,

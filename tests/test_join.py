@@ -6,7 +6,7 @@ from repro.core.errors import ExecutionError
 from repro.core.operators import WindowJoin, merge_payloads
 from repro.core.operators.join import _EmptyWindow
 from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
-from repro.core.windows import IndexedTimeWindow, TimeWindow, WindowProtocol, WindowSpec
+from repro.core.windows import TimeWindow, WindowProtocol, WindowSpec
 
 from conftest import OpHarness, data
 
@@ -227,12 +227,14 @@ class TestIndexedFastPath:
     def test_keyed_join_auto_selects_indexed_windows(self):
         op, _ = make_join(key="k")
         assert op.indexed
-        assert all(isinstance(w, IndexedTimeWindow) for w in op.windows)
+        assert all(isinstance(w, TimeWindow) and w.key_fn is not None
+                   for w in op.windows)
 
     def test_indexed_false_forces_scan_layout(self):
         op, _ = make_join(key="k", indexed=False)
         assert not op.indexed
-        assert all(isinstance(w, TimeWindow) for w in op.windows)
+        assert all(isinstance(w, TimeWindow) and w.key_fn is None
+                   for w in op.windows)
 
     def test_unkeyed_strict_and_asymmetric_joins_stay_scan(self):
         assert not make_join()[0].indexed
@@ -265,24 +267,21 @@ class TestIndexedFastPath:
         assert outputs[False] == outputs[None]
 
     def test_probe_counts_differ_but_emissions_match(self):
-        # indexed=True pins bucket probing: the auto-selected layout is
-        # adaptive and would scan at this key cardinality (4 buckets < 8).
-        scan_op, scan_h = make_join(key="k", indexed=False)
-        idx_op, idx_h = make_join(key="k", indexed=True)
-        for h in (scan_h, idx_h):
+        probes = {}
+        for indexed in (False, True, None):
+            _, h = make_join(key="k", indexed=indexed)
             for i in range(8):
                 h.feed(0, float(i), {"k": i % 4})
-        scan_probes = []
-        idx_probes = []
-        for h, probes in ((scan_h, scan_probes), (idx_h, idx_probes)):
             h.feed(1, 8.0, {"k": 2})
             h.feed_punctuation(0, 9.0)  # ungate the right-side probe
+            probes[indexed] = []
             while h.op.more():
                 r = h.step()
                 if r.probes:
-                    probes.append((r.probes, r.probes_emitted))
-        assert scan_probes == [(8, 2)]  # whole window examined, 2 matched
-        assert idx_probes == [(2, 2)]   # only the k=2 bucket examined
+                    probes[indexed].append((r.probes, r.probes_emitted))
+        assert probes[False] == [(8, 2)]  # whole window examined, 2 matched
+        assert probes[True] == [(2, 2)]   # only the k=2 bucket examined
+        assert probes[None] == [(2, 2)]   # the auto layout is that probe
 
     def test_residual_predicate_composes_with_key(self):
         op, h = make_join(key="k", predicate=lambda a, b: a["v"] < b["v"])

@@ -4,8 +4,10 @@ The hash-partitioned window state is only worth having if it is
 *observationally identical* to the scan join: same data tuples, same
 payloads, same timestamps, in the same order at every sink — under every
 engine configuration (ETS modes, batch widths) and every workload shape
-(skewed rates, duplicate keys, simultaneous timestamps).  The indexed and
-scan variants of the same query are replayed through the PR-1
+(skewed and balanced rates, key cardinalities 2–64, duplicate keys,
+simultaneous timestamps).  The scan reference (``indexed=False``), the
+demanded bucket probe (``indexed=True``) and the auto-selected layout
+(``indexed=None``) of the same query are replayed through the PR-1
 :class:`oracle.DifferentialOracle` and compared byte-for-byte; only the
 *probe counts* may (and must) differ.
 """
@@ -57,6 +59,16 @@ def skewed_feeds(cardinality: int = 8) -> list[Feed]:
     )
 
 
+def balanced_feeds(cardinality: int) -> list[Feed]:
+    """Similar rates on both sides, so *both* windows grow many buckets."""
+    return _merge(
+        keyed_stream("fast", rate_period=0.05, count=200, seed=7,
+                     cardinality=cardinality),
+        keyed_stream("slow", rate_period=0.06, count=160, seed=9,
+                     cardinality=cardinality, start=0.02),
+    )
+
+
 # --------------------------------------------------------------------- #
 # Graph factories — identical queries, differing only in window layout
 
@@ -81,24 +93,26 @@ def keyed_join_graph(*, indexed: bool | None, window: WindowSpec | None = None,
 def _assert_indexed_equals_scan(feeds, *, window=None, residual=False,
                                 chunk=8, punctuate_every=4) -> None:
     """Replay ``feeds`` under every (ETS mode × batch size) pair and demand
-    byte-identical sink sequences from the indexed and scan layouts."""
+    byte-identical sink sequences from the scan reference, the demanded
+    bucket probe and the auto-selected layout."""
     def oracle(indexed: bool | None) -> DifferentialOracle:
         return DifferentialOracle(
             lambda: keyed_join_graph(indexed=indexed, window=window,
                                      residual=residual),
             feeds, chunk=chunk, punctuate_every=punctuate_every)
 
-    scan, indexed = oracle(False), oracle(True)
+    scan, indexed, auto = oracle(False), oracle(True), oracle(None)
     for batch_size in BATCH_SIZES:
         for label, kwargs in (
                 ("NoEts", dict(ets_policy=NoEts())),
                 ("OnDemandEts", dict(ets_policy=OnDemandEts())),
                 ("heartbeat", dict(ets_policy=NoEts(), punctuate=True))):
             reference = scan.run(batch_size=batch_size, **kwargs)
-            got = indexed.run(batch_size=batch_size, **kwargs)
-            _assert_same(reference, got,
-                         f"indexed diverged from scan "
-                         f"({label}, batch_size={batch_size})")
+            for layout, variant in (("indexed", indexed), ("auto", auto)):
+                _assert_same(reference,
+                             variant.run(batch_size=batch_size, **kwargs),
+                             f"{layout} diverged from scan "
+                             f"({label}, batch_size={batch_size})")
             assert reference, f"empty sink trace ({label}) proves nothing"
 
 
@@ -107,7 +121,9 @@ def _assert_indexed_equals_scan(feeds, *, window=None, residual=False,
 
 
 def test_indexed_join_matches_scan_across_modes():
-    _assert_indexed_equals_scan(skewed_feeds())
+    for feeds in (skewed_feeds(), skewed_feeds(cardinality=64),
+                  balanced_feeds(4), balanced_feeds(64)):
+        _assert_indexed_equals_scan(feeds)
 
 
 def test_indexed_join_matches_scan_with_residual_predicate():
@@ -125,26 +141,31 @@ def test_indexed_join_matches_scan_with_hot_duplicate_keys():
 
 
 def test_indexed_run_reduces_examined_probes_only():
-    """Same output; strictly fewer examined probes; identical emitted."""
-    feeds = skewed_feeds()
-    counts = {}
-    for indexed in (False, True):
-        registry = MetricsRegistry()
-        oracle = DifferentialOracle(
-            lambda: keyed_join_graph(indexed=indexed), feeds, chunk=8)
-        counts[indexed] = (
-            oracle.run(observers=[registry]),
-            registry.join_probes.value(result="examined"),
-            registry.join_probes.value(result="emitted"),
-        )
-    scan_out, scan_examined, scan_emitted = counts[False]
-    idx_out, idx_examined, idx_emitted = counts[True]
-    assert scan_out == idx_out
-    assert idx_emitted == scan_emitted
-    assert 0 < idx_examined < scan_examined
-    # Scan joins examine every stored tuple, so examined == emitted never
-    # holds at cardinality 8; the indexed join's gap is residual-free.
-    assert idx_examined == idx_emitted
+    """Same output; strictly fewer examined probes; identical emitted —
+    and the auto-selected layout *is* the bucket probe at every key
+    cardinality (the registry counts the per-step ``probes`` that
+    ``EngineStats.probes`` sums)."""
+    for cardinality, batch_size in ((8, 1), (4, 1), (4, 8)):
+        feeds = skewed_feeds(cardinality)
+        counts = {}
+        for indexed in (False, True, None):
+            registry = MetricsRegistry()
+            oracle = DifferentialOracle(
+                lambda: keyed_join_graph(indexed=indexed), feeds, chunk=8)
+            counts[indexed] = (
+                oracle.run(batch_size=batch_size, observers=[registry]),
+                registry.join_probes.value(result="examined"),
+                registry.join_probes.value(result="emitted"),
+            )
+        scan_out, scan_examined, scan_emitted = counts[False]
+        idx_out, idx_examined, idx_emitted = counts[True]
+        assert scan_out == idx_out
+        assert idx_emitted == scan_emitted
+        assert 0 < idx_examined < scan_examined
+        # Scan joins examine every stored tuple, so examined == emitted
+        # never holds for them; the indexed join's gap is residual-free.
+        assert idx_examined == idx_emitted
+        assert counts[None] == counts[True]
 
 
 @settings(max_examples=25, deadline=None)

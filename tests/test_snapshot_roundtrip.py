@@ -39,13 +39,7 @@ from repro.core.operators import (
     WindowJoin,
 )
 from repro.core.tuples import DataTuple
-from repro.core.windows import (
-    CountWindow,
-    IndexedCountWindow,
-    IndexedTimeWindow,
-    TimeWindow,
-    WindowSpec,
-)
+from repro.core.windows import CountWindow, TimeWindow, WindowSpec
 
 
 def same(a: dict, b: dict) -> bool:
@@ -117,7 +111,29 @@ def test_stream_buffer_roundtrip(batch, pops, punct_offsets):
 
 
 # --------------------------------------------------------------------- #
-# Window layouts (scan and hash-indexed, NaN and duplicate keys)
+# Window layouts (key-less and hash-indexed, NaN and duplicate keys)
+
+
+def by_k(payload):
+    return payload["k"]
+
+
+def probes(window, batch) -> dict:
+    """What ``window`` answers for every key of ``batch`` (NaN included)."""
+    return {"p": [[t.payload for t in window.probe(by_k(tup.payload))]
+                  for tup in batch]}
+
+
+def assert_layouts_interchange(keyed, keyless, fresh) -> None:
+    """One snapshot shape per retention policy: a checkpoint written by
+    either layout restores into the other (``fresh(key_fn)`` builds the
+    target) with the same contents and, where keyed, the same buckets."""
+    into_keyed, into_keyless = fresh(by_k), fresh(None)
+    into_keyed.restore_state(keyless.snapshot_state())
+    into_keyless.restore_state(keyed.snapshot_state())
+    assert list(into_keyed) == list(into_keyless) == list(keyed)
+    assert same(probes(into_keyed, keyed), probes(keyed, keyed))
+    assert into_keyless.bucket_count == 0
 
 
 @settings(max_examples=40)
@@ -142,37 +158,35 @@ def test_count_window_roundtrip(batch):
 @settings(max_examples=40)
 @given(batch=tuple_batches(), expire_to=timestamps)
 def test_indexed_time_window_roundtrip(batch, expire_to):
-    key_fn = lambda p: p["k"]
-    win = IndexedTimeWindow(5.0, key_fn)
+    win, keyless = TimeWindow(5.0, by_k), TimeWindow(5.0)
     for tup in batch:
         win.insert(tup)
+        keyless.insert(tup)
     win.expire(expire_to)
-    restored = IndexedTimeWindow(5.0, key_fn)
+    keyless.expire(expire_to)
+    restored = TimeWindow(5.0, by_k)
     roundtrip(win, restored)
     # The rebuilt buckets must probe identically for every live key —
     # including NaN keys, which can never match and probe empty.
+    assert same(probes(restored, batch), probes(win, batch))
     for tup in batch:
-        key = key_fn(tup.payload)
-        got = [t.payload for t in restored.probe(key)]
-        want = [t.payload for t in win.probe(key)]
-        assert same({"p": got}, {"p": want})
+        key = by_k(tup.payload)
         if isinstance(key, float) and math.isnan(key):
-            assert got == []
+            assert list(restored.probe(key)) == []
+    assert_layouts_interchange(win, keyless, lambda k: TimeWindow(5.0, k))
 
 
 @settings(max_examples=40)
 @given(batch=tuple_batches())
 def test_indexed_count_window_roundtrip(batch):
-    key_fn = lambda p: p["k"]
-    win = IndexedCountWindow(6, key_fn)
+    win, keyless = CountWindow(6, by_k), CountWindow(6)
     for tup in batch:
         win.insert(tup)
-    restored = IndexedCountWindow(6, key_fn)
+        keyless.insert(tup)
+    restored = CountWindow(6, by_k)
     roundtrip(win, restored)
-    for tup in batch:
-        key = key_fn(tup.payload)
-        assert same({"p": [t.payload for t in restored.probe(key)]},
-                    {"p": [t.payload for t in win.probe(key)]})
+    assert same(probes(restored, batch), probes(win, batch))
+    assert_layouts_interchange(win, keyless, lambda k: CountWindow(6, k))
 
 
 # --------------------------------------------------------------------- #
@@ -233,6 +247,93 @@ def test_indexed_join_roundtrip(feed):
     assert op.indexed
     _drive(op, 2, batch, puncts)
     roundtrip(op, build())
+
+
+def _emitted(h) -> dict:
+    return {"out": [(e.is_punctuation, e.ts,
+                     None if e.is_punctuation else (e.payload, e.kind))
+                    for e in h.drain_output()],
+            "windows": [[(t.ts, t.payload) for t in w] for w in h.op.windows]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(feed=operator_feeds, tail=tuple_batches(max_size=12),
+       written=st.sampled_from([False, None]))
+def test_join_restores_across_probe_layouts(feed, tail, written):
+    """A join checkpointed under one probe layout recovers under the other
+    and, driven on, emits byte-for-byte what an uninterrupted join does."""
+    batch, puncts = feed
+    recovered_as = None if written is False else False
+
+    def build(indexed):
+        return WindowJoin("j", WindowSpec.time(4.0), key="k", indexed=indexed)
+
+    reference = _drive(build(recovered_as), 2, batch, puncts)
+    crashed = _drive(build(written), 2, batch, puncts)
+    assert same(_emitted(crashed), _emitted(reference))
+    recovered = OpHarness(build(recovered_as), n_inputs=2)
+    assert recovered.op.indexed is not crashed.op.indexed
+    recovered.op.restore_state(crashed.op.snapshot_state())
+    for buf, old in zip(recovered.inputs, crashed.inputs):
+        buf.restore_state(old.snapshot_state())
+    base = max(buf.snapshot_state()["last_pushed_ts"]
+               for buf in reference.inputs)
+    base = max(base, 0.0)  # LATENT_TS when nothing was ever pushed
+    for h in (reference, recovered):
+        for i, tup in enumerate(tail):
+            h.feed(i % 2, base + tup.ts, tup.payload)
+            h.run()
+        for i in (0, 1):
+            h.feed_punctuation(i, base + 101.0)
+        h.run()
+    assert same(_emitted(recovered), _emitted(reference))
+    assert (recovered.op.snapshot_state().keys()
+            == reference.op.snapshot_state().keys())
+    assert recovered.op.tuples_processed == reference.op.tuples_processed
+    assert recovered.op.matches_emitted == reference.op.matches_emitted
+
+
+def test_parent_format_snapshots_restore():
+    """Literal state dicts in the shapes the four pre-merge window classes
+    and their join wrote: key-less windows carried only ``items``, the
+    indexed ones added ``horizon`` / ``inserted``, the join two probe
+    counters.  Every shape restores into either layout of the merged
+    classes."""
+    items = [data(ts, {"k": k, "seq": i}) for i, (ts, k) in
+             enumerate([(1.0, "a"), (2.0, "b"), (2.0, "a"), (3.5, "a")])]
+    time_states = ({"version": 1, "items": items},
+                   {"version": 1, "items": items, "horizon": 0.5})
+    count_states = ({"version": 1, "items": items},
+                    {"version": 1, "items": items, "inserted": 41})
+    for states, make in ((time_states, lambda k: TimeWindow(5.0, k)),
+                         (count_states, lambda k: CountWindow(6, k))):
+        for state in states:
+            keyless, keyed = make(None), make(by_k)
+            keyless.restore_state(state)
+            keyed.restore_state(state)
+            assert list(keyless) == list(keyed) == items
+            assert [t.ts for t in keyed.probe("a")] == [1.0, 2.0, 3.5]
+            # Restored buckets keep expiring with the log (time: against
+            # the horizon; count: by relative insertion number).
+            for i in range(4):
+                keyed.expire(6.5 + i)
+                keyed.insert(data(6.5 + i, {"k": "b", "seq": 4 + i}))
+            assert [t.ts for t in keyed.probe("a")] == [
+                t.ts for t in keyed if t.payload["k"] == "a"]
+            assert len(list(keyed.probe("a"))) < 3
+    join_state = {
+        "version": 1, "windows": [time_states[0], time_states[1]],
+        "last_emitted_ts": 3.5, "matches_emitted": 3,
+        "indexed_probes": 5, "scan_probes": 7,
+        "punctuation_consumed": 1, "punctuation_forwarded": 1,
+        "punctuation_suppressed": 0, "tuples_processed": 8,
+    }
+    for indexed in (False, None):
+        op = WindowJoin("j", WindowSpec.time(5.0), key="k", indexed=indexed)
+        op.restore_state(join_state)
+        assert [list(w) for w in op.windows] == [items, items]
+        assert (op.matches_emitted, op.tuples_processed) == (3, 8)
+        assert "indexed_probes" not in op.snapshot_state()
 
 
 @settings(max_examples=25, deadline=None)
