@@ -170,8 +170,8 @@ class ExecutionEngine:
             counted into :attr:`EngineStats.invariant_violations`.
         observers: Instrumentation observers (see :mod:`repro.obs`).  When
             empty or None the engine stores no event bus at all and every
-            emission site reduces to one ``is None`` test — the zero-
-            overhead fast path guarded by ``bench_throughput.py``.
+            emission site reduces to one ``is None`` test — the fast path
+            ``tests/test_obs_bus.py`` pins (no bus frame is ever entered).
         max_steps_per_round: Safety valve for logical-mode loops; None means
             unbounded (the cost model plus event horizon bound real runs).
         config: Optional :class:`~repro.core.config.EngineConfig` supplying
@@ -242,6 +242,9 @@ class ExecutionEngine:
         self.stats = EngineStats()
         self.ctx = OpContext(clock=clock)
         self._round_id = 0
+        #: Clock reading and round of the last ``deliver_due`` call.
+        self._pumped_at: float | None = None
+        self._pumped_round = 0
         self._iwp_ops = graph.iwp_operators()
         self._executable = [op for op in graph.operators
                             if not isinstance(op, SourceNode)]
@@ -317,7 +320,7 @@ class ExecutionEngine:
                 # No operator can execute; give idle-waiting IWP operators a
                 # chance to trigger on-demand ETS through backtracking.
                 for op in self._iwp_ops:
-                    if op.has_pending_data() and not op.more():
+                    if op.idle_waiting():
                         progressed = self._walk(op) or progressed
             if not progressed:
                 break
@@ -389,6 +392,8 @@ class ExecutionEngine:
         execute = True  # False right after Backtrack ("repeat the NOS step")
         bus = self.bus
         registry = self.graph.registry
+        pump, forward_target = self._pump_due, self._forward_target
+        step = self._step_run if self.batch_size > 1 else self._step
         # Operators (and sources) visited without executing since the last
         # buffer mutation.  Re-reaching one means the NOS rules are cycling
         # through a topology where Forward and Backtrack chase each other —
@@ -398,12 +403,13 @@ class ExecutionEngine:
         dead: set[int] = set()
         dead_stamp = registry.mutations
         while True:
-            self._pump_due()
-            if registry.mutations != dead_stamp:
-                dead_stamp = registry.mutations
+            pump()
+            stamp = registry.mutations
+            if stamp != dead_stamp:
+                dead_stamp = stamp
                 dead.clear()
             if isinstance(current, SourceNode):
-                nxt = self._forward_target(current, dead)
+                nxt = forward_target(current, dead)
                 if nxt is not None:
                     if bus is not None:
                         bus.nos_decision(decision="forward",
@@ -427,10 +433,7 @@ class ExecutionEngine:
             # a whole run (up to batch_size elements, never across the next
             # punctuation) per step instead of a single element.
             if execute and current.more():
-                if self.batch_size > 1:
-                    self._step_run(current)
-                else:
-                    self._step(current)
+                step(current)
                 progress = True
             else:
                 # Visited without executing: a second visit in the same
@@ -440,7 +443,7 @@ class ExecutionEngine:
                 dead.add(id(current))
 
             # [Continuation Step] — NOS rules
-            nxt = self._forward_target(current)
+            nxt = forward_target(current)
             if nxt is not None:  # Forward
                 if bus is not None:
                     bus.nos_decision(decision="forward", operator=nxt.name,
@@ -597,15 +600,27 @@ class ExecutionEngine:
 
     def _ets_needed(self) -> bool:
         """Is any IWP operator idle-waiting on pending data right now?"""
-        return any(op.has_pending_data() and not op.more()
-                   for op in self._iwp_ops)
+        for op in self._iwp_ops:
+            if op.idle_waiting():
+                return True
+        return False
 
     # ------------------------------------------------------------------ #
     # Bookkeeping hooks
 
     def _pump_due(self) -> None:
+        """Let the kernel deliver what became due — iff something can have.
+
+        Within a wake-up an event becomes due only when the clock moves, so
+        a pump at an unchanged reading is skipped.  The first pump of a
+        wake-up always delivers: a raised ``run(until)`` horizon or an
+        ad-hoc ``schedule_arrival`` makes events due with the clock still.
+        """
         if self.deliver_due is not None:
-            self.deliver_due(self.clock.now())
+            now = self.clock.now()
+            if now != self._pumped_at or self._round_id != self._pumped_round:
+                self._pumped_at, self._pumped_round = now, self._round_id
+                self.deliver_due(now)
 
     def _refresh_idle(self) -> None:
         if self.idle_tracker is not None:

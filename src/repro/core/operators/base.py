@@ -20,6 +20,12 @@ operators through a narrow contract:
 * :meth:`Operator.stalled_input_index` — when ``more`` is false, which input
   gates progress; the engine backtracks to that input's producer (the
   modified Backtrack rule of Section 3.2).
+* :meth:`Operator.idle_waiting` — pending data behind a false ``more``: the
+  one predicate on-demand ETS and idle accounting share.
+
+:class:`IwpOperator` holds the gating of the Idle-Waiting-Prone operators
+(union, join) once: the relaxed gate is memoised per operator and
+invalidated by the input buffers' ``on_change`` hooks.
 
 Operators never touch the clock or the cost model directly; everything they
 need arrives through the :class:`OpContext` the engine passes in.
@@ -31,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from ..buffers import StreamBuffer
-from ..errors import GraphError
-from ..tuples import Punctuation, StreamElement
+from ..errors import ExecutionError, GraphError
+from ..tuples import LATENT_TS, Punctuation, StreamElement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..schema import Schema
@@ -233,7 +239,10 @@ class Operator:
         processable.  IWP operators override this with the relaxed
         TSM-register condition.
         """
-        return any(buf for buf in self._ports.inputs)
+        for buf in self._ports.inputs:
+            if buf:
+                return True
+        return False
 
     def has_yield(self) -> bool:
         """The ``yield`` condition: do the output buffers hold anything?"""
@@ -246,10 +255,6 @@ class Operator:
         """
         return 0
 
-    def has_pending_input(self) -> bool:
-        """True when any input buffer is nonempty (used for idle accounting)."""
-        return any(buf for buf in self._ports.inputs)
-
     def has_pending_data(self) -> bool:
         """True when any input buffer holds a *data* tuple.
 
@@ -257,7 +262,18 @@ class Operator:
         data tuples stuck behind the timestamp gate; punctuation sitting in a
         buffer is bookkeeping, not user-visible delay.
         """
-        return any(buf.data_count for buf in self._ports.inputs)
+        for buf in self._ports.inputs:
+            if buf.data_count:
+                return True
+        return False
+
+    def idle_waiting(self) -> bool:
+        """Idle-waiting: pending data behind a false ``more``.
+
+        What on-demand ETS exists to end and what the idle tracker
+        integrates over time — both read this one definition.
+        """
+        return self.has_pending_data() and not self.more()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -318,6 +334,131 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"
+
+
+class IwpOperator(Operator):
+    """Idle-Waiting-Prone operator: the TSM gate of paper Fig. 5, once.
+
+    With τ the minimum over the inputs' gate timestamps (the head's when
+    there is one, the TSM register's otherwise), the operator proceeds when
+    some head is stamped τ; a latent head needs no timestamp and jumps the
+    queue.  That gate is a pure function of the input buffers, so it is
+    computed in one pass with one head read per input, memoised in
+    :attr:`_gate`, and dropped by the buffers' ``on_change`` hooks: knowing
+    it costs per *mutation*, not per question.  ``more``,
+    ``stalled_input_index``, ``idle_waiting``, ``_select_index`` and the
+    block kernels all read the memo.
+
+    A ``strict`` operator (Fig.-1 rule: every input nonempty) never reads
+    gates and is not hooked — its test is cheaper than a hook call per
+    mutation.  ``strict`` is fixed at construction, before inputs attach.
+    """
+
+    is_iwp = True
+    strict = False
+    #: ``(latent, gates, tau, pick, idle)`` or None when stale — see
+    #: :meth:`_evaluate_gate`.
+    _gate: tuple | None = None
+
+    def attach_input(self, buffer: StreamBuffer, producer) -> None:
+        super().attach_input(buffer, producer)
+        if not self.strict:
+            buffer.on_change = self._drop_gate
+
+    def _drop_gate(self) -> None:
+        self._gate = None
+
+    def _evaluate_gate(self) -> tuple:
+        """Compute and memoise ``(latent, gates, tau, pick, idle)``.
+
+        ``latent`` is the first input with a latent head (or None),
+        ``gates`` the per-input gate timestamps and ``tau`` their minimum.
+        ``pick`` is the input the next step consumes from — the latent head,
+        else the first data head at τ, else the first punctuation at τ (a
+        punctuation never delays a data tuple it arrived with) — or None
+        when ``more`` is false; ``idle`` is :meth:`idle_waiting`.  Reading a
+        stamped head refreshes its TSM register, as a peek would; the
+        refresh is idempotent, so doing it once per buffer state leaves the
+        registers where re-reading on every call left them.
+        """
+        inputs = self._ports.inputs
+        latent = None
+        heads: list[float | None] = []
+        gates: list[float] = []
+        for i, buf in enumerate(inputs):
+            ts = buf.head_ts()
+            heads.append(ts)
+            if ts is None:
+                ts = buf.register.value
+            elif ts == LATENT_TS:
+                if latent is None:
+                    latent = i
+                ts = buf.register.value
+            else:
+                buf.register.update(ts)
+            gates.append(ts)
+        tau = min(gates)
+        pick = latent
+        if pick is None:
+            for i, ts in enumerate(heads):
+                if ts == tau:
+                    if not inputs[i].head_is_punctuation():
+                        pick = i
+                        break
+                    if pick is None:
+                        pick = i
+        self._gate = state = (latent, gates, tau, pick,
+                              pick is None and self.has_pending_data())
+        return state
+
+    def _tau(self) -> float:
+        """τ: the minimum over the input gates, as of the last mutation."""
+        return (self._gate or self._evaluate_gate())[2]
+
+    def more(self) -> bool:
+        if self.strict:
+            ready = True
+            for buf in self._ports.inputs:
+                ts = buf.head_ts()
+                if ts == LATENT_TS:
+                    return True
+                if ts is None:
+                    ready = False
+            return ready
+        return (self._gate or self._evaluate_gate())[3] is not None
+
+    def idle_waiting(self) -> bool:
+        if self.strict:
+            return super().idle_waiting()
+        return (self._gate or self._evaluate_gate())[4]
+
+    def stalled_input_index(self) -> int:
+        inputs = self._ports.inputs
+        if self.strict:
+            for i, buf in enumerate(inputs):
+                if buf.is_empty:
+                    return i
+            return 0
+        _, gates, tau, _, _ = self._gate or self._evaluate_gate()
+        for i, buf in enumerate(inputs):
+            if gates[i] == tau and buf.is_empty:
+                return i
+        # Fall back to the input with the smallest gate; keeps backtracking
+        # well-defined even if more() flipped between calls.
+        return gates.index(tau)
+
+    def _select_index(self) -> int:
+        """The input ``execute_step`` consumes from, per the active mode."""
+        if not self.strict:
+            pick = (self._gate or self._evaluate_gate())[3]
+            if pick is None:
+                raise ExecutionError(f"{type(self).__name__} {self.name!r}: "
+                                     "execute_step called without more()")
+            return pick
+        heads = [buf.head_ts() for buf in self._ports.inputs]
+        if LATENT_TS in heads:
+            return heads.index(LATENT_TS)
+        return heads.index(min(heads))
 
 
 def scalar_run(op: Operator, ctx: OpContext, limit: int) -> BatchResult:

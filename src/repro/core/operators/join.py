@@ -30,12 +30,11 @@ from collections.abc import Mapping
 from typing import Any, Callable
 
 from .. import tuples as _tuples
-from ..buffers import StreamBuffer
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
 from ..tuples import LATENT_TS, DataTuple, Punctuation
 from ..windows import CountWindow, TimeWindow, WindowSpec
-from .base import BatchResult, Operator, OpContext, StepResult
+from .base import BatchResult, IwpOperator, OpContext, StepResult
 
 __all__ = ["WindowJoin", "merge_payloads"]
 
@@ -98,7 +97,7 @@ class _EmptyWindow:
         return iter(())
 
 
-class WindowJoin(Operator):
+class WindowJoin(IwpOperator):
     """Binary symmetric (or asymmetric) window join over timestamped streams.
 
     Args:
@@ -129,7 +128,6 @@ class WindowJoin(Operator):
             candidates in insertion order, so outputs are byte-identical.
     """
 
-    is_iwp = True
     arity = 2
 
     def __init__(self, name: str, window: WindowSpec | None = None, *,
@@ -188,82 +186,11 @@ class WindowJoin(Operator):
         self.combiner = combiner
         self.strict = strict
         self._last_emitted_ts = LATENT_TS
-        self._gate_cache: tuple[list[float], float] | None = None
         self.matches_emitted = 0
         self.punctuation_consumed = 0
         self.punctuation_forwarded = 0
         self.punctuation_suppressed = 0
         self.tuples_processed = 0
-
-    def attach_input(self, buffer: StreamBuffer, producer) -> None:
-        super().attach_input(buffer, producer)
-        # Cached-τ invalidation: the TSM gate minimum changes only when an
-        # input buffer's head or register moves, and both only move through
-        # buffer mutations — so one hook per input replaces the repeated
-        # min-over-peeks in more()/stalled_input_index()/_select_index().
-        buffer.on_change = self._invalidate_gates
-
-    def _invalidate_gates(self) -> None:
-        self._gate_cache = None
-
-    # ------------------------------------------------------------------ #
-    # Gating (relaxed more condition of paper Fig. 5)
-
-    def _gates_tau(self) -> tuple[list[float], float]:
-        """The per-input TSM gates and their minimum τ, cached.
-
-        The cache is invalidated by the input buffers' ``on_change`` hooks,
-        so within one execution step (``more`` → ``_select_index`` →
-        punctuation handling) the gates are computed once instead of three
-        times, and an unchanged join re-polled by the engine costs one
-        tuple-unpack.
-        """
-        cache = self._gate_cache
-        if cache is None:
-            gates = [buf.gate_ts() for buf in self.inputs]
-            cache = self._gate_cache = (gates, min(gates))
-        return cache
-
-    def _gates(self) -> list[float]:
-        return self._gates_tau()[0]
-
-    def _latent_head_index(self) -> int | None:
-        """Index of an input whose head is a latent tuple, if any — read
-        off :meth:`StreamBuffer.head_ts`, so a head block is never exploded
-        just to be looked at.  Peeking would refresh the TSM register as a
-        side effect; the explicit update here mirrors that exactly (latent
-        timestamps never move a register), so every path sees the same
-        gates."""
-        for i, buf in enumerate(self.inputs):
-            ts = buf.head_ts()
-            if ts is None:
-                continue
-            buf.register.update(ts)
-            if ts == LATENT_TS:
-                return i
-        return None
-
-    def more(self) -> bool:
-        if self._latent_head_index() is not None:
-            return True
-        if self.strict:
-            return all(buf for buf in self.inputs)
-        gates, tau = self._gates_tau()
-        if tau == LATENT_TS:
-            return False
-        return any(buf.head_ts() == tau for buf in self.inputs)
-
-    def stalled_input_index(self) -> int:
-        if self.strict:
-            for i, buf in enumerate(self.inputs):
-                if buf.is_empty:
-                    return i
-            return 0
-        gates, tau = self._gates_tau()
-        for i, buf in enumerate(self.inputs):
-            if buf.is_empty and gates[i] == tau:
-                return i
-        return min(range(len(gates)), key=gates.__getitem__)
 
     @property
     def supports_blocks(self) -> bool:  # type: ignore[override]
@@ -314,7 +241,7 @@ class WindowJoin(Operator):
             else:
                 win.restore_state(win_state)
         self._last_emitted_ts = state["last_emitted_ts"]
-        self._gate_cache = None
+        self._drop_gate()
         self.matches_emitted = state["matches_emitted"]
         self.punctuation_consumed = state["punctuation_consumed"]
         self.punctuation_forwarded = state["punctuation_forwarded"]
@@ -323,29 +250,6 @@ class WindowJoin(Operator):
 
     # ------------------------------------------------------------------ #
     # Execution (paper Fig. 6)
-
-    def _select_index(self) -> int:
-        latent_idx = self._latent_head_index()
-        if latent_idx is not None:
-            return latent_idx
-        if self.strict:
-            heads = [(buf.head_ts(), i) for i, buf in enumerate(self.inputs)]
-            return min(heads)[1]
-        gates, tau = self._gates_tau()
-        punct_idx: int | None = None
-        for i, buf in enumerate(self.inputs):
-            head = buf.peek()
-            if head is None or head.ts != tau:
-                continue
-            if head.is_punctuation:
-                punct_idx = punct_idx if punct_idx is not None else i
-            else:
-                return i
-        if punct_idx is None:
-            raise ExecutionError(
-                f"join {self.name!r}: execute_step called without more()"
-            )
-        return punct_idx
 
     def execute_step(self, ctx: OpContext) -> StepResult:
         idx = self._select_index()
@@ -402,7 +306,7 @@ class WindowJoin(Operator):
             # "When we cannot generate a data tuple, we simply produce a
             # punctuation tuple for the benefit of the IWP operators down the
             # path" (paper Section 4.2).
-            tau = self._gates_tau()[1]
+            tau = self._tau()
             if tau > self._last_emitted_ts:
                 self.emit(Punctuation(ts=tau, origin=self.name))
                 self._last_emitted_ts = tau
@@ -431,7 +335,7 @@ class WindowJoin(Operator):
         same-side stretch, flushed at each side switch (a row must see
         every earlier-merged row of the other side).  The no-match
         punctuation gate of a mid-merge row is the next merged row's
-        timestamp — what ``_gates_tau()`` would have computed against the
+        timestamp — what the gate would have computed against the
         un-drained buffers, since every untaken element is stamped at or
         above every taken one — and the live gates on the last row.  All
         matches of the call go straight into one set of column arrays
@@ -460,14 +364,14 @@ class WindowJoin(Operator):
         steps = probes = matched = 0
         punct_idx: int | None = None
         while steps < limit:
-            latent_idx = self._latent_head_index()
-            if latent_idx is not None:
-                n0 = 1 - latent_idx
-                rows = inputs[latent_idx].drain_batch(1)
+            latent, _, _, pick, _ = self._gate or self._evaluate_gate()
+            if pick is None:
+                break  # more() is false
+            if latent is not None:
+                n0 = 1 - latent
+                rows = inputs[latent].drain_batch(1)
                 rows[0] = rows[0].stamped(ctx.clock.now())
             else:
-                if self._gates_tau()[1] == LATENT_TS:
-                    break
                 budget = limit - steps
                 stamps0, end0 = inputs[0].head_run(budget)
                 stamps1, end1 = inputs[1].head_run(budget)
@@ -485,18 +389,13 @@ class WindowJoin(Operator):
                     rows = inputs[0].drain_batch(n0) if n0 else []
                     if n1:
                         rows += inputs[1].drain_batch(n1)
+                elif inputs[pick].head_is_punctuation():
+                    punct_idx = pick
+                    break  # punctuation is a batch boundary
                 else:
-                    # Nothing below the horizon: the element at τ, data
-                    # preferred over punctuation, input 0 first.
-                    tau = self._gates_tau()[1]
-                    at_tau = [i for i in (0, 1) if inputs[i].head_ts() == tau]
-                    data = [i for i in at_tau
-                            if not inputs[i].head_is_punctuation()]
-                    if not data:
-                        punct_idx = at_tau[0] if at_tau else None
-                        break  # punctuation is a batch boundary
-                    n0 = 1 - data[0]
-                    rows = inputs[data[0]].drain_batch(1)
+                    # Nothing below the horizon: the data element at τ.
+                    n0 = 1 - pick
+                    rows = inputs[pick].drain_batch(1)
             # rows[:n0] came off input 0, rows[n0:] off input 1; walk them
             # in merged order (the sort is stable: ties keep input 0 first).
             n = len(rows)
@@ -558,7 +457,7 @@ class WindowJoin(Operator):
                         watermark = ts
                 else:
                     tau = (rows[order[k + 1]].ts if k + 1 < n
-                           else self._gates_tau()[1])
+                           else self._tau())
                     if tau > watermark:
                         cuts.append((len(col_ts),
                                      Punctuation(ts=tau, origin=self.name)))
@@ -595,7 +494,7 @@ class WindowJoin(Operator):
         self.punctuation_consumed += 1
         # Punctuation advances time on its input: shrink both windows to the
         # new safe horizon (memory benefit of ETS).
-        tau = punct.ts if self.strict else self._gates_tau()[1]
+        tau = punct.ts if self.strict else self._tau()
         for window in self.windows:
             window.expire(tau)
         if tau > self._last_emitted_ts:

@@ -21,12 +21,12 @@ from __future__ import annotations
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError, GraphError
 from ..tuples import LATENT_TS, Punctuation, StreamElement
-from .base import BatchResult, Operator, OpContext, StepResult
+from .base import BatchResult, IwpOperator, OpContext, StepResult
 
 __all__ = ["Union"]
 
 
-class Union(Operator):
+class Union(IwpOperator):
     """N-ary order-preserving merge with TSM-register idle-waiting relief.
 
     Attributes:
@@ -35,7 +35,6 @@ class Union(Operator):
             faithful scenario-A baselines.
     """
 
-    is_iwp = True
     arity: int | None = None  # n-ary
     supports_blocks = True  # both modes: relaxed sub-gate runs, strict merge
 
@@ -64,6 +63,7 @@ class Union(Operator):
         if state.get("version") != 1:
             raise ExecutionError(f"unsupported Union state: {state!r}")
         self._last_emitted_ts = state["last_emitted_ts"]
+        self._drop_gate()
         self.data_forwarded = state["data_forwarded"]
         self.punctuation_consumed = state["punctuation_consumed"]
         self.punctuation_forwarded = state["punctuation_forwarded"]
@@ -78,81 +78,7 @@ class Union(Operator):
             )
 
     # ------------------------------------------------------------------ #
-    # Gating
-
-    def _gates(self) -> list[float]:
-        """Per-input gate timestamps (refreshes TSM registers)."""
-        return [buf.gate_ts() for buf in self.inputs]
-
-    def _latent_ready_index(self) -> int | None:
-        """Index of an input whose head is a latent tuple, if any.
-
-        Uses :meth:`StreamBuffer.head_ts` instead of ``peek`` so a columnar
-        block at the head is inspected without being exploded back into
-        tuples (punctuation always carries a real timestamp, so a latent
-        head timestamp implies a latent *data* tuple).
-        """
-        for i, buf in enumerate(self.inputs):
-            if buf.head_ts() == LATENT_TS:
-                return i
-        return None
-
-    def more(self) -> bool:
-        if self._latent_ready_index() is not None:
-            return True
-        if self.strict:
-            return all(buf for buf in self.inputs)
-        gates = self._gates()
-        tau = min(gates)
-        if tau == LATENT_TS:
-            return False  # some input has never produced: block conservatively
-        return any(buf.head_ts() == tau for buf in self.inputs)
-
-    def stalled_input_index(self) -> int:
-        if self.strict:
-            for i, buf in enumerate(self.inputs):
-                if buf.is_empty:
-                    return i
-            return 0
-        gates = self._gates()
-        tau = min(gates)
-        candidates = [i for i, buf in enumerate(self.inputs)
-                      if buf.is_empty and gates[i] == tau]
-        if candidates:
-            return candidates[0]
-        # Fall back to the input with the smallest gate; keeps backtracking
-        # well-defined even if more() flipped between calls.
-        return min(range(len(gates)), key=gates.__getitem__)
-
-    # ------------------------------------------------------------------ #
-    # Execution
-
-    def _select_index(self) -> int:
-        """Choose which input to consume from, per the active mode."""
-        latent_idx = self._latent_ready_index()
-        if latent_idx is not None:
-            return latent_idx
-        if self.strict:
-            heads = [(buf.head_ts(), i) for i, buf in enumerate(self.inputs)]
-            return min(heads)[1]
-        gates = self._gates()
-        tau = min(gates)
-        # Prefer data tuples over punctuation at equal timestamps so that a
-        # punctuation never delays a ready data tuple it arrived with.
-        punct_idx: int | None = None
-        for i, buf in enumerate(self.inputs):
-            head = buf.peek()
-            if head is None or head.ts != tau:
-                continue
-            if head.is_punctuation:
-                punct_idx = punct_idx if punct_idx is not None else i
-            else:
-                return i
-        if punct_idx is None:
-            raise ExecutionError(
-                f"union {self.name!r}: execute_step called without more()"
-            )
-        return punct_idx
+    # Execution (gating lives in IwpOperator)
 
     def execute_step(self, ctx: OpContext) -> StepResult:
         idx = self._select_index()
@@ -162,7 +88,7 @@ class Union(Operator):
             self.punctuation_consumed += 1
             # The safe output watermark is min over all gates *after* this
             # punctuation advanced its own input's register.
-            tau = min(self._gates()) if not self.strict else element.ts
+            tau = element.ts if self.strict else self._tau()
             if tau > self._last_emitted_ts:
                 self.emit(Punctuation(ts=tau, origin=self.name,
                                       periodic=getattr(element, "periodic", False)))
@@ -198,63 +124,16 @@ class Union(Operator):
         staged: list[StreamElement | ColumnarBlock] = []
         inputs = self.inputs
         while batch.steps < limit:
-            latent_idx = self._latent_ready_index()
-            if latent_idx is not None:
-                element = inputs[latent_idx].pop()
-                staged.append(element)
-                self.data_forwarded += 1
-                batch.steps += 1
-                batch.consumed_data += 1
-                batch.emitted_data += 1
-                continue
-            gates = self._gates()
-            tau = min(gates)
-            if tau == LATENT_TS:
-                break
-            data_idx: int | None = None
-            punct_idx: int | None = None
-            for i, buf in enumerate(inputs):
-                if buf.head_ts() != tau:
-                    continue
-                if buf.head_is_punctuation():
-                    if punct_idx is None:
-                        punct_idx = i
-                else:
-                    data_idx = i
-                    break
-            if data_idx is not None:
-                buf = inputs[data_idx]
-                other_min = min(g for j, g in enumerate(gates)
-                                if j != data_idx)
-                if tau < other_min:
-                    blk = buf.drain_block(limit - batch.steps,
-                                          max_ts=other_min)
-                    assert blk is not None  # head is data at tau
-                    staged.append(blk)
-                    last = blk.last_ts()
-                    if last != LATENT_TS and last > self._last_emitted_ts:
-                        self._last_emitted_ts = last
-                    n = blk.count
-                else:
-                    # Tie with another input's gate: consume exactly the
-                    # head element so cross-input ordering matches scalar.
-                    element = buf.pop()
-                    staged.append(element)
-                    ts = element.ts
-                    if ts != LATENT_TS and ts > self._last_emitted_ts:
-                        self._last_emitted_ts = ts
-                    n = 1
-                self.data_forwarded += n
-                batch.steps += n
-                batch.consumed_data += n
-                batch.emitted_data += n
-                continue
-            if punct_idx is not None:
-                element = inputs[punct_idx].pop()
+            latent, gates, tau, pick, _ = self._gate or self._evaluate_gate()
+            if pick is None:
+                break  # more() is false
+            buf = inputs[pick]
+            if latent is None and buf.head_is_punctuation():
+                element = buf.pop()
                 self.punctuation_consumed += 1
                 batch.steps += 1
                 batch.consumed_punctuation += 1
-                tau = min(self._gates())
+                tau = self._tau()
                 if tau > self._last_emitted_ts:
                     staged.append(Punctuation(
                         ts=tau, origin=self.name,
@@ -265,7 +144,28 @@ class Union(Operator):
                 else:
                     self.punctuation_suppressed += 1
                 break  # punctuation is a batch boundary
-            break  # no head at tau: more() is false
+            other_min = LATENT_TS if latent is not None \
+                else min(gates[:pick] + gates[pick + 1:])
+            if tau < other_min:
+                blk = buf.drain_block(limit - batch.steps, max_ts=other_min)
+                assert blk is not None  # head is data at tau
+                staged.append(blk)
+                last = blk.last_ts()
+                n = blk.count
+            else:
+                # A latent head, or a tie with another input's gate: consume
+                # exactly the head element so cross-input ordering matches
+                # scalar.
+                element = buf.pop()
+                staged.append(element)
+                last = element.ts
+                n = 1
+            if last > self._last_emitted_ts:  # never true of LATENT_TS
+                self._last_emitted_ts = last
+            self.data_forwarded += n
+            batch.steps += n
+            batch.consumed_data += n
+            batch.emitted_data += n
         for entry in staged:
             if isinstance(entry, ColumnarBlock):
                 for out in self.outputs:

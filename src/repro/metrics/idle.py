@@ -7,9 +7,14 @@ holds at least one pending data tuple but its ``more`` condition is false —
 tuples are sitting in its input buffers purely because of timestamp skew.
 
 :class:`IdleTracker` integrates that state over virtual time.  The engine
-refreshes the tracker at every state transition it causes (steps, ETS
-injections, wake-ups, quiescence), so the accrued intervals are exact up to
-the engine's own step granularity.
+refreshes the tracker after every state transition it causes (steps, ETS
+injections, wake-ups, quiescence) — *after* charging the transition's CPU
+cost, so an interval opens and closes at the post-charge clock and the
+accrued intervals are exact up to the engine's own step granularity.  A
+refresh reads :meth:`Operator.idle_waiting`, which IWP operators memoise
+with their gate: it re-evaluates only operators whose inputs changed since
+the previous refresh.  The state is evaluated lazily here, never stamped at
+the buffer mutation itself, which happens before the charge.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ class IdleTracker:
 
     def __init__(self, operators: Iterable["Operator"], start_time: float = 0.0) -> None:
         self._ops = list(operators)
-        self._blocked_since: dict[str, float | None] = {op.name: None
-                                                        for op in self._ops}
-        self._total: dict[str, float] = {op.name: 0.0 for op in self._ops}
+        self._index = {op.name: i for i, op in enumerate(self._ops)}
+        self._blocked_since: list[float | None] = [None] * len(self._ops)
+        self._total = [0.0] * len(self._ops)
         self._start = start_time
         self._last_seen = start_time
 
@@ -37,29 +42,28 @@ class IdleTracker:
     def operators(self) -> list["Operator"]:
         return list(self._ops)
 
-    @staticmethod
-    def _is_blocked(op: "Operator") -> bool:
-        return op.has_pending_data() and not op.more()
-
     def refresh(self, now: float) -> None:
-        """Re-evaluate every tracked operator's blocked state at time ``now``."""
-        for op in self._ops:
-            blocked = self._is_blocked(op)
-            since = self._blocked_since[op.name]
-            if blocked and since is None:
-                self._blocked_since[op.name] = now
-            elif not blocked and since is not None:
-                self._total[op.name] += now - since
-                self._blocked_since[op.name] = None
-        self._last_seen = max(self._last_seen, now)
+        """Open or close each tracked operator's idle interval at ``now``."""
+        blocked_since = self._blocked_since
+        for i, op in enumerate(self._ops):
+            since = blocked_since[i]
+            if op.idle_waiting():
+                if since is None:
+                    blocked_since[i] = now
+            elif since is not None:
+                self._total[i] += now - since
+                blocked_since[i] = None
+        if now > self._last_seen:
+            self._last_seen = now
 
     def idle_time(self, op_name: str, now: float | None = None) -> float:
         """Total idle-waiting seconds accrued by ``op_name`` so far.
 
         Open intervals are counted up to ``now`` (default: the last refresh).
         """
-        total = self._total[op_name]
-        since = self._blocked_since[op_name]
+        i = self._index[op_name]
+        total = self._total[i]
+        since = self._blocked_since[i]
         if since is not None:
             total += (now if now is not None else self._last_seen) - since
         return total

@@ -15,8 +15,8 @@ Design constraints, in order:
    instead of a bus when no observer is attached, so every emission site is
    a single local-variable ``is None`` test (the module-level
    :data:`NULL_BUS` serves call sites that prefer an unconditional call).
-   ``bench_throughput.py`` guards this with a ≤2 % assertion against an
-   instrumentation-free reference walk.
+   ``tests/test_obs_bus.py`` pins it deterministically: no bus, no buffer
+   observer, and no frame of this module entered from the engine.
 2. **Observer isolation.**  A failing observer must never kill the engine
    walk: exceptions raised by hooks are caught, counted, and remembered on
    :attr:`EventBus.errors`; remaining observers still receive the event.

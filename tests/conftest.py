@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
 from repro.core.operators.base import OpContext, Operator
-from repro.core.tuples import DataTuple, Punctuation, TimestampKind
+from repro.core.tuples import (LATENT_TS, DataTuple, Punctuation,
+                               TimestampKind)
 from repro.sim.clock import VirtualClock
 
 
@@ -137,3 +138,68 @@ def data(ts: float, payload=None, arrival: float | None = None) -> DataTuple:
 def punct(ts: float, periodic: bool = False) -> Punctuation:
     """Shorthand punctuation constructor."""
     return Punctuation(ts=ts, origin="test", periodic=periodic)
+
+
+# --------------------------------------------------------------------- #
+# Reference models: the polling bodies the memoised IWP gate replaced
+
+
+def reference_gate(op):
+    """The IWP gate recomputed from scratch — the polling ``more`` /
+    ``stalled_input_index`` / ``_select_index`` bodies of Union and
+    WindowJoin before the gate was memoised, kept as the reference model.
+    Returns ``(latent, gates, tau, pick, more, stalled, idle)``; like the
+    originals it refreshes the TSM registers through ``gate_ts``
+    (idempotent)."""
+    inputs = op.inputs
+    pending = any(buf.data_count for buf in inputs)
+    latent = next((i for i, buf in enumerate(inputs)
+                   if buf.head_ts() == LATENT_TS), None)
+    if op.strict:
+        more = latent is not None or all(buf for buf in inputs)
+        stalled = next((i for i, buf in enumerate(inputs) if buf.is_empty), 0)
+        return latent, None, None, None, more, stalled, pending and not more
+    gates = [buf.gate_ts() for buf in inputs]
+    tau = min(gates)
+    pick = latent
+    if pick is None and tau != LATENT_TS:
+        at_tau = [i for i, buf in enumerate(inputs) if buf.head_ts() == tau]
+        data = [i for i in at_tau if not inputs[i].head_is_punctuation()]
+        pick = (data or at_tau or [None])[0]
+    more = pick is not None
+    blocked = [i for i, buf in enumerate(inputs)
+               if buf.is_empty and gates[i] == tau]
+    stalled = blocked[0] if blocked else min(range(len(gates)),
+                                             key=gates.__getitem__)
+    return latent, gates, tau, pick, more, stalled, pending and not more
+
+
+class PollingIdleTracker:
+    """The idle tracker as it was before it read the memoised gate: every
+    refresh re-evaluates every operator from scratch (:func:`reference_gate`)
+    and keeps name-keyed dicts.  Run beside :class:`IdleTracker` on the
+    same refresh calls, it must accrue exactly the same intervals."""
+
+    def __init__(self, operators, start_time: float = 0.0) -> None:
+        self._ops = list(operators)
+        self._blocked_since = {op.name: None for op in self._ops}
+        self._total = {op.name: 0.0 for op in self._ops}
+        self._last_seen = start_time
+
+    def refresh(self, now: float) -> None:
+        for op in self._ops:
+            blocked = reference_gate(op)[-1]
+            since = self._blocked_since[op.name]
+            if blocked and since is None:
+                self._blocked_since[op.name] = now
+            elif not blocked and since is not None:
+                self._total[op.name] += now - since
+                self._blocked_since[op.name] = None
+        self._last_seen = max(self._last_seen, now)
+
+    def idle_time(self, op_name: str, now: float | None = None) -> float:
+        total = self._total[op_name]
+        since = self._blocked_since[op_name]
+        if since is not None:
+            total += (now if now is not None else self._last_seen) - since
+        return total

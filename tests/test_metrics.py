@@ -7,12 +7,16 @@ import pytest
 from repro.core.buffers import BufferRegistry, StreamBuffer
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
+from repro.core.operators.base import IwpOperator
 from repro.metrics.idle import IdleTracker
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.queues import QueueSampler, queue_summary
 from repro.metrics.report import format_series, format_table, format_value
+from repro.sim.cost import CostModel
+from repro.workloads.scenarios import (ScenarioConfig, build_join_scenario,
+                                       build_union_scenario)
 
-from conftest import ManualClock, OpHarness, data
+from conftest import ManualClock, OpHarness, PollingIdleTracker, data
 
 
 class TestLatencyRecorder:
@@ -120,6 +124,87 @@ class TestIdleTracker:
         op, _ = self.make_blocked_union()
         tracker = IdleTracker([op])
         assert tracker.idle_fraction("u") == 0.0
+
+
+class TeeIdleTracker(IdleTracker):
+    """The tracker under test, with the polling reference model fed the
+    same refresh calls."""
+
+    def __init__(self, operators, start_time: float = 0.0) -> None:
+        super().__init__(operators, start_time)
+        self.reference = PollingIdleTracker(operators, start_time)
+
+    def refresh(self, now: float) -> None:
+        super().refresh(now)
+        self.reference.refresh(now)
+
+
+#: (label, builder, scenario, heartbeat rate, idle-fraction band of E3)
+IDLE_CASES = [
+    ("A", build_union_scenario, "A", None, (0.90, 1.0)),
+    ("B@10", build_union_scenario, "B", 10.0, None),
+    ("B@100", build_union_scenario, "B", 100.0, (0.05, 0.40)),
+    ("C", build_union_scenario, "C", None, (0.0, 0.005)),
+    ("C-join", build_join_scenario, "C", None, (0.0, 0.005)),
+]
+
+
+class TestIdleAccountingIsExact:
+    """Reading the memoised gate changes what a refresh costs, never what
+    it records: per operator the accrued idle time is ``==`` the polling
+    tracker's, not approximately equal."""
+
+    @pytest.mark.parametrize("zero_cost", [False, True],
+                             ids=["calibrated", "zero-cost"])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("case", IDLE_CASES, ids=lambda c: c[0])
+    def test_equals_polling_reference(self, case, batch_size, zero_cost):
+        _, build, scenario, heartbeat_rate, band = case
+        handles = build(ScenarioConfig(
+            scenario=scenario, heartbeat_rate=heartbeat_rate, duration=20.0,
+            batch_size=batch_size,
+            cost_model=CostModel.zero() if zero_cost else None))
+        sim = handles.sim
+        tee = TeeIdleTracker(sim.idle_tracker.operators)
+        sim.idle_tracker = sim.engine.idle_tracker = tee
+        handles.run()
+        assert sim.engine.stats.steps > 500
+        for op in tee.operators:
+            assert tee.idle_time(op.name) == tee.reference.idle_time(op.name)
+        if band is not None:
+            low, high = band
+            assert low <= sim.idle_fraction(handles.iwp.name) < high
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_the_saving_is_a_count(self, batch_size, monkeypatch):
+        """Scenario C, ~2,000 arrivals: the gate is evaluated per input
+        *mutation*, not per question; the pump follows the clock."""
+        calls = {"evaluations": 0, "mutations": 0, "pumps": 0, "head_ts": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(IwpOperator, "_evaluate_gate", counted(
+            IwpOperator._evaluate_gate, "evaluations"))
+        monkeypatch.setattr(StreamBuffer, "head_ts", counted(
+            StreamBuffer.head_ts, "head_ts"))
+        handles = build_union_scenario(ScenarioConfig(
+            scenario="C", rate_fast=200.0, duration=10.0,
+            batch_size=batch_size))
+        engine = handles.sim.engine
+        engine.deliver_due = counted(engine.deliver_due, "pumps")
+        for buf in handles.iwp.inputs:
+            buf.on_change = counted(buf.on_change, "mutations")
+        handles.run()
+        stats, arrivals = engine.stats, handles.sim.arrivals_delivered
+        assert arrivals > 1_800 and stats.ets_injected > 1_000
+        assert calls["evaluations"] <= calls["mutations"] + stats.rounds
+        assert calls["pumps"] <= (stats.steps + stats.ets_injected
+                                  + 2 * stats.rounds)
+        assert calls["head_ts"] <= 30 * arrivals
 
 
 class TestQueueSampler:

@@ -13,9 +13,12 @@ Three contracts from the bus design notes, each load-bearing:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from oracle import DifferentialOracle, Feed
 
+from repro.api import Arrival, OnDemandEts, Pipeline
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
@@ -30,6 +33,7 @@ from repro.obs import (
     TraceObserver,
 )
 from repro.sim.clock import VirtualClock
+from repro.workloads.scenarios import ScenarioConfig, build_union_scenario
 
 
 class Recorder(Observer):
@@ -147,6 +151,49 @@ class TestEngineIntegration:
         assert ExecutionEngine(g, VirtualClock(), observers=[]).bus is None
         src.ingest({"v": 1}, now=0.0)
         engine.wakeup(entry=src)  # still runs fine
+
+    def test_no_observers_fast_path_is_structural(self):
+        """The no-observer contract, as counts instead of a timing: engine,
+        Simulation and default Pipeline hold no bus and register no buffer
+        observer, and a scenario-C run never enters ``repro/obs/bus.py``
+        from ``core/execution.py``.  (The kernel's own cold-path emissions
+        go to the shared no-op ``NULL_BUS`` by design; not the contract.)"""
+        g, _ = simple_path()
+        scenario = build_union_scenario(ScenarioConfig(
+            scenario="C", duration=5.0, rate_fast=20.0, rate_slow=1.0))
+        p = Pipeline("bare")
+        p.source("a").union(p.source("b"), name="u").sink("out")
+        p.engine(ets_policy=OnDemandEts)
+        p.feed("a", [Arrival(time=0.1 * i, payload={"v": i})
+                     for i in range(1, 20)])
+        p.feed("b", [Arrival(time=1.0, payload={"v": -1})])
+        sim = p.build_simulation()
+        engines = [ExecutionEngine(g, VirtualClock()), scenario.sim.engine,
+                   sim.engine]
+        for engine in engines:
+            assert engine.bus is None
+            assert engine._buffer_forward is None
+            registry = engine.graph.registry
+            assert registry._observer is None and not registry._observers
+
+        entered: list[str] = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_back is not None \
+                    and frame.f_code.co_filename.endswith("obs/bus.py") \
+                    and frame.f_back.f_code.co_filename.endswith(
+                        "core/execution.py"):
+                entered.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            scenario.run()
+            p.run(3.0)
+        finally:
+            sys.setprofile(None)
+        assert scenario.sim.engine.stats.ets_injected > 0
+        assert sim.engine.stats.steps > 0
+        assert entered == []
 
     def test_attach_observer_creates_bus(self):
         g, src = simple_path()

@@ -1,13 +1,20 @@
 """Tests asserting the paper's NOS rules through the trace observer."""
 
+import hashlib
+
+import pytest
+
+from repro.cli import main as cli_main
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
+from repro.core.scheduling import RoundRobinEngine
 from repro.core.tracing import Tracer, summarize
 from repro.obs import TraceObserver
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
+from repro.sim.kernel import Arrival, Simulation
 
 
 def simple_path():
@@ -23,12 +30,12 @@ def simple_path():
     return g, src
 
 
-def union_graph():
+def union_graph(keep_outputs=False):
     g = QueryGraph("fig4")
     fast = g.add_source("fast")
     slow = g.add_source("slow")
     u = g.add(Union("u"))
-    sink = g.add_sink("sink")
+    sink = g.add_sink("sink", keep_outputs=keep_outputs)
     g.connect(fast, u)
     g.connect(slow, u)
     g.connect(u, sink)
@@ -166,3 +173,65 @@ class TestTracerUtilities:
         tracer.record("execute", "b", 1)
         tracer.record("forward", "b", 1)
         assert summarize(tracer.events) == {"execute": 2, "forward": 1}
+
+
+class TestTheWalkIsTheSameWalk:
+    """The memoised gate and the clock-following pump change what a NOS
+    decision costs, never which decision is taken."""
+
+    #: sha256 prefix of ``python -m repro trace --duration 10 --rate-fast
+    #: 20 <args>`` as recorded before either existed (PR 18).
+    PINNED = {
+        "A": "80246eae6abf3411",
+        "B --heartbeat-rate 10": "09c15b62b17903e7",
+        "C": "6d6c5982b3ca5280",
+        "D": "2d2a95e5e68cf2fe",
+        "C --join": "46af7e11975365ba",
+    }
+
+    @pytest.mark.parametrize("args", PINNED)
+    def test_trace_stream_is_pinned(self, args, capsys):
+        assert cli_main(["trace", "--duration", "10", "--rate-fast", "20",
+                         *args.split()]) == 0
+        stream = capsys.readouterr().out
+        if args == "C":
+            assert stream.count("\n") == 7016
+        assert hashlib.sha256(stream.encode()).hexdigest()[:16] \
+            == self.PINNED[args]
+
+    @staticmethod
+    def drive(slices, engine_cls=ExecutionEngine):
+        """Zero-cost union run; ``f2`` is due exactly at the first horizon,
+        ``s2``/``f3`` are scheduled at that same instant — between the
+        slices when there are two."""
+        g, fast, slow = union_graph(keep_outputs=True)
+        sim = Simulation(g, ets_policy=OnDemandEts(),
+                         cost_model=CostModel.zero(), engine_cls=engine_cls)
+        early = [(fast, 0.5, "f1"), (slow, 0.7, "s1"), (fast, 1.0, "f2")]
+        late = [(slow, 1.0, "s2"), (fast, 1.0, "f3"), (fast, 1.5, "f4"),
+                (slow, 1.8, "s3")]
+        for source, time, tag in early:
+            sim.schedule_arrival(source, Arrival(time, tag))
+        if slices == 2:
+            sim.run(1.0)
+        for source, time, tag in late:
+            sim.schedule_arrival(source, Arrival(time, tag))
+        sim.run(2.0)
+        return ([(t.ts, t.payload) for t in g["sink"].outputs_seen],
+                sim.engine.stats)
+
+    @pytest.mark.parametrize("engine_cls",
+                             [ExecutionEngine, RoundRobinEngine])
+    def test_first_pump_of_a_wakeup_is_never_skipped(self, engine_cls):
+        """``s2`` and ``f3`` become due with the clock standing where the
+        first slice's last pump left it.  The wake-up ``s2`` starts must
+        still deliver ``f3`` before it walks — input 0 wins the tie at 1.0
+        — exactly as when one slice sees all three at once."""
+        one, one_stats = self.drive(1, engine_cls)
+        two, two_stats = self.drive(2, engine_cls)
+        assert one == two == [
+            (0.5, "f1"), (0.7, "s1"), (1.0, "f2"), (1.0, "f3"), (1.0, "s2"),
+            (1.5, "f4"), (1.8, "s3")]
+        # Two more rounds, not three: the first horizon's drain, and s2's
+        # own wake-up (f2's pump could not see it yet) — f3 rode along.
+        assert two_stats.rounds == one_stats.rounds + 2

@@ -1,12 +1,23 @@
-"""Unit tests for the union operator: gating, simultaneous tuples, punctuation."""
+"""Unit tests for the union operator: gating, simultaneous tuples, punctuation.
+
+Also home of the gate-memo state machine: the IWP gate (shared by Union and
+WindowJoin) is memoised behind the input buffers' ``on_change`` hooks, and
+:class:`GateMemoMachine` checks after every random buffer / operator
+mutation that it equals a from-scratch recomputation.
+"""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
+from repro.core.columnar import ColumnarBlock
 from repro.core.errors import ExecutionError, GraphError
-from repro.core.operators import Union
-from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
+from repro.core.operators import Union, WindowJoin
+from repro.core.tuples import LATENT_TS, DataTuple, Punctuation, TimestampKind
+from repro.core.windows import WindowSpec
 
-from conftest import OpHarness
+from conftest import OpHarness, reference_gate
 
 
 def make_union(n: int = 2, strict: bool = False) -> tuple[Union, OpHarness]:
@@ -218,3 +229,179 @@ class TestStats:
         h.feed(1, 2.0)
         h.run()
         assert op.data_forwarded == 1
+
+
+# --------------------------------------------------------------------- #
+# The memoised gate can never be stale
+
+
+INPUT = st.integers(min_value=0, max_value=2)
+STEP = st.sampled_from([0.0, 0.0, 1.0, 2.0])  # a coarse grid: ties abound
+LIMIT = st.integers(min_value=1, max_value=4)
+
+
+class GateMemoMachine(RuleBasedStateMachine):
+    """Random mutations of an IWP operator's inputs (and of the operator),
+    every one followed by memo == from-scratch recomputation."""
+
+    @initialize(kind=st.sampled_from(["union2", "union3", "join",
+                                      "strict-union"]))
+    def build(self, kind):
+        if kind == "join":
+            # Count windows take rows in any order: restores rewind inputs.
+            op = WindowJoin("j", WindowSpec.count(4))
+        else:
+            op = Union("u", strict=kind == "strict-union")
+        self.op = op
+        self.h = OpHarness(op, n_inputs=3 if kind == "union3" else 2)
+        self.h.output._enforce_order = False  # same reason
+        self.buffer_states = []
+        self.op_states = []
+        self.seq = 0
+        self.hook_errors = 0
+
+    def buf(self, i):
+        return self.h.inputs[i % len(self.h.inputs)]
+
+    def next_ts(self, buf, step):
+        last = buf.last_pushed_ts
+        return (0.0 if last == LATENT_TS else last) + step
+
+    def payload(self):
+        self.seq += 1
+        return {"v": self.seq}
+
+    # -- production ---------------------------------------------------- #
+
+    @rule(i=INPUT, step=STEP)
+    def push_data(self, i, step):
+        buf = self.buf(i)
+        buf.push(DataTuple(ts=self.next_ts(buf, step), payload=self.payload()))
+
+    @rule(i=INPUT)
+    def push_latent(self, i):
+        self.buf(i).push(DataTuple(ts=LATENT_TS, payload=self.payload(),
+                                   kind=TimestampKind.LATENT))
+
+    @rule(i=INPUT, step=STEP)
+    def push_punctuation(self, i, step):
+        buf = self.buf(i)
+        buf.push(Punctuation(ts=self.next_ts(buf, step), origin="test"))
+
+    @rule(i=INPUT, steps=st.lists(STEP, min_size=1, max_size=3))
+    def push_block(self, i, steps):
+        buf = self.buf(i)
+        ts, rows = self.next_ts(buf, 0.0), []
+        for step in steps:
+            ts += step
+            rows.append(DataTuple(ts=ts, payload=self.payload()))
+        buf.push_block(ColumnarBlock.from_tuples(rows))
+
+    @rule(i=INPUT, step=STEP)
+    def push_under_a_raising_hook(self, i, step):
+        """A consumer hook that raises after the invalidation ran: the
+        buffer isolates the error, the memo is already dropped."""
+        buf = self.buf(i)
+        hook = buf.on_change
+
+        def raising():
+            if hook is not None:
+                hook()
+            raise RuntimeError("consumer blew up")
+
+        buf.on_change = raising
+        try:
+            buf.push(DataTuple(ts=self.next_ts(buf, step),
+                               payload=self.payload()))
+        finally:
+            buf.on_change = hook
+        self.hook_errors += 1
+
+    # -- consumption --------------------------------------------------- #
+
+    @rule(i=INPUT)
+    def pop(self, i):
+        if self.buf(i):
+            self.buf(i).pop()
+
+    @rule(i=INPUT, limit=LIMIT, bound=st.none() | STEP)
+    def drain_batch(self, i, limit, bound):
+        buf = self.buf(i)
+        head = buf.head_ts()
+        buf.drain_batch(limit, None if bound is None or head is None
+                        else head + bound)
+
+    @rule(i=INPUT, limit=LIMIT, bound=st.none() | STEP)
+    def drain_block(self, i, limit, bound):
+        buf = self.buf(i)
+        head = buf.head_ts()
+        buf.drain_block(limit, max_ts=None if bound is None or head is None
+                        else head + bound)
+
+    @rule(i=INPUT)
+    def clear(self, i):
+        self.buf(i).clear()
+
+    @precondition(lambda self: self.op.more())
+    @rule()
+    def execute_step(self):
+        self.op.execute_step(self.h.ctx)
+
+    @precondition(lambda self: self.op.supports_blocks and self.op.more())
+    @rule(limit=LIMIT)
+    def execute_block(self, limit):
+        self.op.execute_block(self.h.ctx, limit)
+
+    # -- checkpoint / restore ------------------------------------------ #
+
+    @rule(i=INPUT)
+    def snapshot_buffer(self, i):
+        i %= len(self.h.inputs)
+        self.buffer_states.append((i, self.h.inputs[i].snapshot_state()))
+
+    @precondition(lambda self: self.buffer_states)
+    @rule(data=st.data())
+    def restore_buffer(self, data):
+        i, state = data.draw(st.sampled_from(self.buffer_states))
+        self.h.inputs[i].restore_state(state)
+
+    @rule()
+    def snapshot_operator(self):
+        self.op_states.append(self.op.snapshot_state())
+
+    @precondition(lambda self: self.op_states)
+    @rule(data=st.data())
+    def restore_operator(self, data):
+        self.op.restore_state(data.draw(st.sampled_from(self.op_states)))
+
+    # -- the check ----------------------------------------------------- #
+
+    @invariant()
+    def memo_equals_recomputation(self):
+        op, inputs = self.op, self.h.inputs
+        # Ask the operator first: the reference refreshes the registers
+        # itself and would mask a memo that forgot to.
+        more = op.more()
+        answers = (more, op.stalled_input_index(), op.idle_waiting())
+        memo = None if op.strict else op._gate
+        registers = [buf.register.value for buf in inputs]
+        latent, gates, tau, pick, *expected = reference_gate(op)
+        assert answers == tuple(expected)
+        assert registers == [buf.register.value for buf in inputs]
+        if op.strict:
+            assert op._gate is None  # a strict operator never reads gates
+            assert all(buf.on_change is None for buf in inputs)
+        else:
+            assert memo is op._gate  # answering twice evaluates once
+            assert memo == (latent, gates, tau, pick, expected[2])
+        if more:
+            assert op._select_index() == (
+                pick if not op.strict else
+                latent if latent is not None else
+                min((buf.head_ts(), i) for i, buf in enumerate(inputs))[1])
+        assert sum(buf.hook_errors for buf in inputs) == self.hook_errors
+
+
+GateMemoMachine.TestCase.settings = settings(
+    max_examples=120, stateful_step_count=40, deadline=None)
+TestGateMemo = GateMemoMachine.TestCase
