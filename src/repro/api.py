@@ -123,6 +123,7 @@ from .workloads import (
     packet_payloads,
     poisson_arrivals,
     sensor_payloads,
+    scenario_streams,
     sequence_payloads,
     trace_arrivals,
     uniform_value_payloads,
@@ -148,6 +149,7 @@ from .experiments import (
     OverloadConfig,
     OverloadReport,
     result_from_handles,
+    run_ablations,
     run_chaos_experiment,
     run_crash_experiment,
     run_join_experiment,
@@ -155,6 +157,7 @@ from .experiments import (
     run_sweep,
     run_union_experiment,
     run_validation,
+    validate_ablation_claims,
     validate_paper_claims,
 )
 
@@ -228,8 +231,6 @@ from .recovery import (
 from .core.columnar import (
     ColumnarBlock,
     FieldPredicate,
-    numpy_available,
-    numpy_enabled,
     set_numpy,
 )
 from .shard import (
@@ -283,7 +284,8 @@ __all__ = [
     "SCENARIOS", "ScenarioConfig", "ScenarioHandles",
     "build_join_scenario", "build_union_scenario", "bursty_arrivals",
     "constant_arrivals", "packet_payloads", "poisson_arrivals",
-    "sensor_payloads", "sequence_payloads", "trace_arrivals",
+    "scenario_streams", "sensor_payloads", "sequence_payloads",
+    "trace_arrivals",
     "uniform_value_payloads", "with_external_timestamps",
     "with_out_of_order_timestamps",
     # experiments
@@ -292,10 +294,11 @@ __all__ = [
     "SweepResult", "figure7", "figure8",
     "format_claims", "format_figure7", "format_figure8",
     "format_idle_table", "idle_waiting_table", "OverloadConfig",
-    "OverloadReport", "result_from_handles",
+    "OverloadReport", "result_from_handles", "run_ablations",
     "run_chaos_experiment", "run_crash_experiment", "run_join_experiment",
     "run_overload_experiment", "run_sweep", "run_union_experiment",
-    "run_validation", "validate_paper_claims",
+    "run_validation", "validate_ablation_claims",
+    "validate_paper_claims",
     # ------------------------------------------------------------------ #
     # Observe
     # ------------------------------------------------------------------ #
@@ -326,8 +329,7 @@ __all__ = [
     # Scale
     # ------------------------------------------------------------------ #
     # columnar blocks
-    "ColumnarBlock", "FieldPredicate", "numpy_available", "numpy_enabled",
-    "set_numpy",
+    "ColumnarBlock", "FieldPredicate", "set_numpy",
     # sharding
     "Autoscaler", "ElasticShardedEngine", "FrontierMerge",
     "FrontierTracker", "HashPartitioner", "ReshardReport", "ShardError",

@@ -114,7 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser(
         "validate",
-        help="regenerate the full evaluation and check every paper claim")
+        help="regenerate the full evaluation and check every paper (E) and "
+             "ablation (X) claim EXPERIMENTS.md states; exit 1 on any FAIL",
+        description="The options size the Section-6 sweep behind the E "
+                    "rows; the ablations behind the X rows always run the "
+                    "fixed workloads EXPERIMENTS.md quotes.")
     validate.add_argument("--duration", type=float, default=120.0)
     validate.add_argument("--sweep-duration", type=float, default=40.0)
     validate.add_argument("--seed", type=int, default=42)

@@ -88,7 +88,6 @@ class BufferRegistry:
         self._peak = 0
         self._interval_peak = 0
         self._mutations = 0
-        self._observer: Callable[[int], None] | None = None
         self._observers: list[Callable[[int], None]] = []
         #: Optional callback invoked with structured fields *before* an
         #: ingest/order violation raises — the hook tracing and fault
@@ -122,13 +121,8 @@ class BufferRegistry:
         """
         return self._mutations
 
-    def set_observer(self, observer: Callable[[int], None] | None) -> None:
-        """Install a callback invoked with the new total after every change."""
-        self._observer = observer
-
     def add_observer(self, observer: Callable[[int], None]) -> None:
-        """Add one more change callback (the event-bus wiring uses this;
-        unlike :meth:`set_observer` it does not displace existing hooks)."""
+        """Add a callback invoked with the new total after every change."""
         self._observers.append(observer)
 
     def remove_observer(self, observer: Callable[[int], None]) -> None:
@@ -164,8 +158,6 @@ class BufferRegistry:
             self._peak = self._total
         if self._total > self._interval_peak:
             self._interval_peak = self._total
-        if self._observer is not None:
-            self._observer(self._total)
         for observer in self._observers:
             observer(self._total)
 

@@ -29,10 +29,8 @@ same ``seq``, same timestamp kind — which is what lets stateful consumers
 into scalar elements and proceed unchanged (see
 :meth:`repro.core.buffers.StreamBuffer.peek`).
 
-numpy (when importable) accelerates structured field predicates via
-:class:`FieldPredicate`; everything else is pure Python, and the module
-degrades to pure Python wholesale when numpy is absent or disabled with
-:func:`set_numpy`.
+Everything here is pure Python lists: the module imports nothing outside
+the standard library.
 """
 
 from __future__ import annotations
@@ -42,43 +40,20 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .tuples import LATENT_TS, DataTuple, TimestampKind
 
-try:  # pragma: no cover - exercised via both branches in the bench
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI
-    _np = None
-
 __all__ = [
     "ColumnarBlock",
     "FieldPredicate",
-    "numpy_available",
-    "numpy_enabled",
     "set_numpy",
 ]
 
-_numpy_enabled = _np is not None
-
-
-def numpy_available() -> bool:
-    """True when numpy could be imported at all."""
-    return _np is not None
-
-
-def numpy_enabled() -> bool:
-    """True when the vectorized (numpy) fast paths are currently in force."""
-    return _numpy_enabled and _np is not None
-
 
 def set_numpy(enabled: bool) -> bool:
-    """Toggle the numpy fast paths; returns the previous setting.
+    """Inert: there is no numpy code path to switch; always returns False.
 
-    The pure-Python fallback is always semantically identical — this switch
-    exists so the benchmark (and tests) can measure both rows on the same
-    interpreter.
+    Kept importable and callable only because ``benchmarks/e2e/run.py``
+    (frozen) calls ``set_numpy(False)``; delete it once that call goes.
     """
-    global _numpy_enabled
-    previous = _numpy_enabled
-    _numpy_enabled = bool(enabled) and _np is not None
-    return previous
+    return False
 
 
 class ColumnarBlock:
@@ -217,10 +192,6 @@ class ColumnarBlock:
                     return ts[sel[j]]
         return LATENT_TS
 
-    def column(self, field: str) -> list[Any]:
-        """``payload[field]`` for every live row (payloads must be mappings)."""
-        return [p[field] for p in self.iter_payloads()]
-
     # ------------------------------------------------------------------ #
     # Splitting (drain limits and timestamp gates)
 
@@ -334,9 +305,9 @@ class FieldPredicate:
     """A predicate of the form ``payload[field] <op> value``.
 
     Behaves as a plain callable (so the scalar path uses it unchanged),
-    but carries enough structure for the columnar path to
-    evaluate it in one vectorized pass over the field column when numpy is
-    enabled.  Construct via the classmethods::
+    but carries enough structure for the columnar path to evaluate it in
+    one pass over the block's payload column, with no per-row bound-method
+    call.  Construct via the classmethods::
 
         Select("keep", FieldPredicate.lt("value", 0.95))
     """
@@ -383,19 +354,7 @@ class FieldPredicate:
         return bool(self._fn(payload[self.field], self.value))
 
     def select_indices(self, block: ColumnarBlock) -> list[int]:
-        """Physical indices of the block's rows passing the predicate.
-
-        Vectorized over the field column under numpy; the pure-Python
-        branch performs the identical comparisons row by row.
-        """
-        if numpy_enabled():
-            values = _np.asarray(block.column(self.field))
-            mask = self._fn(values, self.value)
-            hits = _np.nonzero(mask)[0]
-            base = block.selection
-            if base is None:
-                return hits.tolist()
-            return [base[i] for i in hits]
+        """Physical indices of the block's rows passing the predicate."""
         fn, value, field = self._fn, self.value, self.field
         payloads = block.payloads
         if block.selection is None:

@@ -228,8 +228,8 @@ class AdaptiveHeartbeatSchedule(PeriodicEtsSchedule):
 
     Even adapted this way, heartbeats remain reactive-with-lag: they match
     the *recent past* rate, so the first tuples of a burst still wait about
-    one (pre-burst) period — which is exactly what the X6-style benches
-    show and on-demand ETS avoids.
+    one (pre-burst) period — which is exactly what the X6 and X7
+    ablations show and on-demand ETS avoids.
     """
 
     def __init__(self, drivers: Mapping[str, str], *,

@@ -46,9 +46,8 @@ class Select(StatelessOperator):
 
         No rows are copied — the output block shares the input's arrays.  A
         structured :class:`~repro.core.columnar.FieldPredicate` is evaluated
-        vectorized over the field column (numpy permitting); arbitrary
-        callables are applied per row in row order, exactly like the scalar
-        path.
+        in one comprehension over the payload column; arbitrary callables
+        are applied per row in row order, exactly like the scalar path.
         """
         predicate = self.predicate
         if isinstance(predicate, FieldPredicate):

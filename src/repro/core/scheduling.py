@@ -5,7 +5,7 @@ execution model (Section 4): the act of backtracking to a stalled source is
 itself the trigger for generating a timestamp.  The DSMS scheduling
 literature the paper cites (Carney et al., VLDB'03; Sharaf et al.; Babcock
 et al.'s Chain) studies other strategies, most simply round-robin.  This
-module provides a round-robin engine so the benches can quantify what the
+module provides a round-robin engine so the ablation can quantify what the
 DFS integration buys:
 
 * **Round-robin** visits every operator each pass, paying a visit cost even

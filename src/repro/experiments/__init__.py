@@ -1,5 +1,7 @@
-"""Experiment harness: scenario runner, figures, and chaos experiments."""
+"""Experiment harness: scenario runner, figures, ablations, claim
+validation, and the chaos / overload / crash experiments."""
 
+from .ablations import run_ablations
 from .chaos import ChaosConfig, ChaosReport, run_chaos_experiment
 from .crash import CrashConfig, CrashReport, run_crash_experiment
 from .overload import OverloadConfig, OverloadReport, run_overload_experiment
@@ -18,6 +20,7 @@ from .validation import (
     ClaimResult,
     format_claims,
     run_validation,
+    validate_ablation_claims,
     validate_paper_claims,
 )
 from .runner import (
@@ -45,6 +48,7 @@ __all__ = [
     "format_idle_table",
     "idle_waiting_table",
     "result_from_handles",
+    "run_ablations",
     "run_chaos_experiment",
     "run_crash_experiment",
     "run_join_experiment",
@@ -52,6 +56,7 @@ __all__ = [
     "run_sweep",
     "run_union_experiment",
     "run_validation",
+    "validate_ablation_claims",
     "validate_paper_claims",
     "format_claims",
 ]

@@ -9,8 +9,8 @@ spikes and tuple loss), and measure how long the sink stays silent under
 * on-demand ETS wrapped in the fallback-heartbeat ladder (stall detector +
   fallback trains + quarantine + invariant monitors).
 
-Exposed to users through ``python -m repro chaos`` and reused by the
-``bench_fault_recovery`` benchmark.
+Exposed to users through ``python -m repro chaos``; ``python -m repro
+validate`` checks its time-to-liveness bounds as claim X8.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..faults.degrade import (FallbackHeartbeat, QuarantinePolicy,
 from ..faults.monitors import InvariantMonitor
 from ..faults.plan import ClockSkewSpike, DropTuples, FaultPlan, SourceOutage
 from ..metrics.recovery import RecoveryTracker
-from ..sim.kernel import Simulation
 from ..workloads.scenarios import ScenarioConfig, build_union_scenario
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos_experiment"]
@@ -145,14 +144,7 @@ def run_chaos_experiment(config: ChaosConfig) -> ChaosReport:
         external=config.external, external_skew=config.external_skew,
         ets_delta=config.ets_delta, batch_size=config.batch_size)
 
-    # Build the graph through the scenario builder, then rebuild the
-    # simulation around it with the degradation ladder and faulted arrivals
-    # (the builder's own simulation already consumed the pristine streams).
-    handles = build_union_scenario(scenario)
     plan = make_fault_plan(config)
-
-    graph = handles.graph
-    fast, slow = handles.fast_source, handles.slow_source
     policy = (OnDemandEts(external_delta=config.ets_delta)
               if config.base_ets == "on-demand" else NoEts())
     detector = None
@@ -166,12 +158,10 @@ def run_chaos_experiment(config: ChaosConfig) -> ChaosReport:
         detector = StallDetector(config.stall_timeout)
         quarantine = QuarantinePolicy(config.quarantine_mode)
 
-    sim = Simulation(graph, ets_policy=policy, batch_size=config.batch_size,
-                     stall_detector=detector, quarantine=quarantine,
-                     monitor=monitor)
-    # Fresh arrival schedules (same seeds as the builder used), with the
-    # fault plan wrapped around the fast stream's.
-    _reattach_streams(sim, scenario, fast, slow, plan)
+    handles = build_union_scenario(
+        scenario, faults=plan, ets_policy=policy, stall_detector=detector,
+        quarantine=quarantine, monitor=monitor)
+    sim = handles.sim
 
     tracker = RecoveryTracker().watch(handles.sink)
     sim.run(until=config.duration)
@@ -186,30 +176,3 @@ def run_chaos_experiment(config: ChaosConfig) -> ChaosReport:
         delivered=handles.sink.delivered,
         monitor_violations=monitor.violations,
     )
-
-
-def _reattach_streams(sim: Simulation, scenario: ScenarioConfig,
-                      fast, slow, plan: FaultPlan) -> None:
-    import random
-
-    from ..workloads.arrival import (poisson_arrivals,
-                                     with_external_timestamps)
-    from ..workloads.datagen import uniform_value_payloads
-
-    rng_fast = random.Random(scenario.seed)
-    rng_slow = random.Random(scenario.seed + 1)
-    fast_arrivals = poisson_arrivals(
-        scenario.rate_fast, rng_fast,
-        payloads=uniform_value_payloads(random.Random(scenario.seed + 2)))
-    slow_arrivals = poisson_arrivals(
-        scenario.rate_slow, rng_slow,
-        payloads=uniform_value_payloads(random.Random(scenario.seed + 3)))
-    if scenario.external:
-        fast_arrivals = with_external_timestamps(
-            fast_arrivals, random.Random(scenario.seed + 4),
-            max_skew=scenario.external_skew)
-        slow_arrivals = with_external_timestamps(
-            slow_arrivals, random.Random(scenario.seed + 5),
-            max_skew=scenario.external_skew)
-    sim.attach_arrivals(fast, fast_arrivals, faults=plan)
-    sim.attach_arrivals(slow, slow_arrivals, faults=plan)

@@ -9,12 +9,11 @@ combined sink output is **byte-identical** to a run that never crashed —
 no tuple lost, none delivered twice.
 
 Exposed to users through ``python -m repro recover`` and
-``python -m repro chaos --crash-at``, and reused by ``bench_recovery``.
+``python -m repro chaos --crash-at``.
 """
 
 from __future__ import annotations
 
-import random
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ from ..core.ets import NoEts, OnDemandEts
 from ..faults.plan import FaultPlan, ProcessCrash, SimulatedCrash
 from ..metrics.recovery import CheckpointTracker
 from ..recovery import RecoveryManager, RecoveryReport
-from ..sim.kernel import Simulation
-from ..workloads.scenarios import ScenarioConfig, build_union_scenario
+from ..workloads.scenarios import (ScenarioConfig, build_union_scenario,
+                                   scenario_streams)
 
 __all__ = ["CrashConfig", "CrashReport", "run_crash_experiment"]
 
@@ -121,21 +120,6 @@ def _scenario(config: CrashConfig) -> ScenarioConfig:
         batch_size=config.batch_size)
 
 
-def _streams(scenario: ScenarioConfig):
-    """Fresh deterministic arrival iterators (same seeds every call)."""
-    from ..workloads.arrival import poisson_arrivals
-    from ..workloads.datagen import uniform_value_payloads
-
-    return {
-        "fast": poisson_arrivals(
-            scenario.rate_fast, random.Random(scenario.seed),
-            payloads=uniform_value_payloads(random.Random(scenario.seed + 2))),
-        "slow": poisson_arrivals(
-            scenario.rate_slow, random.Random(scenario.seed + 1),
-            payloads=uniform_value_payloads(random.Random(scenario.seed + 3))),
-    }
-
-
 def _capture(sink) -> list[_SinkRecord]:
     trace: list[_SinkRecord] = []
     previous = sink.on_output
@@ -153,15 +137,14 @@ def _policy(config: CrashConfig):
     return OnDemandEts() if config.base_ets == "on-demand" else NoEts()
 
 
-def _build(config: CrashConfig, *, recovery: RecoveryManager | None):
-    handles = build_union_scenario(_scenario(config))
-    trace = _capture(handles.sink)
-    sim = Simulation(
-        handles.graph, ets_policy=_policy(config),
-        batch_size=config.batch_size,
+def _build(config: CrashConfig, *, recovery: RecoveryManager | None,
+           faults: FaultPlan | None = None, attach: bool = True):
+    handles = build_union_scenario(
+        _scenario(config), faults=faults, attach=attach,
+        ets_policy=_policy(config),
         checkpoint_every=config.checkpoint_every if recovery else None,
         recovery=recovery)
-    return handles, sim, trace
+    return handles, handles.sim, _capture(handles.sink)
 
 
 def _corrupt_latest_checkpoint(manager: RecoveryManager) -> None:
@@ -180,8 +163,6 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
 
     # Reference: the same workload with nothing attached and no crash.
     handles, sim, reference = _build(config, recovery=None)
-    for name, arrivals in _streams(scenario).items():
-        sim.attach_arrivals(handles.graph[name], arrivals)
     sim.run(until=config.duration)
 
     state_dir = config.state_dir or tempfile.mkdtemp(prefix="repro-crash-")
@@ -190,11 +171,9 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
         tracker = CheckpointTracker()
         manager = RecoveryManager(state_dir, keep=config.keep,
                                   fsync=config.fsync, tracker=tracker)
-        handles, sim, pre = _build(config, recovery=manager)
         plan = FaultPlan([ProcessCrash("fast", at=config.crash_at)],
                          seed=config.seed)
-        for name, arrivals in _streams(scenario).items():
-            sim.attach_arrivals(handles.graph[name], arrivals, faults=plan)
+        handles, sim, pre = _build(config, recovery=manager, faults=plan)
         try:
             sim.run(until=config.duration)
             raise WorkloadError(
@@ -211,9 +190,9 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
         # Recovery: fresh process image, restore + replay, resume feeds.
         manager = RecoveryManager(state_dir, keep=config.keep,
                                   fsync=config.fsync, tracker=tracker)
-        handles, sim, post = _build(config, recovery=manager)
+        handles, sim, post = _build(config, recovery=manager, attach=False)
         report: RecoveryReport = manager.recover()
-        for name, arrivals in _streams(scenario).items():
+        for name, arrivals in scenario_streams(scenario).items():
             sim.attach_arrivals(handles.graph[name], arrivals,
                                 skip=report.ingests_by_source.get(name, 0))
         sim.run(until=config.duration)

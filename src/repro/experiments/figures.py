@@ -13,7 +13,8 @@ Paper Section 6 reports three artefacts on the Fig.-4 union query
   C two-plus orders lower, B U-shaped in the injection rate.
 
 Each ``figure*`` function returns the plotted series as data; ``format_*``
-helpers render them as the tables/ASCII plots printed by the benches.
+helpers render them as the tables/ASCII plots ``python -m repro figure``
+and ``idle`` print.
 """
 
 from __future__ import annotations

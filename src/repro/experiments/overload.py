@@ -12,7 +12,7 @@ and latency grow with the spike) and closed-loop (``feedback=True``: the
 controller's pressure waves drive an AIMD token-bucket throttle at the fast
 source, so depth and p99 latency stay bounded at the price of admission
 drops).  ``python -m repro chaos --overload`` prints the comparison;
-``benchmarks/bench_backpressure.py`` asserts it.
+``python -m repro validate`` asserts it as claim X9.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from ..faults.monitors import InvariantMonitor
 from ..faults.plan import FaultPlan, LoadSpike, SlowSink
 from ..feedback import FeedbackController, TokenBucketThrottle
 from ..metrics.latency import LatencyRecorder
-from ..sim.kernel import Simulation
 from ..workloads.scenarios import ScenarioConfig, build_union_scenario
 
 __all__ = ["OverloadConfig", "OverloadReport", "run_overload_experiment"]
@@ -148,16 +147,11 @@ def run_overload_experiment(config: OverloadConfig) -> OverloadReport:
         rate_fast=config.rate_fast, rate_slow=config.rate_slow,
         ets_delta=config.ets_delta, batch_size=config.batch_size)
 
-    handles = build_union_scenario(scenario)
     plan = make_overload_plan(config)
-
-    graph = handles.graph
-    fast, slow = handles.fast_source, handles.slow_source
     policy = (OnDemandEts(external_delta=config.ets_delta)
               if config.base_ets == "on-demand" else NoEts())
     monitor = InvariantMonitor(max_total_buffered=config.max_total_buffered,
                                mode="degrade")
-
     controller = None
     if config.feedback:
         controller = FeedbackController(
@@ -165,15 +159,16 @@ def run_overload_experiment(config: OverloadConfig) -> OverloadReport:
             low_watermark=config.low_watermark,
             overload_depth=config.overload_depth,
             relief_beats=config.relief_beats)
+
+    handles = build_union_scenario(
+        scenario, faults=plan, ets_policy=policy, feedback=controller,
+        monitor=monitor)
+    sim = handles.sim
+    if config.feedback:
         nominal = (config.throttle_rate if config.throttle_rate is not None
                    else config.rate_fast * config.spike_factor)
-        fast.throttle = TokenBucketThrottle(rate=nominal)
+        handles.fast_source.throttle = TokenBucketThrottle(rate=nominal)
 
-    sim = Simulation(graph, ets_policy=policy, batch_size=config.batch_size,
-                     feedback=controller, monitor=monitor)
-    plan.install(sim)
-
-    _reattach_streams(sim, scenario, fast, slow, plan)
     recorder = LatencyRecorder(seed=config.seed)
     _chain_on_output(handles.sink, recorder)
 
@@ -201,22 +196,3 @@ def _chain_on_output(sink, recorder: LatencyRecorder) -> None:
             previous(tup, latency)
 
     sink.on_output = record
-
-
-def _reattach_streams(sim: Simulation, scenario: ScenarioConfig,
-                      fast, slow, plan: FaultPlan) -> None:
-    import random
-
-    from ..workloads.arrival import poisson_arrivals
-    from ..workloads.datagen import uniform_value_payloads
-
-    rng_fast = random.Random(scenario.seed)
-    rng_slow = random.Random(scenario.seed + 1)
-    fast_arrivals = poisson_arrivals(
-        scenario.rate_fast, rng_fast,
-        payloads=uniform_value_payloads(random.Random(scenario.seed + 2)))
-    slow_arrivals = poisson_arrivals(
-        scenario.rate_slow, rng_slow,
-        payloads=uniform_value_payloads(random.Random(scenario.seed + 3)))
-    sim.attach_arrivals(fast, fast_arrivals, faults=plan)
-    sim.attach_arrivals(slow, slow_arrivals, faults=plan)

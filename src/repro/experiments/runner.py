@@ -1,7 +1,7 @@
 """Scenario runner: execute one configured experiment, collect every metric.
 
-This is the shared machinery beneath the figure generators and the pytest
-benchmarks: build the scenario, run it for the configured duration, and
+This is the shared machinery beneath the figure generators and the
+ablations: build the scenario, run it for the configured duration, and
 package the measurements the paper reports (latency, peak queue size,
 idle-waiting fraction) together with engine statistics useful for debugging
 and the ablations (punctuation counts, CPU utilization, ETS activity).
@@ -44,7 +44,7 @@ class ExperimentResult:
     punct_steps: int
 
     def as_row(self) -> list:
-        """Row for the report tables printed by the benches."""
+        """Row for the report tables printed by the CLI."""
         return [
             self.scenario,
             self.heartbeat_rate if self.heartbeat_rate is not None else "-",
@@ -95,6 +95,6 @@ def run_union_experiment(config: ScenarioConfig) -> ExperimentResult:
 
 def run_join_experiment(config: ScenarioConfig, *,
                         window_seconds: float = 60.0) -> ExperimentResult:
-    """Build, run, and measure the window-join variant (bench X2)."""
+    """Build, run, and measure the window-join variant (ablation X2)."""
     handles = build_join_scenario(config, window_seconds=window_seconds)
     return result_from_handles(handles.run())

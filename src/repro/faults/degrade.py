@@ -16,7 +16,7 @@ down instead of stalling or crashing:
 3. **quarantine** (timestamps regressed): a :class:`QuarantinePolicy`
    decides — per configuration — whether a regressed external timestamp
    raises (strict), is dropped, or is clamped to the stream frontier,
-   with counters surfaced in ``EngineStats`` and the tracer.
+   with counters surfaced in ``EngineStats`` and on the event bus.
 
 The kernel (:class:`~repro.sim.kernel.Simulation`) owns the wiring: it
 polls the detector on a watchdog event train, runs the fallback heartbeat
@@ -30,7 +30,6 @@ from ..core.ets import EtsPolicy, NoEts
 from ..core.execution import EngineStats
 from ..core.operators.source import SourceNode
 from ..core.timestamps import InternalClockEts, SkewBoundEts
-from ..core.tracing import Tracer
 from ..core.tuples import TimestampKind
 from ..obs.bus import EventBus, Observer
 
@@ -253,7 +252,7 @@ class QuarantinePolicy:
 
     Counters are mirrored into the bound :class:`EngineStats` and every
     decision is published as a ``"quarantine"`` fault event on the bound
-    event bus (or, lacking one, recorded on a legacy tracer).
+    event bus.
     """
 
     MODES = ("raise", "drop", "clamp")
@@ -282,16 +281,12 @@ class QuarantinePolicy:
         self.clamped = 0
         self.raised = 0
         self._stats: EngineStats | None = None
-        self._tracer: Tracer | None = None
         self._bus: EventBus | None = None
 
     def bind(self, stats: EngineStats | None = None,
-             tracer: Tracer | None = None,
              bus: EventBus | None = None) -> None:
-        """Mirror counters into ``stats`` and decisions onto ``bus``
-        (preferred) or ``tracer`` (legacy)."""
+        """Mirror counters into ``stats`` and decisions onto ``bus``."""
         self._stats = stats
-        self._tracer = tracer
         self._bus = bus
 
     @property
@@ -303,8 +298,6 @@ class QuarantinePolicy:
         if self._bus is not None:
             self._bus.fault(kind="quarantine", operator=source_name,
                             round_id=round_id, time=now, detail=detail)
-        elif self._tracer is not None:
-            self._tracer.record("quarantine", source_name, round_id, detail)
 
     def handle(self, *, source_name: str, ts: float, floor: float,
                now: float) -> float | None:

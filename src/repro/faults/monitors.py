@@ -17,18 +17,16 @@ and strict deployments) or **degrade** (count, remember, and publish a
 ``"violation"`` fault event, for chaos runs that must keep going).  The
 monitor is an ordinary :class:`~repro.obs.bus.Observer`: the engine hands
 it the event bus on construction so violations reach every exporter and
-metrics collector; lacking a bus it falls back to a legacy tracer.  It
-also doubles as the bridge for ingest/buffer violations: it registers
-itself as the buffer registry's ``on_violation`` observer, so out-of-order
-and schema rejections are published *before* their error unwinds the
-stack.
+metrics collector.  It also doubles as the bridge for ingest/buffer
+violations: it registers itself as the buffer registry's ``on_violation``
+observer, so out-of-order and schema rejections are published *before*
+their error unwinds the stack.
 """
 
 from __future__ import annotations
 
 from ..core.errors import InvariantViolation, PolicyError
 from ..core.graph import QueryGraph
-from ..core.tracing import Tracer
 from ..core.tuples import LATENT_TS
 from ..obs.bus import EventBus, Observer
 
@@ -43,8 +41,6 @@ class InvariantMonitor(Observer):
             None disables the bounded-growth check.
         mode: ``"halt"`` raises :class:`InvariantViolation` on the first
             violation; ``"degrade"`` counts and publishes but keeps running.
-        tracer: Optional legacy tracer receiving ``"violation"`` events when
-            no event bus is attached.
         max_recorded: Cap on remembered violation messages.
 
     Attributes:
@@ -55,8 +51,7 @@ class InvariantMonitor(Observer):
     MODES = ("halt", "degrade")
 
     def __init__(self, *, max_total_buffered: int | None = None,
-                 mode: str = "halt", tracer: Tracer | None = None,
-                 max_recorded: int = 100) -> None:
+                 mode: str = "halt", max_recorded: int = 100) -> None:
         if mode not in self.MODES:
             raise PolicyError(
                 f"monitor mode must be one of {self.MODES}, got {mode!r}")
@@ -66,7 +61,6 @@ class InvariantMonitor(Observer):
                 f"{max_total_buffered}")
         self.max_total_buffered = max_total_buffered
         self.mode = mode
-        self.tracer = tracer
         self.bus: EventBus | None = None
         self.max_recorded = max_recorded
         self.violations = 0
@@ -141,12 +135,10 @@ class InvariantMonitor(Observer):
         return self.violations - before
 
     def _publish(self, operator: str, message: str) -> None:
-        """Route one violation to the bus (preferred) or the legacy tracer."""
+        """Publish one violation on the bus, if one is attached."""
         if self.bus is not None:
             self.bus.fault(kind="violation", operator=operator,
                            round_id=0, time=self._last_now, detail=message)
-        elif self.tracer is not None:
-            self.tracer.record("violation", operator, 0, message)
 
     def _violation(self, message: str, **fields) -> None:
         self.violations += 1

@@ -20,7 +20,7 @@ __all__ = ["QueueSampler", "queue_summary"]
 class QueueSampler:
     """Records (time, total-queued) points whenever occupancy changes.
 
-    Attach with ``graph.registry.set_observer(sampler)``.  Sampling every
+    Attach with ``graph.registry.add_observer(sampler)``.  Sampling every
     change is exact but memory-hungry; ``min_interval`` thins the series for
     long runs (the peak is still exact via the registry).
     """

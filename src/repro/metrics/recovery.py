@@ -110,15 +110,9 @@ class RecoveryTracker:
     def max_sink_gap(self) -> float:
         """Largest silent interval between consecutive deliveries.
 
-        This is the canonical name (matching ``ChaosReport.max_sink_gap``
-        and the ``repro_recovery{field=max_sink_gap}`` metric);
-        :attr:`max_gap` is kept as a back-compat alias.
+        Same name as ``ChaosReport.max_sink_gap`` and the
+        ``repro_recovery{field=max_sink_gap}`` metric.
         """
-        return self._max_gap
-
-    @property
-    def max_gap(self) -> float:
-        """Deprecated alias for :attr:`max_sink_gap`."""
         return self._max_gap
 
     def as_dict(self) -> dict[str, float]:

@@ -1,7 +1,7 @@
 """Plain-text tables and series formatting for experiment output.
 
-The benches print the same rows/series the paper reports; these helpers keep
-that output aligned and dependency-free.
+The experiment CLIs print the same rows/series the paper reports; these
+helpers keep that output aligned and dependency-free.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ directory.  Backends only differ in *where* ``EngineShard.apply`` runs:
 * :class:`ThreadBackend` — a thread pool, one task per shard per wake-up.
   Under the GIL this does not parallelize pure-Python CPU; the sharding
   win it ships is *algorithmic* (per-shard window state shrinks by ~P, so
-  total scan-join probe work drops by ~P — see ``BENCH_shard.json``).
+  total scan-join probe work drops by ~P); what it delivers in wall-clock
+  terms is ``shard.engine.thread_p2_tuples_per_s`` on the ``sharded-join``
+  workload of ``benchmarks/e2e``.
 * :class:`ProcessBackend` — forked worker processes speaking a small
   command protocol over pipes.  Every receive carries a timeout so a
   deadlocked or dead shard fails the caller fast

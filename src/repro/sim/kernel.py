@@ -167,7 +167,7 @@ class Simulation:
             merged_kwargs.setdefault("checkpoint_every", checkpoint_every)
         obs_list = list(observers or [])
         obs_list.extend(merged_kwargs.pop("observers", None) or [])
-        if stall_detector is not None and isinstance(stall_detector, Observer):
+        if stall_detector is not None:
             # The detector hears arrivals as an ordinary bus observer.
             obs_list.append(stall_detector)
         self.engine = engine_cls(
@@ -300,15 +300,10 @@ class Simulation:
         source.ingest(arrival.payload, now=self.clock.now(),
                       ts=arrival.external_ts, arrival=arrival.time)
         self.arrivals_delivered += 1
-        # A bus-registered StallDetector hears this as on_arrival and calls
-        # back through _on_source_recovered; a legacy (non-Observer)
-        # detector is driven directly.
+        # The StallDetector hears this as on_arrival and calls back through
+        # _on_source_recovered.
         self._bus.arrival(operator=source.name, time=self.clock.now(),
                           external_ts=arrival.external_ts)
-        if self.stall_detector is not None \
-                and not isinstance(self.stall_detector, Observer):
-            if self.stall_detector.observe(source.name, self.clock.now()):
-                self._on_source_recovered(source.name, self.clock.now())
         return source
 
     def _on_source_recovered(self, name: str, now: float) -> None:

@@ -20,6 +20,7 @@ from .scenarios import (
     ScenarioHandles,
     build_join_scenario,
     build_union_scenario,
+    scenario_streams,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "constant_arrivals",
     "packet_payloads",
     "poisson_arrivals",
+    "scenario_streams",
     "sensor_payloads",
     "sequence_payloads",
     "trace_arrivals",

@@ -2,7 +2,7 @@
 
 The paper drives Stream Mill with randomly generated tuples "under a Poisson
 arrival process with the desired average arrival rates" (Section 6).  This
-module provides that process plus the ones needed by the extension benches:
+module provides that process plus the ones the extension experiments need:
 constant-rate, bursty on/off (the paper repeatedly worries about bursty,
 non-stationary traffic defeating periodic heartbeats), and trace replay.
 
@@ -144,8 +144,8 @@ def with_external_timestamps(arrivals: Iterator[Arrival], rng: random.Random,
 
     Each tuple's external timestamp is its arrival time minus a uniform
     delay in ``[0, max_skew]``, clamped to keep the per-stream order the
-    paper's model requires.  This is the workload for the X3 bench (skew-
-    bound ETS on externally timestamped streams).
+    paper's model requires.  This is the workload for the X3 ablation
+    (skew-bound ETS on externally timestamped streams).
     """
     if max_skew < 0:
         raise WorkloadError(f"max_skew must be non-negative, got {max_skew}")

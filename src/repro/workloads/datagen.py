@@ -2,7 +2,7 @@
 
 Payloads are plain dict records matching simple schemas.  The engine never
 looks inside them; the 95 %-selectivity filters of the paper's query and the
-join predicates of the extension benches do.
+join predicates of the extension experiments do.
 """
 
 from __future__ import annotations

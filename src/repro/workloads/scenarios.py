@@ -19,13 +19,14 @@ D     latent                       n/a (latent streams never idle-wait)
 
 :func:`build_union_scenario` assembles graph + simulation + metrics for a
 scenario; :func:`build_join_scenario` does the same with a window join in
-place of the union (extension bench X2).
+place of the union (ablation X2).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..core.ets import EtsPolicy, NoEts, OnDemandEts, PeriodicEtsSchedule
 from ..core.errors import WorkloadError
@@ -35,12 +36,12 @@ from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
 from ..metrics.latency import LatencyRecorder
 from ..sim.cost import CostModel
-from ..sim.kernel import Simulation
+from ..sim.kernel import Arrival, Simulation
 from .arrival import poisson_arrivals, with_external_timestamps
 from .datagen import uniform_value_payloads
 
 __all__ = ["SCENARIOS", "ScenarioConfig", "ScenarioHandles",
-           "build_union_scenario", "build_join_scenario"]
+           "build_union_scenario", "build_join_scenario", "scenario_streams"]
 
 #: The scenario labels of paper Section 6.
 SCENARIOS = ("A", "B", "C", "D")
@@ -62,7 +63,7 @@ class ScenarioConfig:
         strict_iwp: Use the original Fig.-1 gating in the IWP operator
             (X1 ablation).
         external: Use externally timestamped streams plus the skew-bound
-            ETS generator (X3 bench); ``external_skew`` is the workload's
+            ETS generator (ablation X3); ``external_skew`` is the workload's
             max timestamp lag and ``ets_delta`` the generator's bound.
         cost_model: CPU pricing; None selects the calibrated default.
         batch_size: Run width of the execution engine (1 = the paper's
@@ -147,49 +148,71 @@ class ScenarioHandles:
         return self
 
 
-def _attach_streams(sim: Simulation, config: ScenarioConfig,
-                    fast: SourceNode, slow: SourceNode) -> None:
-    rng_fast = random.Random(config.seed)
-    rng_slow = random.Random(config.seed + 1)
-    fast_arrivals = poisson_arrivals(
-        config.rate_fast, rng_fast,
-        payloads=uniform_value_payloads(random.Random(config.seed + 2)))
-    slow_arrivals = poisson_arrivals(
-        config.rate_slow, rng_slow,
-        payloads=uniform_value_payloads(random.Random(config.seed + 3)))
-    if config.external:
-        skew_rng_fast = random.Random(config.seed + 4)
-        skew_rng_slow = random.Random(config.seed + 5)
-        fast_arrivals = with_external_timestamps(
-            fast_arrivals, skew_rng_fast, max_skew=config.external_skew)
-        slow_arrivals = with_external_timestamps(
-            slow_arrivals, skew_rng_slow, max_skew=config.external_skew)
-    sim.attach_arrivals(fast, fast_arrivals)
-    sim.attach_arrivals(slow, slow_arrivals)
+def scenario_streams(config: ScenarioConfig) -> dict[str, Iterator[Arrival]]:
+    """Fresh arrival iterators of the paper scenario, keyed by source name.
+
+    The one statement of the recipe: Poisson gaps from ``Random(seed)`` /
+    ``seed + 1``, payload values from ``seed + 2`` / ``seed + 3``, external
+    timestamp skew from ``seed + 4`` / ``seed + 5``.  Same seeds every
+    call, so crash recovery can re-attach the schedule with ``skip=``.
+    """
+    streams = {}
+    for offset, (name, rate) in enumerate((("fast", config.rate_fast),
+                                           ("slow", config.rate_slow))):
+        arrivals = poisson_arrivals(
+            rate, random.Random(config.seed + offset),
+            payloads=uniform_value_payloads(
+                random.Random(config.seed + 2 + offset)))
+        if config.external:
+            arrivals = with_external_timestamps(
+                arrivals, random.Random(config.seed + 4 + offset),
+                max_skew=config.external_skew)
+        streams[name] = arrivals
+    return streams
 
 
-def _make_simulation(config: ScenarioConfig, graph: QueryGraph,
-                     slow: SourceNode, fast: SourceNode) -> Simulation:
-    kwargs = {}
+def _simulate(config: ScenarioConfig, graph: QueryGraph, faults,
+              attach: bool, sim_kwargs: dict) -> Simulation:
+    kwargs = dict(
+        ets_policy=config.make_policy(),
+        periodic=config.make_periodic("slow", "fast"),
+        cost_model=config.cost_model,
+        offer_ets_always=config.offer_ets_always,
+        batch_size=config.batch_size,
+    )
     if config.engine_cls is not None:
         kwargs["engine_cls"] = config.engine_cls
     if config.engine_kwargs is not None:
         kwargs["engine_kwargs"] = config.engine_kwargs
     if config.observers is not None:
         kwargs["observers"] = list(config.observers)
-    return Simulation(
-        graph,
-        ets_policy=config.make_policy(),
-        periodic=config.make_periodic(slow.name, fast.name),
-        cost_model=config.cost_model,
-        offer_ets_always=config.offer_ets_always,
-        batch_size=config.batch_size,
-        **kwargs,
-    )
+    kwargs.update(sim_kwargs)
+    sim = Simulation(graph, **kwargs)
+    if faults is not None:
+        faults.install(sim)
+    if attach:
+        for name, arrivals in scenario_streams(config).items():
+            sim.attach_arrivals(graph[name], arrivals, faults=faults)
+    return sim
 
 
-def build_union_scenario(config: ScenarioConfig) -> ScenarioHandles:
-    """Assemble the paper's Fig.-4 union query under ``config``."""
+def build_union_scenario(config: ScenarioConfig, *, faults=None,
+                         attach: bool = True,
+                         **sim_kwargs) -> ScenarioHandles:
+    """Assemble the paper's Fig.-4 union query under ``config``.
+
+    Args:
+        faults: Optional :class:`~repro.faults.plan.FaultPlan`, installed on
+            the simulation and wrapped around both arrival schedules.
+        attach: Attach :func:`scenario_streams` (the default).  Crash
+            recovery passes False: it must call ``recover()`` on the bound
+            simulation first and then attaches the streams itself with the
+            WAL's ``skip=`` counts.
+        **sim_kwargs: Extra :class:`~repro.sim.kernel.Simulation` keywords
+            (``stall_detector``, ``quarantine``, ``feedback``, ``monitor``,
+            ``recovery``, ``checkpoint_every``, or an ``ets_policy`` that
+            replaces the scenario's own).
+    """
     recorder = LatencyRecorder()
     graph = QueryGraph(f"paper-union-{config.scenario}")
     fast = graph.add_source("fast", config.timestamp_kind)
@@ -205,19 +228,21 @@ def build_union_scenario(config: ScenarioConfig) -> ScenarioHandles:
     graph.connect(f2, union)
     graph.connect(union, sink)
 
-    sim = _make_simulation(config, graph, slow, fast)
-    _attach_streams(sim, config, fast, slow)
+    sim = _simulate(config, graph, faults, attach, sim_kwargs)
     return ScenarioHandles(config=config, sim=sim, graph=graph,
                            fast_source=fast, slow_source=slow,
                            iwp=union, sink=sink, recorder=recorder)
 
 
 def build_join_scenario(config: ScenarioConfig, *,
-                        window_seconds: float = 60.0) -> ScenarioHandles:
+                        window_seconds: float = 60.0, faults=None,
+                        attach: bool = True,
+                        **sim_kwargs) -> ScenarioHandles:
     """Same skewed-streams setup with a window join as the IWP operator.
 
     The join matches tuples whose ``value`` fields fall in the same decile,
-    keeping output volume moderate at the paper's rates.
+    keeping output volume moderate at the paper's rates.  ``faults``,
+    ``attach`` and ``**sim_kwargs`` as in :func:`build_union_scenario`.
     """
     recorder = LatencyRecorder()
     graph = QueryGraph(f"paper-join-{config.scenario}")
@@ -238,8 +263,7 @@ def build_join_scenario(config: ScenarioConfig, *,
     graph.connect(f2, join)
     graph.connect(join, sink)
 
-    sim = _make_simulation(config, graph, slow, fast)
-    _attach_streams(sim, config, fast, slow)
+    sim = _simulate(config, graph, faults, attach, sim_kwargs)
     return ScenarioHandles(config=config, sim=sim, graph=graph,
                            fast_source=fast, slow_source=slow,
                            iwp=join, sink=sink, recorder=recorder)

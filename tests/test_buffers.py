@@ -200,7 +200,7 @@ class TestBufferRegistry:
     def test_observer_sees_every_change(self):
         reg = BufferRegistry()
         seen = []
-        reg.set_observer(seen.append)
+        reg.add_observer(seen.append)
         buf = StreamBuffer("a", reg)
         buf.push(data(1.0))
         buf.push(data(2.0))

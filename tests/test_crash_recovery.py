@@ -133,10 +133,15 @@ def test_recovery_without_any_checkpoint(tmp_path):
 
 
 def test_report_accounting(tmp_path):
-    """The recovery report's counters reconcile with the WAL contents."""
+    """The recovery report's counters reconcile with the WAL contents, and
+    a tighter checkpoint interval replays fewer WAL records."""
     oracle = CrashRecoveryOracle(union_graph, _feeds(), chunk=8)
-    _, report = oracle.run_crashed(tmp_path, crash_index=90,
+    _, whole = oracle.run_crashed(tmp_path / "whole", crash_index=90,
+                                  checkpoint_every=10_000)
+    _, report = oracle.run_crashed(tmp_path / "tight", crash_index=90,
                                    checkpoint_every=4)
+    assert whole.checkpoint_number == 0 and whole.ingests_replayed == 90
+    assert report.replayed < whole.replayed
     assert report.checkpoint_number > 0
     assert not report.fallback
     assert report.wal_clean

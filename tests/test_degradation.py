@@ -13,6 +13,7 @@ from repro.core.tracing import Tracer
 from repro.core.tuples import TimestampKind
 from repro.faults import FallbackHeartbeat, FaultPlan, QuarantinePolicy, \
     SourceOutage, StallDetector
+from repro.obs import EventBus, TraceObserver
 from repro.query.builder import Query
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals
@@ -154,7 +155,7 @@ class TestQuarantinePolicy:
     def test_clamp_mode_returns_floor_and_traces(self):
         q = QuarantinePolicy("clamp")
         stats, tracer = EngineStats(), Tracer()
-        q.bind(stats=stats, tracer=tracer)
+        q.bind(stats=stats, bus=EventBus([TraceObserver(tracer)]))
         assert q.handle(source_name="s", ts=1.0, floor=2.0, now=3.0) == 2.0
         assert q.clamped == 1
         assert stats.quarantine_clamped == 1
@@ -227,7 +228,7 @@ class TestKernelIntegration:
         assert sim.engine.stats.fallback_heartbeats > 0
         # liveness regained within detection latency + one heartbeat, plus
         # one slow inter-arrival gap for the next deliverable tuple
-        assert tracker.max_gap <= 1.0 + 0.25 + 0.25 + 0.25 + 0.05
+        assert tracker.max_sink_gap <= 1.0 + 0.25 + 0.25 + 0.25 + 0.05
         assert plan.stats.outage_dropped > 0
 
     def test_resync_on_recovery_stops_the_train(self):

@@ -163,6 +163,22 @@ def test_reshard_report_figures():
     assert report.migrated_keys < report.total_keys
     assert report.discarded_outputs >= 0 and jump == len(feeds)
 
+    # A grow P -> P+1 moves roughly 1/(P+1) of the keys seen; the hard
+    # shrink 4 -> 2 moves about half, strictly more than either grow.
+    fractions = {"2->3": report.migrated_keys / report.total_keys}
+    for shards, target in ((4, 5), (4, 2)):
+        engine = ElasticShardedEngine(join_graph(), shards=shards, key="k",
+                                      backend="serial", batch_size=BATCH)
+        released, now = drive(engine, feeds, reshard_index=RESHARD_INDEX,
+                              target=target)
+        finish(engine, released, now)
+        [report] = engine.reshards
+        fractions[report.direction] = (report.migrated_keys
+                                       / report.total_keys)
+    assert fractions["2->3"] < 0.6
+    assert 0.0 < fractions["4->5"] < 0.5
+    assert fractions["4->2"] > fractions["4->5"]
+
 
 def test_reshard_to_same_count_is_a_noop():
     engine = ElasticShardedEngine(join_graph(), shards=2, key="k",

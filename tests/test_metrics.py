@@ -212,7 +212,7 @@ class TestQueueSampler:
         clock = ManualClock()
         reg = BufferRegistry()
         sampler = QueueSampler(clock)
-        reg.set_observer(sampler)
+        reg.add_observer(sampler)
         buf = StreamBuffer("b", reg)
         clock.t = 1.0
         buf.push(data(1.0))
@@ -225,7 +225,7 @@ class TestQueueSampler:
         clock = ManualClock()
         reg = BufferRegistry()
         sampler = QueueSampler(clock, min_interval=1.0)
-        reg.set_observer(sampler)
+        reg.add_observer(sampler)
         buf = StreamBuffer("b", reg)
         clock.t = 1.0
         buf.push(data(1.0))

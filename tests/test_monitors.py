@@ -10,6 +10,7 @@ from repro.core.ets import NoEts
 from repro.core.tracing import Tracer
 from repro.core.tuples import DataTuple, TimestampKind
 from repro.faults import InvariantMonitor
+from repro.obs import EventBus, TraceObserver
 from repro.query.builder import Query
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import constant_arrivals
@@ -59,8 +60,8 @@ class TestSinkMonotonicity:
     def test_regression_counts_in_degrade_mode(self):
         graph, _, _, sink = build()
         tracer = Tracer()
-        monitor = InvariantMonitor(mode="degrade",
-                                   tracer=tracer).install(graph)
+        monitor = InvariantMonitor(mode="degrade").install(graph)
+        monitor.bus = EventBus([TraceObserver(tracer)])
         self.deliver(sink, 5.0)
         self.deliver(sink, 4.0)
         self.deliver(sink, 6.0)
@@ -137,7 +138,8 @@ class TestIngestViolationBridge:
     def test_buffer_violation_traced_before_raise(self):
         graph, fast, _, _ = build()
         tracer = Tracer()
-        monitor = InvariantMonitor(tracer=tracer).install(graph)
+        monitor = InvariantMonitor().install(graph)
+        monitor.bus = EventBus([TraceObserver(tracer)])
         fast.ingest({"n": 1}, now=2.0)
         fast.inject_punctuation(5.0)
         with pytest.raises(TimestampError):

@@ -174,7 +174,7 @@ class TestEngineIntegration:
             assert engine.bus is None
             assert engine._buffer_forward is None
             registry = engine.graph.registry
-            assert registry._observer is None and not registry._observers
+            assert not registry._observers
 
         entered: list[str] = []
 
