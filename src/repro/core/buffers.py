@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 from .columnar import ColumnarBlock
 from .errors import TimestampError
-from .tuples import LATENT_TS, StreamElement
+from .tuples import LATENT_TS, StreamElement, TimestampKind
 
 __all__ = ["TSMRegister", "BufferRegistry", "StreamBuffer"]
 
@@ -194,10 +194,17 @@ class StreamBuffer:
         self.register = TSMRegister()
         #: Deque entries are scalar :class:`StreamElement`\ s *or* whole
         #: :class:`~repro.core.columnar.ColumnarBlock`\ s (data rows only —
-        #: punctuation never enters a block).  Scalar consumers never see a
-        #: block: ``peek``/``pop`` explode a head block back into its tuples
-        #: lazily, so non-columnar operators stay byte-identical for free.
+        #: punctuation never enters a block, and closes an open one).
+        #: Scalar consumers never see a block: ``peek``/``pop`` explode a
+        #: head block back into its tuples lazily, so non-columnar
+        #: operators stay byte-identical for free.
         self._items: deque[StreamElement | ColumnarBlock] = deque()
+        #: The *open tail block*: a block this buffer created, that is the
+        #: deque's last entry and that nothing else references, so
+        #: :meth:`append_row` may still extend its columns.  Every other
+        #: method that puts an entry behind it or touches it drops this
+        #: reference first, which closes the block for good.
+        self._tail: ColumnarBlock | None = None
         #: Scalar-equivalent length: blocks count one per live row.
         self._len = 0
         self._registry = registry
@@ -300,6 +307,7 @@ class StreamBuffer:
         block mode — recovery and sharding compose with the columnar path
         without knowing it exists.
         """
+        self._tail = None
         return {
             "version": 1,
             "items": list(iter(self)),
@@ -317,6 +325,7 @@ class StreamBuffer:
             raise ValueError(f"unsupported StreamBuffer state: {state!r}")
         delta = len(state["items"]) - self._len
         self._items = deque(state["items"])
+        self._tail = None
         self._len = len(state["items"])
         self.register.restore_state(state["register"])
         self._last_pushed_ts = state["last_pushed_ts"]
@@ -353,6 +362,7 @@ class StreamBuffer:
                 raise self._order_violation(ts, self._last_pushed_ts)
             if ts > self._last_pushed_ts:
                 self._last_pushed_ts = ts
+        self._tail = None
         self._items.append(element)
         self._len += 1
         self._enqueued += 1
@@ -360,6 +370,40 @@ class StreamBuffer:
             self._punctuation_enqueued += 1
         else:
             self._data_live += 1
+        if self._registry is not None:
+            self._registry._delta(1)
+        self._notify_change()
+
+    def append_row(self, ts: float, seq: int, kind: TimestampKind,
+                   arrival: float, payload) -> None:
+        """Append one data row at the tail without building a tuple.
+
+        The source-side entrance (:meth:`SourceNode.ingest`): exactly the
+        order check, counters, registry delta and ``on_change`` of a
+        :meth:`push` of the equivalent :class:`DataTuple`, but the five
+        fields extend the columns of the open tail block (a fresh one when
+        the tail is closed or is not a block), so the first
+        :meth:`drain_block` hands the rows over as they lie and a scalar
+        consumer explodes them like any other block.
+        """
+        if ts != LATENT_TS:
+            if self._enforce_order and self._last_pushed_ts != LATENT_TS \
+                    and ts < self._last_pushed_ts:
+                raise self._order_violation(ts, self._last_pushed_ts)
+            if ts > self._last_pushed_ts:
+                self._last_pushed_ts = ts
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = ColumnarBlock([], [], [], [], [])
+            self._items.append(tail)
+        tail.ts.append(ts)
+        tail.seq.append(seq)
+        tail.kind.append(kind)
+        tail.arrival.append(arrival)
+        tail.payloads.append(payload)
+        self._len += 1
+        self._enqueued += 1
+        self._data_live += 1
         if self._registry is not None:
             self._registry._delta(1)
         self._notify_change()
@@ -386,6 +430,7 @@ class StreamBuffer:
             last = block.last_ts()
             if last > self._last_pushed_ts:
                 self._last_pushed_ts = last
+        self._tail = None
         self._items.append(block)
         self._len += n
         self._enqueued += n
@@ -404,11 +449,11 @@ class StreamBuffer:
         (latent rows never stop a run).  Returns ``None`` when the head is
         a punctuation tuple or the buffer is empty.
 
-        A head block is handed over whole (zero copies) when it fits the
-        limits, or split by selection otherwise; a head run of scalar data
-        tuples is gathered into a fresh block.  The TSM register is updated
-        once with the largest timestamp drained, exactly like a pop-by-pop
-        consumption.
+        A head block — a source's open tail block included — is handed over
+        whole (zero copies) when it fits the limits, or split by selection
+        otherwise; a head run of scalar data tuples is gathered into a
+        fresh block.  The TSM register is updated once with the largest
+        timestamp drained, exactly like a pop-by-pop consumption.
         """
         items = self._items
         if not items or limit <= 0:
@@ -430,9 +475,13 @@ class StreamBuffer:
                          max_ts: float | None) -> ColumnarBlock | None:
         """Unlink the part of the head block that fits ``limit``/``max_ts``
         (``None`` when no row does), leaving the remainder at the head as a
-        block.  No counters move — callers do the bookkeeping."""
+        block.  No counters move — callers do the bookkeeping.  An open
+        tail block closes here: whole or split, its arrays now have a
+        second owner."""
         items = self._items
         taken = items[0]
+        if taken is self._tail:
+            self._tail = None
         rest: list[ColumnarBlock] = []
         if max_ts is not None:
             taken, tail = taken.split_below(max_ts)
@@ -450,7 +499,7 @@ class StreamBuffer:
 
     def _consumed_rows(self, block: ColumnarBlock) -> None:
         """Bookkeeping for a block handed to the consumer."""
-        last = block.last_ts()
+        last = self._run_max(block)
         if last != LATENT_TS:
             self.register.update(last)
         n = block.count
@@ -460,6 +509,16 @@ class StreamBuffer:
         if self._registry is not None:
             self._registry._delta(-n)
         self._notify_change()
+
+    def _run_max(self, block: ColumnarBlock) -> float:
+        """The register value a pop-by-pop consumption of ``block`` leaves:
+        its last stamp on an ordered arc; on an ``enforce_order=False`` arc
+        the rows lie in arrival order, so the largest one."""
+        if self._enforce_order:
+            return block.last_ts()
+        ts = block.ts
+        return max(ts) if block.selection is None \
+            else max(ts[i] for i in block.selection)
 
     def _explode_head(self) -> None:
         """Replace a head block with its scalar tuples, in place.
@@ -471,6 +530,8 @@ class StreamBuffer:
         """
         block = self._items.popleft()
         assert isinstance(block, ColumnarBlock)
+        if block is self._tail:
+            self._tail = None
         self._items.extendleft(reversed(block.to_tuples()))
 
     def drain_batch(self, limit: int,
@@ -500,7 +561,7 @@ class StreamBuffer:
                 if part is None:
                     break
                 out.extend(part.to_tuples())
-                last = part.last_ts()
+                last = self._run_max(part)
                 if last > best:
                     best = last
                 continue
@@ -562,6 +623,7 @@ class StreamBuffer:
         if self._registry is not None and self._len:
             self._registry._delta(-self._len)
         self._items.clear()
+        self._tail = None
         self._len = 0
         self._data_live = 0
         self._notify_change()

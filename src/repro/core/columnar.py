@@ -20,8 +20,11 @@ Two invariants keep the block path byte-identical to scalar execution:
   individual elements.
 * **Rows are timestamp-ordered** (latent rows, which carry no timestamp,
   may appear anywhere).  Blocks are built from runs drained out of ordered
-  buffers and every transform preserves row order, so a buffer receiving a
-  block needs one order check instead of one per row.
+  buffers, or row by row at a source behind the buffer's own per-row order
+  check, and every transform preserves row order, so a buffer receiving a
+  block needs one order check instead of one per row.  (The arcs of an
+  ``out_of_order`` source are the exception they always were: rows lie in
+  arrival order until a ``Reorder`` sorts them.)
 
 Materializing a row rebuilds the exact original tuple — same payload object,
 same ``seq``, same timestamp kind — which is what lets stateful consumers
@@ -67,10 +70,16 @@ class ColumnarBlock:
     the selected rows of every array — because they must build a new payload
     column anyway.
 
-    Blocks are immutable by convention once pushed into a buffer: operators
-    build new blocks (or new selections over shared arrays) instead of
-    mutating inputs, which makes fan-out (one block pushed to several output
-    buffers) safe without copies.
+    Blocks are immutable once they leave a buffer's tail: operators build
+    new blocks (or new selections over shared arrays) instead of mutating
+    inputs, which makes fan-out (one block pushed to several output
+    buffers) safe without copies.  The one writer is
+    :meth:`StreamBuffer.append_row <repro.core.buffers.StreamBuffer.append_row>`,
+    which extends the columns of the *open tail block* the buffer itself
+    created and nobody else can yet reach; the block closes — for good —
+    the moment anything is pushed behind it or a consumer call touches it,
+    so no block is ever written after a second reference to it (or to its
+    arrays, through a split) exists.
     """
 
     __slots__ = ("ts", "seq", "kind", "arrival", "payloads", "selection")

@@ -28,19 +28,34 @@ class Project(StatelessOperator):
         if not self.fields:
             raise SchemaError(f"projection {name!r} must keep at least one field")
 
-    def apply(self, tup: DataTuple, ctx: OpContext) -> list[DataTuple]:
-        payload = tup.payload
-        if not isinstance(payload, Mapping):
+    def _project(self, payload: Any) -> dict:
+        """``payload`` narrowed to :attr:`fields`, or the :class:`SchemaError`.
+
+        An exact ``dict`` is indexed directly and the missing fields are
+        worked out only once a ``KeyError`` says there are some; any other
+        mapping is asked about membership first, so one with a
+        ``__missing__`` (a ``defaultdict``) never fabricates a field.
+        """
+        fields = self.fields
+        if type(payload) is dict:
+            try:
+                return {f: payload[f] for f in fields}
+            except KeyError:
+                pass
+        elif not isinstance(payload, Mapping):
             raise SchemaError(
                 f"projection {self.name!r}: payload must be a mapping, "
                 f"got {type(payload).__name__}"
             )
-        missing = [f for f in self.fields if f not in payload]
+        missing = [f for f in fields if f not in payload]
         if missing:
             raise SchemaError(
                 f"projection {self.name!r}: payload missing fields {missing}"
             )
-        return [tup.with_payload({f: payload[f] for f in self.fields})]
+        return {f: payload[f] for f in fields}
+
+    def apply(self, tup: DataTuple, ctx: OpContext) -> list[DataTuple]:
+        return [tup.with_payload(self._project(tup.payload))]
 
     def apply_block(self, block: ColumnarBlock,
                     ctx: OpContext) -> ColumnarBlock | None:
@@ -52,17 +67,15 @@ class Project(StatelessOperator):
         Schema errors carry the same messages as :meth:`apply`.
         """
         fields = self.fields
+        project = self._project
         new_payloads: list[Any] = []
+        append = new_payloads.append
         for payload in block.iter_payloads():
-            if not isinstance(payload, Mapping):
-                raise SchemaError(
-                    f"projection {self.name!r}: payload must be a mapping, "
-                    f"got {type(payload).__name__}"
-                )
-            missing = [f for f in fields if f not in payload]
-            if missing:
-                raise SchemaError(
-                    f"projection {self.name!r}: payload missing fields {missing}"
-                )
-            new_payloads.append({f: payload[f] for f in fields})
+            if type(payload) is dict:
+                try:
+                    append({f: payload[f] for f in fields})
+                    continue
+                except KeyError:
+                    pass
+            append(project(payload))
         return block.with_payloads(new_payloads)

@@ -21,8 +21,9 @@ ETS policy asks the source to :meth:`inject_punctuation`.
 
 from __future__ import annotations
 
+from .. import tuples as _tuples
 from ..errors import SchemaError, TimestampError
-from ..tuples import LATENT_TS, DataTuple, Punctuation, TimestampKind
+from ..tuples import LATENT_TS, Punctuation, TimestampKind
 from .base import Operator, OpContext, StepResult
 
 __all__ = ["SourceNode"]
@@ -115,8 +116,15 @@ class SourceNode(Operator):
     # Wrapper-facing API
 
     def ingest(self, payload, now: float, ts: float | None = None,
-               arrival: float | None = None) -> DataTuple | None:
+               arrival: float | None = None) -> float | None:
         """Admit one application record into the stream at wall time ``now``.
+
+        The one place a source row is stamped and enqueued.  No tuple object
+        is built: after the admission checks the row draws one ``seq`` and
+        is appended, column by column, to the open tail block of every
+        output buffer (:meth:`StreamBuffer.append_row`), which the first
+        block consumer receives as it lies and a scalar consumer explodes
+        back into the equivalent :class:`DataTuple`.
 
         Args:
             payload: The record carried by the tuple.
@@ -129,9 +137,9 @@ class SourceNode(Operator):
                 ``now``.
 
         Returns:
-            The :class:`DataTuple` that was pushed into the output buffer(s),
-            or None when an installed quarantine policy dropped the record
-            or the admission throttle refused it.
+            The timestamp the row was stamped with (:data:`LATENT_TS` on a
+            latent stream), or None when an installed quarantine policy
+            dropped the record or the admission throttle refused it.
         """
         if self.throttle is not None and not self.throttle.admit(now):
             self.throttled_count += 1
@@ -197,9 +205,11 @@ class SourceNode(Operator):
                 )
             stamped_ts = LATENT_TS
 
-        tup = DataTuple(ts=stamped_ts, payload=payload, kind=kind,
-                        arrival_ts=arrival if arrival is not None else now)
-        self.emit(tup)
+        if arrival is None:
+            arrival = now
+        seq = next(_tuples._SEQ)
+        for buf in self._ports.outputs:
+            buf.append_row(stamped_ts, seq, kind, arrival, payload)
         self.ingested_count += 1
         if stamped_ts != LATENT_TS and stamped_ts >= self.last_data_ts:
             # On out-of-order streams, track the frontier tuple: the
@@ -209,7 +219,7 @@ class SourceNode(Operator):
             if stamped_ts > self.watermark:
                 self.watermark = stamped_ts
         self.last_arrival_wall = now
-        return tup
+        return stamped_ts
 
     def inject_punctuation(self, ts: float, *, origin: str = "",
                            periodic: bool = False) -> bool:

@@ -38,6 +38,11 @@ __all__ = [
 #: Sentinel timestamp for tuples that have not been stamped yet.
 LATENT_TS = float("-inf")
 
+#: The one sequence-number seam: always a bare ``itertools.count``, drawn
+#: with ``next(_SEQ)`` by the element constructors here and — reading the
+#: module attribute at call time, because :func:`ensure_seq_above` rebinds
+#: it — by the two producers that fill block columns without building
+#: elements (``SourceNode.ingest``, ``WindowJoin.execute_block``).
 _SEQ = itertools.count()
 
 
@@ -47,14 +52,13 @@ def ensure_seq_above(seq: int) -> None:
     Recovery restores stream elements with their original sequence numbers;
     elements created after a restore must sort *after* every restored one so
     tie-breaking (reorder heaps, event queues) matches the uninterrupted run.
-    Idempotent: a counter already past ``seq`` is left alone.
+    Idempotent: a counter already past ``seq`` resumes at the same number.
+    Either way the counter is replaced by a fresh ``count`` — never wrapped
+    — so the cost of a draw does not grow with the number of restores.
     """
     global _SEQ
     probe = next(_SEQ)
-    if probe > seq:
-        _SEQ = itertools.chain([probe], _SEQ)  # put the probe back
-    else:
-        _SEQ = itertools.count(seq + 1)
+    _SEQ = itertools.count(probe if probe > seq else seq + 1)
 
 
 class TimestampKind(enum.Enum):

@@ -1,11 +1,13 @@
 """Unit tests for stream buffers, TSM registers, and the buffer registry."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.buffers import BufferRegistry, StreamBuffer, TSMRegister
 from repro.core.columnar import ColumnarBlock
 from repro.core.errors import TimestampError
-from repro.core.tuples import LATENT_TS
+from repro.core.tuples import (LATENT_TS, DataTuple, Punctuation,
+                               TimestampKind)
 
 from conftest import data, punct
 
@@ -330,3 +332,206 @@ class TestDrainBatchOverBlocks:
         assert buf.drain_batch(64, max_ts=3.0) == rows[:2]
         assert buf.drain_batch(64, max_ts=3.0) == []
         assert list(buf) == rows[2:] and buf.data_count == 2
+
+
+# --------------------------------------------------------------------- #
+# The ingest seam: append_row against push(DataTuple)
+
+KIND = TimestampKind.EXTERNAL
+
+
+def _append(buf, ts, seq, payload):
+    buf.append_row(ts, seq, KIND, 0.5, payload)
+
+
+def _pushed(ts, seq, payload):
+    return DataTuple(ts=ts, seq=seq, payload=payload, kind=KIND,
+                     arrival_ts=0.5)
+
+
+class TestOpenTailBlock:
+    """``append_row`` extends a block only while the buffer alone holds it."""
+
+    def test_rows_accumulate_in_one_block_and_leave_whole(self):
+        buf = StreamBuffer("b")
+        for i in range(5):
+            _append(buf, float(i), i, {"i": i})
+        assert len(buf._items) == 1 and len(buf) == 5
+        tail = buf._items[0]
+        block = buf.drain_block(64)
+        assert block is tail and block.selection is None  # as it lay
+        assert block.to_tuples() == [_pushed(float(i), i, {"i": i})
+                                     for i in range(5)]
+        assert buf.register.value == 4.0 and not buf
+
+    def test_punctuation_closes_the_block(self):
+        buf = StreamBuffer("b")
+        _append(buf, 1.0, 1, None)
+        buf.push(punct(2.0))
+        _append(buf, 3.0, 2, None)
+        kinds = [type(entry).__name__ for entry in buf._items]
+        assert kinds == ["ColumnarBlock", "Punctuation", "ColumnarBlock"]
+
+    def test_append_after_a_split_drain_lands_in_a_fresh_block(self):
+        buf = StreamBuffer("b")
+        for i in range(4):
+            _append(buf, float(i), i, None)
+        taken = buf.drain_block(3)
+        rest = buf._items[0]
+        assert taken.ts is rest.ts  # the split shares the arrays
+        _append(buf, 9.0, 9, None)
+        assert taken.ts == [0.0, 1.0, 2.0, 3.0]  # never written again
+        assert [e.ts for e in buf] == [3.0, 9.0]
+        assert buf._items[-1] is not rest
+
+    @pytest.mark.parametrize("touch", [
+        lambda b: b.peek(), lambda b: b.pop(), lambda b: b.drain_batch(1),
+        lambda b: b.drain_block(1), lambda b: b.snapshot_state(),
+        lambda b: b.restore_state(b.snapshot_state()), lambda b: b.clear(),
+        lambda b: b.push_block(ColumnarBlock.from_tuples([data(5.0)])),
+    ])
+    def test_every_other_entrance_closes_the_block(self, touch):
+        buf = StreamBuffer("b")
+        _append(buf, 1.0, 1, None)
+        _append(buf, 2.0, 2, None)
+        tail = buf._items[-1]
+        touch(buf)
+        _append(buf, 6.0, 3, None)
+        assert buf._items[-1] is not tail
+        assert tail.ts == [1.0, 2.0]
+
+    @pytest.mark.parametrize("read", [
+        lambda b: b.head_run(8), lambda b: b.head_ts(), lambda b: b.gate_ts(),
+        lambda b: list(b), lambda b: len(b),
+    ])
+    def test_readers_leave_it_open(self, read):
+        buf = StreamBuffer("b")
+        _append(buf, 1.0, 1, None)
+        tail = buf._items[-1]
+        read(buf)
+        _append(buf, 2.0, 2, None)
+        assert buf._items[-1] is tail and len(buf._items) == 1
+
+    def test_unordered_arc_leaves_the_largest_stamp_in_the_register(self):
+        """A whole-block hand-over on an enforce_order=False arc ends where
+        pop-by-pop consumption would: at the run's maximum, not its last."""
+        buf = StreamBuffer("b", enforce_order=False)
+        for seq, ts in enumerate([3.0, 7.0, 5.0]):
+            _append(buf, ts, seq, None)
+        assert buf.last_pushed_ts == 7.0
+        buf.drain_block(64)
+        assert buf.register.value == 7.0
+
+
+#: (verb, timestamp step, latent when 0, buffer, limit, max_ts); every op
+#: carries every field and reads the ones its verb needs.
+_VERBS = (["row"] * 7 + ["drain_block"] * 3 + ["drain_batch", "punct", "peek",
+          "pop", "head_run", "gate_ts", "snapshot", "restore", "clear"])
+_ops = st.lists(st.tuples(
+    st.sampled_from(_VERBS), st.integers(-2, 3), st.integers(0, 4),
+    st.integers(0, 1), st.integers(1, 6),
+    st.one_of(st.none(), st.integers(0, 12))), min_size=10, max_size=60)
+
+
+class _Side:
+    """One side of the comparison: ``fanout`` buffers on one registry."""
+
+    def __init__(self, fanout, enforce_order):
+        self.registry = BufferRegistry()
+        self.fired = [0] * fanout
+        self.buffers = []
+        for i in range(fanout):
+            buf = StreamBuffer(f"s->c{i}", self.registry,
+                               enforce_order=enforce_order,
+                               consumer_name=f"c{i}", consumer_port=i)
+            buf.on_change = lambda i=i: self.fired.__setitem__(
+                i, self.fired[i] + 1)
+            self.buffers.append(buf)
+
+    def observed(self):
+        reg = self.registry
+        return ([(list(b), len(b), bool(b), b.enqueued_count,
+                  b.dequeued_count, b.punctuation_count, b.data_count,
+                  b.last_pushed_ts, b.register.value, b.head_ts(),
+                  b.head_is_punctuation()) for b in self.buffers],
+                self.fired, reg.total, reg.peak, reg.peak_since_mark,
+                reg.mutations)
+
+
+def _outcome(call):
+    """The call's result, or its structured order violation."""
+    try:
+        return call()
+    except TimestampError as exc:
+        return ("TimestampError", str(exc), exc.operator, exc.port,
+                exc.offending_ts, exc.last_seen_ts)
+
+
+@given(ops=_ops, fanout=st.integers(1, 2), enforce_order=st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_row_append_is_indistinguishable_from_tuple_push(ops, fanout,
+                                                         enforce_order):
+    """Random interleavings of every buffer entrance: buffers fed through
+    ``append_row`` and model buffers fed the equivalent ``push(DataTuple)``
+    show the same elements (payload identity, ``seq``), counters, register,
+    registry readings, ``on_change`` firings and order violations — latent
+    rows, an unordered arc and a two-output source included.  A drained
+    block may be shorter than the model's run (blocks are never merged), so
+    the model is asked for as many rows as the block path gave."""
+    real, model = _Side(fanout, enforce_order), _Side(fanout, enforce_order)
+    handed_out = []  # (block, its rows when it left): must never change
+    saved = {}  # buffer index -> (real, model) snapshots to restore later
+    clock = 0
+    for seq, op in enumerate(ops):
+        verb, step, latent, which, limit, max_ts = op
+        which %= fanout
+        a, b = real.buffers[which], model.buffers[which]
+        if max_ts is not None:
+            max_ts = float(max_ts)
+        if verb in ("row", "punct"):
+            clock = max(0, clock + step)
+        if verb == "row":
+            ts = float(clock) if latent else LATENT_TS
+            payload = {"seq": seq}
+            got = [_outcome(lambda: _append(x, ts, seq, payload))
+                   for x in real.buffers]
+            want = [_outcome(lambda: x.push(_pushed(ts, seq, payload)))
+                    for x in model.buffers]
+        elif verb == "punct":
+            mark = Punctuation(ts=float(clock), seq=seq, origin="s")
+            got = [_outcome(lambda: x.push(mark)) for x in real.buffers]
+            want = [_outcome(lambda: x.push(mark)) for x in model.buffers]
+        elif verb == "drain_block":
+            block = a.drain_block(limit, max_ts)
+            if block is None:
+                got, want = None, b.drain_block(limit, max_ts)
+            else:
+                got = block.to_tuples()
+                handed_out.append((block, got))
+                want = b.drain_block(len(got), max_ts).to_tuples()
+        elif verb == "drain_batch":
+            got, want = (a.drain_batch(limit, max_ts),
+                         b.drain_batch(limit, max_ts))
+        elif verb == "snapshot":
+            got, want = saved[which] = (a.snapshot_state(),
+                                        b.snapshot_state())
+        elif verb == "restore":
+            if which not in saved:
+                continue
+            got, want = (a.restore_state(saved[which][0]),
+                         b.restore_state(saved[which][1]))
+        elif verb == "pop" and not a:
+            continue
+        else:
+            call = {"peek": lambda x: x.peek(), "pop": lambda x: x.pop(),
+                    "head_run": lambda x: x.head_run(limit),
+                    "clear": lambda x: x.clear(),
+                    "gate_ts": lambda x: x.gate_ts()}[verb]
+            got, want = call(a), call(b)
+        assert got == want, op
+        assert real.observed() == model.observed(), op
+        for x, y in zip(real.buffers, model.buffers):
+            assert all(r.is_punctuation or r.payload is m.payload
+                       for r, m in zip(x, y))
+        for block, rows in handed_out:
+            assert block.to_tuples() == rows

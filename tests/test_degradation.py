@@ -165,8 +165,9 @@ class TestQuarantinePolicy:
         graph, fast, _, _ = build(TimestampKind.EXTERNAL)
         fast.quarantine = QuarantinePolicy("clamp")
         fast.ingest({"v": 1}, now=1.0, ts=1.0)
-        tup = fast.ingest({"v": 2}, now=2.0, ts=0.5)  # regressed
-        assert tup is not None and tup.ts == 1.0  # clamped to frontier
+        # Regressed: clamped to the frontier, in the stamp and the buffer.
+        assert fast.ingest({"v": 2}, now=2.0, ts=0.5) == 1.0
+        assert [t.ts for t in fast.outputs[0]] == [1.0, 1.0]
         fast.quarantine = QuarantinePolicy("drop")
         assert fast.ingest({"v": 3}, now=3.0, ts=0.2) is None
 
@@ -177,8 +178,8 @@ class TestQuarantinePolicy:
         fast.quarantine = QuarantinePolicy("clamp")
         fast.ingest({"v": 1}, now=1.0, ts=1.0)
         fast.inject_punctuation(5.0, origin="fallback:fast")
-        tup = fast.ingest({"v": 2}, now=6.0, ts=2.0)
-        assert tup.ts == 5.0
+        assert fast.ingest({"v": 2}, now=6.0, ts=2.0) == 5.0
+        assert [t.ts for t in fast.outputs[0]] == [1.0, 5.0, 5.0]
         assert fast.quarantine.clamped == 1
 
     def test_without_quarantine_watermark_regression_hard_errors(self):

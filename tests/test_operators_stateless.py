@@ -1,9 +1,14 @@
 """Unit tests for stateless operators: select, project, map, flatmap."""
 
+from collections import defaultdict
+from types import MappingProxyType
+
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.core.errors import SchemaError
 from repro.core.operators import FlatMap, Map, Project, Select
+from repro.core.tuples import DataTuple
 
 from conftest import OpHarness
 
@@ -77,6 +82,40 @@ class TestProject:
     def test_empty_field_list_rejected(self):
         with pytest.raises(SchemaError):
             Project("p", [])
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"a": 1}, "projection 'p': payload missing fields ['z', 'y']"),
+        (defaultdict(int, a=1),
+         "projection 'p': payload missing fields ['z', 'y']"),
+        ((1, 2), "projection 'p': payload must be a mapping, got tuple"),
+    ])
+    def test_scalar_and_block_paths_raise_the_same_message(self, payload,
+                                                           message):
+        """The exact-dict fast path finds out from a KeyError, every other
+        mapping from a membership test; the caller cannot tell which ran."""
+        op = Project("p", ["a", "z", "y"])
+        with pytest.raises(SchemaError) as scalar:
+            op.apply(DataTuple(ts=1.0, payload=payload), None)
+        block = ColumnarBlock.from_tuples(
+            [DataTuple(ts=1.0, payload={"a": 0, "z": 0, "y": 0}),
+             DataTuple(ts=2.0, payload=payload)])
+        with pytest.raises(SchemaError) as columnar:
+            op.apply_block(block, None)
+        assert str(scalar.value) == str(columnar.value) == message
+
+    def test_defaultdict_payload_never_fabricates_a_field(self):
+        payload = defaultdict(int, a=1)
+        with pytest.raises(SchemaError, match="missing"):
+            Project("p", ["a", "z"]).apply(
+                DataTuple(ts=1.0, payload=payload), None)
+        assert "z" not in payload
+
+    def test_non_dict_mapping_is_projected(self):
+        op = Project("p", ["a"])
+        payload = MappingProxyType({"a": 1, "b": 2})
+        block = ColumnarBlock.from_tuples([DataTuple(ts=1.0, payload=payload)])
+        assert op.apply_block(block, None).payloads == [{"a": 1}]
+        assert op.apply(block.row(0), None)[0].payload == {"a": 1}
 
     def test_punctuation_passes_through(self):
         op = Project("p", ["a"])

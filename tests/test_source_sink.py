@@ -1,14 +1,16 @@
 """Tests for source and sink nodes: timestamping, latency, punctuation."""
 
 import math
+import sys
 
 import pytest
 
 from repro.core.buffers import StreamBuffer
+from repro.core.columnar import ColumnarBlock
 from repro.core.errors import TimestampError
 from repro.core.operators import SinkNode, SourceNode
 from repro.core.operators.base import OpContext
-from repro.core.tuples import LATENT_TS, TimestampKind
+from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
 
 from conftest import ManualClock, data, punct
 
@@ -23,9 +25,12 @@ def make_source(kind=TimestampKind.INTERNAL):
 class TestInternalSource:
     def test_stamps_with_now(self):
         src, buf = make_source()
-        tup = src.ingest({"v": 1}, now=3.25)
-        assert tup.ts == 3.25 and tup.arrival_ts == 3.25
+        assert src.ingest({"v": 1}, now=3.25) == 3.25
         assert len(buf) == 1
+        head = buf.peek()
+        assert head.ts == 3.25 and head.arrival_ts == 3.25
+        assert head.payload == {"v": 1}
+        assert head.kind is TimestampKind.INTERNAL
 
     def test_explicit_ts_forbidden(self):
         src, _ = make_source()
@@ -34,9 +39,10 @@ class TestInternalSource:
 
     def test_arrival_can_precede_entry(self):
         """A tuple delivered late (busy engine) keeps its physical arrival."""
-        src, _ = make_source()
-        tup = src.ingest({"v": 1}, now=5.0, arrival=4.2)
-        assert tup.ts == 5.0 and tup.arrival_ts == 4.2
+        src, buf = make_source()
+        assert src.ingest({"v": 1}, now=5.0, arrival=4.2) == 5.0
+        head = buf.peek()
+        assert head.ts == 5.0 and head.arrival_ts == 4.2
 
     def test_watermark_tracks_data(self):
         src, _ = make_source()
@@ -53,9 +59,11 @@ class TestExternalSource:
             src.ingest({}, now=1.0)
 
     def test_keeps_app_timestamp(self):
-        src, _ = make_source(TimestampKind.EXTERNAL)
-        tup = src.ingest({}, now=5.0, ts=4.0)
-        assert tup.ts == 4.0 and tup.arrival_ts == 5.0
+        src, buf = make_source(TimestampKind.EXTERNAL)
+        assert src.ingest({}, now=5.0, ts=4.0) == 4.0
+        head = buf.peek()
+        assert head.ts == 4.0 and head.arrival_ts == 5.0
+        assert head.kind is TimestampKind.EXTERNAL
 
     def test_rejects_regressing_timestamps(self):
         src, _ = make_source(TimestampKind.EXTERNAL)
@@ -66,15 +74,68 @@ class TestExternalSource:
 
 class TestLatentSource:
     def test_emits_unstamped(self):
-        src, _ = make_source(TimestampKind.LATENT)
-        tup = src.ingest({}, now=5.0)
-        assert tup.ts == LATENT_TS and tup.is_latent
-        assert tup.arrival_ts == 5.0
+        src, buf = make_source(TimestampKind.LATENT)
+        assert src.ingest({}, now=5.0) == LATENT_TS
+        head = buf.peek()
+        assert head.ts == LATENT_TS and head.is_latent
+        assert head.arrival_ts == 5.0
 
     def test_ts_forbidden(self):
         src, _ = make_source(TimestampKind.LATENT)
         with pytest.raises(TimestampError):
             src.ingest({}, now=5.0, ts=1.0)
+
+
+class TestIngestSeam:
+    """A row enters as a column append and leaves as a ready block."""
+
+    def test_ingest_builds_no_tuple_and_the_drain_gathers_none(self):
+        """The seam as frames instead of a timing: N ingests enter neither
+        ``DataTuple.__init__`` nor ``StreamBuffer.push``, and the drain
+        that follows hands the rows over as they lie — no ``drain_batch``
+        run, no ``from_tuples`` gather, no ``to_tuples`` explosion."""
+        names = {DataTuple.__init__.__code__: "DataTuple.__init__",
+                 StreamBuffer.push.__code__: "StreamBuffer.push",
+                 StreamBuffer.drain_batch.__code__: "StreamBuffer.drain_batch",
+                 ColumnarBlock.from_tuples.__func__.__code__: "from_tuples",
+                 ColumnarBlock.to_tuples.__code__: "to_tuples"}
+        src, buf = make_source()
+        entered: list[str] = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                entered.append(names[frame.f_code])
+
+        sys.setprofile(profiler)
+        try:
+            for i in range(64):
+                src.ingest({"v": i}, now=float(i))
+            block = buf.drain_block(64)
+        finally:
+            sys.setprofile(None)
+        assert entered == []
+        assert block.count == 64 and block.selection is None
+        assert block.ts == [float(i) for i in range(64)]
+        assert block.seq == sorted(set(block.seq))  # one fresh draw per row
+        assert not buf and buf.register.value == 63.0
+
+    def test_fan_out_gives_every_output_the_same_row(self):
+        src, first = make_source()
+        second = StreamBuffer("s->y")
+        src.attach_output(second, consumer=None)
+        payload = {"v": 1}
+        src.ingest(payload, now=1.0)
+        src.ingest(payload, now=2.0)
+        assert list(first) == list(second)
+        assert first._items[0] is not second._items[0]  # a block per arc
+        assert all(t.payload is payload for t in first)
+
+    def test_scalar_consumer_sees_the_tuple_a_push_would_have_left(self):
+        src, buf = make_source(TimestampKind.EXTERNAL)
+        src.ingest({"v": 1}, now=5.0, ts=4.0, arrival=4.5)
+        head = buf.pop()
+        assert head == DataTuple(ts=4.0, seq=head.seq, payload={"v": 1},
+                                 kind=TimestampKind.EXTERNAL, arrival_ts=4.5)
 
 
 class TestPunctuationInjection:

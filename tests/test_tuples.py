@@ -1,14 +1,17 @@
 """Unit tests for the tuple model (data tuples, punctuation, timestamps)."""
 
+import itertools
 import math
 
 import pytest
 
+from repro.core import tuples
 from repro.core.tuples import (
     LATENT_TS,
     DataTuple,
     Punctuation,
     TimestampKind,
+    ensure_seq_above,
     is_data,
     is_punctuation,
 )
@@ -60,6 +63,31 @@ class TestDataTuple:
         tup = DataTuple(ts=1.0)
         with pytest.raises(AttributeError):
             tup.ts = 2.0  # type: ignore[misc]
+
+
+class TestSeqCounter:
+    def test_a_thousand_restores_leave_the_counter_flat(self):
+        """Every restore calls ensure_seq_above; wrapping the counter each
+        time made every later draw walk the nest (7 us after 1,000).  The
+        counter stays a bare count, draws stay strictly increasing and land
+        above every restored seq, whichever branch a call took."""
+        drawn = [DataTuple(ts=0.0).seq]
+        restored = []
+        for i in range(1_000):
+            # Alternate restores behind the counter (no-ops) and ahead of it.
+            seq = drawn[-1] - 5 if i % 2 else drawn[-1] + 3
+            restored.append(seq)
+            ensure_seq_above(seq)
+            assert type(tuples._SEQ) is itertools.count
+            drawn.append(DataTuple(ts=0.0).seq)
+            drawn.append(next(tuples._SEQ))
+        assert all(b > a for a, b in zip(drawn, drawn[1:]))
+        assert drawn[-1] > max(restored)
+
+    def test_noop_restore_loses_no_number(self):
+        before = next(tuples._SEQ)
+        ensure_seq_above(before - 1)
+        assert next(tuples._SEQ) == before + 1
 
 
 class TestPunctuation:
