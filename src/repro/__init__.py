@@ -13,62 +13,12 @@ A Stream Mill-style data stream management system with:
   model, so the paper's latency / memory / idle-waiting experiments are
   reproducible on any machine.
 
-Quickstart::
+The public surface is :mod:`repro.api` — import from there::
 
-    from repro import (QueryGraph, Union, Select, OnDemandEts, Simulation,
-                       poisson_arrivals)
+    from repro.api import Pipeline, OnDemandEts, poisson_arrivals
     ...  # see examples/quickstart.py
 """
 
-from .core import *  # noqa: F401,F403 - curated re-exports
-from .core import __all__ as _core_all
-from .core.operators import (
-    AggSpec,
-    Avg,
-    Count,
-    FlatMap,
-    Map,
-    Max,
-    Min,
-    Project,
-    Reorder,
-    Select,
-    Shed,
-    SinkNode,
-    SlidingAggregate,
-    SourceNode,
-    Sum,
-    TumblingAggregate,
-    Union,
-    WindowJoin,
-)
-from .metrics import IdleTracker, LatencyRecorder, QueueSampler, queue_summary
-from .sim import Arrival, CostModel, EventQueue, Simulation, VirtualClock
-from .workloads import (
-    SCENARIOS,
-    ScenarioConfig,
-    ScenarioHandles,
-    build_join_scenario,
-    build_union_scenario,
-    bursty_arrivals,
-    constant_arrivals,
-    poisson_arrivals,
-    trace_arrivals,
-    with_external_timestamps,
-    with_out_of_order_timestamps,
-)
-
 __version__ = "1.0.0"
 
-__all__ = list(_core_all) + [
-    "AggSpec", "Arrival", "Avg", "Count", "CostModel", "EventQueue",
-    "FlatMap", "IdleTracker", "LatencyRecorder", "Map", "Max", "Min",
-    "Project", "QueueSampler", "Reorder", "SCENARIOS", "ScenarioConfig",
-    "ScenarioHandles", "Select", "Shed", "Simulation", "SinkNode",
-    "SlidingAggregate", "SourceNode", "Sum", "TumblingAggregate", "Union",
-    "VirtualClock", "WindowJoin", "build_join_scenario",
-    "build_union_scenario", "bursty_arrivals", "constant_arrivals",
-    "poisson_arrivals", "queue_summary", "trace_arrivals",
-    "with_external_timestamps", "with_out_of_order_timestamps",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -6,10 +6,12 @@ Everything a user-facing program needs lives in this one module::
 
 **Stability contract.**  Names listed in :data:`__all__` are the supported
 surface: they keep their signatures and semantics across minor versions,
-and removals go through a deprecation cycle: a shim plus a
-:class:`DeprecationWarning` for at least one release, then deletion (the
-README's migration table records each retired spelling and its
-replacement).  Anything imported from a submodule
+and every retired spelling gets a row in the README's migration table
+naming its replacement.  A name is listed only while a claim, a benchmark
+workload, an example or a CLI command reaches it — or while it is
+vocabulary those paths speak (errors, records, types, fault-injection
+inputs): ``tests/test_api_surface.py`` holds the rule and the reasoned
+exceptions.  Anything imported from a submodule
 directly (``repro.core.execution``, ``repro.sim.kernel``, …) is internal
 and may change without notice.  The repo's own examples and CLI import
 only from this facade, which is what keeps the contract honest.
@@ -17,8 +19,8 @@ only from this facade, which is what keeps the contract honest.
 The surface is grouped into five sections:
 
 * **Build** — declare what the query computes: the fluent
-  :class:`Pipeline` front door, the lower-level :class:`Query` builder and
-  :class:`QueryGraph`, the operator library, schemas, windows, timestamp
+  :class:`Pipeline` front door, the :class:`QueryGraph` it builds, the
+  operator library, schemas, windows, timestamp
   kinds, the mini-language's :func:`compile_query`, and the errors the
   build surface raises;
 * **Run** — drive data through an engine: :class:`ExecutionEngine`,
@@ -43,11 +45,9 @@ from .query import (
     CompiledQuery,
     Pipeline,
     PipelineStream,
-    Query,
-    StreamHandle,
     compile_query,
 )
-from .core.graph import QueryGraph, chain_joins
+from .core.graph import QueryGraph
 from .core.operators import (
     AggSpec,
     Avg,
@@ -61,7 +61,6 @@ from .core.operators import (
     Select,
     Shed,
     SinkNode,
-    SlidingAggregate,
     SourceNode,
     Sum,
     TumblingAggregate,
@@ -99,7 +98,7 @@ from .core.errors import (
 # ======================================================================== #
 from .core.config import EngineConfig
 from .core.execution import EngineStats, ExecutionEngine
-from .sim import Arrival, CostModel, EventQueue, Simulation, VirtualClock
+from .sim import Arrival, CostModel, Simulation, VirtualClock
 from .core.ets import (
     AdaptiveHeartbeatSchedule,
     EtsPolicy,
@@ -107,11 +106,7 @@ from .core.ets import (
     OnDemandEts,
     PeriodicEtsSchedule,
 )
-from .core.timestamps import (
-    InternalClockEts,
-    SkewBoundEts,
-    default_generator_for,
-)
+from .core.timestamps import InternalClockEts, SkewBoundEts
 from .workloads import (
     SCENARIOS,
     ScenarioConfig,
@@ -171,18 +166,15 @@ from .obs import (
     JsonlExporter,
     MetricsRegistry,
     Observer,
-    PrometheusExporter,
     TraceObserver,
 )
 from .metrics import (
     CheckpointTracker,
     IdleTracker,
     LatencyRecorder,
-    QueueSampler,
     RecoveryTracker,
     format_profile,
     profile_simulation,
-    queue_summary,
 )
 from .metrics.report import format_series, format_table
 
@@ -204,22 +196,15 @@ from .faults import (
     PunctuationLoss,
     QuarantinePolicy,
     ReshardCrash,
-    ShardCrash,
-    ShardHang,
     SimulatedCrash,
     SlowSink,
     SourceOutage,
     StallDetector,
 )
-from .feedback import (
-    FeedbackController,
-    TokenBucketThrottle,
-    propagate_feedback,
-)
+from .feedback import FeedbackController, TokenBucketThrottle
 from .recovery import (
     CheckpointInfo,
     CheckpointStore,
-    CheckpointWriter,
     RecoveryManager,
     RecoveryReport,
     WriteAheadLog,
@@ -234,18 +219,14 @@ from .core.columnar import (
     set_numpy,
 )
 from .shard import (
-    Autoscaler,
     ElasticShardedEngine,
     FrontierMerge,
-    FrontierTracker,
     HashPartitioner,
     ReshardReport,
     ShardError,
-    ShardSupervisor,
     ShardTimeoutError,
     ShardedEngine,
     ShardedRecoveryReport,
-    ShardedSimulation,
 )
 
 __all__ = [
@@ -253,13 +234,11 @@ __all__ = [
     # Build
     # ------------------------------------------------------------------ #
     # pipelines & query construction
-    "CompiledQuery", "Pipeline", "PipelineStream", "Query", "StreamHandle",
-    "compile_query",
+    "CompiledQuery", "Pipeline", "PipelineStream", "compile_query",
     # graphs & operators
     "AggSpec", "Avg", "Count", "FlatMap", "Map", "Max", "Min", "Project",
-    "QueryGraph", "Reorder", "Select", "Shed", "SinkNode",
-    "SlidingAggregate", "SourceNode", "Sum", "TumblingAggregate", "Union",
-    "WindowJoin", "chain_joins",
+    "QueryGraph", "Reorder", "Select", "Shed", "SinkNode", "SourceNode",
+    "Sum", "TumblingAggregate", "Union", "WindowJoin",
     # schema & windows
     "CountWindow", "Field", "Schema", "TimeWindow", "WindowSpec",
     # tuples & timestamp kinds
@@ -274,12 +253,11 @@ __all__ = [
     # Run
     # ------------------------------------------------------------------ #
     # engines & simulation
-    "Arrival", "CostModel", "EngineConfig", "EngineStats", "EventQueue",
+    "Arrival", "CostModel", "EngineConfig", "EngineStats",
     "ExecutionEngine", "Simulation", "VirtualClock",
     # ETS policies & timestamp generators
     "AdaptiveHeartbeatSchedule", "EtsPolicy", "InternalClockEts", "NoEts",
     "OnDemandEts", "PeriodicEtsSchedule", "SkewBoundEts",
-    "default_generator_for",
     # workloads
     "SCENARIOS", "ScenarioConfig", "ScenarioHandles",
     "build_join_scenario", "build_union_scenario", "bursty_arrivals",
@@ -304,12 +282,11 @@ __all__ = [
     # ------------------------------------------------------------------ #
     # event bus, exporters & tracing
     "ChromeTraceExporter", "EventBus", "JsonlExporter", "MetricsRegistry",
-    "Observer", "PrometheusExporter", "TraceEvent", "TraceObserver",
-    "Tracer", "summarize",
+    "Observer", "TraceEvent", "TraceObserver", "Tracer", "summarize",
     # metrics & reporting
-    "CheckpointTracker", "IdleTracker", "LatencyRecorder", "QueueSampler",
+    "CheckpointTracker", "IdleTracker", "LatencyRecorder",
     "RecoveryTracker", "format_profile", "format_series", "format_table",
-    "profile_simulation", "queue_summary",
+    "profile_simulation",
     # ------------------------------------------------------------------ #
     # Recover
     # ------------------------------------------------------------------ #
@@ -317,22 +294,20 @@ __all__ = [
     "ClockSkewSpike", "DropTuples", "DuplicateTuples", "FallbackHeartbeat",
     "FaultPlan", "FaultSpec", "InvariantMonitor", "LoadSpike",
     "OutOfOrderBurst", "ProcessCrash", "PunctuationDelay",
-    "PunctuationLoss", "QuarantinePolicy", "ReshardCrash", "ShardCrash",
-    "ShardHang", "SimulatedCrash", "SlowSink", "SourceOutage",
-    "StallDetector",
+    "PunctuationLoss", "QuarantinePolicy", "ReshardCrash",
+    "SimulatedCrash", "SlowSink", "SourceOutage", "StallDetector",
     # feedback (closed-loop backpressure)
-    "FeedbackController", "TokenBucketThrottle", "propagate_feedback",
+    "FeedbackController", "TokenBucketThrottle",
     # recovery
-    "CheckpointInfo", "CheckpointStore", "CheckpointWriter",
-    "RecoveryManager", "RecoveryReport", "WriteAheadLog",
+    "CheckpointInfo", "CheckpointStore", "RecoveryManager",
+    "RecoveryReport", "WriteAheadLog",
     # ------------------------------------------------------------------ #
     # Scale
     # ------------------------------------------------------------------ #
     # columnar blocks
     "ColumnarBlock", "FieldPredicate", "set_numpy",
     # sharding
-    "Autoscaler", "ElasticShardedEngine", "FrontierMerge",
-    "FrontierTracker", "HashPartitioner", "ReshardReport", "ShardError",
-    "ShardSupervisor", "ShardTimeoutError", "ShardedEngine",
-    "ShardedRecoveryReport", "ShardedSimulation",
+    "ElasticShardedEngine", "FrontierMerge", "HashPartitioner",
+    "ReshardReport", "ShardError", "ShardTimeoutError", "ShardedEngine",
+    "ShardedRecoveryReport",
 ]

@@ -338,16 +338,25 @@ def _cmd_idle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_source_spec(spec: str) -> tuple[str, str, float]:
+def _parse_rate_spec(flag: str, spec: str,
+                     kinds: tuple[str, ...] = ()) -> tuple[str, str, float]:
+    """Parse ``NAME[:KIND]:RATE``; ``KIND`` is part of the spec iff
+    ``kinds`` names the allowed ones (returned as ``""`` otherwise)."""
+    shape = "NAME:KIND:RATE" if kinds else "NAME:RATE"
     parts = spec.split(":")
-    if len(parts) != 3:
+    if len(parts) != (3 if kinds else 2) or not parts[0]:
+        raise ReproError(f"bad {flag} spec {spec!r}; expected {shape}")
+    kind = parts[1] if kinds else ""
+    if kinds and kind not in kinds:
         raise ReproError(
-            f"bad --source spec {spec!r}; expected NAME:KIND:RATE")
-    name, kind, rate = parts
-    if kind not in ("poisson", "constant"):
+            f"bad {flag} kind {kind!r} in {spec!r}; "
+            f"expected {' or '.join(kinds)}")
+    try:
+        rate = float(parts[-1])
+    except ValueError:
         raise ReproError(
-            f"bad --source kind {kind!r}; expected poisson or constant")
-    return name, kind, float(rate)
+            f"bad {flag} spec {spec!r}; RATE must be a number") from None
+    return parts[0], kind, rate
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -627,18 +636,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pipeline = Pipeline.from_program(text, name=args.program)
     pipeline.engine(
         ets_policy=OnDemandEts() if args.ets == "on-demand" else NoEts())
-    for spec in args.heartbeat:
-        name, _, rate = spec.partition(":")
-        pipeline.heartbeat(name, float(rate))
-
-    seed = args.seed
     declared = pipeline.compiled.sources
-    for spec in args.source:
-        name, kind, rate = _parse_source_spec(spec)
+
+    def check_declared(flag: str, name: str) -> None:
         if name not in declared:
             raise ReproError(
-                f"--source {name!r}: program declares no such stream "
+                f"{flag} {name!r}: program declares no such stream "
                 f"(has {sorted(declared)})")
+
+    for spec in args.heartbeat:
+        name, _, rate = _parse_rate_spec("--heartbeat", spec)
+        check_declared("--heartbeat", name)
+        pipeline.heartbeat(name, rate)
+
+    seed = args.seed
+    for spec in args.source:
+        name, kind, rate = _parse_rate_spec(
+            "--source", spec, kinds=("poisson", "constant"))
+        check_declared("--source", name)
         payloads = uniform_value_payloads(random.Random(seed + 1))
         if kind == "poisson":
             arrivals = poisson_arrivals(rate, random.Random(seed),

@@ -1,74 +1,1 @@
 """Core DSMS: tuples, buffers, operators, query graphs, execution, ETS."""
-
-from .buffers import BufferRegistry, StreamBuffer, TSMRegister
-from .errors import (
-    ExecutionError,
-    GraphError,
-    InvariantViolation,
-    PolicyError,
-    QueryLanguageError,
-    ReproError,
-    SchemaError,
-    TimestampError,
-    WorkloadError,
-)
-from .ets import (
-    AdaptiveHeartbeatSchedule,
-    EtsPolicy,
-    NoEts,
-    OnDemandEts,
-    PeriodicEtsSchedule,
-)
-from .execution import EngineStats, ExecutionEngine
-from .graph import QueryGraph, chain_joins
-from .schema import Field, Schema
-from .timestamps import InternalClockEts, SkewBoundEts, default_generator_for
-from .tuples import (
-    LATENT_TS,
-    DataTuple,
-    Punctuation,
-    StreamElement,
-    TimestampKind,
-    is_data,
-    is_punctuation,
-)
-from .windows import CountWindow, TimeWindow, WindowSpec
-
-__all__ = [
-    "AdaptiveHeartbeatSchedule",
-    "BufferRegistry",
-    "CountWindow",
-    "DataTuple",
-    "EngineStats",
-    "EtsPolicy",
-    "ExecutionEngine",
-    "ExecutionError",
-    "Field",
-    "GraphError",
-    "InternalClockEts",
-    "InvariantViolation",
-    "LATENT_TS",
-    "NoEts",
-    "OnDemandEts",
-    "PeriodicEtsSchedule",
-    "PolicyError",
-    "Punctuation",
-    "QueryGraph",
-    "QueryLanguageError",
-    "ReproError",
-    "Schema",
-    "SchemaError",
-    "SkewBoundEts",
-    "StreamBuffer",
-    "StreamElement",
-    "TSMRegister",
-    "TimeWindow",
-    "TimestampError",
-    "TimestampKind",
-    "WindowSpec",
-    "WorkloadError",
-    "chain_joins",
-    "default_generator_for",
-    "is_data",
-    "is_punctuation",
-]

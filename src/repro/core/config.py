@@ -1,11 +1,11 @@
 """One canonical spelling for every engine-construction knob.
 
-Four constructors accept overlapping execution knobs — ``ExecutionEngine``,
-``Simulation``, ``ShardedEngine``, ``ShardedSimulation`` — and before this
+Three constructors accept overlapping execution knobs — ``ExecutionEngine``,
+``Simulation``, ``ShardedEngine`` — and before this
 module each spelled them slightly differently (``feedback`` vs
 ``feedback_factory``, ``observers`` lists vs None, per-ctor defaults).
 :class:`EngineConfig` is the single source of truth: build one, hand it to
-any of the four via their ``config=`` parameter, and each constructor takes
+any of the three via their ``config=`` parameter, and each constructor takes
 exactly the knobs it understands under its canonical name.
 
 Explicit keyword arguments always win over the config — a config is a
@@ -96,7 +96,7 @@ class EngineConfig:
             object.__setattr__(self, "observers", tuple(self.observers))
 
     # ------------------------------------------------------------------ #
-    # Resolution helpers used by the four constructors
+    # Resolution helpers used by the three constructors
 
     def resolve(self, overrides: dict[str, Any],
                 defaults: dict[str, Any]) -> dict[str, Any]:

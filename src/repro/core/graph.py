@@ -11,18 +11,16 @@ size" metric of Figure 8 covers exactly the buffers of this query.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .buffers import BufferRegistry, StreamBuffer
 from .errors import GraphError
 from .operators.base import Operator
-from .operators.join import WindowJoin
 from .operators.sink import SinkNode
 from .operators.source import SourceNode
 from .tuples import TimestampKind
-from .windows import WindowSpec
 
-__all__ = ["QueryGraph", "chain_joins"]
+__all__ = ["QueryGraph"]
 
 
 class QueryGraph:
@@ -321,25 +319,3 @@ class QueryGraph:
                 )
         lines.append("}")
         return "\n".join(lines)
-
-
-def chain_joins(graph: QueryGraph, name: str, inputs: Iterable[Operator],
-                window: WindowSpec, **join_kwargs) -> Operator:
-    """Build a left-deep cascade of binary window joins over ``inputs``.
-
-    The paper omits multi-way joins "whose treatment is however similar to
-    that of binary joins"; this helper provides them compositionally.
-    Returns the root (final) join operator; the caller connects it onward.
-    """
-    ops = list(inputs)
-    if len(ops) < 2:
-        raise GraphError("chain_joins needs at least two inputs")
-    left = ops[0]
-    for i, right in enumerate(ops[1:], start=1):
-        join = WindowJoin(f"{name}_{i}" if len(ops) > 2 else name,
-                          window, **join_kwargs)
-        graph.add(join)
-        graph.connect(left, join)
-        graph.connect(right, join)
-        left = join
-    return left

@@ -7,7 +7,6 @@ from .aggregate import (
     Count,
     Max,
     Min,
-    SlidingAggregate,
     Sum,
     TumblingAggregate,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Select",
     "Shed",
     "SinkNode",
-    "SlidingAggregate",
     "SourceNode",
     "StatelessOperator",
     "StepResult",

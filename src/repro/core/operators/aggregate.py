@@ -8,13 +8,9 @@ implicitly (streams are ordered); punctuation tuples carry it explicitly —
 which means on-demand ETS also speeds up aggregate emission on sparse
 streams, a pleasant side effect exercised by the examples.
 
-Two operators are provided:
-
-* :class:`TumblingAggregate` — fixed-width consecutive windows; one output
-  tuple per non-empty window (optionally per empty window too), stamped with
-  the window's end time.
-* :class:`SlidingAggregate` — continuous semantics: each data tuple emits the
-  aggregate over the trailing time window ending at its timestamp.
+:class:`TumblingAggregate` covers fixed-width consecutive windows: one output
+tuple per non-empty window (optionally per empty window too), stamped with
+the window's end time.
 
 Aggregation functions follow Stream Mill's user-defined-aggregate spirit: an
 :class:`Aggregator` is any object with ``update(value)`` and ``result()``;
@@ -27,7 +23,6 @@ from typing import Any, Callable, Mapping
 
 from ..errors import ExecutionError
 from ..tuples import LATENT_TS, DataTuple
-from ..windows import TimeWindow
 from .base import BatchResult, Operator, OpContext, StepResult
 
 __all__ = [
@@ -39,7 +34,6 @@ __all__ = [
     "Max",
     "AggSpec",
     "TumblingAggregate",
-    "SlidingAggregate",
 ]
 
 
@@ -340,67 +334,3 @@ class TumblingAggregate(Operator):
                 accumulators[out].update(spec.extract(payload))
         n = block.count
         return BatchResult(steps=n, consumed_data=n, emitted_data=emitted)
-
-
-class SlidingAggregate(Operator):
-    """Continuous sliding-window aggregate.
-
-    For every data tuple with timestamp ``t``, emits the aggregate over the
-    input tuples with timestamps in ``(t - span, t]`` — the standard
-    continuous-query semantics.  Punctuation passes through after expiring
-    the trailing window (another place ETS frees memory).
-    """
-
-    is_iwp = False
-    arity = 1
-
-    def __init__(self, name: str, span: float, aggs: Mapping[str, AggSpec],
-                 *, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
-        if not aggs:
-            raise ExecutionError(f"aggregate {name!r}: needs at least one AggSpec")
-        self.aggs = dict(aggs)
-        self.window = TimeWindow(span)
-        # TimeWindow keeps ts >= now - span; for the half-open (t-span, t]
-        # semantics we expire with a nudge, see _expire_to.
-        self.span = float(span)
-
-    def _expire_to(self, ts: float) -> None:
-        self.window.expire(ts)
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint / restore
-
-    def snapshot_state(self) -> dict:
-        """Versioned snapshot of the trailing window contents."""
-        return {"version": 1, "window": self.window.snapshot_state()}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
-        if state.get("version") != 1:
-            raise ExecutionError(
-                f"unsupported SlidingAggregate state: {state!r}")
-        self.window.restore_state(state["window"])
-
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        element = self.inputs[0].pop()
-        if element.is_punctuation:
-            self._expire_to(element.ts)
-            self.emit_punctuation(element)
-            return StepResult(consumed=element, emitted_punctuation=1)
-
-        assert isinstance(element, DataTuple)
-        if element.is_latent:
-            element = element.stamped(ctx.clock.now())
-        self._expire_to(element.ts)
-        self.window.insert(element)
-        accumulators = {out: spec.factory() for out, spec in self.aggs.items()}
-        probes = 0
-        for tup in self.window:
-            probes += 1
-            for out, spec in self.aggs.items():
-                accumulators[out].update(spec.extract(tup.payload))
-        payload = {out: acc.result() for out, acc in accumulators.items()}
-        self.emit(DataTuple(ts=element.ts, payload=payload,
-                            arrival_ts=element.arrival_ts))
-        return StepResult(consumed=element, probes=probes, emitted_data=1)

@@ -161,8 +161,8 @@ class Operator:
     #: incoming blocks exploded lazily by the buffer, so their
     #: byte-identity is preserved by construction.  Operators gate it per
     #: instance where a configuration is inherently per-element: a strict
-    #: (X1-ablation) join, a ``late="error"`` reorder and a
-    #: ``queue_threshold`` shedder stay scalar.  The engine's one
+    #: (X1-ablation) join and a ``late="error"`` reorder stay scalar.
+    #: The engine's one
     #: ``supports_blocks`` branch is the only place that knows about
     #: fallback — kernels never re-dispatch.
     supports_blocks: bool = False

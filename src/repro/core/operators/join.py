@@ -19,8 +19,7 @@ query operators that require timestamps", paper Section 5), after which they
 behave as internal-timestamped data.
 
 Asymmetric joins are supported by passing a window spec for only one side;
-multi-way joins are built as cascades of binary joins by
-:func:`repro.core.graph.chain_joins`.
+multi-way joins are cascades of binary joins (``a.join(b, w).join(c, w)``).
 """
 
 from __future__ import annotations

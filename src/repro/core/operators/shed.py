@@ -9,12 +9,10 @@ converts shedding into timestamp knowledge: a shed tuple's timestamp is not
 lost, because the operator's pass-through of later elements (or an ETS from
 upstream) still advances downstream TSM registers.
 
-Two policies:
-
-* ``probability``: classic random shedding at a fixed rate;
-* ``queue_threshold``: shed only while this operator's input buffer holds
-  more than a threshold of elements — pressure-driven shedding that is
-  inactive in a healthy system.
+The drop rate is the configured ``probability`` (classic random shedding at
+a fixed rate) or, when larger, the ``drop_budget`` an upstream-flowing
+feedback wave granted — pressure-driven shedding that is inactive in a
+healthy system (see :mod:`repro.feedback`).
 """
 
 from __future__ import annotations
@@ -36,11 +34,8 @@ class Shed(StatelessOperator):
     """Probabilistic / pressure-driven load shedder.
 
     Args:
-        probability: Chance of dropping each data tuple when shedding is
-            active (0 disables random shedding).
-        queue_threshold: When set, shedding only applies while the input
-            buffer length exceeds this threshold; when None, shedding is
-            always active.
+        probability: Chance of dropping each data tuple (0 disables random
+            shedding).
         seed: RNG seed — shedding must be reproducible like everything else.
 
     Attributes:
@@ -48,7 +43,6 @@ class Shed(StatelessOperator):
     """
 
     def __init__(self, name: str, probability: float, *,
-                 queue_threshold: int | None = None,
                  seed: int = 0, output_schema=None) -> None:
         super().__init__(name, output_schema=output_schema)
         if not 0.0 <= probability <= 1.0:
@@ -56,12 +50,7 @@ class Shed(StatelessOperator):
                 f"shed {name!r}: probability must be in [0, 1], "
                 f"got {probability}"
             )
-        if queue_threshold is not None and queue_threshold < 0:
-            raise ExecutionError(
-                f"shed {name!r}: queue_threshold must be >= 0"
-            )
         self.probability = probability
-        self.queue_threshold = queue_threshold
         self._rng = random.Random(seed)
         self.shed_count = 0
         self.passed_count = 0
@@ -96,20 +85,6 @@ class Shed(StatelessOperator):
         self.passed_count = state["passed_count"]
         self.drop_budget = state.get("drop_budget", 0.0)
 
-    def _under_pressure(self) -> bool:
-        if self.queue_threshold is None:
-            return True
-        return len(self.inputs[0]) > self.queue_threshold
-
-    @property
-    def supports_blocks(self) -> bool:  # type: ignore[override]
-        """Columnar eligibility: always-active shedding only.
-        Pressure-driven shedding reads the live input-buffer length per
-        tuple; draining a whole run first would empty the buffer before the
-        decisions are made, so ``queue_threshold`` keeps the scalar
-        fallback path."""
-        return self.queue_threshold is None
-
     @property
     def effective_probability(self) -> float:
         """Drop rate in force: configured probability or feedback budget."""
@@ -119,8 +94,7 @@ class Shed(StatelessOperator):
 
     def apply(self, tup: DataTuple, ctx: OpContext) -> list[Any]:
         probability = self.effective_probability
-        if (probability > 0.0 and self._under_pressure()
-                and self._rng.random() < probability):
+        if probability > 0.0 and self._rng.random() < probability:
             self.shed_count += 1
             return []
         self.passed_count += 1

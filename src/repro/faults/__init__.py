@@ -30,8 +30,6 @@ from .plan import (
     PunctuationDelay,
     PunctuationLoss,
     ReshardCrash,
-    ShardCrash,
-    ShardHang,
     SimulatedCrash,
     SlowSink,
     SourceOutage,
@@ -53,8 +51,6 @@ __all__ = [
     "PunctuationLoss",
     "QuarantinePolicy",
     "ReshardCrash",
-    "ShardCrash",
-    "ShardHang",
     "SimulatedCrash",
     "SlowSink",
     "SourceOutage",

@@ -46,8 +46,6 @@ __all__ = [
     "PunctuationDelay",
     "PunctuationLoss",
     "ReshardCrash",
-    "ShardCrash",
-    "ShardHang",
     "SimulatedCrash",
     "SlowSink",
     "SourceOutage",
@@ -95,8 +93,6 @@ class FaultStats:
     crashes: int = 0
     spiked: int = 0
     slowed: int = 0
-    shard_crashes: int = 0
-    shard_hangs: int = 0
     reshard_crashes: int = 0
 
     @property
@@ -551,85 +547,6 @@ _RESHARD_PHASES = ("quiesce", "align", "snapshot", "restore",
                    "reroute", "resume")
 
 
-def _check_shard_phase(phase: str) -> None:
-    if phase not in ("pre", "apply"):
-        raise WorkloadError(
-            f"shard fault phase must be 'pre' or 'apply', got {phase!r}")
-
-
-@dataclass(frozen=True)
-class ShardCrash(FaultSpec):
-    """One shard of a sharded engine raises mid-wake-up.
-
-    Armed through :meth:`ShardedEngine.inject_shard_fault`; the shard
-    raises a :class:`~repro.shard.backends.ShardError` at the first
-    wake-up whose drive time reaches ``at`` — before applying its
-    commands (``phase="pre"``) or after ingesting but before running the
-    engine (``phase="apply"``, the half-applied case the supervisor's
-    dedup ledger exists for).  ``shard=None`` picks the victim from the
-    plan's per-spec RNG; ``persistent`` re-arms after every supervisor
-    restart (the escalation path).
-    """
-
-    shard: int | None = None
-    at: float = 0.0
-    repeat: int = 1
-    phase: str = "pre"
-    persistent: bool = False
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        _check_shard_phase(self.phase)
-        if self.repeat < 1:
-            raise WorkloadError(f"repeat must be >= 1, got {self.repeat}")
-
-    def install_sharded(self, engine, rng: random.Random,
-                        stats: FaultStats) -> None:
-        index = (self.shard if self.shard is not None
-                 else rng.randrange(engine.shard_count))
-        engine.inject_shard_fault(index, "crash", at=self.at,
-                                  repeat=self.repeat, phase=self.phase,
-                                  persistent=self.persistent)
-        stats.shard_crashes += self.repeat
-
-
-@dataclass(frozen=True)
-class ShardHang(FaultSpec):
-    """One shard stalls for ``duration`` wall seconds, then raises.
-
-    Under the thread/process backends the stall outlives ``op_timeout``,
-    so the facade sees a :class:`~repro.shard.backends.ShardTimeoutError`
-    and the supervisor restarts the abandoned shard from durable state.
-    Keep ``duration`` finite and larger than the backend's timeout.
-    """
-
-    shard: int | None = None
-    at: float = 0.0
-    duration: float = 0.5
-    repeat: int = 1
-    phase: str = "pre"
-    persistent: bool = False
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        _check_shard_phase(self.phase)
-        if self.duration <= 0:
-            raise WorkloadError(
-                f"hang duration must be positive, got {self.duration}")
-        if self.repeat < 1:
-            raise WorkloadError(f"repeat must be >= 1, got {self.repeat}")
-
-    def install_sharded(self, engine, rng: random.Random,
-                        stats: FaultStats) -> None:
-        index = (self.shard if self.shard is not None
-                 else rng.randrange(engine.shard_count))
-        engine.inject_shard_fault(index, "hang", at=self.at,
-                                  duration=self.duration,
-                                  repeat=self.repeat, phase=self.phase,
-                                  persistent=self.persistent)
-        stats.shard_hangs += self.repeat
-
-
 @dataclass(frozen=True)
 class ReshardCrash(FaultSpec):
     """The facade 'dies' as a reshard reaches ``phase``.
@@ -720,12 +637,7 @@ class FaultPlan:
         return self
 
     def install_sharded(self, engine) -> "FaultPlan":
-        """Arm every shard-level spec on a sharded engine facade.
-
-        Specs that pick a random victim shard draw it from their usual
-        per-``(seed, index)`` RNG, so the same plan kills the same shard
-        on every run.
-        """
+        """Arm every shard-level spec on a sharded engine facade."""
         for index, spec in enumerate(self.specs):
             spec.install_sharded(engine, self._rng_for(index), self.stats)
         return self

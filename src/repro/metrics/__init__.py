@@ -3,7 +3,7 @@
 from .idle import IdleTracker
 from .latency import LatencyRecorder
 from .profile import OperatorProfile, format_profile, profile_simulation
-from .queues import QueueSampler, queue_summary
+from .queues import queue_summary
 from .recovery import CheckpointTracker, RecoveryTracker
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "IdleTracker",
     "LatencyRecorder",
     "OperatorProfile",
-    "QueueSampler",
     "RecoveryTracker",
     "format_profile",
     "profile_simulation",

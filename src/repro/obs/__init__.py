@@ -5,9 +5,9 @@ engine and kernel take; everything else is an :class:`Observer` of it:
 
 * :class:`MetricsRegistry` — unified counters / gauges / histograms with
   ``as_dict()`` and Prometheus text rendering;
-* :class:`JsonlExporter` / :class:`ChromeTraceExporter` /
-  :class:`PrometheusExporter` — the event stream and metrics in standard
-  external formats (``python -m repro trace`` / ``python -m repro
+* :class:`JsonlExporter` / :class:`ChromeTraceExporter` — the event
+  stream in standard external formats (``python -m repro trace``; the
+  registry renders its own Prometheus text for ``python -m repro
   metrics``);
 * :class:`TraceObserver` — the adapter that feeds the legacy
   :class:`~repro.core.tracing.Tracer` vocabulary from the bus.
@@ -19,7 +19,7 @@ stores no bus at all and instrumentation costs nothing.
 
 from .adapters import TraceObserver
 from .bus import HOOKS, NULL_BUS, EventBus, NullBus, Observer
-from .exporters import ChromeTraceExporter, JsonlExporter, PrometheusExporter
+from .exporters import ChromeTraceExporter, JsonlExporter
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "MetricsRegistry",
     "NullBus",
     "Observer",
-    "PrometheusExporter",
     "TraceObserver",
 ]

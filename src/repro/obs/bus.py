@@ -147,15 +147,11 @@ class Observer:
         and is being re-polled after ``value`` seconds of backoff, attempt
         ``count``), ``"clamp"`` (the global pressure view was broadcast
         back to ``count`` shards), ``"recovery"`` (``shard`` was restored
-        to ``frontier`` after replaying ``count`` ingests), ``"reshard"``
-        (``shard`` is ``-1``: the topology changed, migrating ``count``
-        keys at quiesce frontier ``frontier``, pausing for ``value``
-        simulated seconds; ``detail`` is the direction, e.g. ``"4->5"``),
-        ``"supervisor"``
-        (the supervisor restarted ``shard`` — attempt ``count``, backoff
-        ``value`` — or escalated when ``detail`` says so), or ``"scale"``
-        (the autoscaler requested ``count`` shards on pressure signal
-        ``value``).
+        to ``frontier`` after replaying ``count`` ingests), or
+        ``"reshard"`` (``shard`` is ``-1``: the topology changed, migrating
+        ``count`` keys at quiesce frontier ``frontier``, pausing for
+        ``value`` simulated seconds; ``detail`` is the direction, e.g.
+        ``"4->5"``).
         """
 
     def on_feedback(self, *, kind: str, round_id: int, time: float,

@@ -1,6 +1,6 @@
-"""Exporters: the event stream and metrics in standard external formats.
+"""Exporters: the event stream in standard external formats.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * :class:`JsonlExporter` — every bus event as one JSON object per line;
   greppable, replayable, and the golden-file format of the exporter tests.
@@ -10,9 +10,6 @@ Three consumers, three formats:
   simulated CPU cost as duration, and NOS / ETS / punctuation / fault
   decisions become instant events — a flame-graph view of the
   Execute/Encore/Backtrack walks.
-* :class:`PrometheusExporter` — text exposition of a
-  :class:`~repro.obs.registry.MetricsRegistry` (which owns the rendering;
-  this class adds the file plumbing and a stable surface in ``repro.api``).
 
 All exporters buffer in memory and write on demand: the simulation is
 virtual-time, so there is no need (and no way) to stream in real time.
@@ -22,14 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, TYPE_CHECKING
+from typing import IO
 
 from .bus import Observer
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .registry import MetricsRegistry
-
-__all__ = ["JsonlExporter", "ChromeTraceExporter", "PrometheusExporter"]
+__all__ = ["JsonlExporter", "ChromeTraceExporter"]
 
 
 class JsonlExporter(Observer):
@@ -246,20 +240,3 @@ class ChromeTraceExporter(Observer):
     def write(self, path: str) -> None:
         with open(path, "w") as fp:
             fp.write(self.to_json())
-
-
-class PrometheusExporter:
-    """File/stream plumbing around a registry's Prometheus rendering."""
-
-    def __init__(self, registry: "MetricsRegistry") -> None:
-        self.registry = registry
-
-    def render(self) -> str:
-        return self.registry.render_prometheus()
-
-    def dump(self, fp: IO[str]) -> None:
-        fp.write(self.render())
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fp:
-            self.dump(fp)

@@ -281,12 +281,6 @@ class MetricsRegistry(Observer):
         self.shard_migrated = c(
             "repro_shard_migrated_keys_total",
             "Keys whose route changed across a reshard")
-        self.shard_restarts = c(
-            "repro_shard_restarts_total",
-            "Supervisor-driven shard restarts, by outcome label")
-        self.shard_scale_requests = c(
-            "repro_shard_scale_requests_total",
-            "Autoscaler split/merge decisions, by direction label")
         self.shard_stat = g("repro_shard_stat",
                             "Absorbed end-of-run sharded-engine figures")
         self.feedback_waves = c("repro_feedback_waves_total",
@@ -442,11 +436,6 @@ class MetricsRegistry(Observer):
             self.shard_reshards.inc(direction=detail or "reshard")
             if count:
                 self.shard_migrated.inc(count)
-        elif kind == "supervisor":
-            self.shard_restarts.inc(
-                shard=shard, outcome=detail or "restarted")
-        elif kind == "scale":
-            self.shard_scale_requests.inc(direction=detail or "scale")
 
     def on_feedback(self, *, kind, round_id, time, pressure=0.0, depth=0,
                     drop_budget=0.0, sink_latency=0.0, frontier_lag=0.0,

@@ -1,6 +1,5 @@
-"""Query construction: fluent builder and the mini continuous-query language."""
+"""Query construction: the fluent Pipeline and the mini query language."""
 
-from .builder import Query, StreamHandle
 from .language import CompiledQuery, compile_query
 from .parser import compile_expression, tokenize
 from .pipeline import Pipeline, PipelineStream
@@ -9,8 +8,6 @@ __all__ = [
     "CompiledQuery",
     "Pipeline",
     "PipelineStream",
-    "Query",
-    "StreamHandle",
     "compile_expression",
     "compile_query",
     "tokenize",

@@ -1,7 +1,7 @@
 """The fluent pipeline surface: build, configure, and run in one chain.
 
-:class:`Pipeline` is the front door of :mod:`repro.api`.  It wraps the
-:class:`~repro.query.builder.Query` builder, an
+:class:`Pipeline` is the front door of :mod:`repro.api`.  It owns the
+:class:`~repro.core.graph.QueryGraph` under construction, an
 :class:`~repro.core.config.EngineConfig`, and the
 :class:`~repro.sim.kernel.Simulation` drive loop behind a single chainable
 object, so the common case needs no manual graph wiring, no engine
@@ -24,7 +24,10 @@ construction, and no separate workload attachment::
 
 Single-source pipelines can start straight from the class —
 ``Pipeline.source("ticks")`` creates an anonymous pipeline and returns the
-stream handle; the pipeline itself is reachable as ``stream.pipeline``.
+stream; the pipeline itself is reachable as ``stream.pipeline``.  Every
+combinator returns a :class:`PipelineStream` — a cursor over the operator
+whose output the next combinator will consume — and operator names are
+generated (``select_1``, ``join_1``, ...) unless given.
 
 Pipelines default to the columnar fast path (``batch_size=64``); results are
 identical to scalar execution (``batch_size=1``) by the run-step fallback
@@ -40,10 +43,23 @@ from typing import Any, Callable, Iterable, Mapping
 from ..core.config import EngineConfig
 from ..core.errors import GraphError, WorkloadError
 from ..core.graph import QueryGraph
-from ..core.operators import AggSpec, SinkNode, SourceNode
+from ..core.operators import (
+    AggSpec,
+    FlatMap,
+    Map,
+    Project,
+    Reorder,
+    Select,
+    Shed,
+    SinkNode,
+    SourceNode,
+    TumblingAggregate,
+    Union,
+    WindowJoin,
+)
+from ..core.operators.base import Operator
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
-from .builder import Query, StreamHandle
 
 __all__ = ["Pipeline", "PipelineStream"]
 
@@ -82,7 +98,9 @@ class Pipeline:
 
     def __init__(self, name: str = "pipeline", *,
                  config: EngineConfig | None = None) -> None:
-        self.query = Query(name)
+        self._graph = QueryGraph(name)
+        self._frozen = False
+        self._counters: dict[str, int] = {}
         self.config = config if config is not None else EngineConfig(
             batch_size=64)
         self.sinks: dict[str, SinkNode] = {}
@@ -91,7 +109,6 @@ class Pipeline:
         self._sim_kwargs: dict[str, Any] = {}
         self._feeds: list[tuple[str, Iterable, Any, int]] = []
         self._heartbeats: dict[str, float] = {}
-        self._graph: QueryGraph | None = None
 
     # ------------------------------------------------------------------ #
     # Build
@@ -106,8 +123,9 @@ class Pipeline:
         anonymous single-source pipeline (reach it via ``.pipeline``).
         """
         self._mutable("source")
-        handle = self.query.source(name, kind, out_of_order=out_of_order)
-        return PipelineStream(self, handle)
+        node = self._graph.add_source(self._auto_name("source", name), kind,
+                                      out_of_order=out_of_order)
+        return PipelineStream(self, node)
 
     @classmethod
     def from_program(cls, program: str, name: str = "pipeline", *,
@@ -125,13 +143,15 @@ class Pipeline:
         pipeline = cls(name, config=config)
         pipeline.compiled = compiled
         pipeline._graph = compiled.graph
+        pipeline._frozen = True
         pipeline.sinks.update(compiled.sinks)
         return pipeline
 
     def compile(self) -> QueryGraph:
         """Validate and return the graph (idempotent — cached)."""
-        if self._graph is None:
-            self._graph = self.query.build()
+        if not self._frozen:
+            self._graph.validate()
+            self._frozen = True
         return self._graph
 
     @property
@@ -140,13 +160,25 @@ class Pipeline:
         return self.compile()
 
     def _mutable(self, what: str) -> None:
-        if self._graph is not None:
+        if self._frozen:
             raise GraphError(
-                f"cannot add {what}: pipeline {self.query.graph.name!r} is "
+                f"cannot add {what}: pipeline {self._graph.name!r} is "
                 "already compiled")
 
-    def _register_sink(self, sink: SinkNode) -> None:
-        self.sinks[sink.name] = sink
+    def _auto_name(self, prefix: str, name: str | None) -> str:
+        if name is not None:
+            return name
+        n = self._counters.get(prefix, 0) + 1
+        self._counters[prefix] = n
+        return f"{prefix}_{n}"
+
+    def _extend(self, op: Operator, *upstreams: Operator) -> "PipelineStream":
+        """Add ``op`` fed by ``upstreams`` (in input order); its stream."""
+        self._mutable(f"operator {op.name!r}")
+        self._graph.add(op)
+        for upstream in upstreams:
+            self._graph.connect(upstream, op)
+        return PipelineStream(self, op)
 
     # ------------------------------------------------------------------ #
     # Run
@@ -204,15 +236,19 @@ class Pipeline:
         from ..sim.kernel import Simulation
 
         graph = self.compile()
+        sources = {s.name for s in graph.sources()}
+        for what, names in (("feed", [f[0] for f in self._feeds]),
+                            ("heartbeat", self._heartbeats)):
+            for name in names:
+                if name not in sources:
+                    raise WorkloadError(
+                        f"{what} targets unknown source {name!r} "
+                        f"(graph has {sorted(sources)})")
         kwargs = dict(self._sim_kwargs)
         if self._heartbeats and "periodic" not in kwargs:
             kwargs["periodic"] = PeriodicEtsSchedule(dict(self._heartbeats))
         sim = Simulation(graph, config=self.config, **kwargs)
         for name, arrivals, faults, skip in self._feeds:
-            if name not in graph:
-                raise WorkloadError(
-                    f"feed targets unknown source {name!r} "
-                    f"(graph has {sorted(s.name for s in graph.sources())})")
             sim.attach_arrivals(graph[name], arrivals,
                                 faults=faults, skip=skip)
         self.simulation = sim
@@ -238,36 +274,35 @@ class Pipeline:
 
 
 class PipelineStream:
-    """A :class:`StreamHandle` bound to its :class:`Pipeline`.
+    """A cursor over one operator's output stream inside a :class:`Pipeline`.
 
-    Exposes every builder combinator (returning :class:`PipelineStream`),
-    plus ``window_join`` — the explicit spelling of :meth:`join` — and a
-    ``sink`` that registers the sink on the pipeline and returns the
-    pipeline for fluent chaining into ``.engine(...).feed(...).run(...)``.
+    Every combinator adds an operator fed by this stream and returns the
+    new operator's :class:`PipelineStream`; ``sink`` registers the sink on
+    the pipeline and returns the pipeline for fluent chaining into
+    ``.engine(...).feed(...).run(...)``.
     """
 
-    def __init__(self, pipeline: Pipeline, handle: StreamHandle) -> None:
+    def __init__(self, pipeline: Pipeline, op: Operator) -> None:
         self.pipeline = pipeline
-        self.handle = handle
-
-    @property
-    def op(self):
-        """The underlying operator (parity with :class:`StreamHandle`)."""
-        return self.handle.op
+        self.op = op
 
     @property
     def source_node(self) -> SourceNode:
         """The underlying source node (only valid on source streams)."""
-        return self.handle.source_node
+        if not isinstance(self.op, SourceNode):
+            raise GraphError(f"{self.op.name!r} is not a source")
+        return self.op
 
-    def _wrap(self, handle: StreamHandle) -> "PipelineStream":
-        return PipelineStream(self.pipeline, handle)
-
-    @staticmethod
-    def _unwrap(stream: "PipelineStream | StreamHandle") -> StreamHandle:
-        if isinstance(stream, PipelineStream):
-            return stream.handle
-        return stream
+    def _then(self, prefix: str, name: str | None, make,
+              others: tuple = ()) -> "PipelineStream":
+        """Add ``make(op_name)`` fed by this stream, then by ``others``."""
+        p = self.pipeline
+        for other in others:
+            if other.pipeline is not p:
+                raise GraphError(
+                    f"cannot {prefix} streams from different pipelines")
+        return p._extend(make(p._auto_name(prefix, name)), self.op,
+                         *(other.op for other in others))
 
     # ------------------------------------------------------------------ #
     # Stateless combinators
@@ -275,7 +310,7 @@ class PipelineStream:
     def select(self, predicate: Callable[[Any], bool],
                name: str | None = None) -> "PipelineStream":
         """Filter: keep payloads satisfying ``predicate``."""
-        return self._wrap(self.handle.select(predicate, name))
+        return self._then("select", name, lambda n: Select(n, predicate))
 
     def where(self, predicate: Callable[[Any], bool],
               name: str | None = None) -> "PipelineStream":
@@ -285,54 +320,55 @@ class PipelineStream:
     def project(self, fields: Iterable[str],
                 name: str | None = None) -> "PipelineStream":
         """Keep only the named payload fields."""
-        return self._wrap(self.handle.project(fields, name))
+        return self._then("project", name, lambda n: Project(n, fields))
 
     def map(self, fn: Callable[[Any], Any],
             name: str | None = None) -> "PipelineStream":
         """Transform each payload with ``fn``."""
-        return self._wrap(self.handle.map(fn, name))
+        return self._then("map", name, lambda n: Map(n, fn))
 
     def flat_map(self, fn: Callable[[Any], Iterable[Any]],
                  name: str | None = None) -> "PipelineStream":
         """Expand each payload into zero or more payloads."""
-        return self._wrap(self.handle.flat_map(fn, name))
+        return self._then("flatmap", name, lambda n: FlatMap(n, fn))
 
-    def shed(self, probability: float, *,
-             queue_threshold: int | None = None, seed: int = 0,
+    def shed(self, probability: float, *, seed: int = 0,
              name: str | None = None) -> "PipelineStream":
         """Random load shedding: drop each payload with ``probability``."""
-        return self._wrap(self.handle.shed(
-            probability, queue_threshold=queue_threshold, seed=seed,
-            name=name))
+        return self._then("shed", name,
+                          lambda n: Shed(n, probability, seed=seed))
 
     def reorder(self, slack: float, name: str | None = None,
                 late: str = "drop") -> "PipelineStream":
         """Restore timestamp order over a bounded-disorder stream."""
-        return self._wrap(self.handle.reorder(slack, name, late=late))
+        return self._then("reorder", name,
+                          lambda n: Reorder(n, slack, late=late))
 
     # ------------------------------------------------------------------ #
     # IWP combinators
 
-    def union(self, *others: "PipelineStream | StreamHandle",
-              name: str | None = None,
+    def union(self, *others: "PipelineStream", name: str | None = None,
               strict: bool = False) -> "PipelineStream":
         """Order-preserving merge of this stream with ``others``."""
-        return self._wrap(self.handle.union(
-            *(self._unwrap(o) for o in others), name=name, strict=strict))
+        if not others:
+            raise GraphError("union needs at least one other stream")
+        return self._then("union", name,
+                          lambda n: Union(n, strict=strict), others)
 
-    def join(self, other: "PipelineStream | StreamHandle",
-             window: WindowSpec, *,
+    def join(self, other: "PipelineStream", window: WindowSpec, *,
              predicate: Callable[[Any, Any], bool] | None = None,
              key: str | tuple[str, str] | None = None,
              name: str | None = None, strict: bool = False,
              **join_kwargs) -> "PipelineStream":
         """Symmetric window join of this stream (left) with ``other``."""
-        return self._wrap(self.handle.join(
-            self._unwrap(other), window, predicate=predicate, key=key,
-            name=name, strict=strict, **join_kwargs))
+        return self._then(
+            "join", name,
+            lambda n: WindowJoin(n, window, predicate=predicate, key=key,
+                                 strict=strict, **join_kwargs),
+            (other,))
 
-    def window_join(self, other: "PipelineStream | StreamHandle",
-                    window: WindowSpec, **kwargs) -> "PipelineStream":
+    def window_join(self, other: "PipelineStream", window: WindowSpec,
+                    **kwargs) -> "PipelineStream":
         """Alias for :meth:`join` (the operator's full name)."""
         return self.join(other, window, **kwargs)
 
@@ -343,14 +379,10 @@ class PipelineStream:
                  group_by: str | None = None, emit_empty: bool = False,
                  name: str | None = None) -> "PipelineStream":
         """Tumbling-window aggregate of the given width (seconds)."""
-        return self._wrap(self.handle.tumbling(
-            width, aggs, group_by=group_by, emit_empty=emit_empty,
-            name=name))
-
-    def sliding(self, span: float, aggs: Mapping[str, AggSpec],
-                name: str | None = None) -> "PipelineStream":
-        """Continuous sliding-window aggregate over the trailing span."""
-        return self._wrap(self.handle.sliding(span, aggs, name))
+        return self._then(
+            "tumbling", name,
+            lambda n: TumblingAggregate(n, width, aggs, group_by=group_by,
+                                        emit_empty=emit_empty))
 
     # ------------------------------------------------------------------ #
     # Terminals
@@ -362,8 +394,10 @@ class PipelineStream:
 
         The sink node itself is registered under its name in
         ``pipeline.sinks`` (auto-named sinks get ``sink_1``, ``sink_2``,
-        ...), keeping the chain fluent without losing the handle.
+        ...), keeping the chain fluent without losing the node.
         """
-        node = self.handle.sink(name, on_output, keep_outputs=keep_outputs)
-        self.pipeline._register_sink(node)
+        node = self._then(
+            "sink", name,
+            lambda n: SinkNode(n, on_output, keep_outputs=keep_outputs)).op
+        self.pipeline.sinks[node.name] = node
         return self.pipeline

@@ -19,8 +19,7 @@ See DESIGN.md section 4f for the on-disk formats and the exactly-once
 argument.
 """
 
-from .checkpoint import (CHECKPOINT_MAGIC, CheckpointInfo, CheckpointStore,
-                         CheckpointWriter)
+from .checkpoint import CHECKPOINT_MAGIC, CheckpointInfo, CheckpointStore
 from .manager import CHECKPOINT_FORMAT_VERSION, RecoveryManager, RecoveryReport
 from .wal import WAL_MAGIC, WalRecord, WriteAheadLog
 
@@ -29,7 +28,6 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CheckpointInfo",
     "CheckpointStore",
-    "CheckpointWriter",
     "RecoveryManager",
     "RecoveryReport",
     "WAL_MAGIC",

@@ -34,8 +34,7 @@ from typing import Any
 
 from ..core.errors import RecoveryError
 
-__all__ = ["CheckpointInfo", "CheckpointStore", "CheckpointWriter",
-           "CHECKPOINT_MAGIC"]
+__all__ = ["CheckpointInfo", "CheckpointStore", "CHECKPOINT_MAGIC"]
 
 CHECKPOINT_MAGIC = b"RPCKPT01"
 _HEADER = struct.Struct("<II")  # crc32, length
@@ -173,8 +172,3 @@ class CheckpointStore:
             f"no valid checkpoint in {self.directory} "
             f"({len(skipped)} corrupted)",
             skipped=skipped)
-
-
-#: The ISSUE names the writer; the store *is* the writer plus the reader —
-#: exported under both names so either reads naturally at call sites.
-CheckpointWriter = CheckpointStore

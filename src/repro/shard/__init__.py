@@ -21,21 +21,17 @@ from .backends import (
 )
 from .elastic import (
     RESHARD_PHASES,
-    Autoscaler,
     ElasticShardedEngine,
     ReshardCoordinator,
     ReshardReport,
-    ShardSupervisor,
 )
 from .engine import ShardedEngine, ShardedRecoveryReport
 from .frontier import FrontierMerge, FrontierTracker, shard_frontier
 from .partition import HashPartitioner, jump_hash, stable_hash
-from .sim import ShardedSimulation
 
 __all__ = [
     "BACKENDS",
     "RESHARD_PHASES",
-    "Autoscaler",
     "ElasticShardedEngine",
     "EngineShard",
     "FrontierMerge",
@@ -48,11 +44,9 @@ __all__ = [
     "ShardError",
     "ShardResult",
     "ShardSummary",
-    "ShardSupervisor",
     "ShardTimeoutError",
     "ShardedEngine",
     "ShardedRecoveryReport",
-    "ShardedSimulation",
     "ThreadBackend",
     "jump_hash",
     "shard_frontier",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import multiprocessing
 import random
-import time as _time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -80,8 +79,6 @@ class ShardResult:
     wake-up (0.0 when the shard runs without a controller); ``clamp``
     echoes the global pressure the facade broadcast with the command, so
     tests can bound clamp staleness across process boundaries.
-    ``depth`` is the shard's buffered-element total at quiescence — the
-    load signal the :class:`~repro.shard.elastic.Autoscaler` consumes.
     """
 
     shard: int
@@ -93,7 +90,6 @@ class ShardResult:
     steps: int = 0
     pressure: float = 0.0
     clamp: float | None = None
-    depth: int = 0
 
 
 @dataclass(slots=True)
@@ -164,7 +160,6 @@ class EngineShard:
         self.sources = {src.name: src for src in self.graph.sources()}
         self.ingested = 0
         self.delivered = 0
-        self._armed_faults: list[dict] = []
         self.manager = None
         if state_dir is not None:
             self.manager = RecoveryManager(state_dir).bind(
@@ -185,49 +180,6 @@ class EngineShard:
         sink.on_output = record
 
     # ------------------------------------------------------------------ #
-    # Fault injection (the ShardCrash / ShardHang plumbing)
-
-    def arm_fault(self, spec: dict) -> None:
-        """Arm an injected fault: ``{"kind", "at", "duration", "repeat",
-        "phase"}``.
-
-        ``kind="crash"`` raises :class:`ShardError` from the next apply
-        whose drive time reaches ``at``; ``kind="hang"`` sleeps
-        ``duration`` wall-clock seconds first, so timeout-enforcing
-        backends see a genuine stall (and terminate/abandon the shard)
-        while the serial backend surfaces the error after the stall.
-        ``phase="pre"`` fires before any command is applied (a clean
-        crash: nothing of the wake-up reaches the WAL); ``phase="apply"``
-        fires after ingests/punctuation are applied-and-logged but before
-        the wake-up runs — the partial-command case supervisor re-apply
-        skip counting must get right.  ``repeat`` bounds how many applies
-        the fault eats (-1 = every one until restart).
-        """
-        armed = {"kind": spec.get("kind", "crash"),
-                 "at": float(spec.get("at", 0.0)),
-                 "duration": float(spec.get("duration", 0.0)),
-                 "repeat": int(spec.get("repeat", 1)),
-                 "phase": spec.get("phase", "pre")}
-        if armed["kind"] not in ("crash", "hang"):
-            raise ShardError(f"unknown shard fault kind {armed['kind']!r}")
-        self._armed_faults.append(armed)
-
-    def _trip_faults(self, now: float, phase: str) -> None:
-        for fault in list(self._armed_faults):
-            if fault["phase"] != phase or now < fault["at"] \
-                    or fault["repeat"] == 0:
-                continue
-            if fault["repeat"] > 0:
-                fault["repeat"] -= 1
-                if fault["repeat"] == 0:
-                    self._armed_faults.remove(fault)
-            if fault["kind"] == "hang":
-                _time.sleep(fault["duration"])
-            raise ShardError(
-                f"injected {fault['kind']} on shard {self.index} "
-                f"at t={now:g} ({phase})")
-
-    # ------------------------------------------------------------------ #
     # Command execution (runs in the caller's thread or a worker process)
 
     def apply(self, ingests: Sequence[IngestCommand],
@@ -245,8 +197,6 @@ class EngineShard:
         *before* this wake-up's ingests so source throttles and shed
         budgets see the fleet state first.
         """
-        if self._armed_faults:
-            self._trip_faults(now, "pre")
         if clamp is not None and self.feedback is not None:
             self.feedback.clamp(clamp, self.clock.now(),
                                 self.engine.round_id)
@@ -262,8 +212,6 @@ class EngineShard:
             self.sources[source].inject_punctuation(
                 ts, origin=origin, periodic=periodic)
         self.clock.advance_to(now)
-        if self._armed_faults:
-            self._trip_faults(now, "apply")
         if ingests or punctuations:
             self.engine.wakeup(entry)
         # The sink captures close over the list object, so drain in place.
@@ -275,8 +223,7 @@ class EngineShard:
             rounds=self.engine.stats.rounds, steps=self.engine.stats.steps,
             pressure=(self.feedback.pressure
                       if self.feedback is not None else 0.0),
-            clamp=clamp,
-            depth=sum(len(buf) for buf in self.graph.buffers))
+            clamp=clamp)
 
     def frontier(self) -> float:
         return shard_frontier(self.graph, self.clock,
@@ -316,64 +263,14 @@ class SerialBackend:
 
     def __init__(self, shard_count: int, make_shard: Callable[[int],
                  EngineShard], *, op_timeout: float = 60.0) -> None:
-        self._make_shard = make_shard
         self.shards = [make_shard(i) for i in range(shard_count)]
         self.op_timeout = op_timeout
-        #: Injected fault specs per shard index — kept facade-side so
-        #: ``persistent`` faults survive a supervisor restart.
-        self._fault_specs: dict[int, list[dict]] = {}
 
     def apply_all(self, commands: Sequence[tuple[Sequence[IngestCommand],
                   Sequence[PunctuationCommand], float]]
                   ) -> list[ShardResult]:
         return [shard.apply(*command)
                 for shard, command in zip(self.shards, commands)]
-
-    def apply_each(self, commands) -> list:
-        """Like :meth:`apply_all`, but failures stay per-shard.
-
-        Returns one entry per shard: a :class:`ShardResult`, or the
-        exception the shard raised — the supervised wake-up path needs
-        the healthy shards' results even when one shard dies.
-        """
-        out: list = []
-        for shard, command in zip(self.shards, commands):
-            try:
-                out.append(shard.apply(*command))
-            except Exception as exc:  # noqa: BLE001 - containment by contract
-                out.append(exc)
-        return out
-
-    def apply_one(self, index: int, command) -> ShardResult:
-        """Apply one command to one shard (the supervisor re-apply path)."""
-        return self.shards[index].apply(*command)
-
-    def inject_fault(self, index: int, spec: dict) -> None:
-        """Arm an injected fault on one shard (see
-        :meth:`EngineShard.arm_fault`); ``persistent`` specs re-arm after
-        every :meth:`restart_shard`."""
-        self._fault_specs.setdefault(index, []).append(dict(spec))
-        self.shards[index].arm_fault(dict(spec))
-
-    def restart_shard(self, index: int):
-        """Discard shard ``index`` and rebuild it from durable state.
-
-        The in-memory image (possibly inconsistent after a crash or an
-        abandoned hang) is dropped; the replacement recovers from its
-        checkpoint + WAL.  Returns the shard's :class:`RecoveryReport`.
-        """
-        old = self.shards[index]
-        try:
-            old.close()
-        except Exception:  # noqa: BLE001 - the shard is being discarded
-            pass
-        shard = self._make_shard(index)
-        self.shards[index] = shard
-        report = shard.recover()
-        for spec in self._fault_specs.get(index, ()):
-            if spec.get("persistent"):
-                shard.arm_fault(dict(spec))
-        return report
 
     def checkpoint_all(self) -> list:
         return [shard.checkpoint() for shard in self.shards]
@@ -419,30 +316,6 @@ class ThreadBackend(SerialBackend):
                     f"{self.op_timeout}s") from None
         return results
 
-    def apply_each(self, commands) -> list:
-        futures = [self._pool.submit(shard.apply, *command)
-                   for shard, command in zip(self.shards, commands)]
-        out: list = []
-        for index, future in enumerate(futures):
-            try:
-                out.append(future.result(timeout=self.op_timeout))
-            except TimeoutError:
-                out.append(ShardTimeoutError(
-                    f"shard {index} did not finish a wake-up within "
-                    f"{self.op_timeout}s (abandoned)"))
-            except Exception as exc:  # noqa: BLE001 - containment
-                out.append(exc)
-        return out
-
-    def apply_one(self, index: int, command) -> ShardResult:
-        future = self._pool.submit(self.shards[index].apply, *command)
-        try:
-            return future.result(timeout=self.op_timeout)
-        except TimeoutError:
-            raise ShardTimeoutError(
-                f"shard {index} did not finish a re-apply within "
-                f"{self.op_timeout}s") from None
-
     def close(self) -> None:
         super().close()
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -466,9 +339,6 @@ def _shard_worker(conn, index: int, build, kwargs: dict) -> None:
                 conn.send(("ok", shard.recover()))
             elif op == "summary":
                 conn.send(("ok", shard.summary()))
-            elif op == "fault":
-                shard.arm_fault(message[1])
-                conn.send(("ok", None))
             elif op == "close":
                 shard.close()
                 conn.send(("ok", None))
@@ -514,33 +384,23 @@ class ProcessBackend:
             raise ReproError(
                 "the process backend needs the 'fork' start method; "
                 "use backend='thread' on this platform") from None
-        self._ctx = ctx
-        self._make_args = make_args
         self.op_timeout = op_timeout
         self.retry_limit = max(0, int(retry_limit))
         self._retry_rng = random.Random(f"shard-retry:{RETRY_SEED}")
         self.retries = 0
         self.on_retry: Callable[[int, str, int, float], None] | None = None
-        self._fault_specs: dict[int, list[dict]] = {}
         self._conns = []
         self._procs = []
         for index in range(shard_count):
-            self._spawn(index, append=True)
-
-    def _spawn(self, index: int, *, append: bool = False) -> None:
-        parent, child = self._ctx.Pipe()
-        build, kwargs = self._make_args(index)
-        proc = self._ctx.Process(
-            target=_shard_worker, args=(child, index, build, kwargs),
-            daemon=True, name=f"repro-shard-{index}")
-        proc.start()
-        child.close()
-        if append:
+            parent, child = ctx.Pipe()
+            build, kwargs = make_args(index)
+            proc = ctx.Process(
+                target=_shard_worker, args=(child, index, build, kwargs),
+                daemon=True, name=f"repro-shard-{index}")
+            proc.start()
+            child.close()
             self._conns.append(parent)
             self._procs.append(proc)
-        else:
-            self._conns[index] = parent
-            self._procs[index] = proc
 
     def _send(self, index: int, message: tuple) -> None:
         try:
@@ -548,7 +408,7 @@ class ProcessBackend:
         except (BrokenPipeError, OSError) as exc:
             raise ShardError(
                 f"shard {index} pipe is closed ({exc}); the worker is "
-                f"gone — restart_shard() it") from None
+                f"gone") from None
 
     def _recv(self, index: int, op: str):
         conn = self._conns[index]
@@ -586,59 +446,6 @@ class ProcessBackend:
     def apply_all(self, commands) -> list[ShardResult]:
         return self._call_all([("apply",) + tuple(command)
                                for command in commands])
-
-    def apply_each(self, commands) -> list:
-        """Per-shard results with failures contained to their slot."""
-        out: list = []
-        sent = []
-        for index, command in enumerate(commands):
-            try:
-                self._send(index, ("apply",) + tuple(command))
-                sent.append(True)
-            except ShardError as exc:
-                sent.append(exc)
-        for index in range(len(self._conns)):
-            if sent[index] is not True:
-                out.append(sent[index])
-                continue
-            try:
-                out.append(self._recv(index, "apply"))
-            except ShardError as exc:
-                out.append(exc)
-        return out
-
-    def apply_one(self, index: int, command) -> ShardResult:
-        self._send(index, ("apply",) + tuple(command))
-        return self._recv(index, "apply")
-
-    def inject_fault(self, index: int, spec: dict) -> None:
-        self._fault_specs.setdefault(index, []).append(dict(spec))
-        self._send(index, ("fault", dict(spec)))
-        self._recv(index, "fault")
-
-    def restart_shard(self, index: int):
-        """Terminate (if needed) and respawn one worker; recover it.
-
-        The replacement worker rebuilds its shard from the per-shard
-        checkpoint + WAL; ``persistent`` fault specs are re-armed.
-        Returns the shard's :class:`RecoveryReport`.
-        """
-        proc = self._procs[index]
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=self.op_timeout)
-        try:
-            self._conns[index].close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        self._spawn(index)
-        self._send(index, ("recover",))
-        report = self._recv(index, "recover")
-        for spec in self._fault_specs.get(index, ()):
-            if spec.get("persistent"):
-                self._send(index, ("fault", dict(spec)))
-                self._recv(index, "fault")
-        return report
 
     def checkpoint_all(self) -> list:
         return self._call_all([("checkpoint",)] * len(self._conns))

@@ -1,23 +1,12 @@
-"""Self-healing elastic shards: live resharding, autoscaling, supervision.
+"""Elastic shards: live resharding over durable epochs.
 
 The fixed-P :class:`~repro.shard.engine.ShardedEngine` answers *how* to
 split a timestamp-ordered computation; this module answers what happens
-when P was wrong — because load moved, a shard died, or the operator asked
-for a different topology mid-stream.  Three cooperating pieces:
-
-* :class:`ReshardCoordinator` — changes the shard count **live**:
-  quiesce-at-frontier, align every shard's source watermarks to the
-  global horizon, checkpoint, rebuild the new shard set from the facade's
-  command log (routed by the *new* partitioner), then atomically re-route.
-* :class:`ShardSupervisor` — turns a shard failure (injected crash, hang,
-  worker death) into a bounded-backoff restart from durable state instead
-  of a run abort, escalating to engine-level degradation only when the
-  restart budget is exhausted.
-* :class:`Autoscaler` — closes the loop: watches the per-shard buffer
-  depths and feedback pressure the wake-up protocol already reports, and
-  asks the coordinator for one more (or one fewer) shard after sustained
-  overload (or sustained idleness), with hysteresis and cooldown so a
-  bursty workload does not thrash the topology.
+when P was wrong and the driver asks for a different topology mid-stream.
+:class:`ReshardCoordinator` changes the shard count **live**:
+quiesce-at-frontier, align every shard's source watermarks to the global
+horizon, checkpoint, rebuild the new shard set from the facade's command
+log (routed by the *new* partitioner), then atomically re-route.
 
 Exactly-once across a reshard rests on two invariants:
 
@@ -49,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import shutil
 import time as _time
 from dataclasses import dataclass, field
@@ -60,13 +48,13 @@ from ..core.errors import ReproError
 from ..core.tuples import LATENT_TS, TimestampKind
 from ..recovery.manager import partition_wal_history, wal_history
 from ..recovery.wal import WAL_MAGIC, WriteAheadLog
-from .backends import ShardError, ShardResult, make_backend
+from .backends import make_backend
 from .engine import ShardedEngine, ShardedRecoveryReport
 from .frontier import MergedRecord
 from .partition import HashPartitioner
 
-__all__ = ["ReshardReport", "ReshardCoordinator", "ShardSupervisor",
-           "Autoscaler", "ElasticShardedEngine", "RESHARD_PHASES"]
+__all__ = ["ReshardReport", "ReshardCoordinator", "ElasticShardedEngine",
+           "RESHARD_PHASES"]
 
 #: The coordinator's phases, in execution order.  Fault hooks registered
 #: on ``engine.reshard_hooks`` are invoked with each phase name as it
@@ -295,198 +283,10 @@ class ReshardCoordinator:
         e._epoch = report.epoch
         e._pending_ingests = [[] for _ in range(report.new_shards)]
         e.tracker.resize(report.new_shards, floor=report.frontier)
-        e._sent = self._replay_tally(report.new_shards, partitioner)
-        e._last_depths = []
         try:
             old_backend.close()
         except Exception:  # noqa: BLE001 - the old epoch is already durable
             pass
-
-    def _replay_tally(self, new_shards: int,
-                      partitioner: HashPartitioner) -> dict[int, dict[str, int]]:
-        """Per-shard acked-ingest counts under the new routing."""
-        sent: dict[int, dict[str, int]] = {}
-        for rec in self.engine._log:
-            if rec["kind"] != "ingest":
-                continue
-            shard = partitioner.shard_for_payload(rec["payload"])
-            tally = sent.setdefault(shard, {})
-            tally[rec["source"]] = tally.get(rec["source"], 0) + 1
-        return sent
-
-
-class ShardSupervisor:
-    """Bounded-backoff restart policy for failed shards.
-
-    Bound to an :class:`ElasticShardedEngine`, it replaces the all-or-
-    nothing ``apply_all`` wake-up with the containment path: healthy
-    shards keep their results, and a shard that raised (crash, hang
-    timeout, dead worker) is restarted from its checkpoint + WAL and the
-    wake-up's command re-applied — minus the per-source ingest prefix the
-    restarted shard already recovered, so nothing is applied twice.
-
-    Restarts back off exponentially (``backoff_base * backoff_factor**i``
-    capped at ``backoff_cap``, plus seeded jitter) through an injectable
-    ``sleep`` so tests never wait.  When ``max_restarts`` attempts all
-    fail the supervisor escalates: the engine is flagged ``degraded`` and
-    the original failure class propagates to the driver.
-    """
-
-    def __init__(self, *, max_restarts: int = 3, backoff_base: float = 0.05,
-                 backoff_factor: float = 2.0, backoff_cap: float = 1.0,
-                 jitter: float = 0.1, seed: int = 0,
-                 sleep: Callable[[float], None] | None = None) -> None:
-        if max_restarts < 1:
-            raise ReproError("supervisor needs max_restarts >= 1")
-        self.max_restarts = int(max_restarts)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_cap = float(backoff_cap)
-        self.jitter = float(jitter)
-        self._rng = random.Random(f"supervisor:{seed}")
-        self._sleep = sleep if sleep is not None else _time.sleep
-        self.engine: ElasticShardedEngine | None = None
-        self.restarts = 0
-        self.escalations = 0
-        self.backoffs: list[float] = []
-
-    def bind(self, engine: "ElasticShardedEngine") -> "ShardSupervisor":
-        self.engine = engine
-        return self
-
-    def apply(self, commands) -> list[ShardResult]:
-        """The supervised wake-up: contain, restart, re-apply."""
-        engine = self.engine
-        results = engine.backend.apply_each(commands)
-        for index, result in enumerate(results):
-            if isinstance(result, Exception):
-                results[index] = self._heal(index, commands[index], result)
-        return results
-
-    def _heal(self, index: int, command, failure: Exception) -> ShardResult:
-        engine = self.engine
-        last = failure
-        for attempt in range(1, self.max_restarts + 1):
-            backoff = min(self.backoff_cap,
-                          self.backoff_base
-                          * self.backoff_factor ** (attempt - 1))
-            backoff *= 1.0 + self.jitter * self._rng.random()
-            self.backoffs.append(backoff)
-            self._sleep(backoff)
-            if engine.bus is not None:
-                engine.bus.shard(
-                    kind="supervisor", shard=index, time=engine._drive_now,
-                    count=attempt, value=backoff,
-                    detail=f"restart after {type(last).__name__}")
-            try:
-                report = engine.backend.restart_shard(index)
-                result = engine.backend.apply_one(
-                    index, self._deduct_applied(index, command, report))
-            except Exception as exc:  # noqa: BLE001 - retry loop by contract
-                last = exc
-                continue
-            self.restarts += 1
-            return result
-        self.escalations += 1
-        engine.degraded = True
-        if engine.bus is not None:
-            engine.bus.shard(kind="supervisor", shard=index,
-                             time=engine._drive_now, count=self.max_restarts,
-                             detail="escalated")
-        raise ShardError(
-            f"shard {index} still failing after {self.max_restarts} "
-            f"restart attempts; engine degraded") from last
-
-    def _deduct_applied(self, index: int, command, report):
-        """Trim the command prefix the restarted shard already recovered.
-
-        The shard's WAL counts every ingest it durably logged — including
-        those of the command that crashed mid-apply.  Subtracting the
-        facade's *acknowledged* count per source leaves exactly the number
-        of this command's ingests that must be skipped on re-apply
-        (commands apply in order, so per-source prefix matching is exact).
-        Punctuation is re-applied in full: sources discard stale
-        punctuation idempotently.
-        """
-        ingests, puncts, now, clamp = command
-        acked = self.engine._sent.get(index, {})
-        skip = {source: max(0, count - acked.get(source, 0))
-                for source, count in report.ingests_by_source.items()}
-        kept = []
-        for item in ingests:
-            if skip.get(item[0], 0) > 0:
-                skip[item[0]] -= 1
-            else:
-                kept.append(item)
-        return (kept, puncts, now, clamp)
-
-
-class Autoscaler:
-    """Hysteresis policy mapping load signals to shard-count requests.
-
-    Consumes what the wake-up protocol already measures — per-shard
-    buffer depths (``ShardResult.depth``, the ``repro_shard_depth``
-    signal) and the aggregated feedback pressure — and requests a split
-    after ``sustain`` consecutive overloaded observations, or a merge
-    after ``sustain`` consecutive drained ones.  Every decision starts a
-    ``cooldown`` during which no further decision is made, so the
-    topology cannot thrash faster than the reshard pause amortizes.
-    """
-
-    def __init__(self, *, high_depth: int = 64, low_depth: int = 4,
-                 sustain: int = 3, cooldown: int = 8, min_shards: int = 1,
-                 max_shards: int = 8, step: int = 1,
-                 high_pressure: float | None = None) -> None:
-        if low_depth >= high_depth:
-            raise ReproError("autoscaler needs low_depth < high_depth "
-                             "(the hysteresis band)")
-        if min_shards < 1 or max_shards < min_shards:
-            raise ReproError("autoscaler needs 1 <= min_shards <= max_shards")
-        self.high_depth = int(high_depth)
-        self.low_depth = int(low_depth)
-        self.sustain = int(sustain)
-        self.cooldown = int(cooldown)
-        self.min_shards = int(min_shards)
-        self.max_shards = int(max_shards)
-        self.step = int(step)
-        self.high_pressure = high_pressure
-        self._hot = 0
-        self._cold = 0
-        self._wait = 0
-        #: ``(verb, target, peak_depth)`` per decision, for tests/summary.
-        self.decisions: list[tuple[str, int, int]] = []
-
-    def observe(self, shard_count: int, depths, pressure: float = 0.0
-                ) -> int | None:
-        """Feed one wake-up's signals; returns a target count or None."""
-        if self._wait > 0:
-            self._wait -= 1
-            return None
-        peak = max(depths, default=0)
-        hot = peak >= self.high_depth or (
-            self.high_pressure is not None and pressure >= self.high_pressure)
-        if hot:
-            self._hot += 1
-            self._cold = 0
-        elif peak <= self.low_depth:
-            self._cold += 1
-            self._hot = 0
-        else:
-            self._hot = 0
-            self._cold = 0
-        if self._hot >= self.sustain and shard_count < self.max_shards:
-            target = min(self.max_shards, shard_count + self.step)
-            self._hot = 0
-            self._wait = self.cooldown
-            self.decisions.append(("split", target, peak))
-            return target
-        if self._cold >= self.sustain and shard_count > self.min_shards:
-            target = max(self.min_shards, shard_count - self.step)
-            self._cold = 0
-            self._wait = self.cooldown
-            self.decisions.append(("merge", target, peak))
-            return target
-        return None
 
 
 def _write_manifest(root: Path, epoch: int, shards: int) -> None:
@@ -506,14 +306,6 @@ def _read_manifest(root: Path) -> dict | None:
 class ElasticShardedEngine(ShardedEngine):
     """A :class:`ShardedEngine` whose shard count can change while live.
 
-    Extra arguments over the base:
-
-    Args:
-        supervisor: A :class:`ShardSupervisor` to own shard failures;
-            requires ``state_dir`` (restart recovers from durable state).
-        autoscaler: An :class:`Autoscaler` consulted after every wake-up;
-            its target is applied at the *start* of the next wake-up.
-
     ``state_dir`` becomes the elastic **root**: each topology lives under
     ``root/epoch-NNNN`` with a ``CURRENT`` manifest naming the live one,
     and the facade's own command history is mirrored to ``root/facade``.
@@ -523,8 +315,6 @@ class ElasticShardedEngine(ShardedEngine):
 
     def __init__(self, build: Callable[[], Any], *, shards: int,
                  key: str | Callable[[Any], Any],
-                 supervisor: ShardSupervisor | None = None,
-                 autoscaler: Autoscaler | None = None,
                  state_dir: str | Path | None = None, **kwargs) -> None:
         root = Path(state_dir) if state_dir is not None else None
         epoch = 0
@@ -557,14 +347,7 @@ class ElasticShardedEngine(ShardedEngine):
         self._log: list[dict] = []
         self._data_high: dict[str, float] = {}
         self._punct_high: dict[str, float] = {}
-        #: Per-shard acknowledged ingest counts ``{shard: {source: n}}``
-        #: under the *current* partitioner — the supervisor's dedup ledger.
-        self._sent: dict[int, dict[str, int]] = {}
-        self._last_depths: list[int] = []
-        self._last_pressure = 0.0
-        self._scale_target: int | None = None
         self._resharding = False
-        self.degraded = False
         #: Phase hooks ``f(phase_name)`` called as each reshard phase
         #: begins — the fault-injection seam (:class:`repro.faults.\
         #: ReshardCrash` appends here).
@@ -574,8 +357,6 @@ class ElasticShardedEngine(ShardedEngine):
         #: catches a mid-reshard crash accounts these like wakeup returns.
         self.reshard_released: list[MergedRecord] = []
         self.reshards: list[ReshardReport] = []
-        self.supervisor = supervisor.bind(self) if supervisor else None
-        self.autoscaler = autoscaler
         probe = build()
         self._source_kinds = {src.name: src.timestamp_kind
                               for src in probe.sources()}
@@ -610,46 +391,11 @@ class ElasticShardedEngine(ShardedEngine):
     # Driving
 
     def wakeup(self) -> list[MergedRecord]:
-        """One elastic wake-up: apply any pending scale decision first."""
-        released: list[MergedRecord] = []
-        if self._scale_target is not None and not self._resharding:
-            target, self._scale_target = self._scale_target, None
-            if target != self.shard_count:
-                released.extend(
-                    self.reshard(target, reason="autoscale").released)
+        """One wake-up, recorded in the command log before dispatch."""
         clamp = self.global_pressure if self.feedback_enabled else None
         self._log_record({"kind": "wakeup", "now": self._drive_now,
                           "clamp": clamp})
-        released.extend(super().wakeup())
-        if self.autoscaler is not None and not self._resharding:
-            target = self.autoscaler.observe(
-                self.shard_count, self._last_depths, self._last_pressure)
-            if target is not None:
-                self._scale_target = target
-                if self.bus is not None:
-                    self.bus.shard(
-                        kind="scale", shard=-1, time=self._drive_now,
-                        count=target,
-                        value=float(max(self._last_depths, default=0)),
-                        detail=("split" if target > self.shard_count
-                                else "merge"))
-        return released
-
-    def _apply(self, commands) -> list[ShardResult]:
-        if self.supervisor is not None:
-            results = self.supervisor.apply(commands)
-        else:
-            results = self.backend.apply_all(commands)
-        for index, command in enumerate(commands):
-            if not command[0]:
-                continue
-            tally = self._sent.setdefault(index, {})
-            for item in command[0]:
-                tally[item[0]] = tally.get(item[0], 0) + 1
-        self._last_depths = [result.depth for result in results]
-        self._last_pressure = max(
-            (result.pressure for result in results), default=0.0)
-        return results
+        return super().wakeup()
 
     # ------------------------------------------------------------------ #
     # Resharding
@@ -759,8 +505,6 @@ class ElasticShardedEngine(ShardedEngine):
                          "clamp": None})
         self._rewrite_facade_wal(kept)
         self._log = kept
-        self._sent = {shard: dict(counts) for shard, counts
-                      in report.ingests_by_shard.items()}
         return report
 
     def _rewrite_facade_wal(self, kept: list[dict]) -> None:
@@ -793,12 +537,4 @@ class ElasticShardedEngine(ShardedEngine):
         out = super().summary()
         out["epoch"] = self._epoch
         out["reshards"] = [report.as_dict() for report in self.reshards]
-        out["degraded"] = self.degraded
-        if self.supervisor is not None:
-            out["supervisor"] = {
-                "restarts": self.supervisor.restarts,
-                "escalations": self.supervisor.escalations,
-            }
-        if self.autoscaler is not None:
-            out["autoscale_decisions"] = list(self.autoscaler.decisions)
         return out

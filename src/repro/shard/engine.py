@@ -228,31 +228,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------ #
     # Driving
 
-    def _apply(self, commands) -> list[ShardResult]:
-        """Run one wake-up's commands on the backend.
-
-        A single override point: :class:`~repro.shard.elastic.\
-ElasticShardedEngine` swaps in the supervised per-shard path here
-        (contain a failed shard, restart it, re-apply) without touching
-        the rest of the wake-up protocol.
-        """
-        return self.backend.apply_all(commands)
-
-    def inject_shard_fault(self, index: int, kind: str, *, at: float = 0.0,
-                           duration: float = 0.0, repeat: int = 1,
-                           phase: str = "pre",
-                           persistent: bool = False) -> None:
-        """Arm an injected ``crash``/``hang`` fault on one shard.
-
-        This is the plumbing :class:`repro.faults.ShardCrash` /
-        :class:`repro.faults.ShardHang` ride; see
-        :meth:`EngineShard.arm_fault` for the semantics.  ``persistent``
-        faults re-arm after a supervisor restart (the escalation path).
-        """
-        self.backend.inject_fault(index, {
-            "kind": kind, "at": at, "duration": duration,
-            "repeat": repeat, "phase": phase, "persistent": persistent})
-
     def wakeup(self) -> list[MergedRecord]:
         """Flush the exchange, run every shard to quiescence, merge.
 
@@ -271,7 +246,7 @@ ElasticShardedEngine` swaps in the supervised per-shard path here
                     for i in range(self.shard_count)]
         self._pending_ingests = [[] for _ in range(self.shard_count)]
         self._pending_puncts = []
-        results: list[ShardResult] = self._apply(commands)
+        results: list[ShardResult] = self.backend.apply_all(commands)
         self.wakeups += 1
         if clamp is not None and clamp > 0.0:
             self.clamps_broadcast += 1

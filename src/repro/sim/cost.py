@@ -28,7 +28,6 @@ DEFAULT_DATA_COSTS: Mapping[str, float] = {
     "union": 15e-6,
     "windowjoin": 30e-6,
     "tumblingaggregate": 25e-6,
-    "slidingaggregate": 25e-6,
     "sinknode": 5e-6,
 }
 
@@ -41,7 +40,6 @@ DEFAULT_PUNCT_COSTS: Mapping[str, float] = {
     "union": 10e-6,
     "windowjoin": 15e-6,
     "tumblingaggregate": 12e-6,
-    "slidingaggregate": 12e-6,
     "sinknode": 3e-6,
 }
 
@@ -53,8 +51,7 @@ class CostModel:
     Attributes:
         data_costs / punct_costs: Per-operator-class step costs; classes not
             listed fall back to ``default_data_cost`` / ``default_punct_cost``.
-        per_probe: Added per window tuple examined by a join or sliding
-            aggregate.
+        per_probe: Added per window tuple examined by a join.
         ets_generation: Cost of producing one on-demand ETS at a source
             (the Backtrack-to-source work of scenario C).
         heartbeat_injection: Cost of one periodic heartbeat injection

@@ -491,7 +491,6 @@ class ShardedDifferentialOracle:
                     ets_policy_factory: Callable[[], EtsPolicy] | None = None,
                     punctuate: bool = False, state_dir=None,
                     checkpoint_every: int | None = None,
-                    supervisor=None, autoscaler=None,
                     observers=None) -> list[SinkRecord]:
         """Like :meth:`run_sharded`, but through the elastic engine with
         live reshards at the given ``{chunk_number: target_shards}``
@@ -501,7 +500,6 @@ class ShardedDifferentialOracle:
             self.build, shards=shards, key=self.key, backend=backend,
             ets_policy_factory=ets_policy_factory, batch_size=batch_size,
             state_dir=state_dir, checkpoint_every=checkpoint_every,
-            supervisor=supervisor, autoscaler=autoscaler,
             observers=observers)
         released = []
         try:

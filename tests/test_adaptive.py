@@ -6,17 +6,17 @@ import pytest
 
 from repro.core.errors import PolicyError
 from repro.core.ets import AdaptiveHeartbeatSchedule, NoEts
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import bursty_arrivals, poisson_arrivals
 
 
 def build():
-    q = Query("adaptive")
+    q = Pipeline("adaptive")
     fast = q.source("fast")
     slow = q.source("slow")
-    sink = fast.union(slow, name="merge").sink("out")
-    return q.build(), fast.source_node, slow.source_node, sink
+    fast.union(slow, name="merge").sink("out")
+    return q.compile(), fast.source_node, slow.source_node, q.sinks["out"]
 
 
 class TestConfiguration:

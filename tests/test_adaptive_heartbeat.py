@@ -19,18 +19,18 @@ from repro.core.ets import AdaptiveHeartbeatSchedule, NoEts, OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Union
 from repro.core.tuples import TimestampKind
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import poisson_arrivals
 
 
 def build():
-    q = Query("adaptive-direct")
+    q = Pipeline("adaptive-direct")
     fast = q.source("fast")
     slow = q.source("slow")
-    sink = fast.union(slow, name="merge").sink("out")
-    graph = q.build()
-    return graph, graph["fast"], graph["slow"], sink
+    fast.union(slow, name="merge").sink("out")
+    graph = q.compile()
+    return graph, graph["fast"], graph["slow"], graph["out"]
 
 
 class TestRateArithmetic:

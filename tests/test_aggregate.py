@@ -1,4 +1,4 @@
-"""Unit tests for windowed aggregates (tumbling and sliding)."""
+"""Unit tests for the tumbling windowed aggregate."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core.operators import (
     Count,
     Max,
     Min,
-    SlidingAggregate,
     Sum,
     TumblingAggregate,
 )
@@ -159,41 +158,3 @@ class TestTumblingAggregate:
         h.run()
         out = h.output_data()
         assert len(out) == 1 and out[0].ts == 20.0  # window [10,20)
-
-
-class TestSlidingAggregate:
-    def make(self, span: float = 10.0):
-        op = SlidingAggregate(
-            "slide", span, {"n": AggSpec(Count), "mean": AggSpec(Avg, "v")})
-        return op, OpHarness(op)
-
-    def test_emits_per_tuple(self):
-        op, h = self.make()
-        h.feed(0, 1.0, {"v": 2.0})
-        h.feed(0, 2.0, {"v": 4.0})
-        h.run()
-        out = h.output_data()
-        assert [t.payload["n"] for t in out] == [1, 2]
-        assert out[1].payload["mean"] == pytest.approx(3.0)
-
-    def test_trailing_window_expires(self):
-        op, h = self.make(span=5.0)
-        h.feed(0, 1.0, {"v": 10.0})
-        h.feed(0, 20.0, {"v": 2.0})
-        h.run()
-        out = h.output_data()
-        assert out[1].payload["n"] == 1  # the 1.0 tuple fell out
-
-    def test_punctuation_expires_and_propagates(self):
-        op, h = self.make(span=5.0)
-        h.feed(0, 1.0, {"v": 1.0})
-        h.run()
-        assert len(op.window) == 1
-        h.feed_punctuation(0, 100.0)
-        h.run()
-        assert len(op.window) == 0
-        assert h.drain_output()[-1].is_punctuation
-
-    def test_needs_aggs(self):
-        with pytest.raises(ExecutionError):
-            SlidingAggregate("s", 10.0, {})

@@ -1,10 +1,10 @@
 """The fluent Pipeline surface: graph parity, knob routing, drive parity.
 
 The contract under test: a :class:`repro.api.Pipeline` is *sugar*, never
-semantics — the graph it builds is structurally identical to the one the
-lower-level :class:`Query` builder (or hand wiring) produces, and a
-pipeline run delivers exactly what a hand-assembled
-``Simulation(graph, ...)`` delivers for the same feeds and knobs.
+semantics — the graph it builds is structurally identical to the one hand
+wiring a :class:`QueryGraph` produces, and a pipeline run delivers exactly
+what a hand-assembled ``Simulation(graph, ...)`` delivers for the same
+feeds and knobs.
 """
 
 from __future__ import annotations
@@ -23,11 +23,16 @@ from repro.api import (
     GraphError,
     NoEts,
     OnDemandEts,
+    Map,
     Pipeline,
-    Query,
+    QueryGraph,
+    Select,
+    Shed,
     Simulation,
     TraceObserver,
     Tracer,
+    TumblingAggregate,
+    Union,
     WindowSpec,
     WorkloadError,
 )
@@ -48,16 +53,20 @@ def _records(sink):
 
 
 class TestGraphParity:
-    def build_query(self):
-        q = Query("parity")
-        a = q.source("a")
-        b = q.source("b")
-        merged = (a.select(lambda p: p["v"] < 5, name="keep")
-                   .map(lambda p: p, name="ident")
-                   .union(b.shed(0.0, name="shed0"), name="merge"))
-        merged.tumbling(5.0, {"n": AggSpec(Count)}, name="agg") \
-              .sink("out")
-        return q.build()
+    def build_by_hand(self):
+        g = QueryGraph("parity")
+        a = g.add_source("a")
+        b = g.add_source("b")
+        keep = g.add(Select("keep", lambda p: p["v"] < 5))
+        ident = g.add(Map("ident", lambda p: p))
+        shed0 = g.add(Shed("shed0", 0.0))
+        merge = g.add(Union("merge"))
+        agg = g.add(TumblingAggregate("agg", 5.0, {"n": AggSpec(Count)}))
+        for upstream, op in ((a, keep), (keep, ident), (b, shed0),
+                             (ident, merge), (shed0, merge), (merge, agg),
+                             (agg, g.add_sink("out"))):
+            g.connect(upstream, op)
+        return g.validate()
 
     def build_pipeline(self):
         p = Pipeline("parity")
@@ -72,7 +81,7 @@ class TestGraphParity:
 
     def test_same_structure(self):
         assert self.build_pipeline().describe() == \
-            self.build_query().describe()
+            self.build_by_hand().describe()
 
     def test_window_join_is_join(self):
         def shape(use_alias):
@@ -85,11 +94,15 @@ class TestGraphParity:
         assert shape(True) == shape(False)
 
     def test_auto_names_match_builder(self):
-        q = Query("auto")
-        q.source().select(lambda p: True).sink()
+        """Unnamed operators are numbered per kind, from 1 — the scheme
+        every golden file and trace assertion was recorded under."""
         p = Pipeline("auto")
         p.source().select(lambda p: True).sink()
-        assert p.compile().describe() == q.build().describe()
+        p.source().select(lambda p: True).sink()
+        assert [op.name for op in p.compile().operators] == [
+            "source_1", "select_1", "sink_1",
+            "source_2", "select_2", "sink_2"]
+        assert set(p.sinks) == {"sink_1", "sink_2"}
 
     def test_class_level_source_starts_anonymous_pipeline(self):
         stream = Pipeline.source("ticks")
@@ -120,13 +133,17 @@ class TestGraphParity:
 
 class TestDriveParity:
     def hand_built(self, arrivals, *, batch_size, policy):
-        q = Query("drive")
-        a = q.source("a")
-        b = q.source("b")
-        (a.select(lambda p: p["v"] != 2)
-          .union(b.map(lambda p: {**p, "tag": 1}))
-          .sink("out", keep_outputs=True))
-        graph = q.build()
+        graph = QueryGraph("drive")
+        a = graph.add_source("a")
+        b = graph.add_source("b")
+        select = graph.add(Select("select_1", lambda p: p["v"] != 2))
+        tag = graph.add(Map("map_1", lambda p: {**p, "tag": 1}))
+        union = graph.add(Union("union_1"))
+        for upstream, op in ((a, select), (b, tag), (select, union),
+                             (tag, union),
+                             (union, graph.add_sink(
+                                 "out", keep_outputs=True))):
+            graph.connect(upstream, op)
         sim = Simulation(graph, ets_policy=policy(), batch_size=batch_size)
         sim.attach_arrivals(graph["a"], iter(arrivals))
         sim.attach_arrivals(graph["b"],
@@ -264,6 +281,14 @@ class TestEngineKnobs:
                 .heartbeat("a", 4.0)
                 .run(until=12.0))
         assert sim.heartbeats_delivered > 0
+
+    def test_heartbeat_on_unknown_source_raises(self):
+        p = Pipeline("hb-bad")
+        p.source("a").sink("out")
+        p.feed("a", iter(_arrivals(3))).heartbeat("nosuch", 5.0)
+        with pytest.raises(WorkloadError, match=r"heartbeat targets unknown "
+                                                r"source 'nosuch'.*\['a'\]"):
+            p.run(until=1.0)
 
     def test_no_deprecation_warnings_from_pipeline(self):
         with warnings.catch_warnings():

@@ -156,23 +156,6 @@ class TestStatelessBatch:
 
 
 class TestShedBatch:
-    def test_pressure_mode_falls_back_to_scalar_steps(self):
-        # queue_threshold reads the live buffer length per tuple; a run
-        # must preserve those per-tuple decisions exactly, so the operator
-        # opts out of blocks and the engine serves it with scalar_run.
-        shed = Shed("shed", 1.0, queue_threshold=2, seed=1)
-        assert not shed.supports_blocks
-        assert Shed("always", 1.0).supports_blocks
-        h = OpHarness(shed)
-        for ts in (1.0, 2.0, 3.0, 4.0):
-            h.feed(0, ts)
-        batch = scalar_run(shed, h.ctx, 10)
-        assert batch.steps == 4
-        # Buffer lengths seen per pop: 3, 2, 1, 0 → only the first tuple
-        # (length 3 > threshold 2) is shed.
-        assert shed.shed_count == 1
-        assert [t.ts for t in h.output_data()] == [2.0, 3.0, 4.0]
-
     def test_probability_mode_matches_scalar_decisions(self):
         outs = []
         for batched in (False, True):

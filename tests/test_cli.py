@@ -100,6 +100,19 @@ class TestRunCommand:
         assert code == 2
         assert "NAME:KIND:RATE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, spec, says", [
+        ("--source", "fast:poisson:abc", "RATE must be a number"),
+        ("--heartbeat", "fast", "NAME:RATE"),
+        ("--heartbeat", "nosuch:5", "no such stream"),
+    ])
+    def test_bad_specs_are_one_error_line(self, program_file, capsys,
+                                          flag, spec, says):
+        code = main(["run", program_file, "--until", "5", flag, spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err and spec.split(":")[0] in err
+
     def test_unknown_stream(self, program_file, capsys):
         code = main(["run", program_file, "--until", "5",
                      "--source", "nope:poisson:1"])

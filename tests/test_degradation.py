@@ -14,17 +14,17 @@ from repro.core.tuples import TimestampKind
 from repro.faults import FallbackHeartbeat, FaultPlan, QuarantinePolicy, \
     SourceOutage, StallDetector
 from repro.obs import EventBus, TraceObserver
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals
 
 
 def build(kind=TimestampKind.INTERNAL):
-    q = Query("degrade")
+    q = Pipeline("degrade")
     fast = q.source("fast", kind)
     slow = q.source("slow", kind)
     fast.union(slow, name="merge").sink("out")
-    graph = q.build()
+    graph = q.compile()
     return graph, graph["fast"], graph["slow"], graph["out"]
 
 

@@ -1,17 +1,12 @@
-"""The elastic-shard suite: live resharding, supervision, autoscaling.
+"""The elastic-shard suite: live resharding over durable epochs.
 
-Four pillars, each an executable claim from DESIGN.md §4k:
+Two pillars, each an executable claim from DESIGN.md §4k:
 
 * **reshard parity** — output across live P→P′ topology changes (grow,
   shrink, chained) equals the single-engine reference, canonicalized;
 * **crash matrix** — a simulated facade death at *every* coordinator
   phase recovers to exactly-once output from the epoch manifest, with the
-  global frontier monotone throughout;
-* **supervision** — an injected shard crash/hang mid-run is healed by a
-  bounded-backoff restart without disturbing the output, and a shard that
-  keeps failing escalates to engine-level degradation instead of looping;
-* **autoscaling** — sustained overload triggers a split that measurably
-  reduces the peak shard buffer depth, closed-loop, without output drift.
+  global frontier monotone throughout.
 """
 
 from __future__ import annotations
@@ -23,19 +18,11 @@ import pytest
 from oracle import ShardedDifferentialOracle, _assert_same, _canonical, \
     _assert_shards_on_block_transport
 
-from repro.faults import FaultPlan, ReshardCrash, ShardCrash, ShardHang, \
-    SimulatedCrash
+from repro.faults import FaultPlan, ReshardCrash, SimulatedCrash
 from repro.faults.plan import _RESHARD_PHASES
 from repro.obs import MetricsRegistry
-from repro.shard import (
-    RESHARD_PHASES,
-    Autoscaler,
-    ElasticShardedEngine,
-    ShardError,
-    ShardSupervisor,
-)
+from repro.shard import RESHARD_PHASES, ElasticShardedEngine
 
-from test_join_index import _merge, keyed_stream
 from test_sharded_oracle import join_graph, keyed_feeds
 
 CHUNK = 16
@@ -317,76 +304,7 @@ def test_phase_literal_matches_fault_layer():
 
 
 # --------------------------------------------------------------------- #
-# Supervision: restart instead of abort
-
-
-def supervised(state_dir, sleeps, **kw):
-    supervisor = ShardSupervisor(max_restarts=3, backoff_base=0.01,
-                                 backoff_factor=2.0, backoff_cap=0.05,
-                                 jitter=0.0, sleep=sleeps.append)
-    return elastic_engine(state_dir, supervisor=supervisor, **kw), supervisor
-
-
-@pytest.mark.parametrize("phase", ["pre", "apply"])
-def test_supervisor_heals_shard_crash(tmp_path, phase):
-    """A shard that dies before (or half-way through) its wake-up is
-    restarted from durable state and the wake-up re-applied — minus the
-    ingest prefix the restart already recovered — with no output drift."""
-    feeds = keyed_feeds()
-    reference = _canonical(reference_run(feeds))
-    sleeps: list[float] = []
-    engine, supervisor = supervised(tmp_path, sleeps)
-    FaultPlan([ShardCrash(shard=1, at=3.0, phase=phase)],
-              seed=2).install_sharded(engine)
-    released, now = drive(engine, feeds)
-    got = finish(engine, released, now)
-    _assert_same(reference, _canonical(got),
-                 f"supervised restart (phase={phase}) changed the output")
-    assert supervisor.restarts == 1 and supervisor.escalations == 0
-    assert sleeps and sleeps[0] == pytest.approx(0.01)
-    assert not engine.degraded
-
-
-def test_supervisor_heals_hang_on_thread_backend(tmp_path):
-    """A hang outliving ``op_timeout`` surfaces as a timeout; the
-    abandoned shard is rebuilt from checkpoint + WAL and healed."""
-    feeds = keyed_feeds()
-    reference = _canonical(reference_run(feeds))
-    sleeps: list[float] = []
-    engine, supervisor = supervised(tmp_path, sleeps, backend="thread",
-                                    op_timeout=0.2)
-    FaultPlan([ShardHang(shard=2, at=3.0, duration=0.8)],
-              seed=2).install_sharded(engine)
-    released, now = drive(engine, feeds)
-    got = finish(engine, released, now)
-    _assert_same(reference, _canonical(got),
-                 "supervised hang restart changed the output")
-    assert supervisor.restarts >= 1
-
-
-def test_supervisor_escalates_when_restarts_exhaust(tmp_path):
-    """A persistently failing shard must not restart-loop forever: after
-    ``max_restarts`` the failure propagates and the engine is degraded."""
-    feeds = keyed_feeds()
-    sleeps: list[float] = []
-    engine, supervisor = supervised(tmp_path, sleeps)
-    FaultPlan([ShardCrash(shard=1, at=3.0, persistent=True)],
-              seed=2).install_sharded(engine)
-    with pytest.raises(ShardError, match="degraded"):
-        drive(engine, feeds)
-    assert engine.degraded
-    assert supervisor.escalations == 1
-    assert len(sleeps) == supervisor.max_restarts
-    # exponential shape, capped: 0.01, 0.02, 0.04 -> capped at 0.05
-    assert sleeps == pytest.approx([0.01, 0.02, 0.04])
-    engine.close(flush=False)
-
-
-def test_supervisor_backoff_jitter_is_seeded():
-    a = ShardSupervisor(seed=7, jitter=0.5)
-    b = ShardSupervisor(seed=7, jitter=0.5)
-    assert [a._rng.random() for _ in range(4)] \
-        == [b._rng.random() for _ in range(4)]
+# Observability
 
 
 def test_retry_backoff_histogram_dispatch():
@@ -396,110 +314,6 @@ def test_retry_backoff_histogram_dispatch():
     text = registry.render_prometheus()
     assert "repro_shard_retry_backoff_seconds" in text
     assert 'repro_shard_retries_total{shard="0"} 1' in text
-
-
-# --------------------------------------------------------------------- #
-# Autoscaling: closed loop
-
-
-def test_autoscaler_hysteresis_unit():
-    scaler = Autoscaler(high_depth=10, low_depth=2, sustain=2, cooldown=2,
-                        min_shards=1, max_shards=4)
-    assert scaler.observe(2, [12]) is None          # hot x1
-    assert scaler.observe(2, [15]) == 3             # hot x2 -> split
-    assert scaler.observe(3, [20]) is None          # cooldown
-    assert scaler.observe(3, [20]) is None          # cooldown
-    assert scaler.observe(3, [5]) is None           # neutral band resets
-    assert scaler.observe(3, [1]) is None           # cold x1
-    assert scaler.observe(3, [0]) == 2              # cold x2 -> merge
-    assert [d[0] for d in scaler.decisions] == ["split", "merge"]
-
-
-def test_autoscaler_respects_bounds():
-    scaler = Autoscaler(high_depth=10, low_depth=2, sustain=1, cooldown=0,
-                        min_shards=2, max_shards=2)
-    assert scaler.observe(2, [100]) is None
-    assert scaler.observe(2, [0]) is None
-    assert not scaler.decisions
-
-
-def flood_feeds():
-    """A punct-gated flood: the slow join input sends three early tuples
-    and then goes quiet, so its watermark — the join's admission gate —
-    advances only via the broadcast lagging heartbeats the drive injects.
-    Gated backlog is then proportional to each shard's share of the fast
-    arrivals, which is exactly the signal a split is supposed to relieve
-    (slow *data* would advance per-shard watermarks unevenly and swamp
-    the comparison with punctuation-cadence noise)."""
-    return _merge(
-        keyed_stream("slow", rate_period=0.1, count=3, seed=5,
-                     cardinality=16, start=0.1),
-        keyed_stream("fast", rate_period=0.05, count=192, seed=3,
-                     cardinality=16, start=0.3),
-    )
-
-
-def test_autoscaler_split_reduces_peak_depth_closed_loop():
-    """Sustained overload on one shard triggers a live split that
-    measurably lowers the peak buffer depth — and the output still
-    matches the single-engine reference."""
-    feeds = flood_feeds()
-    lag = 1.2  # heartbeats trail the flood by ~1.5 chunks of fast data
-
-    def run(autoscaler):
-        engine = ElasticShardedEngine(join_graph(), shards=1, key="k",
-                                      backend="serial",
-                                      autoscaler=autoscaler)
-        peaks = []
-        counts = []
-        released = []
-        now = 0.0
-        for start in range(0, len(feeds), CHUNK):
-            for feed in feeds[start:start + CHUNK]:
-                engine.ingest(feed.source, feed.payload, time=feed.time,
-                              ts=feed.external_ts)
-                now = max(now, feed.time)
-            for name in ("fast", "slow"):
-                engine.inject_punctuation(name, max(0.0, now - lag),
-                                          origin=f"lagged:{name}",
-                                          periodic=True)
-            released.extend(engine.wakeup())
-            peaks.append(max(engine._last_depths, default=0))
-            counts.append(engine.shard_count)
-        for name in ("fast", "slow"):
-            engine.inject_punctuation(name, now + 1.0,
-                                      origin=f"oracle-eos:{name}")
-        released.extend(engine.wakeup())
-        released.extend(engine.close(flush=True))
-        records = [(sink, ts, payload)
-                   for ts, _, _, sink, payload in released]
-        return records, peaks, counts, engine
-
-    control_records, control_peaks, _, _ = run(None)
-    scaler = Autoscaler(high_depth=16, low_depth=1, sustain=2, cooldown=4,
-                        min_shards=1, max_shards=2)
-    scaled_records, scaled_peaks, counts, engine = run(scaler)
-
-    oracle = ShardedDifferentialOracle(join_graph(), feeds, key="k",
-                                       chunk=CHUNK, punctuate_every=4)
-    reference = _canonical(oracle.run_single(punctuate=True))
-    _assert_same(reference, _canonical(control_records), "control run")
-    _assert_same(reference, _canonical(scaled_records),
-                 "autoscaled run diverged from the single engine")
-    assert scaler.decisions and scaler.decisions[0][0] == "split"
-    assert engine.shard_count == 2
-    assert [r.reason for r in engine.reshards] == ["autoscale"]
-    # The split must measurably relieve the hot shard: once it lands, no
-    # shard's gated backlog ever reaches the single-shard steady state
-    # again (control holds ~24 gated tuples; each half holds its share).
-    split_chunk = counts.index(2)
-    assert max(scaled_peaks[split_chunk:]) < min(
-        control_peaks[split_chunk:])
-    assert scaled_peaks[-1] < control_peaks[-1]
-
-
-# --------------------------------------------------------------------- #
-# Observability
 
 
 def test_reshard_emits_bus_event_and_metrics():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ets import NoEts, OnDemandEts, PeriodicEtsSchedule
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation
 
@@ -35,12 +35,12 @@ arrival_lists = st.lists(
 
 
 def build_union_query():
-    q = Query("prop")
+    q = Pipeline("prop")
     a = q.source("a")
     b = q.source("b")
     merged = a.union(b, name="u")
-    sink = merged.sink("out", keep_outputs=True)
-    return q.build(), a.source_node, b.source_node, sink
+    merged.sink("out", keep_outputs=True)
+    return q.compile(), a.source_node, b.source_node, q.sinks["out"]
 
 
 def to_arrivals(items):
@@ -110,10 +110,11 @@ def test_accounting_invariants(a_items, b_items):
 @settings(max_examples=30, deadline=None)
 def test_single_stream_needs_no_ets(items):
     """A simple path never idle-waits, so the policy is never exercised."""
-    q = Query("single")
+    q = Pipeline("single")
     s = q.source("s")
-    sink = s.select(lambda p: True).sink("out", keep_outputs=True)
-    graph = q.build()
+    s.select(lambda p: True).sink("out", keep_outputs=True)
+    graph = q.compile()
+    sink = q.sinks["out"]
     policy = OnDemandEts()
     sim = Simulation(graph, ets_policy=policy, cost_model=CostModel.zero())
     sim.attach_arrivals(s.source_node, iter(to_arrivals(items)))

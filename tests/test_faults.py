@@ -19,7 +19,7 @@ from repro.faults import (
     PunctuationLoss,
     SourceOutage,
 )
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals
 
@@ -224,11 +224,11 @@ class TestWrapFeeds:
 
 
 def build_sim(**kwargs):
-    q = Query("faulted")
+    q = Pipeline("faulted")
     fast = q.source("fast")
     slow = q.source("slow")
     fast.union(slow, name="merge").sink("out")
-    graph = q.build()
+    graph = q.compile()
     sim = Simulation(graph, **kwargs)
     return sim, graph["fast"], graph["slow"]
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.errors import GraphError
-from repro.core.graph import QueryGraph, chain_joins
+from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union, WindowJoin
 from repro.core.tuples import TimestampKind
 from repro.core.windows import WindowSpec
+from repro.query.pipeline import Pipeline
 
 
 def simple_path() -> QueryGraph:
@@ -165,20 +166,14 @@ class TestStructure:
 
 class TestChainJoins:
     def test_three_way_cascade(self):
-        g = QueryGraph()
-        sources = [g.add_source(f"s{i}") for i in range(3)]
-        root = chain_joins(g, "j", sources, WindowSpec.time(10.0))
-        sink = g.add_sink("sink")
-        g.connect(root, sink)
-        g.validate()
-        joins = [op for op in g.operators if isinstance(op, WindowJoin)]
-        assert len(joins) == 2
-
-    def test_needs_two_inputs(self):
-        g = QueryGraph()
-        s = g.add_source("s")
-        with pytest.raises(GraphError):
-            chain_joins(g, "j", [s], WindowSpec.time(10.0))
+        p = Pipeline()
+        s0, s1, s2 = (p.source(f"s{i}") for i in range(3))
+        window = WindowSpec.time(10.0)
+        s0.join(s1, window).join(s2, window).sink("sink")
+        joins = [op for op in p.compile().operators
+                 if isinstance(op, WindowJoin)]
+        assert [j.name for j in joins] == ["join_1", "join_2"]
+        assert joins[1].predecessors[0] is joins[0]
 
 
 class TestSourceSinkRoles:

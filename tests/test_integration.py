@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.ets import NoEts, OnDemandEts, PeriodicEtsSchedule
-from repro.core.graph import QueryGraph, chain_joins
+from repro.core.graph import QueryGraph
 from repro.core.operators import (
     AggSpec,
     Count,
@@ -16,7 +16,7 @@ from repro.core.operators import (
     WindowJoin,
 )
 from repro.core.windows import WindowSpec
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals, poisson_arrivals
@@ -25,14 +25,15 @@ from repro.workloads.arrival import constant_arrivals, poisson_arrivals
 class TestDeepPipeline:
     def build(self):
         """union -> tumbling aggregate -> sink: ETS must cross the union."""
-        q = Query("deep")
+        q = Pipeline("deep")
         fast = q.source("fast")
         slow = q.source("slow")
         merged = fast.union(slow)
         agg = merged.tumbling(1.0, {"n": AggSpec(Count),
                                     "sum": AggSpec(Sum, "v")})
-        sink = agg.sink("out", keep_outputs=True)
-        return q.build(), fast.source_node, slow.source_node, sink
+        agg.sink("out", keep_outputs=True)
+        return (q.compile(), fast.source_node, slow.source_node,
+                q.sinks["out"])
 
     def test_ets_drives_aggregate_emission(self):
         """On-demand ETS punctuation crosses the union and closes windows
@@ -81,15 +82,16 @@ class TestJoinThenUnion:
         assert payload_keys == [("x", "y"), ("z",)]
 
     def test_multiway_join_cascade(self):
-        g = QueryGraph("mw")
-        sources = [g.add_source(f"s{i}") for i in range(3)]
-        root = chain_joins(g, "mj", sources, WindowSpec.time(10.0))
-        sink = g.add_sink("sink", keep_outputs=True)
-        g.connect(root, sink)
-        sim = Simulation(g, ets_policy=OnDemandEts(),
+        p = Pipeline("mw")
+        s0, s1, s2 = (p.source(f"s{i}") for i in range(3))
+        window = WindowSpec.time(10.0)
+        s0.join(s1, window).join(s2, window).sink("sink", keep_outputs=True)
+        sink = p.sinks["sink"]
+        sim = Simulation(p.compile(), ets_policy=OnDemandEts(),
                          cost_model=CostModel.zero())
-        for i, src in enumerate(sources):
-            sim.attach_arrivals(src, iter([Arrival(1.0 + i, {f"k{i}": i})]))
+        for i, src in enumerate((s0, s1, s2)):
+            sim.attach_arrivals(src.source_node,
+                                iter([Arrival(1.0 + i, {f"k{i}": i})]))
         sim.run(until=10.0)
         assert sink.delivered == 1
         assert set(sink.outputs_seen[0].payload) == {"k0", "k1", "k2"}
@@ -133,11 +135,12 @@ class TestMultipleComponents:
 
 class TestPeriodicVersusOnDemandIntegration:
     def build(self):
-        q = Query("cmp")
+        q = Pipeline("cmp")
         fast = q.source("fast")
         slow = q.source("slow")
-        sink = fast.union(slow).sink("out")
-        return q.build(), fast.source_node, slow.source_node, sink
+        fast.union(slow).sink("out")
+        return (q.compile(), fast.source_node, slow.source_node,
+                q.sinks["out"])
 
     def run_with(self, policy=None, periodic=None, seed=3):
         g, fast, slow, sink = self.build()
@@ -162,11 +165,12 @@ class TestPeriodicVersusOnDemandIntegration:
 
 class TestOrderedOutputInvariant:
     def test_sink_sees_ordered_timestamps_under_ets(self):
-        q = Query("ord")
+        q = Pipeline("ord")
         a = q.source("a")
         b = q.source("b")
-        sink = a.union(b).sink("out", keep_outputs=True)
-        g = q.build()
+        a.union(b).sink("out", keep_outputs=True)
+        g = q.compile()
+        sink = q.sinks["out"]
         sim = Simulation(g, ets_policy=OnDemandEts())
         rng = random.Random(1)
         sim.attach_arrivals(a.source_node, poisson_arrivals(30.0, rng))

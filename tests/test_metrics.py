@@ -1,22 +1,22 @@
-"""Tests for metrics: latency recorder, idle tracker, queue sampler, report."""
+"""Tests for metrics: latency recorder, idle tracker, queue summary, report."""
 
 import math
 
 import pytest
 
-from repro.core.buffers import BufferRegistry, StreamBuffer
+from repro.core.buffers import StreamBuffer
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
 from repro.core.operators.base import IwpOperator
 from repro.metrics.idle import IdleTracker
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.queues import QueueSampler, queue_summary
+from repro.metrics.queues import queue_summary
 from repro.metrics.report import format_series, format_table, format_value
 from repro.sim.cost import CostModel
 from repro.workloads.scenarios import (ScenarioConfig, build_join_scenario,
                                        build_union_scenario)
 
-from conftest import ManualClock, OpHarness, PollingIdleTracker, data
+from conftest import OpHarness, PollingIdleTracker
 
 
 class TestLatencyRecorder:
@@ -205,38 +205,6 @@ class TestIdleAccountingIsExact:
         assert calls["pumps"] <= (stats.steps + stats.ets_injected
                                   + 2 * stats.rounds)
         assert calls["head_ts"] <= 30 * arrivals
-
-
-class TestQueueSampler:
-    def test_records_changes(self):
-        clock = ManualClock()
-        reg = BufferRegistry()
-        sampler = QueueSampler(clock)
-        reg.add_observer(sampler)
-        buf = StreamBuffer("b", reg)
-        clock.t = 1.0
-        buf.push(data(1.0))
-        clock.t = 2.0
-        buf.pop()
-        assert sampler.samples == [(1.0, 1), (2.0, 0)]
-        assert sampler.max_total() == 1
-
-    def test_min_interval_thins(self):
-        clock = ManualClock()
-        reg = BufferRegistry()
-        sampler = QueueSampler(clock, min_interval=1.0)
-        reg.add_observer(sampler)
-        buf = StreamBuffer("b", reg)
-        clock.t = 1.0
-        buf.push(data(1.0))
-        clock.t = 1.5
-        buf.push(data(2.0))  # too soon: dropped from the series
-        clock.t = 3.0
-        buf.push(data(3.0))
-        assert [t for t, _ in sampler.samples] == [1.0, 3.0]
-
-    def test_empty_max(self):
-        assert QueueSampler(ManualClock()).max_total() == 0
 
 
 class TestQueueSummary:

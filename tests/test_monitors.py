@@ -11,17 +11,17 @@ from repro.core.tracing import Tracer
 from repro.core.tuples import DataTuple, TimestampKind
 from repro.faults import InvariantMonitor
 from repro.obs import EventBus, TraceObserver
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import constant_arrivals
 
 
 def build():
-    q = Query("monitored")
+    q = Pipeline("monitored")
     fast = q.source("fast")
     slow = q.source("slow")
     fast.union(slow, name="merge").sink("out")
-    graph = q.build()
+    graph = q.compile()
     return graph, graph["fast"], graph["slow"], graph["out"]
 
 

@@ -23,7 +23,6 @@ from repro.obs import (
     ChromeTraceExporter,
     JsonlExporter,
     MetricsRegistry,
-    PrometheusExporter,
 )
 from repro.sim.clock import VirtualClock
 
@@ -78,7 +77,7 @@ def test_chrome_trace_matches_golden():
 
 def test_prometheus_matches_golden():
     _, _, registry = golden_run()
-    assert PrometheusExporter(registry).render() == _read("metrics.prom")
+    assert registry.render_prometheus() == _read("metrics.prom")
 
 
 def test_chrome_document_structure():
@@ -118,15 +117,12 @@ def test_jsonl_lines_are_sorted_key_json():
 
 
 def test_exporters_write_files(tmp_path):
-    events, trace, registry = golden_run()
-    ev_path, tr_path, pm_path = (tmp_path / "e.jsonl", tmp_path / "t.json",
-                                 tmp_path / "m.prom")
+    events, trace, _ = golden_run()
+    ev_path, tr_path = tmp_path / "e.jsonl", tmp_path / "t.json"
     events.write(str(ev_path))
     trace.write(str(tr_path))
-    PrometheusExporter(registry).write(str(pm_path))
     assert len(ev_path.read_text().splitlines()) == len(events.records)
     json.loads(tr_path.read_text())
-    assert pm_path.read_text() == registry.render_prometheus()
 
 
 def _regen() -> None:
@@ -134,8 +130,7 @@ def _regen() -> None:
     events, trace, registry = golden_run()
     (GOLDEN / "events.jsonl").write_text("\n".join(events.lines()) + "\n")
     (GOLDEN / "trace.json").write_text(trace.to_json(indent=2) + "\n")
-    (GOLDEN / "metrics.prom").write_text(
-        PrometheusExporter(registry).render())
+    (GOLDEN / "metrics.prom").write_text(registry.render_prometheus())
     print(f"regenerated golden files in {GOLDEN}")
 
 

@@ -4,19 +4,19 @@ import pytest
 
 from repro.core.ets import OnDemandEts
 from repro.metrics.profile import format_profile, profile_simulation
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation
 
 
 @pytest.fixture
 def run_sim():
-    q = Query("prof")
+    q = Pipeline("prof")
     fast = q.source("fast")
     slow = q.source("slow")
     merged = fast.select(lambda p: True, name="keep").union(slow, name="u")
     merged.sink("out")
-    graph = q.build()
+    graph = q.compile()
     sim = Simulation(graph, ets_policy=OnDemandEts(),
                      cost_model=CostModel.zero())
     sim.attach_arrivals(fast.source_node,

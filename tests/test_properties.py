@@ -289,24 +289,3 @@ def test_reorder_output_ordered_even_with_tiny_slack(stream):
     h.run()
     out_ts = [t.ts for t in h.output_data()]
     assert out_ts == sorted(out_ts)
-
-
-# ---------------------------------------------------------------------- #
-# Sliding aggregate: count equals the brute-force trailing-window count
-
-@given(ordered_ts_lists(max_size=30),
-       st.floats(min_value=0.5, max_value=20.0))
-@settings(max_examples=50)
-def test_sliding_aggregate_matches_oracle(ts_list, span):
-    from repro.core.operators import AggSpec, Count, SlidingAggregate
-
-    op = SlidingAggregate("s", span, {"n": AggSpec(Count)})
-    h = OpHarness(op)
-    for ts in ts_list:
-        h.feed(0, ts, {"v": 1})
-    h.run()
-    got = [t.payload["n"] for t in h.output_data()]
-    expected = []
-    for i, t in enumerate(ts_list):
-        expected.append(sum(1 for u in ts_list[:i + 1] if u >= t - span))
-    assert got == expected

@@ -21,7 +21,6 @@ from repro.obs import EventBus, MetricsRegistry, Observer
 from repro.recovery import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
-    CheckpointWriter,
     RecoveryManager,
     WAL_MAGIC,
     WriteAheadLog,
@@ -154,9 +153,6 @@ class TestCheckpointStore:
             store.save({"i": i})
         assert store.numbers() == [4, 5]
         assert store.load_latest()[0] == 5
-
-    def test_writer_alias(self):
-        assert CheckpointWriter is CheckpointStore
 
     def test_corrupt_latest_falls_back(self, tmp_path):
         store = CheckpointStore(tmp_path)

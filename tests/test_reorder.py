@@ -9,7 +9,7 @@ from repro.core.ets import OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Reorder, Union
 from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
-from repro.query.builder import Query
+from repro.query.pipeline import Pipeline
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import (
@@ -126,13 +126,14 @@ class TestOutOfOrderSource:
 
 class TestEndToEndOutOfOrder:
     def build(self, slack: float):
-        q = Query("ooo")
+        q = Pipeline("ooo")
         disordered = q.source("disordered", kind=TimestampKind.EXTERNAL,
                               out_of_order=True)
         ordered = q.source("ordered", kind=TimestampKind.EXTERNAL)
         merged = disordered.reorder(slack, name="fix").union(ordered)
-        sink = merged.sink("out", keep_outputs=True)
-        return q.build(), disordered.source_node, ordered.source_node, sink
+        merged.sink("out", keep_outputs=True)
+        return (q.compile(), disordered.source_node, ordered.source_node,
+                q.sinks["out"])
 
     def test_union_sees_ordered_stream(self):
         graph, disordered, ordered, sink = self.build(slack=1.0)

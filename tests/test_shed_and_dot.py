@@ -52,19 +52,6 @@ class TestShed:
         out = h.drain_output()
         assert len(out) == 1 and out[0].is_punctuation
 
-    def test_queue_threshold_gates_shedding(self):
-        op = Shed("s", 1.0, queue_threshold=5)
-        h = OpHarness(op)
-        for i in range(3):
-            h.feed(0, float(i), {"v": i})
-        h.run()  # queue below threshold: nothing shed
-        assert op.shed_count == 0
-        for i in range(3, 23):
-            h.feed(0, float(i), {"v": i})
-        h.run()  # above threshold until the queue drains to 5
-        assert op.shed_count > 0
-        assert op.passed_count >= 3 + 5
-
     def test_shed_fraction(self):
         op = Shed("s", 1.0)
         h = OpHarness(op)
@@ -77,7 +64,7 @@ class TestShed:
         with pytest.raises(ExecutionError):
             Shed("s", 1.5)
         with pytest.raises(ExecutionError):
-            Shed("s", 0.5, queue_threshold=-1)
+            Shed("s", -0.1)
 
     def test_shedding_does_not_block_downstream(self):
         """A shed stream still advances downstream registers (via ETS)."""

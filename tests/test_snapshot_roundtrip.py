@@ -32,7 +32,6 @@ from repro.core.operators import (
     Reorder,
     Shed,
     SinkNode,
-    SlidingAggregate,
     Sum,
     TumblingAggregate,
     Union,
@@ -345,19 +344,6 @@ def test_tumbling_aggregate_roundtrip(feed):
         return TumblingAggregate("agg", 2.0, {
             "n": AggSpec(Count), "total": AggSpec(Sum, field="value"),
         }, group_by="k")
-
-    op = build()
-    _drive(op, 1, batch, puncts)
-    roundtrip(op, build())
-
-
-@settings(max_examples=25, deadline=None)
-@given(feed=operator_feeds)
-def test_sliding_aggregate_roundtrip(feed):
-    batch, puncts = feed
-
-    def build():
-        return SlidingAggregate("agg", 3.0, {"n": AggSpec(Count)})
 
     op = build()
     _drive(op, 1, batch, puncts)
