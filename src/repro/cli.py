@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
              "verify its merged output against a single-engine run")
     shard.add_argument("--shards", type=int, default=4)
     shard.add_argument("--backend", choices=("serial", "thread", "process"),
-                       default="thread")
+                       default="serial")
     shard.add_argument("--tuples", type=int, default=4000,
                        help="total tuples fed across both join inputs")
     shard.add_argument("--rate", type=float, default=100.0,
@@ -510,7 +510,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         cls = ElasticShardedEngine if reshards else ShardedEngine
         engine = cls(
             build, shards=shards, key="key", backend=backend,
-            ets_policy_factory=policy, batch_size=args.batch_size,
+            ets_policy=policy, batch_size=args.batch_size,
             observers=observers, op_timeout=args.timeout)
         schedule = dict(reshards or {})
         started = time.perf_counter()

@@ -1,34 +1,28 @@
-"""One canonical spelling for every engine-construction knob.
+"""Every engine-construction knob, said once.
 
-Three constructors accept overlapping execution knobs — ``ExecutionEngine``,
-``Simulation``, ``ShardedEngine`` — and before this
-module each spelled them slightly differently (``feedback`` vs
-``feedback_factory``, ``observers`` lists vs None, per-ctor defaults).
-:class:`EngineConfig` is the single source of truth: build one, hand it to
-any of the three via their ``config=`` parameter, and each constructor takes
-exactly the knobs it understands under its canonical name.
-
-Explicit keyword arguments always win over the config — a config is a
-bundle of *defaults*, not an override layer — so call sites can share one
-config and still specialize individual runs::
+:class:`EngineConfig` is the only place a shared knob is declared,
+defaulted, validated and documented.  The four constructors that build
+engines — ``ExecutionEngine``, ``Simulation``, ``ShardedEngine``,
+``EngineShard`` — declare none of them: each takes ``config`` plus keyword
+overrides and starts with ``(config or EngineConfig()).replace(**knobs)``.
+So: **``config`` is the carrier; keywords are ``replace``; a passed value
+always wins** — because it was passed, whatever it equals — and a name that
+is not a field here is a ``TypeError``::
 
     cfg = EngineConfig(batch_size=64, checkpoint_every=16)
     sim = Simulation(graph, config=cfg)                  # takes both
     eng = ExecutionEngine(graph, clock, config=cfg,
-                          batch_size=8)                  # batch_size=8 wins
+                          batch_size=1)                  # batch_size=1 wins
 
-Factory-shaped knobs (the sharded constructors need one ETS policy and one
-feedback controller *per shard*, because both hold state) reuse the same
-field names: when :attr:`ets_policy` or :attr:`feedback` is a zero-argument
-callable it is treated as the per-shard factory, and the single-engine
-constructors call it once.  Instances are passed through unchanged by the
-single-engine constructors and rejected by the sharded ones.
+Each constructor reads the fields it understands off the merged object and
+ignores the rest (``recovery`` means nothing to a bare engine, ``state_dir``
+nothing to a ``Simulation``).
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, fields as dataclass_fields
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import ExecutionError
 
@@ -37,31 +31,61 @@ __all__ = ["EngineConfig"]
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """Canonical engine-construction knobs, shareable across constructors.
+    """The engine-construction knobs, shareable across constructors.
 
     Attributes:
-        batch_size: Run width, and with it the transport: 1 is the
-            paper's tuple-at-a-time scalar path, N > 1 the columnar path
-            consuming up to N rows per step (see
-            :class:`~repro.core.execution.ExecutionEngine`).
-        checkpoint_every: Checkpoint cadence in engine rounds; None
-            disables.
-        observers: Instrumentation observers attached to the run (see
-            :mod:`repro.obs`).
-        feedback: A :class:`~repro.feedback.FeedbackController` instance,
-            or a zero-argument factory of them.  Sharded constructors
-            require the factory form (one controller per shard); the
-            single-engine constructors accept either and call a factory
-            once.
-        ets_policy: An :class:`~repro.core.ets.EtsPolicy` instance or a
-            zero-argument factory, with the same instance-vs-factory rules
-            as :attr:`feedback`.
-        recovery: A bound-able :class:`~repro.recovery.RecoveryManager`
-            (single-engine constructors) — sharded runs take
-            :attr:`state_dir` instead, since each shard owns its manager.
-        state_dir: Root directory for durable state (WAL + checkpoints);
-            consumed by the sharded constructors.
-        max_steps_per_round: Livelock safety valve; None = unbounded.
+        batch_size: Run width, and with it the transport.  1 (the default)
+            is the paper's tuple-at-a-time execution through
+            :meth:`Operator.execute_step` — the reference path.  For N > 1
+            the Encore rule consumes a whole run of up to N elements per
+            execution step: operators advertising
+            :attr:`Operator.supports_blocks` consume and produce
+            struct-of-arrays :class:`~repro.core.columnar.ColumnarBlock`
+            runs through :meth:`Operator.execute_block`; all others fall
+            back to :func:`~repro.core.operators.base.scalar_run` with head
+            blocks exploded lazily by the buffer (counted in
+            :attr:`EngineStats.block_fallbacks`).  Runs never cross a
+            punctuation and the cost model still charges simulated CPU per
+            tuple, so the width changes wall-clock throughput, never output
+            or ETS semantics; under a :class:`~repro.sim.kernel.Simulation`
+            the ``deliver_due`` hook then runs once per run rather than
+            once per tuple, which is exactly the amortization being bought
+            (the :class:`~repro.api.Pipeline` default is 64).
+        checkpoint_every: Checkpoint cadence in engine wake-up rounds;
+            None disables.  The writing is done by a bound
+            :class:`~repro.recovery.RecoveryManager` (``recovery`` /
+            ``state_dir``); without one nothing fires.
+        observers: Instrumentation observers (see :mod:`repro.obs`).  When
+            empty the engine stores no event bus at all and every emission
+            site reduces to one ``is None`` test — the fast path
+            ``tests/test_obs_bus.py`` pins.  A ``Simulation`` publishes its
+            own events (arrivals, heartbeat / fallback punctuation,
+            degradation-ladder actions) on the same bus; a sharded engine
+            hands them ``on_shard`` events and nothing else (per-shard
+            engine events stay inside their shard).
+        feedback: A :class:`~repro.feedback.FeedbackController` sampled at
+            the end of every wake-up, or a zero-argument factory of them;
+            None keeps the engine feedback-free.  Sharded engines build one
+            controller per shard, aggregate the shards' pressure views into
+            a global maximum each wake-up and broadcast it back as a
+            *clamp* with the next one — so they need the factory form
+            (see :meth:`per_engine`).
+        ets_policy: What stalled sources do — an
+            :class:`~repro.core.ets.EtsPolicy` or a zero-argument factory,
+            with the same instance-vs-factory rule as ``feedback``; None
+            means :class:`~repro.core.ets.NoEts` (the paper's scenarios A/B;
+            scenario C is :class:`~repro.core.ets.OnDemandEts`).
+        recovery: A :class:`~repro.recovery.RecoveryManager` a
+            ``Simulation`` binds to its graph/engine/clock, making every
+            ingest and wake-up WAL-logged and crash-recoverable.  Sharded
+            runs take ``state_dir`` instead, since each shard owns its
+            manager.
+        state_dir: Root directory for per-shard durable state (WAL +
+            checkpoints under ``state_dir/shard-NN``); None disables
+            durability.  Read by the sharded constructors only.
+        max_steps_per_round: Livelock safety valve for logical-mode loops;
+            None means unbounded (the cost model plus event horizon bound
+            real runs).
 
     ``block_mode`` is accepted at construction only, as a consistency check
     for callers that still spell the transport out: it is not a field, and
@@ -91,75 +115,40 @@ class EngineConfig:
             raise ExecutionError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if not isinstance(self.observers, tuple):
-            # Accept any iterable at construction; store a tuple so one
-            # config can parameterize many runs without shared-list aliasing.
-            object.__setattr__(self, "observers", tuple(self.observers))
-
-    # ------------------------------------------------------------------ #
-    # Resolution helpers used by the three constructors
-
-    def resolve(self, overrides: dict[str, Any],
-                defaults: dict[str, Any]) -> dict[str, Any]:
-        """Merge explicit kwargs over this config over ctor defaults.
-
-        ``overrides`` maps knob name to the value the caller passed;
-        ``defaults`` maps the same names to the constructor's defaults.
-        A knob equal to its default falls back to the config's value
-        (explicit kwargs win; re-passing the default is indistinguishable
-        from omitting it, which is the documented contract).
-        """
-        out: dict[str, Any] = {}
-        for name, default in defaults.items():
-            value = overrides.get(name, default)
-            if value == default:
-                value = getattr(self, name)
-            out[name] = value
-        return out
-
-    def resolved_observers(self,
-                           explicit: Iterable | None) -> list:
-        """Explicit observers win; otherwise the config's (as a list)."""
-        if explicit:
-            return list(explicit)
-        return list(self.observers)
-
-    def feedback_instance(self) -> Any:
-        """The feedback controller for a single engine (factory called)."""
-        return _instantiate(self.feedback)
-
-    def feedback_factory(self) -> Any:
-        """The per-shard feedback factory (instances are rejected)."""
-        return _require_factory(self.feedback, "feedback")
-
-    def ets_policy_instance(self) -> Any:
-        """The ETS policy for a single engine (factory called)."""
-        return _instantiate(self.ets_policy)
-
-    def ets_policy_factory(self) -> Any:
-        """The per-shard ETS policy factory (instances are rejected)."""
-        return _require_factory(self.ets_policy, "ets_policy")
+            # Accept any iterable (or None) at construction; store a tuple
+            # so one config can parameterize many runs without shared-list
+            # aliasing.
+            object.__setattr__(self, "observers", tuple(self.observers or ()))
 
     def replace(self, **changes: Any) -> "EngineConfig":
-        """A copy with ``changes`` applied (dataclasses.replace spelling)."""
+        """A copy with ``changes`` applied — the one merge rule."""
+        if not changes:
+            return self
         current = {f.name: getattr(self, f.name)
                    for f in dataclass_fields(self)}
+        unknown = sorted(changes.keys() - current.keys())
+        if unknown:
+            raise TypeError(f"unknown engine knob(s) {unknown}; EngineConfig "
+                            f"declares {sorted(current)}")
         current.update(changes)
         return EngineConfig(**current)
 
+    def per_engine(self, name: str, *, sharded: bool = False) -> Any:
+        """The ``ets_policy`` / ``feedback`` object for one engine.
 
-def _instantiate(knob: Any) -> Any:
-    # Policies and controllers are plain objects (never callable); the
-    # factory form is anything callable — a lambda, a partial, or the
-    # class itself.
-    if knob is not None and callable(knob):
-        return knob()
-    return knob
-
-
-def _require_factory(knob: Any, name: str) -> Any:
-    if knob is None or callable(knob):
+        Policies and controllers are plain objects, never callable, so a
+        callable — a lambda, a partial, the class itself — is a
+        zero-argument factory and is called; anything else is the instance.
+        Both hold state, so a shard (``sharded=True``) rejects an instance.
+        """
+        knob = getattr(self, name)
+        if knob is None:
+            return None
+        if callable(knob):
+            return knob()
+        if sharded:
+            raise ExecutionError(
+                f"sharded engines need a zero-argument {name} factory (one "
+                f"instance per shard, since both hold state); got an "
+                f"instance: {knob!r}")
         return knob
-    raise ExecutionError(
-        f"sharded engines need a zero-argument {name} factory (one "
-        f"instance per shard, since both hold state); got an instance: "
-        f"{knob!r}")

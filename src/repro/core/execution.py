@@ -27,7 +27,7 @@ lets the kernel feed arrivals that became due while the engine was busy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..obs.bus import EventBus, Observer
 from .config import EngineConfig
@@ -137,8 +137,6 @@ class ExecutionEngine:
         graph: A validated (or validatable) :class:`QueryGraph`.
         clock: The virtual clock; advanced by the cost model per step.
         cost_model: CPU pricing; None means free (purely logical execution).
-        ets_policy: What stalled sources do (scenarios A/B use
-            :class:`NoEts`; scenario C uses :class:`OnDemandEts`).
         idle_tracker: Optional :class:`~repro.metrics.idle.IdleTracker`
             refreshed at every state change the engine causes.
         deliver_due: Kernel hook invoked with the current time between steps
@@ -149,96 +147,49 @@ class ExecutionEngine:
             ETS exists to reactivate idle-waiting operators, and generating
             one with nothing to unblock is pure overhead.  Set True for the
             fidelity ablation where every dead-ended backtrack offers.
-        batch_size: Run width, and with it the transport.  1 (the default)
-            is the paper's tuple-at-a-time execution through
-            :meth:`Operator.execute_step` — the reference path.  For N > 1
-            the Encore rule consumes a whole run of up to N elements per
-            execution step: operators advertising
-            :attr:`Operator.supports_blocks` consume and produce
-            struct-of-arrays :class:`~repro.core.columnar.ColumnarBlock`
-            runs through :meth:`Operator.execute_block`; all others fall
-            back to :func:`~repro.core.operators.base.scalar_run` with head
-            blocks exploded lazily by the buffer (counted in
-            :attr:`EngineStats.block_fallbacks`).  Runs never cross a
-            punctuation and the cost model still charges simulated CPU per
-            tuple, so the width changes wall-clock throughput, never output
-            or ETS semantics (the :class:`~repro.api.Pipeline` default is
-            64).
         monitor: Optional :class:`~repro.faults.monitors.InvariantMonitor`
             (already installed on the graph); its per-round checks run at
             the end of every wake-up, and degrade-mode violations are
             counted into :attr:`EngineStats.invariant_violations`.
-        observers: Instrumentation observers (see :mod:`repro.obs`).  When
-            empty or None the engine stores no event bus at all and every
-            emission site reduces to one ``is None`` test — the fast path
-            ``tests/test_obs_bus.py`` pins (no bus frame is ever entered).
-        max_steps_per_round: Safety valve for logical-mode loops; None means
-            unbounded (the cost model plus event horizon bound real runs).
-        config: Optional :class:`~repro.core.config.EngineConfig` supplying
-            defaults for the shared knobs (batch_size, checkpoint_every,
-            observers, feedback, ets_policy, max_steps_per_round).
-            Explicit keyword arguments win.
+        config / **knobs: The shared knobs, declared and documented on
+            :class:`~repro.core.config.EngineConfig` (``ets_policy``,
+            ``batch_size``, ``observers``, ``feedback``,
+            ``checkpoint_every``, ``max_steps_per_round``): ``config``
+            carries them, keywords are ``config.replace``.
     """
 
     def __init__(self, graph: QueryGraph, clock, *, cost_model=None,
-                 ets_policy: EtsPolicy | None = None,
                  idle_tracker=None,
                  deliver_due: Callable[[float], None] | None = None,
                  offer_ets_always: bool = False,
-                 batch_size: int = 1,
                  monitor=None,
-                 observers: Iterable[Observer] | None = None,
-                 max_steps_per_round: int | None = None,
-                 checkpoint_every: int | None = None,
-                 feedback=None,
-                 config: EngineConfig | None = None) -> None:
-        if config is not None:
-            knobs = config.resolve(
-                dict(batch_size=batch_size,
-                     checkpoint_every=checkpoint_every,
-                     max_steps_per_round=max_steps_per_round),
-                dict(batch_size=1, checkpoint_every=None,
-                     max_steps_per_round=None))
-            batch_size = knobs["batch_size"]
-            checkpoint_every = knobs["checkpoint_every"]
-            max_steps_per_round = knobs["max_steps_per_round"]
-            if ets_policy is None:
-                ets_policy = config.ets_policy_instance()
-            if feedback is None:
-                feedback = config.feedback_instance()
-            observers = config.resolved_observers(observers) or None
+                 config: EngineConfig | None = None, **knobs) -> None:
+        config = (config or EngineConfig()).replace(**knobs)
         if not graph.is_validated:
             graph.validate()
-        if batch_size < 1:
-            raise ExecutionError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ExecutionError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         self.graph = graph
         self.clock = clock
         self.cost_model = cost_model
-        self.ets_policy = ets_policy if ets_policy is not None else NoEts()
+        policy = config.per_engine("ets_policy")
+        self.ets_policy: EtsPolicy = policy if policy is not None else NoEts()
         self.idle_tracker = idle_tracker
         self.deliver_due = deliver_due
         self.offer_ets_always = offer_ets_always
-        self.batch_size = batch_size
+        self.batch_size = config.batch_size
         self.monitor = monitor
-        self.max_steps_per_round = max_steps_per_round
+        self.max_steps_per_round = config.max_steps_per_round
         #: Checkpoint cadence in wake-up rounds; None disables.  The actual
         #: writing is delegated to :attr:`checkpoint_hook` (installed by a
         #: bound :class:`~repro.recovery.RecoveryManager`), keeping the
         #: engine free of any storage dependency.
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint_every = config.checkpoint_every
         self.checkpoint_hook: Callable[[int], None] | None = None
         #: Optional :class:`~repro.feedback.FeedbackController` sampled at
         #: the end of every wake-up.  None — the default — keeps the engine
         #: entirely feedback-free (and byte-identical to pre-feedback runs).
-        self.feedback = feedback
-        if feedback is not None:
-            feedback.bind(graph, self)
+        self.feedback = config.per_engine("feedback")
+        if self.feedback is not None:
+            self.feedback.bind(graph, self)
         self.stats = EngineStats()
         self.ctx = OpContext(clock=clock)
         self._round_id = 0
@@ -248,8 +199,8 @@ class ExecutionEngine:
         self._iwp_ops = graph.iwp_operators()
         self._executable = [op for op in graph.operators
                             if not isinstance(op, SourceNode)]
-        obs_list = list(observers) if observers is not None else []
-        self.bus: EventBus | None = EventBus(obs_list) if obs_list else None
+        self.bus: EventBus | None = (EventBus(config.observers)
+                                     if config.observers else None)
         self._buffer_forward = None
         self._wire_buffer_events()
         if monitor is not None and self.bus is not None \

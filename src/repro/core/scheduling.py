@@ -30,14 +30,13 @@ __all__ = ["RoundRobinEngine"]
 
 
 class RoundRobinEngine(ExecutionEngine):
-    """Fixed-order, batch-per-visit operator scheduling.
+    """Fixed-order, quantum-per-visit operator scheduling.
 
     Args:
-        batch_size: Maximum elements an operator processes per visit before
-            the scheduler moves on (the classical scheduling quantum).  Note
-            this is a *scheduling* quantum, not the base engine's run width:
-            round-robin always executes scalar steps within a visit,
-            whatever the value.
+        quantum: Maximum elements an operator processes per visit before
+            the scheduler moves on (the classical scheduling quantum — not
+            the base engine's ``batch_size`` run width: round-robin always
+            executes scalar steps within a visit, whatever that is).
         visit_cost: Simulated CPU seconds charged per operator *visit*,
             whether or not the operator had work — the context-switch
             overhead that depth-first traversal avoids.  Defaults to the
@@ -47,12 +46,12 @@ class RoundRobinEngine(ExecutionEngine):
     ``deliver_due`` hook) behaves exactly as in the base engine.
     """
 
-    def __init__(self, graph: QueryGraph, clock, *, batch_size: int = 16,
+    def __init__(self, graph: QueryGraph, clock, *, quantum: int = 16,
                  visit_cost: float | None = None, **kwargs) -> None:
         super().__init__(graph, clock, **kwargs)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
+        if quantum < 1:
+            raise ValueError(f"quantum must be >= 1, got {quantum}")
+        self.quantum = quantum
         if visit_cost is not None:
             self.visit_cost = visit_cost
         elif self.cost_model is not None:
@@ -79,7 +78,7 @@ class RoundRobinEngine(ExecutionEngine):
                     self.clock.advance(self.visit_cost)
                     self.stats.busy_time += self.visit_cost
                 served = 0
-                while served < self.batch_size and op.more():
+                while served < self.quantum and op.more():
                     self._step(op)
                     served += 1
                     progressed = True

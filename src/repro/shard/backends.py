@@ -33,11 +33,10 @@ import random
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from ..core.config import EngineConfig
 from ..core.errors import ReproError
-from ..core.ets import EtsPolicy, NoEts
 from ..core.execution import ExecutionEngine
 from ..sim.clock import VirtualClock
 from .frontier import shard_frontier
@@ -118,41 +117,31 @@ class EngineShard:
             :class:`~repro.core.graph.QueryGraph`; every shard gets its own
             copy, so the factory must not share operator state between
             calls.
-        ets_policy_factory: Per-shard ETS policy factory (policies hold
-            state and cannot be shared across engines); None means
-            :class:`NoEts`.
-        batch_size: Run width forwarded to the engine (1 = scalar path,
-            > 1 = columnar path).
-        state_dir: When set, a :class:`RecoveryManager` is bound here and
-            every ingest/punctuation/wake-up is WAL-logged.
-        checkpoint_every: Checkpoint cadence in engine rounds (forwarded).
         disorder_bound: Slack subtracted from out-of-order sources'
             horizons when computing the frontier.
-        feedback_factory: Per-shard
-            :class:`~repro.feedback.FeedbackController` factory
-            (controllers hold hysteresis state and cannot be shared across
-            engines); None disables closed-loop feedback for the shard.
+        config / **knobs: The shared knobs, declared and documented on
+            :class:`~repro.core.config.EngineConfig`, handed to the shard's
+            engine as they are.  ``ets_policy`` and ``feedback`` must be
+            zero-argument factories (both hold state and cannot be shared
+            across engines); with ``state_dir`` set, a
+            :class:`RecoveryManager` is bound there and every
+            ingest/punctuation/wake-up is WAL-logged.
     """
 
     def __init__(self, index: int, build: Callable[[], Any], *,
-                 ets_policy_factory: Callable[[], EtsPolicy] | None = None,
-                 batch_size: int = 1,
-                 state_dir: str | Path | None = None,
-                 checkpoint_every: int | None = None,
                  disorder_bound: float = 0.0,
-                 feedback_factory: Callable[[], Any] | None = None) -> None:
+                 config: EngineConfig | None = None, **knobs) -> None:
         from ..recovery import RecoveryManager
 
+        config = (config or EngineConfig()).replace(**knobs)
         self.index = index
         self.graph = build()
         self.clock = VirtualClock()
         self.disorder_bound = disorder_bound
-        policy = ets_policy_factory() if ets_policy_factory else NoEts()
-        feedback = feedback_factory() if feedback_factory else None
         self.engine = ExecutionEngine(
-            self.graph, self.clock, cost_model=None, ets_policy=policy,
-            batch_size=batch_size, checkpoint_every=checkpoint_every,
-            feedback=feedback)
+            self.graph, self.clock, cost_model=None, config=config.replace(
+                ets_policy=config.per_engine("ets_policy", sharded=True),
+                feedback=config.per_engine("feedback", sharded=True)))
         self.feedback = self.engine.feedback
         self._outputs: list[tuple[str, float, Any]] = []
         for sink in sorted(self.graph.sinks(), key=lambda s: s.name):
@@ -161,8 +150,8 @@ class EngineShard:
         self.ingested = 0
         self.delivered = 0
         self.manager = None
-        if state_dir is not None:
-            self.manager = RecoveryManager(state_dir).bind(
+        if config.state_dir is not None:
+            self.manager = RecoveryManager(config.state_dir).bind(
                 self.graph, self.engine, self.clock)
 
     def _wrap_sink(self, sink) -> None:

@@ -48,7 +48,6 @@ from ..core.errors import ReproError
 from ..core.tuples import LATENT_TS, TimestampKind
 from ..recovery.manager import partition_wal_history, wal_history
 from ..recovery.wal import WAL_MAGIC, WriteAheadLog
-from .backends import make_backend
 from .engine import ShardedEngine, ShardedRecoveryReport
 from .frontier import MergedRecord
 from .partition import HashPartitioner
@@ -207,16 +206,7 @@ class ReshardCoordinator:
             if epoch_dir.exists():
                 shutil.rmtree(epoch_dir)
         partitioner = HashPartitioner(new_shards, e.partitioner.key_fn)
-        base_kwargs = e._shard_kwargs
-
-        def shard_kwargs(index: int) -> dict:
-            kwargs = dict(base_kwargs(index))
-            kwargs["state_dir"] = (None if epoch_dir is None
-                                   else epoch_dir / f"shard-{index:02d}")
-            return kwargs
-
-        backend = make_backend(e.backend_kind, new_shards, build=e._build,
-                               shard_kwargs=shard_kwargs, **e._backend_opts)
+        backend = e._make_backend(new_shards, epoch_dir)
         try:
             self._replay(backend, partitioner, new_shards, report)
             if epoch_dir is not None:
@@ -275,8 +265,6 @@ class ReshardCoordinator:
             _write_manifest(e.root_dir, report.epoch, report.new_shards)
         old_backend = e.backend
         e.backend = backend
-        if hasattr(backend, "on_retry"):
-            backend.on_retry = e._note_retry
         e.partitioner = partitioner
         e.shard_count = report.new_shards
         e.state_dir = epoch_dir
@@ -313,35 +301,13 @@ class ElasticShardedEngine(ShardedEngine):
     topology (the manifest's shard count overrides the argument).
     """
 
-    def __init__(self, build: Callable[[], Any], *, shards: int,
-                 key: str | Callable[[Any], Any],
-                 state_dir: str | Path | None = None, **kwargs) -> None:
-        root = Path(state_dir) if state_dir is not None else None
-        epoch = 0
-        if root is not None:
-            manifest = _read_manifest(root)
-            if manifest is not None:
-                epoch = int(manifest["epoch"])
-                shards = int(manifest["shards"])
-            root.mkdir(parents=True, exist_ok=True)
-            for stale in root.glob("epoch-*"):
-                try:
-                    number = int(stale.name.split("-", 1)[1])
-                except ValueError:
-                    continue
-                if number > epoch:  # built but never committed: purge
-                    shutil.rmtree(stale, ignore_errors=True)
-            if manifest is None:
-                _write_manifest(root, epoch, int(shards))
-        epoch_dir = None if root is None else root / f"epoch-{epoch:04d}"
-        super().__init__(build, shards=shards, key=key,
-                         state_dir=epoch_dir, **kwargs)
-        self.root_dir = root
-        self._epoch = epoch
+    def __init__(self, build: Callable[[], Any], **kwargs) -> None:
+        super().__init__(build, **kwargs)
         self._facade_wal: WriteAheadLog | None = None
-        if root is not None:
-            (root / "facade").mkdir(parents=True, exist_ok=True)
-            self._facade_wal = WriteAheadLog(root / "facade" / "wal.log")
+        if self.root_dir is not None:
+            (self.root_dir / "facade").mkdir(parents=True, exist_ok=True)
+            self._facade_wal = WriteAheadLog(
+                self.root_dir / "facade" / "wal.log")
         #: The facade command log: every ingest / punctuation / wakeup in
         #: dispatch order — the reshard replay script.
         self._log: list[dict] = []
@@ -360,6 +326,29 @@ class ElasticShardedEngine(ShardedEngine):
         probe = build()
         self._source_kinds = {src.name: src.timestamp_kind
                               for src in probe.sources()}
+
+    def _open_state(self, shards: int, state_dir) -> tuple[int, Path | None]:
+        """Adopt (or start) the root's manifest; the live epoch's directory."""
+        shards, root = super()._open_state(shards, state_dir)
+        self.root_dir = root
+        self._epoch = 0
+        if root is None:
+            return shards, None
+        manifest = _read_manifest(root)
+        if manifest is not None:
+            self._epoch = int(manifest["epoch"])
+            shards = int(manifest["shards"])
+        root.mkdir(parents=True, exist_ok=True)
+        for stale in root.glob("epoch-*"):
+            try:
+                number = int(stale.name.split("-", 1)[1])
+            except ValueError:
+                continue
+            if number > self._epoch:  # built but never committed: purge
+                shutil.rmtree(stale, ignore_errors=True)
+        if manifest is None:
+            _write_manifest(root, self._epoch, shards)
+        return shards, root / f"epoch-{self._epoch:04d}"
 
     # ------------------------------------------------------------------ #
     # Command logging

@@ -31,7 +31,6 @@ from typing import Any, Callable
 
 from ..core.config import EngineConfig
 from ..core.errors import ReproError
-from ..core.ets import EtsPolicy
 from ..obs.bus import EventBus
 from .backends import (
     BACKENDS,
@@ -90,107 +89,80 @@ class ShardedEngine:
         key: Partition key — a payload field name or a callable
             ``payload -> key``.  Keys must be stable-hashable (see
             :func:`repro.shard.partition.stable_hash`).
-        backend: ``"serial"``, ``"thread"``, or ``"process"``.
-        ets_policy_factory: Builds one ETS policy per shard (policies are
-            stateful); None means NoEts everywhere.
-        batch_size: Run width forwarded to every shard engine (1 = scalar
-            path, > 1 = columnar path).
-        state_dir: Root directory for per-shard recovery state
-            (``state_dir/shard-00``, ``shard-01``, …); None disables
-            durability.
-        checkpoint_every: Per-shard checkpoint cadence in engine rounds.
-        observers: :class:`~repro.obs.bus.Observer` instances receiving
-            ``on_shard`` events (and nothing else — per-shard engine-level
-            events stay inside their shard).
+        backend: ``"serial"`` (the default and the reference the oracles
+            compare against), ``"thread"``, or ``"process"``.
         op_timeout: Per-shard operation timeout (seconds) enforced by the
             thread and process backends.
         disorder_bound: Frontier slack for out-of-order sources.
-        feedback: Builds one
-            :class:`~repro.feedback.FeedbackController` per shard (a
-            zero-argument factory — controllers hold hysteresis state and
-            cannot be shared).  When set, each wake-up aggregates the
-            shards' pressure views into a global maximum and broadcasts it
-            back as a *clamp* with the next wake-up's commands — so every
-            shard reacts to fleet-wide overload with a staleness of at
-            most one wake-up.  None (the default) keeps the open-loop
-            behavior byte-identical.
         retry_limit: Bounded re-poll attempts per operation for the
             process backend (see :class:`ProcessBackend`).
-        config: Optional :class:`~repro.core.config.EngineConfig` supplying
-            defaults for the shared knobs; explicit keyword arguments win,
-            and the factory-shaped knobs (``ets_policy``, ``feedback``)
-            must be zero-argument factories here.
+        config / **knobs: The shared knobs, declared and documented on
+            :class:`~repro.core.config.EngineConfig`: ``config`` carries
+            them, keywords are ``config.replace``.  The facade keeps
+            ``observers`` (they hear ``on_shard`` events) and roots
+            ``state_dir``; every other field reaches every shard engine,
+            so ``ets_policy`` and ``feedback`` must be zero-argument
+            factories here.
     """
 
     def __init__(self, build: Callable[[], Any], *, shards: int,
                  key: str | Callable[[Any], Any],
-                 backend: str = "thread",
-                 ets_policy_factory: Callable[[], EtsPolicy] | None = None,
-                 batch_size: int = 1,
-                 state_dir: str | Path | None = None,
-                 checkpoint_every: int | None = None,
-                 observers=None,
+                 backend: str = "serial",
                  op_timeout: float = 60.0,
                  disorder_bound: float = 0.0,
-                 feedback: Callable[[], Any] | None = None,
                  retry_limit: int = 1,
-                 config: EngineConfig | None = None) -> None:
-        if config is not None:
-            knobs = config.resolve(
-                dict(batch_size=batch_size,
-                     checkpoint_every=checkpoint_every,
-                     state_dir=state_dir),
-                dict(batch_size=1, checkpoint_every=None, state_dir=None))
-            batch_size = knobs["batch_size"]
-            checkpoint_every = knobs["checkpoint_every"]
-            state_dir = knobs["state_dir"]
-            if ets_policy_factory is None:
-                ets_policy_factory = config.ets_policy_factory()
-            if feedback is None:
-                feedback = config.feedback_factory()
-            observers = config.resolved_observers(observers) or None
+                 config: EngineConfig | None = None, **knobs) -> None:
+        config = (config or EngineConfig()).replace(**knobs)
         if backend not in BACKENDS:
             raise ReproError(f"unknown shard backend {backend!r}; "
                              f"expected one of {BACKENDS}")
-        self.shard_count = int(shards)
+        shards, self.state_dir = self._open_state(int(shards),
+                                                  config.state_dir)
+        self.shard_count = shards
         self.backend_kind = backend
         self.partitioner = HashPartitioner(shards, key)
         self.tracker = FrontierTracker(shards)
         self.merge = FrontierMerge()
-        self.bus = EventBus(observers) if observers else None
-        self.state_dir = Path(state_dir) if state_dir is not None else None
+        self.bus = EventBus(config.observers) if config.observers else None
         self._drive_now = 0.0
         self._pending_ingests: list[list] = [[] for _ in range(shards)]
         self._pending_puncts: list = []
         self.ingested = 0
         self.wakeups = 0
         self._closed = False
-        self.feedback_enabled = feedback is not None
+        self.feedback_enabled = config.feedback is not None
         self.global_pressure = 0.0
         self.clamps_broadcast = 0
-
-        def shard_kwargs(index: int) -> dict:
-            shard_state = (None if self.state_dir is None
-                           else self.state_dir / f"shard-{index:02d}")
-            return {
-                "ets_policy_factory": ets_policy_factory,
-                "batch_size": batch_size,
-                "state_dir": shard_state,
-                "checkpoint_every": checkpoint_every,
-                "disorder_bound": disorder_bound,
-                "feedback_factory": feedback,
-            }
-
-        self._shard_kwargs = shard_kwargs
+        #: What every shard engine is built from (plus its own
+        #: ``state_dir``): per-shard engine events stay inside their shard,
+        #: and each shard owns its recovery manager.
+        self._shard_config = config.replace(observers=(), recovery=None)
+        self._disorder_bound = disorder_bound
         self._build = build
-        self._key = key
         self._backend_opts = dict(op_timeout=op_timeout,
                                   retry_limit=retry_limit)
-        self.backend = make_backend(backend, shards, build=build,
-                                    shard_kwargs=shard_kwargs,
-                                    **self._backend_opts)
-        if hasattr(self.backend, "on_retry"):
-            self.backend.on_retry = self._note_retry
+        self.backend = self._make_backend(shards, self.state_dir)
+
+    def _open_state(self, shards: int, state_dir) -> tuple[int, Path | None]:
+        """The shard count and the directory the shards' state lives under."""
+        return shards, Path(state_dir) if state_dir is not None else None
+
+    def _shard_kwargs(self, index: int, state_dir: Path | None) -> dict:
+        """``EngineShard`` keywords for shard ``index`` under ``state_dir``."""
+        shard_dir = (None if state_dir is None
+                     else state_dir / f"shard-{index:02d}")
+        return {"config": self._shard_config.replace(state_dir=shard_dir),
+                "disorder_bound": self._disorder_bound}
+
+    def _make_backend(self, shards: int, state_dir: Path | None):
+        """A backend of ``shards`` fresh shard engines under ``state_dir``."""
+        backend = make_backend(
+            self.backend_kind, shards, build=self._build,
+            shard_kwargs=lambda index: self._shard_kwargs(index, state_dir),
+            **self._backend_opts)
+        if hasattr(backend, "on_retry"):
+            backend.on_retry = self._note_retry
+        return backend
 
     def _note_retry(self, shard: int, op: str, attempt: int,
                     backoff: float) -> None:
@@ -336,8 +308,8 @@ class ShardedEngine:
                              "(serial or thread)")
         old = shards[index]
         old.close()
-        replacement = EngineShard(index, self._build,
-                                  **self._shard_kwargs(index))
+        replacement = EngineShard(
+            index, self._build, **self._shard_kwargs(index, self.state_dir))
         shards[index] = replacement
         report = replacement.recover()
         self.tracker.advertise(index, replacement.frontier())

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..core.config import EngineConfig
-from ..core.ets import EtsPolicy, PeriodicEtsSchedule
+from ..core.ets import PeriodicEtsSchedule
 from ..core.errors import PolicyError, WorkloadError
 from ..core.execution import ExecutionEngine
 from ..core.graph import QueryGraph
 from ..core.operators.source import SourceNode
 from ..metrics.idle import IdleTracker
-from ..obs.bus import NULL_BUS, Observer
+from ..obs.bus import NULL_BUS
 from .clock import VirtualClock
 from .cost import CostModel
 from .events import EventQueue
@@ -62,21 +62,12 @@ class Simulation:
 
     Args:
         graph: The query to execute (validated on first run).
-        ets_policy: Engine-side ETS policy (scenarios A/B/C).
         periodic: Heartbeat schedule for scenario B; None for no heartbeats.
         cost_model: CPU pricing; defaults to the calibrated
             :class:`CostModel`.  Pass ``CostModel.zero()`` for logical runs.
         start_time: Initial virtual-clock value.
         track_idle: Maintain an :class:`IdleTracker` over the IWP operators.
         offer_ets_always: Forwarded to the engine (fidelity ablation).
-        batch_size: Run width forwarded to the engine; 1 (default) is
-            tuple-at-a-time scalar execution, N > 1 runs the columnar path,
-            each Encore step consuming a run of up to N elements (never
-            across a punctuation); see
-            :class:`~repro.core.execution.ExecutionEngine`.  The
-            ``deliver_due`` hook then runs once per run rather than once
-            per tuple, which is exactly the amortization being bought (the
-            :class:`~repro.api.Pipeline` default is 64).
         stall_detector: Optional
             :class:`~repro.faults.degrade.StallDetector`; the kernel polls
             it on a recurring watchdog event and, when a source crosses the
@@ -91,63 +82,27 @@ class Simulation:
         monitor: Optional
             :class:`~repro.faults.monitors.InvariantMonitor`; installed on
             the graph here and checked by the engine each wake-up.
-        observers: Instrumentation observers (see :mod:`repro.obs`),
-            forwarded to the engine's event bus; the kernel additionally
-            publishes its own events (arrivals, heartbeat / fallback
-            punctuation, degradation-ladder actions) on the same bus.
-        checkpoint_every: Forwarded to the engine — checkpoint every N
-            wake-up rounds (requires ``recovery``; without a manager bound
-            the engine's hook stays empty and nothing fires).
-        recovery: Optional :class:`~repro.recovery.RecoveryManager`; bound
-            to this simulation's graph/engine/clock at construction, making
-            every ingest and wake-up WAL-logged and crash-recoverable.
-        config: Optional :class:`~repro.core.config.EngineConfig` supplying
-            defaults for the shared knobs (batch_size, checkpoint_every,
-            observers, feedback, ets_policy, recovery,
-            max_steps_per_round).  Explicit keyword arguments win.
-        engine_cls / engine_kwargs: Alternative engine class (e.g. the
-            round-robin scheduling ablation) and its extra constructor
-            kwargs (e.g. that engine's scheduling quantum, which it also
-            calls ``batch_size``); a key given here wins over the
-            same-named Simulation parameter.
+        engine_cls: Alternative engine class (the round-robin scheduling
+            ablation X4), constructed exactly like the default one.
+        config / **knobs: The shared knobs, declared and documented on
+            :class:`~repro.core.config.EngineConfig` (``ets_policy``,
+            ``batch_size``, ``observers``, ``feedback``,
+            ``checkpoint_every``, ``max_steps_per_round``, ``recovery``):
+            ``config`` carries them, keywords are ``config.replace``.
     """
 
     def __init__(self, graph: QueryGraph, *,
-                 ets_policy: EtsPolicy | None = None,
                  periodic: PeriodicEtsSchedule | None = None,
                  cost_model: CostModel | None = None,
                  start_time: float = 0.0,
                  track_idle: bool = True,
                  offer_ets_always: bool = False,
-                 batch_size: int = 1,
                  stall_detector=None,
                  quarantine=None,
-                 feedback=None,
                  monitor=None,
-                 observers: list[Observer] | None = None,
-                 max_steps_per_round: int | None = None,
-                 checkpoint_every: int | None = None,
-                 recovery=None,
-                 config: EngineConfig | None = None,
                  engine_cls: type[ExecutionEngine] = ExecutionEngine,
-                 engine_kwargs: dict | None = None) -> None:
-        if config is not None:
-            knobs = config.resolve(
-                dict(batch_size=batch_size,
-                     checkpoint_every=checkpoint_every,
-                     max_steps_per_round=max_steps_per_round),
-                dict(batch_size=1, checkpoint_every=None,
-                     max_steps_per_round=None))
-            batch_size = knobs["batch_size"]
-            checkpoint_every = knobs["checkpoint_every"]
-            max_steps_per_round = knobs["max_steps_per_round"]
-            if ets_policy is None:
-                ets_policy = config.ets_policy_instance()
-            if feedback is None:
-                feedback = config.feedback_instance()
-            if recovery is None:
-                recovery = config.recovery
-            observers = config.resolved_observers(observers) or None
+                 config: EngineConfig | None = None, **knobs) -> None:
+        config = (config or EngineConfig()).replace(**knobs)
         self.graph = graph
         if not graph.is_validated:
             graph.validate()
@@ -158,29 +113,18 @@ class Simulation:
                              if track_idle else None)
         if monitor is not None:
             monitor.install(graph)
-        merged_kwargs = dict(engine_kwargs or {})
-        if batch_size != 1:
-            merged_kwargs.setdefault("batch_size", batch_size)
-        if feedback is not None:
-            merged_kwargs.setdefault("feedback", feedback)
-        if checkpoint_every is not None:
-            merged_kwargs.setdefault("checkpoint_every", checkpoint_every)
-        obs_list = list(observers or [])
-        obs_list.extend(merged_kwargs.pop("observers", None) or [])
         if stall_detector is not None:
             # The detector hears arrivals as an ordinary bus observer.
-            obs_list.append(stall_detector)
+            config = config.replace(
+                observers=(*config.observers, stall_detector))
         self.engine = engine_cls(
             graph, self.clock,
             cost_model=self.cost_model,
-            ets_policy=ets_policy,
             idle_tracker=self.idle_tracker,
             deliver_due=self._deliver_due,
             offer_ets_always=offer_ets_always,
             monitor=monitor,
-            observers=obs_list or None,
-            max_steps_per_round=max_steps_per_round,
-            **merged_kwargs,
+            config=config,
         )
         #: The engine's event bus (or the shared no-op bus): the kernel's
         #: own events — arrivals, punctuation trains, fault-ladder actions —
@@ -212,7 +156,8 @@ class Simulation:
         self.feedback = self.engine.feedback
         if self.feedback is not None:
             provider = lambda: self.feedback.pressure  # noqa: E731
-            for component in (stall_detector, quarantine, ets_policy):
+            for component in (stall_detector, quarantine,
+                              self.engine.ets_policy):
                 if (component is not None
                         and hasattr(component, "pressure_provider")
                         and component.pressure_provider is None):
@@ -227,9 +172,9 @@ class Simulation:
         #: punctuation, and engine wake-up, and wires the engine's
         #: ``checkpoint_hook`` — everything the simulation does from now on
         #: is durable and crash-recoverable.
-        self.recovery = recovery
-        if recovery is not None:
-            recovery.bind(graph, self.engine, self.clock, sim=self)
+        self.recovery = config.recovery
+        if self.recovery is not None:
+            self.recovery.bind(graph, self.engine, self.clock, sim=self)
 
     # ------------------------------------------------------------------ #
     # Configuration

@@ -68,7 +68,7 @@ class ScenarioConfig:
         cost_model: CPU pricing; None selects the calibrated default.
         batch_size: Run width of the execution engine (1 = the paper's
             tuple-at-a-time scalar path; N > 1 runs the columnar path).
-        engine_cls / engine_kwargs: Alternative execution engine (e.g.
+        engine_cls: Alternative execution engine (e.g.
             :class:`~repro.core.scheduling.RoundRobinEngine`) for the X4
             scheduling ablation; None selects the paper's DFS engine.
         observers: Instrumentation observers (see :mod:`repro.obs`)
@@ -88,11 +88,9 @@ class ScenarioConfig:
     external: bool = False
     external_skew: float = 0.0
     ets_delta: float = 0.0
-    offer_ets_always: bool = False
     cost_model: CostModel | None = None
     batch_size: int = 1
     engine_cls: type | None = None
-    engine_kwargs: dict | None = None
     observers: list | None = None
 
     def __post_init__(self) -> None:
@@ -177,13 +175,10 @@ def _simulate(config: ScenarioConfig, graph: QueryGraph, faults,
         ets_policy=config.make_policy(),
         periodic=config.make_periodic("slow", "fast"),
         cost_model=config.cost_model,
-        offer_ets_always=config.offer_ets_always,
         batch_size=config.batch_size,
     )
     if config.engine_cls is not None:
         kwargs["engine_cls"] = config.engine_cls
-    if config.engine_kwargs is not None:
-        kwargs["engine_kwargs"] = config.engine_kwargs
     if config.observers is not None:
         kwargs["observers"] = list(config.observers)
     kwargs.update(sim_kwargs)

@@ -457,7 +457,7 @@ class ShardedDifferentialOracle:
         trace as canonical ``(sink, ts, payload)`` records."""
         engine = ShardedEngine(self.build, shards=shards, key=self.key,
                                backend=backend,
-                               ets_policy_factory=ets_policy_factory,
+                               ets_policy=ets_policy_factory,
                                batch_size=batch_size, observers=observers)
         released = []
         try:
@@ -498,7 +498,7 @@ class ShardedDifferentialOracle:
         reshard_at = dict(reshard_at or {})
         engine = ElasticShardedEngine(
             self.build, shards=shards, key=self.key, backend=backend,
-            ets_policy_factory=ets_policy_factory, batch_size=batch_size,
+            ets_policy=ets_policy_factory, batch_size=batch_size,
             state_dir=state_dir, checkpoint_every=checkpoint_every,
             observers=observers)
         released = []

@@ -257,6 +257,101 @@ class TestEngineKnobs:
         with pytest.raises(TypeError):  # no such knob anywhere below
             p.engine(block_mode=False).build_simulation()
 
+    # The merge rule (core/config.py): ``config`` is the carrier, keywords
+    # are ``replace``, a passed value always wins — whatever it equals.
+
+    @staticmethod
+    def _knob_graph():
+        p = Pipeline("knobs")
+        p.source("a").sink("out")
+        return p.compile()
+
+    @staticmethod
+    def _engine_setup(engine):
+        observers = tuple(engine.bus.observers) if engine.bus else ()
+        return (engine.batch_size, engine.checkpoint_every,
+                engine.max_steps_per_round, observers,
+                type(engine.feedback), type(engine.ets_policy))
+
+    def _constructors(self):
+        """``name -> f(**kwargs)`` returning what the constructor set up."""
+        from repro.api import ExecutionEngine, ShardedEngine, VirtualClock
+
+        def engine(**kw):
+            return self._engine_setup(
+                ExecutionEngine(self._knob_graph(), VirtualClock(), **kw))
+
+        def simulation(**kw):
+            sim = Simulation(self._knob_graph(), **kw)
+            return self._engine_setup(sim.engine), sim.recovery
+
+        def sharded(**kw):
+            facade = ShardedEngine(self._knob_graph, shards=2, key="k",
+                                   backend="serial", **kw)
+            try:
+                return (facade.state_dir, facade.feedback_enabled,
+                        tuple(facade.bus.observers) if facade.bus else (),
+                        [(self._engine_setup(shard.engine),
+                          shard.manager is not None)
+                         for shard in facade.backend.shards])
+            finally:
+                facade.close(flush=False)
+
+        return {"ExecutionEngine": engine, "Simulation": simulation,
+                "ShardedEngine": sharded}
+
+    def test_keywords_are_replace_at_every_constructor(self, tmp_path):
+        from itertools import combinations
+
+        from repro.api import FeedbackController, Observer
+
+        class Bindable:  # a Simulation binds its recovery manager
+            def bind(self, *args, **kwargs):
+                pass
+
+        defaults = {f.name: f.default for f in fields(EngineConfig)}
+        assert defaults == dict(
+            batch_size=1, checkpoint_every=None, max_steps_per_round=None,
+            observers=(), feedback=None, ets_policy=None, recovery=None,
+            state_dir=None)
+        others = dict(
+            batch_size=8, checkpoint_every=3, max_steps_per_round=10 ** 6,
+            observers=(Observer(),), feedback=FeedbackController,
+            ets_policy=OnDemandEts, recovery=Bindable(),
+            state_dir=tmp_path / "other")
+        bases = (Pipeline().config,
+                 EngineConfig(**{**others, "batch_size": 64,
+                                 "state_dir": tmp_path / "base"}))
+        subsets = [names for size in range(len(defaults) + 1)
+                   for names in combinations(defaults, size)]
+        assert len(subsets) == 2 ** 8
+        for ctor_name, ctor in self._constructors().items():
+            for base in bases:
+                for values in (defaults, others):
+                    for names in subsets:
+                        knobs = {name: values[name] for name in names}
+                        assert (ctor(config=base, **knobs)
+                                == ctor(config=base.replace(**knobs))), \
+                            (ctor_name, base, knobs)
+            assert ctor(**knobs) == ctor(config=EngineConfig(**knobs))
+            for unknown in ("block_mode", "ets_policy_factory",
+                            "engine_kwargs", "batchsize"):
+                with pytest.raises(TypeError, match=unknown):
+                    ctor(config=bases[0], **{unknown: None})
+
+    def test_a_passed_default_still_wins(self):
+        """The two spellings the old equal-to-the-default guess ignored."""
+        from repro.api import ExecutionEngine, Observer, VirtualClock
+
+        setups = self._constructors()
+        config = Pipeline().config.replace(observers=(Observer(),))
+        assert setups["ExecutionEngine"](config=config)[0] == 64
+        assert setups["ExecutionEngine"](config=config, batch_size=1)[0] == 1
+        assert setups["Simulation"](config=config, batch_size=1)[0][0] == 1
+        engine = ExecutionEngine(self._knob_graph(), VirtualClock(),
+                                 config=config, observers=[])
+        assert engine.bus is None
+
     def test_from_program_wires_sinks_and_feeds_by_name(self):
         program = """
         STREAM fast (seq int, value float) TIMESTAMP INTERNAL;

@@ -15,6 +15,8 @@ point.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -147,6 +149,65 @@ def test_package_root_is_not_a_second_surface():
     # Submodules appear as attributes once imported; nothing else may.
     assert all((SRC / name).exists() or (SRC / f"{name}.py").exists()
                for name in public)
+
+
+# --------------------------------------------------------------------- #
+# Each engine knob is said once
+
+
+#: Exported classes with an ``__init__`` parameter that shares a name with
+#: an ``EngineConfig`` field without being a second declaration of it.
+KNOB_NAMESAKES: dict[str, tuple[set[str], str]] = {
+    "EventBus": ({"observers"}, "the list itself, not a knob about it"),
+    "RecoveryManager": ({"state_dir"}, "the manager's own directory"),
+    "CrashReport": ({"recovery"}, "a result record's RecoveryReport"),
+    "ScenarioConfig": ({"batch_size", "observers"},
+                       "an experiment's parameters, handed to Simulation "
+                       "as keywords"),
+    "ChaosConfig": ({"batch_size"}, "an experiment's parameters"),
+    "CrashConfig": ({"batch_size", "checkpoint_every", "state_dir"},
+                    "an experiment's parameters"),
+    "OverloadConfig": ({"batch_size", "feedback"},
+                       "an experiment's parameters (feedback is a bool)"),
+}
+
+
+def knob_redeclarations(classes) -> dict[str, set[str]]:
+    """``class name -> __init__ parameters`` that restate a shared knob."""
+    knobs = {f.name for f in dataclasses.fields(repro.api.EngineConfig)}
+    found = {}
+    for cls in classes:
+        if cls is repro.api.EngineConfig:
+            continue
+        params = set(inspect.signature(cls.__init__).parameters)
+        restated = {name for name in params
+                    if name in knobs or name.endswith("_factory")
+                    or name == "engine_kwargs"}
+        if restated:
+            found[cls.__name__] = restated
+    return found
+
+
+def test_only_engine_config_declares_an_engine_knob():
+    """``ExecutionEngine``, ``Simulation`` and the sharded engines take
+    ``config`` plus ``**knobs`` (``core/config.py``); a constructor that
+    names a knob again is a second default, a second docstring and a
+    second merge rule."""
+    from repro.shard.backends import EngineShard
+
+    exported = [getattr(repro.api, name) for name in repro.api.__all__]
+    classes = [obj for obj in exported if inspect.isclass(obj)]
+    assert knob_redeclarations([*classes, EngineShard]) == {
+        name: names for name, (names, _) in KNOB_NAMESAKES.items()}
+    assert all(reason.strip() for _, reason in KNOB_NAMESAKES.values())
+
+    class Restating(repro.api.ExecutionEngine):
+        def __init__(self, graph, clock, *, batch_size=1,
+                     ets_policy_factory=None, **kwargs):
+            super().__init__(graph, clock, batch_size=batch_size, **kwargs)
+
+    assert knob_redeclarations([Restating]) == {
+        "Restating": {"batch_size", "ets_policy_factory"}}
 
 
 # --------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ import pytest
 from oracle import ShardedDifferentialOracle, _assert_same, _canonical, \
     _assert_shards_on_block_transport
 
+from repro.core.config import EngineConfig
 from repro.faults import FaultPlan, ReshardCrash, SimulatedCrash
 from repro.faults.plan import _RESHARD_PHASES
 from repro.obs import MetricsRegistry
@@ -260,6 +261,51 @@ def test_plain_crash_after_reshard_exactly_once(tmp_path):
     combined = [(s, ts, p) for ts, _, _, s, p in pre] + post
     _assert_same(reference, _canonical(combined),
                  "crash after a completed reshard is not exactly-once")
+
+
+def test_config_only_root_is_durable_across_a_reshard(tmp_path):
+    """The root may arrive on the config alone: same manifest, epoch
+    directories and facade WAL as the keyword spelling, still durable
+    after the reshard, and a fresh facade recovers to the uninterrupted
+    run's output."""
+    feeds = keyed_feeds()
+    crash_index = CHUNK * 7
+    reference = _canonical(reference_run(
+        feeds, reshard_index=RESHARD_INDEX, target=3))
+    config = EngineConfig(state_dir=tmp_path, checkpoint_every=2,
+                          batch_size=BATCH)
+
+    def facade():
+        return ElasticShardedEngine(join_graph(), shards=2, key="k",
+                                    config=config)
+
+    engine = facade()
+    assert engine.root_dir == tmp_path
+    assert json.loads((tmp_path / "CURRENT").read_text()) == {
+        "epoch": 0, "shards": 2}
+    assert sorted(d.name for d in (tmp_path / "epoch-0000").iterdir()) == [
+        "shard-00", "shard-01"]
+    assert (tmp_path / "facade").is_dir()  # wal.log: on the first append
+    assert not list(tmp_path.glob("shard-*"))
+    released, _ = drive(engine, feeds, stop=crash_index,
+                        reshard_index=RESHARD_INDEX, target=3)
+    assert (tmp_path / "facade" / "wal.log").stat().st_size > 0
+    assert engine.state_dir == tmp_path / "epoch-0001"
+    pre = released + engine.merge.flush()
+    engine.close(flush=False)
+
+    engine = facade()
+    assert engine.shard_count == 3 and engine._epoch == 1
+    report = engine.recover()
+    assert report.total_ingests == crash_index
+    skips = {(shard, source): count
+             for shard, counts in report.ingests_by_shard.items()
+             for source, count in counts.items()}
+    released, now = drive(engine, feeds, skips=skips)
+    post = finish(engine, released, now)
+    combined = [(s, ts, p) for ts, _, _, s, p in pre] + post
+    _assert_same(reference, _canonical(combined),
+                 "config-only durable reshard is not exactly-once")
 
 
 def test_recovered_engine_can_reshard_again(tmp_path):

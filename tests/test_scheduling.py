@@ -59,7 +59,7 @@ class TestRoundRobinBasics:
     def test_batch_size_validated(self):
         g, *_ = union_graph()
         with pytest.raises(ValueError):
-            RoundRobinEngine(g, VirtualClock(), batch_size=0)
+            RoundRobinEngine(g, VirtualClock(), quantum=0)
 
     def test_visit_cost_accrues(self):
         g, s1, s2, u, sink = union_graph()

@@ -10,13 +10,18 @@ instead of blocking the caller.
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
 
-from repro.core.errors import ReproError
+from repro.core.config import EngineConfig
+from repro.core.errors import ExecutionError, ReproError
+from repro.core.ets import OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Map
+from repro.feedback import FeedbackController
+from repro.obs import Observer
 from repro.shard import ShardError, ShardTimeoutError, ShardedEngine
 
 
@@ -95,3 +100,53 @@ def test_process_backend_survives_orderly_close():
     released += engine.close(flush=True)
     assert len(released) == 6
     engine.close()  # idempotent
+
+
+# --------------------------------------------------------------------- #
+# The config travels: every field reaches every shard engine
+
+
+class _Listener(Observer):
+    pass
+
+
+def test_config_reaches_every_shard_engine():
+    """``max_steps_per_round`` used to stop at the facade, so the livelock
+    valve did not exist on the sharded path."""
+    listener = _Listener()
+    engine = ShardedEngine(
+        build_sleepy(0.0), shards=2, key="k",
+        config=EngineConfig(max_steps_per_round=7, batch_size=8),
+        observers=[listener])
+    try:
+        assert engine.backend_kind == "serial"  # the default backend
+        assert [(shard.engine.max_steps_per_round, shard.engine.batch_size)
+                for shard in engine.backend.shards] == [(7, 8), (7, 8)]
+        # Observers hear on_shard events at the facade; per-shard engine
+        # events stay inside their shard.
+        assert engine.bus.observers == [listener]
+        assert all(shard.engine.bus is None
+                   for shard in engine.backend.shards)
+    finally:
+        engine.close(flush=False)
+
+
+def test_process_backend_constructs_from_a_picklable_factory_config():
+    config = EngineConfig(ets_policy=OnDemandEts, batch_size=8,
+                          max_steps_per_round=10_000)
+    assert pickle.loads(pickle.dumps(config)) == config
+    engine = ShardedEngine(build_sleepy(0.0), shards=2, key="k",
+                           backend="process", op_timeout=30.0, config=config)
+    try:
+        engine.ingest("src", {"k": 1}, time=0.1)
+        assert len(engine.wakeup() + engine.close(flush=True)) == 1
+    finally:
+        engine.close(flush=False)
+
+
+@pytest.mark.parametrize("knob", ["ets_policy", "feedback"])
+def test_shards_reject_a_shared_instance(knob):
+    instance = OnDemandEts() if knob == "ets_policy" else FeedbackController()
+    with pytest.raises(ExecutionError, match=f"zero-argument {knob} factory"):
+        ShardedEngine(build_sleepy(0.0), shards=2, key="k",
+                      **{knob: instance})
