@@ -556,11 +556,24 @@ def _cmd_shard(args: argparse.Namespace) -> int:
               f"{row['delivered']:>10} {row['frontier']:>9.2f}")
     released = registry.shard_released.total
     print(f"  repro_shard_released_total {released:g}")
+    # The first chunk is the first wake-up segment: once its last row is
+    # stamped below a reshard's floor, that reshard must have cut it.
+    first_segment_ts = feeds[min(args.chunk, len(feeds)) - 1][3]
+    unbounded = 0
     for report in reports:
         print(f"  reshard {report.direction}: epoch {report.epoch}, "
               f"{report.migrated_keys}/{report.total_keys} keys migrated, "
-              f"{report.replayed_ingests} ingests replayed, "
+              f"replayed {report.replayed_ingests} of "
+              f"{report.logged_ingests} logged ingests "
+              f"(floor {report.floor:.2f}), "
               f"pause {report.pause_seconds * 1e3:.1f}ms")
+        if (first_segment_ts < report.floor
+                and report.replayed_ingests >= report.logged_ingests):
+            unbounded += 1
+    if unbounded:
+        print(f"UNBOUNDED REPLAY: {unbounded} reshard(s) replayed the whole "
+              f"history although rows lay below the floor", file=sys.stderr)
+        return 1
     if args.no_verify:
         return 0
     reference, ref_wall, _, _ = drive(1, "serial")

@@ -296,6 +296,14 @@ class StreamBuffer:
             self.hook_errors += 1
             self.last_hook_error = exc
 
+    def state_floor(self) -> float:
+        """Smallest timestamp held (see :meth:`Operator.state_floor`): the
+        head's on an ordered arc, unknown on an unordered one."""
+        head = self.head_ts()
+        if head is None:
+            return float("inf")
+        return head if self._enforce_order else float("-inf")
+
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 

@@ -54,6 +54,10 @@ class EtsPolicy:
         """
         return False
 
+    def state_floor(self) -> float:
+        """As :meth:`Operator.state_floor`: ``-inf`` for a policy that may
+        decide from history (the safe default for subclasses)."""
+        return float("-inf")
 
     def snapshot_state(self) -> dict:
         """Versioned snapshot; the base policy carries no mutable state."""
@@ -68,6 +72,9 @@ class EtsPolicy:
 
 class NoEts(EtsPolicy):
     """Scenario A (and the engine half of scenario B): never generate."""
+
+    def state_floor(self) -> float:
+        return float("inf")
 
 
 class OnDemandEts(EtsPolicy):
@@ -108,6 +115,10 @@ class OnDemandEts(EtsPolicy):
                 source, external_delta=self.external_delta)
         self._resolved[source.name] = generator
         return generator
+
+    def state_floor(self) -> float:
+        """Proposals read the clock and the source's own frontier only."""
+        return float("inf")
 
     def snapshot_state(self) -> dict:
         """Versioned snapshot of generation counters.

@@ -155,6 +155,36 @@ class QueryGraph:
         """Current total number of elements across the graph's buffers."""
         return self.registry.total
 
+    def state_floor(self) -> float:
+        """Smallest *source* timestamp that can still influence this graph's
+        output.  Read it at quiescence.
+
+        Each operator and arc answers in the stamps it holds
+        (:meth:`Operator.state_floor`); what sits behind a join is derived,
+        and an element stamped ``t`` there was shaped by source rows as far
+        back as ``t`` minus the reach of every operator on the way
+        (:meth:`Operator.state_reach`: in ``a.join(b, w).join(c, w)`` the
+        second window's entry stamped 14 may carry an ``a`` row stamped
+        ``14 - w``).  So each holder's floor is lowered by the longest
+        reach upstream of it before the minimum is taken.
+        """
+        inf = float("inf")
+        floor = inf
+        reach: dict[str, float] = {}  # operator -> its outputs' total reach
+        for op in self.topological_order():
+            behind = 0.0
+            for buf, producer in zip(op.inputs, op.predecessors):
+                lag = reach[producer.name] if producer is not None else 0.0
+                behind = max(behind, lag)
+                head = buf.state_floor()
+                if head < inf:
+                    floor = min(floor, head - lag)
+            own = op.state_floor()
+            if own < inf:
+                floor = min(floor, own - behind)
+            reach[op.name] = behind + op.state_reach()
+        return floor
+
     # ------------------------------------------------------------------ #
     # Validation and structure
 

@@ -275,6 +275,32 @@ class Operator:
         """
         return self.has_pending_data() and not self.more()
 
+    def state_floor(self) -> float:
+        """Smallest timestamp that can still influence future output.
+
+        An element stamped below it has left no trace in this operator that
+        a later element or punctuation could read.  A live reshard replays
+        only history at or above the minimum over a shard
+        (:meth:`repro.core.graph.QueryGraph.state_floor`); it is read at
+        quiescence and never on a wake-up path.  ``-inf`` — everything may
+        matter, replay it all — unless the operator knows better; ``+inf``
+        for one that retains no elements.
+        """
+        return float("-inf")
+
+    def state_reach(self) -> float:
+        """How far below an output's stamp the inputs that shaped it can lie.
+
+        :meth:`state_floor` speaks of the stamps an operator *reads*; a
+        holder fed by another operator retains derived elements, and the
+        graph lowers its floor by the reach of everything upstream to get
+        back to stamps of the source history.  ``0`` where stamps pass
+        through unchanged, a time window's span for a join; ``inf`` — any
+        input, however old, may have shaped an output — unless the operator
+        knows better.
+        """
+        return float("inf")
+
     # ------------------------------------------------------------------ #
     # Execution
 

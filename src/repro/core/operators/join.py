@@ -95,6 +95,12 @@ class _EmptyWindow:
         """The (empty) bucket for ``key``."""
         return iter(())
 
+    def state_floor(self) -> float:
+        return float("inf")
+
+    def state_reach(self) -> float:
+        return 0.0
+
 
 class WindowJoin(IwpOperator):
     """Binary symmetric (or asymmetric) window join over timestamped streams.
@@ -203,6 +209,17 @@ class WindowJoin(IwpOperator):
     def window_size_total(self) -> int:
         """Total tuples currently stored across both window buffers."""
         return len(self.windows[0]) + len(self.windows[1])
+
+    def state_floor(self) -> float:
+        """The older of the two window horizons: punctuation and probes
+        have expired everything below it (paper §4.2), and the emission
+        watermark is a maximum the live suffix rebuilds."""
+        return min(win.state_floor() for win in self.windows)
+
+    def state_reach(self) -> float:
+        """An output carries the probing tuple's stamp; its partner sat in
+        the opposite window, as much older as that window reaches."""
+        return max(win.state_reach() for win in self.windows)
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

@@ -112,6 +112,16 @@ class Reorder(Operator):
                 floor = head
         return floor
 
+    def state_floor(self) -> float:
+        """The earliest parked row; the watermarks are maxima that the live
+        suffix and its punctuation rebuild."""
+        floor = self.frontier_floor()
+        return float("inf") if floor is None else floor
+
+    def state_reach(self) -> float:
+        """Every output carries its input's stamp."""
+        return 0.0
+
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 

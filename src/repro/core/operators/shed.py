@@ -61,6 +61,10 @@ class Shed(StatelessOperator):
         #: until a feedback wave actually carries a budget.
         self.drop_budget = 0.0
 
+    def state_floor(self) -> float:
+        """The RNG position depends on every row ever offered."""
+        return float("-inf")
+
     def snapshot_state(self) -> dict:
         """Versioned snapshot of RNG position and shed counters.
 

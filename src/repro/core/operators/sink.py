@@ -146,6 +146,10 @@ class SinkNode(Operator):
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
+    def state_floor(self) -> float:
+        """Delivered rows are gone; the counters steer nothing."""
+        return float("inf")
+
     def snapshot_state(self) -> dict:
         """Versioned snapshot of delivery counters and latency statistics.
 

@@ -243,6 +243,17 @@ class SourceNode(Operator):
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
+    def state_floor(self) -> float:
+        """A source holds no rows and its watermark is a maximum — unless a
+        throttle or a quarantine policy judges admission from history."""
+        if self.throttle is not None or self.quarantine is not None:
+            return float("-inf")
+        return float("inf")
+
+    def state_reach(self) -> float:
+        """A source's outputs *are* the history."""
+        return 0.0
+
     def snapshot_state(self) -> dict:
         """Versioned snapshot of the stream frontier and counters."""
         state = {

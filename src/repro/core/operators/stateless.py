@@ -35,6 +35,14 @@ class StatelessOperator(Operator):
     arity = 1
     supports_blocks = True
 
+    def state_floor(self) -> float:
+        """Nothing is retained between steps."""
+        return float("inf")
+
+    def state_reach(self) -> float:
+        """Every output carries its input's stamp."""
+        return 0.0
+
     def execute_step(self, ctx: OpContext) -> StepResult:
         element: StreamElement = self.inputs[0].pop()
         if element.is_punctuation:

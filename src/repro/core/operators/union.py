@@ -47,6 +47,15 @@ class Union(IwpOperator):
         self.punctuation_forwarded = 0
         self.punctuation_suppressed = 0
 
+    def state_floor(self) -> float:
+        """Rows pass through; the TSM registers and the emission watermark
+        are maxima the live suffix (and its punctuation) rebuilds."""
+        return float("inf")
+
+    def state_reach(self) -> float:
+        """Every output carries its input's stamp."""
+        return 0.0
+
     def snapshot_state(self) -> dict:
         """Versioned snapshot of emission watermark and counters."""
         return {

@@ -84,6 +84,10 @@ class WindowProtocol(Protocol):
 
     def probe(self, key: Any) -> Iterable[DataTuple]: ...
 
+    def state_floor(self) -> float: ...
+
+    def state_reach(self) -> float: ...
+
 
 class WindowSpec:
     """Declarative description of a window, used by the query builder.
@@ -297,6 +301,14 @@ class TimeWindow:
             return ()
         return bucket
 
+    def state_floor(self) -> float:
+        """The expiry horizon: no live tuple is stamped below it."""
+        return self._horizon
+
+    def state_reach(self) -> float:
+        """A probe matches nothing more than one span older than itself."""
+        return self.span
+
     def snapshot_state(self) -> dict:
         """Versioned snapshot: only the global log and its horizon travel.
 
@@ -419,6 +431,15 @@ class CountWindow:
             del self._buckets[key]
             return ()
         return (tup for _, tup in bucket)
+
+    def state_floor(self) -> float:
+        """Eviction is by count: which tuples are live depends on every
+        insertion, not on a timestamp."""
+        return float("-inf")
+
+    def state_reach(self) -> float:
+        """A probe may match a tuple of any age."""
+        return float("inf")
 
     def snapshot_state(self) -> dict:
         """Versioned snapshot: only the global ring travels (buckets are

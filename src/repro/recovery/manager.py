@@ -4,8 +4,8 @@ One :class:`RecoveryManager` owns a state directory (checkpoint files plus
 ``wal.log``) and binds to one engine/graph/clock triple.  Binding interposes
 on the three points where input enters or drives the engine:
 
-* ``SourceNode.ingest`` — every admitted tuple is WAL-logged *before* it is
-  applied (write-ahead discipline);
+* ``SourceNode.ingest`` — every admitted tuple gets a WAL record, buffered
+  until the wake-up that first reads the row;
 * ``SourceNode.inject_punctuation`` — harness-injected punctuation (kernel
   heartbeats, fallback trains, test drivers) is logged the same way;
   punctuation generated *inside* an engine wake-up (on-demand ETS) is NOT
@@ -13,9 +13,20 @@ on the three points where input enters or drives the engine:
 * ``ExecutionEngine.wakeup`` — each wake-up is logged so replay reproduces
   the exact drive schedule (chunked ingestion between wake-ups decides
   tie-breaking and batching; replaying ingests with a different wake-up
-  schedule would be a different execution).  After each wake-up the sinks'
-  cumulative delivery counts are appended as a ``marks`` record — the
-  durable high-water marks that make recovery exactly-once.
+  schedule would be a different execution).  The wake-up record and
+  everything buffered since the previous one go out as **one group frame,
+  one flush/fsync, before the engine runs** (write-ahead at the wake-up:
+  no output can exist before its inputs are on disk).  Rows the engine
+  admits *inside* a wake-up (``deliver_due``) are appended at once.  After
+  each wake-up the sinks' cumulative delivery counts are appended as a
+  ``marks`` record — the durable high-water marks that make recovery
+  exactly-once.
+
+A crash between ``ingest`` and the next wake-up therefore loses exactly the
+un-woken rows: no record of them exists, :attr:`RecoveryReport.\
+ingests_by_source` does not count them, and the driver re-feeds them.
+:meth:`checkpoint` and :meth:`close` write the buffer out first, so a
+checkpoint's ``wal_index`` covers every record whose effect is in the image.
 
 Checkpointing fires through the engine's ``checkpoint_hook`` (every
 ``checkpoint_every`` rounds) or explicitly via :meth:`checkpoint`; the
@@ -46,7 +57,7 @@ from .checkpoint import CheckpointInfo, CheckpointStore
 from .wal import WalRecord, WriteAheadLog
 
 __all__ = ["RecoveryManager", "RecoveryReport", "CHECKPOINT_FORMAT_VERSION",
-           "wal_history", "partition_wal_history"]
+           "wal_history"]
 
 #: Version of the assembled checkpoint *document* (the per-component
 #: snapshots carry their own versions on top).  Bump on any change to the
@@ -72,6 +83,9 @@ class RecoveryReport:
         suppressed: Outputs swallowed per sink (the exactly-once half).
         ingests_by_source: Ingest records in the *whole* WAL per source —
             the ``skip=`` values for re-attaching arrival schedules.
+        punctuations_by_key: Punctuation records in the *whole* WAL per
+            ``(source, ts, origin)`` — what the elastic facade matches its
+            own log against, without reading the file again.
         duration: Wall-clock seconds the recovery took.
     """
 
@@ -85,6 +99,7 @@ class RecoveryReport:
     wakeups_replayed: int = 0
     suppressed: dict[str, int] = field(default_factory=dict)
     ingests_by_source: dict[str, int] = field(default_factory=dict)
+    punctuations_by_key: dict[tuple, int] = field(default_factory=dict)
     duration: float = 0.0
 
     @property
@@ -144,6 +159,8 @@ class RecoveryManager:
         self.sim = None
         self._replaying = False
         self._in_wakeup = False
+        #: Records admitted since the last wake-up, not yet on disk.
+        self._pending: list[dict] = []
         self._last_marks: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -179,7 +196,7 @@ class RecoveryManager:
 
         def ingest(payload, now, ts=None, arrival=None):
             if not manager._replaying:
-                manager.wal.append({
+                manager._log({
                     "kind": "ingest", "source": source.name,
                     "time": arrival if arrival is not None else now,
                     "now": now, "payload": payload, "external_ts": ts,
@@ -191,7 +208,7 @@ class RecoveryManager:
             # is regenerated by replaying the wake-up; logging it too would
             # only bloat the WAL with stale no-op re-injections.
             if not manager._replaying and not manager._in_wakeup:
-                manager.wal.append({
+                manager._log({
                     "kind": "punct", "source": source.name, "ts": ts,
                     "origin": origin, "periodic": periodic,
                     "time": manager.clock.now(),
@@ -207,11 +224,12 @@ class RecoveryManager:
 
         def wakeup(entry=None):
             if not manager._replaying:
-                manager.wal.append({
+                manager._pending.append({
                     "kind": "wakeup",
                     "entry": getattr(entry, "name", None),
                     "time": manager.clock.now(),
                 })
+                manager._flush()
             manager._in_wakeup = True
             try:
                 result = inner(entry)
@@ -222,6 +240,20 @@ class RecoveryManager:
             return result
 
         engine.wakeup = wakeup  # type: ignore[method-assign]
+
+    def _log(self, record: dict) -> None:
+        """Buffer ``record`` for the next wake-up's group frame; inside a
+        wake-up the engine is already reading, so it goes out at once."""
+        if self._in_wakeup:
+            self.wal.append(record)
+        else:
+            self._pending.append(record)
+
+    def _flush(self) -> None:
+        """Write the buffered records as one frame (the group commit)."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self.wal.append(pending)
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -245,8 +277,14 @@ class RecoveryManager:
             self.checkpoint()
 
     def assemble_state(self) -> dict:
-        """The full checkpoint document (every component's snapshot)."""
+        """The full checkpoint document (every component's snapshot).
+
+        Buffered records go to the WAL first: their rows already sit in the
+        source buffers this image captures, so ``wal_index`` must cover
+        them.
+        """
         self._require_bound()
+        self._flush()
         graph = self.graph
         operators = {op.name: op.snapshot_state()
                      for op in graph.operators
@@ -358,6 +396,10 @@ class RecoveryManager:
             if rec.kind == "ingest":
                 report.ingests_by_source[rec["source"]] = \
                     report.ingests_by_source.get(rec["source"], 0) + 1
+            elif rec.kind == "punct":
+                key = (rec["source"], rec["ts"], rec.get("origin", ""))
+                report.punctuations_by_key[key] = \
+                    report.punctuations_by_key.get(key, 0) + 1
 
         # Newest checkpoint that validates AND whose WAL position is still
         # covered by the intact records (a checkpoint past a mid-log
@@ -451,54 +493,20 @@ class RecoveryManager:
         return report
 
     def close(self) -> None:
-        """Release the WAL file handle (idempotent)."""
+        """Write out buffered records, release the WAL handle (idempotent)."""
+        self._flush()
         self.wal.close()
 
 
 def wal_history(state_dir: str | Path) -> list[WalRecord]:
     """Read a state directory's intact WAL records, without binding.
 
-    The keyed-migration primitive: a reshard coordinator reads every old
-    shard's durable input history with this (read-only — safe while the
-    owning worker holds the append handle, because replay reads the file
-    bytes as written) and re-partitions it under the new route.  A torn
-    tail is dropped, matching what :meth:`RecoveryManager.recover` would
-    replay after truncation.  Returns ``[]`` when no WAL exists yet.
+    How the elastic facade reads its own command history back after a
+    crash (group frames expanded, a torn tail dropped — what
+    :meth:`RecoveryManager.recover` would replay after truncation).
+    Returns ``[]`` when no WAL exists yet.
     """
-    path = Path(state_dir) / "wal.log"
-    if not path.exists():
-        return []
-    log = WriteAheadLog(path, fsync=False)
-    try:
-        records, _clean = log.replay_with_status()
-    finally:
-        log.close()
-    return records
-
-
-def partition_wal_history(records, route,
-                          shards: int) -> dict[int, list[WalRecord]]:
-    """Split merged WAL histories into per-shard keyed replay scripts.
-
-    ``route(payload) -> shard`` is the *new* partitioner over ``shards``
-    shards.  Ingest records go only to the shard that now owns their key;
-    ``punct`` records are control flow and broadcast to every script;
-    ``wakeup`` / ``marks`` records are drive-schedule and high-water-mark
-    bookkeeping tied to the *old* topology, so they are dropped — the
-    coordinator drives the new shards itself and discards replay output
-    at the facade.  Record order within each script preserves the input
-    order of ``records``, which the caller must pre-merge in global
-    arrival order.
-    """
-    scripts: dict[int, list[WalRecord]] = {i: [] for i in range(shards)}
-    for rec in records:
-        kind = rec["kind"]
-        if kind == "ingest":
-            scripts[route(rec["payload"])].append(rec)
-        elif kind == "punct":
-            for script in scripts.values():
-                script.append(rec)
-    return scripts
+    return WriteAheadLog(Path(state_dir) / "wal.log", fsync=False).replay()
 
 
 def _max_seq(obj: Any, _best: int = -1) -> int:

@@ -13,14 +13,25 @@ already-emitted output during replay (the exactly-once half of the story).
 On-disk format (binary, little-endian):
 
 * file header: the 8-byte magic ``RPWAL001``;
-* one frame per record: ``u32 length`` + ``u32 crc32(payload)`` + payload,
+* one frame per append: ``u32 length`` + ``u32 crc32(payload)`` + payload,
   where the payload is the pickled record dict.
+
+**Group commit.**  :meth:`WriteAheadLog.append` takes one record or a list
+of them.  A list travels as one *group* frame — the payload
+``{"kind": "group", "records": [...]}``, one write, one flush/fsync —
+which every reader expands back into its member records.  Record indices,
+:attr:`WriteAheadLog.records_written` and the replayed list therefore count
+*records*, never frames, and a log of plain frames only (the pre-group
+format) reads exactly as before.  The recovery manager appends everything
+admitted between two wake-ups, with the wake-up record itself, as one list
+(DESIGN.md §4f has the durability point this moves).
 
 Appends are flushed and fsynced by default.  Replay is truncation-tolerant:
 a torn final frame (short header, short payload, or CRC mismatch) ends the
 replay cleanly instead of raising — exactly what a crash mid-append leaves
-behind.  Corruption *before* the tail is indistinguishable from truncation
-and likewise ends the replay; the replayed prefix is always consistent.
+behind; a torn *group* frame drops the whole group, never part of it.
+Corruption *before* the tail is indistinguishable from truncation and
+likewise ends the replay; the replayed prefix is always consistent.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import BinaryIO, Iterator, Sequence
 
 from ..core.errors import RecoveryError
 
@@ -48,6 +59,8 @@ class WalRecord(dict):
     * ``ingest`` — fields ``source``, ``time``, ``payload``, ``external_ts``;
     * ``punct``  — fields ``source``, ``ts``, ``origin``;
     * ``marks``  — field ``marks``: ``{sink_name: delivered_count}``.
+
+    A ``group`` frame never surfaces as a record: readers yield its members.
     """
 
     @property
@@ -82,8 +95,7 @@ class WriteAheadLog:
             if existing:
                 # Continue an existing log (post-recovery): trust only the
                 # replayable prefix and count from it.
-                records, _ = self.replay_with_status()
-                self.records_written = len(records)
+                self.records_written = len(self.replay())
             self._fp = open(self.path, "ab")
             if not existing:
                 self._fp.write(WAL_MAGIC)
@@ -92,18 +104,29 @@ class WriteAheadLog:
                     os.fsync(self._fp.fileno())
         return self._fp
 
-    def append(self, record: dict) -> None:
-        """Durably append one record (write-ahead: call *before* applying)."""
-        if "kind" not in record:
-            raise RecoveryError(f"WAL record needs a 'kind': {record!r}")
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    def append(self, record: dict | Sequence[dict]) -> None:
+        """Durably append one frame (write-ahead: call *before* applying).
+
+        The only writer.  ``record`` is a single record (a plain frame) or
+        a list of records committed together (a group frame, whatever its
+        length); either way it is one write, one flush and one fsync, and
+        ``records_written`` advances by the records it holds.
+        """
+        if isinstance(record, dict):
+            members, frame = [record], record
+        else:
+            members = list(record)
+            frame = {"kind": "group", "records": members}
+        for member in members:
+            if "kind" not in member:
+                raise RecoveryError(f"WAL record needs a 'kind': {member!r}")
+        payload = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
         fp = self._open()
-        fp.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        fp.write(payload)
+        fp.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
         fp.flush()
         if self.fsync:
             os.fsync(fp.fileno())
-        self.records_written += 1
+        self.records_written += len(members)
 
     def close(self) -> None:
         """Close the underlying file handle (idempotent)."""
@@ -120,37 +143,14 @@ class WriteAheadLog:
         is left untouched.
         """
         self.close()
-        if not self.path.exists():
-            return 0
-        data = self.path.read_bytes()
-        if not data:
-            return 0
-        if not data.startswith(WAL_MAGIC):
-            raise RecoveryError(
-                f"{self.path}: not a WAL file (bad magic)",
-                path=str(self.path))
-        offset = len(WAL_MAGIC)
-        end = len(data)
+        data = self._read()
         count = 0
-        while offset < end:
-            if offset + _FRAME.size > end:
-                break
-            length, crc = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            if start + length > end:
-                break
-            payload = data[start:start + length]
-            if zlib.crc32(payload) != crc:
-                break
-            try:
-                pickle.loads(payload)
-            except Exception:
-                break
-            count += 1
-            offset = start + length
-        if offset < end:
+        valid = len(WAL_MAGIC)
+        for valid, members in self._frames(data):
+            count += len(members)
+        if data and valid < len(data):
             with open(self.path, "r+b") as fp:
-                fp.truncate(offset)
+                fp.truncate(valid)
                 fp.flush()
                 os.fsync(fp.fileno())
         self.records_written = count
@@ -158,6 +158,45 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------ #
     # Reading
+
+    def _read(self) -> bytes:
+        """The file's bytes (empty when absent), magic checked."""
+        if not self.path.exists():
+            return b""
+        data = self.path.read_bytes()
+        if data and not data.startswith(WAL_MAGIC):
+            raise RecoveryError(
+                f"{self.path}: not a WAL file (bad magic)",
+                path=str(self.path))
+        return data
+
+    @staticmethod
+    def _frames(data: bytes) -> Iterator[tuple[int, list[WalRecord]]]:
+        """Walk the intact frames of ``data``: ``(end offset, records)``.
+
+        The one frame walk: stops without raising at the first torn header,
+        torn payload, CRC mismatch or unpicklable payload, so the last
+        offset yielded is where the valid prefix ends.  A group frame yields
+        its members; a plain frame yields a one-record list.
+        """
+        offset = len(WAL_MAGIC)
+        end = len(data)
+        while offset + _FRAME.size <= end:
+            length, crc = _FRAME.unpack_from(data, offset)
+            start = offset + _FRAME.size
+            offset = start + length
+            if offset > end:
+                return  # torn payload
+            payload = data[start:offset]
+            if zlib.crc32(payload) != crc:
+                return  # corrupt frame: stop here
+            try:
+                record = pickle.loads(payload)
+                members = (record["records"] if record["kind"] == "group"
+                           else (record,))
+            except Exception:
+                return
+            yield offset, [WalRecord(member) for member in members]
 
     def replay(self) -> list[WalRecord]:
         """Every intact record, in append order (see module docstring)."""
@@ -169,32 +208,9 @@ class WriteAheadLog:
         Returns ``(records, clean)`` where ``clean`` is False when a torn or
         corrupt tail frame cut the replay short.
         """
-        if not self.path.exists():
-            return [], True
-        data = self.path.read_bytes()
-        if not data:
-            return [], True
-        if not data.startswith(WAL_MAGIC):
-            raise RecoveryError(
-                f"{self.path}: not a WAL file (bad magic)",
-                path=str(self.path))
+        data = self._read()
         records: list[WalRecord] = []
-        offset = len(WAL_MAGIC)
-        end = len(data)
-        while offset < end:
-            if offset + _FRAME.size > end:
-                return records, False  # torn frame header
-            length, crc = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            if start + length > end:
-                return records, False  # torn payload
-            payload = data[start:start + length]
-            if zlib.crc32(payload) != crc:
-                return records, False  # corrupt frame: stop here
-            try:
-                record = pickle.loads(payload)
-            except Exception:
-                return records, False
-            records.append(WalRecord(record))
-            offset = start + length
-        return records, True
+        valid = len(WAL_MAGIC)
+        for valid, members in self._frames(data):
+            records.extend(members)
+        return records, not data or valid == len(data)

@@ -97,7 +97,9 @@ class ShardSummary:
 
     ``sources`` maps each source name to its live stream horizons
     (``watermark`` / ``last_data_ts``) — the reshard coordinator's
-    alignment targets (see :mod:`repro.shard.elastic`).
+    alignment targets — and ``state_floor`` is the smallest timestamp that
+    can still influence the shard's output, below which the coordinator
+    need not replay history (see :mod:`repro.shard.elastic`).
     """
 
     shard: int
@@ -106,6 +108,7 @@ class ShardSummary:
     frontier: float
     stats: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
+    state_floor: float = float("-inf")
 
 
 class EngineShard:
@@ -230,10 +233,19 @@ class EngineShard:
         self.ingested = sum(report.ingests_by_source.values())
         return report
 
+    def state_floor(self) -> float:
+        """The graph's floor, or ``-inf`` when the ETS policy or a feedback
+        controller decides from history the graph does not hold."""
+        if self.feedback is not None:
+            return float("-inf")
+        return min(self.graph.state_floor(),
+                   self.engine.ets_policy.state_floor())
+
     def summary(self) -> ShardSummary:
         return ShardSummary(shard=self.index, ingested=self.ingested,
                             delivered=self.delivered,
                             frontier=self.frontier(),
+                            state_floor=self.state_floor(),
                             stats=self.engine.stats.as_dict(),
                             sources={
                                 name: {"watermark": src.watermark,

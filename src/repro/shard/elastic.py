@@ -17,18 +17,27 @@ Exactly-once across a reshard rests on two invariants:
    wake-up every shard's per-source watermark equals the value a single
    unsharded engine would hold — the gates of the old shard set and of the
    replayed new shard set therefore agree exactly at the handoff point.
-2. **Deterministic replay.**  The facade records every ``ingest``,
-   ``inject_punctuation`` and ``wakeup`` it performs (mirrored to a
-   durable facade WAL when a root directory is configured).  The new
-   shard set is built by re-dispatching that history wake-up by wake-up,
-   with ingests routed by the **new** partitioner and punctuation
-   broadcast — so each new shard ends up in exactly the state it would
-   have reached had the topology been the new one from the start.  All
+2. **Deterministic replay of the live suffix.**  The facade records every
+   ``ingest``, ``inject_punctuation`` and ``wakeup`` it performs (mirrored
+   to a durable facade WAL, one group frame per wake-up, when a root
+   directory is configured).  The new shard set is built by re-dispatching
+   that history wake-up by wake-up, with ingests routed by the **new**
+   partitioner and punctuation broadcast.  History that is provably dead is
+   not re-run: after alignment every old shard reports its *state floor*
+   (:meth:`~repro.core.graph.QueryGraph.state_floor` — window horizons,
+   parked rows, buffered heads, each lowered by the reach of the joins
+   that feed it), and the longest prefix of
+   wake-up segments whose every ingest is stamped below the minimum floor
+   is skipped; only its punctuation is carried forward, in one wake-up.
+   Each new shard ends up with the state that can still influence output —
+   windows, watermarks, gates — that a full replay would have built.  All
    replay outputs are discarded; the old shard set already emitted them.
 
 Epochs make the switch crash-atomic: each topology lives in its own
 ``epoch-NNNN`` state directory, and a ``CURRENT`` manifest (written with
-an atomic rename) names the authoritative one.  A crash before the flip
+an atomic rename) names the authoritative one — together with
+``ingest_base``, the skipped ingests per (new shard, source), so recovery
+still accounts for every acknowledged row.  A crash before the flip
 recovers the old epoch (stale newer directories are purged); a crash
 after it recovers the new epoch, whose shards were checkpointed before
 the flip.  See DESIGN.md §4k for the full protocol and proof sketch.
@@ -46,7 +55,7 @@ from typing import Any, Callable
 
 from ..core.errors import ReproError
 from ..core.tuples import LATENT_TS, TimestampKind
-from ..recovery.manager import partition_wal_history, wal_history
+from ..recovery.manager import wal_history
 from ..recovery.wal import WAL_MAGIC, WriteAheadLog
 from .engine import ShardedEngine, ShardedRecoveryReport
 from .frontier import MergedRecord
@@ -82,7 +91,15 @@ class ReshardReport:
     #: Global frontier at the handoff point (after alignment).
     frontier: float = float("-inf")
     released: list = field(default_factory=list)
+    #: Ingests in the facade log at the handoff, and how many of them the
+    #: new shard set re-ran: the rest sat in wake-up segments wholly below
+    #: ``floor``, the old shard set's minimum state floor.
+    logged_ingests: int = 0
     replayed_ingests: int = 0
+    floor: float = float("-inf")
+    #: The skipped ingests per (new shard, source) — what the ``CURRENT``
+    #: manifest publishes so recovery still accounts for them.
+    ingest_base: dict[int, dict[str, int]] = field(default_factory=dict)
     replayed_puncts: int = 0
     #: Outputs re-derived (and discarded) during replay — the duplication
     #: the old shard set already emitted, proof the discard mattered.
@@ -101,7 +118,9 @@ class ReshardReport:
             "migrated_keys": self.migrated_keys,
             "total_keys": self.total_keys, "frontier": self.frontier,
             "released": len(self.released),
+            "logged_ingests": self.logged_ingests,
             "replayed_ingests": self.replayed_ingests,
+            "floor": self.floor,
             "replayed_puncts": self.replayed_puncts,
             "discarded_outputs": self.discarded_outputs,
             "pause_seconds": self.pause_seconds, "reason": self.reason,
@@ -122,8 +141,9 @@ class ReshardCoordinator:
     3. **snapshot** — checkpoint every old shard (durable mode only);
        the old epoch stays recoverable until the flip.
     4. **restore** — build the new shard set in a fresh epoch directory
-       and replay the facade command log into it, routed by the new
-       partitioner, discarding all outputs; checkpoint the new epoch.
+       and replay the live suffix of the facade command log into it,
+       routed by the new partitioner, discarding all outputs; checkpoint
+       the new epoch.
     5. **reroute** — atomically flip the ``CURRENT`` manifest, then swap
        the facade's backend/partitioner/tracker to the new topology.
     6. **resume** — normal wake-ups continue against the new shards.
@@ -221,48 +241,92 @@ class ReshardCoordinator:
 
     def _replay(self, backend, partitioner: HashPartitioner,
                 new_shards: int, report: ReshardReport) -> None:
-        """Re-dispatch the facade history wake-up by wake-up, new routing."""
+        """Re-dispatch the live suffix of the facade history, new routing.
+
+        The log is walked wake-up segment by wake-up segment.  While every
+        ingest of a segment is provably stamped below ``report.floor`` —
+        by its external ``ts``, else by the segment's wake-up ``now``,
+        which bounds any internal or latent stamp — the segment is dead:
+        its rows are only counted, per (new shard, source), into
+        ``report.ingest_base``, and its punctuation is set aside.  The
+        first live segment ends the prefix; the punctuation set aside goes
+        out in one wake-up ahead of it (sources discard what is stale, so
+        watermarks and the shards' punctuation records come out as a full
+        replay leaves them), and everything after is replayed as it ran.
+        """
         e = self.engine
-        keys: set = set()
-        moved: set = set()
+        report.floor = floor = min(
+            (summary.state_floor for summary in e.backend.summaries()),
+            default=float("-inf"))
         key_fn = e.partitioner.key_fn
-        segment: list = []
-        for rec in e._log:
-            if rec["kind"] != "wakeup":
-                segment.append(rec)
-                if rec["kind"] == "ingest":
-                    key = (key_fn(rec["payload"]) if key_fn is not None
-                           else rec["payload"])
-                    keys.add(key)
-                    if e.partitioner(key) != partitioner(key):
-                        moved.add(key)
-                continue
-            scripts = partition_wal_history(
-                segment, partitioner.shard_for_payload, new_shards)
-            segment = []
-            commands = []
-            for index in range(new_shards):
-                ingests = [(r["source"], r["payload"], r["time"], r["ts"])
-                           for r in scripts[index] if r["kind"] == "ingest"]
-                puncts = [(r["source"], r["ts"], r["origin"], r["periodic"])
-                          for r in scripts[index] if r["kind"] == "punct"]
-                commands.append((ingests, puncts, rec["now"], rec["clamp"]))
-                report.replayed_ingests += len(ingests)
-            report.replayed_puncts += len(commands[0][1]) if commands else 0
+        routes: dict = {}  # key -> new shard
+        base = report.ingest_base
+
+        def dispatch(ingests, puncts, now, clamp) -> None:
+            commands = [([(r["source"], r["payload"], r["time"], r["ts"])
+                          for r in rows], puncts, now, clamp)
+                        for rows in ingests]
+            report.replayed_ingests += sum(len(rows) for rows in ingests)
+            report.replayed_puncts += len(puncts)
             for result in backend.apply_all(commands):
                 report.discarded_outputs += len(result.outputs)
-        if segment:  # pre-wakeup tail: impossible after quiesce, but be safe
+
+        live = floor == float("-inf")
+        carried: list = []
+        carried_now = 0.0
+        ingests: list[list] = [[] for _ in range(new_shards)]
+        puncts: list = []
+        for rec in e._log:
+            kind = rec["kind"]
+            if kind == "ingest":
+                payload = rec["payload"]
+                key = key_fn(payload) if key_fn is not None else payload
+                shard = routes.get(key)
+                if shard is None:
+                    shard = routes[key] = partitioner(key)
+                    if e.partitioner(key) != shard:
+                        report.migrated_keys += 1
+                ingests[shard].append(rec)
+                report.logged_ingests += 1
+                continue
+            if kind == "punct":
+                puncts.append((rec["source"], rec["ts"], rec["origin"],
+                               rec["periodic"]))
+                continue
+            now = rec["now"]
+            if not live and all(
+                    (now if r["ts"] is None else r["ts"]) < floor
+                    for rows in ingests for r in rows):
+                for shard, rows in enumerate(ingests):
+                    for r in rows:
+                        counts = base.setdefault(shard, {})
+                        counts[r["source"]] = counts.get(r["source"], 0) + 1
+                carried += puncts
+                carried_now = now
+            else:
+                if carried:
+                    dispatch([[]] * new_shards, carried, carried_now, None)
+                    carried = []
+                live = True
+                dispatch(ingests, puncts, now, rec["clamp"])
+            ingests = [[] for _ in range(new_shards)]
+            puncts = []
+        if puncts or any(ingests):
+            # pre-wakeup tail: impossible after quiesce, but be safe
             raise ReproError("reshard replay found commands with no wakeup "
                              "marker; quiesce did not flush the exchange")
-        report.migrated_keys = len(moved)
-        report.total_keys = len(keys)
+        if carried:
+            dispatch([[]] * new_shards, carried, carried_now, None)
+        report.total_keys = len(routes)
 
     def _flip(self, backend, partitioner: HashPartitioner,
               epoch_dir: Path | None, report: ReshardReport) -> None:
         """Point the facade at the new topology; the commit point."""
         e = self.engine
         if e.root_dir is not None:
-            _write_manifest(e.root_dir, report.epoch, report.new_shards)
+            _write_manifest(e.root_dir, report.epoch, report.new_shards,
+                            report.ingest_base)
+        e._ingest_base = report.ingest_base
         old_backend = e.backend
         e.backend = backend
         e.partitioner = partitioner
@@ -277,10 +341,22 @@ class ReshardCoordinator:
             pass
 
 
-def _write_manifest(root: Path, epoch: int, shards: int) -> None:
-    """Atomically point ``root/CURRENT`` at an epoch (the commit point)."""
+def _write_manifest(root: Path, epoch: int, shards: int,
+                    ingest_base: dict[int, dict[str, int]] | None = None
+                    ) -> None:
+    """Atomically point ``root/CURRENT`` at an epoch (the commit point).
+
+    ``ingest_base`` — the ingests per (shard, source) the epoch's shards
+    were *not* replayed, because they were dead at the handoff — commits
+    with it: the shards' own WALs plus this base are the acknowledged
+    history.
+    """
+    manifest: dict = {"epoch": epoch, "shards": shards}
+    if ingest_base:
+        manifest["ingest_base"] = {str(shard): counts
+                                   for shard, counts in ingest_base.items()}
     tmp = root / "CURRENT.tmp"
-    tmp.write_text(json.dumps({"epoch": epoch, "shards": shards}))
+    tmp.write_text(json.dumps(manifest))
     os.replace(tmp, root / "CURRENT")
 
 
@@ -304,6 +380,8 @@ class ElasticShardedEngine(ShardedEngine):
     def __init__(self, build: Callable[[], Any], **kwargs) -> None:
         super().__init__(build, **kwargs)
         self._facade_wal: WriteAheadLog | None = None
+        #: Facade records of the open wake-up segment, not yet on disk.
+        self._pending_log: list[dict] = []
         if self.root_dir is not None:
             (self.root_dir / "facade").mkdir(parents=True, exist_ok=True)
             self._facade_wal = WriteAheadLog(
@@ -332,12 +410,18 @@ class ElasticShardedEngine(ShardedEngine):
         shards, root = super()._open_state(shards, state_dir)
         self.root_dir = root
         self._epoch = 0
+        #: Ingests per (shard, source) the live epoch's shards never saw:
+        #: the dead prefix its reshard skipped (see ``_write_manifest``).
+        self._ingest_base: dict[int, dict[str, int]] = {}
         if root is None:
             return shards, None
         manifest = _read_manifest(root)
         if manifest is not None:
             self._epoch = int(manifest["epoch"])
             shards = int(manifest["shards"])
+            self._ingest_base = {
+                int(shard): dict(counts) for shard, counts
+                in manifest.get("ingest_base", {}).items()}
         root.mkdir(parents=True, exist_ok=True)
         for stale in root.glob("epoch-*"):
             try:
@@ -354,9 +438,18 @@ class ElasticShardedEngine(ShardedEngine):
     # Command logging
 
     def _log_record(self, record: dict) -> None:
+        """Log one command, mirrored to the facade WAL when there is one."""
         self._log.append(record)
         if self._facade_wal is not None:
-            self._facade_wal.append(record)
+            self._mirror(record)
+
+    def _mirror(self, record: dict) -> None:
+        """Buffer ``record`` for the facade WAL; the wake-up marker commits
+        its whole segment as one group frame, still before dispatch."""
+        self._pending_log.append(record)
+        if record["kind"] == "wakeup":
+            pending, self._pending_log = self._pending_log, []
+            self._facade_wal.append(pending)
 
     def ingest(self, source: str, payload: Any, *, time: float,
                ts: float | None = None) -> int:
@@ -430,25 +523,30 @@ class ElasticShardedEngine(ShardedEngine):
         destination shard's per-source replay count lasts (prefix
         matching: dispatch order equals log order), punctuation up to its
         maximum per-shard occurrence count (shard WALs log punctuation
-        even when the source discards it, so presence proves dispatch) —
-        and the log is truncated after the last surviving command.  The
-        rebuilt history is atomically rewritten to disk, so a reshard
-        after recovery replays exactly the durable prefix.
+        even when the source discards it, so presence proves dispatch; the
+        counts ride on each shard's recovery report) — and the log is
+        truncated after the last surviving command.  The rebuilt history
+        is atomically rewritten to disk, so a reshard after recovery
+        replays exactly the durable prefix.
+
+        A shard's WAL starts at the live suffix its epoch was built from;
+        the manifest's ``ingest_base`` — the rows skipped below it — is
+        added to ``ingests_by_shard`` first, so both the driver's skip
+        counts and the budgets above cover the whole acknowledged history.
         """
         report = super().recover()
+        for shard, counts in self._ingest_base.items():
+            totals = report.ingests_by_shard.setdefault(shard, {})
+            for source, count in counts.items():
+                totals[source] = totals.get(source, 0) + count
         if self.root_dir is None:
             return report
         records = wal_history(self.root_dir / "facade")
         ingest_budget = {shard: dict(counts) for shard, counts
                          in report.ingests_by_shard.items()}
         punct_budget: dict[tuple, int] = {}
-        for index in range(self.shard_count):
-            counts: dict[tuple, int] = {}
-            for rec in wal_history(self.state_dir / f"shard-{index:02d}"):
-                if rec["kind"] == "punct":
-                    key = (rec["source"], rec["ts"], rec.get("origin", ""))
-                    counts[key] = counts.get(key, 0) + 1
-            for key, count in counts.items():
+        for shard_report in report.reports:
+            for key, count in shard_report.punctuations_by_key.items():
                 punct_budget[key] = max(punct_budget.get(key, 0), count)
         kept: list[dict] = []
         last_command = -1
@@ -503,11 +601,12 @@ class ElasticShardedEngine(ShardedEngine):
         tmp = facade / "wal.tmp"
         if tmp.exists():
             tmp.unlink()
-        if kept:
-            log = WriteAheadLog(tmp, fsync=False)
+        self._pending_log = []
+        if kept:  # ends with a wake-up marker, so nothing stays buffered
+            self._facade_wal = WriteAheadLog(tmp, fsync=False)
             for rec in kept:
-                log.append(rec)
-            log.close()
+                self._mirror(rec)
+            self._facade_wal.close()
         else:
             tmp.write_bytes(WAL_MAGIC)
         os.replace(tmp, facade / "wal.log")
@@ -524,6 +623,9 @@ class ElasticShardedEngine(ShardedEngine):
 
     def summary(self) -> dict:
         out = super().summary()
+        for row in out["per_shard"]:  # rows the shard owns but never re-ran
+            row["ingested"] += sum(
+                self._ingest_base.get(row["shard"], {}).values())
         out["epoch"] = self._epoch
         out["reshards"] = [report.as_dict() for report in self.reshards]
         return out

@@ -342,9 +342,15 @@ class CrashRecoveryOracle:
                     batch_size: int = 1,
                     ets_policy: EtsPolicy | None = None,
                     checkpoint_every: int = 4,
-                    corrupt_latest: bool = False):
+                    corrupt_latest: bool = False,
+                    hard: bool = False):
         """Crash at feed ``crash_index``, recover, resume; returns
-        ``(combined_records, recovery_report)``."""
+        ``(combined_records, recovery_report)``.
+
+        A soft crash closes the manager, which writes out the rows ingested
+        since the last wake-up; a ``hard`` one drops the process image as
+        it is, so those un-woken rows were never durable and are re-fed.
+        """
         graph, clock, engine, manager, traces = self._engine(
             state_dir, batch_size=batch_size, ets_policy=ets_policy,
             checkpoint_every=checkpoint_every)
@@ -352,7 +358,11 @@ class CrashRecoveryOracle:
         _assert_block_transport(engine.stats.as_dict(), batch_size,
                                 "pre-crash run")
         pre = self._flatten(traces)
-        manager.close()
+        if hard:
+            manager.wal.close()
+            crash_index -= crash_index % self.chunk
+        else:
+            manager.close()
 
         if corrupt_latest:
             numbers = manager.store.numbers()
@@ -380,7 +390,8 @@ class CrashRecoveryOracle:
                             ets_policy_factory: Callable[[], EtsPolicy]
                             | None = None,
                             checkpoint_every: int = 4,
-                            corrupt_latest: bool = False) -> None:
+                            corrupt_latest: bool = False,
+                            hard: bool = False) -> None:
         """Recovered output must equal the uncrashed run's, byte for byte."""
         def policy() -> EtsPolicy:
             return ets_policy_factory() if ets_policy_factory else NoEts()
@@ -390,7 +401,7 @@ class CrashRecoveryOracle:
         combined, report = self.run_crashed(
             state_dir, crash_index=crash_index, batch_size=batch_size,
             ets_policy=policy(), checkpoint_every=checkpoint_every,
-            corrupt_latest=corrupt_latest)
+            corrupt_latest=corrupt_latest, hard=hard)
         if corrupt_latest:
             assert report.fallback and report.skipped, \
                 "corrupted latest checkpoint was not fallen past"

@@ -108,6 +108,52 @@ def test_exactly_once_on_timestamp_ties(tmp_path):
 
 
 # --------------------------------------------------------------------- #
+# The durability point: the wake-up that first reads a row, not ingest()
+
+
+@pytest.mark.parametrize("build", GRAPHS)
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_hard_crash_between_ingest_and_wakeup(tmp_path, build, batch_size):
+    """77 = two 32-row wake-ups + 13 rows no wake-up has read.  A hard crash
+    (no close) loses exactly those 13: the WAL never held them, the report
+    does not count them, and re-feeding them is byte-identical."""
+    oracle = CrashRecoveryOracle(build, _feeds())
+    combined, report = oracle.run_crashed(
+        tmp_path, crash_index=77, batch_size=batch_size,
+        ets_policy=OnDemandEts(), hard=True)
+    assert sum(report.ingests_by_source.values()) == 64
+    assert report.wal_clean
+    assert combined == oracle.run_reference(batch_size=batch_size,
+                                            ets_policy=OnDemandEts())
+
+
+def test_soft_crash_keeps_unwoken_rows(tmp_path):
+    """The same crash point through ``close()``: the buffer is written out
+    first, so all 77 rows are acknowledged (the pre-group contract)."""
+    oracle = CrashRecoveryOracle(union_graph, _feeds())
+    _, report = oracle.run_crashed(tmp_path, crash_index=77)
+    assert sum(report.ingests_by_source.values()) == 77
+
+
+def test_simulation_hard_crash_loses_only_the_unwoken_arrival(
+        tmp_path, monkeypatch):
+    """``ProcessCrash`` fires after an arrival was ingested and before the
+    wake-up that reads it.  With a crash that cannot write its buffer the
+    arrival is re-fed instead of replayed — same output either way."""
+    from repro.recovery import RecoveryManager
+
+    soft = run_crash_experiment(_small_config(tmp_path / "soft"))
+    monkeypatch.setattr(RecoveryManager, "close",
+                        lambda self: self.wal.close())
+    hard = run_crash_experiment(_small_config(tmp_path / "hard"))
+    assert soft.identical and hard.identical
+    soft_counts = soft.recovery["ingests_by_source"]
+    hard_counts = hard.recovery["ingests_by_source"]
+    assert sum(soft_counts.values()) - sum(hard_counts.values()) == 1
+    assert hard.recovery["wal_clean"]
+
+
+# --------------------------------------------------------------------- #
 # Corruption fallback and degenerate checkpoint schedules
 
 

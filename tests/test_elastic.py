@@ -122,7 +122,11 @@ def test_elastic_parity_durable(tmp_path):
         shards=SHARDS, reshard_at={4: 5, 8: 4}, punctuate=True,
         state_dir=tmp_path, checkpoint_every=4, batch_size=BATCH)
     manifest = json.loads((tmp_path / "CURRENT").read_text())
-    assert manifest == {"epoch": 2, "shards": 4}
+    assert (manifest["epoch"], manifest["shards"]) == (2, 4)
+    # The second hop cut two dead wake-up segments (32 rows below the
+    # window horizon): the manifest accounts for them.
+    assert sum(count for counts in manifest["ingest_base"].values()
+               for count in counts.values()) == 2 * CHUNK
 
 
 def test_elastic_parity_process_backend():
@@ -166,6 +170,23 @@ def test_reshard_report_figures():
     assert fractions["2->3"] < 0.6
     assert 0.0 < fractions["4->5"] < 0.5
     assert fractions["4->2"] > fractions["4->5"]
+
+    # The long-history case: past one window span (4 s) the replay stops
+    # growing with the log.  Only the wake-up segments that end at or after
+    # the floor are re-run; key movement is still counted over everything.
+    late = CHUNK * 9
+    engine = ElasticShardedEngine(join_graph(), shards=2, key="k",
+                                  backend="serial", batch_size=BATCH)
+    released, now = drive(engine, feeds, reshard_index=late, target=3)
+    finish(engine, released, now)
+    [report] = engine.reshards
+    assert report.logged_ingests == late
+    assert 0.0 < report.floor < feeds[late - 1].time
+    segment_ends = [feeds[i + CHUNK - 1].time for i in range(0, late, CHUNK)]
+    live = sum(CHUNK for end in segment_ends if end >= report.floor)
+    assert report.replayed_ingests == live < report.logged_ingests
+    assert report.total_keys == len({f.payload["k"] for f in feeds[:late]})
+    assert report.as_dict()["logged_ingests"] == late
 
 
 def test_reshard_to_same_count_is_a_noop():
@@ -261,6 +282,41 @@ def test_plain_crash_after_reshard_exactly_once(tmp_path):
     combined = [(s, ts, p) for ts, _, _, s, p in pre] + post
     _assert_same(reference, _canonical(combined),
                  "crash after a completed reshard is not exactly-once")
+
+
+def test_crash_between_ingest_and_wakeup_loses_only_unwoken_rows(tmp_path):
+    """The facade's durability point is the wake-up marker: seven rows
+    ingested after the last wake-up are in no log, no shard and no report,
+    and re-feeding them is exactly-once."""
+    from repro.recovery.manager import wal_history
+
+    feeds = keyed_feeds()
+    woken = CHUNK * 7
+    reference = _canonical(reference_run(
+        feeds, reshard_index=RESHARD_INDEX, target=5))
+
+    engine = elastic_engine(tmp_path)
+    released, _ = drive(engine, feeds, stop=woken + 7,
+                        reshard_index=RESHARD_INDEX, target=5)
+    assert sum(1 for r in engine._log if r["kind"] == "ingest") == woken + 7
+    pre = released + engine.merge.flush()
+    engine.close(flush=False)
+    on_disk = wal_history(tmp_path / "facade")
+    assert sum(1 for r in on_disk if r["kind"] == "ingest") == woken
+    assert on_disk[-1]["kind"] == "wakeup"
+
+    engine = elastic_engine(tmp_path)
+    report = engine.recover()
+    assert report.total_ingests == woken
+    assert sum(1 for r in engine._log if r["kind"] == "ingest") == woken
+    skips = {(shard, source): count
+             for shard, counts in report.ingests_by_shard.items()
+             for source, count in counts.items()}
+    released, now = drive(engine, feeds, skips=skips)
+    post = finish(engine, released, now)
+    combined = [(s, ts, p) for ts, _, _, s, p in pre] + post
+    _assert_same(reference, _canonical(combined),
+                 "crash between ingest and wakeup is not exactly-once")
 
 
 def test_config_only_root_is_durable_across_a_reshard(tmp_path):

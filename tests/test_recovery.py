@@ -9,6 +9,10 @@ observability wiring (bus events, metrics registry counters, tracker).
 
 from __future__ import annotations
 
+import pickle
+import struct
+import zlib
+
 import pytest
 
 from test_oracle import union_graph
@@ -131,6 +135,95 @@ class TestWriteAheadLog:
         assert again.records_written == 2
         again.close()
         assert path.read_bytes().startswith(WAL_MAGIC)
+
+
+    @staticmethod
+    def _payloads(path) -> list[bytes]:
+        """The pickled payload of each intact frame."""
+        data = path.read_bytes()
+        payloads, start = [], len(WAL_MAGIC)
+        for end, _ in WriteAheadLog._frames(data):
+            payloads.append(data[start + 8:end])
+            start = end
+        return payloads
+
+    def test_group_frame_expands_to_its_members(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        records = [{"kind": "ingest", "source": "s", "seq": i}
+                   for i in range(5)]
+        wal.append(records[0])
+        wal.append(records[1:4])
+        wal.append(records[4:])  # a list is a group frame, even of one
+        assert wal.records_written == 5
+        wal.close()
+        frames = list(WriteAheadLog._frames(path.read_bytes()))
+        assert [len(members) for _, members in frames] == [1, 3, 1]
+        assert [pickle.loads(payload)["kind"]
+                for payload in self._payloads(path)] == [
+                    "ingest", "group", "group"]
+        fresh = WriteAheadLog(path)
+        assert fresh.replay() == records
+        assert all(r.kind == "ingest" for r in fresh.replay())
+        fresh.append({"kind": "marks", "marks": {}})
+        assert fresh.records_written == 6
+
+    def test_parent_format_log_still_replays(self, tmp_path):
+        """One plain frame per record, written byte by byte the way the
+        pre-group ``append`` did."""
+        path = tmp_path / "wal.log"
+        records = [{"kind": "ingest", "source": "s", "seq": i}
+                   for i in range(4)]
+        blob = WAL_MAGIC
+        for record in records:
+            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            blob += struct.pack("<II", len(payload), zlib.crc32(payload))
+            blob += payload
+        path.write_bytes(blob)
+        assert WriteAheadLog(path).replay_with_status() == (records, True)
+        wal = WriteAheadLog(path)
+        wal.append([{"kind": "wakeup"}, {"kind": "marks"}])
+        assert wal.records_written == 6
+
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["plain", "group"])
+    @pytest.mark.parametrize("damage", ["clean", "torn-header",
+                                        "torn-payload", "bad-crc"])
+    def test_replay_and_truncate_agree(self, tmp_path, grouped, damage):
+        """Both readers walk the same frames: same survivors, record for
+        record, whatever the tail looks like; a damaged group goes whole."""
+        path = tmp_path / "wal.log"
+        records = [{"kind": "ingest", "source": "s", "seq": i}
+                   for i in range(6)]
+        frames = ([records[:2], records[2:6]] if grouped
+                  else [[record] for record in records])
+        wal = WriteAheadLog(path)
+        for frame in frames:
+            wal.append(frame if grouped else frame[0])
+        wal.close()
+        data = path.read_bytes()
+        last = len(self._payloads(path)[-1])
+        if damage == "torn-header":
+            path.write_bytes(data[:len(data) - last - 3])
+        elif damage == "torn-payload":
+            path.write_bytes(data[:-3])
+        elif damage == "bad-crc":
+            blob = bytearray(data)
+            blob[-last // 2] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        survivors = (records if damage == "clean"
+                     else records[:-len(frames[-1])])
+
+        replayed, clean = WriteAheadLog(path).replay_with_status()
+        assert replayed == survivors
+        assert clean == (damage == "clean")
+        truncating = WriteAheadLog(path)
+        assert truncating.truncate_to_valid() == len(survivors)
+        assert truncating.records_written == len(survivors)
+        assert WriteAheadLog(path).replay_with_status() == (survivors, True)
+        truncating.append({"kind": "marks", "marks": {}})
+        truncating.close()
+        assert len(WriteAheadLog(path).replay()) == len(survivors) + 1
 
 
 # --------------------------------------------------------------------- #
@@ -356,6 +449,78 @@ class TestRecoveryManager:
         manager2.close()
         _, clean = WriteAheadLog(wal_path).replay_with_status()
         assert clean
+
+    def test_one_frame_per_wakeup_and_marks_after(self, tmp_path):
+        """Ingests ride in their wake-up's group frame; nothing is on disk
+        before it, and the marks record follows the engine run."""
+        graph, clock, engine, manager = _bound_manager(tmp_path)
+        fast = next(s for s in graph.sources() if s.name == "fast")
+        wal_path = tmp_path / "state" / "wal.log"
+        for i in range(5):
+            clock.advance_to(float(i))
+            fast.ingest({"seq": i, "value": 0.5}, now=clock.now())
+        assert not wal_path.exists()
+        assert manager.wal.records_written == 0
+        engine.wakeup(fast)
+        assert manager.wal.records_written == 7  # 5 ingests, wakeup, marks
+        manager.close()
+        frames = list(WriteAheadLog._frames(wal_path.read_bytes()))
+        assert [[r.kind for r in members] for _, members in frames] == [
+            ["ingest"] * 5 + ["wakeup"], ["marks"]]
+
+    def test_torn_group_frame_drops_the_whole_group_only(self, tmp_path):
+        """A crash mid-write of a wake-up's frame loses that wake-up's rows
+        — all of them, and nothing before them."""
+        graph, clock, engine, manager = _bound_manager(tmp_path)
+        fast = next(s for s in graph.sources() if s.name == "fast")
+        for base in (0, 4):
+            for i in range(base, base + 4):
+                clock.advance_to(float(i))
+                fast.ingest({"seq": i, "value": 0.5}, now=clock.now())
+            engine.wakeup(fast)
+        manager.close()
+        wal_path = tmp_path / "state" / "wal.log"
+        data = wal_path.read_bytes()
+        ends = [end for end, _ in WriteAheadLog._frames(data)]
+        assert len(ends) == 4  # group, marks, group, marks
+        wal_path.write_bytes(data[:ends[2] - 5])
+
+        graph2, clock2, engine2, manager2 = _bound_manager(tmp_path)
+        report = manager2.recover()
+        assert not report.wal_clean
+        assert report.ingests_by_source == {"fast": 4}
+        assert report.wakeups_replayed == 1
+        assert graph2["sink"].delivered == 4
+        manager2.close()
+
+    def test_checkpoint_with_buffered_records_is_replayable(self, tmp_path):
+        """A checkpoint between ingest and wake-up writes the buffer out
+        first: its ``wal_index`` covers the rows its image holds, so the
+        replayed suffix neither repeats nor skips one."""
+        graph, clock, engine, manager = _bound_manager(tmp_path)
+        fast = next(s for s in graph.sources() if s.name == "fast")
+        for i in range(5):
+            clock.advance_to(float(i))
+            fast.ingest({"seq": i, "value": 0.5}, now=clock.now())
+        manager.checkpoint()
+        assert manager.store.load(1)["wal_index"] == 5
+        for i in range(5, 8):
+            clock.advance_to(float(i))
+            fast.ingest({"seq": i, "value": 0.5}, now=clock.now())
+        engine.wakeup(fast)
+        assert graph["sink"].delivered == 8
+        manager.wal.close()  # hard crash: nothing else is written
+
+        graph2, clock2, engine2, manager2 = _bound_manager(tmp_path)
+        seen = []
+        graph2["sink"].on_output = lambda tup, latency: seen.append(tup)
+        report = manager2.recover()
+        assert report.checkpoint_number == 1
+        assert report.ingests_replayed == 3
+        assert report.ingests_by_source == {"fast": 8}
+        assert graph2["sink"].delivered == 8
+        assert not seen  # all eight were delivered before the crash
+        manager2.close()
 
     def test_checkpoint_hook_fires_on_schedule(self, tmp_path):
         graph = union_graph()
