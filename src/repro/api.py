@@ -159,24 +159,21 @@ from .experiments import (
 # ======================================================================== #
 # Observe — event bus, exporters, tracing, metrics, reporting
 # ======================================================================== #
-from .core.tracing import TraceEvent, Tracer, summarize
 from .obs import (
     ChromeTraceExporter,
     EventBus,
     JsonlExporter,
     MetricsRegistry,
     Observer,
-    TraceObserver,
+    TraceEvent,
+    Tracer,
+    summarize,
 )
-from .metrics import (
-    CheckpointTracker,
-    IdleTracker,
-    LatencyRecorder,
-    RecoveryTracker,
-    format_profile,
-    profile_simulation,
-)
-from .metrics.report import format_series, format_table
+from .obs.idle import IdleTracker
+from .obs.latency import LatencyRecorder
+from .obs.profile import format_profile, profile_simulation
+from .obs.recovery import RecoveryTracker
+from .obs.report import format_series, format_table
 
 # ======================================================================== #
 # Recover — faults, degradation, backpressure, crash recovery
@@ -282,11 +279,10 @@ __all__ = [
     # ------------------------------------------------------------------ #
     # event bus, exporters & tracing
     "ChromeTraceExporter", "EventBus", "JsonlExporter", "MetricsRegistry",
-    "Observer", "TraceEvent", "TraceObserver", "Tracer", "summarize",
+    "Observer", "TraceEvent", "Tracer", "summarize",
     # metrics & reporting
-    "CheckpointTracker", "IdleTracker", "LatencyRecorder",
-    "RecoveryTracker", "format_profile", "format_series", "format_table",
-    "profile_simulation",
+    "IdleTracker", "LatencyRecorder", "RecoveryTracker", "format_profile",
+    "format_series", "format_table", "profile_simulation",
     # ------------------------------------------------------------------ #
     # Recover
     # ------------------------------------------------------------------ #

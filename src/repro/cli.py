@@ -606,6 +606,15 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
+def _observer_status(sim) -> int:
+    """Exit status of an export: 1 when the bus swallowed an observer
+    exception, since the exported stream may then be partial."""
+    errors = sim.engine.bus.error_count
+    if errors:
+        print(f"observer errors: {errors}", file=sys.stderr)
+    return 1 if errors else 0
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "chrome":
         exporter = ChromeTraceExporter()
@@ -622,7 +631,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"{sim.engine.stats.steps} engine steps, "
           f"{sim.engine.stats.rounds} rounds in "
           f"{args.duration:g}s simulated", file=sys.stderr)
-    return 0
+    return _observer_status(sim)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -640,7 +649,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             ["metric", "value"], [list(r) for r in registry.rows()],
             title=f"metrics — scenario {args.name}, "
                   f"{args.duration:g}s simulated") + "\n", args.out)
-    return 0
+    return _observer_status(handles.sim)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -137,7 +137,7 @@ class ExecutionEngine:
         graph: A validated (or validatable) :class:`QueryGraph`.
         clock: The virtual clock; advanced by the cost model per step.
         cost_model: CPU pricing; None means free (purely logical execution).
-        idle_tracker: Optional :class:`~repro.metrics.idle.IdleTracker`
+        idle_tracker: Optional :class:`~repro.obs.idle.IdleTracker`
             refreshed at every state change the engine causes.
         deliver_due: Kernel hook invoked with the current time between steps
             so arrivals that became due while the engine was busy enter
@@ -221,10 +221,8 @@ class ExecutionEngine:
     def _wire_buffer_events(self) -> None:
         """Feed buffer-occupancy changes to the bus iff someone listens."""
         bus = self.bus
-        if bus is None or getattr(self, "_buffer_forward", None) is not None \
-                or not any(
-                    type(o).on_buffer_change is not Observer.on_buffer_change
-                    for o in bus.observers):
+        if bus is None or self._buffer_forward is not None \
+                or not bus.listens("on_buffer_change"):
             return
         registry, clock = self.graph.registry, self.clock
 

@@ -23,7 +23,7 @@ from ..faults.degrade import (FallbackHeartbeat, QuarantinePolicy,
                               StallDetector)
 from ..faults.monitors import InvariantMonitor
 from ..faults.plan import ClockSkewSpike, DropTuples, FaultPlan, SourceOutage
-from ..metrics.recovery import RecoveryTracker
+from ..obs.recovery import RecoveryTracker
 from ..workloads.scenarios import ScenarioConfig, build_union_scenario
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos_experiment"]
@@ -85,10 +85,10 @@ class ChaosReport:
     def as_dict(self) -> dict[str, object]:
         """Every figure under its canonical ``snake_case`` name.
 
-        The one serialized shape shared with ``EngineStats.as_dict()`` and
-        ``RecoveryTracker.as_dict()``: the simulation summary and the
-        fault-plan stats are folded in flat, and the report's own fields
-        override on collision (they are the authoritative measurements).
+        The one serialized shape shared with ``EngineStats.as_dict()``: the
+        simulation summary and the fault-plan stats are folded in flat, and
+        the report's own fields override on collision (they are the
+        authoritative measurements).
         """
         out: dict[str, object] = dict(self.summary)
         out.update(self.fault_stats)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from ..core.errors import WorkloadError
 from ..core.ets import NoEts, OnDemandEts
 from ..faults.plan import FaultPlan, ProcessCrash, SimulatedCrash
-from ..metrics.recovery import CheckpointTracker
+from ..obs import EventBus, MetricsRegistry
 from ..recovery import RecoveryManager, RecoveryReport
 from ..workloads.scenarios import (ScenarioConfig, build_union_scenario,
                                    scenario_streams)
@@ -76,7 +76,6 @@ class CrashReport:
     pre_crash_delivered: int = 0
     post_recovery_delivered: int = 0
     recovery: dict = field(default_factory=dict)
-    tracker: dict = field(default_factory=dict)
     checkpoints_written: int = 0
 
     def as_dict(self) -> dict[str, object]:
@@ -90,7 +89,6 @@ class CrashReport:
         out.update({f"recovery_{k}": v for k, v in self.recovery.items()
                     if k not in ("skipped", "suppressed",
                                  "ingests_by_source")})
-        out.update({f"tracker_{k}": v for k, v in self.tracker.items()})
         return out
 
     def rows(self) -> list[tuple[str, object]]:
@@ -168,9 +166,10 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
     state_dir = config.state_dir or tempfile.mkdtemp(prefix="repro-crash-")
     try:
         # Crashed run: durably logged, checkpointed, killed at crash_at.
-        tracker = CheckpointTracker()
+        registry = MetricsRegistry()
         manager = RecoveryManager(state_dir, keep=config.keep,
-                                  fsync=config.fsync, tracker=tracker)
+                                  fsync=config.fsync,
+                                  bus=EventBus([registry]))
         plan = FaultPlan([ProcessCrash("fast", at=config.crash_at)],
                          seed=config.seed)
         handles, sim, pre = _build(config, recovery=manager, faults=plan)
@@ -181,7 +180,7 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
                 "ended first?)")
         except SimulatedCrash:
             pass
-        checkpoints_written = tracker.checkpoints
+        checkpoints_written = int(registry.checkpoints.total)
         manager.close()
 
         if config.corrupt_latest:
@@ -189,7 +188,7 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
 
         # Recovery: fresh process image, restore + replay, resume feeds.
         manager = RecoveryManager(state_dir, keep=config.keep,
-                                  fsync=config.fsync, tracker=tracker)
+                                  fsync=config.fsync)
         handles, sim, post = _build(config, recovery=manager, attach=False)
         report: RecoveryReport = manager.recover()
         for name, arrivals in scenario_streams(scenario).items():
@@ -209,6 +208,5 @@ def run_crash_experiment(config: CrashConfig) -> CrashReport:
         pre_crash_delivered=len(pre),
         post_recovery_delivered=len(post),
         recovery=report.as_dict(),
-        tracker=tracker.as_dict(),
         checkpoints_written=checkpoints_written,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..metrics.report import format_series, format_table
+from ..obs.report import format_series, format_table
 from ..sim.cost import CostModel
 from ..workloads.scenarios import ScenarioConfig
 from .runner import ExperimentResult, run_union_experiment

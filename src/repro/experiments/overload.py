@@ -24,7 +24,7 @@ from ..core.ets import NoEts, OnDemandEts
 from ..faults.monitors import InvariantMonitor
 from ..faults.plan import FaultPlan, LoadSpike, SlowSink
 from ..feedback import FeedbackController, TokenBucketThrottle
-from ..metrics.latency import LatencyRecorder
+from ..obs.latency import LatencyRecorder
 from ..workloads.scenarios import ScenarioConfig, build_union_scenario
 
 __all__ = ["OverloadConfig", "OverloadReport", "run_overload_experiment"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics.report import format_table
+from ..obs.report import format_table
 from .ablations import run_ablations
 from .figures import SweepResult, idle_waiting_table, run_sweep
 from .runner import ExperimentResult

@@ -42,7 +42,7 @@ class StallDetector(Observer):
     The detector is an ordinary :class:`~repro.obs.bus.Observer`: the
     kernel registers it on the engine's event bus, where its
     :meth:`on_arrival` hook feeds :meth:`observe`.  When an arrival ends a
-    stall the :attr:`on_recovery` callback (set by the kernel) drives the
+    stall the :attr:`on_resume` callback (set by the kernel) drives the
     resync path.
 
     Args:
@@ -55,7 +55,7 @@ class StallDetector(Observer):
     Attributes:
         stalled: Names of sources currently classified as stalled.
         stalls / recoveries: Lifetime transition counters.
-        on_recovery: Optional ``(source_name, now) -> None`` callback fired
+        on_resume: Optional ``(source_name, now) -> None`` callback fired
             when an observed arrival ends a stall.
     """
 
@@ -72,7 +72,7 @@ class StallDetector(Observer):
         self.stalled: set[str] = set()
         self.stalls = 0
         self.recoveries = 0
-        self.on_recovery = None
+        self.on_resume = None
         #: Optional ``() -> float`` returning the live feedback pressure
         #: (:attr:`repro.feedback.FeedbackController.pressure`); wired by
         #: the kernel when a controller is installed.  Under pressure the
@@ -87,8 +87,8 @@ class StallDetector(Observer):
     def on_arrival(self, *, operator: str, time: float,
                    external_ts: float | None = None) -> None:
         """Bus hook: every source arrival counts as activity."""
-        if self.observe(operator, time) and self.on_recovery is not None:
-            self.on_recovery(operator, time)
+        if self.observe(operator, time) and self.on_resume is not None:
+            self.on_resume(operator, time)
 
     def bind(self, graph, now: float) -> None:
         """Start watching every non-latent source of ``graph`` from ``now``.

@@ -1,7 +1,7 @@
-"""repro.obs: the hook-based instrumentation subsystem.
+"""repro.obs: the one observability package.
 
 One event bus (:class:`EventBus`) carries every observable decision the
-engine and kernel take; everything else is an :class:`Observer` of it:
+engine and kernel take; the live consumers are observers of it:
 
 * :class:`MetricsRegistry` — unified counters / gauges / histograms with
   ``as_dict()`` and Prometheus text rendering;
@@ -9,18 +9,22 @@ engine and kernel take; everything else is an :class:`Observer` of it:
   stream in standard external formats (``python -m repro trace``; the
   registry renders its own Prometheus text for ``python -m repro
   metrics``);
-* :class:`TraceObserver` — the adapter that feeds the legacy
-  :class:`~repro.core.tracing.Tracer` vocabulary from the bus.
+* :class:`Tracer` — the NOS-decision record the Fig.-2 rule tests assert.
+
+Beside them live the figures no hook carries: the idle-waiting tracker
+(:mod:`.idle`), sink latency (:mod:`.latency`) and liveness
+(:mod:`.recovery`) recorders, the operator profile (:mod:`.profile`) and
+the plain-text report formatting (:mod:`.report`).
 
 Attach observers with ``ExecutionEngine(..., observers=[...])`` or
 ``Simulation(..., observers=[...])``; with no observers attached the engine
 stores no bus at all and instrumentation costs nothing.
 """
 
-from .adapters import TraceObserver
 from .bus import HOOKS, NULL_BUS, EventBus, NullBus, Observer
 from .exporters import ChromeTraceExporter, JsonlExporter
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .tracing import TraceEvent, Tracer, summarize
 
 __all__ = [
     "HOOKS",
@@ -34,5 +38,7 @@ __all__ = [
     "MetricsRegistry",
     "NullBus",
     "Observer",
-    "TraceObserver",
+    "TraceEvent",
+    "Tracer",
+    "summarize",
 ]

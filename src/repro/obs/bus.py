@@ -22,10 +22,15 @@ Design constraints, in order:
    :attr:`EventBus.errors`; remaining observers still receive the event.
 3. **Deterministic ordering.**  Observers are invoked in registration
    order, for every event.
+4. **Subscription is decided once.**  :meth:`EventBus.attach` and
+   :meth:`~EventBus.detach` work out, per hook, which observers' *classes*
+   override it; an event reaches only those.  An instance attribute that
+   happens to share a hook's name is never called.
 """
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Iterable
 
 __all__ = ["HOOKS", "Observer", "EventBus", "NullBus", "NULL_BUS"]
@@ -178,7 +183,8 @@ class EventBus:
             :attr:`error_count`.
     """
 
-    __slots__ = ("observers", "errors", "error_count", "max_errors")
+    __slots__ = ("observers", "errors", "error_count", "max_errors",
+                 "_subscribers")
 
     def __init__(self, observers: Iterable[Observer] = (),
                  *, max_errors: int = 100) -> None:
@@ -186,29 +192,45 @@ class EventBus:
         self.errors: list[tuple[Observer, str, Exception]] = []
         self.error_count = 0
         self.max_errors = max_errors
+        self._subscribe()
 
     def attach(self, observer: Observer) -> "EventBus":
         """Register ``observer`` (appended: it sees events last)."""
         self.observers.append(observer)
+        self._subscribe()
         return self
 
     def detach(self, observer: Observer) -> None:
         """Unregister ``observer`` (no-op when not registered)."""
-        try:
+        if observer in self.observers:
             self.observers.remove(observer)
-        except ValueError:
-            pass
+            self._subscribe()
+
+    def listens(self, hook: str) -> bool:
+        """Does any attached observer override ``hook``?"""
+        return bool(self._subscribers[hook])
 
     def __len__(self) -> int:
         return len(self.observers)
+
+    def _subscribe(self) -> None:
+        """Per hook, ``(observer, bound hook)`` for every observer whose
+        class overrides it, in registration order."""
+        self._subscribers: dict[str, tuple] = {
+            hook: tuple(
+                (observer, MethodType(getattr(type(observer), hook), observer))
+                for observer in self.observers
+                if getattr(type(observer), hook, None)
+                not in (None, getattr(Observer, hook)))
+            for hook in HOOKS}
 
     # ------------------------------------------------------------------ #
     # Dispatch
 
     def _emit(self, hook: str, kw: dict) -> None:
-        for observer in self.observers:
+        for observer, method in self._subscribers[hook]:
             try:
-                getattr(observer, hook)(**kw)
+                method(**kw)
             except Exception as exc:  # noqa: BLE001 - isolation by contract
                 self.error_count += 1
                 if len(self.errors) < self.max_errors:
@@ -267,9 +289,6 @@ class NullBus(EventBus):
     def attach(self, observer: Observer) -> "EventBus":
         raise TypeError("NULL_BUS is shared and immutable; "
                         "create an EventBus to attach observers")
-
-    def _emit(self, hook: str, kw: dict) -> None:
-        pass
 
 
 #: Shared do-nothing bus; safe to emit into from anywhere.

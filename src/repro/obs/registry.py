@@ -2,16 +2,13 @@
 
 The paper's evaluation is a metrics story — idle-waiting fractions
 (Section 6), latency (Fig. 7), peak queue size (Fig. 8), punctuation
-overhead — and before this module those numbers lived in four places with
-four shapes (:class:`~repro.core.execution.EngineStats` fields,
-:mod:`repro.metrics.idle`, :mod:`repro.metrics.queues`, and the chaos
-suite's :class:`~repro.metrics.recovery.RecoveryTracker`).  A
-:class:`MetricsRegistry` is one place: it *observes* the event bus for
-everything that can be counted live (steps, NOS decisions, ETS
-consultations, punctuation, buffer depth, faults, run lengths) and
-*absorbs* the remaining end-of-run aggregates from the engine, the idle
-tracker, and the recovery tracker — producing one ``snake_case``
-``as_dict()`` snapshot and one Prometheus text rendering.
+overhead.  A :class:`MetricsRegistry` is the one place those numbers are
+exported from: it *observes* the event bus for everything that can be
+counted live (steps, NOS decisions, ETS consultations, punctuation, buffer
+depth, faults, checkpoints, recoveries, run lengths) and *absorbs* the
+remaining end-of-run aggregates from the engine and the simulation —
+producing one ``snake_case`` ``as_dict()`` snapshot and one Prometheus
+text rendering.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .bus import Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..metrics.recovery import RecoveryTracker
     from ..sim.kernel import Simulation
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -205,9 +201,10 @@ class MetricsRegistry(Observer):
     injected/declined, punctuation injections by origin, fault-path actions
     by kind, the buffer-depth gauge with its high-water mark, and a
     histogram of run lengths (1 per scalar step, up to ``batch_size`` per
-    ``kind="block"`` run step).  ``absorb_*`` folds in what only
-    exists as an end-of-run aggregate: :class:`EngineStats` counters,
-    per-operator idle-wait time, queue summaries, and recovery figures.
+    ``kind="block"`` run step).  :meth:`absorb_engine_stats` and
+    :meth:`absorb_simulation` fold in what only exists as an end-of-run
+    aggregate: :class:`EngineStats` counters, per-operator idle-wait time,
+    and the buffer-occupancy summary.
     """
 
     def __init__(self) -> None:
@@ -281,8 +278,6 @@ class MetricsRegistry(Observer):
         self.shard_migrated = c(
             "repro_shard_migrated_keys_total",
             "Keys whose route changed across a reshard")
-        self.shard_stat = g("repro_shard_stat",
-                            "Absorbed end-of-run sharded-engine figures")
         self.feedback_waves = c("repro_feedback_waves_total",
                                 "Feedback waves propagated upstream, by kind")
         self.feedback_pressure = g("repro_feedback_pressure",
@@ -304,8 +299,6 @@ class MetricsRegistry(Observer):
                                "Idle-waiting share of elapsed time")
         self.engine_stat = g("repro_engine_stat",
                              "EngineStats counters, one label per field")
-        self.recovery = g("repro_recovery",
-                          "Sink liveness figures from RecoveryTracker")
         self.queue = g("repro_queue", "Buffer-occupancy summary figures")
 
     # ------------------------------------------------------------------ #
@@ -455,7 +448,7 @@ class MetricsRegistry(Observer):
         return punct / data if data else 0.0
 
     # ------------------------------------------------------------------ #
-    # Absorbing the legacy aggregates
+    # Absorbing the end-of-run aggregates
 
     def absorb_engine_stats(self, stats) -> "MetricsRegistry":
         """Fold an :class:`EngineStats` snapshot in, one field per label.
@@ -483,57 +476,26 @@ class MetricsRegistry(Observer):
                 self.engine_stat.set(value, field=field_name)
         return self
 
-    def absorb_idle(self, tracker, now: float | None = None
-                    ) -> "MetricsRegistry":
-        """Fold an :class:`~repro.metrics.idle.IdleTracker` snapshot in."""
-        for op in tracker.operators:
-            self.idle_wait.set(tracker.idle_time(op.name, now),
-                               operator=op.name)
-            self.idle_fraction.set(tracker.idle_fraction(op.name, now),
-                                   operator=op.name)
-        return self
-
-    def absorb_recovery(self, tracker: "RecoveryTracker"
-                        ) -> "MetricsRegistry":
-        """Fold a :class:`RecoveryTracker`'s liveness figures in."""
-        for name, value in tracker.as_dict().items():
-            self.recovery.set(value, field=name)
-        return self
-
-    def absorb_queue_summary(self, graph) -> "MetricsRegistry":
-        """Fold :func:`repro.metrics.queues.queue_summary` figures in."""
-        from ..metrics.queues import queue_summary
-
-        summary = queue_summary(graph)
-        for name, value in summary.items():
-            if name == "per_buffer":
-                for buf, depth in value.items():
-                    self.queue.set(depth, field="depth", buffer=buf)
-            else:
-                self.queue.set(value, field=name)
-        return self
-
-    def absorb_sharded(self, engine) -> "MetricsRegistry":
-        """Fold a :class:`~repro.shard.ShardedEngine` summary in."""
-        summary = engine.summary()
-        for name in ("ingested", "wakeups", "released", "pending",
-                     "frontier_spread"):
-            self.shard_stat.set(summary[name], field=name)
-        for row in summary["per_shard"]:
-            self.shard_stat.set(row["ingested"], field="ingested",
-                                shard=row["shard"])
-            self.shard_stat.set(row["delivered"], field="delivered",
-                                shard=row["shard"])
-            if row["frontier"] != float("-inf"):
-                self.shard_frontier.set(row["frontier"], shard=row["shard"])
-        return self
-
     def absorb_simulation(self, sim: "Simulation") -> "MetricsRegistry":
-        """Fold every end-of-run aggregate a simulation holds in one call."""
+        """Fold every end-of-run aggregate a simulation holds in one call:
+        the engine stats, each IWP operator's idle-wait time and fraction,
+        and the buffer occupancy (the Fig.-8 peak, the current total, each
+        buffer's depth, punctuation enqueued)."""
         self.absorb_engine_stats(sim.engine.stats)
-        if sim.idle_tracker is not None:
-            self.absorb_idle(sim.idle_tracker, sim.clock.now())
-        self.absorb_queue_summary(sim.graph)
+        tracker, now = sim.idle_tracker, sim.clock.now()
+        if tracker is not None:
+            for op in tracker.operators:
+                self.idle_wait.set(tracker.idle_time(op.name, now),
+                                   operator=op.name)
+                self.idle_fraction.set(tracker.idle_fraction(op.name, now),
+                                       operator=op.name)
+        buffers = sim.graph.buffers
+        self.queue.set(sim.graph.registry.peak, field="peak_total")
+        self.queue.set(sim.graph.registry.total, field="current_total")
+        for buf in buffers:
+            self.queue.set(len(buf), field="depth", buffer=buf.name)
+        self.queue.set(sum(buf.punctuation_count for buf in buffers),
+                       field="punctuation_enqueued")
         self.queue.set(sim.arrivals_delivered, field="arrivals_delivered")
         self.queue.set(sim.heartbeats_delivered, field="heartbeats_delivered")
         return self
@@ -551,7 +513,7 @@ class MetricsRegistry(Observer):
         return out
 
     def rows(self) -> list[tuple[str, float]]:
-        """``(name, value)`` rows for :func:`repro.metrics.report.format_table`."""
+        """``(name, value)`` rows for :func:`repro.obs.report.format_table`."""
         return sorted(self.as_dict().items())
 
     def render_prometheus(self) -> str:

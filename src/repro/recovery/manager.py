@@ -140,18 +140,16 @@ class RecoveryManager:
         fsync: Fsync WAL appends (durable tail) — turn off for benchmarks
             that measure everything but the disk.
         bus: Optional event bus; checkpoint/recovery/fault events are
-            published on it.  A bound engine's bus is used by default.
-        tracker: Optional :class:`~repro.metrics.recovery.CheckpointTracker`
-            receiving cost figures.
+            published on it (a :class:`~repro.obs.MetricsRegistry` there
+            counts their figures).  A bound engine's bus is used by default.
     """
 
     def __init__(self, state_dir: str | Path, *, keep: int = 4,
-                 fsync: bool = True, bus=None, tracker=None) -> None:
+                 fsync: bool = True, bus=None) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.store = CheckpointStore(self.state_dir, keep=keep)
         self.wal = WriteAheadLog(self.state_dir / "wal.log", fsync=fsync)
-        self.tracker = tracker
         self._bus = bus
         self.graph: QueryGraph | None = None
         self.engine: ExecutionEngine | None = None
@@ -316,9 +314,6 @@ class RecoveryManager:
                 number=info.number, time=self.clock.now(),
                 duration=info.duration, bytes_written=info.bytes_written,
                 wal_records=self.wal.records_written)
-        if self.tracker is not None:
-            self.tracker.note_checkpoint(duration=info.duration,
-                                         bytes_written=info.bytes_written)
         return info
 
     # ------------------------------------------------------------------ #
@@ -487,9 +482,6 @@ class RecoveryManager:
                 suppressed=report.total_suppressed,
                 duration=report.duration, fallback=report.fallback,
                 detail="; ".join(f"ckpt {n}: {r}" for n, r in report.skipped))
-        if self.tracker is not None:
-            self.tracker.note_recovery(duration=report.duration,
-                                       replayed=report.replayed)
         return report
 
     def close(self) -> None:

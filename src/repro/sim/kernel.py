@@ -32,8 +32,8 @@ from ..core.errors import PolicyError, WorkloadError
 from ..core.execution import ExecutionEngine
 from ..core.graph import QueryGraph
 from ..core.operators.source import SourceNode
-from ..metrics.idle import IdleTracker
 from ..obs.bus import NULL_BUS
+from ..obs.idle import IdleTracker
 from .clock import VirtualClock
 from .cost import CostModel
 from .events import EventQueue
@@ -140,8 +140,8 @@ class Simulation:
                     "stall_detector requires a degradation-capable ETS "
                     "policy; wrap yours in repro.faults.FallbackHeartbeat"
                 )
-            if getattr(stall_detector, "on_recovery", None) is None:
-                stall_detector.on_recovery = self._on_source_recovered
+            if getattr(stall_detector, "on_resume", None) is None:
+                stall_detector.on_resume = self._on_source_recovered
         self.quarantine = quarantine
         if quarantine is not None:
             quarantine.bind(stats=self.engine.stats, bus=self.engine.bus)
@@ -298,8 +298,8 @@ class Simulation:
     def _fault(self, kind: str, operator: str, detail: str = "") -> None:
         """Publish a kernel-side fault-ladder action on the event bus.
 
-        Every observer (tracers included, via
-        :class:`~repro.obs.adapters.TraceObserver`) sees the event.
+        Every observer (a :class:`~repro.obs.tracing.Tracer` included)
+        sees the event.
         """
         self._bus.fault(kind=kind, operator=operator,
                         round_id=self.engine.round_id,

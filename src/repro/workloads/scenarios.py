@@ -34,7 +34,7 @@ from ..core.graph import QueryGraph
 from ..core.operators import Select, SinkNode, SourceNode, Union, WindowJoin
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
-from ..metrics.latency import LatencyRecorder
+from ..obs.latency import LatencyRecorder
 from ..sim.cost import CostModel
 from ..sim.kernel import Arrival, Simulation
 from .arrival import poisson_arrivals, with_external_timestamps

@@ -502,7 +502,8 @@ class ShardedDifferentialOracle:
                     ets_policy_factory: Callable[[], EtsPolicy] | None = None,
                     punctuate: bool = False, state_dir=None,
                     checkpoint_every: int | None = None,
-                    observers=None) -> list[SinkRecord]:
+                    observers=None,
+                    disorder_bound: float = 0.0) -> list[SinkRecord]:
         """Like :meth:`run_sharded`, but through the elastic engine with
         live reshards at the given ``{chunk_number: target_shards}``
         schedule (applied right after that chunk's wake-up)."""
@@ -511,7 +512,7 @@ class ShardedDifferentialOracle:
             self.build, shards=shards, key=self.key, backend=backend,
             ets_policy=ets_policy_factory, batch_size=batch_size,
             state_dir=state_dir, checkpoint_every=checkpoint_every,
-            observers=observers)
+            observers=observers, disorder_bound=disorder_bound)
         released = []
         try:
             now = 0.0
@@ -545,7 +546,8 @@ class ShardedDifferentialOracle:
             backend: str = "serial", batch_size: int = 1,
             ets_policy_factory: Callable[[], EtsPolicy] | None = None,
             punctuate: bool = False, state_dir=None,
-            checkpoint_every: int | None = None) -> None:
+            checkpoint_every: int | None = None,
+            disorder_bound: float = 0.0) -> None:
         """Output across live reshards must equal the single engine's."""
         def policy() -> EtsPolicy | None:
             return ets_policy_factory() if ets_policy_factory else None
@@ -557,7 +559,8 @@ class ShardedDifferentialOracle:
             shards=shards, reshard_at=reshard_at, backend=backend,
             batch_size=batch_size, ets_policy_factory=ets_policy_factory,
             punctuate=punctuate, state_dir=state_dir,
-            checkpoint_every=checkpoint_every))
+            checkpoint_every=checkpoint_every,
+            disorder_bound=disorder_bound))
         _assert_same(reference, got,
                      f"elastic (P={shards}, reshard_at={reshard_at}, "
                      f"backend={backend}) diverged from the single engine")

@@ -29,7 +29,6 @@ from repro.api import (
     Select,
     Shed,
     Simulation,
-    TraceObserver,
     Tracer,
     TumblingAggregate,
     Union,
@@ -242,7 +241,7 @@ class TestEngineKnobs:
             tracer = Tracer()
             p = Pipeline("consistent", config=config)
             p.source("a").sink("out")
-            sim = (p.engine(observers=[TraceObserver(tracer)])
+            sim = (p.engine(observers=[tracer])
                     .feed("a", iter(_arrivals(6))).run(until=10.0))
             assert sim.engine.batch_size == batch_size
             assert (sim.engine.stats.blocks > 0) is block_mode

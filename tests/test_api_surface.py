@@ -67,8 +67,6 @@ ALLOWLIST: dict[str, str] = {
     "StreamElement": _RECORD,
     "TimeWindow": _RECORD,
     "TraceEvent": _RECORD + " (Tracer.events)",
-    "TraceObserver": _RECORD + " (the one way to feed a Tracer; README's "
-                               "replacement for TracingEngine)",
     "is_data": _RECORD,
     "is_feedback": _RECORD,
     "is_punctuation": _RECORD,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -148,3 +150,23 @@ class TestDotCommand:
 
     def test_dot_missing_file(self, capsys):
         assert main(["dot", "/no/such/file.esl"]) == 2
+
+
+class TestObserverErrors:
+    """An export the bus could not complete must not pass for a good one."""
+
+    @pytest.mark.parametrize("command, exporter",
+                             [("trace", "JsonlExporter"),
+                              ("metrics", "MetricsRegistry")])
+    def test_swallowed_observer_error_fails_the_export(
+            self, command, exporter, monkeypatch, capsys):
+        import repro.cli
+
+        class Raising(getattr(repro.cli, exporter)):
+            def on_quiesce(self, **kw):
+                raise RuntimeError("boom")
+
+        monkeypatch.setattr(repro.cli, exporter, Raising)
+        assert main([command, "--duration", "2", "--rate-fast", "20"]) == 1
+        assert re.search(r"^observer errors: [1-9]\d*$",
+                         capsys.readouterr().err, re.MULTILINE)

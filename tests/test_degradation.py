@@ -9,11 +9,10 @@ import pytest
 from repro.core.errors import PolicyError, TimestampError
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import EngineStats
-from repro.core.tracing import Tracer
 from repro.core.tuples import TimestampKind
 from repro.faults import FallbackHeartbeat, FaultPlan, QuarantinePolicy, \
     SourceOutage, StallDetector
-from repro.obs import EventBus, TraceObserver
+from repro.obs import EventBus, Tracer
 from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals
@@ -155,7 +154,7 @@ class TestQuarantinePolicy:
     def test_clamp_mode_returns_floor_and_traces(self):
         q = QuarantinePolicy("clamp")
         stats, tracer = EngineStats(), Tracer()
-        q.bind(stats=stats, bus=EventBus([TraceObserver(tracer)]))
+        q.bind(stats=stats, bus=EventBus([tracer]))
         assert q.handle(source_name="s", ts=1.0, floor=2.0, now=3.0) == 2.0
         assert q.clamped == 1
         assert stats.quarantine_clamped == 1
@@ -210,7 +209,7 @@ class TestKernelIntegration:
         """The headline claim: with the ladder on, sink silence during a
         fast-stream outage is bounded by timeout + check period + heartbeat
         period — not by the other stream's arrival gaps."""
-        from repro.metrics.recovery import RecoveryTracker
+        from repro.obs.recovery import RecoveryTracker
 
         graph, fast, slow, sink = build()
         policy = FallbackHeartbeat(OnDemandEts(), heartbeat_period=0.25)

@@ -8,11 +8,12 @@ from repro.core.buffers import StreamBuffer
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
 from repro.core.operators.base import IwpOperator
-from repro.metrics.idle import IdleTracker
-from repro.metrics.latency import LatencyRecorder
-from repro.metrics.queues import queue_summary
-from repro.metrics.report import format_series, format_table, format_value
+from repro.obs import MetricsRegistry
+from repro.obs.idle import IdleTracker
+from repro.obs.latency import LatencyRecorder
+from repro.obs.report import format_series, format_table, format_value
 from repro.sim.cost import CostModel
+from repro.sim.kernel import Simulation
 from repro.workloads.scenarios import (ScenarioConfig, build_join_scenario,
                                        build_union_scenario)
 
@@ -209,17 +210,22 @@ class TestIdleAccountingIsExact:
 
 class TestQueueSummary:
     def test_shape(self):
+        """The occupancy figures ``MetricsRegistry.absorb_simulation``
+        folds in: peak, current total, one depth per buffer."""
         g = QueryGraph("g")
         src = g.add_source("src")
         sel = g.add(Select("sel", lambda p: True))
         sink = g.add_sink("sink")
         g.connect(src, sel)
         g.connect(sel, sink)
+        sim = Simulation(g)
         src.ingest({}, now=1.0)
-        summary = queue_summary(g)
-        assert summary["current_total"] == 1
-        assert summary["peak_total"] == 1
-        assert set(summary["per_buffer"]) == {"src->sel", "sel->sink"}
+        snap = MetricsRegistry().absorb_simulation(sim).as_dict()
+        assert snap["repro_queue{field=current_total}"] == 1
+        assert snap["repro_queue{field=peak_total}"] == 1
+        assert snap["repro_queue{buffer=src->sel,field=depth}"] == 1
+        assert snap["repro_queue{buffer=sel->sink,field=depth}"] == 0
+        assert snap["repro_queue{field=punctuation_enqueued}"] == 0
 
 
 class TestReport:

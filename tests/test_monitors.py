@@ -7,10 +7,9 @@ import pytest
 from repro.core.errors import (InvariantViolation, PolicyError,
                                TimestampError)
 from repro.core.ets import NoEts
-from repro.core.tracing import Tracer
 from repro.core.tuples import DataTuple, TimestampKind
 from repro.faults import InvariantMonitor
-from repro.obs import EventBus, TraceObserver
+from repro.obs import EventBus, Tracer
 from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import constant_arrivals
@@ -61,7 +60,7 @@ class TestSinkMonotonicity:
         graph, _, _, sink = build()
         tracer = Tracer()
         monitor = InvariantMonitor(mode="degrade").install(graph)
-        monitor.bus = EventBus([TraceObserver(tracer)])
+        monitor.bus = EventBus([tracer])
         self.deliver(sink, 5.0)
         self.deliver(sink, 4.0)
         self.deliver(sink, 6.0)
@@ -139,7 +138,7 @@ class TestIngestViolationBridge:
         graph, fast, _, _ = build()
         tracer = Tracer()
         monitor = InvariantMonitor().install(graph)
-        monitor.bus = EventBus([TraceObserver(tracer)])
+        monitor.bus = EventBus([tracer])
         fast.ingest({"n": 1}, now=2.0)
         fast.inject_punctuation(5.0)
         with pytest.raises(TimestampError):

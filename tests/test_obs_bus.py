@@ -1,9 +1,12 @@
 """Tests for the instrumentation event bus and its engine integration.
 
-Three contracts from the bus design notes, each load-bearing:
+Four contracts from the bus design notes, each load-bearing:
 
 * deterministic registration-order dispatch and per-observer exception
   isolation (a broken exporter must never kill the engine walk);
+* subscription by class: ``attach``/``detach`` decide once which observers
+  hear which hook, and an instance attribute named like a hook is never
+  called;
 * the zero-overhead fast path — an engine with no observers stores *no*
   bus at all, and buffer-occupancy forwarding is only wired when some
   observer actually overrides ``on_buffer_change``;
@@ -22,17 +25,20 @@ from repro.api import Arrival, OnDemandEts, Pipeline
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.core.tracing import Tracer
+from repro.faults import FallbackHeartbeat, StallDetector
 from repro.obs import (
+    HOOKS,
     NULL_BUS,
     ChromeTraceExporter,
     EventBus,
     JsonlExporter,
     MetricsRegistry,
     Observer,
-    TraceObserver,
+    Tracer,
 )
+from repro.recovery import RecoveryManager
 from repro.sim.clock import VirtualClock
+from repro.sim.kernel import Simulation
 from repro.workloads.scenarios import ScenarioConfig, build_union_scenario
 
 
@@ -112,6 +118,41 @@ class TestEventBus:
         NULL_BUS.fault(kind="degrade", operator="x", round_id=1, time=0.0)
         with pytest.raises(TypeError):
             NULL_BUS.attach(Observer())
+
+    def test_subscription_is_decided_by_the_class(self):
+        """An instance attribute named like a hook is never called: not
+        when the class leaves the hook alone, and not in place of the
+        class's own override."""
+        log: list = []
+        plain = Observer()
+        plain.on_step = lambda **kw: log.append(("plain", "step"))
+        recorder = Recorder("a", log)
+        recorder.on_quiesce = lambda **kw: log.append(("shadow", "quiesce"))
+        bus = EventBus([plain, recorder])
+        bus.step(operator="x", round_id=1, time=0.0, kind="data")
+        bus.quiesce(round_id=1, time=0.0)
+        assert log == [("a", "step"), ("a", "quiesce")]
+        assert bus.error_count == 0
+
+    def test_attach_and_detach_re_resolve_listens(self):
+        def listened(bus):
+            return {hook for hook in HOOKS if bus.listens(hook)}
+
+        watcher, log = DepthWatcher(), []
+        recorder = Recorder("a", log)
+        bus = EventBus([Observer()])
+        assert listened(bus) == set()
+        bus.attach(watcher)
+        assert listened(bus) == {"on_buffer_change"}
+        bus.attach(recorder)
+        assert listened(bus) == {"on_buffer_change", "on_step", "on_quiesce"}
+        bus.detach(watcher)
+        assert listened(bus) == {"on_step", "on_quiesce"}
+        bus.buffer_change(total=3, time=0.0)
+        bus.step(operator="x", round_id=1, time=0.0, kind="data")
+        assert watcher.totals == [] and log == [("a", "step")]
+        bus.detach(recorder)
+        assert listened(bus) == set()
 
     def test_base_observer_hooks_are_noops(self):
         obs = Observer()
@@ -297,9 +338,39 @@ def test_instrumented_replay_is_byte_identical(batch_size):
     registry = MetricsRegistry()
     events = JsonlExporter()
     observed = oracle.run(batch_size=batch_size, observers=[
-        registry, events, ChromeTraceExporter(), TraceObserver(Tracer())])
+        registry, events, ChromeTraceExporter(), Tracer()])
     assert observed == bare
     # and the instrumentation actually saw the run
     assert registry.rounds.total > 0
     assert registry.steps.total > 0
     assert any(rec["event"] == "step" for rec in events.records)
+
+
+# --------------------------------------------------------------------- #
+# A callback attribute is not a hook
+
+
+def test_stall_detector_callback_does_not_hear_recovery(tmp_path):
+    """``StallDetector`` keeps the kernel's resync callback on the instance;
+    the manager's ``on_recovery`` event must not be routed into it (it used
+    to raise ``TypeError`` there, swallowed by the bus)."""
+    def build() -> Simulation:
+        return Simulation(
+            _union_graph(), stall_detector=StallDetector(1.0),
+            ets_policy=FallbackHeartbeat(OnDemandEts(), heartbeat_period=0.5),
+            observers=(MetricsRegistry(),),
+            recovery=RecoveryManager(tmp_path))
+
+    sim = build()
+    for i, source in enumerate(("fast", "slow", "fast")):
+        sim.schedule_arrival(sim.graph[source], Arrival(
+            0.5 * (i + 1), {"seq": i, "value": 0.1}))
+    sim.run(until=4.0)
+    sim.recovery.checkpoint()
+    sim.recovery.close()
+    fresh = build()
+    report = fresh.recovery.recover()
+    assert report.checkpoint_number == 1
+    registry = fresh.engine.bus.observers[0]
+    assert registry.recoveries.total == 1
+    assert fresh.engine.bus.error_count == 0, fresh.engine.bus.errors

@@ -9,7 +9,6 @@ from repro.core.ets import OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.metrics.recovery import RecoveryTracker
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.clock import VirtualClock
 from repro.workloads.scenarios import ScenarioConfig, build_union_scenario
@@ -185,16 +184,6 @@ class TestAbsorb:
         assert snap["repro_queue{field=arrivals_delivered}"] == \
             handles.sim.arrivals_delivered
         assert "repro_punctuation_to_data_ratio" in snap
-
-    def test_absorb_recovery_uses_canonical_names(self):
-        tracker = RecoveryTracker()
-        for t in (1.0, 2.0, 7.5):
-            tracker.note(t)
-        reg = MetricsRegistry().absorb_recovery(tracker)
-        assert reg.recovery.value(field="deliveries") == 3
-        assert reg.recovery.value(field="max_sink_gap") == 5.5
-        assert reg.recovery.value(field="first_delivery") == 1.0
-        assert reg.recovery.value(field="last_delivery") == 7.5
 
     def test_live_arrivals_match_kernel_count(self):
         reg, handles = _run_scenario()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.ets import OnDemandEts
-from repro.metrics.profile import format_profile, profile_simulation
+from repro.obs.profile import format_profile, profile_simulation
 from repro.query.pipeline import Pipeline
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation

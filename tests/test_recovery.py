@@ -4,7 +4,7 @@ The crash-recovery *claim* is tested end-to-end in
 ``test_crash_recovery.py``; this module pins the mechanisms it rests on:
 WAL framing and truncation tolerance, checkpoint numbering / pruning /
 CRC-checked fallback, the checkpoint document's contents, and the
-observability wiring (bus events, metrics registry counters, tracker).
+observability wiring (bus events, metrics registry counters).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from test_oracle import union_graph
 from repro.core.errors import RecoveryError
 from repro.core.ets import OnDemandEts
 from repro.core.execution import ExecutionEngine
-from repro.metrics.recovery import CheckpointTracker
 from repro.obs import EventBus, MetricsRegistry, Observer
 from repro.recovery import (
     CHECKPOINT_FORMAT_VERSION,
@@ -368,7 +367,7 @@ class TestRecoveryManager:
         assert report.suppressed == {"sink": delivered}
         manager2.close()
 
-    def test_bus_events_and_tracker(self, tmp_path):
+    def test_bus_events_and_registry_figures(self, tmp_path):
         class Recorder(Observer):
             def __init__(self):
                 self.checkpoints = []
@@ -384,36 +383,35 @@ class TestRecoveryManager:
             def on_fault(self, **kw):
                 self.faults.append(kw)
 
-        recorder = Recorder()
-        tracker = CheckpointTracker()
-        bus = EventBus().attach(recorder)
-        graph, clock, engine, manager = _bound_manager(
-            tmp_path, bus=bus, tracker=tracker)
+        recorder, registry = Recorder(), MetricsRegistry()
+        bus = EventBus([recorder, registry])
+        graph, clock, engine, manager = _bound_manager(tmp_path, bus=bus)
         _feed(graph, clock, engine)
-        manager.checkpoint()
+        first = manager.checkpoint()
         info = manager.checkpoint()
         assert recorder.checkpoints[-1]["number"] == info.number
         assert recorder.checkpoints[-1]["bytes_written"] == info.bytes_written
-        assert tracker.checkpoints == 2
-        assert tracker.last_checkpoint_seconds == info.duration
+        assert registry.checkpoints.total == 2
+        assert registry.checkpoint_duration.total == pytest.approx(
+            first.duration + info.duration)
         manager.close()
 
         # Corrupt the checkpoint: recovery falls back loudly and the
-        # recovery event + tracker figures still land.
+        # recovery event + registry figures still land.
         path = manager.store.path_for(info.number)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
 
-        graph2, clock2, engine2, manager2 = _bound_manager(
-            tmp_path, bus=bus, tracker=tracker)
+        graph2, clock2, engine2, manager2 = _bound_manager(tmp_path, bus=bus)
         report = manager2.recover()
         assert report.fallback
         assert any(f["kind"] == "checkpoint-corrupt"
                    for f in recorder.faults)
         assert recorder.recoveries[0]["fallback"] is True
-        assert tracker.recoveries == 1
-        assert tracker.last_replayed == report.replayed
+        assert registry.recoveries.value(outcome="fallback") == 1
+        assert registry.recovery_last.value(field="replayed") \
+            == report.replayed
         manager2.close()
 
     def test_metrics_registry_counters(self, tmp_path):

@@ -10,8 +10,7 @@ from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
 from repro.core.scheduling import RoundRobinEngine
-from repro.core.tracing import Tracer, summarize
-from repro.obs import TraceObserver
+from repro.obs import Tracer, summarize
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation
@@ -47,7 +46,7 @@ def make_engine(graph, policy=None, batch_size=1):
     engine = ExecutionEngine(graph, VirtualClock(),
                              cost_model=CostModel.zero(),
                              ets_policy=policy, batch_size=batch_size,
-                             observers=[TraceObserver(tracer)])
+                             observers=[tracer])
     return engine, tracer
 
 
