@@ -46,9 +46,9 @@ def merge_payloads(left: Any, right: Any,
     genuinely conflicting values are disambiguated with the given prefixes.
     Non-mapping payloads are wrapped under the prefixes.
     """
-    if not isinstance(left, Mapping):
+    if type(left) is not dict and not isinstance(left, Mapping):
         left = {left_prefix.rstrip("_") or "left": left}
-    if not isinstance(right, Mapping):
+    if type(right) is not dict and not isinstance(right, Mapping):
         right = {right_prefix.rstrip("_") or "right": right}
     merged = dict(left)
     for key, value in right.items():

@@ -58,6 +58,11 @@ class SinkNode(Operator):
         self.latency_sum = 0.0
         self.latency_max = 0.0
         self.latency_count = 0
+        #: Internal column hook: ``_capture(ts, payloads)`` receives each
+        #: delivered run as two parallel sequences, after ``on_output`` —
+        #: how a shard collects its output without building tuples.  They
+        #: may be the block's own columns: copy, never keep or mutate them.
+        self._capture: Callable[[Any, Any], Any] | None = None
 
     def execute_step(self, ctx: OpContext) -> StepResult:
         element = self.inputs[0].pop()
@@ -78,6 +83,8 @@ class SinkNode(Operator):
             self.outputs_seen.append(element)
         if self.on_output is not None:
             self.on_output(element, latency)
+        if self._capture is not None:
+            self._capture((element.ts,), (element.payload,))
         return StepResult(consumed=element, emitted_data=0)
 
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
@@ -87,7 +94,8 @@ class SinkNode(Operator):
         latency statistics are accumulated straight off the block's arrival
         column without materializing a single tuple — the common benchmark
         configuration.  Otherwise rows are materialized in order and handed
-        to the callback exactly as the scalar path would.
+        to the callback exactly as the scalar path would.  The column hook,
+        when set, gets the block's ``ts`` and payload columns either way.
         """
         batch = BatchResult()
         buf = self.inputs[0]
@@ -130,6 +138,14 @@ class SinkNode(Operator):
                         on_output(element, latency)
             self.latency_sum, self.latency_max = lat_sum, lat_max
             self.latency_count = lat_count
+            if self._capture is not None:
+                sel = block.selection
+                if sel is None:
+                    self._capture(block.ts, block.payloads)
+                else:
+                    ts, payloads = block.ts, block.payloads
+                    self._capture([ts[i] for i in sel],
+                                  [payloads[i] for i in sel])
             n = block.count
             self.delivered += n
             batch.steps += n

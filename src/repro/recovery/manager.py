@@ -350,17 +350,32 @@ class RecoveryManager:
         ensure_seq_above(_max_seq(state))
 
     def _install_suppressor(self, sink, count: int) -> None:
-        inner = sink.on_output
-        remaining = [count]
+        """Withhold the first ``count`` delivered rows from the sink's
+        consumers: per row from ``on_output``, per run from the column hook
+        (cutting a run where ``count`` falls inside it)."""
+        inner, inner_capture = sink.on_output, sink._capture
+        rows_left = runs_left = count
 
         def suppress(tup, latency):
-            if remaining[0] > 0:
-                remaining[0] -= 1
+            nonlocal rows_left
+            if rows_left > 0:
+                rows_left -= 1
                 return
-            if inner is not None:
-                inner(tup, latency)
+            inner(tup, latency)
 
-        sink.on_output = suppress
+        def suppress_run(ts, payloads):
+            nonlocal runs_left
+            if runs_left:
+                skip, runs_left = runs_left, max(0, runs_left - len(ts))
+                ts, payloads = ts[skip:], payloads[skip:]
+                if not ts:
+                    return
+            inner_capture(ts, payloads)
+
+        if inner is not None:
+            sink.on_output = suppress
+        if inner_capture is not None:
+            sink._capture = suppress_run
 
     def _fault(self, kind: str, detail: str) -> None:
         if self._bus is not None:

@@ -33,6 +33,7 @@ import random
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Sequence
 
 from ..core.config import EngineConfig
@@ -147,8 +148,8 @@ class EngineShard:
                 feedback=config.per_engine("feedback", sharded=True)))
         self.feedback = self.engine.feedback
         self._outputs: list[tuple[str, float, Any]] = []
-        for sink in sorted(self.graph.sinks(), key=lambda s: s.name):
-            self._wrap_sink(sink)
+        for sink in self.graph.sinks():
+            self._capture_sink(sink)
         self.sources = {src.name: src for src in self.graph.sources()}
         self.ingested = 0
         self.delivered = 0
@@ -157,19 +158,18 @@ class EngineShard:
             self.manager = RecoveryManager(config.state_dir).bind(
                 self.graph, self.engine, self.clock)
 
-    def _wrap_sink(self, sink) -> None:
-        previous = sink.on_output
-        outputs = self._outputs
+    def _capture_sink(self, sink) -> None:
+        """Collect ``(sink, ts, payload)`` straight off the sink's columns:
+        no tuple is built for shard output, and a user ``on_output`` keeps
+        its per-row calls."""
         name = sink.name
         shard = self
 
-        def record(tup, latency) -> None:
-            outputs.append((name, tup.ts, tup.payload))
-            shard.delivered += 1
-            if previous is not None:
-                previous(tup, latency)
+        def capture(ts, payloads) -> None:
+            shard._outputs += zip(repeat(name), ts, payloads)
+            shard.delivered += len(ts)
 
-        sink.on_output = record
+        sink._capture = capture
 
     # ------------------------------------------------------------------ #
     # Command execution (runs in the caller's thread or a worker process)
@@ -206,9 +206,7 @@ class EngineShard:
         self.clock.advance_to(now)
         if ingests or punctuations:
             self.engine.wakeup(entry)
-        # The sink captures close over the list object, so drain in place.
-        drained = list(self._outputs)
-        self._outputs.clear()
+        drained, self._outputs = self._outputs, []
         return ShardResult(
             shard=self.index, outputs=drained, frontier=self.frontier(),
             ingested=len(ingests), punctuated=len(punctuations),
@@ -439,10 +437,26 @@ class ProcessBackend:
         return value
 
     def _call_all(self, messages: Sequence[tuple]) -> list:
+        """Send every shard its message, then read *every* reply before
+        raising the first failure — a reply left in a pipe would answer
+        the next call and desynchronise that shard for good."""
+        failure: ShardError | None = None
+        sent = []
         for index, message in enumerate(messages):
-            self._send(index, message)
-        return [self._recv(index, messages[index][0])
-                for index in range(len(self._conns))]
+            try:
+                self._send(index, message)
+                sent.append(index)
+            except ShardError as exc:
+                failure = failure or exc
+        results = []
+        for index in sent:
+            try:
+                results.append(self._recv(index, messages[index][0]))
+            except ShardError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return results
 
     def apply_all(self, commands) -> list[ShardResult]:
         return self._call_all([("apply",) + tuple(command)

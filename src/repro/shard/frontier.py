@@ -32,8 +32,8 @@ monotonicity under random shard interleavings.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from typing import Any, Iterable
 
 from ..core.errors import ReproError
@@ -155,63 +155,63 @@ class FrontierTracker:
 class FrontierMerge:
     """Order-restoring merge of shard outputs, gated on the min frontier.
 
-    Shards deliver at their own pace; the merge buffers every record and
-    releases only those stamped strictly below the global frontier — at
-    which point no shard can produce an earlier timestamp, so the released
-    stream is globally timestamp-ordered.  This is the IWP gate of the
-    paper applied across shards: records at exactly the frontier stay
-    buffered (a shard sitting *at* its frontier may still emit there).
-
-    Ties are broken ``(ts, shard, seq)`` so the merged order is
-    deterministic for any backend.
+    Only records stamped strictly below the global frontier are released:
+    no shard can produce an earlier timestamp any more, so the released
+    stream is globally ordered, while records at exactly the frontier stay
+    buffered (a shard sitting *at* its frontier may still emit there) — the
+    paper's IWP gate applied across shards.  Ties break ``(ts, shard,
+    seq)``, the same order for any backend.  Like the strict union's
+    kernel it merges runs (DESIGN.md §4g): one sorted run per offer, cut
+    by bisection at each release, coalesced past :attr:`RUN_LIMIT`.
     """
 
-    __slots__ = ("_heap", "_seq", "released", "released_count")
+    __slots__ = ("_runs", "_seq", "_pending", "released", "released_count")
+    RUN_LIMIT = 32  # held runs (an idle shard pins the frontier)
 
     def __init__(self) -> None:
-        self._heap: list[MergedRecord] = []
-        self._seq = 0
+        self._runs: list[list[MergedRecord]] = []
+        self._seq = self._pending = self.released_count = 0
         #: Highest timestamp released so far (−inf before the first).
         self.released = LATENT_TS
-        self.released_count = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._pending
 
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
+    pending = property(__len__)
 
     def offer(self, shard: int, records: Iterable[tuple[str, float, Any]]
               ) -> int:
         """Buffer ``(sink, ts, payload)`` records delivered by ``shard``."""
-        count = 0
-        for sink, ts, payload in records:
-            heapq.heappush(self._heap, (ts, shard, self._seq, sink, payload))
-            self._seq += 1
-            count += 1
-        return count
+        run = [(ts, shard, seq, sink, payload)
+               for seq, (sink, ts, payload) in enumerate(records, self._seq)]
+        run.sort()  # (ts, shard, seq) is unique: payloads never compare
+        self._seq += len(run)
+        self._pending += len(run)
+        self._runs.append(run)  # an empty run is dropped by the next take
+        if len(self._runs) > self.RUN_LIMIT:
+            self._runs = [sorted(r for held in self._runs for r in held)]
+        return len(run)
 
     def release(self, frontier: float) -> list[MergedRecord]:
-        """Pop every buffered record stamped strictly below ``frontier``."""
-        out: list[MergedRecord] = []
-        heap = self._heap
-        while heap and heap[0][0] < frontier:
-            record = heapq.heappop(heap)
-            if record[0] > self.released:
-                self.released = record[0]
-            out.append(record)
-        self.released_count += len(out)
-        return out
+        """Take every buffered record stamped strictly below ``frontier``."""
+        return self._take(lambda run: bisect_left(run, (frontier,)))
 
     def flush(self) -> list[MergedRecord]:
         """Release everything (end of stream / orderly close)."""
+        return self._take(len)
+
+    def _take(self, cut_of) -> list[MergedRecord]:
         out: list[MergedRecord] = []
-        heap = self._heap
-        while heap:
-            record = heapq.heappop(heap)
-            if record[0] > self.released:
-                self.released = record[0]
-            out.append(record)
+        kept = []
+        for run in self._runs:
+            cut = cut_of(run)
+            out += run[:cut]
+            if cut < len(run):
+                kept.append(run[cut:] if cut else run)
+        self._runs = kept
+        out.sort()
+        self._pending -= len(out)
         self.released_count += len(out)
+        if out and out[-1][0] > self.released:
+            self.released = out[-1][0]
         return out

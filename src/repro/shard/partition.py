@@ -99,8 +99,27 @@ def jump_hash(h: int, buckets: int) -> int:
     return b
 
 
+#: Distinct keys a :class:`HashPartitioner` remembers before it forgets
+#: them all and starts over.
+ROUTE_CACHE_LIMIT = 1 << 16
+
+#: Key types whose routes are memoised.  Exact types only: an instance of
+#: any other type may compare equal to a supported key (``Decimal(1) ==
+#: 1``) yet be rejected by :func:`_canonical_bytes`, and containers may
+#: hold such values, so those keys are encoded on every call.
+_MEMO_TYPES = frozenset({int, str, float, bool, bytes, type(None)})
+
+
 class HashPartitioner:
     """Routes keys (or payloads, via a key function) to shard indices.
+
+    Routing memoises ``key -> shard`` for scalar keys (up to
+    :data:`ROUTE_CACHE_LIMIT` of them), so a key is hashed once per
+    partitioner, not once per row.  Keys that are equal as dict keys
+    (``1``/``1.0``/``True``, ``0.0``/``-0.0``) share an entry, which is
+    sound because they already encode identically; a key that raises is
+    never stored, so it raises on every call.  A reshard builds a new
+    partitioner and therefore starts with an empty memo.
 
     Args:
         shards: Number of shards ``P``; indices are ``0..P-1``.
@@ -109,7 +128,7 @@ class HashPartitioner:
             shorthand for ``payload[name]``.
     """
 
-    __slots__ = ("shards", "key_fn")
+    __slots__ = ("shards", "key_fn", "_routes")
 
     def __init__(self, shards: int,
                  key_fn: Callable[[Any], Any] | str | None = None) -> None:
@@ -120,9 +139,19 @@ class HashPartitioner:
             field = key_fn
             key_fn = lambda payload: payload[field]  # noqa: E731
         self.key_fn = key_fn
+        self._routes: dict[Any, int] = {}
 
     def __call__(self, key: Any) -> int:
-        return jump_hash(stable_hash(key), self.shards)
+        if type(key) not in _MEMO_TYPES:
+            return jump_hash(stable_hash(key), self.shards)
+        routes = self._routes
+        shard = routes.get(key)
+        if shard is None:
+            shard = jump_hash(stable_hash(key), self.shards)
+            if len(routes) >= ROUTE_CACHE_LIMIT:
+                routes.clear()
+            routes[key] = shard
+        return shard
 
     def shard_for_payload(self, payload: Any) -> int:
         """Route a payload through ``key_fn`` (identity when unset)."""

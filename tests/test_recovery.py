@@ -293,11 +293,11 @@ class TestCheckpointStore:
 # RecoveryManager wiring
 
 
-def _bound_manager(tmp_path, **manager_kwargs):
+def _bound_manager(tmp_path, batch_size=1, **manager_kwargs):
     graph = union_graph()
     clock = VirtualClock()
     engine = ExecutionEngine(graph, clock, cost_model=None,
-                             ets_policy=OnDemandEts())
+                             ets_policy=OnDemandEts(), batch_size=batch_size)
     manager = RecoveryManager(tmp_path / "state", **manager_kwargs)
     manager.bind(graph, engine, clock)
     return graph, clock, engine, manager
@@ -519,6 +519,31 @@ class TestRecoveryManager:
         assert graph2["sink"].delivered == 8
         assert not seen  # all eight were delivered before the crash
         manager2.close()
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_suppression_cuts_a_run_where_the_count_falls(self, tmp_path,
+                                                          batch_size):
+        """Recovery withholds the first k rows from both consumers of a
+        sink — per row from ``on_output``, per run from the column hook a
+        shard captures through — even when k falls inside a block."""
+        graph, clock, engine, manager = _bound_manager(
+            tmp_path, batch_size=batch_size)
+        sink = graph["sink"]
+        rows, runs, offered = [], [], []
+        sink.on_output = lambda tup, latency: rows.append(tup.payload["seq"])
+        sink._capture = lambda ts, payloads: runs.append(
+            [p["seq"] for p in payloads])
+        manager._install_suppressor(sink, 3)
+        suppress_run = sink._capture
+        sink._capture = lambda ts, payloads: (
+            offered.append(len(ts)), suppress_run(ts, payloads))
+        _feed(graph, clock, engine, count=8)
+        assert sink.delivered == 8
+        assert rows == [3, 4, 5, 6, 7]
+        assert [seq for run in runs for seq in run] == [3, 4, 5, 6, 7]
+        if batch_size > 1:
+            assert offered[0] > 3  # the count fell inside the first run
+        manager.close()
 
     def test_checkpoint_hook_fires_on_schedule(self, tmp_path):
         graph = union_graph()

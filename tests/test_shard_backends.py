@@ -11,18 +11,31 @@ instead of blocking the caller.
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.core.config import EngineConfig
 from repro.core.errors import ExecutionError, ReproError
 from repro.core.ets import OnDemandEts
 from repro.core.graph import QueryGraph
-from repro.core.operators import Map
+from repro.core.operators import Map, SinkNode, WindowJoin
+from repro.core.tuples import DataTuple
+from repro.core.windows import WindowSpec
 from repro.feedback import FeedbackController
 from repro.obs import Observer
-from repro.shard import ShardError, ShardTimeoutError, ShardedEngine
+from repro.shard import (
+    EngineShard,
+    ProcessBackend,
+    ShardError,
+    ShardSummary,
+    ShardTimeoutError,
+    ShardedEngine,
+)
+
+from test_sharded_oracle import keyed_feeds
 
 
 def build_sleepy(sleep_s: float):
@@ -82,6 +95,26 @@ def test_process_shard_exception_propagates_as_shard_error():
             engine.wakeup()
     finally:
         engine.close(flush=False)
+
+
+def test_a_failed_call_leaves_no_reply_behind():
+    """One shard failing used to raise before the others' replies were
+    read; the next call then read those stale answers (and ``summaries()``
+    a ``ShardResult``) — a desync that never healed."""
+    backend = ProcessBackend(2, lambda index: (build_sleepy(0.0), {}),
+                             op_timeout=30.0)
+    try:
+        with pytest.raises(ShardError, match="shard 0 failed 'apply'"):
+            backend.apply_all([([("nowhere", {"k": 0}, 0.1, None)], [], 0.1),
+                               ([("src", {"k": 1}, 0.1, None)], [], 0.1)])
+        results = backend.apply_all([([("src", {"k": 2}, 0.2, None)], [], 0.2),
+                                     ([], [], 0.2)])
+        assert [(r.shard, r.ingested) for r in results] == [(0, 1), (1, 0)]
+        summaries = backend.summaries()
+        assert [type(s) for s in summaries] == [ShardSummary, ShardSummary]
+        assert [s.ingested for s in summaries] == [1, 1]
+    finally:
+        backend.close()
 
 
 def test_unknown_backend_rejected():
@@ -150,3 +183,90 @@ def test_shards_reject_a_shared_instance(knob):
     with pytest.raises(ExecutionError, match=f"zero-argument {knob} factory"):
         ShardedEngine(build_sleepy(0.0), shards=2, key="k",
                       **{knob: instance})
+
+
+# --------------------------------------------------------------------- #
+# Shard sinks hand over columns, not tuples
+
+
+def join_graph_with(on_output=None):
+    """The keyed window join of the sharded oracle, ``on_output`` at its
+    sink."""
+    def build() -> QueryGraph:
+        graph = QueryGraph("sharded-join")
+        fast = graph.add_source("fast")
+        slow = graph.add_source("slow")
+        join = graph.add(WindowJoin("join", WindowSpec.time(4.0), key="k"))
+        sink = graph.add_sink("sink", on_output)
+        graph.connect(fast, join)
+        graph.connect(slow, join)
+        graph.connect(join, sink)
+        return graph
+    return build
+
+
+def _drive_join(engine, feeds) -> list:
+    released = []
+    for index, feed in enumerate(feeds, 1):
+        engine.ingest(feed.source, feed.payload, time=feed.time,
+                      ts=feed.external_ts)
+        if index % 16 == 0:
+            released += engine.wakeup()
+    for name in ("fast", "slow"):
+        engine.inject_punctuation(name, feeds[-1].time + 1.0, origin="eos")
+    return released + engine.wakeup() + engine.close(flush=True)
+
+
+def test_shard_sinks_build_no_tuples_without_a_user_callback(monkeypatch):
+    """The shard captures ``(sink, ts, payload)`` off the block its sink
+    drains: with no ``on_output`` the sink materialises nothing.  The
+    positive control shows the probe does see sink-side ``to_tuples``."""
+    sink_calls = []
+    inner = ColumnarBlock.to_tuples
+
+    def to_tuples(block):
+        if sys._getframe(1).f_code is SinkNode.execute_block.__code__:
+            sink_calls.append(block.count)
+        return inner(block)
+
+    monkeypatch.setattr(ColumnarBlock, "to_tuples", to_tuples)
+    engine = ShardedEngine(join_graph_with(), shards=2, key="k",
+                           batch_size=8)
+    released = _drive_join(engine, keyed_feeds())
+    assert released and sink_calls == []
+
+    seen = []
+    engine = ShardedEngine(
+        join_graph_with(lambda tup, latency: seen.append(tup)), shards=2,
+        key="k", batch_size=8)
+    assert len(_drive_join(engine, keyed_feeds())) == len(released)
+    assert sum(sink_calls) == len(seen) == len(released)
+
+
+def test_a_user_on_output_keeps_its_per_row_contract(monkeypatch):
+    """Per shard, the user callback sees every delivered tuple, one call
+    per row, in exactly the order the shard reports its output."""
+    traces: list[list] = []
+
+    def build():
+        trace: list = []
+        traces.append(trace)
+        return join_graph_with(
+            lambda tup, latency: trace.append((tup, latency)))()
+
+    engine = ShardedEngine(build, shards=2, key="k", batch_size=8)
+    reported: dict[int, list] = {0: [], 1: []}
+    apply = EngineShard.apply
+
+    def spy(shard, *args):
+        result = apply(shard, *args)
+        reported[shard.index] += result.outputs
+        return result
+
+    monkeypatch.setattr(EngineShard, "apply", spy)
+    _drive_join(engine, keyed_feeds())
+    for index, trace in enumerate(traces):
+        assert trace and all(isinstance(tup, DataTuple) and latency == latency
+                             for tup, latency in trace)
+        assert [("sink", tup.ts, tup.payload) for tup, _ in trace] == \
+            reported[index]

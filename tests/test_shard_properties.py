@@ -11,9 +11,11 @@ so they are pinned directly, over adversarial random inputs.
 
 from __future__ import annotations
 
+import heapq
 import math
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro.shard import (
     FrontierTracker,
     HashPartitioner,
     jump_hash,
+    partition,
     stable_hash,
 )
 
@@ -87,6 +90,59 @@ def test_nan_and_unhashable_keys_are_actionable_errors():
         stable_hash(["lists", "are", "not", "keys"])
     with pytest.raises(ReproError):
         HashPartitioner(0)
+
+
+def _uncached(key, shards: int) -> int:
+    return jump_hash(stable_hash(key), shards)
+
+
+def test_memoised_routes_agree_with_the_hash():
+    """Equal dict keys share one memo entry, so whichever spelling is
+    routed first, every spelling answers what the hash says."""
+    groups = [(1, 1.0, True), (True, 1, 1.0), (0.0, -0.0, 0, False),
+              (-0.0, 0.0), ((1, "x"), (1.0, "x"), (True, "x")),
+              (frozenset({1, 2}), frozenset({2.0, 1.0}))]
+    for shards in (2, 3, 7):
+        part = HashPartitioner(shards)
+        for group in groups:
+            for key in group + group:  # the second pass hits the memo
+                assert part(key) == _uncached(key, shards), (key, shards)
+
+
+def test_a_raising_key_is_never_memoised():
+    part = HashPartitioner(4)
+    nan = float("nan")
+    for _ in range(2):
+        with pytest.raises(ReproError, match="NaN"):
+            part(nan)
+        with pytest.raises(ReproError):
+            part(["lists", "are", "not", "keys"])
+    part(1)
+    # Equal to a routed key, but not a supported type: still rejected.
+    with pytest.raises(ReproError, match="unsupported partition key"):
+        part(Decimal(1))
+    assert list(part._routes) == [1]
+
+
+def test_route_memo_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(partition, "ROUTE_CACHE_LIMIT", 8)
+    part = HashPartitioner(5)
+    for key in list(range(50)) + list(range(50)):
+        assert part(key) == _uncached(key, 5)
+        assert len(part._routes) <= 8
+
+
+def test_a_new_partitioner_routes_by_its_own_shard_count():
+    """A reshard builds a fresh partitioner: no route memoised for P
+    survives into P'."""
+    keys = list(range(64))
+    old = HashPartitioner(2, "k")
+    assert [old.shard_for_payload({"k": k}) for k in keys] == \
+        [_uncached(k, 2) for k in keys]
+    new = HashPartitioner(3, old.key_fn)
+    assert [new.shard_for_payload({"k": k}) for k in keys] == \
+        [_uncached(k, 3) for k in keys]
+    assert any(_uncached(k, 2) != _uncached(k, 3) for k in keys)
 
 
 def test_stable_hash_is_process_independent():
@@ -182,6 +238,86 @@ def test_release_is_strictly_below_the_frontier():
     assert [r[4] for r in merge.release(2.0)] == ["a"]
     assert merge.pending == 1
     assert [r[4] for r in merge.flush()] == ["b"]
+
+
+class HeapMerge:
+    """Reference model: the record-at-a-time heap merge the run merge
+    replaced.  Every record is pushed keyed ``(ts, shard, seq)`` and popped
+    while it is stamped strictly below the frontier."""
+
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._seq = 0
+        self.released = LATENT_TS
+        self.released_count = 0
+
+    @property
+    def pending(self) -> int:
+        return len(self._heap)
+
+    def offer(self, shard, records) -> int:
+        count = 0
+        for sink, ts, payload in records:
+            heapq.heappush(self._heap, (ts, shard, self._seq, sink, payload))
+            self._seq += 1
+            count += 1
+        return count
+
+    def release(self, frontier: float, *, flush: bool = False) -> list:
+        out = []
+        while self._heap and (flush or self._heap[0][0] < frontier):
+            record = heapq.heappop(self._heap)
+            if record[0] > self.released:
+                self.released = record[0]
+            out.append(record)
+        self.released_count += len(out)
+        return out
+
+
+class _TinyRunMerge(FrontierMerge):
+    """Coalesces held runs at every second offer."""
+
+    __slots__ = ()
+    RUN_LIMIT = 1
+
+
+#: Few distinct stamps, so ties across shards, sinks and offers are the
+#: common case, and a release frontier often sits exactly on a record.
+_STAMPS = st.sampled_from([LATENT_TS, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5, math.inf])
+_merge_ops = st.lists(st.one_of(
+    st.tuples(st.just("offer"), st.integers(0, 3), st.lists(
+        st.tuples(st.sampled_from(["a", "b"]), _STAMPS), max_size=6)),
+    st.tuples(st.just("release"), _STAMPS, st.none()),
+    st.tuples(st.just("flush"), st.none(), st.none()),
+), max_size=40)
+
+
+@pytest.mark.parametrize("merge_cls", [FrontierMerge, _TinyRunMerge])
+@settings(max_examples=300, deadline=None)
+@given(ops=_merge_ops)
+def test_run_merge_equals_the_heap_merge(merge_cls, ops):
+    """Shards x sinks x tie-heavy stamps, offers out of stamp order within
+    one shard, releases exactly at a record's stamp, and flushes: the run
+    merge releases what the heap merge releases, in the same order, with
+    the same counters, after every call.  Payloads are dicts, which do not
+    order — a comparison reaching them would raise."""
+    merge, model = merge_cls(), HeapMerge()
+    payload = 0
+    for op, arg, records in ops:
+        if op == "offer":
+            batch = []
+            for sink, ts in records:
+                batch.append((sink, ts, {"n": payload}))
+                payload += 1
+            got, want = merge.offer(arg, iter(batch)), model.offer(arg, batch)
+        elif op == "release":
+            got, want = merge.release(arg), model.release(arg)
+        else:
+            got, want = merge.flush(), model.release(0.0, flush=True)
+        assert got == want
+        assert (merge.released, merge.released_count, merge.pending,
+                len(merge)) == (model.released, model.released_count,
+                                model.pending, model.pending)
 
 
 def test_frontier_spread_and_dict():

@@ -73,10 +73,11 @@ def test_sharded_survives_fault_plans(plan_name):
 # Crash harness
 
 
-def sharded_engine(state_dir, *, checkpoint_every=4):
+def sharded_engine(state_dir, *, checkpoint_every=4, batch_size=1):
     return ShardedEngine(join_graph(), shards=SHARDS, key="k",
                          backend="serial", state_dir=state_dir,
-                         checkpoint_every=checkpoint_every)
+                         checkpoint_every=checkpoint_every,
+                         batch_size=batch_size)
 
 
 def feed_range(engine, feeds, lo, hi, *, skips=None):
@@ -125,7 +126,7 @@ def reference_run(feeds):
 
 
 def crash_and_recover(state_dir, feeds, crash_index, *,
-                      corrupt_shard: int | None = None):
+                      corrupt_shard: int | None = None, batch_size: int = 1):
     """Drive to ``crash_index``, crash-stop, recover a fresh facade, and
     re-feed the whole schedule with the report's skip counts.
 
@@ -135,7 +136,7 @@ def crash_and_recover(state_dir, feeds, crash_index, *,
     sinks durably delivered them, and replay suppression never re-emits
     them, so the crash harness accounts them to the crashed run.
     """
-    engine = sharded_engine(state_dir)
+    engine = sharded_engine(state_dir, batch_size=batch_size)
     released, _ = feed_range(engine, feeds, 0, crash_index)
     pre = released + engine.merge.flush()
     engine.close(flush=False)  # crash-stop: no EOS, nothing else flushed
@@ -148,7 +149,7 @@ def crash_and_recover(state_dir, feeds, crash_index, *,
         blob[len(blob) // 2] ^= 0xFF
         checkpoints[-1].write_bytes(bytes(blob))
 
-    engine = sharded_engine(state_dir)
+    engine = sharded_engine(state_dir, batch_size=batch_size)
     report = engine.recover()
     skips = {(shard, source): count
              for shard, counts in report.ingests_by_shard.items()
@@ -190,6 +191,16 @@ def test_crash_during_shuffle_exactly_once(tmp_path):
     report = assert_exactly_once(tmp_path, keyed_feeds(), crash_index)
     assert report.total_ingests == CHUNK * 7
     assert report.total_ingests < crash_index
+
+
+def test_block_capture_crash_is_exactly_once_off_the_block_grid(tmp_path):
+    """At ``batch_size=8`` shard sinks hand their output over a block at a
+    time; the recovered shards here suppress 15, 3 and 18 outputs — none a
+    multiple of the block size — and the run stays exactly-once."""
+    report = assert_exactly_once(tmp_path, keyed_feeds(), CHUNK * 7,
+                                 batch_size=8)
+    counts = [n for r in report.reports for n in r.suppressed.values()]
+    assert sorted(counts) == [3, 15, 18]
 
 
 def test_early_crash_before_first_checkpoint(tmp_path):
