@@ -139,6 +139,11 @@ class ColumnarBlock:
                          payload=self.payloads[i], kind=self.kind[i],
                          arrival_ts=self.arrival[i])
 
+    def __iter__(self) -> Iterator[DataTuple]:
+        """The selected rows, materialized one at a time (a read-only view;
+        a window snapshot's ``items`` reads like the tuple list it was)."""
+        return map(self.row, range(self.count))
+
     # ------------------------------------------------------------------ #
     # Introspection
 

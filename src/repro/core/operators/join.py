@@ -60,40 +60,25 @@ def merge_payloads(left: Any, right: Any,
     return merged
 
 
-class _EmptyWindow:
-    """Window stub for the unstored side of an asymmetric join.
-
-    Implements the *full* :class:`~repro.core.windows.WindowProtocol`, so a
-    join may treat both sides uniformly.  Every read yields the same answer
-    an always-empty window would give; every write is a no-op.
-    """
+class _EmptyWindow(TimeWindow):
+    """Window stub for the unstored side of an asymmetric join: a real
+    window (the full :class:`~repro.core.windows.WindowProtocol`, so a join
+    treats both sides uniformly) whose writes are no-ops, so every read
+    gives the answer an always-empty window would."""
 
     __slots__ = ()
 
-    span = 0.0
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
+    def __init__(self) -> None:
+        super().__init__(float("inf"))
 
     def insert(self, tup: DataTuple) -> None:
         pass
 
-    def insert_run(self, tuples) -> None:
+    def insert_run(self, rows, start: int = 0, stop=None) -> None:
         pass
 
-    def expire(self, now: float) -> int:
-        return 0
-
-    def matches(self, probe_ts: float):
-        """Same contract as the real windows: an iterator of candidates."""
-        return iter(())
-
-    def probe(self, key: Any):
-        """The (empty) bucket for ``key``."""
-        return iter(())
+    def probe(self, key: Any) -> tuple:
+        return ()
 
     def state_floor(self) -> float:
         return float("inf")
@@ -288,19 +273,20 @@ class WindowJoin(IwpOperator):
         # probe happens against the still-valid window contents).
         other_window.expire(tup.ts)
         if self.indexed:
-            # The opposite window is key-partitioned: only the matching
-            # bucket is examined.
+            # Key-partitioned: only the matching bucket is examined.
             candidates = other_window.probe(tup.payload[self.key_fields[idx]])
         else:
             candidates = other_window.matches(tup.ts)
+        base = other_window.base
+        payloads, arrival = other_window.payloads, other_window.arrival
         predicate = self._match
-        probes = 0
+        probes = len(candidates)
         emitted = 0
-        for candidate in candidates:
-            probes += 1
+        for number in candidates:
+            row = number - base
             left_payload, right_payload = (
-                (tup.payload, candidate.payload) if idx == 0
-                else (candidate.payload, tup.payload)
+                (tup.payload, payloads[row]) if idx == 0
+                else (payloads[row], tup.payload)
             )
             if predicate is not None and not predicate(left_payload,
                                                        right_payload):
@@ -308,7 +294,8 @@ class WindowJoin(IwpOperator):
             out = DataTuple(ts=tup.ts,
                             payload=self.combiner(left_payload, right_payload),
                             kind=tup.kind,
-                            arrival_ts=latest_arrival(tup, candidate))
+                            arrival_ts=latest_arrival(tup.arrival_ts,
+                                                      arrival[row]))
             self.emit(out)
             emitted += 1
         own_window.expire(tup.ts)
@@ -341,14 +328,15 @@ class WindowJoin(IwpOperator):
         row strictly below the **merge horizon** — the smaller of the two
         points where the runs end.  Below it the scalar selection is a plain
         two-way merge (cross-side ties: input 0 first), so the rows are
-        drained with one :meth:`StreamBuffer.drain_batch` per side and
-        walked in merged order.  A row tying the horizon, a latent head and
-        punctuation are consumed one element at a time, the data ones
-        through the same probe loop as a one-row merge.
+        drained as columns (:meth:`StreamBuffer.drain_block`, no tuple
+        built) and walked in merged order.  A row tying the horizon, a
+        latent head and punctuation are consumed one element at a time.
 
         Per row the probe is inherently scalar; everything around it is
-        amortized.  Own-window maintenance is one :meth:`insert_run` per
-        same-side stretch, flushed at each side switch (a row must see
+        amortized.  A probe answers row numbers, and a candidate's payload
+        and arrival are read out of the opposite window's columns.
+        Own-window maintenance is one :meth:`insert_run` per same-side
+        stretch, flushed at each side switch (a row must see
         every earlier-merged row of the other side).  The no-match
         punctuation gate of a mid-merge row is the next merged row's
         timestamp — what the gate would have computed against the
@@ -384,9 +372,7 @@ class WindowJoin(IwpOperator):
             if pick is None:
                 break  # more() is false
             if latent is not None:
-                n0 = 1 - latent
-                rows = inputs[latent].drain_batch(1)
-                rows[0] = rows[0].stamped(ctx.clock.now())
+                n0, n1 = 1 - latent, latent
             else:
                 budget = limit - steps
                 stamps0, end0 = inputs[0].head_run(budget)
@@ -401,50 +387,53 @@ class WindowJoin(IwpOperator):
                     merged = sorted(range(n0 + n1), key=stamps.__getitem__)
                     n0 = sum(1 for i in merged[:budget] if i < n0)
                     n1 = budget - n0
-                if n0 + n1:
-                    rows = inputs[0].drain_batch(n0) if n0 else []
-                    if n1:
-                        rows += inputs[1].drain_batch(n1)
-                elif inputs[pick].head_is_punctuation():
-                    punct_idx = pick
-                    break  # punctuation is a batch boundary
-                else:
+                if n0 + n1 == 0:
+                    if inputs[pick].head_is_punctuation():
+                        punct_idx = pick
+                        break  # punctuation is a batch boundary
                     # Nothing below the horizon: the data element at τ.
-                    n0 = 1 - pick
-                    rows = inputs[pick].drain_batch(1)
-            # rows[:n0] came off input 0, rows[n0:] off input 1; walk them
+                    n0, n1 = 1 - pick, pick
+            rows = ([], [], [], [], [])  # ts, seq, kind, arrival, payloads
+            _drain_rows(inputs[0], n0, rows)
+            _drain_rows(inputs[1], n1, rows)
+            if latent is not None:
+                rows[0][0] = ctx.clock.now()
+            # Rows [:n0] came off input 0, rows [n0:] off input 1; walk them
             # in merged order (the sort is stable: ties keep input 0 first).
-            n = len(rows)
+            row_ts, _, row_kind, row_arrival, row_payloads = rows
+            n = len(row_ts)
             order = range(n)
             if 0 < n0 < n:
-                order = sorted(order, key=(stamps0[:n0] + stamps1[:n - n0])
-                               .__getitem__)
+                order = sorted(order, key=row_ts.__getitem__)
             side = None
             for k, idx in enumerate(order):
-                tup = rows[idx]
                 if (idx >= n0) is not side:
                     if side is not None:
-                        windows[side].insert_run(rows[stretch:prev + 1])
+                        windows[side].insert_run(rows, stretch, prev + 1)
                     side = idx >= n0
                     stretch = idx
                     other_window = windows[1 - side]
+                    other_payloads = other_window.payloads
+                    other_arrival = other_window.arrival
                     key_field = key_fields[side]
                     lookup = (other_window.probe if use_index
                               else other_window.matches)
                 prev = idx
-                ts = tup.ts
-                payload = tup.payload
+                ts = row_ts[idx]
+                payload = row_payloads[idx]
                 other_window.expire(ts)
                 candidates = lookup(payload[key_field] if use_index else ts)
+                base = other_window.base
+                probes += len(candidates)
                 emitted = 0
-                tup_kind = tup.kind
-                tup_arr = tup.arrival_ts
+                tup_kind = row_kind[idx]
+                tup_arr = row_arrival[idx]
                 tup_arr_nan = tup_arr != tup_arr
-                for candidate in candidates:
-                    probes += 1
+                for number in candidates:
+                    cand = number - base
                     left_payload, right_payload = (
-                        (candidate.payload, payload) if side
-                        else (payload, candidate.payload)
+                        (other_payloads[cand], payload) if side
+                        else (payload, other_payloads[cand])
                     )
                     if predicate is not None and not predicate(
                             left_payload, right_payload):
@@ -452,7 +441,7 @@ class WindowJoin(IwpOperator):
                     cts_append(ts)
                     cseq_append(next(seq_counter))
                     ckind_append(tup_kind)
-                    cand_arr = candidate.arrival_ts
+                    cand_arr = other_arrival[cand]
                     if tup_arr_nan:
                         carr_append(cand_arr)
                     elif cand_arr != cand_arr or tup_arr >= cand_arr:
@@ -472,13 +461,13 @@ class WindowJoin(IwpOperator):
                     if ts > watermark:
                         watermark = ts
                 else:
-                    tau = (rows[order[k + 1]].ts if k + 1 < n
+                    tau = (row_ts[order[k + 1]] if k + 1 < n
                            else self._tau())
                     if tau > watermark:
                         cuts.append((len(col_ts),
                                      Punctuation(ts=tau, origin=self.name)))
                         watermark = tau
-            windows[side].insert_run(rows[stretch:prev + 1])
+            windows[side].insert_run(rows, stretch, prev + 1)
             steps += n
         forwarded = sum(1 for _, punct in cuts if punct is not None)
         self._last_emitted_ts = watermark
@@ -523,7 +512,19 @@ class WindowJoin(IwpOperator):
         return StepResult(consumed=punct)
 
 
-def latest_arrival(a: DataTuple, b: DataTuple) -> float:
+def _drain_rows(buf, n: int, rows: tuple) -> None:
+    """Move ``n`` data rows off ``buf`` onto the ends of the five column
+    lists ``rows``, one :meth:`StreamBuffer.drain_block` at a time."""
+    while n > 0:
+        block = buf.drain_block(n)
+        sel = block.selection
+        n -= block.count
+        for col, src in zip(rows, (block.ts, block.seq, block.kind,
+                                   block.arrival, block.payloads)):
+            col += src if sel is None else [src[i] for i in sel]
+
+
+def latest_arrival(fa: float, fb: float) -> float:
     """Arrival stamp for a join result: the later of the two inputs'.
 
     A join result becomes derivable only once its *second* contributing
@@ -531,7 +532,6 @@ def latest_arrival(a: DataTuple, b: DataTuple) -> float:
     the paper measures — is counted from the later arrival.  NaN stamps
     (never set) lose to real stamps.
     """
-    fa, fb = a.arrival_ts, b.arrival_ts
     if fa != fa:  # NaN
         return fb
     if fb != fb:

@@ -12,40 +12,42 @@ One class per retention policy:
   reference timestamp (time-based sliding window);
 * :class:`CountWindow` — keep the last ``size`` tuples (tuple-based window).
 
-Both expose the same small interface (`insert`, `insert_run`, `expire`,
-`matches`, iteration), so the join and aggregate operators are
-policy-agnostic.  Built with a ``key_fn``, a window additionally
-hash-partitions its contents into per-key buckets and answers
-``probe(key)``, so an equality join examines one bucket instead of the
-whole window; without one it keeps no buckets and ``probe`` raises.
+Column layout
+-------------
 
-Amortized expiry of the buckets
--------------------------------
+A window holds no tuple objects: its rows are five parallel columns (``ts``,
+``seq``, ``kind``, ``arrival``, ``payloads`` — a
+:class:`~repro.core.columnar.ColumnarBlock`'s layout).  A row's absolute
+**row number** is ``base`` + its index and ``head`` indexes the first live
+row: **a row is live iff its number is >= base + head**.  Retention only
+moves ``head``; the dead prefix is cut off once it is at least 64 rows and
+half the columns (amortized compaction shifts ``base``, never a number).
+``insert_run`` appends a slice of five columns; ``matches`` and ``probe``
+answer row numbers, the candidate's fields sitting at ``number - base``.
 
-Keeping every bucket eagerly trimmed would make ``expire(now)`` scan all
-buckets — O(distinct keys) per probe even when nothing expires.  Instead the
-work is split:
+With a ``key_fn`` a window also files each number in the bucket of its key
+(extracted once, at insert), so ``probe(key)`` examines one bucket instead of
+the whole window; without one it keeps no buckets and ``probe`` raises.
+Expiry stays O(dropped): the columns are trimmed eagerly (``len``, iteration
+and the Fig.-8 memory metric stay exact), a bucket pops its dead head run
+lazily when probed, and a **backstop sweep** purges every bucket once enough
+rows have died (time: ``max(64, live rows)`` expirations since the last
+sweep; count: every ``max(64, size)`` insertions), so a key that stops
+arriving cannot retain dead numbers indefinitely.
 
-* a **global** tuple log (insertion order == timestamp order) is trimmed
-  eagerly, so ``expire(now)`` stays O(dropped) and ``len``/iteration/the
-  Fig.-8 memory metric remain exact;
-* each **bucket** records shared-structure references and is purged
-  **lazily** against the global horizon the moment it is probed.  A tuple is
-  popped from its bucket exactly once, after it expired, so the lazy purges
-  are O(dropped) amortized across a run, and an unprobed bucket costs no
-  CPU at all;
-* a **backstop sweep** purges every bucket once enough expirations have
-  accumulated (at least ``max(64, live tuples)`` since the last sweep), so
-  buckets that are *never* probed again — a key that stops arriving on the
-  other input — cannot retain expired tuples indefinitely.  The sweep's
-  cost is amortized against the expirations that triggered it.
+A snapshot (version 2) is a column dump: ``items`` is a ``ColumnarBlock``
+of the live rows.  A version-1 snapshot (a list of data tuples) restores.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict, deque
-from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from operator import le
+from typing import (Any, Callable, Iterable, Iterator, Protocol, Sequence,
+                    runtime_checkable)
 
+from .columnar import ColumnarBlock
 from .errors import ReproError
 from .tuples import DataTuple
 
@@ -60,15 +62,20 @@ __all__ = [
 #: insert).  Must return a hashable value.
 KeyFn = Callable[[Any], Any]
 
+#: Five parallel columns: ts, seq, kind, arrival, payloads.
+Rows = Sequence[Sequence[Any]]
+
 
 @runtime_checkable
 class WindowProtocol(Protocol):
-    """The full window contract the join operators program against.
+    """The full window contract the join operators program against.  Every
+    window — the join module's empty-side stub included — implements all of
+    it, so a join treats both sides uniformly.  ``matches`` and ``probe``
+    answer row numbers: row ``n`` sits at index ``n - base`` of a column."""
 
-    Every window — including the :class:`~repro.core.operators.join` module's
-    empty-side stub — implements all of these, so a join may treat both of
-    its sides uniformly.
-    """
+    base: int
+    arrival: Sequence[float]
+    payloads: Sequence[Any]
 
     def __len__(self) -> int: ...
 
@@ -76,13 +83,14 @@ class WindowProtocol(Protocol):
 
     def insert(self, tup: DataTuple) -> None: ...
 
-    def insert_run(self, tuples: Iterable[DataTuple]) -> None: ...
+    def insert_run(self, rows: Rows, start: int = 0,
+                   stop: int | None = None) -> None: ...
 
     def expire(self, now: float) -> int: ...
 
-    def matches(self, probe_ts: float) -> Iterator[DataTuple]: ...
+    def matches(self, probe_ts: float) -> Iterable[int]: ...
 
-    def probe(self, key: Any) -> Iterable[DataTuple]: ...
+    def probe(self, key: Any) -> Iterable[int]: ...
 
     def state_floor(self) -> float: ...
 
@@ -129,180 +137,252 @@ class WindowSpec:
         return f"WindowSpec({self.mode!r}, {self.extent!r})"
 
 
-def _hash_key(key: Any, window: str) -> Any:
-    """Validate hashability once, with an actionable error on failure."""
-    try:
-        hash(key)
-    except TypeError:
-        raise ReproError(
-            f"{window}: join key {key!r} is unhashable — equality fast "
-            "paths need hashable key values; use predicate=... (scan path) "
-            "for unhashable keys"
-        ) from None
-    return key
+def _unhashable(key: Any, window: str) -> ReproError:
+    """The actionable error for a key a bucket dict rejected."""
+    return ReproError(
+        f"{window}: join key {key!r} is unhashable — equality fast "
+        "paths need hashable key values; use predicate=... (scan path) "
+        "for unhashable keys")
 
 
-class TimeWindow:
-    """A time-based sliding window buffer ``W(X)``.
+def _one_row(tup: DataTuple) -> tuple:
+    return ((tup.ts,), (tup.seq,), (tup.kind,), (tup.arrival_ts,),
+            (tup.payload,))
 
-    Holds data tuples in timestamp order.  ``expire(now)`` drops every tuple
-    whose timestamp is older than ``now - span``.  Tuples carrying equal
-    timestamps are all retained (simultaneous tuples are first-class citizens
-    in this paper).
 
-    With a ``key_fn`` every tuple is also appended to the bucket of its key
-    (extracted once, at insert), so ``probe(key)`` touches only the tuples an
-    equality join can match; the module docstring has the expiry scheme.
-    """
+class _ColumnWindow:
+    """The columns, row numbers and buckets both retention policies share
+    (the module docstring has the layout and the expiry scheme)."""
 
-    __slots__ = ("span", "key_fn", "_items", "_buckets", "_horizon", "_stale")
+    __slots__ = ("key_fn", "ts", "seq", "kind", "arrival", "payloads",
+                 "base", "head", "_buckets")
 
-    def __init__(self, span: float, key_fn: KeyFn | None = None) -> None:
-        if span <= 0:
-            raise ReproError(f"time window span must be positive, got {span}")
-        self.span = span
+    def __init__(self, key_fn: KeyFn | None) -> None:
         self.key_fn = key_fn
-        self._items: deque[DataTuple] = deque()
-        self._buckets: dict[Any, deque[DataTuple]] = defaultdict(deque)
-        self._horizon = float("-inf")
-        self._stale = 0  # drops since the last backstop sweep
+        self._reset()
+
+    def _reset(self) -> None:
+        self.ts: list[float] = []
+        self.seq: list[int] = []
+        self.kind: list[Any] = []
+        self.arrival: list[float] = []
+        self.payloads: list[Any] = []
+        self.base = 0  # row number of index 0
+        self.head = 0  # index of the first live row
+        self._buckets: dict[Any, deque[int]] = defaultdict(deque)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.ts) - self.head
 
     def __iter__(self) -> Iterator[DataTuple]:
-        return iter(self._items)
+        """The live rows, oldest first, materialized (a read-only view)."""
+        return iter(self._live())
+
+    def _live(self) -> ColumnarBlock:
+        return ColumnarBlock(*[col[self.head:] for col in self._columns()])
+
+    def _columns(self) -> tuple:
+        return self.ts, self.seq, self.kind, self.arrival, self.payloads
 
     @property
     def bucket_count(self) -> int:
         """Live buckets (unpurged empties included) — introspection only."""
         return len(self._buckets)
 
-    def insert(self, tup: DataTuple) -> None:
-        """Append ``tup``; tuples must arrive in timestamp order."""
-        items = self._items
-        if items and tup.ts < items[-1].ts:
-            raise ReproError(
-                f"window insert out of order: {tup.ts} after {items[-1].ts}"
-            )
-        items.append(tup)
-        key_fn = self.key_fn
-        if key_fn is not None:
-            key = _hash_key(key_fn(tup.payload), "TimeWindow")
+    def _append(self, rows: Rows, start: int, stop: int) -> int:
+        """Append ``rows[start:stop]`` unfiled; returns its first number."""
+        number = self.base + len(self.ts)
+        ts, seq, kind, arrival, payloads = rows
+        if stop - start == 1:  # the join's typical one-row stretch
+            self.ts.append(ts[start])
+            self.seq.append(seq[start])
+            self.kind.append(kind[start])
+            self.arrival.append(arrival[start])
+            self.payloads.append(payloads[start])
+        else:
+            for col, src in zip(self._columns(), rows):
+                col += src[start:stop]
+        return number
+
+    def _put(self, rows: Rows) -> None:
+        """Append and file all of ``rows``, with no retention."""
+        number = self._append(rows, 0, len(rows[0]))
+        if self.key_fn is not None:
+            self._file(rows[4], 0, len(rows[0]), number)
+
+    def _file(self, payloads: Sequence[Any], start: int, stop: int,
+              number: int) -> None:
+        """File ``payloads[start:stop]`` as row numbers from ``number``."""
+        key_fn, buckets = self.key_fn, self._buckets
+        for i in range(start, stop):
+            key = key_fn(payloads[i])
             if key == key:  # NaN keys never match anything (scan parity)
-                self._buckets[key].append(tup)
+                try:
+                    buckets[key].append(number)
+                except TypeError:
+                    raise _unhashable(key, type(self).__name__) from None
+            number += 1
 
-    def insert_run(self, tuples: Iterable[DataTuple]) -> None:
-        """Bulk insert: equivalent to ``expire(t.ts); insert(t)`` per tuple.
-
-        Fast path (keyed windows, whose per-row bucket work it amortizes):
-        when even the run's final horizon cannot drop the oldest live tuple,
-        no expiry can occur anywhere in the run — the horizon is advanced
-        once and the rows are appended straight into the log and their
-        buckets (``_stale`` untouched, so backstop-sweep timing is identical
-        by construction).  Otherwise the per-tuple interleaving is replayed
-        exactly: a run longer than the span must expire its own early
-        tuples, and sweep thresholds depend on per-step drop counts.
-        """
-        if not isinstance(tuples, list):
-            tuples = list(tuples)
-        if not tuples:
-            return
-        items = self._items
-        key_fn = self.key_fn
-        horizon = tuples[-1].ts - self.span
-        head_ts = items[0].ts if items else tuples[0].ts
-        if key_fn is None or head_ts < horizon:
-            expire, insert = self.expire, self.insert
-            for tup in tuples:
-                expire(tup.ts)
-                insert(tup)
-            return
-        if horizon > self._horizon:
-            self._horizon = horizon
-        prev = items[-1].ts if items else tuples[0].ts
-        buckets = self._buckets
-        for tup in tuples:
-            if tup.ts < prev:
-                raise ReproError(
-                    f"window insert out of order: {tup.ts} after {prev}"
-                )
-            prev = tup.ts
-            items.append(tup)
-            key = _hash_key(key_fn(tup.payload), "TimeWindow")
-            if key == key:  # NaN keys never match anything (scan parity)
-                buckets[key].append(tup)
-
-    def expire(self, now: float) -> int:
-        """Drop tuples with ``ts < now - span``; return how many were dropped.
-
-        Only the global log is trimmed here; buckets catch up lazily when
-        probed, against the horizon recorded now.
-        """
-        horizon = now - self.span
-        if horizon > self._horizon:
-            self._horizon = horizon
-        dropped = 0
-        items = self._items
-        while items and items[0].ts < horizon:
-            items.popleft()
-            dropped += 1
-        if dropped:
-            self._stale += dropped
-            if self._stale >= max(64, len(items)):
-                self._sweep()
-        return dropped
+    def _compact(self) -> None:
+        """Cut the dead prefix off once it is large (amortized O(1))."""
+        head = self.head
+        if head >= 64 and 2 * head >= len(self.ts):
+            for col in self._columns():
+                del col[:head]
+            self.base += head
+            self.head = 0
 
     def _sweep(self) -> None:
-        """Purge every bucket against the horizon (the backstop of the
-        module docstring's amortization scheme, for never-probed buckets)."""
-        self._stale = 0
-        horizon = self._horizon
-        for key in list(self._buckets):
-            bucket = self._buckets[key]
-            while bucket and bucket[0].ts < horizon:
+        """Purge every bucket of dead numbers (the backstop sweep)."""
+        floor = self.base + self.head
+        buckets = self._buckets
+        for key in list(buckets):
+            bucket = buckets[key]
+            while bucket and bucket[0] < floor:
                 bucket.popleft()
             if not bucket:
-                del self._buckets[key]
+                del buckets[key]
 
-    def matches(self, probe_ts: float) -> Iterator[DataTuple]:
-        """Yield window tuples joinable with a probe at ``probe_ts``.
+    def matches(self, probe_ts: float) -> range:
+        """Every live row's number (all in range after the eager expiry)."""
+        return range(self.base + self.head, self.base + len(self.ts))
 
-        With expiry performed eagerly against the probing tuple's timestamp,
-        every remaining tuple is within the window, so this is simply
-        iteration; it exists so callers read as the paper's "join of the
-        tuple in A with the tuples in W(B)".
-        """
-        return iter(self._items)
-
-    def probe(self, key: Any) -> Iterable[DataTuple]:
-        """The tuples an equality join at ``key`` can match, oldest first.
-
-        Purges the bucket's expired head run first (lazy half of the
-        amortized expiry) and drops the bucket entirely once empty, so
-        stale keys do not accumulate dict entries.
-        """
+    def probe(self, key: Any) -> Iterable[int]:
+        """Row numbers an equality join at ``key`` can match, oldest first
+        (the bucket's dead head run popped; an emptied bucket dropped)."""
         if self.key_fn is None:
             raise ReproError(
-                "TimeWindow is not key-indexed; build it with a key_fn "
-                "to probe by key"
-            )
+                f"{type(self).__name__} is not key-indexed; build it with a "
+                "key_fn to probe by key")
         if key != key:  # NaN: != everything, including itself, under scan
             return ()
-        _hash_key(key, "TimeWindow")
-        bucket = self._buckets.get(key)
+        try:
+            bucket = self._buckets.get(key)
+        except TypeError:
+            raise _unhashable(key, type(self).__name__) from None
         if bucket is None:
             return ()
-        horizon = self._horizon
-        while bucket and bucket[0].ts < horizon:
+        floor = self.base + self.head
+        while bucket and bucket[0] < floor:
             bucket.popleft()
         if not bucket:
             del self._buckets[key]
             return ()
         return bucket
 
+    def snapshot_state(self) -> dict:
+        """Versioned column dump of the live rows (buckets are derived
+        state: restore rebuilds them, shedding unpurged dead numbers)."""
+        return {"version": 2, "items": self._live()}
+
+    def restore_state(self, state: dict) -> None:
+        """Restore a column dump, or a version-1 snapshot's tuple list."""
+        version = state.get("version")
+        if version not in (1, 2):
+            raise ReproError(
+                f"unsupported {type(self).__name__} state: {state!r}")
+        rows = state["items"]
+        if version == 1:
+            rows = ColumnarBlock.from_tuples(rows)
+        self._reset()
+        self._load(state, (rows.ts, rows.seq, rows.kind, rows.arrival,
+                           rows.payloads))
+
+
+class TimeWindow(_ColumnWindow):
+    """A time-based sliding window buffer ``W(X)``: rows in timestamp
+    order, ``expire(now)`` dropping those older than ``now - span``.  Equal
+    timestamps are all retained (simultaneous tuples are first-class)."""
+
+    __slots__ = ("span", "_horizon", "_stale")
+
+    def __init__(self, span: float, key_fn: KeyFn | None = None) -> None:
+        if span <= 0:
+            raise ReproError(f"time window span must be positive, got {span}")
+        self.span = span
+        self._horizon = float("-inf")
+        self._stale = 0  # drops since the last backstop sweep
+        super().__init__(key_fn)
+
+    def insert(self, tup: DataTuple) -> None:
+        """Append ``tup`` (no expiry); rows must arrive in timestamp order."""
+        col = self.ts
+        if len(col) > self.head and tup.ts < col[-1]:
+            raise ReproError(
+                f"window insert out of order: {tup.ts} after {col[-1]}")
+        self._put(_one_row(tup))
+
+    def insert_run(self, rows: Rows, start: int = 0,
+                   stop: int | None = None) -> None:
+        """Bulk insert of ``rows[start:stop]``: ``expire(t); insert`` per
+        row.  A keyed window advances ``head`` row by row, so the backstop
+        sweeps land where per-row insertion puts them; a key-less one (whose
+        sweeps touch nothing) bisects once to the final horizon."""
+        ts = rows[0]
+        if stop is None:
+            stop = len(ts)
+        if start >= stop:
+            return
+        col, head, span = self.ts, self.head, self.span
+        end = len(col)
+        prev = col[-1] if end > head else ts[start]
+        if ts[start] < prev or stop - start > 1 and not all(
+                map(le, ts[start:stop - 1], ts[start + 1:stop])):
+            for i in range(start, stop):
+                if ts[i] < prev:
+                    raise ReproError(
+                        f"window insert out of order: {ts[i]} after {prev}")
+                prev = ts[i]
+        prev = ts[stop - 1]
+        if prev - span > self._horizon:
+            self._horizon = prev - span
+        number = self._append(rows, start, stop) - start
+        key_fn = self.key_fn
+        if key_fn is None:
+            if col[head] < prev - span:
+                head = bisect_left(col, prev - span, head)
+        else:
+            payloads, buckets, stale = rows[4], self._buckets, self._stale
+            for i in range(start, stop):
+                horizon = ts[i] - span
+                if col[head] < horizon:  # row i itself never is
+                    dropped = head
+                    while col[head] < horizon:
+                        head += 1
+                    stale += head - dropped
+                    live = end + i - start - head
+                    if stale >= (live if live > 64 else 64):
+                        self.head, stale = head, 0
+                        self._sweep()
+                key = key_fn(payloads[i])
+                if key == key:  # NaN keys never match anything
+                    try:
+                        buckets[key].append(number + i)
+                    except TypeError:
+                        raise _unhashable(key, "TimeWindow") from None
+            self._stale = stale
+        self.head = head
+        if head >= 64:
+            self._compact()
+
+    def expire(self, now: float) -> int:
+        """Drop rows with ``ts < now - span``; return how many dropped."""
+        horizon = now - self.span
+        if horizon > self._horizon:
+            self._horizon = horizon
+        col, start = self.ts, self.head
+        if start == len(col) or col[start] >= horizon:
+            return 0
+        self.head = head = bisect_left(col, horizon, start)
+        self._stale += head - start
+        if self._stale >= max(64, len(col) - head):
+            self._stale = 0
+            self._sweep()
+        self._compact()
+        return head - start
+
     def state_floor(self) -> float:
-        """The expiry horizon: no live tuple is stamped below it."""
+        """The expiry horizon: no live row is stamped below it."""
         return self._horizon
 
     def state_reach(self) -> float:
@@ -310,152 +390,72 @@ class TimeWindow:
         return self.span
 
     def snapshot_state(self) -> dict:
-        """Versioned snapshot: only the global log and its horizon travel.
+        state = super().snapshot_state()
+        state["horizon"] = self._horizon
+        return state
 
-        Buckets are derived state (key_fn over the log) and may hold
-        lazily-unpurged expired tuples; they are reconstructed from the
-        global log on restore, which also sheds that dead weight.
-        """
-        return {"version": 1, "items": list(self._items),
-                "horizon": self._horizon}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the global log and rebuild per-key buckets from it.
-
-        Snapshots written before the horizon travelled restore it as -inf:
-        every restored tuple is live, so no purge depends on it.
-        """
-        if state.get("version") != 1:
-            raise ReproError(f"unsupported TimeWindow state: {state!r}")
-        self._items.clear()
-        self._buckets.clear()
+    def _load(self, state: dict, rows: tuple) -> None:
+        """Snapshots written before the horizon travelled restore it as
+        -inf: every restored row is live, so no purge depends on it."""
         self._horizon = state.get("horizon", float("-inf"))
         self._stale = 0
-        for tup in state["items"]:
-            self.insert(tup)
+        self._put(rows)
 
 
-class CountWindow:
-    """A tuple-count sliding window buffer holding the last ``size`` tuples.
+class CountWindow(_ColumnWindow):
+    """A tuple-count sliding window buffer holding the last ``size`` rows.
+    Row numbers double as insertion numbers: after ``c`` insertions since
+    construction (or restore) the live rows are numbered ``c - size`` up."""
 
-    With a ``key_fn`` the contents are also hash-partitioned into per-key
-    buckets; bucket entries record each tuple's insertion number so a probed
-    bucket can lazily discard entries the global ring has already evicted.
-    """
-
-    __slots__ = ("size", "key_fn", "_items", "_buckets", "_inserted",
-                 "_swept_at")
+    __slots__ = ("size", "_swept_at")
 
     def __init__(self, size: int, key_fn: KeyFn | None = None) -> None:
         if size <= 0:
             raise ReproError(f"count window size must be positive, got {size}")
         self.size = int(size)
-        self.key_fn = key_fn
-        self._items: deque[DataTuple] = deque(maxlen=self.size)
-        self._buckets: dict[Any, deque] = defaultdict(deque)  # (number, tup)
-        self._inserted = 0  # keyed insertions; only differences matter
         self._swept_at = 0  # insertion count at the last backstop sweep
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[DataTuple]:
-        return iter(self._items)
-
-    @property
-    def bucket_count(self) -> int:
-        """Live buckets (unpurged empties included) — introspection only."""
-        return len(self._buckets)
+        super().__init__(key_fn)
 
     def insert(self, tup: DataTuple) -> None:
-        """Append ``tup``, evicting the globally oldest tuple when full."""
-        self._items.append(tup)
-        key_fn = self.key_fn
-        if key_fn is None:
-            return
-        self._inserted += 1
-        key = _hash_key(key_fn(tup.payload), "CountWindow")
-        if key == key:  # NaN keys never match anything (scan parity)
-            self._buckets[key].append((self._inserted, tup))
-        if self._inserted - self._swept_at >= max(64, self.size):
-            self._sweep()
+        """Append ``tup``, evicting the globally oldest row when full."""
+        self.insert_run(_one_row(tup))
 
-    def insert_run(self, tuples: Iterable[DataTuple]) -> None:
-        """Bulk insert.  Without buckets the bounded deque evicts exactly as
-        per-tuple insertion would, so this is one C-level extend; with them
-        per-tuple insertion is replayed (the backstop sweep fires at exact
-        insertion numbers, so no batched shortcut stays bit-identical)."""
-        if self.key_fn is None:
-            self._items.extend(tuples)
-            return
-        insert = self.insert
-        for tup in tuples:
-            insert(tup)
-
-    def _sweep(self) -> None:
-        """Purge every bucket of globally evicted entries (the module
-        docstring's backstop, for never-probed buckets)."""
-        self._swept_at = self._inserted
-        oldest_live = self._inserted - self.size
-        for key in list(self._buckets):
-            bucket = self._buckets[key]
-            while bucket and bucket[0][0] <= oldest_live:
-                bucket.popleft()
-            if not bucket:
-                del self._buckets[key]
+    def insert_run(self, rows: Rows, start: int = 0,
+                   stop: int | None = None) -> None:
+        """Bulk insert of ``rows[start:stop]``, evicting as per-row
+        insertion would.  A keyed window files numbers up to each backstop
+        sweep (every ``max(64, size)`` insertions), sweeps, and goes on."""
+        if stop is None:
+            stop = len(rows[0])
+        first = self._append(rows, start, stop) - start  # number of index 0
+        total = self.base + len(self.ts)
+        size = self.size
+        if self.key_fn is not None:
+            every, filed = max(64, size), start
+            while self._swept_at + every <= total:
+                at = self._swept_at = self._swept_at + every
+                self._file(rows[4], filed, at - first, first + filed)
+                filed = at - first
+                self.head = max(self.head, at - size - self.base)
+                self._sweep()
+            self._file(rows[4], filed, stop, first + filed)
+        self.head = max(self.head, total - size - self.base)
+        self._compact()
 
     def expire(self, now: float) -> int:
         """Count windows expire by insertion, so this is a no-op."""
         return 0
 
-    def matches(self, probe_ts: float) -> Iterator[DataTuple]:
-        return iter(self._items)
-
-    def probe(self, key: Any) -> Iterable[DataTuple]:
-        """The tuples an equality join at ``key`` can match, oldest first."""
-        if self.key_fn is None:
-            raise ReproError(
-                "CountWindow is not key-indexed; build it with a key_fn "
-                "to probe by key"
-            )
-        if key != key:  # NaN (see TimeWindow.probe)
-            return ()
-        _hash_key(key, "CountWindow")
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return ()
-        oldest_live = self._inserted - self.size  # insertion numbers > this
-        while bucket and bucket[0][0] <= oldest_live:
-            bucket.popleft()
-        if not bucket:
-            del self._buckets[key]
-            return ()
-        return (tup for _, tup in bucket)
-
     def state_floor(self) -> float:
-        """Eviction is by count: which tuples are live depends on every
-        insertion, not on a timestamp."""
+        """Eviction is by count, not by timestamp: no floor."""
         return float("-inf")
 
     def state_reach(self) -> float:
-        """A probe may match a tuple of any age."""
+        """A probe may match a row of any age."""
         return float("inf")
 
-    def snapshot_state(self) -> dict:
-        """Versioned snapshot: only the global ring travels (buckets are
-        derived state, see :meth:`TimeWindow.snapshot_state`)."""
-        return {"version": 1, "items": list(self._items)}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the global ring and rebuild per-key buckets from it.
-
-        Insertion numbers restart at the ring's length: buckets compare
-        them only with each other, so an ``inserted`` total carried by an
-        older snapshot is not needed.
-        """
-        if state.get("version") != 1:
-            raise ReproError(f"unsupported CountWindow state: {state!r}")
-        self._items.clear()
-        self._buckets.clear()
-        self._inserted = self._swept_at = 0
-        self.insert_run(state["items"])
+    def _load(self, state: dict, rows: tuple) -> None:
+        """Insertion numbers restart at zero (buckets only compare them
+        with each other; an old snapshot's ``inserted`` is not needed)."""
+        self._swept_at = 0
+        self.insert_run(rows)

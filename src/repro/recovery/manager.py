@@ -517,7 +517,11 @@ def wal_history(state_dir: str | Path) -> list[WalRecord]:
 
 
 def _max_seq(obj: Any, _best: int = -1) -> int:
-    """Largest ``seq`` of any stream element inside a checkpoint document."""
+    """Largest ``seq`` of any stream element inside a checkpoint document.
+
+    A column dump (a window's ``ColumnarBlock``) carries its elements'
+    ``seq``s as one list: its largest is ``max`` of that column.
+    """
     if isinstance(obj, Mapping):
         for value in obj.values():
             _best = _max_seq(value, _best)
@@ -527,6 +531,8 @@ def _max_seq(obj: Any, _best: int = -1) -> int:
             _best = _max_seq(value, _best)
         return _best
     seq = getattr(obj, "seq", None)
+    if isinstance(seq, list):
+        seq = max(seq, default=_best)
     if isinstance(seq, int) and seq > _best:
         return seq
     return _best

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
+from repro.core.columnar import ColumnarBlock
 from repro.core.operators.base import OpContext, Operator
 from repro.core.tuples import (LATENT_TS, DataTuple, Punctuation,
                                TimestampKind)
@@ -138,6 +139,23 @@ def data(ts: float, payload=None, arrival: float | None = None) -> DataTuple:
 def punct(ts: float, periodic: bool = False) -> Punctuation:
     """Shorthand punctuation constructor."""
     return Punctuation(ts=ts, origin="test", periodic=periodic)
+
+
+def columns(tuples) -> tuple:
+    """A run of data tuples as the five column lists ``insert_run`` takes."""
+    block = ColumnarBlock.from_tuples(list(tuples))
+    return block.ts, block.seq, block.kind, block.arrival, block.payloads
+
+
+def probed(window, key) -> list[DataTuple]:
+    """The rows ``window.probe(key)`` answers, materialized as tuples (a
+    probe answers row numbers into the window's columns)."""
+    base = window.base
+    return [DataTuple(ts=window.ts[n - base], seq=window.seq[n - base],
+                      payload=window.payloads[n - base],
+                      kind=window.kind[n - base],
+                      arrival_ts=window.arrival[n - base])
+            for n in window.probe(key)]
 
 
 # --------------------------------------------------------------------- #

@@ -28,8 +28,9 @@ from test_oracle import (
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Map, WindowJoin
-from repro.core.windows import WindowSpec
+from repro.core.windows import TimeWindow, WindowSpec
 from repro.experiments import CrashConfig, run_crash_experiment
+from repro.recovery import CheckpointStore
 
 # --------------------------------------------------------------------- #
 # Graph factories beyond test_oracle's (the indexed-join layout)
@@ -241,3 +242,36 @@ def test_crash_experiment_rejects_bad_crash_point(tmp_path):
     from repro.core.errors import WorkloadError
     with pytest.raises(WorkloadError):
         _small_config(tmp_path, crash_at=25.0)
+
+
+# --------------------------------------------------------------------- #
+# Checkpoints written before windows became column dumps
+
+
+def _version1_snapshot(window) -> dict:
+    """What a ``TimeWindow`` snapshot was before version 2: its live rows
+    as a list of data tuples, beside the horizon."""
+    return {"version": 1, "items": list(window), "horizon": window._horizon}
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(join_graph, id="scan-join"),
+    pytest.param(indexed_join_graph, id="indexed-join"),
+])
+def test_recovery_from_version1_window_checkpoint(tmp_path, monkeypatch,
+                                                  build):
+    """A crash whose checkpoints hold version-1 window snapshots recovers
+    through the column windows' restore, and the combined sink output is
+    byte-identical to an uncrashed run's."""
+    oracle = CrashRecoveryOracle(build, _feeds(), chunk=8)
+    reference = oracle.run_reference(batch_size=4, ets_policy=OnDemandEts())
+    monkeypatch.setattr(TimeWindow, "snapshot_state", _version1_snapshot)
+    combined, report = oracle.run_crashed(
+        tmp_path, crash_index=77, batch_size=4, ets_policy=OnDemandEts())
+    assert report.checkpoint_number > 0
+    store = CheckpointStore(tmp_path)  # every one written under the patch
+    windows = store.load(store.numbers()[-1])["operators"]["join"]["windows"]
+    assert all(win["version"] == 1 and isinstance(win["items"], list)
+               for win in windows)
+    assert any(win["items"] for win in windows)
+    assert combined == reference

@@ -318,3 +318,55 @@ class TestAsymmetricJoin:
         release(h)
         out = h.output_data()
         assert len(out) == 1 and out[0].payload["a"] == 2
+
+
+def test_block_join_materializes_no_rows(monkeypatch):
+    """The stateful plan's shape — out-of-order source → Reorder → indexed
+    join → strict Union with a control stream, ``batch_size`` 64: the join
+    drains its inputs as columns and keeps its windows as columns, so no
+    ``ColumnarBlock.to_tuples`` call is ever made on its behalf."""
+    import random
+    import sys
+
+    from repro.api import (ExecutionEngine, OnDemandEts, Pipeline,
+                           TimestampKind, VirtualClock)
+    from repro.core.columnar import ColumnarBlock
+
+    p = Pipeline("no-materialization")
+    a = p.source("a", TimestampKind.EXTERNAL, out_of_order=True)
+    b, c = p.source("b"), p.source("c")
+    (a.reorder(0.05, name="reorder")
+      .join(b, WindowSpec.time(0.1), key="k", indexed=True, name="join")
+      .union(c, strict=True, name="strict")
+      .sink("sink"))
+    graph = p.compile()
+    clock = VirtualClock()
+    engine = ExecutionEngine(graph, clock, ets_policy=OnDemandEts(),
+                             config=p.config.replace(batch_size=64))
+    from_join = []
+    real = ColumnarBlock.to_tuples
+
+    def counted(block):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_filename.endswith("join.py"):
+                from_join.append(block.count)
+                break
+            frame = frame.f_back
+        return real(block)
+
+    monkeypatch.setattr(ColumnarBlock, "to_tuples", counted)
+    rng = random.Random(7)
+    sources = {name: graph[name] for name in "abc"}
+    for chunk in range(16):
+        for i in range(chunk * 64, chunk * 64 + 64):
+            when = i * 0.001
+            name = "c" if i % 16 == 15 else "ab"[i % 2]
+            ets = when - rng.random() * 0.02 if name == "a" else None
+            clock.advance_to(when)
+            sources[name].ingest({"k": rng.randrange(8), "uid": i},
+                                 now=when, ts=ets, arrival=when)
+        engine.wakeup()
+    assert graph["join"].matches_emitted > 1000
+    assert engine.stats.blocks > 0
+    assert from_join == []

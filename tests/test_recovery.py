@@ -9,6 +9,7 @@ observability wiring (bus events, metrics registry counters).
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import struct
 import zlib
@@ -17,9 +18,13 @@ import pytest
 
 from test_oracle import union_graph
 
+from repro.core import tuples as _tuples
 from repro.core.errors import RecoveryError
-from repro.core.ets import OnDemandEts
+from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import ExecutionEngine
+from repro.core.graph import QueryGraph
+from repro.core.operators import WindowJoin
+from repro.core.windows import WindowSpec
 from repro.obs import EventBus, MetricsRegistry, Observer
 from repro.recovery import (
     CHECKPOINT_FORMAT_VERSION,
@@ -28,6 +33,7 @@ from repro.recovery import (
     WAL_MAGIC,
     WriteAheadLog,
 )
+from repro.recovery.manager import _max_seq
 from repro.sim.clock import VirtualClock
 
 
@@ -561,3 +567,58 @@ class TestRecoveryManager:
         assert [manager.store.load(n)["engine"]["round_id"]
                 for n in manager.store.numbers()] == [2, 4, 6]
         manager.close()
+
+
+# --------------------------------------------------------------------- #
+# The sequence floor after a restore
+
+
+def _never_matching_join(tmp_path):
+    """A keyed join whose inputs never share a key: every row it consumes
+    stays in a window, and nothing else in the graph holds a data tuple."""
+    graph = QueryGraph("seq-floor")
+    left, right = graph.add_source("left"), graph.add_source("right")
+    join = graph.add(WindowJoin("join", WindowSpec.time(100.0), key="k"))
+    sink = graph.add_sink("sink")
+    graph.connect(left, join)
+    graph.connect(right, join)
+    graph.connect(join, sink)
+    clock = VirtualClock()
+    engine = ExecutionEngine(graph, clock, cost_model=None,
+                             ets_policy=NoEts(), batch_size=4)
+    manager = RecoveryManager(tmp_path / "state").bind(graph, engine, clock)
+    return graph, clock, engine, manager
+
+
+def test_restore_draws_seqs_above_the_window_columns(tmp_path):
+    """A window snapshot carries its rows' ``seq``s as one column of plain
+    ints.  The restore's floor must see that column: a fresh process whose
+    counter starts low must draw above the largest restored ``seq``."""
+    graph, clock, engine, manager = _never_matching_join(tmp_path)
+    sources = {src.name: src for src in graph.sources()}
+    for i in range(12):
+        clock.advance_to(float(i))
+        sources["left"].ingest({"k": 0, "i": i}, now=clock.now())
+        sources["right"].ingest({"k": 1, "i": i}, now=clock.now())
+    for name, source in sources.items():
+        source.inject_punctuation(20.0, origin=f"eos:{name}")
+    engine.wakeup()
+    state = manager.assemble_state()
+    windows = state["operators"]["join"]["windows"]
+    top = max(max(win["items"].seq) for win in windows)
+    assert sum(len(win["items"]) for win in windows) == 24
+    without_windows = {**state, "operators": {
+        name: op for name, op in state["operators"].items() if name != "join"}}
+    assert _max_seq(without_windows) < top == _max_seq(state)
+    manager.checkpoint()
+    manager.close()
+
+    saved = next(_tuples._SEQ)
+    try:
+        _tuples._SEQ = itertools.count(0)  # a fresh process's counter
+        _, _, _, manager2 = _never_matching_join(tmp_path)
+        assert manager2.recover().checkpoint_number == 1
+        assert next(_tuples._SEQ) > top
+        manager2.close()
+    finally:
+        _tuples.ensure_seq_above(saved)

@@ -17,7 +17,7 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import OpHarness, data, punct
+from conftest import OpHarness, data, probed, punct
 
 from repro.core.buffers import BufferRegistry, StreamBuffer, TSMRegister
 from repro.core.ets import (
@@ -119,7 +119,7 @@ def by_k(payload):
 
 def probes(window, batch) -> dict:
     """What ``window`` answers for every key of ``batch`` (NaN included)."""
-    return {"p": [[t.payload for t in window.probe(by_k(tup.payload))]
+    return {"p": [[t.payload for t in probed(window, by_k(tup.payload))]
                   for tup in batch]}
 
 
@@ -311,13 +311,13 @@ def test_parent_format_snapshots_restore():
             keyless.restore_state(state)
             keyed.restore_state(state)
             assert list(keyless) == list(keyed) == items
-            assert [t.ts for t in keyed.probe("a")] == [1.0, 2.0, 3.5]
+            assert [t.ts for t in probed(keyed, "a")] == [1.0, 2.0, 3.5]
             # Restored buckets keep expiring with the log (time: against
             # the horizon; count: by relative insertion number).
             for i in range(4):
                 keyed.expire(6.5 + i)
                 keyed.insert(data(6.5 + i, {"k": "b", "seq": 4 + i}))
-            assert [t.ts for t in keyed.probe("a")] == [
+            assert [t.ts for t in probed(keyed, "a")] == [
                 t.ts for t in keyed if t.payload["k"] == "a"]
             assert len(list(keyed.probe("a"))) < 3
     join_state = {

@@ -10,7 +10,7 @@ from repro.core.windows import (
     WindowSpec,
 )
 
-from conftest import data
+from conftest import columns, data, probed
 
 
 def by_k(payload):
@@ -116,8 +116,8 @@ class TestScanWindowsRejectProbe:
         path (per tuple, bulk, bulk with expiry, restore) fills the log."""
         window = make()
         window.insert(kd(0.0, "a"))
-        window.insert_run([kd(0.5, "b"), kd(1.0, "a")])
-        window.insert_run([kd(float(i), i % 3) for i in range(2, 9)])
+        window.insert_run(columns([kd(0.5, "b"), kd(1.0, "a")]))
+        window.insert_run(columns(kd(float(i), i % 3) for i in range(2, 9)))
         window.restore_state(window.snapshot_state())
         assert len(window) > 0
         assert window.bucket_count == 0 and not window._buckets
@@ -156,8 +156,8 @@ class TestIndexedTimeWindow:
         w = TimeWindow(10.0, by_k)
         for ts, k in ((1.0, "a"), (2.0, "b"), (3.0, "a")):
             w.insert(kd(ts, k))
-        assert [t.ts for t in w.probe("a")] == [1.0, 3.0]
-        assert [t.ts for t in w.probe("b")] == [2.0]
+        assert [t.ts for t in probed(w, "a")] == [1.0, 3.0]
+        assert [t.ts for t in probed(w, "b")] == [2.0]
         assert list(w.probe("missing")) == []
 
     def test_probe_purges_lazily_against_expire_horizon(self):
@@ -166,7 +166,7 @@ class TestIndexedTimeWindow:
             w.insert(kd(ts, "a"))
         w.expire(16.0)  # horizon 6.0: global log drops 0.0 and 5.0 eagerly
         assert len(w) == 1
-        assert [t.ts for t in w.probe("a")] == [12.0]
+        assert [t.ts for t in probed(w, "a")] == [12.0]
 
     def test_probe_drops_fully_expired_buckets(self):
         w = TimeWindow(10.0, by_k)
@@ -232,7 +232,7 @@ class TestIndexedCountWindow:
         w.insert(kd(2.0, "b"))
         w.insert(kd(3.0, "b"))  # evicts a@1.0 from the global ring
         assert list(w.probe("a")) == []
-        assert [t.ts for t in w.probe("b")] == [2.0, 3.0]
+        assert [t.ts for t in probed(w, "b")] == [2.0, 3.0]
 
     def test_probe_drops_fully_evicted_buckets(self):
         w = CountWindow(1, by_k)
@@ -281,7 +281,7 @@ def test_insert_run_equals_per_tuple_insertion(make, key_fn):
             [kd(11.5, 0)]]
     bulk, single = make(key_fn), make(key_fn)
     for run in runs:
-        bulk.insert_run(run)
+        bulk.insert_run(columns(run))
         for tup in run:
             single.expire(tup.ts)
             single.insert(tup)
