@@ -37,6 +37,28 @@ from .base import BatchResult, IwpOperator, OpContext, StepResult
 
 __all__ = ["WindowJoin", "merge_payloads"]
 
+#: Prefixed names :func:`merge_payloads` has minted, per prefix pair:
+#: ``(left_prefix, right_prefix) -> {key: (left_name, right_name)}``, for
+#: exact-``str`` keys and prefixes only, at most ``_NAMES_LIMIT`` keys over
+#: all pairs.  Every record a join emits then shares one ``str`` per name,
+#: in memory and in a pickle (whose memo goes by object identity).
+_NAMES_LIMIT = 4096
+_names: dict[tuple, dict[str, tuple[str, str]]] = {}
+_names_room = _NAMES_LIMIT
+_NO_NAMES: dict = {}  # a pair with nothing minted yet; never written
+
+
+def _mint(key: str, left_prefix: Any, right_prefix: Any) -> tuple[str, str]:
+    """Build ``key``'s two prefixed names; keep them while there is room."""
+    global _names_room
+    prefixed = (f"{left_prefix}{key}", f"{right_prefix}{key}")
+    if _names_room and type(left_prefix) is str \
+            and type(right_prefix) is str:
+        _names.setdefault((left_prefix, right_prefix), {})[key] = prefixed
+        _names_room -= 1
+    return prefixed
+
+
 def merge_payloads(left: Any, right: Any,
                    left_prefix: str = "l_", right_prefix: str = "r_") -> dict:
     """Default join combiner: merge two mapping payloads into one record.
@@ -44,17 +66,31 @@ def merge_payloads(left: Any, right: Any,
     Non-colliding keys are kept as-is.  A colliding key whose two values are
     equal (the equi-join key itself, typically) is kept once, unprefixed;
     genuinely conflicting values are disambiguated with the given prefixes.
-    Non-mapping payloads are wrapped under the prefixes.
+    Non-mapping payloads are wrapped under the prefixes.  A ``str`` key's
+    two prefixed names are built once and shared by every later record.
     """
     if type(left) is not dict and not isinstance(left, Mapping):
         left = {left_prefix.rstrip("_") or "left": left}
     if type(right) is not dict and not isinstance(right, Mapping):
         right = {right_prefix.rstrip("_") or "right": right}
     merged = dict(left)
+    names = None
     for key, value in right.items():
         if key in merged and merged[key] != value:
-            merged[f"{left_prefix}{key}"] = merged.pop(key)
-            merged[f"{right_prefix}{key}"] = value
+            if type(key) is str:
+                if names is None:
+                    names = (_names.get((left_prefix, right_prefix),
+                                        _NO_NAMES)
+                             if type(left_prefix) is str
+                             and type(right_prefix) is str else _NO_NAMES)
+                left_name, right_name = (names.get(key)
+                                         or _mint(key, left_prefix,
+                                                  right_prefix))
+                merged[left_name] = merged.pop(key)
+                merged[right_name] = value
+            else:
+                merged[f"{left_prefix}{key}"] = merged.pop(key)
+                merged[f"{right_prefix}{key}"] = value
         else:
             merged[key] = value
     return merged

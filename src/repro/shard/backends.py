@@ -33,7 +33,6 @@ import random
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Callable, Sequence
 
 from ..core.config import EngineConfig
@@ -79,10 +78,15 @@ class ShardResult:
     wake-up (0.0 when the shard runs without a controller); ``clamp``
     echoes the global pressure the facade broadcast with the command, so
     tests can bound clamp staleness across process boundaries.
+
+    ``outputs`` holds ``(sink, ts, payloads)`` runs in delivery order, one
+    per stretch of consecutive deliveries by one sink: two parallel
+    columns, not one record per row, so its rows are
+    ``sum(len(ts) for _, ts, _ in outputs)``.
     """
 
     shard: int
-    outputs: list[tuple[str, float, Any]]
+    outputs: list[tuple[str, list[float], list[Any]]]
     frontier: float
     ingested: int = 0
     punctuated: int = 0
@@ -147,7 +151,7 @@ class EngineShard:
                 ets_policy=config.per_engine("ets_policy", sharded=True),
                 feedback=config.per_engine("feedback", sharded=True)))
         self.feedback = self.engine.feedback
-        self._outputs: list[tuple[str, float, Any]] = []
+        self._outputs: list[tuple[str, list[float], list[Any]]] = []
         for sink in self.graph.sinks():
             self._capture_sink(sink)
         self.sources = {src.name: src for src in self.graph.sources()}
@@ -159,14 +163,23 @@ class EngineShard:
                 self.graph, self.engine, self.clock)
 
     def _capture_sink(self, sink) -> None:
-        """Collect ``(sink, ts, payload)`` straight off the sink's columns:
-        no tuple is built for shard output, and a user ``on_output`` keeps
-        its per-row calls."""
+        """Collect ``(sink, ts, payloads)`` runs straight off the sink's
+        columns: no tuple is built for shard output, a result pickles as a
+        few lists instead of a 3-tuple per row, and a user ``on_output``
+        keeps its per-row calls.  A delivery extends the last run when the
+        same sink made it (the scalar path delivers one row at a time).
+        The columns are copied, since the hook may be handed the block's
+        own arrays."""
         name = sink.name
         shard = self
 
         def capture(ts, payloads) -> None:
-            shard._outputs += zip(repeat(name), ts, payloads)
+            outputs = shard._outputs
+            if outputs and outputs[-1][0] is name:
+                outputs[-1][1].extend(ts)
+                outputs[-1][2].extend(payloads)
+            else:
+                outputs.append((name, list(ts), list(payloads)))
             shard.delivered += len(ts)
 
         sink._capture = capture

@@ -269,7 +269,8 @@ class ReshardCoordinator:
             report.replayed_ingests += sum(len(rows) for rows in ingests)
             report.replayed_puncts += len(puncts)
             for result in backend.apply_all(commands):
-                report.discarded_outputs += len(result.outputs)
+                report.discarded_outputs += sum(
+                    len(ts) for _, ts, _ in result.outputs)
 
         live = floor == float("-inf")
         carried: list = []

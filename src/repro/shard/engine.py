@@ -26,6 +26,7 @@ sizes, and join layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable
 
@@ -233,7 +234,10 @@ class ShardedEngine:
                     detail=f"pressure={self.global_pressure:.3f}")
         for result in results:
             self.tracker.advertise(result.shard, result.frontier)
-            self.merge.offer(result.shard, result.outputs)
+            # The shard ships runs; the merge takes rows (its contract).
+            offered = self.merge.offer(result.shard, chain.from_iterable(
+                zip(repeat(sink), ts, payloads)
+                for sink, ts, payloads in result.outputs))
             if self.bus is not None:
                 if result.ingested:
                     self.bus.shard(kind="ingest", shard=result.shard,
@@ -242,7 +246,7 @@ class ShardedEngine:
                 self.bus.shard(kind="wakeup", shard=result.shard,
                                time=self._drive_now,
                                frontier=result.frontier,
-                               count=len(result.outputs))
+                               count=offered)
         released = self.merge.release(self.tracker.global_frontier())
         if self.bus is not None:
             self.bus.shard(kind="frontier", shard=-1, time=self._drive_now,

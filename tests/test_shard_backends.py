@@ -11,11 +11,14 @@ instead of blocking the caller.
 from __future__ import annotations
 
 import pickle
+import random
 import sys
 import time
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
+from repro.api import Pipeline
 from repro.core.columnar import ColumnarBlock
 from repro.core.config import EngineConfig
 from repro.core.errors import ExecutionError, ReproError
@@ -27,6 +30,7 @@ from repro.core.windows import WindowSpec
 from repro.feedback import FeedbackController
 from repro.obs import Observer
 from repro.shard import (
+    ElasticShardedEngine,
     EngineShard,
     ProcessBackend,
     ShardError,
@@ -245,7 +249,8 @@ def test_shard_sinks_build_no_tuples_without_a_user_callback(monkeypatch):
 
 def test_a_user_on_output_keeps_its_per_row_contract(monkeypatch):
     """Per shard, the user callback sees every delivered tuple, one call
-    per row, in exactly the order the shard reports its output."""
+    per row, in exactly the order the shard reports its output — which it
+    reports as ``(sink, ts, payloads)`` runs of parallel lists."""
     traces: list[list] = []
 
     def build():
@@ -260,7 +265,11 @@ def test_a_user_on_output_keeps_its_per_row_contract(monkeypatch):
 
     def spy(shard, *args):
         result = apply(shard, *args)
-        reported[shard.index] += result.outputs
+        for sink, ts, payloads in result.outputs:
+            assert type(ts) is list and type(payloads) is list
+            assert len(ts) == len(payloads) > 0
+            reported[shard.index] += [(sink, t, p)
+                                      for t, p in zip(ts, payloads)]
         return result
 
     monkeypatch.setattr(EngineShard, "apply", spy)
@@ -270,3 +279,116 @@ def test_a_user_on_output_keeps_its_per_row_contract(monkeypatch):
                              for tup, latency in trace)
         assert [("sink", tup.ts, tup.payload) for tup, _ in trace] == \
             reported[index]
+
+
+class _WakeupCounts(Observer):
+    def __init__(self) -> None:
+        self.counts: list[int] = []
+
+    def on_shard(self, *, kind, shard, time, frontier=None, count=0,
+                 value=0.0, detail="") -> None:
+        if kind == "wakeup":
+            self.counts.append(count)
+
+
+def _count_runs(monkeypatch, when=lambda: True) -> list[int]:
+    """Spy on every shard result: the number of runs it carried."""
+    runs: list[int] = []
+    apply = EngineShard.apply
+
+    def spy(shard, *args):
+        result = apply(shard, *args)
+        if when():
+            runs.append(len(result.outputs))
+        return result
+
+    monkeypatch.setattr(EngineShard, "apply", spy)
+    return runs
+
+
+def test_the_wakeup_event_counts_rows_not_runs(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    listener = _WakeupCounts()
+    engine = ShardedEngine(join_graph_with(), shards=2, key="k",
+                           batch_size=8, observers=[listener])
+    released = _drive_join(engine, keyed_feeds())
+    # Every row offered to the merge was released by the closing flush.
+    assert sum(listener.counts) == engine.merge.released_count \
+        == len(released)
+    assert 0 < sum(runs) < len(released)  # so a count of runs would differ
+
+
+def test_a_reshard_counts_the_rows_it_discards(monkeypatch):
+    phases: list[str] = []
+    runs = _count_runs(monkeypatch, lambda: phases[-1:] == ["restore"])
+    engine = ElasticShardedEngine(join_graph_with(), shards=2, key="k",
+                                  backend="serial", batch_size=8)
+    engine.reshard_hooks.append(phases.append)
+    try:
+        for index, feed in enumerate(keyed_feeds()[:96], 1):
+            engine.ingest(feed.source, feed.payload, time=feed.time,
+                          ts=feed.external_ts)
+            if index % 16 == 0:
+                engine.wakeup()
+        report = engine.reshard(3)
+        # The new shards have run nothing but the replay: what their sinks
+        # delivered is exactly what the reshard discarded.
+        replayed_rows = sum(shard.graph["sink"].delivered
+                            for shard in engine.backend.shards)
+        assert report.discarded_outputs == replayed_rows
+        assert 0 < sum(runs) < replayed_rows
+    finally:
+        engine.close(flush=False)
+
+
+# --------------------------------------------------------------------- #
+# The exchange guard: what one shard result costs on the pipe
+
+
+def _exchange_join_graph() -> QueryGraph:
+    p = Pipeline("keyed-join")
+    fast = p.source("fast")
+    slow = p.source("slow")
+    fast.join(slow, WindowSpec.time(8.0), key="k", indexed=True,
+              name="join").sink("sink")
+    return p.compile()
+
+
+def test_a_join_result_pickles_each_prefixed_name_once():
+    """400 alternating ingests over 4 keys, all inside one 8 s window:
+    9,924 joined rows in one result.  Each prefixed name (``l_value``, …)
+    travels once, pickle's memo standing in for every later row, and the
+    rows travel as a few runs of parallel lists."""
+    rng = random.Random(166)
+    ingests = [(name, {"seq": i, "k": rng.randrange(4),
+                       "value": rng.random()}, when, None)
+               for i in range(200)
+               for name, when in (("fast", i * 0.01),
+                                  ("slow", i * 0.01 + 0.005))]
+    shard = EngineShard(0, _exchange_join_graph, config=Pipeline().config)
+    result = shard.apply(ingests, [("fast", 3.0, "eos", False),
+                                   ("slow", 3.0, "eos", False)], 3.0)
+    rows = shard.delivered
+    assert rows == sum(len(ts) for _, ts, _ in result.outputs) == 9_924
+    assert len(result.outputs) < rows // 8
+    wire = ForkingPickler.dumps(("ok", result))  # what Connection.send sends
+    assert [bytes(wire).count(name) for name in
+            (b"l_value", b"r_value", b"l_seq", b"r_seq")] == [1, 1, 1, 1]
+    assert len(wire) / rows <= 60.0
+
+
+def test_a_run_is_a_copy_of_the_block_columns():
+    """The sink may hand the hook its block's own arrays; the run the
+    shard keeps must not change when those arrays do.  A second delivery
+    by the same sink extends the run."""
+    shard = EngineShard(0, join_graph_with())
+    capture = shard.graph["sink"]._capture
+    ts, payloads = [1.0, 2.0], [{"k": 1}, {"k": 2}]
+    capture(ts, payloads)
+    ts.append(3.0)
+    payloads.clear()
+    capture((4.0,), ({"k": 4},))
+    result = shard.apply([], [], 5.0)
+    assert result.outputs == [("sink", [1.0, 2.0, 4.0],
+                               [{"k": 1}, {"k": 2}, {"k": 4}])]
+    assert shard.delivered == 3
