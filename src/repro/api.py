@@ -117,10 +117,7 @@ from .workloads import (
     constant_arrivals,
     packet_payloads,
     poisson_arrivals,
-    sensor_payloads,
     scenario_streams,
-    sequence_payloads,
-    trace_arrivals,
     uniform_value_payloads,
     with_external_timestamps,
     with_out_of_order_timestamps,
@@ -134,8 +131,6 @@ from .experiments import (
     DEFAULT_HEARTBEAT_RATES,
     ExperimentResult,
     SweepResult,
-    figure7,
-    figure8,
     format_claims,
     format_figure7,
     format_figure8,
@@ -259,15 +254,12 @@ __all__ = [
     "SCENARIOS", "ScenarioConfig", "ScenarioHandles",
     "build_join_scenario", "build_union_scenario", "bursty_arrivals",
     "constant_arrivals", "packet_payloads", "poisson_arrivals",
-    "scenario_streams", "sensor_payloads", "sequence_payloads",
-    "trace_arrivals",
-    "uniform_value_payloads", "with_external_timestamps",
+    "scenario_streams", "uniform_value_payloads", "with_external_timestamps",
     "with_out_of_order_timestamps",
     # experiments
     "ChaosConfig", "ChaosReport", "ClaimResult", "CrashConfig",
     "CrashReport", "DEFAULT_HEARTBEAT_RATES", "ExperimentResult",
-    "SweepResult", "figure7", "figure8",
-    "format_claims", "format_figure7", "format_figure8",
+    "SweepResult", "format_claims", "format_figure7", "format_figure8",
     "format_idle_table", "idle_waiting_table", "OverloadConfig",
     "OverloadReport", "result_from_handles", "run_ablations",
     "run_chaos_experiment", "run_crash_experiment", "run_join_experiment",

@@ -8,8 +8,6 @@ from .overload import OverloadConfig, OverloadReport, run_overload_experiment
 from .figures import (
     DEFAULT_HEARTBEAT_RATES,
     SweepResult,
-    figure7,
-    figure8,
     format_figure7,
     format_figure8,
     format_idle_table,
@@ -41,8 +39,6 @@ __all__ = [
     "OverloadConfig",
     "OverloadReport",
     "SweepResult",
-    "figure7",
-    "figure8",
     "format_figure7",
     "format_figure8",
     "format_idle_table",

@@ -2,15 +2,15 @@
 
 This is the executable form of the degradation story: take the Fig.-4
 skewed-rates query, kill the fast stream for a while (plus optional skew
-spikes and tuple loss), and measure how long the sink stays silent under
+spikes), and measure how long the sink stays silent under
 
 * on-demand ETS alone (the paper's scenario C — which only answers when
   the engine happens to backtrack), versus
 * on-demand ETS wrapped in the fallback-heartbeat ladder (stall detector +
   fallback trains + quarantine + invariant monitors).
 
-Exposed to users through ``python -m repro chaos``; ``python -m repro
-validate`` checks its time-to-liveness bounds as claim X8.
+``python -m repro validate`` checks its time-to-liveness bounds as claim
+X8.
 """
 
 from __future__ import annotations
@@ -22,11 +22,18 @@ from ..core.ets import NoEts, OnDemandEts
 from ..faults.degrade import (FallbackHeartbeat, QuarantinePolicy,
                               StallDetector)
 from ..faults.monitors import InvariantMonitor
-from ..faults.plan import ClockSkewSpike, DropTuples, FaultPlan, SourceOutage
+from ..faults.plan import ClockSkewSpike, FaultPlan, SourceOutage
 from ..obs.recovery import RecoveryTracker
 from ..workloads.scenarios import ScenarioConfig, build_union_scenario
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos_experiment"]
+
+#: Max timestamp lag of the externally timestamped workload, and the
+#: skew bound its ETS values assume.
+EXTERNAL_SKEW = 0.1
+ETS_DELTA = 0.1
+#: The invariant monitor's ceiling on graph-wide buffered tuples.
+MAX_TOTAL_BUFFERED = 1_000_000
 
 
 @dataclass(slots=True)
@@ -43,15 +50,11 @@ class ChaosConfig:
     rate_slow: float = 0.5
     seed: int = 42
     external: bool = False
-    external_skew: float = 0.1
-    ets_delta: float = 0.1
     outage_start: float = 30.0
     outage_duration: float = 30.0
-    outage_mode: str = "drop"
     skew_spike: float = 0.0
     skew_spike_start: float = 70.0
     skew_spike_duration: float = 10.0
-    drop_probability: float = 0.0
     stall_timeout: float = 2.0
     heartbeat_period: float = 0.5
     quarantine_mode: str = "clamp"
@@ -60,7 +63,6 @@ class ChaosConfig:
     #: C — a wake-up during the outage already recovers via backtracking) or
     #: "none" (scenarios A/B — only the ladder restores liveness).
     base_ets: str = "on-demand"
-    max_total_buffered: int = 1_000_000
     batch_size: int = 1
 
     def __post_init__(self) -> None:
@@ -100,39 +102,17 @@ class ChaosReport:
         )
         return out
 
-    def rows(self) -> list[tuple[str, object]]:
-        s = self.summary
-        ttl = ("never" if self.time_to_liveness is None
-               else f"{self.time_to_liveness:.3f}s")
-        return [
-            ("delivered tuples", self.delivered),
-            ("time-to-liveness after outage", ttl),
-            ("max sink silence (s)", round(self.max_sink_gap, 3)),
-            ("degradations / resyncs",
-             f"{s.get('degradations', 0)} / {s.get('resyncs', 0)}"),
-            ("fallback heartbeats", s.get("fallback_heartbeats", 0)),
-            ("quarantined (dropped/clamped)",
-             f"{s.get('quarantine_dropped', 0)} / "
-             f"{s.get('quarantine_clamped', 0)}"),
-            ("injected losses", self.fault_stats.get("outage_dropped", 0)
-             + self.fault_stats.get("dropped", 0)),
-            ("invariant violations", self.monitor_violations),
-        ]
-
 
 def make_fault_plan(config: ChaosConfig) -> FaultPlan:
     """The fault plan a :class:`ChaosConfig` describes (fast-stream faults)."""
     specs: list = [
         SourceOutage("fast", start=config.outage_start,
-                     duration=config.outage_duration,
-                     mode=config.outage_mode),
+                     duration=config.outage_duration),
     ]
     if config.skew_spike > 0:
         specs.append(ClockSkewSpike(
             "fast", start=config.skew_spike_start,
             duration=config.skew_spike_duration, skew=config.skew_spike))
-    if config.drop_probability > 0:
-        specs.append(DropTuples("fast", config.drop_probability))
     return FaultPlan(specs, seed=config.seed)
 
 
@@ -141,20 +121,20 @@ def run_chaos_experiment(config: ChaosConfig) -> ChaosReport:
     scenario = ScenarioConfig(
         scenario="C", duration=config.duration, seed=config.seed,
         rate_fast=config.rate_fast, rate_slow=config.rate_slow,
-        external=config.external, external_skew=config.external_skew,
-        ets_delta=config.ets_delta, batch_size=config.batch_size)
+        external=config.external, external_skew=EXTERNAL_SKEW,
+        ets_delta=ETS_DELTA, batch_size=config.batch_size)
 
     plan = make_fault_plan(config)
-    policy = (OnDemandEts(external_delta=config.ets_delta)
+    policy = (OnDemandEts(external_delta=ETS_DELTA)
               if config.base_ets == "on-demand" else NoEts())
     detector = None
     quarantine = None
-    monitor = InvariantMonitor(max_total_buffered=config.max_total_buffered,
+    monitor = InvariantMonitor(max_total_buffered=MAX_TOTAL_BUFFERED,
                                mode="degrade")
     if config.degrade:
         policy = FallbackHeartbeat(policy,
                                    heartbeat_period=config.heartbeat_period,
-                                   external_delta=config.ets_delta)
+                                   external_delta=ETS_DELTA)
         detector = StallDetector(config.stall_timeout)
         quarantine = QuarantinePolicy(config.quarantine_mode)
 

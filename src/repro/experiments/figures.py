@@ -12,9 +12,9 @@ Paper Section 6 reports three artefacts on the Fig.-4 union query
 * **Figure 8 (a/b)** — peak total queue size: A in the thousands of tuples,
   C two-plus orders lower, B U-shaped in the injection rate.
 
-Each ``figure*`` function returns the plotted series as data; ``format_*``
-helpers render them as the tables/ASCII plots ``python -m repro figure``
-and ``idle`` print.
+:func:`run_sweep` and :func:`idle_waiting_table` return the plotted series
+as data; the ``format_*`` helpers render them as the tables and ASCII plots
+``python -m repro validate`` prints before its verdict.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .runner import ExperimentResult, run_union_experiment
 __all__ = [
     "DEFAULT_HEARTBEAT_RATES",
     "SweepResult",
-    "figure7",
-    "figure8",
     "format_figure7",
     "format_figure8",
     "format_idle_table",
@@ -98,16 +96,6 @@ def run_sweep(*, duration: float = 120.0, sweep_duration: float = 60.0,
                     heartbeat_rate=rate, rate_fast=rate_fast,
                     rate_slow=rate_slow, cost_model=cost_model))
     return result
-
-
-def figure7(sweep: SweepResult | None = None, **sweep_kwargs) -> SweepResult:
-    """Figure 7: average output latency for A, B(rate), C, D."""
-    return sweep if sweep is not None else run_sweep(**sweep_kwargs)
-
-
-def figure8(sweep: SweepResult | None = None, **sweep_kwargs) -> SweepResult:
-    """Figure 8: peak total queue size for A, B(rate), C, D."""
-    return sweep if sweep is not None else run_sweep(**sweep_kwargs)
 
 
 def idle_waiting_table(*, duration: float = 120.0, seed: int = 42,

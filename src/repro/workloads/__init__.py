@@ -4,14 +4,11 @@ from .arrival import (
     bursty_arrivals,
     constant_arrivals,
     poisson_arrivals,
-    trace_arrivals,
     with_external_timestamps,
     with_out_of_order_timestamps,
 )
 from .datagen import (
     packet_payloads,
-    sensor_payloads,
-    sequence_payloads,
     uniform_value_payloads,
 )
 from .scenarios import (
@@ -34,9 +31,6 @@ __all__ = [
     "packet_payloads",
     "poisson_arrivals",
     "scenario_streams",
-    "sensor_payloads",
-    "sequence_payloads",
-    "trace_arrivals",
     "uniform_value_payloads",
     "with_external_timestamps",
     "with_out_of_order_timestamps",

@@ -3,8 +3,8 @@
 The paper drives Stream Mill with randomly generated tuples "under a Poisson
 arrival process with the desired average arrival rates" (Section 6).  This
 module provides that process plus the ones the extension experiments need:
-constant-rate, bursty on/off (the paper repeatedly worries about bursty,
-non-stationary traffic defeating periodic heartbeats), and trace replay.
+constant-rate and bursty on/off (the paper repeatedly worries about bursty,
+non-stationary traffic defeating periodic heartbeats).
 
 All processes are lazy iterators of :class:`~repro.sim.kernel.Arrival` and
 take an explicit :class:`random.Random`, so every experiment is seeded and
@@ -24,7 +24,6 @@ __all__ = [
     "poisson_arrivals",
     "constant_arrivals",
     "bursty_arrivals",
-    "trace_arrivals",
     "with_external_timestamps",
     "with_out_of_order_timestamps",
 ]
@@ -97,23 +96,6 @@ def bursty_arrivals(on_rate: float, rng: random.Random, *,
                 return
             yield Arrival(time=t, payload=payload)
         t += rng.expovariate(1.0 / off_duration)
-
-
-def trace_arrivals(times: Iterable[float], *,
-                   payloads: Iterable[Any] | None = None) -> Iterator[Arrival]:
-    """Replay explicit arrival instants (must be non-decreasing)."""
-    last = -float("inf")
-    payload_iter = _payloads(payloads)
-    for t in times:
-        if t < last:
-            raise WorkloadError(
-                f"trace arrivals must be non-decreasing ({t} after {last})"
-            )
-        last = t
-        payload = next(payload_iter, None)
-        if payload is None:
-            return
-        yield Arrival(time=t, payload=payload)
 
 
 def with_out_of_order_timestamps(arrivals: Iterator[Arrival],

@@ -12,16 +12,9 @@ import random
 from typing import Any, Iterator
 
 __all__ = [
-    "sequence_payloads",
     "uniform_value_payloads",
     "packet_payloads",
-    "sensor_payloads",
 ]
-
-
-def sequence_payloads(field: str = "seq") -> Iterator[dict[str, Any]]:
-    """``{field: 0}, {field: 1}, ...`` — the minimal payload stream."""
-    return ({field: i} for i in itertools.count())
 
 
 def uniform_value_payloads(rng: random.Random, *, low: float = 0.0,
@@ -47,21 +40,5 @@ def packet_payloads(rng: random.Random, *,
             "src": f"h{rng.randrange(hosts)}",
             "dst": f"h{rng.randrange(hosts)}",
             "bytes": rng.randrange(64, 1500),
-            "value": rng.random(),
-        }
-
-
-def sensor_payloads(rng: random.Random, *, sensors: int = 8,
-                    drift: float = 0.01) -> Iterator[dict[str, Any]]:
-    """Synthetic sensor readings with a slowly drifting mean per sensor."""
-    means = [rng.uniform(15.0, 25.0) for _ in range(sensors)]
-    counter = itertools.count()
-    while True:
-        idx = rng.randrange(sensors)
-        means[idx] += rng.gauss(0.0, drift)
-        yield {
-            "seq": next(counter),
-            "sensor": f"s{idx}",
-            "reading": means[idx] + rng.gauss(0.0, 0.5),
             "value": rng.random(),
         }

@@ -4,7 +4,10 @@ A name stays in ``repro.api.__all__`` iff something a user can run reaches
 it — an ``examples/`` program, a CLI command, an experiment harness behind
 a ``ClaimResult`` row, a workload, a ``benchmarks/e2e`` file or one of the
 two front doors (``Pipeline``, the mini-language) — or it is on the
-:data:`ALLOWLIST` below with the one-line reason it is exempt.  The
+:data:`ALLOWLIST` below with the one-line reason it is exempt.  A name's
+own ``def``/``class`` line, its ``__all__`` entry and an ``import`` of it
+are not reach: a module that only defines and re-exports a name does not
+use it.  The
 allowlist is kept honest both ways: an entry that has become reached, or
 names something no longer exported, fails too.  The same rule one level
 down: every module under ``src/repro`` is imported by another module (a
@@ -71,6 +74,7 @@ ALLOWLIST: dict[str, str] = {
     "is_feedback": _RECORD,
     "is_punctuation": _RECORD,
     # fault-injection specs
+    "DropTuples": _ORACLE,
     "DuplicateTuples": _ORACLE,
     "OutOfOrderBurst": _ORACLE,
     "PunctuationDelay": _ORACLE,
@@ -107,8 +111,32 @@ def surface_problems(exported, allowlist, texts) -> list[str]:
     return problems
 
 
+def without_self_reach(source: str) -> str:
+    """``source`` minus what names a name without using it: each ``def`` or
+    ``class`` name where it is defined, ``__all__`` assignments and
+    imports."""
+    def assigns_all(node) -> bool:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        return any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets)
+
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            row = node.lineno - 1
+            lines[row] = re.sub(rf"\b(def|class)\s+{node.name}\b", r"\1",
+                                lines[row], count=1)
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              or isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+              and assigns_all(node)):
+            for row in range(node.lineno - 1, node.end_lineno):
+                lines[row] = ""
+    return "\n".join(lines)
+
+
 def _reach_texts(paths=REACH) -> list[str]:
-    return [path.read_text() for path in paths]
+    return [without_self_reach(path.read_text()) for path in paths]
 
 
 def test_every_export_is_reached_or_allowlisted():
@@ -128,13 +156,38 @@ def test_benchmark_pins_go_when_the_benchmark_lets_go():
     assert unreached(pins, _reach_texts(elsewhere)) == pins
 
 
+#: A module that defines, lists and re-exports names and uses none of them.
+_SELF_REACHED = """
+from .impl import PlantedReExport
+
+__all__ = ["PlantedOwnClass", "PlantedReExport", "planted_own_def"]
+__all__ += ["PlantedOwnClass"]
+
+
+class PlantedOwnClass:
+    pass
+
+
+@functools.cache
+def planted_own_def():
+    return PlantedOwnClass
+"""
+
+
 def test_the_rule_bites():
-    """Red on a planted unreached export and on a stale allowlist entry."""
+    """Red on a planted unreached export, on names only their own module
+    mentions, and on a stale allowlist entry."""
     texts = _reach_texts()
     planted = [*repro.api.__all__, "PlantedUnreachedFeature"]
     assert surface_problems(planted, ALLOWLIST, texts) == [
         "PlantedUnreachedFeature: exported, reached by nothing, "
         "not allowlisted"]
+    own = ["PlantedOwnClass", "PlantedReExport", "planted_own_def"]
+    assert surface_problems(
+        [*repro.api.__all__, *own], ALLOWLIST,
+        [*texts, without_self_reach(_SELF_REACHED)]) == [
+        "PlantedReExport: exported, reached by nothing, not allowlisted",
+        "planted_own_def: exported, reached by nothing, not allowlisted"]
     stale = {**ALLOWLIST, "Pipeline": "stale", "GoneName": "stale"}
     assert surface_problems(repro.api.__all__, stale, texts) == [
         "GoneName: allowlisted but no longer exported",
@@ -165,7 +218,7 @@ KNOB_NAMESAKES: dict[str, tuple[set[str], str]] = {
     "ChaosConfig": ({"batch_size"}, "an experiment's parameters"),
     "CrashConfig": ({"batch_size", "checkpoint_every", "state_dir"},
                     "an experiment's parameters"),
-    "OverloadConfig": ({"batch_size", "feedback"},
+    "OverloadConfig": ({"feedback"},
                        "an experiment's parameters (feedback is a bool)"),
 }
 

@@ -200,7 +200,7 @@ class TestExternalTimestampFaults:
 
 
 class TestEndToEndRecovery:
-    """Kernel-level chaos run: the experiment the CLI exposes."""
+    """Kernel-level chaos run: the experiment behind claim X8."""
 
     def test_bounded_time_to_liveness_with_ladder(self):
         from repro.experiments.chaos import ChaosConfig, run_chaos_experiment

@@ -9,7 +9,8 @@ must reproduce the exact wake-up chunking), and join state layouts (the
 hash-indexed bucket path restores from the same snapshot as the scan
 path).  The kernel-level tests exercise the same claim through
 :class:`~repro.sim.kernel.Simulation` with a :class:`ProcessCrash` fault
-and the ``python -m repro recover`` experiment harness.
+and :func:`~repro.experiments.crash.run_crash_experiment`, the harness
+behind claims R1 and R2.
 """
 
 from __future__ import annotations

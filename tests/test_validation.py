@@ -1,4 +1,5 @@
-"""Tests for the claim catalogue: paper (E) and ablation (X) validators."""
+"""Tests for the claim catalogue: paper (E), guarantee (R, S) and ablation
+(X) validators."""
 
 import copy
 import re
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ablations, validation
+from repro.experiments import ablations, guarantees, validation
 from repro.experiments.figures import idle_waiting_table, run_sweep
 from repro.experiments.validation import (
     ClaimResult,
     format_claims,
     validate_ablation_claims,
+    validate_guarantee_claims,
     validate_paper_claims,
 )
 
@@ -54,40 +56,77 @@ def ablated():
     }
 
 
-#: One corrupted measurement per ablation, and a fragment of the one claim
-#: it must flip.
+@pytest.fixture(scope="module")
+def guaranteed():
+    """Every guarantee on a fraction of its full-size workload (~1 s): the
+    same code and the same thresholds ``python -m repro validate`` uses."""
+    return {
+        "R1": guarantees.crash_recovery(duration=20.0, crash_at=10.0),
+        "R2": guarantees.corrupt_checkpoint(duration=20.0, crash_at=10.0),
+        "S1": guarantees.sharded_join(tuples=400),
+        "S2": guarantees.live_reshard(runs=(("serial", 2, 960),
+                                            ("thread", 2, 960))),
+    }
+
+
+def _replay_everything(m):
+    """The first reshard re-runs its whole log although its floor lies
+    above the first wake-up segment."""
+    run = m["S2"]["serial P=2"]
+    report = run["reshards"][0]
+    assert report.floor > run["first_segment_ts"]
+    report.replayed_ingests = report.logged_ingests
+
+
+#: One corrupted measurement per guarantee or ablation, and a fragment of
+#: the one claim it must flip.
 SABOTAGE = {
-    "X1": (lambda m: m["strict"].update(mean_latency=0.0), "wait a tick"),
-    "X2": (lambda m: setattr(m["A"], "peak_queue", m["C"].peak_queue),
-           "peak queue"),
-    "X3": (lambda m: setattr(m[2.0], "ets_injected", 0), "injects ETS"),
-    "X4": (lambda m: setattr(m["round-robin"], "delivered", 0),
+    "R1": (lambda m: m["R1"][64].output.append(m["R1"][64].output[-1]),
+           "uncrashed run"),
+    "R2": (lambda m: m["R2"].recovery["skipped"].clear(), "skipped loudly"),
+    "S1": (lambda m: m["S1"]["process"]["records"].pop(),
+           "P=2 merged output"),
+    "S2": (lambda m: m["S2"]["thread P=2"]["reshards"].pop(),
+           "exactly two reshards"),
+    "S3": (_replay_everything, "replays fewer"),
+    "X1": (lambda m: m["X1"]["strict"].update(mean_latency=0.0),
+           "wait a tick"),
+    "X2": (lambda m: setattr(m["X2"]["A"], "peak_queue",
+                             m["X2"]["C"].peak_queue), "peak queue"),
+    "X3": (lambda m: setattr(m["X3"][2.0], "ets_injected", 0),
+           "injects ETS"),
+    "X4": (lambda m: setattr(m["X4"]["round-robin"], "delivered", 0),
            "same stream"),
-    "X6": (lambda m: m["on-demand"].update(punctuation_enqueued=10**9),
-           "on-demand"),
-    "X7": (lambda m: m["on-demand"].update(delivered=10**9), "same stream"),
-    "X8": (lambda m: setattr(m["ladder"], "monitor_violations", 1),
+    "X6": (lambda m: m["X6"]["on-demand"].update(
+        punctuation_enqueued=10**9), "on-demand"),
+    "X7": (lambda m: m["X7"]["on-demand"].update(delivered=10**9),
+           "same stream"),
+    "X8": (lambda m: setattr(m["X8"]["ladder"], "monitor_violations", 1),
            "no invariant violation"),
-    "X9": (lambda m: setattr(m["open"], "throttled", 1), "loop closed"),
+    "X9": (lambda m: setattr(m["X9"]["open"], "throttled", 1),
+           "loop closed"),
 }
 
 
 class TestValidator:
-    def test_returns_all_claims(self, measured, ablated):
+    def test_returns_all_claims(self, measured, guaranteed, ablated):
         sweep, idle = measured
         paper = validate_paper_claims(sweep, idle)
+        own = validate_guarantee_claims(guaranteed)
         extra = validate_ablation_claims(ablated)
-        assert len(paper) == 11 and len(extra) == 26
-        assert all(isinstance(r, ClaimResult) for r in paper + extra)
+        assert len(paper) == 11 and len(own) == 5 and len(extra) == 26
+        assert all(isinstance(r, ClaimResult) for r in paper + own + extra)
         assert {r.id for r in paper} == {"E1", "E2", "E3", "E4", "E5"}
+        assert [r.id for r in own] == ["R1", "R2", "S1", "S2", "S3"]
         assert {r.id for r in extra} == set(ablated)
         # (E4's absolute "thousands of tuples" needs the full 120 s.)
-        assert all(r.passed for r in extra), format_claims(
-            [r for r in extra if not r.passed])
+        assert all(r.passed for r in own + extra), format_claims(
+            [r for r in own + extra if not r.passed])
 
-    def test_details_are_populated(self, measured, ablated):
+    def test_details_are_populated(self, measured, guaranteed, ablated):
         sweep, idle = measured
         for r in (validate_paper_claims(sweep, idle)
+                  + validate_guarantee_claims(guaranteed)
                   + validate_ablation_claims(ablated)):
             assert r.details
 
@@ -114,31 +153,49 @@ class TestValidator:
         assert "FAIL" in text and "SOME CLAIMS FAILED" in text
 
     @pytest.mark.parametrize("claim_id", sorted(SABOTAGE))
-    def test_sabotaged_ablation_flips_exactly_its_claim(self, ablated,
-                                                        claim_id):
+    def test_sabotaged_ablation_flips_exactly_its_claim(self, guaranteed,
+                                                        ablated, claim_id):
+        """Each planted defect, guarantee or ablation, fails its own row
+        and no other."""
         sabotage, claim = SABOTAGE[claim_id]
-        broken = copy.deepcopy(ablated)
-        sabotage(broken[claim_id])
-        failed = [r for r in validate_ablation_claims(broken)
+        broken = copy.deepcopy({**guaranteed, **ablated})
+        sabotage(broken)
+        failed = [r for r in (validate_guarantee_claims(broken)
+                              + validate_ablation_claims(broken))
                   if not r.passed]
         assert [(r.id, claim in r.claim) for r in failed] \
             == [(claim_id, True)]
 
-    def test_catalogue_is_what_experiments_md_names(self, measured, ablated,
+    @pytest.mark.parametrize("tuples", [40, 90])
+    def test_a_reshard_check_that_resharded_nothing_fails(self, guaranteed,
+                                                           tuples):
+        """At 40 tuples both reshard points floor to chunk 0, leaving one
+        no-op P->P reshard; at 90 the grow runs before any ingest and moves
+        no key.  Both merged outputs still equal the single engine's."""
+        collapsed = guarantees.live_reshard(runs=(("serial", 2, tuples),))
+        run = collapsed["serial P=2"]
+        assert run["records"] == run["reference"]
+        rows = {r.id: r for r in validate_guarantee_claims(
+            {**guaranteed, "S2": collapsed})}
+        assert not rows["S2"].passed
+
+    def test_catalogue_is_what_experiments_md_names(self, measured,
+                                                    guaranteed, ablated,
                                                     monkeypatch):
-        """Every E/X id in an EXPERIMENTS.md heading is checked by
+        """Every E/R/S/X id in an EXPERIMENTS.md heading is checked by
         ``run_validation()``, and nothing else is."""
         text = (Path(__file__).parent.parent / "EXPERIMENTS.md").read_text()
         named = {claim_id
-                 for heading in re.findall(r"^#{2,3} ([EX]\d[\dEX/]*) ",
+                 for heading in re.findall(r"^#{2,3} ([ERSX]\d[\dERSX/]*) ",
                                            text, flags=re.MULTILINE)
                  for claim_id in heading.split("/")}
         sweep, idle = measured
         monkeypatch.setattr(validation, "run_sweep", lambda **kw: sweep)
         monkeypatch.setattr(validation, "idle_waiting_table",
                             lambda **kw: idle)
+        monkeypatch.setattr(validation, "run_guarantees", lambda: guaranteed)
         monkeypatch.setattr(validation, "run_ablations", lambda: ablated)
         results = validation.run_validation()
         assert {r.id for r in results} == named
         assert [r.id for r in results] == sorted(r.id for r in results)
-        assert len(results) == 37
+        assert len(results) == 42

@@ -10,13 +10,10 @@ from repro.workloads.arrival import (
     bursty_arrivals,
     constant_arrivals,
     poisson_arrivals,
-    trace_arrivals,
     with_external_timestamps,
 )
 from repro.workloads.datagen import (
     packet_payloads,
-    sensor_payloads,
-    sequence_payloads,
     uniform_value_payloads,
 )
 
@@ -94,21 +91,6 @@ class TestBursty:
                                  off_duration=1))
 
 
-class TestTrace:
-    def test_replays_times(self):
-        arrivals = take(trace_arrivals([1.0, 2.0, 2.0, 5.0]), 4)
-        assert [a.time for a in arrivals] == [1.0, 2.0, 2.0, 5.0]
-
-    def test_decreasing_trace_rejected(self):
-        with pytest.raises(WorkloadError):
-            take(trace_arrivals([2.0, 1.0]), 2)
-
-    def test_stops_with_payloads(self):
-        arrivals = take(trace_arrivals([1.0, 2.0, 3.0],
-                                       payloads=iter(["a"])), 3)
-        assert len(arrivals) == 1
-
-
 class TestExternalTimestamps:
     def test_timestamps_lag_arrivals(self):
         base = poisson_arrivals(10.0, random.Random(2))
@@ -133,10 +115,6 @@ class TestExternalTimestamps:
 
 
 class TestPayloadGenerators:
-    def test_sequence(self):
-        assert take(sequence_payloads(), 3) == [
-            {"seq": 0}, {"seq": 1}, {"seq": 2}]
-
     def test_uniform_values_in_range(self):
         payloads = take(uniform_value_payloads(random.Random(1)), 100)
         assert all(0.0 <= p["value"] <= 1.0 for p in payloads)
@@ -151,8 +129,3 @@ class TestPayloadGenerators:
         p = take(packet_payloads(random.Random(1)), 1)[0]
         assert set(p) == {"seq", "src", "dst", "bytes", "value"}
         assert 64 <= p["bytes"] < 1500
-
-    def test_sensors_shape(self):
-        payloads = take(sensor_payloads(random.Random(1), sensors=4), 50)
-        assert {p["sensor"] for p in payloads} <= {f"s{i}" for i in range(4)}
-        assert all(isinstance(p["reading"], float) for p in payloads)
