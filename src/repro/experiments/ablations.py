@@ -202,7 +202,7 @@ def fault_recovery(*, duration: float = 60.0, outage_start: float = 15.0,
 
 
 def backpressure(**config) -> dict[str, OverloadReport]:
-    """X9: the :class:`OverloadConfig` default squeeze — scenario C at 50/s,
+    """X9: the :mod:`.overload` default squeeze — scenario C at 50/s,
     a 6x load spike plus a slow sink over [10 s, 30 s) of 60 s, high
     watermark 48 — open loop and closed loop.
 

@@ -23,7 +23,8 @@ from repro.core.graph import QueryGraph
 from repro.core.operators import Reorder
 from repro.core.execution import ExecutionEngine
 from repro.core.tuples import TimestampKind
-from repro.experiments.overload import OverloadConfig, run_overload_experiment
+from repro.experiments.overload import (HIGH_WATERMARK, OverloadConfig,
+                                        run_overload_experiment)
 from repro.feedback import FeedbackController, TokenBucketThrottle
 from repro.sim.clock import VirtualClock
 
@@ -146,4 +147,4 @@ def test_closed_loop_settles_under_constant_spike(seed):
     assert 1 <= s["feedback_episodes"] <= 6
     assert s["feedback_reliefs"] >= s["feedback_episodes"]
     assert report.monitor_violations == 0
-    assert report.peak_queue <= 4 * report.config.high_watermark
+    assert report.peak_queue <= 4 * HIGH_WATERMARK
