@@ -425,17 +425,21 @@ class StreamBuffer:
         Blocks hold only data rows in timestamp order, so the order check
         reduces to comparing the block's first non-latent timestamp against
         the last pushed one, and all bookkeeping is one update per block
-        instead of one per row.  Empty blocks are ignored.
+        instead of one per row.  Empty blocks are ignored.  The end stamps
+        are read off the live rows directly; only a latent end scans.
         """
-        n = block.count
+        ts, sel = block.ts, block.selection
+        n = len(ts) if sel is None else len(sel)
         if not n:
             return
-        first = block.first_ts()
+        first, last = (ts[0], ts[-1]) if sel is None \
+            else (ts[sel[0]], ts[sel[-1]])
+        if first == LATENT_TS or last == LATENT_TS:
+            first, last = block.first_ts(), block.last_ts()
         if first != LATENT_TS:
             if self._enforce_order and self._last_pushed_ts != LATENT_TS \
                     and first < self._last_pushed_ts:
                 raise self._order_violation(first, self._last_pushed_ts)
-            last = block.last_ts()
             if last > self._last_pushed_ts:
                 self._last_pushed_ts = last
         self._tail = None
@@ -485,11 +489,24 @@ class StreamBuffer:
         (``None`` when no row does), leaving the remainder at the head as a
         block.  No counters move — callers do the bookkeeping.  An open
         tail block closes here: whole or split, its arrays now have a
-        second owner."""
+        second owner.
+
+        A block that fits whole leaves as it is, unsplit: within ``limit``
+        and, under ``max_ts``, ending on a stamp below it on an ordered
+        arc — every stamped row then lies below, and latent rows never
+        stop a run.  A latent last row proves nothing, so it splits."""
         items = self._items
         taken = items[0]
         if taken is self._tail:
             self._tail = None
+        ts, sel = taken.ts, taken.selection
+        n = len(ts) if sel is None else len(sel)
+        if 0 < n <= limit:
+            if max_ts is None:
+                return items.popleft()
+            last = ts[-1] if sel is None else ts[sel[-1]]
+            if last != LATENT_TS and last < max_ts and self._enforce_order:
+                return items.popleft()
         rest: list[ColumnarBlock] = []
         if max_ts is not None:
             taken, tail = taken.split_below(max_ts)
@@ -506,11 +523,13 @@ class StreamBuffer:
         return taken
 
     def _consumed_rows(self, block: ColumnarBlock) -> None:
-        """Bookkeeping for a block handed to the consumer."""
-        last = self._run_max(block)
-        if last != LATENT_TS:
-            self.register.update(last)
-        n = block.count
+        """Bookkeeping for a (never empty) block handed to the consumer."""
+        ts, sel = block.ts, block.selection
+        n = len(ts) if sel is None else len(sel)
+        last = ts[-1] if sel is None else ts[sel[-1]]
+        if last == LATENT_TS or not self._enforce_order:
+            last = self._run_max(block)
+        self.register.update(last)
         self._len -= n
         self._dequeued += n
         self._data_live -= n

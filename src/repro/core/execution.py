@@ -197,8 +197,9 @@ class ExecutionEngine:
         self._pumped_at: float | None = None
         self._pumped_round = 0
         self._iwp_ops = graph.iwp_operators()
+        self._source_nodes = frozenset(graph.sources())
         self._executable = [op for op in graph.operators
-                            if not isinstance(op, SourceNode)]
+                            if op not in self._source_nodes]
         self.bus: EventBus | None = (EventBus(config.observers)
                                      if config.observers else None)
         self._buffer_forward = None
@@ -341,7 +342,8 @@ class ExecutionEngine:
         execute = True  # False right after Backtrack ("repeat the NOS step")
         bus = self.bus
         registry = self.graph.registry
-        pump, forward_target = self._pump_due, self._forward_target
+        clock, deliver_due = self.clock, self.deliver_due
+        round_id, sources = self._round_id, self._source_nodes
         step = self._step_run if self.batch_size > 1 else self._step
         # Operators (and sources) visited without executing since the last
         # buffer mutation.  Re-reaching one means the NOS rules are cycling
@@ -349,16 +351,28 @@ class ExecutionEngine:
         # a source feeding two consumers (diamond) does exactly that when
         # one arm stalls gated on the other.  Any buffer change invalidates
         # the set: new state means a dead operator may now execute.
-        dead: set[int] = set()
+        dead: set[Operator] = set()
         dead_stamp = registry.mutations
         while True:
-            pump()
+            # The pump (_pump_due, inlined): its place before the NOS
+            # decision is observable, and it fires only on a clock change.
+            if deliver_due is not None:
+                now = clock.now()
+                if now != self._pumped_at or round_id != self._pumped_round:
+                    self._pumped_at, self._pumped_round = now, round_id
+                    deliver_due(now)
             stamp = registry.mutations
             if stamp != dead_stamp:
                 dead_stamp = stamp
                 dead.clear()
-            if isinstance(current, SourceNode):
-                nxt = forward_target(current, dead)
+            if current in sources:
+                # Forward to a live successor not dead-ended in this state
+                # (a stalled diamond must reach the ETS consultation).
+                nxt = None
+                for buf, succ in current.forward_pairs:
+                    if buf and succ not in dead:
+                        nxt = succ
+                        break
                 if nxt is not None:
                     if bus is not None:
                         bus.nos_decision(decision="forward",
@@ -370,9 +384,9 @@ class ExecutionEngine:
                 # Every live successor is dead-ended: this is the genuine
                 # stalled-source dead end the ETS hook exists for, even when
                 # some output buffer is nonempty (diamond topologies).
-                if id(current) in dead:
+                if current in dead:
                     return progress
-                dead.add(id(current))
+                dead.add(current)
                 if self._try_ets(current):
                     progress = True
                     continue  # the injected punctuation enables Forward
@@ -387,12 +401,18 @@ class ExecutionEngine:
             else:
                 # Visited without executing: a second visit in the same
                 # buffer state would retrace the identical continuation.
-                if id(current) in dead:
+                if current in dead:
                     return progress
-                dead.add(id(current))
+                dead.add(current)
 
-            # [Continuation Step] — NOS rules
-            nxt = forward_target(current)
+            # [Continuation Step] — NOS rules.  Forward: the successor
+            # consuming a nonempty output buffer (the precomputed
+            # ``forward_pairs`` arcs with a live consumer).
+            nxt = None
+            for buf, succ in current.forward_pairs:
+                if buf:
+                    nxt = succ
+                    break
             if nxt is not None:  # Forward
                 if bus is not None:
                     bus.nos_decision(decision="forward", operator=nxt.name,
@@ -421,24 +441,6 @@ class ExecutionEngine:
                                  detail=f"stalled input {j} of "
                                         f"{current.name}")
             current, execute = pred, False
-
-    @staticmethod
-    def _forward_target(op: Operator,
-                        dead: set[int] | None = None) -> Operator | None:
-        """Forward rule: the successor consuming a nonempty output buffer.
-
-        Iterates the operator's precomputed ``forward_pairs`` table (arcs
-        with a live consumer, maintained at wiring time) instead of
-        re-zipping and re-filtering the edge lists on every NOS decision.
-
-        ``dead`` (source nodes only) skips successors already visited
-        without executing in the current buffer state, so a stalled diamond
-        reaches the ETS consultation instead of re-forwarding forever.
-        """
-        for buf, succ in op.forward_pairs:
-            if buf and (dead is None or id(succ) not in dead):
-                return succ
-        return None
 
     def _step(self, op: Operator) -> StepResult:
         result = op.execute_step(self.ctx)
@@ -516,7 +518,8 @@ class ExecutionEngine:
                 emitted_data=run.emitted_data,
                 emitted_punctuation=run.emitted_punctuation,
                 duration=cost)
-        self._refresh_idle()
+        if self.idle_tracker is not None:
+            self.idle_tracker.refresh(self.clock.now())
         return run
 
     # ------------------------------------------------------------------ #

@@ -99,11 +99,9 @@ class SinkNode(Operator):
         """
         batch = BatchResult()
         buf = self.inputs[0]
-        while batch.steps < limit:
+        while batch.steps < limit and buf:
             block = buf.drain_block(limit - batch.steps)
             if block is None:
-                if buf.is_empty:
-                    break
                 # Punctuation at the head: absorb it, close the batch.
                 buf.pop()
                 self.punctuation_eliminated += 1

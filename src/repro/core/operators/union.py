@@ -25,6 +25,8 @@ from .base import BatchResult, IwpOperator, OpContext, StepResult
 
 __all__ = ["Union"]
 
+_INF = float("inf")
+
 
 class Union(IwpOperator):
     """N-ary order-preserving merge with TSM-register idle-waiting relief.
@@ -153,8 +155,13 @@ class Union(IwpOperator):
                 else:
                     self.punctuation_suppressed += 1
                 break  # punctuation is a batch boundary
-            other_min = LATENT_TS if latent is not None \
-                else min(gates[:pick] + gates[pick + 1:])
+            if latent is not None:
+                other_min = LATENT_TS
+            else:  # the smallest gate of the other inputs, no list built
+                other_min = _INF
+                for i, gate in enumerate(gates):
+                    if gate < other_min and i != pick:
+                        other_min = gate
             if tau < other_min:
                 blk = buf.drain_block(limit - batch.steps, max_ts=other_min)
                 assert blk is not None  # head is data at tau
@@ -207,7 +214,6 @@ class Union(IwpOperator):
         # while we execute, so the cache cannot go stale mid-invocation.
         heads = [buf.head_ts() for buf in inputs]
         steps = data_fwd = 0
-        INF = float("inf")
         while steps < limit:
             # Latent heads jump the queue (they carry no timestamp yet).
             idx = -1
@@ -225,7 +231,7 @@ class Union(IwpOperator):
             # Strict: every input must be nonempty; find the smallest head
             # (first index wins ties, matching the scalar ``min((ts, i))``)
             # and the smallest *other* head in one two-minimum scan.
-            ts = bound = INF
+            ts = bound = _INF
             for i in range(n_inputs):
                 h = heads[i]
                 if h is None:

@@ -175,11 +175,13 @@ class Punctuation(StreamElement):
 
         Non-IWP operators pass punctuation through "unchanged except for
         possible reformatting" (paper Section 4.2); schema-changing operators
-        use this to keep provenance readable.
+        use this to keep provenance readable.  The copy keeps the class,
+        ``ts``, ``seq`` and ``periodic``.
         """
         if origin is None:
             return self
-        return replace(self, origin=origin)
+        return type(self)(ts=self.ts, seq=self.seq, origin=origin,
+                          periodic=self.periodic)
 
 
 @dataclass(frozen=True, slots=True)

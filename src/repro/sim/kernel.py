@@ -362,13 +362,13 @@ class Simulation:
 
     def _deliver_due(self, now: float) -> None:
         """Engine hook: fire every event due at or before ``now``."""
+        events = self.events
+        next_t = events.next_time()
+        if next_t is None or next_t > now or next_t > self._horizon:
+            return
         limit = min(now, self._horizon)
-        while True:
-            due = self.events.pop_due(limit)
-            if due is None:
-                return
-            _, action = due
-            action()
+        while (due := events.pop_due(limit)) is not None:
+            due[1]()
 
     def run(self, until: float) -> "Simulation":
         """Advance the simulation to virtual time ``until``; returns self."""

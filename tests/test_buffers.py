@@ -334,6 +334,85 @@ class TestDrainBatchOverBlocks:
         assert list(buf) == rows[2:] and buf.data_count == 2
 
 
+L = LATENT_TS
+
+
+class TestWholeHeadBlockHandOff:
+    """``drain_block`` hands a head block that fits over as it is, with no
+    split; every other case takes the split path, and both must leave what
+    pop-by-pop consumption of the same rows leaves: rows taken, rows left,
+    register and counters."""
+
+    @staticmethod
+    def _pair(stamps, enforce_order=True, selection=None):
+        """A buffer holding one block of ``stamps`` and a model buffer
+        holding the same live rows as tuples; a punctuation follows both,
+        so the model's run ends where the block does."""
+        rows = [data(ts, {"i": i}) for i, ts in enumerate(stamps)]
+        block = ColumnarBlock.from_tuples(rows)
+        if selection is not None:
+            block = block.with_selection(selection)
+            rows = [rows[i] for i in selection]
+        buf = StreamBuffer("b", enforce_order=enforce_order)
+        model = StreamBuffer("m", enforce_order=enforce_order)
+        buf.push_block(block)
+        for row in rows:
+            model.push(row)
+        mark = punct(99.0)
+        for x in (buf, model):
+            x.push(mark)
+        return buf, model, block
+
+    @staticmethod
+    def _same(buf, model, got, limit, max_ts):
+        want = model.drain_batch(limit, max_ts)
+        assert (got.to_tuples() if got is not None else []) == want
+        assert list(buf) == list(model)
+        assert buf.register.value == model.register.value
+        assert (len(buf), buf.dequeued_count, buf.data_count) == (
+            len(model), model.dequeued_count, model.data_count)
+
+    @pytest.mark.parametrize("stamps, selection, limit, max_ts", [
+        ([1.0, 2.0, 3.0], None, 64, None),
+        ([1.0, 2.0, 3.0], None, 3, 3.5),
+        ([1.0, 2.0, 3.0, 8.0], [0, 2], 2, 5.0),
+        ([L, 2.0, 3.0], None, 64, 4.0),
+    ], ids=["no-bound", "exact-limit-below-max-ts", "selection", "latent-head"])
+    def test_a_block_that_fits_leaves_as_it_is(self, stamps, selection,
+                                               limit, max_ts, monkeypatch):
+        buf, model, block = self._pair(stamps, selection=selection)
+        for split in ("split_at", "split_below"):
+            monkeypatch.setattr(ColumnarBlock, split, None)  # never called
+        got = buf.drain_block(limit, max_ts)
+        assert got is block
+        self._same(buf, model, got, limit, max_ts)
+
+    @pytest.mark.parametrize("stamps, limit, max_ts, enforce_order", [
+        ([1.0, 9.0, L], 64, 5.0, True),
+        ([1.0, 2.0, L], 64, None, True),
+        ([1.0, 2.0, 3.0, 4.0], 2, None, True),
+        ([1.0, 2.0, 3.0, 4.0], 64, 3.0, True),
+        ([1.0, 2.0, 3.0, 4.0], 0, None, True),
+        ([3.0, 7.0, 5.0], 64, 6.0, False),
+        ([3.0, 7.0, 5.0], 64, None, False),
+    ], ids=["latent-last-row-hides-a-row-above-max-ts",
+            "latent-last-row-register", "limit-below-row-count",
+            "max-ts-cuts-inside", "limit-zero", "unordered-arc-max-ts",
+            "unordered-arc-register"])
+    def test_every_fall_back_equals_pop_by_pop(self, stamps, limit, max_ts,
+                                               enforce_order):
+        buf, model, _ = self._pair(stamps, enforce_order)
+        self._same(buf, model, buf.drain_block(limit, max_ts), limit, max_ts)
+
+    def test_push_block_reads_latent_ends_through_the_stamped_rows(self):
+        buf = StreamBuffer("b")
+        buf.push_block(ColumnarBlock.from_tuples(
+            [data(L), data(2.0), data(4.0), data(L)]))
+        assert buf.last_pushed_ts == 4.0
+        with pytest.raises(TimestampError):
+            buf.push_block(ColumnarBlock.from_tuples([data(L), data(3.0)]))
+
+
 # --------------------------------------------------------------------- #
 # The ingest seam: append_row against push(DataTuple)
 

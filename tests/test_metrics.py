@@ -13,6 +13,7 @@ from repro.obs.idle import IdleTracker
 from repro.obs.latency import LatencyRecorder
 from repro.obs.report import format_series, format_table, format_value
 from repro.sim.cost import CostModel
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulation
 from repro.workloads.scenarios import (ScenarioConfig, build_join_scenario,
                                        build_union_scenario)
@@ -179,8 +180,12 @@ class TestIdleAccountingIsExact:
     @pytest.mark.parametrize("batch_size", [1, 64])
     def test_the_saving_is_a_count(self, batch_size, monkeypatch):
         """Scenario C, ~2,000 arrivals: the gate is evaluated per input
-        *mutation*, not per question; the pump follows the clock."""
-        calls = {"evaluations": 0, "mutations": 0, "pumps": 0, "head_ts": 0}
+        *mutation*, not per question; the tracker judges each gate once;
+        the pump follows the clock and the kernel pops only due events."""
+        calls = {"evaluations": 0, "mutations": 0, "pumps": 0, "head_ts": 0,
+                 "pop_due": 0, "fired": 0}
+        judged = []  # every gate whose idle bit a tracker refresh read
+        refreshing = [False]
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -188,10 +193,41 @@ class TestIdleAccountingIsExact:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(IwpOperator, "_evaluate_gate", counted(
-            IwpOperator._evaluate_gate, "evaluations"))
+        class Gate(tuple):
+            def __getitem__(self, index):
+                if index == 4 and refreshing[0]:
+                    judged.append(self)
+                return tuple.__getitem__(self, index)
+
+        evaluate, refresh = IwpOperator._evaluate_gate, IdleTracker.refresh
+
+        def evaluate_gate(op):
+            calls["evaluations"] += 1
+            op._gate = gate = Gate(evaluate(op))
+            return gate
+
+        def refresh_judging(tracker, now):
+            refreshing[0] = True
+            try:
+                refresh(tracker, now)
+            finally:
+                refreshing[0] = False
+
+        def firing(fn):
+            def wrapper(*args):
+                event = fn(*args)
+                calls["fired"] += event is not None
+                return event
+            return wrapper
+
+        monkeypatch.setattr(IwpOperator, "_evaluate_gate", evaluate_gate)
+        monkeypatch.setattr(IdleTracker, "refresh", refresh_judging)
         monkeypatch.setattr(StreamBuffer, "head_ts", counted(
             StreamBuffer.head_ts, "head_ts"))
+        monkeypatch.setattr(EventQueue, "pop_due", firing(counted(
+            EventQueue.pop_due, "pop_due")))
+        monkeypatch.setattr(EventQueue, "pop_next",
+                            firing(EventQueue.pop_next))
         handles = build_union_scenario(ScenarioConfig(
             scenario="C", rate_fast=200.0, duration=10.0,
             batch_size=batch_size))
@@ -206,6 +242,9 @@ class TestIdleAccountingIsExact:
         assert calls["pumps"] <= (stats.steps + stats.ets_injected
                                   + 2 * stats.rounds)
         assert calls["head_ts"] <= 30 * arrivals
+        # No gate is judged twice, so an unchanged gate is never re-judged.
+        assert 0 < len({id(g) for g in judged}) == len(judged)
+        assert calls["pop_due"] <= calls["fired"] + stats.rounds
 
 
 class TestQueueSummary:

@@ -109,6 +109,20 @@ class TestPunctuation:
         punct = Punctuation(ts=7.0, origin="src")
         assert punct.reformatted(None) is punct
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_reformatted_copy_keeps_ts_seq_periodic_and_class(self, periodic):
+        class Marked(Punctuation):
+            __slots__ = ()
+
+        for punct in (Punctuation(ts=7.0, seq=41, origin="src",
+                                  periodic=periodic),
+                      Marked(ts=7.0, seq=41, origin="src",
+                             periodic=periodic)):
+            again = punct.reformatted("union")
+            assert type(again) is type(punct)  # a subclass stays one
+            assert (again.ts, again.seq, again.periodic, again.origin) == (
+                7.0, 41, periodic, "union")
+
 
 class TestPredicates:
     def test_is_data_and_is_punctuation(self):
