@@ -29,7 +29,7 @@ The surface is grouped into five sections:
   processes, scenario builders, and the paper-figure experiment harnesses;
 * **Observe** — watch it happen: the :mod:`repro.obs` event bus,
   exporters, tracing, the metrics registry, and report formatting;
-* **Recover** — survive faults: fault plans, the degradation ladder,
+* **Recover** — survive faults: fault plans, timestamp quarantine,
   closed-loop backpressure, and checkpoint/WAL crash recovery;
 * **Scale** — go faster and wider: the columnar block layer
   (:class:`ColumnarBlock`, :class:`FieldPredicate`) and the
@@ -171,13 +171,12 @@ from .obs.recovery import RecoveryTracker
 from .obs.report import format_series, format_table
 
 # ======================================================================== #
-# Recover — faults, degradation, backpressure, crash recovery
+# Recover — faults, quarantine, backpressure, crash recovery
 # ======================================================================== #
 from .faults import (
     ClockSkewSpike,
     DropTuples,
     DuplicateTuples,
-    FallbackHeartbeat,
     FaultPlan,
     FaultSpec,
     InvariantMonitor,
@@ -191,7 +190,6 @@ from .faults import (
     SimulatedCrash,
     SlowSink,
     SourceOutage,
-    StallDetector,
 )
 from .feedback import FeedbackController, TokenBucketThrottle
 from .recovery import (
@@ -278,12 +276,12 @@ __all__ = [
     # ------------------------------------------------------------------ #
     # Recover
     # ------------------------------------------------------------------ #
-    # faults & degradation
-    "ClockSkewSpike", "DropTuples", "DuplicateTuples", "FallbackHeartbeat",
-    "FaultPlan", "FaultSpec", "InvariantMonitor", "LoadSpike",
-    "OutOfOrderBurst", "ProcessCrash", "PunctuationDelay",
-    "PunctuationLoss", "QuarantinePolicy", "ReshardCrash",
-    "SimulatedCrash", "SlowSink", "SourceOutage", "StallDetector",
+    # faults & quarantine
+    "ClockSkewSpike", "DropTuples", "DuplicateTuples", "FaultPlan",
+    "FaultSpec", "InvariantMonitor", "LoadSpike", "OutOfOrderBurst",
+    "ProcessCrash", "PunctuationDelay", "PunctuationLoss",
+    "QuarantinePolicy", "ReshardCrash", "SimulatedCrash", "SlowSink",
+    "SourceOutage",
     # feedback (closed-loop backpressure)
     "FeedbackController", "TokenBucketThrottle",
     # recovery

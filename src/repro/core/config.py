@@ -59,10 +59,9 @@ class EngineConfig:
             empty the engine stores no event bus at all and every emission
             site reduces to one ``is None`` test — the fast path
             ``tests/test_obs_bus.py`` pins.  A ``Simulation`` publishes its
-            own events (arrivals, heartbeat / fallback punctuation,
-            degradation-ladder actions) on the same bus; a sharded engine
-            hands them ``on_shard`` events and nothing else (per-shard
-            engine events stay inside their shard).
+            own events (arrivals, heartbeat punctuation) on the same bus;
+            a sharded engine hands them ``on_shard`` events and nothing
+            else (per-shard engine events stay inside their shard).
         feedback: A :class:`~repro.feedback.FeedbackController` sampled at
             the end of every wake-up, or a zero-argument factory of them;
             None keeps the engine feedback-free.  Sharded engines build one

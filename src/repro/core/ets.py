@@ -14,12 +14,11 @@ property of the streams themselves:
   generated punctuation rides down exactly the path that was backtracked.
 * **D — latent timestamps**: no policy involved; latent streams never gate.
 
-All of these assume live, well-behaved sources.  When a source can die or
-its clock can misbehave, any policy here can be wrapped in the degradation
-ladder from :mod:`repro.faults.degrade` (stall detection → fallback
-heartbeat trains → quarantine), which delegates to the wrapped policy on
-the healthy path and takes over stamp generation only while a source is
-flagged as stalled (see DESIGN.md §4c).
+On-demand ETS is also what keeps a query live when a source dies: the
+next wake-up backtracks to the silent source and punctuates it, so the
+other inputs keep flowing (claim X8; DESIGN.md §4c).  A clock that spikes
+past the skew bound is a different fault, absorbed at ingest by
+:class:`~repro.faults.degrade.QuarantinePolicy`.
 """
 
 from __future__ import annotations

@@ -58,9 +58,6 @@ class EngineStats:
         ets_offers: Times a stalled source consulted the ETS policy.
         ets_injected: Times the policy actually injected a punctuation.
         busy_time: Simulated CPU seconds consumed by operator steps.
-        degradations / resyncs: Sources switched to fallback heartbeats by
-            the stall detector, and switched back on recovery.
-        fallback_heartbeats: Punctuation injected by fallback trains.
         quarantine_dropped / quarantine_clamped: Regressed-timestamp tuples
             absorbed by the quarantine policy instead of crashing ingest.
         invariant_violations: Violations the invariant monitor recorded in
@@ -83,9 +80,6 @@ class EngineStats:
     busy_time: float = 0.0
     emitted_data: int = 0
     emitted_punctuation: int = 0
-    degradations: int = 0
-    resyncs: int = 0
-    fallback_heartbeats: int = 0
     quarantine_dropped: int = 0
     quarantine_clamped: int = 0
     invariant_violations: int = 0

@@ -169,7 +169,7 @@ class SourceNode(Operator):
                 # The stream frontier a new timestamp must not regress
                 # below: the last data tuple, and — when a quarantine policy
                 # is judging admission — any punctuation-advanced watermark
-                # (a fallback heartbeat may have outrun the application).
+                # (an ETS value may have outrun a clock that spiked past δ).
                 floor = self.last_data_ts
                 if self.quarantine is not None and self.watermark > floor:
                     floor = self.watermark

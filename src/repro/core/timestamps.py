@@ -60,23 +60,20 @@ class SkewBoundEts:
     Args:
         delta: Maximum skew (stream seconds) between an application timestamp
             and its arrival; larger deltas are safer but unblock less.
-        allow_cold_start: Propose ``now − delta`` even before the first data
-            tuple (assumes application time ≈ arrival time up to δ); off by
-            default — a source that never produced anything gives no basis
-            for estimation.
+
+    A source that has produced no data yet gives ``t`` no value, so no ETS
+    is proposed: a never-started external stream keeps gating its IWP
+    consumer until its first tuple arrives.
     """
 
-    def __init__(self, delta: float, *, allow_cold_start: bool = False) -> None:
+    def __init__(self, delta: float) -> None:
         if delta < 0:
             raise ValueError(f"skew delta must be non-negative, got {delta}")
         self.delta = float(delta)
-        self.allow_cold_start = allow_cold_start
 
     def propose(self, source: SourceNode, now: float) -> float | None:
         if source.last_data_ts == LATENT_TS:
-            if self.allow_cold_start:
-                return now - self.delta
-            return None
+            return None  # no basis for estimation
         elapsed = now - source.last_arrival_wall
         return source.last_data_ts + elapsed - self.delta
 

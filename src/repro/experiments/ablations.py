@@ -189,15 +189,26 @@ def adaptive_heartbeats(*, duration: float = 120.0, shift_at: float = 60.0,
 
 def fault_recovery(*, duration: float = 60.0, outage_start: float = 15.0,
                    outage_duration: float = 20.0) -> dict[str, ChaosReport]:
-    """X8: a fast-stream outage at 20 and 1 tuples/s under no base ETS, with
-    and without the degradation ladder (stall timeout 2 s, fallback
-    heartbeat every 0.5 s: the :class:`ChaosConfig` defaults)."""
+    """X8: a fast-stream outage at 20 and 1 tuples/s under no ETS and under
+    on-demand ETS, with no other liveness mechanism.
+
+    Keys: ``"no-ets"`` (internal timestamps), ``"internal"`` (on-demand ETS)
+    and ``"external"`` (on-demand skew-bound ETS, plus a 2 s clock-skew
+    spike on the fast stream — 20x past δ — a quarter outage after it
+    heals).  Every arm has a clamping quarantine and a degrade-mode
+    invariant monitor.
+    """
+    common = dict(duration=duration, rate_fast=20.0, rate_slow=1.0, seed=11,
+                  outage_start=outage_start, outage_duration=outage_duration)
+    spike = dict(skew_spike=2.0,
+                 skew_spike_start=(outage_start + outage_duration * 1.25),
+                 skew_spike_duration=outage_duration / 4)
     return {
-        label: run_chaos_experiment(ChaosConfig(
-            duration=duration, rate_fast=20.0, rate_slow=1.0, seed=11,
-            base_ets="none", outage_start=outage_start,
-            outage_duration=outage_duration, degrade=degrade))
-        for label, degrade in (("baseline", False), ("ladder", True))
+        "no-ets": run_chaos_experiment(ChaosConfig(base_ets="none",
+                                                   **common)),
+        "internal": run_chaos_experiment(ChaosConfig(**common)),
+        "external": run_chaos_experiment(ChaosConfig(external=True,
+                                                     **spike, **common)),
     }
 
 

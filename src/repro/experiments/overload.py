@@ -1,7 +1,7 @@
 """Overload experiment: the union scenario under a load spike + slow sink.
 
-The chaos experiment measures how the degradation ladder restores
-*liveness* when a source dies; this one measures how the feedback loop
+The chaos experiment measures how on-demand ETS keeps the query *live*
+when a source dies; this one measures how the feedback loop
 (:mod:`repro.feedback`) bounds *latency and memory* when nothing dies but
 everything is too fast: a :class:`~repro.faults.plan.LoadSpike` multiplies
 the fast stream's arrival rate while a :class:`~repro.faults.plan.SlowSink`

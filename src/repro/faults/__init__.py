@@ -1,4 +1,4 @@
-"""Fault injection and graceful degradation for the repro DSMS.
+"""Fault injection and fault containment for the repro DSMS.
 
 Three layers, usable independently and designed to compose:
 
@@ -6,16 +6,16 @@ Three layers, usable independently and designed to compose:
   (:class:`FaultPlan`) that wrap arrival schedules and punctuation paths:
   source outages, clock-skew spikes, drops, duplicates, out-of-order
   bursts, punctuation loss/delay, load spikes, and slow sinks;
-* :mod:`repro.faults.degrade` — the degradation ladder
-  (:class:`StallDetector` → :class:`FallbackHeartbeat` →
-  :class:`QuarantinePolicy`) that keeps the engine live and crash-free
-  when those faults hit;
+* :mod:`repro.faults.degrade` — :class:`QuarantinePolicy`, which keeps
+  ingest crash-free when a clock spike regresses external timestamps
+  (liveness through a silent source is on-demand ETS's job, not a fault
+  layer's);
 * :mod:`repro.faults.monitors` — :class:`InvariantMonitor` watchdogs that
-  prove the degradation stayed graceful (monotone sinks, monotone TSM
-  registers, bounded buffers).
+  prove the run stayed sound (monotone sinks, monotone TSM registers,
+  bounded buffers).
 """
 
-from .degrade import FallbackHeartbeat, QuarantinePolicy, StallDetector
+from .degrade import QuarantinePolicy
 from .monitors import InvariantMonitor
 from .plan import (
     ClockSkewSpike,
@@ -39,7 +39,6 @@ __all__ = [
     "ClockSkewSpike",
     "DropTuples",
     "DuplicateTuples",
-    "FallbackHeartbeat",
     "FaultPlan",
     "FaultSpec",
     "FaultStats",
@@ -54,5 +53,4 @@ __all__ = [
     "SimulatedCrash",
     "SlowSink",
     "SourceOutage",
-    "StallDetector",
 ]

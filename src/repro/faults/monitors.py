@@ -1,7 +1,7 @@
 """Runtime invariant monitors: watchdogs over the engine's safety properties.
 
 Fault injection is only trustworthy if something independent checks that
-degradation stayed *graceful*.  An :class:`InvariantMonitor` installs three
+the faulted run stayed *sound*.  An :class:`InvariantMonitor` installs three
 watchdogs over a query graph:
 
 * **sink-watermark monotonicity** — delivered timestamps at every sink must

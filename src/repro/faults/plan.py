@@ -470,10 +470,10 @@ class PunctuationLoss(FaultSpec):
     """Punctuation injections on the source are lost inside the window.
 
     Installed on a built simulation: every ``inject_punctuation`` call —
-    periodic heartbeats, on-demand ETS, fallback heartbeats alike — during
-    ``[start, end)`` is dropped with ``probability``.  This is the fault
-    that turns scenario B's liveness guarantee into a lie and motivates the
-    fallback ladder.
+    periodic heartbeats and on-demand ETS alike — during ``[start, end)`` is
+    dropped with ``probability``.  This is the fault that turns scenario
+    B's liveness guarantee into a lie; on-demand ETS simply asks again at
+    the next wake-up that backtracks to the source.
     """
 
     source: str

@@ -25,9 +25,10 @@ Three pieces:
   (waves every ``refresh_every`` wake-ups), falling back through
   ``low_watermark`` deactivates it and starts a bounded train of *relief*
   beats that let AIMD throttles and shed budgets unwind gradually.
-* The pressure view (:attr:`FeedbackController.pressure`) that the
-  degradation ladder (:mod:`repro.faults.degrade`) consumes to make
-  stall/quarantine decisions pressure-aware.
+* The pressure view (:attr:`FeedbackController.pressure`) that a shard
+  reports with each result, so a sharded engine can broadcast the
+  fleet-wide maximum back (:meth:`FeedbackController.clamp`), and that
+  :meth:`summary` exposes.
 
 Everything the controller does is a pure function of engine state and the
 virtual clock, and its own state is versioned via ``snapshot_state`` —
@@ -156,7 +157,7 @@ class FeedbackController:
 
     @property
     def pressure(self) -> float:
-        """Live pressure view ``[0, 1]`` for the degradation ladder.
+        """Live pressure view ``[0, 1]``: reported per shard and summarised.
 
         The worse of the local hysteresis view and any externally clamped
         (sharded global) view — a shard that is locally idle still reacts

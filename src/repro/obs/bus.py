@@ -69,11 +69,11 @@ class Observer:
     * :meth:`on_ets` — a stalled source consulted the ETS policy
       (``injected`` tells whether a punctuation resulted).
     * :meth:`on_punctuation` — a punctuation entered the graph at a source
-      (``origin`` is ``"ets"``, ``"heartbeat"``, or ``"fallback"``; ``ts``
-      is its timestamp when the caller knows it).
+      (``origin`` is ``"ets"`` or ``"heartbeat"``; ``ts`` is its timestamp
+      when the caller knows it).
     * :meth:`on_buffer_change` — the graph-wide live-element total moved.
-    * :meth:`on_fault` — a fault-path action (``kind`` is ``"degrade"``,
-      ``"fallback"``, ``"resync"``, ``"quarantine"``, ``"violation"``, …).
+    * :meth:`on_fault` — a fault-path action (``kind`` is
+      ``"quarantine"``, ``"violation"``, ``"checkpoint-corrupt"``, …).
     * :meth:`on_quiesce` — the wake-up round ran out of work.
     """
 
@@ -114,7 +114,7 @@ class Observer:
 
     def on_fault(self, *, kind: str, operator: str, round_id: int,
                  time: float, detail: str = "") -> None:
-        """A fault-path action happened (degrade, resync, violation, …)."""
+        """A fault-path action happened (quarantine, violation, …)."""
 
     def on_quiesce(self, *, round_id: int, time: float) -> None:
         """The engine's wake-up round reached quiescence."""

@@ -1,12 +1,12 @@
 """Recovery metrics: liveness gaps at sinks, time-to-liveness after faults.
 
-The chaos suite's headline claim is *bounded recovery*: after a source
-outage stalls an idle-waiting operator, fallback degradation must get data
-flowing to the sinks again within a configured delay.  A
-:class:`RecoveryTracker` chains onto a sink's ``on_output`` callback and
-records every delivery instant, from which both the largest silent gap and
-the time-to-liveness after any chosen instant (e.g. the moment the stall
-detector could first have fired) fall out.
+The chaos experiment's headline claim (X8) is *liveness through an
+outage*: while a source is silent, on-demand ETS must keep data from the
+other streams flowing to the sinks.  A :class:`RecoveryTracker` chains onto
+a sink's ``on_output`` callback and records every delivery instant together
+with the tuple's arrival instant, from which both the largest silent gap
+and the time-to-liveness after any chosen instant (e.g. the start of an
+outage) fall out.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ class RecoveryTracker:
 
     def __init__(self) -> None:
         self.times: list[float] = []
+        #: Arrival instant of each delivered tuple, parallel to ``times``.
+        self.arrivals: list[float] = []
         self._max_gap = 0.0
         self._last: float | None = None
 
@@ -35,7 +37,7 @@ class RecoveryTracker:
         previous = sink.on_output
 
         def record(tup, latency) -> None:
-            self.note(sink_time(tup, latency))
+            self.note(sink_time(tup, latency), tup.arrival_ts)
             if previous is not None:
                 previous(tup, latency)
 
@@ -48,12 +50,14 @@ class RecoveryTracker:
         sink.on_output = record
         return self
 
-    def note(self, t: float) -> None:
-        """Record one delivery at instant ``t``."""
+    def note(self, t: float, arrival: float = float("nan")) -> None:
+        """Record one delivery at instant ``t`` of a tuple that arrived at
+        ``arrival``."""
         if self._last is not None and t - self._last > self._max_gap:
             self._max_gap = t - self._last
         self._last = t
         self.times.append(t)
+        self.arrivals.append(arrival)
 
     @property
     def deliveries(self) -> int:
@@ -65,16 +69,15 @@ class RecoveryTracker:
         name as ``ChaosReport.max_sink_gap``)."""
         return self._max_gap
 
-    def first_delivery_after(self, t: float) -> float | None:
-        """Instant of the first delivery at or after ``t`` (None if never)."""
-        for when in self.times:
-            if when >= t:
-                return when
-        return None
-
     def time_to_liveness(self, after: float) -> float | None:
-        """Seconds from ``after`` until the sink delivered again."""
-        first = self.first_delivery_after(after)
+        """Seconds from ``after`` until the sink delivered a tuple that
+        arrived at or after it (None if it never did).
+
+        A backlog of older tuples flushed after ``after`` does not count:
+        liveness means data arriving now reaches the sink.
+        """
+        first = min((t for t, a in zip(self.times, self.arrivals)
+                     if a >= after), default=None)
         if first is None:
             return None
         return first - after

@@ -226,7 +226,7 @@ class MetricsRegistry(Observer):
         self.emitted = c("repro_emitted_total",
                          "Elements appended to output buffers, by kind")
         self.faults = c("repro_fault_actions_total",
-                        "Fault-path actions (degrade/resync/violation/...)")
+                        "Fault-path actions (quarantine/violation/...)")
         self.rounds = c("repro_engine_rounds_total", "Engine wake-up rounds")
         self.arrivals = c("repro_arrivals_total",
                           "Workload tuples delivered to sources")

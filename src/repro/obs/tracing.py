@@ -30,9 +30,9 @@ class TraceEvent:
 
     Attributes:
         kind: ``"execute"``, ``"forward"``, ``"encore"``, ``"backtrack"``,
-            ``"ets"``, ``"quiesce"``, a fault-path kind (``"degrade"``,
-            ``"fallback"``, ``"resync"``, ``"quarantine"``,
-            ``"violation"``), or the terminal ``"truncated"`` marker.
+            ``"ets"``, ``"quiesce"``, a fault-path kind
+            (``"quarantine"``, ``"violation"``, ``"checkpoint-corrupt"``),
+            or the terminal ``"truncated"`` marker.
         operator: Name of the operator (or source) the decision concerns.
         round_id: Engine wake-up round during which it happened.
         detail: Optional extra (e.g. stalled input index for backtrack,

@@ -190,7 +190,7 @@ class Pipeline:
         ``observers``, ``feedback``, ``ets_policy``, ``recovery``,
         ``state_dir``, ``max_steps_per_round``) update the
         pipeline's config; anything else (``cost_model``, ``periodic``,
-        ``start_time``, ``stall_detector``, ...) is forwarded to the
+        ``start_time``, ``quarantine``, ...) is forwarded to the
         :class:`Simulation` constructor verbatim.
         """
         config_updates = {k: v for k, v in knobs.items()

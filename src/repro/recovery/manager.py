@@ -7,7 +7,7 @@ on the three points where input enters or drives the engine:
 * ``SourceNode.ingest`` — every admitted tuple gets a WAL record, buffered
   until the wake-up that first reads the row;
 * ``SourceNode.inject_punctuation`` — harness-injected punctuation (kernel
-  heartbeats, fallback trains, test drivers) is logged the same way;
+  heartbeats, test drivers) is logged the same way;
   punctuation generated *inside* an engine wake-up (on-demand ETS) is NOT
   logged — replaying the wake-up regenerates it deterministically;
 * ``ExecutionEngine.wakeup`` — each wake-up is logged so replay reproduces

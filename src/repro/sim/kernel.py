@@ -28,7 +28,7 @@ from typing import Any, Iterator
 
 from ..core.config import EngineConfig
 from ..core.ets import PeriodicEtsSchedule
-from ..core.errors import PolicyError, WorkloadError
+from ..core.errors import WorkloadError
 from ..core.execution import ExecutionEngine
 from ..core.graph import QueryGraph
 from ..core.operators.source import SourceNode
@@ -68,13 +68,6 @@ class Simulation:
         start_time: Initial virtual-clock value.
         track_idle: Maintain an :class:`IdleTracker` over the IWP operators.
         offer_ets_always: Forwarded to the engine (fidelity ablation).
-        stall_detector: Optional
-            :class:`~repro.faults.degrade.StallDetector`; the kernel polls
-            it on a recurring watchdog event and, when a source crosses the
-            silence timeout, degrades it to a fallback-heartbeat train.
-            Requires ``ets_policy`` to be a
-            :class:`~repro.faults.degrade.FallbackHeartbeat` (or expose the
-            same degrade/resync surface).
         quarantine: Optional
             :class:`~repro.faults.degrade.QuarantinePolicy` attached to
             every source; decides drop/clamp/raise for regressed external
@@ -97,7 +90,6 @@ class Simulation:
                  start_time: float = 0.0,
                  track_idle: bool = True,
                  offer_ets_always: bool = False,
-                 stall_detector=None,
                  quarantine=None,
                  monitor=None,
                  engine_cls: type[ExecutionEngine] = ExecutionEngine,
@@ -113,10 +105,6 @@ class Simulation:
                              if track_idle else None)
         if monitor is not None:
             monitor.install(graph)
-        if stall_detector is not None:
-            # The detector hears arrivals as an ordinary bus observer.
-            config = config.replace(
-                observers=(*config.observers, stall_detector))
         self.engine = engine_cls(
             graph, self.clock,
             cost_model=self.cost_model,
@@ -127,41 +115,20 @@ class Simulation:
             config=config,
         )
         #: The engine's event bus (or the shared no-op bus): the kernel's
-        #: own events — arrivals, punctuation trains, fault-ladder actions —
-        #: are published here so every observer sees one unified stream.
+        #: own events — arrivals and heartbeat trains — are published here
+        #: so every observer sees one unified stream.
         self._bus = self.engine.bus if self.engine.bus is not None \
             else NULL_BUS
         self.periodic = periodic
         self.monitor = monitor
-        self.stall_detector = stall_detector
-        if stall_detector is not None:
-            if not callable(getattr(self.engine.ets_policy, "degrade", None)):
-                raise PolicyError(
-                    "stall_detector requires a degradation-capable ETS "
-                    "policy; wrap yours in repro.faults.FallbackHeartbeat"
-                )
-            if getattr(stall_detector, "on_resume", None) is None:
-                stall_detector.on_resume = self._on_source_recovered
         self.quarantine = quarantine
         if quarantine is not None:
             quarantine.bind(stats=self.engine.stats, bus=self.engine.bus)
             for source in graph.sources():
                 source.quarantine = quarantine
         #: The feedback controller (if any) — the same object the engine
-        #: samples each wake-up.  When present, the degradation ladder's
-        #: components get its live pressure view wired in (unless the
-        #: caller installed a provider of their own): stall timeouts
-        #: stretch, fallback trains slow down, and quarantine can switch
-        #: mode while the system is genuinely overloaded.
+        #: samples each wake-up; its counters join :meth:`summary`.
         self.feedback = self.engine.feedback
-        if self.feedback is not None:
-            provider = lambda: self.feedback.pressure  # noqa: E731
-            for component in (stall_detector, quarantine,
-                              self.engine.ets_policy):
-                if (component is not None
-                        and hasattr(component, "pressure_provider")
-                        and component.pressure_provider is None):
-                    component.pressure_provider = provider
         self._arrival_iters: dict[str, Iterator[Arrival]] = {}
         self._horizon = float("inf")
         self._started = False
@@ -245,17 +212,9 @@ class Simulation:
         source.ingest(arrival.payload, now=self.clock.now(),
                       ts=arrival.external_ts, arrival=arrival.time)
         self.arrivals_delivered += 1
-        # The StallDetector hears this as on_arrival and calls back through
-        # _on_source_recovered.
         self._bus.arrival(operator=source.name, time=self.clock.now(),
                           external_ts=arrival.external_ts)
         return source
-
-    def _on_source_recovered(self, name: str, now: float) -> None:
-        """A silent source spoke again: resync it off its fallback train."""
-        if self.engine.ets_policy.resync(name):
-            self.engine.stats.resyncs += 1
-            self._fault("resync", name, f"recovered at t={now:g}")
 
     def _start_heartbeats(self) -> None:
         if self.periodic is None:
@@ -293,71 +252,6 @@ class Simulation:
         self.events.schedule(when, fire)
 
     # ------------------------------------------------------------------ #
-    # Degradation ladder (stall watchdog + fallback heartbeat trains)
-
-    def _fault(self, kind: str, operator: str, detail: str = "") -> None:
-        """Publish a kernel-side fault-ladder action on the event bus.
-
-        Every observer (a :class:`~repro.obs.tracing.Tracer` included)
-        sees the event.
-        """
-        self._bus.fault(kind=kind, operator=operator,
-                        round_id=self.engine.round_id,
-                        time=self.clock.now(), detail=detail)
-
-    def _start_watchdog(self) -> None:
-        if self.stall_detector is None:
-            return
-        self.stall_detector.bind(self.graph, self.clock.now())
-        self._schedule_watchdog(self.clock.now()
-                                + self.stall_detector.check_period)
-
-    def _schedule_watchdog(self, when: float) -> None:
-        def fire() -> None:
-            self.clock.advance_to(when)
-            now = self.clock.now()
-            policy = self.engine.ets_policy
-            for name in self.stall_detector.poll(now):
-                source = self.graph[name]
-                if policy.degrade(source, now):
-                    self.engine.stats.degradations += 1
-                    self._fault("degrade", name,
-                                f"silent since before t={now:g}")
-                    # First fallback heartbeat fires immediately: detection
-                    # latency, not heartbeat phase, bounds time-to-liveness.
-                    self._schedule_fallback(source, now)
-            self._schedule_watchdog(when + self.stall_detector.check_period)
-            return None
-
-        self.events.schedule(when, fire)
-
-    def _schedule_fallback(self, source: SourceNode, when: float) -> None:
-        def fire() -> SourceNode | None:
-            policy = self.engine.ets_policy
-            if not policy.is_degraded(source.name):
-                return None  # resynced since scheduling: train stops
-            self.clock.advance_to(when)
-            cost = self.cost_model.heartbeat_injection
-            if cost:
-                self.clock.advance(cost)
-            ts = policy.heartbeat_ts(source, self.clock.now())
-            if ts is not None and source.inject_punctuation(
-                    ts, origin=f"fallback:{source.name}", periodic=True):
-                policy.fallback_heartbeats += 1
-                self.engine.stats.fallback_heartbeats += 1
-                self._fault("fallback", source.name, f"ts={ts:g}")
-                self._bus.punctuation(operator=source.name,
-                                      round_id=self.engine.round_id,
-                                      time=self.clock.now(),
-                                      origin="fallback", ts=ts)
-            period = getattr(policy, "heartbeat_period_now",
-                             lambda: policy.heartbeat_period)()
-            self._schedule_fallback(source, when + period)
-            return source
-
-        self.events.schedule(when, fire)
-
-    # ------------------------------------------------------------------ #
     # Driving time
 
     def _deliver_due(self, now: float) -> None:
@@ -379,7 +273,6 @@ class Simulation:
         self._horizon = until
         if not self._started:
             self._start_heartbeats()
-            self._start_watchdog()
             self._started = True
         while True:
             next_t = self.events.next_time()
@@ -445,9 +338,6 @@ class Simulation:
             "ets_injected": stats.ets_injected,
             "cpu_utilization": self.cpu_utilization,
             "idle_fractions": idle,
-            "degradations": stats.degradations,
-            "resyncs": stats.resyncs,
-            "fallback_heartbeats": stats.fallback_heartbeats,
             "quarantine_dropped": stats.quarantine_dropped,
             "quarantine_clamped": stats.quarantine_clamped,
             "invariant_violations": stats.invariant_violations,

@@ -204,7 +204,7 @@ def build_union_scenario(config: ScenarioConfig, *, faults=None,
             simulation first and then attaches the streams itself with the
             WAL's ``skip=`` counts.
         **sim_kwargs: Extra :class:`~repro.sim.kernel.Simulation` keywords
-            (``stall_detector``, ``quarantine``, ``feedback``, ``monitor``,
+            (``quarantine``, ``feedback``, ``monitor``,
             ``recovery``, ``checkpoint_every``, or an ``ets_policy`` that
             replaces the scenario's own).
     """

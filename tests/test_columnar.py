@@ -599,6 +599,22 @@ class TestBlockStats:
         assert restored.block_rows == 0
         assert restored.block_fallbacks == 0
 
+    def test_restore_from_snapshot_with_heartbeat_ladder_counters(self):
+        """A version-1 checkpoint written while ``EngineStats`` still had
+        the fallback-heartbeat counters restores cleanly: unknown keys are
+        ignored, so the format needs no version bump."""
+        stats = EngineStats()
+        stats.steps = 7
+        stats.quarantine_clamped = 2
+        state = stats.snapshot_state()
+        state.update(degradations=3, resyncs=1, fallback_heartbeats=12)
+        restored = EngineStats()
+        restored.restore_state(state)
+        assert restored.steps == 7
+        assert restored.quarantine_clamped == 2
+        assert not hasattr(restored, "fallback_heartbeats")
+        assert "degradations" not in restored.snapshot_state()
+
 
 # --------------------------------------------------------------------- #
 # Merge-run WindowJoin kernel: both inputs consumed in τ order per step

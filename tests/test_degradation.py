@@ -1,8 +1,7 @@
-"""Tests for the degradation ladder: stall detection, fallback, quarantine."""
+"""Tests for the fault path that remains: quarantine, and liveness through an
+outage under plain on-demand ETS (no second liveness mechanism)."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -10,8 +9,7 @@ from repro.core.errors import PolicyError, TimestampError
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import EngineStats
 from repro.core.tuples import TimestampKind
-from repro.faults import FallbackHeartbeat, FaultPlan, QuarantinePolicy, \
-    SourceOutage, StallDetector
+from repro.faults import FaultPlan, QuarantinePolicy, SourceOutage
 from repro.obs import EventBus, Tracer
 from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Arrival, Simulation
@@ -25,103 +23,6 @@ def build(kind=TimestampKind.INTERNAL):
     fast.union(slow, name="merge").sink("out")
     graph = q.compile()
     return graph, graph["fast"], graph["slow"], graph["out"]
-
-
-# --------------------------------------------------------------------- #
-# StallDetector
-
-
-class TestStallDetector:
-    def test_validation(self):
-        with pytest.raises(PolicyError):
-            StallDetector(0.0)
-        with pytest.raises(PolicyError):
-            StallDetector(1.0, check_period=0.0)
-
-    def test_check_period_defaults_to_quarter_timeout(self):
-        assert StallDetector(8.0).check_period == pytest.approx(2.0)
-
-    def test_watches_only_non_latent_sources(self):
-        graph, *_ = build(TimestampKind.LATENT)
-        det = StallDetector(1.0)
-        det.bind(graph, now=0.0)
-        assert det.watched == set()
-
-    def test_poll_flags_silent_sources_once(self):
-        graph, *_ = build()
-        det = StallDetector(2.0)
-        det.bind(graph, now=0.0)
-        assert det.poll(1.0) == []
-        assert sorted(det.poll(2.0)) == ["fast", "slow"]
-        assert det.poll(3.0) == []  # already stalled: not re-reported
-        assert det.stalls == 2
-
-    def test_observe_ends_a_stall(self):
-        graph, *_ = build()
-        det = StallDetector(2.0)
-        det.bind(graph, now=0.0)
-        det.poll(5.0)
-        assert det.observe("fast", 5.5) is True  # recovery
-        assert det.observe("fast", 5.6) is False  # plain activity
-        assert "fast" not in det.stalled and "slow" in det.stalled
-        assert det.recoveries == 1
-
-    def test_observe_ignores_unwatched_names(self):
-        det = StallDetector(2.0)
-        assert det.observe("ghost", 1.0) is False
-
-
-# --------------------------------------------------------------------- #
-# FallbackHeartbeat
-
-
-class TestFallbackHeartbeat:
-    def test_validation(self):
-        with pytest.raises(PolicyError):
-            FallbackHeartbeat(heartbeat_period=0.0)
-
-    def test_healthy_path_delegates_to_inner(self):
-        graph, fast, slow, _ = build()
-        policy = FallbackHeartbeat(OnDemandEts(), heartbeat_period=1.0)
-        # wire minimal state: OnDemandEts injects when the source stalls
-        assert policy.on_source_stalled(fast, now=5.0, round_id=1) is True
-        assert fast.watermark == 5.0
-
-    def test_degrade_resync_cycle(self):
-        graph, fast, _, _ = build()
-        policy = FallbackHeartbeat(heartbeat_period=1.0)
-        assert policy.degrade(fast, now=1.0) is True
-        assert policy.degrade(fast, now=2.0) is False  # idempotent
-        assert policy.is_degraded("fast")
-        assert policy.resync("fast") is True
-        assert policy.resync("fast") is False
-        assert not policy.is_degraded("fast")
-        assert policy.degradations == 1 and policy.resyncs == 1
-
-    def test_heartbeat_ts_internal_uses_clock(self):
-        graph, fast, _, _ = build()
-        policy = FallbackHeartbeat(heartbeat_period=1.0)
-        assert policy.heartbeat_ts(fast, now=7.5) == 7.5
-
-    def test_heartbeat_ts_external_applies_skew_bound(self):
-        graph, fast, _, _ = build(TimestampKind.EXTERNAL)
-        policy = FallbackHeartbeat(heartbeat_period=1.0, external_delta=0.5)
-        fast.ingest({"v": 1}, now=3.0, ts=2.9)
-        # skew-bound extrapolation: last ts + elapsed wall time - delta
-        assert policy.heartbeat_ts(fast, now=7.0) == pytest.approx(
-            2.9 + (7.0 - 3.0) - 0.5)
-
-    def test_heartbeat_ts_external_cold_start_allowed(self):
-        """A permanently silent external source still gets fallback values —
-        otherwise degradation could never unblock anything."""
-        graph, fast, _, _ = build(TimestampKind.EXTERNAL)
-        policy = FallbackHeartbeat(heartbeat_period=1.0, external_delta=0.5)
-        assert policy.heartbeat_ts(fast, now=7.0) is not None
-
-    def test_heartbeat_ts_latent_is_none(self):
-        graph, fast, _, _ = build(TimestampKind.LATENT)
-        policy = FallbackHeartbeat(heartbeat_period=1.0)
-        assert policy.heartbeat_ts(fast, now=7.0) is None
 
 
 # --------------------------------------------------------------------- #
@@ -171,12 +72,12 @@ class TestQuarantinePolicy:
         assert fast.ingest({"v": 3}, now=3.0, ts=0.2) is None
 
     def test_quarantine_floor_includes_punctuation_watermark(self):
-        """A fallback heartbeat that outran the application must quarantine
-        subsequent older-stamped data, not crash on it."""
+        """An ETS value that outran the application (a clock spike past δ)
+        must quarantine subsequent older-stamped data, not crash on it."""
         graph, fast, _, _ = build(TimestampKind.EXTERNAL)
         fast.quarantine = QuarantinePolicy("clamp")
         fast.ingest({"v": 1}, now=1.0, ts=1.0)
-        fast.inject_punctuation(5.0, origin="fallback:fast")
+        fast.inject_punctuation(5.0, origin="ets:fast")
         assert fast.ingest({"v": 2}, now=6.0, ts=2.0) == 5.0
         assert [t.ts for t in fast.outputs[0]] == [1.0, 5.0, 5.0]
         assert fast.quarantine.clamped == 1
@@ -195,75 +96,47 @@ class TestQuarantinePolicy:
 
 
 # --------------------------------------------------------------------- #
-# Kernel integration: the full ladder
+# Kernel integration: on-demand ETS through an outage, quarantine
 
 
 class TestKernelIntegration:
-    def test_stall_detector_requires_degradable_policy(self):
-        graph, *_ = build()
-        with pytest.raises(PolicyError, match="FallbackHeartbeat"):
-            Simulation(graph, ets_policy=OnDemandEts(),
-                       stall_detector=StallDetector(1.0))
-
     def test_outage_recovery_time_is_bounded(self):
-        """The headline claim: with the ladder on, sink silence during a
-        fast-stream outage is bounded by timeout + check period + heartbeat
-        period — not by the other stream's arrival gaps."""
+        """The headline claim: with on-demand ETS, a fast-stream outage
+        never silences the sink for longer than the slow stream's own
+        inter-arrival gap — every slow tuple is released at the wake-up its
+        arrival triggers, because backtracking punctuates the dead stream."""
         from repro.obs.recovery import RecoveryTracker
 
         graph, fast, slow, sink = build()
-        policy = FallbackHeartbeat(OnDemandEts(), heartbeat_period=0.25)
-        sim = Simulation(
-            graph, ets_policy=policy, cost_model=None,
-            stall_detector=StallDetector(1.0, check_period=0.25))
+        sim = Simulation(graph, ets_policy=OnDemandEts(), cost_model=None)
         plan = FaultPlan([SourceOutage("fast", start=5.0, duration=10.0)])
         sim.attach_arrivals(fast, constant_arrivals(10.0), faults=plan)
-        # the slow stream keeps carrying data that idle-waits on the dead
-        # fast stream at the union — the situation the ladder must unblock
+        # the slow stream keeps carrying data that would idle-wait on the
+        # dead fast stream at the union without ETS
         sim.attach_arrivals(slow, constant_arrivals(4.0))
         tracker = RecoveryTracker().watch(sink)
         sim.run(until=20.0)
 
-        assert sim.engine.stats.degradations >= 1
-        assert sim.engine.stats.fallback_heartbeats > 0
-        # liveness regained within detection latency + one heartbeat, plus
-        # one slow inter-arrival gap for the next deliverable tuple
-        assert tracker.max_sink_gap <= 1.0 + 0.25 + 0.25 + 0.25 + 0.05
         assert plan.stats.outage_dropped > 0
-
-    def test_resync_on_recovery_stops_the_train(self):
-        graph, fast, slow, sink = build()
-        policy = FallbackHeartbeat(OnDemandEts(), heartbeat_period=0.25)
-        sim = Simulation(
-            graph, ets_policy=policy, cost_model=None,
-            stall_detector=StallDetector(1.0, check_period=0.25))
-        plan = FaultPlan([SourceOutage("fast", start=5.0, duration=5.0)])
-        sim.attach_arrivals(fast, constant_arrivals(10.0), faults=plan)
-        # keep the slow source healthy too, so after the outage heals no
-        # source is degraded and every fallback train must stop
-        sim.attach_arrivals(slow, constant_arrivals(4.0))
-        sim.run(until=20.0)
-
-        assert sim.engine.stats.resyncs >= 1
-        assert not policy.is_degraded("fast")
-        assert not policy.degraded
-        count_at_end = sim.engine.stats.fallback_heartbeats
-        sim.run(until=25.0)
-        assert sim.engine.stats.fallback_heartbeats == count_at_end
+        assert fast.punctuation_injected > 0
+        # one slow gap (0.25 s) plus the cost of the wake-up delivering it
+        assert tracker.max_sink_gap <= 0.25 + 1e-3
+        assert tracker.time_to_liveness(after=5.0) <= 0.25 + 1e-3
 
     def test_summary_surfaces_ladder_counters(self):
+        """The fault counters that remain (quarantine, invariant monitor)
+        are in the summary; the heartbeat-ladder ones are gone."""
         graph, fast, slow, sink = build()
-        policy = FallbackHeartbeat(NoEts(), heartbeat_period=0.5)
-        sim = Simulation(graph, ets_policy=policy, cost_model=None,
-                         stall_detector=StallDetector(1.0),
+        sim = Simulation(graph, ets_policy=NoEts(), cost_model=None,
                          quarantine=QuarantinePolicy("drop"))
         sim.run(until=5.0)
         summary = sim.summary()
-        for key in ("degradations", "resyncs", "fallback_heartbeats",
-                    "quarantine_dropped", "quarantine_clamped",
+        for key in ("quarantine_dropped", "quarantine_clamped",
                     "invariant_violations"):
-            assert key in summary
-        assert summary["degradations"] == 2  # both sources silent
+            assert summary[key] == 0
+        for key in ("degradations", "resyncs", "fallback_heartbeats"):
+            assert key not in summary
+            assert not hasattr(sim.engine.stats, key)
 
     def test_quarantine_attached_to_all_sources(self):
         graph, fast, slow, _ = build(TimestampKind.EXTERNAL)
@@ -273,20 +146,17 @@ class TestKernelIntegration:
         assert slow.quarantine is quarantine
 
     def test_skew_spike_lands_in_quarantine_not_crash(self):
-        """Clock skew past external_delta plus fallback heartbeats: drop and
-        clamp modes absorb every regression; nothing unwinds the run."""
+        """Clock skew past external_delta under on-demand ETS: the ETS
+        values sent for the fast stream outrun its skewed timestamps, and
+        drop and clamp modes absorb every regression; nothing unwinds the
+        run."""
         from repro.faults import ClockSkewSpike
 
         for mode in ("drop", "clamp"):
             graph, fast, slow, sink = build(TimestampKind.EXTERNAL)
-            policy = FallbackHeartbeat(
-                OnDemandEts(external_delta=0.05), heartbeat_period=0.25,
-                external_delta=0.05)
             quarantine = QuarantinePolicy(mode)
-            sim = Simulation(
-                graph, ets_policy=policy, cost_model=None,
-                stall_detector=StallDetector(1.0, check_period=0.25),
-                quarantine=quarantine)
+            sim = Simulation(graph, ets_policy=OnDemandEts(external_delta=0.05),
+                             cost_model=None, quarantine=quarantine)
             plan = FaultPlan([
                 SourceOutage("fast", start=3.0, duration=3.0),
                 ClockSkewSpike("fast", start=6.0, duration=2.0, skew=2.0),
@@ -294,7 +164,12 @@ class TestKernelIntegration:
             arrivals = (Arrival(time=0.1 * i, external_ts=0.1 * i,
                                 payload={"seq": i}) for i in range(1, 120))
             sim.attach_arrivals(fast, arrivals, faults=plan)
+            # the slow stream gives the skew bound a basis on both inputs
+            sim.attach_arrivals(slow, (
+                Arrival(time=0.25 * i + 0.01, external_ts=0.25 * i,
+                        payload={"slow": i}) for i in range(1, 48)))
             sim.run(until=12.0)
+            assert plan.stats.skewed > 0, mode
             assert quarantine.total > 0, mode
             assert quarantine.raised == 0, mode
             assert sink.delivered > 0, mode

@@ -40,11 +40,6 @@ class TestSkewBoundEts:
         src, _ = make_source(TimestampKind.EXTERNAL)
         assert SkewBoundEts(delta=1.0).propose(src, 5.0) is None
 
-    def test_cold_start_opt_in(self):
-        src, _ = make_source(TimestampKind.EXTERNAL)
-        gen = SkewBoundEts(delta=1.0, allow_cold_start=True)
-        assert gen.propose(src, 5.0) == pytest.approx(4.0)
-
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             SkewBoundEts(delta=-1.0)

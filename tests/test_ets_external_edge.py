@@ -10,15 +10,15 @@ nonzero ``external_delta``:
   timestamp (no ordered-stream violation is ever risked);
 * injected punctuation never regresses a TSM register — registers are
   monotone through any interleaving of data and on-demand punctuation;
-* the generator declines safely on cold starts, and the source's watermark
-  guard absorbs proposals that would not advance the stream.
+* the generator declines on a cold start (a never-started stream gives no
+  basis for estimation, so its IWP consumer keeps waiting), and the
+  source's watermark guard absorbs proposals that would not advance the
+  stream.
 """
 
 from __future__ import annotations
 
 import random
-
-from conftest import ManualClock
 
 from repro.core.ets import OnDemandEts
 from repro.core.execution import ExecutionEngine
@@ -142,13 +142,6 @@ def test_cold_start_declines_without_injection():
     assert policy.declined > 0
     assert slow.punctuation_injected == 0
     assert sink.delivered == 0  # the tuple stays gated, correctly
-
-
-def test_cold_start_allowed_when_opted_in():
-    clock = ManualClock(10.0)
-    graph, fast, slow, union, sink = _external_union_graph()
-    generator = SkewBoundEts(DELTA, allow_cold_start=True)
-    assert generator.propose(slow, clock.now()) == 10.0 - DELTA
 
 
 def test_watermark_guard_absorbs_non_advancing_proposals():

@@ -248,7 +248,8 @@ class TestPunctuationFaults:
     def test_loss_starves_on_demand_ets(self):
         """With every slow-stream punctuation lost, fast tuples stay gated
         at the union until end of run — the fault scenario B/C both fail
-        under, motivating the fallback ladder."""
+        under, since every punctuation, periodic or on-demand, goes through
+        ``inject_punctuation``."""
         def run(lost):
             sim, fast, slow = build_sim(
                 ets_policy=OnDemandEts(), cost_model=None)

@@ -25,7 +25,6 @@ from repro.api import Arrival, OnDemandEts, Pipeline
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.faults import FallbackHeartbeat, StallDetector
 from repro.obs import (
     HOOKS,
     NULL_BUS,
@@ -350,15 +349,26 @@ def test_instrumented_replay_is_byte_identical(batch_size):
 # A callback attribute is not a hook
 
 
-def test_stall_detector_callback_does_not_hear_recovery(tmp_path):
-    """``StallDetector`` keeps the kernel's resync callback on the instance;
-    the manager's ``on_recovery`` event must not be routed into it (it used
-    to raise ``TypeError`` there, swallowed by the bus)."""
+class CallbackHolder(Observer):
+    """An observer that keeps a plain callback under a hook's name, the way
+    a component keeps a hook-shaped attribute for its owner to call."""
+
+    def __init__(self) -> None:
+        self.calls = []
+        self.on_recovery = lambda *args, **kw: self.calls.append((args, kw))
+
+    def on_checkpoint(self, **kw) -> None:
+        """Overrides one hook, so the bus does subscribe this observer."""
+
+
+def test_callback_attribute_does_not_hear_recovery(tmp_path):
+    """A callback stored on the instance under a hook's name is not a hook:
+    the manager's ``on_recovery`` event must not be routed into it (a bus
+    that resolved hooks per instance would call it)."""
     def build() -> Simulation:
         return Simulation(
-            _union_graph(), stall_detector=StallDetector(1.0),
-            ets_policy=FallbackHeartbeat(OnDemandEts(), heartbeat_period=0.5),
-            observers=(MetricsRegistry(),),
+            _union_graph(), ets_policy=OnDemandEts(),
+            observers=(MetricsRegistry(), CallbackHolder()),
             recovery=RecoveryManager(tmp_path))
 
     sim = build()
@@ -371,6 +381,7 @@ def test_stall_detector_callback_does_not_hear_recovery(tmp_path):
     fresh = build()
     report = fresh.recovery.recover()
     assert report.checkpoint_number == 1
-    registry = fresh.engine.bus.observers[0]
+    registry, holder = fresh.engine.bus.observers
     assert registry.recoveries.total == 1
+    assert holder.calls == []
     assert fresh.engine.bus.error_count == 0, fresh.engine.bus.errors

@@ -101,7 +101,7 @@ SABOTAGE = {
         punctuation_enqueued=10**9), "on-demand"),
     "X7": (lambda m: m["X7"]["on-demand"].update(delivered=10**9),
            "same stream"),
-    "X8": (lambda m: setattr(m["X8"]["ladder"], "monitor_violations", 1),
+    "X8": (lambda m: setattr(m["X8"]["external"], "monitor_violations", 1),
            "no invariant violation"),
     "X9": (lambda m: setattr(m["X9"]["open"], "throttled", 1),
            "loop closed"),
