@@ -12,8 +12,8 @@ ETS keeps them moving — and, as a bonus, the ETS punctuation expires the
 join windows (bounding state) and closes the aggregate's tumbling windows
 on time.
 
-The query is built with :class:`~repro.api.Pipeline` — note
-``window_join``, the explicit spelling of the join combinator.
+The query is built with :class:`~repro.api.Pipeline`; ``join`` is the
+window-join combinator.
 
 Run with::
 
@@ -64,9 +64,9 @@ def run(policy):
     maintenance = pipeline.source("maintenance")
     results = []
     (vibration
-     .window_join(maintenance, WindowSpec.time(JOIN_WINDOW),
-                  predicate=lambda v, m: v["machine"] == m["machine"],
-                  name="near_service")
+     .join(maintenance, WindowSpec.time(JOIN_WINDOW),
+           predicate=lambda v, m: v["machine"] == m["machine"],
+           name="near_service")
      .tumbling(60.0,
                {"readings": AggSpec(Count), "mean_level": AggSpec(Avg, "level")},
                name="per_minute")

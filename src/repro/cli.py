@@ -299,7 +299,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pipeline = Pipeline.from_program(text, name=args.program)
     pipeline.engine(
         ets_policy=OnDemandEts() if args.ets == "on-demand" else NoEts())
-    declared = pipeline.compiled.sources
+    declared = [source.name for source in pipeline.graph.sources()]
 
     def check_declared(flag: str, name: str) -> None:
         if name not in declared:

@@ -161,9 +161,9 @@ class TumblingAggregate(Operator):
     supports_blocks = True
 
     def __init__(self, name: str, width: float, aggs: Mapping[str, AggSpec],
-                 *, group_by: str | None = None, emit_empty: bool = False,
-                 output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+                 *, group_by: str | None = None,
+                 emit_empty: bool = False) -> None:
+        super().__init__(name)
         if width <= 0:
             raise ExecutionError(f"aggregate {name!r}: width must be positive")
         if not aggs:

@@ -34,15 +34,11 @@ need arrives through the :class:`OpContext` the engine passes in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 from ..buffers import StreamBuffer
 from ..errors import ExecutionError, GraphError
 from ..tuples import LATENT_TS, Punctuation, StreamElement
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..schema import Schema
-
 __all__ = ["BatchResult", "Clock", "OpContext", "StepResult", "Operator",
            "scalar_run"]
 
@@ -167,9 +163,8 @@ class Operator:
     #: fallback — kernels never re-dispatch.
     supports_blocks: bool = False
 
-    def __init__(self, name: str, *, output_schema: "Schema | None" = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.output_schema = output_schema
         self._ports = _Ports()
         self.cost_class = type(self).__name__.lower()
         #: Producer operator per input index; wired by the query graph.

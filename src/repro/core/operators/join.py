@@ -163,9 +163,8 @@ class WindowJoin(IwpOperator):
                  window_right: WindowSpec | None = None,
                  combiner: Callable[[Any, Any], Any] = merge_payloads,
                  strict: bool = False,
-                 indexed: bool | None = None,
-                 output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+                 indexed: bool | None = None) -> None:
+        super().__init__(name)
         if window is None and window_left is None and window_right is None:
             raise ExecutionError(
                 f"join {name!r}: at least one side needs a window spec"

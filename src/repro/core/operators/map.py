@@ -22,8 +22,8 @@ __all__ = ["Map", "FlatMap"]
 class Map(StatelessOperator):
     """Emit ``fn(payload)`` for every data tuple, timestamp preserved."""
 
-    def __init__(self, name: str, fn: Callable[[Any], Any], *, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+    def __init__(self, name: str, fn: Callable[[Any], Any]) -> None:
+        super().__init__(name)
         self.fn = fn
 
     def apply(self, tup: DataTuple, ctx: OpContext) -> list[DataTuple]:
@@ -42,9 +42,8 @@ class FlatMap(StatelessOperator):
     tuple's timestamp, so stream order is preserved.
     """
 
-    def __init__(self, name: str, fn: Callable[[Any], Iterable[Any]],
-                 *, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+    def __init__(self, name: str, fn: Callable[[Any], Iterable[Any]]) -> None:
+        super().__init__(name)
         self.fn = fn
 
     def apply(self, tup: DataTuple, ctx: OpContext) -> list[DataTuple]:

@@ -22,8 +22,8 @@ class Project(StatelessOperator):
     find its columns indicates a mis-wired query graph.
     """
 
-    def __init__(self, name: str, fields: Iterable[str], *, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+    def __init__(self, name: str, fields: Iterable[str]) -> None:
+        super().__init__(name)
         self.fields = tuple(fields)
         if not self.fields:
             raise SchemaError(f"projection {name!r} must keep at least one field")

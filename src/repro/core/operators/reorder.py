@@ -56,9 +56,9 @@ class Reorder(Operator):
     is_iwp = False
     arity = 1
 
-    def __init__(self, name: str, slack: float, *, late: str = "drop",
-                 output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+    def __init__(self, name: str, slack: float, *,
+                 late: str = "drop") -> None:
+        super().__init__(name)
         if slack < 0:
             raise ExecutionError(f"reorder {name!r}: slack must be >= 0")
         if late not in ("drop", "error"):

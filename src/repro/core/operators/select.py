@@ -26,9 +26,8 @@ class Select(StatelessOperator):
         passed / dropped: Running selectivity statistics.
     """
 
-    def __init__(self, name: str, predicate: Callable[[Any], bool],
-                 *, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+    def __init__(self, name: str, predicate: Callable[[Any], bool]) -> None:
+        super().__init__(name)
         self.predicate = predicate
         self.passed = 0
         self.dropped = 0

@@ -43,8 +43,8 @@ class Shed(StatelessOperator):
     """
 
     def __init__(self, name: str, probability: float, *,
-                 seed: int = 0, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+                 seed: int = 0) -> None:
+        super().__init__(name)
         if not 0.0 <= probability <= 1.0:
             raise ExecutionError(
                 f"shed {name!r}: probability must be in [0, 1], "

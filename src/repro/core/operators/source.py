@@ -67,7 +67,8 @@ class SourceNode(Operator):
                 :class:`SchemaError` instead of letting them corrupt
                 downstream operators.
         """
-        super().__init__(name, output_schema=output_schema)
+        super().__init__(name)
+        self.output_schema = output_schema
         self.timestamp_kind = timestamp_kind
         self.validate_schema = validate_schema
         #: Optional :class:`~repro.faults.degrade.QuarantinePolicy` (or any

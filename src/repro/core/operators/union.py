@@ -40,8 +40,8 @@ class Union(IwpOperator):
     arity: int | None = None  # n-ary
     supports_blocks = True  # both modes: relaxed sub-gate runs, strict merge
 
-    def __init__(self, name: str, *, strict: bool = False, output_schema=None) -> None:
-        super().__init__(name, output_schema=output_schema)
+    def __init__(self, name: str, *, strict: bool = False) -> None:
+        super().__init__(name)
         self.strict = strict
         self._last_emitted_ts = LATENT_TS
         self.data_forwarded = 0

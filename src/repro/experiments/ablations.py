@@ -18,9 +18,8 @@ import random
 
 from ..core.ets import (AdaptiveHeartbeatSchedule, NoEts, OnDemandEts,
                         PeriodicEtsSchedule)
-from ..core.graph import QueryGraph
-from ..core.operators import Union
 from ..core.scheduling import RoundRobinEngine
+from ..query.pipeline import Pipeline
 from ..sim.kernel import Arrival, Simulation
 from ..workloads.arrival import bursty_arrivals, poisson_arrivals
 from ..workloads.scenarios import ScenarioConfig
@@ -45,15 +44,10 @@ __all__ = [
 
 def _two_stream_union(name: str, *, strict: bool = False):
     """fast, slow → union → sink, with no filters in the way."""
-    graph = QueryGraph(name)
-    fast = graph.add_source("fast")
-    slow = graph.add_source("slow")
-    union = graph.add(Union("merge", strict=strict))
-    sink = graph.add_sink("out")
-    graph.connect(fast, union)
-    graph.connect(slow, union)
-    graph.connect(union, sink)
-    return graph, fast, slow
+    p = Pipeline(name)
+    fast, slow = p.source("fast"), p.source("slow")
+    fast.union(slow, name="merge", strict=strict).sink("out")
+    return p.graph, fast.source_node, slow.source_node
 
 
 def _measured(sim: Simulation, duration: float) -> dict:

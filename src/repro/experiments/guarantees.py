@@ -18,9 +18,9 @@ import random
 
 from ..core.ets import NoEts
 from ..core.graph import QueryGraph
-from ..core.operators import WindowJoin
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
+from ..query.pipeline import Pipeline
 from ..shard import ElasticShardedEngine, ShardedEngine
 from .crash import CrashConfig, CrashReport, run_crash_experiment
 
@@ -76,14 +76,11 @@ def _feeds(tuples: int) -> list[tuple[str, float, dict]]:
 
 
 def _join_graph() -> QueryGraph:
-    graph = QueryGraph("sharded-join")
-    left = graph.add_source("L", TimestampKind.EXTERNAL)
-    right = graph.add_source("R", TimestampKind.EXTERNAL)
-    join = graph.add(WindowJoin("join", WindowSpec.time(SPAN), key="key"))
-    graph.connect(left, join)
-    graph.connect(right, join)
-    graph.connect(join, graph.add_sink("out"))
-    return graph
+    p = Pipeline("sharded-join")
+    left = p.source("L", TimestampKind.EXTERNAL)
+    right = p.source("R", TimestampKind.EXTERNAL)
+    left.join(right, WindowSpec.time(SPAN), key="key", name="join").sink("out")
+    return p.graph
 
 
 def _drive(feeds, shards: int, backend: str,

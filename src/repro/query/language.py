@@ -21,9 +21,12 @@ are seconds).  Out-of-order external feeds are declared with
 ``STREAM ticks (..) TIMESTAMP EXTERNAL UNORDERED;`` and repaired with
 ``fixed = REORDER ticks SLACK 500ms [LATE DROP|ERROR];``.
 
-Compilation produces a :class:`CompiledQuery` holding the validated
-:class:`~repro.core.graph.QueryGraph` plus name→node maps for sources and
-sinks, ready to hand to a :class:`~repro.sim.kernel.Simulation`.
+The language is a serialisation of :class:`~repro.query.pipeline.Pipeline`:
+each name is bound to a :class:`~repro.query.pipeline.PipelineStream` and
+each statement is one combinator call, so operators, defaults and generated
+node names are the pipeline's.  Compilation produces a
+:class:`CompiledQuery`: the validated graph plus name→node maps for sources
+and sinks, ready to hand to a :class:`~repro.sim.kernel.Simulation`.
 """
 
 from __future__ import annotations
@@ -32,27 +35,14 @@ from dataclasses import dataclass, field
 
 from ..core.errors import QueryLanguageError
 from ..core.graph import QueryGraph
-from ..core.operators import (
-    AggSpec,
-    Avg,
-    Count,
-    Max,
-    Min,
-    Project,
-    Reorder,
-    Select,
-    SinkNode,
-    SourceNode,
-    Sum,
-    TumblingAggregate,
-    Union,
-    WindowJoin,
-)
+from ..core.operators import (AggSpec, Avg, Count, Max, Min, SinkNode,
+                              SourceNode, Sum)
 from ..core.operators.base import Operator
 from ..core.schema import Field, Schema
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
 from .parser import Evaluator, ExpressionParser, Token, tokenize
+from .pipeline import Pipeline, PipelineStream
 
 __all__ = ["CompiledQuery", "compile_query"]
 
@@ -82,30 +72,28 @@ class CompiledQuery:
 
 
 class _Compiler:
-    """Statement-level recursive-descent compiler."""
+    """Statement-level recursive-descent compiler into a :class:`Pipeline`."""
 
-    def __init__(self, tokens: list[Token], name: str) -> None:
+    def __init__(self, tokens: list[Token], pipeline: Pipeline) -> None:
         self.parser = ExpressionParser(tokens)
-        self.query = CompiledQuery(graph=QueryGraph(name))
-        self._op_seq = 0
+        self.pipeline = pipeline
+        self.sources: dict[str, SourceNode] = {}
+        self.sinks: dict[str, SinkNode] = {}
+        self.streams: dict[str, PipelineStream] = {}
 
     # ------------------------------------------------------------------ #
     # Utilities
 
-    def _fresh(self, prefix: str) -> str:
-        self._op_seq += 1
-        return f"__{prefix}{self._op_seq}"
-
-    def _resolve(self, name: str) -> Operator:
-        op = self.query.streams.get(name)
-        if op is None:
+    def _resolve(self, name: str) -> PipelineStream:
+        stream = self.streams.get(name)
+        if stream is None:
             raise QueryLanguageError(f"unknown stream {name!r}")
-        return op
+        return stream
 
-    def _bind(self, name: str, op: Operator) -> None:
-        if name in self.query.streams:
+    def _bind(self, name: str, stream: PipelineStream) -> None:
+        if name in self.streams:
             raise QueryLanguageError(f"stream {name!r} is already defined")
-        self.query.streams[name] = op
+        self.streams[name] = stream
 
     def _end_statement(self) -> None:
         self.parser.expect("punct", ";")
@@ -147,10 +135,13 @@ class _Compiler:
                     f"unexpected {token.text!r} at position {token.pos}; "
                     "expected STREAM, SINK, or an assignment"
                 )
-        if not self.query.sinks:
+        if not self.sinks:
             raise QueryLanguageError("program declares no SINK")
-        self.query.graph.validate()
-        return self.query
+        self.pipeline.sinks.update(self.sinks)
+        return CompiledQuery(
+            graph=self.pipeline.compile(), sources=self.sources,
+            sinks=self.sinks,
+            streams={name: s.op for name, s in self.streams.items()})
 
     # ------------------------------------------------------------------ #
     # Statements
@@ -184,10 +175,9 @@ class _Compiler:
             kind = _TIMESTAMP_KINDS[kind_token.text]
         out_of_order = bool(self.parser.accept("keyword", "unordered"))
         self._end_statement()
-        source = self.query.graph.add_source(name, kind,
-                                             out_of_order=out_of_order,
-                                             output_schema=schema)
-        self.query.sources[name] = source
+        source = self.pipeline.source(name, kind, out_of_order=out_of_order,
+                                      schema=schema)
+        self.sources[name] = source.source_node
         self._bind(name, source)
 
     def _sink_stmt(self) -> None:
@@ -198,9 +188,12 @@ class _Compiler:
             sink_name = self.parser.expect("ident").text
         self._end_statement()
         upstream = self._resolve(stream)
-        sink = self.query.graph.add_sink(f"sink_{sink_name}")
-        self.query.graph.connect(upstream, sink)
-        self.query.sinks[sink_name] = sink
+        if sink_name in self.sinks:
+            raise QueryLanguageError(f"sink {sink_name!r} is already defined")
+        upstream.sink()
+        # The pipeline registers the sink under its generated node name;
+        # the program names it by the declared one.
+        self.sinks[sink_name] = self.pipeline.sinks.popitem()[1]
 
     def _assignment(self) -> None:
         name = self.parser.expect("ident").text
@@ -209,24 +202,24 @@ class _Compiler:
         if head is None:
             raise QueryLanguageError("unexpected end of input after '='")
         if head.is_kw("select"):
-            op = self._select_stmt()
+            stream = self._select_stmt()
         elif head.is_kw("union"):
-            op = self._union_stmt()
+            stream = self._union_stmt()
         elif head.is_kw("join"):
-            op = self._join_stmt()
+            stream = self._join_stmt()
         elif head.is_kw("aggregate"):
-            op = self._aggregate_stmt()
+            stream = self._aggregate_stmt()
         elif head.is_kw("reorder"):
-            op = self._reorder_stmt()
+            stream = self._reorder_stmt()
         else:
             raise QueryLanguageError(
                 "expected SELECT/UNION/JOIN/AGGREGATE/REORDER at position "
                 f"{head.pos}"
             )
         self._end_statement()
-        self._bind(name, op)
+        self._bind(name, stream)
 
-    def _select_stmt(self) -> Operator:
+    def _select_stmt(self) -> PipelineStream:
         self.parser.expect("keyword", "select")
         fields: list[str] | None
         if self.parser.accept("op", "*"):
@@ -242,38 +235,25 @@ class _Compiler:
             predicate = self.parser.parse_expression()
         current = upstream
         if predicate is not None:
-            select = Select(self._fresh("select"), predicate)
-            self.query.graph.add(select)
-            self.query.graph.connect(current, select)
-            current = select
+            current = current.select(predicate)
         if fields is not None:
-            project = Project(self._fresh("project"), fields)
-            self.query.graph.add(project)
-            self.query.graph.connect(current, project)
-            current = project
+            current = current.project(fields)
         if current is upstream:
             # SELECT * FROM s with no WHERE: identity projection keeps the
             # assignment a distinct named stream without copying payloads.
-            identity = Select(self._fresh("select"), lambda payload: True)
-            self.query.graph.add(identity)
-            self.query.graph.connect(current, identity)
-            current = identity
+            current = current.select(lambda payload: True)
         return current
 
-    def _union_stmt(self) -> Operator:
+    def _union_stmt(self) -> PipelineStream:
         self.parser.expect("keyword", "union")
         inputs = [self._resolve(self.parser.expect("ident").text)]
         while self.parser.accept("punct", ","):
             inputs.append(self._resolve(self.parser.expect("ident").text))
         if len(inputs) < 2:
             raise QueryLanguageError("UNION needs at least two streams")
-        union = Union(self._fresh("union"))
-        self.query.graph.add(union)
-        for upstream in inputs:
-            self.query.graph.connect(upstream, union)
-        return union
+        return inputs[0].union(*inputs[1:])
 
-    def _join_stmt(self) -> Operator:
+    def _join_stmt(self) -> PipelineStream:
         self.parser.expect("keyword", "join")
         left = self._resolve(self.parser.expect("ident").text)
         self.parser.expect("punct", ",")
@@ -285,14 +265,9 @@ class _Compiler:
             expr = self.parser.parse_expression()
             predicate = (lambda e: lambda lp, rp: bool(
                 e({"left": lp, "right": rp})))(expr)
-        join = WindowJoin(self._fresh("join"), WindowSpec.time(width),
-                          predicate=predicate)
-        self.query.graph.add(join)
-        self.query.graph.connect(left, join)
-        self.query.graph.connect(right, join)
-        return join
+        return left.join(right, WindowSpec.time(width), predicate=predicate)
 
-    def _reorder_stmt(self) -> Operator:
+    def _reorder_stmt(self) -> PipelineStream:
         self.parser.expect("keyword", "reorder")
         upstream = self._resolve(self.parser.expect("ident").text)
         self.parser.expect("keyword", "slack")
@@ -308,12 +283,9 @@ class _Compiler:
                 raise QueryLanguageError(
                     f"LATE must be DROP or ERROR, got {token.text!r}"
                 )
-        reorder = Reorder(self._fresh("reorder"), slack, late=late)
-        self.query.graph.add(reorder)
-        self.query.graph.connect(upstream, reorder)
-        return reorder
+        return upstream.reorder(slack, late=late)
 
-    def _aggregate_stmt(self) -> Operator:
+    def _aggregate_stmt(self) -> PipelineStream:
         self.parser.expect("keyword", "aggregate")
         upstream = self._resolve(self.parser.expect("ident").text)
         self.parser.expect("keyword", "window")
@@ -343,14 +315,18 @@ class _Compiler:
             aggs[out] = AggSpec(factory, agg_field)
             if not self.parser.accept("punct", ","):
                 break
-        agg = TumblingAggregate(self._fresh("aggregate"), width, aggs,
-                                group_by=group_by)
-        self.query.graph.add(agg)
-        self.query.graph.connect(upstream, agg)
-        return agg
+        return upstream.tumbling(width, aggs, group_by=group_by)
+
+
+def _compile_into(pipeline: Pipeline, text: str) -> CompiledQuery:
+    """Build a program's statements into ``pipeline`` and compile it.
+
+    The pipeline's :attr:`~Pipeline.sinks` end up keyed by the names the
+    program's ``SINK`` statements declare.
+    """
+    return _Compiler(tokenize(text), pipeline).compile()
 
 
 def compile_query(text: str, name: str = "query") -> CompiledQuery:
     """Compile a program in the mini language to a validated query graph."""
-    tokens = tokenize(text)
-    return _Compiler(tokens, name).compile()
+    return _compile_into(Pipeline(name), text)

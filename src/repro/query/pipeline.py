@@ -22,12 +22,13 @@ construction, and no separate workload attachment::
             .run(until=120.0))
     print(p.sinks["analyst"].delivered, sim.peak_queue_size)
 
-Single-source pipelines can start straight from the class —
-``Pipeline.source("ticks")`` creates an anonymous pipeline and returns the
-stream; the pipeline itself is reachable as ``stream.pipeline``.  Every
-combinator returns a :class:`PipelineStream` — a cursor over the operator
-whose output the next combinator will consume — and operator names are
-generated (``select_1``, ``join_1``, ...) unless given.
+Every combinator returns a :class:`PipelineStream` — a cursor over the
+operator whose output the next combinator will consume.  This module is the
+one place outside ``repro.core`` that constructs operators or wires a graph:
+the query language (:mod:`.language`), the paper scenarios and the
+experiments all build through it.  Operator names are generated
+(``select_1``, ``join_1``, ...) unless given, and a generated name skips any
+name the graph already holds, so it never collides with a declared one.
 
 Pipelines default to the columnar fast path (``batch_size=64``); results are
 identical to scalar execution (``batch_size=1``) by the run-step fallback
@@ -58,6 +59,7 @@ from ..core.operators import (
     WindowJoin,
 )
 from ..core.operators.base import Operator
+from ..core.schema import Schema
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
 
@@ -67,24 +69,6 @@ __all__ = ["Pipeline", "PipelineStream"]
 # passed there is forwarded to the Simulation constructor (cost_model,
 # periodic, start_time, quarantine, ...).
 _CONFIG_KNOBS = frozenset(f.name for f in dataclass_fields(EngineConfig))
-
-
-class _classinstancemethod:
-    """Descriptor making ``Pipeline.source(...)`` start a fresh pipeline
-    while ``pipeline.source(...)`` keeps extending the existing one."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, objtype=None):
-        target = obj if obj is not None else objtype()
-
-        def bound(*args, **kwargs):
-            return self.fn(target, *args, **kwargs)
-
-        bound.__doc__ = self.fn.__doc__
-        return bound
 
 
 class Pipeline:
@@ -105,7 +89,6 @@ class Pipeline:
             batch_size=64)
         self.sinks: dict[str, SinkNode] = {}
         self.simulation = None
-        self.compiled = None  # set by from_program
         self._sim_kwargs: dict[str, Any] = {}
         self._feeds: list[tuple[str, Iterable, Any, int]] = []
         self._heartbeats: dict[str, float] = {}
@@ -113,18 +96,19 @@ class Pipeline:
     # ------------------------------------------------------------------ #
     # Build
 
-    @_classinstancemethod
     def source(self, name: str | None = None,
                kind: TimestampKind = TimestampKind.INTERNAL,
-               *, out_of_order: bool = False) -> "PipelineStream":
+               *, out_of_order: bool = False,
+               schema: Schema | None = None) -> "PipelineStream":
         """Declare an input stream; returns its :class:`PipelineStream`.
 
-        Callable on the class too: ``Pipeline.source("ticks")`` starts an
-        anonymous single-source pipeline (reach it via ``.pipeline``).
+        ``schema`` becomes the source's ``output_schema`` (what a
+        ``STREAM`` statement's field list declares).
         """
         self._mutable("source")
         node = self._graph.add_source(self._auto_name("source", name), kind,
-                                      out_of_order=out_of_order)
+                                      out_of_order=out_of_order,
+                                      output_schema=schema)
         return PipelineStream(self, node)
 
     @classmethod
@@ -132,19 +116,15 @@ class Pipeline:
                      config: EngineConfig | None = None) -> "Pipeline":
         """Build a pipeline from a mini-language program (see ``repro run``).
 
-        The compiled graph arrives pre-built: sinks declared with ``SINK``
-        are registered in :attr:`sinks`, and :meth:`feed` targets streams
-        by their declared names.  The raw :class:`CompiledQuery` stays
-        reachable as :attr:`compiled`.
+        The program's statements build into the returned pipeline, which
+        comes back compiled: sinks declared with ``SINK`` are registered in
+        :attr:`sinks` under their declared names, and :meth:`feed` targets
+        streams by their declared names.
         """
-        from .language import compile_query
+        from .language import _compile_into
 
-        compiled = compile_query(program, name=name)
         pipeline = cls(name, config=config)
-        pipeline.compiled = compiled
-        pipeline._graph = compiled.graph
-        pipeline._frozen = True
-        pipeline.sinks.update(compiled.sinks)
+        _compile_into(pipeline, program)
         return pipeline
 
     def compile(self) -> QueryGraph:
@@ -166,19 +146,14 @@ class Pipeline:
                 "already compiled")
 
     def _auto_name(self, prefix: str, name: str | None) -> str:
+        """``name``, or the next free ``{prefix}_{n}`` in the graph."""
         if name is not None:
             return name
         n = self._counters.get(prefix, 0) + 1
+        while f"{prefix}_{n}" in self._graph:
+            n += 1
         self._counters[prefix] = n
         return f"{prefix}_{n}"
-
-    def _extend(self, op: Operator, *upstreams: Operator) -> "PipelineStream":
-        """Add ``op`` fed by ``upstreams`` (in input order); its stream."""
-        self._mutable(f"operator {op.name!r}")
-        self._graph.add(op)
-        for upstream in upstreams:
-            self._graph.connect(upstream, op)
-        return PipelineStream(self, op)
 
     # ------------------------------------------------------------------ #
     # Run
@@ -301,8 +276,12 @@ class PipelineStream:
             if other.pipeline is not p:
                 raise GraphError(
                     f"cannot {prefix} streams from different pipelines")
-        return p._extend(make(p._auto_name(prefix, name)), self.op,
-                         *(other.op for other in others))
+        op = make(p._auto_name(prefix, name))
+        p._mutable(f"operator {op.name!r}")
+        p._graph.add(op)
+        for upstream in (self, *others):
+            p._graph.connect(upstream.op, op)
+        return PipelineStream(p, op)
 
     # ------------------------------------------------------------------ #
     # Stateless combinators
@@ -311,11 +290,6 @@ class PipelineStream:
                name: str | None = None) -> "PipelineStream":
         """Filter: keep payloads satisfying ``predicate``."""
         return self._then("select", name, lambda n: Select(n, predicate))
-
-    def where(self, predicate: Callable[[Any], bool],
-              name: str | None = None) -> "PipelineStream":
-        """Alias for :meth:`select`."""
-        return self.select(predicate, name)
 
     def project(self, fields: Iterable[str],
                 name: str | None = None) -> "PipelineStream":
@@ -366,11 +340,6 @@ class PipelineStream:
             lambda n: WindowJoin(n, window, predicate=predicate, key=key,
                                  strict=strict, **join_kwargs),
             (other,))
-
-    def window_join(self, other: "PipelineStream", window: WindowSpec,
-                    **kwargs) -> "PipelineStream":
-        """Alias for :meth:`join` (the operator's full name)."""
-        return self.join(other, window, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Aggregates

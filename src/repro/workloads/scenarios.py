@@ -19,7 +19,11 @@ D     latent                       n/a (latent streams never idle-wait)
 
 :func:`build_union_scenario` assembles graph + simulation + metrics for a
 scenario; :func:`build_join_scenario` does the same with a window join in
-place of the union (ablation X2).
+place of the union (ablation X2).  Both are one
+:class:`~repro.query.pipeline.Pipeline`-built body that differs only in the
+IWP combinator: heartbeats (scenario B) go through ``Pipeline.heartbeat``,
+the ETS policy and every other knob through ``Pipeline.engine``, the
+arrival schedules through ``Pipeline.feed``.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..core.ets import EtsPolicy, NoEts, OnDemandEts, PeriodicEtsSchedule
+from ..core.ets import EtsPolicy, NoEts, OnDemandEts
 from ..core.errors import WorkloadError
 from ..core.graph import QueryGraph
-from ..core.operators import Select, SinkNode, SourceNode, Union, WindowJoin
+from ..core.operators import SinkNode, SourceNode, Union, WindowJoin
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
 from ..obs.latency import LatencyRecorder
+from ..query.pipeline import Pipeline
 from ..sim.cost import CostModel
 from ..sim.kernel import Arrival, Simulation
 from .arrival import poisson_arrivals, with_external_timestamps
@@ -117,15 +122,6 @@ class ScenarioConfig:
             return OnDemandEts(external_delta=self.ets_delta)
         return NoEts()
 
-    def make_periodic(self, slow_name: str,
-                      fast_name: str) -> PeriodicEtsSchedule | None:
-        if self.scenario != "B":
-            return None
-        rates = {slow_name: float(self.heartbeat_rate)}
-        if self.heartbeat_both:
-            rates[fast_name] = float(self.heartbeat_rate)
-        return PeriodicEtsSchedule(rates)
-
 
 @dataclass(slots=True)
 class ScenarioHandles:
@@ -169,26 +165,40 @@ def scenario_streams(config: ScenarioConfig) -> dict[str, Iterator[Arrival]]:
     return streams
 
 
-def _simulate(config: ScenarioConfig, graph: QueryGraph, faults,
-              attach: bool, sim_kwargs: dict) -> Simulation:
-    kwargs = dict(
-        ets_policy=config.make_policy(),
-        periodic=config.make_periodic("slow", "fast"),
-        cost_model=config.cost_model,
-        batch_size=config.batch_size,
-    )
+def _build(config: ScenarioConfig, label: str, combine, faults,
+           attach: bool, sim_kwargs: dict) -> ScenarioHandles:
+    """The Fig.-4 plan with ``combine(filter_fast, filter_slow)`` as its
+    IWP operator, built and simulated through a :class:`Pipeline`."""
+    recorder = LatencyRecorder()
+    p = Pipeline(f"paper-{label}-{config.scenario}")
+    fast = p.source("fast", config.timestamp_kind)
+    slow = p.source("slow", config.timestamp_kind)
+    sel = config.selectivity
+    iwp = combine(fast.select(lambda t: t["value"] < sel, name="filter_fast"),
+                  slow.select(lambda t: t["value"] < sel, name="filter_slow"))
+    iwp.sink("sink", on_output=recorder)
+
+    p.engine(ets_policy=config.make_policy(), cost_model=config.cost_model,
+             batch_size=config.batch_size,
+             observers=list(config.observers or ()))
     if config.engine_cls is not None:
-        kwargs["engine_cls"] = config.engine_cls
-    if config.observers is not None:
-        kwargs["observers"] = list(config.observers)
-    kwargs.update(sim_kwargs)
-    sim = Simulation(graph, **kwargs)
-    if faults is not None:
-        faults.install(sim)
+        p.engine(engine_cls=config.engine_cls)
+    p.engine(**sim_kwargs)
+    if config.scenario == "B":
+        p.heartbeat(slow, float(config.heartbeat_rate))
+        if config.heartbeat_both:
+            p.heartbeat(fast, float(config.heartbeat_rate))
     if attach:
         for name, arrivals in scenario_streams(config).items():
-            sim.attach_arrivals(graph[name], arrivals, faults=faults)
-    return sim
+            p.feed(name, arrivals, faults=faults)
+    sim = p.build_simulation()
+    if faults is not None:
+        faults.install(sim)
+    return ScenarioHandles(config=config, sim=sim, graph=p.graph,
+                           fast_source=fast.source_node,
+                           slow_source=slow.source_node,
+                           iwp=iwp.op, sink=p.sinks["sink"],
+                           recorder=recorder)
 
 
 def build_union_scenario(config: ScenarioConfig, *, faults=None,
@@ -208,25 +218,10 @@ def build_union_scenario(config: ScenarioConfig, *, faults=None,
             ``recovery``, ``checkpoint_every``, or an ``ets_policy`` that
             replaces the scenario's own).
     """
-    recorder = LatencyRecorder()
-    graph = QueryGraph(f"paper-union-{config.scenario}")
-    fast = graph.add_source("fast", config.timestamp_kind)
-    slow = graph.add_source("slow", config.timestamp_kind)
-    sel = config.selectivity
-    f1 = graph.add(Select("filter_fast", lambda p: p["value"] < sel))
-    f2 = graph.add(Select("filter_slow", lambda p: p["value"] < sel))
-    union = graph.add(Union("union", strict=config.strict_iwp))
-    sink = graph.add_sink("sink", on_output=recorder)
-    graph.connect(fast, f1)
-    graph.connect(slow, f2)
-    graph.connect(f1, union)
-    graph.connect(f2, union)
-    graph.connect(union, sink)
-
-    sim = _simulate(config, graph, faults, attach, sim_kwargs)
-    return ScenarioHandles(config=config, sim=sim, graph=graph,
-                           fast_source=fast, slow_source=slow,
-                           iwp=union, sink=sink, recorder=recorder)
+    return _build(config, "union",
+                  lambda f1, f2: f1.union(f2, name="union",
+                                          strict=config.strict_iwp),
+                  faults, attach, sim_kwargs)
 
 
 def build_join_scenario(config: ScenarioConfig, *,
@@ -239,26 +234,10 @@ def build_join_scenario(config: ScenarioConfig, *,
     keeping output volume moderate at the paper's rates.  ``faults``,
     ``attach`` and ``**sim_kwargs`` as in :func:`build_union_scenario`.
     """
-    recorder = LatencyRecorder()
-    graph = QueryGraph(f"paper-join-{config.scenario}")
-    fast = graph.add_source("fast", config.timestamp_kind)
-    slow = graph.add_source("slow", config.timestamp_kind)
-    sel = config.selectivity
-    f1 = graph.add(Select("filter_fast", lambda p: p["value"] < sel))
-    f2 = graph.add(Select("filter_slow", lambda p: p["value"] < sel))
-    join = graph.add(WindowJoin(
-        "join", WindowSpec.time(window_seconds),
-        predicate=lambda a, b: int(a["value"] * 10) == int(b["value"] * 10),
-        strict=config.strict_iwp,
-    ))
-    sink = graph.add_sink("sink", on_output=recorder)
-    graph.connect(fast, f1)
-    graph.connect(slow, f2)
-    graph.connect(f1, join)
-    graph.connect(f2, join)
-    graph.connect(join, sink)
-
-    sim = _simulate(config, graph, faults, attach, sim_kwargs)
-    return ScenarioHandles(config=config, sim=sim, graph=graph,
-                           fast_source=fast, slow_source=slow,
-                           iwp=join, sink=sink, recorder=recorder)
+    return _build(
+        config, "join",
+        lambda f1, f2: f1.join(
+            f2, WindowSpec.time(window_seconds),
+            predicate=lambda a, b: int(a["value"] * 10) == int(b["value"] * 10),
+            name="join", strict=config.strict_iwp),
+        faults, attach, sim_kwargs)

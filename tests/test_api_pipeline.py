@@ -82,16 +82,6 @@ class TestGraphParity:
         assert self.build_pipeline().describe() == \
             self.build_by_hand().describe()
 
-    def test_window_join_is_join(self):
-        def shape(use_alias):
-            p = Pipeline("j")
-            a = p.source("a")
-            b = p.source("b")
-            joiner = a.window_join if use_alias else a.join
-            joiner(b, WindowSpec.time(2.0), key="k", name="jo").sink("out")
-            return p.compile().describe()
-        assert shape(True) == shape(False)
-
     def test_auto_names_match_builder(self):
         """Unnamed operators are numbered per kind, from 1 — the scheme
         every golden file and trace assertion was recorded under."""
@@ -103,13 +93,13 @@ class TestGraphParity:
             "source_2", "select_2", "sink_2"]
         assert set(p.sinks) == {"sink_1", "sink_2"}
 
-    def test_class_level_source_starts_anonymous_pipeline(self):
-        stream = Pipeline.source("ticks")
-        pipeline = stream.pipeline
-        assert isinstance(pipeline, Pipeline)
-        stream.map(lambda p: p).sink("out")
-        graph = pipeline.compile()
-        assert "ticks" in graph and "out" in graph
+    def test_auto_names_skip_declared_names(self):
+        """A generated name never collides with one the graph holds."""
+        p = Pipeline("taken")
+        p.source("select_1").select(lambda p: True).sink("sink_1")
+        p.source("b").select(lambda p: True).sink()
+        assert [op.name for op in p.compile().operators] == [
+            "select_1", "select_2", "sink_1", "b", "select_3", "sink_2"]
 
     def test_sink_registers_and_returns_pipeline(self):
         p = Pipeline("s")

@@ -146,6 +146,23 @@ class TestSinkStatement:
         cq = compile_query("STREAM s; SINK s AS renamed;")
         assert "renamed" in cq.sinks
 
+    @pytest.mark.parametrize("program, sink", [
+        ("STREAM __select1; x = SELECT * FROM __select1 WHERE v < 1; SINK x;",
+         "x"),
+        ("STREAM sink_out; STREAM b; u = UNION sink_out, b; SINK u AS out;",
+         "out"),
+    ])
+    def test_generated_names_skip_declared_streams(self, program, sink):
+        cq = compile_query(program)
+        assert set(cq.sinks) == {sink}
+        for name, source in cq.sources.items():
+            assert cq.graph[name] is source
+
+    def test_duplicate_sink_name_rejected(self):
+        with pytest.raises(QueryLanguageError,
+                           match="sink 'x' is already defined"):
+            compile_query("STREAM a; STREAM b; SINK a AS x; SINK b AS x;")
+
 
 class TestCompiledQueryRuns:
     def test_end_to_end_with_simulation(self):

@@ -80,7 +80,7 @@ class TestBuilderShapes:
     def test_flat_map_and_where(self):
         q = Pipeline()
         (q.source("s")
-         .where(lambda p: p["v"] > 0)
+         .select(lambda p: p["v"] > 0)
          .flat_map(lambda p: [p, p])
          .project(["v"])
          .sink("out"))

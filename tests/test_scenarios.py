@@ -50,33 +50,64 @@ class TestScenarioConfig:
 
     def test_periodic_schedule_only_for_b(self):
         cfg_b = ScenarioConfig(scenario="B", heartbeat_rate=5.0)
-        sched = cfg_b.make_periodic("slow", "fast")
+        sched = build_union_scenario(cfg_b, attach=False).sim.periodic
         assert sched is not None and sched.rates == {"slow": 5.0}
-        assert ScenarioConfig(scenario="A").make_periodic("s", "f") is None
+        assert build_union_scenario(ScenarioConfig(scenario="A"),
+                                    attach=False).sim.periodic is None
 
     def test_heartbeat_both(self):
         cfg = ScenarioConfig(scenario="B", heartbeat_rate=5.0,
                              heartbeat_both=True)
-        sched = cfg.make_periodic("slow", "fast")
+        sched = build_union_scenario(cfg, attach=False).sim.periodic
         assert set(sched.rates) == {"slow", "fast"}
 
 
 class TestBuiltGraphShape:
+    """Graph and node names are pinned: trace goldens and
+    ``idle_fraction("union")`` read them."""
+
+    @staticmethod
+    def fig4(graph_name, iwp, role):
+        return "\n".join([
+            f"QueryGraph {graph_name!r}:",
+            "  slow [SourceNode] -> filter_slow",
+            f"  filter_slow [Select] -> {iwp}",
+            "  fast [SourceNode] -> filter_fast",
+            f"  filter_fast [Select] -> {iwp}",
+            f"  {iwp} [{role}] -> sink",
+            "  sink [SinkNode] -> (terminal)"])
+
+    @staticmethod
+    def arcs(handles):
+        return [buf.name for buf in handles.graph.buffers]
+
     def test_union_graph_matches_paper_fig4(self):
         handles = build_union_scenario(ScenarioConfig(scenario="C"))
-        names = {op.name for op in handles.graph.operators}
-        assert names == {"fast", "slow", "filter_fast", "filter_slow",
-                         "union", "sink"}
+        assert handles.graph.describe() == self.fig4(
+            "paper-union-C", "union", "Union")
+        assert self.arcs(handles) == [
+            "fast->filter_fast", "slow->filter_slow", "filter_fast->union",
+            "filter_slow->union", "union->sink"]
         assert handles.iwp.name == "union"
+        assert (handles.fast_source, handles.slow_source, handles.sink) == (
+            handles.graph["fast"], handles.graph["slow"],
+            handles.graph["sink"])
 
     def test_join_variant(self):
         handles = build_join_scenario(ScenarioConfig(scenario="C"))
-        assert "join" in handles.graph
+        assert handles.graph.describe() == self.fig4(
+            "paper-join-C", "join", "WindowJoin")
+        assert self.arcs(handles) == [
+            "fast->filter_fast", "slow->filter_slow", "filter_fast->join",
+            "filter_slow->join", "join->sink"]
+        assert handles.iwp is handles.graph["join"]
 
     def test_strict_flag_propagates(self):
-        handles = build_union_scenario(
-            ScenarioConfig(scenario="A", strict_iwp=True))
-        assert handles.iwp.strict
+        for build in (build_union_scenario, build_join_scenario):
+            strict = ScenarioConfig(scenario="A", strict_iwp=True)
+            assert build(strict, attach=False).iwp.strict, build.__name__
+            assert not build(ScenarioConfig(scenario="A"),
+                             attach=False).iwp.strict
 
 
 class TestScenarioBehaviour:
