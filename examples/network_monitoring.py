@@ -99,9 +99,8 @@ def main() -> None:
          "peak queue", "idle-waiting (%)"],
         rows, title="On-demand ETS vs no ETS on the same feeds"))
     print()
-    print(f"columnar fast path: {sim.engine.stats.blocks} blocks "
-          f"({sim.engine.stats.block_rows} rows) executed vectorized, "
-          f"{sim.engine.stats.block_fallbacks} scalar fallbacks")
+    print(f"operator kernels: {sim.engine.stats.blocks} calls over "
+          f"{sim.engine.stats.block_rows} data rows")
 
 
 if __name__ == "__main__":

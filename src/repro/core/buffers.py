@@ -195,9 +195,9 @@ class StreamBuffer:
         #: Deque entries are scalar :class:`StreamElement`\ s *or* whole
         #: :class:`~repro.core.columnar.ColumnarBlock`\ s (data rows only —
         #: punctuation never enters a block, and closes an open one).
-        #: Scalar consumers never see a block: ``peek``/``pop`` explode a
-        #: head block back into its tuples lazily, so non-columnar
-        #: operators stay byte-identical for free.
+        #: ``peek``/``pop`` never return a block: they explode a head block
+        #: back into its tuples lazily, so a kernel taking one element at a
+        #: time sees exactly the tuples that were pushed.
         self._items: deque[StreamElement | ColumnarBlock] = deque()
         #: The *open tail block*: a block this buffer created, that is the
         #: deque's last entry and that nothing else references, so
@@ -550,10 +550,10 @@ class StreamBuffer:
     def _explode_head(self) -> None:
         """Replace a head block with its scalar tuples, in place.
 
-        Called lazily by the scalar accessors so operators that do not
-        understand blocks (joins, reorder, strict union) consume exactly
-        the elements they would have seen without block transport.  Pure
-        representation change: no counters move.
+        Called lazily by the one-element accessors, so a kernel that takes
+        one element (a tie, a latent row) consumes exactly the element it
+        would have seen without block transport.  Pure representation
+        change: no counters move.
         """
         block = self._items.popleft()
         assert isinstance(block, ColumnarBlock)

@@ -13,7 +13,8 @@ transform the *arrays* — a selection narrows the selection vector without
 copying anything, a projection rewrites only the payload column — and whole
 blocks travel through stream buffers as single entries.
 
-Two invariants keep the block path byte-identical to scalar execution:
+Two invariants keep a run of any width byte-identical to the same elements
+taken one at a time:
 
 * **Blocks hold only data tuples.**  Punctuation never enters a block: it is
   a run boundary, so ETS information always reaches the NOS rules as
@@ -27,10 +28,10 @@ Two invariants keep the block path byte-identical to scalar execution:
   arrival order until a ``Reorder`` sorts them.)
 
 Materializing a row rebuilds the exact original tuple — same payload object,
-same ``seq``, same timestamp kind — which is what lets stateful consumers
-(join, reorder) that do not understand blocks simply *explode* a block back
-into scalar elements and proceed unchanged (see
-:meth:`repro.core.buffers.StreamBuffer.peek`).
+same ``seq``, same timestamp kind — which is what lets a kernel that must take
+one element (a tie, a latent row, a punctuation) *explode* the head block
+back into its tuples and proceed unchanged (see
+:meth:`repro.core.buffers.StreamBuffer.pop`).
 
 Everything here is pure Python lists: the module imports nothing outside
 the standard library.
@@ -209,10 +210,12 @@ class ColumnarBlock:
     # ------------------------------------------------------------------ #
     # Splitting (drain limits and timestamp gates)
 
-    def _positions(self) -> list[int]:
+    def _positions(self) -> "list[int] | range":
+        # A range slices in O(1): draining one row at a time off a long
+        # block must not copy the rest of it on every drain.
         if self.selection is not None:
             return self.selection
-        return list(range(len(self.ts)))
+        return range(len(self.ts))
 
     def split_at(self, n: int) -> tuple["ColumnarBlock", "ColumnarBlock"]:
         """Split into (first ``n`` live rows, the rest); arrays are shared."""

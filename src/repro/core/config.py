@@ -34,20 +34,14 @@ class EngineConfig:
     """The engine-construction knobs, shareable across constructors.
 
     Attributes:
-        batch_size: Run width, and with it the transport.  1 (the default)
-            is the paper's tuple-at-a-time execution through
-            :meth:`Operator.execute_step` — the reference path.  For N > 1
-            the Encore rule consumes a whole run of up to N elements per
-            execution step: operators advertising
-            :attr:`Operator.supports_blocks` consume and produce
-            struct-of-arrays :class:`~repro.core.columnar.ColumnarBlock`
-            runs through :meth:`Operator.execute_block`; all others fall
-            back to :func:`~repro.core.operators.base.scalar_run` with head
-            blocks exploded lazily by the buffer (counted in
-            :attr:`EngineStats.block_fallbacks`).  Runs never cross a
-            punctuation and the cost model still charges simulated CPU per
-            tuple, so the width changes wall-clock throughput, never output
-            or ETS semantics; under a :class:`~repro.sim.kernel.Simulation`
+        batch_size: Run width.  Every execution step is one call of the
+            operator's kernel, :meth:`Operator.execute_block`, which
+            consumes a run of up to N elements and produces struct-of-arrays
+            :class:`~repro.core.columnar.ColumnarBlock` runs.  1 (the
+            default) is the paper's tuple-at-a-time execution: a run of one
+            element.  Runs never cross a punctuation and the cost model
+            still charges simulated CPU per tuple, so the width changes
+            wall-clock throughput, never output or ETS semantics; under a :class:`~repro.sim.kernel.Simulation`
             the ``deliver_due`` hook then runs once per run rather than
             once per tuple, which is exactly the amortization being bought
             (the :class:`~repro.api.Pipeline` default is 64).
@@ -107,8 +101,8 @@ class EngineConfig:
                 f"batch_size must be >= 1, got {self.batch_size}")
         if block_mode is not None and block_mode != (self.batch_size > 1):
             raise ExecutionError(
-                "batch_size alone picks the transport (1 = scalar, > 1 = "
-                f"columnar blocks); block_mode={block_mode} contradicts "
+                "batch_size alone picks the run width (1 = one element "
+                f"per step, > 1 = runs); block_mode={block_mode} contradicts "
                 f"batch_size={self.batch_size}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ExecutionError(

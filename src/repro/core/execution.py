@@ -34,8 +34,7 @@ from .config import EngineConfig
 from .errors import ExecutionError
 from .ets import EtsPolicy, NoEts
 from .graph import QueryGraph
-from .operators.base import (BatchResult, OpContext, Operator, StepResult,
-                             scalar_run)
+from .operators.base import BatchResult, OpContext, Operator
 from .operators.source import SourceNode
 
 __all__ = ["EngineStats", "ExecutionEngine"]
@@ -62,11 +61,11 @@ class EngineStats:
             absorbed by the quarantine policy instead of crashing ingest.
         invariant_violations: Violations the invariant monitor recorded in
             degrade mode (halt mode raises instead of counting here).
-        blocks / block_rows: Columnar execution steps taken and the rows
-            they consumed (``batch_size > 1`` only).
-        block_fallbacks: Run steps served by a run of scalar steps because
-            the operator does not support blocks (attributed per operator
-            in ``block_fallbacks_by_operator``).
+        blocks / block_rows: Kernel calls (one per execution step, a run
+            of up to ``batch_size`` elements) and the data rows they
+            consumed.
+        block_fallbacks: Always 0: every operator runs its one kernel.
+            Kept because the frozen benchmark reads it.
     """
 
     rounds: int = 0
@@ -87,7 +86,6 @@ class EngineStats:
     block_rows: int = 0
     block_fallbacks: int = 0
     per_operator_steps: dict[str, int] = field(default_factory=dict)
-    block_fallbacks_by_operator: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
         """Every counter under its canonical ``snake_case`` name.
@@ -101,21 +99,21 @@ class EngineStats:
         """Versioned snapshot of every counter (checkpointing)."""
         state = self.as_dict()
         state["per_operator_steps"] = dict(self.per_operator_steps)
-        state["block_fallbacks_by_operator"] = dict(
-            self.block_fallbacks_by_operator)
         state["version"] = 1
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
+        """Restore a snapshot produced by :meth:`snapshot_state`.
+
+        Keys this version no longer has (the per-operator fallback
+        attribution, the heartbeat-ladder counters) are ignored, so older
+        version-1 checkpoints restore without a version bump.
+        """
         if state.get("version") != 1:
             raise ExecutionError(f"unsupported EngineStats state: {state!r}")
         for f in dataclass_fields(self):
             if f.name == "per_operator_steps":
                 self.per_operator_steps = dict(state[f.name])
-            elif f.name == "block_fallbacks_by_operator":
-                # Postdates snapshot version 1; default for old checkpoints.
-                self.block_fallbacks_by_operator = dict(state.get(f.name, {}))
             elif f.name in ("blocks", "block_rows", "block_fallbacks"):
                 # Columnar counters postdate snapshot version 1; default
                 # them so pre-columnar checkpoints keep restoring.
@@ -338,7 +336,7 @@ class ExecutionEngine:
         registry = self.graph.registry
         clock, deliver_due = self.clock, self.deliver_due
         round_id, sources = self._round_id, self._source_nodes
-        step = self._step_run if self.batch_size > 1 else self._step
+        step = self._step
         # Operators (and sources) visited without executing since the last
         # buffer mutation.  Re-reaching one means the NOS rules are cycling
         # through a topology where Forward and Backtrack chase each other —
@@ -386,9 +384,9 @@ class ExecutionEngine:
                     continue  # the injected punctuation enables Forward
                 return progress
 
-            # [Execution Step] — with batch_size > 1 the Encore rule consumes
-            # a whole run (up to batch_size elements, never across the next
-            # punctuation) per step instead of a single element.
+            # [Execution Step] — a run of up to batch_size elements, never
+            # across the next punctuation; batch_size=1 is the paper's
+            # one element per step.
             if execute and current.more():
                 step(current)
                 progress = True
@@ -436,59 +434,20 @@ class ExecutionEngine:
                                         f"{current.name}")
             current, execute = pred, False
 
-    def _step(self, op: Operator) -> StepResult:
-        result = op.execute_step(self.ctx)
-        stats = self.stats
-        stats.steps += 1
-        if result.consumed_punctuation:
-            stats.punct_steps += 1
-        elif result.consumed is not None:
-            stats.data_steps += 1
-        stats.probes += result.probes
-        stats.probes_emitted += result.probes_emitted
-        stats.emitted_data += result.emitted_data
-        stats.emitted_punctuation += result.emitted_punctuation
-        per_op = stats.per_operator_steps
-        per_op[op.name] = per_op.get(op.name, 0) + 1
-        cost = 0.0
-        if self.cost_model is not None:
-            cost = self.cost_model.step_cost(op, result)
-            if cost:
-                self.clock.advance(cost)
-                stats.busy_time += cost
-        if self.bus is not None:
-            self.bus.step(
-                operator=op.name, round_id=self._round_id,
-                time=self.clock.now(),
-                kind="punct" if result.consumed_punctuation else "data",
-                probes=result.probes, probes_emitted=result.probes_emitted,
-                emitted_data=result.emitted_data,
-                emitted_punctuation=result.emitted_punctuation,
-                duration=cost)
-        self._refresh_idle()
-        return result
+    def _step(self, op: Operator, limit: int | None = None) -> BatchResult:
+        """One execution step: ``op``'s kernel over a run of up to
+        ``limit`` (default ``batch_size``) elements.
 
-    def _step_run(self, op: Operator) -> BatchResult:
-        """One run step: up to ``batch_size`` scalar-equivalent steps.
-
-        Operators that support blocks run their columnar kernel; the rest
-        run the same boundary rules over scalar steps, counted and
-        attributed as a fallback — this branch is the only place that
-        knows about it.  Stats count scalar-equivalent steps and the cost
-        model charges per tuple, so EngineStats and simulated time stay
-        comparable with the scalar engine; only wall-clock dispatch is
-        amortized.
+        Stats count per-element steps and the cost model charges per
+        tuple, so EngineStats and simulated time do not depend on the run
+        width; only wall-clock dispatch is amortized.  A one-element step
+        publishes its ``on_step`` as ``"data"`` or ``"punct"``; a
+        ``batch_size > 1`` engine publishes ``"block"`` with the run length.
         """
+        run = op.execute_block(self.ctx, limit or self.batch_size)
         stats = self.stats
-        if op.supports_blocks:
-            run = op.execute_block(self.ctx, self.batch_size)
-            stats.blocks += 1
-            stats.block_rows += run.consumed_data
-        else:
-            stats.block_fallbacks += 1
-            by_op = stats.block_fallbacks_by_operator
-            by_op[op.name] = by_op.get(op.name, 0) + 1
-            run = scalar_run(op, self.ctx, self.batch_size)
+        stats.blocks += 1
+        stats.block_rows += run.consumed_data
         stats.steps += run.steps
         stats.data_steps += run.consumed_data
         stats.punct_steps += run.consumed_punctuation
@@ -505,9 +464,12 @@ class ExecutionEngine:
                 self.clock.advance(cost)
                 stats.busy_time += cost
         if self.bus is not None and run.steps:
+            shape = ({"kind": "block", "steps": run.steps}
+                     if self.batch_size > 1 else
+                     {"kind": "punct" if run.consumed_punctuation else "data"})
             self.bus.step(
                 operator=op.name, round_id=self._round_id,
-                time=self.clock.now(), kind="block", steps=run.steps,
+                time=self.clock.now(), **shape,
                 probes=run.probes, probes_emitted=run.probes_emitted,
                 emitted_data=run.emitted_data,
                 emitted_punctuation=run.emitted_punctuation,

@@ -10,7 +10,7 @@ from .aggregate import (
     Sum,
     TumblingAggregate,
 )
-from .base import BatchResult, Clock, OpContext, Operator, StepResult
+from .base import BatchResult, Clock, OpContext, Operator
 from .join import WindowJoin, merge_payloads
 from .map import FlatMap, Map
 from .project import Project
@@ -42,7 +42,6 @@ __all__ = [
     "SinkNode",
     "SourceNode",
     "StatelessOperator",
-    "StepResult",
     "Sum",
     "TumblingAggregate",
     "Union",

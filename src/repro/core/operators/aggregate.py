@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 
 from ..errors import ExecutionError
 from ..tuples import LATENT_TS, DataTuple
-from .base import BatchResult, Operator, OpContext, StepResult
+from .base import BatchResult, Operator, OpContext
 
 __all__ = [
     "Aggregator",
@@ -158,7 +158,6 @@ class TumblingAggregate(Operator):
 
     is_iwp = False
     arity = 1
-    supports_blocks = True
 
     def __init__(self, name: str, width: float, aggs: Mapping[str, AggSpec],
                  *, group_by: str | None = None,
@@ -266,48 +265,27 @@ class TumblingAggregate(Operator):
             self._groups[key] = accumulators
         self.windows_emitted = state["windows_emitted"]
 
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        element = self.inputs[0].pop()
-        if element.is_punctuation:
-            emitted = self._advance_to(element.ts, element.ts)
-            self.emit_punctuation(element)
-            return StepResult(consumed=element, emitted_data=emitted,
-                              emitted_punctuation=1)
-
-        assert isinstance(element, DataTuple)
-        if element.is_latent:
-            element = element.stamped(ctx.clock.now())
-        emitted = 0
-        if self._window_start is None:
-            self._window_start = self._align(element.ts)
-        else:
-            emitted = self._advance_to(element.ts, element.arrival_ts)
-        key = element.payload[self.group_by] if self.group_by is not None else None
-        accumulators = self._groups.get(key)
-        if accumulators is None:
-            accumulators = self._fresh_accumulators()
-            self._groups[key] = accumulators
-        for out, spec in self.aggs.items():
-            accumulators[out].update(spec.extract(element.payload))
-        return StepResult(consumed=element, emitted_data=emitted)
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar accumulation: fold a whole block into the open window.
 
         Rows are read straight off the block's columns in order — window
-        advancement, group lookup and accumulator updates are exactly the
-        scalar sequence (window results are emitted mid-block at the same
-        points), but no :class:`DataTuple` is materialized per input row.
-        Punctuation stays a batch boundary handled by the scalar step.
+        advancement, group lookup and accumulator updates row by row
+        (window results are emitted mid-block where a row closes them; a
+        latent row is stamped with the clock) — but no :class:`DataTuple`
+        is materialized per input row.  A punctuation at the head is a run
+        of its own: it closes every window ending at or before it, then
+        passes through.
         """
         buf = self.inputs[0]
         block = buf.drain_block(limit)
         if block is None:
             if buf.is_empty:
                 return BatchResult()
-            batch = BatchResult()  # punctuation at the head: scalar step
-            batch.add_step(self.execute_step(ctx))
-            return batch
+            punct = buf.pop()
+            emitted = self._advance_to(punct.ts, punct.ts)
+            self.emit_punctuation(punct)
+            return BatchResult(steps=1, consumed_punctuation=1,
+                               emitted_data=emitted, emitted_punctuation=1)
         ts_col = block.ts
         arrival_col = block.arrival
         payload_col = block.payloads

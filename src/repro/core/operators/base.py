@@ -10,13 +10,11 @@ operators through a narrow contract:
   relaxed TSM-register condition of paper Fig. 5.
 * :meth:`Operator.has_yield` — the paper's ``yield`` condition: is there
   anything in the operator's output buffers for a successor to consume?
-* :meth:`Operator.execute_step` — perform one production/consumption step
-  (paper Figs. 1 and 6) and report what was done so the engine can charge
-  simulated CPU cost.  This is the reference path (``batch_size == 1``).
-* :meth:`Operator.execute_block` — the same work for a run of up to
-  ``batch_size`` elements on the columnar transport; operators without one
-  are served by :func:`scalar_run`, the same run boundaries over
-  ``execute_step``.
+* :meth:`Operator.execute_block` — perform the production/consumption
+  steps (paper Figs. 1 and 6) of a run of up to ``batch_size`` elements on
+  the columnar transport, and report what was done so the engine can charge
+  simulated CPU cost per element.  ``batch_size == 1`` is a run of one
+  element: the paper's tuple-at-a-time execution.
 * :meth:`Operator.stalled_input_index` — when ``more`` is false, which input
   gates progress; the engine backtracks to that input's producer (the
   modified Backtrack rule of Section 3.2).
@@ -37,10 +35,9 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from ..buffers import StreamBuffer
-from ..errors import ExecutionError, GraphError
+from ..errors import GraphError
 from ..tuples import LATENT_TS, Punctuation, StreamElement
-__all__ = ["BatchResult", "Clock", "OpContext", "StepResult", "Operator",
-           "scalar_run"]
+__all__ = ["BatchResult", "Clock", "OpContext", "Operator"]
 
 
 class Clock(Protocol):
@@ -61,50 +58,25 @@ class OpContext:
 
 
 @dataclass(slots=True)
-class StepResult:
-    """What one execution step did; the engine turns this into CPU cost.
+class BatchResult:
+    """What one execution step (a run of up to ``batch_size`` elements) did.
+
+    The accounting is per element, so the cost model charges CPU per tuple
+    — a run amortizes dispatch overhead, it does not make tuples cheaper in
+    simulated time.
 
     Attributes:
-        consumed: The element removed from an input buffer, or None when the
-            step was a pure production (e.g. an aggregate flushing a window).
-        probes: Number of window tuples *examined* (join probe cost) —
-            bucket-sized under an indexed equality join, window-sized under
-            a scan join.
+        steps: Elements consumed — the paper's per-tuple steps this run is.
+        consumed_data / consumed_punctuation: Elements removed from input
+            buffers, by kind.
+        probes: Window tuples *examined* across the whole run (join probe
+            cost) — bucket-sized under an indexed equality join,
+            window-sized under a scan join.
         probes_emitted: The subset of examined candidates that passed the
             join condition and produced an output tuple.  The
             examined-vs-emitted gap is the work the hash index removes.
-        emitted_data: Data tuples appended to output buffers.
-        emitted_punctuation: Punctuation tuples appended to output buffers.
-    """
-
-    consumed: StreamElement | None = None
-    probes: int = 0
-    probes_emitted: int = 0
-    emitted_data: int = 0
-    emitted_punctuation: int = 0
-
-    @property
-    def consumed_punctuation(self) -> bool:
-        return self.consumed is not None and self.consumed.is_punctuation
-
-
-@dataclass(slots=True)
-class BatchResult:
-    """What one run step (a run of up to ``batch_size`` elements) did.
-
-    The per-tuple accounting mirrors :class:`StepResult` so the cost model
-    can keep charging CPU per tuple — a run amortizes dispatch overhead,
-    it does not make tuples cheaper in simulated time.
-
-    Attributes:
-        steps: Scalar-equivalent execution steps this run replaces.
-        consumed_data / consumed_punctuation: Elements removed from input
-            buffers, by kind.
-        probes: Window tuples examined across the whole run.
-        probes_emitted: Examined candidates that produced an output tuple
-            (see :attr:`StepResult.probes_emitted`).
         emitted_data / emitted_punctuation: Elements appended to output
-            buffers (counted once per logical emission, as in StepResult).
+            buffers (counted once per logical emission).
     """
 
     steps: int = 0
@@ -114,18 +86,6 @@ class BatchResult:
     probes_emitted: int = 0
     emitted_data: int = 0
     emitted_punctuation: int = 0
-
-    def add_step(self, result: StepResult) -> None:
-        """Fold one scalar step's result into this batch."""
-        self.steps += 1
-        if result.consumed_punctuation:
-            self.consumed_punctuation += 1
-        else:
-            self.consumed_data += 1
-        self.probes += result.probes
-        self.probes_emitted += result.probes_emitted
-        self.emitted_data += result.emitted_data
-        self.emitted_punctuation += result.emitted_punctuation
 
 
 @dataclass(slots=True)
@@ -151,17 +111,6 @@ class Operator:
     is_iwp: bool = False
     #: Required number of inputs; None means "one or more".
     arity: int | None = 1
-    #: True for operators implementing :meth:`execute_block` — the columnar
-    #: kernel.  Operators (or configurations) without one leave this False
-    #: and the engine's run step falls back to :func:`scalar_run`, with
-    #: incoming blocks exploded lazily by the buffer, so their
-    #: byte-identity is preserved by construction.  Operators gate it per
-    #: instance where a configuration is inherently per-element: a strict
-    #: (X1-ablation) join and a ``late="error"`` reorder stay scalar.
-    #: The engine's one
-    #: ``supports_blocks`` branch is the only place that knows about
-    #: fallback — kernels never re-dispatch.
-    supports_blocks: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -299,30 +248,22 @@ class Operator:
     # ------------------------------------------------------------------ #
     # Execution
 
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        """Perform one production/consumption step.
-
-        Only called when :meth:`more` is true.  Must consume at most one
-        input element and may emit any number of output elements.
-        """
-        raise NotImplementedError
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Process up to ``limit`` input rows in one run step.
+        """Consume a run of up to ``limit`` input elements in one step.
 
-        The engine's run step (``batch_size > 1``) calls this in place of
-        repeated :meth:`execute_step` dispatches, and only when
-        :attr:`supports_blocks` is True.  Implementations share the run
-        boundary rules of :func:`scalar_run` (limit, ``more`` turning false,
-        punctuation) and must be observationally identical to it: same
-        elements consumed in the same order, same emissions in the same
-        order.  The difference is that input arrives as
-        :class:`~repro.core.columnar.ColumnarBlock` runs drained whole from
-        the buffer, and data output should be pushed as blocks so downstream
-        columnar operators keep the amortization.
+        Only called when :meth:`more` is true.  Every kernel shares the run
+        boundary rules: stop after ``limit`` elements, when ``more`` turns
+        false, or right after consuming a punctuation tuple (runs never
+        cross punctuation — ETS information must reach the engine's NOS
+        rules promptly).  A run must be observationally identical to the
+        same elements consumed one per step: same elements consumed in the
+        same order, same emissions in the same order.  Input arrives as
+        :class:`~repro.core.columnar.ColumnarBlock` runs drained from the
+        buffer, and data output should be pushed as blocks so downstream
+        operators keep the amortization.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement the columnar path")
+            f"{type(self).__name__} {self.name!r} is not executable")
 
     # ------------------------------------------------------------------ #
     # Emission helpers
@@ -367,8 +308,8 @@ class IwpOperator(Operator):
     computed in one pass with one head read per input, memoised in
     :attr:`_gate`, and dropped by the buffers' ``on_change`` hooks: knowing
     it costs per *mutation*, not per question.  ``more``,
-    ``stalled_input_index``, ``idle_waiting``, ``_select_index`` and the
-    block kernels all read the memo.
+    ``stalled_input_index``, ``idle_waiting`` and the block kernels all
+    read the memo.
 
     A ``strict`` operator (Fig.-1 rule: every input nonempty) never reads
     gates and is not hooked — its test is cheaper than a hook call per
@@ -467,35 +408,3 @@ class IwpOperator(Operator):
         # Fall back to the input with the smallest gate; keeps backtracking
         # well-defined even if more() flipped between calls.
         return gates.index(tau)
-
-    def _select_index(self) -> int:
-        """The input ``execute_step`` consumes from, per the active mode."""
-        if not self.strict:
-            pick = (self._gate or self._evaluate_gate())[3]
-            if pick is None:
-                raise ExecutionError(f"{type(self).__name__} {self.name!r}: "
-                                     "execute_step called without more()")
-            return pick
-        heads = [buf.head_ts() for buf in self._ports.inputs]
-        if LATENT_TS in heads:
-            return heads.index(LATENT_TS)
-        return heads.index(min(heads))
-
-
-def scalar_run(op: Operator, ctx: OpContext, limit: int) -> BatchResult:
-    """A run of scalar steps: the reference every ``execute_block`` matches.
-
-    Loops :meth:`Operator.execute_step` under the run boundary rules shared
-    by all kernels: stop after ``limit`` steps, when ``more`` turns false,
-    or right after consuming a punctuation tuple (runs never cross
-    punctuation — ETS information must reach the engine's NOS rules
-    promptly).  The engine's run step uses it for every operator whose
-    :attr:`Operator.supports_blocks` is false.
-    """
-    run = BatchResult()
-    while run.steps < limit and op.more():
-        result = op.execute_step(ctx)
-        run.add_step(result)
-        if result.consumed_punctuation:
-            break
-    return run

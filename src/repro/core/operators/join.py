@@ -33,7 +33,7 @@ from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
 from ..tuples import LATENT_TS, DataTuple, Punctuation
 from ..windows import CountWindow, TimeWindow, WindowSpec
-from .base import BatchResult, IwpOperator, OpContext, StepResult
+from .base import BatchResult, IwpOperator, OpContext
 
 __all__ = ["WindowJoin", "merge_payloads"]
 
@@ -218,14 +218,6 @@ class WindowJoin(IwpOperator):
         self.tuples_processed = 0
 
     @property
-    def supports_blocks(self) -> bool:  # type: ignore[override]
-        """Columnar eligibility: every gating mode except the strict X1
-        ablation, whose both-inputs-nonempty gate is inherently per-element
-        (each consumption can flip the gate, so there are no runs to
-        vectorize).  Strict joins keep the scalar fallback path."""
-        return not self.strict
-
-    @property
     def window_size_total(self) -> int:
         """Total tuples currently stored across both window buffers."""
         return len(self.windows[0]) + len(self.windows[1])
@@ -287,73 +279,6 @@ class WindowJoin(IwpOperator):
     # ------------------------------------------------------------------ #
     # Execution (paper Fig. 6)
 
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        idx = self._select_index()
-        element = self.inputs[idx].pop()
-
-        if element.is_punctuation:
-            return self._handle_punctuation(element)
-
-        assert isinstance(element, DataTuple)
-        if element.is_latent:
-            element = element.stamped(ctx.clock.now())
-        return self._handle_data(idx, element)
-
-    def _handle_data(self, idx: int, tup: DataTuple) -> StepResult:
-        """Probe one data tuple against the opposite window (scalar step)."""
-        other = 1 - idx
-        own_window = self.windows[idx]
-        other_window = self.windows[other]
-        # Expire against the probing tuple's timestamp (Kang et al. order:
-        # probe happens against the still-valid window contents).
-        other_window.expire(tup.ts)
-        if self.indexed:
-            # Key-partitioned: only the matching bucket is examined.
-            candidates = other_window.probe(tup.payload[self.key_fields[idx]])
-        else:
-            candidates = other_window.matches(tup.ts)
-        base = other_window.base
-        payloads, arrival = other_window.payloads, other_window.arrival
-        predicate = self._match
-        probes = len(candidates)
-        emitted = 0
-        for number in candidates:
-            row = number - base
-            left_payload, right_payload = (
-                (tup.payload, payloads[row]) if idx == 0
-                else (payloads[row], tup.payload)
-            )
-            if predicate is not None and not predicate(left_payload,
-                                                       right_payload):
-                continue
-            out = DataTuple(ts=tup.ts,
-                            payload=self.combiner(left_payload, right_payload),
-                            kind=tup.kind,
-                            arrival_ts=latest_arrival(tup.arrival_ts,
-                                                      arrival[row]))
-            self.emit(out)
-            emitted += 1
-        own_window.expire(tup.ts)
-        own_window.insert(tup)
-        self.tuples_processed += 1
-        self.matches_emitted += emitted
-        if tup.ts > self._last_emitted_ts and emitted:
-            self._last_emitted_ts = tup.ts
-        emitted_punct = 0
-        if not emitted and not self.strict:
-            # "When we cannot generate a data tuple, we simply produce a
-            # punctuation tuple for the benefit of the IWP operators down the
-            # path" (paper Section 4.2).
-            tau = self._tau()
-            if tau > self._last_emitted_ts:
-                self.emit(Punctuation(ts=tau, origin=self.name))
-                self._last_emitted_ts = tau
-                self.punctuation_forwarded += 1
-                emitted_punct = 1
-        return StepResult(consumed=tup, probes=probes, probes_emitted=emitted,
-                          emitted_data=emitted,
-                          emitted_punctuation=emitted_punct)
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar join: merge both inputs in τ order, one block out.
 
@@ -361,8 +286,8 @@ class WindowJoin(IwpOperator):
         inputs.  Each step looks ahead over both head data runs
         (:meth:`StreamBuffer.head_run`) and takes, from *both* sides, every
         row strictly below the **merge horizon** — the smaller of the two
-        points where the runs end.  Below it the scalar selection is a plain
-        two-way merge (cross-side ties: input 0 first), so the rows are
+        points where the runs end.  Below it the gate's one-element pick is
+        a plain two-way merge (cross-side ties: input 0 first), so the rows are
         drained as columns (:meth:`StreamBuffer.drain_block`, no tuple
         built) and walked in merged order.  A row tying the horizon, a
         latent head and punctuation are consumed one element at a time.
@@ -379,7 +304,9 @@ class WindowJoin(IwpOperator):
         above every taken one — and the live gates on the last row.  All
         matches of the call go straight into one set of column arrays
         (``seq`` drawn from the global counter in emission order), cut into
-        blocks only where a punctuation or an order boundary falls.
+        blocks only where a punctuation or an order boundary falls.  A
+        strict join takes its rounds from :meth:`_strict_round` instead —
+        one element each — and forwards no no-match punctuation.
         """
         batch = BatchResult()
         inputs = self.inputs
@@ -402,32 +329,20 @@ class WindowJoin(IwpOperator):
         last_out_ts = LATENT_TS
         steps = probes = matched = 0
         punct_idx: int | None = None
+        # The one per-call dispatch on the gating mode: which rows a round
+        # takes, and the τ an unmatched last row forwards (a strict join
+        # forwards none — Fig. 1 has no such rule).
+        next_round, tau_of = ((self._strict_round, _no_punctuation)
+                              if self.strict else
+                              (self._merge_round, self._tau))
         while steps < limit:
-            latent, _, _, pick, _ = self._gate or self._evaluate_gate()
-            if pick is None:
+            taken = next_round(limit - steps)
+            if taken is None:
                 break  # more() is false
-            if latent is not None:
-                n0, n1 = 1 - latent, latent
-            else:
-                budget = limit - steps
-                stamps0, end0 = inputs[0].head_run(budget)
-                stamps1, end1 = inputs[1].head_run(budget)
-                horizon = end0 if end0 < end1 else end1
-                n0 = bisect_left(stamps0, horizon)
-                n1 = bisect_left(stamps1, horizon)
-                if n0 + n1 > budget:
-                    # The cap applies to the merged count; choosing the cut
-                    # before draining means nothing is ever pushed back.
-                    stamps = stamps0[:n0] + stamps1[:n1]
-                    merged = sorted(range(n0 + n1), key=stamps.__getitem__)
-                    n0 = sum(1 for i in merged[:budget] if i < n0)
-                    n1 = budget - n0
-                if n0 + n1 == 0:
-                    if inputs[pick].head_is_punctuation():
-                        punct_idx = pick
-                        break  # punctuation is a batch boundary
-                    # Nothing below the horizon: the data element at τ.
-                    n0, n1 = 1 - pick, pick
+            pick, latent, n0, n1 = taken
+            if n0 + n1 == 0:
+                punct_idx = pick
+                break  # punctuation is a batch boundary
             rows = ([], [], [], [], [])  # ts, seq, kind, arrival, payloads
             _drain_rows(inputs[0], n0, rows)
             _drain_rows(inputs[1], n1, rows)
@@ -490,14 +405,14 @@ class WindowJoin(IwpOperator):
                     if ts < last_out_ts:
                         # Order boundary (a stamped latent row can sit
                         # below an external timestamp): the output buffer
-                        # must see it exactly as the scalar pushes would.
+                        # see it exactly as one-element pushes would show it.
                         cuts.append((len(col_ts) - emitted, None))
                     last_out_ts = ts
                     if ts > watermark:
                         watermark = ts
                 else:
                     tau = (row_ts[order[k + 1]] if k + 1 < n
-                           else self._tau())
+                           else tau_of())
                     if tau > watermark:
                         cuts.append((len(col_ts),
                                      Punctuation(ts=tau, origin=self.name)))
@@ -527,10 +442,63 @@ class WindowJoin(IwpOperator):
             if punct is not None:
                 self.emit(punct)
         if punct_idx is not None:
-            batch.add_step(self._handle_punctuation(inputs[punct_idx].pop()))
+            batch.steps += 1
+            batch.consumed_punctuation = 1
+            batch.emitted_punctuation += self._handle_punctuation(
+                inputs[punct_idx].pop())
         return batch
 
-    def _handle_punctuation(self, punct) -> StepResult:
+    def _merge_round(self, budget: int) -> tuple | None:
+        """The rows the next round takes under the relaxed (Fig.-5) gate.
+
+        Returns None when ``more`` is false, else ``(pick, latent, n0,
+        n1)``: take ``n0`` rows off input 0 and ``n1`` off input 1 — every
+        row strictly below the merge horizon, capped at ``budget`` merged
+        rows, else the one element at τ.  ``n0 + n1 == 0`` means input
+        ``pick`` holds a punctuation at its head; a latent head is a round
+        of its own (``latent`` names its input).
+        """
+        latent, _, _, pick, _ = self._gate or self._evaluate_gate()
+        if pick is None:
+            return None
+        if latent is not None:
+            return latent, latent, 1 - latent, latent
+        inputs = self.inputs
+        stamps0, end0 = inputs[0].head_run(budget)
+        stamps1, end1 = inputs[1].head_run(budget)
+        horizon = end0 if end0 < end1 else end1
+        n0 = bisect_left(stamps0, horizon)
+        n1 = bisect_left(stamps1, horizon)
+        if n0 + n1 > budget:
+            # The cap applies to the merged count; choosing the cut before
+            # draining means nothing is ever pushed back.
+            stamps = stamps0[:n0] + stamps1[:n1]
+            merged = sorted(range(n0 + n1), key=stamps.__getitem__)
+            n0 = sum(1 for i in merged[:budget] if i < n0)
+            n1 = budget - n0
+        if n0 + n1 == 0 and not inputs[pick].head_is_punctuation():
+            # Nothing below the horizon: the data element at τ.
+            n0, n1 = 1 - pick, pick
+        return pick, None, n0, n1
+
+    def _strict_round(self, budget: int) -> tuple | None:
+        """:meth:`_merge_round` under the strict (Fig.-1) rule: proceed only
+        while both inputs are nonempty (a latent head goes at once) and
+        take the one element with the smaller head stamp, input 0 on a tie.
+        Every consumption can flip that gate, so a round is one element."""
+        heads = [buf.head_ts() for buf in self.inputs]
+        if LATENT_TS in heads:
+            pick = heads.index(LATENT_TS)
+            return pick, pick, 1 - pick, pick
+        if None in heads:
+            return None
+        pick = heads.index(min(heads))
+        if self.inputs[pick].head_is_punctuation():
+            return pick, None, 0, 0
+        return pick, None, 1 - pick, pick
+
+    def _handle_punctuation(self, punct) -> int:
+        """Consume one punctuation; returns the punctuation emitted (0/1)."""
         self.punctuation_consumed += 1
         # Punctuation advances time on its input: shrink both windows to the
         # new safe horizon (memory benefit of ETS).
@@ -542,9 +510,14 @@ class WindowJoin(IwpOperator):
                                   periodic=getattr(punct, "periodic", False)))
             self._last_emitted_ts = tau
             self.punctuation_forwarded += 1
-            return StepResult(consumed=punct, emitted_punctuation=1)
+            return 1
         self.punctuation_suppressed += 1
-        return StepResult(consumed=punct)
+        return 0
+
+
+def _no_punctuation() -> float:
+    """The τ a strict join forwards for an unmatched row: none at all."""
+    return LATENT_TS
 
 
 def _drain_rows(buf, n: int, rows: tuple) -> None:

@@ -63,7 +63,7 @@ class Project(StatelessOperator):
 
         Timestamps, sequence numbers and arrival times are shared with the
         input block untouched — projection never moves a row, so none of the
-        per-tuple ``dataclasses.replace`` churn of the scalar path happens.
+        per-tuple ``dataclasses.replace`` churn of :meth:`apply` happens.
         Schema errors carry the same messages as :meth:`apply`.
         """
         fields = self.fields

@@ -8,8 +8,8 @@ paper reuses for ETS values.  This operator closes the loop: place it
 between an out-of-order source and the IWP operators, and everything
 downstream sees an ordered stream again.
 
-Mechanics: arriving tuples park in a min-heap keyed by timestamp.  A tuple
-becomes *safe to emit* once the operator can prove nothing smaller can still
+Mechanics: arriving tuples park in sorted runs keyed by ``(ts, seq)``.  A
+tuple becomes *safe to emit* once the operator can prove nothing smaller can still
 arrive —
 
 * **slack rule**: the stream's disorder is bounded by ``slack`` seconds, so
@@ -30,8 +30,8 @@ from bisect import bisect_left
 
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError, TimestampError
-from ..tuples import DataTuple, LATENT_TS, Punctuation, StreamElement
-from .base import BatchResult, Operator, OpContext, StepResult
+from ..tuples import LATENT_TS, StreamElement
+from .base import BatchResult, Operator, OpContext
 
 __all__ = ["Reorder"]
 
@@ -50,7 +50,7 @@ class Reorder(Operator):
 
     Attributes:
         late_dropped: Tuples discarded for arriving below the watermark.
-        pending: Number of tuples currently parked in the heap.
+        pending: Number of tuples currently parked.
     """
 
     is_iwp = False
@@ -71,11 +71,8 @@ class Reorder(Operator):
         #: recovers toward when pressure relieves.
         self.base_slack = float(slack)
         self.late_policy = late
-        self._heap: list[tuple[float, int, DataTuple]] = []
-        #: Columnar parking: sorted ``(ts, seq)`` runs of parked rows, kept
-        #: as zero-copy selections over drained input blocks.  Logically
-        #: part of the same pool as :attr:`_heap` — eviction merges both —
-        #: but rows parked by the block path never pay per-tuple heap churn.
+        #: The parked rows: sorted ``(ts, seq)`` runs, kept as zero-copy
+        #: selections over drained input blocks; eviction merges them.
         self._runs: list[ColumnarBlock] = []
         self._max_seen = LATENT_TS
         self._emitted_watermark = LATENT_TS
@@ -87,16 +84,8 @@ class Reorder(Operator):
     FEEDBACK_NARROWING = 0.5
 
     @property
-    def supports_blocks(self) -> bool:  # type: ignore[override]
-        """Columnar eligibility: the default ``late="drop"`` policy only.
-        ``late="error"`` must stop consuming at the exact offending tuple
-        (nothing after it may be taken from the buffer), which is inherently
-        per-element; it keeps the scalar fallback path."""
-        return self.late_policy == "drop"
-
-    @property
     def pending(self) -> int:
-        return len(self._heap) + sum(run.count for run in self._runs)
+        return sum(run.count for run in self._runs)
 
     def frontier_floor(self) -> float | None:
         """Earliest parked timestamp, or None when nothing is parked.
@@ -105,7 +94,7 @@ class Reorder(Operator):
         parked tuple may be emitted below the source horizon later, so a
         shard's advertised frontier must not pass it.
         """
-        floor = self._heap[0][0] if self._heap else None
+        floor = None
         for run in self._runs:
             head = run.head_ts
             if floor is None or head < floor:
@@ -126,18 +115,17 @@ class Reorder(Operator):
     # Checkpoint / restore
 
     def snapshot_state(self) -> dict:
-        """Versioned snapshot of the parked heap and watermarks.
+        """Versioned snapshot of the parked rows and watermarks.
 
-        Heap entries keep their ``(ts, seq, tuple)`` shape — sequence
-        numbers are the tie-breakers, and recovery bumps the global counter
-        past every restored seq so post-restore arrivals sort after them.
+        Parked rows are saved as ``(ts, seq, tuple)`` ``heap`` entries in
+        ``(ts, seq)`` order, the layout of the version-1 format — sequence numbers are the
+        tie-breakers, and recovery bumps the global counter past every
+        restored seq so post-restore arrivals sort after them.
         """
         return {
             "version": 1,
-            "heap": list(self._heap) + [
-                (tup.ts, tup.seq, tup)
-                for run in self._runs for tup in run.to_tuples()
-            ],
+            "heap": sorted((tup.ts, tup.seq, tup)
+                           for run in self._runs for tup in run.to_tuples()),
             "max_seen": self._max_seen,
             "emitted_watermark": self._emitted_watermark,
             "late_dropped": self.late_dropped,
@@ -148,9 +136,9 @@ class Reorder(Operator):
         """Restore a snapshot produced by :meth:`snapshot_state`."""
         if state.get("version") != 1:
             raise ExecutionError(f"unsupported Reorder state: {state!r}")
-        self._heap = list(state["heap"])
-        heapq.heapify(self._heap)
-        self._runs = []
+        parked = sorted(state["heap"], key=lambda entry: entry[:2])
+        self._runs = ([ColumnarBlock.from_tuples([t for _, _, t in parked])]
+                      if parked else [])
         self._max_seen = state["max_seen"]
         self._emitted_watermark = state["emitted_watermark"]
         self.late_dropped = state["late_dropped"]
@@ -180,80 +168,18 @@ class Reorder(Operator):
 
     # ------------------------------------------------------------------ #
 
-    def _flush_to(self, threshold: float) -> int:
-        """Emit every parked tuple with ts ≤ ``threshold``; returns count."""
-        emitted = 0
-        while self._heap and self._heap[0][0] <= threshold:
-            _, _, tup = heapq.heappop(self._heap)
-            self.emit(tup)
-            emitted += 1
-        if threshold > self._emitted_watermark:
-            self._emitted_watermark = threshold
-        return emitted
-
-    def _adopt_runs(self) -> None:
-        """Fold columnar-parked runs back into the scalar heap.
-
-        Defensive bridge for mode switches (an operator driven in block
-        mode, then scalar — e.g. after a checkpoint restore into a scalar
-        engine): the scalar step must see every parked tuple."""
-        heap = self._heap
-        for run in self._runs:
-            for tup in run.to_tuples():
-                heapq.heappush(heap, (tup.ts, tup.seq, tup))
-        self._runs.clear()
-
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        if self._runs:
-            self._adopt_runs()
-        element = self.inputs[0].pop()
-
-        if element.is_punctuation:
-            if element.ts < self._emitted_watermark:
-                # Stale punctuation: everything it could release is already
-                # out, and forwarding it would break output order.
-                return StepResult(consumed=element)
-            emitted = self._flush_to(element.ts)
-            self.emit_punctuation(element)
-            return StepResult(consumed=element, emitted_data=emitted,
-                              emitted_punctuation=1)
-
-        assert isinstance(element, DataTuple)
-        if element.is_latent:
-            # Latent streams carry no order to restore: pass through.
-            self.emit(element)
-            return StepResult(consumed=element, emitted_data=1)
-
-        if element.ts < self._emitted_watermark:
-            if self.late_policy == "error":
-                raise TimestampError(
-                    f"reorder {self.name!r}: tuple at {element.ts} arrived "
-                    f"after watermark {self._emitted_watermark} "
-                    f"(slack {self.slack} too small for this stream)"
-                )
-            self.late_dropped += 1
-            return StepResult(consumed=element)
-
-        heapq.heappush(self._heap, (element.ts, element.seq, element))
-        if element.ts > self._max_seen:
-            self._max_seen = element.ts
-        emitted = self._flush_to(self._max_seen - self.slack)
-        return StepResult(consumed=element, emitted_data=emitted,
-                          probes=len(self._heap))
-
     # ------------------------------------------------------------------ #
     # Columnar path
 
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar reorder: park rows as sorted runs, evict by threshold.
 
-        The scalar path pays an object-heap push per tuple and a pop + emit
-        per released tuple.  Here a drained block is processed with float
-        arithmetic only — per-row late detection against the evolving
-        watermark, running ``max_seen``, and a shadow timestamp heap that
-        reproduces the exact scalar per-row ``probes``/release counts — and
-        the releases themselves are *coalesced*: the concatenation of the
-        scalar per-row flush batches over a run of data rows equals the
+        A drained block is processed with float arithmetic only — per-row
+        late detection against the evolving watermark, running
+        ``max_seen``, and a shadow timestamp heap that gives the per-row
+        ``probes`` (parked count after the row's flush) and release counts
+        — and the releases themselves are *coalesced*: the concatenation
+        of the per-row flush batches over a run of data rows equals the
         global ``(ts, seq)`` order of everything released (each flush emits
         every parked tuple below its non-decreasing threshold, and a tuple
         arriving below an earlier threshold would have been dropped as
@@ -262,6 +188,11 @@ class Reorder(Operator):
         to preserve emission order — are latent passthroughs, punctuation,
         and the end of each drained block.  Rows still parked stay as
         zero-copy selections over the drained block in :attr:`_runs`.
+
+        Under ``late="error"`` each drain stops right before the first late
+        row (:meth:`_late_cut` replays the watermark over the head run
+        first), so the run's releases go out and that row is consumed as
+        the error is raised — nothing after it leaves the buffer.
         """
         batch = BatchResult()
         buf = self.inputs[0]
@@ -269,7 +200,7 @@ class Reorder(Operator):
         # Shadow heap of parked timestamps: scalar probes are "heap size
         # after flush" and scalar releases are "pops at this row"; floats
         # through C heapq reproduce both without touching payloads.
-        shadow = [entry[0] for entry in self._heap]
+        shadow: list[float] = []
         for run in self._runs:
             ts_col = run.ts
             shadow.extend(ts_col[i] for i in run.indices())
@@ -279,6 +210,7 @@ class Reorder(Operator):
         max_seen = self._max_seen
         slack = self.slack
         threshold = LATENT_TS  # largest flush threshold applied this call
+        late = False
         while batch.steps < limit:
             if buf.head_is_punctuation():
                 element = buf.pop()
@@ -293,7 +225,13 @@ class Reorder(Operator):
                     batch.emitted_punctuation += 1
                 # Stale or not, punctuation is a batch boundary.
                 break
-            block = buf.drain_block(limit - batch.steps)
+            room = limit - batch.steps
+            if self.late_policy == "error":
+                room = self._late_cut(buf, room, wm, max_seen)
+                if not room:
+                    late = True
+                    break
+            block = buf.drain_block(room)
             if block is None:
                 break
             positions = list(block.indices())
@@ -350,7 +288,31 @@ class Reorder(Operator):
             else:
                 for out in self.outputs:
                     out.push(entry)
+        if late:
+            element = buf.pop()
+            raise TimestampError(
+                f"reorder {self.name!r}: tuple at {element.ts} arrived "
+                f"after watermark {wm} "
+                f"(slack {self.slack} too small for this stream)")
         return batch
+
+    def _late_cut(self, buf, room: int, wm: float, max_seen: float) -> int:
+        """How many head rows (at most ``room``) a drain may take without
+        reaching a late one: 0 when the head row itself is late.  Replays
+        the watermark the stamped head run would raise; a latent head is
+        never late and passes alone."""
+        stamps, _ = buf.head_run(room)
+        if not stamps:
+            return 1
+        slack = self.slack
+        for k, ts in enumerate(stamps):
+            if ts < wm:
+                return k
+            if ts > max_seen:
+                max_seen = ts
+            if max_seen - slack > wm:
+                wm = max_seen - slack
+        return len(stamps)
 
     def _evict(self, block: ColumnarBlock | None,
                parked: list[tuple[float, int, int]], threshold: float,
@@ -361,30 +323,23 @@ class Reorder(Operator):
         ``parked`` holds this block's surviving arrivals as ``(ts, seq,
         physical index)`` triples; rows above the threshold become one new
         sorted run (a selection over ``block``, zero copies).  Release
-        sources — the scalar heap, previous runs' prefixes, and this
-        block's below-threshold rows — are each already sorted, so a
-        single-source release stages zero-copy and multi-source releases
-        are one :func:`heapq.merge`.  Returns the number released.
+        sources — previous runs' prefixes and this block's below-threshold
+        rows — are each already sorted, so a single-source release stages
+        zero-copy and multi-source releases are one :func:`heapq.merge`.
+        Returns the number released.
         """
         if parked:
             parked.sort()
             cut = bisect_left(parked, (threshold, _SEQ_INF))
         else:
             cut = 0
-        heap = self._heap
-        need_heap = bool(heap) and heap[0][0] <= threshold
         need_runs = any(run.head_ts <= threshold for run in self._runs)
-        if not cut and not need_heap and not need_runs:
+        if not cut and not need_runs:
             if parked:
                 self._runs.append(
                     block.with_selection([entry[2] for entry in parked]))
             return 0
-        sources: list[ColumnarBlock | list[tuple[float, int, DataTuple]]] = []
-        if need_heap:
-            popped: list[tuple[float, int, DataTuple]] = []
-            while heap and heap[0][0] <= threshold:
-                popped.append(heapq.heappop(heap))
-            sources.append(popped)
+        sources: list[ColumnarBlock] = []
         if need_runs:
             kept: list[ColumnarBlock] = []
             for run in self._runs:
@@ -401,17 +356,10 @@ class Reorder(Operator):
             self._runs.append(
                 block.with_selection([entry[2] for entry in parked[cut:]]))
         if len(sources) == 1:
-            src = sources[0]
-            if isinstance(src, ColumnarBlock):
-                staged.append(src)
-                return src.count
-            staged.append(ColumnarBlock.from_tuples([t for _, _, t in src]))
-            return len(src)
-        triples: list[list[tuple[float, int, DataTuple]]] = [
-            src if isinstance(src, list)
-            else [(t.ts, t.seq, t) for t in src.to_tuples()]
-            for src in sources
-        ]
+            staged.append(sources[0])
+            return sources[0].count
+        triples = [[(t.ts, t.seq, t) for t in src.to_tuples()]
+                   for src in sources]
         merged = [t for _, _, t in heapq.merge(*triples)]
         staged.append(ColumnarBlock.from_tuples(merged))
         return len(merged)

@@ -46,7 +46,7 @@ class Select(StatelessOperator):
         No rows are copied — the output block shares the input's arrays.  A
         structured :class:`~repro.core.columnar.FieldPredicate` is evaluated
         in one comprehension over the payload column; arbitrary callables
-        are applied per row in row order, exactly like the scalar path.
+        are applied per row in row order, exactly like :meth:`apply`.
         """
         predicate = self.predicate
         if isinstance(predicate, FieldPredicate):

@@ -108,7 +108,7 @@ class Shed(StatelessOperator):
                     ctx: OpContext) -> ColumnarBlock | None:
         """Columnar shed: draw per row in row order, narrow the selection.
 
-        The RNG draw sequence is exactly the scalar one — no draw at all
+        The RNG draw sequence is exactly :meth:`apply`'s — no draw at all
         while the effective probability is zero (so an inactive shedder
         consumes no randomness), one draw per data tuple otherwise — which
         keeps crash-recovery RNG snapshots and byte-identity intact.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..tuples import DataTuple
-from .base import BatchResult, Operator, OpContext, StepResult
+from .base import BatchResult, Operator, OpContext
 
 __all__ = ["SinkNode"]
 
@@ -33,7 +33,6 @@ class SinkNode(Operator):
 
     is_iwp = False
     arity = 1
-    supports_blocks = True
 
     def __init__(self, name: str,
                  on_output: Callable[[DataTuple, float], Any] | None = None,
@@ -64,29 +63,6 @@ class SinkNode(Operator):
         #: may be the block's own columns: copy, never keep or mutate them.
         self._capture: Callable[[Any, Any], Any] | None = None
 
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        element = self.inputs[0].pop()
-        if element.is_punctuation:
-            self.punctuation_eliminated += 1
-            return StepResult(consumed=element)
-
-        assert isinstance(element, DataTuple)
-        now = ctx.clock.now()
-        latency = now - element.arrival_ts
-        if latency == latency:  # not NaN
-            self.latency_sum += latency
-            self.latency_count += 1
-            if latency > self.latency_max:
-                self.latency_max = latency
-        self.delivered += 1
-        if self.keep_outputs:
-            self.outputs_seen.append(element)
-        if self.on_output is not None:
-            self.on_output(element, latency)
-        if self._capture is not None:
-            self._capture((element.ts,), (element.payload,))
-        return StepResult(consumed=element, emitted_data=0)
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar delivery: consume whole blocks off the input buffer.
 
@@ -94,7 +70,7 @@ class SinkNode(Operator):
         latency statistics are accumulated straight off the block's arrival
         column without materializing a single tuple — the common benchmark
         configuration.  Otherwise rows are materialized in order and handed
-        to the callback exactly as the scalar path would.  The column hook,
+        to the callback one at a time.  The column hook,
         when set, gets the block's ``ts`` and payload columns either way.
         """
         batch = BatchResult()

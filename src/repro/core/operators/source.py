@@ -24,7 +24,7 @@ from __future__ import annotations
 from .. import tuples as _tuples
 from ..errors import SchemaError, TimestampError
 from ..tuples import LATENT_TS, Punctuation, TimestampKind
-from .base import Operator, OpContext, StepResult
+from .base import Operator
 
 __all__ = ["SourceNode"]
 
@@ -124,8 +124,8 @@ class SourceNode(Operator):
         is built: after the admission checks the row draws one ``seq`` and
         is appended, column by column, to the open tail block of every
         output buffer (:meth:`StreamBuffer.append_row`), which the first
-        block consumer receives as it lies and a scalar consumer explodes
-        back into the equivalent :class:`DataTuple`.
+        block consumer receives as it lies and a one-element ``pop``
+        explodes back into the equivalent :class:`DataTuple`.
 
         Args:
             payload: The record carried by the tuple.
@@ -305,6 +305,3 @@ class SourceNode(Operator):
 
     def more(self) -> bool:
         return False
-
-    def execute_step(self, ctx: OpContext) -> StepResult:  # pragma: no cover
-        raise NotImplementedError(f"source {self.name!r} is not executable")

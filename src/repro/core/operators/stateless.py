@@ -10,8 +10,8 @@ operators down the path.
 from __future__ import annotations
 
 from ..columnar import ColumnarBlock
-from ..tuples import DataTuple, StreamElement
-from .base import BatchResult, Operator, OpContext, StepResult
+from ..tuples import DataTuple
+from .base import BatchResult, Operator, OpContext
 
 __all__ = ["StatelessOperator"]
 
@@ -33,7 +33,6 @@ class StatelessOperator(Operator):
 
     is_iwp = False
     arity = 1
-    supports_blocks = True
 
     def state_floor(self) -> float:
         """Nothing is retained between steps."""
@@ -43,37 +42,24 @@ class StatelessOperator(Operator):
         """Every output carries its input's stamp."""
         return 0.0
 
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        element: StreamElement = self.inputs[0].pop()
-        if element.is_punctuation:
-            self.emit_punctuation(element)
-            return StepResult(consumed=element, emitted_punctuation=1)
-
-        assert isinstance(element, DataTuple)
-        emitted = 0
-        for out in self.apply(element, ctx):
-            self.emit(out)
-            emitted += 1
-        return StepResult(consumed=element, emitted_data=emitted)
-
     def apply(self, tup: DataTuple, ctx: OpContext) -> list[DataTuple]:
         """Transform one data tuple into its output tuples."""
         raise NotImplementedError
 
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
-        """Columnar path: drain a block, transform its columns, push whole.
+        """Drain a block, transform its columns, push the result whole.
 
-        Punctuation is still a batch boundary consumed by the scalar step;
-        the fast path never sees it inside a block by construction.
+        A punctuation at the head is a run of its own: it passes through
+        re-attributed to this operator (punctuation transparency).
         """
         buf = self.inputs[0]
         block = buf.drain_block(limit)
         if block is None:
             if buf.is_empty:
                 return BatchResult()
-            batch = BatchResult()  # punctuation at the head: scalar step
-            batch.add_step(self.execute_step(ctx))
-            return batch
+            self.emit_punctuation(buf.pop())
+            return BatchResult(steps=1, consumed_punctuation=1,
+                               emitted_punctuation=1)
         out = self.apply_block(block, ctx)
         emitted = out.count if out is not None else 0
         if emitted:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError, GraphError
 from ..tuples import LATENT_TS, Punctuation, StreamElement
-from .base import BatchResult, IwpOperator, OpContext, StepResult
+from .base import BatchResult, IwpOperator, OpContext
 
 __all__ = ["Union"]
 
@@ -38,7 +38,6 @@ class Union(IwpOperator):
     """
 
     arity: int | None = None  # n-ary
-    supports_blocks = True  # both modes: relaxed sub-gate runs, strict merge
 
     def __init__(self, name: str, *, strict: bool = False) -> None:
         super().__init__(name)
@@ -91,41 +90,19 @@ class Union(IwpOperator):
     # ------------------------------------------------------------------ #
     # Execution (gating lives in IwpOperator)
 
-    def execute_step(self, ctx: OpContext) -> StepResult:
-        idx = self._select_index()
-        element = self.inputs[idx].pop()
-
-        if element.is_punctuation:
-            self.punctuation_consumed += 1
-            # The safe output watermark is min over all gates *after* this
-            # punctuation advanced its own input's register.
-            tau = element.ts if self.strict else self._tau()
-            if tau > self._last_emitted_ts:
-                self.emit(Punctuation(ts=tau, origin=self.name,
-                                      periodic=getattr(element, "periodic", False)))
-                self._last_emitted_ts = tau
-                self.punctuation_forwarded += 1
-                return StepResult(consumed=element, emitted_punctuation=1)
-            self.punctuation_suppressed += 1
-            return StepResult(consumed=element)
-
-        self.emit(element)
-        self.data_forwarded += 1
-        if element.ts != LATENT_TS and element.ts > self._last_emitted_ts:
-            self._last_emitted_ts = element.ts
-        return StepResult(consumed=element, emitted_data=1)
-
     def execute_block(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar sort-merge: forward sub-gate runs as whole blocks.
 
         While one input's head run stays *strictly* below every other
-        input's gate timestamp, the scalar path would pick that input on
-        every iteration — so the run is drained as a
+        input's gate timestamp, the gate picks that input on every
+        iteration — so the run is drained as a
         :class:`~repro.core.columnar.ColumnarBlock` and forwarded without
         materializing a single tuple.  Gate ties, latent heads and
-        punctuation fall back to the exact scalar selection (popping through
-        the buffer, which explodes a head block lazily when needed), so
-        cross-input ordering and punctuation dedup are byte-identical.
+        punctuation consume exactly the element the gate picks (popping
+        through the buffer, which explodes a head block lazily when
+        needed), so cross-input ordering and punctuation dedup follow the
+        one-element merge.  A punctuation forwards the minimum over all
+        gates *after* it advanced its own input's register.
         Strict mode routes through :meth:`_execute_block_strict`, which
         amortizes over head-to-head runs instead of sub-gate runs.
         """
@@ -137,7 +114,10 @@ class Union(IwpOperator):
         while batch.steps < limit:
             latent, gates, tau, pick, _ = self._gate or self._evaluate_gate()
             if pick is None:
-                break  # more() is false
+                if not batch.steps:
+                    raise ExecutionError(f"union {self.name!r}: "
+                                         "execute_block called without more()")
+                break  # more() turned false
             buf = inputs[pick]
             if latent is None and buf.head_is_punctuation():
                 element = buf.pop()
@@ -170,8 +150,8 @@ class Union(IwpOperator):
                 n = blk.count
             else:
                 # A latent head, or a tie with another input's gate: consume
-                # exactly the head element so cross-input ordering matches
-                # scalar.
+                # exactly the head element so the gate decides the
+                # cross-input order element by element.
                 element = buf.pop()
                 staged.append(element)
                 last = element.ts
@@ -197,12 +177,12 @@ class Union(IwpOperator):
         The strict rule proceeds only while every input is nonempty and
         always consumes the smallest head timestamp (ties broken by input
         index).  While the chosen input's head run stays *strictly* below
-        every other input's head timestamp, the scalar path would pick that
-        input on every iteration — so the run up to the interleave boundary
-        is drained as one zero-copy block slice.  Ties at the boundary are
-        popped one element at a time (the scalar ``min((ts, i))`` decides),
-        and punctuation stays a scalar-consumed batch boundary, so the merge
-        is byte-identical to the scalar engine.
+        every other input's head timestamp, the rule picks that input on
+        every iteration — so the run up to the interleave boundary is
+        drained as one zero-copy block slice.  Ties at the boundary are
+        popped one element at a time (``min((ts, i))`` decides), and
+        punctuation is consumed alone and closes the run, so the merge
+        equals the one-element-per-step Fig.-1 merge.
         """
         batch = BatchResult()
         staged: list[StreamElement | ColumnarBlock] = []
@@ -229,7 +209,7 @@ class Union(IwpOperator):
                 heads[idx] = buf.head_ts()
                 continue
             # Strict: every input must be nonempty; find the smallest head
-            # (first index wins ties, matching the scalar ``min((ts, i))``)
+            # (first index wins ties: ``min((ts, i))``)
             # and the smallest *other* head in one two-minimum scan.
             ts = bound = _INF
             for i in range(n_inputs):
@@ -272,7 +252,7 @@ class Union(IwpOperator):
                 n = blk.count
             else:
                 # Head-to-head tie: consume exactly one element so the
-                # scalar (ts, input-index) tie-break decides each round.
+                # (ts, input-index) tie-break decides each round.
                 element = buf.pop()
                 staged.append(element)
                 if element.ts != LATENT_TS \

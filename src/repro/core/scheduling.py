@@ -34,9 +34,9 @@ class RoundRobinEngine(ExecutionEngine):
 
     Args:
         quantum: Maximum elements an operator processes per visit before
-            the scheduler moves on (the classical scheduling quantum — not
-            the base engine's ``batch_size`` run width: round-robin always
-            executes scalar steps within a visit, whatever that is).
+            the scheduler moves on (the classical scheduling quantum); a
+            visit takes execution steps of up to ``batch_size`` elements,
+            never past the quantum.
         visit_cost: Simulated CPU seconds charged per operator *visit*,
             whether or not the operator had work — the context-switch
             overhead that depth-first traversal avoids.  Defaults to the
@@ -79,8 +79,8 @@ class RoundRobinEngine(ExecutionEngine):
                     self.stats.busy_time += self.visit_cost
                 served = 0
                 while served < self.quantum and op.more():
-                    self._step(op)
-                    served += 1
+                    served += self._step(
+                        op, min(self.batch_size, self.quantum - served)).steps
                     progressed = True
             if not progressed:
                 # End-of-pass source poll: round-robin has no backtracking,

@@ -375,9 +375,6 @@ class _SlowSinkCostModel:
             return cost * self.spec.factor + self.spec.extra * count
         return cost
 
-    def step_cost(self, op, result) -> float:
-        return self._inflate(op, self.inner.step_cost(op, result), 1)
-
     def batch_cost(self, op, batch) -> float:
         count = batch.consumed_data + batch.consumed_punctuation
         return self._inflate(op, self.inner.batch_cost(op, batch),

@@ -200,8 +200,8 @@ class MetricsRegistry(Observer):
     per operator), NOS-decision counts, ETS consultations split
     injected/declined, punctuation injections by origin, fault-path actions
     by kind, the buffer-depth gauge with its high-water mark, and a
-    histogram of run lengths (1 per scalar step, up to ``batch_size`` per
-    ``kind="block"`` run step).  :meth:`absorb_engine_stats` and
+    histogram of run lengths (1 per ``batch_size=1`` step, up to
+    ``batch_size`` per ``kind="block"`` step).  :meth:`absorb_engine_stats` and
     :meth:`absorb_simulation` fold in what only exists as an end-of-run
     aggregate: :class:`EngineStats` counters, per-operator idle-wait time,
     and the buffer-occupancy summary.
@@ -290,9 +290,6 @@ class MetricsRegistry(Observer):
             "repro_feedback_drop_budget",
             "Drop budget carried by the last wave", track_max=True)
         # Absorbed end-of-run aggregates.
-        self.block_fallbacks = c(
-            "repro_engine_block_fallbacks_total",
-            "Run steps served by scalar steps (no block kernel), per operator")
         self.idle_wait = g("repro_idle_wait_seconds",
                            "Idle-waiting time per IWP operator")
         self.idle_fraction = g("repro_idle_wait_fraction",
@@ -453,22 +450,15 @@ class MetricsRegistry(Observer):
     def absorb_engine_stats(self, stats) -> "MetricsRegistry":
         """Fold an :class:`EngineStats` snapshot in, one field per label.
 
-        Columnar counters are skipped while zero so scalar
-        (``batch_size=1``) runs export the exact sample set they always
-        did; block runs gain ``repro_engine_stat{field="blocks"}`` etc. the
-        moment the counters move.
+        The columnar counters are skipped while zero, so an engine that
+        never stepped exports no ``blocks`` / ``block_rows`` sample, and
+        ``block_fallbacks`` (always 0) none at all.
         """
         for field_name, value in stats.as_dict().items():
             if field_name == "per_operator_steps":
                 for op, steps in value.items():
                     self.engine_stat.set(steps, field="per_operator_steps",
                                          operator=op)
-            elif field_name == "block_fallbacks_by_operator":
-                # Per-operator attribution of scalar fallbacks; absent from
-                # the exposition until a fallback actually happens, so
-                # scalar- and pure-block runs keep their sample sets.
-                for op, count in value.items():
-                    self.block_fallbacks.set_total(count, operator=op)
             elif (field_name in ("blocks", "block_rows", "block_fallbacks")
                     and not value):
                 continue

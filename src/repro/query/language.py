@@ -175,6 +175,12 @@ class _Compiler:
             kind = _TIMESTAMP_KINDS[kind_token.text]
         out_of_order = bool(self.parser.accept("keyword", "unordered"))
         self._end_statement()
+        if name in self.streams:
+            raise QueryLanguageError(f"stream {name!r} is already defined")
+        if name in self.pipeline._graph:
+            raise QueryLanguageError(
+                f"stream {name!r} is already the name of an operator an "
+                "earlier statement generated; declare it first or rename it")
         source = self.pipeline.source(name, kind, out_of_order=out_of_order,
                                       schema=schema)
         self.sources[name] = source.source_node

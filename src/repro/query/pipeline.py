@@ -30,9 +30,9 @@ experiments all build through it.  Operator names are generated
 (``select_1``, ``join_1``, ...) unless given, and a generated name skips any
 name the graph already holds, so it never collides with a declared one.
 
-Pipelines default to the columnar fast path (``batch_size=64``); results are
-identical to scalar execution (``batch_size=1``) by the run-step fallback
-contract (see DESIGN.md §4i), so the default is purely a throughput choice.
+Pipelines default to 64-element runs (``batch_size=64``); results are
+identical to one-element runs (``batch_size=1``) by the kernel contract
+(see DESIGN.md §4i), so the default is purely a throughput choice.
 ``.engine()`` overrides any knob.
 """
 

@@ -167,7 +167,7 @@ class EngineShard:
         columns: no tuple is built for shard output, a result pickles as a
         few lists instead of a 3-tuple per row, and a user ``on_output``
         keeps its per-row calls.  A delivery extends the last run when the
-        same sink made it (the scalar path delivers one row at a time).
+        same sink made it (a one-element run delivers one row at a time).
         The columns are copied, since the hook may be handed the block's
         own arrays."""
         name = sink.name

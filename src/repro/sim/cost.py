@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.operators.base import BatchResult, Operator, StepResult
+    from ..core.operators.base import BatchResult, Operator
 
 __all__ = ["CostModel", "DEFAULT_DATA_COSTS", "DEFAULT_PUNCT_COSTS"]
 
@@ -85,21 +85,12 @@ class CostModel:
                    ets_generation=step, heartbeat_injection=step,
                    scheduling_overhead=0.0)
 
-    def step_cost(self, op: "Operator", result: "StepResult") -> float:
-        """Simulated seconds consumed by one operator execution step."""
-        if result.consumed is not None and result.consumed.is_punctuation:
-            base = self.punct_costs.get(op.cost_class, self.default_punct_cost)
-        else:
-            base = self.data_costs.get(op.cost_class, self.default_data_cost)
-        return base + result.probes * self.per_probe
-
     def batch_cost(self, op: "Operator", batch: "BatchResult") -> float:
-        """Simulated seconds consumed by one run step (``batch_size > 1``).
+        """Simulated seconds consumed by one execution step.
 
         A run amortizes Python dispatch (wall-clock), not simulated CPU:
-        every tuple in the run is charged its full scalar step cost, so
-        simulated-time results stay comparable between the scalar and
-        columnar paths.
+        every tuple in the run is charged its full per-tuple cost, so
+        simulated time does not depend on ``batch_size``.
         """
         data = self.data_costs.get(op.cost_class, self.default_data_cost)
         punct = self.punct_costs.get(op.cost_class, self.default_punct_cost)

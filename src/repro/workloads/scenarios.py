@@ -72,7 +72,8 @@ class ScenarioConfig:
             max timestamp lag and ``ets_delta`` the generator's bound.
         cost_model: CPU pricing; None selects the calibrated default.
         batch_size: Run width of the execution engine (1 = the paper's
-            tuple-at-a-time scalar path; N > 1 runs the columnar path).
+            tuple-at-a-time execution, one element per step; N > 1 takes
+            runs of up to N elements per step).
         engine_cls: Alternative execution engine (e.g.
             :class:`~repro.core.scheduling.RoundRobinEngine`) for the X4
             scheduling ablation; None selects the paper's DFS engine.

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
 from repro.core.columnar import ColumnarBlock
 from repro.core.operators.base import OpContext, Operator
+from reference_ops import forced_scalar_fallback  # noqa: F401  (re-export)
 from repro.core.tuples import (LATENT_TS, DataTuple, Punctuation,
                                TimestampKind)
 from repro.sim.clock import VirtualClock
@@ -71,14 +70,15 @@ class OpHarness:
         return punct
 
     def step(self):
-        """One execution step (caller guarantees ``more``)."""
-        return self.op.execute_step(self.ctx)
+        """One execution step — a one-element run of the operator's kernel
+        (caller guarantees ``more``)."""
+        return self.op.execute_block(self.ctx, 1)
 
     def run(self, max_steps: int = 10_000) -> int:
         """Step while ``more`` holds; returns the number of steps taken."""
         steps = 0
         while self.op.more():
-            self.op.execute_step(self.ctx)
+            self.op.execute_block(self.ctx, 1)
             steps += 1
             if steps >= max_steps:
                 raise AssertionError("operator did not quiesce")
@@ -92,27 +92,6 @@ class OpHarness:
 
     def output_data(self) -> list[DataTuple]:
         return [e for e in self.drain_output() if not e.is_punctuation]
-
-
-@contextmanager
-def forced_scalar_fallback():
-    """Every operator class reports ``supports_blocks = False`` inside the
-    block, so a ``batch_size > 1`` engine serves all of them with
-    ``scalar_run`` — the same run boundaries over scalar steps.  The
-    reference the block kernels are compared against at equal width."""
-    patched: dict[type, object] = {}
-    classes = Operator.__subclasses__()
-    while classes:
-        cls = classes.pop()
-        classes.extend(cls.__subclasses__())
-        if cls not in patched and "supports_blocks" in cls.__dict__:
-            patched[cls] = cls.__dict__["supports_blocks"]
-            cls.supports_blocks = False
-    try:
-        yield
-    finally:
-        for cls, original in patched.items():
-            cls.supports_blocks = original
 
 
 @pytest.fixture
@@ -164,8 +143,8 @@ def probed(window, key) -> list[DataTuple]:
 
 def reference_gate(op):
     """The IWP gate recomputed from scratch — the polling ``more`` /
-    ``stalled_input_index`` / ``_select_index`` bodies of Union and
-    WindowJoin before the gate was memoised, kept as the reference model.
+    ``stalled_input_index`` / input-pick bodies of Union and WindowJoin
+    before the gate was memoised, kept as the reference model.
     Returns ``(latent, gates, tau, pick, more, stalled, idle)``; like the
     originals it refreshes the TSM registers through ``gate_ts``
     (idempotent)."""

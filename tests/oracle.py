@@ -1,15 +1,16 @@
-"""Differential correctness oracle for the run (columnar) execution path.
+"""Differential correctness oracle for the operator kernels.
 
-The run path (``batch_size > 1``) is only worth having if it is
-*observationally identical* to the scalar engine (``batch_size=1``): same
-data tuples, same payloads, same timestamps, in the same order at every
-sink.  Likewise, ETS policies may only change *timing* (latency, memory),
+Every operator runs one kernel, ``execute_block``, at any run width; it is
+only right if it is *observationally identical* to the tuple-at-a-time
+reference models in :mod:`reference_ops`: same data tuples, same payloads,
+same timestamps, in the same order at every sink.  Likewise, ETS policies may only change *timing* (latency, memory),
 never the data a query delivers.  This module packages both claims as an
 executable oracle:
 
 * :class:`DifferentialOracle` replays one deterministic feed schedule
   through freshly built copies of the same query graph under different
-  engine configurations (scalar vs run widths, NoEts vs OnDemandEts vs
+  engine configurations (reference models vs kernel widths, NoEts vs
+  OnDemandEts vs
   manual periodic punctuation) and compares the canonicalized sink
   sequences.
 * The replay is *chunked*: several arrivals are ingested between engine
@@ -39,6 +40,8 @@ from repro.core.operators.source import SourceNode
 from repro.recovery import RecoveryManager
 from repro.shard import ElasticShardedEngine, ShardedEngine
 from repro.sim.clock import VirtualClock
+
+from reference_ops import forced_scalar_fallback
 
 __all__ = ["CrashRecoveryOracle", "Feed", "DifferentialOracle",
            "ShardedDifferentialOracle", "SinkRecord"]
@@ -195,9 +198,9 @@ class DifferentialOracle:
             self, batch_sizes: Sequence[int] = (2, 3, 8, 64),
             ets_policy_factory: Callable[[], EtsPolicy] | None = None,
             *, canonical: bool = False) -> None:
-        """The run path must reproduce the scalar sink sequence exactly, at
-        every width: operators that support blocks take their columnar
-        kernel, everything else exercises the lazy-explode scalar fallback.
+        """The kernels must reproduce the reference models' sink sequence
+        exactly, at width 1 (one element per step) and at every width in
+        ``batch_sizes``.
 
         ``canonical=True`` compares up to permutation of equal-timestamp
         tuples instead.  Use it for workloads with cross-input timestamp
@@ -211,8 +214,9 @@ class DifferentialOracle:
             return ets_policy_factory() if ets_policy_factory else NoEts()
 
         norm = _canonical if canonical else (lambda records: records)
-        reference = norm(self.run(batch_size=1, ets_policy=policy()))
-        for size in batch_sizes:
+        with forced_scalar_fallback():
+            reference = norm(self.run(batch_size=1, ets_policy=policy()))
+        for size in (1, *batch_sizes):
             got = norm(self.run(batch_size=size, ets_policy=policy()))
             _assert_same(reference, got,
                          f"batch_size={size} diverged from scalar")

@@ -234,7 +234,8 @@ class TestEngineKnobs:
             sim = (p.engine(observers=[tracer])
                     .feed("a", iter(_arrivals(6))).run(until=10.0))
             assert sim.engine.batch_size == batch_size
-            assert (sim.engine.stats.blocks > 0) is block_mode
+            # One kernel at every width: each step is a kernel call.
+            assert sim.engine.stats.blocks == sim.engine.stats.steps > 0
             assert p.sinks["out"].delivered == 6 and tracer.events
         for batch_size, block_mode in ((64, False), (1, True)):
             with pytest.raises(ExecutionError, match="batch_size alone"):

@@ -86,7 +86,9 @@ ALLOWLIST: dict[str, str] = {
 #: (editable only by a ``benchmark`` PR), so they are reached — for now.
 #: Unexported pins of the same kind: ``ThreadBackend``,
 #: ``EngineConfig(block_mode=)``, ``IdleTracker.refresh`` and the
-#: ``EngineStats`` field names ``tracing.py`` reads.
+#: ``EngineStats`` field names ``tracing.py`` reads — ``blocks``,
+#: ``block_rows`` and ``block_fallbacks``, the last always 0 now that every
+#: operator runs its one kernel (it goes with the next ``benchmark`` PR).
 BENCHMARK_PINS: dict[str, str] = {
     "set_numpy": "inert; run.py calls set_numpy(False)",
 }

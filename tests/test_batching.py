@@ -2,8 +2,8 @@
 
 Covers the run-drain primitive on :class:`StreamBuffer` (``drain_batch``),
 the run boundary rules (limit / ``more()`` / punctuation) on the
-per-operator ``execute_block`` kernels and on :func:`scalar_run` — the loop
-of scalar steps the engine falls back to — the ``BatchResult`` accounting,
+per-operator ``execute_block`` kernels — the strict (Fig.-1) join's one
+element per round included — the ``BatchResult`` accounting,
 and the engine-level ``batch_size`` plumbing (validation, stats
 equivalence, per-tuple cost charging).
 """
@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import pytest
 from conftest import ManualClock, OpHarness, data, punct
+from reference_ops import StepResult, add_step
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
 from repro.core.errors import ExecutionError
 from repro.core.graph import QueryGraph
 from repro.core.operators import (Map, Select, Shed, SinkNode, Union,
                                   WindowJoin)
-from repro.core.operators.base import BatchResult, StepResult, scalar_run
+from repro.core.operators.base import BatchResult
 from repro.core.execution import ExecutionEngine
 from repro.core.tuples import LATENT_TS, TimestampKind
 from repro.core.windows import WindowSpec
@@ -102,8 +103,8 @@ class TestDrainBatch:
 
 def test_batch_result_accumulates_step_results():
     batch = BatchResult()
-    batch.add_step(StepResult(consumed=data(1.0), emitted_data=2, probes=3))
-    batch.add_step(StepResult(consumed=punct(2.0), emitted_punctuation=1))
+    add_step(batch, StepResult(consumed=data(1.0), emitted_data=2, probes=3))
+    add_step(batch, StepResult(consumed=punct(2.0), emitted_punctuation=1))
     assert batch.steps == 2
     assert batch.consumed_data == 1
     assert batch.consumed_punctuation == 1
@@ -113,7 +114,7 @@ def test_batch_result_accumulates_step_results():
 
 
 # --------------------------------------------------------------------- #
-# Operator.execute_block / scalar_run: run boundaries per operator
+# Operator.execute_block: run boundaries per operator
 
 
 def _batch(harness: OpHarness, limit: int) -> BatchResult:
@@ -211,12 +212,12 @@ class TestUnionBatch:
 
 
 class TestScalarRun:
-    """The engine's fallback: a loop of scalar steps under the same run
-    boundaries every ``execute_block`` honours."""
+    """The strict (Fig.-1) join's kernel takes one element per round — each
+    consumption can flip its gate — under the same run boundaries every
+    ``execute_block`` honours."""
 
     def _strict_join(self):
         join = WindowJoin("j", WindowSpec.time(5.0), key="k", strict=True)
-        assert not join.supports_blocks
         return OpHarness(join, n_inputs=2)
 
     def test_stops_at_limit_and_when_more_turns_false(self):
@@ -224,8 +225,8 @@ class TestScalarRun:
         for ts in (1.0, 2.0, 3.0):
             h.feed(0, ts, payload={"k": 1})
             h.feed(1, ts + 0.5, payload={"k": 1})
-        assert scalar_run(h.op, h.ctx, 2).steps == 2
-        rest = scalar_run(h.op, h.ctx, 64)
+        assert _batch(h, 2).steps == 2
+        rest = _batch(h, 64)
         assert 0 < rest.steps < 64 and not h.op.more()
         assert rest.consumed_data == rest.steps
 
@@ -236,7 +237,7 @@ class TestScalarRun:
         h.feed(0, 2.0, payload={"k": 1})
         for ts in (1.2, 1.7, 2.5):
             h.feed(1, ts, payload={"k": 1})
-        run = scalar_run(h.op, h.ctx, 64)
+        run = _batch(h, 64)
         assert run.consumed_punctuation == 1
         assert h.op.more()  # the run closed at the punctuation, not at more()
         assert h.inputs[0].peek().ts == 2.0

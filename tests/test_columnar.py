@@ -5,29 +5,25 @@ Three layers of coverage:
 * **Block primitives** — ``from_tuples``/``to_tuples`` round-trips
   (Hypothesis, including ``None``/NaN payload values and latent rows),
   selection-vector narrowing, splitting, predicate evaluation.
-* **Differential identity** — run-path (``batch_size > 1``) output is
-  byte-identical to scalar execution — and to the run step's own
-  scalar-run fallback — across ETS modes × batch widths on graphs
-  covering every vectorized operator: the stateless set (Select with both
-  predicate forms, Project, Map, FlatMap, Shed, TumblingAggregate) *and*
-  the stateful hot path (WindowJoin, Reorder, both Union modes) —
-  including tie-laden, NaN-keyed, and out-of-order feeds, plus a
-  Hypothesis sweep over random disorder schedules.  The remaining
-  scalar fallbacks — the strict (X1-ablation) join and the
-  ``late="error"`` reorder — are asserted to be
-  *attributed* in ``EngineStats.block_fallbacks_by_operator``; the full
-  paper-style plan
-  (Reorder → WindowJoin → strict Union) is asserted to run with **zero**
-  block fallbacks.
-* **Stats plumbing** — block counters move only when ``batch_size > 1``,
-  and pre-columnar engine snapshots still restore.
+* **Differential identity** — kernel output at every width (1 included)
+  is byte-identical to the tuple-at-a-time reference models of
+  ``reference_ops.py`` — and to those models run at the same width —
+  across ETS modes × batch widths on graphs covering every operator: the
+  stateless set (Select with both predicate forms, Project, Map, FlatMap,
+  Shed, TumblingAggregate) *and* the stateful hot path (WindowJoin,
+  Reorder, both Union modes) — including tie-laden, NaN-keyed, and
+  out-of-order feeds, plus a Hypothesis sweep over random disorder
+  schedules.  The two configurations that used to fall back to scalar
+  steps — the strict (X1-ablation) join and the ``late="error"`` reorder
+  — run their own kernels, and ``block_fallbacks`` stays 0 everywhere.
+* **Stats plumbing** — every step is one kernel call (``blocks``), and
+  pre-columnar engine snapshots still restore.
 * **Merge-run join kernel** — the block join consumes both inputs in τ
   order per step: the oracle matrix over two-sided tie-laden
   interleavings (windows × probing × ETS × widths 2–64, latent side),
   an operator-level Hypothesis property observing every emitted element
-  and per-call step counts (widths 1–64: ``limit=1`` kernel coverage
-  lives there, since a ``batch_size=1`` engine runs scalar steps), the
-  order-boundary case, and two count-based
+  and per-call step counts against the reference model (widths 1–64),
+  the order-boundary case, and two count-based
   structural guards (no join input is ever exploded; pushes and drains
   per ``execute_block`` call are bounded by a constant).
 """
@@ -43,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 from contextlib import nullcontext
 
 from conftest import ManualClock, OpHarness, forced_scalar_fallback, punct
+from reference_ops import reference_run, reference_step
 from oracle import DifferentialOracle, Feed
 
 from repro.core.buffers import StreamBuffer
@@ -55,7 +52,7 @@ from repro.core.errors import TimestampError
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import EngineStats
 from repro.core.graph import QueryGraph
-from repro.core.operators.base import OpContext, scalar_run
+from repro.core.operators.base import OpContext
 from repro.core.operators import (
     AggSpec,
     Avg,
@@ -225,9 +222,8 @@ def join_build() -> QueryGraph:
 
 
 def strict_join_build() -> QueryGraph:
-    """Strict (X1-ablation) join: the remaining scalar fallback — its
-    both-inputs-nonempty gate can flip on every consumption, so the run
-    step must serve it with ``scalar_run`` and attribute it."""
+    """Strict (X1-ablation) join: its both-inputs-nonempty gate can flip
+    on every consumption, so its kernel takes one element per round."""
     g = QueryGraph("columnar-strict-join")
     left = g.add_source("a")
     right = g.add_source("b")
@@ -366,8 +362,8 @@ class TestBlockDifferential:
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
     def test_block_equals_batched(self, layout, ets_factory):
         """Block kernels against "batched" execution at the same width:
-        the same run boundaries over scalar steps, i.e. every operator
-        forced onto the run step's ``scalar_run`` fallback."""
+        the same run boundaries over the reference models' one-element
+        steps, every operator's kernel replaced by its model."""
         for size in (2, 8, 64):
             seen = []
             for fallback in (False, True):
@@ -378,8 +374,8 @@ class TestBlockDifferential:
                     engine = _drive_engine(graph, make_feeds(), chunk=16,
                                            batch_size=size,
                                            ets_policy=ets_factory())
-                assert (engine.stats.blocks == 0) is fallback
-                assert (engine.stats.block_fallbacks > 0) is fallback
+                assert engine.stats.blocks > 0
+                assert engine.stats.block_fallbacks == 0
                 seen.append(traces)
             assert seen[0] == seen[1], f"batch_size={size}"
             assert all(seen[0]), "the comparison is not vacuous"
@@ -389,8 +385,8 @@ class TestBlockDifferential:
     @pytest.mark.parametrize("ets_factory", ETS_FACTORIES)
     def test_stateful_graph_block_equals_scalar(self, layout, ets_factory,
                                                 build):
-        """Vectorized join and strict union — plus the strict-join
-        fallback configuration — are byte-identical to scalar."""
+        """Vectorized join and strict union — plus the strict join's
+        one-element rounds — are byte-identical to the reference models."""
         oracle = DifferentialOracle(build, make_feeds(),
                                     chunk=8, punctuate_every=4)
         oracle.assert_run_equals_scalar(ets_policy_factory=ets_factory)
@@ -509,20 +505,21 @@ def _drive_engine(graph, feeds, *, chunk=8, batch_size=8, ets_policy=None):
 
 class TestBlockStats:
     def test_block_counters_move_only_in_block_mode(self):
-        """``batch_size`` alone picks the transport: 1 is the scalar path
-        (no block step, no fallback counted), anything larger the block
-        path."""
+        """Every step is one kernel call: at ``batch_size=1`` each call is
+        a one-element run (``blocks == steps``), wider runs take fewer
+        calls for the same steps; no fallback is ever counted."""
         seen = {}
         for batch_size in (1, 8):
             seen[batch_size] = _drive_engine(
                 stateless_rich_build(), make_feeds(200), chunk=1,
                 batch_size=batch_size).stats
-        assert seen[1].blocks == 0
-        assert seen[1].block_rows == 0
+        assert seen[1].blocks == seen[1].steps
+        assert seen[1].block_rows == seen[1].data_steps
         assert seen[1].block_fallbacks == 0
         assert seen[8].blocks > 0
         assert seen[8].block_rows > 0
         assert seen[8].steps == seen[1].steps
+        assert seen[8].block_fallbacks == 0
 
     def test_stateful_plan_zero_block_fallbacks(self, layout):
         """The tentpole claim: the full paper-style plan — Reorder,
@@ -531,50 +528,33 @@ class TestBlockStats:
         assert engine.stats.blocks > 0
         assert engine.stats.block_rows > 0
         assert engine.stats.block_fallbacks == 0
-        assert engine.stats.block_fallbacks_by_operator == {}
+        assert not hasattr(engine.stats, "block_fallbacks_by_operator")
 
-    def test_strict_join_fallback_attributed(self):
-        """The strict (X1) join is the documented scalar fallback, and
-        every fallback step is attributed to it by name."""
+    def test_strict_join_runs_its_own_kernel(self):
+        """The strict (X1) join has a kernel of its own: one element per
+        round, no fallback, and every one of its steps is kernel work."""
         engine = _drive_engine(strict_join_build(), make_feeds(200))
         stats = engine.stats
-        assert stats.block_fallbacks > 0
-        assert set(stats.block_fallbacks_by_operator) == {"join"}
-        assert (stats.block_fallbacks_by_operator["join"]
-                == stats.block_fallbacks)
+        assert stats.block_fallbacks == 0
+        assert stats.per_operator_steps["join"] > 0
+        assert stats.block_rows == stats.data_steps
 
-    def test_error_policy_reorder_fallback_attributed(self):
-        """``late="error"`` must stop at the exact offending tuple, so it
-        stays scalar — and shows up in the per-operator attribution."""
-        feeds = make_ooo_feeds(200, sources=("a",), disorder=0.5)
-        engine = _drive_engine(reorder_build(late="error"), feeds)
-        stats = engine.stats
-        assert stats.block_fallbacks > 0
-        assert set(stats.block_fallbacks_by_operator) == {"reorder"}
-
-    def test_threshold_shed_fallback_attributed(self):
-        """A fallback operator's run steps are attributed to it by name and
-        none of them is counted as a block.  (The id predates the removal
-        of the ``queue_threshold`` shedder it first exercised; the
-        ``late="error"`` Reorder is a fallback configuration that is left.)
-        """
+    def test_error_policy_reorder_runs_its_own_kernel(self):
+        """``late="error"`` stops each drain before the first late row, in
+        its own kernel: no fallback, and its rows are counted as kernel
+        rows like every other operator's."""
         feeds = make_ooo_feeds(40, sources=("a",), disorder=0.5)
         graph = reorder_build(late="error")
         stats = _drive_engine(graph, feeds).stats
-        assert stats.block_fallbacks_by_operator == {
-            "reorder": stats.block_fallbacks}
-        assert stats.block_fallbacks > 0
+        assert stats.block_fallbacks == 0
         assert stats.per_operator_steps["reorder"] >= 40
-        # Every block row left is the sink's: none of the reorder's
-        # scalar steps is reported as columnar work.
-        assert 0 < stats.block_rows == graph["out"].delivered
-        assert _drive_engine(reorder_build(), feeds).stats \
-            .block_fallbacks == 0
+        assert stats.block_rows == stats.data_steps
+        assert graph["out"].delivered > 0
 
-    def test_fallback_counter_reaches_metrics_registry(self):
-        """EngineStats attribution surfaces as the labelled Prometheus
-        counter ``repro_engine_block_fallbacks_total`` (the series CLI
-        users see via ``python -m repro metrics``)."""
+    def test_no_fallback_counter_in_metrics(self):
+        """With no fallback left, the exposition carries no
+        ``repro_engine_block_fallbacks_total`` series and no
+        ``block_fallbacks`` engine stat (a zero counter is skipped)."""
         from repro.obs.registry import MetricsRegistry
 
         engine = _drive_engine(strict_join_build(), make_feeds(120))
@@ -582,9 +562,9 @@ class TestBlockStats:
         registry.absorb_engine_stats(engine.stats)
         registry.absorb_engine_stats(engine.stats)  # absorb is idempotent
         text = registry.render_prometheus()
-        want = ('repro_engine_block_fallbacks_total{operator="join"} '
-                f'{engine.stats.block_fallbacks}')
-        assert want in text
+        assert "block_fallbacks" not in text
+        assert (f'repro_engine_stat{{field="blocks"}} '
+                f'{engine.stats.blocks}') in text
 
     def test_restore_from_pre_columnar_snapshot(self):
         stats = EngineStats()
@@ -614,6 +594,26 @@ class TestBlockStats:
         assert restored.quarantine_clamped == 2
         assert not hasattr(restored, "fallback_heartbeats")
         assert "degradations" not in restored.snapshot_state()
+
+    def test_restore_from_snapshot_with_fallback_attribution(self):
+        """A version-1 checkpoint written while ``EngineStats`` still
+        attributed scalar fallbacks per operator restores: the unknown
+        ``block_fallbacks_by_operator`` key is ignored, the counters it sat
+        beside come back, and the format keeps version 1."""
+        stats = EngineStats()
+        stats.steps = 9
+        stats.blocks = 4
+        state = stats.snapshot_state()
+        state.update(block_fallbacks=3,
+                     block_fallbacks_by_operator={"join": 3})
+        restored = EngineStats()
+        restored.restore_state(state)
+        assert (restored.steps, restored.blocks) == (9, 4)
+        assert restored.block_fallbacks == 3
+        assert not hasattr(restored, "block_fallbacks_by_operator")
+        again = restored.snapshot_state()
+        assert again["version"] == 1
+        assert "block_fallbacks_by_operator" not in again
 
 
 # --------------------------------------------------------------------- #
@@ -766,7 +766,7 @@ class _JoinRig:
         calls = []
         while self.op.more():
             run = (self.op.execute_block(self.ctx, limit) if block
-                   else scalar_run(self.op, self.ctx, limit))
+                   else reference_run(self.op, self.ctx, limit))
             calls.append(run.steps)
         return calls
 
@@ -878,6 +878,6 @@ def test_merge_run_order_boundary_reaches_the_output_buffer(block):
             if block:
                 op.execute_block(h.ctx, 64)
             else:
-                op.execute_step(h.ctx)
+                reference_step(op, h.ctx)
     assert [(e.is_punctuation, e.ts) for e in h.output] == [
         (True, 10.0), (False, 10.0)]

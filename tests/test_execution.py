@@ -313,8 +313,8 @@ class TestDiamondTopology:
 
     @pytest.mark.parametrize("mode", ["scalar", "batched", "block"])
     def test_terminates_in_every_engine_mode(self, mode):
-        """Scalar steps, block kernels, and ("batched") the run step's
-        scalar-run fallback serving every operator."""
+        """One-element kernel runs, wider kernel runs, and ("batched") the
+        reference models serving every operator at the wider width."""
         with forced_scalar_fallback() if mode == "batched" \
                 else nullcontext():
             g, src, u, sink = self.make()
@@ -329,5 +329,5 @@ class TestDiamondTopology:
             clock.advance_to(20.0)
             engine.wakeup()
         assert sink.delivered == 20
-        assert (engine.stats.blocks > 0) is (mode == "block")
-        assert (engine.stats.block_fallbacks > 0) is (mode == "batched")
+        assert engine.stats.blocks > 0  # every step is one kernel call
+        assert engine.stats.block_fallbacks == 0

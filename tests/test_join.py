@@ -252,7 +252,7 @@ class TestIndexedFastPath:
         assert op.indexed
 
     def test_indexed_probes_only_the_matching_bucket(self):
-        """StepResult.probes counts examined candidates: bucket vs window."""
+        """BatchResult.probes counts examined candidates: bucket vs window."""
         outputs = {}
         for mode in (False, None):
             op, h = make_join(key="k", indexed=mode)

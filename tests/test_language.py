@@ -158,6 +158,18 @@ class TestSinkStatement:
         for name, source in cq.sources.items():
             assert cq.graph[name] is source
 
+    @pytest.mark.parametrize("program", [
+        "STREAM a; STREAM a; SINK a AS out;",
+        "STREAM a; x = SELECT * FROM a WHERE v > 1; STREAM select_1; "
+        "y = UNION x, select_1; SINK y AS out;",
+    ], ids=["declared-twice", "declared-after-generated"])
+    def test_stream_name_collision_is_a_language_error(self, program):
+        """A ``STREAM`` whose name is taken — by another declaration or by
+        a name an earlier statement generated — is a language error naming
+        the stream, not a graph error from the builder underneath."""
+        with pytest.raises(QueryLanguageError, match="stream 'a'|'select_1'"):
+            compile_query(program)
+
     def test_duplicate_sink_name_rejected(self):
         with pytest.raises(QueryLanguageError,
                            match="sink 'x' is already defined"):

@@ -4,12 +4,18 @@ import pytest
 
 from repro.core.errors import ExecutionError
 from repro.core.operators import Select, Union
-from repro.core.operators.base import StepResult
+from repro.core.operators.base import BatchResult
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 from repro.sim.events import EventQueue
 
-from conftest import data, punct
+
+
+def one(kind: str = "data", probes: int = 0) -> BatchResult:
+    """A one-element run: what a ``batch_size=1`` step reports."""
+    return BatchResult(steps=1, consumed_data=int(kind == "data"),
+                       consumed_punctuation=int(kind == "punct"),
+                       probes=probes)
 
 
 class TestVirtualClock:
@@ -79,23 +85,19 @@ class TestCostModel:
     def test_default_costs_by_class(self):
         model = CostModel()
         sel = Select("s", lambda p: True)
-        result = StepResult(consumed=data(1.0))
-        assert model.step_cost(sel, result) == pytest.approx(20e-6)
+        assert model.batch_cost(sel, one()) == pytest.approx(20e-6)
 
     def test_punctuation_cheaper(self):
         model = CostModel()
         sel = Select("s", lambda p: True)
-        punct_result = StepResult(consumed=punct(1.0))
-        data_result = StepResult(consumed=data(1.0))
-        assert model.step_cost(sel, punct_result) < model.step_cost(
-            sel, data_result)
+        assert model.batch_cost(sel, one("punct")) < model.batch_cost(
+            sel, one("data"))
 
     def test_probe_cost_added(self):
         model = CostModel()
         union = Union("u")
-        base = model.step_cost(union, StepResult(consumed=data(1.0)))
-        with_probes = model.step_cost(
-            union, StepResult(consumed=data(1.0), probes=10))
+        base = model.batch_cost(union, one())
+        with_probes = model.batch_cost(union, one(probes=10))
         assert with_probes == pytest.approx(base + 10 * model.per_probe)
 
     def test_unknown_class_falls_back(self):
@@ -105,18 +107,18 @@ class TestCostModel:
             pass
 
         op = Exotic("e", lambda p: True)
-        assert model.step_cost(op, StepResult(consumed=data(1.0))) == \
+        assert model.batch_cost(op, one()) == \
             pytest.approx(model.default_data_cost)
 
     def test_zero_model(self):
         model = CostModel.zero()
         sel = Select("s", lambda p: True)
-        assert model.step_cost(sel, StepResult(consumed=data(1.0))) == 0.0
+        assert model.batch_cost(sel, one()) == 0.0
         assert model.ets_generation == 0.0
 
     def test_uniform_model(self):
         model = CostModel.uniform(1e-3)
         sel = Select("s", lambda p: True)
         union = Union("u")
-        assert model.step_cost(sel, StepResult(consumed=data(1.0))) == \
-            model.step_cost(union, StepResult(consumed=punct(1.0))) == 1e-3
+        assert model.batch_cost(sel, one()) == \
+            model.batch_cost(union, one("punct")) == 1e-3

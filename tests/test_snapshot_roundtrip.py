@@ -12,6 +12,7 @@ structurally rather than by IEEE equality).
 
 from __future__ import annotations
 
+import heapq
 import math
 import pickle
 
@@ -425,3 +426,33 @@ def test_stateless_ets_policies_roundtrip():
     roundtrip(PeriodicEtsSchedule({"a": 2.0}), PeriodicEtsSchedule({"a": 2.0}))
     sched = AdaptiveHeartbeatSchedule({"a": "b"})
     roundtrip(sched, AdaptiveHeartbeatSchedule({"a": "b"}))
+
+
+def test_version1_reorder_heap_snapshot_restores_and_releases():
+    """A version-1 ``Reorder`` snapshot written while the operator still
+    parked rows in a min-heap — ``heap`` entries in heap order, not sorted
+    — restores into the run-parked operator and releases the same rows, in
+    ``(ts, seq)`` order, at the same thresholds."""
+    heap = [(ts, seq, DataTuple(ts=ts, seq=seq, payload={"seq": seq},
+                                arrival_ts=ts))
+            for ts, seq in ((3.0, 40), (3.0, 42), (5.0, 41), (4.0, 43),
+                            (6.0, 44))]
+    assert heapq.nsmallest(5, heap) != heap  # a heap, but not sorted
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, 5))
+    state = {"version": 1, "heap": heap, "max_seen": 6.0,
+             "emitted_watermark": 2.0, "late_dropped": 1, "slack": 2.0}
+    op = Reorder("r", 2.0)
+    h = OpHarness(op, n_inputs=1)
+    op.restore_state(state)
+    assert op.pending == 5 and op.frontier_floor() == 3.0
+    assert op.late_dropped == 1
+    # A row at 7.0 lifts the slack threshold to 5.0: everything at or
+    # below it leaves, in (ts, seq) order; the punctuation drains the rest.
+    h.feed(0, 7.0, {"seq": "new"})
+    h.run()
+    released = [t.payload["seq"] for t in h.output_data()]
+    assert released == [40, 42, 43, 41]
+    h.feed_punctuation(0, 10.0)
+    h.run()
+    assert [t.payload["seq"] for t in h.output_data()] == [44, "new"]
+    assert op.pending == 0

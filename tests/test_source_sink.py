@@ -160,7 +160,7 @@ class TestPunctuationInjection:
         src, _ = make_source()
         assert not src.more()
         with pytest.raises(NotImplementedError):
-            src.execute_step(OpContext(clock=ManualClock()))
+            src.execute_block(OpContext(clock=ManualClock()), 1)
 
 
 class TestSink:
@@ -176,8 +176,8 @@ class TestSink:
         buf.push(data(1.0, arrival=1.0))
         buf.push(data(2.0, arrival=2.0))
         clock.t = 2.5
-        sink.execute_step(ctx)
-        sink.execute_step(ctx)
+        sink.execute_block(ctx, 1)
+        sink.execute_block(ctx, 1)
         assert sink.delivered == 2
         assert sink.mean_latency == pytest.approx((1.5 + 0.5) / 2)
         assert sink.latency_max == pytest.approx(1.5)
@@ -185,7 +185,7 @@ class TestSink:
     def test_punctuation_eliminated(self):
         sink, buf, ctx, clock = self.make()
         buf.push(punct(1.0))
-        sink.execute_step(ctx)
+        sink.execute_block(ctx, 1)
         assert sink.delivered == 0
         assert sink.punctuation_eliminated == 1
 
@@ -195,19 +195,19 @@ class TestSink:
             on_output=lambda tup, lat: seen.append((tup.payload, lat)))
         clock.t = 3.0
         buf.push(data(1.0, payload="x", arrival=1.0))
-        sink.execute_step(ctx)
+        sink.execute_block(ctx, 1)
         assert seen == [("x", 2.0)]
 
     def test_keep_outputs(self):
         sink, buf, ctx, clock = self.make(keep_outputs=True)
         buf.push(data(1.0, payload="x"))
-        sink.execute_step(ctx)
+        sink.execute_block(ctx, 1)
         assert [t.payload for t in sink.outputs_seen] == ["x"]
 
     def test_nan_arrival_not_counted(self):
         sink, buf, ctx, clock = self.make()
         buf.push(data(1.0, arrival=float("nan")))
-        sink.execute_step(ctx)
+        sink.execute_block(ctx, 1)
         assert sink.delivered == 1
         assert sink.latency_count == 0
         assert math.isnan(sink.mean_latency)

@@ -18,6 +18,7 @@ from repro.core.tuples import LATENT_TS, DataTuple, Punctuation, TimestampKind
 from repro.core.windows import WindowSpec
 
 from conftest import OpHarness, reference_gate
+from reference_ops import reference_pick
 
 
 def make_union(n: int = 2, strict: bool = False) -> tuple[Union, OpHarness]:
@@ -180,8 +181,8 @@ class TestPunctuationHandling:
         h.feed_punctuation(0, 5.0)
         h.feed(1, 5.0, "b")
         result = h.step()
-        assert result.consumed is not None
-        assert not result.consumed.is_punctuation
+        assert result.steps == 1
+        assert result.consumed_data == 1 and not result.consumed_punctuation
 
     def test_punctuation_advances_register_when_consumed(self):
         op, h = make_union()
@@ -345,9 +346,9 @@ class GateMemoMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.op.more())
     @rule()
     def execute_step(self):
-        self.op.execute_step(self.h.ctx)
+        self.op.execute_block(self.h.ctx, 1)
 
-    @precondition(lambda self: self.op.supports_blocks and self.op.more())
+    @precondition(lambda self: self.op.more())
     @rule(limit=LIMIT)
     def execute_block(self, limit):
         self.op.execute_block(self.h.ctx, limit)
@@ -395,7 +396,7 @@ class GateMemoMachine(RuleBasedStateMachine):
             assert memo is op._gate  # answering twice evaluates once
             assert memo == (latent, gates, tau, pick, expected[2])
         if more:
-            assert op._select_index() == (
+            assert reference_pick(op) == (
                 pick if not op.strict else
                 latent if latent is not None else
                 min((buf.head_ts(), i) for i, buf in enumerate(inputs))[1])
