@@ -16,11 +16,12 @@ size" metric (Figure 8) O(1) per enqueue/dequeue.
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 from typing import Callable, Iterator
 
 from .columnar import ColumnarBlock
-from .errors import TimestampError
-from .tuples import LATENT_TS, StreamElement, TimestampKind
+from .errors import ExecutionError, TimestampError
+from .tuples import LATENT_TS, Punctuation, StreamElement, TimestampKind
 
 __all__ = ["TSMRegister", "BufferRegistry", "StreamBuffer"]
 
@@ -67,7 +68,7 @@ class TSMRegister:
     def restore_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`snapshot_state`."""
         if state.get("version") != 1:
-            raise ValueError(f"unsupported TSMRegister state: {state!r}")
+            raise ExecutionError(f"unsupported TSMRegister state: {state!r}")
         self._value = state["value"]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -192,20 +193,17 @@ class StreamBuffer:
         self.consumer_name = consumer_name
         self.consumer_port = consumer_port
         self.register = TSMRegister()
-        #: Deque entries are scalar :class:`StreamElement`\ s *or* whole
-        #: :class:`~repro.core.columnar.ColumnarBlock`\ s (data rows only —
-        #: punctuation never enters a block, and closes an open one).
-        #: ``peek``/``pop`` never return a block: they explode a head block
-        #: back into its tuples lazily, so a kernel taking one element at a
-        #: time sees exactly the tuples that were pushed.
-        self._items: deque[StreamElement | ColumnarBlock] = deque()
+        #: Deque entries are :class:`~repro.core.columnar.ColumnarBlock`\ s
+        #: (data rows) or :class:`Punctuation` (never inside a block; it
+        #: closes an open one).  Nothing else is ever buffered.
+        self._items: deque[ColumnarBlock | Punctuation] = deque()
         #: The *open tail block*: a block this buffer created, that is the
         #: deque's last entry and that nothing else references, so
         #: :meth:`append_row` may still extend its columns.  Every other
         #: method that puts an entry behind it or touches it drops this
         #: reference first, which closes the block for good.
         self._tail: ColumnarBlock | None = None
-        #: Scalar-equivalent length: blocks count one per live row.
+        #: Element count: blocks count one per live row.
         self._len = 0
         self._registry = registry
         self._enforce_order = enforce_order
@@ -231,14 +229,14 @@ class StreamBuffer:
     # Introspection
 
     def __len__(self) -> int:
-        """Scalar-equivalent length: a buffered block counts its live rows."""
+        """Element count: a buffered block counts its live rows."""
         return self._len
 
     def __bool__(self) -> bool:
         return bool(self._items)
 
     def __iter__(self) -> Iterator[StreamElement]:
-        """Iterate scalar elements, flattening blocks in place (read-only)."""
+        """Iterate the elements, a block's rows materialized (read-only)."""
         for entry in self._items:
             if isinstance(entry, ColumnarBlock):
                 yield from entry.to_tuples()
@@ -310,10 +308,9 @@ class StreamBuffer:
     def snapshot_state(self) -> dict:
         """Versioned snapshot of buffer contents, register, and counters.
 
-        Buffered blocks are materialized back into their scalar tuples, so
-        the snapshot shape is identical whether or not the producer ran in
-        block mode — recovery and sharding compose with the columnar path
-        without knowing it exists.
+        ``items`` is the element list — blocks materialized into their
+        rows, punctuation as it lies — so the format does not depend on how
+        rows were grouped into blocks.
         """
         self._tail = None
         return {
@@ -328,11 +325,20 @@ class StreamBuffer:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot; registry occupancy is kept consistent."""
+        """Restore a snapshot; registry occupancy is kept consistent.
+
+        Each maximal run of data tuples in ``items`` becomes one block.
+        """
         if state.get("version") != 1:
-            raise ValueError(f"unsupported StreamBuffer state: {state!r}")
+            raise ExecutionError(f"unsupported StreamBuffer state: {state!r}")
         delta = len(state["items"]) - self._len
-        self._items = deque(state["items"])
+        self._items = deque()
+        for punctuation, run in groupby(state["items"],
+                                        lambda e: e.is_punctuation):
+            if punctuation:
+                self._items.extend(run)
+            else:
+                self._items.append(ColumnarBlock.from_tuples(list(run)))
         self._tail = None
         self._len = len(state["items"])
         self.register.restore_state(state["register"])
@@ -362,7 +368,15 @@ class StreamBuffer:
         )
 
     def push(self, element: StreamElement) -> None:
-        """Append ``element`` at the tail (production)."""
+        """Append ``element`` at the tail (production).
+
+        A data tuple becomes one row of the open tail block
+        (:meth:`append_row`); a punctuation is an entry of its own.
+        """
+        if not element.is_punctuation:
+            self.append_row(element.ts, element.seq, element.kind,
+                            element.arrival_ts, element.payload)
+            return
         ts = element.ts
         if ts != LATENT_TS:
             if self._enforce_order and self._last_pushed_ts != LATENT_TS \
@@ -374,10 +388,7 @@ class StreamBuffer:
         self._items.append(element)
         self._len += 1
         self._enqueued += 1
-        if element.is_punctuation:
-            self._punctuation_enqueued += 1
-        else:
-            self._data_live += 1
+        self._punctuation_enqueued += 1
         if self._registry is not None:
             self._registry._delta(1)
         self._notify_change()
@@ -386,13 +397,11 @@ class StreamBuffer:
                    arrival: float, payload) -> None:
         """Append one data row at the tail without building a tuple.
 
-        The source-side entrance (:meth:`SourceNode.ingest`): exactly the
-        order check, counters, registry delta and ``on_change`` of a
-        :meth:`push` of the equivalent :class:`DataTuple`, but the five
-        fields extend the columns of the open tail block (a fresh one when
-        the tail is closed or is not a block), so the first
-        :meth:`drain_block` hands the rows over as they lie and a scalar
-        consumer explodes them like any other block.
+        The one row-at-a-time data entrance (:meth:`SourceNode.ingest`,
+        :meth:`push` of a data tuple): order check, counters, registry
+        delta and ``on_change``, then the five fields extend the columns of
+        the open tail block (a fresh one when the tail is closed), so the
+        first :meth:`drain_block` hands the rows over as they lie.
         """
         if ts != LATENT_TS:
             if self._enforce_order and self._last_pushed_ts != LATENT_TS \
@@ -453,35 +462,25 @@ class StreamBuffer:
 
     def drain_block(self, limit: int,
                     max_ts: float | None = None) -> ColumnarBlock | None:
-        """Dequeue up to ``limit`` consecutive data rows as one block.
+        """Dequeue up to ``limit`` leading rows of the head block.
 
-        The block analog of :meth:`drain_batch`, with the same boundary
-        rules: the run never crosses a punctuation tuple, and with
-        ``max_ts`` it stops before the first row stamped at or above it
-        (latent rows never stop a run).  Returns ``None`` when the head is
-        a punctuation tuple or the buffer is empty.
+        The run never crosses a block boundary, so never a punctuation,
+        and with ``max_ts`` it stops before the first row stamped at or
+        above it (latent rows never stop a run).  Returns ``None`` when the
+        head is a punctuation, the buffer is empty or no row fits.
 
-        A head block — a source's open tail block included — is handed over
-        whole (zero copies) when it fits the limits, or split by selection
-        otherwise; a head run of scalar data tuples is gathered into a
-        fresh block.  The TSM register is updated once with the largest
-        timestamp drained, exactly like a pop-by-pop consumption.
+        The head block — a source's open tail block included — is handed
+        over whole (zero copies) when it fits the limits, or split by
+        selection otherwise.  The TSM register is updated once with the
+        largest timestamp drained, exactly like a pop-by-pop consumption.
         """
         items = self._items
-        if not items or limit <= 0:
+        if not items or limit <= 0 or not isinstance(items[0], ColumnarBlock):
             return None
-        head = items[0]
-        if isinstance(head, ColumnarBlock):
-            taken = self._take_head_block(limit, max_ts)
-            if taken is not None:
-                self._consumed_rows(taken)
-            return taken
-        if head.is_punctuation:
-            return None
-        run = self.drain_batch(limit, max_ts)
-        if not run:
-            return None
-        return ColumnarBlock.from_tuples(run)  # type: ignore[arg-type]
+        taken = self._take_head_block(limit, max_ts)
+        if taken is not None:
+            self._consumed_rows(taken)
+        return taken
 
     def _take_head_block(self, limit: int,
                          max_ts: float | None) -> ColumnarBlock | None:
@@ -547,99 +546,19 @@ class StreamBuffer:
         return max(ts) if block.selection is None \
             else max(ts[i] for i in block.selection)
 
-    def _explode_head(self) -> None:
-        """Replace a head block with its scalar tuples, in place.
-
-        Called lazily by the one-element accessors, so a kernel that takes
-        one element (a tie, a latent row) consumes exactly the element it
-        would have seen without block transport.  Pure representation
-        change: no counters move.
-        """
-        block = self._items.popleft()
-        assert isinstance(block, ColumnarBlock)
-        if block is self._tail:
-            self._tail = None
-        self._items.extendleft(reversed(block.to_tuples()))
-
-    def drain_batch(self, limit: int,
-                    max_ts: float | None = None) -> list[StreamElement]:
-        """Dequeue a run of up to ``limit`` consecutive *data* tuples.
-
-        The run stops early — never crossing the boundary — at the first
-        punctuation tuple, so punctuation is always consumed one at a time
-        by the scalar path and run boundaries coincide with ETS
-        information.  When ``max_ts`` is given the run additionally stops
-        before the first element stamped at or above it (latent elements,
-        which carry no timestamp, never stop a run).
-
-        The consumer-side TSM register is updated once, with the largest
-        timestamp in the run — exactly the value a pop-by-pop consumption
-        would have left behind.
-        """
-        items = self._items
-        out: list[StreamElement] = []
-        best = LATENT_TS
-        while items and len(out) < limit:
-            head = items[0]
-            if isinstance(head, ColumnarBlock):
-                # Materialize only the rows that leave; what stays behind
-                # stays a block (one to_tuples per row, ever).
-                part = self._take_head_block(limit - len(out), max_ts)
-                if part is None:
-                    break
-                out.extend(part.to_tuples())
-                last = self._run_max(part)
-                if last > best:
-                    best = last
-                continue
-            if head.is_punctuation:
-                break
-            ts = head.ts
-            if ts != LATENT_TS:
-                if max_ts is not None and ts >= max_ts:
-                    break
-                if ts > best:
-                    best = ts
-            out.append(items.popleft())
-        if out:
-            if best != LATENT_TS:
-                self.register.update(best)
-            n = len(out)
-            self._len -= n
-            self._dequeued += n
-            self._data_live -= n
-            if self._registry is not None:
-                self._registry._delta(-n)
-            self._notify_change()
-        return out
-
-    def peek(self) -> StreamElement | None:
-        """Return the head element without removing it, or None when empty.
-
-        Peeking refreshes the TSM register from the head element, matching
-        the paper's "automatically updated with the timestamp value of the
-        current input tuple".
-        """
-        if not self._items:
-            return None
-        if isinstance(self._items[0], ColumnarBlock):
-            self._explode_head()
-        head = self._items[0]
-        self.register.update(head.ts)
-        return head
-
     def pop(self) -> StreamElement:
-        """Remove and return the head element (consumption)."""
+        """Remove and return the head element (consumption); a data row
+        leaves as a one-row slice of its block, materialized."""
         if not self._items:
             raise IndexError(f"pop from empty buffer {self.name!r}")
         if isinstance(self._items[0], ColumnarBlock):
-            self._explode_head()
+            row = self._take_head_block(1, None)
+            self._consumed_rows(row)
+            return row.row(0)
         head = self._items.popleft()
         self.register.update(head.ts)
         self._len -= 1
         self._dequeued += 1
-        if not head.is_punctuation:
-            self._data_live -= 1
         if self._registry is not None:
             self._registry._delta(-1)
         self._notify_change()
@@ -659,11 +578,8 @@ class StreamBuffer:
     # Timestamp gating helpers
 
     def head_ts(self) -> float | None:
-        """Timestamp of the head element, or None when empty.
-
-        Block-aware without exploding: a head block reports its first live
-        row's timestamp, which is exactly what the scalar head would carry.
-        """
+        """Timestamp of the head element (a head block's first live
+        row), or None when empty.  Read-only: the register is untouched."""
         if not self._items:
             return None
         head = self._items[0]
@@ -672,13 +588,9 @@ class StreamBuffer:
         return head.ts
 
     def head_is_punctuation(self) -> bool:
-        """True when the head element is punctuation (blocks never are)."""
-        if not self._items:
-            return False
-        head = self._items[0]
-        if isinstance(head, ColumnarBlock):
-            return False
-        return head.is_punctuation
+        """True when the head element is punctuation."""
+        items = self._items
+        return bool(items) and not isinstance(items[0], ColumnarBlock)
 
     def head_run(self, limit: int) -> tuple[list[float], float]:
         """Look ahead, read-only, over the head run of stamped data rows.
@@ -695,8 +607,8 @@ class StreamBuffer:
           (it jumps the queue the moment it becomes the head, so nothing
           that merges after that row may be taken).
 
-        Blocks are read through their timestamp column; nothing is exploded
-        or materialized.
+        Blocks are read through their timestamp column; nothing is
+        materialized.
         """
         stamps: list[float] = []
         end: float | None = None
@@ -705,11 +617,9 @@ class StreamBuffer:
                 col, room = entry.ts, limit + 1 - len(stamps)
                 stamps.extend(col[:room] if entry.selection is None
                               else [col[i] for i in entry.selection[:room]])
-            elif entry.is_punctuation:
+            else:
                 end = entry.ts
                 break
-            else:
-                stamps.append(entry.ts)
             if len(stamps) > limit:
                 break
         if LATENT_TS in stamps:
@@ -729,9 +639,9 @@ class StreamBuffer:
 
         Per the relaxed ``more`` condition, an input contributes its head
         element's timestamp when nonempty (refreshing the register), and its
-        remembered register value when empty.  Reads the head timestamp
-        without exploding a head block — the register update is identical
-        to what a scalar peek would do (latent heads never move it).
+        remembered register value when empty.  A nonempty input refreshes
+        its register from the head (latent heads never move it), the
+        paper's "automatically updated with the current input tuple".
         """
         ts = self.head_ts()
         if ts is not None:

@@ -11,7 +11,8 @@ sequence numbers, timestamp kinds, arrival stamps, payloads) plus a
 **selection vector** of live row indices.  Operators that understand blocks
 transform the *arrays* — a selection narrows the selection vector without
 copying anything, a projection rewrites only the payload column — and whole
-blocks travel through stream buffers as single entries.
+blocks travel through stream buffers as single entries: a buffer holds
+blocks and punctuation, nothing else.
 
 Two invariants keep a run of any width byte-identical to the same elements
 taken one at a time:
@@ -28,10 +29,9 @@ taken one at a time:
   arrival order until a ``Reorder`` sorts them.)
 
 Materializing a row rebuilds the exact original tuple — same payload object,
-same ``seq``, same timestamp kind — which is what lets a kernel that must take
-one element (a tie, a latent row, a punctuation) *explode* the head block
-back into its tuples and proceed unchanged (see
-:meth:`repro.core.buffers.StreamBuffer.pop`).
+same ``seq``, same timestamp kind.  A kernel that must take one row (a tie,
+a latent row) drains a one-row block instead: splitting one row off a block
+is O(1) (:meth:`ColumnarBlock.split_at` slices a ``range``).
 
 Everything here is pure Python lists: the module imports nothing outside
 the standard library.
@@ -232,7 +232,7 @@ class ColumnarBlock:
                                                       "ColumnarBlock | None"]:
         """Split before the first row stamped at or above ``max_ts``.
 
-        Mirrors :meth:`StreamBuffer.drain_batch`'s ``max_ts`` rule: latent
+        The ``max_ts`` rule of :meth:`StreamBuffer.drain_block`: latent
         rows never stop a run, so they stay with the head part.  Returns
         ``(head, tail)`` with ``tail is None`` when nothing was cut off.
 

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from ..buffers import StreamBuffer
+from ..columnar import ColumnarBlock
 from ..errors import GraphError
-from ..tuples import LATENT_TS, Punctuation, StreamElement
+from ..tuples import LATENT_TS, DataTuple, Punctuation
 __all__ = ["BatchResult", "Clock", "OpContext", "Operator"]
 
 
@@ -268,10 +269,15 @@ class Operator:
     # ------------------------------------------------------------------ #
     # Emission helpers
 
-    def emit(self, element: StreamElement) -> None:
-        """Append ``element`` to every output buffer (replicating fan-out)."""
-        for buf in self._ports.outputs:
-            buf.push(element)
+    def emit(self, element: ColumnarBlock | DataTuple | Punctuation) -> None:
+        """Append ``element`` — a block of data rows, a data tuple or a
+        punctuation — to every output buffer (replicating fan-out)."""
+        if isinstance(element, ColumnarBlock):
+            for buf in self._ports.outputs:
+                buf.push_block(element)
+        else:
+            for buf in self._ports.outputs:
+                buf.push(element)
 
     def emit_punctuation(self, punctuation: Punctuation) -> None:
         """Propagate a punctuation downstream, re-attributed to this operator."""

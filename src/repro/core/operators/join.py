@@ -436,8 +436,7 @@ class WindowJoin(IwpOperator):
                 block = ColumnarBlock(*(
                     columns if stop - start == len(col_ts)
                     else [col[start:stop] for col in columns]))
-                for out in self.outputs:
-                    out.push_block(block)
+                self.emit(block)
                 start = stop
             if punct is not None:
                 self.emit(punct)

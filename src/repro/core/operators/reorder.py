@@ -30,7 +30,7 @@ from bisect import bisect_left
 
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError, TimestampError
-from ..tuples import LATENT_TS, StreamElement
+from ..tuples import LATENT_TS, Punctuation
 from .base import BatchResult, Operator, OpContext
 
 __all__ = ["Reorder"]
@@ -196,7 +196,7 @@ class Reorder(Operator):
         """
         batch = BatchResult()
         buf = self.inputs[0]
-        staged: list[ColumnarBlock | StreamElement] = []
+        staged: list[ColumnarBlock | Punctuation] = []
         # Shadow heap of parked timestamps: scalar probes are "heap size
         # after flush" and scalar releases are "pops at this row"; floats
         # through C heapq reproduce both without touching payloads.
@@ -234,18 +234,17 @@ class Reorder(Operator):
             block = buf.drain_block(room)
             if block is None:
                 break
-            positions = list(block.indices())
             ts_col, seq_col = block.ts, block.seq
             parked: list[tuple[float, int, int]] = []  # (ts, seq, physical)
             best = LATENT_TS
-            for pos, i in enumerate(positions):
+            for i in block.indices():
                 ts = ts_col[i]
                 if ts == LATENT_TS:
                     # Latent passthrough sits between flush batches:
-                    # materialize pending releases, then the tuple itself.
+                    # stage pending releases, then the row itself.
                     self._evict(block, parked, threshold, staged)
                     parked = []
-                    staged.append(block.row(pos))
+                    staged.append(block.with_selection([i]))
                     batch.steps += 1
                     batch.consumed_data += 1
                     batch.emitted_data += 1
@@ -282,12 +281,7 @@ class Reorder(Operator):
         self._emitted_watermark = wm
         self._max_seen = max_seen
         for entry in staged:
-            if isinstance(entry, ColumnarBlock):
-                for out in self.outputs:
-                    out.push_block(entry)
-            else:
-                for out in self.outputs:
-                    out.push(entry)
+            self.emit(entry)
         if late:
             element = buf.pop()
             raise TimestampError(
@@ -316,7 +310,7 @@ class Reorder(Operator):
 
     def _evict(self, block: ColumnarBlock | None,
                parked: list[tuple[float, int, int]], threshold: float,
-               staged: list[ColumnarBlock | StreamElement]) -> int:
+               staged: list[ColumnarBlock | Punctuation]) -> int:
         """Release every parked tuple with ts ≤ ``threshold`` into
         ``staged`` in global ``(ts, seq)`` order; park the rest.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..errors import ExecutionError
 from ..tuples import DataTuple
 from .base import BatchResult, Operator, OpContext
 
@@ -161,7 +162,7 @@ class SinkNode(Operator):
     def restore_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`snapshot_state`."""
         if state.get("version") != 1:
-            raise ValueError(f"unsupported SinkNode state: {state!r}")
+            raise ExecutionError(f"unsupported SinkNode state: {state!r}")
         self.delivered = state["delivered"]
         self.punctuation_eliminated = state["punctuation_eliminated"]
         self.latency_sum = state["latency_sum"]

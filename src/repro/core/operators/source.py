@@ -124,8 +124,7 @@ class SourceNode(Operator):
         is built: after the admission checks the row draws one ``seq`` and
         is appended, column by column, to the open tail block of every
         output buffer (:meth:`StreamBuffer.append_row`), which the first
-        block consumer receives as it lies and a one-element ``pop``
-        explodes back into the equivalent :class:`DataTuple`.
+        ``drain_block`` receives as it lies.
 
         Args:
             payload: The record carried by the tuple.

@@ -63,8 +63,7 @@ class StatelessOperator(Operator):
         out = self.apply_block(block, ctx)
         emitted = out.count if out is not None else 0
         if emitted:
-            for out_buf in self.outputs:
-                out_buf.push_block(out)
+            self.emit(out)
         n = block.count
         return BatchResult(steps=n, consumed_data=n, emitted_data=emitted)
 

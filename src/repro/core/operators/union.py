@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError, GraphError
-from ..tuples import LATENT_TS, Punctuation, StreamElement
+from ..tuples import LATENT_TS, Punctuation
 from .base import BatchResult, IwpOperator, OpContext
 
 __all__ = ["Union"]
@@ -98,18 +98,18 @@ class Union(IwpOperator):
         iteration — so the run is drained as a
         :class:`~repro.core.columnar.ColumnarBlock` and forwarded without
         materializing a single tuple.  Gate ties, latent heads and
-        punctuation consume exactly the element the gate picks (popping
-        through the buffer, which explodes a head block lazily when
-        needed), so cross-input ordering and punctuation dedup follow the
-        one-element merge.  A punctuation forwards the minimum over all
-        gates *after* it advanced its own input's register.
+        punctuation consume exactly the element the gate picks (a one-row
+        drain, or the punctuation popped), so cross-input ordering and
+        punctuation dedup follow the one-element merge.  A punctuation
+        forwards the minimum over all gates *after* it advanced its own
+        input's register.
         Strict mode routes through :meth:`_execute_block_strict`, which
         amortizes over head-to-head runs instead of sub-gate runs.
         """
         if self.strict:
             return self._execute_block_strict(ctx, limit)
         batch = BatchResult()
-        staged: list[StreamElement | ColumnarBlock] = []
+        staged: list[ColumnarBlock | Punctuation] = []
         inputs = self.inputs
         while batch.steps < limit:
             latent, gates, tau, pick, _ = self._gate or self._evaluate_gate()
@@ -142,20 +142,15 @@ class Union(IwpOperator):
                 for i, gate in enumerate(gates):
                     if gate < other_min and i != pick:
                         other_min = gate
-            if tau < other_min:
-                blk = buf.drain_block(limit - batch.steps, max_ts=other_min)
-                assert blk is not None  # head is data at tau
-                staged.append(blk)
-                last = blk.last_ts()
-                n = blk.count
-            else:
-                # A latent head, or a tie with another input's gate: consume
-                # exactly the head element so the gate decides the
-                # cross-input order element by element.
-                element = buf.pop()
-                staged.append(element)
-                last = element.ts
-                n = 1
+            # A sub-gate run leaves as one block; a latent head or a tie
+            # with another input's gate leaves as exactly one row, so the
+            # gate decides the cross-input order row by row.
+            blk = buf.drain_block(limit - batch.steps, max_ts=other_min) \
+                if tau < other_min else buf.drain_block(1)
+            assert blk is not None  # head is data at tau
+            staged.append(blk)
+            last = blk.last_ts()
+            n = blk.count
             if last > self._last_emitted_ts:  # never true of LATENT_TS
                 self._last_emitted_ts = last
             self.data_forwarded += n
@@ -163,12 +158,7 @@ class Union(IwpOperator):
             batch.consumed_data += n
             batch.emitted_data += n
         for entry in staged:
-            if isinstance(entry, ColumnarBlock):
-                for out in self.outputs:
-                    out.push_block(entry)
-            else:
-                for out in self.outputs:
-                    out.push(entry)
+            self.emit(entry)
         return batch
 
     def _execute_block_strict(self, ctx: OpContext, limit: int) -> BatchResult:
@@ -180,12 +170,12 @@ class Union(IwpOperator):
         every other input's head timestamp, the rule picks that input on
         every iteration — so the run up to the interleave boundary is
         drained as one zero-copy block slice.  Ties at the boundary are
-        popped one element at a time (``min((ts, i))`` decides), and
+        drained one row at a time (``min((ts, i))`` decides), and
         punctuation is consumed alone and closes the run, so the merge
         equals the one-element-per-step Fig.-1 merge.
         """
         batch = BatchResult()
-        staged: list[StreamElement | ColumnarBlock] = []
+        staged: list[ColumnarBlock | Punctuation] = []
         inputs = self.inputs
         n_inputs = len(inputs)
         # Head timestamps are cached across iterations: only the input just
@@ -203,7 +193,7 @@ class Union(IwpOperator):
                     break
             if idx >= 0:
                 buf = inputs[idx]
-                staged.append(buf.pop())
+                staged.append(buf.drain_block(1))
                 data_fwd += 1
                 steps += 1
                 heads[idx] = buf.head_ts()
@@ -242,23 +232,17 @@ class Union(IwpOperator):
                 else:
                     self.punctuation_suppressed += 1
                 break  # punctuation is a batch boundary
-            if ts < bound:
-                blk = buf.drain_block(limit - steps, max_ts=bound)
-                assert blk is not None  # head is data below bound
-                staged.append(blk)
-                last = blk.last_ts()
-                if last != LATENT_TS and last > self._last_emitted_ts:
-                    self._last_emitted_ts = last
-                n = blk.count
-            else:
-                # Head-to-head tie: consume exactly one element so the
-                # (ts, input-index) tie-break decides each round.
-                element = buf.pop()
-                staged.append(element)
-                if element.ts != LATENT_TS \
-                        and element.ts > self._last_emitted_ts:
-                    self._last_emitted_ts = element.ts
-                n = 1
+            # A run below every other head leaves as one block; a
+            # head-to-head tie leaves as exactly one row, so the
+            # (ts, input-index) tie-break decides each round.
+            blk = buf.drain_block(limit - steps, max_ts=bound) \
+                if ts < bound else buf.drain_block(1)
+            assert blk is not None  # head is data at or below bound
+            staged.append(blk)
+            last = blk.last_ts()
+            if last != LATENT_TS and last > self._last_emitted_ts:
+                self._last_emitted_ts = last
+            n = blk.count
             data_fwd += n
             steps += n
             heads[idx] = buf.head_ts()
@@ -267,10 +251,5 @@ class Union(IwpOperator):
         batch.consumed_data = data_fwd
         batch.emitted_data = data_fwd
         for entry in staged:
-            if isinstance(entry, ColumnarBlock):
-                for out in self.outputs:
-                    out.push_block(entry)
-            else:
-                for out in self.outputs:
-                    out.push(entry)
+            self.emit(entry)
         return batch

@@ -227,10 +227,10 @@ class FeedbackController:
                 newest = source.watermark
         oldest = None
         for buf in self.graph.buffers:
-            head = buf.peek()
-            if head is not None and head.ts != LATENT_TS:
-                if oldest is None or head.ts < oldest:
-                    oldest = head.ts
+            head = buf.head_ts()
+            if head is not None and head != LATENT_TS:
+                if oldest is None or head < oldest:
+                    oldest = head
         lag = 0.0
         if oldest is not None and newest != LATENT_TS and newest > oldest:
             lag = newest - oldest

@@ -11,6 +11,10 @@ them in place of the kernels.
 Every concrete :class:`~repro.core.operators.base.Operator` subclass has an
 entry in :data:`REFERENCE_STEPS` (``tests/test_one_kernel.py`` checks it),
 so a new operator cannot ship without a model.
+
+:class:`ReferenceBuffer` is the same kind of model for the arcs: a list of
+tuples and punctuation, one element per entry, against which the block
+transport of :class:`~repro.core.buffers.StreamBuffer` is compared.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from repro.core.buffers import TSMRegister
 from repro.core.columnar import ColumnarBlock
 from repro.core.errors import ExecutionError, TimestampError
 from repro.core.operators import (Reorder, SinkNode, StatelessOperator,
@@ -332,3 +337,163 @@ def forced_scalar_fallback():
     finally:
         for cls, kernel in patched.items():
             cls.execute_block = kernel
+
+
+# --------------------------------------------------------------------- #
+# The arc
+
+
+class ReferenceBuffer:
+    """A stream buffer as a plain list of elements, one per entry.
+
+    The FIFO semantics :class:`~repro.core.buffers.StreamBuffer` keeps with
+    blocks: the order check and its structured violation, the counters,
+    the TSM register, registry deltas, one ``on_change`` call per mutation,
+    the drain boundary rules, ``head_run``, ``gate_ts`` and the version-1
+    snapshot.  A drain gathers the maximal run the rules allow, across
+    what would be block boundaries.
+    """
+
+    def __init__(self, name: str = "", registry=None, *,
+                 enforce_order: bool = True, consumer_name: str = "",
+                 consumer_port: int = 0) -> None:
+        self.name = name
+        self.consumer_name = consumer_name
+        self.consumer_port = consumer_port
+        self.register = TSMRegister()
+        self.items: list = []
+        self.registry = registry
+        self.enforce_order = enforce_order
+        self.last_pushed_ts = LATENT_TS
+        self.enqueued_count = self.dequeued_count = 0
+        self.punctuation_count = self.data_count = 0
+        self.on_change = None
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __bool__(self) -> bool:
+        return bool(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def _changed(self, delta: int) -> None:
+        if self.registry is not None and delta:
+            self.registry._delta(delta)
+        if self.on_change is not None:
+            self.on_change()
+
+    def push(self, element) -> None:
+        ts, last = element.ts, self.last_pushed_ts
+        if ts != LATENT_TS:
+            if self.enforce_order and last != LATENT_TS and ts < last:
+                fields = dict(operator=self.consumer_name or self.name,
+                              port=self.consumer_port, offending_ts=ts,
+                              last_seen_ts=last, buffer=self.name,
+                              kind="out-of-order")
+                if self.registry is not None:
+                    self.registry.notify_violation(**fields)
+                raise TimestampError(
+                    f"buffer {self.name!r}: out-of-order push "
+                    f"({ts} after {last})", **fields)
+            self.last_pushed_ts = max(ts, last)
+        self.items.append(element)
+        self.enqueued_count += 1
+        if element.is_punctuation:
+            self.punctuation_count += 1
+        else:
+            self.data_count += 1
+        self._changed(1)
+
+    def pop(self):
+        if not self.items:
+            raise IndexError(f"pop from empty buffer {self.name!r}")
+        head = self.items.pop(0)
+        self.register.update(head.ts)
+        self.dequeued_count += 1
+        if not head.is_punctuation:
+            self.data_count -= 1
+        self._changed(-1)
+        return head
+
+    def drain_block(self, limit: int, max_ts: float | None = None):
+        """Up to ``limit`` leading data rows as one block: the run stops at
+        a punctuation and before the first row stamped at or above
+        ``max_ts`` (latent rows never stop it); the register takes the
+        run's largest stamp.  ``None`` when no row leaves."""
+        run = []
+        while self.items and len(run) < limit:
+            head = self.items[0]
+            if head.is_punctuation or (max_ts is not None and head.ts >= max_ts
+                                       and head.ts != LATENT_TS):
+                break
+            run.append(self.items.pop(0))
+        if not run:
+            return None
+        for row in run:
+            self.register.update(row.ts)
+        self.dequeued_count += len(run)
+        self.data_count -= len(run)
+        self._changed(-len(run))
+        return ColumnarBlock.from_tuples(run)
+
+    def clear(self) -> None:
+        delta = -len(self.items)
+        self.items.clear()
+        self.data_count = 0
+        self._changed(delta)
+
+    def head_ts(self):
+        return self.items[0].ts if self.items else None
+
+    def head_is_punctuation(self) -> bool:
+        return bool(self.items) and self.items[0].is_punctuation
+
+    def head_run(self, limit: int) -> tuple[list[float], float]:
+        """The leading stamped data rows (at most ``limit``) and where the
+        run ends: a closing punctuation's stamp; the last stamped row's
+        when a latent row follows it; the next row's when ``limit`` cut it;
+        else the register the drained run will leave."""
+        stamps: list[float] = []
+        for element in self.items:
+            if element.is_punctuation:
+                return stamps, element.ts
+            if element.ts == LATENT_TS:
+                return stamps, stamps[-1] if stamps else LATENT_TS
+            if len(stamps) == limit:
+                return stamps, element.ts
+            stamps.append(element.ts)
+        end = self.register.value
+        return stamps, max(end, stamps[-1]) if stamps else end
+
+    def gate_ts(self) -> float:
+        if self.items:
+            ts = self.items[0].ts
+            self.register.update(ts)
+            if ts != LATENT_TS:
+                return ts
+        return self.register.value
+
+    def snapshot_state(self) -> dict:
+        return {
+            "version": 1,
+            "items": list(self.items),
+            "register": self.register.snapshot_state(),
+            "last_pushed_ts": self.last_pushed_ts,
+            "enqueued": self.enqueued_count,
+            "dequeued": self.dequeued_count,
+            "punctuation_enqueued": self.punctuation_count,
+            "data_live": self.data_count,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        delta = len(state["items"]) - len(self.items)
+        self.items = list(state["items"])
+        self.register.restore_state(state["register"])
+        self.last_pushed_ts = state["last_pushed_ts"]
+        self.enqueued_count = state["enqueued"]
+        self.dequeued_count = state["dequeued"]
+        self.punctuation_count = state["punctuation_enqueued"]
+        self.data_count = state["data_live"]
+        self._changed(delta)

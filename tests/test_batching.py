@@ -1,6 +1,6 @@
 """Unit tests for the run path's boundaries and accounting.
 
-Covers the run-drain primitive on :class:`StreamBuffer` (``drain_batch``),
+Covers the run-drain primitive on :class:`StreamBuffer` (``drain_block``),
 the run boundary rules (limit / ``more()`` / punctuation) on the
 per-operator ``execute_block`` kernels — the strict (Fig.-1) join's one
 element per round included — the ``BatchResult`` accounting,
@@ -28,16 +28,24 @@ from repro.sim.cost import CostModel
 
 
 # --------------------------------------------------------------------- #
-# StreamBuffer.drain_batch
+# StreamBuffer.drain_block
+
+
+def _drained(buf, limit, max_ts=None):
+    """The stamps of the rows one ``drain_block`` takes ([] for None)."""
+    block = buf.drain_block(limit, max_ts)
+    return [] if block is None else [e.ts for e in block.to_tuples()]
 
 
 class TestDrainBatch:
+    """The run-drain boundary rules, on rows pushed one tuple at a time
+    (they share one block until a punctuation closes it)."""
+
     def test_drains_a_run_up_to_limit(self, registry):
         buf = StreamBuffer("b", registry)
         for ts in (1.0, 2.0, 3.0, 4.0):
             buf.push(data(ts))
-        run = buf.drain_batch(3)
-        assert [e.ts for e in run] == [1.0, 2.0, 3.0]
+        assert _drained(buf, 3) == [1.0, 2.0, 3.0]
         assert len(buf) == 1
 
     def test_never_crosses_punctuation(self, registry):
@@ -46,34 +54,35 @@ class TestDrainBatch:
         buf.push(data(2.0))
         buf.push(punct(2.5))
         buf.push(data(3.0))
-        run = buf.drain_batch(10)
-        assert [e.ts for e in run] == [1.0, 2.0]
-        assert buf.peek().is_punctuation  # boundary stays at the head
+        assert _drained(buf, 10) == [1.0, 2.0]
+        assert buf.head_is_punctuation()  # boundary stays at the head
+        assert buf.head_ts() == 2.5
 
     def test_punctuation_at_head_yields_empty_run(self, registry):
         buf = StreamBuffer("b", registry)
         buf.push(punct(1.0))
         buf.push(data(2.0))
-        assert buf.drain_batch(10) == []
+        assert buf.drain_block(10) is None
         assert len(buf) == 2
 
     def test_max_ts_bounds_the_run_exclusively(self, registry):
         buf = StreamBuffer("b", registry)
         for ts in (1.0, 2.0, 3.0):
             buf.push(data(ts))
-        run = buf.drain_batch(10, max_ts=3.0)
-        assert [e.ts for e in run] == [1.0, 2.0]  # 3.0 >= max_ts stays put
+        assert _drained(buf, 10, max_ts=3.0) == [1.0, 2.0]  # 3.0 stays put
+        assert buf.drain_block(10, max_ts=3.0) is None
+        assert buf.head_ts() == 3.0
 
     def test_register_updated_once_to_run_maximum(self, registry):
         buf = StreamBuffer("b", registry)
         for ts in (1.0, 2.0, 5.0):
             buf.push(data(ts))
-        buf.drain_batch(10)
+        buf.drain_block(10)
         assert buf.register.value == 5.0
 
     def test_empty_drain_leaves_register_untouched(self, registry):
         buf = StreamBuffer("b", registry)
-        assert buf.drain_batch(4) == []
+        assert buf.drain_block(4) is None
         assert buf.register.value == LATENT_TS
 
     def test_registry_accounting_matches_scalar_pops(self):
@@ -83,7 +92,7 @@ class TestDrainBatch:
         for ts in (1.0, 2.0, 3.0):
             batched.push(data(ts))
             scalar.push(data(ts))
-        batched.drain_batch(2)
+        batched.drain_block(2)
         scalar.pop(), scalar.pop()
         assert reg_a.total == reg_b.total == 1
         assert batched.dequeued_count == scalar.dequeued_count == 2
@@ -92,8 +101,7 @@ class TestDrainBatch:
         buf = StreamBuffer("b", registry, enforce_order=False)
         buf.push(data(LATENT_TS))
         buf.push(data(LATENT_TS))
-        run = buf.drain_batch(10)
-        assert len(run) == 2
+        assert len(buf.drain_block(10)) == 2
         assert buf.register.value == LATENT_TS
 
 
@@ -240,7 +248,7 @@ class TestScalarRun:
         run = _batch(h, 64)
         assert run.consumed_punctuation == 1
         assert h.op.more()  # the run closed at the punctuation, not at more()
-        assert h.inputs[0].peek().ts == 2.0
+        assert h.inputs[0].head_ts() == 2.0
 
 
 # --------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from repro.core.tuples import (LATENT_TS, DataTuple, Punctuation,
                                TimestampKind)
 
 from conftest import data, punct
+from reference_ops import ReferenceBuffer
 
 
 class TestTSMRegister:
@@ -64,14 +65,14 @@ class TestStreamBufferFIFO:
         with pytest.raises(IndexError):
             buf.pop()
 
-    def test_peek_does_not_remove(self):
+    def test_head_ts_does_not_remove(self):
         buf = StreamBuffer("b")
         buf.push(data(1.0))
-        assert buf.peek() is buf.peek()
-        assert len(buf) == 1
+        assert buf.head_ts() == buf.head_ts() == 1.0
+        assert len(buf) == 1 and buf.register.value == LATENT_TS
 
-    def test_peek_empty_is_none(self):
-        assert StreamBuffer("b").peek() is None
+    def test_head_ts_empty_is_none(self):
+        assert StreamBuffer("b").head_ts() is None
 
     def test_iteration_is_fifo(self):
         buf = StreamBuffer("b")
@@ -110,10 +111,10 @@ class TestOrderEnforcement:
 
 
 class TestRegisterIntegration:
-    def test_peek_refreshes_register(self):
+    def test_gate_ts_refreshes_register(self):
         buf = StreamBuffer("b")
         buf.push(data(3.0))
-        buf.peek()
+        buf.gate_ts()
         assert buf.register.value == 3.0
 
     def test_pop_refreshes_register(self):
@@ -284,7 +285,7 @@ class TestHeadRunLookahead:
         buf.push(data(1.0))
         buf.push(data(2.0))
         assert buf.head_run(64) == ([1.0, 2.0], 2.0)
-        buf.drain_batch(2)
+        buf.drain_block(2)
         assert buf.head_run(64) == ([], 2.0)  # empty: the held register
 
     def test_limit_cuts_the_lookahead_at_the_next_row(self):
@@ -309,28 +310,31 @@ class TestHeadRunLookahead:
 
 
 class TestDrainBatchOverBlocks:
-    """``drain_batch`` takes rows out of head blocks without exploding
-    them: only the rows that leave are materialized."""
+    """``drain_block`` takes rows off the head block only: a run never
+    crosses a block boundary, and what stays behind stays a block."""
 
     def test_run_spans_blocks_and_scalars_and_splits_at_the_limit(self):
         rows = [data(float(i), {"i": i}) for i in range(1, 7)]
         buf = StreamBuffer("b")
         buf.push_block(ColumnarBlock.from_tuples(rows[:2]))
-        buf.push(rows[2])
+        buf.push(rows[2])  # a pushed tuple opens a block of its own
         buf.push_block(ColumnarBlock.from_tuples(rows[3:]))
         buf.push(punct(9.0))
-        assert buf.drain_batch(4) == rows[:4]
-        assert buf.register.value == 4.0 and len(buf) == 3
+        assert buf.drain_block(64).to_tuples() == rows[:2]
+        assert buf.drain_block(64).to_tuples() == rows[2:3]
+        assert buf.drain_block(2).to_tuples() == rows[3:5]
+        assert buf.register.value == 5.0 and len(buf) == 2
         assert isinstance(buf._items[0], ColumnarBlock)  # remainder: a block
-        assert buf.drain_batch(64) == rows[4:]           # stops at punctuation
+        assert buf.drain_block(64).to_tuples() == rows[5:]
+        assert buf.drain_block(64) is None  # stops at punctuation
         assert buf.head_is_punctuation()
 
     def test_max_ts_stops_inside_a_block(self):
         rows = [data(float(i)) for i in range(1, 5)]
         buf = StreamBuffer("b")
         buf.push_block(ColumnarBlock.from_tuples(rows))
-        assert buf.drain_batch(64, max_ts=3.0) == rows[:2]
-        assert buf.drain_batch(64, max_ts=3.0) == []
+        assert buf.drain_block(64, max_ts=3.0).to_tuples() == rows[:2]
+        assert buf.drain_block(64, max_ts=3.0) is None
         assert list(buf) == rows[2:] and buf.data_count == 2
 
 
@@ -340,21 +344,22 @@ L = LATENT_TS
 class TestWholeHeadBlockHandOff:
     """``drain_block`` hands a head block that fits over as it is, with no
     split; every other case takes the split path, and both must leave what
-    pop-by-pop consumption of the same rows leaves: rows taken, rows left,
+    the list model's drain of the same rows leaves: rows taken, rows left,
     register and counters."""
 
     @staticmethod
     def _pair(stamps, enforce_order=True, selection=None):
-        """A buffer holding one block of ``stamps`` and a model buffer
-        holding the same live rows as tuples; a punctuation follows both,
-        so the model's run ends where the block does."""
+        """A buffer holding one block of ``stamps`` and a
+        :class:`ReferenceBuffer` holding the same live rows as tuples; a
+        punctuation follows both, so the model's run ends where the block
+        does."""
         rows = [data(ts, {"i": i}) for i, ts in enumerate(stamps)]
         block = ColumnarBlock.from_tuples(rows)
         if selection is not None:
             block = block.with_selection(selection)
             rows = [rows[i] for i in selection]
         buf = StreamBuffer("b", enforce_order=enforce_order)
-        model = StreamBuffer("m", enforce_order=enforce_order)
+        model = ReferenceBuffer("m", enforce_order=enforce_order)
         buf.push_block(block)
         for row in rows:
             model.push(row)
@@ -365,8 +370,9 @@ class TestWholeHeadBlockHandOff:
 
     @staticmethod
     def _same(buf, model, got, limit, max_ts):
-        want = model.drain_batch(limit, max_ts)
-        assert (got.to_tuples() if got is not None else []) == want
+        want = model.drain_block(limit, max_ts)
+        assert (got.to_tuples() if got is not None else None) == (
+            want.to_tuples() if want is not None else None)
         assert list(buf) == list(model)
         assert buf.register.value == model.register.value
         assert (len(buf), buf.dequeued_count, buf.data_count) == (
@@ -463,9 +469,22 @@ class TestOpenTailBlock:
         assert [e.ts for e in buf] == [3.0, 9.0]
         assert buf._items[-1] is not rest
 
+    def test_a_pushed_tuple_extends_the_tail_block(self):
+        """``push(DataTuple)`` is ``append_row`` of the tuple's fields: one
+        data entrance, so pushed and appended rows share the open block."""
+        buf = StreamBuffer("b")
+        _append(buf, 1.0, 1, None)
+        tail = buf._items[-1]
+        buf.push(_pushed(2.0, 2, {"p": 2}))
+        _append(buf, 3.0, 3, None)
+        assert buf._items[-1] is tail and len(buf._items) == 1
+        assert tail.ts == [1.0, 2.0, 3.0] and tail.payloads[1] == {"p": 2}
+        assert (len(buf), buf.enqueued_count, buf.data_count) == (3, 3, 3)
+
     @pytest.mark.parametrize("touch", [
-        lambda b: b.peek(), lambda b: b.pop(), lambda b: b.drain_batch(1),
-        lambda b: b.drain_block(1), lambda b: b.snapshot_state(),
+        lambda b: b.pop(), lambda b: b.push(punct(3.0)),
+        lambda b: b.drain_block(1), lambda b: b.drain_block(64),
+        lambda b: b.snapshot_state(),
         lambda b: b.restore_state(b.snapshot_state()), lambda b: b.clear(),
         lambda b: b.push_block(ColumnarBlock.from_tuples([data(5.0)])),
     ])
@@ -504,8 +523,8 @@ class TestOpenTailBlock:
 
 #: (verb, timestamp step, latent when 0, buffer, limit, max_ts); every op
 #: carries every field and reads the ones its verb needs.
-_VERBS = (["row"] * 7 + ["drain_block"] * 3 + ["drain_batch", "punct", "peek",
-          "pop", "head_run", "gate_ts", "snapshot", "restore", "clear"])
+_VERBS = (["row"] * 6 + ["drain_block"] * 4 + ["push", "punct", "pop",
+          "head_run", "gate_ts", "snapshot", "restore", "clear"])
 _ops = st.lists(st.tuples(
     st.sampled_from(_VERBS), st.integers(-2, 3), st.integers(0, 4),
     st.integers(0, 1), st.integers(1, 6),
@@ -515,12 +534,12 @@ _ops = st.lists(st.tuples(
 class _Side:
     """One side of the comparison: ``fanout`` buffers on one registry."""
 
-    def __init__(self, fanout, enforce_order):
+    def __init__(self, cls, fanout, enforce_order):
         self.registry = BufferRegistry()
         self.fired = [0] * fanout
         self.buffers = []
         for i in range(fanout):
-            buf = StreamBuffer(f"s->c{i}", self.registry,
+            buf = cls(f"s->c{i}", self.registry,
                                enforce_order=enforce_order,
                                consumer_name=f"c{i}", consumer_port=i)
             buf.on_change = lambda i=i: self.fired.__setitem__(
@@ -551,13 +570,15 @@ def _outcome(call):
 def test_row_append_is_indistinguishable_from_tuple_push(ops, fanout,
                                                          enforce_order):
     """Random interleavings of every buffer entrance: buffers fed through
-    ``append_row`` and model buffers fed the equivalent ``push(DataTuple)``
-    show the same elements (payload identity, ``seq``), counters, register,
-    registry readings, ``on_change`` firings and order violations — latent
-    rows, an unordered arc and a two-output source included.  A drained
-    block may be shorter than the model's run (blocks are never merged), so
-    the model is asked for as many rows as the block path gave."""
-    real, model = _Side(fanout, enforce_order), _Side(fanout, enforce_order)
+    ``append_row`` and ``push`` and :class:`ReferenceBuffer` models fed the
+    equivalent ``push(DataTuple)`` show the same elements (payload
+    identity, ``seq``), counters, register, registry readings,
+    ``on_change`` firings and order violations — latent rows, an unordered
+    arc and a two-output source included.  A drained block may be shorter
+    than the model's run (a drain never crosses a block boundary), so the
+    model is asked for as many rows as the block path gave."""
+    real = _Side(StreamBuffer, fanout, enforce_order)
+    model = _Side(ReferenceBuffer, fanout, enforce_order)
     handed_out = []  # (block, its rows when it left): must never change
     saved = {}  # buffer index -> (real, model) snapshots to restore later
     clock = 0
@@ -567,12 +588,14 @@ def test_row_append_is_indistinguishable_from_tuple_push(ops, fanout,
         a, b = real.buffers[which], model.buffers[which]
         if max_ts is not None:
             max_ts = float(max_ts)
-        if verb in ("row", "punct"):
+        if verb in ("row", "push", "punct"):
             clock = max(0, clock + step)
-        if verb == "row":
+        if verb in ("row", "push"):
             ts = float(clock) if latent else LATENT_TS
             payload = {"seq": seq}
-            got = [_outcome(lambda: _append(x, ts, seq, payload))
+            got = [_outcome(lambda: _append(x, ts, seq, payload)
+                            if verb == "row"
+                            else x.push(_pushed(ts, seq, payload)))
                    for x in real.buffers]
             want = [_outcome(lambda: x.push(_pushed(ts, seq, payload)))
                     for x in model.buffers]
@@ -588,9 +611,6 @@ def test_row_append_is_indistinguishable_from_tuple_push(ops, fanout,
                 got = block.to_tuples()
                 handed_out.append((block, got))
                 want = b.drain_block(len(got), max_ts).to_tuples()
-        elif verb == "drain_batch":
-            got, want = (a.drain_batch(limit, max_ts),
-                         b.drain_batch(limit, max_ts))
         elif verb == "snapshot":
             got, want = saved[which] = (a.snapshot_state(),
                                         b.snapshot_state())
@@ -602,7 +622,7 @@ def test_row_append_is_indistinguishable_from_tuple_push(ops, fanout,
         elif verb == "pop" and not a:
             continue
         else:
-            call = {"peek": lambda x: x.peek(), "pop": lambda x: x.pop(),
+            call = {"pop": lambda x: x.pop(),
                     "head_run": lambda x: x.head_run(limit),
                     "clear": lambda x: x.clear(),
                     "gate_ts": lambda x: x.gate_ts()}[verb]

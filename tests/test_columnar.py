@@ -679,25 +679,6 @@ class TestMergeRunJoin:
                              punctuate=punctuate)
             assert got == reference, f"batch_size={size}"
 
-    def test_plan_runs_never_explode_a_join_input(self, monkeypatch):
-        """Reorder pushes blocks; ``more()`` used to peek them back into
-        scalar tuples before ``execute_block`` ran.  No join input is ever
-        exploded now — rows leave a block exactly once, when drained."""
-        exploded: list[str] = []
-        original = StreamBuffer._explode_head
-
-        def spy(buf):
-            exploded.append(buf.name)
-            original(buf)
-
-        monkeypatch.setattr(StreamBuffer, "_explode_head", spy)
-        graph = stateful_plan_build()
-        pushed = _count_calls(graph["join"].inputs[0], "push_block")
-        engine = _drive_engine(graph, make_ooo_feeds(300))
-        assert engine.stats.block_fallbacks == 0
-        assert pushed[0] > 0  # the reorder did hand the join blocks
-        assert [name for name in exploded if name.endswith("->join")] == []
-
     def test_alternating_feed_moves_a_handful_of_containers(self):
         """Structural regression guard (counts, not time): on a strictly
         alternating two-input feed every one-sided run is one row long, so
@@ -707,8 +688,7 @@ class TestMergeRunJoin:
         graph = join_build()
         join = graph["join"]
         pushes = _count_calls(join.outputs[0], "push_block")
-        drains = [_count_calls(buf, name) for buf in join.inputs
-                  for name in ("drain_block", "drain_batch")]
+        drains = [_count_calls(buf, "drain_block") for buf in join.inputs]
         per_call = []
         execute_block = join.execute_block
 

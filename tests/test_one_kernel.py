@@ -8,6 +8,9 @@ is real:
   brings back the fallback plumbing), ``ExecutionEngine`` has one step
   method, and every concrete operator class has a tests-side reference
   model in ``reference_ops.py``.
+* **One representation** — every arc holds column runs and punctuation,
+  nothing else, through every mutation of tie-heavy unions, a reorder
+  passing latent rows, an aggregate, a join and an ``on_output`` sink.
 * **The two former fallbacks** — the strict (Fig.-1) join and the
   ``late="error"`` reorder — match their reference models at widths 1
   and 64, the reorder down to the tuple it raises at and the rows it
@@ -23,6 +26,7 @@ import ast
 import inspect
 import random
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -33,11 +37,14 @@ from reference_ops import (REFERENCE_STEPS, concrete_operator_classes,
                            forced_scalar_fallback, reference_run)
 
 from repro.core.buffers import StreamBuffer
+from repro.core.columnar import ColumnarBlock
 from repro.core.errors import TimestampError
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
-from repro.core.operators import Reorder, Union, WindowJoin
+from repro.core.operators import (Reorder, TumblingAggregate, Union,
+                                  WindowJoin)
 from repro.core.operators import union as union_module
+from repro.core.operators.aggregate import AggSpec, Count
 from repro.core.operators.base import OpContext
 from repro.core.scheduling import RoundRobinEngine
 from repro.core.tuples import LATENT_TS, DataTuple, Punctuation, TimestampKind
@@ -103,11 +110,11 @@ def test_every_operator_has_a_reference_model():
 # The two former fallbacks, against their models at widths 1 and 64
 
 
-def strict_join_build() -> QueryGraph:
-    g = QueryGraph("strict-join")
+def join_build(strict: bool) -> QueryGraph:
+    g = QueryGraph("join")
     left, right = g.add_source("a"), g.add_source("b")
     join = g.add(WindowJoin("join", WindowSpec.time(3.0), key="k",
-                            strict=True))
+                            strict=strict))
     sink = g.add_sink("out")
     g.connect(left, join)
     g.connect(right, join)
@@ -131,7 +138,8 @@ def tied_feeds(n: int = 120, seed: int = 3) -> list[Feed]:
 
 @pytest.mark.parametrize("width", [1, 64])
 def test_strict_join_matches_its_reference_model(width):
-    oracle = DifferentialOracle(strict_join_build, tied_feeds(), chunk=8)
+    oracle = DifferentialOracle(partial(join_build, strict=True),
+                                tied_feeds(), chunk=8)
     with forced_scalar_fallback():
         reference = oracle.run(batch_size=width)
     assert reference, "the comparison is not vacuous"
@@ -229,10 +237,10 @@ def test_error_reorder_raises_at_the_same_tuple(width):
 # A planted defect is caught at width 1 and at width 64
 
 
-def strict_union_build() -> QueryGraph:
-    g = QueryGraph("strict-union")
+def union_build(strict: bool) -> QueryGraph:
+    g = QueryGraph("union")
     left, right = g.add_source("a"), g.add_source("b")
-    union = g.add(Union("union", strict=True))
+    union = g.add(Union("union", strict=strict))
     sink = g.add_sink("out")
     g.connect(left, union)
     g.connect(right, union)
@@ -253,7 +261,8 @@ def flipped_tie_break():
 
 @pytest.mark.parametrize("width", [1, 64])
 def test_reference_differential_catches_a_planted_defect(width, monkeypatch):
-    oracle = DifferentialOracle(strict_union_build, tied_feeds(), chunk=8)
+    oracle = DifferentialOracle(partial(union_build, strict=True),
+                                tied_feeds(), chunk=8)
     with forced_scalar_fallback():
         reference = oracle.run(batch_size=width)
     assert oracle.run(batch_size=width) == reference  # the sound kernel
@@ -261,3 +270,76 @@ def test_reference_differential_catches_a_planted_defect(width, monkeypatch):
     broken = oracle.run(batch_size=width)
     assert sorted(map(repr, broken)) == sorted(map(repr, reference))
     assert broken != reference  # same rows, tie order flipped: caught
+
+
+# --------------------------------------------------------------------- #
+# One row representation on every arc
+
+
+def _latent_reorder_build() -> QueryGraph:
+    """Source ``b`` is latent: the union forwards its rows unstamped, and
+    the reorder passes them through between its releases."""
+    g = QueryGraph("latent-reorder")
+    stamped = g.add_source("a")
+    latent = g.add_source("b", TimestampKind.LATENT)
+    union = g.add(Union("union"))
+    reorder = g.add(Reorder("reorder", 0.5))
+    g.connect(stamped, union)
+    g.connect(latent, union)
+    g.connect(union, reorder)
+    g.connect(reorder, g.add_sink("out"))
+    return g
+
+
+def _aggregate_build() -> QueryGraph:
+    g = QueryGraph("aggregate")
+    src = g.add_source("a")
+    agg = g.add(TumblingAggregate("agg", 1.0, {"n": AggSpec(Count)},
+                                  group_by="src"))
+    g.connect(src, agg)
+    g.connect(agg, g.add_sink("out"))
+    return g
+
+
+def _aggregate_feeds() -> list[Feed]:
+    return [Feed("a", feed.time, feed.payload) for feed in tied_feeds()]
+
+
+@pytest.mark.parametrize("build, feeds", [
+    (partial(union_build, strict=True), tied_feeds),
+    (partial(union_build, strict=False), tied_feeds),
+    (_latent_reorder_build, tied_feeds),
+    (_aggregate_build, _aggregate_feeds),
+    (partial(join_build, strict=False), tied_feeds),
+], ids=["strict-union", "relaxed-union", "latent-reorder", "aggregate",
+        "join"])
+@pytest.mark.parametrize("width", [1, 64])
+def test_every_buffer_entry_is_a_block_or_punctuation(build, feeds, width,
+                                                      monkeypatch):
+    """After every mutation of every arc, each deque entry is a
+    :class:`ColumnarBlock` or a :class:`Punctuation` (the oracle gives each
+    sink an ``on_output`` hook).  The one-row paths — union ties, latent
+    rows — leave one-row blocks, never tuples."""
+    seen: set[type] = set()
+    strays: list[str] = []
+    notify = StreamBuffer._notify_change
+
+    def checked(buf):
+        for entry in buf._items:
+            seen.add(type(entry))
+            if not isinstance(entry, (ColumnarBlock, Punctuation)):
+                strays.append(f"{buf.name}: {entry!r}")
+        notify(buf)
+
+    monkeypatch.setattr(StreamBuffer, "_notify_change", checked)
+    oracle = DifferentialOracle(build, feeds(), chunk=8, punctuate_every=3)
+    assert oracle.run(batch_size=width, punctuate=True), "not vacuous"
+    assert strays == []
+    assert {ColumnarBlock, Punctuation} <= seen
+
+
+def test_buffers_keep_no_scalar_data_path():
+    """The tuple-at-a-time transport is gone: no explode, no gathering
+    drain, no peek that writes the register."""
+    for name in ("drain_batch", "_explode_head", "peek"):
+        assert not hasattr(StreamBuffer, name), name

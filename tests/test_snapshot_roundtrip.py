@@ -12,34 +12,46 @@ structurally rather than by IEEE equality).
 
 from __future__ import annotations
 
+import ast
 import heapq
 import math
 import pickle
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import OpHarness, data, probed, punct
+from conftest import ManualClock, OpHarness, data, probed, punct
+from reference_ops import ReferenceBuffer
 
 from repro.core.buffers import BufferRegistry, StreamBuffer, TSMRegister
+from repro.core.columnar import ColumnarBlock
+from repro.core.errors import ReproError
 from repro.core.ets import (
     AdaptiveHeartbeatSchedule,
+    EtsPolicy,
     NoEts,
     OnDemandEts,
     PeriodicEtsSchedule,
 )
+from repro.core.execution import EngineStats, ExecutionEngine
+from repro.core.graph import QueryGraph
 from repro.core.operators import (
     AggSpec,
     Count,
     Reorder,
     Shed,
     SinkNode,
+    SourceNode,
     Sum,
     TumblingAggregate,
     Union,
     WindowJoin,
 )
-from repro.core.tuples import DataTuple
+from repro.core.tuples import LATENT_TS, DataTuple, Punctuation
 from repro.core.windows import CountWindow, TimeWindow, WindowSpec
+from repro.feedback.controller import FeedbackController
+from repro.feedback.throttle import TokenBucketThrottle
 
 
 def same(a: dict, b: dict) -> bool:
@@ -456,3 +468,100 @@ def test_version1_reorder_heap_snapshot_restores_and_releases():
     h.run()
     assert [t.payload["seq"] for t in h.output_data()] == [44, "new"]
     assert op.pending == 0
+
+
+def test_parent_format_stream_buffer_snapshot_restores():
+    """A version-1 ``StreamBuffer`` snapshot as buffers wrote it when they
+    could hold scalar data tuples: rows interleaved with punctuation, a
+    latent row among them.  Each run of rows restores as one block, and
+    the buffer reads, drains and re-snapshots like the list model of the
+    same state."""
+    rows = [DataTuple(ts=ts, seq=40 + i, payload={"i": i}, arrival_ts=0.5)
+            for i, ts in enumerate([1.0, 2.0, 3.0, LATENT_TS, 4.0, 7.0])]
+    items = [rows[0], rows[1], punct(2.5), rows[2], rows[3], rows[4],
+             punct(6.0), rows[5]]
+    state = {"version": 1, "items": items,
+             "register": {"version": 1, "value": 0.5},
+             "last_pushed_ts": 7.0, "enqueued": 12, "dequeued": 4,
+             "punctuation_enqueued": 3, "data_live": 6}
+    registry = BufferRegistry()
+    buf, model = StreamBuffer("a", registry), ReferenceBuffer("a")
+    buf.restore_state(state)
+    model.restore_state(state)
+    assert [type(e) for e in buf._items] == [
+        ColumnarBlock, Punctuation, ColumnarBlock, Punctuation, ColumnarBlock]
+    assert len(buf) == len(items) == registry.total
+    assert (buf.enqueued_count, buf.dequeued_count, buf.punctuation_count,
+            buf.data_count, buf.last_pushed_ts, buf.register.value) == (
+        12, 4, 3, 6, 7.0, 0.5)
+    assert buf.head_run(64) == model.head_run(64) == ([1.0, 2.0], 2.5)
+    assert same(buf.snapshot_state(), state)
+    fresh = StreamBuffer("a")
+    fresh.restore_state(buf.snapshot_state())
+    assert same(fresh.snapshot_state(), state)
+    drained = []
+    while buf:
+        if buf.head_is_punctuation():
+            assert buf.pop() == model.pop()
+        else:
+            got = buf.drain_block(64).to_tuples()
+            assert got == model.drain_block(len(got)).to_tuples()
+            drained += got
+        assert (len(buf), buf.register.value, buf.head_run(64)) == (
+            len(model), model.register.value, model.head_run(64))
+    assert drained == [row for row in items if not row.is_punctuation]
+    assert buf.dequeued_count == 4 + len(items) and registry.total == 0
+
+
+def _restorable_classes() -> set[str]:
+    """Names of the classes under ``src/repro`` that define
+    ``restore_state`` themselves."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    return {node.name for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef)
+                    and item.name == "restore_state" for item in node.body)}
+
+
+def _engine() -> ExecutionEngine:
+    g = QueryGraph("g")
+    g.connect(g.add_source("a"), g.add_sink("out"))
+    return ExecutionEngine(g, ManualClock())
+
+
+#: One fresh instance per class that defines ``restore_state``.
+RESTORABLE = {
+    "TSMRegister": TSMRegister,
+    "StreamBuffer": lambda: StreamBuffer("b"),
+    "EtsPolicy": EtsPolicy,
+    "OnDemandEts": OnDemandEts,
+    "PeriodicEtsSchedule": lambda: PeriodicEtsSchedule({"a": 2.0}),
+    "AdaptiveHeartbeatSchedule": lambda: AdaptiveHeartbeatSchedule(
+        {"a": "b"}),
+    "EngineStats": EngineStats,
+    "ExecutionEngine": _engine,
+    "TumblingAggregate": lambda: TumblingAggregate(
+        "agg", 1.0, {"n": AggSpec(Count)}),
+    "WindowJoin": lambda: WindowJoin("j", WindowSpec.time(1.0)),
+    "Reorder": lambda: Reorder("r", 1.0),
+    "Shed": lambda: Shed("s", 0.5),
+    "SinkNode": lambda: SinkNode("k"),
+    "SourceNode": lambda: SourceNode("s"),
+    "Union": lambda: Union("u"),
+    "_ColumnWindow": lambda: TimeWindow(1.0),
+    "FeedbackController": FeedbackController,
+    "TokenBucketThrottle": lambda: TokenBucketThrottle(10.0),
+}
+
+
+def test_every_restorable_class_is_listed():
+    assert set(RESTORABLE) == _restorable_classes()
+
+
+@pytest.mark.parametrize("name", sorted(RESTORABLE))
+def test_unknown_snapshot_version_is_a_repro_error(name):
+    """An unknown version raises a :class:`ReproError` subclass — what the
+    CLI reports as one ``error:`` line — never a bare built-in error."""
+    with pytest.raises(ReproError, match="unsupported"):
+        RESTORABLE[name]().restore_state({"version": 99})

@@ -27,7 +27,7 @@ class TestInternalSource:
         src, buf = make_source()
         assert src.ingest({"v": 1}, now=3.25) == 3.25
         assert len(buf) == 1
-        head = buf.peek()
+        head = next(iter(buf))
         assert head.ts == 3.25 and head.arrival_ts == 3.25
         assert head.payload == {"v": 1}
         assert head.kind is TimestampKind.INTERNAL
@@ -41,7 +41,7 @@ class TestInternalSource:
         """A tuple delivered late (busy engine) keeps its physical arrival."""
         src, buf = make_source()
         assert src.ingest({"v": 1}, now=5.0, arrival=4.2) == 5.0
-        head = buf.peek()
+        head = next(iter(buf))
         assert head.ts == 5.0 and head.arrival_ts == 4.2
 
     def test_watermark_tracks_data(self):
@@ -61,7 +61,7 @@ class TestExternalSource:
     def test_keeps_app_timestamp(self):
         src, buf = make_source(TimestampKind.EXTERNAL)
         assert src.ingest({}, now=5.0, ts=4.0) == 4.0
-        head = buf.peek()
+        head = next(iter(buf))
         assert head.ts == 4.0 and head.arrival_ts == 5.0
         assert head.kind is TimestampKind.EXTERNAL
 
@@ -76,7 +76,7 @@ class TestLatentSource:
     def test_emits_unstamped(self):
         src, buf = make_source(TimestampKind.LATENT)
         assert src.ingest({}, now=5.0) == LATENT_TS
-        head = buf.peek()
+        head = next(iter(buf))
         assert head.ts == LATENT_TS and head.is_latent
         assert head.arrival_ts == 5.0
 
@@ -92,11 +92,10 @@ class TestIngestSeam:
     def test_ingest_builds_no_tuple_and_the_drain_gathers_none(self):
         """The seam as frames instead of a timing: N ingests enter neither
         ``DataTuple.__init__`` nor ``StreamBuffer.push``, and the drain
-        that follows hands the rows over as they lie — no ``drain_batch``
-        run, no ``from_tuples`` gather, no ``to_tuples`` explosion."""
+        that follows hands the rows over as they lie — no ``from_tuples``
+        gather, no ``to_tuples`` explosion."""
         names = {DataTuple.__init__.__code__: "DataTuple.__init__",
                  StreamBuffer.push.__code__: "StreamBuffer.push",
-                 StreamBuffer.drain_batch.__code__: "StreamBuffer.drain_batch",
                  ColumnarBlock.from_tuples.__func__.__code__: "from_tuples",
                  ColumnarBlock.to_tuples.__code__: "to_tuples"}
         src, buf = make_source()

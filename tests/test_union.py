@@ -325,12 +325,10 @@ class GateMemoMachine(RuleBasedStateMachine):
         if self.buf(i):
             self.buf(i).pop()
 
-    @rule(i=INPUT, limit=LIMIT, bound=st.none() | STEP)
-    def drain_batch(self, i, limit, bound):
-        buf = self.buf(i)
-        head = buf.head_ts()
-        buf.drain_batch(limit, None if bound is None or head is None
-                        else head + bound)
+    @rule(i=INPUT)
+    def drain_one_row(self, i):
+        """The union's tie and latent path: one row off the head block."""
+        self.buf(i).drain_block(1)
 
     @rule(i=INPUT, limit=LIMIT, bound=st.none() | STEP)
     def drain_block(self, i, limit, bound):
