@@ -81,7 +81,9 @@ class BufferRegistry:
     The paper's memory metric is "peak total buffer size, in terms of total
     number of tuples in the buffers" — this registry maintains exactly that,
     incrementally.  It can also invoke an observer on every change so that
-    metrics collectors can record occupancy-over-time series.
+    metrics collectors can record occupancy-over-time series.  The counters
+    are advanced by the buffers themselves, in the one accounting step each
+    mutation ends with (:meth:`StreamBuffer._account`).
     """
 
     def __init__(self) -> None:
@@ -151,16 +153,6 @@ class BufferRegistry:
     def peak_since_mark(self) -> int:
         """Largest total observed since the last :meth:`mark` (or ever)."""
         return self._interval_peak
-
-    def _delta(self, amount: int) -> None:
-        self._mutations += 1
-        self._total += amount
-        if self._total > self._peak:
-            self._peak = self._total
-        if self._total > self._interval_peak:
-            self._interval_peak = self._total
-        for observer in self._observers:
-            observer(self._total)
 
 
 class StreamBuffer:
@@ -277,22 +269,35 @@ class StreamBuffer:
         """Timestamp of the most recently pushed element (or LATENT_TS)."""
         return self._last_pushed_ts
 
-    def _notify_change(self) -> None:
-        """Invoke the on_change hook, isolating any exception it raises.
+    def _account(self, amount: int) -> None:
+        """The one accounting step every mutation ends with.
 
-        The mutation that triggered the notification has already completed;
-        letting a hook exception unwind here would leave callers believing
-        the mutation failed (and, for IWP consumers, leave the cached
-        gate-min stale because later — successful — notifications would be
-        skipped).  Errors are counted and remembered instead.
+        When the element count moved by ``amount`` the registry goes first:
+        mutation stamp, total, peak, interval peak, then its observers with
+        the new total.  Then the :attr:`on_change` hook runs, its exceptions
+        isolated: the mutation has already completed, and letting a hook
+        exception unwind here would leave callers believing it failed (and,
+        for IWP consumers, leave the cached gate-min stale because later —
+        successful — notifications would be skipped).  Errors are counted
+        and remembered instead.
         """
-        if self.on_change is None:
-            return
-        try:
-            self.on_change()
-        except Exception as exc:
-            self.hook_errors += 1
-            self.last_hook_error = exc
+        registry = self._registry
+        if registry is not None and amount:
+            registry._mutations += 1
+            total = registry._total = registry._total + amount
+            if total > registry._peak:
+                registry._peak = total
+            if total > registry._interval_peak:
+                registry._interval_peak = total
+            for observer in registry._observers:
+                observer(total)
+        hook = self.on_change
+        if hook is not None:
+            try:
+                hook()
+            except Exception as exc:
+                self.hook_errors += 1
+                self.last_hook_error = exc
 
     def state_floor(self) -> float:
         """Smallest timestamp held (see :meth:`Operator.state_floor`): the
@@ -347,9 +352,7 @@ class StreamBuffer:
         self._dequeued = state["dequeued"]
         self._punctuation_enqueued = state["punctuation_enqueued"]
         self._data_live = state["data_live"]
-        if self._registry is not None and delta:
-            self._registry._delta(delta)
-        self._notify_change()
+        self._account(delta)
 
     # ------------------------------------------------------------------ #
     # Production / consumption
@@ -378,37 +381,34 @@ class StreamBuffer:
                             element.arrival_ts, element.payload)
             return
         ts = element.ts
-        if ts != LATENT_TS:
-            if self._enforce_order and self._last_pushed_ts != LATENT_TS \
-                    and ts < self._last_pushed_ts:
-                raise self._order_violation(ts, self._last_pushed_ts)
-            if ts > self._last_pushed_ts:
-                self._last_pushed_ts = ts
+        last = self._last_pushed_ts
+        if ts > last:
+            self._last_pushed_ts = ts
+        elif ts < last and ts != LATENT_TS and self._enforce_order:
+            raise self._order_violation(ts, last)
         self._tail = None
         self._items.append(element)
         self._len += 1
         self._enqueued += 1
         self._punctuation_enqueued += 1
-        if self._registry is not None:
-            self._registry._delta(1)
-        self._notify_change()
+        self._account(1)
 
     def append_row(self, ts: float, seq: int, kind: TimestampKind,
                    arrival: float, payload) -> None:
         """Append one data row at the tail without building a tuple.
 
         The one row-at-a-time data entrance (:meth:`SourceNode.ingest`,
-        :meth:`push` of a data tuple): order check, counters, registry
-        delta and ``on_change``, then the five fields extend the columns of
-        the open tail block (a fresh one when the tail is closed), so the
-        first :meth:`drain_block` hands the rows over as they lie.
+        :meth:`push` of a data tuple): the order check — one comparison
+        when the stamp advances — then the five fields extend the columns
+        of the open tail block (a fresh one when the tail is closed), so
+        the first :meth:`drain_block` hands the rows over as they lie; the
+        counters and the one :meth:`_account` step close it.
         """
-        if ts != LATENT_TS:
-            if self._enforce_order and self._last_pushed_ts != LATENT_TS \
-                    and ts < self._last_pushed_ts:
-                raise self._order_violation(ts, self._last_pushed_ts)
-            if ts > self._last_pushed_ts:
-                self._last_pushed_ts = ts
+        last = self._last_pushed_ts
+        if ts > last:
+            self._last_pushed_ts = ts
+        elif ts < last and ts != LATENT_TS and self._enforce_order:
+            raise self._order_violation(ts, last)
         tail = self._tail
         if tail is None:
             tail = self._tail = ColumnarBlock([], [], [], [], [])
@@ -421,9 +421,7 @@ class StreamBuffer:
         self._len += 1
         self._enqueued += 1
         self._data_live += 1
-        if self._registry is not None:
-            self._registry._delta(1)
-        self._notify_change()
+        self._account(1)
 
     # ------------------------------------------------------------------ #
     # Columnar block transport
@@ -456,9 +454,7 @@ class StreamBuffer:
         self._len += n
         self._enqueued += n
         self._data_live += n
-        if self._registry is not None:
-            self._registry._delta(n)
-        self._notify_change()
+        self._account(n)
 
     def drain_block(self, limit: int,
                     max_ts: float | None = None) -> ColumnarBlock | None:
@@ -532,9 +528,7 @@ class StreamBuffer:
         self._len -= n
         self._dequeued += n
         self._data_live -= n
-        if self._registry is not None:
-            self._registry._delta(-n)
-        self._notify_change()
+        self._account(-n)
 
     def _run_max(self, block: ColumnarBlock) -> float:
         """The register value a pop-by-pop consumption of ``block`` leaves:
@@ -559,20 +553,17 @@ class StreamBuffer:
         self.register.update(head.ts)
         self._len -= 1
         self._dequeued += 1
-        if self._registry is not None:
-            self._registry._delta(-1)
-        self._notify_change()
+        self._account(-1)
         return head
 
     def clear(self) -> None:
         """Discard all buffered elements (registry count is kept consistent)."""
-        if self._registry is not None and self._len:
-            self._registry._delta(-self._len)
+        gone = self._len
         self._items.clear()
         self._tail = None
         self._len = 0
         self._data_live = 0
-        self._notify_change()
+        self._account(-gone)
 
     # ------------------------------------------------------------------ #
     # Timestamp gating helpers

@@ -64,18 +64,19 @@ class Project(StatelessOperator):
         Timestamps, sequence numbers and arrival times are shared with the
         input block untouched — projection never moves a row, so none of the
         per-tuple ``dataclasses.replace`` churn of :meth:`apply` happens.
-        Schema errors carry the same messages as :meth:`apply`.
+        When every live payload is an exact ``dict`` the column is built by
+        one comprehension; otherwise, or when a field is missing, row by row
+        through :meth:`_project`, so a schema error carries the same message
+        and names the same row as :meth:`apply`.
         """
         fields = self.fields
-        project = self._project
-        new_payloads: list[Any] = []
-        append = new_payloads.append
-        for payload in block.iter_payloads():
-            if type(payload) is dict:
-                try:
-                    append({f: payload[f] for f in fields})
-                    continue
-                except KeyError:
-                    pass
-            append(project(payload))
-        return block.with_payloads(new_payloads)
+        payloads = block.payloads
+        if block.selection is not None:
+            payloads = [payloads[i] for i in block.selection]
+        if set(map(type, payloads)) == {dict}:
+            try:
+                return block.with_payloads(
+                    [{f: p[f] for f in fields} for p in payloads])
+            except KeyError:
+                pass
+        return block.with_payloads([self._project(p) for p in payloads])

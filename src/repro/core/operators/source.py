@@ -28,6 +28,12 @@ from .base import Operator
 
 __all__ = ["SourceNode"]
 
+#: The stamping modes as module constants: the per-row and per-ETS paths
+#: compare against these instead of loading an Enum member each time.
+_EXTERNAL = TimestampKind.EXTERNAL
+_INTERNAL = TimestampKind.INTERNAL
+_LATENT = TimestampKind.LATENT
+
 
 class SourceNode(Operator):
     """Entry point of a stream into the query graph.
@@ -113,6 +119,16 @@ class SourceNode(Operator):
                 registry.notify_violation(**fields)
                 return
 
+    def _invalid_ts(self, ts: float, what: str) -> TimestampError:
+        """Build (and pre-announce) the error for a NaN stamp: it compares
+        neither below nor above anything, so downstream no TSM gate could
+        ever open past it."""
+        fields = dict(operator=self.name, port=0, offending_ts=ts,
+                      kind="invalid-ts")
+        self._notify_violation(**fields)
+        return TimestampError(
+            f"source {self.name!r}: {what} {ts}, not a timestamp", **fields)
+
     # ------------------------------------------------------------------ #
     # Wrapper-facing API
 
@@ -157,7 +173,7 @@ class SourceNode(Operator):
                     f"({exc})", **fields,
                 ) from exc
         kind = self.timestamp_kind
-        if kind is TimestampKind.EXTERNAL:
+        if kind is _EXTERNAL:
             if ts is None:
                 raise TimestampError(
                     f"source {self.name!r} is externally timestamped; "
@@ -165,6 +181,8 @@ class SourceNode(Operator):
                     operator=self.name, port=0, kind="missing-ts",
                 )
             stamped_ts = float(ts)
+            if stamped_ts != stamped_ts:
+                raise self._invalid_ts(stamped_ts, "ingest() got ts")
             if not self.out_of_order:
                 # The stream frontier a new timestamp must not regress
                 # below: the last data tuple, and — when a quarantine policy
@@ -191,7 +209,7 @@ class SourceNode(Operator):
                             f"be non-decreasing ({stamped_ts} after {floor})",
                             **fields,
                         )
-        elif kind is TimestampKind.INTERNAL:
+        elif kind is _INTERNAL:
             if ts is not None:
                 raise TimestampError(
                     f"source {self.name!r} is internally timestamped; "
@@ -230,10 +248,12 @@ class SourceNode(Operator):
         ordered-stream invariant downstream and could not unblock anything
         the previous watermark did not already unblock.
         """
-        if self.timestamp_kind is TimestampKind.LATENT:
+        if self.timestamp_kind is _LATENT:
             return False
         if self.watermark != LATENT_TS and ts <= self.watermark:
             return False
+        if ts != ts:
+            raise self._invalid_ts(ts, "inject_punctuation() got")
         punct = Punctuation(ts=ts, origin=origin or self.name, periodic=periodic)
         self.emit(punct)
         self.watermark = ts

@@ -45,6 +45,10 @@ __all__ = ["shard_frontier", "FrontierTracker", "FrontierMerge",
 #: One merged output record: (timestamp, shard, sequence, sink, payload).
 MergedRecord = tuple[float, int, int, str, Any]
 
+#: Compared per source on every frontier read, so a module constant rather
+#: than an Enum member load.
+_INTERNAL = TimestampKind.INTERNAL
+
 
 def shard_frontier(graph, clock, *, disorder_bound: float = 0.0) -> float:
     """The shard's emit-frontier over ``graph`` at the current instant.
@@ -56,7 +60,7 @@ def shard_frontier(graph, clock, *, disorder_bound: float = 0.0) -> float:
     """
     frontier = math.inf
     for source in graph.sources():
-        if source.timestamp_kind is TimestampKind.INTERNAL:
+        if source.timestamp_kind is _INTERNAL:
             # Future internal tuples are stamped with the clock at ingest,
             # which only moves forward; punctuation may be ahead of it.
             horizon = max(clock.now(), source.watermark)

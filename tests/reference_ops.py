@@ -379,13 +379,23 @@ class ReferenceBuffer:
         return iter(self.items)
 
     def _changed(self, delta: int) -> None:
-        if self.registry is not None and delta:
-            self.registry._delta(delta)
+        """The registry rule written out — when the count moved: stamp,
+        total, peak, interval peak, then the observers with the new
+        total — and then ``on_change``."""
+        reg = self.registry
+        if reg is not None and delta:
+            reg._mutations += 1
+            reg._total += delta
+            reg._peak = max(reg._peak, reg._total)
+            reg._interval_peak = max(reg._interval_peak, reg._total)
+            for observer in reg._observers:
+                observer(reg._total)
         if self.on_change is not None:
             self.on_change()
 
-    def push(self, element) -> None:
-        ts, last = element.ts, self.last_pushed_ts
+    def _admit(self, ts: float) -> None:
+        """The order check for an element stamped ``ts``."""
+        last = self.last_pushed_ts
         if ts != LATENT_TS:
             if self.enforce_order and last != LATENT_TS and ts < last:
                 fields = dict(operator=self.consumer_name or self.name,
@@ -398,6 +408,9 @@ class ReferenceBuffer:
                     f"buffer {self.name!r}: out-of-order push "
                     f"({ts} after {last})", **fields)
             self.last_pushed_ts = max(ts, last)
+
+    def push(self, element) -> None:
+        self._admit(element.ts)
         self.items.append(element)
         self.enqueued_count += 1
         if element.is_punctuation:
@@ -405,6 +418,20 @@ class ReferenceBuffer:
         else:
             self.data_count += 1
         self._changed(1)
+
+    def push_block(self, block) -> None:
+        """A block's rows as one mutation: each admitted in order (only the
+        first stamped one can fail on an ordered block), one registry
+        delta, one ``on_change``; an empty block is no mutation."""
+        rows = block.to_tuples()
+        if not rows:
+            return
+        for row in rows:
+            self._admit(row.ts)
+        self.items.extend(rows)
+        self.enqueued_count += len(rows)
+        self.data_count += len(rows)
+        self._changed(len(rows))
 
     def pop(self):
         if not self.items:

@@ -322,16 +322,16 @@ def test_every_buffer_entry_is_a_block_or_punctuation(build, feeds, width,
     rows — leave one-row blocks, never tuples."""
     seen: set[type] = set()
     strays: list[str] = []
-    notify = StreamBuffer._notify_change
+    account = StreamBuffer._account
 
-    def checked(buf):
+    def checked(buf, amount):
         for entry in buf._items:
             seen.add(type(entry))
             if not isinstance(entry, (ColumnarBlock, Punctuation)):
                 strays.append(f"{buf.name}: {entry!r}")
-        notify(buf)
+        account(buf, amount)
 
-    monkeypatch.setattr(StreamBuffer, "_notify_change", checked)
+    monkeypatch.setattr(StreamBuffer, "_account", checked)
     oracle = DifferentialOracle(build, feeds(), chunk=8, punctuate_every=3)
     assert oracle.run(batch_size=width, punctuate=True), "not vacuous"
     assert strays == []

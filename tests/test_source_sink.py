@@ -1,16 +1,23 @@
 """Tests for source and sink nodes: timestamping, latency, punctuation."""
 
+import ast
+import inspect
 import math
 import sys
+import textwrap
+from collections import Counter
 
 import pytest
 
-from repro.core.buffers import StreamBuffer
+from repro.core.buffers import BufferRegistry, StreamBuffer
 from repro.core.columnar import ColumnarBlock
 from repro.core.errors import TimestampError
-from repro.core.operators import SinkNode, SourceNode
+from repro.core.execution import ExecutionEngine
+from repro.core.graph import QueryGraph
+from repro.core.operators import SinkNode, SourceNode, Union
 from repro.core.operators.base import OpContext
 from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
+from repro.shard.frontier import shard_frontier
 
 from conftest import ManualClock, data, punct
 
@@ -135,6 +142,122 @@ class TestIngestSeam:
         head = buf.pop()
         assert head == DataTuple(ts=4.0, seq=head.seq, payload={"v": 1},
                                  kind=TimestampKind.EXTERNAL, arrival_ts=4.5)
+
+
+class TestRowEntrance:
+    """The per-row path as frames and bytecode: one accounting step per
+    buffer mutation, no Enum member loaded per row or per ETS."""
+
+    def test_each_append_is_one_accounting_step(self):
+        """N ingests on a source with two output arcs on one registry enter
+        ``StreamBuffer._account`` exactly 2N times; the only other frames
+        are the entrance itself, ``append_row`` and the constructors of the
+        two open tail blocks."""
+        names = {SourceNode.ingest.__code__: "ingest",
+                 StreamBuffer.append_row.__code__: "append_row",
+                 StreamBuffer._account.__code__: "_account",
+                 ColumnarBlock.__init__.__code__: "ColumnarBlock"}
+        registry = BufferRegistry()
+        src = SourceNode("s")
+        for consumer in "xy":
+            src.attach_output(StreamBuffer(f"s->{consumer}", registry),
+                              consumer=None)
+        entered: Counter = Counter()
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                entered[names.get(code, f"other:{code.co_name}")] += 1
+
+        n = 64
+        sys.setprofile(profiler)
+        try:
+            for i in range(n):
+                src.ingest({"v": i}, now=float(i))
+        finally:
+            sys.setprofile(None)
+        assert entered == {"ingest": n, "append_row": 2 * n,
+                           "_account": 2 * n, "ColumnarBlock": 2}
+        assert registry.total == registry.mutations == 2 * n
+        assert not hasattr(BufferRegistry, "_delta")
+        assert not hasattr(StreamBuffer, "_notify_change")
+
+    @pytest.mark.parametrize("func", [
+        SourceNode.ingest, SourceNode.inject_punctuation,
+        StreamBuffer.append_row, shard_frontier,
+    ], ids=lambda func: func.__qualname__)
+    def test_no_enum_member_load(self, func):
+        """Stamping modes are compared against module constants: a
+        ``TimestampKind.<member>`` load costs several times a global."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        loads = [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "TimestampKind"]
+        assert loads == []
+
+
+def external_union():
+    """Two external sources into a union into a sink, on one engine."""
+    graph = QueryGraph("nan")
+    a = graph.add_source("a", TimestampKind.EXTERNAL)
+    b = graph.add_source("b", TimestampKind.EXTERNAL)
+    union = graph.add(Union("union"))
+    sink = graph.add_sink("out")
+    graph.connect(a, union)
+    graph.connect(b, union)
+    graph.connect(union, sink)
+    engine = ExecutionEngine(graph, ManualClock())
+    return graph, engine, a, b, union, sink
+
+
+class TestInvalidStamp:
+    """A NaN stamp compares neither below nor above anything: admitted at
+    a source, it would keep every IWP gate downstream shut for good.  Both
+    source entrances refuse it with a structured error, announced on the
+    registry's violation hook first, and the union still delivers the
+    clean rows that follow."""
+
+    def assert_rejected(self, graph, call):
+        seen = []
+        graph.registry.on_violation = lambda **fields: seen.append(fields)
+        with pytest.raises(TimestampError) as err:
+            call()
+        fields = err.value.fields
+        assert (fields["kind"], fields["operator"], fields["port"]) == (
+            "invalid-ts", "a", 0)
+        assert math.isnan(fields["offending_ts"])
+        assert seen == [fields]
+        assert graph.registry.mutations == 0
+
+    def assert_clean_run_delivers(self, engine, a, b, union, sink):
+        a.ingest({"v": 1}, now=1.0, ts=1.0)
+        b.ingest({"v": 2}, now=1.0, ts=0.5)
+        assert a.inject_punctuation(5.0) and b.inject_punctuation(5.0)
+        engine.wakeup()
+        assert sink.delivered == 2
+        assert sum(len(buf) for buf in union.inputs) == 0
+
+    def test_ingest_rejects_a_nan_stamp(self):
+        graph, engine, a, b, union, sink = external_union()
+        self.assert_rejected(
+            graph, lambda: a.ingest({"v": 0}, now=0.0, ts=float("nan")))
+        assert a.ingested_count == 0 and a.last_data_ts == LATENT_TS
+        self.assert_clean_run_delivers(engine, a, b, union, sink)
+
+    def test_inject_punctuation_rejects_a_nan_stamp(self):
+        graph, engine, a, b, union, sink = external_union()
+        self.assert_rejected(graph, lambda: a.inject_punctuation(float("nan")))
+        assert a.punctuation_injected == 0 and a.watermark == LATENT_TS
+        self.assert_clean_run_delivers(engine, a, b, union, sink)
+
+    def test_out_of_order_source_rejects_a_nan_stamp(self):
+        src = SourceNode("s", TimestampKind.EXTERNAL, out_of_order=True)
+        buf = StreamBuffer("s->x", enforce_order=False)
+        src.attach_output(buf, consumer=None)
+        with pytest.raises(TimestampError, match="not a timestamp"):
+            src.ingest({}, now=0.0, ts=float("nan"))
+        assert not buf
 
 
 class TestPunctuationInjection:
