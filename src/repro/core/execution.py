@@ -27,6 +27,7 @@ lets the kernel feed arrivals that became due while the engine was busy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
+from types import SimpleNamespace
 from typing import Callable
 
 from ..obs.bus import EventBus, Observer
@@ -38,6 +39,10 @@ from .operators.base import BatchResult, OpContext, Operator
 from .operators.source import SourceNode
 
 __all__ = ["EngineStats", "ExecutionEngine"]
+
+_INF = float("inf")
+#: The pump's due time without a kernel queue: always due.
+_ALWAYS_DUE = SimpleNamespace(due=-_INF)
 
 
 @dataclass(slots=True)
@@ -52,8 +57,7 @@ class EngineStats:
         probes: Window tuples examined across all joins (bucket-sized under
             indexed equality joins, window-sized under scan joins).
         probes_emitted: Examined candidates that passed the join condition
-            and produced an output tuple.  The examined-vs-emitted gap is
-            the wasted probe work a hash index removes.
+            (the gap to ``probes`` is the work a hash index removes).
         ets_offers: Times a stalled source consulted the ETS policy.
         ets_injected: Times the policy actually injected a punctuation.
         busy_time: Simulated CPU seconds consumed by operator steps.
@@ -64,8 +68,8 @@ class EngineStats:
         blocks / block_rows: Kernel calls (one per execution step, a run
             of up to ``batch_size`` elements) and the data rows they
             consumed.
-        block_fallbacks: Always 0: every operator runs its one kernel.
-            Kept because the frozen benchmark reads it.
+        block_fallbacks: Always 0 (every operator runs its one kernel);
+            kept because the frozen benchmark reads it.
     """
 
     rounds: int = 0
@@ -88,11 +92,8 @@ class EngineStats:
     per_operator_steps: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
-        """Every counter under its canonical ``snake_case`` name.
-
-        This is the one serialized shape the metrics registry, the
-        exporters, and the report helpers consume.
-        """
+        """Every counter under its canonical ``snake_case`` name: the one
+        shape the metrics registry, exporters and reports consume."""
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
     def snapshot_state(self) -> dict:
@@ -103,12 +104,9 @@ class EngineStats:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`.
-
-        Keys this version no longer has (the per-operator fallback
-        attribution, the heartbeat-ladder counters) are ignored, so older
-        version-1 checkpoints restore without a version bump.
-        """
+        """Restore a snapshot produced by :meth:`snapshot_state`; keys this
+        version no longer has (per-operator fallbacks, heartbeat-ladder
+        counters) are ignored, so older version-1 checkpoints restore."""
         if state.get("version") != 1:
             raise ExecutionError(f"unsupported EngineStats state: {state!r}")
         for f in dataclass_fields(self):
@@ -130,19 +128,17 @@ class ExecutionEngine:
         clock: The virtual clock; advanced by the cost model per step.
         cost_model: CPU pricing; None means free (purely logical execution).
         idle_tracker: Optional :class:`~repro.obs.idle.IdleTracker`
-            refreshed at every state change the engine causes.
+            refreshed at every state change that can move a tracked gate.
         deliver_due: Kernel hook invoked with the current time between steps
-            so arrivals that became due while the engine was busy enter
-            their buffers at the right moment.
+            once :attr:`event_queue` says an arrival (or heartbeat) fell due
+            while the engine was busy, so it enters its buffer on time.
         offer_ets_always: When False (default), the ETS policy is consulted
-            only while some IWP operator is idle-waiting on pending *data* —
-            ETS exists to reactivate idle-waiting operators, and generating
-            one with nothing to unblock is pure overhead.  Set True for the
+            only while some IWP operator is idle-waiting on pending *data*:
+            an ETS with nothing to unblock is pure overhead.  True is the
             fidelity ablation where every dead-ended backtrack offers.
         monitor: Optional :class:`~repro.faults.monitors.InvariantMonitor`
-            (already installed on the graph); its per-round checks run at
-            the end of every wake-up, and degrade-mode violations are
-            counted into :attr:`EngineStats.invariant_violations`.
+            (installed on the graph), checked at the end of every wake-up;
+            degrade-mode violations count into ``invariant_violations``.
         config / **knobs: The shared knobs, declared and documented on
             :class:`~repro.core.config.EngineConfig` (``ets_policy``,
             ``batch_size``, ``observers``, ``feedback``,
@@ -166,34 +162,47 @@ class ExecutionEngine:
         self.ets_policy: EtsPolicy = policy if policy is not None else NoEts()
         self.idle_tracker = idle_tracker
         self.deliver_due = deliver_due
+        #: Where the pump reads the time the next event falls due: the
+        #: kernel sets its :class:`~repro.sim.events.EventQueue` here.
+        self.event_queue = _ALWAYS_DUE
         self.offer_ets_always = offer_ets_always
         self.batch_size = config.batch_size
         self.monitor = monitor
         self.max_steps_per_round = config.max_steps_per_round
-        #: Checkpoint cadence in wake-up rounds; None disables.  The actual
-        #: writing is delegated to :attr:`checkpoint_hook` (installed by a
-        #: bound :class:`~repro.recovery.RecoveryManager`), keeping the
-        #: engine free of any storage dependency.
+        #: Checkpoint cadence in wake-up rounds; None disables.  The writing
+        #: is :attr:`checkpoint_hook`'s (a bound RecoveryManager installs it).
         self.checkpoint_every = config.checkpoint_every
         self.checkpoint_hook: Callable[[int], None] | None = None
         #: Optional :class:`~repro.feedback.FeedbackController` sampled at
-        #: the end of every wake-up.  None — the default — keeps the engine
-        #: entirely feedback-free (and byte-identical to pre-feedback runs).
+        #: the end of every wake-up; None keeps the engine feedback-free.
         self.feedback = config.per_engine("feedback")
         if self.feedback is not None:
             self.feedback.bind(graph, self)
         self.stats = EngineStats()
         self.ctx = OpContext(clock=clock)
         self._round_id = 0
-        #: Clock reading and round of the last ``deliver_due`` call.
-        self._pumped_at: float | None = None
-        self._pumped_round = 0
+        self._budget_end = _INF
         self._iwp_ops = graph.iwp_operators()
-        self._source_nodes = frozenset(graph.sources())
-        self._executable = [op for op in graph.operators
-                            if op not in self._source_nodes]
+        sources = graph.sources()
+        # One NOS record per node: ``(is_source, input, backtrack)``.  A
+        # single-input node with the base ``more``/``stalled_input_index``
+        # holds its input buffer and Backtrack target; others are asked.
+        base = (Operator.more, Operator.stalled_input_index)
+        self._nodes = {op: (True, None, None) if op in sources else
+                       (False, op.inputs[0], op.predecessors[0])
+                       if len(op.inputs) == 1 and base == (
+                           type(op).more, type(op).stalled_input_index)
+                       else (False, None, None) for op in graph.operators}
+        self._executable = [(op, self._nodes[op][1]) for op in graph.operators
+                            if op not in sources]
+        # Per-operator (data, punct, probe) prices of the cost model
+        # ``_priced``; whether a pump delivered since the last idle refresh.
+        self._priced = self._prices = None
+        self._idle_stale = False
         self.bus: EventBus | None = (EventBus(config.observers)
                                      if config.observers else None)
+        self._hooked = ()  # never a subscription table: bind now
+        self._sync_hooks()
         self._buffer_forward = None
         self._wire_buffer_events()
         if monitor is not None and self.bus is not None \
@@ -205,6 +214,7 @@ class ExecutionEngine:
         if self.bus is None:
             self.bus = EventBus()
         self.bus.attach(observer)
+        self._sync_hooks()
         self._wire_buffer_events()
         if self.monitor is not None \
                 and getattr(self.monitor, "bus", None) is None:
@@ -225,6 +235,17 @@ class ExecutionEngine:
         self._buffer_forward = forward
         registry.add_observer(forward)
 
+    def _sync_hooks(self) -> None:
+        """Bind the walk's four emitters, None where no observer overrides
+        the hook; re-bound when attach/detach rebuilt the bus's table."""
+        bus = self.bus
+        table = bus._subscribers if bus is not None else None
+        if table is not self._hooked:
+            self._hooked = table
+            self._on_nos, self._on_step, self._on_ets, self._on_punct = (
+                getattr(bus, name) if table and table["on_" + name] else None
+                for name in ("nos_decision", "step", "ets", "punctuation"))
+
     # ------------------------------------------------------------------ #
     # Public API
 
@@ -233,55 +254,38 @@ class ExecutionEngine:
         return self._round_id
 
     def wakeup(self, entry: SourceNode | Operator | None = None) -> None:
-        """Run the engine to quiescence.
-
-        Args:
-            entry: Optional hint — the source (or operator) where new input
-                just appeared; the DFS starts there.  Work elsewhere in the
-                graph is found by scanning once the entry path quiesces.
-        """
-        self._round_id += 1
-        self.stats.rounds += 1
+        """Run the engine to quiescence.  ``entry`` is an optional hint —
+        the source (or operator) where new input just appeared; the DFS
+        starts there, and a scan finds work elsewhere afterwards."""
+        self._begin_round()
         if self.cost_model is not None:
             self.clock.advance(self.cost_model.scheduling_overhead)
         if self.bus is not None:
             self.bus.wakeup(round_id=self._round_id, time=self.clock.now(),
                             entry=entry.name if entry is not None else None)
         self._refresh_idle()
-        steps_before = self.stats.steps
 
         if entry is not None:
             self._walk(entry)
         while True:
             self._pump_due()
             progressed = False
-            for op in self._executable:
-                if op.more():
+            for op, buf in self._executable:
+                if buf._items if buf is not None else op.more():
                     progressed = self._walk(op) or progressed
             if not progressed:
-                # No operator can execute; give idle-waiting IWP operators a
-                # chance to trigger on-demand ETS through backtracking.
+                # Nothing can execute: idle-waiting IWP operators backtrack.
                 for op in self._iwp_ops:
                     if op.idle_waiting():
                         progressed = self._walk(op) or progressed
             if not progressed:
                 break
-            if (self.max_steps_per_round is not None
-                    and self.stats.steps - steps_before
-                    >= self.max_steps_per_round):
-                raise ExecutionError(
-                    f"engine exceeded {self.max_steps_per_round} steps in one "
-                    "round; livelock or undersized budget"
-                )
         self._refresh_idle()
         if self.feedback is not None:
-            # Feedback sampling happens at quiescence: reactions only turn
-            # knobs (drop budgets, slack, admission rates) for *future*
-            # input, so the completed round's output is already settled.
+            # At quiescence: reactions turn knobs for *future* input only.
             self.feedback.sample(self.clock.now(), self._round_id)
         if self.monitor is not None:
-            # Halt-mode monitors raise out of the wake-up; degrade-mode
-            # violations are only counted (and traced by the monitor).
+            # Halt mode raises; degrade-mode violations are only counted.
             self.stats.invariant_violations += self.monitor.check(
                 self.clock.now())
         if self.bus is not None:
@@ -293,11 +297,8 @@ class ExecutionEngine:
 
     def snapshot_state(self) -> dict:
         """Versioned snapshot of engine progress (stats + round counter)."""
-        state = {
-            "version": 1,
-            "round_id": self._round_id,
-            "stats": self.stats.snapshot_state(),
-        }
+        state = {"version": 1, "round_id": self._round_id,
+                 "stats": self.stats.snapshot_state()}
         if self.feedback is not None:
             state["feedback"] = self.feedback.snapshot_state()
         return state
@@ -312,126 +313,102 @@ class ExecutionEngine:
         if feedback_state is not None and self.feedback is not None:
             self.feedback.restore_state(feedback_state)
 
-    def run_to_quiescence(self) -> None:
-        """Alias for ``wakeup()`` with no entry hint (useful in tests)."""
-        self.wakeup()
-
     # ------------------------------------------------------------------ #
     # DFS walk implementing the NOS rules
 
     def _walk(self, start: Operator) -> bool:
-        """Run the Execute/Continue cycle from ``start`` until a dead end.
-
-        Returns True when any step executed or any ETS was injected.
-
-        NOS transitions are published to the event bus right here — the
-        single walk implementation serves tracing, metrics, and exporters
-        alike, and a missing observer costs one ``is None`` test per
-        decision.
-        """
-        progress = False
-        current = start
+        """Run the Execute/Continue cycle from ``start`` until a dead end;
+        True when any step executed or any ETS was injected.  A single-input
+        node's ``more`` is a read of its input buffer; others are asked."""
+        progress, current = False, start
         execute = True  # False right after Backtrack ("repeat the NOS step")
-        bus = self.bus
-        registry = self.graph.registry
-        clock, deliver_due = self.clock, self.deliver_due
-        round_id, sources = self._round_id, self._source_nodes
-        step = self._step
-        # Operators (and sources) visited without executing since the last
-        # buffer mutation.  Re-reaching one means the NOS rules are cycling
-        # through a topology where Forward and Backtrack chase each other —
-        # a source feeding two consumers (diamond) does exactly that when
-        # one arm stalls gated on the other.  Any buffer change invalidates
-        # the set: new state means a dead operator may now execute.
+        nodes, registry, clock = self._nodes, self.graph.registry, self.clock
+        deliver_due, queue = self.deliver_due, self.event_queue
+        nos, step, round_id = self._on_nos, self._step, self._round_id
+        # Nodes visited without executing since the last buffer mutation.
+        # Re-reaching one means Forward and Backtrack chase each other (a
+        # source feeding both arms of a diamond, one arm stalled); any
+        # buffer change clears the set, as a dead node may now execute.
         dead: set[Operator] = set()
-        dead_stamp = registry.mutations
+        dead_stamp = registry._mutations  # the registry's mutation stamp
+        # Buffers and clock move only by a step, an ETS injection or a
+        # delivery; only then are the pump (_pump_due, inlined) and the
+        # stamp looked at.  A delivery that moved the clock may make more due.
+        fresh = True
         while True:
-            # The pump (_pump_due, inlined): its place before the NOS
-            # decision is observable, and it fires only on a clock change.
-            if deliver_due is not None:
-                now = clock.now()
-                if now != self._pumped_at or round_id != self._pumped_round:
-                    self._pumped_at, self._pumped_round = now, round_id
-                    deliver_due(now)
-            stamp = registry.mutations
-            if stamp != dead_stamp:
-                dead_stamp = stamp
-                dead.clear()
-            if current in sources:
-                # Forward to a live successor not dead-ended in this state
-                # (a stalled diamond must reach the ETS consultation).
-                nxt = None
-                for buf, succ in current.forward_pairs:
-                    if buf and succ not in dead:
+            if fresh:
+                fresh = False
+                if deliver_due is not None:
+                    now = clock.now()
+                    if queue.due <= now:
+                        self._idle_stale = True
+                        deliver_due(now)
+                        fresh = clock.now() != now
+                stamp = registry._mutations
+                if stamp != dead_stamp:
+                    dead_stamp = stamp
+                    dead.clear()
+            source, buf, pred = nodes[current]
+            nxt = None
+            if source:
+                # Forward to a live successor not dead-ended in this state.
+                for out, succ in current.forward_pairs:
+                    if out._items and succ not in dead:
                         nxt = succ
                         break
-                if nxt is not None:
-                    if bus is not None:
-                        bus.nos_decision(decision="forward",
-                                         operator=nxt.name,
-                                         round_id=self._round_id,
-                                         time=self.clock.now())
-                    current, execute = nxt, True
-                    continue
-                # Every live successor is dead-ended: this is the genuine
-                # stalled-source dead end the ETS hook exists for, even when
-                # some output buffer is nonempty (diamond topologies).
-                if current in dead:
+                if nxt is None:
+                    # A stalled source: the dead end the ETS hook exists
+                    # for, even with an output nonempty (diamonds).
+                    if current in dead:
+                        return progress
+                    dead.add(current)
+                    if self._try_ets(current):
+                        progress = fresh = True
+                        continue  # the injected punctuation enables Forward
                     return progress
-                dead.add(current)
-                if self._try_ets(current):
-                    progress = True
-                    continue  # the injected punctuation enables Forward
-                return progress
-
-            # [Execution Step] — a run of up to batch_size elements, never
-            # across the next punctuation; batch_size=1 is the paper's
-            # one element per step.
-            if execute and current.more():
-                step(current)
-                progress = True
             else:
-                # Visited without executing: a second visit in the same
-                # buffer state would retrace the identical continuation.
-                if current in dead:
-                    return progress
-                dead.add(current)
-
-            # [Continuation Step] — NOS rules.  Forward: the successor
-            # consuming a nonempty output buffer (the precomputed
-            # ``forward_pairs`` arcs with a live consumer).
-            nxt = None
-            for buf, succ in current.forward_pairs:
-                if buf:
-                    nxt = succ
-                    break
+                # [Execution Step] — a run of up to batch_size elements,
+                # never across a punctuation (batch_size=1: the paper's).
+                if execute and (buf._items if buf is not None
+                                else current.more()):
+                    step(current)
+                    progress = fresh = True
+                else:
+                    # A second such visit would retrace the same path.
+                    if current in dead:
+                        return progress
+                    dead.add(current)
+                # [Continuation Step] — NOS rules.  Forward: the successor
+                # consuming a nonempty output buffer.
+                for out, succ in current.forward_pairs:
+                    if out._items:
+                        nxt = succ
+                        break
             if nxt is not None:  # Forward
-                if bus is not None:
-                    bus.nos_decision(decision="forward", operator=nxt.name,
-                                     round_id=self._round_id,
-                                     time=self.clock.now())
+                if nos is not None:
+                    nos(decision="forward", operator=nxt.name,
+                        round_id=round_id, time=clock.now())
                 current, execute = nxt, True
                 continue
-            if current.more():  # Encore
-                if bus is not None:
-                    bus.nos_decision(decision="encore", operator=current.name,
-                                     round_id=self._round_id,
-                                     time=self.clock.now())
+            if buf._items if buf is not None else current.more():  # Encore
+                if nos is not None:
+                    nos(decision="encore", operator=current.name,
+                        round_id=round_id, time=clock.now())
                 execute = True
                 continue
             # Backtrack: to the predecessor feeding the gating input.
-            if not current.inputs:
-                return progress
-            j = current.stalled_input_index()
-            pred = current.predecessors[j]
+            j = 0
+            if buf is None:
+                if not current.inputs:
+                    return progress
+                j = current.stalled_input_index()
+                pred = current.predecessors[j]
             if pred is None:
                 return progress
-            if bus is not None:
-                bus.nos_decision(decision="backtrack", operator=pred.name,
-                                 round_id=self._round_id,
-                                 time=self.clock.now(),
-                                 detail=f"stalled input {j} of "
-                                        f"{current.name}")
+            if nos is not None:
+                nos(decision="backtrack", operator=pred.name,
+                    round_id=round_id, time=clock.now(),
+                    detail=f"stalled input {j} of {current.name}")
             current, execute = pred, False
 
     def _step(self, op: Operator, limit: int | None = None) -> BatchResult:
@@ -439,10 +416,10 @@ class ExecutionEngine:
         ``limit`` (default ``batch_size``) elements.
 
         Stats count per-element steps and the cost model charges per
-        tuple, so EngineStats and simulated time do not depend on the run
-        width; only wall-clock dispatch is amortized.  A one-element step
-        publishes its ``on_step`` as ``"data"`` or ``"punct"``; a
-        ``batch_size > 1`` engine publishes ``"block"`` with the run length.
+        tuple, so neither depends on the run width.  ``on_step`` is
+        ``"data"``/``"punct"`` at ``batch_size=1``, else ``"block"`` with
+        the run length.  Taking the wake-up past ``max_steps_per_round``
+        raises.
         """
         run = op.execute_block(self.ctx, limit or self.batch_size)
         stats = self.stats
@@ -458,31 +435,57 @@ class ExecutionEngine:
         per_op = stats.per_operator_steps
         per_op[op.name] = per_op.get(op.name, 0) + run.steps
         cost = 0.0
-        if self.cost_model is not None:
-            cost = self.cost_model.batch_cost(op, run)
+        model = self.cost_model
+        if model is not None:
+            if model is not self._priced:  # resolved once per model
+                from ..sim.cost import CostModel
+                self._priced, self._prices = model, (
+                    {node: model.price(node) for node in self.graph.operators}
+                    if type(model).batch_cost is CostModel.batch_cost
+                    else {})
+            price = self._prices.get(op)
+            if price is None:  # an interposed model prices each step itself
+                cost = model.batch_cost(op, run)
+            else:
+                data, punct, probe = price
+                cost = (run.consumed_data * data
+                        + run.consumed_punctuation * punct
+                        + run.probes * probe)
             if cost:
                 self.clock.advance(cost)
                 stats.busy_time += cost
-        if self.bus is not None and run.steps:
+        on_step = self._on_step
+        if on_step is not None and run.steps:
             shape = ({"kind": "block", "steps": run.steps}
                      if self.batch_size > 1 else
                      {"kind": "punct" if run.consumed_punctuation else "data"})
-            self.bus.step(
-                operator=op.name, round_id=self._round_id,
-                time=self.clock.now(), **shape,
-                probes=run.probes, probes_emitted=run.probes_emitted,
-                emitted_data=run.emitted_data,
-                emitted_punctuation=run.emitted_punctuation,
-                duration=cost)
-        if self.idle_tracker is not None:
-            self.idle_tracker.refresh(self.clock.now())
+            on_step(operator=op.name, round_id=self._round_id,
+                    time=self.clock.now(), **shape,
+                    probes=run.probes, probes_emitted=run.probes_emitted,
+                    emitted_data=run.emitted_data,
+                    emitted_punctuation=run.emitted_punctuation,
+                    duration=cost)
+        tracker = self.idle_tracker
+        if tracker is not None and (self._idle_stale
+                                    or op in tracker.feeders):
+            self._idle_stale = False  # this step or a delivery moved a gate
+            tracker.refresh(self.clock.now())
+        if stats.steps > self._budget_end:
+            raise ExecutionError(
+                f"engine exceeded {self.max_steps_per_round} steps in one "
+                "round; livelock or undersized budget")
         return run
 
     # ------------------------------------------------------------------ #
     # ETS integration (the Backtrack-to-source hook)
 
     def _try_ets(self, source: SourceNode) -> bool:
-        offered = self.offer_ets_always or self._ets_needed()
+        offered = self.offer_ets_always
+        if not offered:  # is any IWP operator idle-waiting on data?
+            for op in self._iwp_ops:
+                if op.idle_waiting():
+                    offered = True
+                    break
         injected = False
         if offered:
             self.stats.ets_offers += 1
@@ -496,40 +499,37 @@ class ExecutionEngine:
                     self.clock.advance(cost)
                     self.stats.busy_time += cost
             self._refresh_idle()
-        if self.bus is not None:
-            self.bus.ets(operator=source.name, round_id=self._round_id,
+        if self._on_ets is not None:
+            self._on_ets(operator=source.name, round_id=self._round_id,
                          time=self.clock.now(), injected=injected,
                          offered=offered)
-            if injected:
-                self.bus.punctuation(
-                    operator=source.name, round_id=self._round_id,
-                    time=self.clock.now(), origin="ets")
+        if injected and self._on_punct is not None:
+            self._on_punct(operator=source.name, round_id=self._round_id,
+                           time=self.clock.now(), origin="ets")
         return injected
-
-    def _ets_needed(self) -> bool:
-        """Is any IWP operator idle-waiting on pending data right now?"""
-        for op in self._iwp_ops:
-            if op.idle_waiting():
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # Bookkeeping hooks
 
-    def _pump_due(self) -> None:
-        """Let the kernel deliver what became due — iff something can have.
+    def _begin_round(self) -> None:
+        """Count a wake-up, re-bind the emitters, open the step budget."""
+        self._round_id += 1
+        self.stats.rounds += 1
+        self._sync_hooks()
+        budget = self.max_steps_per_round
+        self._budget_end = (_INF if budget is None
+                            else self.stats.steps + budget)
 
-        Within a wake-up an event becomes due only when the clock moves, so
-        a pump at an unchanged reading is skipped.  The first pump of a
-        wake-up always delivers: a raised ``run(until)`` horizon or an
-        ad-hoc ``schedule_arrival`` makes events due with the clock still.
-        """
+    def _pump_due(self) -> None:
+        """Let the kernel deliver what fell due — iff something has."""
         if self.deliver_due is not None:
             now = self.clock.now()
-            if now != self._pumped_at or self._round_id != self._pumped_round:
-                self._pumped_at, self._pumped_round = now, self._round_id
+            if self.event_queue.due <= now:
+                self._idle_stale = True
                 self.deliver_due(now)
 
     def _refresh_idle(self) -> None:
         if self.idle_tracker is not None:
+            self._idle_stale = False
             self.idle_tracker.refresh(self.clock.now())
+

@@ -43,7 +43,8 @@ class RoundRobinEngine(ExecutionEngine):
             cost model's ``scheduling_overhead``.
 
     Everything else (cost model, ETS policy, idle tracking, the
-    ``deliver_due`` hook) behaves exactly as in the base engine.
+    ``deliver_due`` pump, the ``max_steps_per_round`` budget) behaves
+    exactly as in the base engine.
     """
 
     def __init__(self, graph: QueryGraph, clock, *, quantum: int = 16,
@@ -67,8 +68,7 @@ class RoundRobinEngine(ExecutionEngine):
     def wakeup(self, entry: SourceNode | Operator | None = None) -> None:
         """Run fixed-order passes to quiescence (entry hints are ignored —
         round-robin has no notion of 'start where the data landed')."""
-        self._round_id += 1
-        self.stats.rounds += 1
+        self._begin_round()
         self._refresh_idle()
         while True:
             self._pump_due()

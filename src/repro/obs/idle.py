@@ -33,6 +33,11 @@ class IdleTracker:
     def __init__(self, operators: Iterable["IwpOperator"],
                  start_time: float = 0.0) -> None:
         self._ops = list(operators)
+        #: The tracked operators and those feeding them: only their steps
+        #: move a tracked gate, so only theirs need a refresh after.
+        self.feeders = frozenset(self._ops).union(
+            pred for op in self._ops for pred in op.predecessors
+            if pred is not None)
         self._index = {op.name: i for i, op in enumerate(self._ops)}
         self._blocked_since: list[float | None] = [None] * len(self._ops)
         #: Per operator, the memoised gate its state was last judged from.

@@ -85,6 +85,14 @@ class CostModel:
                    ets_generation=step, heartbeat_injection=step,
                    scheduling_overhead=0.0)
 
+    def price(self, op: "Operator") -> tuple[float, float, float]:
+        """``op``'s ``(data, punct, probe)`` prices: seconds per data
+        tuple, per punctuation and per window tuple examined.  The engine
+        resolves them once per operator and model."""
+        return (self.data_costs.get(op.cost_class, self.default_data_cost),
+                self.punct_costs.get(op.cost_class, self.default_punct_cost),
+                self.per_probe)
+
     def batch_cost(self, op: "Operator", batch: "BatchResult") -> float:
         """Simulated seconds consumed by one execution step.
 
@@ -92,8 +100,7 @@ class CostModel:
         every tuple in the run is charged its full per-tuple cost, so
         simulated time does not depend on ``batch_size``.
         """
-        data = self.data_costs.get(op.cost_class, self.default_data_cost)
-        punct = self.punct_costs.get(op.cost_class, self.default_punct_cost)
+        data, punct, probe = self.price(op)
         return (batch.consumed_data * data
                 + batch.consumed_punctuation * punct
-                + batch.probes * self.per_probe)
+                + batch.probes * probe)

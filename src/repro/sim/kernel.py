@@ -114,6 +114,8 @@ class Simulation:
             monitor=monitor,
             config=config,
         )
+        #: The pump reads the queue's ``due`` time beside ``deliver_due``.
+        self.engine.event_queue = self.events
         #: The engine's event bus (or the shared no-op bus): the kernel's
         #: own events — arrivals and heartbeat trains — are published here
         #: so every observer sees one unified stream.
@@ -130,7 +132,6 @@ class Simulation:
         #: samples each wake-up; its counters join :meth:`summary`.
         self.feedback = self.engine.feedback
         self._arrival_iters: dict[str, Iterator[Arrival]] = {}
-        self._horizon = float("inf")
         self._started = False
         self.arrivals_delivered = 0
         self.heartbeats_delivered = 0
@@ -257,10 +258,9 @@ class Simulation:
     def _deliver_due(self, now: float) -> None:
         """Engine hook: fire every event due at or before ``now``."""
         events = self.events
-        next_t = events.next_time()
-        if next_t is None or next_t > now or next_t > self._horizon:
+        if events.due > now:
             return
-        limit = min(now, self._horizon)
+        limit = min(now, events.horizon)
         while (due := events.pop_due(limit)) is not None:
             due[1]()
 
@@ -270,7 +270,7 @@ class Simulation:
             raise WorkloadError(
                 f"cannot run backwards: until={until} < now={self.clock.now()}"
             )
-        self._horizon = until
+        self.events.horizon = until
         if not self._started:
             self._start_heartbeats()
             self._started = True
@@ -286,7 +286,7 @@ class Simulation:
             self.engine.wakeup(entry if isinstance(entry, SourceNode) else None)
         self.clock.advance_to(until)
         self.engine.wakeup()  # final drain + idle-tracker refresh at horizon
-        self._horizon = float("inf")
+        self.events.horizon = float("inf")
         return self
 
     # ------------------------------------------------------------------ #

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core.buffers import BufferRegistry, StreamBuffer
 from repro.core.columnar import ColumnarBlock
@@ -11,6 +14,14 @@ from reference_ops import forced_scalar_fallback  # noqa: F401  (re-export)
 from repro.core.tuples import (LATENT_TS, DataTuple, Punctuation,
                                TimestampKind)
 from repro.sim.clock import VirtualClock
+
+# On CI (which sets ``CI``) a red property test must reproduce from its
+# log: the same examples every run, no wall-clock deadline, and the
+# ``@reproduce_failure`` blob printed.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 class ManualClock:

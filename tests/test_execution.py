@@ -9,7 +9,8 @@ from repro.core.ets import NoEts, OnDemandEts
 from repro.core.errors import ExecutionError
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
-from repro.core.operators import Select, Union, WindowJoin
+from repro.core.operators import Map, Select, Union, WindowJoin
+from repro.core.scheduling import RoundRobinEngine
 from repro.core.tuples import TimestampKind
 from repro.core.windows import WindowSpec
 from repro.sim.clock import VirtualClock
@@ -249,6 +250,42 @@ class TestRoundBudget:
         fast.ingest({}, now=0.0)
         with pytest.raises(ExecutionError):
             engine.wakeup(entry=fast)
+
+    @staticmethod
+    def chain(engine_cls, budget):
+        g = QueryGraph("chain")
+        src = g.add_source("src")
+        m = g.add(Map("m", lambda p: p))
+        sink = g.add_sink("sink")
+        g.connect(src, m)
+        g.connect(m, sink)
+        engine = engine_cls(g, VirtualClock(), cost_model=CostModel.zero(),
+                            ets_policy=NoEts(), batch_size=1,
+                            max_steps_per_round=budget)
+        for i in range(5):
+            src.ingest({"v": i}, now=0.0)
+        return engine, src, sink
+
+    @pytest.mark.parametrize("engine_cls", [ExecutionEngine,
+                                            RoundRobinEngine])
+    def test_the_budget_bounds_every_step_of_a_wakeup(self, engine_cls):
+        """The entry walk and round-robin passes are bounded too: five rows
+        through Map and sink are ten steps, far past a budget of one."""
+        engine, src, sink = self.chain(engine_cls, 1)
+        with pytest.raises(ExecutionError, match="exceeded 1 steps"):
+            engine.wakeup(entry=src)
+        assert engine.stats.steps == 2  # stopped at the first step over
+
+    @pytest.mark.parametrize("engine_cls", [ExecutionEngine,
+                                            RoundRobinEngine])
+    def test_a_budget_spent_exactly_does_not_raise(self, engine_cls):
+        engine, src, sink = self.chain(engine_cls, 10)
+        engine.wakeup(entry=src)
+        assert engine.stats.steps == 10 and sink.delivered == 5
+        for i in range(5):
+            src.ingest({"v": i}, now=0.0)
+        engine.wakeup(entry=src)  # the budget is per wake-up
+        assert sink.delivered == 10
 
 
 class TestGraphAutoValidation:

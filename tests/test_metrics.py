@@ -181,7 +181,8 @@ class TestIdleAccountingIsExact:
     def test_the_saving_is_a_count(self, batch_size, monkeypatch):
         """Scenario C, ~2,000 arrivals: the gate is evaluated per input
         *mutation*, not per question; the tracker judges each gate once;
-        the pump follows the clock and the kernel pops only due events."""
+        the pump calls the kernel only when an event is due, and the
+        kernel pops only due events."""
         calls = {"evaluations": 0, "mutations": 0, "pumps": 0, "head_ts": 0,
                  "pop_due": 0, "fired": 0}
         judged = []  # every gate whose idle bit a tracker refresh read
@@ -239,8 +240,7 @@ class TestIdleAccountingIsExact:
         stats, arrivals = engine.stats, handles.sim.arrivals_delivered
         assert arrivals > 1_800 and stats.ets_injected > 1_000
         assert calls["evaluations"] <= calls["mutations"] + stats.rounds
-        assert calls["pumps"] <= (stats.steps + stats.ets_injected
-                                  + 2 * stats.rounds)
+        assert calls["pumps"] <= calls["fired"] + stats.rounds
         assert calls["head_ts"] <= 30 * arrivals
         # No gate is judged twice, so an unchanged gate is never re-judged.
         assert 0 < len({id(g) for g in judged}) == len(judged)
