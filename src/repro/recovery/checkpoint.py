@@ -51,6 +51,18 @@ class CheckpointInfo:
     duration: float
 
 
+def fsync_dir(directory: Path) -> None:
+    """Fsync ``directory`` so a rename inside it is durable."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class CheckpointStore:
     """Directory of numbered checkpoint files with corruption fallback.
 
@@ -102,21 +114,11 @@ class CheckpointStore:
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(tmp, final)
-        self._fsync_dir()
+        fsync_dir(self.directory)
         self._prune(number)
         return CheckpointInfo(number=number, path=final,
                               bytes_written=len(blob),
                               duration=time.perf_counter() - started)
-
-    def _fsync_dir(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def _prune(self, latest: int) -> None:
         for number in self.numbers():

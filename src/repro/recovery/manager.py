@@ -83,9 +83,6 @@ class RecoveryReport:
         suppressed: Outputs swallowed per sink (the exactly-once half).
         ingests_by_source: Ingest records in the *whole* WAL per source —
             the ``skip=`` values for re-attaching arrival schedules.
-        punctuations_by_key: Punctuation records in the *whole* WAL per
-            ``(source, ts, origin)`` — what the elastic facade matches its
-            own log against, without reading the file again.
         duration: Wall-clock seconds the recovery took.
     """
 
@@ -99,7 +96,6 @@ class RecoveryReport:
     wakeups_replayed: int = 0
     suppressed: dict[str, int] = field(default_factory=dict)
     ingests_by_source: dict[str, int] = field(default_factory=dict)
-    punctuations_by_key: dict[tuple, int] = field(default_factory=dict)
     duration: float = 0.0
 
     @property
@@ -127,6 +123,138 @@ class RecoveryReport:
             "fallback": self.fallback,
             "duration": self.duration,
         }
+
+
+def engine_state(graph: QueryGraph, engine: ExecutionEngine, clock, *,
+                 sim=None, version: int = CHECKPOINT_FORMAT_VERSION,
+                 **position: int) -> dict:
+    """One engine's checkpoint document: every component's snapshot, the
+    clock, the per-sink delivered counts and the log ``position`` it
+    covers, under the caller's key (``wal_index``, or a shard's
+    ``position``)."""
+    operators = {op.name: op.snapshot_state() for op in graph.operators
+                 if hasattr(op, "snapshot_state")}
+    state = {
+        "format": version,
+        "graph_name": graph.name,
+        "clock_now": clock.now(),
+        "engine": engine.snapshot_state(),
+        "operators": operators,
+        "buffer_names": [buf.name for buf in graph.buffers],
+        "buffers": [buf.snapshot_state() for buf in graph.buffers],
+        "ets_policy": engine.ets_policy.snapshot_state(),
+        "sink_delivered": {s.name: s.delivered for s in graph.sinks()},
+        **position,
+    }
+    if sim is not None:
+        state["sim"] = {"arrivals_delivered": sim.arrivals_delivered,
+                        "heartbeats_delivered": sim.heartbeats_delivered}
+    return state
+
+
+def restore_newest(report: RecoveryReport, store: CheckpointStore,
+                   position: str, limit: int, marks: Mapping[str, int],
+                   graph: QueryGraph, engine: ExecutionEngine, clock, *,
+                   sim=None, version: int = CHECKPOINT_FORMAT_VERSION
+                   ) -> dict | None:
+    """Restore the newest checkpoint that validates and whose
+    ``state[position]`` the intact log covers (``<= limit``), then withhold
+    ``marks − checkpoint delivered`` rows per sink.
+
+    Fills the report's ``checkpoint_number``, ``skipped`` and
+    ``suppressed``; returns the document restored, None when there was
+    none (replay starts from the fresh graph).  Raises
+    :class:`RecoveryError` when every checkpoint had to be skipped.
+    """
+    state = None
+    for number in reversed(store.numbers()):
+        try:
+            state = store.load(number)
+        except (RecoveryError, OSError) as exc:
+            report.skipped.append((number, str(exc)))
+            continue
+        if state.get(position, 0) <= limit:
+            report.checkpoint_number = number
+            break
+        report.skipped.append((number, f"{position} {state.get(position)} "
+                                       f"beyond the intact log ({limit})"))
+        state = None
+    delivered: Mapping[str, int] = {}
+    if state is not None:
+        _restore(state, graph, engine, clock, sim, version)
+        delivered = state["sink_delivered"]
+    elif report.skipped:
+        raise RecoveryError(
+            f"no usable checkpoint in {store.directory} "
+            f"({len(report.skipped)} skipped)", skipped=report.skipped)
+    for sink in graph.sinks():
+        count = marks.get(sink.name, 0) - delivered.get(sink.name, 0)
+        if count > 0:
+            report.suppressed[sink.name] = count
+            install_suppressor(sink, count)
+    return state
+
+
+def _restore(state: dict, graph: QueryGraph, engine: ExecutionEngine, clock,
+             sim, version: int) -> None:
+    """Restore :func:`engine_state`'s document into fresh components; one
+    of another version, graph or buffer layout is refused, not misread."""
+    if state.get("format") != version:
+        raise RecoveryError(
+            f"checkpoint format {state.get('format')!r} != {version} "
+            f"(see DESIGN.md §4f)")
+    if state["graph_name"] != graph.name:
+        raise RecoveryError(
+            f"checkpoint is for graph {state['graph_name']!r}, "
+            f"bound graph is {graph.name!r}")
+    names = [buf.name for buf in graph.buffers]
+    if names != state["buffer_names"]:
+        raise RecoveryError(
+            "checkpoint buffer layout does not match the graph "
+            f"({state['buffer_names']} != {names})")
+    clock.advance_to(state["clock_now"])
+    engine.restore_state(state["engine"])
+    engine.ets_policy.restore_state(state["ets_policy"])
+    for name, op_state in state["operators"].items():
+        if name not in graph:
+            raise RecoveryError(
+                f"checkpoint names operator {name!r} missing from graph")
+        graph[name].restore_state(op_state)
+    for buf, buf_state in zip(graph.buffers, state["buffers"]):
+        buf.restore_state(buf_state)
+    if sim is not None and "sim" in state:
+        sim.arrivals_delivered = state["sim"]["arrivals_delivered"]
+        sim.heartbeats_delivered = state["sim"]["heartbeats_delivered"]
+    ensure_seq_above(_max_seq(state))
+
+
+def install_suppressor(sink, count: int) -> None:
+    """Withhold the first ``count`` delivered rows from the sink's
+    consumers: per row from ``on_output``, per run from the column hook
+    (cutting a run where ``count`` falls inside it)."""
+    inner, inner_capture = sink.on_output, sink._capture
+    rows_left = runs_left = count
+
+    def suppress(tup, latency):
+        nonlocal rows_left
+        if rows_left > 0:
+            rows_left -= 1
+            return
+        inner(tup, latency)
+
+    def suppress_run(ts, payloads):
+        nonlocal runs_left
+        if runs_left:
+            skip, runs_left = runs_left, max(0, runs_left - len(ts))
+            ts, payloads = ts[skip:], payloads[skip:]
+            if not ts:
+                return
+        inner_capture(ts, payloads)
+
+    if inner is not None:
+        sink.on_output = suppress
+    if inner_capture is not None:
+        sink._capture = suppress_run
 
 
 class RecoveryManager:
@@ -283,28 +411,8 @@ class RecoveryManager:
         """
         self._require_bound()
         self._flush()
-        graph = self.graph
-        operators = {op.name: op.snapshot_state()
-                     for op in graph.operators
-                     if hasattr(op, "snapshot_state")}
-        state = {
-            "format": CHECKPOINT_FORMAT_VERSION,
-            "graph_name": graph.name,
-            "clock_now": self.clock.now(),
-            "engine": self.engine.snapshot_state(),
-            "operators": operators,
-            "buffer_names": [buf.name for buf in graph.buffers],
-            "buffers": [buf.snapshot_state() for buf in graph.buffers],
-            "ets_policy": self.engine.ets_policy.snapshot_state(),
-            "sink_delivered": self._sink_delivered(),
-            "wal_index": self.wal.records_written,
-        }
-        if self.sim is not None:
-            state["sim"] = {
-                "arrivals_delivered": self.sim.arrivals_delivered,
-                "heartbeats_delivered": self.sim.heartbeats_delivered,
-            }
-        return state
+        return engine_state(self.graph, self.engine, self.clock, sim=self.sim,
+                            wal_index=self.wal.records_written)
 
     def checkpoint(self) -> CheckpointInfo:
         """Write one durable checkpoint; publishes ``on_checkpoint``."""
@@ -319,63 +427,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------ #
     # Recovery
 
-    def _restore_components(self, state: dict) -> None:
-        graph = self.graph
-        if state.get("format") != CHECKPOINT_FORMAT_VERSION:
-            raise RecoveryError(
-                f"checkpoint format {state.get('format')!r} != "
-                f"{CHECKPOINT_FORMAT_VERSION} (see DESIGN.md §4f)")
-        if state["graph_name"] != graph.name:
-            raise RecoveryError(
-                f"checkpoint is for graph {state['graph_name']!r}, "
-                f"bound graph is {graph.name!r}")
-        names = [buf.name for buf in graph.buffers]
-        if names != state["buffer_names"]:
-            raise RecoveryError(
-                "checkpoint buffer layout does not match the graph "
-                f"({state['buffer_names']} != {names})")
-        self.clock.advance_to(state["clock_now"])
-        self.engine.restore_state(state["engine"])
-        self.engine.ets_policy.restore_state(state["ets_policy"])
-        for name, op_state in state["operators"].items():
-            if name not in graph:
-                raise RecoveryError(
-                    f"checkpoint names operator {name!r} missing from graph")
-            graph[name].restore_state(op_state)
-        for buf, buf_state in zip(graph.buffers, state["buffers"]):
-            buf.restore_state(buf_state)
-        if self.sim is not None and "sim" in state:
-            self.sim.arrivals_delivered = state["sim"]["arrivals_delivered"]
-            self.sim.heartbeats_delivered = state["sim"]["heartbeats_delivered"]
-        ensure_seq_above(_max_seq(state))
-
-    def _install_suppressor(self, sink, count: int) -> None:
-        """Withhold the first ``count`` delivered rows from the sink's
-        consumers: per row from ``on_output``, per run from the column hook
-        (cutting a run where ``count`` falls inside it)."""
-        inner, inner_capture = sink.on_output, sink._capture
-        rows_left = runs_left = count
-
-        def suppress(tup, latency):
-            nonlocal rows_left
-            if rows_left > 0:
-                rows_left -= 1
-                return
-            inner(tup, latency)
-
-        def suppress_run(ts, payloads):
-            nonlocal runs_left
-            if runs_left:
-                skip, runs_left = runs_left, max(0, runs_left - len(ts))
-                ts, payloads = ts[skip:], payloads[skip:]
-                if not ts:
-                    return
-            inner_capture(ts, payloads)
-
-        if inner is not None:
-            sink.on_output = suppress
-        if inner_capture is not None:
-            sink._capture = suppress_run
+    _install_suppressor = staticmethod(install_suppressor)
 
     def _fault(self, kind: str, detail: str) -> None:
         if self._bus is not None:
@@ -406,59 +458,20 @@ class RecoveryManager:
             if rec.kind == "ingest":
                 report.ingests_by_source[rec["source"]] = \
                     report.ingests_by_source.get(rec["source"], 0) + 1
-            elif rec.kind == "punct":
-                key = (rec["source"], rec["ts"], rec.get("origin", ""))
-                report.punctuations_by_key[key] = \
-                    report.punctuations_by_key.get(key, 0) + 1
 
-        # Newest checkpoint that validates AND whose WAL position is still
-        # covered by the intact records (a checkpoint past a mid-log
-        # corruption has an unreplayable suffix — fall back past it too).
-        state: dict | None = None
-        for number in reversed(self.store.numbers()):
-            try:
-                candidate = self.store.load(number)
-            except (RecoveryError, OSError) as exc:
-                report.skipped.append((number, str(exc)))
-                self._fault("checkpoint-corrupt",
-                            f"checkpoint {number}: {exc}")
-                continue
-            if candidate.get("wal_index", 0) > len(records):
-                reason = (f"wal_index {candidate.get('wal_index')} beyond "
-                          f"intact WAL ({len(records)} records)")
-                report.skipped.append((number, reason))
+        marks = next((rec["marks"] for rec in reversed(records)
+                      if rec.kind == "marks"), {})
+        try:
+            state = restore_newest(report, self.store, "wal_index",
+                                   len(records), marks, self.graph,
+                                   self.engine, self.clock, sim=self.sim)
+        finally:
+            for number, reason in report.skipped:
                 self._fault("checkpoint-corrupt",
                             f"checkpoint {number}: {reason}")
-                continue
-            state = candidate
-            report.checkpoint_number = number
-            break
-        if state is None and report.skipped:
-            raise RecoveryError(
-                f"no usable checkpoint in {self.state_dir} "
-                f"({len(report.skipped)} skipped)", skipped=report.skipped)
-
-        if state is not None:
-            self._restore_components(state)
-            wal_index = state["wal_index"]
-            base_delivered = dict(state["sink_delivered"])
-        else:
-            # No checkpoint ever completed: replay the whole WAL from the
-            # fresh graph (still exactly-once via the marks records).
-            wal_index = 0
-            base_delivered = {name: 0 for name in self._sink_delivered()}
-
-        suffix = records[wal_index:]
-        hwm = dict(base_delivered)
-        for rec in suffix:
-            if rec.kind == "marks":
-                hwm.update(rec["marks"])
-        sinks = {s.name: s for s in self.graph.sinks()}
-        for name, sink in sinks.items():
-            count = hwm.get(name, 0) - base_delivered.get(name, 0)
-            if count > 0:
-                report.suppressed[name] = count
-                self._install_suppressor(sink, count)
+        # No checkpoint ever completed: replay the whole WAL from the fresh
+        # graph (still exactly-once via the marks records).
+        suffix = records[state["wal_index"] if state is not None else 0:]
 
         sources = {s.name: s for s in self.graph.sources()}
         self._replaying = True
@@ -506,14 +519,11 @@ class RecoveryManager:
 
 
 def wal_history(state_dir: str | Path) -> list[WalRecord]:
-    """Read a state directory's intact WAL records, without binding.
-
-    How the elastic facade reads its own command history back after a
-    crash (group frames expanded, a torn tail dropped — what
-    :meth:`RecoveryManager.recover` would replay after truncation).
-    Returns ``[]`` when no WAL exists yet.
-    """
-    return WriteAheadLog(Path(state_dir) / "wal.log", fsync=False).replay()
+    """The command history of a state directory's WAL, without binding:
+    its intact records in order, less the ``marks`` (delivery counts, not
+    commands).  Returns ``[]`` when no WAL exists yet."""
+    records = WriteAheadLog(Path(state_dir) / "wal.log", fsync=False).replay()
+    return [rec for rec in records if rec.kind != "marks"]
 
 
 def _max_seq(obj: Any, _best: int = -1) -> int:

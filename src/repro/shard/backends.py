@@ -3,8 +3,9 @@
 An :class:`EngineShard` owns a full copy of the query graph — its own
 :class:`~repro.core.execution.ExecutionEngine`, virtual clock, ETS policy
 instance, sink captures, and (optionally) a
-:class:`~repro.recovery.RecoveryManager` rooted in a per-shard state
-directory.  Backends only differ in *where* ``EngineShard.apply`` runs:
+:class:`~repro.recovery.CheckpointStore` in a per-shard state directory;
+the facade's log is the only input log (DESIGN.md §4g).  Backends only
+differ in *where* ``EngineShard.apply`` runs:
 
 * :class:`SerialBackend` — in the caller's thread, shard by shard.  The
   reference semantics; the other two backends must be observationally
@@ -30,14 +31,18 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import time as _time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..core.config import EngineConfig
 from ..core.errors import ReproError
 from ..core.execution import ExecutionEngine
+from ..recovery.checkpoint import CheckpointStore
+from ..recovery.manager import RecoveryReport, engine_state, restore_newest
 from ..sim.clock import VirtualClock
 from .frontier import shard_frontier
 
@@ -49,6 +54,10 @@ __all__ = ["EngineShard", "ShardResult", "ShardError", "ShardTimeoutError",
 IngestCommand = tuple[str, Any, float, float | None]
 #: (source, ts, origin, periodic) — one broadcast punctuation.
 PunctuationCommand = tuple[str, float, str, bool]
+
+#: Shard checkpoint document version: §4f's engine document with
+#: ``position`` (facade wake-ups covered) for ``wal_index``; 1 is refused.
+SHARD_CHECKPOINT_FORMAT = 2
 
 
 #: Re-poll backoff of the process backend: attempt ``i`` waits
@@ -83,6 +92,9 @@ class ShardResult:
     per stretch of consecutive deliveries by one sink: two parallel
     columns, not one record per row, so its rows are
     ``sum(len(ts) for _, ts, _ in outputs)``.
+
+    ``marks`` is a durable shard's cumulative delivered count per sink
+    (None without a state directory), which the facade logs before release.
     """
 
     shard: int
@@ -94,17 +106,18 @@ class ShardResult:
     steps: int = 0
     pressure: float = 0.0
     clamp: float | None = None
+    marks: dict[str, int] | None = None
 
 
 @dataclass(slots=True)
 class ShardSummary:
     """End-of-run figures for one shard.
 
-    ``sources`` maps each source name to its live stream horizons
-    (``watermark`` / ``last_data_ts``) — the reshard coordinator's
-    alignment targets — and ``state_floor`` is the smallest timestamp that
-    can still influence the shard's output, below which the coordinator
-    need not replay history (see :mod:`repro.shard.elastic`).
+    ``sources`` maps each source name to its timestamp ``kind`` and live
+    stream horizons (``watermark`` / ``last_data_ts``) — the reshard
+    coordinator's alignment targets — and ``state_floor`` is the smallest
+    timestamp that can still influence the shard's output, below which the
+    coordinator need not replay history (see :mod:`repro.shard.elastic`).
     """
 
     shard: int
@@ -117,7 +130,7 @@ class ShardSummary:
 
 
 class EngineShard:
-    """One shard: a private graph + engine + clock (+ recovery manager).
+    """One shard: a private graph + engine + clock (+ checkpoint store).
 
     Args:
         index: The shard's position in ``[0, P)``.
@@ -131,16 +144,15 @@ class EngineShard:
             :class:`~repro.core.config.EngineConfig`, handed to the shard's
             engine as they are.  ``ets_policy`` and ``feedback`` must be
             zero-argument factories (both hold state and cannot be shared
-            across engines); with ``state_dir`` set, a
-            :class:`RecoveryManager` is bound there and every
-            ingest/punctuation/wake-up is WAL-logged.
+            across engines); with ``state_dir`` set, checkpoints are
+            written there — every ``checkpoint_every`` rounds and on
+            :meth:`checkpoint` — each recording the facade-log
+            :attr:`position` it covers.  The shard logs nothing itself.
     """
 
     def __init__(self, index: int, build: Callable[[], Any], *,
                  disorder_bound: float = 0.0,
                  config: EngineConfig | None = None, **knobs) -> None:
-        from ..recovery import RecoveryManager
-
         config = (config or EngineConfig()).replace(**knobs)
         self.index = index
         self.graph = build()
@@ -152,15 +164,20 @@ class EngineShard:
                 feedback=config.per_engine("feedback", sharded=True)))
         self.feedback = self.engine.feedback
         self._outputs: list[tuple[str, list[float], list[Any]]] = []
-        for sink in self.graph.sinks():
+        self.sinks = self.graph.sinks()
+        for sink in self.sinks:
             self._capture_sink(sink)
         self.sources = {src.name: src for src in self.graph.sources()}
         self.ingested = 0
         self.delivered = 0
-        self.manager = None
+        #: Wake-ups of the facade log this shard's state covers: set by
+        #: every positioned command, recorded by every checkpoint.
+        self.position = 0
+        self.store: CheckpointStore | None = None
         if config.state_dir is not None:
-            self.manager = RecoveryManager(config.state_dir).bind(
-                self.graph, self.engine, self.clock)
+            Path(config.state_dir).mkdir(parents=True, exist_ok=True)
+            self.store = CheckpointStore(config.state_dir)
+            self.engine.checkpoint_hook = lambda round_id: self.checkpoint()
 
     def _capture_sink(self, sink) -> None:
         """Collect ``(sink, ts, payloads)`` runs straight off the sink's
@@ -189,19 +206,22 @@ class EngineShard:
 
     def apply(self, ingests: Sequence[IngestCommand],
               punctuations: Sequence[PunctuationCommand],
-              now: float, clamp: float | None = None) -> ShardResult:
+              now: float, clamp: float | None = None,
+              position: int | None = None) -> ShardResult:
         """Ingest routed tuples, broadcast punctuation, run to quiescence.
 
         An idle shard (no commands) only advances its clock — its frontier
         still moves for internally stamped sources, which is what keeps a
-        key-skewed workload from pinning the global gate, without paying a
-        WAL wake-up record per idle shard.
+        key-skewed workload from pinning the global gate.
 
         ``clamp``, when set and the shard has a feedback controller, is
         the facade's aggregated global pressure view; it is applied
         *before* this wake-up's ingests so source throttles and shed
-        budgets see the fleet state first.
+        budgets see the fleet state first.  ``position`` numbers the
+        wake-up in the facade log; a checkpoint taken in it records it.
         """
+        if position is not None:
+            self.position = position
         if clamp is not None and self.feedback is not None:
             self.feedback.clamp(clamp, self.clock.now(),
                                 self.engine.round_id)
@@ -226,22 +246,55 @@ class EngineShard:
             rounds=self.engine.stats.rounds, steps=self.engine.stats.steps,
             pressure=(self.feedback.pressure
                       if self.feedback is not None else 0.0),
-            clamp=clamp)
+            clamp=clamp,
+            marks=None if self.store is None else {
+                sink.name: sink.delivered for sink in self.sinks})
 
     def frontier(self) -> float:
         return shard_frontier(self.graph, self.clock,
                               disorder_bound=self.disorder_bound)
 
     def checkpoint(self):
-        if self.manager is None:
+        """Save the shard's image with the log position it covers."""
+        if self.store is None:
             raise ShardError(f"shard {self.index} has no state_dir")
-        return self.manager.checkpoint()
+        return self.store.save(engine_state(
+            self.graph, self.engine, self.clock,
+            version=SHARD_CHECKPOINT_FORMAT, position=self.position))
 
-    def recover(self):
-        if self.manager is None:
+    def recover(self, marks: dict[str, int], commands: Sequence[tuple],
+                report: RecoveryReport) -> RecoveryReport:
+        """Rebuild a fresh shard from its checkpoint and the facade log:
+        ``marks`` is the log's last delivered count per sink for this
+        shard, ``commands`` one ``apply`` argument tuple per logged
+        wake-up, routed by the live partitioner, and ``report`` what the
+        facade read in the log, completed here.  The wake-ups past the
+        restored checkpoint are applied again; what survives suppression
+        goes out with the next wake-up's result."""
+        if self.store is None:
             raise ShardError(f"shard {self.index} has no state_dir")
-        report = self.manager.recover()
-        self.ingested = sum(report.ingests_by_source.values())
+        started = _time.perf_counter()
+        state = restore_newest(report, self.store, "position", len(commands),
+                               marks, self.graph, self.engine, self.clock,
+                               version=SHARD_CHECKPOINT_FORMAT)
+        if state is not None:
+            self.position = state["position"]
+        outputs: list = []
+        # No checkpoint while re-applying: it would count held rows no marks
+        # record covers, and a second crash would restore it and lose them.
+        hook, self.engine.checkpoint_hook = self.engine.checkpoint_hook, None
+        try:
+            for command in commands:
+                if command[4] > self.position:
+                    outputs += self.apply(*command).outputs
+                    report.ingests_replayed += len(command[0])
+                    report.wakeups_replayed += 1
+        finally:
+            self.engine.checkpoint_hook = hook
+        report.replayed = report.wakeups_replayed
+        self._outputs = outputs
+        self.ingested = sum(len(command[0]) for command in commands)
+        report.duration = _time.perf_counter() - started
         return report
 
     def state_floor(self) -> float:
@@ -259,13 +312,10 @@ class EngineShard:
                             state_floor=self.state_floor(),
                             stats=self.engine.stats.as_dict(),
                             sources={
-                                name: {"watermark": src.watermark,
+                                name: {"kind": src.timestamp_kind,
+                                       "watermark": src.watermark,
                                        "last_data_ts": src.last_data_ts}
                                 for name, src in self.sources.items()})
-
-    def close(self) -> None:
-        if self.manager is not None:
-            self.manager.close()
 
 
 class SerialBackend:
@@ -287,15 +337,14 @@ class SerialBackend:
     def checkpoint_all(self) -> list:
         return [shard.checkpoint() for shard in self.shards]
 
-    def recover_all(self) -> list:
-        return [shard.recover() for shard in self.shards]
+    def recover_all(self, args: Sequence[tuple]) -> list:
+        return [shard.recover(*a) for shard, a in zip(self.shards, args)]
 
     def summaries(self) -> list[ShardSummary]:
         return [shard.summary() for shard in self.shards]
 
     def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
+        """Nothing to release: a shard holds no open file."""
 
 
 class ThreadBackend(SerialBackend):
@@ -329,7 +378,6 @@ class ThreadBackend(SerialBackend):
         return results
 
     def close(self) -> None:
-        super().close()
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -348,11 +396,10 @@ def _shard_worker(conn, index: int, build, kwargs: dict) -> None:
             elif op == "checkpoint":
                 conn.send(("ok", shard.checkpoint()))
             elif op == "recover":
-                conn.send(("ok", shard.recover()))
+                conn.send(("ok", shard.recover(*message[1:])))
             elif op == "summary":
                 conn.send(("ok", shard.summary()))
             elif op == "close":
-                shard.close()
                 conn.send(("ok", None))
                 break
             else:
@@ -478,8 +525,8 @@ class ProcessBackend:
     def checkpoint_all(self) -> list:
         return self._call_all([("checkpoint",)] * len(self._conns))
 
-    def recover_all(self) -> list:
-        return self._call_all([("recover",)] * len(self._conns))
+    def recover_all(self, args: Sequence[tuple]) -> list:
+        return self._call_all([("recover",) + tuple(a) for a in args])
 
     def summaries(self) -> list[ShardSummary]:
         return self._call_all([("summary",)] * len(self._conns))

@@ -21,21 +21,29 @@ that co-partitioned tuples meet on the same shard.  Unary operators
 form of this contract: sharded output must equal single-engine output
 after canonicalized ordering, for P ∈ {1, 2, 4}, across ETS modes, batch
 sizes, and join layouts.
+
+Durability: with a ``state_dir`` the facade's write-ahead log is the run's
+only input log (a frame per wake-up before dispatch, the shards' delivered
+``marks`` before release); shards keep checkpoints only (DESIGN.md §4g).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..core.config import EngineConfig
-from ..core.errors import ReproError
+from ..core.errors import GraphError, ReproError
 from ..obs.bus import EventBus
+from ..recovery.manager import RecoveryReport
+from ..recovery.wal import WriteAheadLog
 from .backends import (
     BACKENDS,
     EngineShard,
+    ShardError,
     ShardResult,
     ShardSummary,
     make_backend,
@@ -50,11 +58,11 @@ __all__ = ["ShardedEngine", "ShardedRecoveryReport"]
 class ShardedRecoveryReport:
     """Per-shard recovery reports plus the composed global figures.
 
-    ``ingests_by_shard`` maps ``shard -> {source -> replayed ingest
-    count}`` — exactly the per-shard skip counts a driver needs to re-feed
-    the global schedule without duplicating routed tuples (routing is
-    deterministic, so the crashed run's prefix routes identically on
-    replay).
+    ``ingests_by_shard`` maps ``shard -> {source -> ingest count}``: the
+    facade log's ingests, routed by the live partitioner — exactly the
+    per-shard skip counts a driver needs to re-feed the global schedule
+    without duplicating routed tuples (routing is deterministic, so the
+    crashed run's prefix routes identically on re-feed).
     """
 
     reports: list = field(default_factory=list)
@@ -79,6 +87,25 @@ class ShardedRecoveryReport:
         return any(r.fallback for r in self.reports)
 
 
+def log_segments(records):
+    """The logged wake-ups in order, each as ``(ingests, puncts, wakeup)``:
+    the ingest and punctuation commands since the previous wake-up record,
+    in ``apply``'s form, then that record (``marks`` records are skipped)."""
+    ingests: list[tuple] = []
+    puncts: list = []
+    for rec in records:
+        kind = rec["kind"]
+        if kind == "ingest":
+            ingests.append((rec["source"], rec["payload"], rec["time"],
+                            rec["ts"]))
+        elif kind == "punct":
+            puncts.append((rec["source"], rec["ts"], rec["origin"],
+                           rec["periodic"]))
+        elif kind == "wakeup":
+            yield ingests, puncts, rec
+            ingests, puncts = [], []
+
+
 class ShardedEngine:
     """P key-partitioned engine shards behind one ingest/wakeup surface.
 
@@ -101,10 +128,14 @@ class ShardedEngine:
             :class:`~repro.core.config.EngineConfig`: ``config`` carries
             them, keywords are ``config.replace``.  The facade keeps
             ``observers`` (they hear ``on_shard`` events) and roots
-            ``state_dir``; every other field reaches every shard engine,
-            so ``ets_policy`` and ``feedback`` must be zero-argument
-            factories here.
+            ``state_dir`` (its log in ``facade/``, shard *i*'s
+            checkpoints in ``shard-0i/``); every other field reaches
+            every shard engine, so ``ets_policy`` and ``feedback`` must be
+            zero-argument factories here.
     """
+
+    #: The topology generation a ``marks`` record is tagged with.
+    _epoch = 0
 
     def __init__(self, build: Callable[[], Any], *, shards: int,
                  key: str | Callable[[Any], Any],
@@ -129,24 +160,39 @@ class ShardedEngine:
         self._pending_ingests: list[list] = [[] for _ in range(shards)]
         self._pending_puncts: list = []
         self.ingested = 0
+        #: Wake-ups in the facade's history: the next one's log position
+        #: is this plus one.
         self.wakeups = 0
         self._closed = False
         self.feedback_enabled = config.feedback is not None
         self.global_pressure = 0.0
         self.clamps_broadcast = 0
         #: What every shard engine is built from (plus its own
-        #: ``state_dir``): per-shard engine events stay inside their shard,
-        #: and each shard owns its recovery manager.
+        #: ``state_dir``): per-shard engine events stay inside their shard.
         self._shard_config = config.replace(observers=(), recovery=None)
         self._disorder_bound = disorder_bound
         self._build = build
         self._backend_opts = dict(op_timeout=op_timeout,
                                   retry_limit=retry_limit)
         self.backend = self._make_backend(shards, self.state_dir)
+        #: Source name -> timestamp kind, as shard 0 reports them (no extra
+        #: build): the names ``ingest`` and ``inject_punctuation`` accept.
+        self._source_kinds = {
+            name: horizon["kind"]
+            for name, horizon in self.backend.summaries()[0].sources.items()}
+        #: The durable input log (None without a state directory), and
+        #: the shards' delivered counts it last recorded.
+        self._wal: WriteAheadLog | None = None
+        self._marks: list | None = None
+        if self.root_dir is not None:
+            (self.root_dir / "facade").mkdir(parents=True, exist_ok=True)
+            self._wal = WriteAheadLog(self.root_dir / "facade" / "wal.log")
 
     def _open_state(self, shards: int, state_dir) -> tuple[int, Path | None]:
-        """The shard count and the directory the shards' state lives under."""
-        return shards, Path(state_dir) if state_dir is not None else None
+        """The shard count and the directory the shards' state lives under;
+        sets ``root_dir``, whose ``facade/`` holds the log."""
+        self.root_dir = Path(state_dir) if state_dir is not None else None
+        return shards, self.root_dir
 
     def _shard_kwargs(self, index: int, state_dir: Path | None) -> dict:
         """``EngineShard`` keywords for shard ``index`` under ``state_dir``."""
@@ -180,13 +226,20 @@ class ShardedEngine:
         """The shard a payload routes to (deterministic, process-stable)."""
         return self.partitioner.shard_for_payload(payload)
 
+    def _unknown(self, source: str) -> GraphError:
+        return GraphError(f"unknown source {source!r} (graph has "
+                          f"{sorted(self._source_kinds)})")
+
     def ingest(self, source: str, payload: Any, *, time: float,
                ts: float | None = None) -> int:
         """Route one tuple to its key's shard; applied at the next wakeup.
 
-        Returns the destination shard index.
+        Returns the destination shard index; an unknown ``source`` raises
+        :class:`GraphError` before anything is staged.
         """
-        shard = self.shard_for(payload)
+        if source not in self._source_kinds:
+            raise self._unknown(source)
+        shard = self.partitioner.shard_for_payload(payload)
         self._pending_ingests[shard].append((source, payload, time, ts))
         if time > self._drive_now:
             self._drive_now = time
@@ -196,6 +249,8 @@ class ShardedEngine:
     def inject_punctuation(self, source: str, ts: float, *,
                            origin: str = "", periodic: bool = False) -> None:
         """Broadcast a punctuation to every shard at the next wakeup."""
+        if source not in self._source_kinds:
+            raise self._unknown(source)
         self._pending_puncts.append((source, ts, origin, periodic))
 
     # ------------------------------------------------------------------ #
@@ -214,13 +269,22 @@ class ShardedEngine:
         the next view.
         """
         clamp = self.global_pressure if self.feedback_enabled else None
+        position = self.wakeups + 1
+        if self._wal is not None:
+            self._wal.append(self._frame(clamp))
         commands = [(self._pending_ingests[i], self._pending_puncts,
-                     self._drive_now, clamp)
+                     self._drive_now, clamp, position)
                     for i in range(self.shard_count)]
         self._pending_ingests = [[] for _ in range(self.shard_count)]
         self._pending_puncts = []
         results: list[ShardResult] = self.backend.apply_all(commands)
-        self.wakeups += 1
+        self.wakeups = position
+        if self._wal is not None:
+            marks = [result.marks for result in results]
+            if marks != self._marks:
+                self._wal.append({"kind": "marks", "epoch": self._epoch,
+                                  "marks": marks})
+                self._marks = marks
         if clamp is not None and clamp > 0.0:
             self.clamps_broadcast += 1
         if self.feedback_enabled:
@@ -254,18 +318,34 @@ class ShardedEngine:
                            count=len(released))
         return released
 
+    def _frame(self, clamp: float | None) -> list[dict]:
+        """The wake-up's log records: its ingests (by shard, as recovery
+        routes them again), its punctuation, then the wake-up record."""
+        frame = [{"kind": "ingest", "source": source, "payload": payload,
+                  "time": time, "ts": ts}
+                 for rows in self._pending_ingests
+                 for source, payload, time, ts in rows]
+        frame += [{"kind": "punct", "source": source, "ts": ts,
+                   "origin": origin, "periodic": periodic}
+                  for source, ts, origin, periodic in self._pending_puncts]
+        frame.append({"kind": "wakeup", "now": self._drive_now,
+                      "clamp": clamp})
+        return frame
+
     def close(self, *, flush: bool = True) -> list[MergedRecord]:
         """Shut down shards; optionally flush records still gated.
 
         In-flight merge state is volatile by design (the durable
-        exactly-once boundary is each shard's sink — see DESIGN.md §4g);
-        an orderly close flushes it so a complete run loses nothing.
+        exactly-once boundary is the logged ``marks`` — see DESIGN.md
+        §4g); an orderly close flushes it so a complete run loses nothing.
         """
         if self._closed:
             return []
         self._closed = True
         remaining = self.merge.flush() if flush else []
         self.backend.close()
+        if self._wal is not None:
+            self._wal.close()
         return remaining
 
     # ------------------------------------------------------------------ #
@@ -275,34 +355,81 @@ class ShardedEngine:
         """Force a checkpoint on every shard (requires ``state_dir``)."""
         return self.backend.checkpoint_all()
 
-    def recover(self) -> ShardedRecoveryReport:
-        """Recover every shard to its durable prefix; compose the reports.
+    def _recovery_args(self, shards: Sequence[int]) -> tuple:
+        """Read the intact log, cutting a torn tail off; returns its
+        records and each of ``shards``' :meth:`EngineShard.recover`
+        arguments: this epoch's last ``marks`` for the shard, one ``apply``
+        command per logged wake-up — rows routed by the live partitioner,
+        punctuation broadcast — and a report holding what the log says of
+        the shard (the ingests routed to it, the log's length, a cut)."""
+        if self._wal is None:
+            raise ShardError("recovery needs a state_dir")
+        records, clean = self._wal.replay_with_status()
+        if not clean:
+            self._wal.truncate_to_valid()
+        marks = next((rec["marks"] for rec in reversed(records)
+                      if rec["kind"] == "marks"
+                      and rec["epoch"] == self._epoch),
+                     [{}] * self.shard_count)
+        commands: dict[int, list[tuple]] = {index: [] for index in shards}
+        counts = {index: Counter() for index in shards}
+        route = self.partitioner.shard_for_payload
+        for position, (ingests, puncts, wakeup) in enumerate(
+                log_segments(records), 1):
+            for routed in commands.values():
+                routed.append(([], puncts, wakeup["now"], wakeup["clamp"],
+                               position))
+            for row in ingests:
+                shard = route(row[1])
+                if shard in commands:
+                    commands[shard][-1][0].append(row)
+                    counts[shard][row[0]] += 1
+        return records, [
+            (marks[index], commands[index], RecoveryReport(
+                wal_records=len(records), wal_clean=clean,
+                ingests_by_source=dict(counts[index])))
+            for index in shards]
 
-        Per-shard prefixes are mutually consistent because shards share no
-        channels after the shuffle: each shard's WAL replay restores *its*
-        partition of the stream exactly-once, and deterministic routing
-        lets the driver re-feed the global suffix using the returned
-        per-shard skip counts.
+    def _adopt(self, records: list[dict]) -> None:
+        """Hook: take over the recovered log's command history."""
+
+    def recover(self) -> ShardedRecoveryReport:
+        """Rebuild every shard from its checkpoint and the facade log.
+
+        Each shard restores its newest checkpoint the intact log covers,
+        withholds what the log's ``marks`` say it already offered, and
+        re-applies the logged wake-ups past its checkpoint's position —
+        one path for every shard, whatever its position.  Shards share no
+        channels after the shuffle, so per-shard recovery composes.
         """
-        reports = self.backend.recover_all()
+        records, args = self._recovery_args(range(self.shard_count))
+        reports = self.backend.recover_all(args)
+        self._marks = [marks for marks, *_ in args]
+        self.wakeups = len(args[0][1])
+        self._adopt(records)
         composed = ShardedRecoveryReport(reports=list(reports))
         summaries = self.backend.summaries()
         for index, (report, summary) in enumerate(zip(reports, summaries)):
-            composed.ingests_by_shard[index] = dict(report.ingests_by_source)
+            composed.ingests_by_shard[index] = report.ingests_by_source
             composed.frontiers.append(summary.frontier)
-            self.tracker.advertise(index, summary.frontier)
-            if self.bus is not None:
-                self.bus.shard(kind="recovery", shard=index,
-                               time=self._drive_now,
-                               frontier=summary.frontier,
-                               count=sum(report.ingests_by_source.values()))
+            self._recovered(index, report, summary.frontier)
         return composed
+
+    def _recovered(self, index: int, report, frontier: float) -> None:
+        """Advertise a rebuilt shard's frontier; ``on_shard(kind=
+        "recovery")`` counts the log rows routed to it."""
+        self.tracker.advertise(index, frontier)
+        if self.bus is not None:
+            self.bus.shard(kind="recovery", shard=index, time=self._drive_now,
+                           frontier=frontier,
+                           count=sum(report.ingests_by_source.values()))
 
     def crash_shard(self, index: int) -> Any:
         """Simulate a single-shard failure (in-process backends only).
 
         The shard's in-memory state is discarded and rebuilt from its
-        checkpoint + WAL while every other shard keeps running — the
+        checkpoint and the facade log, by the same path as
+        :meth:`recover`, while every other shard keeps running — the
         targeted-failure half of the crash matrix.  Returns the shard's
         :class:`RecoveryReport`.
         """
@@ -310,18 +437,12 @@ class ShardedEngine:
         if shards is None:
             raise ReproError("crash_shard needs an in-process backend "
                              "(serial or thread)")
-        old = shards[index]
-        old.close()
+        _, args = self._recovery_args([index])
         replacement = EngineShard(
             index, self._build, **self._shard_kwargs(index, self.state_dir))
         shards[index] = replacement
-        report = replacement.recover()
-        self.tracker.advertise(index, replacement.frontier())
-        if self.bus is not None:
-            self.bus.shard(kind="recovery", shard=index,
-                           time=self._drive_now,
-                           frontier=replacement.frontier(),
-                           count=sum(report.ingests_by_source.values()))
+        report = replacement.recover(*args[0])
+        self._recovered(index, report, replacement.frontier())
         return report
 
     # ------------------------------------------------------------------ #

@@ -282,7 +282,7 @@ class TestEngineKnobs:
                 return (facade.state_dir, facade.feedback_enabled,
                         tuple(facade.bus.observers) if facade.bus else (),
                         [(self._engine_setup(shard.engine),
-                          shard.manager is not None)
+                          shard.store is not None)
                          for shard in facade.backend.shards])
             finally:
                 facade.close(flush=False)

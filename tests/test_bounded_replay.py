@@ -12,7 +12,7 @@ must *not* cut (count windows, aggregates), the ones where a row's own
 fields understate its stamp (late internal rows, out-of-order external
 streams, internal rows behind an external stream's arrivals), the join
 cascade whose second window holds *derived* rows, and the accounting that
-survives a crash (``ingest_base``).
+survives a crash (every acknowledged row is in the one facade log).
 """
 
 from __future__ import annotations
@@ -436,14 +436,14 @@ def test_unbounded_state_replays_everything(build):
 
 
 # --------------------------------------------------------------------- #
-# Accounting across a crash: the manifest's ingest_base
+# Accounting across a crash: the facade log holds every acknowledged row
 
 
 def test_reshard_crash_recover_reshard_keeps_acknowledged_count(tmp_path):
     """Reshard → crash → recover → reshard again, on a long history: the
-    new shards' WALs hold only the live suffix, so ``total_ingests`` is
-    right only with the manifest's base — and the second reshard, built
-    from the recovered facade log, cuts again."""
+    new shards were built from the live suffix only, yet ``total_ingests``
+    counts the whole facade log — and the second reshard, built from the
+    recovered facade log, cuts again."""
     feeds = long_feeds()
     crash_index = CHUNK * 16
 
@@ -491,9 +491,9 @@ def test_reshard_crash_recover_reshard_keeps_acknowledged_count(tmp_path):
     engine.close(flush=False)
 
     manifest = json.loads((tmp_path / "CURRENT").read_text())
-    base = sum(count for counts in manifest["ingest_base"].values()
-               for count in counts.values())
-    assert base == first.logged_ingests - first.replayed_ingests
+    assert manifest == {"epoch": 1, "shards": 3}
+    cut = first.logged_ingests - first.replayed_ingests
+    assert cut > 0 and cut % CHUNK == 0
 
     engine = facade()
     assert engine.shard_count == 3
