@@ -45,10 +45,13 @@ class EngineConfig:
             the ``deliver_due`` hook then runs once per run rather than
             once per tuple, which is exactly the amortization being bought
             (the :class:`~repro.api.Pipeline` default is 64).
-        checkpoint_every: Checkpoint cadence in engine wake-up rounds;
-            None disables.  The writing is done by a bound
-            :class:`~repro.recovery.RecoveryManager` (``recovery`` /
-            ``state_dir``); without one nothing fires.
+        checkpoint_every: Checkpoint cadence; None disables.  A single
+            engine counts its wake-up rounds and a bound
+            :class:`~repro.recovery.RecoveryManager` (``recovery``) writes
+            the image; a sharded facade with a ``state_dir`` counts its own
+            wake-ups and checkpoints every shard at the wake-up's logged
+            ``marks`` (its shard engines get None).  Without either,
+            nothing fires.
         observers: Instrumentation observers (see :mod:`repro.obs`).  When
             empty the engine stores no event bus at all and every emission
             site reduces to one ``is None`` test — the fast path
@@ -71,10 +74,12 @@ class EngineConfig:
         recovery: A :class:`~repro.recovery.RecoveryManager` a
             ``Simulation`` binds to its graph/engine/clock, making every
             ingest and wake-up WAL-logged and crash-recoverable.  Sharded
-            runs take ``state_dir`` instead, since each shard owns its
-            manager.
-        state_dir: Root directory for per-shard durable state (WAL +
-            checkpoints under ``state_dir/shard-NN``); None disables
+            runs take ``state_dir`` instead: their facade logs the input
+            and no shard engine has a manager.
+        state_dir: Root directory of a sharded run's durable state: the
+            facade's one input log (``facade/wal.log``) and each shard's
+            checkpoints (``shard-NN/``, or ``epoch-NNNN/shard-NN/`` for
+            an elastic root; shards write no log).  None disables
             durability.  Read by the sharded constructors only.
         max_steps_per_round: Livelock safety valve for logical-mode loops;
             None means unbounded (the cost model plus event horizon bound

@@ -7,7 +7,9 @@ durability pair on top of the reproduction's deterministic substrate:
 * :class:`CheckpointStore` — atomic, CRC-checked, monotonically numbered
   images of every stateful component's ``snapshot_state()``;
 * :class:`WriteAheadLog` — tuple-granularity logging of everything that
-  enters or drives the engine, appended before it is applied;
+  enters or drives the engine, durable before the wake-up that reads it;
+* :class:`InputJournal` — the one way into a log (single engine and
+  sharded facades): staged commands commit with their wake-up as one frame;
 * :class:`RecoveryManager` — binds both to one engine and performs
   crash-stop recovery: restore the newest valid checkpoint (falling back
   loudly past corrupted ones), replay the WAL suffix, and suppress
@@ -21,13 +23,14 @@ argument.
 
 from .checkpoint import CHECKPOINT_MAGIC, CheckpointInfo, CheckpointStore
 from .manager import CHECKPOINT_FORMAT_VERSION, RecoveryManager, RecoveryReport
-from .wal import WAL_MAGIC, WalRecord, WriteAheadLog
+from .wal import WAL_MAGIC, InputJournal, WalRecord, WriteAheadLog
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CHECKPOINT_MAGIC",
     "CheckpointInfo",
     "CheckpointStore",
+    "InputJournal",
     "RecoveryManager",
     "RecoveryReport",
     "WAL_MAGIC",

@@ -1,32 +1,35 @@
 """The recovery manager: checkpoints, WAL logging, and crash-stop recovery.
 
 One :class:`RecoveryManager` owns a state directory (checkpoint files plus
-``wal.log``) and binds to one engine/graph/clock triple.  Binding interposes
-on the three points where input enters or drives the engine:
+``wal.log``) and binds to one engine/graph/clock triple.  Its log is
+written through an :class:`~repro.recovery.wal.InputJournal`, fed by
+interposing on the three points where input enters or drives the engine:
 
-* ``SourceNode.ingest`` — every admitted tuple gets a WAL record, buffered
-  until the wake-up that first reads the row;
+* ``SourceNode.ingest`` — every admitted tuple is staged once the call
+  returned (a call that raised admitted nothing; DESIGN.md §4f says why
+  these interposers, not a journal attribute on the source, feed it);
 * ``SourceNode.inject_punctuation`` — harness-injected punctuation (kernel
-  heartbeats, test drivers) is logged the same way;
+  heartbeats, test drivers) is staged the same way;
   punctuation generated *inside* an engine wake-up (on-demand ETS) is NOT
   logged — replaying the wake-up regenerates it deterministically;
 * ``ExecutionEngine.wakeup`` — each wake-up is logged so replay reproduces
   the exact drive schedule (chunked ingestion between wake-ups decides
   tie-breaking and batching; replaying ingests with a different wake-up
-  schedule would be a different execution).  The wake-up record and
-  everything buffered since the previous one go out as **one group frame,
-  one flush/fsync, before the engine runs** (write-ahead at the wake-up:
-  no output can exist before its inputs are on disk).  Rows the engine
-  admits *inside* a wake-up (``deliver_due``) are appended at once.  After
-  each wake-up the sinks' cumulative delivery counts are appended as a
-  ``marks`` record — the durable high-water marks that make recovery
-  exactly-once.
+  schedule would be a different execution).  The journal commits the
+  wake-up record and everything staged since the previous one as **one
+  group frame, one flush/fsync, before the engine runs** (write-ahead at
+  the wake-up: no output can exist before its inputs are on disk).  Rows
+  the engine admits *inside* a wake-up (``deliver_due``) are appended at
+  once.  After each wake-up the sinks' cumulative delivery counts are
+  appended as a ``marks`` record when they changed — the durable
+  high-water marks that make recovery exactly-once.
 
 A crash between ``ingest`` and the next wake-up therefore loses exactly the
 un-woken rows: no record of them exists, :attr:`RecoveryReport.\
 ingests_by_source` does not count them, and the driver re-feeds them.
-:meth:`checkpoint` and :meth:`close` write the buffer out first, so a
-checkpoint's ``wal_index`` covers every record whose effect is in the image.
+:meth:`checkpoint` and :meth:`close` write the staged records out first, so
+a checkpoint's ``wal_index`` covers every record whose effect is in the
+image.
 
 Checkpointing fires through the engine's ``checkpoint_hook`` (every
 ``checkpoint_every`` rounds) or explicitly via :meth:`checkpoint`; the
@@ -54,10 +57,9 @@ from ..core.graph import QueryGraph
 from ..core.operators.source import SourceNode
 from ..core.tuples import ensure_seq_above
 from .checkpoint import CheckpointInfo, CheckpointStore
-from .wal import WalRecord, WriteAheadLog
+from .wal import InputJournal
 
-__all__ = ["RecoveryManager", "RecoveryReport", "CHECKPOINT_FORMAT_VERSION",
-           "wal_history"]
+__all__ = ["RecoveryManager", "RecoveryReport", "CHECKPOINT_FORMAT_VERSION"]
 
 #: Version of the assembled checkpoint *document* (the per-component
 #: snapshots carry their own versions on top).  Bump on any change to the
@@ -262,22 +264,19 @@ class RecoveryManager:
 
     Args:
         state_dir: Directory holding ``checkpoint-NNNNNN.ckpt`` files and
-            ``wal.log``; created on first write.
-        keep: Checkpoints retained (at least 2, so a corrupted latest
-            always has a fallback).
-        fsync: Fsync WAL appends (durable tail) — turn off for benchmarks
-            that measure everything but the disk.
+            ``wal.log``; created on first write.  Appends are fsynced and
+            the store keeps its default number of checkpoints.
         bus: Optional event bus; checkpoint/recovery/fault events are
             published on it (a :class:`~repro.obs.MetricsRegistry` there
             counts their figures).  A bound engine's bus is used by default.
     """
 
-    def __init__(self, state_dir: str | Path, *, keep: int = 4,
-                 fsync: bool = True, bus=None) -> None:
+    def __init__(self, state_dir: str | Path, *, bus=None) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.store = CheckpointStore(self.state_dir, keep=keep)
-        self.wal = WriteAheadLog(self.state_dir / "wal.log", fsync=fsync)
+        self.store = CheckpointStore(self.state_dir)
+        self.journal = InputJournal(self.state_dir / "wal.log")
+        self.wal = self.journal.wal
         self._bus = bus
         self.graph: QueryGraph | None = None
         self.engine: ExecutionEngine | None = None
@@ -285,9 +284,6 @@ class RecoveryManager:
         self.sim = None
         self._replaying = False
         self._in_wakeup = False
-        #: Records admitted since the last wake-up, not yet on disk.
-        self._pending: list[dict] = []
-        self._last_marks: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Binding
@@ -316,70 +312,64 @@ class RecoveryManager:
         return self
 
     def _wrap_source(self, source: SourceNode) -> None:
+        """Journal each call once it returned: a call that raised admitted
+        nothing, and a logged one would raise again on every replay."""
         inner_ingest = source.ingest
         inner_inject = source.inject_punctuation
-        manager = self
+        manager, journal = self, self.journal
 
         def ingest(payload, now, ts=None, arrival=None):
+            result = inner_ingest(payload, now, ts=ts, arrival=arrival)
             if not manager._replaying:
-                manager._log({
+                record = {
                     "kind": "ingest", "source": source.name,
                     "time": arrival if arrival is not None else now,
                     "now": now, "payload": payload, "external_ts": ts,
-                })
-            return inner_ingest(payload, now, ts=ts, arrival=arrival)
+                }
+                # Inside a wake-up the engine is already reading: at once.
+                if manager._in_wakeup:
+                    journal.append(record)
+                else:
+                    journal.stage(record)
+            return result
 
         def inject_punctuation(ts, *, origin="", periodic=False):
+            result = inner_inject(ts, origin=origin, periodic=periodic)
             # Engine-generated punctuation (on-demand ETS inside a wake-up)
             # is regenerated by replaying the wake-up; logging it too would
             # only bloat the WAL with stale no-op re-injections.
             if not manager._replaying and not manager._in_wakeup:
-                manager._log({
+                journal.stage({
                     "kind": "punct", "source": source.name, "ts": ts,
                     "origin": origin, "periodic": periodic,
                     "time": manager.clock.now(),
                 })
-            return inner_inject(ts, origin=origin, periodic=periodic)
+            return result
 
         source.ingest = ingest  # type: ignore[method-assign]
         source.inject_punctuation = inject_punctuation  # type: ignore[method-assign]
 
     def _wrap_wakeup(self, engine: ExecutionEngine) -> None:
         inner = engine.wakeup
-        manager = self
+        manager, journal = self, self.journal
 
         def wakeup(entry=None):
             if not manager._replaying:
-                manager._pending.append({
+                journal.commit({
                     "kind": "wakeup",
                     "entry": getattr(entry, "name", None),
                     "time": manager.clock.now(),
                 })
-                manager._flush()
             manager._in_wakeup = True
             try:
                 result = inner(entry)
             finally:
                 manager._in_wakeup = False
             if not manager._replaying:
-                manager._append_marks()
+                journal.mark(manager._sink_delivered())
             return result
 
         engine.wakeup = wakeup  # type: ignore[method-assign]
-
-    def _log(self, record: dict) -> None:
-        """Buffer ``record`` for the next wake-up's group frame; inside a
-        wake-up the engine is already reading, so it goes out at once."""
-        if self._in_wakeup:
-            self.wal.append(record)
-        else:
-            self._pending.append(record)
-
-    def _flush(self) -> None:
-        """Write the buffered records as one frame (the group commit)."""
-        if self._pending:
-            pending, self._pending = self._pending, []
-            self.wal.append(pending)
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -391,12 +381,6 @@ class RecoveryManager:
     def _sink_delivered(self) -> dict[str, int]:
         return {s.name: s.delivered for s in self.graph.sinks()}
 
-    def _append_marks(self) -> None:
-        marks = self._sink_delivered()
-        if marks != self._last_marks:
-            self.wal.append({"kind": "marks", "marks": marks})
-            self._last_marks = marks
-
     def _round_checkpoint(self, round_id: int) -> None:
         """Engine hook target: checkpoint unless a replay is in progress."""
         if not self._replaying:
@@ -405,12 +389,12 @@ class RecoveryManager:
     def assemble_state(self) -> dict:
         """The full checkpoint document (every component's snapshot).
 
-        Buffered records go to the WAL first: their rows already sit in the
+        Staged records go to the WAL first: their rows already sit in the
         source buffers this image captures, so ``wal_index`` must cover
         them.
         """
         self._require_bound()
-        self._flush()
+        self.journal.flush()
         return engine_state(self.graph, self.engine, self.clock, sim=self.sim,
                             wal_index=self.wal.records_written)
 
@@ -447,9 +431,8 @@ class RecoveryManager:
         started = _time.perf_counter()
         report = RecoveryReport()
 
-        records, clean = self.wal.replay_with_status()
+        records, clean = self.journal.read()
         if not clean:
-            self.wal.truncate_to_valid()
             self._fault("wal-torn-tail",
                         f"truncated to {len(records)} records")
         report.wal_clean = clean
@@ -459,8 +442,7 @@ class RecoveryManager:
                 report.ingests_by_source[rec["source"]] = \
                     report.ingests_by_source.get(rec["source"], 0) + 1
 
-        marks = next((rec["marks"] for rec in reversed(records)
-                      if rec.kind == "marks"), {})
+        marks = self.journal.marks or {}
         try:
             state = restore_newest(report, self.store, "wal_index",
                                    len(records), marks, self.graph,
@@ -500,7 +482,7 @@ class RecoveryManager:
         finally:
             self._replaying = False
         report.replayed = len(suffix)
-        self._last_marks = self._sink_delivered()
+        self.journal.marks = self._sink_delivered()
 
         report.duration = _time.perf_counter() - started
         if self._bus is not None:
@@ -513,17 +495,9 @@ class RecoveryManager:
         return report
 
     def close(self) -> None:
-        """Write out buffered records, release the WAL handle (idempotent)."""
-        self._flush()
-        self.wal.close()
-
-
-def wal_history(state_dir: str | Path) -> list[WalRecord]:
-    """The command history of a state directory's WAL, without binding:
-    its intact records in order, less the ``marks`` (delivery counts, not
-    commands).  Returns ``[]`` when no WAL exists yet."""
-    records = WriteAheadLog(Path(state_dir) / "wal.log", fsync=False).replay()
-    return [rec for rec in records if rec.kind != "marks"]
+        """Write out staged records, release the WAL handle (idempotent)."""
+        self.journal.flush()
+        self.journal.close()
 
 
 def _max_seq(obj: Any, _best: int = -1) -> int:

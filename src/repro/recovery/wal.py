@@ -22,9 +22,10 @@ of them.  A list travels as one *group* frame — the payload
 which every reader expands back into its member records.  Record indices,
 :attr:`WriteAheadLog.records_written` and the replayed list therefore count
 *records*, never frames, and a log of plain frames only (the pre-group
-format) reads exactly as before.  The recovery manager appends everything
-admitted between two wake-ups, with the wake-up record itself, as one list
-(DESIGN.md §4f has the durability point this moves).
+format) reads exactly as before.  No caller builds those lists itself:
+every log is written through an :class:`InputJournal`, which stages what
+is admitted between two wake-ups and commits it with the wake-up record as
+one list (DESIGN.md §4f has the durability point this moves).
 
 Appends are flushed and fsynced by default.  Replay is truncation-tolerant:
 a torn final frame (short header, short payload, or CRC mismatch) ends the
@@ -45,7 +46,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 from ..core.errors import RecoveryError
 
-__all__ = ["WalRecord", "WriteAheadLog", "WAL_MAGIC"]
+__all__ = ["InputJournal", "WalRecord", "WriteAheadLog", "WAL_MAGIC"]
 
 WAL_MAGIC = b"RPWAL001"
 _FRAME = struct.Struct("<II")  # length, crc32
@@ -54,11 +55,10 @@ _FRAME = struct.Struct("<II")  # length, crc32
 class WalRecord(dict):
     """One WAL record: a dict with a mandatory ``kind`` key.
 
-    Kinds used by the recovery manager:
-
-    * ``ingest`` — fields ``source``, ``time``, ``payload``, ``external_ts``;
-    * ``punct``  — fields ``source``, ``ts``, ``origin``;
-    * ``marks``  — field ``marks``: ``{sink_name: delivered_count}``.
+    Kinds written by an :class:`InputJournal` (DESIGN.md §4f): ``ingest``
+    and ``punct`` (one input command each), ``wakeup`` (the drive
+    schedule) and ``marks`` (delivered counts: ``{sink: count}``, or one
+    per shard after an ``epoch`` tag on a facade).
 
     A ``group`` frame never surfaces as a record: readers yield its members.
     """
@@ -214,3 +214,70 @@ class WriteAheadLog:
         for valid, members in self._frames(data):
             records.extend(members)
         return records, not data or valid == len(data)
+
+
+class InputJournal:
+    """The one staging protocol over a :class:`WriteAheadLog`.
+
+    Commands admitted between wake-ups are staged; :meth:`commit` writes
+    them with the wake-up's own record as one group frame, before the
+    wake-up runs.  :meth:`append` writes a record at once (a row admitted
+    inside a wake-up); :meth:`mark` appends a ``marks`` record when the
+    delivered counts changed; :meth:`read` takes the intact log back.
+    Without a ``path`` nothing is written; with ``history`` every staged
+    record is also kept, in call order (a reshard's script).
+    """
+
+    def __init__(self, path: str | os.PathLike | None = None, *,
+                 history: bool = False) -> None:
+        self.wal = WriteAheadLog(path) if path is not None else None
+        self.history: list[dict] | None = [] if history else None
+        #: The counts of the last ``marks`` record (None before the first).
+        self.marks = None
+        self._staged: list[dict] = []
+
+    def stage(self, record: dict) -> None:
+        self._staged.append(record)
+        if self.history is not None:
+            self.history.append(record)
+
+    def commit(self, wakeup: dict) -> None:
+        self.stage(wakeup)
+        self.flush()
+
+    def flush(self) -> None:
+        """Write what is staged as one group frame."""
+        if self._staged:
+            staged, self._staged = self._staged, []
+            if self.wal is not None:
+                self.wal.append(staged)
+
+    def append(self, record: dict) -> None:
+        """Write ``record`` at once, as a plain frame."""
+        self.wal.append(record)
+
+    def mark(self, marks, **tags) -> None:
+        """Append ``{"kind": "marks", **tags, "marks": marks}`` unless
+        ``marks`` equal the last record's."""
+        if self.wal is not None and marks != self.marks:
+            self.wal.append({"kind": "marks", **tags, "marks": marks})
+            self.marks = marks
+
+    def read(self) -> tuple[list[WalRecord], bool]:
+        """The intact records and whether the log ended cleanly, a torn
+        tail cut off first; :attr:`marks` and the history (plus what is
+        still staged) are taken from them."""
+        records, clean = self.wal.replay_with_status()
+        if not clean:
+            self.wal.truncate_to_valid()
+        self.marks = next((rec["marks"] for rec in reversed(records)
+                           if rec.kind == "marks"), None)
+        if self.history is not None:
+            self.history = [rec for rec in records
+                            if rec.kind != "marks"] + self._staged
+        return records, clean
+
+    def close(self) -> None:
+        """Release the file handle; staged records are not written."""
+        if self.wal is not None:
+            self.wal.close()

@@ -144,10 +144,10 @@ class EngineShard:
             :class:`~repro.core.config.EngineConfig`, handed to the shard's
             engine as they are.  ``ets_policy`` and ``feedback`` must be
             zero-argument factories (both hold state and cannot be shared
-            across engines); with ``state_dir`` set, checkpoints are
-            written there — every ``checkpoint_every`` rounds and on
-            :meth:`checkpoint` — each recording the facade-log
-            :attr:`position` it covers.  The shard logs nothing itself.
+            across engines); with ``state_dir`` set, :meth:`checkpoint`
+            writes there, each image recording the facade-log
+            :attr:`position` it covers.  The shard neither logs nor
+            decides when to checkpoint: the facade calls it at its marks.
     """
 
     def __init__(self, index: int, build: Callable[[], Any], *,
@@ -177,7 +177,6 @@ class EngineShard:
         if config.state_dir is not None:
             Path(config.state_dir).mkdir(parents=True, exist_ok=True)
             self.store = CheckpointStore(config.state_dir)
-            self.engine.checkpoint_hook = lambda round_id: self.checkpoint()
 
     def _capture_sink(self, sink) -> None:
         """Collect ``(sink, ts, payloads)`` runs straight off the sink's
@@ -280,17 +279,11 @@ class EngineShard:
         if state is not None:
             self.position = state["position"]
         outputs: list = []
-        # No checkpoint while re-applying: it would count held rows no marks
-        # record covers, and a second crash would restore it and lose them.
-        hook, self.engine.checkpoint_hook = self.engine.checkpoint_hook, None
-        try:
-            for command in commands:
-                if command[4] > self.position:
-                    outputs += self.apply(*command).outputs
-                    report.ingests_replayed += len(command[0])
-                    report.wakeups_replayed += 1
-        finally:
-            self.engine.checkpoint_hook = hook
+        for command in commands:
+            if command[4] > self.position:
+                outputs += self.apply(*command).outputs
+                report.ingests_replayed += len(command[0])
+                report.wakeups_replayed += 1
         report.replayed = report.wakeups_replayed
         self._outputs = outputs
         self.ingested = sum(len(command[0]) for command in commands)

@@ -17,11 +17,12 @@ Exactly-once across a reshard rests on two invariants:
    wake-up every shard's per-source watermark equals the value a single
    unsharded engine would hold — the gates of the old shard set and of the
    replayed new shard set therefore agree exactly at the handoff point.
-2. **Deterministic replay of the live suffix.**  The facade records every
-   ``ingest``, ``inject_punctuation`` and ``wakeup`` it performs, in memory
-   and, with a root directory, in the facade log.  The new shard set is
-   built by re-dispatching that history wake-up by wake-up, with ingests
-   routed by the **new** partitioner and punctuation broadcast.  History
+2. **Deterministic replay of the live suffix.**  The facade's input
+   journal keeps every ``ingest``, ``inject_punctuation`` and ``wakeup``
+   as an in-memory history and, with a root directory, in the facade log.
+   The new shard set is built by re-dispatching that history wake-up by
+   wake-up, with ingests routed by the **new** partitioner and punctuation
+   broadcast.  History
    that is provably dead is not re-run: after alignment every old shard
    reports its *state floor*
    (:meth:`~repro.core.graph.QueryGraph.state_floor` — window horizons,
@@ -243,7 +244,7 @@ class ReshardCoordinator:
         carried: list = []
         carried_at: tuple = ()
         for position, (rows, puncts, wakeup) in enumerate(
-                log_segments(e._log), 1):
+                log_segments(e.journal.history), 1):
             ingests: list[list] = [[] for _ in range(new_shards)]
             for row in rows:
                 payload = row[1]
@@ -282,7 +283,6 @@ class ReshardCoordinator:
         e.shard_count = report.new_shards
         e.state_dir = epoch_dir
         e._epoch = report.epoch
-        e._marks = None
         e._pending_ingests = [[] for _ in range(report.new_shards)]
         e.tracker.resize(report.new_shards, floor=report.frontier)
         try:
@@ -328,16 +328,14 @@ class ElasticShardedEngine(ShardedEngine):
     manifest naming the live one, and the facade log is
     ``root/facade/wal.log``.  A fresh facade pointed at an existing root
     adopts the manifest's topology (the manifest's shard count overrides
-    the argument).
+    the argument).  Its journal keeps the command history a reshard
+    replays, with or without a root.
     """
+
+    _history = True
 
     def __init__(self, build: Callable[[], Any], **kwargs) -> None:
         super().__init__(build, **kwargs)
-        #: The facade command log: every ingest / punctuation / wakeup in
-        #: dispatch order — the reshard replay script — and how much of it
-        #: the durable log holds.
-        self._log: list[dict] = []
-        self._framed = 0
         self._resharding = False
         #: Phase hooks ``f(phase_name)`` called as each reshard phase
         #: begins — the fault-injection seam (:class:`repro.faults.\
@@ -370,48 +368,6 @@ class ElasticShardedEngine(ShardedEngine):
         return shards, root / f"epoch-{self._epoch:04d}"
 
     # ------------------------------------------------------------------ #
-    # Command logging
-
-    def ingest(self, source: str, payload: Any, *, time: float,
-               ts: float | None = None) -> int:
-        shard = super().ingest(source, payload, time=time, ts=ts)
-        self._log.append({"kind": "ingest", "source": source,
-                          "payload": payload, "time": time, "ts": ts})
-        return shard
-
-    def inject_punctuation(self, source: str, ts: float, *,
-                           origin: str = "", periodic: bool = False) -> None:
-        super().inject_punctuation(source, ts, origin=origin,
-                                   periodic=periodic)
-        self._log.append({"kind": "punct", "source": source, "ts": ts,
-                          "origin": origin, "periodic": periodic})
-
-    # ------------------------------------------------------------------ #
-    # Driving
-
-    def wakeup(self) -> list[MergedRecord]:
-        """One wake-up, recorded in the command log before dispatch."""
-        clamp = self.global_pressure if self.feedback_enabled else None
-        self._log.append({"kind": "wakeup", "now": self._drive_now,
-                          "clamp": clamp})
-        return super().wakeup()
-
-    def _frame(self, clamp: float | None) -> list[dict]:
-        """The commands logged since the last frame, in call order: a
-        reshard re-routes them, so their order across shards matters."""
-        frame = self._log[self._framed:]
-        self._framed = len(self._log)
-        return frame
-
-    def _adopt(self, records: list[dict]) -> None:
-        """The command log and the drive clock, rebuilt from the recovered
-        facade log."""
-        self._log = [rec for rec in records if rec["kind"] != "marks"]
-        self._framed = len(self._log)
-        self._drive_now = max([self._drive_now] + [
-            rec["now"] for rec in self._log if rec["kind"] == "wakeup"])
-
-    # ------------------------------------------------------------------ #
     # Resharding
 
     def reshard(self, new_shards: int, *, reason: str = "manual"
@@ -424,10 +380,10 @@ class ElasticShardedEngine(ShardedEngine):
         """Per-source global horizon: the alignment punctuation values.
 
         For each non-latent source, the max over every shard's live
-        watermark and every data and punctuation stamp in the command log
-        — exactly the watermark a single unsharded engine would hold, since
-        that is the max over all data and punctuation timestamps ever
-        admitted.
+        watermark and every data and punctuation stamp in the journal's
+        history — exactly the watermark a single unsharded engine would
+        hold, since that is the max over all data and punctuation
+        timestamps ever admitted.
         """
         targets: dict[str, float] = {}
 
@@ -438,7 +394,7 @@ class ElasticShardedEngine(ShardedEngine):
         for summary in self.backend.summaries():
             for name, horizon in summary.sources.items():
                 offer(name, max(horizon["watermark"], horizon["last_data_ts"]))
-        for rec in self._log:
+        for rec in self.journal.history:
             if rec["kind"] == "ingest":
                 offer(rec["source"],
                       rec["time"] if rec["ts"] is None else rec["ts"])

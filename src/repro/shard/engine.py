@@ -22,9 +22,11 @@ form of this contract: sharded output must equal single-engine output
 after canonicalized ordering, for P ∈ {1, 2, 4}, across ETS modes, batch
 sizes, and join layouts.
 
-Durability: with a ``state_dir`` the facade's write-ahead log is the run's
+Durability: with a ``state_dir`` the facade's input journal is the run's
 only input log (a frame per wake-up before dispatch, the shards' delivered
-``marks`` before release); shards keep checkpoints only (DESIGN.md §4g).
+``marks`` before release), and the facade alone decides when the shards
+checkpoint: at a logged mark, every ``checkpoint_every`` wake-ups
+(DESIGN.md §4g).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..core.config import EngineConfig
 from ..core.errors import GraphError, ReproError
 from ..obs.bus import EventBus
 from ..recovery.manager import RecoveryReport
-from ..recovery.wal import WriteAheadLog
+from ..recovery.wal import InputJournal
 from .backends import (
     BACKENDS,
     EngineShard,
@@ -127,15 +129,18 @@ class ShardedEngine:
         config / **knobs: The shared knobs, declared and documented on
             :class:`~repro.core.config.EngineConfig`: ``config`` carries
             them, keywords are ``config.replace``.  The facade keeps
-            ``observers`` (they hear ``on_shard`` events) and roots
+            ``observers`` (they hear ``on_shard`` events), roots
             ``state_dir`` (its log in ``facade/``, shard *i*'s
-            checkpoints in ``shard-0i/``); every other field reaches
-            every shard engine, so ``ets_policy`` and ``feedback`` must be
+            checkpoints in ``shard-0i/``) and counts ``checkpoint_every``
+            in its own wake-ups; every other field reaches every shard
+            engine, so ``ets_policy`` and ``feedback`` must be
             zero-argument factories here.
     """
 
     #: The topology generation a ``marks`` record is tagged with.
     _epoch = 0
+    #: Whether the journal keeps the command history in memory.
+    _history = False
 
     def __init__(self, build: Callable[[], Any], *, shards: int,
                  key: str | Callable[[Any], Any],
@@ -168,8 +173,10 @@ class ShardedEngine:
         self.global_pressure = 0.0
         self.clamps_broadcast = 0
         #: What every shard engine is built from (plus its own
-        #: ``state_dir``): per-shard engine events stay inside their shard.
-        self._shard_config = config.replace(observers=(), recovery=None)
+        #: ``state_dir``): per-shard engine events stay inside their shard,
+        #: and no shard checkpoints on its own.
+        self._shard_config = config.replace(observers=(), recovery=None,
+                                            checkpoint_every=None)
         self._disorder_bound = disorder_bound
         self._build = build
         self._backend_opts = dict(op_timeout=op_timeout,
@@ -180,13 +187,17 @@ class ShardedEngine:
         self._source_kinds = {
             name: horizon["kind"]
             for name, horizon in self.backend.summaries()[0].sources.items()}
-        #: The durable input log (None without a state directory), and
-        #: the shards' delivered counts it last recorded.
-        self._wal: WriteAheadLog | None = None
-        self._marks: list | None = None
+        log = None
         if self.root_dir is not None:
-            (self.root_dir / "facade").mkdir(parents=True, exist_ok=True)
-            self._wal = WriteAheadLog(self.root_dir / "facade" / "wal.log")
+            log = self.root_dir / "facade" / "wal.log"
+            log.parent.mkdir(parents=True, exist_ok=True)
+        #: The input journal; None when the facade neither logs nor keeps
+        #: a history.
+        self.journal = (InputJournal(log, history=self._history)
+                        if log is not None or self._history else None)
+        #: Facade wake-ups between shard checkpoints (durable runs only).
+        self._checkpoint_every = (None if log is None
+                                  else config.checkpoint_every)
 
     def _open_state(self, shards: int, state_dir) -> tuple[int, Path | None]:
         """The shard count and the directory the shards' state lives under;
@@ -241,6 +252,9 @@ class ShardedEngine:
             raise self._unknown(source)
         shard = self.partitioner.shard_for_payload(payload)
         self._pending_ingests[shard].append((source, payload, time, ts))
+        if self.journal is not None:
+            self.journal.stage({"kind": "ingest", "source": source,
+                                "payload": payload, "time": time, "ts": ts})
         if time > self._drive_now:
             self._drive_now = time
         self.ingested += 1
@@ -252,6 +266,9 @@ class ShardedEngine:
         if source not in self._source_kinds:
             raise self._unknown(source)
         self._pending_puncts.append((source, ts, origin, periodic))
+        if self.journal is not None:
+            self.journal.stage({"kind": "punct", "source": source, "ts": ts,
+                                "origin": origin, "periodic": periodic})
 
     # ------------------------------------------------------------------ #
     # Driving
@@ -267,11 +284,15 @@ class ShardedEngine:
         pressure view rides along as a clamp (bounded staleness: one
         wake-up) and this wake-up's per-shard pressures are folded into
         the next view.
+
+        A durable wake-up runs frame → apply → marks → offer → checkpoint
+        (every ``checkpoint_every`` wake-ups) → release (DESIGN.md §4g).
         """
         clamp = self.global_pressure if self.feedback_enabled else None
         position = self.wakeups + 1
-        if self._wal is not None:
-            self._wal.append(self._frame(clamp))
+        if self.journal is not None:
+            self.journal.commit({"kind": "wakeup", "now": self._drive_now,
+                                 "clamp": clamp})
         commands = [(self._pending_ingests[i], self._pending_puncts,
                      self._drive_now, clamp, position)
                     for i in range(self.shard_count)]
@@ -279,12 +300,9 @@ class ShardedEngine:
         self._pending_puncts = []
         results: list[ShardResult] = self.backend.apply_all(commands)
         self.wakeups = position
-        if self._wal is not None:
-            marks = [result.marks for result in results]
-            if marks != self._marks:
-                self._wal.append({"kind": "marks", "epoch": self._epoch,
-                                  "marks": marks})
-                self._marks = marks
+        if self.journal is not None:
+            self.journal.mark([result.marks for result in results],
+                              epoch=self._epoch)
         if clamp is not None and clamp > 0.0:
             self.clamps_broadcast += 1
         if self.feedback_enabled:
@@ -311,26 +329,14 @@ class ShardedEngine:
                                time=self._drive_now,
                                frontier=result.frontier,
                                count=offered)
+        if self._checkpoint_every and position % self._checkpoint_every == 0:
+            self.backend.checkpoint_all()
         released = self.merge.release(self.tracker.global_frontier())
         if self.bus is not None:
             self.bus.shard(kind="frontier", shard=-1, time=self._drive_now,
                            frontier=self.tracker.global_frontier(),
                            count=len(released))
         return released
-
-    def _frame(self, clamp: float | None) -> list[dict]:
-        """The wake-up's log records: its ingests (by shard, as recovery
-        routes them again), its punctuation, then the wake-up record."""
-        frame = [{"kind": "ingest", "source": source, "payload": payload,
-                  "time": time, "ts": ts}
-                 for rows in self._pending_ingests
-                 for source, payload, time, ts in rows]
-        frame += [{"kind": "punct", "source": source, "ts": ts,
-                   "origin": origin, "periodic": periodic}
-                  for source, ts, origin, periodic in self._pending_puncts]
-        frame.append({"kind": "wakeup", "now": self._drive_now,
-                      "clamp": clamp})
-        return frame
 
     def close(self, *, flush: bool = True) -> list[MergedRecord]:
         """Shut down shards; optionally flush records still gated.
@@ -344,15 +350,15 @@ class ShardedEngine:
         self._closed = True
         remaining = self.merge.flush() if flush else []
         self.backend.close()
-        if self._wal is not None:
-            self._wal.close()
+        if self.journal is not None:
+            self.journal.close()
         return remaining
 
     # ------------------------------------------------------------------ #
     # Durability composition
 
     def checkpoint(self) -> list:
-        """Force a checkpoint on every shard (requires ``state_dir``)."""
+        """Checkpoint every shard now, at the log's last ``marks``."""
         return self.backend.checkpoint_all()
 
     def _recovery_args(self, shards: Sequence[int]) -> tuple:
@@ -362,11 +368,9 @@ class ShardedEngine:
         command per logged wake-up — rows routed by the live partitioner,
         punctuation broadcast — and a report holding what the log says of
         the shard (the ingests routed to it, the log's length, a cut)."""
-        if self._wal is None:
+        if self.journal is None or self.journal.wal is None:
             raise ShardError("recovery needs a state_dir")
-        records, clean = self._wal.replay_with_status()
-        if not clean:
-            self._wal.truncate_to_valid()
+        records, clean = self.journal.read()
         marks = next((rec["marks"] for rec in reversed(records)
                       if rec["kind"] == "marks"
                       and rec["epoch"] == self._epoch),
@@ -390,9 +394,6 @@ class ShardedEngine:
                 ingests_by_source=dict(counts[index])))
             for index in shards]
 
-    def _adopt(self, records: list[dict]) -> None:
-        """Hook: take over the recovered log's command history."""
-
     def recover(self) -> ShardedRecoveryReport:
         """Rebuild every shard from its checkpoint and the facade log.
 
@@ -400,13 +401,14 @@ class ShardedEngine:
         withholds what the log's ``marks`` say it already offered, and
         re-applies the logged wake-ups past its checkpoint's position —
         one path for every shard, whatever its position.  Shards share no
-        channels after the shuffle, so per-shard recovery composes.
+        channels after the shuffle, so per-shard recovery composes.  The
+        drive clock resumes at the last logged wake-up's.
         """
         records, args = self._recovery_args(range(self.shard_count))
         reports = self.backend.recover_all(args)
-        self._marks = [marks for marks, *_ in args]
         self.wakeups = len(args[0][1])
-        self._adopt(records)
+        self._drive_now = max([self._drive_now] + [
+            rec["now"] for rec in records if rec["kind"] == "wakeup"])
         composed = ShardedRecoveryReport(reports=list(reports))
         summaries = self.backend.summaries()
         for index, (report, summary) in enumerate(zip(reports, summaries)):

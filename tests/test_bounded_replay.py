@@ -499,7 +499,7 @@ def test_reshard_crash_recover_reshard_keeps_acknowledged_count(tmp_path):
     assert engine.shard_count == 3
     report = engine.recover()
     assert report.total_ingests == crash_index
-    assert sum(1 for rec in engine._log
+    assert sum(1 for rec in engine.journal.history
                if rec["kind"] == "ingest") == crash_index
     skips = {(shard, source): count
              for shard, counts in report.ingests_by_shard.items()

@@ -22,6 +22,7 @@ from repro.core.config import EngineConfig
 from repro.faults import FaultPlan, ReshardCrash, SimulatedCrash
 from repro.faults.plan import _RESHARD_PHASES
 from repro.obs import MetricsRegistry
+from repro.recovery import WriteAheadLog
 from repro.shard import RESHARD_PHASES, ElasticShardedEngine, \
     ReshardCoordinator
 
@@ -156,7 +157,8 @@ def test_reshard_report_figures():
     assert 0 < report.migrated_keys <= report.total_keys
     # Jump-consistent hashing only moves keys *to* the new shard: nothing
     # routed to shard 0 or 1 before may swap between them.
-    jump = sum(1 for record in engine._log if record["kind"] == "ingest")
+    jump = sum(1 for record in engine.journal.history
+               if record["kind"] == "ingest")
     assert report.migrated_keys < report.total_keys
     assert report.discarded_outputs >= 0 and jump == len(feeds)
 
@@ -293,8 +295,6 @@ def test_crash_between_ingest_and_wakeup_loses_only_unwoken_rows(tmp_path):
     """The facade's durability point is the wake-up marker: seven rows
     ingested after the last wake-up are in no log, no shard and no report,
     and re-feeding them is exactly-once."""
-    from repro.recovery.manager import wal_history
-
     feeds = keyed_feeds()
     woken = CHUNK * 7
     reference = _canonical(reference_run(
@@ -303,17 +303,20 @@ def test_crash_between_ingest_and_wakeup_loses_only_unwoken_rows(tmp_path):
     engine = elastic_engine(tmp_path)
     released, _ = drive(engine, feeds, stop=woken + 7,
                         reshard_index=RESHARD_INDEX, target=5)
-    assert sum(1 for r in engine._log if r["kind"] == "ingest") == woken + 7
+    assert sum(1 for r in engine.journal.history
+               if r["kind"] == "ingest") == woken + 7
     pre = released + engine.merge.flush()
     engine.close(flush=False)
-    on_disk = wal_history(tmp_path / "facade")
+    on_disk = [rec for rec in WriteAheadLog(
+        tmp_path / "facade" / "wal.log").replay() if rec.kind != "marks"]
     assert sum(1 for r in on_disk if r["kind"] == "ingest") == woken
     assert on_disk[-1]["kind"] == "wakeup"
 
     engine = elastic_engine(tmp_path)
     report = engine.recover()
     assert report.total_ingests == woken
-    assert sum(1 for r in engine._log if r["kind"] == "ingest") == woken
+    assert sum(1 for r in engine.journal.history
+               if r["kind"] == "ingest") == woken
     skips = {(shard, source): count
              for shard, counts in report.ingests_by_shard.items()
              for source, count in counts.items()}

@@ -8,6 +8,8 @@ disk and before any shard applied it re-dispatches that wake-up, and a frame
 torn mid-write drops its whole wake-up.  Both are held to exactly-once here,
 on both facades, beside the layout (no shard WAL, at most two frames per
 wake-up), the refusal of unknown source names, and the ``CURRENT`` manifest.
+Shard checkpoints are cut by the facade at its logged marks, so a shard
+failing inside a wake-up and a crash inside a checkpoint lose no row.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from test_sharded_oracle import join_graph, keyed_feeds
 from test_sharded_recovery import CHUNK, SHARDS, finish, reference_run
 
 CRASH_WAKEUP = 7
-#: A wake-up in which shards reach a ``checkpoint_every=4`` round (at most
-#: one round per shard per wake-up here).
+#: A wake-up that ends in a facade checkpoint (``checkpoint_every=4``).
 CHECKPOINT_WAKEUP = 8
 
 
@@ -74,27 +75,34 @@ def feed(engine, feeds, released, *, skips=None):
     return now
 
 
-def crash_in_apply(engine, feeds, *, at=CRASH_WAKEUP, skips=None):
-    """Drive until the ``at``-th wake-up from here has written its frame,
-    then crash before any shard applies it.  Returns the records the
-    crashed facade had released or still held in its merge."""
+def crash_in(engine, feeds, owner, method, *, at, skips=None):
+    """Drive until the ``at``-th call of ``owner.method`` from here, which
+    raises instead of running.  Returns the records the crashed facade had
+    released or still held in its merge."""
     calls = [0]
-    apply_all = engine.backend.apply_all
+    inner = getattr(owner, method)
 
-    def crashing(commands):
+    def crashing(*args):
         calls[0] += 1
         if calls[0] == at:
-            raise SimulatedCrash("crash before dispatch", time=0.0,
+            raise SimulatedCrash(f"crash in {method}", time=0.0,
                                  source="facade")
-        return apply_all(commands)
+        return inner(*args)
 
-    engine.backend.apply_all = crashing
+    setattr(owner, method, crashing)
     released: list = []
     with pytest.raises(SimulatedCrash):
         feed(engine, feeds, released, skips=skips)
     released += engine.merge.flush()
     engine.close(flush=False)
     return [(sink, ts, payload) for ts, _, _, sink, payload in released]
+
+
+def crash_in_apply(engine, feeds, *, at=CRASH_WAKEUP, skips=None):
+    """Crash once the ``at``-th wake-up from here has written its frame,
+    before any shard applies it."""
+    return crash_in(engine, feeds, engine.backend, "apply_all", at=at,
+                    skips=skips)
 
 
 def skips_of(report):
@@ -149,17 +157,66 @@ def test_a_frame_torn_mid_write_drops_its_whole_wakeup(tmp_path, make):
 @FACADES
 def test_a_second_crash_right_after_a_recovery_is_exactly_once(tmp_path,
                                                                make):
-    """The first crash lands on a wake-up whose re-application crosses a
-    ``checkpoint_every`` round; the second comes before the next wake-up
-    is applied.  A checkpoint taken while re-applying would cover rows the
-    recovered shards only hold (no ``marks`` record covers them yet), and
-    the second recovery would restore it and lose them."""
+    """The first crash lands on a checkpoint wake-up before it is
+    applied; the second comes before the next wake-up is applied.  A
+    checkpoint taken while re-applying would cover rows the recovered
+    shards only hold (no ``marks`` record covers them yet), and the second
+    recovery would restore it and lose them."""
     feeds = keyed_feeds()
     pre = crash_in_apply(make(tmp_path), feeds, at=CHECKPOINT_WAKEUP)
     engine = make(tmp_path)
     pre += crash_in_apply(engine, feeds, at=1,
                           skips=skips_of(engine.recover()))
     recover_and_refeed(make, tmp_path, feeds, pre)
+
+
+# --------------------------------------------------------------------- #
+# Shard checkpoints are cut at the facade's marks
+
+
+@pytest.mark.parametrize("wakeup", [4, 8, 9, 12])
+@pytest.mark.parametrize("shard", range(SHARDS))
+@pytest.mark.parametrize("make", [fixed, elastic], ids=["fixed", "elastic"])
+def test_a_shard_failing_inside_a_wakeup_loses_no_row(tmp_path, make, shard,
+                                                      wakeup):
+    """One shard raises inside ``apply_all`` after its peers (or some of
+    them) applied the wake-up.  No shard checkpoints in the middle of a
+    wake-up, so every image is cut at a logged ``marks`` record, and the
+    logged wake-up is re-applied from there."""
+    feeds = keyed_feeds()
+    engine = make(tmp_path)
+    pre = crash_in(engine, feeds, engine.backend.shards[shard], "apply",
+                   at=wakeup)
+    recover_and_refeed(make, tmp_path, feeds, pre)
+
+
+@pytest.mark.parametrize("checkpoint", [1, 2])
+@pytest.mark.parametrize("make", [fixed, elastic], ids=["fixed", "elastic"])
+def test_a_crash_inside_a_facade_checkpoint_loses_no_row(tmp_path, make,
+                                                         checkpoint):
+    """The facade checkpoints after the wake-up's marks are durable and
+    its rows offered, before the merge releases one."""
+    feeds = keyed_feeds()
+    engine = make(tmp_path)
+    pre = crash_in(engine, feeds, engine.backend, "checkpoint_all",
+                   at=checkpoint)
+    recover_and_refeed(make, tmp_path, feeds, pre)
+
+
+@FACADES
+def test_recover_resumes_the_drive_clock_of_the_log(tmp_path, make):
+    engine = make(tmp_path)
+    feed(engine, keyed_feeds()[:CHUNK * 5 + 3], [])
+    engine.close(flush=False)
+    logged = [rec["now"] for rec in
+              WriteAheadLog(tmp_path / "facade" / "wal.log").replay()
+              if rec["kind"] == "wakeup"]
+    engine = make(tmp_path)
+    engine.recover()
+    try:
+        assert engine._drive_now == logged[-1] > 0.0
+    finally:
+        engine.close(flush=False)
 
 
 def test_a_checkpoint_of_the_per_shard_wal_layout_is_refused(tmp_path):
@@ -231,12 +288,12 @@ def test_a_refused_call_leaves_the_facade_log_unchanged(tmp_path):
     feed(engine, keyed_feeds()[:CHUNK * 2], [])
     log = tmp_path / "facade" / "wal.log"
     before = log.read_bytes()
-    history = list(engine._log)
+    history = list(engine.journal.history)
     with pytest.raises(GraphError):
         engine.ingest("nope", {"k": 1}, time=9.0)
     with pytest.raises(GraphError):
         engine.inject_punctuation("nope", 9.0)
-    assert engine._log == history
+    assert engine.journal.history == history
     engine.wakeup()
     after = WriteAheadLog(log).replay()
     assert log.read_bytes().startswith(before)

@@ -19,11 +19,12 @@ import pytest
 from test_oracle import union_graph
 
 from repro.core import tuples as _tuples
-from repro.core.errors import RecoveryError
+from repro.core.errors import RecoveryError, TimestampError
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import WindowJoin
+from repro.core.tuples import TimestampKind
 from repro.core.windows import WindowSpec
 from repro.obs import EventBus, MetricsRegistry, Observer
 from repro.recovery import (
@@ -172,6 +173,7 @@ class TestWriteAheadLog:
         assert all(r.kind == "ingest" for r in fresh.replay())
         fresh.append({"kind": "marks", "marks": {}})
         assert fresh.records_written == 6
+        fresh.close()
 
     def test_parent_format_log_still_replays(self, tmp_path):
         """One plain frame per record, written byte by byte the way the
@@ -189,6 +191,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(path)
         wal.append([{"kind": "wakeup"}, {"kind": "marks"}])
         assert wal.records_written == 6
+        wal.close()
 
     @pytest.mark.parametrize("grouped", [False, True],
                              ids=["plain", "group"])
@@ -567,6 +570,56 @@ class TestRecoveryManager:
         assert [manager.store.load(n)["engine"]["round_id"]
                 for n in manager.store.numbers()] == [2, 4, 6]
         manager.close()
+
+
+# --------------------------------------------------------------------- #
+# A call the source refused is not logged
+
+
+def _external_pipe(tmp_path):
+    """An externally stamped source straight into a sink, bound."""
+    graph = QueryGraph("refused")
+    graph.connect(graph.add_source("ext", TimestampKind.EXTERNAL),
+                  graph.add_sink("sink"))
+    clock = VirtualClock()
+    engine = ExecutionEngine(graph, clock, cost_model=None,
+                             ets_policy=NoEts())
+    manager = RecoveryManager(tmp_path / "state").bind(graph, engine, clock)
+    return graph, engine, manager
+
+
+def _recover_external_pipe(tmp_path, graph, engine, manager):
+    """Close the run, recover a fresh one; it must end where the run did."""
+    engine.wakeup(graph["ext"])
+    manager.close()
+    graph2, _, manager2 = _external_pipe(tmp_path)
+    report = manager2.recover()
+    manager2.close()
+    assert graph2["sink"].delivered == graph["sink"].delivered == 1
+    assert graph2["ext"].watermark == graph["ext"].watermark
+    return report
+
+
+def test_a_refused_ingest_is_not_logged(tmp_path):
+    """An out-of-order external stamp raises and admits nothing; were it
+    logged, every replay would raise it again and the state directory
+    could never be recovered."""
+    graph, engine, manager = _external_pipe(tmp_path)
+    graph["ext"].ingest({"v": 1}, now=0.0, ts=5.0)
+    with pytest.raises(TimestampError, match="non-decreasing"):
+        graph["ext"].ingest({"v": 2}, now=0.0, ts=3.0)
+    report = _recover_external_pipe(tmp_path, graph, engine, manager)
+    assert report.ingests_by_source == {"ext": 1}
+
+
+def test_a_refused_punctuation_is_not_logged(tmp_path):
+    graph, engine, manager = _external_pipe(tmp_path)
+    graph["ext"].ingest({"v": 1}, now=0.0, ts=5.0)
+    with pytest.raises(TimestampError, match="not a timestamp"):
+        graph["ext"].inject_punctuation(float("nan"))
+    graph["ext"].inject_punctuation(6.0)
+    report = _recover_external_pipe(tmp_path, graph, engine, manager)
+    assert report.punctuations_replayed == 1
 
 
 # --------------------------------------------------------------------- #
