@@ -115,13 +115,15 @@ class CheckpointStore:
             os.fsync(fp.fileno())
         os.replace(tmp, final)
         fsync_dir(self.directory)
-        self._prune(number)
+        self._prune(number, existing)
         return CheckpointInfo(number=number, path=final,
                               bytes_written=len(blob),
                               duration=time.perf_counter() - started)
 
-    def _prune(self, latest: int) -> None:
-        for number in self.numbers():
+    def _prune(self, latest: int, existing: list[int]) -> None:
+        """Unlink the ``existing`` images (the listing taken before
+        ``latest`` was written) that fall out of the newest :attr:`keep`."""
+        for number in existing:
             if number <= latest - self.keep:
                 try:
                     self.path_for(number).unlink()

@@ -85,17 +85,21 @@ class WriteAheadLog:
         #: Records appended through this handle plus those already on disk
         #: when the log was opened (i.e. the current WAL position).
         self.records_written = 0
+        #: ``(size, mtime_ns, records, end)`` as the last read found the
+        #: file: its stamp, then the intact prefix's records and end offset.
+        self._seen: tuple[int, int | None, int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Writing
 
     def _open(self) -> BinaryIO:
         if self._fp is None:
-            existing = self.path.exists() and self.path.stat().st_size > 0
+            existing = self._stamp()[0] > 0
             if existing:
                 # Continue an existing log (post-recovery): trust only the
-                # replayable prefix and count from it.
-                self.records_written = len(self.replay())
+                # replayable prefix and count from it, as the read that
+                # recovery made found it.
+                self.records_written = self._intact()[1]
             self._fp = open(self.path, "ab")
             if not existing:
                 self._fp.write(WAL_MAGIC)
@@ -140,21 +144,38 @@ class WriteAheadLog:
         Called by recovery before appending past a crash: new appends after
         a torn frame would be unreachable (replay stops at the first bad
         frame), so the bad tail must go first.  A log that is already clean
-        is left untouched.
+        is left untouched.  The cut is where the last read of this file
+        found the intact prefix ending; only a file read by no one, or
+        changed since, is walked again.
         """
         self.close()
-        data = self._read()
-        count = 0
-        valid = len(WAL_MAGIC)
-        for valid, members in self._frames(data):
-            count += len(members)
-        if data and valid < len(data):
+        size, count, end = self._intact()
+        if end < size:
             with open(self.path, "r+b") as fp:
-                fp.truncate(valid)
+                fp.truncate(end)
                 fp.flush()
                 os.fsync(fp.fileno())
+            self._seen = (*self._stamp(), count, end)
         self.records_written = count
         return count
+
+    def _stamp(self) -> tuple[int, int | None]:
+        """The file's ``(size, mtime_ns)``; ``(0, None)`` when absent."""
+        try:
+            stat = self.path.stat()
+        except FileNotFoundError:
+            return 0, None
+        return stat.st_size, stat.st_mtime_ns
+
+    def _intact(self) -> tuple[int, int, int]:
+        """``(size, records, end)``: the file's size, and the record count
+        and end offset of its intact prefix.  Taken from the last read
+        while the file is the one it read (same size and mtime), so a
+        recovery's read is the only walk of the log; else read again."""
+        if self._seen is None or self._seen[:2] != self._stamp():
+            self.replay_with_status()
+        size, _, records, end = self._seen
+        return size, records, end
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -206,14 +227,19 @@ class WriteAheadLog:
         """Intact records plus whether the log ended cleanly.
 
         Returns ``(records, clean)`` where ``clean`` is False when a torn or
-        corrupt tail frame cut the replay short.
+        corrupt tail frame cut the replay short.  The handle keeps the
+        prefix's record count and end offset, which the next
+        :meth:`truncate_to_valid` and the first append reuse.
         """
+        stamp = self._stamp()
         data = self._read()
         records: list[WalRecord] = []
         valid = len(WAL_MAGIC)
         for valid, members in self._frames(data):
             records.extend(members)
-        return records, not data or valid == len(data)
+        end = valid if data else 0
+        self._seen = (*stamp, len(records), end)
+        return records, end == len(data)
 
 
 class InputJournal:

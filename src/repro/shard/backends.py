@@ -148,6 +148,9 @@ class EngineShard:
             writes there, each image recording the facade-log
             :attr:`position` it covers.  The shard neither logs nor
             decides when to checkpoint: the facade calls it at its marks.
+            Recovery is two calls on a fresh shard, :meth:`restore` then
+            :meth:`replay`; between them the facade routes the shard only
+            the logged wake-ups past the position :meth:`restore` returned.
     """
 
     def __init__(self, index: int, build: Callable[[], Any], *,
@@ -261,33 +264,41 @@ class EngineShard:
             self.graph, self.engine, self.clock,
             version=SHARD_CHECKPOINT_FORMAT, position=self.position))
 
-    def recover(self, marks: dict[str, int], commands: Sequence[tuple],
-                report: RecoveryReport) -> RecoveryReport:
-        """Rebuild a fresh shard from its checkpoint and the facade log:
-        ``marks`` is the log's last delivered count per sink for this
-        shard, ``commands`` one ``apply`` argument tuple per logged
-        wake-up, routed by the live partitioner, and ``report`` what the
-        facade read in the log, completed here.  The wake-ups past the
-        restored checkpoint are applied again; what survives suppression
-        goes out with the next wake-up's result."""
+    def restore(self, marks: dict[str, int], limit: int,
+                report: RecoveryReport) -> int:
+        """Recovery's first phase, on a fresh shard: restore the newest
+        checkpoint whose position the intact log's ``limit`` wake-ups
+        cover and withhold ``marks`` (the log's last delivered count per
+        sink for this shard) minus what that image had delivered.
+        ``report`` holds what the facade read in the log and is filled
+        in here.  Returns the position restored: the facade sends
+        :meth:`replay` only the wake-ups past it."""
         if self.store is None:
             raise ShardError(f"shard {self.index} has no state_dir")
         started = _time.perf_counter()
-        state = restore_newest(report, self.store, "position", len(commands),
-                               marks, self.graph, self.engine, self.clock,
+        state = restore_newest(report, self.store, "position", limit, marks,
+                               self.graph, self.engine, self.clock,
                                version=SHARD_CHECKPOINT_FORMAT)
         if state is not None:
             self.position = state["position"]
+        report.duration = _time.perf_counter() - started
+        return self.position
+
+    def replay(self, commands: Sequence[tuple],
+               report: RecoveryReport) -> RecoveryReport:
+        """Recovery's second phase: apply ``commands``, one ``apply``
+        argument tuple per logged wake-up past the restored position, and
+        hold what survives suppression for the next wake-up's result."""
+        started = _time.perf_counter()
         outputs: list = []
         for command in commands:
-            if command[4] > self.position:
-                outputs += self.apply(*command).outputs
-                report.ingests_replayed += len(command[0])
-                report.wakeups_replayed += 1
+            outputs += self.apply(*command).outputs
+            report.ingests_replayed += len(command[0])
+            report.wakeups_replayed += 1
         report.replayed = report.wakeups_replayed
         self._outputs = outputs
-        self.ingested = sum(len(command[0]) for command in commands)
-        report.duration = _time.perf_counter() - started
+        self.ingested = sum(report.ingests_by_source.values())
+        report.duration += _time.perf_counter() - started
         return report
 
     def state_floor(self) -> float:
@@ -330,8 +341,14 @@ class SerialBackend:
     def checkpoint_all(self) -> list:
         return [shard.checkpoint() for shard in self.shards]
 
-    def recover_all(self, args: Sequence[tuple]) -> list:
-        return [shard.recover(*a) for shard, a in zip(self.shards, args)]
+    def restore_all(self, args: Sequence[tuple]) -> list[tuple]:
+        """``(position, report)`` per shard, from :meth:`EngineShard.restore`
+        on ``(marks, limit, report)``."""
+        return [(shard.restore(*a), a[2])
+                for shard, a in zip(self.shards, args)]
+
+    def replay_all(self, args: Sequence[tuple]) -> list:
+        return [shard.replay(*a) for shard, a in zip(self.shards, args)]
 
     def summaries(self) -> list[ShardSummary]:
         return [shard.summary() for shard in self.shards]
@@ -388,8 +405,10 @@ def _shard_worker(conn, index: int, build, kwargs: dict) -> None:
                 conn.send(("ok", shard.apply(*message[1:])))
             elif op == "checkpoint":
                 conn.send(("ok", shard.checkpoint()))
-            elif op == "recover":
-                conn.send(("ok", shard.recover(*message[1:])))
+            elif op == "restore":  # the report goes back filled in
+                conn.send(("ok", (shard.restore(*message[1:]), message[3])))
+            elif op == "replay":
+                conn.send(("ok", shard.replay(*message[1:])))
             elif op == "summary":
                 conn.send(("ok", shard.summary()))
             elif op == "close":
@@ -518,8 +537,11 @@ class ProcessBackend:
     def checkpoint_all(self) -> list:
         return self._call_all([("checkpoint",)] * len(self._conns))
 
-    def recover_all(self, args: Sequence[tuple]) -> list:
-        return self._call_all([("recover",) + tuple(a) for a in args])
+    def restore_all(self, args: Sequence[tuple]) -> list[tuple]:
+        return self._call_all([("restore",) + tuple(a) for a in args])
+
+    def replay_all(self, args: Sequence[tuple]) -> list:
+        return self._call_all([("replay",) + tuple(a) for a in args])
 
     def summaries(self) -> list[ShardSummary]:
         return self._call_all([("summary",)] * len(self._conns))

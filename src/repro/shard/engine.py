@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..core.config import EngineConfig
 from ..core.errors import GraphError, ReproError
@@ -106,6 +106,25 @@ def log_segments(records):
         elif kind == "wakeup":
             yield ingests, puncts, rec
             ingests, puncts = [], []
+
+
+@dataclass(slots=True)
+class _FacadeLog:
+    """What one pass over the intact facade log gives recovery.
+
+    ``marks`` is this epoch's last delivered count per shard, ``counts``
+    the ingests per shard and source routed by the live partitioner,
+    ``wakeups`` the index in ``records`` of each logged wake-up record
+    (the log's unrouted segments end there, in position order) and
+    ``now`` the drive clock of the last one.
+    """
+
+    records: list
+    clean: bool
+    marks: list
+    counts: list[Counter]
+    wakeups: list[int] = field(default_factory=list)
+    now: float = 0.0
 
 
 class ShardedEngine:
@@ -361,54 +380,83 @@ class ShardedEngine:
         """Checkpoint every shard now, at the log's last ``marks``."""
         return self.backend.checkpoint_all()
 
-    def _recovery_args(self, shards: Sequence[int]) -> tuple:
-        """Read the intact log, cutting a torn tail off; returns its
-        records and each of ``shards``' :meth:`EngineShard.recover`
-        arguments: this epoch's last ``marks`` for the shard, one ``apply``
-        command per logged wake-up — rows routed by the live partitioner,
-        punctuation broadcast — and a report holding what the log says of
-        the shard (the ingests routed to it, the log's length, a cut)."""
+    def _read_log(self) -> _FacadeLog:
+        """Read the intact log, cutting a torn tail off, and take in one
+        pass over its records what recovery needs before any shard is
+        restored (see :class:`_FacadeLog`)."""
         if self.journal is None or self.journal.wal is None:
             raise ShardError("recovery needs a state_dir")
         records, clean = self.journal.read()
-        marks = next((rec["marks"] for rec in reversed(records)
-                      if rec["kind"] == "marks"
-                      and rec["epoch"] == self._epoch),
-                     [{}] * self.shard_count)
-        commands: dict[int, list[tuple]] = {index: [] for index in shards}
-        counts = {index: Counter() for index in shards}
+        log = _FacadeLog(records, clean, [{}] * self.shard_count,
+                         [Counter() for _ in range(self.shard_count)])
         route = self.partitioner.shard_for_payload
-        for position, (ingests, puncts, wakeup) in enumerate(
-                log_segments(records), 1):
-            for routed in commands.values():
-                routed.append(([], puncts, wakeup["now"], wakeup["clamp"],
-                               position))
-            for row in ingests:
+        for index, rec in enumerate(records):
+            kind = rec["kind"]
+            if kind == "ingest":
+                log.counts[route(rec["payload"])][rec["source"]] += 1
+            elif kind == "wakeup":
+                log.wakeups.append(index)
+                log.now = max(log.now, rec["now"])
+            elif kind == "marks" and rec["epoch"] == self._epoch:
+                log.marks = rec["marks"]
+        return log
+
+    def _restore_args(self, log: _FacadeLog, index: int) -> tuple:
+        """Shard ``index``'s :meth:`EngineShard.restore` arguments: its
+        last logged ``marks``, the log's wake-up count, and a report
+        holding what the log says of it (the ingests routed to it, the
+        log's length, a cut)."""
+        return (log.marks[index], len(log.wakeups), RecoveryReport(
+            wal_records=len(log.records), wal_clean=log.clean,
+            ingests_by_source=dict(log.counts[index])))
+
+    def _suffixes(self, log: _FacadeLog,
+                  positions: dict[int, int]) -> dict[int, list[tuple]]:
+        """Each shard's :meth:`EngineShard.replay` commands: one ``apply``
+        argument tuple per logged wake-up past the position the shard
+        restored — rows routed by the live partitioner, punctuation
+        broadcast.  Only the log past the lowest position is walked."""
+        first = min(positions.values())
+        start = log.wakeups[first - 1] + 1 if first else 0
+        suffixes: dict[int, list[tuple]] = {index: [] for index in positions}
+        route = self.partitioner.shard_for_payload
+        for position, (rows, puncts, wakeup) in enumerate(
+                log_segments(log.records[start:]), first + 1):
+            routed = {index: [] for index, restored in positions.items()
+                      if restored < position}
+            for row in rows:
                 shard = route(row[1])
-                if shard in commands:
-                    commands[shard][-1][0].append(row)
-                    counts[shard][row[0]] += 1
-        return records, [
-            (marks[index], commands[index], RecoveryReport(
-                wal_records=len(records), wal_clean=clean,
-                ingests_by_source=dict(counts[index])))
-            for index in shards]
+                if shard in routed:
+                    routed[shard].append(row)
+            for index, ingests in routed.items():
+                suffixes[index].append((ingests, puncts, wakeup["now"],
+                                        wakeup["clamp"], position))
+        return suffixes
 
     def recover(self) -> ShardedRecoveryReport:
         """Rebuild every shard from its checkpoint and the facade log.
 
-        Each shard restores its newest checkpoint the intact log covers,
-        withholds what the log's ``marks`` say it already offered, and
-        re-applies the logged wake-ups past its checkpoint's position —
-        one path for every shard, whatever its position.  Shards share no
-        channels after the shuffle, so per-shard recovery composes.  The
-        drive clock resumes at the last logged wake-up's.
+        The log is read once.  Each shard restores its newest checkpoint
+        the intact log covers and withholds what the log's ``marks`` say
+        it already offered; then the facade routes each shard the logged
+        wake-ups past the position it restored — a shard that fell back
+        to an older checkpoint gets the longer suffix — and the shard
+        re-applies them.  One path for every shard, whatever its
+        position; shards share no channels after the shuffle, so
+        per-shard recovery composes.  The drive clock resumes at the last
+        logged wake-up's.
         """
-        records, args = self._recovery_args(range(self.shard_count))
-        reports = self.backend.recover_all(args)
-        self.wakeups = len(args[0][1])
-        self._drive_now = max([self._drive_now] + [
-            rec["now"] for rec in records if rec["kind"] == "wakeup"])
+        log = self._read_log()
+        restored = self.backend.restore_all(
+            [self._restore_args(log, index)
+             for index in range(self.shard_count)])
+        suffixes = self._suffixes(log, {
+            index: position for index, (position, _) in enumerate(restored)})
+        reports = self.backend.replay_all(
+            [(suffixes[index], report)
+             for index, (_, report) in enumerate(restored)])
+        self.wakeups = len(log.wakeups)
+        self._drive_now = max(self._drive_now, log.now)
         composed = ShardedRecoveryReport(reports=list(reports))
         summaries = self.backend.summaries()
         for index, (report, summary) in enumerate(zip(reports, summaries)):
@@ -429,9 +477,10 @@ class ShardedEngine:
     def crash_shard(self, index: int) -> Any:
         """Simulate a single-shard failure (in-process backends only).
 
-        The shard's in-memory state is discarded and rebuilt from its
-        checkpoint and the facade log, by the same path as
-        :meth:`recover`, while every other shard keeps running — the
+        The shard's in-memory state is discarded and rebuilt by the same
+        path as :meth:`recover`: one read of the facade log, the newest
+        checkpoint restored, then only the logged wake-ups past its
+        position replayed — while every other shard keeps running, the
         targeted-failure half of the crash matrix.  Returns the shard's
         :class:`RecoveryReport`.
         """
@@ -439,11 +488,14 @@ class ShardedEngine:
         if shards is None:
             raise ReproError("crash_shard needs an in-process backend "
                              "(serial or thread)")
-        _, args = self._recovery_args([index])
+        log = self._read_log()
         replacement = EngineShard(
             index, self._build, **self._shard_kwargs(index, self.state_dir))
         shards[index] = replacement
-        report = replacement.recover(*args[0])
+        marks, limit, report = self._restore_args(log, index)
+        position = replacement.restore(marks, limit, report)
+        report = replacement.replay(
+            self._suffixes(log, {index: position})[index], report)
         self._recovered(index, report, replacement.frontier())
         return report
 

@@ -26,6 +26,7 @@ from repro.faults import SimulatedCrash
 from repro.recovery import CheckpointStore, WriteAheadLog
 from repro.shard import ElasticShardedEngine, ShardedEngine
 
+from test_recovery import count_walks
 from test_sharded_oracle import join_graph, keyed_feeds
 from test_sharded_recovery import CHUNK, SHARDS, finish, reference_run
 
@@ -217,6 +218,34 @@ def test_recover_resumes_the_drive_clock_of_the_log(tmp_path, make):
         assert engine._drive_now == logged[-1] > 0.0
     finally:
         engine.close(flush=False)
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+@pytest.mark.parametrize("make", [fixed, elastic], ids=["fixed", "elastic"])
+def test_a_recovery_walks_the_log_once(tmp_path, monkeypatch, make, torn):
+    """``recover()`` reads the log, and the first wake-up after it appends
+    from the count and end offset that read found: one walk in all, a
+    torn tail cut included."""
+    feeds = keyed_feeds()
+    engine = make(tmp_path)
+    feed(engine, feeds[:CHUNK * 6], [])
+    engine.close(flush=False)
+    log = tmp_path / "facade" / "wal.log"
+    if torn:
+        log.write_bytes(log.read_bytes()[:-3])
+    size = log.stat().st_size
+    walks = count_walks(monkeypatch)
+    engine = make(tmp_path)
+    report = engine.recover()
+    record = feeds[CHUNK * 6]
+    engine.ingest(record.source, record.payload, time=record.time,
+                  ts=record.external_ts)
+    engine.wakeup()
+    assert walks == [size]
+    assert all(r.wal_clean is not torn for r in report.reports)
+    wal = engine.journal.wal
+    engine.close(flush=False)
+    assert wal.records_written == len(WriteAheadLog(log).replay())
 
 
 def test_a_checkpoint_of_the_per_shard_wal_layout_is_refused(tmp_path):

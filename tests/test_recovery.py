@@ -248,6 +248,23 @@ class TestCheckpointStore:
         assert store.load(1) == doc
         assert store.load_latest() == (1, doc, [])
 
+    def test_a_save_lists_the_directory_once(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path, keep=2)
+        for i in range(3):
+            store.save({"i": i})
+        listings = []
+        iterdir = type(tmp_path).iterdir
+
+        def counted(path):
+            listings.append(path)
+            return iterdir(path)
+
+        monkeypatch.setattr(type(tmp_path), "iterdir", counted)
+        store.save({"i": 3})
+        monkeypatch.undo()
+        assert listings == [tmp_path]
+        assert store.numbers() == [3, 4]
+
     def test_monotonic_numbering_and_pruning(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for i in range(5):
@@ -300,6 +317,20 @@ class TestCheckpointStore:
 
 # --------------------------------------------------------------------- #
 # RecoveryManager wiring
+
+
+def count_walks(monkeypatch) -> list:
+    """Record the length of every buffer a log's frames are walked over
+    from here on."""
+    walks = []
+    walk = WriteAheadLog._frames
+
+    def counted(data):
+        walks.append(len(data))
+        return walk(data)
+
+    monkeypatch.setattr(WriteAheadLog, "_frames", staticmethod(counted))
+    return walks
 
 
 def _bound_manager(tmp_path, batch_size=1, **manager_kwargs):
@@ -441,6 +472,32 @@ class TestRecoveryManager:
         assert registry.recovery_last.value(field="replayed") \
             == report.replayed
         manager2.close()
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+    def test_a_recovery_walks_the_log_once(self, tmp_path, monkeypatch,
+                                           torn):
+        """``recover()`` reads the WAL once; cutting a torn tail and the
+        first append after it reuse what that read found."""
+        graph, clock, engine, manager = _bound_manager(tmp_path)
+        _feed(graph, clock, engine)
+        manager.close()
+        wal_path = tmp_path / "state" / "wal.log"
+        if torn:
+            wal_path.write_bytes(wal_path.read_bytes()[:-3])
+        size = wal_path.stat().st_size
+        walks = count_walks(monkeypatch)
+
+        graph2, clock2, engine2, manager2 = _bound_manager(tmp_path)
+        report = manager2.recover()
+        fast = next(s for s in graph2.sources() if s.name == "fast")
+        clock2.advance_to(9.0)
+        fast.ingest({"seq": 9, "value": 0.5}, now=clock2.now())
+        engine2.wakeup(fast)
+        assert walks == [size]
+        assert report.wal_clean is not torn
+        manager2.close()
+        assert manager2.wal.records_written == \
+            len(WriteAheadLog(wal_path).replay())
 
     def test_torn_wal_tail_is_truncated_on_recover(self, tmp_path):
         graph, clock, engine, manager = _bound_manager(tmp_path)

@@ -17,7 +17,9 @@ the sharded engine:
 * **single-shard crash** — one shard loses its in-memory state while the
   others keep running (``crash_shard``);
 * **corrupted per-shard checkpoint** — recovery falls back past a
-  corrupted latest checkpoint using the longer WAL suffix.
+  corrupted latest checkpoint using the longer WAL suffix;
+* **suffix only** — on every backend, each shard is sent only the logged
+  wake-ups past the position it restored.
 
 Delivered records are compared canonicalized: the merged stream is
 timestamp-ordered, but equal-timestamp ties are sequenced by merge
@@ -33,6 +35,7 @@ from oracle import Feed, ShardedDifferentialOracle, _assert_same, _canonical
 
 from repro.faults import DropTuples, DuplicateTuples, FaultPlan, SourceOutage
 from repro.shard import ShardedEngine
+from repro.shard.backends import ProcessBackend
 
 from test_sharded_oracle import join_graph, keyed_feeds
 
@@ -73,11 +76,62 @@ def test_sharded_survives_fault_plans(plan_name):
 # Crash harness
 
 
-def sharded_engine(state_dir, *, checkpoint_every=4, batch_size=1):
+def sharded_engine(state_dir, *, checkpoint_every=4, batch_size=1,
+                   backend="serial"):
     return ShardedEngine(join_graph(), shards=SHARDS, key="k",
-                         backend="serial", state_dir=state_dir,
+                         backend=backend, state_dir=state_dir,
                          checkpoint_every=checkpoint_every,
                          batch_size=batch_size)
+
+
+BACKENDS = pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+
+
+def watch_recovery(engine):
+    """Record, in the parent process, the position each shard restored
+    and the replay commands each shard was sent: what ``replay_all`` is
+    handed in process, what crosses the pipe for the process backend."""
+    backend = engine.backend
+    restored: dict[int, int] = {}
+    sent: dict[int, list] = {}
+    restore_all = backend.restore_all
+
+    def restoring(args):
+        result = restore_all(args)
+        restored.update(enumerate(position for position, _ in result))
+        return result
+
+    backend.restore_all = restoring
+    if isinstance(backend, ProcessBackend):
+        send = backend._send
+
+        def sending(index, message):
+            if message[0] == "replay":
+                sent[index] = message[1]
+            return send(index, message)
+
+        backend._send = sending
+    else:
+        replay_all = backend.replay_all
+
+        def replaying(args):
+            sent.update(enumerate(commands for commands, _ in args))
+            return replay_all(args)
+
+        backend.replay_all = replaying
+    return restored, sent
+
+
+def assert_only_suffixes(restored, sent, *, at_most=None):
+    """Every command a shard was sent lies past the position it restored,
+    one per logged wake-up from there on."""
+    assert sorted(sent) == sorted(restored) == list(range(SHARDS))
+    for shard, commands in sent.items():
+        positions = [command[4] for command in commands]
+        start = restored[shard] + 1
+        assert positions == list(range(start, start + len(positions)))
+        if at_most is not None:
+            assert len(positions) <= at_most
 
 
 def feed_range(engine, feeds, lo, hi, *, skips=None):
@@ -207,10 +261,13 @@ def test_early_crash_before_first_checkpoint(tmp_path):
     assert_exactly_once(tmp_path, keyed_feeds(), 3)
 
 
-def test_corrupted_shard_checkpoint_falls_back(tmp_path):
+@BACKENDS
+def test_corrupted_shard_checkpoint_falls_back(tmp_path, backend):
     """One shard's latest checkpoint is corrupted on disk: that shard must
-    fall back to an older checkpoint plus a longer WAL replay, and the
-    combined run stays exactly-once."""
+    fall back to an older checkpoint plus a longer replay of the log, and
+    the combined run stays exactly-once.  The crash comes two wake-ups
+    past the last checkpoint, so the victim is sent six wake-ups and
+    every other shard two."""
     feeds = keyed_feeds()
     # Find a shard that actually checkpointed during the crashed prefix.
     probe = sharded_engine(tmp_path / "probe")
@@ -220,9 +277,8 @@ def test_corrupted_shard_checkpoint_falls_back(tmp_path):
     probe.close(flush=False)
 
     state = tmp_path / "run"
-    engine = sharded_engine(state)
-    released, _ = feed_range(engine, feeds, 0, CHUNK * 8)
-    engine.checkpoint()  # ensure a latest checkpoint exists to corrupt
+    engine = sharded_engine(state, backend=backend)
+    released, _ = feed_range(engine, feeds, 0, CHUNK * 10)
     pre = released + engine.merge.flush()
     engine.close(flush=False)
 
@@ -233,10 +289,14 @@ def test_corrupted_shard_checkpoint_falls_back(tmp_path):
     blob[len(blob) // 2] ^= 0xFF
     checkpoints[-1].write_bytes(bytes(blob))
 
-    engine = sharded_engine(state)
+    engine = sharded_engine(state, backend=backend)
+    restored, sent = watch_recovery(engine)
     report = engine.recover()
     assert report.any_fallback
     assert report.reports[victim].fallback
+    assert_only_suffixes(restored, sent)
+    assert {shard: len(commands) for shard, commands in sent.items()} == {
+        shard: 6 if shard == victim else 2 for shard in range(SHARDS)}
     skips = {(shard, source): count
              for shard, counts in report.ingests_by_shard.items()
              for source, count in counts.items()}
@@ -245,6 +305,33 @@ def test_corrupted_shard_checkpoint_falls_back(tmp_path):
     combined = [(sink, ts, payload) for ts, _, _, sink, payload in pre] + post
     _assert_same(_canonical(reference_run(feeds)), _canonical(combined),
                  "corrupted-checkpoint fallback is not exactly-once")
+
+
+@BACKENDS
+def test_recovery_sends_each_shard_only_its_suffix(tmp_path, backend):
+    """Without a fallback every shard restores the last facade
+    checkpoint, so none is sent more than ``checkpoint_every`` wake-ups,
+    and the report still counts the whole log's ingests per shard."""
+    feeds = keyed_feeds()
+    engine = sharded_engine(tmp_path, backend=backend)
+    feed_range(engine, feeds, 0, CHUNK * 7)
+    ingested = [s.ingested for s in engine.summaries()]
+    engine.close(flush=False)
+
+    engine = sharded_engine(tmp_path, backend=backend)
+    restored, sent = watch_recovery(engine)
+    try:
+        report = engine.recover()
+        summaries = engine.summaries()
+    finally:
+        engine.close(flush=False)
+    assert not report.any_fallback
+    assert_only_suffixes(restored, sent, at_most=4)
+    assert set(restored.values()) == {4}
+    assert [s.ingested for s in summaries] == ingested
+    assert [sum(counts.values()) for _, counts in
+            sorted(report.ingests_by_shard.items())] == ingested
+    assert [r.wakeups_replayed for r in report.reports] == [3] * SHARDS
 
 
 def test_single_shard_crash_mid_run(tmp_path):
