@@ -106,7 +106,6 @@ from .core.ets import (
     OnDemandEts,
     PeriodicEtsSchedule,
 )
-from .core.timestamps import InternalClockEts, SkewBoundEts
 from .workloads import (
     SCENARIOS,
     ScenarioConfig,
@@ -245,9 +244,9 @@ __all__ = [
     # engines & simulation
     "Arrival", "CostModel", "EngineConfig", "EngineStats",
     "ExecutionEngine", "Simulation", "VirtualClock",
-    # ETS policies & timestamp generators
-    "AdaptiveHeartbeatSchedule", "EtsPolicy", "InternalClockEts", "NoEts",
-    "OnDemandEts", "PeriodicEtsSchedule", "SkewBoundEts",
+    # ETS policies
+    "AdaptiveHeartbeatSchedule", "EtsPolicy", "NoEts", "OnDemandEts",
+    "PeriodicEtsSchedule",
     # workloads
     "SCENARIOS", "ScenarioConfig", "ScenarioHandles",
     "build_join_scenario", "build_union_scenario", "bursty_arrivals",

@@ -23,15 +23,18 @@ past the skew bound is a different fault, absorbed at ingest by
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Mapping
 
 from .errors import PolicyError
 from .operators.source import SourceNode
-from .timestamps import EtsGenerator, default_generator_for
-from .tuples import TimestampKind
+from .tuples import LATENT_TS, TimestampKind
 
 __all__ = ["AdaptiveHeartbeatSchedule", "EtsPolicy", "NoEts",
            "OnDemandEts", "PeriodicEtsSchedule"]
+
+_INTERNAL = TimestampKind.INTERNAL
+_EXTERNAL = TimestampKind.EXTERNAL
 
 
 class EtsPolicy:
@@ -63,7 +66,10 @@ class EtsPolicy:
         return {"version": 1}
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
+        """Restore a snapshot produced by :meth:`snapshot_state`.  Other
+        keys are ignored: a version-1 :class:`OnDemandEts` snapshot that
+        still carries the ``generated``/``declined`` counters it once kept
+        restores unchanged."""
         if state.get("version") != 1:
             raise PolicyError(
                 f"unsupported {type(self).__name__} state: {state!r}")
@@ -79,83 +85,57 @@ class NoEts(EtsPolicy):
 class OnDemandEts(EtsPolicy):
     """Scenario C: generate an ETS exactly when backtracking needs one.
 
-    Args:
-        external_delta: Skew bound used for externally timestamped sources
-            (see :class:`~repro.core.timestamps.SkewBoundEts`).
-        generators: Optional per-source-name overrides of the ETS generator.
-        once_per_round: Limit generation to once per source per engine
-            wake-up round.  This is both the termination argument for the
-            backtracking loop and the paper's intent ("generate a *new* ETS
-            value ... on the path on which backtracking just occurred");
-            disabling it is allowed for experiments but the engine's round
-            budget then bounds the loop instead.
+    The value is paper Section 5's rule, one line per timestamp kind of the
+    stalled source:
 
-    Attributes:
-        generated: Total punctuation tuples injected by this policy.
-        declined: Stalled-source callbacks that produced nothing.
+    * **internal**: the current clock ``now`` — internal stamps are assigned
+      on entry from the same clock, so every later tuple is stamped ≥ now;
+    * **external**: the skew bound ``t + τ − δ`` (Srivastava & Widom, PODS
+      2004, quoted by the paper): ``t`` the last tuple's timestamp, ``τ``
+      the time elapsed since it arrived, ``δ`` = ``external_delta``.  A
+      source with no data yet gives ``t`` no value, so it declines and its
+      IWP consumer keeps waiting for the first tuple;
+    * **latent**: nothing — latent streams never idle-wait.
+
+    A source generates at most once per engine wake-up round — the
+    termination argument for the backtracking loop and the paper's intent
+    ("generate a *new* ETS value ... on the path on which backtracking just
+    occurred") — and a value that would not advance its watermark is
+    skipped.  The engine counts offers and injections
+    (``EngineStats.ets_offers`` / ``ets_injected``).
+
+    Args:
+        external_delta: ``δ``, the maximum skew (stream seconds) between an
+            external timestamp and its arrival; finite and ≥ 0.  Larger is
+            safer but unblocks less.
     """
 
-    def __init__(self, *, external_delta: float = 0.0,
-                 generators: Mapping[str, EtsGenerator] | None = None,
-                 once_per_round: bool = True) -> None:
-        self.external_delta = external_delta
-        self._overrides = dict(generators or {})
-        self._resolved: dict[str, EtsGenerator | None] = {}
-        self.once_per_round = once_per_round
-        self.generated = 0
-        self.declined = 0
-
-    def _generator_for(self, source: SourceNode) -> EtsGenerator | None:
-        if source.name in self._resolved:
-            return self._resolved[source.name]
-        generator = self._overrides.get(source.name)
-        if generator is None:
-            generator = default_generator_for(
-                source, external_delta=self.external_delta)
-        self._resolved[source.name] = generator
-        return generator
+    def __init__(self, *, external_delta: float = 0.0) -> None:
+        if not (isfinite(external_delta) and external_delta >= 0):
+            raise PolicyError("external_delta must be finite and >= 0, "
+                              f"got {external_delta}")
+        self.external_delta = float(external_delta)
 
     def state_floor(self) -> float:
         """Proposals read the clock and the source's own frontier only."""
         return float("inf")
 
-    def snapshot_state(self) -> dict:
-        """Versioned snapshot of generation counters.
-
-        The generator-resolution cache is derived (rebuilt lazily from the
-        source's own statistics, which are checkpointed with the source), so
-        only the counters travel.
-        """
-        return {"version": 1, "generated": self.generated,
-                "declined": self.declined}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
-        if state.get("version") != 1:
-            raise PolicyError(f"unsupported OnDemandEts state: {state!r}")
-        self.generated = state["generated"]
-        self.declined = state["declined"]
-
     def on_source_stalled(self, source: SourceNode, now: float,
                           round_id: int) -> bool:
-        if self.once_per_round and source.last_ets_round == round_id:
-            self.declined += 1
+        if source.last_ets_round == round_id:
             return False
-        generator = self._generator_for(source)
-        if generator is None:
-            self.declined += 1
-            return False
-        ts = generator.propose(source, now)
-        if ts is None:
-            self.declined += 1
-            return False
-        injected = source.inject_punctuation(ts, origin=f"ets:{source.name}")
-        if injected:
-            source.last_ets_round = round_id
-            self.generated += 1
+        kind = source.timestamp_kind
+        if kind is _INTERNAL:
+            ts = now
+        elif kind is _EXTERNAL and source.last_data_ts != LATENT_TS:
+            ts = (source.last_data_ts + (now - source.last_arrival_wall)
+                  - self.external_delta)
         else:
-            self.declined += 1
-        return injected
+            return False
+        if not source.inject_punctuation(ts, origin=f"ets:{source.name}"):
+            return False
+        source.last_ets_round = round_id
+        return True
 
 
 class PeriodicEtsSchedule:
@@ -166,24 +146,21 @@ class PeriodicEtsSchedule:
     scenario B).  Rates are punctuation tuples per stream second.
 
     Args:
-        rates: Mapping from source name to injection rate; sources absent
-            from the map get no heartbeats, matching the paper's setup where
-            only the sparse stream is punctuated.
-        phase: Offset of the first injection, as a fraction of the period
-            (default 1.0: first heartbeat after one full period).
+        rates: Mapping from source name to injection rate, finite and
+            positive; sources absent from the map get no heartbeats,
+            matching the paper's setup where only the sparse stream is
+            punctuated.  The first heartbeat comes one full period after
+            the run starts.
     """
 
-    def __init__(self, rates: Mapping[str, float], *, phase: float = 1.0) -> None:
+    def __init__(self, rates: Mapping[str, float]) -> None:
         for name, rate in rates.items():
-            if rate <= 0:
+            if not (isfinite(rate) and rate > 0):
                 raise PolicyError(
-                    f"periodic ETS rate for {name!r} must be positive, "
-                    f"got {rate}"
+                    f"periodic ETS rate for {name!r} must be finite and "
+                    f"positive, got {rate}"
                 )
-        if phase <= 0:
-            raise PolicyError(f"phase must be positive, got {phase}")
         self.rates = dict(rates)
-        self.phase = phase
 
     def period_for(self, source_name: str) -> float | None:
         rate = self.rates.get(source_name)
@@ -234,7 +211,8 @@ class AdaptiveHeartbeatSchedule(PeriodicEtsSchedule):
         drivers: Mapping from punctuated source name to the name of the
             stream whose rate it should match (the busy stream).
         min_rate / max_rate: Clamp for the adapted rate, in heartbeats per
-            second; the minimum also serves as the cold-start rate.
+            second, finite with ``0 < min_rate <= max_rate``; the minimum
+            also serves as the cold-start rate.
 
     Even adapted this way, heartbeats remain reactive-with-lag: they match
     the *recent past* rate, so the first tuples of a burst still wait about
@@ -242,27 +220,23 @@ class AdaptiveHeartbeatSchedule(PeriodicEtsSchedule):
     ablations show and on-demand ETS avoids.
     """
 
+    #: Minimum span (stream seconds) over which the driver rate is
+    #: measured; shorter gaps reuse the previous estimate.  Without this
+    #: floor, a fast adapted rate would shrink its own observation window
+    #: until single-tuple noise whipsaws the estimate.
+    ESTIMATION_WINDOW = 1.0
+
     def __init__(self, drivers: Mapping[str, str], *,
-                 min_rate: float = 0.1, max_rate: float = 1000.0,
-                 estimation_window: float = 1.0,
-                 phase: float = 1.0) -> None:
-        if min_rate <= 0 or max_rate < min_rate:
+                 min_rate: float = 0.1, max_rate: float = 1000.0) -> None:
+        if not (0 < min_rate <= max_rate and isfinite(max_rate)):
             raise PolicyError(
-                f"need 0 < min_rate <= max_rate, got {min_rate}, {max_rate}"
+                f"need finite 0 < min_rate <= max_rate, got {min_rate}, "
+                f"{max_rate}"
             )
-        if estimation_window <= 0:
-            raise PolicyError(
-                f"estimation_window must be positive, got {estimation_window}"
-            )
-        super().__init__({name: min_rate for name in drivers}, phase=phase)
+        super().__init__({name: min_rate for name in drivers})
         self.drivers = dict(drivers)
         self.min_rate = min_rate
         self.max_rate = max_rate
-        #: Minimum span (stream seconds) over which the driver rate is
-        #: measured; shorter gaps reuse the previous estimate.  Without this
-        #: floor, a fast adapted rate would shrink its own observation
-        #: window until single-tuple noise whipsaws the estimate.
-        self.estimation_window = estimation_window
         self._graph = None
         self._last_counts: dict[str, tuple[float, int]] = {}
         self._current_rate: dict[str, float] = {}
@@ -286,7 +260,7 @@ class AdaptiveHeartbeatSchedule(PeriodicEtsSchedule):
             return self.min_rate
         last_t, last_count = last
         elapsed = now - last_t
-        if elapsed < self.estimation_window:
+        if elapsed < self.ESTIMATION_WINDOW:
             # Too little evidence since the last estimate: hold the rate.
             return self._current_rate.get(source_name, self.min_rate)
         self._last_counts[source_name] = (now, count)

@@ -132,10 +132,6 @@ class ExecutionEngine:
         deliver_due: Kernel hook invoked with the current time between steps
             once :attr:`event_queue` says an arrival (or heartbeat) fell due
             while the engine was busy, so it enters its buffer on time.
-        offer_ets_always: When False (default), the ETS policy is consulted
-            only while some IWP operator is idle-waiting on pending *data*:
-            an ETS with nothing to unblock is pure overhead.  True is the
-            fidelity ablation where every dead-ended backtrack offers.
         monitor: Optional :class:`~repro.faults.monitors.InvariantMonitor`
             (installed on the graph), checked at the end of every wake-up;
             degrade-mode violations count into ``invariant_violations``.
@@ -149,7 +145,6 @@ class ExecutionEngine:
     def __init__(self, graph: QueryGraph, clock, *, cost_model=None,
                  idle_tracker=None,
                  deliver_due: Callable[[float], None] | None = None,
-                 offer_ets_always: bool = False,
                  monitor=None,
                  config: EngineConfig | None = None, **knobs) -> None:
         config = (config or EngineConfig()).replace(**knobs)
@@ -165,7 +160,6 @@ class ExecutionEngine:
         #: Where the pump reads the time the next event falls due: the
         #: kernel sets its :class:`~repro.sim.events.EventQueue` here.
         self.event_queue = _ALWAYS_DUE
-        self.offer_ets_always = offer_ets_always
         self.batch_size = config.batch_size
         self.monitor = monitor
         self.max_steps_per_round = config.max_steps_per_round
@@ -480,12 +474,13 @@ class ExecutionEngine:
     # ETS integration (the Backtrack-to-source hook)
 
     def _try_ets(self, source: SourceNode) -> bool:
-        offered = self.offer_ets_always
-        if not offered:  # is any IWP operator idle-waiting on data?
-            for op in self._iwp_ops:
-                if op.idle_waiting():
-                    offered = True
-                    break
+        # Offer only while some IWP operator idle-waits on pending data: an
+        # ETS with nothing to unblock is pure overhead.
+        offered = False
+        for op in self._iwp_ops:
+            if op.idle_waiting():
+                offered = True
+                break
         injected = False
         if offered:
             self.stats.ets_offers += 1
@@ -505,7 +500,8 @@ class ExecutionEngine:
                          offered=offered)
         if injected and self._on_punct is not None:
             self._on_punct(operator=source.name, round_id=self._round_id,
-                           time=self.clock.now(), origin="ets")
+                           time=self.clock.now(), origin="ets",
+                           ts=source.watermark)
         return injected
 
     # ------------------------------------------------------------------ #

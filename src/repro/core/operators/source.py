@@ -43,8 +43,8 @@ class SourceNode(Operator):
         last_data_ts: Timestamp of the most recent *data* tuple ingested
             (``LATENT_TS`` before the first one).
         last_arrival_wall: Virtual-clock time of the most recent data-tuple
-            arrival (``nan`` before the first one); the external skew-bound
-            ETS generator uses this together with ``last_data_ts``.
+            arrival (``nan`` before the first one); the skew-bound ETS of
+            :class:`~repro.core.ets.OnDemandEts` uses it with ``last_data_ts``.
         watermark: Largest timestamp ever emitted on this stream, data or
             punctuation; ETS generation never goes below it.
     """
@@ -231,7 +231,7 @@ class SourceNode(Operator):
         self.ingested_count += 1
         if stamped_ts != LATENT_TS and stamped_ts >= self.last_data_ts:
             # On out-of-order streams, track the frontier tuple: the
-            # skew-bound ETS generator extrapolates from the largest
+            # skew-bound ETS (OnDemandEts) extrapolates from the largest
             # timestamp seen and its arrival instant.
             self.last_data_ts = stamped_ts
             if stamped_ts > self.watermark:

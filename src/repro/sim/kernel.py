@@ -67,7 +67,6 @@ class Simulation:
             :class:`CostModel`.  Pass ``CostModel.zero()`` for logical runs.
         start_time: Initial virtual-clock value.
         track_idle: Maintain an :class:`IdleTracker` over the IWP operators.
-        offer_ets_always: Forwarded to the engine (fidelity ablation).
         quarantine: Optional
             :class:`~repro.faults.degrade.QuarantinePolicy` attached to
             every source; decides drop/clamp/raise for regressed external
@@ -89,7 +88,6 @@ class Simulation:
                  cost_model: CostModel | None = None,
                  start_time: float = 0.0,
                  track_idle: bool = True,
-                 offer_ets_always: bool = False,
                  quarantine=None,
                  monitor=None,
                  engine_cls: type[ExecutionEngine] = ExecutionEngine,
@@ -110,7 +108,6 @@ class Simulation:
             cost_model=self.cost_model,
             idle_tracker=self.idle_tracker,
             deliver_due=self._deliver_due,
-            offer_ets_always=offer_ets_always,
             monitor=monitor,
             config=config,
         )
@@ -225,7 +222,7 @@ class Simulation:
             if not self.periodic.applies_to(source):
                 continue
             period = self.periodic.period_for(source.name)
-            first = self.clock.now() + period * self.periodic.phase
+            first = self.clock.now() + period
             self._schedule_heartbeat(source, first)
 
     def _schedule_heartbeat(self, source: SourceNode, when: float) -> None:

@@ -68,8 +68,8 @@ class ScenarioConfig:
         strict_iwp: Use the original Fig.-1 gating in the IWP operator
             (X1 ablation).
         external: Use externally timestamped streams plus the skew-bound
-            ETS generator (ablation X3); ``external_skew`` is the workload's
-            max timestamp lag and ``ets_delta`` the generator's bound.
+            ETS (ablation X3); ``external_skew`` is the workload's max
+            timestamp lag and ``ets_delta`` the ETS's skew bound ``δ``.
         cost_model: CPU pricing; None selects the calibrated default.
         batch_size: Run width of the execution engine (1 = the paper's
             tuple-at-a-time execution, one element per step; N > 1 takes

@@ -187,8 +187,7 @@ class ReferenceWalkEngine(ExecutionEngine):
         return run
 
     def _try_ets(self, source: SourceNode) -> bool:
-        offered = self.offer_ets_always or any(
-            op.idle_waiting() for op in self._iwp_ops)
+        offered = any(op.idle_waiting() for op in self._iwp_ops)
         injected = False
         if offered:
             self.stats.ets_offers += 1
@@ -209,7 +208,8 @@ class ReferenceWalkEngine(ExecutionEngine):
             if injected:
                 self.bus.punctuation(
                     operator=source.name, round_id=self._round_id,
-                    time=self.clock.now(), origin="ets")
+                    time=self.clock.now(), origin="ets",
+                    ts=source.watermark)
         return injected
 
     def _pump_due(self) -> None:

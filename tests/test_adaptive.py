@@ -27,6 +27,17 @@ class TestConfiguration:
             AdaptiveHeartbeatSchedule({"slow": "fast"}, min_rate=10.0,
                                       max_rate=1.0)
 
+    @pytest.mark.parametrize("rates", [
+        pytest.param(dict(min_rate=float("nan")), id="nan-min"),
+        pytest.param(dict(max_rate=float("nan")), id="nan-max"),
+        pytest.param(dict(max_rate=float("inf")), id="inf-max"),
+    ])
+    def test_non_finite_rates_rejected(self, rates):
+        """A NaN clamp passes every ``<`` test and dates heartbeats NaN;
+        an infinite one clamps the period to zero."""
+        with pytest.raises(PolicyError, match="finite"):
+            AdaptiveHeartbeatSchedule({"slow": "fast"}, **rates)
+
     def test_unknown_driver_rejected_at_bind(self):
         graph, fast, slow, sink = build()
         sched = AdaptiveHeartbeatSchedule({"slow": "nope"})
@@ -93,8 +104,8 @@ class TestAdaptationBehaviour:
         that only on-demand ETS closes (paper Section 1's tuning dilemma)."""
         graph, fast, slow, sink = build()
         sched = AdaptiveHeartbeatSchedule({"slow": "fast"}, min_rate=1.0,
-                                          max_rate=500.0,
-                                          estimation_window=1.0)
+                                          max_rate=500.0)
+        assert sched.ESTIMATION_WINDOW == 1.0
         sim = Simulation(graph, ets_policy=NoEts(), periodic=sched)
         sim.attach_arrivals(fast, bursty_arrivals(
             200.0, random.Random(1), on_duration=0.5, off_duration=4.5))

@@ -43,8 +43,7 @@ class TestRateArithmetic:
     def test_exact_rate_after_window(self):
         graph, fast, slow, _ = build()
         sched = AdaptiveHeartbeatSchedule({"slow": "fast"}, min_rate=0.1,
-                                          max_rate=1000.0,
-                                          estimation_window=1.0)
+                                          max_rate=1000.0)
         sched.bind(graph)
         sched.next_period(slow, now=0.0)  # primes the (t, count) baseline
         fast.ingested_count = 20
@@ -63,7 +62,7 @@ class TestRateArithmetic:
 class TestEstimationWindowHold:
     def make(self, **kwargs):
         graph, fast, slow, _ = build()
-        defaults = dict(min_rate=0.1, max_rate=1000.0, estimation_window=1.0)
+        defaults = dict(min_rate=0.1, max_rate=1000.0)
         defaults.update(kwargs)
         sched = AdaptiveHeartbeatSchedule({"slow": "fast"}, **defaults)
         sched.bind(graph)

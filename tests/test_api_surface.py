@@ -62,11 +62,9 @@ ALLOWLIST: dict[str, str] = {
     "CountWindow": _RECORD,
     "FaultSpec": _RECORD,
     "FeedbackPunctuation": _RECORD,
-    "InternalClockEts": _RECORD + " (OnDemandEts(generators=))",
     "LATENT_TS": _RECORD,
     "Punctuation": _RECORD,
     "ShardedRecoveryReport": _RECORD,
-    "SkewBoundEts": _RECORD + " (OnDemandEts(generators=))",
     "StreamElement": _RECORD,
     "TimeWindow": _RECORD,
     "TraceEvent": _RECORD + " (Tracer.events)",

@@ -276,3 +276,24 @@ def test_recovery_from_version1_window_checkpoint(tmp_path, monkeypatch,
                for win in windows)
     assert any(win["items"] for win in windows)
     assert combined == reference
+
+
+# --------------------------------------------------------------------- #
+# Checkpoints written while OnDemandEts still kept counters
+
+
+def test_recovery_from_checkpoint_with_ets_counters(tmp_path, monkeypatch):
+    """A crash whose checkpoints hold the version-1 ``OnDemandEts``
+    snapshot that also carried ``generated``/``declined`` recovers under
+    the same checkpoint format, byte-identical to an uncrashed run."""
+    oracle = CrashRecoveryOracle(union_graph, _feeds(), chunk=8)
+    reference = oracle.run_reference(batch_size=4, ets_policy=OnDemandEts())
+    monkeypatch.setattr(OnDemandEts, "snapshot_state", lambda self: {
+        "version": 1, "generated": 11, "declined": 5})
+    combined, report = oracle.run_crashed(
+        tmp_path, crash_index=77, batch_size=4, ets_policy=OnDemandEts())
+    assert report.checkpoint_number > 0
+    store = CheckpointStore(tmp_path)
+    assert store.load(store.numbers()[-1])["ets_policy"] == {
+        "version": 1, "generated": 11, "declined": 5}
+    assert combined == reference

@@ -115,9 +115,9 @@ def test_single_stream_needs_no_ets(items):
     s.select(lambda p: True).sink("out", keep_outputs=True)
     graph = q.compile()
     sink = q.sinks["out"]
-    policy = OnDemandEts()
-    sim = Simulation(graph, ets_policy=policy, cost_model=CostModel.zero())
+    sim = Simulation(graph, ets_policy=OnDemandEts(),
+                     cost_model=CostModel.zero())
     sim.attach_arrivals(s.source_node, iter(to_arrivals(items)))
     sim.run(until=60.0)
     assert sink.delivered == len(items)
-    assert policy.generated == 0
+    assert sim.engine.stats.ets_injected == 0

@@ -1,4 +1,4 @@
-"""Tests for ETS policies and ETS value generators (paper Section 5)."""
+"""Tests for ETS policies and the on-demand ETS rule (paper Section 5)."""
 
 import pytest
 
@@ -6,11 +6,6 @@ from repro.core.ets import NoEts, OnDemandEts, PeriodicEtsSchedule
 from repro.core.errors import PolicyError
 from repro.core.operators import SourceNode
 from repro.core.buffers import StreamBuffer
-from repro.core.timestamps import (
-    InternalClockEts,
-    SkewBoundEts,
-    default_generator_for,
-)
 from repro.core.tuples import TimestampKind
 
 
@@ -22,42 +17,67 @@ def make_source(kind=TimestampKind.INTERNAL) -> tuple[SourceNode, StreamBuffer]:
 
 
 class TestInternalClockEts:
+    """Internally timestamped sources: the ETS value is the clock."""
+
     def test_proposes_now(self):
-        src, _ = make_source()
-        assert InternalClockEts().propose(src, 12.5) == 12.5
+        src, buf = make_source()
+        assert OnDemandEts().on_source_stalled(src, 12.5, round_id=1)
+        assert [e.ts for e in buf] == [12.5]
 
 
 class TestSkewBoundEts:
+    """Externally timestamped sources: the skew bound ``t + τ − δ``."""
+
     def test_formula(self):
         """ETS = t + elapsed − delta (Srivastava & Widom, quoted by paper)."""
-        src, _ = make_source(TimestampKind.EXTERNAL)
+        src, buf = make_source(TimestampKind.EXTERNAL)
         src.ingest({"v": 1}, now=10.0, ts=9.0)
-        gen = SkewBoundEts(delta=2.0)
+        policy = OnDemandEts(external_delta=2.0)
         # elapsed = 15 - 10 = 5; ETS = 9 + 5 - 2 = 12
-        assert gen.propose(src, 15.0) == pytest.approx(12.0)
+        assert policy.on_source_stalled(src, 15.0, round_id=1)
+        assert src.watermark == pytest.approx(12.0)
+        assert [e.ts for e in buf if e.is_punctuation] == [src.watermark]
 
     def test_cold_start_declines_by_default(self):
-        src, _ = make_source(TimestampKind.EXTERNAL)
-        assert SkewBoundEts(delta=1.0).propose(src, 5.0) is None
+        src, buf = make_source(TimestampKind.EXTERNAL)
+        policy = OnDemandEts(external_delta=1.0)
+        assert not policy.on_source_stalled(src, 5.0, round_id=1)
+        assert len(buf) == 0 and src.punctuation_injected == 0
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            SkewBoundEts(delta=-1.0)
+        with pytest.raises(PolicyError, match="external_delta"):
+            OnDemandEts(external_delta=-1.0)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(PolicyError, match="external_delta"):
+            OnDemandEts(external_delta=delta)
 
 
 class TestDefaultGeneratorFor:
+    """The value the rule generates for each timestamp kind, on sources
+    that each took one data tuple at 10 and stall at 15 (the external one
+    stamped 9)."""
+
+    @staticmethod
+    def stall(kind, policy):
+        src, buf = make_source(kind)
+        ts = 9.0 if kind is TimestampKind.EXTERNAL else None
+        src.ingest({"v": 1}, now=10.0, ts=ts)
+        injected = policy.on_source_stalled(src, 15.0, round_id=1)
+        return injected, [e.ts for e in buf if e.is_punctuation]
+
     def test_internal(self):
-        src, _ = make_source(TimestampKind.INTERNAL)
-        assert isinstance(default_generator_for(src), InternalClockEts)
+        assert self.stall(TimestampKind.INTERNAL,
+                          OnDemandEts(external_delta=3.0)) == (True, [15.0])
 
     def test_external(self):
-        src, _ = make_source(TimestampKind.EXTERNAL)
-        gen = default_generator_for(src, external_delta=3.0)
-        assert isinstance(gen, SkewBoundEts) and gen.delta == 3.0
+        injected, ets = self.stall(TimestampKind.EXTERNAL,
+                                   OnDemandEts(external_delta=3.0))
+        assert injected and ets == [pytest.approx(9.0 + 5.0 - 3.0)]
 
     def test_latent_has_none(self):
-        src, _ = make_source(TimestampKind.LATENT)
-        assert default_generator_for(src) is None
+        assert self.stall(TimestampKind.LATENT, OnDemandEts()) == (False, [])
 
 
 class TestNoEts:
@@ -75,7 +95,7 @@ class TestOnDemandEts:
         assert len(buf) == 1
         punct = buf.pop()
         assert punct.is_punctuation and punct.ts == 5.0
-        assert policy.generated == 1
+        assert src.punctuation_injected == 1
 
     def test_once_per_round(self):
         src, buf = make_source()
@@ -85,25 +105,20 @@ class TestOnDemandEts:
         assert policy.on_source_stalled(src, 7.0, round_id=2)
         assert len(buf) == 2
 
-    def test_once_per_round_can_be_disabled(self):
-        src, buf = make_source()
-        policy = OnDemandEts(once_per_round=False)
-        assert policy.on_source_stalled(src, 5.0, round_id=1)
-        assert policy.on_source_stalled(src, 6.0, round_id=1)
-        assert len(buf) == 2
-
     def test_stale_ets_skipped(self):
         """An ETS that does not advance the watermark is useless: skip it."""
         src, buf = make_source()
         src.ingest({"v": 1}, now=10.0)
         policy = OnDemandEts()
         assert not policy.on_source_stalled(src, 10.0, round_id=1)
-        assert policy.declined == 1 and len(buf) == 1  # only the data tuple
+        assert src.punctuation_injected == 0
+        assert len(buf) == 1  # only the data tuple
 
     def test_latent_source_declines(self):
         src, buf = make_source(TimestampKind.LATENT)
         policy = OnDemandEts()
         assert not policy.on_source_stalled(src, 5.0, round_id=1)
+        assert len(buf) == 0 and src.punctuation_injected == 0
 
     def test_external_source_uses_skew_bound(self):
         src, buf = make_source(TimestampKind.EXTERNAL)
@@ -112,17 +127,6 @@ class TestOnDemandEts:
         assert policy.on_source_stalled(src, 12.0, round_id=1)
         punct = [e for e in buf if e.is_punctuation][0]
         assert punct.ts == pytest.approx(9.5 + 2.0 - 0.25)
-
-    def test_per_source_generator_override(self):
-        src, buf = make_source()
-
-        class Fixed:
-            def propose(self, source, now):
-                return 99.0
-
-        policy = OnDemandEts(generators={"s": Fixed()})
-        assert policy.on_source_stalled(src, 5.0, round_id=1)
-        assert [e.ts for e in buf] == [99.0]
 
 
 class TestPeriodicEtsSchedule:
@@ -134,8 +138,14 @@ class TestPeriodicEtsSchedule:
     def test_rates_validated(self):
         with pytest.raises(PolicyError):
             PeriodicEtsSchedule({"slow": 0.0})
-        with pytest.raises(PolicyError):
-            PeriodicEtsSchedule({"slow": 1.0}, phase=0.0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_rates_rejected(self, rate):
+        """An infinite rate is a zero period (the kernel would schedule
+        heartbeats forever at one instant); a NaN rate dates every
+        heartbeat NaN."""
+        with pytest.raises(PolicyError, match="finite"):
+            PeriodicEtsSchedule({"slow": rate})
 
     def test_applies_to_skips_latent(self):
         sched = PeriodicEtsSchedule({"s": 1.0})

@@ -37,14 +37,13 @@ class TestRoundRobinBasics:
 
     def test_source_poll_triggers_ets(self):
         g, s1, s2, u, sink = union_graph()
-        policy = OnDemandEts()
         engine = RoundRobinEngine(g, VirtualClock(),
                                   cost_model=CostModel.zero(),
-                                  ets_policy=policy)
+                                  ets_policy=OnDemandEts())
         engine.clock.advance_to(2.0)
         s1.ingest({"v": 1}, now=2.0)
         engine.wakeup()
-        assert policy.generated >= 1
+        assert engine.stats.ets_injected >= 1
         assert sink.delivered == 1
 
     def test_no_ets_blocks_like_dfs(self):

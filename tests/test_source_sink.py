@@ -1,6 +1,7 @@
 """Tests for source and sink nodes: timestamping, latency, punctuation."""
 
 import ast
+import gc
 import inspect
 import math
 import sys
@@ -170,12 +171,20 @@ class TestRowEntrance:
                 entered[names.get(code, f"other:{code.co_name}")] += 1
 
         n = 64
+        # A cyclic collection inside the window would resume the suspended
+        # generators of earlier tests to close them, and the profiler would
+        # count those frames; collect first and hold the collector off.
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         sys.setprofile(profiler)
         try:
             for i in range(n):
                 src.ingest({"v": i}, now=float(i))
         finally:
             sys.setprofile(None)
+            if gc_was_enabled:
+                gc.enable()
         assert entered == {"ingest": n, "append_row": 2 * n,
                            "_account": 2 * n, "ColumnarBlock": 2}
         assert registry.total == registry.mutations == 2 * n
