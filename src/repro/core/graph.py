@@ -54,6 +54,8 @@ class QueryGraph:
         #: visit.
         self._succ_table: dict[str, tuple[Operator, ...]] = {}
         self._pred_table: dict[str, tuple[Operator, ...]] = {}
+        #: :meth:`state_floor`'s static half, kept once validated.
+        self._floor_plan: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -69,6 +71,7 @@ class QueryGraph:
         self._validated = False
         self._succ_table.clear()
         self._pred_table.clear()
+        self._floor_plan = None
         return operator
 
     def add_source(self, name: str,
@@ -115,6 +118,7 @@ class QueryGraph:
         self._validated = False
         self._succ_table.clear()
         self._pred_table.clear()
+        self._floor_plan = None
         return buf
 
     # ------------------------------------------------------------------ #
@@ -166,24 +170,40 @@ class QueryGraph:
         (:meth:`Operator.state_reach`: in ``a.join(b, w).join(c, w)`` the
         second window's entry stamped 14 may carry an ``a`` row stamped
         ``14 - w``).  So each holder's floor is lowered by the longest
-        reach upstream of it before the minimum is taken.
+        reach upstream of it before the minimum is taken.  Those reaches
+        depend on the wiring alone, so a validated graph works them out
+        once (every shard checkpoint reads this floor).
         """
+        plan = self._floor_plan
+        if plan is None:
+            plan = self._plan_floor()
+            if self._validated:
+                self._floor_plan = plan
         inf = float("inf")
         floor = inf
-        reach: dict[str, float] = {}  # operator -> its outputs' total reach
-        for op in self.topological_order():
-            behind = 0.0
-            for buf, producer in zip(op.inputs, op.predecessors):
-                lag = reach[producer.name] if producer is not None else 0.0
-                behind = max(behind, lag)
+        for op, arcs, behind in plan:
+            for buf, lag in arcs:
                 head = buf.state_floor()
                 if head < inf:
                     floor = min(floor, head - lag)
             own = op.state_floor()
             if own < inf:
                 floor = min(floor, own - behind)
-            reach[op.name] = behind + op.state_reach()
         return floor
+
+    def _plan_floor(self) -> tuple:
+        """Per operator, in topological order: its input arcs, each with
+        the reach upstream of it, and the largest of those reaches."""
+        plan = []
+        reach: dict[str, float] = {}  # operator -> its outputs' total reach
+        for op in self.topological_order():
+            arcs = tuple(
+                (buf, reach[producer.name] if producer is not None else 0.0)
+                for buf, producer in zip(op.inputs, op.predecessors))
+            behind = max((0.0, *(lag for _, lag in arcs)))
+            plan.append((op, arcs, behind))
+            reach[op.name] = behind + op.state_reach()
+        return tuple(plan)
 
     # ------------------------------------------------------------------ #
     # Validation and structure

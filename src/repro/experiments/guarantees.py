@@ -1,4 +1,4 @@
-"""The repository's own guarantees R1, R2 and S1–S3, as measurements.
+"""The repository's own guarantees R1, R2 and S1–S4, as measurements.
 
 None of these is a figure of the paper; each is a promise the durability
 and sharding layers make on top of the engine.  The R rows crash-stop the
@@ -15,6 +15,8 @@ tuples.
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 from ..core.ets import NoEts
 from ..core.graph import QueryGraph
@@ -30,6 +32,7 @@ __all__ = [
     "live_reshard",
     "run_guarantees",
     "sharded_join",
+    "uptime_retention",
 ]
 
 #: The R rows' union scenario: the fast stream arrives at ``CRASH_RATE``
@@ -141,6 +144,49 @@ def live_reshard(*, runs: tuple[tuple[str, int, int], ...] = (
     return out
 
 
+def _held(root: Path, tuples: int) -> dict[str, int]:
+    """Drive the durable elastic join over ``tuples`` arrivals, growing to
+    P=3 halfway, then crash-stop and recover a fresh facade: what the
+    facade held at the crash and what the recovery read kept."""
+    feeds = _feeds(tuples)
+
+    def facade() -> ElasticShardedEngine:
+        return ElasticShardedEngine(
+            _join_graph, shards=2, key="key", state_dir=root,
+            checkpoint_every=4, ets_policy=NoEts, batch_size=BATCH)
+
+    engine = facade()
+    for index, (source, t, payload) in enumerate(feeds):
+        if index == tuples // 2 // CHUNK * CHUNK:
+            engine.reshard(3, reason="validate")
+        engine.ingest(source, payload, time=t, ts=t)
+        if (index + 1) % CHUNK == 0:
+            engine.wakeup()
+    held = engine.summary()
+    logged = engine.journal.wal.records_written
+    engine.close(flush=False)
+    engine = facade()
+    try:
+        kept = engine.recover().kept_records
+    finally:
+        engine.close(flush=False)
+    return {"history": held["history_records"], "kept": kept,
+            "logged": logged}
+
+
+def uptime_retention(*, tuples: int = 2048, scales: tuple[int, ...] = (1, 4)
+                     ) -> dict[int, dict[str, int]]:
+    """S4: per history scale, the durable elastic join's retained history
+    records, the records its recovery read kept, and the records logged —
+    the same plan and window, ``tuples * scale`` arrivals (a whole number
+    of checkpoint intervals, so every drive ends in the same phase)."""
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="repro-s4-") as tmp:
+        for scale in scales:
+            out[scale] = _held(Path(tmp) / f"x{scale}", tuples * scale)
+    return out
+
+
 def run_guarantees() -> dict[str, object]:
     """Every guarantee at the size EXPERIMENTS.md quotes, keyed by claim
     id; S3 is judged on the S2 runs."""
@@ -149,4 +195,5 @@ def run_guarantees() -> dict[str, object]:
         "R2": corrupt_checkpoint(),
         "S1": sharded_join(),
         "S2": live_reshard(),
+        "S4": uptime_retention(),
     }

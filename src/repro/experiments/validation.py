@@ -3,7 +3,7 @@ stated.
 
 ``python -m repro validate`` (or a notebook) regenerates the paper's
 Section-6 evaluation (E1–E5), the repository's crash-recovery and sharding
-guarantees of :mod:`.guarantees` (R1–R2, S1–S3) and the ablations of
+guarantees of :mod:`.guarantees` (R1–R2, S1–S4) and the ablations of
 :mod:`.ablations` (X1–X4, X6–X9) and prints a claim-by-claim verdict with
 the measured values EXPERIMENTS.md quotes.  Each claim is a plain
 :class:`ClaimResult` row; the ``id`` column is the EXPERIMENTS.md heading it
@@ -99,7 +99,7 @@ def validate_paper_claims(sweep: SweepResult,
 
 def validate_guarantee_claims(measured: dict[str, object]
                               ) -> list[ClaimResult]:
-    """Evaluate the R1–R2, S1–S3 claims against
+    """Evaluate the R1–R2, S1–S4 claims against
     :func:`~repro.experiments.guarantees.run_guarantees` measurements."""
     results: list[ClaimResult] = []
 
@@ -177,6 +177,22 @@ def validate_guarantee_claims(measured: dict[str, object]
               f"{r.direction} replayed {r.replayed_ingests} of "
               f"{r.logged_ingests} (floor {r.floor:.2f})" for r in reports)
               for label, reports in cut.items()))
+
+    # S4: what a durable elastic facade holds is flat in uptime -------- #
+    held = measured["S4"]
+    short, *longer = held.values()
+
+    def flat(count: str) -> bool:
+        return all(0 < run[count] and abs(run[count] - short[count])
+                   <= 0.1 * short[count] for run in longer)
+
+    check("S4", "an elastic facade's retained history and recovery read "
+          "stay flat (within 10 %) from 1x to 4x history",
+          flat("history") and flat("kept")
+          and all(run["logged"] > 3.5 * short["logged"] for run in longer),
+          "; ".join(f"{scale}x: history {run['history']}, recovery kept "
+                    f"{run['kept']} of {run['logged']} logged records"
+                    for scale, run in held.items()))
     return results
 
 

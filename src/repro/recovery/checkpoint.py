@@ -74,7 +74,12 @@ class CheckpointStore:
             latest always has a fallback.
     """
 
-    def __init__(self, directory: str | os.PathLike, *, keep: int = 4) -> None:
+    #: The default ``keep``: a sharded facade's log read keeps the records
+    #: past the oldest of its last ``KEEP`` checkpoint cuts.
+    KEEP = 4
+
+    def __init__(self, directory: str | os.PathLike, *,
+                 keep: int = KEEP) -> None:
         self.directory = Path(directory)
         self.keep = max(2, int(keep))
 

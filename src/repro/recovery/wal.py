@@ -39,17 +39,24 @@ from __future__ import annotations
 
 import os
 import pickle
+from functools import partial
+from operator import is_not, itemgetter
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from ..core.errors import RecoveryError
+from ..core.tuples import LATENT_TS
 
-__all__ = ["InputJournal", "WalRecord", "WriteAheadLog", "WAL_MAGIC"]
+__all__ = ["CommandHistory", "InputJournal", "WalRecord", "WriteAheadLog",
+           "WAL_MAGIC"]
 
 WAL_MAGIC = b"RPWAL001"
 _FRAME = struct.Struct("<II")  # length, crc32
+_KIND, _TS, _PAYLOAD = (itemgetter(field)
+                        for field in ("kind", "ts", "payload"))
+_EXTERNAL = partial(is_not, None)  # a command's ``ts`` is set
 
 
 class WalRecord(dict):
@@ -57,8 +64,10 @@ class WalRecord(dict):
 
     Kinds written by an :class:`InputJournal` (DESIGN.md §4f): ``ingest``
     and ``punct`` (one input command each), ``wakeup`` (the drive
-    schedule) and ``marks`` (delivered counts: ``{sink: count}``, or one
-    per shard after an ``epoch`` tag on a facade).
+    schedule), ``marks`` (delivered counts: ``{sink: count}``, or one
+    per shard after an ``epoch`` tag on a facade) and, on a facade,
+    ``cut`` (every shard of ``epoch`` checkpointed at log ``position``
+    with state ``floor``; DESIGN.md §4g).
 
     A ``group`` frame never surfaces as a record: readers yield its members.
     """
@@ -88,6 +97,8 @@ class WriteAheadLog:
         #: ``(size, mtime_ns, records, end)`` as the last read found the
         #: file: its stamp, then the intact prefix's records and end offset.
         self._seen: tuple[int, int | None, int, int] | None = None
+        #: Whether the last full :meth:`stream` found no torn tail.
+        self.clean = True
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -173,7 +184,8 @@ class WriteAheadLog:
         while the file is the one it read (same size and mtime), so a
         recovery's read is the only walk of the log; else read again."""
         if self._seen is None or self._seen[:2] != self._stamp():
-            self.replay_with_status()
+            for _ in self.stream():
+                pass
         size, _, records, end = self._seen
         return size, records, end
 
@@ -227,19 +239,124 @@ class WriteAheadLog:
         """Intact records plus whether the log ended cleanly.
 
         Returns ``(records, clean)`` where ``clean`` is False when a torn or
-        corrupt tail frame cut the replay short.  The handle keeps the
-        prefix's record count and end offset, which the next
-        :meth:`truncate_to_valid` and the first append reuse.
+        corrupt tail frame cut the replay short.
         """
+        records = [rec for frame in self.stream() for rec in frame]
+        return records, self.clean
+
+    def stream(self) -> Iterator[list[WalRecord]]:
+        """The records of every intact frame, in append order, one frame
+        at a time: a reader keeps only what it needs.  Once exhausted,
+        :attr:`clean` says whether the log ended cleanly, and the handle
+        keeps the prefix's record count and end offset, which the next
+        :meth:`truncate_to_valid` and the first append reuse."""
         stamp = self._stamp()
         data = self._read()
-        records: list[WalRecord] = []
+        count = 0
         valid = len(WAL_MAGIC)
         for valid, members in self._frames(data):
-            records.extend(members)
+            count += len(members)
+            yield members
         end = valid if data else 0
-        self._seen = (*stamp, len(records), end)
-        return records, end == len(data)
+        self._seen = (*stamp, count, end)
+        self.clean = end == len(data)
+
+
+class CommandHistory:
+    """The commands a facade staged, bounded by what a replay can use.
+
+    :attr:`records` holds the live suffix of the log's ``ingest``,
+    ``punct`` and ``wakeup`` records — whole wake-up segments, the first
+    at log position :attr:`base` + 1 — and then what is staged.  Each
+    wake-up is summarised when it commits: its record count, the largest
+    stamp bound of its ingests (the external ``ts``, else the wake-up's
+    ``now``, which bounds any internal or latent stamp), its punctuation
+    commands in ``apply``'s form, and its ``now``.  :meth:`prune` drops
+    the longest prefix of segments whose bound lies below the last state
+    floor :meth:`trim` learned, in O(segments), and folds it into
+    :attr:`carried` (its punctuation) and :attr:`carried_at` (the ``(now,
+    clamp, position)`` of its last segment).  What a replay needs of the
+    whole history is kept as running values from the first command on:
+    the ingest count and the distinct partition keys (``key`` maps a
+    payload to its key; identity when None).
+    """
+
+    def __init__(self, key: Callable[[Any], Any] | None = None) -> None:
+        self.records: list[dict] = []
+        #: ``(size, top, puncts, now)`` per committed segment in records.
+        self.segments: list[tuple] = []
+        self.base = 0
+        self.keys: set = set()
+        self.carried: list[tuple] = []
+        self.carried_at: tuple | None = None
+        self._floor = LATENT_TS  # the last state floor learned
+        self.key = key
+        self._committed = 0  # ingests in committed segments, dropped too
+        self._open = 0  # where the staged records start
+
+    @property
+    def staged(self) -> list[dict]:
+        """The commands staged since the last wake-up."""
+        return self.records[self._open:]
+
+    @property
+    def ingests(self) -> int:
+        """Every ingest staged so far, the dropped prefix included."""
+        return self._committed + sum(
+            1 for rec in self.staged if rec["kind"] == "ingest")
+
+    def commit(self, wakeup: dict) -> None:
+        """Close the staged commands with ``wakeup`` and summarise them,
+        after a :meth:`prune` at the last floor learned."""
+        self.prune()
+        records = self.records
+        records.append(wakeup)
+        now = wakeup["now"]
+        ingests = records[self._open:-1]
+        puncts = []
+        if "punct" in map(_KIND, ingests):
+            puncts = [(rec["source"], rec["ts"], rec["origin"],
+                       rec["periodic"])
+                      for rec in ingests if rec["kind"] == "punct"]
+            ingests = [rec for rec in ingests if rec["kind"] == "ingest"]
+        stamps = list(map(_TS, ingests))
+        # An internal or latent row has no ``ts``; ``now`` bounds its stamp.
+        internal = stamps.count(None)
+        top = now if internal else LATENT_TS
+        if internal < len(stamps):
+            top = max(top, max(filter(_EXTERNAL, stamps) if internal
+                               else stamps))
+        payloads = map(_PAYLOAD, ingests)
+        self.keys.update(payloads if self.key is None
+                         else map(self.key, payloads))
+        self._committed += len(ingests)
+        self.segments.append((len(records) - self._open, top, puncts, now))
+        self._open = len(records)
+
+    def trim(self, floor: float) -> None:
+        """Learn a state floor; the next :meth:`commit` (or :meth:`prune`)
+        cuts the history at it, so the checkpoint that learned it does not
+        also pay for freeing what the cut drops."""
+        self._floor = floor
+
+    def prune(self) -> None:
+        """Drop the longest prefix of segments every ingest of which is
+        stamped below the last floor learned, folding it into the running
+        values."""
+        floor = self._floor
+        dropped = size = 0
+        for length, top, puncts, now in self.segments:
+            if not top < floor:
+                break
+            dropped += 1
+            size += length
+            self.carried += puncts
+            self.carried_at = (now, None, self.base + dropped)
+        if dropped:
+            del self.records[:size]
+            del self.segments[:dropped]
+            self.base += dropped
+            self._open -= size
 
 
 class InputJournal:
@@ -249,15 +366,17 @@ class InputJournal:
     them with the wake-up's own record as one group frame, before the
     wake-up runs.  :meth:`append` writes a record at once (a row admitted
     inside a wake-up); :meth:`mark` appends a ``marks`` record when the
-    delivered counts changed; :meth:`read` takes the intact log back.
-    Without a ``path`` nothing is written; with ``history`` every staged
-    record is also kept, in call order (a reshard's script).
+    delivered counts changed; :meth:`cut` stages a ``cut`` record after a
+    checkpoint; :meth:`stream` and :meth:`read` take the intact log back.
+    Without a ``path`` nothing is written.  With a ``history``, every
+    staged command also goes there, and each cut trims it to the live
+    suffix of the cut's floor (see :class:`CommandHistory`).
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
-                 history: bool = False) -> None:
+                 history: CommandHistory | None = None) -> None:
         self.wal = WriteAheadLog(path) if path is not None else None
-        self.history: list[dict] | None = [] if history else None
+        self.history = history
         #: The counts of the last ``marks`` record (None before the first).
         self.marks = None
         self._staged: list[dict] = []
@@ -265,10 +384,12 @@ class InputJournal:
     def stage(self, record: dict) -> None:
         self._staged.append(record)
         if self.history is not None:
-            self.history.append(record)
+            self.history.records.append(record)
 
     def commit(self, wakeup: dict) -> None:
-        self.stage(wakeup)
+        self._staged.append(wakeup)
+        if self.history is not None:
+            self.history.commit(wakeup)
         self.flush()
 
     def flush(self) -> None:
@@ -289,19 +410,55 @@ class InputJournal:
             self.wal.append({"kind": "marks", **tags, "marks": marks})
             self.marks = marks
 
-    def read(self) -> tuple[list[WalRecord], bool]:
-        """The intact records and whether the log ended cleanly, a torn
-        tail cut off first; :attr:`marks` and the history (plus what is
-        still staged) are taken from them."""
-        records, clean = self.wal.replay_with_status()
-        if not clean:
-            self.wal.truncate_to_valid()
-        self.marks = next((rec["marks"] for rec in reversed(records)
-                           if rec.kind == "marks"), None)
+    def cut(self, *, position: int, floor: float, epoch: int) -> None:
+        """Record that every shard checkpointed at log ``position`` with
+        state floor ``floor``: a ``cut`` record staged for the next frame
+        (the history never holds it), and the floor taught to the history
+        (:meth:`CommandHistory.trim`)."""
+        if self.wal is not None:
+            self._staged.append({"kind": "cut", "position": position,
+                                 "floor": floor, "epoch": epoch})
         if self.history is not None:
-            self.history = [rec for rec in records
-                            if rec.kind != "marks"] + self._staged
-        return records, clean
+            self.history.trim(floor)
+
+    def stream(self) -> Iterator[list[WalRecord]]:
+        """The intact records, one frame at a time.  As they pass, the
+        history is rebuilt as the run built it — every command staged,
+        every wake-up committed, every ``cut`` trimming — and once the
+        stream is exhausted a torn tail is cut off, :attr:`marks` holds
+        the last ``marks`` record and the history ends with what is still
+        staged."""
+        history = self.history
+        if history is not None:
+            staged = history.staged
+            history = self.history = CommandHistory(history.key)
+            stage = history.records.append
+        marks = None
+        for frame in self.wal.stream():
+            for rec in frame:
+                kind = rec["kind"]
+                if kind == "marks":
+                    marks = rec["marks"]
+                elif history is None:
+                    pass
+                elif kind == "wakeup":
+                    history.commit(rec)
+                elif kind == "cut":
+                    history.trim(rec["floor"])
+                else:
+                    stage(rec)
+            yield frame
+        if not self.wal.clean:
+            self.wal.truncate_to_valid()
+        self.marks = marks
+        if history is not None:
+            history.records += staged
+
+    def read(self) -> tuple[list[WalRecord], bool]:
+        """The intact records and whether the log ended cleanly, as
+        :meth:`stream` takes them."""
+        records = [rec for frame in self.stream() for rec in frame]
+        return records, self.wal.clean
 
     def close(self) -> None:
         """Release the file handle; staged records are not written."""

@@ -41,6 +41,7 @@ from typing import Any, Callable, Sequence
 from ..core.config import EngineConfig
 from ..core.errors import ReproError
 from ..core.execution import ExecutionEngine
+from ..core.tuples import TimestampKind
 from ..recovery.checkpoint import CheckpointStore
 from ..recovery.manager import RecoveryReport, engine_state, restore_newest
 from ..sim.clock import VirtualClock
@@ -113,7 +114,8 @@ class ShardResult:
 class ShardSummary:
     """End-of-run figures for one shard.
 
-    ``sources`` maps each source name to its timestamp ``kind`` and live
+    ``sources`` maps each source name to its timestamp ``kind``, whether
+    it is ``ordered`` (refuses a regressing external stamp), and its live
     stream horizons (``watermark`` / ``last_data_ts``) — the reshard
     coordinator's alignment targets — and ``state_floor`` is the smallest
     timestamp that can still influence the shard's output, below which the
@@ -256,13 +258,16 @@ class EngineShard:
         return shard_frontier(self.graph, self.clock,
                               disorder_bound=self.disorder_bound)
 
-    def checkpoint(self):
-        """Save the shard's image with the log position it covers."""
+    def checkpoint(self) -> float:
+        """Save the shard's image with the log position it covers; the
+        reply is the shard's :meth:`state_floor`, which the facade's ``cut``
+        record carries and its history is trimmed by."""
         if self.store is None:
             raise ShardError(f"shard {self.index} has no state_dir")
-        return self.store.save(engine_state(
+        self.store.save(engine_state(
             self.graph, self.engine, self.clock,
             version=SHARD_CHECKPOINT_FORMAT, position=self.position))
+        return self.state_floor()
 
     def restore(self, marks: dict[str, int], limit: int,
                 report: RecoveryReport) -> int:
@@ -317,9 +322,19 @@ class EngineShard:
                             stats=self.engine.stats.as_dict(),
                             sources={
                                 name: {"kind": src.timestamp_kind,
+                                       "ordered": _ordered(src),
                                        "watermark": src.watermark,
                                        "last_data_ts": src.last_data_ts}
                                 for name, src in self.sources.items()})
+
+
+def _ordered(source) -> bool:
+    """Whether ``source`` refuses an external stamp below its last one
+    (in order, with no throttle or quarantine policy between a row and
+    that check): the facade refuses the same row before staging it."""
+    return (source.timestamp_kind is TimestampKind.EXTERNAL
+            and not source.out_of_order and source.throttle is None
+            and source.quarantine is None)
 
 
 class SerialBackend:

@@ -12,27 +12,29 @@ Exactly-once across a reshard rests on two invariants:
 
 1. **Alignment.**  Before the snapshot, the coordinator broadcasts one
    punctuation per source at the *global* horizon (the max over every
-   shard's live watermark and the facade's own ingest/punctuation highs).
+   shard's live watermark and last data stamp).
    Sources discard stale punctuation idempotently, so after the alignment
    wake-up every shard's per-source watermark equals the value a single
    unsharded engine would hold — the gates of the old shard set and of the
    replayed new shard set therefore agree exactly at the handoff point.
 2. **Deterministic replay of the live suffix.**  The facade's input
-   journal keeps every ``ingest``, ``inject_punctuation`` and ``wakeup``
-   as an in-memory history and, with a root directory, in the facade log.
-   The new shard set is built by re-dispatching that history wake-up by
-   wake-up, with ingests routed by the **new** partitioner and punctuation
-   broadcast.  History
-   that is provably dead is not re-run: after alignment every old shard
-   reports its *state floor*
+   journal logs every ``ingest``, ``inject_punctuation`` and ``wakeup``
+   (with a root directory) and keeps the *live suffix* of them in memory,
+   a :class:`~repro.recovery.wal.CommandHistory`.  History that is
+   provably dead is never re-run: every shard reports its *state floor*
    (:meth:`~repro.core.graph.QueryGraph.state_floor` — window horizons,
    parked rows, buffered heads, each lowered by the reach of the joins that
-   feed it), and the longest prefix of wake-up segments whose every ingest
-   is stamped below the minimum floor is skipped; only its punctuation is
-   carried forward, in one wake-up.  Each new shard ends up with the state
-   that can still influence output — windows, watermarks, gates — that a
-   full replay would have built.  All replay outputs are discarded; the old
-   shard set already emitted them.
+   feed it) on each checkpoint reply and, after alignment, at the
+   reshard's snapshot; each time, the longest prefix of wake-up segments
+   whose every ingest is stamped below the minimum floor is dropped from
+   the history, and folded into running values — its punctuation (carried
+   forward in one wake-up), the ingest count and the distinct keys.  The
+   new shard set is built by re-dispatching the
+   suffix wake-up by wake-up, with ingests routed by the **new**
+   partitioner and punctuation broadcast.  Each new shard ends up with the
+   state that can still influence output — windows, watermarks, gates —
+   that a full replay would have built.  All replay outputs are discarded;
+   the old shard set already emitted them.
 
 Epochs make the switch crash-atomic: each topology keeps its shard
 checkpoints in its own ``epoch-NNNN`` directory, and a ``CURRENT``
@@ -93,7 +95,8 @@ class ReshardReport:
     released: list = field(default_factory=list)
     #: Ingests in the facade log at the handoff, and how many of them the
     #: new shard set re-ran: the rest sat in wake-up segments wholly below
-    #: ``floor``, the old shard set's minimum state floor.
+    #: ``floor``, the old shard set's minimum state floor, or below an
+    #: earlier floor the history was cut at.
     logged_ingests: int = 0
     replayed_ingests: int = 0
     floor: float = float("-inf")
@@ -130,10 +133,11 @@ class ReshardCoordinator:
     The six phases (:data:`RESHARD_PHASES`): **quiesce** (a wake-up
     flushes the exchange), **align** (one punctuation per source at the
     global horizon, and a wake-up), **snapshot** (checkpoint the old
-    shards), **restore** (build the new shard set in a fresh epoch
-    directory, replay the facade log's live suffix into it by the new
-    routing, discard its outputs, checkpoint it), **reroute** (flip
-    ``CURRENT``, swap backend, partitioner and tracker) and **resume**.
+    shards, whose floors cut the history), **restore** (build the new
+    shard set in a fresh epoch directory, replay the history's live suffix
+    into it by the new routing, discard its outputs, checkpoint it),
+    **reroute** (flip ``CURRENT``, swap backend, partitioner and tracker)
+    and **resume** (a ``cut`` record for the new epoch's images).
     A failure before the flip leaves the old topology fully live (the
     half-built epoch is closed, and purged by the next construction); a
     failure after it leaves the new topology durable.
@@ -173,7 +177,13 @@ class ReshardCoordinator:
             report.frontier = e.tracker.global_frontier()
             self._hook("snapshot")
             if e.state_dir is not None:
-                e.backend.checkpoint_all()
+                report.floor = e.checkpoint()
+            else:
+                report.floor = min(
+                    (summary.state_floor for summary in e.backend.summaries()),
+                    default=float("-inf"))
+                e.journal.cut(position=e.wakeups, floor=report.floor,
+                              epoch=e._epoch)
             self._hook("restore")
             report.epoch = e._epoch + 1
             epoch_dir = None
@@ -183,10 +193,11 @@ class ReshardCoordinator:
                     shutil.rmtree(epoch_dir)
             partitioner = HashPartitioner(new_shards, e.partitioner.key_fn)
             backend = e._make_backend(new_shards, epoch_dir)
+            floors = None
             try:  # a failure before the flip closes the half-built epoch
                 self._replay(backend, partitioner, new_shards, report)
                 if epoch_dir is not None:
-                    backend.checkpoint_all()
+                    floors = backend.checkpoint_all()
                 self._hook("reroute")
                 self._flip(backend, partitioner, epoch_dir, report)
             except BaseException:
@@ -195,6 +206,9 @@ class ReshardCoordinator:
                 except Exception:  # noqa: BLE001 - best-effort teardown
                     pass
                 raise
+            if floors is not None:  # the new epoch's handoff images
+                e.journal.cut(position=e.wakeups, floor=min(floors),
+                              epoch=e._epoch)
             self._hook("resume")
         finally:
             e._resharding = False
@@ -215,21 +229,19 @@ class ReshardCoordinator:
                 new_shards: int, report: ReshardReport) -> None:
         """Re-dispatch the live suffix of the facade history, new routing.
 
-        The log is walked wake-up segment by wake-up segment.  While every
-        ingest of a segment is provably stamped below ``report.floor`` —
-        by its external ``ts``, else by the segment's wake-up ``now``,
-        which bounds any internal or latent stamp — the segment is dead:
-        its rows are only counted, its punctuation set aside.  The first
-        live segment ends the prefix; the punctuation set aside goes out in
-        one wake-up ahead of it (sources discard what is stale), and the
-        rest is replayed as it ran, each wake-up at its log position.
+        The snapshot phase's cut taught the history ``report.floor``, and
+        it is pruned here to the live suffix: every wake-up segment before
+        it had all its ingests provably stamped below the floor — by their
+        external ``ts``, else by the segment's wake-up ``now``, which
+        bounds any internal or latent stamp.  The punctuation of that dead
+        prefix (``carried``) goes out in one wake-up at its last segment's
+        position (sources discard what is stale); the suffix is replayed
+        as it ran, each wake-up at its log position.  Key movement is
+        counted over the history's distinct keys, the dead prefix's too.
         """
         e = self.engine
-        report.floor = floor = min(
-            (summary.state_floor for summary in e.backend.summaries()),
-            default=float("-inf"))
-        key_fn = e.partitioner.key_fn
-        routes: dict = {}  # key -> new shard
+        history = e.journal.history
+        history.prune()
 
         def dispatch(ingests, puncts, now, clamp, position) -> None:
             report.replayed_ingests += sum(len(rows) for rows in ingests)
@@ -240,36 +252,21 @@ class ReshardCoordinator:
                 report.discarded_outputs += sum(
                     len(ts) for _, ts, _ in result.outputs)
 
-        live = floor == float("-inf")
-        carried: list = []
-        carried_at: tuple = ()
+        for key in history.keys:
+            if e.partitioner(key) != partitioner(key):
+                report.migrated_keys += 1
+        report.total_keys = len(history.keys)
+        report.logged_ingests = history.ingests
+        if history.carried:
+            dispatch([[]] * new_shards, history.carried, *history.carried_at)
+        route = partitioner.shard_for_payload
         for position, (rows, puncts, wakeup) in enumerate(
-                log_segments(e.journal.history), 1):
+                log_segments(history.records), history.base + 1):
             ingests: list[list] = [[] for _ in range(new_shards)]
             for row in rows:
-                payload = row[1]
-                key = key_fn(payload) if key_fn is not None else payload
-                shard = routes.get(key)
-                if shard is None:
-                    shard = routes[key] = partitioner(key)
-                    if e.partitioner(key) != shard:
-                        report.migrated_keys += 1
-                ingests[shard].append(row)
-            report.logged_ingests += len(rows)
-            now = wakeup["now"]
-            if not live and all((now if ts is None else ts) < floor
-                                for *_, ts in rows):
-                carried += puncts
-                carried_at = (now, None, position)
-                continue
-            if carried:
-                dispatch([[]] * new_shards, carried, *carried_at)
-                carried = []
-            live = True
-            dispatch(ingests, puncts, now, wakeup["clamp"], position)
-        if carried:
-            dispatch([[]] * new_shards, carried, *carried_at)
-        report.total_keys = len(routes)
+                ingests[route(row[1])].append(row)
+            dispatch(ingests, puncts, wakeup["now"], wakeup["clamp"],
+                     position)
 
     def _flip(self, backend, partitioner: HashPartitioner,
               epoch_dir: Path | None, report: ReshardReport) -> None:
@@ -329,7 +326,8 @@ class ElasticShardedEngine(ShardedEngine):
     ``root/facade/wal.log``.  A fresh facade pointed at an existing root
     adopts the manifest's topology (the manifest's shard count overrides
     the argument).  Its journal keeps the command history a reshard
-    replays, with or without a root.
+    replays, with or without a root: the live suffix of the last floor it
+    learned, cut at every checkpoint, reshard and recovery.
     """
 
     _history = True
@@ -380,26 +378,20 @@ class ElasticShardedEngine(ShardedEngine):
         """Per-source global horizon: the alignment punctuation values.
 
         For each non-latent source, the max over every shard's live
-        watermark and every data and punctuation stamp in the journal's
-        history — exactly the watermark a single unsharded engine would
-        hold, since that is the max over all data and punctuation
-        timestamps ever admitted.
+        watermark and last data stamp — exactly the watermark a single
+        unsharded engine would hold, since that is the max over all data
+        and punctuation timestamps ever admitted.  Every admitted row and
+        punctuation raised one of them on the shard it reached (a stamp
+        is never below its row's arrival ``time``), and a reshard's own
+        alignment punctuation carries that maximum into the next shard
+        set, so no command of the history needs rescanning.
         """
         targets: dict[str, float] = {}
-
-        def offer(name: str, high: float) -> None:
-            if high > targets.get(name, LATENT_TS):
-                targets[name] = high
-
         for summary in self.backend.summaries():
             for name, horizon in summary.sources.items():
-                offer(name, max(horizon["watermark"], horizon["last_data_ts"]))
-        for rec in self.journal.history:
-            if rec["kind"] == "ingest":
-                offer(rec["source"],
-                      rec["time"] if rec["ts"] is None else rec["ts"])
-            elif rec["kind"] == "punct":
-                offer(rec["source"], rec["ts"])
+                high = max(horizon["watermark"], horizon["last_data_ts"])
+                if high > targets.get(name, LATENT_TS):
+                    targets[name] = high
         return {name: ts for name, ts in targets.items()
                 if ts > LATENT_TS
                 and self._source_kinds.get(name) is not TimestampKind.LATENT}
@@ -409,6 +401,9 @@ class ElasticShardedEngine(ShardedEngine):
 
     def summary(self) -> dict:
         out = super().summary()
+        history = self.journal.history
+        out["history_records"] = len(history.records)
+        out["logged_ingests"] = history.ingests
         out["epoch"] = self._epoch
         out["reshards"] = [report.as_dict() for report in self.reshards]
         return out

@@ -25,23 +25,27 @@ sizes, and join layouts.
 Durability: with a ``state_dir`` the facade's input journal is the run's
 only input log (a frame per wake-up before dispatch, the shards' delivered
 ``marks`` before release), and the facade alone decides when the shards
-checkpoint: at a logged mark, every ``checkpoint_every`` wake-ups
-(DESIGN.md §4g).
+checkpoint: at a logged mark, every ``checkpoint_every`` wake-ups, each
+checkpoint noted by a ``cut`` record in the next frame.  Recovery reads
+the log once and keeps only the records past the oldest cut a shard can
+still restore (DESIGN.md §4g).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable
 
 from ..core.config import EngineConfig
-from ..core.errors import GraphError, ReproError
+from ..core.errors import GraphError, ReproError, TimestampError
+from ..core.tuples import LATENT_TS
 from ..obs.bus import EventBus
+from ..recovery.checkpoint import CheckpointStore
 from ..recovery.manager import RecoveryReport
-from ..recovery.wal import InputJournal
+from ..recovery.wal import CommandHistory, InputJournal
 from .backends import (
     BACKENDS,
     EngineShard,
@@ -70,6 +74,10 @@ class ShardedRecoveryReport:
     reports: list = field(default_factory=list)
     ingests_by_shard: dict[int, dict[str, int]] = field(default_factory=dict)
     frontiers: list[float] = field(default_factory=list)
+    #: Records the log read kept in memory for the shards' suffixes: those
+    #: past the oldest checkpoint cut a shard can restore (all of them in a
+    #: log without ``cut`` records).
+    kept_records: int = 0
 
     @property
     def ingests_by_source(self) -> dict[str, int]:
@@ -87,6 +95,17 @@ class ShardedRecoveryReport:
     @property
     def any_fallback(self) -> bool:
         return any(r.fallback for r in self.reports)
+
+
+def _past(frames, position: int):
+    """The records of ``frames`` from the one after the ``position``-th
+    wake-up record."""
+    for frame in frames:
+        for rec in frame:
+            if position <= 0:
+                yield rec
+            elif rec["kind"] == "wakeup":
+                position -= 1
 
 
 def log_segments(records):
@@ -112,18 +131,24 @@ def log_segments(records):
 class _FacadeLog:
     """What one pass over the intact facade log gives recovery.
 
-    ``marks`` is this epoch's last delivered count per shard, ``counts``
-    the ingests per shard and source routed by the live partitioner,
-    ``wakeups`` the index in ``records`` of each logged wake-up record
-    (the log's unrouted segments end there, in position order) and
-    ``now`` the drive clock of the last one.
+    ``total`` counts every intact record and ``positions`` every logged
+    wake-up; ``records`` keeps the commands past wake-up ``base`` only
+    (``marks`` and ``cut`` records dropped), ``wakeups`` the index in
+    ``records`` of each wake-up record past ``base`` (the unrouted
+    segments end there, in position order).  ``marks`` is this epoch's
+    last delivered count per shard, ``counts`` the ingests per shard and
+    source routed by the live partitioner, ``now`` the drive clock of the
+    last wake-up.
     """
 
-    records: list
-    clean: bool
     marks: list
     counts: list[Counter]
+    records: list = field(default_factory=list)
     wakeups: list[int] = field(default_factory=list)
+    base: int = 0
+    positions: int = 0
+    total: int = 0
+    clean: bool = True
     now: float = 0.0
 
 
@@ -158,7 +183,7 @@ class ShardedEngine:
 
     #: The topology generation a ``marks`` record is tagged with.
     _epoch = 0
-    #: Whether the journal keeps the command history in memory.
+    #: Whether the journal keeps a command history (its live suffix).
     _history = False
 
     def __init__(self, build: Callable[[], Any], *, shards: int,
@@ -201,18 +226,26 @@ class ShardedEngine:
         self._backend_opts = dict(op_timeout=op_timeout,
                                   retry_limit=retry_limit)
         self.backend = self._make_backend(shards, self.state_dir)
+        sources = self.backend.summaries()[0].sources
         #: Source name -> timestamp kind, as shard 0 reports them (no extra
         #: build): the names ``ingest`` and ``inject_punctuation`` accept.
-        self._source_kinds = {
-            name: horizon["kind"]
-            for name, horizon in self.backend.summaries()[0].sources.items()}
+        self._source_kinds = {name: horizon["kind"]
+                              for name, horizon in sources.items()}
+        #: The largest stamp ingested so far per in-order external source:
+        #: the single engine's regression check, made where every row of
+        #: the source passes (whatever shard it routes to).
+        self._ordered = {name: LATENT_TS
+                         for name, horizon in sources.items()
+                         if horizon["ordered"]}
         log = None
         if self.root_dir is not None:
             log = self.root_dir / "facade" / "wal.log"
             log.parent.mkdir(parents=True, exist_ok=True)
         #: The input journal; None when the facade neither logs nor keeps
         #: a history.
-        self.journal = (InputJournal(log, history=self._history)
+        history = (CommandHistory(self.partitioner.key_fn)
+                   if self._history else None)
+        self.journal = (InputJournal(log, history=history)
                         if log is not None or self._history else None)
         #: Facade wake-ups between shard checkpoints (durable runs only).
         self._checkpoint_every = (None if log is None
@@ -264,11 +297,25 @@ class ShardedEngine:
                ts: float | None = None) -> int:
         """Route one tuple to its key's shard; applied at the next wakeup.
 
-        Returns the destination shard index; an unknown ``source`` raises
-        :class:`GraphError` before anything is staged.
+        Returns the destination shard index.  An unknown ``source`` raises
+        :class:`GraphError`, and an in-order external source's stamp below
+        the last one it was given raises :class:`TimestampError` (as the
+        single engine's source does), both before anything is staged.
         """
         if source not in self._source_kinds:
             raise self._unknown(source)
+        ordered = self._ordered
+        if source in ordered and ts is not None:
+            high = ordered[source]
+            if ts < high:
+                ts, high = float(ts), float(high)
+                raise TimestampError(
+                    f"source {source!r}: external timestamps must be "
+                    f"non-decreasing ({ts} after {high})",
+                    operator=source, port=0, offending_ts=ts,
+                    last_seen_ts=high, kind="out-of-order")
+            if ts > high:  # a NaN stamp (the shard refuses it) never is
+                ordered[source] = ts
         shard = self.partitioner.shard_for_payload(payload)
         self._pending_ingests[shard].append((source, payload, time, ts))
         if self.journal is not None:
@@ -349,7 +396,7 @@ class ShardedEngine:
                                frontier=result.frontier,
                                count=offered)
         if self._checkpoint_every and position % self._checkpoint_every == 0:
-            self.backend.checkpoint_all()
+            self.checkpoint()
         released = self.merge.release(self.tracker.global_frontier())
         if self.bus is not None:
             self.bus.shard(kind="frontier", shard=-1, time=self._drive_now,
@@ -376,29 +423,65 @@ class ShardedEngine:
     # ------------------------------------------------------------------ #
     # Durability composition
 
-    def checkpoint(self) -> list:
-        """Checkpoint every shard now, at the log's last ``marks``."""
-        return self.backend.checkpoint_all()
+    def checkpoint(self) -> float:
+        """Checkpoint every shard now, at the log's last ``marks``, and
+        stage a ``cut`` record at that position, which trims the history.
+        Returns the shards' minimum state floor."""
+        floor = min(self.backend.checkpoint_all())
+        if self.journal is not None:
+            self.journal.cut(position=self.wakeups, floor=floor,
+                             epoch=self._epoch)
+        return floor
 
     def _read_log(self) -> _FacadeLog:
-        """Read the intact log, cutting a torn tail off, and take in one
-        pass over its records what recovery needs before any shard is
-        restored (see :class:`_FacadeLog`)."""
+        """Read the intact log once, cutting a torn tail off, and take what
+        recovery needs before any shard is restored (see
+        :class:`_FacadeLog`).  Every row is counted and routed, but
+        commands are kept only past the oldest of the live epoch's last
+        :attr:`CheckpointStore.KEEP` cuts, the oldest image a shard still
+        holds; older ones are dropped as the read passes them."""
         if self.journal is None or self.journal.wal is None:
             raise ShardError("recovery needs a state_dir")
-        records, clean = self.journal.read()
-        log = _FacadeLog(records, clean, [{}] * self.shard_count,
-                         [Counter() for _ in range(self.shard_count)])
+        counts = [Counter() for _ in range(self.shard_count)]
+        log = _FacadeLog([{}] * self.shard_count, counts)
+        records, wakeups = log.records, log.wakeups
+        keep = records.append
+        cuts: deque[int] = deque(maxlen=CheckpointStore.KEEP)
         route = self.partitioner.shard_for_payload
-        for index, rec in enumerate(records):
-            kind = rec["kind"]
-            if kind == "ingest":
-                log.counts[route(rec["payload"])][rec["source"]] += 1
-            elif kind == "wakeup":
-                log.wakeups.append(index)
-                log.now = max(log.now, rec["now"])
-            elif kind == "marks" and rec["epoch"] == self._epoch:
-                log.marks = rec["marks"]
+        ordered = self._ordered
+        for frame in self.journal.stream():
+            log.total += len(frame)
+            for rec in frame:
+                kind = rec["kind"]
+                if kind == "ingest":
+                    source = rec["source"]
+                    counts[route(rec["payload"])][source] += 1
+                    if source in ordered:
+                        ts = rec["ts"]
+                        if ts is not None and ts > ordered[source]:
+                            ordered[source] = ts
+                elif kind == "wakeup":
+                    wakeups.append(len(records))
+                    if rec["now"] > log.now:
+                        log.now = rec["now"]
+                elif kind == "marks":
+                    if rec["epoch"] == self._epoch:
+                        log.marks = rec["marks"]
+                    continue
+                elif kind == "cut":
+                    if rec["epoch"] == self._epoch:
+                        cuts.append(rec["position"])
+                        drop = cuts[0] - log.base
+                        if drop > 0:  # no shard restores below cuts[0]
+                            cut = wakeups[drop - 1] + 1
+                            del records[:cut]
+                            log.wakeups = wakeups = [
+                                index - cut for index in wakeups[drop:]]
+                            log.base = cuts[0]
+                    continue
+                keep(rec)
+        log.positions = log.base + len(wakeups)
+        log.clean = self.journal.wal.clean
         return log
 
     def _restore_args(self, log: _FacadeLog, index: int) -> tuple:
@@ -406,8 +489,8 @@ class ShardedEngine:
         last logged ``marks``, the log's wake-up count, and a report
         holding what the log says of it (the ingests routed to it, the
         log's length, a cut)."""
-        return (log.marks[index], len(log.wakeups), RecoveryReport(
-            wal_records=len(log.records), wal_clean=log.clean,
+        return (log.marks[index], log.positions, RecoveryReport(
+            wal_records=log.total, wal_clean=log.clean,
             ingests_by_source=dict(log.counts[index])))
 
     def _suffixes(self, log: _FacadeLog,
@@ -415,13 +498,20 @@ class ShardedEngine:
         """Each shard's :meth:`EngineShard.replay` commands: one ``apply``
         argument tuple per logged wake-up past the position the shard
         restored — rows routed by the live partitioner, punctuation
-        broadcast.  Only the log past the lowest position is walked."""
+        broadcast.  Only the log past the lowest position is walked: in
+        the records the read kept, or — when a shard restored below them,
+        its newer images lost — in a second walk of the log file."""
         first = min(positions.values())
-        start = log.wakeups[first - 1] + 1 if first else 0
+        if first >= log.base:
+            start = log.wakeups[first - log.base - 1] + 1 \
+                if first > log.base else 0
+            records = log.records[start:]
+        else:  # the slow path: walk the log again from its start
+            records = _past(self.journal.wal.stream(), first)
         suffixes: dict[int, list[tuple]] = {index: [] for index in positions}
         route = self.partitioner.shard_for_payload
         for position, (rows, puncts, wakeup) in enumerate(
-                log_segments(log.records[start:]), first + 1):
+                log_segments(records), first + 1):
             routed = {index: [] for index, restored in positions.items()
                       if restored < position}
             for row in rows:
@@ -455,9 +545,10 @@ class ShardedEngine:
         reports = self.backend.replay_all(
             [(suffixes[index], report)
              for index, (_, report) in enumerate(restored)])
-        self.wakeups = len(log.wakeups)
+        self.wakeups = log.positions
         self._drive_now = max(self._drive_now, log.now)
-        composed = ShardedRecoveryReport(reports=list(reports))
+        composed = ShardedRecoveryReport(reports=list(reports),
+                                         kept_records=len(log.records))
         summaries = self.backend.summaries()
         for index, (report, summary) in enumerate(zip(reports, summaries)):
             composed.ingests_by_shard[index] = report.ingests_by_source
@@ -515,6 +606,7 @@ class ShardedEngine:
             "wakeups": self.wakeups,
             "released": self.merge.released_count,
             "pending": self.merge.pending,
+            "held_peak": self.merge.held_peak,
             "frontier": self.tracker.global_frontier(),
             "frontier_spread": self.tracker.spread(),
             "pressure": self.global_pressure,

@@ -169,12 +169,15 @@ class FrontierMerge:
     by bisection at each release, coalesced past :attr:`RUN_LIMIT`.
     """
 
-    __slots__ = ("_runs", "_seq", "_pending", "released", "released_count")
+    __slots__ = ("_runs", "_seq", "_pending", "released", "released_count",
+                 "held_peak")
     RUN_LIMIT = 32  # held runs (an idle shard pins the frontier)
 
     def __init__(self) -> None:
         self._runs: list[list[MergedRecord]] = []
         self._seq = self._pending = self.released_count = 0
+        #: The most rows held at once (taken after each offer).
+        self.held_peak = 0
         #: Highest timestamp released so far (−inf before the first).
         self.released = LATENT_TS
 
@@ -191,6 +194,8 @@ class FrontierMerge:
         run.sort()  # (ts, shard, seq) is unique: payloads never compare
         self._seq += len(run)
         self._pending += len(run)
+        if self._pending > self.held_peak:
+            self.held_peak = self._pending
         self._runs.append(run)  # an empty run is dropped by the next take
         if len(self._runs) > self.RUN_LIMIT:
             self._runs = [sorted(r for held in self._runs for r in held)]

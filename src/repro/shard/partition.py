@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from operator import itemgetter
 from typing import Any, Callable
 
 from ..core.errors import ReproError
@@ -136,8 +137,7 @@ class HashPartitioner:
             raise ReproError(f"shard count must be positive, got {shards}")
         self.shards = int(shards)
         if isinstance(key_fn, str):
-            field = key_fn
-            key_fn = lambda payload: payload[field]  # noqa: E731
+            key_fn = itemgetter(key_fn)
         self.key_fn = key_fn
         self._routes: dict[Any, int] = {}
 

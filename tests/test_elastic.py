@@ -157,8 +157,7 @@ def test_reshard_report_figures():
     assert 0 < report.migrated_keys <= report.total_keys
     # Jump-consistent hashing only moves keys *to* the new shard: nothing
     # routed to shard 0 or 1 before may swap between them.
-    jump = sum(1 for record in engine.journal.history
-               if record["kind"] == "ingest")
+    jump = engine.journal.history.ingests
     assert report.migrated_keys < report.total_keys
     assert report.discarded_outputs >= 0 and jump == len(feeds)
 
@@ -303,8 +302,7 @@ def test_crash_between_ingest_and_wakeup_loses_only_unwoken_rows(tmp_path):
     engine = elastic_engine(tmp_path)
     released, _ = drive(engine, feeds, stop=woken + 7,
                         reshard_index=RESHARD_INDEX, target=5)
-    assert sum(1 for r in engine.journal.history
-               if r["kind"] == "ingest") == woken + 7
+    assert engine.journal.history.ingests == woken + 7
     pre = released + engine.merge.flush()
     engine.close(flush=False)
     on_disk = [rec for rec in WriteAheadLog(
@@ -315,8 +313,7 @@ def test_crash_between_ingest_and_wakeup_loses_only_unwoken_rows(tmp_path):
     engine = elastic_engine(tmp_path)
     report = engine.recover()
     assert report.total_ingests == woken
-    assert sum(1 for r in engine.journal.history
-               if r["kind"] == "ingest") == woken
+    assert engine.journal.history.ingests == woken
     skips = {(shard, source): count
              for shard, counts in report.ingests_by_shard.items()
              for source, count in counts.items()}

@@ -7,7 +7,8 @@ point is therefore the frame, not a shard: a crash after the frame is on
 disk and before any shard applied it re-dispatches that wake-up, and a frame
 torn mid-write drops its whole wake-up.  Both are held to exactly-once here,
 on both facades, beside the layout (no shard WAL, at most two frames per
-wake-up), the refusal of unknown source names, and the ``CURRENT`` manifest.
+wake-up), the refusal of unknown source names and of a regressing stamp on
+an in-order source, and the ``CURRENT`` manifest.
 Shard checkpoints are cut by the facade at its logged marks, so a shard
 failing inside a wake-up and a crash inside a checkpoint lose no row.
 """
@@ -21,10 +22,16 @@ import pytest
 
 from oracle import _assert_same, _canonical
 
-from repro.core.errors import GraphError, RecoveryError
+from repro.core.errors import GraphError, RecoveryError, TimestampError
+from repro.core.execution import ExecutionEngine
+from repro.core.graph import QueryGraph
+from repro.core.operators import WindowJoin
+from repro.core.tuples import TimestampKind
+from repro.core.windows import WindowSpec
 from repro.faults import SimulatedCrash
 from repro.recovery import CheckpointStore, WriteAheadLog
 from repro.shard import ElasticShardedEngine, ShardedEngine
+from repro.sim.clock import VirtualClock
 
 from test_recovery import count_walks
 from test_sharded_oracle import join_graph, keyed_feeds
@@ -317,18 +324,71 @@ def test_a_refused_call_leaves_the_facade_log_unchanged(tmp_path):
     feed(engine, keyed_feeds()[:CHUNK * 2], [])
     log = tmp_path / "facade" / "wal.log"
     before = log.read_bytes()
-    history = list(engine.journal.history)
+    history = engine.journal.history
+    logged, retained = history.ingests, list(history.records)
     with pytest.raises(GraphError):
         engine.ingest("nope", {"k": 1}, time=9.0)
     with pytest.raises(GraphError):
         engine.inject_punctuation("nope", 9.0)
-    assert engine.journal.history == history
+    assert history.ingests == logged and history.records == retained
     engine.wakeup()
     after = WriteAheadLog(log).replay()
     assert log.read_bytes().startswith(before)
     assert all(rec.get("source") != "nope" for rec in after)
     engine.close(flush=False)
     assert elastic(tmp_path).recover().total_ingests == CHUNK * 2
+
+
+def ordered_graph() -> QueryGraph:
+    """Two in-order external sources into a keyed window join."""
+    graph = QueryGraph("ordered-join")
+    fast = graph.add_source("fast", TimestampKind.EXTERNAL)
+    slow = graph.add_source("slow", TimestampKind.EXTERNAL)
+    join = graph.add(WindowJoin("join", WindowSpec.time(4.0), key="k"))
+    sink = graph.add_sink("sink")
+    graph.connect(fast, join)
+    graph.connect(slow, join)
+    graph.connect(join, sink)
+    return graph
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_a_cross_shard_regression_is_refused_at_the_facade(tmp_path,
+                                                           backend):
+    """ts 3 after ts 5 on an in-order external source is refused as the
+    single engine refuses it, with its fields, although the two rows route
+    to different shards; nothing of the refused row is logged or kept."""
+    engine = ElasticShardedEngine(ordered_graph, shards=2, key="k",
+                                  backend=backend, state_dir=tmp_path,
+                                  checkpoint_every=4)
+    try:
+        first, second = (next(k for k in range(64)
+                              if engine.shard_for({"k": k}) == shard)
+                         for shard in (0, 1))
+        engine.ingest("fast", {"k": first, "value": 0}, time=0.5, ts=5.0)
+        engine.ingest("slow", {"k": second, "value": 0}, time=0.5, ts=1.0)
+        engine.wakeup()
+        engine.ingest("fast", {"k": first, "value": 1}, time=0.6, ts=5.0)
+        log = tmp_path / "facade" / "wal.log"
+        before = log.read_bytes()
+        with pytest.raises(TimestampError) as refused:
+            engine.ingest("fast", {"k": second, "value": 2}, time=0.7,
+                          ts=3.0)
+        assert engine.ingested == 3 and engine.journal.history.ingests == 3
+        engine.wakeup()
+        after = WriteAheadLog(log).replay()
+        assert log.read_bytes().startswith(before)
+        assert all(rec.get("ts") != 3.0 for rec in after)
+    finally:
+        engine.close(flush=False)
+
+    graph = ordered_graph()
+    ExecutionEngine(graph, VirtualClock(), cost_model=None)
+    graph["fast"].ingest({"k": first, "value": 0}, now=0.5, ts=5.0)
+    with pytest.raises(TimestampError) as expected:
+        graph["fast"].ingest({"k": second, "value": 2}, now=0.7, ts=3.0)
+    assert refused.value.fields == expected.value.fields
+    assert str(refused.value) == str(expected.value)
 
 
 # --------------------------------------------------------------------- #

@@ -66,6 +66,7 @@ def guaranteed():
         "S1": guarantees.sharded_join(tuples=400),
         "S2": guarantees.live_reshard(runs=(("serial", 2, 960),
                                             ("thread", 2, 960))),
+        "S4": guarantees.uptime_retention(tuples=1024),
     }
 
 
@@ -89,6 +90,8 @@ SABOTAGE = {
     "S2": (lambda m: m["S2"]["thread P=2"]["reshards"].pop(),
            "exactly two reshards"),
     "S3": (_replay_everything, "replays fewer"),
+    "S4": (lambda m: m["S4"][4].update(history=4 * m["S4"][4]["history"]),
+           "stay flat"),
     "X1": (lambda m: m["X1"]["strict"].update(mean_latency=0.0),
            "wait a tick"),
     "X2": (lambda m: setattr(m["X2"]["A"], "peak_queue",
@@ -114,10 +117,10 @@ class TestValidator:
         paper = validate_paper_claims(sweep, idle)
         own = validate_guarantee_claims(guaranteed)
         extra = validate_ablation_claims(ablated)
-        assert len(paper) == 11 and len(own) == 5 and len(extra) == 26
+        assert len(paper) == 11 and len(own) == 6 and len(extra) == 26
         assert all(isinstance(r, ClaimResult) for r in paper + own + extra)
         assert {r.id for r in paper} == {"E1", "E2", "E3", "E4", "E5"}
-        assert [r.id for r in own] == ["R1", "R2", "S1", "S2", "S3"]
+        assert [r.id for r in own] == ["R1", "R2", "S1", "S2", "S3", "S4"]
         assert {r.id for r in extra} == set(ablated)
         # (E4's absolute "thousands of tuples" needs the full 120 s.)
         assert all(r.passed for r in own + extra), format_claims(
@@ -198,4 +201,4 @@ class TestValidator:
         results = validation.run_validation()
         assert {r.id for r in results} == named
         assert [r.id for r in results] == sorted(r.id for r in results)
-        assert len(results) == 42
+        assert len(results) == 43
