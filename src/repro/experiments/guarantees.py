@@ -147,7 +147,8 @@ def live_reshard(*, runs: tuple[tuple[str, int, int], ...] = (
 def _held(root: Path, tuples: int) -> dict[str, int]:
     """Drive the durable elastic join over ``tuples`` arrivals, growing to
     P=3 halfway, then crash-stop and recover a fresh facade: what the
-    facade held at the crash and what the recovery read kept."""
+    facade held at the crash, and what the recovery read kept and
+    walked."""
     feeds = _feeds(tuples)
 
     def facade() -> ElasticShardedEngine:
@@ -167,17 +168,19 @@ def _held(root: Path, tuples: int) -> dict[str, int]:
     engine.close(flush=False)
     engine = facade()
     try:
-        kept = engine.recover().kept_records
+        report = engine.recover()
     finally:
         engine.close(flush=False)
-    return {"history": held["history_records"], "kept": kept,
+    return {"history": held["history_records"],
+            "kept": report.kept_records, "read": report.read_records,
             "logged": logged}
 
 
 def uptime_retention(*, tuples: int = 2048, scales: tuple[int, ...] = (1, 4)
                      ) -> dict[int, dict[str, int]]:
     """S4: per history scale, the durable elastic join's retained history
-    records, the records its recovery read kept, and the records logged —
+    records, the records its recovery read kept and walked, and the
+    records logged —
     the same plan and window, ``tuples * scale`` arrivals (a whole number
     of checkpoint intervals, so every drive ends in the same phase)."""
     out = {}

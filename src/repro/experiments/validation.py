@@ -188,10 +188,11 @@ def validate_guarantee_claims(measured: dict[str, object]
 
     check("S4", "an elastic facade's retained history and recovery read "
           "stay flat (within 10 %) from 1x to 4x history",
-          flat("history") and flat("kept")
+          flat("history") and flat("kept") and flat("read")
           and all(run["logged"] > 3.5 * short["logged"] for run in longer),
-          "; ".join(f"{scale}x: history {run['history']}, recovery kept "
-                    f"{run['kept']} of {run['logged']} logged records"
+          "; ".join(f"{scale}x: history {run['history']}, recovery walked "
+                    f"{run['read']} and kept {run['kept']} of "
+                    f"{run['logged']} logged records"
                     for scale, run in held.items()))
     return results
 

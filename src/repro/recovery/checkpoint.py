@@ -74,8 +74,8 @@ class CheckpointStore:
             latest always has a fallback.
     """
 
-    #: The default ``keep``: a sharded facade's log read keeps the records
-    #: past the oldest of its last ``KEEP`` checkpoint cuts.
+    #: The default ``keep``, for shard checkpoints and a sharded facade's
+    #: images of its own tallies alike.
     KEEP = 4
 
     def __init__(self, directory: str | os.PathLike, *,
@@ -106,8 +106,9 @@ class CheckpointStore:
     def save(self, state: Any) -> CheckpointInfo:
         """Durably write ``state`` as the next-numbered checkpoint."""
         started = time.perf_counter()
-        self.directory.mkdir(parents=True, exist_ok=True)
         existing = self.numbers()
+        if not existing:  # the directory may not exist yet
+            self.directory.mkdir(parents=True, exist_ok=True)
         number = (existing[-1] + 1) if existing else 1
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         blob = CHECKPOINT_MAGIC + _HEADER.pack(zlib.crc32(payload),

@@ -33,6 +33,15 @@ replay cleanly instead of raising — exactly what a crash mid-append leaves
 behind; a torn *group* frame drops the whole group, never part of it.
 Corruption *before* the tail is indistinguishable from truncation and
 likewise ends the replay; the replayed prefix is always consistent.
+
+**Reading from a point.**  A reader that already holds what the log says
+up to some frame boundary — a sharded facade's image of its own tallies
+(DESIGN.md §4f) — passes that boundary's *log point*, ``(offset,
+records)``, to :meth:`WriteAheadLog.stream` and walks only the frames
+past it; the bytes below are not read, let alone re-validated.
+:meth:`WriteAheadLog.tell` gives the point where the next frame will
+begin, and :meth:`WriteAheadLog.frame_at` says whether an offset is still
+such a boundary of the file.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from operator import is_not, itemgetter
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from ..core.errors import RecoveryError
 from ..core.tuples import LATENT_TS
@@ -54,8 +63,7 @@ __all__ = ["CommandHistory", "InputJournal", "WalRecord", "WriteAheadLog",
 
 WAL_MAGIC = b"RPWAL001"
 _FRAME = struct.Struct("<II")  # length, crc32
-_KIND, _TS, _PAYLOAD = (itemgetter(field)
-                        for field in ("kind", "ts", "payload"))
+_KIND, _TS = itemgetter("kind"), itemgetter("ts")
 _EXTERNAL = partial(is_not, None)  # a command's ``ts`` is set
 
 
@@ -94,11 +102,19 @@ class WriteAheadLog:
         #: Records appended through this handle plus those already on disk
         #: when the log was opened (i.e. the current WAL position).
         self.records_written = 0
+        #: Where the next frame begins (valid while the file is open).
+        self.end = 0
         #: ``(size, mtime_ns, records, end)`` as the last read found the
-        #: file: its stamp, then the intact prefix's records and end offset.
+        #: file: its stamp, then the intact prefix's records and end offset
+        #: (absolute, wherever the read started).
         self._seen: tuple[int, int | None, int, int] | None = None
         #: Whether the last full :meth:`stream` found no torn tail.
         self.clean = True
+        #: The log point ``(offset, records)`` where the frame
+        #: :meth:`stream` yielded last begins, and the records the last
+        #: full :meth:`stream` walked.
+        self.point: tuple[int, int] | None = None
+        self.walked = 0
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -110,9 +126,10 @@ class WriteAheadLog:
                 # Continue an existing log (post-recovery): trust only the
                 # replayable prefix and count from it, as the read that
                 # recovery made found it.
-                self.records_written = self._intact()[1]
+                _, self.records_written, self.end = self._intact()
             self._fp = open(self.path, "ab")
             if not existing:
+                self.end = len(WAL_MAGIC)
                 self._fp.write(WAL_MAGIC)
                 self._fp.flush()
                 if self.fsync:
@@ -142,6 +159,13 @@ class WriteAheadLog:
         if self.fsync:
             os.fsync(fp.fileno())
         self.records_written += len(members)
+        self.end += _FRAME.size + len(payload)
+
+    def tell(self) -> tuple[int, int]:
+        """The log point where the next frame will begin: ``(offset,
+        records)``, records counting every record before it."""
+        self._open()
+        return self.end, self.records_written
 
     def close(self) -> None:
         """Close the underlying file handle (idempotent)."""
@@ -192,27 +216,58 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
     # Reading
 
-    def _read(self) -> bytes:
-        """The file's bytes (empty when absent), magic checked."""
-        if not self.path.exists():
-            return b""
-        data = self.path.read_bytes()
-        if data and not data.startswith(WAL_MAGIC):
-            raise RecoveryError(
-                f"{self.path}: not a WAL file (bad magic)",
-                path=str(self.path))
-        return data
+    def _read(self, start: int) -> tuple[bool, bytes]:
+        """Whether the file holds anything, and its bytes from ``start`` on
+        (the whole file at 0; magic checked; an absent file holds
+        nothing)."""
+        try:
+            fp = open(self.path, "rb")
+        except FileNotFoundError:
+            return False, b""
+        with fp:
+            head = fp.read(len(WAL_MAGIC))
+            if head and head != WAL_MAGIC:
+                raise RecoveryError(
+                    f"{self.path}: not a WAL file (bad magic)",
+                    path=str(self.path))
+            size = os.fstat(fp.fileno()).st_size
+            if head and start > size:
+                raise RecoveryError(
+                    f"{self.path}: offset {start} lies past the end "
+                    f"({size})", path=str(self.path))
+            fp.seek(start)
+            return bool(head), fp.read()
+
+    def frame_at(self, offset: int) -> bool:
+        """Whether the intact frames can continue at ``offset``: it is the
+        file's end, or a whole frame whose CRC matches starts there."""
+        size = self._stamp()[0]
+        if not len(WAL_MAGIC) <= offset <= size:
+            return False
+        if offset == size:
+            return True
+        with open(self.path, "rb") as fp:
+            fp.seek(offset)
+            header = fp.read(_FRAME.size)
+            if len(header) < _FRAME.size:
+                return False
+            length, crc = _FRAME.unpack(header)
+            payload = fp.read(length)
+        return len(payload) == length and zlib.crc32(payload) == crc
 
     @staticmethod
-    def _frames(data: bytes) -> Iterator[tuple[int, list[WalRecord]]]:
-        """Walk the intact frames of ``data``: ``(end offset, records)``.
+    def _frames(data: bytes, start: int = len(WAL_MAGIC)
+                ) -> Iterator[tuple[int, list[WalRecord]]]:
+        """Walk the intact frames of ``data`` from ``start`` (a frame
+        boundary; by default the first frame of a whole file):
+        ``(end offset, records)``.
 
         The one frame walk: stops without raising at the first torn header,
         torn payload, CRC mismatch or unpicklable payload, so the last
         offset yielded is where the valid prefix ends.  A group frame yields
         its members; a plain frame yields a one-record list.
         """
-        offset = len(WAL_MAGIC)
+        offset = start
         end = len(data)
         while offset + _FRAME.size <= end:
             length, crc = _FRAME.unpack_from(data, offset)
@@ -244,22 +299,32 @@ class WriteAheadLog:
         records = [rec for frame in self.stream() for rec in frame]
         return records, self.clean
 
-    def stream(self) -> Iterator[list[WalRecord]]:
-        """The records of every intact frame, in append order, one frame
-        at a time: a reader keeps only what it needs.  Once exhausted,
-        :attr:`clean` says whether the log ended cleanly, and the handle
-        keeps the prefix's record count and end offset, which the next
+    def stream(self, offset: int = 0, records: int = 0
+               ) -> Iterator[list[WalRecord]]:
+        """The records of every intact frame past the log point ``(offset,
+        records)`` — by default the start — in append order, one frame at a
+        time: a reader keeps only what it needs, and :attr:`point` says
+        where each frame begins.  ``offset`` must be a frame boundary
+        (:meth:`frame_at`), ``records`` the count of records before it;
+        nothing below it is read.  Once exhausted, :attr:`clean` says
+        whether the log ended cleanly, and the handle keeps the intact
+        prefix's absolute record count and end offset, which the next
         :meth:`truncate_to_valid` and the first append reuse."""
         stamp = self._stamp()
-        data = self._read()
-        count = 0
-        valid = len(WAL_MAGIC)
-        for valid, members in self._frames(data):
+        if offset < len(WAL_MAGIC):
+            offset = 0
+        exists, data = self._read(offset)
+        first = 0 if offset else len(WAL_MAGIC)  # the whole file at 0
+        at, count = offset + first, records
+        for end, members in self._frames(data, first):
+            self.point = (at, count)
             count += len(members)
+            at = offset + end
             yield members
-        end = valid if data else 0
+        end = at if exists else 0
         self._seen = (*stamp, count, end)
-        self.clean = end == len(data)
+        self.clean = not exists or at == offset + len(data)
+        self.walked = count - records
 
 
 class CommandHistory:
@@ -271,28 +336,49 @@ class CommandHistory:
     wake-up is summarised when it commits: its record count, the largest
     stamp bound of its ingests (the external ``ts``, else the wake-up's
     ``now``, which bounds any internal or latent stamp), its punctuation
-    commands in ``apply``'s form, and its ``now``.  :meth:`prune` drops
-    the longest prefix of segments whose bound lies below the last state
-    floor :meth:`trim` learned, in O(segments), and folds it into
-    :attr:`carried` (its punctuation) and :attr:`carried_at` (the ``(now,
-    clamp, position)`` of its last segment).  What a replay needs of the
-    whole history is kept as running values from the first command on:
-    the ingest count and the distinct partition keys (``key`` maps a
-    payload to its key; identity when None).
+    commands in ``apply``'s form, its ``now``, and the log point where its
+    frame begins.  :meth:`prune` drops the longest prefix of segments whose
+    bound lies below the last state floor :meth:`trim` learned, in
+    O(segments), and folds it into :attr:`carried` (its punctuation) and
+    :attr:`carried_at` (the ``(now, clamp, position)`` of its last
+    segment).  What a replay needs of the whole history is kept as a
+    running value from the first command on: the ingest count.  (The
+    distinct partition keys are the facade's: it counts the ingests per
+    key.)
+
+    :meth:`image` holds those running values, the last floor learned and
+    the log point where the live suffix begins; a history built from an
+    ``image`` has no segment until it is rebuilt from that point on
+    (:meth:`InputJournal.stream`).
     """
 
-    def __init__(self, key: Callable[[Any], Any] | None = None) -> None:
+    def __init__(self, image: dict | None = None) -> None:
         self.records: list[dict] = []
-        #: ``(size, top, puncts, now)`` per committed segment in records.
+        #: ``(size, ingests, top, puncts, now, at)`` per committed segment
+        #: in records.
         self.segments: list[tuple] = []
         self.base = 0
-        self.keys: set = set()
         self.carried: list[tuple] = []
         self.carried_at: tuple | None = None
+        #: Ingests in the dropped prefix.
+        self.dropped = 0
         self._floor = LATENT_TS  # the last state floor learned
-        self.key = key
-        self._committed = 0  # ingests in committed segments, dropped too
+        if image is not None:
+            self.base, self.carried_at = image["base"], image["carried_at"]
+            self.carried = list(image["carried"])
+            self.dropped = image["dropped"]
+        self._committed = self.dropped  # ingests in committed segments
         self._open = 0  # where the staged records start
+
+    def image(self) -> dict:
+        """After a :meth:`prune`, the running values, the last floor
+        learned and the log point where the live suffix's first frame
+        begins (None when no segment is live)."""
+        self.prune()
+        return {"base": self.base, "carried": self.carried,
+                "carried_at": self.carried_at, "dropped": self.dropped,
+                "floor": self._floor,
+                "at": self.segments[0][-1] if self.segments else None}
 
     @property
     def staged(self) -> list[dict]:
@@ -305,9 +391,11 @@ class CommandHistory:
         return self._committed + sum(
             1 for rec in self.staged if rec["kind"] == "ingest")
 
-    def commit(self, wakeup: dict) -> None:
+    def commit(self, wakeup: dict, at: tuple[int, int] | None = None
+               ) -> None:
         """Close the staged commands with ``wakeup`` and summarise them,
-        after a :meth:`prune` at the last floor learned."""
+        after a :meth:`prune` at the last floor learned; ``at`` is the log
+        point where their frame begins (None without a log)."""
         self.prune()
         records = self.records
         records.append(wakeup)
@@ -326,11 +414,9 @@ class CommandHistory:
         if internal < len(stamps):
             top = max(top, max(filter(_EXTERNAL, stamps) if internal
                                else stamps))
-        payloads = map(_PAYLOAD, ingests)
-        self.keys.update(payloads if self.key is None
-                         else map(self.key, payloads))
         self._committed += len(ingests)
-        self.segments.append((len(records) - self._open, top, puncts, now))
+        self.segments.append((len(records) - self._open, len(ingests), top,
+                              puncts, now, at))
         self._open = len(records)
 
     def trim(self, floor: float) -> None:
@@ -345,11 +431,12 @@ class CommandHistory:
         values."""
         floor = self._floor
         dropped = size = 0
-        for length, top, puncts, now in self.segments:
+        for length, ingests, top, puncts, now, _ in self.segments:
             if not top < floor:
                 break
             dropped += 1
             size += length
+            self.dropped += ingests
             self.carried += puncts
             self.carried_at = (now, None, self.base + dropped)
         if dropped:
@@ -389,7 +476,8 @@ class InputJournal:
     def commit(self, wakeup: dict) -> None:
         self._staged.append(wakeup)
         if self.history is not None:
-            self.history.commit(wakeup)
+            self.history.commit(wakeup, None if self.wal is None
+                                else self.wal.tell())
         self.flush()
 
     def flush(self) -> None:
@@ -403,12 +491,14 @@ class InputJournal:
         """Write ``record`` at once, as a plain frame."""
         self.wal.append(record)
 
-    def mark(self, marks, **tags) -> None:
+    def mark(self, marks, **tags) -> bool:
         """Append ``{"kind": "marks", **tags, "marks": marks}`` unless
-        ``marks`` equal the last record's."""
-        if self.wal is not None and marks != self.marks:
-            self.wal.append({"kind": "marks", **tags, "marks": marks})
-            self.marks = marks
+        ``marks`` equal the last record's; returns whether it did."""
+        if self.wal is None or marks == self.marks:
+            return False
+        self.wal.append({"kind": "marks", **tags, "marks": marks})
+        self.marks = marks
+        return True
 
     def cut(self, *, position: int, floor: float, epoch: int) -> None:
         """Record that every shard checkpointed at log ``position`` with
@@ -421,35 +511,60 @@ class InputJournal:
         if self.history is not None:
             self.history.trim(floor)
 
-    def stream(self) -> Iterator[list[WalRecord]]:
-        """The intact records, one frame at a time.  As they pass, the
-        history is rebuilt as the run built it — every command staged,
-        every wake-up committed, every ``cut`` trimming — and once the
-        stream is exhausted a torn tail is cut off, :attr:`marks` holds
-        the last ``marks`` record and the history ends with what is still
-        staged."""
+    def stream(self, start: tuple[int, int] = (0, 0), *,
+               image: dict | None = None, marks=None
+               ) -> Iterator[list[WalRecord]]:
+        """The intact records past the log point ``start``, one frame at a
+        time; ``marks`` are the counts of the last ``marks`` record before
+        it.  As they pass, the history is rebuilt as the run built it —
+        every command staged, every wake-up committed, every ``cut``
+        trimming — and once the stream is exhausted a torn tail is cut
+        off, :attr:`marks` holds the last ``marks`` record and the history
+        ends with what is still staged.
+
+        Past a ``start`` the history is rebuilt from its ``image`` (see
+        :meth:`CommandHistory.image`, taken at ``start``): the frames from
+        the image's point up to ``start`` are walked for the history alone
+        — their commands staged and wake-ups committed, their ``cut``
+        records passed over, since the run pruned none of these segments
+        away — and the image's floor is learned at ``start``."""
         history = self.history
+        walk = start
         if history is not None:
             staged = history.staged
-            history = self.history = CommandHistory(history.key)
+            history = self.history = CommandHistory(image)
             stage = history.records.append
-        marks = None
-        for frame in self.wal.stream():
+            if image is not None and image["at"] is not None:
+                walk = min(start, image["at"])
+        wal = self.wal
+        below = walk < start  # walking the history's frames below start
+        opened = None  # where the segment being rebuilt begins
+        for frame in wal.stream(*walk):
+            if below and wal.point >= start:
+                below = False
+                history.trim(image["floor"])
             for rec in frame:
                 kind = rec["kind"]
                 if kind == "marks":
-                    marks = rec["marks"]
+                    if not below:
+                        marks = rec["marks"]
                 elif history is None:
                     pass
                 elif kind == "wakeup":
-                    history.commit(rec)
+                    history.commit(rec, opened or wal.point)
+                    opened = None
                 elif kind == "cut":
-                    history.trim(rec["floor"])
+                    if not below:
+                        history.trim(rec["floor"])
                 else:
                     stage(rec)
-            yield frame
-        if not self.wal.clean:
-            self.wal.truncate_to_valid()
+                    opened = opened or wal.point
+            if not below:
+                yield frame
+        if below:
+            history.trim(image["floor"])
+        if not wal.clean:
+            wal.truncate_to_valid()
         self.marks = marks
         if history is not None:
             history.records += staged

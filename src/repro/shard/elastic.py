@@ -28,7 +28,8 @@ Exactly-once across a reshard rests on two invariants:
    reshard's snapshot; each time, the longest prefix of wake-up segments
    whose every ingest is stamped below the minimum floor is dropped from
    the history, and folded into running values — its punctuation (carried
-   forward in one wake-up), the ingest count and the distinct keys.  The
+   forward in one wake-up) and the ingest count; the facade counts the
+   ingests per partition key from the first one on.  The
    new shard set is built by re-dispatching the
    suffix wake-up by wake-up, with ingests routed by the **new**
    partitioner and punctuation broadcast.  Each new shard ends up with the
@@ -237,7 +238,8 @@ class ReshardCoordinator:
         prefix (``carried``) goes out in one wake-up at its last segment's
         position (sources discard what is stale); the suffix is replayed
         as it ran, each wake-up at its log position.  Key movement is
-        counted over the history's distinct keys, the dead prefix's too.
+        counted over the distinct keys the facade counted ingests of, the
+        dead prefix's too.
         """
         e = self.engine
         history = e.journal.history
@@ -252,10 +254,11 @@ class ReshardCoordinator:
                 report.discarded_outputs += sum(
                     len(ts) for _, ts, _ in result.outputs)
 
-        for key in history.keys:
+        keys = {key for _, key in e._tally}
+        for key in keys:
             if e.partitioner(key) != partitioner(key):
                 report.migrated_keys += 1
-        report.total_keys = len(history.keys)
+        report.total_keys = len(keys)
         report.logged_ingests = history.ingests
         if history.carried:
             dispatch([[]] * new_shards, history.carried, *history.carried_at)

@@ -26,21 +26,23 @@ Durability: with a ``state_dir`` the facade's input journal is the run's
 only input log (a frame per wake-up before dispatch, the shards' delivered
 ``marks`` before release), and the facade alone decides when the shards
 checkpoint: at a logged mark, every ``checkpoint_every`` wake-ups, each
-checkpoint noted by a ``cut`` record in the next frame.  Recovery reads
-the log once and keeps only the records past the oldest cut a shard can
-still restore (DESIGN.md §4g).
+checkpoint noted by a ``cut`` record in the next frame.  Beside each
+checkpoint the facade saves an image of its own tallies and the log point
+they cover, and recovery reads the log once from the newest usable image
+on (DESIGN.md §4f, §4g).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
 from ..core.config import EngineConfig
-from ..core.errors import GraphError, ReproError, TimestampError
+from ..core.errors import GraphError, RecoveryError, ReproError, TimestampError
 from ..core.tuples import LATENT_TS
 from ..obs.bus import EventBus
 from ..recovery.checkpoint import CheckpointStore
@@ -59,6 +61,9 @@ from .partition import HashPartitioner
 
 __all__ = ["ShardedEngine", "ShardedRecoveryReport"]
 
+#: An ingest command's source and payload (``apply``'s form).
+_SOURCE, _PAYLOAD = itemgetter(0), itemgetter(1)
+
 
 @dataclass(slots=True)
 class ShardedRecoveryReport:
@@ -74,10 +79,14 @@ class ShardedRecoveryReport:
     reports: list = field(default_factory=list)
     ingests_by_shard: dict[int, dict[str, int]] = field(default_factory=dict)
     frontiers: list[float] = field(default_factory=list)
-    #: Records the log read kept in memory for the shards' suffixes: those
-    #: past the oldest checkpoint cut a shard can restore (all of them in a
-    #: log without ``cut`` records).
+    #: Records the log read kept in memory for the shards' suffixes: the
+    #: commands past the facade image it started from (all of them in a
+    #: root without images).
     kept_records: int = 0
+    #: Records the log read walked: from the image's point, or from the
+    #: history's live suffix when that begins lower (the whole log in a
+    #: root without images).
+    read_records: int = 0
 
     @property
     def ingests_by_source(self) -> dict[str, int]:
@@ -127,27 +136,42 @@ def log_segments(records):
             ingests, puncts = [], []
 
 
+#: The version of a facade image document.
+FACADE_IMAGE_FORMAT = 1
+#: What a log read without a usable facade image starts from: the empty
+#: log.
+_GENESIS = {"position": 0, "offset": 0, "records": 0, "ingests": {},
+            "highs": {}, "mark": None, "now": 0.0, "history": None}
+
+
 @dataclass(slots=True)
 class _FacadeLog:
-    """What one pass over the intact facade log gives recovery.
+    """What recovery knows of the intact facade log: a facade image's
+    tallies plus one pass over the frames past it.
 
     ``total`` counts every intact record and ``positions`` every logged
-    wake-up; ``records`` keeps the commands past wake-up ``base`` only
-    (``marks`` and ``cut`` records dropped), ``wakeups`` the index in
-    ``records`` of each wake-up record past ``base`` (the unrouted
-    segments end there, in position order).  ``marks`` is this epoch's
-    last delivered count per shard, ``counts`` the ingests per shard and
-    source routed by the live partitioner, ``now`` the drive clock of the
-    last wake-up.
+    wake-up; ``records`` keeps the commands past wake-up ``base`` (the
+    image's position) only (``marks`` and ``cut`` records dropped),
+    ``wakeups`` the index in ``records`` of each wake-up record past
+    ``base`` (the unrouted segments end there, in position order), and
+    ``read`` counts the records the pass walked.  ``ingests`` counts the
+    ingests per ``(source, partition key)``, ``mark`` is the last
+    ``marks`` record as ``(epoch, marks)``; from them ``marks`` is this
+    epoch's last delivered count per shard and ``counts`` the ingests per
+    shard and source routed by the live partitioner.  ``now`` is the
+    drive clock of the last wake-up.
     """
 
     marks: list
     counts: list[Counter]
+    ingests: Counter
+    mark: tuple | None = None
     records: list = field(default_factory=list)
     wakeups: list[int] = field(default_factory=list)
     base: int = 0
     positions: int = 0
     total: int = 0
+    read: int = 0
     clean: bool = True
     now: float = 0.0
 
@@ -243,13 +267,25 @@ class ShardedEngine:
             log.parent.mkdir(parents=True, exist_ok=True)
         #: The input journal; None when the facade neither logs nor keeps
         #: a history.
-        history = (CommandHistory(self.partitioner.key_fn)
-                   if self._history else None)
+        history = CommandHistory() if self._history else None
         self.journal = (InputJournal(log, history=history)
                         if log is not None or self._history else None)
         #: Facade wake-ups between shard checkpoints (durable runs only).
         self._checkpoint_every = (None if log is None
                                   else config.checkpoint_every)
+        #: The facade's own images, one per checkpoint, beside the log, and
+        #: the tallies they hold beyond what the facade keeps anyway: the
+        #: committed ingests per ``(source, partition key)`` (with a
+        #: journal; a reshard reads the distinct keys from it too) and the
+        #: last ``marks`` record as ``(epoch, marks)``.
+        self._images = (None if log is None
+                        else CheckpointStore(log.parent))
+        self._tally: Counter | None = (None if self.journal is None
+                                       else Counter())
+        self._marked: tuple | None = None
+        #: The in-order sources' data highs and the drive clock at the last
+        #: checkpoint, whose image the next wake-up saves.
+        self._due: tuple | None = None
 
     def _open_state(self, shards: int, state_dir) -> tuple[int, Path | None]:
         """The shard count and the directory the shards' state lives under;
@@ -351,14 +387,23 @@ class ShardedEngine:
         wake-up) and this wake-up's per-shard pressures are folded into
         the next view.
 
-        A durable wake-up runs frame → apply → marks → offer → checkpoint
-        (every ``checkpoint_every`` wake-ups) → release (DESIGN.md §4g).
+        A durable wake-up runs (the last checkpoint's facade image) →
+        frame → apply → marks → offer → checkpoint (every
+        ``checkpoint_every`` wake-ups) → release (DESIGN.md §4f, §4g).
         """
         clamp = self.global_pressure if self.feedback_enabled else None
         position = self.wakeups + 1
         if self.journal is not None:
+            if self._due is not None:
+                self._images.save(self._image())
             self.journal.commit({"kind": "wakeup", "now": self._drive_now,
                                  "clamp": clamp})
+            key_fn = self.partitioner.key_fn
+            rows = list(chain.from_iterable(self._pending_ingests))
+            payloads = map(_PAYLOAD, rows)
+            self._tally.update(zip(map(_SOURCE, rows), payloads
+                                   if key_fn is None
+                                   else map(key_fn, payloads)))
         commands = [(self._pending_ingests[i], self._pending_puncts,
                      self._drive_now, clamp, position)
                     for i in range(self.shard_count)]
@@ -367,8 +412,9 @@ class ShardedEngine:
         results: list[ShardResult] = self.backend.apply_all(commands)
         self.wakeups = position
         if self.journal is not None:
-            self.journal.mark([result.marks for result in results],
-                              epoch=self._epoch)
+            marks = [result.marks for result in results]
+            if self.journal.mark(marks, epoch=self._epoch):
+                self._marked = (self._epoch, marks)
         if clamp is not None and clamp > 0.0:
             self.clamps_broadcast += 1
         if self.feedback_enabled:
@@ -426,36 +472,87 @@ class ShardedEngine:
     def checkpoint(self) -> float:
         """Checkpoint every shard now, at the log's last ``marks``, and
         stage a ``cut`` record at that position, which trims the history.
-        Returns the shards' minimum state floor."""
+        A durable facade's image of this point (:meth:`_image`) is saved
+        by the next wake-up, before its frame, so the checkpoint does not
+        also pay for it; none is when commands are staged, since the log
+        does not hold them yet.  Returns the shards' minimum state
+        floor."""
         floor = min(self.backend.checkpoint_all())
         if self.journal is not None:
             self.journal.cut(position=self.wakeups, floor=floor,
                              epoch=self._epoch)
+            if self._images is not None and not (
+                    self._pending_puncts or any(self._pending_ingests)):
+                self._due = (dict(self._ordered), self._drive_now)
         return floor
 
+    def _image(self) -> dict:
+        """The facade's image of the last checkpoint: what the log up to
+        the point where the next frame begins says — the wake-ups and
+        records there, the ingests per ``(source, partition key)``, the
+        in-order sources' data highs, the last ``marks`` record, the drive
+        clock — and, with a history, the history's image
+        (:meth:`CommandHistory.image`).  Nothing is logged between the
+        checkpoint and this call, so only the highs and the clock, which
+        staging moves, come from the checkpoint itself."""
+        (highs, now), self._due = self._due, None
+        offset, records = self.journal.wal.tell()
+        history = self.journal.history
+        return {"format": FACADE_IMAGE_FORMAT, "position": self.wakeups,
+                "offset": offset, "records": records,
+                "ingests": self._tally, "highs": highs,
+                "mark": self._marked, "now": now,
+                "history": None if history is None else history.image()}
+
+    def _image_at(self, limit: int | None = None) -> dict | None:
+        """The newest facade image (at a position up to ``limit``) that
+        loads and whose offset the log still has as a frame boundary;
+        None when there is none."""
+        store, wal = self._images, self.journal.wal
+        for number in reversed(store.numbers()):
+            try:
+                image = store.load(number)
+            except (RecoveryError, OSError):
+                continue
+            if (isinstance(image, dict)
+                    and image.get("format") == FACADE_IMAGE_FORMAT
+                    and (limit is None or image["position"] <= limit)
+                    and wal.frame_at(image["offset"])):
+                return image
+        return None
+
     def _read_log(self) -> _FacadeLog:
-        """Read the intact log once, cutting a torn tail off, and take what
-        recovery needs before any shard is restored (see
-        :class:`_FacadeLog`).  Every row is counted and routed, but
-        commands are kept only past the oldest of the live epoch's last
-        :attr:`CheckpointStore.KEEP` cuts, the oldest image a shard still
-        holds; older ones are dropped as the read passes them."""
+        """Take what recovery needs before any shard is restored (see
+        :class:`_FacadeLog`): the newest usable facade image's tallies plus
+        one walk of the intact log past it, cutting a torn tail off.  The
+        walk starts at the image's offset, or lower where the history's
+        live suffix begins; without an image, at the log's start.  The
+        commands past the image are kept for the shards' suffixes."""
         if self.journal is None or self.journal.wal is None:
             raise ShardError("recovery needs a state_dir")
-        counts = [Counter() for _ in range(self.shard_count)]
-        log = _FacadeLog([{}] * self.shard_count, counts)
+        image = self._image_at() or _GENESIS
+        tally = Counter(image["ingests"])
+        log = _FacadeLog([{}] * self.shard_count, [], tally,
+                         mark=image["mark"], base=image["position"],
+                         total=image["records"], now=image["now"])
         records, wakeups = log.records, log.wakeups
         keep = records.append
-        cuts: deque[int] = deque(maxlen=CheckpointStore.KEEP)
-        route = self.partitioner.shard_for_payload
+        key_fn = self.partitioner.key_fn
         ordered = self._ordered
-        for frame in self.journal.stream():
+        for source, high in image["highs"].items():
+            if source in ordered and high > ordered[source]:
+                ordered[source] = high
+        wal = self.journal.wal
+        for frame in self.journal.stream(
+                (image["offset"], image["records"]), image=image["history"],
+                marks=None if log.mark is None else log.mark[1]):
             log.total += len(frame)
             for rec in frame:
                 kind = rec["kind"]
                 if kind == "ingest":
-                    source = rec["source"]
-                    counts[route(rec["payload"])][source] += 1
+                    source, payload = rec["source"], rec["payload"]
+                    tally[source, payload if key_fn is None
+                          else key_fn(payload)] += 1
                     if source in ordered:
                         ts = rec["ts"]
                         if ts is not None and ts > ordered[source]:
@@ -465,23 +562,19 @@ class ShardedEngine:
                     if rec["now"] > log.now:
                         log.now = rec["now"]
                 elif kind == "marks":
-                    if rec["epoch"] == self._epoch:
-                        log.marks = rec["marks"]
+                    log.mark = (rec["epoch"], rec["marks"])
                     continue
                 elif kind == "cut":
-                    if rec["epoch"] == self._epoch:
-                        cuts.append(rec["position"])
-                        drop = cuts[0] - log.base
-                        if drop > 0:  # no shard restores below cuts[0]
-                            cut = wakeups[drop - 1] + 1
-                            del records[:cut]
-                            log.wakeups = wakeups = [
-                                index - cut for index in wakeups[drop:]]
-                            log.base = cuts[0]
                     continue
                 keep(rec)
+        log.read = wal.walked
+        if log.mark is not None and log.mark[0] == self._epoch:
+            log.marks = log.mark[1]
+        log.counts = counts = [Counter() for _ in range(self.shard_count)]
+        for (source, key), count in tally.items():
+            counts[self.partitioner(key)][source] += count
         log.positions = log.base + len(wakeups)
-        log.clean = self.journal.wal.clean
+        log.clean = wal.clean
         return log
 
     def _restore_args(self, log: _FacadeLog, index: int) -> tuple:
@@ -500,14 +593,19 @@ class ShardedEngine:
         restored — rows routed by the live partitioner, punctuation
         broadcast.  Only the log past the lowest position is walked: in
         the records the read kept, or — when a shard restored below them,
-        its newer images lost — in a second walk of the log file."""
+        its newer images lost — in a second walk of the log file, from
+        the newest facade image at or below that position (from the
+        log's start when there is none)."""
         first = min(positions.values())
         if first >= log.base:
             start = log.wakeups[first - log.base - 1] + 1 \
                 if first > log.base else 0
             records = log.records[start:]
-        else:  # the slow path: walk the log again from its start
-            records = _past(self.journal.wal.stream(), first)
+        else:  # the slow path: walk the log again from an older image
+            image = self._image_at(first) or _GENESIS
+            records = _past(self.journal.wal.stream(image["offset"],
+                                                    image["records"]),
+                            first - image["position"])
         suffixes: dict[int, list[tuple]] = {index: [] for index in positions}
         route = self.partitioner.shard_for_payload
         for position, (rows, puncts, wakeup) in enumerate(
@@ -547,8 +645,10 @@ class ShardedEngine:
              for index, (_, report) in enumerate(restored)])
         self.wakeups = log.positions
         self._drive_now = max(self._drive_now, log.now)
+        self._tally, self._marked = log.ingests, log.mark
         composed = ShardedRecoveryReport(reports=list(reports),
-                                         kept_records=len(log.records))
+                                         kept_records=len(log.records),
+                                         read_records=log.read)
         summaries = self.backend.summaries()
         for index, (report, summary) in enumerate(zip(reports, summaries)):
             composed.ingests_by_shard[index] = report.ingests_by_source

@@ -35,7 +35,8 @@ from repro.sim.clock import VirtualClock
 
 from test_recovery import count_walks
 from test_sharded_oracle import join_graph, keyed_feeds
-from test_sharded_recovery import CHUNK, SHARDS, finish, reference_run
+from test_sharded_recovery import (CHUNK, SHARDS, facade_images, finish,
+                                   reference_run, walk_start)
 
 CRASH_WAKEUP = 7
 #: A wake-up that ends in a facade checkpoint (``checkpoint_every=4``).
@@ -178,6 +179,42 @@ def test_a_second_crash_right_after_a_recovery_is_exactly_once(tmp_path,
     recover_and_refeed(make, tmp_path, feeds, pre)
 
 
+@FACADES
+def test_a_torn_tail_after_a_resumed_recovery_is_exactly_once(
+        tmp_path, monkeypatch, make):
+    """Recover, resume past two more facade images, then crash with the
+    next wake-up's frame torn mid-write — the frame that begins at the
+    newest image's offset, so the second read falls back to the image
+    before it.  The output is the uncrashed run's, and the handle the
+    second recovery appended through counts every record on disk."""
+    feeds = keyed_feeds()
+    pre = crash_in_apply(make(tmp_path), feeds, at=3)
+    engine = make(tmp_path)
+    pre += crash_in_apply(engine, feeds, at=9 - 3,
+                          skips=skips_of(engine.recover()))
+    log = tmp_path / "facade" / "wal.log"
+    data = log.read_bytes()
+    ends = [end for end, _ in WriteAheadLog._frames(data)]
+    images = facade_images(tmp_path)
+    assert images[8]["offset"] == ends[-2]
+    torn = (ends[-2] + ends[-1]) // 2
+    log.write_bytes(data[:torn])
+    walks = count_walks(monkeypatch)
+    engine = make(tmp_path)
+    report = engine.recover()
+    monkeypatch.undo()
+    assert walks == [torn - walk_start(images[4])]
+    assert report.total_ingests == CHUNK * 8
+    assert report.kept_records > 0
+    released: list = []
+    now = feed(engine, feeds, released, skips=skips_of(report))
+    wal = engine.journal.wal
+    _assert_same(_canonical(reference_run(feeds)),
+                 _canonical(pre + finish(engine, released, now)),
+                 "a torn tail after a resumed recovery is not exactly-once")
+    assert wal.records_written == len(WriteAheadLog(log).replay())
+
+
 # --------------------------------------------------------------------- #
 # Shard checkpoints are cut at the facade's marks
 
@@ -230,9 +267,11 @@ def test_recover_resumes_the_drive_clock_of_the_log(tmp_path, make):
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
 @pytest.mark.parametrize("make", [fixed, elastic], ids=["fixed", "elastic"])
 def test_a_recovery_walks_the_log_once(tmp_path, monkeypatch, make, torn):
-    """``recover()`` reads the log, and the first wake-up after it appends
-    from the count and end offset that read found: one walk in all, a
-    torn tail cut included."""
+    """``recover()`` reads the log from the newest facade image's offset
+    (or lower, where the history's live suffix begins), and the first
+    wake-up after it appends from the absolute count and end offset that
+    read found: one walk in all, of the bytes past that offset, a torn
+    tail cut included."""
     feeds = keyed_feeds()
     engine = make(tmp_path)
     feed(engine, feeds[:CHUNK * 6], [])
@@ -241,6 +280,7 @@ def test_a_recovery_walks_the_log_once(tmp_path, monkeypatch, make, torn):
     if torn:
         log.write_bytes(log.read_bytes()[:-3])
     size = log.stat().st_size
+    offset = walk_start(facade_images(tmp_path)[4])
     walks = count_walks(monkeypatch)
     engine = make(tmp_path)
     report = engine.recover()
@@ -248,7 +288,7 @@ def test_a_recovery_walks_the_log_once(tmp_path, monkeypatch, make, torn):
     engine.ingest(record.source, record.payload, time=record.time,
                   ts=record.external_ts)
     engine.wakeup()
-    assert walks == [size]
+    assert walks == [size - offset]
     assert all(r.wal_clean is not torn for r in report.reports)
     wal = engine.journal.wal
     engine.close(flush=False)

@@ -2,12 +2,15 @@
 
 The elastic facade's command history is trimmed to the live suffix of the
 shards' state floor at every checkpoint cut, reshard and recovery, and a
-recovery read keeps only the records past the oldest checkpoint a shard
-can still restore.  Held here:
+recovery read walks the log only from the facade's newest image (or from
+where the history's live suffix begins, when lower) and keeps only the
+records past that image.  Held here:
 
-* both counts stay flat as the same plan runs four times as long;
+* the history, the records the read kept and the records it walked stay
+  flat as the same plan runs four times as long;
 * a log written before ``cut`` records existed recovers and reshards as
-  it always did, keeping every record;
+  it always did, keeping every record, and so does a root on every rung
+  of the facade image ladder;
 * a shard whose checkpoint images are all gone recovers from a second
   walk of the log;
 * a floor that later falls below an earlier trim still rebuilds the state
@@ -32,14 +35,16 @@ from test_bounded_replay import (BATCH, SPAN, _chunks, disordered_feeds,
 from test_join_index import _merge, keyed_stream
 from test_recovery import count_walks
 from test_sharded_oracle import join_graph, keyed_feeds
-from test_sharded_recovery import (CHUNK, SHARDS, feed_range, finish,
-                                   reference_run, sharded_engine)
+from test_sharded_recovery import (CHUNK, SHARDS, corrupt_newest,
+                                   facade_images, feed_range, finish,
+                                   ladder, reference_run, sharded_engine,
+                                   walk_start)
 
 
-def durable_elastic(root, build=None):
+def durable_elastic(root, build=None, backend="serial"):
     return ElasticShardedEngine(build or join_graph(), shards=2, key="k",
                                 state_dir=root, checkpoint_every=4,
-                                batch_size=BATCH)
+                                batch_size=BATCH, backend=backend)
 
 
 def drive(engine, feeds, *, reshards=None, skips=None, heartbeat=False):
@@ -105,16 +110,18 @@ def held(root, scale: int) -> dict:
     report = engine.recover()
     recovered = engine.summary()
     engine.close(flush=False)
-    assert summary["logged_ingests"] == report.total_ingests == len(feeds)
+    assert summary["logged_ingests"] == len(feeds)
+    assert report.total_ingests == len(feeds)
     assert recovered["history_records"] == summary["history_records"]
     return {"history": summary["history_records"],
-            "kept": report.kept_records, "logged": logged}
+            "kept": report.kept_records, "read": report.read_records,
+            "logged": logged}
 
 
 def test_retained_history_and_recovery_read_are_flat_in_uptime(tmp_path):
     short, long = held(tmp_path / "x1", 1), held(tmp_path / "x4", 4)
     assert long["logged"] > 3.5 * short["logged"]
-    for count in ("history", "kept"):
+    for count in ("history", "kept", "read"):
         assert 0 < short[count] < short["logged"] / 2
         assert abs(long[count] - short[count]) <= 0.1 * short[count], \
             (count, short, long)
@@ -126,9 +133,12 @@ def test_retained_history_and_recovery_read_are_flat_in_uptime(tmp_path):
 
 def strip_cuts(log) -> int:
     """Rewrite ``log`` as the facade wrote it before ``cut`` records:
-    the same frames without them.  Returns the records removed."""
+    the same frames without them, and no facade image beside them (those
+    came later still).  Returns the records removed."""
     frames = [members for _, members in
               WriteAheadLog._frames(log.read_bytes())]
+    for image in log.parent.glob("*.ckpt"):
+        image.unlink()
     log.unlink()
     wal = WriteAheadLog(log)
     removed = 0
@@ -143,18 +153,51 @@ def strip_cuts(log) -> int:
     return removed
 
 
-def crash_recover_reshard(root, feeds, *, crash_chunk, reshards, old_log):
-    engine = durable_elastic(root)
+def crash_recover_reshard(root, feeds, *, crash_chunk, reshards, rung,
+                          backend="serial", monkeypatch=None):
+    """Drive to ``crash_chunk`` and crash-stop, leave the root on ``rung``
+    of the facade image ladder, recover and drive on to the end with a
+    reshard.  ``rung`` is one of ``old-log`` (no ``cut`` record and no
+    image), ``no-images`` (cut records, no image: the parent format),
+    ``images``, ``corrupt-image`` (the newest facade image),
+    ``shard-image`` (shard 0's newest image, whose suffix then takes a
+    second walk from the older facade image's offset) and
+    ``crash-before-image`` (a crash right after a checkpoint wake-up:
+    the shard images are on disk, the facade image the next wake-up
+    would have saved is not)."""
+    engine = durable_elastic(root, backend=backend)
     released, _ = drive(engine, feeds[:crash_chunk * CHUNK])
     pre = released + engine.merge.flush()
     engine.close(flush=False)
     log = root / "facade" / "wal.log"
-    if old_log:
+    images = facade_images(root)
+    # A checkpoint's image is saved by the wake-up after it.
+    assert max(images) == (crash_chunk - 1) // 4 * 4
+    if rung == "old-log":
         assert strip_cuts(log) > 0
+    elif rung == "no-images":
+        for image in log.parent.glob("*.ckpt"):
+            image.unlink()
+    elif rung == "corrupt-image":
+        corrupt_newest(log.parent)
+    elif rung == "shard-image":
+        corrupt_newest(root / "epoch-0000" / "shard-00")
     records = [rec for rec in WriteAheadLog(log).replay()
                if rec["kind"] not in ("marks", "cut")]
-    engine = durable_elastic(root)
+    size = log.stat().st_size
+    walks = count_walks(monkeypatch) if monkeypatch is not None else None
+    engine = durable_elastic(root, backend=backend)
     report = engine.recover()
+    if walks is not None:
+        monkeypatch.undo()
+        last = max(images) - 4 * (rung == "corrupt-image")
+        start = walk_start(images[last])
+        if rung == "no-images":
+            assert walks == [size]
+        elif rung == "shard-image":  # the read, then shard 0's suffix
+            assert walks == [size - start, size - images[last - 4]["offset"]]
+        else:
+            assert walks == [size - start]
     history = engine.journal.history
     retained = (report.kept_records, len(history.records), history.base)
     skips = skips_of(report)
@@ -167,28 +210,43 @@ def crash_recover_reshard(root, feeds, *, crash_chunk, reshards, old_log):
     return _canonical(combined), figures, retained, len(records)
 
 
+@ladder(["serial", "process"], ["images", "corrupt-image", "shard-image",
+                                "crash-before-image", "no-images"])
 def test_a_log_without_cut_records_recovers_and_reshards_as_before(
-        tmp_path):
+        tmp_path, monkeypatch, rung, backend):
+    """A log of the format before ``cut`` records (no image either)
+    recovers and reshards as it always did, keeping every record; a root
+    on any rung of the facade image ladder — images intact, the newest
+    facade image corrupt, one shard's newest image corrupt, a crash
+    between the shard images and the facade's, or no facade image at all
+    — recovers and reshards the same, from the log point that rung
+    allows."""
     feeds = long_feeds()
     reshards = {20: 3}
+    crash_chunk = 16 if rung == "crash-before-image" else 14
     reference = ElasticShardedEngine(join_graph(), shards=2, key="k",
                                      batch_size=BATCH)
     released, now = drive(reference, feeds, reshards=reshards)
     expected = _canonical(finish(reference, released, now))
     old, old_figures, old_held, records = crash_recover_reshard(
-        tmp_path / "old", feeds, crash_chunk=14, reshards=reshards,
-        old_log=True)
+        tmp_path / "old", feeds, crash_chunk=crash_chunk, reshards=reshards,
+        rung="old-log", backend=backend)
     new, new_figures, new_held, _ = crash_recover_reshard(
-        tmp_path / "new", feeds, crash_chunk=14, reshards=reshards,
-        old_log=False)
+        tmp_path / "new", feeds, crash_chunk=crash_chunk, reshards=reshards,
+        rung=rung, backend=backend, monkeypatch=monkeypatch)
     _assert_same(expected, old, "a parent-format log recovered differently")
-    _assert_same(expected, new, "a log with cuts recovered differently")
+    _assert_same(expected, new, f"a root on rung {rung} recovered "
+                 "differently")
     assert old_figures == new_figures
     assert old_figures["replayed_ingests"] < old_figures["logged_ingests"]
-    # Without cuts nothing is dropped; with them, both counts are bounded.
+    # Without cuts nothing is dropped; with them, the history is bounded,
+    # and with an image the read keeps only what lies past it.
     assert old_held == (records, records, 0)
-    assert new_held[0] < records and new_held[1] < records
-    assert new_held[2] > 0
+    assert new_held[1] < records and new_held[2] > 0
+    if rung == "no-images":
+        assert new_held[0] == records
+    else:
+        assert new_held[0] < records
 
 
 # --------------------------------------------------------------------- #

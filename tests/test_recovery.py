@@ -325,9 +325,9 @@ def count_walks(monkeypatch) -> list:
     walks = []
     walk = WriteAheadLog._frames
 
-    def counted(data):
+    def counted(data, *start):
         walks.append(len(data))
-        return walk(data)
+        return walk(data, *start)
 
     monkeypatch.setattr(WriteAheadLog, "_frames", staticmethod(counted))
     return walks

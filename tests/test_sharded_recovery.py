@@ -17,7 +17,8 @@ the sharded engine:
 * **single-shard crash** — one shard loses its in-memory state while the
   others keep running (``crash_shard``);
 * **corrupted per-shard checkpoint** — recovery falls back past a
-  corrupted latest checkpoint using the longer WAL suffix;
+  corrupted latest checkpoint using the longer WAL suffix, whichever rung
+  of the facade image ladder the log read stands on;
 * **suffix only** — on every backend, each shard is sent only the logged
   wake-ups past the position it restored.
 
@@ -34,9 +35,11 @@ import pytest
 from oracle import Feed, ShardedDifferentialOracle, _assert_same, _canonical
 
 from repro.faults import DropTuples, DuplicateTuples, FaultPlan, SourceOutage
+from repro.recovery import CheckpointStore
 from repro.shard import ShardedEngine
 from repro.shard.backends import ProcessBackend
 
+from test_recovery import count_walks
 from test_sharded_oracle import join_graph, keyed_feeds
 
 CHUNK = 16
@@ -261,13 +264,61 @@ def test_early_crash_before_first_checkpoint(tmp_path):
     assert_exactly_once(tmp_path, keyed_feeds(), 3)
 
 
-@BACKENDS
-def test_corrupted_shard_checkpoint_falls_back(tmp_path, backend):
+def facade_images(root) -> dict[int, dict]:
+    """The facade images under ``root``, by the wake-up position they
+    cover."""
+    store = CheckpointStore(root / "facade")
+    return {image["position"]: image
+            for image in map(store.load, store.numbers())}
+
+
+def walk_start(image) -> int:
+    """Where a recovery read from ``image`` starts walking the log: its
+    offset, or lower where the history's live suffix begins."""
+    history = image["history"]
+    if history is None or history["at"] is None:
+        return image["offset"]
+    return min(image["offset"], history["at"][0])
+
+
+def corrupt_newest(directory) -> None:
+    """Flip a byte in the middle of the newest checkpoint in ``directory``."""
+    checkpoints = sorted(directory.glob("checkpoint-*.ckpt"))
+    assert checkpoints
+    blob = bytearray(checkpoints[-1].read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    checkpoints[-1].write_bytes(bytes(blob))
+
+
+def ladder(backends, rungs):
+    """``(backend, rung)`` parameters over the facade image ladder: the
+    first rung keeps the bare backend id."""
+    return pytest.mark.parametrize("backend,rung", [
+        pytest.param(backend, rung,
+                     id=backend if rung == rungs[0] else f"{rung}-{backend}")
+        for rung in rungs for backend in backends])
+
+
+@ladder(["serial", "thread", "process"],
+        ["images", "corrupt-image", "crash-before-image", "no-images"])
+def test_corrupted_shard_checkpoint_falls_back(tmp_path, monkeypatch,
+                                               backend, rung):
     """One shard's latest checkpoint is corrupted on disk: that shard must
     fall back to an older checkpoint plus a longer replay of the log, and
     the combined run stays exactly-once.  The crash comes two wake-ups
     past the last checkpoint, so the victim is sent six wake-ups and
-    every other shard two."""
+    every other shard two.
+
+    The facade's own images set where the log is walked from: with them
+    intact the read starts at the newest one's offset (8 wake-ups), and
+    the victim's suffix takes a second walk, from the older image's
+    offset (4); with the newest image corrupt, or never written because
+    the run crashed between the shard images and it (right after
+    wake-up 8, whose image the next wake-up would have saved; the victim
+    is then sent four wake-ups and every other shard none), the read
+    starts at the older image and the victim's suffix is among the
+    records it kept; with no image at all (a root of the parent format)
+    the read walks the whole log."""
     feeds = keyed_feeds()
     # Find a shard that actually checkpointed during the crashed prefix.
     probe = sharded_engine(tmp_path / "probe")
@@ -278,25 +329,41 @@ def test_corrupted_shard_checkpoint_falls_back(tmp_path, backend):
 
     state = tmp_path / "run"
     engine = sharded_engine(state, backend=backend)
-    released, _ = feed_range(engine, feeds, 0, CHUNK * 10)
+    crash = CHUNK * (8 if rung == "crash-before-image" else 10)
+    released, _ = feed_range(engine, feeds, 0, crash)
     pre = released + engine.merge.flush()
     engine.close(flush=False)
 
-    shard_dir = state / f"shard-{victim:02d}"
-    checkpoints = sorted(shard_dir.glob("checkpoint-*.ckpt"))
-    assert checkpoints
-    blob = bytearray(checkpoints[-1].read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    checkpoints[-1].write_bytes(bytes(blob))
+    corrupt_newest(state / f"shard-{victim:02d}")
+    offsets = {position: image["offset"]
+               for position, image in facade_images(state).items()}
+    assert sorted(offsets) == ([4] if rung == "crash-before-image"
+                               else [4, 8])
+    if rung == "corrupt-image":
+        corrupt_newest(state / "facade")
+    elif rung == "no-images":
+        for image in (state / "facade").glob("*.ckpt"):
+            image.unlink()
+    size = (state / "facade" / "wal.log").stat().st_size
 
+    walks = count_walks(monkeypatch)
     engine = sharded_engine(state, backend=backend)
     restored, sent = watch_recovery(engine)
     report = engine.recover()
     assert report.any_fallback
     assert report.reports[victim].fallback
     assert_only_suffixes(restored, sent)
+    if rung == "images":  # the read, then the victim's second walk
+        assert walks == [size - offsets[8], size - offsets[4]]
+    elif rung == "no-images":
+        assert walks == [size]
+    else:
+        assert walks == [size - offsets[4]]
+    victim_sent, others_sent = (4, 0) if rung == "crash-before-image" \
+        else (6, 2)
     assert {shard: len(commands) for shard, commands in sent.items()} == {
-        shard: 6 if shard == victim else 2 for shard in range(SHARDS)}
+        shard: victim_sent if shard == victim else others_sent
+        for shard in range(SHARDS)}
     skips = {(shard, source): count
              for shard, counts in report.ingests_by_shard.items()
              for source, count in counts.items()}
