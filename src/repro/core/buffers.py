@@ -51,10 +51,10 @@ class TSMRegister:
     def update(self, ts: float) -> None:
         """Record that an element with timestamp ``ts`` is/was at this input.
 
-        Latent (unstamped) elements do not move the register.
+        Latent (unstamped) elements do not move the register: their stamp,
+        ``-inf``, is never above it.  The drain and gate paths inline this
+        one comparison.
         """
-        if ts == LATENT_TS:
-            return
         if ts > self._value:
             self._value = ts
 
@@ -285,10 +285,11 @@ class StreamBuffer:
         if registry is not None and amount:
             registry._mutations += 1
             total = registry._total = registry._total + amount
-            if total > registry._peak:
-                registry._peak = total
-            if total > registry._interval_peak:
-                registry._interval_peak = total
+            if amount > 0:  # a falling total sets no peak
+                if total > registry._peak:
+                    registry._peak = total
+                if total > registry._interval_peak:
+                    registry._interval_peak = total
             for observer in registry._observers:
                 observer(total)
         hook = self.on_change
@@ -374,9 +375,11 @@ class StreamBuffer:
         """Append ``element`` at the tail (production).
 
         A data tuple becomes one row of the open tail block
-        (:meth:`append_row`); a punctuation is an entry of its own.
+        (:meth:`append_row`); a punctuation is an entry of its own (an
+        exact :class:`Punctuation` is told by its type, without the
+        property call).
         """
-        if not element.is_punctuation:
+        if type(element) is not Punctuation and not element.is_punctuation:
             self.append_row(element.ts, element.seq, element.kind,
                             element.arrival_ts, element.payload)
             return
@@ -468,14 +471,28 @@ class StreamBuffer:
         The head block — a source's open tail block included — is handed
         over whole (zero copies) when it fits the limits, or split by
         selection otherwise.  The TSM register is updated once with the
-        largest timestamp drained, exactly like a pop-by-pop consumption.
+        largest timestamp drained, exactly like a pop-by-pop consumption
+        (the register's ``update``, inlined: a latent stamp is never above
+        it).
         """
         items = self._items
         if not items or limit <= 0 or not isinstance(items[0], ColumnarBlock):
             return None
         taken = self._take_head_block(limit, max_ts)
-        if taken is not None:
-            self._consumed_rows(taken)
+        if taken is None:
+            return None
+        ts, sel = taken.ts, taken.selection
+        n = len(ts) if sel is None else len(sel)
+        last = ts[-1] if sel is None else ts[sel[-1]]
+        if last == LATENT_TS or not self._enforce_order:
+            last = self._run_max(taken)
+        register = self.register
+        if last > register._value:
+            register._value = last
+        self._len -= n
+        self._dequeued += n
+        self._data_live -= n
+        self._account(-n)
         return taken
 
     def _take_head_block(self, limit: int,
@@ -517,19 +534,6 @@ class StreamBuffer:
             items.appendleft(part)
         return taken
 
-    def _consumed_rows(self, block: ColumnarBlock) -> None:
-        """Bookkeeping for a (never empty) block handed to the consumer."""
-        ts, sel = block.ts, block.selection
-        n = len(ts) if sel is None else len(sel)
-        last = ts[-1] if sel is None else ts[sel[-1]]
-        if last == LATENT_TS or not self._enforce_order:
-            last = self._run_max(block)
-        self.register.update(last)
-        self._len -= n
-        self._dequeued += n
-        self._data_live -= n
-        self._account(-n)
-
     def _run_max(self, block: ColumnarBlock) -> float:
         """The register value a pop-by-pop consumption of ``block`` leaves:
         its last stamp on an ordered arc; on an ``enforce_order=False`` arc
@@ -543,14 +547,15 @@ class StreamBuffer:
     def pop(self) -> StreamElement:
         """Remove and return the head element (consumption); a data row
         leaves as a one-row slice of its block, materialized."""
-        if not self._items:
+        items = self._items
+        if not items:
             raise IndexError(f"pop from empty buffer {self.name!r}")
-        if isinstance(self._items[0], ColumnarBlock):
-            row = self._take_head_block(1, None)
-            self._consumed_rows(row)
-            return row.row(0)
-        head = self._items.popleft()
-        self.register.update(head.ts)
+        if isinstance(items[0], ColumnarBlock):
+            return self.drain_block(1).row(0)
+        head = items.popleft()
+        register = self.register
+        if head.ts > register._value:
+            register._value = head.ts
         self._len -= 1
         self._dequeued += 1
         self._account(-1)

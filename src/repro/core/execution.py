@@ -30,12 +30,12 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from types import SimpleNamespace
 from typing import Callable
 
-from ..obs.bus import EventBus, Observer
+from ..obs.bus import EventBus, Observer, bound_emitters
 from .config import EngineConfig
 from .errors import ExecutionError
 from .ets import EtsPolicy, NoEts
 from .graph import QueryGraph
-from .operators.base import BatchResult, OpContext, Operator
+from .operators.base import BatchResult, IwpOperator, OpContext, Operator
 from .operators.source import SourceNode
 
 __all__ = ["EngineStats", "ExecutionEngine"]
@@ -173,29 +173,48 @@ class ExecutionEngine:
         if self.feedback is not None:
             self.feedback.bind(graph, self)
         self.stats = EngineStats()
+        #: ``(operator, run)`` per step of the wake-up in progress, folded
+        #: into :attr:`stats` when it ends (:meth:`_fold_runs`).
+        self._runs: list[tuple[Operator, BatchResult]] = []
         self.ctx = OpContext(clock=clock)
         self._round_id = 0
         self._budget_end = _INF
-        self._iwp_ops = graph.iwp_operators()
         sources = graph.sources()
-        # One NOS record per node: ``(is_source, input, backtrack)``.  A
-        # single-input node with the base ``more``/``stalled_input_index``
-        # holds its input buffer and Backtrack target; others are asked.
-        base = (Operator.more, Operator.stalled_input_index)
-        self._nodes = {op: (True, None, None) if op in sources else
-                       (False, op.inputs[0], op.predecessors[0])
-                       if len(op.inputs) == 1 and base == (
-                           type(op).more, type(op).stalled_input_index)
-                       else (False, None, None) for op in graph.operators}
-        self._executable = [(op, self._nodes[op][1]) for op in graph.operators
-                            if op not in sources]
+        # One NOS record per node: ``(is_source, input, backtrack, gated)``.
+        # A single-input node with the base ``more``/``stalled_input_index``
+        # holds its input buffer and Backtrack target.  A ``gated`` node is
+        # a relaxed IWP operator with the base gate conditions: its ``more``
+        # and ``idle_waiting`` are read off the memoised gate tuple.  Others
+        # are asked.
+        single = (Operator.more, Operator.stalled_input_index)
+        gate = (IwpOperator.more, IwpOperator.stalled_input_index,
+                IwpOperator.idle_waiting)
+        self._nodes = {}
+        for op in graph.operators:
+            cls = type(op)
+            if op in sources:
+                record = (True, None, None, False)
+            elif len(op.inputs) == 1 and single == (
+                    cls.more, cls.stalled_input_index):
+                record = (False, op.inputs[0], op.predecessors[0], False)
+            else:
+                record = (False, None, None, isinstance(op, IwpOperator)
+                          and not op.strict and gate == (
+                              cls.more, cls.stalled_input_index,
+                              cls.idle_waiting))
+            self._nodes[op] = record
+        self._executable = [(op, record[1], record[3])
+                            for op, record in self._nodes.items()
+                            if not record[0]]
+        #: ``(operator, gated)`` per IWP operator, for the idle questions.
+        self._iwp_gated = [(op, self._nodes[op][3])
+                           for op in graph.iwp_operators()]
         # Per-operator (data, punct, probe) prices of the cost model
         # ``_priced``; whether a pump delivered since the last idle refresh.
         self._priced = self._prices = None
         self._idle_stale = False
         self.bus: EventBus | None = (EventBus(config.observers)
                                      if config.observers else None)
-        self._hooked = ()  # never a subscription table: bind now
         self._sync_hooks()
         self._buffer_forward = None
         self._wire_buffer_events()
@@ -230,15 +249,15 @@ class ExecutionEngine:
         registry.add_observer(forward)
 
     def _sync_hooks(self) -> None:
-        """Bind the walk's four emitters, None where no observer overrides
-        the hook; re-bound when attach/detach rebuilt the bus's table."""
+        """Bind the engine's six emitters, None where no observer overrides
+        the hook; :meth:`_begin_round` re-binds them when attach/detach has
+        rebuilt the bus's subscription table since."""
         bus = self.bus
-        table = bus._subscribers if bus is not None else None
-        if table is not self._hooked:
-            self._hooked = table
-            self._on_nos, self._on_step, self._on_ets, self._on_punct = (
-                getattr(bus, name) if table and table["on_" + name] else None
-                for name in ("nos_decision", "step", "ets", "punctuation"))
+        self._hooked = bus._subscribers if bus is not None else None
+        (self._on_nos, self._on_step, self._on_ets, self._on_punct,
+         self._on_wakeup, self._on_quiesce) = bound_emitters(
+            bus, "nos_decision", "step", "ets", "punctuation", "wakeup",
+            "quiesce")
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -252,28 +271,36 @@ class ExecutionEngine:
         the source (or operator) where new input just appeared; the DFS
         starts there, and a scan finds work elsewhere afterwards."""
         self._begin_round()
-        if self.cost_model is not None:
-            self.clock.advance(self.cost_model.scheduling_overhead)
-        if self.bus is not None:
-            self.bus.wakeup(round_id=self._round_id, time=self.clock.now(),
-                            entry=entry.name if entry is not None else None)
-        self._refresh_idle()
-
-        if entry is not None:
-            self._walk(entry)
-        while True:
-            self._pump_due()
-            progressed = False
-            for op, buf in self._executable:
-                if buf._items if buf is not None else op.more():
-                    progressed = self._walk(op) or progressed
-            if not progressed:
-                # Nothing can execute: idle-waiting IWP operators backtrack.
-                for op in self._iwp_ops:
-                    if op.idle_waiting():
+        try:
+            if self.cost_model is not None:
+                self.clock.advance(self.cost_model.scheduling_overhead)
+            if self._on_wakeup is not None:
+                self._on_wakeup(round_id=self._round_id,
+                                time=self.clock.now(),
+                                entry=entry.name if entry is not None
+                                else None)
+            self._refresh_idle()
+            if entry is not None:
+                self._walk(entry)
+            while True:
+                self._pump_due()
+                progressed = False
+                for op, buf, gated in self._executable:
+                    if (buf._items if buf is not None else
+                            (op._gate or op._evaluate_gate())[3] is not None
+                            if gated else op.more()):
                         progressed = self._walk(op) or progressed
-            if not progressed:
-                break
+                if not progressed:
+                    # Nothing can execute: idle-waiting IWP operators
+                    # backtrack.
+                    for op, gated in self._iwp_gated:
+                        if ((op._gate or op._evaluate_gate())[4] if gated
+                                else op.idle_waiting()):
+                            progressed = self._walk(op) or progressed
+                if not progressed:
+                    break
+        finally:
+            self._fold_runs()
         self._refresh_idle()
         if self.feedback is not None:
             # At quiescence: reactions turn knobs for *future* input only.
@@ -282,8 +309,8 @@ class ExecutionEngine:
             # Halt mode raises; degrade-mode violations are only counted.
             self.stats.invariant_violations += self.monitor.check(
                 self.clock.now())
-        if self.bus is not None:
-            self.bus.quiesce(round_id=self._round_id, time=self.clock.now())
+        if self._on_quiesce is not None:
+            self._on_quiesce(round_id=self._round_id, time=self.clock.now())
         if (self.checkpoint_every is not None
                 and self.checkpoint_hook is not None
                 and self._round_id % self.checkpoint_every == 0):
@@ -313,7 +340,8 @@ class ExecutionEngine:
     def _walk(self, start: Operator) -> bool:
         """Run the Execute/Continue cycle from ``start`` until a dead end;
         True when any step executed or any ETS was injected.  A single-input
-        node's ``more`` is a read of its input buffer; others are asked."""
+        node's ``more`` is a read of its input buffer, a gated node's a read
+        of its gate memo; others are asked."""
         progress, current = False, start
         execute = True  # False right after Backtrack ("repeat the NOS step")
         nodes, registry, clock = self._nodes, self.graph.registry, self.clock
@@ -342,7 +370,7 @@ class ExecutionEngine:
                 if stamp != dead_stamp:
                     dead_stamp = stamp
                     dead.clear()
-            source, buf, pred = nodes[current]
+            source, buf, pred, gated = nodes[current]
             nxt = None
             if source:
                 # Forward to a live successor not dead-ended in this state.
@@ -363,8 +391,10 @@ class ExecutionEngine:
             else:
                 # [Execution Step] — a run of up to batch_size elements,
                 # never across a punctuation (batch_size=1: the paper's).
-                if execute and (buf._items if buf is not None
-                                else current.more()):
+                if execute and (
+                        buf._items if buf is not None else
+                        (current._gate or current._evaluate_gate())[3]
+                        is not None if gated else current.more()):
                     step(current)
                     progress = fresh = True
                 else:
@@ -384,7 +414,9 @@ class ExecutionEngine:
                         round_id=round_id, time=clock.now())
                 current, execute = nxt, True
                 continue
-            if buf._items if buf is not None else current.more():  # Encore
+            if (buf._items if buf is not None else  # Encore
+                    (current._gate or current._evaluate_gate())[3]
+                    is not None if gated else current.more()):
                 if nos is not None:
                     nos(decision="encore", operator=current.name,
                         round_id=round_id, time=clock.now())
@@ -393,7 +425,7 @@ class ExecutionEngine:
             # Backtrack: to the predecessor feeding the gating input.
             j = 0
             if buf is None:
-                if not current.inputs:
+                if not current._ports.inputs:
                     return progress
                 j = current.stalled_input_index()
                 pred = current.predecessors[j]
@@ -416,19 +448,12 @@ class ExecutionEngine:
         raises.
         """
         run = op.execute_block(self.ctx, limit or self.batch_size)
+        # ``steps`` is read mid-wake-up (the budget); the other counters
+        # are folded in when the wake-up ends.
         stats = self.stats
-        stats.blocks += 1
-        stats.block_rows += run.consumed_data
         stats.steps += run.steps
-        stats.data_steps += run.consumed_data
-        stats.punct_steps += run.consumed_punctuation
-        stats.probes += run.probes
-        stats.probes_emitted += run.probes_emitted
-        stats.emitted_data += run.emitted_data
-        stats.emitted_punctuation += run.emitted_punctuation
-        per_op = stats.per_operator_steps
-        per_op[op.name] = per_op.get(op.name, 0) + run.steps
-        cost = 0.0
+        self._runs.append((op, run))
+        cost, now = 0.0, None
         model = self.cost_model
         if model is not None:
             if model is not self._priced:  # resolved once per model
@@ -446,7 +471,7 @@ class ExecutionEngine:
                         + run.consumed_punctuation * punct
                         + run.probes * probe)
             if cost:
-                self.clock.advance(cost)
+                now = self.clock.advance(cost)
                 stats.busy_time += cost
         on_step = self._on_step
         if on_step is not None and run.steps:
@@ -463,7 +488,7 @@ class ExecutionEngine:
         if tracker is not None and (self._idle_stale
                                     or op in tracker.feeders):
             self._idle_stale = False  # this step or a delivery moved a gate
-            tracker.refresh(self.clock.now())
+            tracker.refresh(self.clock.now() if now is None else now)
         if stats.steps > self._budget_end:
             raise ExecutionError(
                 f"engine exceeded {self.max_steps_per_round} steps in one "
@@ -477,8 +502,9 @@ class ExecutionEngine:
         # Offer only while some IWP operator idle-waits on pending data: an
         # ETS with nothing to unblock is pure overhead.
         offered = False
-        for op in self._iwp_ops:
-            if op.idle_waiting():
+        for op, gated in self._iwp_gated:
+            if ((op._gate or op._evaluate_gate())[4] if gated
+                    else op.idle_waiting()):
                 offered = True
                 break
         injected = False
@@ -507,11 +533,42 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
     # Bookkeeping hooks
 
+    def _fold_runs(self) -> None:
+        """Add the wake-up's runs to the step counters nothing reads
+        before it ends (``steps`` itself is counted per step)."""
+        runs = self._runs
+        if not runs:
+            return
+        stats = self.stats
+        per_op = stats.per_operator_steps
+        data = punct = probes = matched = emitted = forwarded = 0
+        for op, run in runs:
+            data += run.consumed_data
+            punct += run.consumed_punctuation
+            probes += run.probes
+            matched += run.probes_emitted
+            emitted += run.emitted_data
+            forwarded += run.emitted_punctuation
+            per_op[op.name] = per_op.get(op.name, 0) + run.steps
+        stats.blocks += len(runs)
+        stats.block_rows += data
+        stats.data_steps += data
+        stats.punct_steps += punct
+        stats.probes += probes
+        stats.probes_emitted += matched
+        stats.emitted_data += emitted
+        stats.emitted_punctuation += forwarded
+        runs.clear()
+
     def _begin_round(self) -> None:
-        """Count a wake-up, re-bind the emitters, open the step budget."""
+        """Count a wake-up, re-bind the emitters if the bus's subscription
+        table changed, open the step budget."""
         self._round_id += 1
         self.stats.rounds += 1
-        self._sync_hooks()
+        bus = self.bus
+        if (bus._subscribers if bus is not None else None) \
+                is not self._hooked:
+            self._sync_hooks()
         budget = self.max_steps_per_round
         self._budget_end = (_INF if budget is None
                             else self.stats.steps + budget)
@@ -525,7 +582,24 @@ class ExecutionEngine:
                 self.deliver_due(now)
 
     def _refresh_idle(self) -> None:
-        if self.idle_tracker is not None:
-            self._idle_stale = False
-            self.idle_tracker.refresh(self.clock.now())
+        """Bring the idle tracker to the current instant.
+
+        A refresh judges only gates dropped since it last judged; when
+        there is none, all it would do is move the tracker's
+        :attr:`~repro.obs.idle.IdleTracker.last_seen`, so that is done
+        here instead of the call.
+        """
+        tracker = self.idle_tracker
+        if tracker is None:
+            return
+        self._idle_stale = False
+        now = self.clock.now()
+        judged = tracker.judged
+        for i, op in enumerate(tracker.tracked):
+            gate = op._gate
+            if gate is None or gate is not judged[i]:
+                tracker.refresh(now)
+                return
+        if now > tracker.last_seen:
+            tracker.last_seen = now
 

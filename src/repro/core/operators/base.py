@@ -78,6 +78,10 @@ class BatchResult:
             examined-vs-emitted gap is the work the hash index removes.
         emitted_data / emitted_punctuation: Elements appended to output
             buffers (counted once per logical emission).
+
+    The kernels on the per-arrival path build it with positional
+    arguments, in this field order: binding keywords costs as much again
+    as the construction, and there is one per execution step.
     """
 
     steps: int = 0
@@ -281,7 +285,9 @@ class Operator:
 
     def emit_punctuation(self, punctuation: Punctuation) -> None:
         """Propagate a punctuation downstream, re-attributed to this operator."""
-        self.emit(punctuation.reformatted(origin=self.name))
+        copy = punctuation.reformatted(origin=self.name)
+        for buf in self._ports.outputs:
+            buf.push(copy)
 
     # ------------------------------------------------------------------ #
     # Upstream feedback (see repro.feedback)
@@ -348,35 +354,52 @@ class IwpOperator(Operator):
         stamped head refreshes its TSM register, as a peek would; the
         refresh is idempotent, so doing it once per buffer state leaves the
         registers where re-reading on every call left them.
+
+        The buffers are read in place — head entry, head stamp, register,
+        live data rows — because this runs once per input mutation.
         """
         inputs = self._ports.inputs
         latent = None
         heads: list[float | None] = []
         gates: list[float] = []
         for i, buf in enumerate(inputs):
-            ts = buf.head_ts()
+            items, register = buf._items, buf.register
+            if not items:
+                heads.append(None)
+                gates.append(register._value)
+                continue
+            head = items[0]
+            if isinstance(head, ColumnarBlock):
+                sel = head.selection
+                ts = head.ts[0 if sel is None else sel[0]]
+            else:
+                ts = head.ts
             heads.append(ts)
-            if ts is None:
-                ts = buf.register.value
-            elif ts == LATENT_TS:
+            if ts == LATENT_TS:
                 if latent is None:
                     latent = i
-                ts = buf.register.value
+                gates.append(register._value)
             else:
-                buf.register.update(ts)
-            gates.append(ts)
+                if ts > register._value:
+                    register._value = ts
+                gates.append(ts)
         tau = min(gates)
         pick = latent
         if pick is None:
             for i, ts in enumerate(heads):
                 if ts == tau:
-                    if not inputs[i].head_is_punctuation():
+                    if isinstance(inputs[i]._items[0], ColumnarBlock):
                         pick = i
                         break
                     if pick is None:
                         pick = i
-        self._gate = state = (latent, gates, tau, pick,
-                              pick is None and self.has_pending_data())
+        idle = False
+        if pick is None:
+            for buf in inputs:
+                if buf._data_live:
+                    idle = True
+                    break
+        self._gate = state = (latent, gates, tau, pick, idle)
         return state
 
     def _tau(self) -> float:
@@ -409,7 +432,7 @@ class IwpOperator(Operator):
             return 0
         _, gates, tau, _, _ = self._gate or self._evaluate_gate()
         for i, buf in enumerate(inputs):
-            if gates[i] == tau and buf.is_empty:
+            if gates[i] == tau and not buf._items:
                 return i
         # Fall back to the input with the smallest gate; keeps backtracking
         # well-defined even if more() flipped between calls.

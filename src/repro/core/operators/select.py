@@ -53,9 +53,10 @@ class Select(StatelessOperator):
             out = block.with_selection(predicate.select_indices(block))
         else:
             out = block.filter(predicate)
-        kept = out.count
+        # Both selections are lists, so the counts are their lengths.
+        kept, seen = len(out.selection), block.selection
         self.passed += kept
-        self.dropped += block.count - kept
+        self.dropped += (len(block.ts) if seen is None else len(seen)) - kept
         return out if kept else None
 
     @property

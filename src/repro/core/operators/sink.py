@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
 from ..tuples import DataTuple
 from .base import BatchResult, Operator, OpContext
@@ -74,17 +75,18 @@ class SinkNode(Operator):
         to the callback one at a time.  The column hook,
         when set, gets the block's ``ts`` and payload columns either way.
         """
-        batch = BatchResult()
-        buf = self.inputs[0]
-        while batch.steps < limit and buf:
-            block = buf.drain_block(limit - batch.steps)
-            if block is None:
+        steps = data = punct = 0
+        buf = self._ports.inputs[0]
+        items = buf._items
+        while steps < limit and items:
+            if not isinstance(items[0], ColumnarBlock):
                 # Punctuation at the head: absorb it, close the batch.
                 buf.pop()
                 self.punctuation_eliminated += 1
-                batch.steps += 1
-                batch.consumed_punctuation += 1
+                steps += 1
+                punct = 1
                 break
+            block = buf.drain_block(limit - steps)
             now = ctx.clock.now()
             # Latency statistics accumulate in locals (same addition order,
             # so latency_sum stays bit-identical) and land once per block.
@@ -121,11 +123,12 @@ class SinkNode(Operator):
                     ts, payloads = block.ts, block.payloads
                     self._capture([ts[i] for i in sel],
                                   [payloads[i] for i in sel])
-            n = block.count
+            sel = block.selection
+            n = len(block.ts) if sel is None else len(sel)
             self.delivered += n
-            batch.steps += n
-            batch.consumed_data += n
-        return batch
+            steps += n
+            data += n
+        return BatchResult(steps, data, punct)
 
     @property
     def mean_latency(self) -> float:

@@ -52,20 +52,25 @@ class StatelessOperator(Operator):
         A punctuation at the head is a run of its own: it passes through
         re-attributed to this operator (punctuation transparency).
         """
-        buf = self.inputs[0]
-        block = buf.drain_block(limit)
-        if block is None:
-            if buf.is_empty:
-                return BatchResult()
+        buf = self._ports.inputs[0]
+        items = buf._items
+        if not items:
+            return BatchResult()
+        if not isinstance(items[0], ColumnarBlock):
             self.emit_punctuation(buf.pop())
-            return BatchResult(steps=1, consumed_punctuation=1,
-                               emitted_punctuation=1)
+            return BatchResult(1, 0, 1, 0, 0, 0, 1)  # one in, one out
+        block = buf.drain_block(limit)
         out = self.apply_block(block, ctx)
-        emitted = out.count if out is not None else 0
-        if emitted:
-            self.emit(out)
-        n = block.count
-        return BatchResult(steps=n, consumed_data=n, emitted_data=emitted)
+        emitted = 0
+        if out is not None:
+            sel = out.selection
+            emitted = len(out.ts) if sel is None else len(sel)
+            if emitted:
+                for dest in self._ports.outputs:  # emit(), inlined
+                    dest.push_block(out)
+        sel = block.selection
+        n = len(block.ts) if sel is None else len(sel)
+        return BatchResult(n, n, 0, 0, 0, emitted)  # n rows in
 
     def apply_block(self, block: ColumnarBlock,
                     ctx: OpContext) -> ColumnarBlock | None:

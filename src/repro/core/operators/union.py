@@ -108,22 +108,23 @@ class Union(IwpOperator):
         """
         if self.strict:
             return self._execute_block_strict(ctx, limit)
-        batch = BatchResult()
+        steps = data = punct = forwarded = 0
         staged: list[ColumnarBlock | Punctuation] = []
-        inputs = self.inputs
-        while batch.steps < limit:
+        inputs = self._ports.inputs
+        while steps < limit:
             latent, gates, tau, pick, _ = self._gate or self._evaluate_gate()
             if pick is None:
-                if not batch.steps:
+                if not steps:
                     raise ExecutionError(f"union {self.name!r}: "
                                          "execute_block called without more()")
                 break  # more() turned false
             buf = inputs[pick]
-            if latent is None and buf.head_is_punctuation():
+            if latent is None and not isinstance(buf._items[0],
+                                                 ColumnarBlock):
                 element = buf.pop()
                 self.punctuation_consumed += 1
-                batch.steps += 1
-                batch.consumed_punctuation += 1
+                steps += 1
+                punct = 1
                 tau = self._tau()
                 if tau > self._last_emitted_ts:
                     staged.append(Punctuation(
@@ -131,7 +132,7 @@ class Union(IwpOperator):
                         periodic=getattr(element, "periodic", False)))
                     self._last_emitted_ts = tau
                     self.punctuation_forwarded += 1
-                    batch.emitted_punctuation += 1
+                    forwarded = 1
                 else:
                     self.punctuation_suppressed += 1
                 break  # punctuation is a batch boundary
@@ -145,21 +146,29 @@ class Union(IwpOperator):
             # A sub-gate run leaves as one block; a latent head or a tie
             # with another input's gate leaves as exactly one row, so the
             # gate decides the cross-input order row by row.
-            blk = buf.drain_block(limit - batch.steps, max_ts=other_min) \
+            blk = buf.drain_block(limit - steps, max_ts=other_min) \
                 if tau < other_min else buf.drain_block(1)
             assert blk is not None  # head is data at tau
             staged.append(blk)
-            last = blk.last_ts()
-            n = blk.count
+            ts, sel = blk.ts, blk.selection
+            n, last = (len(ts), ts[-1]) if sel is None \
+                else (len(sel), ts[sel[-1]])
+            if last == LATENT_TS:
+                last = blk.last_ts()
             if last > self._last_emitted_ts:  # never true of LATENT_TS
                 self._last_emitted_ts = last
-            self.data_forwarded += n
-            batch.steps += n
-            batch.consumed_data += n
-            batch.emitted_data += n
+            steps += n
+            data += n
+        self.data_forwarded += data
+        outputs = self._ports.outputs  # emit(), inlined: one step's output
         for entry in staged:
-            self.emit(entry)
-        return batch
+            if isinstance(entry, ColumnarBlock):
+                for out in outputs:
+                    out.push_block(entry)
+            else:
+                for out in outputs:
+                    out.push(entry)
+        return BatchResult(steps, data, punct, 0, 0, data, forwarded)
 
     def _execute_block_strict(self, ctx: OpContext, limit: int) -> BatchResult:
         """Columnar strict merge: emit maximal runs between interleave points.
@@ -176,7 +185,7 @@ class Union(IwpOperator):
         """
         batch = BatchResult()
         staged: list[ColumnarBlock | Punctuation] = []
-        inputs = self.inputs
+        inputs = self._ports.inputs
         n_inputs = len(inputs)
         # Head timestamps are cached across iterations: only the input just
         # consumed from can change its head, so only that slot is refreshed.

@@ -69,25 +69,30 @@ class RoundRobinEngine(ExecutionEngine):
         """Run fixed-order passes to quiescence (entry hints are ignored —
         round-robin has no notion of 'start where the data landed')."""
         self._begin_round()
-        self._refresh_idle()
-        while True:
-            self._pump_due()
-            progressed = False
-            for op in self._order:
-                if self.visit_cost:
-                    self.clock.advance(self.visit_cost)
-                    self.stats.busy_time += self.visit_cost
-                served = 0
-                while served < self.quantum and op.more():
-                    served += self._step(
-                        op, min(self.batch_size, self.quantum - served)).steps
-                    progressed = True
-            if not progressed:
-                # End-of-pass source poll: round-robin has no backtracking,
-                # so on-demand ETS needs this explicit trigger.
-                for source in self._sources:
-                    if self._try_ets(source):
+        try:
+            self._refresh_idle()
+            while True:
+                self._pump_due()
+                progressed = False
+                for op in self._order:
+                    if self.visit_cost:
+                        self.clock.advance(self.visit_cost)
+                        self.stats.busy_time += self.visit_cost
+                    served = 0
+                    while served < self.quantum and op.more():
+                        served += self._step(
+                            op, min(self.batch_size,
+                                    self.quantum - served)).steps
                         progressed = True
-            if not progressed:
-                break
+                if not progressed:
+                    # End-of-pass source poll: round-robin has no
+                    # backtracking, so on-demand ETS needs this explicit
+                    # trigger.
+                    for source in self._sources:
+                        if self._try_ets(source):
+                            progressed = True
+                if not progressed:
+                    break
+        finally:
+            self._fold_runs()
         self._refresh_idle()

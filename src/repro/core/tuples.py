@@ -109,9 +109,13 @@ class StreamElement:
         return self.ts == LATENT_TS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DataTuple(StreamElement):
     """A data tuple: a payload record plus timestamp metadata.
+
+    Like :class:`Punctuation`, its constructor writes the slots directly
+    (rows are materialized one tuple each); frozen, ``eq``, ``hash``,
+    ``replace`` and pickling are the dataclass's.
 
     Attributes:
         payload: The record carried by the tuple.  Treated as opaque by the
@@ -125,6 +129,16 @@ class DataTuple(StreamElement):
     payload: Mapping[str, Any] | tuple | Any = None
     kind: TimestampKind = TimestampKind.INTERNAL
     arrival_ts: float = float("nan")
+
+    def __init__(self, ts: float, seq: int | None = None,
+                 payload: Mapping[str, Any] | tuple | Any = None,
+                 kind: TimestampKind = TimestampKind.INTERNAL,
+                 arrival_ts: float = float("nan")) -> None:
+        _set_ts(self, ts)
+        _set_seq(self, next(_SEQ) if seq is None else seq)
+        _set_payload(self, payload)
+        _set_kind(self, kind)
+        _set_arrival(self, arrival_ts)
 
     @property
     def is_punctuation(self) -> bool:
@@ -147,12 +161,19 @@ class DataTuple(StreamElement):
         return replace(self, payload=payload)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Punctuation(StreamElement):
     """A punctuation tuple carrying an Enabling Time-Stamp.
 
     A punctuation with timestamp ``ts`` asserts that no future element on the
     carrying stream will have a timestamp smaller than ``ts``.
+
+    Every punctuation hop builds one (the ETS, each re-attribution, each
+    IWP emission), so the constructor writes the four slots directly
+    instead of going through the frozen dataclass's ``__setattr__`` guard
+    and a default-factory call; the default ``seq`` is drawn from the
+    counter bound at call time.  Frozen, ``eq``, ``hash``, ``replace`` and
+    pickling are the dataclass's, unchanged.
 
     Attributes:
         origin: Name of the source node (or operator) that generated the
@@ -165,6 +186,13 @@ class Punctuation(StreamElement):
 
     origin: str = ""
     periodic: bool = False
+
+    def __init__(self, ts: float, seq: int | None = None, origin: str = "",
+                 periodic: bool = False) -> None:
+        _set_ts(self, ts)
+        _set_seq(self, next(_SEQ) if seq is None else seq)
+        _set_origin(self, origin)
+        _set_periodic(self, periodic)
 
     @property
     def is_punctuation(self) -> bool:
@@ -182,6 +210,17 @@ class Punctuation(StreamElement):
             return self
         return type(self)(ts=self.ts, seq=self.seq, origin=origin,
                           periodic=self.periodic)
+
+
+#: The slot writers the two constructors use: member descriptors bypass
+#: the frozen ``__setattr__``, as the generated init's ``object.__setattr__``
+#: does.  ``_SEQ`` is read at call time (ensure_seq_above rebinds it).
+_set_ts, _set_seq = StreamElement.ts.__set__, StreamElement.seq.__set__
+_set_payload, _set_kind, _set_arrival = (DataTuple.payload.__set__,
+                                         DataTuple.kind.__set__,
+                                         DataTuple.arrival_ts.__set__)
+_set_origin, _set_periodic = (Punctuation.origin.__set__,
+                              Punctuation.periodic.__set__)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,9 @@ Design constraints, in order:
 
 1. **Zero overhead when nobody is listening.**  The engine stores ``None``
    instead of a bus when no observer is attached, so every emission site is
-   a single local-variable ``is None`` test (the module-level
+   a single local-variable ``is None`` test; with observers attached, the
+   hot sites hold :func:`bound_emitters`, ``None`` for a hook no observer
+   overrides, so an unheard event is never built (the module-level
    :data:`NULL_BUS` serves call sites that prefer an unconditional call).
    ``tests/test_obs_bus.py`` pins it deterministically: no bus, no buffer
    observer, and no frame of this module entered from the engine.
@@ -277,12 +279,27 @@ class EventBus:
         self._emit("on_feedback", kw)
 
 
+def bound_emitters(bus: EventBus | None, *names: str) -> tuple:
+    """Per name, ``bus``'s emitter for hook ``on_<name>`` — or None when no
+    observer overrides that hook, or there is no bus.
+
+    Hot call sites (the engine's walk, its wake-up edges, the kernel's
+    arrivals and heartbeats) hold these and test for None, so an event
+    nobody hears is never built.  They re-bind when the bus's subscription
+    table is no longer the one they were bound from (attach / detach
+    replace it).
+    """
+    table = bus._subscribers if bus is not None else None
+    return tuple(getattr(bus, name) if table and table["on_" + name]
+                 else None for name in names)
+
+
 class NullBus(EventBus):
     """A bus that drops everything — the module-level no-op fast path.
 
-    Call sites outside the engine's hot loops (kernel event trains, fault
-    monitors) use ``bus or NULL_BUS`` so they can emit unconditionally; the
-    engine itself keeps the cheaper ``if bus is not None`` guard.
+    For call sites that prefer to emit unconditionally (``bus or
+    NULL_BUS``); the engine and the kernel's event trains hold
+    :func:`bound_emitters` instead, which cost nothing unheard.
     """
 
     __slots__ = ()

@@ -32,7 +32,7 @@ from ..core.errors import WorkloadError
 from ..core.execution import ExecutionEngine
 from ..core.graph import QueryGraph
 from ..core.operators.source import SourceNode
-from ..obs.bus import NULL_BUS
+from ..obs.bus import bound_emitters
 from ..obs.idle import IdleTracker
 from .clock import VirtualClock
 from .cost import CostModel
@@ -113,11 +113,14 @@ class Simulation:
         )
         #: The pump reads the queue's ``due`` time beside ``deliver_due``.
         self.engine.event_queue = self.events
-        #: The engine's event bus (or the shared no-op bus): the kernel's
-        #: own events — arrivals and heartbeat trains — are published here
-        #: so every observer sees one unified stream.
-        self._bus = self.engine.bus if self.engine.bus is not None \
-            else NULL_BUS
+        #: The engine's event bus at construction (None without
+        #: observers): the kernel's own events — arrivals and heartbeat
+        #: trains — are published there so every observer sees one unified
+        #: stream, through emitters bound like the engine's (None for a
+        #: hook nobody overrides).
+        self._bus = self.engine.bus
+        self._hooked = ()  # never a subscription table: bind now
+        self._sync_hooks()
         self.periodic = periodic
         self.monitor = monitor
         self.quarantine = quarantine
@@ -184,6 +187,17 @@ class Simulation:
         self.events.schedule(arrival.time,
                              lambda: self._fire_arrival(source, arrival))
 
+    def _sync_hooks(self) -> None:
+        """Bind the arrival and punctuation emitters, None where no
+        observer overrides the hook; re-bound when attach/detach has
+        replaced the bus's subscription table since."""
+        bus = self._bus
+        table = bus._subscribers if bus is not None else None
+        if table is not self._hooked:
+            self._hooked = table
+            self._on_arrival, self._on_punct = bound_emitters(
+                bus, "arrival", "punctuation")
+
     # ------------------------------------------------------------------ #
     # Event actions
 
@@ -206,12 +220,15 @@ class Simulation:
         # If the engine is busy, the tuple enters the DSMS when the wrapper
         # next gets the CPU: it is stamped with the (later) entry time but
         # its latency is measured from the physical arrival instant.
-        self.clock.advance_to(arrival.time)
-        source.ingest(arrival.payload, now=self.clock.now(),
+        now = self.clock.advance_to(arrival.time)
+        source.ingest(arrival.payload, now=now,
                       ts=arrival.external_ts, arrival=arrival.time)
         self.arrivals_delivered += 1
-        self._bus.arrival(operator=source.name, time=self.clock.now(),
-                          external_ts=arrival.external_ts)
+        if self._bus is not None:
+            self._sync_hooks()
+            if self._on_arrival is not None:
+                self._on_arrival(operator=source.name, time=self.clock.now(),
+                                 external_ts=arrival.external_ts)
         return source
 
     def _start_heartbeats(self) -> None:
@@ -236,10 +253,13 @@ class Simulation:
                                          origin=f"heartbeat:{source.name}",
                                          periodic=True):
                 self.heartbeats_delivered += 1
-                self._bus.punctuation(operator=source.name,
-                                      round_id=self.engine.round_id,
-                                      time=self.clock.now(),
-                                      origin="heartbeat", ts=ts)
+                if self._bus is not None:
+                    self._sync_hooks()
+                    if self._on_punct is not None:
+                        self._on_punct(
+                            operator=source.name,
+                            round_id=self.engine.round_id,
+                            time=self.clock.now(), origin="heartbeat", ts=ts)
             # The schedule decides the next gap (fixed schedules keep their
             # grid; adaptive ones re-estimate from observed traffic), dated
             # from the nominal fire time even when delivered late.
@@ -271,10 +291,7 @@ class Simulation:
         if not self._started:
             self._start_heartbeats()
             self._started = True
-        while True:
-            next_t = self.events.next_time()
-            if next_t is None or next_t > until:
-                break
+        while self.events.due <= until:  # an event at or below the horizon
             popped = self.events.pop_next()
             assert popped is not None
             time, action = popped

@@ -31,6 +31,7 @@ class ReferenceWalkEngine(ExecutionEngine):
         self._pumped_at: float | None = None
         self._pumped_round = 0
         self._source_nodes = frozenset(graph.sources())
+        self._iwp_ops = graph.iwp_operators()
         self._scan = [op for op in graph.operators
                       if op not in self._source_nodes]
 

@@ -263,6 +263,19 @@ class TestRoundBudget:
 
     @pytest.mark.parametrize("engine_cls", [ExecutionEngine,
                                             RoundRobinEngine])
+    def test_a_raising_wakeup_still_counts_its_steps(self, engine_cls):
+        """The counters folded in at the end of a wake-up are folded in
+        when it raises, too: the two steps it took are all counted."""
+        engine, src, sink = self.chain(engine_cls, 1)
+        with pytest.raises(ExecutionError):
+            engine.wakeup(entry=src)
+        stats = engine.stats
+        assert (stats.blocks, stats.block_rows, stats.data_steps) == (2, 2, 2)
+        assert sum(stats.per_operator_steps.values()) == 2
+        assert stats.emitted_data == stats.per_operator_steps["m"]
+
+    @pytest.mark.parametrize("engine_cls", [ExecutionEngine,
+                                            RoundRobinEngine])
     def test_a_budget_spent_exactly_does_not_raise(self, engine_cls):
         engine, src, sink = self.chain(engine_cls, 10)
         engine.wakeup(entry=src)

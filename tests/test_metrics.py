@@ -133,12 +133,23 @@ class TeeIdleTracker(IdleTracker):
     same refresh calls."""
 
     def __init__(self, operators, start_time: float = 0.0) -> None:
-        super().__init__(operators, start_time)
         self.reference = PollingIdleTracker(operators, start_time)
+        super().__init__(operators, start_time)
 
     def refresh(self, now: float) -> None:
         super().refresh(now)
         self.reference.refresh(now)
+
+    # Where no tracked gate moved, the engine moves ``last_seen`` itself
+    # instead of calling a refresh that would do only that; the reference's
+    # clock reading moves with it.
+    @property
+    def last_seen(self) -> float:
+        return self.reference._last_seen
+
+    @last_seen.setter
+    def last_seen(self, now: float) -> None:
+        self.reference._last_seen = now
 
 
 #: (label, builder, scenario, heartbeat rate, idle-fraction band of E3)

@@ -196,8 +196,9 @@ class TestEngineIntegration:
         """The no-observer contract, as counts instead of a timing: engine,
         Simulation and default Pipeline hold no bus and register no buffer
         observer, and a scenario-C run never enters ``repro/obs/bus.py``
-        from ``core/execution.py``.  (The kernel's own cold-path emissions
-        go to the shared no-op ``NULL_BUS`` by design; not the contract.)"""
+        from ``core/execution.py``.  (Without observers the kernel holds no
+        bus either; its emitters are checked in
+        ``test_walk_differential.py``.)"""
         g, _ = simple_path()
         scenario = build_union_scenario(ScenarioConfig(
             scenario="C", duration=5.0, rate_fast=20.0, rate_slow=1.0))

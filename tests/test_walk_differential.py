@@ -193,9 +193,18 @@ def test_a_delayed_punctuation_is_delivered_at_the_reference_instants():
     assert run_delayed(ExecutionEngine) == expected
 
 
+#: Every hook the engine's walk, its wake-up edges and the kernel's event
+#: trains emit: with nobody overriding them, none may build an event.
+BOUND_HOOKS = {"on_nos_decision", "on_step", "on_ets", "on_punctuation",
+               "on_wakeup", "on_quiesce", "on_arrival"}
+
+
 def test_an_unheard_hook_builds_no_event(monkeypatch):
     """With a bare ``Observer`` attached the bus exists but nobody
-    overrides the walk's hooks: no ``_emit`` for them at all."""
+    overrides a hook: no ``_emit`` at all — not for the walk's hooks, the
+    wake-up's edges, the kernel's arrivals, nor the heartbeat train; on
+    scenarios B and C, with the bus given at construction or attached to
+    the engine later."""
     emitted: list[str] = []
     emit = EventBus._emit
 
@@ -204,13 +213,43 @@ def test_an_unheard_hook_builds_no_event(monkeypatch):
         return emit(bus, hook, kw)
 
     monkeypatch.setattr(EventBus, "_emit", counted)
-    handles = scenario_c()
-    handles.sim.engine.attach_observer(Observer())
-    handles.run()
-    walk_hooks = {"on_nos_decision", "on_step", "on_ets", "on_punctuation"}
-    assert handles.sim.engine.stats.ets_injected > 0
-    assert "on_wakeup" in emitted
-    assert walk_hooks.isdisjoint(emitted)
+    for scenario in ("B", "C"):
+        for attach in ("config", "attach_observer"):
+            extra = {"heartbeat_rate": 10.0} if scenario == "B" else {}
+            if attach == "config":
+                extra["observers"] = [Observer()]
+            handles = scenario_c(scenario=scenario, **extra)
+            sim = handles.sim
+            if attach == "attach_observer":
+                sim.engine.attach_observer(Observer())
+            assert sim.engine.bus is not None
+            handles.run()
+            assert sim.arrivals_delivered > 0
+            if scenario == "B":
+                assert sim.heartbeats_delivered > 0
+            else:
+                assert sim.engine.stats.ets_injected > 0
+            assert BOUND_HOOKS.isdisjoint(emitted), (scenario, attach)
+
+
+def test_a_listener_hears_every_bound_hook():
+    """The same run with a recorder: every bound hook is heard, and the
+    kernel's arrivals and heartbeats reach a listener attached to the bus
+    between two ``run`` slices from the next event on."""
+    recorder = Recorder()
+    handles = scenario_c(scenario="B", heartbeat_rate=10.0,
+                         observers=[Observer()])
+    sim = handles.sim
+    sim.run(2.0)
+    sim.engine.bus.attach(recorder)
+    sim.run(4.0)
+    heard = [hook for hook, _ in recorder.log]
+    assert BOUND_HOOKS - {"on_ets"} <= set(heard)
+    arrivals = [kw for hook, kw in recorder.log if hook == "on_arrival"]
+    beats = [kw for hook, kw in recorder.log
+             if hook == "on_punctuation" and kw["origin"] == "heartbeat"]
+    assert arrivals and all(2.0 <= kw["time"] <= 4.0 for kw in arrivals)
+    assert beats and all(kw["round_id"] >= 1 for kw in beats)
 
 
 def test_emitters_follow_attach_and_detach():
