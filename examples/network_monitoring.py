@@ -29,9 +29,8 @@ from repro.api import (
     OnDemandEts,
     Pipeline,
     format_table,
-    packet_payloads,
-    poisson_arrivals,
 )
+from repro.workloads import packet_payloads, poisson_arrivals
 
 BACKBONE_RATE = 200.0   # packets per second
 ALARM_RATE = 0.05       # alarms per second (one every ~20 s)

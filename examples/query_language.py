@@ -19,9 +19,8 @@ from repro.api import (
     OnDemandEts,
     Pipeline,
     format_table,
-    poisson_arrivals,
-    uniform_value_payloads,
 )
+from repro.workloads import poisson_arrivals, uniform_value_payloads
 
 PROGRAM = """
 -- the paper's Fig. 4 experiment, plus a per-10-second rate summary

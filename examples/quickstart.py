@@ -23,9 +23,11 @@ import random
 from repro.api import (
     OnDemandEts,
     Pipeline,
+    format_table,
+)
+from repro.workloads import (
     ScenarioConfig,
     build_union_scenario,
-    format_table,
     poisson_arrivals,
     uniform_value_payloads,
 )

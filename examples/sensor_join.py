@@ -34,8 +34,8 @@ from repro.api import (
     Pipeline,
     WindowSpec,
     format_table,
-    poisson_arrivals,
 )
+from repro.workloads import poisson_arrivals
 
 VIBRATION_RATE = 5.0     # readings per second
 SERVICE_RATE = 0.02      # service events per second (one per ~50 s)

@@ -24,12 +24,8 @@ from __future__ import annotations
 
 import random
 
-from repro.api import (
-    OnDemandEts,
-    Pipeline,
-    poisson_arrivals,
-    with_out_of_order_timestamps,
-)
+from repro.api import OnDemandEts, Pipeline
+from repro.workloads import poisson_arrivals, with_out_of_order_timestamps
 
 PROGRAM = """
 STREAM trades (symbol str, price float, size int)

@@ -13,9 +13,12 @@ A Stream Mill-style data stream management system with:
   model, so the paper's latency / memory / idle-waiting experiments are
   reproducible on any machine.
 
-The public surface is :mod:`repro.api` — import from there::
+The public surface is :mod:`repro.api` — import the engine from there,
+and the harness around it from :mod:`repro.workloads`,
+:mod:`repro.faults` and :mod:`repro.experiments`::
 
-    from repro.api import Pipeline, OnDemandEts, poisson_arrivals
+    from repro.api import Pipeline, OnDemandEts
+    from repro.workloads import poisson_arrivals
     ...  # see examples/quickstart.py
 """
 

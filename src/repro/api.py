@@ -1,20 +1,28 @@
-"""The stable public API of :mod:`repro` — import from here.
+"""The stable public API of :mod:`repro`: the engine a pipeline author
+builds and runs.
 
-Everything a user-facing program needs lives in this one module::
+Everything a pipeline needs lives in this one module::
 
-    from repro.api import Pipeline, OnDemandEts, poisson_arrivals
+    from repro.api import Pipeline, OnDemandEts, Arrival
+
+The harness around the engine has its own packages and is not
+re-exported here: the arrival processes, payload generators and paper
+scenarios are :mod:`repro.workloads`, the fault specs, quarantine and
+invariant monitor are :mod:`repro.faults`, and the paper-figure
+experiments, claim catalogue and ablation baselines (round-robin
+scheduling, adaptive heartbeats) are :mod:`repro.experiments`.
 
 **Stability contract.**  Names listed in :data:`__all__` are the supported
 surface: they keep their signatures and semantics across minor versions,
 and every retired spelling gets a row in the README's migration table
 naming its replacement.  A name is listed only while a claim, a benchmark
 workload, an example or a CLI command reaches it — or while it is
-vocabulary those paths speak (errors, records, types, fault-injection
-inputs): ``tests/test_api_surface.py`` holds the rule and the reasoned
+vocabulary those paths speak (errors, records, types):
+``tests/test_api_surface.py`` holds the rule and the reasoned
 exceptions.  Anything imported from a submodule
 directly (``repro.core.execution``, ``repro.sim.kernel``, …) is internal
 and may change without notice.  The repo's own examples and CLI import
-only from this facade, which is what keeps the contract honest.
+the engine only from this facade, which is what keeps the contract honest.
 
 The surface is grouped into five sections:
 
@@ -25,12 +33,12 @@ The surface is grouped into five sections:
   build surface raises;
 * **Run** — drive data through an engine: :class:`ExecutionEngine`,
   :class:`Simulation`, the shared :class:`EngineConfig` knob bundle, the
-  ETS policies of the paper's scenarios, clock/cost primitives, arrival
-  processes, scenario builders, and the paper-figure experiment harnesses;
+  ETS policies of the paper's scenarios, and the clock, cost and arrival
+  primitives;
 * **Observe** — watch it happen: the :mod:`repro.obs` event bus,
   exporters, tracing, the metrics registry, and report formatting;
-* **Recover** — survive faults: fault plans, timestamp quarantine,
-  closed-loop backpressure, and checkpoint/WAL crash recovery;
+* **Recover** — survive faults: closed-loop backpressure and
+  checkpoint/WAL crash recovery;
 * **Scale** — go faster and wider: the columnar block layer
   (:class:`ColumnarBlock`, :class:`FieldPredicate`) and the
   key-partitioned :class:`ShardedEngine` with its frontier machinery.
@@ -94,60 +102,16 @@ from .core.errors import (
 )
 
 # ======================================================================== #
-# Run — engines, simulation, ETS policies, workloads, experiments
+# Run — engines, simulation, ETS policies
 # ======================================================================== #
 from .core.config import EngineConfig
 from .core.execution import EngineStats, ExecutionEngine
 from .sim import Arrival, CostModel, Simulation, VirtualClock
 from .core.ets import (
-    AdaptiveHeartbeatSchedule,
     EtsPolicy,
     NoEts,
     OnDemandEts,
     PeriodicEtsSchedule,
-)
-from .workloads import (
-    SCENARIOS,
-    ScenarioConfig,
-    ScenarioHandles,
-    build_join_scenario,
-    build_union_scenario,
-    bursty_arrivals,
-    constant_arrivals,
-    packet_payloads,
-    poisson_arrivals,
-    scenario_streams,
-    uniform_value_payloads,
-    with_external_timestamps,
-    with_out_of_order_timestamps,
-)
-from .experiments import (
-    ChaosConfig,
-    ChaosReport,
-    ClaimResult,
-    CrashConfig,
-    CrashReport,
-    DEFAULT_HEARTBEAT_RATES,
-    ExperimentResult,
-    SweepResult,
-    format_claims,
-    format_figure7,
-    format_figure8,
-    format_idle_table,
-    idle_waiting_table,
-    OverloadConfig,
-    OverloadReport,
-    result_from_handles,
-    run_ablations,
-    run_chaos_experiment,
-    run_crash_experiment,
-    run_join_experiment,
-    run_overload_experiment,
-    run_sweep,
-    run_union_experiment,
-    run_validation,
-    validate_ablation_claims,
-    validate_paper_claims,
 )
 
 # ======================================================================== #
@@ -170,26 +134,8 @@ from .obs.recovery import RecoveryTracker
 from .obs.report import format_series, format_table
 
 # ======================================================================== #
-# Recover — faults, quarantine, backpressure, crash recovery
+# Recover — backpressure, crash recovery
 # ======================================================================== #
-from .faults import (
-    ClockSkewSpike,
-    DropTuples,
-    DuplicateTuples,
-    FaultPlan,
-    FaultSpec,
-    InvariantMonitor,
-    LoadSpike,
-    OutOfOrderBurst,
-    ProcessCrash,
-    PunctuationDelay,
-    PunctuationLoss,
-    QuarantinePolicy,
-    ReshardCrash,
-    SimulatedCrash,
-    SlowSink,
-    SourceOutage,
-)
 from .feedback import FeedbackController, TokenBucketThrottle
 from .recovery import (
     CheckpointInfo,
@@ -245,24 +191,7 @@ __all__ = [
     "Arrival", "CostModel", "EngineConfig", "EngineStats",
     "ExecutionEngine", "Simulation", "VirtualClock",
     # ETS policies
-    "AdaptiveHeartbeatSchedule", "EtsPolicy", "NoEts", "OnDemandEts",
-    "PeriodicEtsSchedule",
-    # workloads
-    "SCENARIOS", "ScenarioConfig", "ScenarioHandles",
-    "build_join_scenario", "build_union_scenario", "bursty_arrivals",
-    "constant_arrivals", "packet_payloads", "poisson_arrivals",
-    "scenario_streams", "uniform_value_payloads", "with_external_timestamps",
-    "with_out_of_order_timestamps",
-    # experiments
-    "ChaosConfig", "ChaosReport", "ClaimResult", "CrashConfig",
-    "CrashReport", "DEFAULT_HEARTBEAT_RATES", "ExperimentResult",
-    "SweepResult", "format_claims", "format_figure7", "format_figure8",
-    "format_idle_table", "idle_waiting_table", "OverloadConfig",
-    "OverloadReport", "result_from_handles", "run_ablations",
-    "run_chaos_experiment", "run_crash_experiment", "run_join_experiment",
-    "run_overload_experiment", "run_sweep", "run_union_experiment",
-    "run_validation", "validate_ablation_claims",
-    "validate_paper_claims",
+    "EtsPolicy", "NoEts", "OnDemandEts", "PeriodicEtsSchedule",
     # ------------------------------------------------------------------ #
     # Observe
     # ------------------------------------------------------------------ #
@@ -275,12 +204,6 @@ __all__ = [
     # ------------------------------------------------------------------ #
     # Recover
     # ------------------------------------------------------------------ #
-    # faults & quarantine
-    "ClockSkewSpike", "DropTuples", "DuplicateTuples", "FaultPlan",
-    "FaultSpec", "InvariantMonitor", "LoadSpike", "OutOfOrderBurst",
-    "ProcessCrash", "PunctuationDelay", "PunctuationLoss",
-    "QuarantinePolicy", "ReshardCrash", "SimulatedCrash", "SlowSink",
-    "SourceOutage",
     # feedback (closed-loop backpressure)
     "FeedbackController", "TokenBucketThrottle",
     # recovery

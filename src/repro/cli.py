@@ -11,7 +11,8 @@ Examples::
     python -m repro run query.esl --until 60 --source fast:poisson:50 \\
         --source slow:poisson:0.05 --ets on-demand
 
-The CLI is a thin veneer over the :mod:`repro.api` facade — everything it
+The CLI is a thin veneer over the :mod:`repro.api` facade and the
+:mod:`repro.workloads` / :mod:`repro.experiments` harness — everything it
 prints can be produced programmatically with the same public names.
 """
 
@@ -24,24 +25,28 @@ import sys
 from typing import Sequence
 
 from .api import (
-    SCENARIOS,
     ChromeTraceExporter,
-    ExperimentResult,
     JsonlExporter,
     MetricsRegistry,
     NoEts,
     OnDemandEts,
     Pipeline,
     ReproError,
+    compile_query,
+    format_table,
+)
+from .experiments import (
+    ExperimentResult,
+    run_join_experiment,
+    run_union_experiment,
+)
+from .workloads import (
+    SCENARIOS,
     ScenarioConfig,
     build_join_scenario,
     build_union_scenario,
-    compile_query,
     constant_arrivals,
-    format_table,
     poisson_arrivals,
-    run_join_experiment,
-    run_union_experiment,
     uniform_value_payloads,
 )
 
@@ -220,7 +225,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .api import format_claims, run_validation
+    from .experiments import format_claims, run_validation
 
     rates = tuple(float(r) for r in args.rates.split(",") if r)
     results = run_validation(duration=args.duration,

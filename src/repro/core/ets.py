@@ -30,8 +30,7 @@ from .errors import PolicyError
 from .operators.source import SourceNode
 from .tuples import LATENT_TS, TimestampKind
 
-__all__ = ["AdaptiveHeartbeatSchedule", "EtsPolicy", "NoEts",
-           "OnDemandEts", "PeriodicEtsSchedule"]
+__all__ = ["EtsPolicy", "NoEts", "OnDemandEts", "PeriodicEtsSchedule"]
 
 _INTERNAL = TimestampKind.INTERNAL
 _EXTERNAL = TimestampKind.EXTERNAL
@@ -171,8 +170,9 @@ class PeriodicEtsSchedule:
     def bind(self, graph) -> None:
         """Called once by the kernel before the first injection.
 
-        The fixed schedule needs no context; adaptive subclasses use this to
-        look up the streams they track.
+        The fixed schedule needs no context; an adaptive subclass
+        (:class:`~repro.experiments.baselines.AdaptiveHeartbeatSchedule`)
+        uses this to look up the streams it tracks.
         """
 
     def next_period(self, source: SourceNode, now: float) -> float:
@@ -194,100 +194,3 @@ class PeriodicEtsSchedule:
         if state.get("version") != 1:
             raise PolicyError(
                 f"unsupported {type(self).__name__} state: {state!r}")
-
-
-class AdaptiveHeartbeatSchedule(PeriodicEtsSchedule):
-    """Heartbeats whose rate tracks the traffic they must unblock.
-
-    The paper observes that the right periodic rate "largely depends on the
-    load conditions of the various streams": punctuation on the sparse
-    stream A should match the frequency of tuples on the busy stream B.
-    This schedule is the natural adaptive baseline between fixed-rate
-    heartbeats (scenario B) and on-demand ETS (scenario C): each punctuated
-    source re-estimates, at every injection, the recent arrival rate of a
-    designated *driver* stream and sets the next period to match it.
-
-    Args:
-        drivers: Mapping from punctuated source name to the name of the
-            stream whose rate it should match (the busy stream).
-        min_rate / max_rate: Clamp for the adapted rate, in heartbeats per
-            second, finite with ``0 < min_rate <= max_rate``; the minimum
-            also serves as the cold-start rate.
-
-    Even adapted this way, heartbeats remain reactive-with-lag: they match
-    the *recent past* rate, so the first tuples of a burst still wait about
-    one (pre-burst) period — which is exactly what the X6 and X7
-    ablations show and on-demand ETS avoids.
-    """
-
-    #: Minimum span (stream seconds) over which the driver rate is
-    #: measured; shorter gaps reuse the previous estimate.  Without this
-    #: floor, a fast adapted rate would shrink its own observation window
-    #: until single-tuple noise whipsaws the estimate.
-    ESTIMATION_WINDOW = 1.0
-
-    def __init__(self, drivers: Mapping[str, str], *,
-                 min_rate: float = 0.1, max_rate: float = 1000.0) -> None:
-        if not (0 < min_rate <= max_rate and isfinite(max_rate)):
-            raise PolicyError(
-                f"need finite 0 < min_rate <= max_rate, got {min_rate}, "
-                f"{max_rate}"
-            )
-        super().__init__({name: min_rate for name in drivers})
-        self.drivers = dict(drivers)
-        self.min_rate = min_rate
-        self.max_rate = max_rate
-        self._graph = None
-        self._last_counts: dict[str, tuple[float, int]] = {}
-        self._current_rate: dict[str, float] = {}
-
-    def bind(self, graph) -> None:
-        for name, driver in self.drivers.items():
-            if driver not in graph:
-                raise PolicyError(
-                    f"adaptive heartbeat for {name!r}: driver stream "
-                    f"{driver!r} is not in the graph"
-                )
-        self._graph = graph
-
-    def _observed_rate(self, source_name: str, now: float) -> float:
-        assert self._graph is not None, "bind() must run before injections"
-        driver = self._graph[self.drivers[source_name]]
-        count = driver.ingested_count
-        last = self._last_counts.get(source_name)
-        if last is None:
-            self._last_counts[source_name] = (now, count)
-            return self.min_rate
-        last_t, last_count = last
-        elapsed = now - last_t
-        if elapsed < self.ESTIMATION_WINDOW:
-            # Too little evidence since the last estimate: hold the rate.
-            return self._current_rate.get(source_name, self.min_rate)
-        self._last_counts[source_name] = (now, count)
-        return (count - last_count) / elapsed
-
-    def next_period(self, source: SourceNode, now: float) -> float:
-        rate = self._observed_rate(source.name, now)
-        rate = min(self.max_rate, max(self.min_rate, rate))
-        self._current_rate[source.name] = rate
-        return 1.0 / rate
-
-    def snapshot_state(self) -> dict:
-        """Versioned snapshot of the rate-estimation state.
-
-        The graph binding itself is wiring, not state; ``bind`` re-runs on
-        the rebuilt graph before injections resume.
-        """
-        return {
-            "version": 1,
-            "last_counts": dict(self._last_counts),
-            "current_rate": dict(self._current_rate),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
-        if state.get("version") != 1:
-            raise PolicyError(
-                f"unsupported AdaptiveHeartbeatSchedule state: {state!r}")
-        self._last_counts = dict(state["last_counts"])
-        self._current_rate = dict(state["current_rate"])

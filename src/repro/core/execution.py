@@ -266,13 +266,23 @@ class ExecutionEngine:
     def round_id(self) -> int:
         return self._round_id
 
+    #: Whether a wake-up is charged the cost model's
+    #: ``scheduling_overhead`` (one context switch per wake-up); an engine
+    #: that pays it per operator visit instead turns this off.
+    charges_wakeup = True
+
     def wakeup(self, entry: SourceNode | Operator | None = None) -> None:
         """Run the engine to quiescence.  ``entry`` is an optional hint —
-        the source (or operator) where new input just appeared; the DFS
-        starts there, and a scan finds work elsewhere afterwards."""
+        the source (or operator) where new input just appeared.
+
+        Every engine shares this envelope — round count and budget, the
+        wake-up charge, ``on_wakeup``, idle refresh, the traversal, the
+        step fold, feedback sampling, the invariant monitor,
+        ``on_quiesce`` and the checkpoint cadence — and differs only in
+        :meth:`_traverse`."""
         self._begin_round()
         try:
-            if self.cost_model is not None:
+            if self.charges_wakeup and self.cost_model is not None:
                 self.clock.advance(self.cost_model.scheduling_overhead)
             if self._on_wakeup is not None:
                 self._on_wakeup(round_id=self._round_id,
@@ -280,25 +290,7 @@ class ExecutionEngine:
                                 entry=entry.name if entry is not None
                                 else None)
             self._refresh_idle()
-            if entry is not None:
-                self._walk(entry)
-            while True:
-                self._pump_due()
-                progressed = False
-                for op, buf, gated in self._executable:
-                    if (buf._items if buf is not None else
-                            (op._gate or op._evaluate_gate())[3] is not None
-                            if gated else op.more()):
-                        progressed = self._walk(op) or progressed
-                if not progressed:
-                    # Nothing can execute: idle-waiting IWP operators
-                    # backtrack.
-                    for op, gated in self._iwp_gated:
-                        if ((op._gate or op._evaluate_gate())[4] if gated
-                                else op.idle_waiting()):
-                            progressed = self._walk(op) or progressed
-                if not progressed:
-                    break
+            self._traverse(entry)
         finally:
             self._fold_runs()
         self._refresh_idle()
@@ -336,6 +328,29 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------ #
     # DFS walk implementing the NOS rules
+
+    def _traverse(self, entry: SourceNode | Operator | None) -> None:
+        """The DFS traversal: walk from ``entry``, then scan for work
+        elsewhere until nothing can execute or backtrack."""
+        if entry is not None:
+            self._walk(entry)
+        while True:
+            self._pump_due()
+            progressed = False
+            for op, buf, gated in self._executable:
+                if (buf._items if buf is not None else
+                        (op._gate or op._evaluate_gate())[3] is not None
+                        if gated else op.more()):
+                    progressed = self._walk(op) or progressed
+            if not progressed:
+                # Nothing can execute: idle-waiting IWP operators
+                # backtrack.
+                for op, gated in self._iwp_gated:
+                    if ((op._gate or op._evaluate_gate())[4] if gated
+                            else op.idle_waiting()):
+                        progressed = self._walk(op) or progressed
+            if not progressed:
+                return
 
     def _walk(self, start: Operator) -> bool:
         """Run the Execute/Continue cycle from ``start`` until a dead end;

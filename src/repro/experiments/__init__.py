@@ -1,5 +1,7 @@
 """Experiment harness: scenario runner, figures, ablations, claim
-validation, and the chaos / overload / crash experiments."""
+validation, and the chaos / overload / crash experiments.  The baselines
+the ablations beat (round-robin scheduling, adaptive heartbeats) are in
+:mod:`.baselines`."""
 
 from .ablations import run_ablations
 from .chaos import ChaosConfig, ChaosReport, run_chaos_experiment

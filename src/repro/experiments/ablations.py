@@ -16,13 +16,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from ..core.ets import (AdaptiveHeartbeatSchedule, NoEts, OnDemandEts,
-                        PeriodicEtsSchedule)
-from ..core.scheduling import RoundRobinEngine
+from ..core.ets import NoEts, OnDemandEts, PeriodicEtsSchedule
 from ..query.pipeline import Pipeline
 from ..sim.kernel import Arrival, Simulation
 from ..workloads.arrival import bursty_arrivals, poisson_arrivals
 from ..workloads.scenarios import ScenarioConfig
+from .baselines import AdaptiveHeartbeatSchedule, RoundRobinEngine
 from .chaos import ChaosConfig, ChaosReport, run_chaos_experiment
 from .overload import (OverloadConfig, OverloadReport,
                        run_overload_experiment)

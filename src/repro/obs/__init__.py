@@ -21,14 +21,13 @@ Attach observers with ``ExecutionEngine(..., observers=[...])`` or
 stores no bus at all and instrumentation costs nothing.
 """
 
-from .bus import HOOKS, NULL_BUS, EventBus, NullBus, Observer
+from .bus import HOOKS, EventBus, Observer
 from .exporters import ChromeTraceExporter, JsonlExporter
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .tracing import TraceEvent, Tracer, summarize
 
 __all__ = [
     "HOOKS",
-    "NULL_BUS",
     "ChromeTraceExporter",
     "Counter",
     "EventBus",
@@ -36,7 +35,6 @@ __all__ = [
     "Histogram",
     "JsonlExporter",
     "MetricsRegistry",
-    "NullBus",
     "Observer",
     "TraceEvent",
     "Tracer",

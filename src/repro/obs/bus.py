@@ -15,8 +15,7 @@ Design constraints, in order:
    instead of a bus when no observer is attached, so every emission site is
    a single local-variable ``is None`` test; with observers attached, the
    hot sites hold :func:`bound_emitters`, ``None`` for a hook no observer
-   overrides, so an unheard event is never built (the module-level
-   :data:`NULL_BUS` serves call sites that prefer an unconditional call).
+   overrides, so an unheard event is never built.
    ``tests/test_obs_bus.py`` pins it deterministically: no bus, no buffer
    observer, and no frame of this module entered from the engine.
 2. **Observer isolation.**  A failing observer must never kill the engine
@@ -35,7 +34,7 @@ from __future__ import annotations
 from types import MethodType
 from typing import Iterable
 
-__all__ = ["HOOKS", "Observer", "EventBus", "NullBus", "NULL_BUS"]
+__all__ = ["HOOKS", "Observer", "EventBus"]
 
 #: The typed hook points, in the vocabulary used across the system.
 HOOKS = (
@@ -292,22 +291,3 @@ def bound_emitters(bus: EventBus | None, *names: str) -> tuple:
     table = bus._subscribers if bus is not None else None
     return tuple(getattr(bus, name) if table and table["on_" + name]
                  else None for name in names)
-
-
-class NullBus(EventBus):
-    """A bus that drops everything — the module-level no-op fast path.
-
-    For call sites that prefer to emit unconditionally (``bus or
-    NULL_BUS``); the engine and the kernel's event trains hold
-    :func:`bound_emitters` instead, which cost nothing unheard.
-    """
-
-    __slots__ = ()
-
-    def attach(self, observer: Observer) -> "EventBus":
-        raise TypeError("NULL_BUS is shared and immutable; "
-                        "create an EventBus to attach observers")
-
-
-#: Shared do-nothing bus; safe to emit into from anywhere.
-NULL_BUS = NullBus()

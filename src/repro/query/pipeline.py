@@ -7,7 +7,8 @@
 object, so the common case needs no manual graph wiring, no engine
 construction, and no separate workload attachment::
 
-    from repro.api import Pipeline, OnDemandEts, poisson_arrivals
+    from repro.api import Pipeline, OnDemandEts
+    from repro.workloads import poisson_arrivals
     import random
 
     p = Pipeline("netmon")

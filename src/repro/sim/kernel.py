@@ -113,14 +113,13 @@ class Simulation:
         )
         #: The pump reads the queue's ``due`` time beside ``deliver_due``.
         self.engine.event_queue = self.events
-        #: The engine's event bus at construction (None without
-        #: observers): the kernel's own events — arrivals and heartbeat
-        #: trains — are published there so every observer sees one unified
-        #: stream, through emitters bound like the engine's (None for a
-        #: hook nobody overrides).
-        self._bus = self.engine.bus
+        # The kernel's own events — arrivals and heartbeat trains — go to
+        # the engine's current bus (None without observers; an observer
+        # attached later through ``engine.attach_observer`` creates it),
+        # so every observer sees one unified stream, through emitters
+        # bound like the engine's (None for a hook nobody overrides).
         self._hooked = ()  # never a subscription table: bind now
-        self._sync_hooks()
+        self._sync_hooks(self.engine.bus)
         self.periodic = periodic
         self.monitor = monitor
         self.quarantine = quarantine
@@ -187,11 +186,11 @@ class Simulation:
         self.events.schedule(arrival.time,
                              lambda: self._fire_arrival(source, arrival))
 
-    def _sync_hooks(self) -> None:
-        """Bind the arrival and punctuation emitters, None where no
-        observer overrides the hook; re-bound when attach/detach has
-        replaced the bus's subscription table since."""
-        bus = self._bus
+    def _sync_hooks(self, bus) -> None:
+        """Bind the arrival and punctuation emitters of the engine's
+        ``bus``, None where no observer overrides the hook; re-bound when
+        a new bus or an attach/detach has replaced the subscription table
+        since."""
         table = bus._subscribers if bus is not None else None
         if table is not self._hooked:
             self._hooked = table
@@ -224,8 +223,9 @@ class Simulation:
         source.ingest(arrival.payload, now=now,
                       ts=arrival.external_ts, arrival=arrival.time)
         self.arrivals_delivered += 1
-        if self._bus is not None:
-            self._sync_hooks()
+        bus = self.engine.bus
+        if bus is not None:
+            self._sync_hooks(bus)
             if self._on_arrival is not None:
                 self._on_arrival(operator=source.name, time=self.clock.now(),
                                  external_ts=arrival.external_ts)
@@ -253,8 +253,9 @@ class Simulation:
                                          origin=f"heartbeat:{source.name}",
                                          periodic=True):
                 self.heartbeats_delivered += 1
-                if self._bus is not None:
-                    self._sync_hooks()
+                bus = self.engine.bus
+                if bus is not None:
+                    self._sync_hooks(bus)
                     if self._on_punct is not None:
                         self._on_punct(
                             operator=source.name,

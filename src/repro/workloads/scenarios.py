@@ -75,7 +75,7 @@ class ScenarioConfig:
             tuple-at-a-time execution, one element per step; N > 1 takes
             runs of up to N elements per step).
         engine_cls: Alternative execution engine (e.g.
-            :class:`~repro.core.scheduling.RoundRobinEngine`) for the X4
+            :class:`~repro.experiments.baselines.RoundRobinEngine`) for the X4
             scheduling ablation; None selects the paper's DFS engine.
         observers: Instrumentation observers (see :mod:`repro.obs`)
             registered on the engine's event bus; None (the default) keeps

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.core.errors import PolicyError
-from repro.core.ets import AdaptiveHeartbeatSchedule, NoEts
+from repro.core.ets import NoEts
+from repro.experiments.baselines import AdaptiveHeartbeatSchedule
 from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import bursty_arrivals, poisson_arrivals

@@ -15,10 +15,11 @@ import random
 import pytest
 
 from repro.core.errors import PolicyError
-from repro.core.ets import AdaptiveHeartbeatSchedule, NoEts, OnDemandEts
+from repro.core.ets import NoEts, OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Union
 from repro.core.tuples import TimestampKind
+from repro.experiments.baselines import AdaptiveHeartbeatSchedule
 from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Simulation
 from repro.workloads.arrival import poisson_arrivals

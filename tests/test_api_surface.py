@@ -25,6 +25,10 @@ from pathlib import Path
 
 import repro
 import repro.api
+import repro.experiments
+import repro.experiments.baselines
+import repro.faults
+import repro.workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -43,15 +47,12 @@ REACH = [
 
 _ERROR = "error vocabulary: raised to callers of reached code"
 _RECORD = "record/type vocabulary: what reached code hands out or accepts"
-_ORACLE = ("oracle input: a fault spec the chaos / crash matrices feed the "
-           "differential oracles")
 
 #: Exported names nothing in :data:`REACH` mentions, each with its reason.
 ALLOWLIST: dict[str, str] = {
     # errors
     "ExecutionError": _ERROR,
     "InvariantViolation": _ERROR,
-    "PolicyError": _ERROR,
     "RecoveryError": _ERROR,
     "SchemaError": _ERROR,
     "ShardError": _ERROR,
@@ -60,7 +61,6 @@ ALLOWLIST: dict[str, str] = {
     # records and types
     "CheckpointInfo": _RECORD,
     "CountWindow": _RECORD,
-    "FaultSpec": _RECORD,
     "FeedbackPunctuation": _RECORD,
     "LATENT_TS": _RECORD,
     "Punctuation": _RECORD,
@@ -71,13 +71,6 @@ ALLOWLIST: dict[str, str] = {
     "is_data": _RECORD,
     "is_feedback": _RECORD,
     "is_punctuation": _RECORD,
-    # fault-injection specs
-    "DropTuples": _ORACLE,
-    "DuplicateTuples": _ORACLE,
-    "OutOfOrderBurst": _ORACLE,
-    "PunctuationDelay": _ORACLE,
-    "PunctuationLoss": _ORACLE,
-    "ReshardCrash": _ORACLE,
 }
 
 #: Exported names with no caller left but the frozen ``benchmarks/e2e``
@@ -139,9 +132,15 @@ def _reach_texts(paths=REACH) -> list[str]:
     return [without_self_reach(path.read_text()) for path in paths]
 
 
+#: The most names ``repro.api`` may export: the engine a pipeline author
+#: uses, not the harness around it (``repro.experiments``,
+#: ``repro.faults`` and ``repro.workloads`` export their own).
+MAX_EXPORTS = 100
+
+
 def test_every_export_is_reached_or_allowlisted():
     exported = repro.api.__all__
-    assert len(exported) == len(set(exported))
+    assert len(exported) == len(set(exported)) <= MAX_EXPORTS
     assert all(hasattr(repro.api, name) for name in exported)
     assert surface_problems(exported, ALLOWLIST, _reach_texts()) == []
     assert all(reason.strip() for reason in ALLOWLIST.values())
@@ -206,7 +205,12 @@ def test_package_root_is_not_a_second_surface():
 # Each engine knob is said once
 
 
-#: Exported classes with an ``__init__`` parameter that shares a name with
+#: The packages whose ``__all__`` is public: the engine's facade and the
+#: harness around it.
+PUBLIC = (repro.api, repro.experiments, repro.experiments.baselines,
+          repro.faults, repro.workloads)
+
+#: Public classes with an ``__init__`` parameter that shares a name with
 #: an ``EngineConfig`` field without being a second declaration of it.
 KNOB_NAMESAKES: dict[str, tuple[set[str], str]] = {
     "EventBus": ({"observers"}, "the list itself, not a knob about it"),
@@ -246,7 +250,8 @@ def test_only_engine_config_declares_an_engine_knob():
     second merge rule."""
     from repro.shard.backends import EngineShard
 
-    exported = [getattr(repro.api, name) for name in repro.api.__all__]
+    exported = [getattr(module, name)
+                for module in PUBLIC for name in module.__all__]
     classes = [obj for obj in exported if inspect.isclass(obj)]
     assert knob_redeclarations([*classes, EngineShard]) == {
         name: names for name, (names, _) in KNOB_NAMESAKES.items()}
@@ -322,3 +327,64 @@ def test_every_module_is_imported_or_is_the_entry_point():
     unused = [module for module, path in modules.items()
               if path.name != "__init__.py" and module not in used]
     assert unused == []
+
+
+#: The harness packages: what the claims, ablations and fault matrices
+#: run.  The engine (everything else under ``src/repro``) serves them but
+#: holds nothing only they use.
+HARNESS = ("repro.experiments", "repro.faults", "repro.workloads")
+
+
+def harness_only_classes(modules: dict[str, Path]) -> list[str]:
+    """``module.Class`` for each class defined at the top level of an
+    engine module that some module imports and only harness modules do
+    (a package ``__init__`` re-export is not an import of use)."""
+    tables = {module: _imports(module, path)
+              for module, path in modules.items()}
+    importers: dict[tuple[str, str | None], set[str]] = {}
+    for importer, table in tables.items():
+        if modules[importer].name == "__init__.py":
+            continue
+        for source, name in table:
+            home = _defining_module(source, name, modules, tables)
+            importers.setdefault((home, name), set()).add(importer)
+    found = []
+    for module, path in modules.items():
+        if module.startswith(HARNESS):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                users = importers.get((module, node.name), set()) - {module}
+                if users and all(user.startswith(HARNESS) for user in users):
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_no_engine_module_holds_a_harness_only_class():
+    """A class only the harness imports — an ablation baseline such as
+    round-robin scheduling or adaptive heartbeats — lives in
+    ``repro/experiments``, not in the engine."""
+    assert harness_only_classes(_modules()) == []
+
+
+def test_the_harness_only_rule_bites(tmp_path):
+    """Red on an engine class only an experiment imports; green once the
+    engine imports it too, and for a class the harness defines itself."""
+    planted = {
+        "repro.core.planted": "class PlantedBaseline:\n    pass\n",
+        "repro.faults.planted": "class PlantedSpec:\n    pass\n",
+        "repro.experiments.planted_user": (
+            "from ..core.planted import PlantedBaseline\n"
+            "from ..faults.planted import PlantedSpec\n"),
+    }
+    modules = dict(_modules())
+    for module, text in planted.items():
+        path = tmp_path / f"{module}.py"
+        path.write_text(text)
+        modules[module] = path
+    assert harness_only_classes(modules) == [
+        "repro.core.planted.PlantedBaseline"]
+    engine_user = tmp_path / "engine_user.py"
+    engine_user.write_text("from .planted import PlantedBaseline\n")
+    modules["repro.core.planted_user"] = engine_user
+    assert harness_only_classes(modules) == []

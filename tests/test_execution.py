@@ -10,9 +10,12 @@ from repro.core.errors import ExecutionError
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Map, Select, Union, WindowJoin
-from repro.core.scheduling import RoundRobinEngine
 from repro.core.tuples import TimestampKind
 from repro.core.windows import WindowSpec
+from repro.experiments.baselines import RoundRobinEngine
+from repro.faults import InvariantMonitor
+from repro.feedback import FeedbackController
+from repro.obs import Observer
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 
@@ -284,6 +287,92 @@ class TestRoundBudget:
             src.ingest({"v": i}, now=0.0)
         engine.wakeup(entry=src)  # the budget is per wake-up
         assert sink.delivered == 10
+
+
+class Edges(Observer):
+    """The wake-up's two edges, as ``(hook, round_id)``."""
+
+    def __init__(self) -> None:
+        self.log: list[tuple[str, int]] = []
+
+    def on_wakeup(self, *, round_id, **kw) -> None:
+        self.log.append(("wakeup", round_id))
+
+    def on_quiesce(self, *, round_id, **kw) -> None:
+        self.log.append(("quiesce", round_id))
+
+
+class SampledFeedback(FeedbackController):
+    """A controller that remembers the round of every ``sample``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rounds: list[int] = []
+
+    def sample(self, now: float, round_id: int) -> None:
+        self.rounds.append(round_id)
+        super().sample(now, round_id)
+
+
+class CheckedMonitor(InvariantMonitor):
+    """A monitor that remembers the instant of every ``check``."""
+
+    def __init__(self) -> None:
+        super().__init__(mode="degrade")
+        self.checked: list[float] = []
+
+    def check(self, now: float) -> int:
+        self.checked.append(now)
+        return super().check(now)
+
+
+@pytest.mark.parametrize("engine_cls", [ExecutionEngine, RoundRobinEngine])
+class TestOneWakeupEnvelope:
+    """Both engines share the wake-up around their traversal: its hooks,
+    feedback sampling, the invariant monitor and the checkpoint cadence."""
+
+    ROUNDS = 7
+
+    def drive(self, engine_cls, **kwargs):
+        g = QueryGraph("chain")
+        src = g.add_source("src")
+        m = g.add(Map("m", lambda p: p))
+        sink = g.add_sink("sink")
+        g.connect(src, m)
+        g.connect(m, sink)
+        engine = engine_cls(g, VirtualClock(), cost_model=CostModel.zero(),
+                            **kwargs)
+        for i in range(self.ROUNDS):
+            src.ingest({"v": i}, now=float(i))
+            engine.wakeup(entry=src)
+        assert sink.delivered == self.ROUNDS
+        return engine
+
+    def test_every_wakeup_emits_both_edges(self, engine_cls):
+        edges = Edges()
+        self.drive(engine_cls, observers=[edges])
+        assert edges.log == [(edge, r) for r in range(1, self.ROUNDS + 1)
+                             for edge in ("wakeup", "quiesce")]
+
+    def test_feedback_is_sampled_once_per_wakeup(self, engine_cls):
+        feedback = SampledFeedback()
+        self.drive(engine_cls, feedback=feedback)
+        assert feedback.rounds == list(range(1, self.ROUNDS + 1))
+
+    def test_the_monitor_checks_every_wakeup(self, engine_cls):
+        monitor = CheckedMonitor()
+        engine = self.drive(engine_cls, monitor=monitor)
+        assert len(monitor.checked) == self.ROUNDS
+        assert engine.stats.invariant_violations == 0
+
+    def test_the_checkpoint_hook_fires_every_checkpoint_every(
+            self, engine_cls):
+        saved: list[int] = []
+        engine = self.drive(engine_cls, checkpoint_every=3)
+        engine.checkpoint_hook = saved.append
+        for _ in range(self.ROUNDS):
+            engine.wakeup()
+        assert saved == [9, 12]
 
 
 class TestGraphAutoValidation:

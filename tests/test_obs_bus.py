@@ -27,7 +27,6 @@ from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
 from repro.obs import (
     HOOKS,
-    NULL_BUS,
     ChromeTraceExporter,
     EventBus,
     JsonlExporter,
@@ -111,12 +110,6 @@ class TestEventBus:
         assert len(bus) == 0
         bus.detach(obs)  # absent: no-op, no raise
         assert len(bus) == 0
-
-    def test_null_bus_drops_and_refuses_attach(self):
-        NULL_BUS.step(operator="x", round_id=1, time=0.0, kind="data")
-        NULL_BUS.fault(kind="degrade", operator="x", round_id=1, time=0.0)
-        with pytest.raises(TypeError):
-            NULL_BUS.attach(Observer())
 
     def test_subscription_is_decided_by_the_class(self):
         """An instance attribute named like a hook is never called: not

@@ -46,9 +46,9 @@ from repro.core.operators import (Reorder, TumblingAggregate, Union,
 from repro.core.operators import union as union_module
 from repro.core.operators.aggregate import AggSpec, Count
 from repro.core.operators.base import OpContext
-from repro.core.scheduling import RoundRobinEngine
 from repro.core.tuples import LATENT_TS, DataTuple, Punctuation, TimestampKind
 from repro.core.windows import WindowSpec
+from repro.experiments.baselines import RoundRobinEngine
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 

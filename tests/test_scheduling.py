@@ -5,7 +5,7 @@ import pytest
 from repro.core.ets import NoEts, OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.core.scheduling import RoundRobinEngine
+from repro.experiments.baselines import RoundRobinEngine
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation

@@ -28,7 +28,6 @@ from repro.core.buffers import BufferRegistry, StreamBuffer, TSMRegister
 from repro.core.columnar import ColumnarBlock
 from repro.core.errors import ReproError
 from repro.core.ets import (
-    AdaptiveHeartbeatSchedule,
     EtsPolicy,
     NoEts,
     OnDemandEts,
@@ -50,6 +49,7 @@ from repro.core.operators import (
 )
 from repro.core.tuples import LATENT_TS, DataTuple, Punctuation
 from repro.core.windows import CountWindow, TimeWindow, WindowSpec
+from repro.experiments.baselines import AdaptiveHeartbeatSchedule
 from repro.feedback.controller import FeedbackController
 from repro.feedback.throttle import TokenBucketThrottle
 

@@ -11,7 +11,7 @@ from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.core.scheduling import RoundRobinEngine
+from repro.experiments.baselines import RoundRobinEngine
 from repro.obs import Tracer, summarize
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel

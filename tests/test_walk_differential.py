@@ -252,6 +252,25 @@ def test_a_listener_hears_every_bound_hook():
     assert beats and all(kw["round_id"] >= 1 for kw in beats)
 
 
+def test_an_observer_attached_to_the_engine_later_hears_the_kernel():
+    """No observer at construction, so the engine has no bus until
+    ``attach_observer`` creates one between two ``run`` slices: the
+    kernel's arrivals and heartbeats reach it from then on, as the
+    engine's own hooks do."""
+    recorder = Recorder()
+    handles = scenario_c(scenario="B", heartbeat_rate=10.0)
+    sim = handles.sim
+    sim.run(2.0)
+    assert sim.engine.bus is None
+    sim.engine.attach_observer(recorder)
+    sim.run(4.0)
+    arrivals = [kw for hook, kw in recorder.log if hook == "on_arrival"]
+    beats = [kw for hook, kw in recorder.log
+             if hook == "on_punctuation" and kw["origin"] == "heartbeat"]
+    assert arrivals and all(2.0 <= kw["time"] <= 4.0 for kw in arrivals)
+    assert beats and all(2.0 <= kw["time"] <= 4.0 for kw in beats)
+
+
 def test_emitters_follow_attach_and_detach():
     """A listener attached straight on the bus between wake-ups is heard
     from the next wake-up on, and silent again once detached."""
