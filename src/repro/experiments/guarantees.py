@@ -19,11 +19,14 @@ import tempfile
 from pathlib import Path
 
 from ..core.ets import NoEts
+from ..core.execution import ExecutionEngine
 from ..core.graph import QueryGraph
 from ..core.tuples import TimestampKind
 from ..core.windows import WindowSpec
 from ..query.pipeline import Pipeline
+from ..recovery import RecoveryManager
 from ..shard import ElasticShardedEngine, ShardedEngine
+from ..sim.clock import VirtualClock
 from .crash import CrashConfig, CrashReport, run_crash_experiment
 
 __all__ = [
@@ -176,17 +179,50 @@ def _held(root: Path, tuples: int) -> dict[str, int]:
             "logged": logged}
 
 
+def _engine_read(root: Path, tuples: int) -> dict[str, int]:
+    """Drive the same join on one durable engine, checkpointed every 4
+    wake-ups, crash-stop it two wake-ups short of ``tuples`` arrivals and
+    recover a fresh one: the records logged, and those the recovery
+    walked."""
+    def bound():
+        graph, clock = _join_graph(), VirtualClock()
+        engine = ExecutionEngine(graph, clock, cost_model=None,
+                                 ets_policy=NoEts(), batch_size=BATCH,
+                                 checkpoint_every=4)
+        return graph, clock, engine, RecoveryManager(root).bind(
+            graph, engine, clock)
+
+    graph, clock, engine, manager = bound()
+    for index, (source, t, payload) in enumerate(
+            _feeds(tuples)[:tuples - 2 * CHUNK]):
+        clock.advance_to(t)
+        graph[source].ingest(payload, now=t, ts=t)
+        if (index + 1) % CHUNK == 0:
+            engine.wakeup()
+    manager.close()
+    logged = manager.wal.records_written
+    *_, manager = bound()
+    try:
+        manager.recover()
+    finally:
+        manager.close()
+    return {"engine_logged": logged, "engine_walked": manager.wal.walked}
+
+
 def uptime_retention(*, tuples: int = 2048, scales: tuple[int, ...] = (1, 4)
                      ) -> dict[int, dict[str, int]]:
     """S4: per history scale, the durable elastic join's retained history
     records, the records its recovery read kept and walked, and the
-    records logged —
+    records logged, then the same two counts of one durable engine's
+    recovery read (``engine_walked`` of ``engine_logged``) —
     the same plan and window, ``tuples * scale`` arrivals (a whole number
     of checkpoint intervals, so every drive ends in the same phase)."""
     out = {}
     with tempfile.TemporaryDirectory(prefix="repro-s4-") as tmp:
         for scale in scales:
-            out[scale] = _held(Path(tmp) / f"x{scale}", tuples * scale)
+            root = Path(tmp) / f"x{scale}"
+            out[scale] = {**_held(root, tuples * scale),
+                          **_engine_read(root / "engine", tuples * scale)}
     return out
 
 

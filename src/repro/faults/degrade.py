@@ -51,12 +51,16 @@ class QuarantinePolicy:
         self.raised = 0
         self._stats: EngineStats | None = None
         self._bus: EventBus | None = None
+        self._engine = None
 
     def bind(self, stats: EngineStats | None = None,
-             bus: EventBus | None = None) -> None:
-        """Mirror counters into ``stats`` and decisions onto ``bus``."""
-        self._stats = stats
+             bus: EventBus | None = None, *, engine=None) -> None:
+        """Mirror counters into ``stats`` and decisions onto ``bus``; an
+        ``engine`` supplies its stats, and without a ``bus`` its bus as it
+        is at each decision, so an observer it gains later hears them."""
+        self._stats = engine.stats if engine is not None else stats
         self._bus = bus
+        self._engine = engine
 
     @property
     def total(self) -> int:
@@ -64,9 +68,12 @@ class QuarantinePolicy:
 
     def _trace(self, source_name: str, detail: str, now: float) -> None:
         round_id = self._stats.rounds if self._stats is not None else 0
-        if self._bus is not None:
-            self._bus.fault(kind="quarantine", operator=source_name,
-                            round_id=round_id, time=now, detail=detail)
+        bus = self._bus
+        if bus is None:
+            bus = getattr(self._engine, "bus", None)
+        if bus is not None:
+            bus.fault(kind="quarantine", operator=source_name,
+                      round_id=round_id, time=now, detail=detail)
 
     def handle(self, *, source_name: str, ts: float, floor: float,
                now: float) -> float | None:

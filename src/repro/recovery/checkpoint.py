@@ -12,9 +12,9 @@ protocol, in order:
 A crash at any point leaves either the previous set of checkpoints intact
 or the new one fully present — never a half-written file under a final
 name.  Loading walks the numbered files newest-first and *falls back* past
-any file whose magic, CRC, or unpickling fails; the skipped files are
-reported so callers can raise the alarm (bus/fault events) without losing
-the ability to recover.
+any file whose magic, CRC, or unpickling fails, or that the caller's check
+refuses; the skipped files are reported so callers can raise the alarm
+(bus/fault events) without losing the ability to recover.
 
 On-disk format: the 8-byte magic ``RPCKPT01`` + ``u32 crc32(payload)`` +
 ``u32 length`` + payload (pickled state document).
@@ -30,7 +30,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..core.errors import RecoveryError
 
@@ -164,21 +164,27 @@ class CheckpointStore:
             raise RecoveryError(f"{path}: checkpoint unpickling failed "
                                 f"({exc})", path=str(path)) from exc
 
-    def load_latest(self) -> tuple[int, Any, list[tuple[int, str]]]:
-        """Newest valid checkpoint, falling back past corrupted ones.
-
-        Returns ``(number, state, skipped)`` where ``skipped`` lists
-        ``(number, reason)`` for every newer checkpoint that failed
-        validation.  Raises :class:`RecoveryError` when no checkpoint
-        validates at all.
-        """
+    def load_latest(self, refuse: Callable[[Any], str | None] | None = None,
+                    *, required: bool = True
+                    ) -> tuple[int, Any, list[tuple[int, str]]]:
+        """The one restore ladder: ``(number, state, skipped)`` for the
+        newest checkpoint that loads and that ``refuse`` gives no reason
+        against (a raise there refuses them all), ``skipped`` listing
+        ``(number, reason)`` per newer one.  With none usable, raises
+        :class:`RecoveryError` — or returns ``(0, None, skipped)`` unless
+        ``required``."""
         skipped: list[tuple[int, str]] = []
         for number in reversed(self.numbers()):
             try:
-                return number, self.load(number), skipped
+                state = self.load(number)
             except (RecoveryError, OSError) as exc:
                 skipped.append((number, str(exc)))
-        raise RecoveryError(
-            f"no valid checkpoint in {self.directory} "
-            f"({len(skipped)} corrupted)",
-            skipped=skipped)
+                continue
+            reason = None if refuse is None else refuse(state)
+            if reason is None:
+                return number, state, skipped
+            skipped.append((number, reason))
+        if required:
+            raise RecoveryError(f"no valid checkpoint in {self.directory} "
+                                f"({len(skipped)} corrupted)", skipped=skipped)
+        return 0, None, skipped

@@ -33,9 +33,10 @@ image.
 
 Checkpointing fires through the engine's ``checkpoint_hook`` (every
 ``checkpoint_every`` rounds) or explicitly via :meth:`checkpoint`; the
-image stores every component's ``snapshot_state()`` plus the WAL position,
-so recovery = restore newest valid checkpoint + replay the WAL suffix +
-suppress the first ``hwm - restored_delivered`` outputs per sink.
+image stores every component's ``snapshot_state()``, its log point and
+ingest tally, so recovery = restore the newest valid checkpoint + replay
+the WAL from its point + suppress the first ``hwm - restored_delivered``
+outputs per sink.
 
 Replay fidelity: records are applied at wake-up boundaries, exactly where
 logical-time drives (the oracles, zero-cost runs) admit them, so recovered
@@ -47,9 +48,10 @@ next boundary — same data, possibly different timing.
 from __future__ import annotations
 
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..core.errors import RecoveryError
 from ..core.execution import ExecutionEngine
@@ -64,8 +66,9 @@ __all__ = ["RecoveryManager", "RecoveryReport", "CHECKPOINT_FORMAT_VERSION"]
 #: Version of the assembled checkpoint *document* (the per-component
 #: snapshots carry their own versions on top).  Bump on any change to the
 #: document layout; recovery refuses mismatched documents rather than
-#: guessing (see DESIGN.md section 4f for the bump policy).
-CHECKPOINT_FORMAT_VERSION = 1
+#: guessing (see DESIGN.md section 4f for the bump policy).  Version 2
+#: added the log point's byte offset and the per-source ingest tally.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -131,9 +134,9 @@ def engine_state(graph: QueryGraph, engine: ExecutionEngine, clock, *,
                  sim=None, version: int = CHECKPOINT_FORMAT_VERSION,
                  **position: int) -> dict:
     """One engine's checkpoint document: every component's snapshot, the
-    clock, the per-sink delivered counts and the log ``position`` it
-    covers, under the caller's key (``wal_index``, or a shard's
-    ``position``)."""
+    clock, the per-sink delivered counts and what it covers of the log, under
+    the caller's keys (a single engine's ``wal_index``, ``wal_offset`` and
+    ``ingests``, or a shard's ``position``)."""
     operators = {op.name: op.snapshot_state() for op in graph.operators
                  if hasattr(op, "snapshot_state")}
     state = {
@@ -155,56 +158,29 @@ def engine_state(graph: QueryGraph, engine: ExecutionEngine, clock, *,
 
 
 def restore_newest(report: RecoveryReport, store: CheckpointStore,
-                   position: str, limit: int, marks: Mapping[str, int],
-                   graph: QueryGraph, engine: ExecutionEngine, clock, *,
-                   sim=None, version: int = CHECKPOINT_FORMAT_VERSION
-                   ) -> dict | None:
-    """Restore the newest checkpoint that validates and whose
-    ``state[position]`` the intact log covers (``<= limit``), then withhold
-    ``marks − checkpoint delivered`` rows per sink.
+                   refuse: Callable[[dict], str | None], graph: QueryGraph,
+                   engine: ExecutionEngine, clock, *, sim=None,
+                   version: int = CHECKPOINT_FORMAT_VERSION) -> dict | None:
+    """Restore the newest checkpoint :meth:`CheckpointStore.load_latest`
+    accepts with ``refuse``, filling ``checkpoint_number`` and ``skipped``;
+    None when there was none.  Raises :class:`RecoveryError` when every
+    checkpoint was skipped, or at one of another ``version``."""
+    def usable(state: dict) -> str | None:
+        if state.get("format") != version:  # refused, never misread
+            raise RecoveryError(
+                f"checkpoint format {state.get('format')!r} != {version} "
+                f"(see DESIGN.md §4f)")
+        return refuse(state)
 
-    Fills the report's ``checkpoint_number``, ``skipped`` and
-    ``suppressed``; returns the document restored, None when there was
-    none (replay starts from the fresh graph).  Raises
-    :class:`RecoveryError` when every checkpoint had to be skipped.
-    """
-    state = None
-    for number in reversed(store.numbers()):
-        try:
-            state = store.load(number)
-        except (RecoveryError, OSError) as exc:
-            report.skipped.append((number, str(exc)))
-            continue
-        if state.get(position, 0) <= limit:
-            report.checkpoint_number = number
-            break
-        report.skipped.append((number, f"{position} {state.get(position)} "
-                                       f"beyond the intact log ({limit})"))
-        state = None
-    delivered: Mapping[str, int] = {}
-    if state is not None:
-        _restore(state, graph, engine, clock, sim, version)
-        delivered = state["sink_delivered"]
-    elif report.skipped:
-        raise RecoveryError(
-            f"no usable checkpoint in {store.directory} "
-            f"({len(report.skipped)} skipped)", skipped=report.skipped)
-    for sink in graph.sinks():
-        count = marks.get(sink.name, 0) - delivered.get(sink.name, 0)
-        if count > 0:
-            report.suppressed[sink.name] = count
-            install_suppressor(sink, count)
-    return state
-
-
-def _restore(state: dict, graph: QueryGraph, engine: ExecutionEngine, clock,
-             sim, version: int) -> None:
-    """Restore :func:`engine_state`'s document into fresh components; one
-    of another version, graph or buffer layout is refused, not misread."""
-    if state.get("format") != version:
-        raise RecoveryError(
-            f"checkpoint format {state.get('format')!r} != {version} "
-            f"(see DESIGN.md §4f)")
+    report.checkpoint_number, state, report.skipped = store.load_latest(
+        usable, required=False)
+    if state is None:
+        if report.skipped:
+            raise RecoveryError(
+                f"no usable checkpoint in {store.directory} "
+                f"({len(report.skipped)} skipped)", skipped=report.skipped)
+        return None
+    # Into fresh components; another graph or buffer layout is refused.
     if state["graph_name"] != graph.name:
         raise RecoveryError(
             f"checkpoint is for graph {state['graph_name']!r}, "
@@ -228,6 +204,18 @@ def _restore(state: dict, graph: QueryGraph, engine: ExecutionEngine, clock,
         sim.arrivals_delivered = state["sim"]["arrivals_delivered"]
         sim.heartbeats_delivered = state["sim"]["heartbeats_delivered"]
     ensure_seq_above(_max_seq(state))
+    return state
+
+
+def withhold_delivered(report: RecoveryReport, graph: QueryGraph,
+                       marks: Mapping[str, int], state: dict | None) -> None:
+    """Withhold ``marks`` minus what the restored ``state`` delivered."""
+    delivered = state["sink_delivered"] if state is not None else {}
+    for sink in graph.sinks():
+        count = marks.get(sink.name, 0) - delivered.get(sink.name, 0)
+        if count > 0:
+            report.suppressed[sink.name] = count
+            install_suppressor(sink, count)
 
 
 def install_suppressor(sink, count: int) -> None:
@@ -268,7 +256,9 @@ class RecoveryManager:
             the store keeps its default number of checkpoints.
         bus: Optional event bus; checkpoint/recovery/fault events are
             published on it (a :class:`~repro.obs.MetricsRegistry` there
-            counts their figures).  A bound engine's bus is used by default.
+            counts their figures).  Without one they go to the bound
+            engine's bus as it is when they happen, so an observer the
+            engine gains later hears them too.
     """
 
     def __init__(self, state_dir: str | Path, *, bus=None) -> None:
@@ -284,6 +274,14 @@ class RecoveryManager:
         self.sim = None
         self._replaying = False
         self._in_wakeup = False
+        #: Ingest records logged per source: the image's tally.
+        self._ingests: Counter = Counter()
+
+    @property
+    def bus(self):
+        """The bus given, else the bound engine's current one."""
+        bus = self._bus
+        return bus if bus is not None else getattr(self.engine, "bus", None)
 
     # ------------------------------------------------------------------ #
     # Binding
@@ -303,8 +301,6 @@ class RecoveryManager:
         self.engine = engine
         self.clock = clock
         self.sim = sim
-        if self._bus is None:
-            self._bus = getattr(engine, "bus", None)
         engine.checkpoint_hook = self._round_checkpoint
         for source in graph.sources():
             self._wrap_source(source)
@@ -316,11 +312,12 @@ class RecoveryManager:
         nothing, and a logged one would raise again on every replay."""
         inner_ingest = source.ingest
         inner_inject = source.inject_punctuation
-        manager, journal = self, self.journal
+        manager, journal, tally = self, self.journal, self._ingests
 
         def ingest(payload, now, ts=None, arrival=None):
             result = inner_ingest(payload, now, ts=ts, arrival=arrival)
             if not manager._replaying:
+                tally[source.name] += 1
                 record = {
                     "kind": "ingest", "source": source.name,
                     "time": arrival if arrival is not None else now,
@@ -390,19 +387,25 @@ class RecoveryManager:
         """The full checkpoint document (every component's snapshot).
 
         Staged records go to the WAL first: their rows already sit in the
-        source buffers this image captures, so ``wal_index`` must cover
-        them.
+        source buffers this image captures, so its log point — the byte
+        ``wal_offset`` where the next frame begins and the ``wal_index``
+        records before it — must cover them, as must ``ingests``, the
+        ingest records logged per source (throttled and quarantine-dropped
+        calls included, which no source snapshot counts).
         """
         self._require_bound()
         self.journal.flush()
+        offset, records = self.wal.tell()
         return engine_state(self.graph, self.engine, self.clock, sim=self.sim,
-                            wal_index=self.wal.records_written)
+                            wal_index=records, wal_offset=offset,
+                            ingests=dict(self._ingests))
 
     def checkpoint(self) -> CheckpointInfo:
         """Write one durable checkpoint; publishes ``on_checkpoint``."""
         info = self.store.save(self.assemble_state())
-        if self._bus is not None:
-            self._bus.checkpoint(
+        bus = self.bus
+        if bus is not None:
+            bus.checkpoint(
                 number=info.number, time=self.clock.now(),
                 duration=info.duration, bytes_written=info.bytes_written,
                 wal_records=self.wal.records_written)
@@ -414,46 +417,59 @@ class RecoveryManager:
     _install_suppressor = staticmethod(install_suppressor)
 
     def _fault(self, kind: str, detail: str) -> None:
-        if self._bus is not None:
-            self._bus.fault(kind=kind, operator="recovery",
-                            round_id=self.engine.round_id,
-                            time=self.clock.now(), detail=detail)
+        bus = self.bus
+        if bus is not None:
+            bus.fault(kind=kind, operator="recovery",
+                      round_id=self.engine.round_id,
+                      time=self.clock.now(), detail=detail)
+
+    def _refuse(self, state: dict) -> str | None:
+        """Why the ladder skips an image: its log point is no boundary (a
+        torn frame there is one; an older image would re-emit its rows)."""
+        offset = state.get("wal_offset")
+        if offset is None or not self.wal.frame_at(offset, torn=True):
+            return f"log offset {offset} is no frame boundary"
+        return None
 
     def recover(self) -> RecoveryReport:
         """Crash-stop recovery: restore + replay + suppress; exactly-once.
 
         Bind a *freshly built* graph/engine first — recovery restores into
-        initial-state components.  Corrupted newer checkpoints are skipped
+        initial-state components.  Unusable newer checkpoints are skipped
         with a loud ``fault(kind="checkpoint-corrupt")`` event; only an
-        empty fallback chain raises :class:`RecoveryError`.
+        empty fallback chain raises :class:`RecoveryError`.  The log is read
+        from the restored image's point on, and only that suffix is kept.
         """
         self._require_bound()
         started = _time.perf_counter()
         report = RecoveryReport()
-
-        records, clean = self.journal.read()
-        if not clean:
-            self._fault("wal-torn-tail",
-                        f"truncated to {len(records)} records")
-        report.wal_clean = clean
-        report.wal_records = len(records)
-        for rec in records:
-            if rec.kind == "ingest":
-                report.ingests_by_source[rec["source"]] = \
-                    report.ingests_by_source.get(rec["source"], 0) + 1
-
-        marks = self.journal.marks or {}
         try:
-            state = restore_newest(report, self.store, "wal_index",
-                                   len(records), marks, self.graph,
-                                   self.engine, self.clock, sim=self.sim)
+            state = restore_newest(report, self.store, self._refuse,
+                                   self.graph, self.engine, self.clock,
+                                   sim=self.sim)
         finally:
             for number, reason in report.skipped:
                 self._fault("checkpoint-corrupt",
                             f"checkpoint {number}: {reason}")
         # No checkpoint ever completed: replay the whole WAL from the fresh
         # graph (still exactly-once via the marks records).
-        suffix = records[state["wal_index"] if state is not None else 0:]
+        start = (state["wal_offset"], state["wal_index"]) if state else (0, 0)
+        suffix = [rec for frame in self.journal.stream(start)
+                  for rec in frame]
+        report.wal_clean = self.wal.clean
+        report.wal_records = start[1] + self.wal.walked
+        if not report.wal_clean:
+            self._fault("wal-torn-tail",
+                        f"truncated to {report.wal_records} records")
+        tally = self._ingests
+        tally.clear()
+        tally.update(state["ingests"] if state else ())
+        tally.update(rec["source"] for rec in suffix if rec.kind == "ingest")
+        report.ingests_by_source = dict(tally)
+        # With no marks record past the point nothing is withheld: every
+        # earlier one counted no more rows than the image had delivered.
+        withhold_delivered(report, self.graph, self.journal.marks or {},
+                           state)
 
         sources = {s.name: s for s in self.graph.sources()}
         self._replaying = True
@@ -485,8 +501,9 @@ class RecoveryManager:
         self.journal.marks = self._sink_delivered()
 
         report.duration = _time.perf_counter() - started
-        if self._bus is not None:
-            self._bus.recovery(
+        bus = self.bus
+        if bus is not None:
+            bus.recovery(
                 checkpoint=report.checkpoint_number, time=self.clock.now(),
                 replayed=report.replayed,
                 suppressed=report.total_suppressed,

@@ -35,10 +35,10 @@ Corruption *before* the tail is indistinguishable from truncation and
 likewise ends the replay; the replayed prefix is always consistent.
 
 **Reading from a point.**  A reader that already holds what the log says
-up to some frame boundary — a sharded facade's image of its own tallies
-(DESIGN.md §4f) — passes that boundary's *log point*, ``(offset,
-records)``, to :meth:`WriteAheadLog.stream` and walks only the frames
-past it; the bytes below are not read, let alone re-validated.
+up to some frame boundary — a checkpoint, or a sharded facade's image of
+its own tallies (DESIGN.md §4f) — passes that boundary's *log point*,
+``(offset, records)``, to :meth:`WriteAheadLog.stream` and walks only the
+frames past it; the bytes below are not read, let alone re-validated.
 :meth:`WriteAheadLog.tell` gives the point where the next frame will
 begin, and :meth:`WriteAheadLog.frame_at` says whether an offset is still
 such a boundary of the file.
@@ -238,9 +238,10 @@ class WriteAheadLog:
             fp.seek(start)
             return bool(head), fp.read()
 
-    def frame_at(self, offset: int) -> bool:
+    def frame_at(self, offset: int, *, torn: bool = False) -> bool:
         """Whether the intact frames can continue at ``offset``: it is the
-        file's end, or a whole frame whose CRC matches starts there."""
+        file's end, or a whole frame whose CRC matches starts there — or,
+        if ``torn``, one torn mid-append that the read cuts off there."""
         size = self._stamp()[0]
         if not len(WAL_MAGIC) <= offset <= size:
             return False
@@ -250,10 +251,12 @@ class WriteAheadLog:
             fp.seek(offset)
             header = fp.read(_FRAME.size)
             if len(header) < _FRAME.size:
-                return False
+                return torn
             length, crc = _FRAME.unpack(header)
             payload = fp.read(length)
-        return len(payload) == length and zlib.crc32(payload) == crc
+        if len(payload) < length:
+            return torn
+        return zlib.crc32(payload) == crc
 
     @staticmethod
     def _frames(data: bytes, start: int = len(WAL_MAGIC)
@@ -287,17 +290,8 @@ class WriteAheadLog:
             yield offset, [WalRecord(member) for member in members]
 
     def replay(self) -> list[WalRecord]:
-        """Every intact record, in append order (see module docstring)."""
-        return self.replay_with_status()[0]
-
-    def replay_with_status(self) -> tuple[list[WalRecord], bool]:
-        """Intact records plus whether the log ended cleanly.
-
-        Returns ``(records, clean)`` where ``clean`` is False when a torn or
-        corrupt tail frame cut the replay short.
-        """
-        records = [rec for frame in self.stream() for rec in frame]
-        return records, self.clean
+        """Every intact record, in append order; :attr:`clean` is then set."""
+        return [rec for frame in self.stream() for rec in frame]
 
     def stream(self, offset: int = 0, records: int = 0
                ) -> Iterator[list[WalRecord]]:
@@ -454,7 +448,7 @@ class InputJournal:
     wake-up runs.  :meth:`append` writes a record at once (a row admitted
     inside a wake-up); :meth:`mark` appends a ``marks`` record when the
     delivered counts changed; :meth:`cut` stages a ``cut`` record after a
-    checkpoint; :meth:`stream` and :meth:`read` take the intact log back.
+    checkpoint; :meth:`stream` takes the intact log back from a point.
     Without a ``path`` nothing is written.  With a ``history``, every
     staged command also goes there, and each cut trims it to the live
     suffix of the cut's floor (see :class:`CommandHistory`).
@@ -568,12 +562,6 @@ class InputJournal:
         self.marks = marks
         if history is not None:
             history.records += staged
-
-    def read(self) -> tuple[list[WalRecord], bool]:
-        """The intact records and whether the log ended cleanly, as
-        :meth:`stream` takes them."""
-        records = [rec for frame in self.stream() for rec in frame]
-        return records, self.wal.clean
 
     def close(self) -> None:
         """Release the file handle; staged records are not written."""

@@ -43,7 +43,8 @@ from ..core.errors import ReproError
 from ..core.execution import ExecutionEngine
 from ..core.tuples import TimestampKind
 from ..recovery.checkpoint import CheckpointStore
-from ..recovery.manager import RecoveryReport, engine_state, restore_newest
+from ..recovery.manager import (RecoveryReport, engine_state, restore_newest,
+                                withhold_delivered)
 from ..sim.clock import VirtualClock
 from .frontier import shard_frontier
 
@@ -281,9 +282,17 @@ class EngineShard:
         if self.store is None:
             raise ShardError(f"shard {self.index} has no state_dir")
         started = _time.perf_counter()
-        state = restore_newest(report, self.store, "position", limit, marks,
-                               self.graph, self.engine, self.clock,
+
+        def refuse(image: dict) -> str | None:
+            if image.get("position", 0) <= limit:
+                return None
+            return (f"position {image['position']} beyond the intact log "
+                    f"({limit})")
+
+        state = restore_newest(report, self.store, refuse, self.graph,
+                               self.engine, self.clock,
                                version=SHARD_CHECKPOINT_FORMAT)
+        withhold_delivered(report, self.graph, marks, state)
         if state is not None:
             self.position = state["position"]
         report.duration = _time.perf_counter() - started

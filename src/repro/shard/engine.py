@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
 from ..core.config import EngineConfig
-from ..core.errors import GraphError, RecoveryError, ReproError, TimestampError
+from ..core.errors import GraphError, ReproError, TimestampError
 from ..core.tuples import LATENT_TS
 from ..obs.bus import EventBus
 from ..recovery.checkpoint import CheckpointStore
@@ -106,17 +107,6 @@ class ShardedRecoveryReport:
         return any(r.fallback for r in self.reports)
 
 
-def _past(frames, position: int):
-    """The records of ``frames`` from the one after the ``position``-th
-    wake-up record."""
-    for frame in frames:
-        for rec in frame:
-            if position <= 0:
-                yield rec
-            elif rec["kind"] == "wakeup":
-                position -= 1
-
-
 def log_segments(records):
     """The logged wake-ups in order, each as ``(ingests, puncts, wakeup)``:
     the ingest and punctuation commands since the previous wake-up record,
@@ -142,6 +132,17 @@ FACADE_IMAGE_FORMAT = 1
 #: log.
 _GENESIS = {"position": 0, "offset": 0, "records": 0, "ingests": {},
             "highs": {}, "mark": None, "now": 0.0, "history": None}
+
+
+def _refuse_image(wal, image, limit: float = float("inf")) -> str | None:
+    """Why ``image`` is no rung of the facade's ladder (None: usable)."""
+    if not (isinstance(image, dict)
+            and image.get("format") == FACADE_IMAGE_FORMAT
+            and image["position"] <= limit):
+        return f"no format-{FACADE_IMAGE_FORMAT} image at or below {limit}"
+    if not wal.frame_at(image["offset"]):
+        return f"offset {image['offset']} is no frame boundary"
+    return None
 
 
 @dataclass(slots=True)
@@ -504,23 +505,6 @@ class ShardedEngine:
                 "mark": self._marked, "now": now,
                 "history": None if history is None else history.image()}
 
-    def _image_at(self, limit: int | None = None) -> dict | None:
-        """The newest facade image (at a position up to ``limit``) that
-        loads and whose offset the log still has as a frame boundary;
-        None when there is none."""
-        store, wal = self._images, self.journal.wal
-        for number in reversed(store.numbers()):
-            try:
-                image = store.load(number)
-            except (RecoveryError, OSError):
-                continue
-            if (isinstance(image, dict)
-                    and image.get("format") == FACADE_IMAGE_FORMAT
-                    and (limit is None or image["position"] <= limit)
-                    and wal.frame_at(image["offset"])):
-                return image
-        return None
-
     def _read_log(self) -> _FacadeLog:
         """Take what recovery needs before any shard is restored (see
         :class:`_FacadeLog`): the newest usable facade image's tallies plus
@@ -530,7 +514,9 @@ class ShardedEngine:
         commands past the image are kept for the shards' suffixes."""
         if self.journal is None or self.journal.wal is None:
             raise ShardError("recovery needs a state_dir")
-        image = self._image_at() or _GENESIS
+        wal = self.journal.wal
+        image = self._images.load_latest(
+            partial(_refuse_image, wal), required=False)[1] or _GENESIS
         tally = Counter(image["ingests"])
         log = _FacadeLog([{}] * self.shard_count, [], tally,
                          mark=image["mark"], base=image["position"],
@@ -542,7 +528,6 @@ class ShardedEngine:
         for source, high in image["highs"].items():
             if source in ordered and high > ordered[source]:
                 ordered[source] = high
-        wal = self.journal.wal
         for frame in self.journal.stream(
                 (image["offset"], image["records"]), image=image["history"],
                 marks=None if log.mark is None else log.mark[1]):
@@ -600,16 +585,19 @@ class ShardedEngine:
         if first >= log.base:
             start = log.wakeups[first - log.base - 1] + 1 \
                 if first > log.base else 0
-            records = log.records[start:]
+            segments = log_segments(log.records[start:])
         else:  # the slow path: walk the log again from an older image
-            image = self._image_at(first) or _GENESIS
-            records = _past(self.journal.wal.stream(image["offset"],
-                                                    image["records"]),
-                            first - image["position"])
+            wal = self.journal.wal
+            image = self._images.load_latest(
+                partial(_refuse_image, wal, limit=first),
+                required=False)[1] or _GENESIS
+            segments = islice(log_segments(chain.from_iterable(wal.stream(
+                image["offset"], image["records"]))),
+                first - image["position"], None)
         suffixes: dict[int, list[tuple]] = {index: [] for index in positions}
         route = self.partitioner.shard_for_payload
-        for position, (rows, puncts, wakeup) in enumerate(
-                log_segments(records), first + 1):
+        for position, (rows, puncts, wakeup) in enumerate(segments,
+                                                          first + 1):
             routed = {index: [] for index, restored in positions.items()
                       if restored < position}
             for row in rows:

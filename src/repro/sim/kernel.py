@@ -124,7 +124,7 @@ class Simulation:
         self.monitor = monitor
         self.quarantine = quarantine
         if quarantine is not None:
-            quarantine.bind(stats=self.engine.stats, bus=self.engine.bus)
+            quarantine.bind(engine=self.engine)
             for source in graph.sources():
                 source.quarantine = quarantine
         #: The feedback controller (if any) — the same object the engine

@@ -10,7 +10,7 @@ from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import EngineStats
 from repro.core.tuples import TimestampKind
 from repro.faults import FaultPlan, QuarantinePolicy, SourceOutage
-from repro.obs import EventBus, Tracer
+from repro.obs import EventBus, Observer, Tracer
 from repro.query.pipeline import Pipeline
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals
@@ -144,6 +144,30 @@ class TestKernelIntegration:
         sim = Simulation(graph, ets_policy=NoEts(), quarantine=quarantine)
         assert fast.quarantine is quarantine
         assert slow.quarantine is quarantine
+
+    def test_an_observer_attached_later_hears_quarantine(self):
+        """The kernel binds the policy to the engine, not to its bus as it
+        was at construction (None without observers): an observer the
+        engine gains later hears every quarantine decision."""
+        class Faults(Observer):
+            def __init__(self):
+                self.kinds = []
+
+            def on_fault(self, *, kind, **_):
+                self.kinds.append(kind)
+
+        graph, fast, _, _ = build(TimestampKind.EXTERNAL)
+        quarantine = QuarantinePolicy("drop")
+        sim = Simulation(graph, ets_policy=NoEts(), cost_model=None,
+                         quarantine=quarantine)
+        heard = Faults()
+        sim.engine.attach_observer(heard)
+        sim.attach_arrivals(fast, iter([
+            Arrival(time=0.1, external_ts=2.0, payload={"seq": 0}),
+            Arrival(time=0.2, external_ts=1.0, payload={"seq": 1})]))
+        sim.run(until=1.0)
+        assert sim.engine.stats.quarantine_dropped == 1
+        assert heard.kinds.count("quarantine") == 1
 
     def test_skew_spike_lands_in_quarantine_not_crash(self):
         """Clock skew past external_delta under on-demand ETS: the ETS

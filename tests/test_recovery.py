@@ -9,6 +9,7 @@ observability wiring (bus events, metrics registry counters).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import pickle
 import struct
@@ -26,6 +27,8 @@ from repro.core.graph import QueryGraph
 from repro.core.operators import WindowJoin
 from repro.core.tuples import TimestampKind
 from repro.core.windows import WindowSpec
+from repro.faults import QuarantinePolicy
+from repro.feedback.throttle import TokenBucketThrottle
 from repro.obs import EventBus, MetricsRegistry, Observer
 from repro.recovery import (
     CHECKPOINT_FORMAT_VERSION,
@@ -54,18 +57,18 @@ class TestWriteAheadLog:
         for rec in records:
             wal.append(rec)
         wal.close()
-        replayed, clean = WriteAheadLog(tmp_path / "wal.log") \
-            .replay_with_status()
+        log = WriteAheadLog(tmp_path / "wal.log")
+        replayed, clean = log.replay(), log.clean
         assert clean
         assert [dict(r) for r in replayed] == records
         assert [r.kind for r in replayed] == ["ingest", "punct", "marks"]
 
     def test_missing_or_empty_log_replays_clean(self, tmp_path):
-        assert WriteAheadLog(tmp_path / "absent.log") \
-            .replay_with_status() == ([], True)
+        absent = WriteAheadLog(tmp_path / "absent.log")
+        assert (absent.replay(), absent.clean) == ([], True)
         (tmp_path / "empty.log").write_bytes(b"")
-        assert WriteAheadLog(tmp_path / "empty.log") \
-            .replay_with_status() == ([], True)
+        empty = WriteAheadLog(tmp_path / "empty.log")
+        assert (empty.replay(), empty.clean) == ([], True)
 
     def test_append_requires_kind(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
@@ -80,7 +83,8 @@ class TestWriteAheadLog:
         wal.close()
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])  # crash mid-append: torn final frame
-        records, clean = WriteAheadLog(path).replay_with_status()
+        log = WriteAheadLog(path)
+        records, clean = log.replay(), log.clean
         assert not clean
         assert [r["seq"] for r in records] == [0, 1, 2, 3]
 
@@ -93,7 +97,8 @@ class TestWriteAheadLog:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # corruption before the tail
         path.write_bytes(bytes(blob))
-        records, clean = WriteAheadLog(path).replay_with_status()
+        log = WriteAheadLog(path)
+        records, clean = log.replay(), log.clean
         assert not clean
         assert len(records) < 4
 
@@ -110,7 +115,8 @@ class TestWriteAheadLog:
         # The log is clean again and appendable past the cut.
         fresh.append({"kind": "ingest", "source": "s", "seq": 99})
         fresh.close()
-        records, clean = WriteAheadLog(path).replay_with_status()
+        log = WriteAheadLog(path)
+        records, clean = log.replay(), log.clean
         assert clean
         assert [r["seq"] for r in records] == [0, 1, 2, 3, 99]
 
@@ -187,7 +193,8 @@ class TestWriteAheadLog:
             blob += struct.pack("<II", len(payload), zlib.crc32(payload))
             blob += payload
         path.write_bytes(blob)
-        assert WriteAheadLog(path).replay_with_status() == (records, True)
+        log = WriteAheadLog(path)
+        assert (log.replay(), log.clean) == (records, True)
         wal = WriteAheadLog(path)
         wal.append([{"kind": "wakeup"}, {"kind": "marks"}])
         assert wal.records_written == 6
@@ -222,13 +229,15 @@ class TestWriteAheadLog:
         survivors = (records if damage == "clean"
                      else records[:-len(frames[-1])])
 
-        replayed, clean = WriteAheadLog(path).replay_with_status()
+        log = WriteAheadLog(path)
+        replayed, clean = log.replay(), log.clean
         assert replayed == survivors
         assert clean == (damage == "clean")
         truncating = WriteAheadLog(path)
         assert truncating.truncate_to_valid() == len(survivors)
         assert truncating.records_written == len(survivors)
-        assert WriteAheadLog(path).replay_with_status() == (survivors, True)
+        log = WriteAheadLog(path)
+        assert (log.replay(), log.clean) == (survivors, True)
         truncating.append({"kind": "marks", "marks": {}})
         truncating.close()
         assert len(WriteAheadLog(path).replay()) == len(survivors) + 1
@@ -454,6 +463,34 @@ class TestRecoveryManager:
             == report.replayed
         manager2.close()
 
+    def test_an_observer_attached_later_hears_checkpoints(self, tmp_path):
+        """Without a ``bus=`` the manager publishes on the engine's bus as
+        it is at each event: an observer attached after ``bind`` (the
+        engine had none, so no bus) hears the checkpoints and the
+        recovery."""
+        class Heard(Observer):
+            def __init__(self):
+                self.events = []
+
+            def on_checkpoint(self, **kw):
+                self.events.append("checkpoint")
+
+            def on_recovery(self, **kw):
+                self.events.append("recovery")
+
+        graph, clock, engine, manager = _bound_manager(tmp_path)
+        assert engine.bus is None
+        heard = Heard()
+        engine.attach_observer(heard)
+        _feed(graph, clock, engine)
+        manager.checkpoint()
+        manager.close()
+        graph2, clock2, engine2, manager2 = _bound_manager(tmp_path)
+        engine2.attach_observer(heard)
+        manager2.recover()
+        manager2.close()
+        assert heard.events == ["checkpoint", "recovery"]
+
     def test_metrics_registry_counters(self, tmp_path):
         registry = MetricsRegistry()
         bus = EventBus().attach(registry)
@@ -511,8 +548,9 @@ class TestRecoveryManager:
         assert not report.wal_clean
         # Post-truncation the log replays cleanly.
         manager2.close()
-        _, clean = WriteAheadLog(wal_path).replay_with_status()
-        assert clean
+        log = WriteAheadLog(wal_path)
+        log.replay()
+        assert log.clean
 
     def test_one_frame_per_wakeup_and_marks_after(self, tmp_path):
         """Ingests ride in their wake-up's group frame; nothing is on disk
@@ -732,3 +770,187 @@ def test_restore_draws_seqs_above_the_window_columns(tmp_path):
         manager2.close()
     finally:
         _tuples.ensure_seq_above(saved)
+
+
+# --------------------------------------------------------------------- #
+# The single engine reads the log from its checkpoint's log point
+
+
+def _tally_pipes(state_dir):
+    """Two sources straight into their sinks, checkpointed every ten
+    wake-ups: ``fast`` behind a throttle that refuses every other call,
+    ``ext`` behind a quarantine that drops each regressed stamp — calls
+    the log holds and no source snapshot counts."""
+    graph = QueryGraph("tally")
+    fast = graph.add_source("fast")
+    ext = graph.add_source("ext", TimestampKind.EXTERNAL)
+    graph.connect(fast, graph.add_sink("fast_out"))
+    graph.connect(ext, graph.add_sink("ext_out"))
+    fast.throttle = TokenBucketThrottle(0.5, capacity=1.0)
+    ext.quarantine = QuarantinePolicy("drop")
+    clock = VirtualClock()
+    engine = ExecutionEngine(graph, clock, cost_model=None,
+                             ets_policy=NoEts(), checkpoint_every=10)
+    manager = RecoveryManager(state_dir).bind(graph, engine, clock)
+    return graph, clock, engine, manager
+
+
+def _drive_pipes(graph, clock, engine, wakeups, start=0):
+    for i in range(start, start + wakeups):
+        clock.advance_to(float(i))
+        graph["fast"].ingest({"i": i}, now=clock.now())
+        # every third stamp regresses below the last one: dropped
+        graph["ext"].ingest({"i": i}, now=clock.now(),
+                            ts=float(i - 5 if i % 3 == 2 else i))
+        engine.wakeup()
+
+
+def _full_read(state_dir) -> tuple[int, dict[str, int]]:
+    """Records and ingests per source of the whole log, from byte 0."""
+    records = WriteAheadLog(state_dir / "wal.log").replay()
+    return len(records), dict(collections.Counter(
+        rec["source"] for rec in records if rec.kind == "ingest"))
+
+
+def _recover_pipes(state_dir):
+    graph, clock, engine, manager = _tally_pipes(state_dir)
+    return graph, clock, engine, manager, manager.recover()
+
+
+def test_the_recovery_read_is_flat_in_uptime(tmp_path):
+    """At 1x and 4x uptime, with the same checkpoint cadence, recovery
+    walks the same records: only those past the newest checkpoint's log
+    point.  The log's length and per-source ingest counts still come out
+    as a full read finds them — throttled and quarantine-dropped calls
+    included — and a second crash after the recovery counts on from
+    there."""
+    walked, logged = {}, {}
+    for scale in (1, 4):
+        state_dir = tmp_path / f"x{scale}"
+        graph, clock, engine, manager = _tally_pipes(state_dir)
+        _drive_pipes(graph, clock, engine, 120 * scale + 5)
+        assert graph["fast"].throttled_count > 0
+        assert graph["ext"].quarantine.dropped > 0
+        manager.close()
+        logged[scale] = manager.wal.records_written
+
+        graph, clock, engine, manager, report = _recover_pipes(state_dir)
+        walked[scale] = manager.wal.walked
+        assert report.checkpoint_number > 0
+        assert (report.wal_records, report.ingests_by_source) \
+            == _full_read(state_dir)
+        assert report.ingests_by_source == {"fast": 120 * scale + 5,
+                                            "ext": 120 * scale + 5}
+        _drive_pipes(graph, clock, engine, 17, start=120 * scale + 5)
+        manager.close()
+
+        *_, manager, again = _recover_pipes(state_dir)
+        manager.close()
+        assert (again.wal_records, again.ingests_by_source) \
+            == _full_read(state_dir)
+        assert again.ingests_by_source["fast"] == 120 * scale + 22
+    assert logged[4] > 3.5 * logged[1]
+    assert 0 < walked[1] and abs(walked[4] - walked[1]) <= 0.1 * walked[1]
+
+
+def _checkpointed_pipes(state_dir, wakeups=45):
+    graph, clock, engine, manager = _tally_pipes(state_dir)
+    _drive_pipes(graph, clock, engine, wakeups)
+    manager.close()
+    return manager.store
+
+
+def test_a_corrupt_newest_checkpoint_reads_from_the_older_point(
+        tmp_path, monkeypatch):
+    state_dir = tmp_path / "state"
+    store = _checkpointed_pipes(state_dir)
+    older, newest = store.numbers()[-2:]
+    path = store.path_for(newest)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    image = store.load(older)
+    size = (state_dir / "wal.log").stat().st_size
+    walks = count_walks(monkeypatch)
+
+    *_, manager, report = _recover_pipes(state_dir)
+    manager.close()
+    assert report.checkpoint_number == older
+    assert [number for number, _ in report.skipped] == [newest]
+    assert walks == [size - image["wal_offset"]]
+    assert manager.wal.walked == report.wal_records - image["wal_index"]
+    assert report.replayed == manager.wal.walked
+    assert (report.wal_records, report.ingests_by_source) \
+        == _full_read(state_dir)
+
+
+def test_a_checkpoint_past_a_truncated_log_is_skipped(tmp_path):
+    """A log cut below the newest checkpoint's point — at the older one's
+    — leaves the newest no frame boundary to start from: it is skipped
+    with that reason, and the older one is restored."""
+    state_dir = tmp_path / "state"
+    store = _checkpointed_pipes(state_dir)
+    older, newest = store.numbers()[-2:]
+    log = state_dir / "wal.log"
+    log.write_bytes(log.read_bytes()[:store.load(older)["wal_offset"]])
+
+    *_, manager, report = _recover_pipes(state_dir)
+    manager.close()
+    assert report.checkpoint_number == older
+    assert report.wal_clean
+    [(number, reason)] = report.skipped
+    assert number == newest and "no frame boundary" in reason
+    assert report.replayed == manager.wal.walked == 0
+    assert (report.wal_records, report.ingests_by_source) \
+        == _full_read(state_dir)
+
+
+def test_a_torn_frame_at_the_newest_point_keeps_that_checkpoint(tmp_path):
+    """A crash tearing the ``marks`` frame that follows a checkpointing
+    wake-up leaves a torn tail at the checkpoint's log point.  That is
+    still where the intact frames end: the checkpoint is restored and
+    nothing replayed, where an older one would replay that wake-up and
+    re-emit the rows the lost ``marks`` record counted."""
+    state_dir = tmp_path / "state"
+    store = _checkpointed_pipes(state_dir, wakeups=40)
+    log = state_dir / "wal.log"
+    data = log.read_bytes()
+    *_, (start, _), (end, [marks]) = [
+        (end, frame) for end, frame in WriteAheadLog._frames(data)]
+    assert marks.kind == "marks"
+    assert start == store.load(store.numbers()[-1])["wal_offset"]
+    log.write_bytes(data[:(start + end) // 2])
+
+    graph, *_, manager, report = _recover_pipes(state_dir)
+    manager.close()
+    assert report.checkpoint_number == store.numbers()[-1]
+    assert not report.skipped and not report.wal_clean
+    assert report.replayed == 0 and report.suppressed == {}
+    assert graph["ext_out"].delivered == 27  # every third ``ext`` dropped
+
+
+def test_every_checkpoint_corrupt_still_raises(tmp_path):
+    state_dir = tmp_path / "state"
+    store = _checkpointed_pipes(state_dir)
+    for number in store.numbers():
+        store.path_for(number).write_bytes(b"garbage")
+    graph, clock, engine, manager = _tally_pipes(state_dir)
+    with pytest.raises(RecoveryError, match="no usable checkpoint") as exc:
+        manager.recover()
+    manager.close()
+    assert len(exc.value.fields["skipped"]) == len(store.numbers())
+
+
+def test_a_format1_checkpoint_is_refused(tmp_path):
+    """A document of the parent format (no log offset, no ingest tally)
+    is refused loudly, never restored or passed over."""
+    state_dir = tmp_path / "state"
+    store = _checkpointed_pipes(state_dir)
+    state = store.load(store.numbers()[-1])
+    assert state["format"] == CHECKPOINT_FORMAT_VERSION == 2
+    del state["wal_offset"], state["ingests"]
+    store.save({**state, "format": 1})
+    graph, clock, engine, manager = _tally_pipes(state_dir)
+    with pytest.raises(RecoveryError, match="checkpoint format 1 != 2"):
+        manager.recover()
+    manager.close()

@@ -169,6 +169,15 @@ class TestValidator:
         assert [(r.id, claim in r.claim) for r in failed] \
             == [(claim_id, True)]
 
+    def test_a_single_engine_read_that_grows_fails_s4(self, guaranteed):
+        """S4's other half: one durable engine whose recovery walks a
+        read that grows with uptime fails the row, and no other."""
+        broken = copy.deepcopy(guaranteed)
+        broken["S4"][4]["engine_walked"] = broken["S4"][4]["engine_logged"]
+        failed = [r.id for r in validate_guarantee_claims(broken)
+                  if not r.passed]
+        assert failed == ["S4"]
+
     @pytest.mark.parametrize("tuples", [40, 90])
     def test_a_reshard_check_that_resharded_nothing_fails(self, guaranteed,
                                                            tuples):
