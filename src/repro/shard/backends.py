@@ -17,10 +17,10 @@ differ in *where* ``EngineShard.apply`` runs:
   total scan-join probe work drops by ~P); what it delivers in wall-clock
   terms is ``shard.engine.thread_p2_tuples_per_s`` on the ``sharded-join``
   workload of ``benchmarks/e2e``.
-* :class:`ProcessBackend` — forked worker processes speaking a small
-  command protocol over pipes.  Every receive carries a timeout so a
-  deadlocked or dead shard fails the caller fast
-  (:class:`ShardTimeoutError`) instead of hanging the suite.
+* :class:`ProcessBackend` — P−1 forked workers on pipes while the caller
+  runs shard 0.  Every receive polls first while each process has a CPU
+  (:data:`SPIN_S`) and carries a timeout, so a deadlocked or dead shard
+  fails the caller fast (:class:`ShardTimeoutError`), not hangs the suite.
 
 All backends run with ``cost_model=None``: virtual time is driven by the
 feed schedule alone, which is what makes sharded output bit-comparable to
@@ -30,6 +30,7 @@ a single-engine run.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 import time as _time
 import traceback
@@ -71,6 +72,9 @@ RETRY_JITTER = 0.25
 RETRY_SEED = 0
 assert RETRY_BASE >= 1.0, "backoff must not shrink"
 assert RETRY_JITTER >= 0.0, "jitter only ever lengthens a wait"
+
+#: Seconds a pipe wait polls before it sleeps (see :class:`ProcessBackend`).
+SPIN_S = 0.002
 
 
 class ShardError(ReproError):
@@ -415,49 +419,66 @@ class ThreadBackend(SerialBackend):
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _shard_worker(conn, index: int, build, kwargs: dict) -> None:
+def _wait(conn, timeout: float | None, spin: float) -> bool:
+    """``conn.poll(timeout)`` after polling for up to ``spin`` seconds."""
+    deadline = _time.perf_counter() + spin
+    while spin:  # at least one look, however late this process ran
+        if conn.poll():
+            return True
+        if _time.perf_counter() >= deadline:
+            break
+    return conn.poll(timeout)
+
+
+def _run_op(shard: EngineShard, message: tuple):
+    """One protocol command on ``shard``, returning its reply: the one op
+    table of the worker loop and of the process backend's caller shard."""
+    op, args = message[0], message[1:]
+    if op == "restore":  # the report goes back filled in
+        return shard.restore(*args), args[2]
+    if op == "close":
+        return None
+    if op not in ("apply", "checkpoint", "replay", "summary"):
+        raise ShardError(f"unknown shard op {op!r}")
+    return getattr(shard, op)(*args)
+
+
+def _shard_worker(conn, index: int, build, kwargs: dict, spin: float) -> None:
     """Worker-process command loop (fork start method: args not pickled)."""
     shard = EngineShard(index, build, **kwargs)
     while True:
         try:
+            _wait(conn, None, spin)
             message = conn.recv()
         except EOFError:
             break
-        op = message[0]
         try:
-            if op == "apply":
-                conn.send(("ok", shard.apply(*message[1:])))
-            elif op == "checkpoint":
-                conn.send(("ok", shard.checkpoint()))
-            elif op == "restore":  # the report goes back filled in
-                conn.send(("ok", (shard.restore(*message[1:]), message[3])))
-            elif op == "replay":
-                conn.send(("ok", shard.replay(*message[1:])))
-            elif op == "summary":
-                conn.send(("ok", shard.summary()))
-            elif op == "close":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("err", f"unknown shard op {op!r}"))
+            conn.send(("ok", _run_op(shard, message)))
         except Exception:  # noqa: BLE001 - crossing a process boundary
             conn.send(("err", traceback.format_exc()))
+        if message[0] == "close":
+            break
 
 
 class ProcessBackend:
-    """Forked worker processes, one per shard, driven over pipes.
+    """Shard 0 in the caller, shards 1…P−1 in forked worker processes
+    driven over pipes (at P = 1, one worker).
 
-    Requires the ``fork`` start method (the graph factory and ETS policy
-    factory travel by inheritance, not pickling), so this backend is
-    POSIX-only.  Every reply is awaited with ``op_timeout``; a shard that
-    misses it is re-polled up to ``retry_limit`` times with exponential
-    backoff — attempt ``i`` waits ``op_timeout * min(RETRY_CAP,
-    RETRY_BASE**i)`` stretched by up to ``RETRY_JITTER`` of deterministic
-    seeded jitter (so concurrent shard re-polls decorrelate without
-    breaking replayability) — a transient stall (GC pause, scheduler
-    hiccup, cold page-in) recovers without losing the worker, and only a
-    shard that exhausts the retries is terminated and raised as
-    :class:`ShardTimeoutError` / :class:`ShardError`.
+    Requires the ``fork`` start method (factories travel by inheritance,
+    not pickling), so it is POSIX-only.  A call sends the workers their
+    messages, runs shard 0's in the caller through the workers' op table,
+    then reads every reply, each awaited with ``op_timeout``; a worker
+    that misses it is re-polled up to ``retry_limit`` times, attempt ``i``
+    waiting ``op_timeout * min(RETRY_CAP, RETRY_BASE**i)`` stretched by up
+    to ``RETRY_JITTER`` of seeded jitter (a GC pause or cold page-in
+    recovers), and one that exhausts them is terminated and raised as
+    :class:`ShardTimeoutError`.  The caller's shard is bounded as a serial
+    shard is, by ``max_steps_per_round``; ``crash_shard`` still needs an
+    in-process backend.
+
+    ``spin`` is :data:`SPIN_S` while the processes (workers and caller) fit
+    the usable CPUs, else 0: polling skips a sleeper's ~0.15–0.19 ms
+    wake-up, but on a CPU it shares it steals a worker's time.
 
     Attributes:
         retries: Total re-poll attempts across all shards and operations.
@@ -479,23 +500,30 @@ class ProcessBackend:
             raise ReproError(
                 "the process backend needs the 'fork' start method; "
                 "use backend='thread' on this platform") from None
+        self.shard_count = shard_count
         self.op_timeout = op_timeout
         self.retry_limit = max(0, int(retry_limit))
         self._retry_rng = random.Random(f"shard-retry:{RETRY_SEED}")
         self.retries = 0
         self.on_retry: Callable[[int, str, int, float], None] | None = None
-        self._conns = []
-        self._procs = []
-        for index in range(shard_count):
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        self.spin = SPIN_S if max(shard_count, 2) <= cpus else 0.0
+        self._conns, self._procs = {}, {}  # by shard index
+        for index in range(1 if shard_count > 1 else 0, shard_count):
             parent, child = ctx.Pipe()
             build, kwargs = make_args(index)
             proc = ctx.Process(
-                target=_shard_worker, args=(child, index, build, kwargs),
+                target=_shard_worker,
+                args=(child, index, build, kwargs, self.spin),
                 daemon=True, name=f"repro-shard-{index}")
             proc.start()
             child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
+            self._conns[index] = parent
+            self._procs[index] = proc
+        build, kwargs = make_args(0)  # after the fork: no worker copies it
+        self._local = (EngineShard(0, build, **kwargs)
+                       if 0 not in self._conns else None)
 
     def _send(self, index: int, message: tuple) -> None:
         try:
@@ -507,7 +535,7 @@ class ProcessBackend:
 
     def _recv(self, index: int, op: str):
         conn = self._conns[index]
-        answered = conn.poll(self.op_timeout)
+        answered = _wait(conn, self.op_timeout, self.spin)
         attempt = 0
         while not answered and attempt < self.retry_limit:
             attempt += 1
@@ -526,25 +554,32 @@ class ProcessBackend:
         try:
             status, value = conn.recv()
         except EOFError:
-            raise ShardError(f"shard {index} died executing {op!r}") \
-                from None
+            raise ShardError(f"shard {index} died executing {op!r}") from None
         if status != "ok":
             raise ShardError(f"shard {index} failed {op!r}:\n{value}")
         return value
 
     def _call_all(self, messages: Sequence[tuple]) -> list:
-        """Send every shard its message, then read *every* reply before
-        raising the first failure — a reply left in a pipe would answer
-        the next call and desynchronise that shard for good."""
+        """Send every worker its message, run shard 0's in the caller, then
+        read *every* reply before raising the first failure — a reply left
+        in a pipe would answer the next call and desynchronise that shard
+        for good."""
         failure: ShardError | None = None
         sent = []
-        for index, message in enumerate(messages):
+        for index in self._conns:
             try:
-                self._send(index, message)
+                self._send(index, messages[index])
                 sent.append(index)
             except ShardError as exc:
                 failure = failure or exc
         results = []
+        if self._local is not None:
+            try:
+                results.append(_run_op(self._local, messages[0]))
+            except Exception:  # noqa: BLE001 - reported as a worker's is
+                failure = failure or ShardError(
+                    f"shard 0 failed {messages[0][0]!r}:\n"
+                    f"{traceback.format_exc()}")
         for index in sent:
             try:
                 results.append(self._recv(index, messages[index][0]))
@@ -559,7 +594,7 @@ class ProcessBackend:
                                for command in commands])
 
     def checkpoint_all(self) -> list:
-        return self._call_all([("checkpoint",)] * len(self._conns))
+        return self._call_all([("checkpoint",)] * self.shard_count)
 
     def restore_all(self, args: Sequence[tuple]) -> list[tuple]:
         return self._call_all([("restore",) + tuple(a) for a in args])
@@ -568,10 +603,10 @@ class ProcessBackend:
         return self._call_all([("replay",) + tuple(a) for a in args])
 
     def summaries(self) -> list[ShardSummary]:
-        return self._call_all([("summary",)] * len(self._conns))
+        return self._call_all([("summary",)] * self.shard_count)
 
     def close(self) -> None:
-        for index, conn in enumerate(self._conns):
+        for conn in self._conns.values():
             try:
                 conn.send(("close",))
                 if conn.poll(self.op_timeout):
@@ -579,7 +614,7 @@ class ProcessBackend:
             except (BrokenPipeError, OSError):
                 pass
             conn.close()
-        for proc in self._procs:
+        for proc in self._procs.values():
             proc.join(timeout=self.op_timeout)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
@@ -596,16 +631,11 @@ def make_backend(kind: str, shard_count: int, *,
     """Construct a backend by name (the facade's single switch point)."""
     if kind in ("serial", "thread"):
         cls = SerialBackend if kind == "serial" else ThreadBackend
-
-        def make_shard(index: int) -> EngineShard:
-            return EngineShard(index, build, **shard_kwargs(index))
-
-        return cls(shard_count, make_shard, op_timeout=op_timeout)
+        return cls(shard_count, lambda index: EngineShard(
+            index, build, **shard_kwargs(index)), op_timeout=op_timeout)
     if kind == "process":
-        def make_args(index: int):
-            return build, shard_kwargs(index)
-
-        return ProcessBackend(shard_count, make_args, op_timeout=op_timeout,
-                              retry_limit=retry_limit)
+        return ProcessBackend(shard_count, lambda index: (
+            build, shard_kwargs(index)), op_timeout=op_timeout,
+            retry_limit=retry_limit)
     raise ReproError(f"unknown shard backend {kind!r}; "
                      f"expected one of {BACKENDS}")

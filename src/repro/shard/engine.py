@@ -191,7 +191,7 @@ class ShardedEngine:
         backend: ``"serial"`` (the default and the reference the oracles
             compare against), ``"thread"``, or ``"process"``.
         op_timeout: Per-shard operation timeout (seconds) enforced by the
-            thread and process backends.
+            thread backend and on the process backend's worker shards.
         disorder_bound: Frontier slack for out-of-order sources.
         retry_limit: Bounded re-poll attempts per operation for the
             process backend (see :class:`ProcessBackend`).

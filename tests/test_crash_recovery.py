@@ -15,6 +15,8 @@ behind claims R1 and R2.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from oracle import CrashRecoveryOracle
@@ -27,11 +29,13 @@ from test_oracle import (
 )
 
 from repro.core.ets import NoEts, OnDemandEts
+from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Map, WindowJoin
 from repro.core.windows import TimeWindow, WindowSpec
 from repro.experiments import CrashConfig, run_crash_experiment
-from repro.recovery import CheckpointStore
+from repro.recovery import CheckpointStore, RecoveryManager
+from repro.sim.clock import VirtualClock
 
 # --------------------------------------------------------------------- #
 # Graph factories beyond test_oracle's (the indexed-join layout)
@@ -297,3 +301,54 @@ def test_recovery_from_checkpoint_with_ets_counters(tmp_path, monkeypatch):
     assert store.load(store.numbers()[-1])["ets_policy"] == {
         "version": 1, "generated": 11, "declined": 5}
     assert combined == reference
+
+
+# --------------------------------------------------------------------- #
+# A torn marks record: the exactly-once claim's open hole
+
+
+def _durable_union(state_dir, seen: list):
+    """The union graph under a recovery manager, checkpointing every 3
+    wake-ups; its consumer appends each delivered row's ``seq`` to
+    ``seen``."""
+    graph = union_graph()
+    graph["sink"].on_output = lambda tup, latency: seen.append(
+        tup.payload["seq"])
+    clock = VirtualClock()
+    engine = ExecutionEngine(graph, clock, cost_model=None,
+                             ets_policy=OnDemandEts(), checkpoint_every=3)
+    manager = RecoveryManager(state_dir).bind(graph, engine, clock)
+    return graph, clock, engine, manager
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "RecoveryManager._wrap_wakeup appends a wake-up's marks record after "
+    "its rows reached the consumer, so recovery replays a wake-up whose "
+    "marks record was torn with too small a suppression count"))
+def test_a_torn_marks_record_re_emits_no_row(tmp_path):
+    seen: list[int] = []
+    graph, clock, engine, manager = _durable_union(tmp_path, seen)
+    frames: list[tuple] = []  # (offset, record) of every frame written
+    append = manager.wal.append
+
+    def appending(record):
+        frames.append((manager.wal.tell()[0], record))
+        append(record)
+
+    manager.wal.append = appending
+    fast = graph["fast"]
+    for seq in range(10):  # ten one-row wake-ups
+        clock.advance_to(float(seq + 1))
+        fast.ingest({"seq": seq, "value": 0.5}, now=clock.now(),
+                    arrival=clock.now())
+        engine.wakeup(fast)
+    assert seen == list(range(10))
+    manager.wal.close()  # crash-stop
+    start, last = frames[-1]
+    assert last["kind"] == "marks"  # the 10th wake-up's
+    log = tmp_path / "wal.log"
+    os.truncate(log, start + (log.stat().st_size - start) // 2)
+
+    _, _, _, manager = _durable_union(tmp_path, seen)
+    manager.recover()
+    assert seen == list(range(10)), "a row reached the consumer twice"

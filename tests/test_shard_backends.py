@@ -1,19 +1,23 @@
 """Backend failure containment: deadlocks and crashes must fail fast.
 
 A multiprocessing test suite that can hang is worse than one that fails:
-CI kills it at the job timeout with no diagnostics.  Every cross-shard
-receive in :mod:`repro.shard.backends` therefore carries ``op_timeout``;
-these tests pin that a deadlocked (sleeping) or crashing shard surfaces as
-:class:`ShardTimeoutError` / :class:`ShardError` within the timeout
-instead of blocking the caller.
+CI kills it at the job timeout with no diagnostics.  Every receive from a
+process-backend worker in :mod:`repro.shard.backends` therefore carries
+``op_timeout``; these tests pin that a deadlocked (sleeping) or crashing
+shard surfaces as :class:`ShardTimeoutError` / :class:`ShardError` within
+the timeout instead of blocking the caller, and the process layout: P−1
+workers beside the caller, which runs shard 0.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import random
 import sys
 import time
+from multiprocessing.connection import Connection
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
@@ -38,6 +42,7 @@ from repro.shard import (
     ShardTimeoutError,
     ShardedEngine,
 )
+from repro.shard.backends import SPIN_S
 
 from test_sharded_oracle import keyed_feeds
 
@@ -119,6 +124,96 @@ def test_a_failed_call_leaves_no_reply_behind():
         assert [s.ingested for s in summaries] == [1, 1]
     finally:
         backend.close()
+
+
+# --------------------------------------------------------------------- #
+# The process layout: P−1 workers plus the caller, which runs shard 0
+
+
+@pytest.mark.parametrize("shards, workers", [(3, 2), (1, 1)])
+def test_the_caller_runs_shard_0_beside_p_minus_1_workers(shards, workers):
+    before = set(multiprocessing.active_children())
+    backend = ProcessBackend(shards, lambda index: (build_sleepy(0.0), {}),
+                             op_timeout=30.0)
+    forked = set(multiprocessing.active_children()) - before
+    try:
+        assert len(forked) == workers
+        assert all(proc.is_alive() for proc in forked)
+        assert sorted(proc.name for proc in forked) == [
+            f"repro-shard-{index}"
+            for index in range(shards - workers, shards)]
+        results = backend.apply_all(
+            [([("src", {"k": index}, 0.1, None)], [], 0.1)
+             for index in range(shards)])
+        assert [r.shard for r in results] == list(range(shards))
+        assert [(s.shard, s.ingested) for s in backend.summaries()] == [
+            (index, 1) for index in range(shards)]
+    finally:
+        backend.close()
+    assert not any(proc.is_alive() for proc in forked)
+
+
+def test_a_deadlocked_worker_times_out_after_the_callers_shard_ran(
+        monkeypatch):
+    backend = ProcessBackend(2, lambda index: (build_sleepy(8.0), {}),
+                             op_timeout=0.4, retry_limit=0)
+    ran: list[int] = []
+    apply = EngineShard.apply
+
+    def spy(shard, *args):  # only the caller's shard can call it here
+        ran.append(shard.index)
+        return apply(shard, *args)
+
+    monkeypatch.setattr(EngineShard, "apply", spy)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ShardTimeoutError, match="shard 1"):
+            backend.apply_all([([("src", {"k": 0}, 0.1, None)], [], 0.1),
+                               ([("src", {"k": 1, "sleep": True}, 0.1,
+                                  None)], [], 0.1)])
+        # Within a few timeouts, not the worker's 8 s stall.
+        assert time.monotonic() - start < 4 * backend.op_timeout
+        assert ran == [0]
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("cpus, polls", [(1, False), (4, True)])
+def test_a_pipe_wait_polls_only_when_every_process_has_a_cpu(
+        monkeypatch, cpus, polls):
+    """Two shards are two processes: with one CPU a poller would starve
+    the worker it waits for, so the wait sleeps at once."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    backend = ProcessBackend(2, lambda index: (build_sleepy(0.0), {}),
+                             op_timeout=30.0)
+    timeouts: list[float] = []
+    poll = Connection.poll
+
+    def spy(conn, timeout=0.0):
+        timeouts.append(timeout)
+        return poll(conn, timeout)
+
+    monkeypatch.setattr(Connection, "poll", spy)
+    try:
+        assert backend.spin == (SPIN_S if polls else 0.0)
+        backend.apply_all([([], [], 0.1), ([], [], 0.1)])
+        # The reply wait looks without sleeping first, or only sleeps.
+        assert timeouts[0] == (0.0 if polls else backend.op_timeout)
+        assert (0.0 in timeouts) is polls
+    finally:
+        backend.close()
+
+
+def test_crash_shard_still_needs_an_in_process_backend():
+    """Shard 0 lives in the caller, but shard 1 does not."""
+    engine = ShardedEngine(build_sleepy(0.0), shards=2, key="k",
+                           backend="process", op_timeout=30.0)
+    try:
+        with pytest.raises(ReproError, match="in-process backend"):
+            engine.crash_shard(0)
+    finally:
+        engine.close(flush=False)
 
 
 def test_unknown_backend_rejected():

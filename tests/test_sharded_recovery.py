@@ -37,7 +37,6 @@ from oracle import Feed, ShardedDifferentialOracle, _assert_same, _canonical
 from repro.faults import DropTuples, DuplicateTuples, FaultPlan, SourceOutage
 from repro.recovery import CheckpointStore
 from repro.shard import ShardedEngine
-from repro.shard.backends import ProcessBackend
 
 from test_recovery import count_walks
 from test_sharded_oracle import join_graph, keyed_feeds
@@ -92,36 +91,26 @@ BACKENDS = pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 
 def watch_recovery(engine):
     """Record, in the parent process, the position each shard restored
-    and the replay commands each shard was sent: what ``replay_all`` is
-    handed in process, what crosses the pipe for the process backend."""
+    and the replay commands each shard was handed: what ``replay_all``
+    receives, on every backend (the process backend's caller runs shard
+    0 itself, so its commands never cross a pipe)."""
     backend = engine.backend
     restored: dict[int, int] = {}
     sent: dict[int, list] = {}
     restore_all = backend.restore_all
+    replay_all = backend.replay_all
 
     def restoring(args):
         result = restore_all(args)
         restored.update(enumerate(position for position, _ in result))
         return result
 
+    def replaying(args):
+        sent.update(enumerate(commands for commands, _ in args))
+        return replay_all(args)
+
     backend.restore_all = restoring
-    if isinstance(backend, ProcessBackend):
-        send = backend._send
-
-        def sending(index, message):
-            if message[0] == "replay":
-                sent[index] = message[1]
-            return send(index, message)
-
-        backend._send = sending
-    else:
-        replay_all = backend.replay_all
-
-        def replaying(args):
-            sent.update(enumerate(commands for commands, _ in args))
-            return replay_all(args)
-
-        backend.replay_all = replaying
+    backend.replay_all = replaying
     return restored, sent
 
 
