@@ -61,14 +61,13 @@ class EngineConfig:
             else (per-shard engine events stay inside their shard).
         feedback: A :class:`~repro.feedback.FeedbackController` sampled at
             the end of every wake-up, or a zero-argument factory of them;
-            None keeps the engine feedback-free.  Sharded engines build one
-            controller per shard, aggregate the shards' pressure views into
-            a global maximum each wake-up and broadcast it back as a
-            *clamp* with the next one — so they need the factory form
-            (see :meth:`per_engine`).
+            None keeps the engine feedback-free.  Sharded engines refuse it
+            (an :class:`~repro.core.errors.ExecutionError`): a shard's
+            pressure view covers the rows routed to it, not a stream, so
+            every shard engine runs without a controller.
         ets_policy: What stalled sources do — an
-            :class:`~repro.core.ets.EtsPolicy` or a zero-argument factory,
-            with the same instance-vs-factory rule as ``feedback``; None
+            :class:`~repro.core.ets.EtsPolicy` or a zero-argument factory
+            (see :meth:`per_engine`; a shard needs the factory form); None
             means :class:`~repro.core.ets.NoEts` (the paper's scenarios A/B;
             scenario C is :class:`~repro.core.ets.OnDemandEts`).
         recovery: A :class:`~repro.recovery.RecoveryManager` a
@@ -137,7 +136,8 @@ class EngineConfig:
         Policies and controllers are plain objects, never callable, so a
         callable — a lambda, a partial, the class itself — is a
         zero-argument factory and is called; anything else is the instance.
-        Both hold state, so a shard (``sharded=True``) rejects an instance.
+        A policy holds state, so a shard (``sharded=True``) rejects an
+        instance.
         """
         knob = getattr(self, name)
         if knob is None:
@@ -147,6 +147,6 @@ class EngineConfig:
         if sharded:
             raise ExecutionError(
                 f"sharded engines need a zero-argument {name} factory (one "
-                f"instance per shard, since both hold state); got an "
+                f"instance per shard, since it holds state); got an "
                 f"instance: {knob!r}")
         return knob

@@ -76,10 +76,11 @@ class QueryGraph:
 
     def add_source(self, name: str,
                    timestamp_kind: TimestampKind = TimestampKind.INTERNAL,
-                   *, out_of_order: bool = False,
+                   *, out_of_order: bool | float = False,
                    output_schema=None,
                    validate_schema: bool = False) -> SourceNode:
-        """Create and register a source node."""
+        """Create and register a source node (``out_of_order`` is ``True``
+        or the disorder bound in seconds, see :class:`SourceNode`)."""
         source = SourceNode(name, timestamp_kind, out_of_order=out_of_order,
                             output_schema=output_schema,
                             validate_schema=validate_schema)

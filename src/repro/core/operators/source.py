@@ -47,6 +47,11 @@ class SourceNode(Operator):
             :class:`~repro.core.ets.OnDemandEts` uses it with ``last_data_ts``.
         watermark: Largest timestamp ever emitted on this stream, data or
             punctuation; ETS generation never goes below it.
+        out_of_order: Whether externally stamped rows may arrive out of
+            timestamp order.
+        disorder_bound: How far (seconds) a row of an out-of-order stream
+            may lie below the largest stamp before it; None when the bound
+            is unknown or the stream is in order.
     """
 
     is_iwp = False
@@ -54,7 +59,7 @@ class SourceNode(Operator):
 
     def __init__(self, name: str,
                  timestamp_kind: TimestampKind = TimestampKind.INTERNAL,
-                 *, out_of_order: bool = False, output_schema=None,
+                 *, out_of_order: bool | float = False, output_schema=None,
                  validate_schema: bool = False) -> None:
         """Create a source.
 
@@ -66,6 +71,9 @@ class SourceNode(Operator):
                 disables order enforcement on this source's arcs, and a
                 downstream :class:`~repro.core.operators.reorder.Reorder`
                 is expected to restore order before any IWP operator.
+                ``True`` declares the disorder bounded with the bound
+                unknown; a number of seconds (≥ 0) declares the bound
+                itself, :attr:`disorder_bound`.
             output_schema: Optional schema of the stream's records.
             validate_schema: When True (and ``output_schema`` is set),
                 :meth:`ingest` validates every payload against the schema
@@ -88,6 +96,14 @@ class SourceNode(Operator):
         #: ``on_feedback`` signature).  None — the default — admits
         #: everything, keeping the healthy path byte-identical.
         self.throttle = None
+        self.disorder_bound = None
+        if not isinstance(out_of_order, bool):
+            bound = float(out_of_order)
+            if not bound >= 0.0:  # NaN fails too
+                raise TimestampError(
+                    f"source {name!r}: the disorder bound must be a "
+                    f"non-negative number of seconds, got {out_of_order!r}")
+            self.disorder_bound, out_of_order = bound, True
         if out_of_order and timestamp_kind is not TimestampKind.EXTERNAL:
             raise TimestampError(
                 f"source {name!r}: only externally timestamped streams can "
@@ -259,6 +275,13 @@ class SourceNode(Operator):
         self.watermark = ts
         self.punctuation_injected += 1
         return True
+
+    def external_horizon(self) -> float:
+        """The progress this external stream has asserted: the larger of
+        its watermark and last data stamp, lowered by the declared
+        disorder bound (by nothing while the bound is unknown)."""
+        return (max(self.watermark, self.last_data_ts)
+                - (self.disorder_bound or 0.0))
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

@@ -25,10 +25,10 @@ Three pieces:
   (waves every ``refresh_every`` wake-ups), falling back through
   ``low_watermark`` deactivates it and starts a bounded train of *relief*
   beats that let AIMD throttles and shed budgets unwind gradually.
-* The pressure view (:attr:`FeedbackController.pressure`) that a shard
-  reports with each result, so a sharded engine can broadcast the
-  fleet-wide maximum back (:meth:`FeedbackController.clamp`), and that
-  :meth:`summary` exposes.
+* The pressure view (:attr:`FeedbackController.pressure`) that
+  :meth:`summary` exposes.  It is one engine's: a sharded engine refuses a
+  controller, since feedback asserts something of a stream, not of the
+  rows one shard was routed.
 
 Everything the controller does is a pure function of engine state and the
 virtual clock, and its own state is versioned via ``snapshot_state`` —
@@ -139,11 +139,9 @@ class FeedbackController:
         self._last_wave_round = -1
         self.last_pressure = 0.0
         self.last_depth = 0
-        self.clamped_pressure = 0.0
         self.episodes = 0
         self.emitted = 0
         self.reliefs = 0
-        self.clamps = 0
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -157,14 +155,9 @@ class FeedbackController:
 
     @property
     def pressure(self) -> float:
-        """Live pressure view ``[0, 1]``: reported per shard and summarised.
-
-        The worse of the local hysteresis view and any externally clamped
-        (sharded global) view — a shard that is locally idle still reacts
-        to fleet-wide overload.
-        """
-        local = self.last_pressure if self._active else 0.0
-        return max(local, self.clamped_pressure)
+        """Live pressure view ``[0, 1]``: the last wave's while an episode
+        is active, else 0."""
+        return self.last_pressure if self._active else 0.0
 
     @property
     def active(self) -> bool:
@@ -236,14 +229,6 @@ class FeedbackController:
             lag = newest - oldest
         return latency, lag
 
-    def _drop_budget_from_pressure(self, pressure: float) -> float:
-        """The budget a local wave at this pressure level would carry."""
-        onset = self._pressure_of(self.high_watermark)
-        if pressure <= onset or onset >= 1.0:
-            return 0.0
-        return self.max_drop_budget * min(
-            1.0, (pressure - onset) / (1.0 - onset))
-
     def _wave(self, now: float, round_id: int, depth: int,
               *, relief: bool) -> None:
         pressure = 0.0 if relief else self._pressure_of(depth)
@@ -253,11 +238,6 @@ class FeedbackController:
         else:
             self.emitted += 1
             self.last_pressure = pressure
-        self._emit(now, round_id, depth, pressure, budget,
-                   "relief" if relief else "pressure")
-
-    def _emit(self, now: float, round_id: int, depth: int,
-              pressure: float, budget: float, kind: str) -> None:
         latency, lag = self._observe_sinks()
         wave = FeedbackPunctuation(
             ts=now, origin=self.origin, pressure=pressure,
@@ -267,36 +247,11 @@ class FeedbackController:
         propagate_feedback(self.graph, wave, now)
         bus = self.engine.bus if self.engine is not None else None
         if bus is not None:
-            bus.feedback(kind=kind, round_id=round_id, time=now,
+            bus.feedback(kind="relief" if relief else "pressure",
+                         round_id=round_id, time=now,
                          pressure=pressure, depth=depth, drop_budget=budget,
                          sink_latency=latency, frontier_lag=lag,
                          origin=self.origin)
-
-    # ------------------------------------------------------------------ #
-    # External clamps (sharded global pressure view)
-
-    def clamp(self, pressure: float, now: float, round_id: int) -> None:
-        """Apply an externally imposed pressure view.
-
-        A :class:`~repro.shard.engine.ShardedEngine` aggregates per-shard
-        pressure into a global maximum and broadcasts it back on the next
-        wake-up (staleness is therefore bounded by one wake-up).  A
-        positive clamp propagates a wave at that level regardless of local
-        hysteresis state — a locally idle shard still throttles when the
-        fleet is overloaded.  Dropping back to zero after a clamped
-        stretch propagates one relief wave so AIMD throttles and shed
-        budgets can unwind.
-        """
-        pressure = min(1.0, max(0.0, float(pressure)))
-        previous = self.clamped_pressure
-        self.clamped_pressure = pressure
-        if pressure > 0.0:
-            self.clamps += 1
-            self._emit(now, round_id, self.last_depth, pressure,
-                       self._drop_budget_from_pressure(pressure), "clamp")
-        elif previous > 0.0:
-            self.reliefs += 1
-            self._emit(now, round_id, self.last_depth, 0.0, 0.0, "relief")
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
@@ -310,11 +265,9 @@ class FeedbackController:
             "last_wave_round": self._last_wave_round,
             "last_pressure": self.last_pressure,
             "last_depth": self.last_depth,
-            "clamped_pressure": self.clamped_pressure,
             "episodes": self.episodes,
             "emitted": self.emitted,
             "reliefs": self.reliefs,
-            "clamps": self.clamps,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -327,11 +280,9 @@ class FeedbackController:
         self._last_wave_round = state["last_wave_round"]
         self.last_pressure = state["last_pressure"]
         self.last_depth = state["last_depth"]
-        self.clamped_pressure = state.get("clamped_pressure", 0.0)
         self.episodes = state["episodes"]
         self.emitted = state["emitted"]
         self.reliefs = state["reliefs"]
-        self.clamps = state.get("clamps", 0)
 
     def summary(self) -> dict:
         """Counters under canonical snake_case names (for reports)."""
@@ -339,7 +290,6 @@ class FeedbackController:
             "feedback_episodes": self.episodes,
             "feedback_waves": self.emitted,
             "feedback_reliefs": self.reliefs,
-            "feedback_clamps": self.clamps,
             "feedback_pressure": self.pressure,
             "feedback_depth": self.last_depth,
         }

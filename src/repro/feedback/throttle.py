@@ -9,9 +9,9 @@ The rate itself is closed-loop controlled the way TCP controls its window
 — additive increase, multiplicative decrease:
 
 * a **pressure** feedback wave multiplies the rate by ``decrease``
-  (default 0.5), clamped at ``min_rate``;
+  (default 0.5), never below ``min_rate``;
 * a **relief** wave adds ``increase`` tokens/s (default ``rate / 10``),
-  clamped at ``max_rate`` (the configured healthy rate).
+  never above ``max_rate`` (the configured healthy rate).
 
 Everything is driven by the virtual clock and plain arithmetic — no wall
 clock, no RNG — so a recovered run replays the same admission decisions

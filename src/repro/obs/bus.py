@@ -150,15 +150,11 @@ class Observer:
         ``"wakeup"`` (``shard`` quiesced advertising ``frontier``, having
         delivered ``count`` records), ``"frontier"`` (``shard`` is ``-1``:
         the global min frontier moved and ``count`` records were released
-        by the merge), ``"retry"`` (a shard operation missed its timeout
-        and is being re-polled after ``value`` seconds of backoff, attempt
-        ``count``), ``"clamp"`` (the global pressure view was broadcast
-        back to ``count`` shards), ``"recovery"`` (``shard`` was restored
-        to ``frontier`` after replaying ``count`` ingests), or
-        ``"reshard"`` (``shard`` is ``-1``: the topology changed, migrating
-        ``count`` keys at quiesce frontier ``frontier``, pausing for
-        ``value`` simulated seconds; ``detail`` is the direction, e.g.
-        ``"4->5"``).
+        by the merge), ``"recovery"`` (``shard`` was restored to
+        ``frontier`` after replaying ``count`` ingests), or ``"reshard"``
+        (``shard`` is ``-1``: the topology changed, migrating ``count``
+        keys at quiesce frontier ``frontier``, pausing for ``value``
+        simulated seconds; ``detail`` is the direction, e.g. ``"4->5"``).
         """
 
     def on_feedback(self, *, kind: str, round_id: int, time: float,
@@ -168,10 +164,9 @@ class Observer:
         """A feedback-controller wave (:mod:`repro.feedback`).
 
         ``kind`` is ``"pressure"`` (an overload wave propagated upstream
-        carrying ``pressure``/``drop_budget``), ``"relief"`` (a
-        deactivation/unwind beat with pressure zero), or ``"clamp"`` (a
-        wave forced by an externally broadcast global pressure view —
-        see :meth:`repro.feedback.FeedbackController.clamp`).
+        carrying ``pressure``/``drop_budget``) or ``"relief"`` (a
+        deactivation/unwind beat with pressure zero).  A single engine's
+        controller emits them; a sharded engine runs none.
         """
 
 

@@ -267,12 +267,6 @@ class MetricsRegistry(Observer):
                                 "(shard=global is the min gate)")
         self.shard_recoveries = c("repro_shard_recoveries_total",
                                   "Per-shard recoveries from disk")
-        self.shard_retries = c("repro_shard_retries_total",
-                               "Backoff retries on shard operation timeouts")
-        self.shard_retry_backoff = h(
-            "repro_shard_retry_backoff_seconds",
-            "Backoff waited before re-polling a timed-out shard op",
-            buckets=(0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0))
         self.shard_reshards = c("repro_shard_reshards_total",
                                 "Live topology changes, by direction label")
         self.shard_migrated = c(
@@ -416,10 +410,6 @@ class MetricsRegistry(Observer):
                 self.shard_released.inc(count)
             if frontier is not None and frontier != float("-inf"):
                 self.shard_frontier.set(frontier, shard="global")
-        elif kind == "retry":
-            self.shard_retries.inc(shard=shard)
-            if value:
-                self.shard_retry_backoff.observe(value)
         elif kind == "recovery":
             self.shard_recoveries.inc(shard=shard)
         elif kind == "reshard":

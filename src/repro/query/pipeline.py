@@ -99,12 +99,14 @@ class Pipeline:
 
     def source(self, name: str | None = None,
                kind: TimestampKind = TimestampKind.INTERNAL,
-               *, out_of_order: bool = False,
+               *, out_of_order: bool | float = False,
                schema: Schema | None = None) -> "PipelineStream":
         """Declare an input stream; returns its :class:`PipelineStream`.
 
-        ``schema`` becomes the source's ``output_schema`` (what a
-        ``STREAM`` statement's field list declares).
+        ``out_of_order`` is ``True`` (bound unknown) or the stream's
+        disorder bound in seconds; ``schema`` becomes the source's
+        ``output_schema`` (what a ``STREAM`` statement's field list
+        declares).
         """
         self._mutable("source")
         node = self._graph.add_source(self._auto_name("source", name), kind,

@@ -334,11 +334,10 @@ class CommandHistory:
     frame begins.  :meth:`prune` drops the longest prefix of segments whose
     bound lies below the last state floor :meth:`trim` learned, in
     O(segments), and folds it into :attr:`carried` (its punctuation) and
-    :attr:`carried_at` (the ``(now, clamp, position)`` of its last
-    segment).  What a replay needs of the whole history is kept as a
-    running value from the first command on: the ingest count.  (The
-    distinct partition keys are the facade's: it counts the ingests per
-    key.)
+    :attr:`carried_at` (the ``(now, position)`` of its last segment).
+    What a replay needs of the whole history is kept as a running value
+    from the first command on: the ingest count.  (The distinct partition
+    keys are the facade's: it counts the ingests per key.)
 
     :meth:`image` holds those running values, the last floor learned and
     the log point where the live suffix begins; a history built from an
@@ -432,7 +431,7 @@ class CommandHistory:
             size += length
             self.dropped += ingests
             self.carried += puncts
-            self.carried_at = (now, None, self.base + dropped)
+            self.carried_at = (now, self.base + dropped)
         if dropped:
             del self.records[:size]
             del self.segments[:dropped]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import time as _time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..core.config import EngineConfig
-from ..core.errors import ReproError
+from ..core.errors import ExecutionError, ReproError
 from ..core.execution import ExecutionEngine
 from ..core.tuples import TimestampKind
 from ..recovery.checkpoint import CheckpointStore
@@ -63,16 +62,6 @@ PunctuationCommand = tuple[str, float, str, bool]
 SHARD_CHECKPOINT_FORMAT = 2
 
 
-#: Re-poll backoff of the process backend: attempt ``i`` waits
-#: ``op_timeout * min(RETRY_CAP, RETRY_BASE**i)``, stretched by up to
-#: ``RETRY_JITTER`` of jitter drawn from a generator seeded ``RETRY_SEED``.
-RETRY_BASE = 2.0
-RETRY_CAP = 4.0
-RETRY_JITTER = 0.25
-RETRY_SEED = 0
-assert RETRY_BASE >= 1.0, "backoff must not shrink"
-assert RETRY_JITTER >= 0.0, "jitter only ever lengthens a wait"
-
 #: Seconds a pipe wait polls before it sleeps (see :class:`ProcessBackend`).
 SPIN_S = 0.002
 
@@ -89,11 +78,6 @@ class ShardTimeoutError(ShardError):
 class ShardResult:
     """What one shard reports after applying a wake-up's commands.
 
-    ``pressure`` is the shard's feedback-controller view after the
-    wake-up (0.0 when the shard runs without a controller); ``clamp``
-    echoes the global pressure the facade broadcast with the command, so
-    tests can bound clamp staleness across process boundaries.
-
     ``outputs`` holds ``(sink, ts, payloads)`` runs in delivery order, one
     per stretch of consecutive deliveries by one sink: two parallel
     columns, not one record per row, so its rows are
@@ -107,11 +91,6 @@ class ShardResult:
     outputs: list[tuple[str, list[float], list[Any]]]
     frontier: float
     ingested: int = 0
-    punctuated: int = 0
-    rounds: int = 0
-    steps: int = 0
-    pressure: float = 0.0
-    clamp: float | None = None
     marks: dict[str, int] | None = None
 
 
@@ -136,6 +115,16 @@ class ShardSummary:
     state_floor: float = float("-inf")
 
 
+def shard_config(config: EngineConfig) -> EngineConfig:
+    """``config``, refused when it carries a ``feedback`` controller: a
+    shard's pressure view would steer the rows routed to it, not its
+    streams, so a shard engine is built without one."""
+    if config.feedback is not None:
+        raise ExecutionError(f"sharded engines take no feedback controller; "
+                             f"got feedback={config.feedback!r}")
+    return config
+
+
 class EngineShard:
     """One shard: a private graph + engine + clock (+ checkpoint store).
 
@@ -145,13 +134,12 @@ class EngineShard:
             :class:`~repro.core.graph.QueryGraph`; every shard gets its own
             copy, so the factory must not share operator state between
             calls.
-        disorder_bound: Slack subtracted from out-of-order sources'
-            horizons when computing the frontier.
         config / **knobs: The shared knobs, declared and documented on
             :class:`~repro.core.config.EngineConfig`, handed to the shard's
-            engine as they are.  ``ets_policy`` and ``feedback`` must be
-            zero-argument factories (both hold state and cannot be shared
-            across engines); with ``state_dir`` set, :meth:`checkpoint`
+            engine as they are.  ``ets_policy`` must be a zero-argument
+            factory (a policy holds state and cannot be shared across
+            engines), and ``feedback`` is refused (see
+            :func:`shard_config`); with ``state_dir`` set, :meth:`checkpoint`
             writes there, each image recording the facade-log
             :attr:`position` it covers.  The shard neither logs nor
             decides when to checkpoint: the facade calls it at its marks.
@@ -161,18 +149,14 @@ class EngineShard:
     """
 
     def __init__(self, index: int, build: Callable[[], Any], *,
-                 disorder_bound: float = 0.0,
                  config: EngineConfig | None = None, **knobs) -> None:
-        config = (config or EngineConfig()).replace(**knobs)
+        config = shard_config((config or EngineConfig()).replace(**knobs))
         self.index = index
         self.graph = build()
         self.clock = VirtualClock()
-        self.disorder_bound = disorder_bound
         self.engine = ExecutionEngine(
             self.graph, self.clock, cost_model=None, config=config.replace(
-                ets_policy=config.per_engine("ets_policy", sharded=True),
-                feedback=config.per_engine("feedback", sharded=True)))
-        self.feedback = self.engine.feedback
+                ets_policy=config.per_engine("ets_policy", sharded=True)))
         self._outputs: list[tuple[str, list[float], list[Any]]] = []
         self.sinks = self.graph.sinks()
         for sink in self.sinks:
@@ -215,25 +199,17 @@ class EngineShard:
 
     def apply(self, ingests: Sequence[IngestCommand],
               punctuations: Sequence[PunctuationCommand],
-              now: float, clamp: float | None = None,
-              position: int | None = None) -> ShardResult:
+              now: float, position: int | None = None) -> ShardResult:
         """Ingest routed tuples, broadcast punctuation, run to quiescence.
 
         An idle shard (no commands) only advances its clock — its frontier
         still moves for internally stamped sources, which is what keeps a
-        key-skewed workload from pinning the global gate.
-
-        ``clamp``, when set and the shard has a feedback controller, is
-        the facade's aggregated global pressure view; it is applied
-        *before* this wake-up's ingests so source throttles and shed
-        budgets see the fleet state first.  ``position`` numbers the
-        wake-up in the facade log; a checkpoint taken in it records it.
+        key-skewed workload from pinning the global gate.  ``position``
+        numbers the wake-up in the facade log; a checkpoint taken in it
+        records it.
         """
         if position is not None:
             self.position = position
-        if clamp is not None and self.feedback is not None:
-            self.feedback.clamp(clamp, self.clock.now(),
-                                self.engine.round_id)
         entry = None
         for source, payload, arrival, external_ts in ingests:
             self.clock.advance_to(arrival)
@@ -251,17 +227,12 @@ class EngineShard:
         drained, self._outputs = self._outputs, []
         return ShardResult(
             shard=self.index, outputs=drained, frontier=self.frontier(),
-            ingested=len(ingests), punctuated=len(punctuations),
-            rounds=self.engine.stats.rounds, steps=self.engine.stats.steps,
-            pressure=(self.feedback.pressure
-                      if self.feedback is not None else 0.0),
-            clamp=clamp,
+            ingested=len(ingests),
             marks=None if self.store is None else {
                 sink.name: sink.delivered for sink in self.sinks})
 
     def frontier(self) -> float:
-        return shard_frontier(self.graph, self.clock,
-                              disorder_bound=self.disorder_bound)
+        return shard_frontier(self.graph, self.clock)
 
     def checkpoint(self) -> float:
         """Save the shard's image with the log position it covers; the
@@ -320,10 +291,8 @@ class EngineShard:
         return report
 
     def state_floor(self) -> float:
-        """The graph's floor, or ``-inf`` when the ETS policy or a feedback
-        controller decides from history the graph does not hold."""
-        if self.feedback is not None:
-            return float("-inf")
+        """The graph's floor, or ``-inf`` when the ETS policy decides from
+        history the graph does not hold."""
         return min(self.graph.state_floor(),
                    self.engine.ets_policy.state_floor())
 
@@ -467,33 +436,22 @@ class ProcessBackend:
     Requires the ``fork`` start method (factories travel by inheritance,
     not pickling), so it is POSIX-only.  A call sends the workers their
     messages, runs shard 0's in the caller through the workers' op table,
-    then reads every reply, each awaited with ``op_timeout``; a worker
-    that misses it is re-polled up to ``retry_limit`` times, attempt ``i``
-    waiting ``op_timeout * min(RETRY_CAP, RETRY_BASE**i)`` stretched by up
-    to ``RETRY_JITTER`` of seeded jitter (a GC pause or cold page-in
-    recovers), and one that exhausts them is terminated and raised as
-    :class:`ShardTimeoutError`.  The caller's shard is bounded as a serial
-    shard is, by ``max_steps_per_round``; ``crash_shard`` still needs an
-    in-process backend.
+    then reads every reply, each awaited once, for ``op_timeout``; a worker
+    that misses it is terminated and raised as :class:`ShardTimeoutError`.
+    The caller's shard is bounded as a serial shard is, by
+    ``max_steps_per_round``; ``crash_shard`` still needs an in-process
+    backend.
 
     ``spin`` is :data:`SPIN_S` while the processes (workers and caller) fit
     the usable CPUs, else 0: polling skips a sleeper's ~0.15–0.19 ms
     wake-up, but on a CPU it shares it steals a worker's time.
-
-    Attributes:
-        retries: Total re-poll attempts across all shards and operations.
-        on_retry: Optional ``(shard, op, attempt, backoff)`` callback
-            invoked before each re-poll with the backoff actually slept
-            (the facade wires it to the event bus, the
-            ``repro_shard_retries_total`` counter, and the
-            ``repro_shard_retry_backoff_seconds`` histogram).
     """
 
     kind = "process"
 
     def __init__(self, shard_count: int, make_args: Callable[[int],
                  tuple[Callable[[], Any], dict]], *,
-                 op_timeout: float = 60.0, retry_limit: int = 1) -> None:
+                 op_timeout: float = 60.0) -> None:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -502,10 +460,6 @@ class ProcessBackend:
                 "use backend='thread' on this platform") from None
         self.shard_count = shard_count
         self.op_timeout = op_timeout
-        self.retry_limit = max(0, int(retry_limit))
-        self._retry_rng = random.Random(f"shard-retry:{RETRY_SEED}")
-        self.retries = 0
-        self.on_retry: Callable[[int, str, int, float], None] | None = None
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
         self.spin = SPIN_S if max(shard_count, 2) <= cpus else 0.0
@@ -535,22 +489,11 @@ class ProcessBackend:
 
     def _recv(self, index: int, op: str):
         conn = self._conns[index]
-        answered = _wait(conn, self.op_timeout, self.spin)
-        attempt = 0
-        while not answered and attempt < self.retry_limit:
-            attempt += 1
-            backoff = self.op_timeout * min(RETRY_CAP, RETRY_BASE ** attempt)
-            backoff *= 1.0 + RETRY_JITTER * self._retry_rng.random()
-            self.retries += 1
-            if self.on_retry is not None:
-                self.on_retry(index, op, attempt, backoff)
-            answered = conn.poll(backoff)
-        if not answered:
+        if not _wait(conn, self.op_timeout, self.spin):
             self._procs[index].terminate()
             raise ShardTimeoutError(
                 f"shard {index} did not answer {op!r} within "
-                f"{self.op_timeout}s + {attempt} backoff retries "
-                f"(terminated)")
+                f"{self.op_timeout}s (terminated)")
         try:
             status, value = conn.recv()
         except EOFError:
@@ -626,8 +569,7 @@ BACKENDS = ("serial", "thread", "process")
 def make_backend(kind: str, shard_count: int, *,
                  build: Callable[[], Any],
                  shard_kwargs: Callable[[int], dict],
-                 op_timeout: float = 60.0,
-                 retry_limit: int = 1):
+                 op_timeout: float = 60.0):
     """Construct a backend by name (the facade's single switch point)."""
     if kind in ("serial", "thread"):
         cls = SerialBackend if kind == "serial" else ThreadBackend
@@ -635,7 +577,6 @@ def make_backend(kind: str, shard_count: int, *,
             index, build, **shard_kwargs(index)), op_timeout=op_timeout)
     if kind == "process":
         return ProcessBackend(shard_count, lambda index: (
-            build, shard_kwargs(index)), op_timeout=op_timeout,
-            retry_limit=retry_limit)
+            build, shard_kwargs(index)), op_timeout=op_timeout)
     raise ReproError(f"unknown shard backend {kind!r}; "
                      f"expected one of {BACKENDS}")

@@ -245,10 +245,10 @@ class ReshardCoordinator:
         history = e.journal.history
         history.prune()
 
-        def dispatch(ingests, puncts, now, clamp, position) -> None:
+        def dispatch(ingests, puncts, now, position) -> None:
             report.replayed_ingests += sum(len(rows) for rows in ingests)
             report.replayed_puncts += len(puncts)
-            commands = [(rows, puncts, now, clamp, position)
+            commands = [(rows, puncts, now, position)
                         for rows in ingests]
             for result in backend.apply_all(commands):
                 report.discarded_outputs += sum(
@@ -268,8 +268,7 @@ class ReshardCoordinator:
             ingests: list[list] = [[] for _ in range(new_shards)]
             for row in rows:
                 ingests[route(row[1])].append(row)
-            dispatch(ingests, puncts, wakeup["now"], wakeup["clamp"],
-                     position)
+            dispatch(ingests, puncts, wakeup["now"], position)
 
     def _flip(self, backend, partitioner: HashPartitioner,
               epoch_dir: Path | None, report: ReshardReport) -> None:

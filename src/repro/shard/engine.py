@@ -56,6 +56,7 @@ from .backends import (
     ShardResult,
     ShardSummary,
     make_backend,
+    shard_config,
 )
 from .frontier import FrontierMerge, FrontierTracker, MergedRecord
 from .partition import HashPartitioner
@@ -126,8 +127,10 @@ def log_segments(records):
             ingests, puncts = [], []
 
 
-#: The version of a facade image document.
-FACADE_IMAGE_FORMAT = 1
+#: The version of a facade image document: 2 since the history image's
+#: ``carried_at`` is ``(now, position)``; 1 is refused (read from the
+#: log's start instead).
+FACADE_IMAGE_FORMAT = 2
 #: What a log read without a usable facade image starts from: the empty
 #: log.
 _GENESIS = {"position": 0, "offset": 0, "records": 0, "ingests": {},
@@ -192,9 +195,6 @@ class ShardedEngine:
             compare against), ``"thread"``, or ``"process"``.
         op_timeout: Per-shard operation timeout (seconds) enforced by the
             thread backend and on the process backend's worker shards.
-        disorder_bound: Frontier slack for out-of-order sources.
-        retry_limit: Bounded re-poll attempts per operation for the
-            process backend (see :class:`ProcessBackend`).
         config / **knobs: The shared knobs, declared and documented on
             :class:`~repro.core.config.EngineConfig`: ``config`` carries
             them, keywords are ``config.replace``.  The facade keeps
@@ -202,8 +202,12 @@ class ShardedEngine:
             ``state_dir`` (its log in ``facade/``, shard *i*'s
             checkpoints in ``shard-0i/``) and counts ``checkpoint_every``
             in its own wake-ups; every other field reaches every shard
-            engine, so ``ets_policy`` and ``feedback`` must be
-            zero-argument factories here.
+            engine, so ``ets_policy`` must be a zero-argument factory
+            here, and ``feedback`` is refused with an
+            :class:`~repro.core.errors.ExecutionError`.  An out-of-order
+            source's disorder bound is declared on the source
+            (``out_of_order=`` seconds), which every shard's frontier
+            reads.
     """
 
     #: The topology generation a ``marks`` record is tagged with.
@@ -215,10 +219,8 @@ class ShardedEngine:
                  key: str | Callable[[Any], Any],
                  backend: str = "serial",
                  op_timeout: float = 60.0,
-                 disorder_bound: float = 0.0,
-                 retry_limit: int = 1,
                  config: EngineConfig | None = None, **knobs) -> None:
-        config = (config or EngineConfig()).replace(**knobs)
+        config = shard_config((config or EngineConfig()).replace(**knobs))
         if backend not in BACKENDS:
             raise ReproError(f"unknown shard backend {backend!r}; "
                              f"expected one of {BACKENDS}")
@@ -238,18 +240,13 @@ class ShardedEngine:
         #: is this plus one.
         self.wakeups = 0
         self._closed = False
-        self.feedback_enabled = config.feedback is not None
-        self.global_pressure = 0.0
-        self.clamps_broadcast = 0
         #: What every shard engine is built from (plus its own
         #: ``state_dir``): per-shard engine events stay inside their shard,
         #: and no shard checkpoints on its own.
         self._shard_config = config.replace(observers=(), recovery=None,
                                             checkpoint_every=None)
-        self._disorder_bound = disorder_bound
         self._build = build
-        self._backend_opts = dict(op_timeout=op_timeout,
-                                  retry_limit=retry_limit)
+        self._op_timeout = op_timeout
         self.backend = self._make_backend(shards, self.state_dir)
         sources = self.backend.summaries()[0].sources
         #: Source name -> timestamp kind, as shard 0 reports them (no extra
@@ -298,26 +295,14 @@ class ShardedEngine:
         """``EngineShard`` keywords for shard ``index`` under ``state_dir``."""
         shard_dir = (None if state_dir is None
                      else state_dir / f"shard-{index:02d}")
-        return {"config": self._shard_config.replace(state_dir=shard_dir),
-                "disorder_bound": self._disorder_bound}
+        return {"config": self._shard_config.replace(state_dir=shard_dir)}
 
     def _make_backend(self, shards: int, state_dir: Path | None):
         """A backend of ``shards`` fresh shard engines under ``state_dir``."""
-        backend = make_backend(
+        return make_backend(
             self.backend_kind, shards, build=self._build,
             shard_kwargs=lambda index: self._shard_kwargs(index, state_dir),
-            **self._backend_opts)
-        if hasattr(backend, "on_retry"):
-            backend.on_retry = self._note_retry
-        return backend
-
-    def _note_retry(self, shard: int, op: str, attempt: int,
-                    backoff: float) -> None:
-        """Backend retry hook → ``on_shard(kind="retry")`` bus event."""
-        if self.bus is not None:
-            self.bus.shard(kind="retry", shard=shard, time=self._drive_now,
-                           count=attempt, value=backoff,
-                           detail=f"{op} re-polled with {backoff:g}s")
+            op_timeout=self._op_timeout)
 
     # ------------------------------------------------------------------ #
     # Routing (the shuffle)
@@ -383,22 +368,15 @@ class ShardedEngine:
         ``(ts, shard, seq, sink, payload)`` tuples in global timestamp
         order.
 
-        With ``feedback`` set, the previous wake-up's aggregated
-        pressure view rides along as a clamp (bounded staleness: one
-        wake-up) and this wake-up's per-shard pressures are folded into
-        the next view.
-
         A durable wake-up runs (the last checkpoint's facade image) →
         frame → apply → marks → offer → checkpoint (every
         ``checkpoint_every`` wake-ups) → release (DESIGN.md §4f, §4g).
         """
-        clamp = self.global_pressure if self.feedback_enabled else None
         position = self.wakeups + 1
         if self.journal is not None:
             if self._due is not None:
                 self._images.save(self._image())
-            self.journal.commit({"kind": "wakeup", "now": self._drive_now,
-                                 "clamp": clamp})
+            self.journal.commit({"kind": "wakeup", "now": self._drive_now})
             key_fn = self.partitioner.key_fn
             rows = list(chain.from_iterable(self._pending_ingests))
             payloads = map(_PAYLOAD, rows)
@@ -406,7 +384,7 @@ class ShardedEngine:
                                    if key_fn is None
                                    else map(key_fn, payloads)))
         commands = [(self._pending_ingests[i], self._pending_puncts,
-                     self._drive_now, clamp, position)
+                     self._drive_now, position)
                     for i in range(self.shard_count)]
         self._pending_ingests = [[] for _ in range(self.shard_count)]
         self._pending_puncts = []
@@ -416,17 +394,6 @@ class ShardedEngine:
             marks = [result.marks for result in results]
             if self.journal.mark(marks, epoch=self._epoch):
                 self._marked = (self._epoch, marks)
-        if clamp is not None and clamp > 0.0:
-            self.clamps_broadcast += 1
-        if self.feedback_enabled:
-            previous = self.global_pressure
-            self.global_pressure = max(
-                (r.pressure for r in results), default=0.0)
-            if self.bus is not None and self.global_pressure != previous:
-                self.bus.shard(
-                    kind="clamp", shard=-1, time=self._drive_now,
-                    frontier=self.global_pressure, count=self.shard_count,
-                    detail=f"pressure={self.global_pressure:.3f}")
         for result in results:
             self.tracker.advertise(result.shard, result.frontier)
             # The shard ships runs; the merge takes rows (its contract).
@@ -606,7 +573,7 @@ class ShardedEngine:
                     routed[shard].append(row)
             for index, ingests in routed.items():
                 suffixes[index].append((ingests, puncts, wakeup["now"],
-                                        wakeup["clamp"], position))
+                                        position))
         return suffixes
 
     def recover(self) -> ShardedRecoveryReport:
@@ -697,9 +664,6 @@ class ShardedEngine:
             "held_peak": self.merge.held_peak,
             "frontier": self.tracker.global_frontier(),
             "frontier_spread": self.tracker.spread(),
-            "pressure": self.global_pressure,
-            "clamps_broadcast": self.clamps_broadcast,
-            "retries": getattr(self.backend, "retries", 0),
             "per_shard": [
                 {"shard": s.shard, "ingested": s.ingested,
                  "delivered": s.delivered, "frontier": s.frontier}

@@ -12,8 +12,9 @@ A shard's frontier is derived from the same state the TSM registers are
 fed by:
 
 * per source, the progress horizon of *future* ingests — the punctuation
-  watermark and last data timestamp for in-order external streams (minus a
-  declared disorder bound for out-of-order ones), or the virtual clock for
+  watermark and last data timestamp for external streams (minus the
+  disorder bound an out-of-order source declares, ``out_of_order=``
+  seconds; an unknown bound subtracts nothing), or the virtual clock for
   internally stamped streams (a future internal tuple cannot be stamped
   below "now");
 * the head timestamp of every non-empty stream buffer (tuples already in
@@ -25,7 +26,7 @@ fed by:
 The minimum over all of those is safe: every future sink delivery is either
 already buffered (counted), held by an operator (counted), or not yet
 ingested (bounded by the source horizon).  Per-shard frontiers are monotone
-because every contributing term is; :class:`FrontierTracker` clamps and
+because every contributing term is; :class:`FrontierTracker` refuses and
 counts would-be regressions anyway, and a Hypothesis property pins global
 monotonicity under random shard interleavings.
 """
@@ -50,7 +51,7 @@ MergedRecord = tuple[float, int, int, str, Any]
 _INTERNAL = TimestampKind.INTERNAL
 
 
-def shard_frontier(graph, clock, *, disorder_bound: float = 0.0) -> float:
+def shard_frontier(graph, clock) -> float:
     """The shard's emit-frontier over ``graph`` at the current instant.
 
     Returns ``-inf`` until every source has a progress horizon (an external
@@ -65,9 +66,7 @@ def shard_frontier(graph, clock, *, disorder_bound: float = 0.0) -> float:
             # which only moves forward; punctuation may be ahead of it.
             horizon = max(clock.now(), source.watermark)
         else:
-            horizon = max(source.watermark, source.last_data_ts)
-            if source.out_of_order:
-                horizon -= disorder_bound
+            horizon = source.external_horizon()
         frontier = min(frontier, horizon)
     for buf in graph.buffers:
         if not buf.is_empty:
@@ -87,7 +86,7 @@ class FrontierTracker:
     """Per-shard advertised frontiers and their global minimum.
 
     Mirrors the TSM-register table of an IWP operator, one register per
-    *shard* instead of one per input.  Advertisements are clamped monotone
+    *shard* instead of one per input.  Advertisements are held monotone
     (a frontier is a promise; taking it back would re-admit timestamps the
     merge already released past) and regression attempts are counted for
     the differential suite to assert on.
@@ -128,7 +127,7 @@ class FrontierTracker:
         below it.  ``floor=None`` uses the current global minimum.  The
         ``regressions`` / ``advertisements`` counters survive the resize,
         so a restored shard advertising a stale pre-reshard frontier is
-        clamped *and counted* exactly like an in-place regression.
+        refused *and counted* exactly like an in-place regression.
         """
         if shards <= 0:
             raise ReproError(f"shard count must be positive, got {shards}")

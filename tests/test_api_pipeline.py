@@ -276,10 +276,14 @@ class TestEngineKnobs:
             return self._engine_setup(sim.engine), sim.recovery
 
         def sharded(**kw):
-            facade = ShardedEngine(self._knob_graph, shards=2, key="k",
-                                   backend="serial", **kw)
             try:
-                return (facade.state_dir, facade.feedback_enabled,
+                facade = ShardedEngine(self._knob_graph, shards=2, key="k",
+                                       backend="serial", **kw)
+            except ExecutionError as exc:  # the merged config's feedback
+                assert "take no feedback" in str(exc)
+                return "refused"
+            try:
+                return (facade.state_dir,
                         tuple(facade.bus.observers) if facade.bus else (),
                         [(self._engine_setup(shard.engine),
                           shard.store is not None)

@@ -388,3 +388,51 @@ def test_the_harness_only_rule_bites(tmp_path):
     engine_user.write_text("from .planted import PlantedBaseline\n")
     modules["repro.core.planted_user"] = engine_user
     assert harness_only_classes(modules) == []
+
+
+# --------------------------------------------------------------------- #
+# The shard protocol carries no feedback
+
+
+def shard_imports_of_feedback(modules: dict[str, Path]) -> list[str]:
+    """``module -> imported`` for each import of ``repro.feedback`` (or
+    anything under it) by a module under ``repro.shard``: a shard command
+    is rows, punctuation, clock and log position, and a shard engine runs
+    no controller."""
+    def feedback(target: str) -> bool:
+        return target == "repro.feedback" or target.startswith(
+            "repro.feedback.")
+
+    found = []
+    for module, path in modules.items():
+        if module != "repro.shard" and not module.startswith("repro.shard."):
+            continue
+        for source, name in _imports(module, path):
+            target = source if name is None else f"{source}.{name}"
+            if feedback(source) or feedback(target):
+                found.append(f"{module} -> {target}")
+    return found
+
+
+def test_no_shard_module_imports_feedback():
+    assert shard_imports_of_feedback(_modules()) == []
+
+
+def test_the_shard_feedback_rule_bites(tmp_path):
+    """Red on each spelling of the import, green on a neighbour's."""
+    planted = {
+        "repro.shard.planted_from": "from ..feedback import controller\n",
+        "repro.shard.planted_package": "from .. import feedback\n",
+        "repro.shard.planted_plain": "import repro.feedback.throttle\n",
+        "repro.shard.planted_clean": "from ..core import config\n",
+        "repro.core.planted_outside": "from ..feedback import controller\n",
+    }
+    modules = {}
+    for module, text in planted.items():
+        path = tmp_path / f"{module}.py"
+        path.write_text(text)
+        modules[module] = path
+    assert shard_imports_of_feedback(modules) == [
+        "repro.shard.planted_from -> repro.feedback.controller",
+        "repro.shard.planted_package -> repro.feedback",
+        "repro.shard.planted_plain -> repro.feedback.throttle"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -334,9 +335,12 @@ def test_internal_rows_are_bounded_by_the_wakeup_now_not_their_time(
         assert skipped < by_own_fields
 
 
-def reorder_join_graph() -> QueryGraph:
+def reorder_join_graph(disorder: bool | float = True) -> QueryGraph:
+    """``fast`` is out of order: ``disorder`` is ``True`` (bound unknown)
+    or its declared bound in seconds."""
     graph = QueryGraph("reorder-join")
-    fast = graph.add_source("fast", TimestampKind.EXTERNAL, out_of_order=True)
+    fast = graph.add_source("fast", TimestampKind.EXTERNAL,
+                            out_of_order=disorder)
     slow = graph.add_source("slow", TimestampKind.EXTERNAL)
     order = graph.add(Reorder("order", 0.5))
     join = graph.add(WindowJoin("join", WindowSpec.time(SPAN), key="k"))
@@ -373,16 +377,16 @@ def test_out_of_order_external_rows_never_fall_before_the_cut(
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the align phase punctuates an out-of-order source at its largest "
     "stamp, so a row still inside the reorder slack is late-dropped after "
-    "the reshard; lowering the target by disorder_bound is not enough "
+    "the reshard; lowering the target by the declared bound is not enough "
     "while SourceNode.inject_punctuation discards punctuation below the "
     "source's data high (see ROADMAP, state migration)"))
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_out_of_order_output_equals_single_engine(schedule):
-    oracle = ShardedDifferentialOracle(reorder_join_graph, disordered_feeds(),
-                                       key="k", chunk=CHUNK)
+    oracle = ShardedDifferentialOracle(partial(reorder_join_graph, 0.5),
+                                       disordered_feeds(), key="k",
+                                       chunk=CHUNK)
     oracle.assert_elastic_equals_single(
-        shards=3, reshard_at=schedule, batch_size=BATCH,
-        disorder_bound=0.5)
+        shards=3, reshard_at=schedule, batch_size=BATCH)
 
 
 # --------------------------------------------------------------------- #

@@ -414,15 +414,6 @@ def test_phase_literal_matches_fault_layer():
 # Observability
 
 
-def test_retry_backoff_histogram_dispatch():
-    """`kind="retry"` bus events land in the backoff histogram."""
-    registry = MetricsRegistry()
-    registry.on_shard(kind="retry", shard=0, time=1.0, count=2, value=0.3)
-    text = registry.render_prometheus()
-    assert "repro_shard_retry_backoff_seconds" in text
-    assert 'repro_shard_retries_total{shard="0"} 1' in text
-
-
 def test_reshard_emits_bus_event_and_metrics():
     registry = MetricsRegistry()
     engine = ElasticShardedEngine(join_graph(), shards=2, key="k",

@@ -30,7 +30,9 @@ from repro.core.tuples import TimestampKind
 from repro.core.windows import WindowSpec
 from repro.faults import SimulatedCrash
 from repro.recovery import CheckpointStore, WriteAheadLog
+from repro.recovery.wal import InputJournal
 from repro.shard import ElasticShardedEngine, ShardedEngine
+from repro.shard.engine import FACADE_IMAGE_FORMAT
 from repro.sim.clock import VirtualClock
 
 from test_recovery import count_walks
@@ -293,6 +295,56 @@ def test_a_recovery_walks_the_log_once(tmp_path, monkeypatch, make, torn):
     wal = engine.journal.wal
     engine.close(flush=False)
     assert wal.records_written == len(WriteAheadLog(log).replay())
+
+
+@pytest.mark.parametrize("make", [fixed, elastic], ids=["fixed", "elastic"])
+def test_a_facade_image_of_format_1_is_refused(tmp_path, monkeypatch, make):
+    """An image of format 1 (its history's ``carried_at`` was ``(now,
+    clamp, position)``) is no rung of the ladder: recovery reads the log
+    from its start, and the run is still the uncrashed one."""
+    feeds = keyed_feeds()
+    pre = crash_in_apply(make(tmp_path), feeds, at=10)
+    store = CheckpointStore(tmp_path / "facade")
+    images = [store.load(number) for number in store.numbers()]
+    assert FACADE_IMAGE_FORMAT == 2
+    assert [(image["position"], image["format"]) for image in images] == [
+        (4, 2), (8, 2)]
+    for number in store.numbers():
+        store.path_for(number).unlink()
+    for image in images:  # hand-edited to the parent format
+        store.save({**image, "format": 1})
+    size = (tmp_path / "facade" / "wal.log").stat().st_size
+    walks = count_walks(monkeypatch)
+    engine = make(tmp_path)
+    report = engine.recover()
+    monkeypatch.undo()
+    assert walks == [size]
+    released: list = []
+    now = feed(engine, feeds, released, skips=skips_of(report))
+    _assert_same(_canonical(reference_run(feeds)),
+                 _canonical(pre + finish(engine, released, now)),
+                 "recovery past a format-1 facade image is not exactly-once")
+
+
+@pytest.mark.parametrize("make", [fixed, elastic], ids=["fixed", "elastic"])
+def test_a_log_whose_wakeups_carry_a_clamp_reads_as_before(tmp_path,
+                                                           monkeypatch, make):
+    """Wake-up records of the parent layout carry a ``"clamp"`` field
+    (None: no logged run had feedback on); the log recovers and resumes
+    as any other, the resumed wake-ups written without it."""
+    commit = InputJournal.commit
+    monkeypatch.setattr(InputJournal, "commit", lambda journal, wakeup:
+                        commit(journal, {**wakeup, "clamp": None}))
+    feeds = keyed_feeds()
+    pre = crash_in_apply(make(tmp_path), feeds)
+    monkeypatch.undo()
+    wakeups = [rec for rec in
+               WriteAheadLog(tmp_path / "facade" / "wal.log").replay()
+               if rec["kind"] == "wakeup"]
+    assert len(wakeups) == CRASH_WAKEUP
+    assert all(rec["clamp"] is None for rec in wakeups)
+    report = recover_and_refeed(make, tmp_path, feeds, pre)
+    assert report.total_ingests == CHUNK * CRASH_WAKEUP
 
 
 def test_a_checkpoint_of_the_per_shard_wal_layout_is_refused(tmp_path):

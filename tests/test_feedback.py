@@ -3,18 +3,18 @@
 Covers the assertion type and its combine rules, reverse-topological
 propagation, the hysteresis controller (activation, refresh, relief
 train), the AIMD token-bucket throttle, each operator reaction, the
-sharded clamp broadcast with its bounded-staleness guarantee, the
-process-backend retry, and the byte-identity guarantee when no feedback
-fires.
+sharded engine's refusal of a controller, the process backend's one
+bounded wait, and the byte-identity guarantee when no feedback fires.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 import pytest
 
-from repro.core.errors import PolicyError
+from repro.core.errors import ExecutionError, PolicyError
 from repro.core.graph import QueryGraph
 from repro.core.operators import Map, Reorder, Select, Shed
 from repro.core.execution import ExecutionEngine
@@ -31,7 +31,7 @@ from repro.feedback import (
     propagate_feedback,
 )
 from repro.obs.bus import Observer
-from repro.shard.backends import ProcessBackend, ShardTimeoutError
+from repro.shard.backends import ProcessBackend, ShardResult, ShardTimeoutError
 from repro.shard.engine import ShardedEngine
 from repro.sim.clock import VirtualClock
 
@@ -343,20 +343,6 @@ class TestController:
         assert controller2.episodes == controller.episodes
         assert controller2.active == controller.active
 
-    def test_clamp_overrides_local_idle_view(self):
-        graph, engine, controller, probe = engine_with_controller(
-            high_watermark=1000)
-        source = graph["src"]
-        source.throttle = TokenBucketThrottle(rate=100.0)
-        controller.clamp(0.7, now=1.0, round_id=1)
-        assert controller.pressure == 0.7
-        assert controller.clamps == 1
-        assert source.throttle.rate == 50.0  # the clamp wave propagated
-        assert probe.events[-1]["kind"] == "clamp"
-        controller.clamp(0.0, now=2.0, round_id=2)
-        assert controller.pressure == 0.0
-        assert probe.events[-1]["kind"] == "relief"
-
 
 # --------------------------------------------------------------------- #
 # Byte-identity with feedback disabled / inert
@@ -391,7 +377,7 @@ class TestByteIdentity:
 
 
 # --------------------------------------------------------------------- #
-# Sharded clamp broadcast (bounded staleness)
+# Sharded engines run no controller
 
 
 def _shard_build():
@@ -403,73 +389,29 @@ def _shard_build():
     return graph
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_clamp_staleness_bounded_by_one_wakeup(backend):
-    engine = ShardedEngine(
-        _shard_build, shards=2, key="k", backend=backend,
-        feedback=lambda: FeedbackController(high_watermark=4,
-                                            low_watermark=1))
-    try:
-        expected_clamp = 0.0  # first wakeup broadcasts the initial view
-        last_global = 0.0
-        for round_no in range(6):
-            # Skew everything onto one shard so only it builds pressure.
-            for i in range(8):
-                engine.ingest("src", {"k": 0, "seq": (round_no, i)},
-                              time=round_no + 0.1 * i)
-            engine.wakeup()
-            summaries = engine.backend.summaries()
-            assert len(summaries) == 2
-            # The clamp each shard saw this wakeup is last wakeup's view.
-            shards = engine.backend.shards
-            for shard in shards:
-                assert shard.feedback is not None
-                assert shard.feedback.clamped_pressure == expected_clamp
-            expected_clamp = engine.global_pressure
-            last_global = engine.global_pressure
-        assert last_global > 0.0  # the hot shard raised the global view
-        assert engine.clamps_broadcast >= 1
-        assert engine.summary()["pressure"] == last_global
-    finally:
-        engine.close()
-
-
-def test_clamp_round_trips_through_process_backend():
-    engine = ShardedEngine(
-        _shard_build, shards=2, key="k", backend="process",
-        op_timeout=30.0,
-        feedback=lambda: FeedbackController(high_watermark=4,
-                                            low_watermark=1))
-    try:
-        for round_no in range(4):
-            for i in range(8):
-                engine.ingest("src", {"k": 0, "seq": (round_no, i)},
-                              time=round_no + 0.1 * i)
-            engine.wakeup()
-        # Pressure crossed the process boundary via ShardResult.pressure.
-        assert engine.global_pressure > 0.0
-    finally:
-        engine.close()
-
-
 def test_feedback_disabled_sends_no_clamp():
+    """A shard command is rows, punctuation, clock and log position: no
+    shard runs a controller, none reports a pressure view, and a facade
+    asked for feedback refuses before it builds a shard."""
+    with pytest.raises(ExecutionError, match="take no feedback"):
+        ShardedEngine(_shard_build, shards=2, key="k",
+                      feedback=lambda: FeedbackController(high_watermark=4))
     engine = ShardedEngine(_shard_build, shards=2, key="k", backend="serial")
     try:
         engine.ingest("src", {"k": 1}, time=0.5)
         engine.wakeup()
         for shard in engine.backend.shards:
-            assert shard.feedback is None
-        assert engine.feedback_enabled is False
-        assert engine.global_pressure == 0.0
+            assert shard.engine.feedback is None
+        assert [f.name for f in fields(ShardResult)] == [
+            "shard", "outputs", "frontier", "ingested", "marks"]
+        assert not {"pressure", "clamps_broadcast", "retries"} & set(
+            engine.summary())
     finally:
         engine.close()
 
 
 # --------------------------------------------------------------------- #
-# Process-backend retry
-
-
-_STALL_FILE = None
+# The process backend waits once
 
 
 def _stalling_build():
@@ -489,35 +431,18 @@ def _stalling_build():
     return graph
 
 
-def test_transient_stall_recovers_via_retry():
-    """One 0.6s stall vs a 0.25s timeout: the doubled-retry window
-    (0.25 + 0.5 = 0.75s) covers it, so the shard survives."""
-    backend = ProcessBackend(
-        1, lambda i: (_stalling_build, {}), op_timeout=0.25, retry_limit=1)
-    retries_seen = []
-    backend.on_retry = lambda *args: retries_seen.append(args)
-    try:
-        results = backend.apply_all(
-            [([("src", {"stall": True}, 0.5, None)], [], 0.5)])
-        assert results[0].ingested == 1
-        assert backend.retries == 1
-        assert retries_seen and retries_seen[0][0] == 0
-        # The worker is still alive and serving.
-        results = backend.apply_all(
-            [([("src", {"stall": False}, 1.0, None)], [], 1.0)])
-        assert results[0].ingested == 1
-        assert backend.retries == 1  # no further retries needed
-    finally:
-        backend.close()
-
-
 def test_persistent_stall_still_raises():
+    """A 0.6 s stall against a 0.08 s timeout: the one wait expires and
+    the worker is terminated, with no re-poll in between."""
     backend = ProcessBackend(
-        1, lambda i: (_stalling_build, {}), op_timeout=0.08, retry_limit=1)
+        1, lambda i: (_stalling_build, {}), op_timeout=0.08)
     try:
-        with pytest.raises(ShardTimeoutError, match="1 backoff retries"):
+        start = time.monotonic()
+        with pytest.raises(ShardTimeoutError, match=r"within 0\.08s "
+                                                    r"\(terminated\)"):
             backend.apply_all(
                 [([("src", {"stall": True}, 0.5, None)], [], 0.5)])
+        assert time.monotonic() - start < 0.6
     finally:
         backend.close()
 

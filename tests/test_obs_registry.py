@@ -3,13 +3,19 @@ the bus, absorbed end-of-run aggregates, and the Prometheus rendering."""
 
 from __future__ import annotations
 
+import ast
+import inspect
+import re
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.ets import OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, Observer
 from repro.sim.clock import VirtualClock
 from repro.workloads.scenarios import ScenarioConfig, build_union_scenario
 
@@ -237,3 +243,85 @@ class TestPrometheusRendering:
         rows = reg.rows()
         assert rows == sorted(rows)
         assert ("repro_engine_rounds_total", 1) in rows
+
+
+# --------------------------------------------------------------------- #
+# Every event kind is emitted, documented and counted
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def emitted_kinds(sources: dict[str, str], hook: str) -> set[str]:
+    """The ``kind=`` string literals passed to ``<...>bus.<hook>(...)`` in
+    ``sources`` (file name -> text); every literal in the expression
+    counts, so ``kind="a" if x else "b"`` gives both."""
+    kinds = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == hook):
+                continue
+            owner = node.func.value
+            name = (owner.id if isinstance(owner, ast.Name)
+                    else getattr(owner, "attr", ""))
+            if name != "bus":
+                continue
+            for keyword in node.keywords:
+                if keyword.arg == "kind":
+                    kinds |= {c.value for c in ast.walk(keyword.value)
+                              if isinstance(c, ast.Constant)
+                              and isinstance(c.value, str)}
+    return kinds
+
+
+def documented_kinds(method) -> set[str]:
+    """The ````"word"```` literals of a hook's docstring."""
+    return set(re.findall(r'``"(\w+)"``', inspect.getdoc(method)))
+
+
+def counted_kinds(method) -> set[str]:
+    """The literals a hook compares ``kind`` against."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+    return {c.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name) and node.left.id == "kind"
+            for c in node.comparators if isinstance(c, ast.Constant)}
+
+
+def _sources() -> dict[str, str]:
+    return {str(path): path.read_text() for path in SRC.rglob("*.py")}
+
+
+def test_every_shard_event_kind_is_emitted_documented_and_counted():
+    emitted = emitted_kinds(_sources(), "shard")
+    assert emitted == {"ingest", "wakeup", "frontier", "recovery", "reshard"}
+    assert documented_kinds(Observer.on_shard) == emitted
+    assert counted_kinds(MetricsRegistry.on_shard) == emitted
+
+
+def test_every_feedback_event_kind_is_emitted_and_documented():
+    """``MetricsRegistry.on_feedback`` counts every kind under its own
+    label, so only emission and documentation can drift apart."""
+    emitted = emitted_kinds(_sources(), "feedback")
+    assert emitted == {"pressure", "relief"}
+    assert documented_kinds(Observer.on_feedback) == emitted
+    assert counted_kinds(MetricsRegistry.on_feedback) == set()
+
+
+def test_the_event_kind_scan_bites():
+    """A planted emission is found, in each spelling, and a call that is
+    not a bus's is not."""
+    planted = {"planted.py": (
+        "self.bus.shard(kind='planted', shard=0, time=0.0)\n"
+        "bus.feedback(kind='up' if hot else 'down', round_id=0, time=0)\n"
+        "tracker.shard(kind='elsewhere')\n")}
+    assert emitted_kinds(planted, "shard") == {"planted"}
+    assert emitted_kinds(planted, "feedback") == {"up", "down"}
+
+    class Planted(MetricsRegistry):
+        def on_shard(self, *, kind, **fields):
+            if kind == "planted":
+                pass
+
+    assert counted_kinds(Planted.on_shard) == {"planted"}

@@ -6,10 +6,13 @@ import pytest
 
 from repro.core.errors import ExecutionError, TimestampError
 from repro.core.ets import OnDemandEts
+from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Reorder, Union
 from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
+from repro.core.windows import WindowSpec
 from repro.query.pipeline import Pipeline
+from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import (
@@ -114,6 +117,33 @@ class TestOutOfOrderSource:
         src.ingest({}, now=2.0, ts=3.0)  # regression allowed
         assert src.last_data_ts == 5.0   # frontier, not last
 
+    def test_declares_its_disorder_bound(self):
+        """``out_of_order=`` takes the bound in seconds; ``True`` means
+        bounded with the bound unknown, and the flag stays a bool."""
+        g = QueryGraph("g")
+        known = g.add_source("k", TimestampKind.EXTERNAL, out_of_order=0.25)
+        unknown = g.add_source("u", TimestampKind.EXTERNAL, out_of_order=True)
+        ordered = g.add_source("o", TimestampKind.EXTERNAL)
+        assert (known.out_of_order, known.disorder_bound) == (True, 0.25)
+        assert (unknown.out_of_order, unknown.disorder_bound) == (True, None)
+        assert (ordered.out_of_order, ordered.disorder_bound) == (False, None)
+        q = Pipeline("p")
+        node = q.source("s", kind=TimestampKind.EXTERNAL,
+                        out_of_order=0.5).source_node
+        assert (node.out_of_order, node.disorder_bound) == (True, 0.5)
+        for source, ts in ((known, 2.0), (unknown, 2.0), (ordered, 2.0)):
+            source.ingest({}, now=2.0, ts=ts)
+        # The horizon a shard's frontier reads is lowered by the bound
+        # alone; an unknown bound lowers it by nothing.
+        assert [s.external_horizon() for s in (known, unknown, ordered)] == [
+            1.75, 2.0, 2.0]
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(TimestampError, match="disorder bound"):
+                g.add_source(f"bad{bad}", TimestampKind.EXTERNAL,
+                             out_of_order=bad)
+        with pytest.raises(TimestampError, match="externally timestamped"):
+            g.add_source("i", TimestampKind.INTERNAL, out_of_order=0.1)
+
     def test_ordered_source_still_rejects(self):
         g = QueryGraph("g")
         src = g.add_source("s", TimestampKind.EXTERNAL)
@@ -163,6 +193,62 @@ class TestEndToEndOutOfOrder:
         assert graph["fix"].late_dropped > 0
         out_ts = [t.ts for t in sink.outputs_seen]
         assert out_ts == sorted(out_ts)  # order still never violated
+
+
+class TestHeadlineDefect:
+    """The ``stateful-plan`` shape at 1/64 size: out-of-order ``a``
+    (stamps up to 20 ms behind arrival, bound declared) -> Reorder(50 ms)
+    -> indexed join with ``b`` -> strict union with ``c``, on-demand ETS,
+    64 arrivals per wake-up.  The skew-bound ETS punctuates ``a`` at its
+    largest stamp, above rows still inside the reorder's slack, so those
+    rows arrive late and are dropped (ROADMAP, first open item)."""
+
+    GAP = 0.001
+
+    def feed(self) -> list[tuple]:
+        rng = random.Random("stateful-plan:1")
+        feed = []
+        for i in range(1024):
+            when = i * self.GAP
+            slot = i % 16
+            name = "c" if slot == 15 else ("a" if slot % 2 == 0 else "b")
+            ets = when - rng.random() * 20 * self.GAP if name == "a" else None
+            feed.append((name, when, ets, {"k": rng.randrange(8),
+                                           "v": rng.randrange(11), "uid": i}))
+        return feed
+
+    def run(self) -> QueryGraph:
+        q = Pipeline("stateful-plan")
+        a = q.source("a", TimestampKind.EXTERNAL, out_of_order=20 * self.GAP)
+        (a.reorder(50 * self.GAP, name="reorder")
+          .join(q.source("b"), WindowSpec.time(100 * self.GAP), key="k",
+                indexed=True, name="join")
+          .union(q.source("c"), strict=True, name="strict")
+          .sink("sink"))
+        graph = q.compile()
+        assert graph["a"].disorder_bound == 20 * self.GAP
+        clock = VirtualClock()
+        engine = ExecutionEngine(graph, clock, ets_policy=OnDemandEts(),
+                                 config=q.config)
+        feed = self.feed()
+        for start in range(0, len(feed), 64):
+            for name, when, ets, payload in feed[start:start + 64]:
+                clock.advance_to(when)
+                graph[name].ingest(payload, now=when, ts=ets, arrival=when)
+            engine.wakeup(graph[name])
+        final = feed[-1][1] + 1.0
+        clock.advance_to(final)
+        for name in "abc":
+            graph[name].inject_punctuation(final, origin=f"eos:{name}")
+        engine.wakeup()
+        return graph
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "OnDemandEts punctuates an out-of-order source at its largest "
+        "stamp, not lowered by the declared disorder bound: 49 of the "
+        "plan's rows fall below it and are late-dropped"))
+    def test_no_row_inside_the_declared_bound_is_dropped(self):
+        assert self.run()["reorder"].late_dropped == 0
 
 
 class TestWorkloadGenerator:

@@ -156,7 +156,7 @@ def test_the_caller_runs_shard_0_beside_p_minus_1_workers(shards, workers):
 def test_a_deadlocked_worker_times_out_after_the_callers_shard_ran(
         monkeypatch):
     backend = ProcessBackend(2, lambda index: (build_sleepy(8.0), {}),
-                             op_timeout=0.4, retry_limit=0)
+                             op_timeout=0.4)
     ran: list[int] = []
     apply = EngineShard.apply
 
@@ -171,8 +171,8 @@ def test_a_deadlocked_worker_times_out_after_the_callers_shard_ran(
             backend.apply_all([([("src", {"k": 0}, 0.1, None)], [], 0.1),
                                ([("src", {"k": 1, "sleep": True}, 0.1,
                                   None)], [], 0.1)])
-        # Within a few timeouts, not the worker's 8 s stall.
-        assert time.monotonic() - start < 4 * backend.op_timeout
+        # One wait of op_timeout, not a re-poll or the worker's 8 s stall.
+        assert time.monotonic() - start < 2 * backend.op_timeout
         assert ran == [0]
     finally:
         backend.close()
@@ -278,10 +278,34 @@ def test_process_backend_constructs_from_a_picklable_factory_config():
 
 @pytest.mark.parametrize("knob", ["ets_policy", "feedback"])
 def test_shards_reject_a_shared_instance(knob):
-    instance = OnDemandEts() if knob == "ets_policy" else FeedbackController()
-    with pytest.raises(ExecutionError, match=f"zero-argument {knob} factory"):
-        ShardedEngine(build_sleepy(0.0), shards=2, key="k",
-                      **{knob: instance})
+    """A shared policy is refused; so is any feedback controller, shared
+    or per shard: a shard engine runs without one."""
+    if knob == "ets_policy":
+        with pytest.raises(ExecutionError,
+                           match="zero-argument ets_policy factory"):
+            ShardedEngine(build_sleepy(0.0), shards=2, key="k",
+                          ets_policy=OnDemandEts())
+        return
+    for feedback in (FeedbackController(), FeedbackController):
+        with pytest.raises(ExecutionError, match="take no feedback"):
+            ShardedEngine(build_sleepy(0.0), shards=2, key="k",
+                          backend="process", feedback=feedback)
+        with pytest.raises(ExecutionError, match="take no feedback"):
+            EngineShard(0, build_sleepy(0.0), feedback=feedback)
+
+
+def test_the_removed_keywords_are_unknown_knobs():
+    """The disorder bound is declared on the source, and a shard reply is
+    awaited once: neither is a facade, shard or backend keyword."""
+    for keyword in ("retry_limit", "disorder_bound"):
+        with pytest.raises(TypeError, match=keyword):
+            ShardedEngine(build_sleepy(0.0), shards=2, key="k",
+                          **{keyword: 1})
+        with pytest.raises(TypeError, match=keyword):
+            EngineShard(0, build_sleepy(0.0), **{keyword: 1})
+    with pytest.raises(TypeError, match="retry_limit"):
+        ProcessBackend(1, lambda index: (build_sleepy(0.0), {}),
+                       retry_limit=1)
 
 
 # --------------------------------------------------------------------- #

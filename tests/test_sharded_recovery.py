@@ -119,7 +119,7 @@ def assert_only_suffixes(restored, sent, *, at_most=None):
     one per logged wake-up from there on."""
     assert sorted(sent) == sorted(restored) == list(range(SHARDS))
     for shard, commands in sent.items():
-        positions = [command[4] for command in commands]
+        positions = [position for *_, position in commands]
         start = restored[shard] + 1
         assert positions == list(range(start, start + len(positions)))
         if at_most is not None:
