@@ -80,12 +80,10 @@ from .core.windows import CountWindow, TimeWindow, WindowSpec
 from .core.tuples import (
     LATENT_TS,
     DataTuple,
-    FeedbackPunctuation,
     Punctuation,
     StreamElement,
     TimestampKind,
     is_data,
-    is_feedback,
     is_punctuation,
 )
 from .core.errors import (
@@ -177,9 +175,8 @@ __all__ = [
     # schema & windows
     "CountWindow", "Field", "Schema", "TimeWindow", "WindowSpec",
     # tuples & timestamp kinds
-    "DataTuple", "FeedbackPunctuation", "LATENT_TS", "Punctuation",
-    "StreamElement", "TimestampKind", "is_data", "is_feedback",
-    "is_punctuation",
+    "DataTuple", "LATENT_TS", "Punctuation", "StreamElement",
+    "TimestampKind", "is_data", "is_punctuation",
     # errors
     "ExecutionError", "GraphError", "InvariantViolation", "PolicyError",
     "QueryLanguageError", "RecoveryError", "ReproError", "SchemaError",

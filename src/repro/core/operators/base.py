@@ -289,23 +289,6 @@ class Operator:
         for buf in self._ports.outputs:
             buf.push(copy)
 
-    # ------------------------------------------------------------------ #
-    # Upstream feedback (see repro.feedback)
-
-    def on_feedback(self, feedback, now: float):
-        """Receive an upstream :class:`~repro.core.tuples.FeedbackPunctuation`.
-
-        Called by the feedback propagator in reverse topological order; the
-        ``feedback`` argument is already the max-pressure combine over every
-        live successor's assertion.  The return value is what this operator
-        forwards to *its* predecessors: the default is pass-through (the
-        operator is transparent to feedback, like non-IWP operators are to
-        ordinary punctuation).  Reactive operators override this to adjust
-        their knobs and may return a modified assertion (e.g. a shedder
-        consuming part of the drop budget) or ``None`` to absorb the wave.
-        """
-        return feedback
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"
 

@@ -67,9 +67,6 @@ class Reorder(Operator):
                 f"got {late!r}"
             )
         self.slack = float(slack)
-        #: The configured slack — the value feedback-driven narrowing
-        #: recovers toward when pressure relieves.
-        self.base_slack = float(slack)
         self.late_policy = late
         #: The parked rows: sorted ``(ts, seq)`` runs, kept as zero-copy
         #: selections over drained input blocks; eviction merges them.
@@ -77,11 +74,6 @@ class Reorder(Operator):
         self._max_seen = LATENT_TS
         self._emitted_watermark = LATENT_TS
         self.late_dropped = 0
-
-    #: Fraction of ``base_slack`` surrendered at full pressure (1.0).  A
-    #: narrower slack parks fewer tuples and emits earlier — trading late-
-    #: drop risk for memory and latency while the system is overloaded.
-    FEEDBACK_NARROWING = 0.5
 
     @property
     def pending(self) -> int:
@@ -129,11 +121,12 @@ class Reorder(Operator):
             "max_seen": self._max_seen,
             "emitted_watermark": self._emitted_watermark,
             "late_dropped": self.late_dropped,
-            "slack": self.slack,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`snapshot_state`."""
+        """Restore a snapshot produced by :meth:`snapshot_state`.  The
+        slack is the constructor's: a ``slack`` key from an older snapshot
+        is ignored."""
         if state.get("version") != 1:
             raise ExecutionError(f"unsupported Reorder state: {state!r}")
         parked = sorted(state["heap"], key=lambda entry: entry[:2])
@@ -142,31 +135,6 @@ class Reorder(Operator):
         self._max_seen = state["max_seen"]
         self._emitted_watermark = state["emitted_watermark"]
         self.late_dropped = state["late_dropped"]
-        self.slack = state.get("slack", self.slack)
-
-    # ------------------------------------------------------------------ #
-    # Upstream feedback
-
-    def on_feedback(self, feedback, now: float):
-        """Narrow slack under pressure, recover toward base slack on relief.
-
-        At pressure ``p`` the live slack becomes
-        ``base_slack * (1 - FEEDBACK_NARROWING * p)``; each relief beat
-        closes half the remaining gap back to ``base_slack`` (snapping when
-        within 1%), so order tolerance returns gradually rather than
-        re-inflating the heap in one step.
-        """
-        if feedback.is_relief:
-            gap = self.base_slack - self.slack
-            self.slack = (self.base_slack if gap <= 0.01 * self.base_slack
-                          else self.base_slack - gap * 0.5)
-        else:
-            pressure = min(1.0, max(0.0, feedback.pressure))
-            self.slack = self.base_slack * (
-                1.0 - self.FEEDBACK_NARROWING * pressure)
-        return feedback
-
-    # ------------------------------------------------------------------ #
 
     # ------------------------------------------------------------------ #
     # Columnar path

@@ -92,9 +92,9 @@ class SourceNode(Operator):
         #: declared ``external_delta``.  None keeps the strict raise.
         self.quarantine = None
         #: Optional admission throttle (any object with the
-        #: :class:`~repro.feedback.TokenBucketThrottle` ``admit``/
-        #: ``on_feedback`` signature).  None — the default — admits
-        #: everything, keeping the healthy path byte-identical.
+        #: :class:`~repro.feedback.TokenBucketThrottle` ``admit``/``step``
+        #: signature).  None — the default — admits everything, keeping
+        #: the healthy path byte-identical.
         self.throttle = None
         self.disorder_bound = None
         if not isinstance(out_of_order, bool):
@@ -327,20 +327,6 @@ class SourceNode(Operator):
         throttle_state = state.get("throttle")
         if throttle_state is not None and self.throttle is not None:
             self.throttle.restore_state(throttle_state)
-
-    # ------------------------------------------------------------------ #
-    # Upstream feedback
-
-    def on_feedback(self, feedback, now: float):
-        """Forward feedback to the admission throttle (AIMD endpoint).
-
-        Sources terminate the upstream propagation, so the return value is
-        the unchanged assertion (nothing lies further upstream to receive
-        it).
-        """
-        if self.throttle is not None:
-            self.throttle.on_feedback(feedback)
-        return feedback
 
     # ------------------------------------------------------------------ #
     # Operator contract (sources never execute)

@@ -28,10 +28,8 @@ __all__ = [
     "StreamElement",
     "DataTuple",
     "Punctuation",
-    "FeedbackPunctuation",
     "is_data",
     "is_punctuation",
-    "is_feedback",
     "ensure_seq_above",
 ]
 
@@ -97,11 +95,6 @@ class StreamElement:
     @property
     def is_punctuation(self) -> bool:
         raise NotImplementedError
-
-    @property
-    def is_feedback(self) -> bool:
-        """True for upstream-flowing feedback punctuation (never buffered)."""
-        return False
 
     @property
     def is_latent(self) -> bool:
@@ -223,94 +216,12 @@ _set_origin, _set_periodic = (Punctuation.origin.__set__,
                               Punctuation.periodic.__set__)
 
 
-@dataclass(frozen=True, slots=True)
-class FeedbackPunctuation(StreamElement):
-    """An upstream-flowing punctuation carrying typed feedback assertions.
-
-    Ordinary punctuation asserts a *temporal* property about the future of a
-    stream ("no element below ``ts`` will follow").  Feedback punctuation —
-    after Fernández-Moctezuma & Tufte — asserts an *operational* property
-    about the downstream present: how congested the consumers of a stream
-    are right now.  It travels *predecessor-ward* along the same edges the
-    backtrack/on-demand-ETS walk uses, but it never enters a stream buffer:
-    propagation is a direct reverse-topological delivery to
-    :meth:`Operator.on_feedback`, so the ordered-stream invariant and the
-    data path are untouched by construction.
-
-    ``ts`` is the virtual-clock instant of the observation; ``seq`` breaks
-    ties like any stream element.
-
-    Attributes:
-        origin: Name of the emitting component (a controller, sink, or
-            sharded aggregator) for tracing.
-        pressure: Normalized congestion in ``[0, 1]``: 0 means relaxed,
-            1 means the high watermark (or worse) has been reached.  A
-            feedback wave with ``pressure == 0.0`` is a *relief* assertion
-            telling reactions to unwind.
-        buffer_depth: Total buffered elements observed across the graph.
-        sink_latency: Worst observed mean sink latency (stream seconds).
-        frontier_lag: Gap between the newest source watermark and the
-            oldest operator frontier — how far behind the slowest path is.
-        drop_budget: Suggested shed probability in ``[0, 1]`` for
-            load-shedding operators; 0 requests no shedding.
-    """
-
-    origin: str = ""
-    pressure: float = 0.0
-    buffer_depth: int = 0
-    sink_latency: float = 0.0
-    frontier_lag: float = 0.0
-    drop_budget: float = 0.0
-
-    @property
-    def is_punctuation(self) -> bool:
-        return False
-
-    @property
-    def is_feedback(self) -> bool:
-        return True
-
-    @property
-    def is_relief(self) -> bool:
-        """True when this wave asks reactions to unwind (pressure zero)."""
-        return self.pressure <= 0.0
-
-    def combined_with(self, other: "FeedbackPunctuation") -> "FeedbackPunctuation":
-        """Element-wise max-combine with another assertion.
-
-        The per-operator combine rule: an operator feeding several
-        successors reacts to the *worst* pressure any of them reports, so
-        assertions merge by taking the maximum of every field (and the
-        newest observation instant).
-        """
-        if other.pressure > self.pressure:
-            base, extra = other, self
-        else:
-            base, extra = self, other
-        return replace(
-            base,
-            ts=max(base.ts, extra.ts),
-            buffer_depth=max(base.buffer_depth, extra.buffer_depth),
-            sink_latency=max(base.sink_latency, extra.sink_latency),
-            frontier_lag=max(base.frontier_lag, extra.frontier_lag),
-            drop_budget=max(base.drop_budget, extra.drop_budget),
-        )
-
-    def reattributed(self, origin: str) -> "FeedbackPunctuation":
-        """Return a copy re-attributed to a forwarding operator."""
-        return replace(self, origin=origin)
-
-
 def is_data(element: StreamElement) -> bool:
     """True when ``element`` is a data tuple."""
-    return not (element.is_punctuation or element.is_feedback)
+    return not element.is_punctuation
 
 
 def is_punctuation(element: StreamElement) -> bool:
     """True when ``element`` is a punctuation tuple."""
     return element.is_punctuation
 
-
-def is_feedback(element: StreamElement) -> bool:
-    """True when ``element`` is an upstream feedback punctuation."""
-    return element.is_feedback

@@ -9,7 +9,7 @@ inflates the sink's per-tuple cost — the classic overload squeeze.
 
 Run it open-loop (``feedback=False``: no controller, no throttle — queues
 and latency grow with the spike) and closed-loop (``feedback=True``: the
-controller's pressure waves drive an AIMD token-bucket throttle at the fast
+controller's pressure waves step an AIMD token-bucket throttle at the fast
 source, so depth and p99 latency stay bounded at the price of admission
 drops).  ``python -m repro validate`` asserts the comparison as claim X9.
 """
@@ -63,7 +63,6 @@ class OverloadConfig:
     #: Closed loop (controller + throttle) when True; open loop otherwise.
     feedback: bool = True
     low_watermark: int | None = None
-    overload_depth: int | None = None
     relief_beats: int = 8
 
 
@@ -119,7 +118,6 @@ def run_overload_experiment(config: OverloadConfig) -> OverloadReport:
         controller = FeedbackController(
             high_watermark=HIGH_WATERMARK,
             low_watermark=config.low_watermark,
-            overload_depth=config.overload_depth,
             relief_beats=config.relief_beats)
 
     handles = build_union_scenario(

@@ -1,18 +1,17 @@
-"""Closed-loop backpressure: upstream feedback punctuation and reactions.
+"""Closed-loop backpressure: a hysteresis controller stepping source throttles.
 
 See DESIGN.md section 4h.  The public pieces:
 
-* :class:`FeedbackController` — per-engine hysteresis sampler emitting
-  :class:`~repro.core.tuples.FeedbackPunctuation` waves;
-* :func:`propagate_feedback` — reverse-topological max-combine delivery;
+* :class:`FeedbackController` — per-engine hysteresis sampler whose
+  pressure and relief waves each take one AIMD step on every throttled
+  source;
 * :class:`TokenBucketThrottle` — AIMD admission control for sources.
 """
 
-from .controller import FeedbackController, propagate_feedback
+from .controller import FeedbackController
 from .throttle import TokenBucketThrottle
 
 __all__ = [
     "FeedbackController",
     "TokenBucketThrottle",
-    "propagate_feedback",
 ]

@@ -8,10 +8,11 @@ counts it and returns None, exactly the quarantine-drop contract).
 The rate itself is closed-loop controlled the way TCP controls its window
 — additive increase, multiplicative decrease:
 
-* a **pressure** feedback wave multiplies the rate by ``decrease``
-  (default 0.5), never below ``min_rate``;
-* a **relief** wave adds ``increase`` tokens/s (default ``rate / 10``),
-  never above ``max_rate`` (the configured healthy rate).
+* a **pressure** wave (:meth:`step` with ``True``) multiplies the rate
+  by ``decrease`` (default 0.5), never below ``min_rate``;
+* a **relief** beat (``step(False)``) adds ``increase`` tokens/s
+  (default ``rate / 10``), never above ``max_rate`` (the configured
+  healthy rate).
 
 Everything is driven by the virtual clock and plain arithmetic — no wall
 clock, no RNG — so a recovered run replays the same admission decisions
@@ -93,13 +94,10 @@ class TokenBucketThrottle:
     # ------------------------------------------------------------------ #
     # AIMD control
 
-    def on_feedback(self, feedback) -> None:
-        """Apply one AIMD step from an upstream feedback wave."""
-        if feedback.is_relief:
-            if self.rate < self.max_rate:
-                self.rate = min(self.max_rate, self.rate + self.increase)
-                self.increases += 1
-        else:
+    def step(self, pressure: bool) -> None:
+        """Apply one AIMD step: decrease on a pressure wave, increase on a
+        relief beat."""
+        if pressure:
             if self.rate > self.min_rate:
                 self.rate = max(self.min_rate, self.rate * self.decrease)
                 self.decreases += 1
@@ -107,6 +105,9 @@ class TokenBucketThrottle:
             # the backlog downstream *is* the burst we already admitted.
             if self._tokens > 1.0:
                 self._tokens = 1.0
+        elif self.rate < self.max_rate:
+            self.rate = min(self.max_rate, self.rate + self.increase)
+            self.increases += 1
 
     @property
     def denied_fraction(self) -> float:

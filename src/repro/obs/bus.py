@@ -158,15 +158,14 @@ class Observer:
         """
 
     def on_feedback(self, *, kind: str, round_id: int, time: float,
-                    pressure: float = 0.0, depth: int = 0,
-                    drop_budget: float = 0.0, sink_latency: float = 0.0,
-                    frontier_lag: float = 0.0, origin: str = "") -> None:
+                    depth: int = 0) -> None:
         """A feedback-controller wave (:mod:`repro.feedback`).
 
-        ``kind`` is ``"pressure"`` (an overload wave propagated upstream
-        carrying ``pressure``/``drop_budget``) or ``"relief"`` (a
-        deactivation/unwind beat with pressure zero).  A single engine's
-        controller emits them; a sharded engine runs none.
+        ``kind`` is ``"pressure"`` (an overload wave: one AIMD decrease at
+        every throttled source) or ``"relief"`` (a deactivation/unwind
+        beat: one AIMD increase); ``depth`` is the buffer depth the wave
+        was sampled at.  A single engine's controller emits them; a
+        sharded engine runs none.
         """
 
 

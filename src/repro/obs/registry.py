@@ -273,16 +273,10 @@ class MetricsRegistry(Observer):
             "repro_shard_migrated_keys_total",
             "Keys whose route changed across a reshard")
         self.feedback_waves = c("repro_feedback_waves_total",
-                                "Feedback waves propagated upstream, by kind")
-        self.feedback_pressure = g("repro_feedback_pressure",
-                                   "Last feedback pressure emitted [0, 1]",
-                                   track_max=True)
+                                "Feedback waves sent to the sources, by kind")
         self.feedback_depth = g("repro_feedback_depth",
                                 "Buffer depth sampled by the last wave",
                                 track_max=True)
-        self.feedback_drop_budget = g(
-            "repro_feedback_drop_budget",
-            "Drop budget carried by the last wave", track_max=True)
         # Absorbed end-of-run aggregates.
         self.idle_wait = g("repro_idle_wait_seconds",
                            "Idle-waiting time per IWP operator")
@@ -417,13 +411,9 @@ class MetricsRegistry(Observer):
             if count:
                 self.shard_migrated.inc(count)
 
-    def on_feedback(self, *, kind, round_id, time, pressure=0.0, depth=0,
-                    drop_budget=0.0, sink_latency=0.0, frontier_lag=0.0,
-                    origin="") -> None:
+    def on_feedback(self, *, kind, round_id, time, depth=0) -> None:
         self.feedback_waves.inc(kind=kind)
-        self.feedback_pressure.set(pressure)
         self.feedback_depth.set(depth)
-        self.feedback_drop_budget.set(drop_budget)
 
     # ------------------------------------------------------------------ #
     # Derived figures

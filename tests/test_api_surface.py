@@ -61,7 +61,6 @@ ALLOWLIST: dict[str, str] = {
     # records and types
     "CheckpointInfo": _RECORD,
     "CountWindow": _RECORD,
-    "FeedbackPunctuation": _RECORD,
     "LATENT_TS": _RECORD,
     "Punctuation": _RECORD,
     "ShardedRecoveryReport": _RECORD,
@@ -69,7 +68,6 @@ ALLOWLIST: dict[str, str] = {
     "TimeWindow": _RECORD,
     "TraceEvent": _RECORD + " (Tracer.events)",
     "is_data": _RECORD,
-    "is_feedback": _RECORD,
     "is_punctuation": _RECORD,
 }
 

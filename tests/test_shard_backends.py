@@ -126,6 +126,22 @@ def test_a_failed_call_leaves_no_reply_behind():
         backend.close()
 
 
+def test_persistent_stall_still_raises():
+    """A 0.6 s stall against a 0.08 s timeout: the one wait expires and
+    the worker is terminated, with no re-poll in between."""
+    backend = ProcessBackend(1, lambda index: (build_sleepy(0.6), {}),
+                             op_timeout=0.08)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ShardTimeoutError, match=r"within 0\.08s "
+                                                    r"\(terminated\)"):
+            backend.apply_all(
+                [([("src", {"sleep": True}, 0.5, None)], [], 0.5)])
+        assert time.monotonic() - start < 0.6
+    finally:
+        backend.close()
+
+
 # --------------------------------------------------------------------- #
 # The process layout: P−1 workers plus the caller, which runs shard 0
 

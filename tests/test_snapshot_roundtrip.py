@@ -474,6 +474,42 @@ def test_version1_reorder_heap_snapshot_restores_and_releases():
     assert op.pending == 0
 
 
+def test_parent_format_narrowed_reorder_and_budgeted_shed_restore():
+    """Snapshots written while feedback could narrow a ``Reorder``'s slack
+    and grant a ``Shed`` a drop budget restore; the narrowed ``slack`` and
+    the ``drop_budget`` are ignored.  The Reorder then releases and admits
+    at its configured slack (2.0): a narrowed one (1.0) would release 5.5
+    early and late-drop the row at 5.2."""
+    parked = [(ts, seq, DataTuple(ts=ts, seq=seq, payload={"seq": seq},
+                                  arrival_ts=ts))
+              for ts, seq in ((3.0, 40), (5.5, 41))]
+    state = {"version": 1, "heap": parked, "max_seen": 5.5,
+             "emitted_watermark": 2.0, "late_dropped": 0, "slack": 1.0}
+    op = Reorder("r", 2.0)
+    h = OpHarness(op, n_inputs=1)
+    h.inputs[0]._enforce_order = False
+    op.restore_state(state)
+    assert op.slack == 2.0 and "slack" not in op.snapshot_state()
+    h.feed(0, 7.0, {"seq": "a"})
+    h.run()
+    assert [t.payload["seq"] for t in h.output_data()] == [40]
+    h.feed(0, 5.2, {"seq": "b"})
+    h.feed_punctuation(0, 10.0)
+    h.run()
+    assert [t.payload["seq"] for t in h.output_data()] == ["b", 41, "a"]
+    assert op.late_dropped == 0
+
+    shed = Shed("s", 0.0)
+    shed.restore_state({**Shed("s", 0.0).snapshot_state(),
+                        "drop_budget": 0.6})
+    h = OpHarness(shed, n_inputs=1)
+    for i in range(20):
+        h.feed(0, float(i), {"i": i})
+    h.run()
+    assert (shed.shed_count, shed.passed_count) == (0, 20)
+    assert "drop_budget" not in shed.snapshot_state()
+
+
 def test_parent_format_stream_buffer_snapshot_restores():
     """A version-1 ``StreamBuffer`` snapshot as buffers wrote it when they
     could hold scalar data tuples: rows interleaved with punctuation, a

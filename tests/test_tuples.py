@@ -143,7 +143,7 @@ class TestPunctuationConstructor:
     def test_defaults(self):
         punct = Punctuation(3.0)
         assert (punct.origin, punct.periodic) == ("", False)
-        assert punct.is_punctuation and not punct.is_feedback
+        assert punct.is_punctuation and not is_data(punct)
 
     def test_default_seq_comes_from_the_current_counter(self):
         first, second = Punctuation(1.0), Punctuation(1.0)
