@@ -31,7 +31,7 @@ from typing import Any, Callable
 from .. import tuples as _tuples
 from ..columnar import ColumnarBlock
 from ..errors import ExecutionError
-from ..tuples import LATENT_TS, DataTuple, Punctuation
+from ..tuples import LATENT_TS, Punctuation
 from ..windows import CountWindow, TimeWindow, WindowSpec
 from .base import BatchResult, IwpOperator, OpContext
 
@@ -107,17 +107,14 @@ class _EmptyWindow(TimeWindow):
     def __init__(self) -> None:
         super().__init__(float("inf"))
 
-    def insert(self, tup: DataTuple) -> None:
-        pass
+    def file(self, rows, keys=None, start: int = 0, stop=None) -> int:
+        return 0
 
-    def insert_run(self, rows, start: int = 0, stop=None) -> None:
-        pass
+    def matches(self, probe_ts: float, bound: int) -> range:
+        return range(0)
 
-    def probe(self, key: Any) -> tuple:
+    def probe(self, key: Any, bound: int) -> tuple:
         return ()
-
-    def state_floor(self) -> float:
-        return float("inf")
 
     def state_reach(self) -> float:
         return 0.0
@@ -292,30 +289,41 @@ class WindowJoin(IwpOperator):
         built) and walked in merged order.  A row tying the horizon, a
         latent head and punctuation are consumed one element at a time.
 
-        Per row the probe is inherently scalar; everything around it is
-        amortized.  A probe answers row numbers, and a candidate's payload
-        and arrival are read out of the opposite window's columns.
-        Own-window maintenance is one :meth:`insert_run` per same-side
-        stretch, flushed at each side switch (a row must see
-        every earlier-merged row of the other side).  The no-match
-        punctuation gate of a mid-merge row is the next merged row's
-        timestamp — what the gate would have computed against the
-        un-drained buffers, since every untaken element is stamped at or
-        above every taken one — and the live gates on the last row.  All
-        matches of the call go straight into one set of column arrays
-        (``seq`` drawn from the global counter in emission order), cut into
-        blocks only where a punctuation or an order boundary falls.  A
-        strict join takes its rounds from :meth:`_strict_round` instead —
-        one element each — and forwards no no-match punctuation.
+        Each round files each side's rows into its own window once
+        (:meth:`~repro.core.windows.TimeWindow.file`: columns appended, bucket
+        numbers filed, keys computed once per row for filing and probe alike)
+        before the walk, so the walk bounds every probe: a row sees the
+        opposite window's rows numbered below that side's first filed number
+        plus its rows walked so far — the rows per-row insertion would hold at
+        that point, in the same order.  Each side is retained once when the
+        round ends (``retain`` at its last stamp); the opposite window is still
+        expired to every probing row's stamp.  An exception inside a round
+        leaves both sides' rows filed and unretained (they were drained; the
+        next round's retention catches up).  Per row the probe is inherently
+        scalar; a candidate's payload and arrival are read out of the opposite
+        window's columns.  The no-match punctuation gate of a mid-merge row is
+        the next merged row's timestamp — what the gate would have computed
+        against the un-drained buffers, since every untaken element is stamped
+        at or above every taken one — and the live gates on the last row.  All
+        matches of the call go straight into one set of column arrays (``seq``
+        drawn from the global counter in emission order), cut into blocks only
+        where a punctuation or an order boundary falls.  A strict join takes
+        its rounds from :meth:`_strict_round` instead — one element each — and
+        forwards no no-match punctuation.
         """
         batch = BatchResult()
         inputs = self.inputs
         windows = self.windows
         use_index = self.indexed
-        key_fields = self.key_fields or (None, None)
+        key_fields = self.key_fields
         predicate = self._match
         combiner = self.combiner
         seq_counter = _tuples._SEQ
+        # Per probing side: the opposite window, its payload and arrival
+        # columns (compaction trims them in place) and its lookup.
+        views = [(win, win.payloads, win.arrival,
+                  win.probe if use_index else win.matches)
+                 for win in (windows[1], windows[0])]
         watermark = self._last_emitted_ts
         columns = col_ts, col_seq, col_kind, col_arrival, col_payloads = (
             [], [], [], [], [])
@@ -348,31 +356,36 @@ class WindowJoin(IwpOperator):
             _drain_rows(inputs[1], n1, rows)
             if latent is not None:
                 rows[0][0] = ctx.clock.now()
-            # Rows [:n0] came off input 0, rows [n0:] off input 1; walk them
-            # in merged order (the sort is stable: ties keep input 0 first).
+            # Rows [:n0] came off input 0, rows [n0:] off input 1; file
+            # each side once, then walk them in merged order (the sort is
+            # stable: ties keep input 0 first).
             row_ts, _, row_kind, row_arrival, row_payloads = rows
-            n = len(row_ts)
+            n = n0 + n1
+            keys = None
+            if use_index:
+                left_key, right_key = key_fields
+                keys = ([p[left_key] for p in row_payloads]
+                        if left_key == right_key else
+                        [p[left_key] for p in row_payloads[:n0]]
+                        + [p[right_key] for p in row_payloads[n0:]])
+            firsts = (windows[0].file(rows, keys, 0, n0),
+                      windows[1].file(rows, keys, n0, n))
+            # Of the k rows walked before row idx, idx (or idx - n0) are
+            # its side's; the rest are the other side's, and its probe sees
+            # those alone of what this round filed there.
+            offsets = (firsts[1], firsts[0] + n0)
             order = range(n)
             if 0 < n0 < n:
                 order = sorted(order, key=row_ts.__getitem__)
-            side = None
             for k, idx in enumerate(order):
-                if (idx >= n0) is not side:
-                    if side is not None:
-                        windows[side].insert_run(rows, stretch, prev + 1)
-                    side = idx >= n0
-                    stretch = idx
-                    other_window = windows[1 - side]
-                    other_payloads = other_window.payloads
-                    other_arrival = other_window.arrival
-                    key_field = key_fields[side]
-                    lookup = (other_window.probe if use_index
-                              else other_window.matches)
-                prev = idx
+                side = idx >= n0
+                other_window, other_payloads, other_arrival, lookup = (
+                    views[side])
                 ts = row_ts[idx]
                 payload = row_payloads[idx]
                 other_window.expire(ts)
-                candidates = lookup(payload[key_field] if use_index else ts)
+                candidates = lookup(keys[idx] if use_index else ts,
+                                    offsets[side] + k - idx)
                 base = other_window.base
                 probes += len(candidates)
                 emitted = 0
@@ -417,7 +430,10 @@ class WindowJoin(IwpOperator):
                         cuts.append((len(col_ts),
                                      Punctuation(ts=tau, origin=self.name)))
                         watermark = tau
-            windows[side].insert_run(rows, stretch, prev + 1)
+            if n0:
+                windows[0].retain(row_ts[n0 - 1])
+            if n1:
+                windows[1].retain(row_ts[n - 1])
             steps += n
         forwarded = sum(1 for _, punct in cuts if punct is not None)
         self._last_emitted_ts = watermark

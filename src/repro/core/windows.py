@@ -22,18 +22,26 @@ A window holds no tuple objects: its rows are five parallel columns (``ts``,
 row: **a row is live iff its number is >= base + head**.  Retention only
 moves ``head``; the dead prefix is cut off once it is at least 64 rows and
 half the columns (amortized compaction shifts ``base``, never a number).
-``insert_run`` appends a slice of five columns; ``matches`` and ``probe``
-answer row numbers, the candidate's fields sitting at ``number - base``.
 
-With a ``key_fn`` a window also files each number in the bucket of its key
-(extracted once, at insert), so ``probe(key)`` examines one bucket instead of
-the whole window; without one it keeps no buckets and ``probe`` raises.
-Expiry stays O(dropped): the columns are trimmed eagerly (``len``, iteration
-and the Fig.-8 memory metric stay exact), a bucket pops its dead head run
-lazily when probed, and a **backstop sweep** purges every bucket once enough
-rows have died (time: ``max(64, live rows)`` expirations since the last
-sweep; count: every ``max(64, size)`` insertions), so a key that stops
-arriving cannot retain dead numbers indefinitely.
+Rows enter through one door, :meth:`~_ColumnWindow.file`: it appends a
+slice of five columns and files each number in its key's bucket, with no
+retention, and answers the first number.  ``retain(now)`` then applies the
+policy once (time: ``expire`` to the given stamp; count: keep the last
+``size`` rows).  Between the two a join walks a whole merge
+round, so ``matches`` and ``probe`` take a **bound**: they answer the row
+numbers below it (and, for a count window, at or above ``bound - size``),
+the candidate's fields sitting at ``number - base``.
+
+With a ``key_fn`` a window also keeps buckets of numbers per key (the keys
+given to ``file``, else ``key_fn`` per row), so ``probe(key, bound)``
+examines one bucket instead of the whole window; without one it keeps no
+buckets and ``probe`` raises.  Expiry stays O(dropped): the columns are
+trimmed eagerly (``len``, iteration and the Fig.-8 memory metric stay exact
+after ``retain``), a bucket pops its dead head run lazily when probed, and
+a **backstop sweep** purges every bucket once enough rows have died (time:
+``max(64, live rows)`` expirations since the last sweep; count: at the
+``retain`` that ends ``max(64, size)`` filings since the last), so a key
+that stops arriving cannot retain dead numbers indefinitely.
 
 A snapshot (version 2) is a column dump: ``items`` is a ``ColumnarBlock``
 of the live rows.  A version-1 snapshot (a list of data tuples) restores.
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict, deque
+from itertools import islice
 from operator import le
 from typing import (Any, Callable, Iterable, Iterator, Protocol, Sequence,
                     runtime_checkable)
@@ -59,7 +68,7 @@ __all__ = [
 ]
 
 #: Extracts the partition key from a tuple's payload (computed once, at
-#: insert).  Must return a hashable value.
+#: filing, unless the caller hands the keys in).  Must return a hashable value.
 KeyFn = Callable[[Any], Any]
 
 #: Five parallel columns: ts, seq, kind, arrival, payloads.
@@ -70,8 +79,9 @@ Rows = Sequence[Sequence[Any]]
 class WindowProtocol(Protocol):
     """The full window contract the join operators program against.  Every
     window — the join module's empty-side stub included — implements all of
-    it, so a join treats both sides uniformly.  ``matches`` and ``probe``
-    answer row numbers: row ``n`` sits at index ``n - base`` of a column."""
+    it, so a join treats both sides uniformly.  ``file`` answers the first
+    filed row's number; ``matches`` and ``probe`` answer row numbers below
+    their bound: row ``n`` sits at index ``n - base`` of a column."""
 
     base: int
     arrival: Sequence[float]
@@ -81,16 +91,16 @@ class WindowProtocol(Protocol):
 
     def __iter__(self) -> Iterator[DataTuple]: ...
 
-    def insert(self, tup: DataTuple) -> None: ...
+    def file(self, rows: Rows, keys: Sequence[Any] | None = None,
+             start: int = 0, stop: int | None = None) -> int: ...
 
-    def insert_run(self, rows: Rows, start: int = 0,
-                   stop: int | None = None) -> None: ...
+    def retain(self, now: float) -> None: ...
 
     def expire(self, now: float) -> int: ...
 
-    def matches(self, probe_ts: float) -> Iterable[int]: ...
+    def matches(self, probe_ts: float, bound: int) -> Iterable[int]: ...
 
-    def probe(self, key: Any) -> Iterable[int]: ...
+    def probe(self, key: Any, bound: int) -> Iterable[int]: ...
 
     def state_floor(self) -> float: ...
 
@@ -145,9 +155,6 @@ def _unhashable(key: Any, window: str) -> ReproError:
         "for unhashable keys")
 
 
-def _one_row(tup: DataTuple) -> tuple:
-    return ((tup.ts,), (tup.seq,), (tup.kind,), (tup.arrival_ts,),
-            (tup.payload,))
 
 
 class _ColumnWindow:
@@ -155,10 +162,11 @@ class _ColumnWindow:
     (the module docstring has the layout and the expiry scheme)."""
 
     __slots__ = ("key_fn", "ts", "seq", "kind", "arrival", "payloads",
-                 "base", "head", "_buckets")
+                 "base", "head", "_kept", "_buckets")
 
-    def __init__(self, key_fn: KeyFn | None) -> None:
+    def __init__(self, key_fn: KeyFn | None, kept: float) -> None:
         self.key_fn = key_fn
+        self._kept = kept  # the most rows a probe sees (count: ``size``)
         self._reset()
 
     def _reset(self) -> None:
@@ -189,39 +197,43 @@ class _ColumnWindow:
         """Live buckets (unpurged empties included) — introspection only."""
         return len(self._buckets)
 
-    def _append(self, rows: Rows, start: int, stop: int) -> int:
-        """Append ``rows[start:stop]`` unfiled; returns its first number."""
+    def file(self, rows: Rows, keys: Sequence[Any] | None = None,
+             start: int = 0, stop: int | None = None) -> int:
+        """The one row entrance: append ``rows[start:stop]`` of five columns
+        and file each row's number under its key (``keys[i]``, else
+        ``key_fn`` of its payload), with no retention.  Answers the first
+        row's number (the next one's, when the slice is empty)."""
+        ts = rows[0]
+        if stop is None:
+            stop = len(ts)
         number = self.base + len(self.ts)
-        ts, seq, kind, arrival, payloads = rows
-        if stop - start == 1:  # the join's typical one-row stretch
+        if start >= stop:
+            return number
+        self._admit(ts, start, stop)
+        if stop - start == 1:  # a one-row round
             self.ts.append(ts[start])
-            self.seq.append(seq[start])
-            self.kind.append(kind[start])
-            self.arrival.append(arrival[start])
-            self.payloads.append(payloads[start])
+            self.seq.append(rows[1][start])
+            self.kind.append(rows[2][start])
+            self.arrival.append(rows[3][start])
+            self.payloads.append(rows[4][start])
         else:
             for col, src in zip(self._columns(), rows):
                 col += src[start:stop]
+        key_fn = self.key_fn
+        if key_fn is not None:
+            buckets, filed = self._buckets, number
+            for key in (map(key_fn, rows[4][start:stop]) if keys is None
+                        else islice(keys, start, stop)):
+                if key == key:  # NaN keys never match anything (scan parity)
+                    try:
+                        buckets[key].append(filed)
+                    except TypeError:
+                        raise _unhashable(key, type(self).__name__) from None
+                filed += 1
         return number
 
-    def _put(self, rows: Rows) -> None:
-        """Append and file all of ``rows``, with no retention."""
-        number = self._append(rows, 0, len(rows[0]))
-        if self.key_fn is not None:
-            self._file(rows[4], 0, len(rows[0]), number)
-
-    def _file(self, payloads: Sequence[Any], start: int, stop: int,
-              number: int) -> None:
-        """File ``payloads[start:stop]`` as row numbers from ``number``."""
-        key_fn, buckets = self.key_fn, self._buckets
-        for i in range(start, stop):
-            key = key_fn(payloads[i])
-            if key == key:  # NaN keys never match anything (scan parity)
-                try:
-                    buckets[key].append(number)
-                except TypeError:
-                    raise _unhashable(key, type(self).__name__) from None
-            number += 1
+    def _admit(self, ts: Sequence[float], start: int, stop: int) -> None:
+        """The policy's order rule for a slice about to be filed."""
 
     def _compact(self) -> None:
         """Cut the dead prefix off once it is large (amortized O(1))."""
@@ -243,13 +255,17 @@ class _ColumnWindow:
             if not bucket:
                 del buckets[key]
 
-    def matches(self, probe_ts: float) -> range:
-        """Every live row's number (all in range after the eager expiry)."""
-        return range(self.base + self.head, self.base + len(self.ts))
+    def matches(self, probe_ts: float, bound: int) -> range:
+        """Every live row's number below ``bound`` (the scan; a count window
+        answers the last ``size`` of them)."""
+        floor, low = self.base + self.head, bound - self._kept
+        return range(low if low > floor else floor, bound)
 
-    def probe(self, key: Any) -> Iterable[int]:
-        """Row numbers an equality join at ``key`` can match, oldest first
-        (the bucket's dead head run popped; an emptied bucket dropped)."""
+    def probe(self, key: Any, bound: int) -> Iterable[int]:
+        """Row numbers below ``bound`` an equality join at ``key`` can match,
+        oldest first (the bucket's dead head run popped; an emptied bucket
+        dropped).  A count window's numbers below ``bound - size`` are dead
+        to this probe and every later one, so they are popped too."""
         if self.key_fn is None:
             raise ReproError(
                 f"{type(self).__name__} is not key-indexed; build it with a "
@@ -262,13 +278,20 @@ class _ColumnWindow:
             raise _unhashable(key, type(self).__name__) from None
         if bucket is None:
             return ()
-        floor = self.base + self.head
+        floor, low = self.base + self.head, bound - self._kept
+        if low > floor:
+            floor = low
         while bucket and bucket[0] < floor:
             bucket.popleft()
         if not bucket:
             del self._buckets[key]
             return ()
-        return bucket
+        if bucket[-1] < bound:
+            return bucket
+        stop = len(bucket) - 1  # rows filed this round and not yet walked
+        while stop and bucket[stop - 1] >= bound:
+            stop -= 1
+        return list(islice(bucket, stop))
 
     def snapshot_state(self) -> dict:
         """Versioned column dump of the live rows (buckets are derived
@@ -302,30 +325,13 @@ class TimeWindow(_ColumnWindow):
         self.span = span
         self._horizon = float("-inf")
         self._stale = 0  # drops since the last backstop sweep
-        super().__init__(key_fn)
+        super().__init__(key_fn, float("inf"))
 
-    def insert(self, tup: DataTuple) -> None:
-        """Append ``tup`` (no expiry); rows must arrive in timestamp order."""
+    def _admit(self, ts: Sequence[float], start: int, stop: int) -> None:
+        """Rows must be filed in timestamp order: a slice that regresses
+        (within itself or below the last live row) is refused whole."""
         col = self.ts
-        if len(col) > self.head and tup.ts < col[-1]:
-            raise ReproError(
-                f"window insert out of order: {tup.ts} after {col[-1]}")
-        self._put(_one_row(tup))
-
-    def insert_run(self, rows: Rows, start: int = 0,
-                   stop: int | None = None) -> None:
-        """Bulk insert of ``rows[start:stop]``: ``expire(t); insert`` per
-        row.  A keyed window advances ``head`` row by row, so the backstop
-        sweeps land where per-row insertion puts them; a key-less one (whose
-        sweeps touch nothing) bisects once to the final horizon."""
-        ts = rows[0]
-        if stop is None:
-            stop = len(ts)
-        if start >= stop:
-            return
-        col, head, span = self.ts, self.head, self.span
-        end = len(col)
-        prev = col[-1] if end > head else ts[start]
+        prev = col[-1] if len(col) > self.head else ts[start]
         if ts[start] < prev or stop - start > 1 and not all(
                 map(le, ts[start:stop - 1], ts[start + 1:stop])):
             for i in range(start, stop):
@@ -333,37 +339,6 @@ class TimeWindow(_ColumnWindow):
                     raise ReproError(
                         f"window insert out of order: {ts[i]} after {prev}")
                 prev = ts[i]
-        prev = ts[stop - 1]
-        if prev - span > self._horizon:
-            self._horizon = prev - span
-        number = self._append(rows, start, stop) - start
-        key_fn = self.key_fn
-        if key_fn is None:
-            if col[head] < prev - span:
-                head = bisect_left(col, prev - span, head)
-        else:
-            payloads, buckets, stale = rows[4], self._buckets, self._stale
-            for i in range(start, stop):
-                horizon = ts[i] - span
-                if col[head] < horizon:  # row i itself never is
-                    dropped = head
-                    while col[head] < horizon:
-                        head += 1
-                    stale += head - dropped
-                    live = end + i - start - head
-                    if stale >= (live if live > 64 else 64):
-                        self.head, stale = head, 0
-                        self._sweep()
-                key = key_fn(payloads[i])
-                if key == key:  # NaN keys never match anything
-                    try:
-                        buckets[key].append(number + i)
-                    except TypeError:
-                        raise _unhashable(key, "TimeWindow") from None
-            self._stale = stale
-        self.head = head
-        if head >= 64:
-            self._compact()
 
     def expire(self, now: float) -> int:
         """Drop rows with ``ts < now - span``; return how many dropped."""
@@ -381,9 +356,14 @@ class TimeWindow(_ColumnWindow):
         self._compact()
         return head - start
 
+    #: The time policy's retention: :meth:`expire` to ``now``.
+    retain = expire
+
     def state_floor(self) -> float:
-        """The expiry horizon: no live row is stamped below it."""
-        return self._horizon
+        """The expiry horizon: no live row is stamped below it.  With no
+        live row the window holds no history at all, so ``+inf`` (as a
+        source answers)."""
+        return self._horizon if len(self.ts) > self.head else float("inf")
 
     def state_reach(self) -> float:
         """A probe matches nothing more than one span older than itself."""
@@ -399,13 +379,15 @@ class TimeWindow(_ColumnWindow):
         -inf: every restored row is live, so no purge depends on it."""
         self._horizon = state.get("horizon", float("-inf"))
         self._stale = 0
-        self._put(rows)
+        self.file(rows)
 
 
 class CountWindow(_ColumnWindow):
     """A tuple-count sliding window buffer holding the last ``size`` rows.
-    Row numbers double as insertion numbers: after ``c`` insertions since
-    construction (or restore) the live rows are numbered ``c - size`` up."""
+    Row numbers double as filing numbers: after ``c`` rows filed since
+    construction (or restore) the live rows are numbered ``c - size`` up.
+    Stamps may regress (a stamped latent row can sit below its side's
+    earlier rows): eviction is by count, so order does not matter."""
 
     __slots__ = ("size", "_swept_at")
 
@@ -413,37 +395,23 @@ class CountWindow(_ColumnWindow):
         if size <= 0:
             raise ReproError(f"count window size must be positive, got {size}")
         self.size = int(size)
-        self._swept_at = 0  # insertion count at the last backstop sweep
-        super().__init__(key_fn)
+        self._swept_at = 0  # filing count at the last backstop sweep
+        super().__init__(key_fn, self.size)
 
-    def insert(self, tup: DataTuple) -> None:
-        """Append ``tup``, evicting the globally oldest row when full."""
-        self.insert_run(_one_row(tup))
-
-    def insert_run(self, rows: Rows, start: int = 0,
-                   stop: int | None = None) -> None:
-        """Bulk insert of ``rows[start:stop]``, evicting as per-row
-        insertion would.  A keyed window files numbers up to each backstop
-        sweep (every ``max(64, size)`` insertions), sweeps, and goes on."""
-        if stop is None:
-            stop = len(rows[0])
-        first = self._append(rows, start, stop) - start  # number of index 0
-        total = self.base + len(self.ts)
-        size = self.size
-        if self.key_fn is not None:
-            every, filed = max(64, size), start
-            while self._swept_at + every <= total:
-                at = self._swept_at = self._swept_at + every
-                self._file(rows[4], filed, at - first, first + filed)
-                filed = at - first
-                self.head = max(self.head, at - size - self.base)
-                self._sweep()
-            self._file(rows[4], filed, stop, first + filed)
-        self.head = max(self.head, total - size - self.base)
+    def retain(self, now: float) -> None:
+        """The count policy: keep the last ``size`` filed rows (``now`` is
+        unused); a keyed window sweeps its buckets once ``max(64, size)``
+        rows were filed since its last sweep."""
+        size, total = self.size, self.base + len(self.ts)
+        if total - size - self.base > self.head:
+            self.head = total - size - self.base
+        if self.key_fn is not None and total - self._swept_at >= max(64, size):
+            self._swept_at = total
+            self._sweep()
         self._compact()
 
     def expire(self, now: float) -> int:
-        """Count windows expire by insertion, so this is a no-op."""
+        """Count windows expire by filing (:meth:`retain`): a no-op."""
         return 0
 
     def state_floor(self) -> float:
@@ -455,7 +423,8 @@ class CountWindow(_ColumnWindow):
         return float("inf")
 
     def _load(self, state: dict, rows: tuple) -> None:
-        """Insertion numbers restart at zero (buckets only compare them
-        with each other; an old snapshot's ``inserted`` is not needed)."""
+        """Filing numbers restart at zero (buckets only compare them with
+        each other; an old snapshot's ``inserted`` is not needed)."""
         self._swept_at = 0
-        self.insert_run(rows)
+        self.file(rows)
+        self.retain(float("nan"))

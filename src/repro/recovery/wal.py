@@ -356,6 +356,7 @@ class CommandHistory:
         #: Ingests in the dropped prefix.
         self.dropped = 0
         self._floor = LATENT_TS  # the last state floor learned
+        self._floor_at = 0  # the segments it speaks for: those below this
         if image is not None:
             self.base, self.carried_at = image["base"], image["carried_at"]
             self.carried = list(image["carried"])
@@ -415,17 +416,20 @@ class CommandHistory:
     def trim(self, floor: float) -> None:
         """Learn a state floor; the next :meth:`commit` (or :meth:`prune`)
         cuts the history at it, so the checkpoint that learned it does not
-        also pay for freeing what the cut drops."""
+        also pay for freeing what the cut drops.  A floor speaks for the
+        state the segments committed so far built, not for later ones (a
+        state holding no row answers ``+inf``)."""
         self._floor = floor
+        self._floor_at = self.base + len(self.segments)
 
     def prune(self) -> None:
-        """Drop the longest prefix of segments every ingest of which is
-        stamped below the last floor learned, folding it into the running
-        values."""
-        floor = self._floor
+        """Drop the longest prefix of segments, among those the last floor
+        learned speaks for, every ingest of which is stamped below that
+        floor, folding it into the running values."""
+        floor, cover = self._floor, self._floor_at - self.base
         dropped = size = 0
         for length, ingests, top, puncts, now, _ in self.segments:
-            if not top < floor:
+            if dropped == cover or not top < floor:
                 break
             dropped += 1
             size += length

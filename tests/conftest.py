@@ -132,20 +132,35 @@ def punct(ts: float, periodic: bool = False) -> Punctuation:
 
 
 def columns(tuples) -> tuple:
-    """A run of data tuples as the five column lists ``insert_run`` takes."""
+    """A run of data tuples as the five column lists ``file`` takes."""
     block = ColumnarBlock.from_tuples(list(tuples))
     return block.ts, block.seq, block.kind, block.arrival, block.payloads
 
 
-def probed(window, key) -> list[DataTuple]:
-    """The rows ``window.probe(key)`` answers, materialized as tuples (a
-    probe answers row numbers into the window's columns)."""
+def insert(window, tup) -> None:
+    """One data tuple through the window's row entrance: filed, then
+    retained at its own stamp (a join's one-row round)."""
+    window.file(columns([tup]))
+    window.retain(tup.ts)
+
+
+def end(window) -> int:
+    """The number the next filed row gets: the probe bound that sees every
+    filed row."""
+    return window.base + len(window.ts)
+
+
+def probed(window, key, bound: int | None = None) -> list[DataTuple]:
+    """The rows ``window.probe(key, bound)`` answers (every filed row by
+    default), materialized as tuples (a probe answers row numbers into the
+    window's columns)."""
     base = window.base
     return [DataTuple(ts=window.ts[n - base], seq=window.seq[n - base],
                       payload=window.payloads[n - base],
                       kind=window.kind[n - base],
                       arrival_ts=window.arrival[n - base])
-            for n in window.probe(key)]
+            for n in window.probe(key, end(window) if bound is None
+                                  else bound)]
 
 
 # --------------------------------------------------------------------- #

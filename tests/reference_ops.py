@@ -179,10 +179,12 @@ def join_step(op: WindowJoin, ctx: OpContext) -> StepResult:
     own_window, other_window = op.windows[idx], op.windows[1 - idx]
     # Probe against the still-valid window contents (Kang et al. order).
     other_window.expire(tup.ts)
+    bound = other_window.base + len(other_window.ts)  # every filed row
     if op.indexed:
-        candidates = other_window.probe(tup.payload[op.key_fields[idx]])
+        candidates = other_window.probe(tup.payload[op.key_fields[idx]],
+                                        bound)
     else:
-        candidates = other_window.matches(tup.ts)
+        candidates = other_window.matches(tup.ts, bound)
     base = other_window.base
     payloads, arrival = other_window.payloads, other_window.arrival
     emitted = 0
@@ -197,8 +199,9 @@ def join_step(op: WindowJoin, ctx: OpContext) -> StepResult:
                           arrival_ts=latest_arrival(tup.arrival_ts,
                                                     arrival[row])))
         emitted += 1
-    own_window.expire(tup.ts)
-    own_window.insert(tup)
+    own_window.file(((tup.ts,), (tup.seq,), (tup.kind,), (tup.arrival_ts,),
+                     (tup.payload,)))
+    own_window.retain(tup.ts)
     op.tuples_processed += 1
     op.matches_emitted += emitted
     if tup.ts > op._last_emitted_ts and emitted:

@@ -202,6 +202,41 @@ def test_long_history_output_equals_single_engine(backend):
         punctuate=True, batch_size=BATCH)
 
 
+def test_a_shard_with_empty_windows_does_not_pin_the_history(
+        tmp_path, monkeypatch):
+    """A time window with no live row holds no history and answers +inf,
+    as a source does.  On four shards over 26 wake-ups one shard's join
+    has filed no row (its keys' ``slow`` rows went elsewhere; without ETS
+    its ``fast`` rows wait in the buffer), and its empty windows no longer
+    pin the history floor at -inf: the history drops segments, and a
+    reshard after them rebuilds full replay's state and the single
+    engine's output."""
+    feeds = long_feeds()[:26 * CHUNK]
+    engine = ElasticShardedEngine(join_graph(), shards=4, key="k",
+                                  state_dir=tmp_path / "run",
+                                  checkpoint_every=4, batch_size=BATCH)
+    try:
+        for group in _chunks(feeds):
+            for feed in group:
+                engine.ingest(feed.source, feed.payload, time=feed.time,
+                              ts=feed.external_ts)
+            engine.wakeup()
+        idle = engine.backend.shards[0].graph["join"]
+        assert idle.window_size_total == 0
+        assert idle.state_floor() == float("inf")
+        assert engine.journal.history.base > 0
+    finally:
+        engine.close(flush=True)
+    (report, _), = assert_suffix_equals_full(
+        tmp_path, monkeypatch, join_graph(), feeds, {26: 2}, shards=4)
+    assert report.replayed_ingests < report.logged_ingests
+    oracle = ShardedDifferentialOracle(join_graph(), feeds, key="k",
+                                       chunk=CHUNK)
+    oracle.assert_elastic_equals_single(
+        shards=4, reshard_at={26: 2}, batch_size=BATCH,
+        state_dir=tmp_path / "oracle", checkpoint_every=4)
+
+
 # --------------------------------------------------------------------- #
 # Derived state: a join behind a join
 

@@ -68,7 +68,7 @@ from repro.core.operators import (
     WindowJoin,
 )
 from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
-from repro.core.windows import WindowSpec
+from repro.core.windows import TimeWindow, WindowSpec
 
 @pytest.fixture(params=[False, True], ids=["python", "numpy"])
 def layout(request):
@@ -712,6 +712,31 @@ class TestMergeRunJoin:
             assert pushed <= 1 + puncts, per_call
             assert drained <= 4, per_call
 
+    def test_a_merge_round_files_each_window_once(self, monkeypatch):
+        """Structural guard (counts, not time): one ``execute_block`` over
+        a 64-row strictly alternating round of an indexed time-window join
+        files each window once, where per-stretch insertion filed one row
+        per call — 64 calls for 64 rows."""
+        rig = _JoinRig(WindowSpec.time(5.0), "indexed")
+        filed: list[int] = []
+        file = TimeWindow.file
+
+        def counted(window, *args, **kwargs):
+            filed.append(id(window))
+            return file(window, *args, **kwargs)
+
+        monkeypatch.setattr(TimeWindow, "file", counted)
+        for i in range(64):
+            rig.inputs[i % 2].push(DataTuple(
+                ts=i * 0.01, payload={"k": i // 2 % 4, "uid": i},
+                arrival_ts=0.0))
+        for buf in rig.inputs:
+            buf.push(punct(1.0))  # both runs end above every row
+        batch = rig.op.execute_block(rig.ctx, 64)
+        assert batch.consumed_data == 64 and batch.emitted_data > 0
+        assert sorted(filed) == sorted(id(w) for w in rig.op.windows)
+
+
 
 def _count_calls(obj, name: str) -> list[int]:
     """Shadow ``obj.name`` with a counting wrapper; returns the live cell."""
@@ -731,7 +756,10 @@ class _JoinRig:
     (order unenforced, so an order boundary is observed, not raised)."""
 
     def __init__(self, window: WindowSpec, probe: str) -> None:
-        self.op = WindowJoin("j", window, key="k", indexed=probe == "indexed")
+        self.op = (
+            WindowJoin("j", window_left=window, key="k")  # right: empty
+            if probe == "asymmetric" else
+            WindowJoin("j", window, key="k", indexed=probe == "indexed"))
         self.clock = ManualClock()
         self.ctx = OpContext(clock=self.clock)
         self.inputs = [StreamBuffer(f"in{i}->j") for i in range(2)]
@@ -838,6 +866,51 @@ def test_merge_run_random_interleavings_property(events, limit, count_window,
             ts = LATENT_TS if kind == "latent" and count_window else stamp[i]
             pending[i].append(DataTuple(ts=ts, payload={"k": key, "uid": uid},
                                         arrival_ts=stamp[i]))
+
+
+@given(events=st.lists(
+           st.tuples(st.integers(0, 1),                        # input
+                     st.sampled_from(["data"] * 15 + ["punct"]),
+                     st.sampled_from([0.0, 0.0, 0.01, 0.05]),  # stamp gap
+                     st.integers(0, 2)),                       # join key
+           min_size=64, max_size=160),
+       window=st.one_of(st.integers(1, 3).map(WindowSpec.count),
+                        st.sampled_from([0.02, 0.1, 0.3]).map(
+                            WindowSpec.time)),
+       join=st.sampled_from(["scan", "indexed", "asymmetric"]),
+       limit=st.sampled_from([1, 7, 64]))
+@settings(max_examples=150, deadline=None)
+def test_round_filing_edge_cases_property(events, window, join, limit):
+    """Hypothesis: rounds larger than the window on purpose — count windows
+    of 1–3 rows and time spans shorter than a 64-row round's stamp range
+    (rows of a round expire, or are evicted, by rows of the same round),
+    over scan, indexed and asymmetric joins — where ``execute_block``
+    files each side once per round and bounds every probe by row number.
+    Held to the scalar reference step loop: every emitted element
+    (punctuation τ included), per-call steps, ``probes`` and
+    ``probes_emitted``, the windows' live rows, watermark and counters."""
+    rigs = [_JoinRig(window, join), _JoinRig(window, join)]
+    stamp = [0.0, 0.0]
+    for uid, (i, kind, gap, key) in enumerate(events):
+        stamp[i] += gap
+        element = (punct(stamp[i]) if kind == "punct" else
+                   DataTuple(ts=stamp[i], payload={"k": key, "uid": uid},
+                             arrival_ts=stamp[i] - gap))
+        for rig in rigs:
+            rig.inputs[i].push(element)
+    for rig in rigs:
+        for buf in rig.inputs:
+            buf.push(punct(max(stamp) + 1.0))
+    calls = []
+    for rig, block in zip(rigs, (False, True)):
+        runs = []
+        while rig.op.more():
+            run = (rig.op.execute_block(rig.ctx, limit) if block
+                   else reference_run(rig.op, rig.ctx, limit))
+            runs.append((run.steps, run.probes, run.probes_emitted))
+        calls.append(runs)
+    assert calls[1] == calls[0]
+    assert rigs[1].observed() == rigs[0].observed()
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])

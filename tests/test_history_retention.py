@@ -25,6 +25,7 @@ import pytest
 from oracle import _assert_same, _canonical
 
 from repro.recovery import WriteAheadLog
+from repro.recovery.wal import CommandHistory
 from repro.shard import ElasticShardedEngine, ShardedEngine
 from repro.shard.backends import EngineShard
 from repro.shard.elastic import ReshardCoordinator
@@ -338,6 +339,27 @@ def test_a_floor_below_an_earlier_trim_still_rebuilds_full_replay_state(
 
 # --------------------------------------------------------------------- #
 # summary(): what the facade holds
+
+
+def test_a_floor_prunes_only_the_segments_committed_before_it():
+    """A state floor speaks for the state the committed segments built: a
+    ``+inf`` floor (every window empty, nothing buffered) drops them all,
+    but not a segment committed after it, whose rows that state never
+    saw."""
+    history = CommandHistory()
+
+    def segment(ts: float) -> None:
+        history.records.append({"kind": "ingest", "source": "L", "ts": ts})
+        history.commit({"kind": "wakeup", "now": ts})
+
+    segment(1.0)
+    segment(2.0)
+    history.trim(float("inf"))
+    segment(3.0)
+    segment(4.0)
+    history.prune()
+    assert history.base == 2 and history.dropped == 2
+    assert [top for _, _, top, *_ in history.segments] == [3.0, 4.0]
 
 
 def test_summary_shows_held_rows_and_retained_history(tmp_path):

@@ -8,7 +8,7 @@ from repro.core.operators.join import _EmptyWindow
 from repro.core.tuples import LATENT_TS, DataTuple, TimestampKind
 from repro.core.windows import TimeWindow, WindowProtocol, WindowSpec
 
-from conftest import OpHarness, data
+from conftest import OpHarness, columns, data
 
 
 def make_join(window: float = 10.0, **kwargs) -> tuple[WindowJoin, OpHarness]:
@@ -216,11 +216,12 @@ class TestEmptyWindow:
         w = _EmptyWindow()
         assert isinstance(w, WindowProtocol)
         assert len(w) == 0 and list(w) == []
-        w.insert(data(1.0, {"a": 1}))        # writes are no-ops
+        w.file(columns([data(1.0, {"a": 1})]))  # writes are no-ops
+        w.retain(1.0)
         assert len(w) == 0
         assert w.expire(100.0) == 0
-        assert list(w.matches(5.0)) == []    # scan-path read
-        assert list(w.probe("k")) == []      # indexed-path read
+        assert list(w.matches(5.0, 1)) == []    # scan-path read
+        assert list(w.probe("k", 1)) == []      # indexed-path read
 
 
 class TestIndexedFastPath:

@@ -25,7 +25,7 @@ from repro.core.operators import (
 from repro.core.windows import TimeWindow, WindowSpec
 from repro.query.parser import compile_expression
 
-from conftest import OpHarness, data, punct
+from conftest import OpHarness, data, insert, punct
 
 # ---------------------------------------------------------------------- #
 # Strategies
@@ -198,7 +198,7 @@ def test_tumbling_aggregate_conserves_count_and_sum(items, width):
 def test_time_window_expiry_invariant(ts_list, span):
     w = TimeWindow(span)
     for ts in ts_list:
-        w.insert(data(ts))
+        insert(w, data(ts))
         w.expire(ts)
         assert all(t.ts >= ts - span for t in w)
 

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ManualClock, OpHarness, data, probed, punct
+from conftest import (ManualClock, OpHarness, columns, data, insert, probed,
+                      punct)
 from reference_ops import ReferenceBuffer
 
 from repro.core.buffers import BufferRegistry, StreamBuffer, TSMRegister
@@ -152,8 +153,7 @@ def assert_layouts_interchange(keyed, keyless, fresh) -> None:
 @given(batch=tuple_batches(), expire_to=timestamps)
 def test_time_window_roundtrip(batch, expire_to):
     win = TimeWindow(5.0)
-    for tup in batch:
-        win.insert(tup)
+    win.file(columns(batch))
     win.expire(expire_to)
     roundtrip(win, TimeWindow(5.0))
 
@@ -163,7 +163,7 @@ def test_time_window_roundtrip(batch, expire_to):
 def test_count_window_roundtrip(batch):
     win = CountWindow(7)
     for tup in batch:
-        win.insert(tup)
+        insert(win, tup)
     roundtrip(win, CountWindow(7))
 
 
@@ -171,9 +171,8 @@ def test_count_window_roundtrip(batch):
 @given(batch=tuple_batches(), expire_to=timestamps)
 def test_indexed_time_window_roundtrip(batch, expire_to):
     win, keyless = TimeWindow(5.0, by_k), TimeWindow(5.0)
-    for tup in batch:
-        win.insert(tup)
-        keyless.insert(tup)
+    win.file(columns(batch))
+    keyless.file(columns(batch))
     win.expire(expire_to)
     keyless.expire(expire_to)
     restored = TimeWindow(5.0, by_k)
@@ -184,7 +183,7 @@ def test_indexed_time_window_roundtrip(batch, expire_to):
     for tup in batch:
         key = by_k(tup.payload)
         if isinstance(key, float) and math.isnan(key):
-            assert list(restored.probe(key)) == []
+            assert probed(restored, key) == []
     assert_layouts_interchange(win, keyless, lambda k: TimeWindow(5.0, k))
 
 
@@ -193,8 +192,8 @@ def test_indexed_time_window_roundtrip(batch, expire_to):
 def test_indexed_count_window_roundtrip(batch):
     win, keyless = CountWindow(6, by_k), CountWindow(6)
     for tup in batch:
-        win.insert(tup)
-        keyless.insert(tup)
+        insert(win, tup)
+        insert(keyless, tup)
     restored = CountWindow(6, by_k)
     roundtrip(win, restored)
     assert same(probes(restored, batch), probes(win, batch))
@@ -329,10 +328,10 @@ def test_parent_format_snapshots_restore():
             # the horizon; count: by relative insertion number).
             for i in range(4):
                 keyed.expire(6.5 + i)
-                keyed.insert(data(6.5 + i, {"k": "b", "seq": 4 + i}))
+                insert(keyed, data(6.5 + i, {"k": "b", "seq": 4 + i}))
             assert [t.ts for t in probed(keyed, "a")] == [
                 t.ts for t in keyed if t.payload["k"] == "a"]
-            assert len(list(keyed.probe("a"))) < 3
+            assert len(probed(keyed, "a")) < 3
     join_state = {
         "version": 1, "windows": [time_states[0], time_states[1]],
         "last_emitted_ts": 3.5, "matches_emitted": 3,

@@ -10,7 +10,7 @@ from repro.core.windows import (
     WindowSpec,
 )
 
-from conftest import columns, data, probed
+from conftest import columns, data, end, insert, probed
 
 
 def by_k(payload):
@@ -64,19 +64,18 @@ class TestTimeWindow:
         w = TimeWindow(10.0)
         tuples = [data(1.0), data(2.0), data(2.0)]
         for t in tuples:
-            w.insert(t)
+            insert(w, t)
         assert list(w) == tuples and len(w) == 3
 
     def test_out_of_order_insert_rejected(self):
         w = TimeWindow(10.0)
-        w.insert(data(5.0))
+        insert(w, data(5.0))
         with pytest.raises(ReproError):
-            w.insert(data(4.0))
+            insert(w, data(4.0))
 
     def test_expire_drops_old(self):
         w = TimeWindow(10.0)
-        for ts in (0.0, 5.0, 9.0, 15.0):
-            w.insert(data(ts))
+        w.file(columns(data(ts) for ts in (0.0, 5.0, 9.0, 15.0)))
         dropped = w.expire(16.0)  # horizon 6.0
         assert dropped == 2
         assert [t.ts for t in w] == [9.0, 15.0]
@@ -84,15 +83,15 @@ class TestTimeWindow:
     def test_expire_boundary_is_inclusive(self):
         """A tuple exactly ``span`` old is still in the window."""
         w = TimeWindow(10.0)
-        w.insert(data(5.0))
+        insert(w, data(5.0))
         assert w.expire(15.0) == 0
         assert w.expire(15.0001) == 1
 
     def test_matches_returns_all_live(self):
         w = TimeWindow(10.0)
-        w.insert(data(1.0))
-        w.insert(data(2.0))
-        assert len(list(w.matches(3.0))) == 2
+        insert(w, data(1.0))
+        insert(w, data(2.0))
+        assert len(w.matches(3.0, end(w))) == 2
 
     def test_invalid_span(self):
         with pytest.raises(ReproError):
@@ -102,22 +101,23 @@ class TestTimeWindow:
 class TestScanWindowsRejectProbe:
     def test_time_window_probe_raises(self):
         with pytest.raises(ReproError, match="not key-indexed"):
-            TimeWindow(1.0).probe(1)
+            TimeWindow(1.0).probe(1, 0)
 
     def test_count_window_probe_raises(self):
         with pytest.raises(ReproError, match="not key-indexed"):
-            CountWindow(1).probe(1)
+            CountWindow(1).probe(1, 0)
 
     @pytest.mark.parametrize("make", [lambda: TimeWindow(2.0),
                                       lambda: CountWindow(3)],
                              ids=["time", "count"])
     def test_key_less_window_never_builds_buckets(self, make):
-        """Buckets are the keyed windows' cost alone — whichever insert
-        path (per tuple, bulk, bulk with expiry, restore) fills the log."""
+        """Buckets are the keyed windows' cost alone — however rows are
+        filed (one, a run, a run with retention, restore)."""
         window = make()
-        window.insert(kd(0.0, "a"))
-        window.insert_run(columns([kd(0.5, "b"), kd(1.0, "a")]))
-        window.insert_run(columns(kd(float(i), i % 3) for i in range(2, 9)))
+        insert(window, kd(0.0, "a"))
+        window.file(columns([kd(0.5, "b"), kd(1.0, "a")]))
+        window.file(columns(kd(float(i), i % 3) for i in range(2, 9)))
+        window.retain(8.0)
         window.restore_state(window.snapshot_state())
         assert len(window) > 0
         assert window.bucket_count == 0 and not window._buckets
@@ -127,12 +127,12 @@ class TestCountWindow:
     def test_eviction_at_capacity(self):
         w = CountWindow(3)
         for ts in range(5):
-            w.insert(data(float(ts)))
+            insert(w, data(float(ts)))
         assert [t.ts for t in w] == [2.0, 3.0, 4.0]
 
     def test_expire_is_noop(self):
         w = CountWindow(3)
-        w.insert(data(1.0))
+        insert(w, data(1.0))
         assert w.expire(100.0) == 0
         assert len(w) == 1
 
@@ -145,9 +145,10 @@ class TestIndexedTimeWindow:
     def test_retention_matches_scan_window(self):
         """len/iter/expire behave exactly like TimeWindow on the same feed."""
         scan, indexed = TimeWindow(10.0), TimeWindow(10.0, by_k)
-        for ts, k in ((0.0, 1), (5.0, 2), (9.0, 1), (15.0, 2)):
-            scan.insert(kd(ts, k))
-            indexed.insert(kd(ts, k))
+        rows = [kd(ts, k) for ts, k in ((0.0, 1), (5.0, 2), (9.0, 1),
+                                         (15.0, 2))]
+        scan.file(columns(rows))
+        indexed.file(columns(rows))
         assert [t.ts for t in indexed] == [t.ts for t in scan]
         assert indexed.expire(16.0) == scan.expire(16.0) == 2
         assert [t.ts for t in indexed] == [t.ts for t in scan] == [9.0, 15.0]
@@ -155,26 +156,26 @@ class TestIndexedTimeWindow:
     def test_probe_returns_only_matching_bucket_oldest_first(self):
         w = TimeWindow(10.0, by_k)
         for ts, k in ((1.0, "a"), (2.0, "b"), (3.0, "a")):
-            w.insert(kd(ts, k))
+            insert(w, kd(ts, k))
         assert [t.ts for t in probed(w, "a")] == [1.0, 3.0]
         assert [t.ts for t in probed(w, "b")] == [2.0]
-        assert list(w.probe("missing")) == []
+        assert probed(w, "missing") == []
 
     def test_probe_purges_lazily_against_expire_horizon(self):
         w = TimeWindow(10.0, by_k)
         for ts in (0.0, 5.0, 12.0):
-            w.insert(kd(ts, "a"))
+            insert(w, kd(ts, "a"))
         w.expire(16.0)  # horizon 6.0: global log drops 0.0 and 5.0 eagerly
         assert len(w) == 1
         assert [t.ts for t in probed(w, "a")] == [12.0]
 
     def test_probe_drops_fully_expired_buckets(self):
         w = TimeWindow(10.0, by_k)
-        w.insert(kd(0.0, "stale"))
-        w.insert(kd(1.0, "live"))
+        insert(w, kd(0.0, "stale"))
+        insert(w, kd(1.0, "live"))
         w.expire(50.0)
         assert w.bucket_count == 2  # lazily retained until probed
-        assert list(w.probe("stale")) == []
+        assert probed(w, "stale") == []
         assert w.bucket_count == 1
 
     def test_backstop_sweep_purges_unprobed_buckets(self):
@@ -183,7 +184,7 @@ class TestIndexedTimeWindow:
         tuples once enough drops accumulate."""
         w = TimeWindow(10.0, by_k)
         for i in range(300):
-            w.insert(kd(float(i), i % 4))
+            insert(w, kd(float(i), i % 4))
             w.expire(float(i))
         assert len(w) <= 11
         # Without the sweep every bucket would still hold ~75 tuples.
@@ -193,24 +194,24 @@ class TestIndexedTimeWindow:
 
     def test_out_of_order_insert_rejected(self):
         w = TimeWindow(10.0, by_k)
-        w.insert(kd(5.0, 1))
+        insert(w, kd(5.0, 1))
         with pytest.raises(ReproError):
-            w.insert(kd(4.0, 1))
+            insert(w, kd(4.0, 1))
 
     def test_nan_key_never_matches(self):
         """Scan parity: NaN != NaN, so NaN-keyed tuples join with nothing."""
         nan = float("nan")
         w = TimeWindow(10.0, by_k)
-        w.insert(kd(1.0, nan))
-        assert list(w.probe(nan)) == []
+        insert(w, kd(1.0, nan))
+        assert probed(w, nan) == []
         assert len(w) == 1  # still retained (and counted) by the window
 
     def test_unhashable_key_is_an_actionable_error(self):
         w = TimeWindow(10.0, by_k)
         with pytest.raises(ReproError, match="unhashable"):
-            w.insert(kd(1.0, [1, 2]))
+            insert(w, kd(1.0, [1, 2]))
         with pytest.raises(ReproError, match="unhashable"):
-            w.probe([1, 2])
+            w.probe([1, 2], end(w))
 
     def test_invalid_span(self):
         with pytest.raises(ReproError):
@@ -221,31 +222,31 @@ class TestIndexedCountWindow:
     def test_retention_matches_scan_window(self):
         scan, indexed = CountWindow(3), CountWindow(3, by_k)
         for ts in range(5):
-            scan.insert(kd(float(ts), ts % 2))
-            indexed.insert(kd(float(ts), ts % 2))
+            insert(scan, kd(float(ts), ts % 2))
+            insert(indexed, kd(float(ts), ts % 2))
         assert [t.ts for t in indexed] == [t.ts for t in scan] == [2.0, 3.0, 4.0]
         assert indexed.expire(100.0) == 0
 
     def test_probe_skips_globally_evicted_entries(self):
         w = CountWindow(2, by_k)
-        w.insert(kd(1.0, "a"))
-        w.insert(kd(2.0, "b"))
-        w.insert(kd(3.0, "b"))  # evicts a@1.0 from the global ring
-        assert list(w.probe("a")) == []
+        insert(w, kd(1.0, "a"))
+        insert(w, kd(2.0, "b"))
+        insert(w, kd(3.0, "b"))  # evicts a@1.0 from the global ring
+        assert probed(w, "a") == []
         assert [t.ts for t in probed(w, "b")] == [2.0, 3.0]
 
     def test_probe_drops_fully_evicted_buckets(self):
         w = CountWindow(1, by_k)
-        w.insert(kd(1.0, "a"))
-        w.insert(kd(2.0, "b"))
+        insert(w, kd(1.0, "a"))
+        insert(w, kd(2.0, "b"))
         assert w.bucket_count == 2
-        assert list(w.probe("a")) == []
+        assert probed(w, "a") == []
         assert w.bucket_count == 1
 
     def test_backstop_sweep_purges_unprobed_buckets(self):
         w = CountWindow(5, by_k)
         for i in range(300):
-            w.insert(kd(float(i), i % 4))
+            insert(w, kd(float(i), i % 4))
         retained = sum(len(b) for b in w._buckets.values())
         # Evicted ring entries pile up only until the next sweep window.
         assert retained <= len(w) + max(64, w.size)
@@ -253,14 +254,14 @@ class TestIndexedCountWindow:
     def test_nan_key_never_matches(self):
         nan = float("nan")
         w = CountWindow(3, by_k)
-        w.insert(kd(1.0, nan))
-        assert list(w.probe(nan)) == []
+        insert(w, kd(1.0, nan))
+        assert probed(w, nan) == []
         assert len(w) == 1
 
     def test_unhashable_key_is_an_actionable_error(self):
         w = CountWindow(3, by_k)
         with pytest.raises(ReproError, match="unhashable"):
-            w.insert(kd(1.0, {}))
+            insert(w, kd(1.0, {}))
 
     def test_invalid_size(self):
         with pytest.raises(ReproError):
@@ -272,22 +273,30 @@ class TestIndexedCountWindow:
                                   lambda key_fn: CountWindow(4, key_fn)],
                          ids=["time", "count"])
 def test_insert_run_equals_per_tuple_insertion(make, key_fn):
-    """``insert_run`` is ``expire(t.ts); insert(t)`` per tuple: on the
-    no-expiry fast path, across an expiry, and for a run longer than the
-    span, which must expire its own early rows."""
+    """A run filed at once and retained at its last stamp (a join's merge
+    round) is ``file; retain`` per tuple: on the no-expiry path, across an
+    expiry, and for a run longer than the span, which must expire its own
+    early rows.  Mid-run, a probe bounded at the rows walked so far (the
+    window expired to the walking row's stamp, as a probe does) answers
+    what per-tuple filing held at that point."""
     runs = [[kd(0.0, 1), kd(0.5, 2)],
             [kd(1.0, 1), kd(1.0, 2), kd(2.5, 1)],
             [kd(float(ts), ts % 3) for ts in range(3, 12)],
             [kd(11.5, 0)]]
     bulk, single = make(key_fn), make(key_fn)
     for run in runs:
-        bulk.insert_run(columns(run))
-        for tup in run:
-            single.expire(tup.ts)
-            single.insert(tup)
+        first = bulk.file(columns(run))
+        for walked, tup in enumerate(run, 1):
+            insert(single, tup)
+            bulk.expire(tup.ts)
+            bound = first + walked
+            if key_fn is None:
+                base = bulk.base
+                assert ([bulk.ts[n - base] for n in bulk.matches(0.0, bound)]
+                        == [t.ts for t in single])
+            for key in range(3) if key_fn is not None else ():
+                assert probed(bulk, key, bound) == probed(single, key)
+        bulk.retain(run[-1].ts)
         assert list(bulk) == list(single)
         assert bulk._buckets == single._buckets
-        if key_fn is not None:
-            for key in range(3):
-                assert list(bulk.probe(key)) == list(single.probe(key))
     assert 0 < len(bulk) < sum(map(len, runs))
