@@ -1,10 +1,14 @@
 """Checkpoint storage: atomic, CRC-checked, monotonically numbered images.
 
 A checkpoint file holds one pickled state document (the nested
-``snapshot_state()`` dicts assembled by the recovery manager).  Durability
-protocol, in order:
+``snapshot_state()`` dicts assembled by the recovery manager).  Writing is
+two steps, which a caller may run at different times: :meth:`encode`
+fixes the bytes (pickle, CRC, header), so the document may change after
+it; :meth:`write` makes them the next-numbered image.  Durability
+protocol of a write, in order:
 
-1. serialize into ``checkpoint-NNNNNN.ckpt.tmp`` in the same directory;
+1. write the bytes into ``checkpoint-NNNNNN.ckpt.tmp`` in the same
+   directory;
 2. flush + fsync the temporary file;
 3. ``os.replace`` it onto the final name (atomic on POSIX);
 4. fsync the directory so the rename itself is durable.
@@ -66,6 +70,11 @@ def fsync_dir(directory: Path) -> None:
 class CheckpointStore:
     """Directory of numbered checkpoint files with corruption fallback.
 
+    The store lists its directory once, at its first write, and from then
+    on numbers its images from what it wrote and pruned itself: a write
+    lists nothing.  Reading (:meth:`load_latest`) lists the directory on
+    every call.
+
     Args:
         directory: Where the ``checkpoint-NNNNNN.ckpt`` files live; created
             on first use.
@@ -82,6 +91,9 @@ class CheckpointStore:
                  keep: int = KEEP) -> None:
         self.directory = Path(directory)
         self.keep = max(2, int(keep))
+        #: The image numbers on disk, ascending, as this store last knew
+        #: them: None until its first write lists the directory.
+        self._written: list[int] | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -105,14 +117,27 @@ class CheckpointStore:
 
     def save(self, state: Any) -> CheckpointInfo:
         """Durably write ``state`` as the next-numbered checkpoint."""
-        started = time.perf_counter()
-        existing = self.numbers()
-        if not existing:  # the directory may not exist yet
-            self.directory.mkdir(parents=True, exist_ok=True)
-        number = (existing[-1] + 1) if existing else 1
+        return self.write(self.encode(state))
+
+    @staticmethod
+    def encode(state: Any) -> bytes:
+        """``state`` as the bytes of one checkpoint file: magic, CRC,
+        length and the pickled document, which may change after this."""
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = CHECKPOINT_MAGIC + _HEADER.pack(zlib.crc32(payload),
+        return CHECKPOINT_MAGIC + _HEADER.pack(zlib.crc32(payload),
                                                len(payload)) + payload
+
+    def write(self, blob: bytes) -> CheckpointInfo:
+        """Durably write ``blob`` (from :meth:`encode`) as the
+        next-numbered checkpoint, then prune what falls out of the newest
+        :attr:`keep`."""
+        started = time.perf_counter()
+        written = self._written
+        if written is None:
+            written = self._written = self.numbers()
+            if not written:  # the directory may not exist yet
+                self.directory.mkdir(parents=True, exist_ok=True)
+        number = (written[-1] + 1) if written else 1
         final = self.path_for(number)
         tmp = final.with_suffix(".ckpt.tmp")
         with open(tmp, "wb") as fp:
@@ -121,20 +146,21 @@ class CheckpointStore:
             os.fsync(fp.fileno())
         os.replace(tmp, final)
         fsync_dir(self.directory)
-        self._prune(number, existing)
+        written.append(number)
+        self._prune(number)
         return CheckpointInfo(number=number, path=final,
                               bytes_written=len(blob),
                               duration=time.perf_counter() - started)
 
-    def _prune(self, latest: int, existing: list[int]) -> None:
-        """Unlink the ``existing`` images (the listing taken before
-        ``latest`` was written) that fall out of the newest :attr:`keep`."""
-        for number in existing:
-            if number <= latest - self.keep:
-                try:
-                    self.path_for(number).unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+    def _prune(self, latest: int) -> None:
+        """Unlink the images this store knows of that fall out of the
+        newest :attr:`keep` (one removed by someone else is passed over)."""
+        written = self._written
+        while written[0] <= latest - self.keep:
+            try:
+                self.path_for(written.pop(0)).unlink()
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------ #
     # Reading

@@ -365,11 +365,11 @@ class CommandHistory:
         self._open = 0  # where the staged records start
 
     def image(self) -> dict:
-        """After a :meth:`prune`, the running values, the last floor
-        learned and the log point where the live suffix's first frame
-        begins (None when no segment is live)."""
+        """After a :meth:`prune`, the running values (copied: the image
+        owns them), the last floor learned and the log point where the
+        live suffix's first frame begins (None when no segment is live)."""
         self.prune()
-        return {"base": self.base, "carried": self.carried,
+        return {"base": self.base, "carried": list(self.carried),
                 "carried_at": self.carried_at, "dropped": self.dropped,
                 "floor": self._floor,
                 "at": self.segments[0][-1] if self.segments else None}
@@ -413,14 +413,18 @@ class CommandHistory:
                               puncts, now, at))
         self._open = len(records)
 
-    def trim(self, floor: float) -> None:
+    def trim(self, floor: float, position: int | None = None) -> None:
         """Learn a state floor; the next :meth:`commit` (or :meth:`prune`)
         cuts the history at it, so the checkpoint that learned it does not
         also pay for freeing what the cut drops.  A floor speaks for the
-        state the segments committed so far built, not for later ones (a
-        state holding no row answers ``+inf``)."""
-        self._floor = floor
-        self._floor_at = self.base + len(self.segments)
+        state the segments up to log ``position`` built (by default, those
+        committed so far), not for later ones (a state holding no row
+        answers ``+inf``); one learned at a lower position than the last
+        is passed over."""
+        if position is None:
+            position = self.base + len(self.segments)
+        if position >= self._floor_at:
+            self._floor, self._floor_at = floor, position
 
     def prune(self) -> None:
         """Drop the longest prefix of segments, among those the last floor
@@ -498,15 +502,15 @@ class InputJournal:
         return True
 
     def cut(self, *, position: int, floor: float, epoch: int) -> None:
-        """Record that every shard checkpointed at log ``position`` with
-        state floor ``floor``: a ``cut`` record staged for the next frame
-        (the history never holds it), and the floor taught to the history
-        (:meth:`CommandHistory.trim`)."""
+        """Record that every shard image of log ``position``, with state
+        floor ``floor``, is on disk: a ``cut`` record staged for the next
+        frame (the history never holds it), and the floor taught to the
+        history at ``position`` (:meth:`CommandHistory.trim`)."""
         if self.wal is not None:
             self._staged.append({"kind": "cut", "position": position,
                                  "floor": floor, "epoch": epoch})
         if self.history is not None:
-            self.history.trim(floor)
+            self.history.trim(floor, position)
 
     def stream(self, start: tuple[int, int] = (0, 0), *,
                image: dict | None = None, marks=None
@@ -552,7 +556,7 @@ class InputJournal:
                     opened = None
                 elif kind == "cut":
                     if not below:
-                        history.trim(rec["floor"])
+                        history.trim(rec["floor"], rec["position"])
                 else:
                     stage(rec)
                     opened = opened or wal.point

@@ -140,9 +140,13 @@ class EngineShard:
             factory (a policy holds state and cannot be shared across
             engines), and ``feedback`` is refused (see
             :func:`shard_config`); with ``state_dir`` set, :meth:`checkpoint`
-            writes there, each image recording the facade-log
+            captures an image there, recording the facade-log
             :attr:`position` it covers.  The shard neither logs nor
             decides when to checkpoint: the facade calls it at its marks.
+            A capture the facade spreads is written inside the shard's
+            (``index`` + 1)-th :meth:`apply` from it, so the P shards of a
+            checkpoint write on P successive wake-ups, none on the
+            checkpoint's own (DESIGN.md §4g).
             Recovery is two calls on a fresh shard, :meth:`restore` then
             :meth:`replay`; between them the facade routes the shard only
             the logged wake-ups past the position :meth:`restore` returned.
@@ -168,6 +172,10 @@ class EngineShard:
         #: every positioned command, recorded by every checkpoint.
         self.position = 0
         self.store: CheckpointStore | None = None
+        #: The captured image's bytes not yet written, and the applies
+        #: left until they are.
+        self._unwritten: bytes | None = None
+        self._applies_left = 0
         if config.state_dir is not None:
             Path(config.state_dir).mkdir(parents=True, exist_ok=True)
             self.store = CheckpointStore(config.state_dir)
@@ -208,6 +216,10 @@ class EngineShard:
         numbers the wake-up in the facade log; a checkpoint taken in it
         records it.
         """
+        if self._unwritten is not None:
+            self._applies_left -= 1
+            if not self._applies_left:
+                self.write_pending()
         if position is not None:
             self.position = position
         entry = None
@@ -234,16 +246,29 @@ class EngineShard:
     def frontier(self) -> float:
         return shard_frontier(self.graph, self.clock)
 
-    def checkpoint(self) -> float:
-        """Save the shard's image with the log position it covers; the
-        reply is the shard's :meth:`state_floor`, which the facade's ``cut``
-        record carries and its history is trimmed by."""
+    def checkpoint(self, spread: bool = False) -> float:
+        """Capture the shard's image with the log position it covers — its
+        bytes, fixed here — after writing the one still pending.  The
+        image is written now, or with ``spread`` inside the shard's
+        (``index`` + 1)-th :meth:`apply` from here.  The reply is the
+        shard's :meth:`state_floor`, which the facade's ``cut`` record
+        carries and its history is trimmed by."""
         if self.store is None:
             raise ShardError(f"shard {self.index} has no state_dir")
-        self.store.save(engine_state(
+        self.write_pending()
+        self._unwritten = self.store.encode(engine_state(
             self.graph, self.engine, self.clock,
             version=SHARD_CHECKPOINT_FORMAT, position=self.position))
+        self._applies_left = self.index + 1
+        if not spread:
+            self.write_pending()
         return self.state_floor()
+
+    def write_pending(self) -> None:
+        """Write the captured image still pending, if any."""
+        if self._unwritten is not None:
+            blob, self._unwritten = self._unwritten, None
+            self.store.write(blob)
 
     def restore(self, marks: dict[str, int], limit: int,
                 report: RecoveryReport) -> int:
@@ -335,8 +360,8 @@ class SerialBackend:
         return [shard.apply(*command)
                 for shard, command in zip(self.shards, commands)]
 
-    def checkpoint_all(self) -> list:
-        return [shard.checkpoint() for shard in self.shards]
+    def checkpoint_all(self, spread: bool = False) -> list:
+        return [shard.checkpoint(spread) for shard in self.shards]
 
     def restore_all(self, args: Sequence[tuple]) -> list[tuple]:
         """``(position, report)`` per shard, from :meth:`EngineShard.restore`
@@ -351,7 +376,9 @@ class SerialBackend:
         return [shard.summary() for shard in self.shards]
 
     def close(self) -> None:
-        """Nothing to release: a shard holds no open file."""
+        """Write every shard's pending image; a shard holds no open file."""
+        for shard in self.shards:
+            shard.write_pending()
 
 
 class ThreadBackend(SerialBackend):
@@ -385,7 +412,10 @@ class ThreadBackend(SerialBackend):
         return results
 
     def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        try:
+            super().close()
+        finally:
+            self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _wait(conn, timeout: float | None, spin: float) -> bool:
@@ -406,7 +436,7 @@ def _run_op(shard: EngineShard, message: tuple):
     if op == "restore":  # the report goes back filled in
         return shard.restore(*args), args[2]
     if op == "close":
-        return None
+        return shard.write_pending()
     if op not in ("apply", "checkpoint", "replay", "summary"):
         raise ShardError(f"unknown shard op {op!r}")
     return getattr(shard, op)(*args)
@@ -536,8 +566,8 @@ class ProcessBackend:
         return self._call_all([("apply",) + tuple(command)
                                for command in commands])
 
-    def checkpoint_all(self) -> list:
-        return self._call_all([("checkpoint",)] * self.shard_count)
+    def checkpoint_all(self, spread: bool = False) -> list:
+        return self._call_all([("checkpoint", spread)] * self.shard_count)
 
     def restore_all(self, args: Sequence[tuple]) -> list[tuple]:
         return self._call_all([("restore",) + tuple(a) for a in args])
@@ -549,18 +579,32 @@ class ProcessBackend:
         return self._call_all([("summary",)] * self.shard_count)
 
     def close(self) -> None:
-        for conn in self._conns.values():
+        """Every shard writes its pending image (a worker before it exits);
+        the first shard that fails to raises once every worker is gone."""
+        failure = None
+        if self._local is not None:
+            try:
+                self._local.write_pending()
+            except Exception:  # noqa: BLE001 - raised after the workers
+                failure = ShardError(f"shard 0 failed 'close':\n"
+                                     f"{traceback.format_exc()}")
+        for index, conn in self._conns.items():
             try:
                 conn.send(("close",))
                 if conn.poll(self.op_timeout):
-                    conn.recv()
-            except (BrokenPipeError, OSError):
+                    status, value = conn.recv()
+                    if status != "ok" and failure is None:
+                        failure = ShardError(
+                            f"shard {index} failed 'close':\n{value}")
+            except (BrokenPipeError, EOFError, OSError):
                 pass
             conn.close()
         for proc in self._procs.values():
             proc.join(timeout=self.op_timeout)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
+        if failure is not None:
+            raise failure
 
 
 BACKENDS = ("serial", "thread", "process")

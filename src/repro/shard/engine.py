@@ -25,11 +25,15 @@ sizes, and join layouts.
 Durability: with a ``state_dir`` the facade's input journal is the run's
 only input log (a frame per wake-up before dispatch, the shards' delivered
 ``marks`` before release), and the facade alone decides when the shards
-checkpoint: at a logged mark, every ``checkpoint_every`` wake-ups, each
-checkpoint noted by a ``cut`` record in the next frame.  Beside each
-checkpoint the facade saves an image of its own tallies and the log point
-they cover, and recovery reads the log once from the newest usable image
-on (DESIGN.md §4f, §4g).
+checkpoint: at a logged mark, every ``checkpoint_every`` wake-ups.  That
+wake-up only captures the images (each shard fixes its image's bytes);
+the files are written one per following wake-up — shard *i* inside its
+(*i* + 1)-th apply from there, then the facade's image of its own tallies
+and the log point they cover — and once every shard image of the
+checkpoint is on disk a ``cut`` record notes it in the next frame.
+:meth:`ShardedEngine.checkpoint`, a reshard and an orderly ``close``
+write at once.  Recovery reads the log once from the newest usable
+facade image on (DESIGN.md §4f, §4g).
 """
 
 from __future__ import annotations
@@ -282,8 +286,15 @@ class ShardedEngine:
                                        else Counter())
         self._marked: tuple | None = None
         #: The in-order sources' data highs and the drive clock at the last
-        #: checkpoint, whose image the next wake-up saves.
+        #: checkpoint, whose image the next wake-up builds.
         self._due: tuple | None = None
+        #: That image, built and not yet saved: it waits for its shard
+        #: images.
+        self._image_doc: dict | None = None
+        #: The ``cut`` record of a spread checkpoint, staged once the
+        #: wake-up at ``_cut_at`` has had every shard write its image.
+        self._cut: dict | None = None
+        self._cut_at = 0
 
     def _open_state(self, shards: int, state_dir) -> tuple[int, Path | None]:
         """The shard count and the directory the shards' state lives under;
@@ -369,13 +380,18 @@ class ShardedEngine:
         order.
 
         A durable wake-up runs (the last checkpoint's facade image) →
-        frame → apply → marks → offer → checkpoint (every
-        ``checkpoint_every`` wake-ups) → release (DESIGN.md §4f, §4g).
+        frame → apply (a shard may write its image of the last checkpoint)
+        → marks → (the last checkpoint's ``cut``) → offer → checkpoint
+        capture (every ``checkpoint_every`` wake-ups) → release (DESIGN.md
+        §4f, §4g).
         """
         position = self.wakeups + 1
         if self.journal is not None:
+            if self._image_doc is not None:
+                self._save_image()
             if self._due is not None:
-                self._images.save(self._image())
+                self._image_doc = self._image()
+                self._save_image()
             self.journal.commit({"kind": "wakeup", "now": self._drive_now})
             key_fn = self.partitioner.key_fn
             rows = list(chain.from_iterable(self._pending_ingests))
@@ -394,6 +410,9 @@ class ShardedEngine:
             marks = [result.marks for result in results]
             if self.journal.mark(marks, epoch=self._epoch):
                 self._marked = (self._epoch, marks)
+            if self._cut is not None and position >= self._cut_at:
+                self.journal.cut(**self._cut)  # every shard image written
+                self._cut = None
         for result in results:
             self.tracker.advertise(result.shard, result.frontier)
             # The shard ships runs; the merge takes rows (its contract).
@@ -410,7 +429,7 @@ class ShardedEngine:
                                frontier=result.frontier,
                                count=offered)
         if self._checkpoint_every and position % self._checkpoint_every == 0:
-            self.checkpoint()
+            self._checkpoint(spread=True)
         released = self.merge.release(self.tracker.global_frontier())
         if self.bus is not None:
             self.bus.shard(kind="frontier", shard=-1, time=self._drive_now,
@@ -424,35 +443,67 @@ class ShardedEngine:
         In-flight merge state is volatile by design (the durable
         exactly-once boundary is the logged ``marks`` — see DESIGN.md
         §4g); an orderly close flushes it so a complete run loses nothing.
+        Either way the shards write their pending images, and then the
+        facade its built one; staged records are not written.
         """
         if self._closed:
             return []
         self._closed = True
         remaining = self.merge.flush() if flush else []
-        self.backend.close()
-        if self.journal is not None:
-            self.journal.close()
+        try:
+            self.backend.close()
+            if self._image_doc is not None:
+                self._images.save(self._image_doc)
+                self._image_doc = None
+        finally:
+            if self.journal is not None:
+                self.journal.close()
         return remaining
 
     # ------------------------------------------------------------------ #
     # Durability composition
 
     def checkpoint(self) -> float:
-        """Checkpoint every shard now, at the log's last ``marks``, and
-        stage a ``cut`` record at that position, which trims the history.
-        A durable facade's image of this point (:meth:`_image`) is saved
-        by the next wake-up, before its frame, so the checkpoint does not
-        also pay for it; none is when commands are staged, since the log
-        does not hold them yet.  Returns the shards' minimum state
-        floor."""
-        floor = min(self.backend.checkpoint_all())
+        """Checkpoint every shard now, at the log's last ``marks``: each
+        shard writes its image before this returns, and a ``cut`` record
+        at that position is staged, which trims the history.  A durable
+        facade's image of this point (:meth:`_image`) is saved by the next
+        wake-up, before its frame, so the checkpoint does not also pay for
+        it; none is when commands are staged, since the log does not hold
+        them yet.  Returns the shards' minimum state floor."""
+        return self._checkpoint(spread=False)
+
+    def _checkpoint(self, *, spread: bool) -> float:
+        """:meth:`checkpoint`, or with ``spread`` the cadence's capture:
+        shard *i* writes its image inside its (*i* + 1)-th apply from
+        here, and the ``cut`` is staged after the wake-up in which the
+        last shard wrote.  Either way each shard first writes the image
+        still pending, so the pending ``cut`` is staged before this one."""
+        floor = min(self.backend.checkpoint_all(spread))
         if self.journal is not None:
-            self.journal.cut(position=self.wakeups, floor=floor,
-                             epoch=self._epoch)
+            if self._cut is not None:
+                self.journal.cut(**self._cut)
+            cut = {"position": self.wakeups, "floor": floor,
+                   "epoch": self._epoch}
+            if spread:
+                self._cut, self._cut_at = cut, self.wakeups + self.shard_count
+                if self.journal.history is not None:
+                    self.journal.history.trim(floor, self.wakeups)
+            else:
+                self._cut = None
+                self.journal.cut(**cut)
             if self._images is not None and not (
                     self._pending_puncts or any(self._pending_ingests)):
                 self._due = (dict(self._ordered), self._drive_now)
         return floor
+
+    def _save_image(self) -> None:
+        """Save the built facade image once every shard image of its point
+        is on disk: the ``cut`` waiting is a later checkpoint's, or none."""
+        doc = self._image_doc
+        if self._cut is None or doc["position"] < self._cut["position"]:
+            self._images.save(doc)
+            self._image_doc = None
 
     def _image(self) -> dict:
         """The facade's image of the last checkpoint: what the log up to
@@ -462,13 +513,14 @@ class ShardedEngine:
         clock — and, with a history, the history's image
         (:meth:`CommandHistory.image`).  Nothing is logged between the
         checkpoint and this call, so only the highs and the clock, which
-        staging moves, come from the checkpoint itself."""
+        staging moves, come from the checkpoint itself.  The image owns
+        its values, so it may be saved wake-ups later."""
         (highs, now), self._due = self._due, None
         offset, records = self.journal.wal.tell()
         history = self.journal.history
         return {"format": FACADE_IMAGE_FORMAT, "position": self.wakeups,
                 "offset": offset, "records": records,
-                "ingests": self._tally, "highs": highs,
+                "ingests": Counter(self._tally), "highs": highs,
                 "mark": self._marked, "now": now,
                 "history": None if history is None else history.image()}
 
@@ -638,6 +690,14 @@ class ShardedEngine:
         replacement = EngineShard(
             index, self._build, **self._shard_kwargs(index, self.state_dir))
         shards[index] = replacement
+        # The lost shard's pending image never reaches disk: its spread
+        # checkpoint gets no cut, and no facade image speaks for it.
+        cut, self._cut = self._cut, None
+        if cut is not None:
+            self._due = None
+            if (self._image_doc is not None
+                    and self._image_doc["position"] == cut["position"]):
+                self._image_doc = None
         marks, limit, report = self._restore_args(log, index)
         position = replacement.restore(marks, limit, report)
         report = replacement.replay(

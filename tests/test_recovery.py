@@ -258,9 +258,8 @@ class TestCheckpointStore:
         assert store.load_latest() == (1, doc, [])
 
     def test_a_save_lists_the_directory_once(self, tmp_path, monkeypatch):
-        store = CheckpointStore(tmp_path, keep=2)
-        for i in range(3):
-            store.save({"i": i})
+        """A store lists its directory at its first save only, and numbers
+        and prunes from what it wrote itself from then on."""
         listings = []
         iterdir = type(tmp_path).iterdir
 
@@ -269,10 +268,28 @@ class TestCheckpointStore:
             return iterdir(path)
 
         monkeypatch.setattr(type(tmp_path), "iterdir", counted)
-        store.save({"i": 3})
+        store = CheckpointStore(tmp_path, keep=2)
+        for i in range(4):
+            store.save({"i": i})
         monkeypatch.undo()
         assert listings == [tmp_path]
         assert store.numbers() == [3, 4]
+        assert [store.load(n)["i"] for n in (3, 4)] == [2, 3]
+
+    def test_a_save_survives_an_image_deleted_by_someone_else(self,
+                                                              tmp_path):
+        """Images unlinked behind the store's back break no later save,
+        and the numbers go on rising from the store's own count."""
+        store = CheckpointStore(tmp_path, keep=2)
+        for i in range(3):
+            store.save({"i": i})
+        store.path_for(3).unlink()
+        store.path_for(2).unlink()
+        assert store.save({"i": 3}).number == 4
+        assert store.save({"i": 4}).number == 5
+        assert store.numbers() == [4, 5]
+        assert store.load_latest()[:2] == (5, {"i": 4})
+        assert CheckpointStore(tmp_path).save({"i": 5}).number == 6
 
     def test_monotonic_numbering_and_pruning(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
